@@ -218,7 +218,9 @@ func (s *Store) Get(name string, done func([]byte, error)) {
 		s.slots[i].cl.ReadWithBudget(s.slots[i].space, meta.offsets[i], int(meta.shardLen), degradedReadBudget,
 			func(data []byte, err error) {
 				if err == nil {
-					shards[i] = data
+					// Kept until every shard has answered; data is only
+					// valid until this callback returns.
+					shards[i] = append([]byte(nil), data...)
 				}
 				remaining--
 				if remaining == 0 {

@@ -131,7 +131,9 @@ func measureRebuild(offload bool) (netBytes uint64, took time.Duration, err erro
 				copyDone = true
 				return
 			}
-			agent.Write(dst.Space, off, data, func(err error) {
+			// Write keeps its payload across remount retries; data is only
+			// valid until this callback returns.
+			agent.Write(dst.Space, off, append([]byte(nil), data...), func(err error) {
 				if err != nil {
 					copyErr = err
 					copyDone = true

@@ -174,7 +174,7 @@ func TestLoginReadWrite(t *testing.T) {
 				t.Errorf("read: %v", err)
 				return
 			}
-			read = data
+			read = append([]byte(nil), data...) // data dies with the callback
 		})
 	})
 	r.sched.Run()
@@ -267,7 +267,7 @@ func TestVolumeIsolation(t *testing.T) {
 	})
 	r.sched.Run()
 	var sp0 []byte
-	r.ini.Read("h1", "unit0/disk00/sp0", 0, 8, func(data []byte, err error) { sp0 = data })
+	r.ini.Read("h1", "unit0/disk00/sp0", 0, 8, func(data []byte, err error) { sp0 = append([]byte(nil), data...) })
 	r.sched.Run()
 	if !bytes.Equal(sp0, make([]byte, 8)) {
 		t.Fatalf("volume 0 sees volume 1's data: %q", sp0)

@@ -64,11 +64,17 @@ func (v *ChecksumDiskVolume) WriteAt(off int64, data []byte, done func(error)) {
 	})
 }
 
-// ReadAt implements Volume. After the disk returns data, every covered
-// block that has a recorded CRC is verified against the medium; a mismatch
-// fails the read with ErrChecksum instead of returning rotten bytes.
+// ReadAt implements Volume.
 func (v *ChecksumDiskVolume) ReadAt(off int64, length int, done func([]byte, error)) {
-	v.DiskVolume.ReadAt(off, length, func(data []byte, err error) {
+	v.ReadInto(off, length, nil, done)
+}
+
+// ReadInto implements Volume. After the disk returns data, every covered
+// block that has a recorded CRC is verified against the medium; a mismatch
+// fails the read with ErrChecksum instead of returning rotten bytes (dst's
+// buffer has been taken by then and stays with whoever supplied it).
+func (v *ChecksumDiskVolume) ReadInto(off int64, length int, dst disk.ReadDest, done func([]byte, error)) {
+	v.DiskVolume.ReadInto(off, length, dst, func(data []byte, err error) {
 		if err != nil {
 			done(data, err)
 			return

@@ -19,6 +19,8 @@ var ErrTimeout = errors.New("block: request timeout")
 type Initiator struct {
 	node  *simnet.Node
 	sched *simtime.Scheduler
+	// frames is the network's free list read responses go back to.
+	frames *simnet.FrameList
 
 	nextTag uint64
 	pending map[uint64]*call
@@ -40,7 +42,7 @@ type Initiator struct {
 }
 
 type call struct {
-	done    func(*Msg, error)
+	done    func(Msg, error)
 	timeout *simtime.Event
 }
 
@@ -49,6 +51,7 @@ func NewInitiator(net *simnet.Network, clientNode string) *Initiator {
 	ini := &Initiator{
 		node:    net.Node(clientNode),
 		sched:   net.Scheduler(),
+		frames:  net.Frames(),
 		pending: make(map[uint64]*call),
 		Timeout: 2 * time.Second,
 	}
@@ -64,8 +67,8 @@ func (ini *Initiator) onMessage(msg simnet.Message) {
 	if !ok {
 		return
 	}
-	m, _, err := Decode(raw)
-	if err != nil {
+	var m Msg
+	if _, err := m.decode(raw); err != nil {
 		return
 	}
 	c, ok := ini.pending[m.Tag]
@@ -75,16 +78,25 @@ func (ini *Initiator) onMessage(msg simnet.Message) {
 	delete(ini.pending, m.Tag)
 	c.timeout.Cancel()
 	c.done(m, nil)
+	if m.Type == MsgReadResp {
+		// The read's callback has returned, and with it the caller's claim
+		// on the payload: the frame can carry the next read. Frames that
+		// never get here (dropped, timed out, late) fall to the GC.
+		ini.frames.Put(raw)
+	}
 }
 
-func (ini *Initiator) send(host string, m *Msg, done func(*Msg, error)) {
+// send issues m and arranges for done to see the reply or a timeout. m does
+// not outlive the call (the frame is encoded here), so callers build it on
+// the stack.
+func (ini *Initiator) send(host string, m *Msg, done func(Msg, error)) {
 	ini.nextTag++
 	m.Tag = ini.nextTag
 	if ini.OnComplete != nil {
 		start := ini.sched.Now()
 		volume := m.Volume
 		inner := done
-		done = func(reply *Msg, err error) {
+		done = func(reply Msg, err error) {
 			ini.OnComplete(host, volume, ini.sched.Now()-start, err)
 			inner(reply, err)
 		}
@@ -100,13 +112,13 @@ func (ini *Initiator) send(host string, m *Msg, done func(*Msg, error)) {
 	if n := len(m.Data); n > 0 {
 		timeout += time.Duration(float64(n) / 50e6 * float64(time.Second))
 	}
-	tag := m.Tag
+	tag, typ := m.Tag, m.Type
 	c.timeout = ini.sched.After(timeout, func() {
 		if _, ok := ini.pending[tag]; !ok {
 			return
 		}
 		delete(ini.pending, tag)
-		done(nil, fmt.Errorf("%w: %s to %s", ErrTimeout, m.Type, host))
+		done(Msg{}, fmt.Errorf("%w: %s to %s", ErrTimeout, typ, host))
 	})
 	ini.pending[tag] = c
 	buf := m.Encode()
@@ -116,7 +128,7 @@ func (ini *Initiator) send(host string, m *Msg, done func(*Msg, error)) {
 // Login opens a session to volume on host's target. done receives the
 // volume size.
 func (ini *Initiator) Login(host, volume string, done func(size int64, err error)) {
-	ini.send(host, &Msg{Type: MsgLogin, Volume: volume}, func(m *Msg, err error) {
+	ini.send(host, &Msg{Type: MsgLogin, Volume: volume}, func(m Msg, err error) {
 		if err != nil {
 			done(0, err)
 			return
@@ -129,10 +141,13 @@ func (ini *Initiator) Login(host, volume string, done func(size int64, err error
 	})
 }
 
-// Read reads length bytes at off from a logged-in volume.
+// Read reads length bytes at off from a logged-in volume. data is the
+// payload of the response frame itself and is valid only until done returns
+// (the frame is then recycled for another read): a done that keeps the bytes
+// — stores them, passes them to an asynchronous call — must copy them first.
 func (ini *Initiator) Read(host, volume string, off int64, length int, done func([]byte, error)) {
 	ini.send(host, &Msg{Type: MsgRead, Volume: volume, Offset: uint64(off), Length: uint32(length)},
-		func(m *Msg, err error) {
+		func(m Msg, err error) {
 			if err != nil {
 				done(nil, err)
 				return
@@ -148,7 +163,7 @@ func (ini *Initiator) Read(host, volume string, off int64, length int, done func
 // Write writes data at off to a logged-in volume.
 func (ini *Initiator) Write(host, volume string, off int64, data []byte, done func(error)) {
 	ini.send(host, &Msg{Type: MsgWrite, Volume: volume, Offset: uint64(off), Data: data},
-		func(m *Msg, err error) {
+		func(m Msg, err error) {
 			if err != nil {
 				done(err)
 				return

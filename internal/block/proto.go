@@ -134,11 +134,7 @@ func (m *Msg) bodyLen() int {
 func (m *Msg) Encode() []byte {
 	bl := m.bodyLen()
 	out := make([]byte, headerLen+bl)
-	binary.BigEndian.PutUint32(out[0:], Magic)
-	out[4] = byte(m.Type)
-	out[5] = byte(m.Status)
-	binary.BigEndian.PutUint64(out[8:], m.Tag)
-	binary.BigEndian.PutUint32(out[16:], uint32(bl))
+	putHeader(out, m.Type, m.Status, m.Tag, bl)
 	b := out[headerLen:]
 	switch m.Type {
 	case MsgLogin, MsgLogout:
@@ -164,39 +160,63 @@ func (m *Msg) Encode() []byte {
 	return out
 }
 
+// putHeader writes a PDU header over the first headerLen bytes of frame,
+// every byte of it: frame may be a recycled buffer.
+func putHeader(frame []byte, typ MsgType, status Status, tag uint64, bodyLen int) {
+	binary.BigEndian.PutUint32(frame[0:], Magic)
+	frame[4] = byte(typ)
+	frame[5] = byte(status)
+	frame[6], frame[7] = 0, 0
+	binary.BigEndian.PutUint64(frame[8:], tag)
+	binary.BigEndian.PutUint32(frame[16:], uint32(bodyLen))
+}
+
 // Decode parses one PDU from buf, returning the message and bytes consumed.
 // It returns ErrTruncated if buf does not hold a complete PDU yet.
 //
 // For payload-carrying PDUs (read-resp, write) the returned Msg.Data aliases
 // buf rather than copying it: both transports hand Decode frames whose bytes
-// are never rewritten afterwards (simnet delivers freshly encoded buffers;
-// the net.Conn framers only append past, and re-slice away from, consumed
-// frames). Callers that retain Data beyond the life of buf must copy it.
+// are not rewritten while the message is being handled (simnet delivers each
+// frame to one owner, and the Initiator recycles a read response only after
+// the read's callback has returned; the net.Conn framers only append past,
+// and re-slice away from, consumed frames). Callers that retain Data beyond
+// the life of buf must copy it.
 func Decode(buf []byte) (*Msg, int, error) {
+	m := new(Msg)
+	n, err := m.decode(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	return m, n, nil
+}
+
+// decode is Decode into a Msg the caller supplies (the simnet transports
+// decode every PDU into a stack variable). m's contents are unspecified
+// after an error.
+func (m *Msg) decode(buf []byte) (int, error) {
 	if len(buf) < headerLen {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
 	if binary.BigEndian.Uint32(buf) != Magic {
-		return nil, 0, ErrBadMagic
+		return 0, ErrBadMagic
 	}
 	bodyLen := binary.BigEndian.Uint32(buf[16:])
 	if bodyLen > MaxBody {
-		return nil, 0, fmt.Errorf("%w: %d", ErrBodyTooLarge, bodyLen)
+		return 0, fmt.Errorf("%w: %d", ErrBodyTooLarge, bodyLen)
 	}
 	total := headerLen + int(bodyLen)
 	if len(buf) < total {
-		return nil, 0, ErrTruncated
+		return 0, ErrTruncated
 	}
-	m := &Msg{
+	*m = Msg{
 		Type:   MsgType(buf[4]),
 		Status: Status(buf[5]),
 		Tag:    binary.BigEndian.Uint64(buf[8:]),
 	}
-	body := buf[headerLen:total]
-	if err := m.decodeBody(body); err != nil {
-		return nil, 0, err
+	if err := m.decodeBody(buf[headerLen:total]); err != nil {
+		return 0, err
 	}
-	return m, total, nil
+	return total, nil
 }
 
 func (m *Msg) decodeBody(body []byte) error {

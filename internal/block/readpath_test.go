@@ -1,0 +1,167 @@
+package block
+
+import (
+	"bytes"
+	"errors"
+	"runtime"
+	"testing"
+
+	"ustore/internal/disk"
+	"ustore/internal/simnet"
+	"ustore/internal/simtime"
+)
+
+// readRig is an Initiator logged in to a ChecksumDiskVolume over simnet, with
+// span bytes of the volume written — the path every cold read takes.
+type readRig struct {
+	sched *simtime.Scheduler
+	ini   *Initiator
+	d     *disk.Disk
+
+	// One callback for every read, so the rig itself allocates nothing
+	// per IO.
+	done  func([]byte, error)
+	err   error
+	check func(data []byte)
+}
+
+const readRigVolume = "sp0"
+
+func newReadRig(tb testing.TB, span int) *readRig {
+	tb.Helper()
+	s := simtime.NewScheduler(1)
+	n := simnet.New(s)
+	r := &readRig{sched: s, ini: NewInitiator(n, "client1"),
+		d: disk.New(s, "disk00", disk.DT01ACA300(), disk.AttachFabric)}
+	r.done = func(data []byte, err error) {
+		r.err = err
+		if err == nil && r.check != nil {
+			r.check(data)
+		}
+	}
+	r.d.SpinUp()
+	s.Run()
+	vol, err := NewChecksumDiskVolume(r.d, 0, 1<<30)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	NewTarget(n, "h1").Export(readRigVolume, vol)
+	r.ini.Login("h1", readRigVolume, func(_ int64, err error) {
+		if err != nil {
+			tb.Fatalf("login: %v", err)
+		}
+	})
+	s.Run()
+	data := make([]byte, span)
+	for i := range data {
+		data[i] = byte(i*7 + i>>12)
+	}
+	r.ini.Write("h1", readRigVolume, 0, data, func(err error) {
+		if err != nil {
+			tb.Fatalf("write: %v", err)
+		}
+	})
+	s.Run()
+	return r
+}
+
+// read does one round trip and returns the error the callback saw; check, if
+// set, sees the payload while it is still valid.
+func (r *readRig) read(off int64, length int, check func(data []byte)) error {
+	r.err, r.check = errPending, check
+	r.ini.Read("h1", readRigVolume, off, length, r.done)
+	r.sched.Run()
+	return r.err
+}
+
+var errPending = errors.New("read still pending")
+
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// Steady-state guard: once the free list is warm, a 1 MiB read round trip —
+// request PDU, disk IO, CRC verification of sixteen blocks, response frame,
+// delivery, callback — allocates no payload-sized memory at all: under 1 KiB
+// per IO, all of it request bookkeeping.
+func TestReadPathSteadyStateAllocatesNoPayload(t *testing.T) {
+	const size = 1 << 20
+	r := newReadRig(t, 2*size)
+	want := r.d.Store().ReadAt(size/2, size)
+	verify := func(data []byte) {
+		if !bytes.Equal(data, want) {
+			t.Error("read returned wrong bytes")
+		}
+	}
+	for i := 0; i < 4; i++ { // warm the free list and the scheduler's pools
+		if err := r.read(size/2, size, verify); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const ios = 64
+	before := totalAlloc()
+	for i := 0; i < ios; i++ {
+		if err := r.read(size/2, size, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perIO := (totalAlloc() - before) / ios
+	if perIO >= 1024 {
+		t.Fatalf("steady-state 1 MiB read allocates %d B per IO, want < 1 KiB", perIO)
+	}
+	if err := r.read(size/2, size, verify); err != nil { // recycled frames still carry the right bytes
+		t.Fatal(err)
+	}
+}
+
+// The checksum error path takes a frame (the medium was read before the CRC
+// could be checked), must still fail the read with ErrChecksum, and must give
+// the frame back: the reads that follow find it in the free list.
+func TestReadPathChecksumErrorReleasesFrame(t *testing.T) {
+	const size = 1 << 20
+	r := newReadRig(t, 2*size)
+	for i := 0; i < 2; i++ {
+		if err := r.read(0, size, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.d.CorruptSector(size + 8192) // rots the second MiB only
+	before := totalAlloc()
+	const rounds = 8
+	for i := 0; i < rounds; i++ {
+		if err := r.read(size, size, nil); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("read of a rotten block: err = %v, want ErrChecksum", err)
+		}
+		if err := r.read(0, size, nil); err != nil {
+			t.Fatalf("read of a clean block after a checksum failure: %v", err)
+		}
+	}
+	// A leaked frame would cost a fresh 1 MiB buffer per round.
+	if perRound := (totalAlloc() - before) / rounds; perRound >= 8<<10 {
+		t.Fatalf("checksum failure + clean read allocate %d B per round: the failed read's frame was not released", perRound)
+	}
+}
+
+var benchSink int
+
+// BenchmarkReadPath is one 1 MiB read round trip over simnet against a
+// ChecksumDiskVolume: MB/s is host throughput of the simulated data path,
+// and B/op what it allocates per read.
+func BenchmarkReadPath(b *testing.B) {
+	const size = 1 << 20
+	r := newReadRig(b, 2*size)
+	sum := func(data []byte) { benchSink += int(data[0]) + int(data[len(data)-1]) }
+	if err := r.read(0, size, sum); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := r.read(int64(i%2)*size, size, sum); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -10,7 +10,9 @@ import (
 // EndPoint plays for the disks currently attached to its host (§IV-B).
 // Volumes are exported and revoked dynamically as the fabric moves disks.
 type Target struct {
-	node    *simnet.Node
+	node *simnet.Node
+	// frames is the network's free list read responses are built in.
+	frames  *simnet.FrameList
 	volumes map[string]Volume
 	// sessions tracks which (client, volume) pairs are logged in.
 	sessions map[string]map[string]bool
@@ -27,6 +29,7 @@ func TargetNode(host string) string { return "blk:" + host }
 func NewTarget(net *simnet.Network, host string) *Target {
 	t := &Target{
 		node:     net.Node(TargetNode(host)),
+		frames:   net.Frames(),
 		volumes:  make(map[string]Volume),
 		sessions: make(map[string]map[string]bool),
 	}
@@ -62,11 +65,11 @@ func (t *Target) onMessage(msg simnet.Message) {
 	if !ok {
 		return
 	}
-	m, _, err := Decode(raw)
-	if err != nil {
+	var m Msg
+	if _, err := m.decode(raw); err != nil {
 		return // corrupt frame: drop, client times out
 	}
-	reply := t.serve(msg.From, m)
+	reply := t.serve(msg.From, &m)
 	if reply != nil {
 		buf := reply.Encode()
 		t.node.Send(msg.From, buf, len(buf))
@@ -95,19 +98,8 @@ func (t *Target) serve(from string, m *Msg) *Msg {
 		if status != StatusOK {
 			return &Msg{Type: MsgReadResp, Tag: m.Tag, Status: status}
 		}
-		tag := m.Tag
-		vol.ReadAt(int64(m.Offset), int(m.Length), func(data []byte, err error) {
-			resp := &Msg{Type: MsgReadResp, Tag: tag, Data: data}
-			if err != nil {
-				resp.Status = StatusIOError
-				if errors.Is(err, ErrChecksum) {
-					resp.Status = StatusChecksum
-				}
-				resp.Data = nil
-			}
-			buf := resp.Encode()
-			t.node.Send(from, buf, len(buf))
-		})
+		rd := &readReply{t: t, from: from, tag: m.Tag}
+		vol.ReadInto(int64(m.Offset), int(m.Length), rd, rd.done)
 		t.reads++
 		return nil
 	case MsgWrite:
@@ -129,6 +121,46 @@ func (t *Target) serve(from string, m *Msg) *Msg {
 	default:
 		return nil
 	}
+}
+
+// readReply is one read in service: the destination the volume copies the
+// payload into and the completion that sends it. The response is built in
+// place — the volume reads straight into a recycled frame behind the space
+// for the header — so the payload is copied once, store to wire, and in
+// steady state nothing payload-sized is allocated.
+type readReply struct {
+	t     *Target
+	from  string
+	tag   uint64
+	frame []byte
+}
+
+// ReadBuffer implements disk.ReadDest: it takes the response frame when the
+// disk is about to fill it, so a read waiting in a disk queue holds none.
+func (r *readReply) ReadBuffer(size int) []byte {
+	r.frame = r.t.frames.Get(headerLen + size)
+	return r.frame[headerLen:]
+}
+
+func (r *readReply) done(data []byte, err error) {
+	if err != nil {
+		if r.frame != nil {
+			// The medium was read but the bytes failed verification: the
+			// frame goes back unused.
+			r.t.frames.Put(r.frame)
+		}
+		status := StatusIOError
+		if errors.Is(err, ErrChecksum) {
+			status = StatusChecksum
+		}
+		buf := (&Msg{Type: MsgReadResp, Tag: r.tag, Status: status}).Encode()
+		r.t.node.Send(r.from, buf, len(buf))
+		return
+	}
+	// data is r.frame[headerLen:] (the Volume.ReadInto contract); only the
+	// header is left to write.
+	putHeader(r.frame, MsgReadResp, StatusOK, r.tag, len(data))
+	r.t.node.Send(r.from, r.frame, len(r.frame))
 }
 
 // volumeFor resolves an IO's volume, requiring a prior login. The IO PDUs

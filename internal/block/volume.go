@@ -13,8 +13,16 @@ import (
 type Volume interface {
 	// Size returns the volume size in bytes.
 	Size() int64
-	// ReadAt reads length bytes from off.
+	// ReadAt reads length bytes from off into a fresh buffer, which done may
+	// keep.
 	ReadAt(off int64, length int, done func(data []byte, err error))
+	// ReadInto is ReadAt into the buffer dst supplies. dst is asked only once
+	// the bytes are about to be copied (never for a read that fails before
+	// reaching the medium), and on success done receives exactly that buffer.
+	// The buffer belongs to whoever supplied it: data is valid until done
+	// returns, and a done that keeps the bytes longer must copy them. A nil
+	// dst means a fresh buffer, as ReadAt.
+	ReadInto(off int64, length int, dst disk.ReadDest, done func(data []byte, err error))
 	// WriteAt writes data at off.
 	WriteAt(off int64, data []byte, done func(err error))
 }
@@ -58,6 +66,11 @@ func (v *DiskVolume) classify(off int64, length int) disk.Pattern {
 
 // ReadAt implements Volume.
 func (v *DiskVolume) ReadAt(off int64, length int, done func([]byte, error)) {
+	v.ReadInto(off, length, nil, done)
+}
+
+// ReadInto implements Volume.
+func (v *DiskVolume) ReadInto(off int64, length int, dst disk.ReadDest, done func([]byte, error)) {
 	if off < 0 || length <= 0 || off+int64(length) > v.size {
 		done(nil, fmt.Errorf("%w: read [%d,+%d) size %d", ErrVolumeRange, off, length, v.size))
 		return
@@ -65,6 +78,7 @@ func (v *DiskVolume) ReadAt(off int64, length int, done func([]byte, error)) {
 	v.d.Submit(&disk.Request{
 		Op:     disk.Op{Read: true, Size: length, Pattern: v.classify(off, length)},
 		Offset: v.base + off,
+		Dest:   dst,
 		Done:   done,
 	})
 }
@@ -97,11 +111,21 @@ func (v *MemVolume) Size() int64 { return int64(len(v.buf)) }
 
 // ReadAt implements Volume.
 func (v *MemVolume) ReadAt(off int64, length int, done func([]byte, error)) {
+	v.ReadInto(off, length, nil, done)
+}
+
+// ReadInto implements Volume.
+func (v *MemVolume) ReadInto(off int64, length int, dst disk.ReadDest, done func([]byte, error)) {
 	if off < 0 || length <= 0 || off+int64(length) > int64(len(v.buf)) {
 		done(nil, ErrVolumeRange)
 		return
 	}
-	out := make([]byte, length)
+	var out []byte
+	if dst != nil {
+		out = dst.ReadBuffer(length)
+	} else {
+		out = make([]byte, length)
+	}
 	copy(out, v.buf[off:])
 	done(out, nil)
 }

@@ -258,6 +258,10 @@ func (cl *ClientLib) MountedOn(space SpaceID) string {
 // Read reads from a mounted space, remounting and retrying on failure
 // until the deadline (default: 30s of retries — "temporary high latency",
 // §IV-D).
+//
+// data is the payload of the block response's wire frame and is valid only
+// until done returns; the frame then carries another read. A done that keeps
+// the bytes (stores them, hands them to a write or an RPC reply) copies them.
 func (cl *ClientLib) Read(space SpaceID, off int64, length int, done func([]byte, error)) {
 	cl.ReadWithBudget(space, off, length, retryBudget, done)
 }
@@ -265,7 +269,7 @@ func (cl *ClientLib) Read(space SpaceID, off int64, length int, done func([]byte
 // ReadWithBudget is Read with an explicit retry budget. Redundancy-aware
 // callers (e.g. an erasure-coded store that can reconstruct from parity)
 // use short budgets so a missing shard fails fast instead of riding out a
-// full failover.
+// full failover. As with Read, data is valid only until done returns.
 func (cl *ClientLib) ReadWithBudget(space SpaceID, off int64, length int, budget time.Duration, done func([]byte, error)) {
 	cl.withRetry(space, budget, done, func(m *mount, attempt func(error)) {
 		cl.ini.Read(m.host, string(space), off, length, func(data []byte, err error) {

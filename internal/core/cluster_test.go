@@ -92,7 +92,7 @@ func TestAllocateMountWriteRead(t *testing.T) {
 			return
 		}
 		cl.Read(rep.Space, 4096, len(payload), func(data []byte, err error) {
-			readBack, ioErr = data, err
+			readBack, ioErr = append([]byte(nil), data...), err // data dies with the callback
 		})
 	})
 	c.Settle(5 * time.Second)

@@ -257,7 +257,9 @@ func (m *Mitigation) breakerOpen(host, volume string) bool {
 // delay, a second read goes to the mirror and the first reply wins. With
 // the primary's breaker open, the read skips straight to the mirror. If
 // both fast paths fail, it falls back to the ClientLib's full retry/remount
-// path so correctness never regresses below plain Read.
+// path so correctness never regresses below plain Read. Whichever leg wins,
+// data is that leg's wire frame and, as with Read, valid only until done
+// returns.
 func (cl *ClientLib) ReadHedged(space SpaceID, off int64, length int, done func([]byte, error)) {
 	m := cl.mit
 	if m == nil {

@@ -86,7 +86,7 @@ func TestMultiUnitAllocationAndIO(t *testing.T) {
 				t.Errorf("read: %v", err)
 				return
 			}
-			got = b
+			got = append([]byte(nil), b...) // b dies with the callback
 		})
 	})
 	c.Settle(5 * time.Second)

@@ -133,7 +133,7 @@ func TestDuplicateDeliveryIdempotency(t *testing.T) {
 			ioErr = err
 			return
 		}
-		cl.Read(first.Space, 0, len(payload), func(data []byte, err error) { got, ioErr = data, err })
+		cl.Read(first.Space, 0, len(payload), func(data []byte, err error) { got, ioErr = append([]byte(nil), data...), err })
 	})
 	c.Settle(5 * time.Second)
 	if ioErr != nil {

@@ -70,7 +70,7 @@ func TestPowerManagerSpinsDownIdleDiskAndIOWakesIt(t *testing.T) {
 	ups := d.SpinUpCount()
 	var data []byte
 	var fail error
-	cl.Read(space, 0, 4096, func(b []byte, err error) { data, fail = b, err })
+	cl.Read(space, 0, 4096, func(b []byte, err error) { data, fail = append([]byte(nil), b...), err })
 	c.Settle(15 * time.Second)
 	if fail != nil {
 		t.Fatalf("read against spun-down disk: %v", fail)
@@ -148,7 +148,7 @@ func TestSpunDownDiskServesAfterFailoverRemount(t *testing.T) {
 	c.CrashHost(host)
 	var data []byte
 	var fail error
-	cl.Read(space, 0, 4096, func(b []byte, err error) { data, fail = b, err })
+	cl.Read(space, 0, 4096, func(b []byte, err error) { data, fail = append([]byte(nil), b...), err })
 	c.Settle(40 * time.Second)
 	if fail != nil {
 		t.Fatalf("read across failover: %v", fail)

@@ -13,8 +13,10 @@ import (
 
 // RepairFunc fetches a known-good copy of a corrupted range so the scrubber
 // can rewrite it — from a replica, EC parity reconstruction, or a service
-// backup. done(data, true) supplies the bytes; done(nil, false) reports that
-// no good copy exists (the block is counted as unrepairable).
+// backup. done(data, true) supplies the bytes, which the scrubber copies
+// before done returns (so a peer read's callback data can be passed straight
+// through); done(nil, false) reports that no good copy exists (the block is
+// counted as unrepairable).
 type RepairFunc func(ex ExportArgs, off int64, length int, done func(data []byte, ok bool))
 
 // ScrubStats summarizes a scrubber's work.
@@ -56,6 +58,11 @@ type Scrubber struct {
 	// inFlight guards against overlapping sweeps when a verify-read plus
 	// repair round-trip outlasts the tick interval.
 	inFlight bool
+	// scratch is the one buffer every scrub IO uses. Verify-reads land in it
+	// and are thrown away; a repair's good copy is staged in it for the
+	// rewrite. inFlight keeps the steps of a sweep strictly one at a time,
+	// so the buffer is never in use twice.
+	scratch scratchDest
 
 	// Pre-resolved progress counters (nil-safe), resolved once at
 	// construction instead of per scrub event.
@@ -78,6 +85,17 @@ func NewScrubber(ep *EndPoint, interval time.Duration) *Scrubber {
 	}
 	sc.arm()
 	return sc
+}
+
+// scratchDest is a disk.ReadDest over a single reused buffer.
+type scratchDest struct{ buf []byte }
+
+// ReadBuffer implements disk.ReadDest.
+func (s *scratchDest) ReadBuffer(size int) []byte {
+	if cap(s.buf) < size {
+		s.buf = make([]byte, size)
+	}
+	return s.buf[:size]
 }
 
 // SetRepairFunc installs the good-copy source used to fix bad blocks. With
@@ -146,7 +164,7 @@ func (sc *Scrubber) step() {
 	sc.stats.Scanned++
 	sc.cScanned.Inc()
 	rec := sc.ep.cfg.Recorder
-	vol.ReadAt(off, length, func(_ []byte, err error) {
+	vol.ReadInto(off, length, &sc.scratch, func(_ []byte, err error) {
 		if err == nil || !errors.Is(err, block.ErrChecksum) {
 			// Clean block, or a non-checksum error (disk died mid-read);
 			// either way there is nothing to repair.
@@ -172,6 +190,10 @@ func (sc *Scrubber) step() {
 				sc.inFlight = false
 				return
 			}
+			// The disk holds a write's payload until the IO completes, and
+			// data is only valid until this callback returns (it may be a
+			// peer read's wire frame): stage a copy.
+			data = append(sc.scratch.buf[:0], data...)
 			vol.WriteAt(off, data, func(werr error) {
 				if werr != nil {
 					sc.stats.Unrepaired++
@@ -182,7 +204,7 @@ func (sc *Scrubber) step() {
 				}
 				// Re-read to prove the rewrite really cleared the error
 				// (the write path recomputed the block CRC).
-				vol.ReadAt(off, length, func(_ []byte, rerr error) {
+				vol.ReadInto(off, length, &sc.scratch, func(_ []byte, rerr error) {
 					if rerr == nil {
 						sc.stats.Repaired++
 						sc.cRepairs.Inc()

@@ -87,7 +87,7 @@ func TestScrubberRepairsLatentSectorErrorFromParity(t *testing.T) {
 			cls[j].Read(reps[j].Space, off, length, func(data []byte, err error) {
 				pending--
 				if err == nil {
-					got[j] = data
+					got[j] = append([]byte(nil), data...)
 				}
 				if pending > 0 {
 					return
@@ -148,7 +148,7 @@ func TestScrubberRepairsLatentSectorErrorFromParity(t *testing.T) {
 	var got []byte
 	ioErr := errors.New("pending")
 	cls[0].Read(reps[0].Space, int64(block.ChecksumBlockSize), block.ChecksumBlockSize,
-		func(data []byte, err error) { got, ioErr = data, err })
+		func(data []byte, err error) { got, ioErr = append([]byte(nil), data...), err })
 	c.Settle(5 * time.Second)
 	if ioErr != nil {
 		t.Fatalf("read-back after repair: %v", ioErr)

@@ -90,6 +90,15 @@ type HealthStats struct {
 	Errors uint64
 }
 
+// ReadDest supplies the buffer a read's bytes are copied into. The disk asks
+// for it when it services the read, not when the read is queued, so a deep
+// queue of large reads holds no payload memory while it waits.
+type ReadDest interface {
+	// ReadBuffer returns a buffer of exactly size bytes. Its contents on
+	// return do not matter: the disk overwrites all of it.
+	ReadBuffer(size int) []byte
+}
+
 // Request is a queued IO with its completion callback.
 type Request struct {
 	Op     Op
@@ -97,6 +106,9 @@ type Request struct {
 	// Data is written for writes; for reads the completion receives the
 	// bytes read.
 	Data []byte
+	// Dest, for reads, supplies the buffer the bytes are read into and Done
+	// then receives. Nil means a fresh buffer per read.
+	Dest ReadDest
 	// Done is invoked on completion with the data read (nil for writes)
 	// and an error.
 	Done func(data []byte, err error)
@@ -550,6 +562,9 @@ func (d *Disk) pump() {
 			span.End(obs.L("aborted", "power-off"))
 			return // powered off mid-IO; queue already failed
 		}
+		// Clear the slot before re-slicing: the backing array outlives the
+		// pop, and a completed request pins its payload and callbacks.
+		d.queue[0] = nil
 		d.queue = d.queue[1:]
 		d.busy += svc
 		d.completed++
@@ -574,7 +589,12 @@ func (d *Disk) pump() {
 		var data []byte
 		if op.Read {
 			d.maybeCorruptOnRead(req.Offset, op.Size)
-			data = d.store.ReadAt(req.Offset, op.Size)
+			if req.Dest != nil {
+				data = req.Dest.ReadBuffer(op.Size)
+			} else {
+				data = make([]byte, op.Size)
+			}
+			d.store.ReadInto(req.Offset, data)
 			d.bytesRead += uint64(op.Size)
 		} else {
 			d.store.WriteAt(req.Offset, req.Data)

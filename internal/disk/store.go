@@ -51,24 +51,33 @@ func (s *Store) WriteAt(off int64, data []byte) {
 	}
 }
 
-// ReadAt returns size bytes starting at off. Holes read as zeros.
+// ReadAt returns size bytes starting at off in a fresh buffer. Holes read as
+// zeros.
 func (s *Store) ReadAt(off int64, size int) []byte {
 	out := make([]byte, size)
-	p := out
-	for len(p) > 0 {
+	s.ReadInto(off, out)
+	return out
+}
+
+// ReadInto fills dst with the len(dst) bytes starting at off, copying each
+// chunk straight from the store's backing memory. dst may hold anything on
+// entry (a recycled buffer): holes are zero-filled, not skipped.
+func (s *Store) ReadInto(off int64, dst []byte) {
+	for len(dst) > 0 {
 		ci := off / chunkSize
 		co := off % chunkSize
 		n := chunkSize - int(co)
-		if n > len(p) {
-			n = len(p)
+		if n > len(dst) {
+			n = len(dst)
 		}
 		if c, ok := s.chunks[ci]; ok {
-			copy(p[:n], c[co:])
+			copy(dst[:n], c[co:])
+		} else {
+			clear(dst[:n])
 		}
-		p = p[n:]
+		dst = dst[n:]
 		off += int64(n)
 	}
-	return out
 }
 
 // BytesAllocated returns the memory footprint of written chunks.

@@ -313,7 +313,9 @@ func (dn *DataNode) initHandlers() {
 				reply(nil, err)
 				return
 			}
-			reply(data, nil)
+			// The reply travels as an RPC payload long after this callback
+			// returns, and data is only valid until then.
+			reply(append([]byte(nil), data...), nil)
 		})
 	})
 }

@@ -115,6 +115,9 @@ type Network struct {
 
 	stats Stats
 
+	// frames recycles the wire frames of large payloads (see FrameList).
+	frames FrameList
+
 	// Observability handles (nil-safe; SetRecorder fills them in).
 	rec        *obs.Recorder
 	cSent      *obs.Counter
@@ -262,6 +265,9 @@ func (n *Network) Lookup(name string) *Node { return n.nodes[name] }
 
 // Stats returns a snapshot of network counters.
 func (n *Network) Stats() Stats { return n.stats }
+
+// Frames returns the network's wire-frame free list.
+func (n *Network) Frames() *FrameList { return &n.frames }
 
 func (n *Network) link(from, to string) *linkState {
 	k := linkKey{from, to}
@@ -536,10 +542,16 @@ func (n *Network) Send(msg Message) {
 		}
 	}
 	if dup {
-		// Deliver a copy a little later (retransmission).
+		// Deliver a copy a little later (retransmission). A retransmitted
+		// frame is its own buffer: each delivery of wire bytes has one owner,
+		// who may recycle or rewrite them.
 		n.cDups.Inc()
 		jitter := delay + time.Duration(n.sched.Rand().Int63n(int64(time.Millisecond)))
-		n.deliver(msg, dst, jitter, local)
+		again := msg
+		if raw, ok := msg.Payload.([]byte); ok {
+			again.Payload = append([]byte(nil), raw...)
+		}
+		n.deliver(again, dst, jitter, local)
 	}
 	n.deliver(msg, dst, delay, local)
 }

@@ -45,7 +45,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 				t.Errorf("read: %v", err)
 				return
 			}
-			got = b
+			got = append([]byte(nil), b...) // b dies with the callback
 		})
 	})
 	cluster.Settle(5 * time.Second)
