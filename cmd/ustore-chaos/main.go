@@ -13,7 +13,7 @@
 //	ustore-chaos -days 30 -cpuprofile cpu.out
 //	ustore-chaos -fleet -units 8 -shards 2 -unit-loss   # fleet-scale unit-loss run
 //	ustore-chaos -fleet -units 48 -fleet-bench 1,4,16   # shard-scaling throughput sweep
-//	ustore-chaos -fleet -units 64 -engine-workers 8     # fleet on the parallel engine
+//	ustore-chaos -fleet -units 64 -engine-workers 8     # same bytes, 8 engine workers
 //	ustore-chaos -fleet -units 64 -shards 8 -crashes 3 -partitions 2 -moves 2
 //	                                                    # fleet chaos: crash/partition/
 //	                                                    # mid-migration fault schedule
@@ -150,7 +150,7 @@ func run() int {
 		units       = flag.Int("units", 8, "fleet mode: deploy units (64 disks each at defaults)")
 		shards      = flag.Int("shards", 1, "fleet mode: metadata shards")
 		unitLoss    = flag.Bool("unit-loss", false, "fleet mode: kill unit u000 after the load phase and require the repair schedulers to drain it")
-		engWorkers  = flag.Int("engine-workers", 0, "fleet mode: run on the parallel conservative engine with this many workers (0 = classic single-threaded scheduler; results are byte-identical at any count >= 1)")
+		engWorkers  = flag.Int("engine-workers", 0, "fleet mode: goroutines executing each engine window (0 = one per CPU, capped at the partition count; results are byte-identical at any count)")
 		crashes     = flag.Int("crashes", 0, "fleet mode: shard-replica crash/restart cycles in the fault schedule")
 		partitions  = flag.Int("partitions", 0, "fleet mode: inter-unit partition (or leader-isolation) windows in the fault schedule")
 		moves       = flag.Int("moves", 0, "fleet mode: schedule-driven slot migrations; the first is straddled by a source-leader crash (needs -shards >= 2)")
@@ -403,8 +403,8 @@ func runSpec(path string, showSched, showLog bool) int {
 		return 0
 	case "fleet":
 		o := campaign.CompileFleet(s)
-		fmt.Printf("ustore-chaos: fleet seed %d, %d units, %d shards, unit-loss=%v, engine-workers=%d\n",
-			o.Seed, o.Units, o.Shards, o.UnitLoss, o.EngineWorkers)
+		fmt.Printf("ustore-chaos: fleet seed %d, %d units, %d shards, unit-loss=%v\n",
+			o.Seed, o.Units, o.Shards, o.UnitLoss)
 		rep, err := chaos.RunFleet(o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
@@ -436,8 +436,8 @@ func runFleetMode(base chaos.FleetOptions, seeds, parallel int, minimize bool,
 	if seeds > 1 {
 		header = fmt.Sprintf("ustore-chaos: fleet seeds %d..%d", base.Seed, base.Seed+int64(seeds)-1)
 	}
-	fmt.Printf("%s, %d units, %d shards, unit-loss=%v, engine-workers=%d\n",
-		header, base.Units, base.Shards, base.UnitLoss, base.EngineWorkers)
+	fmt.Printf("%s, %d units, %d shards, unit-loss=%v\n",
+		header, base.Units, base.Shards, base.UnitLoss)
 	if base.ReplicaCrashes > 0 || base.Partitions > 0 || base.SlotMoves > 0 {
 		fmt.Printf("fleet faults: %d crashes, %d partitions, %d slot moves, skip-redrive=%v\n",
 			base.ReplicaCrashes, base.Partitions, base.SlotMoves, base.InjectSkipRedrive)

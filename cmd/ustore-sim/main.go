@@ -11,7 +11,7 @@
 //	ustore-sim -seed 7             # different deterministic run
 //	ustore-sim -stats              # end-of-run metrics table
 //	ustore-sim -scenario fleet -units 8 -shards 2   # sharded fleet unit-loss demo
-//	ustore-sim -scenario fleet -engine-workers 4    # same demo on the parallel engine
+//	ustore-sim -scenario fleet -engine-workers 4    # same demo, same bytes, 4 engine workers
 package main
 
 import (
@@ -37,7 +37,7 @@ func main() {
 	shards := flag.Int("shards", 2, "fleet scenario: metadata shards")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	scenario := flag.String("scenario", "crash", "scenario: crash | switch | powersave | fleet")
-	engWorkers := flag.Int("engine-workers", 0, "fleet scenario: run on the parallel conservative engine with this many workers (0 = classic single-threaded scheduler)")
+	engWorkers := flag.Int("engine-workers", 0, "fleet scenario: goroutines executing each engine window (0 = one per CPU, capped at the partition count; output is byte-identical at any count)")
 	stats := flag.Bool("stats", false, "print an end-of-run table of all collected metrics")
 	flag.Parse()
 

@@ -19,8 +19,8 @@
 // be compared head to head.
 //
 // Every run is seeded and replayable: the same Options produce a
-// byte-identical event log. Minimize re-runs a violating schedule's prefixes
-// to find the shortest one that still violates.
+// byte-identical event log. MinimizeParallel re-runs a violating schedule's
+// prefixes to find the shortest one that still violates.
 package chaos
 
 import (

@@ -172,7 +172,7 @@ func TestChaosChecksumsPreventSilentCorruption(t *testing.T) {
 func TestChaosMinimize(t *testing.T) {
 	o := corruptionOnlyOptions(*chaosSeed)
 	o.DisableChecksums = true
-	sched, minimized, full, err := Minimize(o)
+	sched, minimized, full, err := MinimizeParallel(o, 1)
 	if err != nil {
 		t.Fatalf("minimize: %v", err)
 	}

@@ -8,8 +8,8 @@ import (
 	"ustore/internal/obs"
 )
 
-// engineFleetRun runs the unit-loss scenario on the parallel engine with the
-// given worker count and returns the report plus serialized metrics/trace.
+// engineFleetRun runs the unit-loss scenario with the given engine worker
+// count and returns the report plus serialized metrics/trace.
 func engineFleetRun(t *testing.T, units, shards, workers int) (*FleetReport, string, string) {
 	t.Helper()
 	rec := obs.NewRecorder()
@@ -34,31 +34,11 @@ func engineFleetRun(t *testing.T, units, shards, workers int) (*FleetReport, str
 	return rep, m.String(), tr.String()
 }
 
-// TestFleetEngineUnitLoss is the functional gate for the partitioned engine:
-// the full load -> kill-unit -> drain -> verify scenario must pass with the
-// fleet sharded across per-unit partitions.
-func TestFleetEngineUnitLoss(t *testing.T) {
-	rep, _, _ := engineFleetRun(t, 8, 2, 2)
-	if len(rep.Violations) != 0 {
-		t.Fatalf("violations:\n%s", strings.Join(rep.Violations, "\n"))
-	}
-	if !rep.Drained {
-		t.Fatalf("unit not drained:\n%s", rep.LogText())
-	}
-	if rep.Failed != 0 || rep.Allocated != rep.Opts.Volumes {
-		t.Fatalf("load phase: %d allocated, %d failed, want %d/0",
-			rep.Allocated, rep.Failed, rep.Opts.Volumes)
-	}
-	if rep.Resolvable != rep.Allocated {
-		t.Fatalf("resolvable %d != allocated %d", rep.Resolvable, rep.Allocated)
-	}
-}
-
-// TestFleetEngineByteDeterminism is the tentpole contract: the same seed
+// TestFleetEngineByteDeterminism is the engine's contract: the same seed
 // produces byte-identical logs, summaries, metrics JSON, trace JSON, and
-// event counts at every worker count >= 1. Worker count only sizes the
-// goroutine pool that executes each synchronization window; it never moves
-// a window boundary.
+// event counts at every worker count, including 0 (derived from the host's
+// GOMAXPROCS). Worker count only sizes the goroutine pool that executes
+// each synchronization window; it never moves a window boundary.
 func TestFleetEngineByteDeterminism(t *testing.T) {
 	units, shards := 8, 2
 	if !testing.Short() {
@@ -68,7 +48,7 @@ func TestFleetEngineByteDeterminism(t *testing.T) {
 	if len(base.Violations) != 0 {
 		t.Fatalf("violations at workers=1:\n%s", strings.Join(base.Violations, "\n"))
 	}
-	for _, workers := range []int{2, 8} {
+	for _, workers := range []int{0, 2, 8} {
 		rep, m, tr := engineFleetRun(t, units, shards, workers)
 		if rep.LogText() != base.LogText() {
 			t.Fatalf("workers=%d: log diverges from workers=1:\n--- w1\n%s\n--- w%d\n%s",

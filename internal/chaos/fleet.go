@@ -68,10 +68,9 @@ type FleetOptions struct {
 	DrainTimeout time.Duration
 	// Recorder, when non-nil, collects metrics and traces from the run.
 	Recorder *obs.Recorder `json:"-"`
-	// EngineWorkers > 0 runs the fleet on the conservative parallel engine
-	// with that many workers (one partition per deploy unit plus a control
-	// partition). 0 keeps the classic single-scheduler simulation. Reports
-	// are byte-identical across worker counts >= 1.
+	// EngineWorkers sizes the pool that executes the fleet engine's windows
+	// (see fleet.Config.EngineWorkers; 0 derives it from GOMAXPROCS).
+	// Reports are byte-identical at any value.
 	EngineWorkers int
 }
 

@@ -8,24 +8,38 @@ import (
 
 // TestFleetUnitLossSmall runs the quick 8-unit/2-shard unit-loss scenario:
 // load, kill u000 (shard 0's first replica — forces a leader failover),
-// drain, verify. CI's fleet-smoke job runs this same shape via ustore-chaos.
+// drain, verify — once with the engine's worker pool derived from the host
+// and once pinned to two workers. CI's fleet-smoke job runs this same shape
+// via ustore-chaos.
 func TestFleetUnitLossSmall(t *testing.T) {
-	rep, err := RunFleet(FleetOptions{Seed: 5, Units: 8, Shards: 2, UnitLoss: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Violations) != 0 {
-		t.Fatalf("violations:\n%s", strings.Join(rep.Violations, "\n"))
-	}
-	if !rep.Drained {
-		t.Fatalf("unit not drained:\n%s", rep.LogText())
-	}
-	if rep.Failed != 0 || rep.Allocated != rep.Opts.Volumes {
-		t.Fatalf("load phase: %d allocated, %d failed, want %d/0",
-			rep.Allocated, rep.Failed, rep.Opts.Volumes)
-	}
-	if rep.Resolvable != rep.Allocated {
-		t.Fatalf("resolvable %d != allocated %d", rep.Resolvable, rep.Allocated)
+	for _, tc := range []struct {
+		name          string
+		seed          int64
+		engineWorkers int
+	}{
+		{"seed5-auto", 5, 0},
+		{"seed9-workers2", 9, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := RunFleet(FleetOptions{Seed: tc.seed, Units: 8, Shards: 2,
+				UnitLoss: true, EngineWorkers: tc.engineWorkers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Violations) != 0 {
+				t.Fatalf("violations:\n%s", strings.Join(rep.Violations, "\n"))
+			}
+			if !rep.Drained {
+				t.Fatalf("unit not drained:\n%s", rep.LogText())
+			}
+			if rep.Failed != 0 || rep.Allocated != rep.Opts.Volumes {
+				t.Fatalf("load phase: %d allocated, %d failed, want %d/0",
+					rep.Allocated, rep.Failed, rep.Opts.Volumes)
+			}
+			if rep.Resolvable != rep.Allocated {
+				t.Fatalf("resolvable %d != allocated %d", rep.Resolvable, rep.Allocated)
+			}
+		})
 	}
 }
 

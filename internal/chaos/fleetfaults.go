@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"ustore/internal/fleet"
-	"ustore/internal/runner"
 )
 
 // FleetFaultKind enumerates fleet fault verbs.
@@ -357,9 +356,9 @@ func sortedInts(m map[int]bool) []int {
 // MinimizeFleet generates the seeded fleet fault schedule, runs it, and —
 // if the run violated — bisects for the shortest schedule prefix that
 // still violates, with up to parallel speculative probes per round (the
-// same search MinimizeParallel runs for cluster schedules). Truncated
-// prefixes are well-formed because the recovery phase heals every fault
-// window still open when the prefix ends. Probe runs never feed
+// same bisectPrefix search MinimizeParallel runs for cluster schedules).
+// Truncated prefixes are well-formed because the recovery phase heals every
+// fault window still open when the prefix ends. Probe runs never feed
 // o.Recorder. If the full run is clean it returns (nil, nil, full, nil).
 func MinimizeFleet(o FleetOptions, parallel int) (schedule []FleetFault, minimized, full *FleetReport, err error) {
 	o = o.withDefaults()
@@ -371,60 +370,13 @@ func MinimizeFleet(o FleetOptions, parallel int) (schedule []FleetFault, minimiz
 	if len(full.Violations) == 0 {
 		return nil, nil, full, nil
 	}
-	if parallel < 1 {
-		parallel = 1
-	}
 	oProbe := o
 	oProbe.Recorder = nil
-
-	lo, hi := 1, len(all)
-	best := full
-	for lo < hi {
-		type span struct{ lo, hi int }
-		frontier := []span{{lo, hi}}
-		var mids []int
-		seen := make(map[int]bool)
-		for len(frontier) > 0 && len(mids) < parallel {
-			s := frontier[0]
-			frontier = frontier[1:]
-			if s.lo >= s.hi {
-				continue
-			}
-			mid := (s.lo + s.hi) / 2
-			if !seen[mid] {
-				seen[mid] = true
-				mids = append(mids, mid)
-			}
-			frontier = append(frontier, span{s.lo, mid}, span{mid + 1, s.hi})
-		}
-
-		reports, rerr := runner.MapErr(len(mids), parallel, func(i int) (*FleetReport, error) {
-			return RunFleetSchedule(oProbe, all[:mids[i]])
-		})
-		if rerr != nil {
-			return nil, nil, nil, fmt.Errorf("chaos: minimizing fleet: %w", rerr)
-		}
-		byMid := make(map[int]*FleetReport, len(mids))
-		for i, mid := range mids {
-			byMid[mid] = reports[i]
-		}
-
-		for lo < hi {
-			mid := (lo + hi) / 2
-			rep, ok := byMid[mid]
-			if !ok {
-				break
-			}
-			if len(rep.Violations) > 0 {
-				hi = mid
-				best = rep
-			} else {
-				lo = mid + 1
-			}
-		}
+	k, minimized, err := bisectPrefix(len(all), parallel, full,
+		func(k int) (*FleetReport, error) { return RunFleetSchedule(oProbe, all[:k]) },
+		func(r *FleetReport) bool { return len(r.Violations) > 0 })
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("chaos: minimizing fleet: %w", err)
 	}
-	if lo < len(all) {
-		return all[:lo], best, full, nil
-	}
-	return all, full, full, nil
+	return all[:k], minimized, full, nil
 }

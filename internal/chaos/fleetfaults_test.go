@@ -134,7 +134,8 @@ func TestFleetFaultSkipRedriveMinimized(t *testing.T) {
 
 // TestFleetFaultEngineDeterminism extends the byte-determinism contract to
 // fault runs: crash/partition/migration fault injection, jittered retries
-// and all, must be a pure function of the seed at any engine worker count.
+// and all, must be a pure function of the seed at any engine worker count
+// (0 = derived from the host).
 func TestFleetFaultEngineDeterminism(t *testing.T) {
 	o := FleetOptions{
 		Seed:           9,
@@ -157,7 +158,7 @@ func TestFleetFaultEngineDeterminism(t *testing.T) {
 		return rep
 	}
 	base := run(1)
-	for _, workers := range []int{8} {
+	for _, workers := range []int{0, 8} {
 		rep := run(workers)
 		if rep.LogText() != base.LogText() {
 			t.Fatalf("workers=%d: fault-run log diverges from workers=1:\n--- w1\n%s\n--- w%d\n%s",

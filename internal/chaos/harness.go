@@ -1157,7 +1157,7 @@ func p99(samples []time.Duration) time.Duration {
 
 // checkHistory runs the recorded metadata history through the reference
 // model's linearizability checker (internal/model). Every violating
-// partition becomes a regular harness violation, so Minimize shrinks
+// partition becomes a regular harness violation, so MinimizeParallel shrinks
 // model-checked failures exactly like data-loss ones.
 func (h *harness) checkHistory() {
 	res := model.Check(h.hist.Ops())

@@ -6,31 +6,15 @@ import (
 	"ustore/internal/runner"
 )
 
-// Minimize runs the seeded schedule and, if it produced violations, bisects
-// for the shortest schedule prefix that still violates. Truncated prefixes
-// are well-formed because the harness's drain phase heals any fault window
-// whose closing event was cut off. Returns the minimized schedule, the
-// report of its run, and the full run's report.
+// MinimizeParallel runs the seeded schedule and, if it produced violations,
+// bisects for the shortest schedule prefix that still violates, with up to
+// parallel speculative probes per round (see bisectPrefix; parallel <= 1 is
+// the plain sequential bisection, and every parallel returns the same
+// bytes). Truncated prefixes are well-formed because the harness's drain
+// phase heals any fault window whose closing event was cut off. Returns the
+// minimized schedule, the report of its run, and the full run's report.
 //
-// If the full run is clean, Minimize returns (nil, nil, full, nil).
-func Minimize(o Options) (schedule []Fault, minimized, full *Report, err error) {
-	return MinimizeParallel(o, 1)
-}
-
-// MinimizeParallel is Minimize with speculative parallel bisection: instead
-// of probing one prefix length at a time, it expands the upcoming
-// binary-search decision tree — the next midpoint, then both midpoints that
-// could follow it, and so on — until it has up to parallel distinct prefix
-// lengths, probes them all concurrently, and then replays the sequential
-// bisection logic over the collected results.
-//
-// Because every probe is a self-contained deterministic run keyed only by
-// (options, prefix length), a speculated probe returns exactly what the
-// sequential probe at that length would have, so the committed search path —
-// and therefore the minimized schedule and report — is byte-identical to
-// Minimize's. Wrong-branch speculation costs only wasted work, never a
-// different answer. parallel <= 1 degenerates to the plain sequential
-// bisection.
+// If the full run is clean, MinimizeParallel returns (nil, nil, full, nil).
 //
 // Probe runs never feed o.Recorder (concurrent probes would interleave its
 // trace nondeterministically, and speculated probes would pollute it with
@@ -53,17 +37,39 @@ func MinimizeParallel(o Options, parallel int) (schedule []Fault, minimized, ful
 	if len(full.Violations) == 0 {
 		return nil, nil, full, nil
 	}
+	oProbe := o
+	oProbe.Recorder = nil
+	k, minimized, err := bisectPrefix(len(all), parallel, full,
+		func(k int) (*Report, error) { return RunSchedule(oProbe, all[:k]) },
+		func(r *Report) bool { return len(r.Violations) > 0 })
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("chaos: minimizing: %w", err)
+	}
+	return all[:k], minimized, full, nil
+}
+
+// bisectPrefix binary-searches the smallest k in [1, n] whose schedule
+// prefix still violates, given that the full length n does (full is its
+// report), and returns k with the report of the run at k — full itself when
+// the search converges on n. Fault interactions are not strictly monotone
+// (a later fault can mask an earlier violation), so a violation the search
+// loses falls back to the full schedule the same way.
+//
+// Instead of probing one prefix length at a time it expands the upcoming
+// decision tree — the next midpoint, then both midpoints that could follow
+// it, and so on — until it has up to parallel distinct lengths, probes them
+// all concurrently, and then replays the sequential bisection over the
+// collected results. Every probe is a self-contained deterministic run
+// keyed only by its prefix length, so a speculated probe returns exactly
+// what the sequential probe at that length would have: the committed search
+// path, and therefore the result, is byte-identical at any parallel.
+// Wrong-branch speculation costs only wasted work, never a different
+// answer.
+func bisectPrefix[R any](n, parallel int, full R, probe func(k int) (R, error), violated func(R) bool) (int, R, error) {
 	if parallel < 1 {
 		parallel = 1
 	}
-	oProbe := o
-	oProbe.Recorder = nil
-
-	// Binary search the smallest k such that schedule[:k] violates. Fault
-	// interactions are not strictly monotone (a later fault can mask an
-	// earlier violation), so the result is confirmed by a final run; if
-	// bisection ever loses the violation, fall back to the full schedule.
-	lo, hi := 1, len(all) // invariant: all[:hi] violates (or hi == len(all))
+	lo, hi := 1, n // invariant: the prefix of length hi violates
 	best := full
 	for lo < hi {
 		// Expand the decision tree breadth-first from the current (lo, hi)
@@ -86,13 +92,13 @@ func MinimizeParallel(o Options, parallel int) (schedule []Fault, minimized, ful
 			frontier = append(frontier, span{s.lo, mid}, span{mid + 1, s.hi})
 		}
 
-		reports, rerr := runner.MapErr(len(mids), parallel, func(i int) (*Report, error) {
-			return RunSchedule(oProbe, all[:mids[i]])
+		reports, err := runner.MapErr(len(mids), parallel, func(i int) (R, error) {
+			return probe(mids[i])
 		})
-		if rerr != nil {
-			return nil, nil, nil, fmt.Errorf("chaos: minimizing: %w", rerr)
+		if err != nil {
+			return 0, full, err
 		}
-		byMid := make(map[int]*Report, len(mids))
+		byMid := make(map[int]R, len(mids))
 		for i, mid := range mids {
 			byMid[mid] = reports[i]
 		}
@@ -107,7 +113,7 @@ func MinimizeParallel(o Options, parallel int) (schedule []Fault, minimized, ful
 			if !ok {
 				break
 			}
-			if len(rep.Violations) > 0 {
+			if violated(rep) {
 				hi = mid
 				best = rep
 			} else {
@@ -115,9 +121,5 @@ func MinimizeParallel(o Options, parallel int) (schedule []Fault, minimized, ful
 			}
 		}
 	}
-	if lo < len(all) {
-		return all[:lo], best, full, nil
-	}
-	// Bisection converged on the full length: re-use the full run.
-	return all, full, full, nil
+	return lo, best, nil
 }

@@ -81,7 +81,7 @@ func TestMinimizeParallelMatchesSequential(t *testing.T) {
 	o := corruptionOnlyOptions(*chaosSeed)
 	o.DisableChecksums = true
 
-	sSched, sMin, sFull, err := Minimize(o)
+	sSched, sMin, sFull, err := MinimizeParallel(o, 1)
 	if err != nil {
 		t.Fatalf("sequential minimize: %v", err)
 	}

@@ -12,9 +12,9 @@ import (
 // later restarts from its durable /vol /exp /map /frozen state, or the
 // network between two deploy units tears and later heals.
 //
-// In engine mode every verb must be applied at engine quiescence (between
-// Settle calls): they mutate per-partition component state and the fabric's
-// cut table, both of which are only safe to touch while no window runs.
+// Every verb must be applied at engine quiescence (between Settle calls):
+// they mutate per-partition component state and the fabric's cut table, both
+// of which are only safe to touch while no window runs.
 // The chaos fault executor guarantees this by construction.
 
 // CrashReplica crash-stops replica i of shard k: its coord store and paxos
@@ -67,13 +67,9 @@ func (f *Fleet) PartitionUnits(a, b int) {
 		return
 	}
 	ma, mb := unitMachine(unitName(a)), unitMachine(unitName(b))
-	if f.Engine != nil {
-		// Units live on distinct partitions, so all their mutual traffic
-		// crosses the fabric.
-		f.Fabric.CutMachines(ma, mb)
-	} else {
-		f.Net.CutMachines(ma, mb)
-	}
+	// Units live on distinct partitions, so all their mutual traffic crosses
+	// the fabric.
+	f.Fabric.CutMachines(ma, mb)
 	if f.rec != nil {
 		f.rec.Instant("fleet", "units-partitioned", "fleet",
 			obs.L("a", unitName(a)), obs.L("b", unitName(b)))
@@ -86,11 +82,7 @@ func (f *Fleet) HealPartition(a, b int) {
 		return
 	}
 	ma, mb := unitMachine(unitName(a)), unitMachine(unitName(b))
-	if f.Engine != nil {
-		f.Fabric.HealMachines(ma, mb)
-	} else {
-		f.Net.HealMachines(ma, mb)
-	}
+	f.Fabric.HealMachines(ma, mb)
 	if f.rec != nil {
 		f.rec.Instant("fleet", "units-healed", "fleet",
 			obs.L("a", unitName(a)), obs.L("b", unitName(b)))
@@ -121,18 +113,6 @@ func (f *Fleet) RejoinUnit(u int) {
 	if f.rec != nil {
 		f.rec.Instant("fleet", "unit-rejoined", "fleet", obs.L("unit", unitName(u)))
 	}
-}
-
-// LeaderReplica returns the replica index currently leading shard k, or -1
-// if the group is between leaders. Test/chaos introspection: in engine mode
-// call only at quiescence.
-func (f *Fleet) LeaderReplica(k int) int {
-	for i, m := range f.Shards[k] {
-		if m.leading && !m.down {
-			return i
-		}
-	}
-	return -1
 }
 
 // ReplicaUnit returns the deploy unit replica i of shard k runs on.

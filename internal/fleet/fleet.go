@@ -14,21 +14,21 @@
 // (consensus under coord), simnet/simtime (deterministic transport and
 // clock) and placement (the Spread policy extracted from core.Master).
 //
-// Two execution modes share one code path. The default
-// (Config.EngineWorkers == 0) is the classic single scheduler: every
-// component on one event heap, a run with the same seed byte-identical at
-// any -test.cpu / worker count. Setting EngineWorkers >= 1 runs the fleet
-// on the conservative parallel engine (simtime.Engine + simnet.Fabric,
-// DESIGN.md §14): one partition per deploy unit plus a control partition,
-// synchronized in lookahead-bounded windows. The engine keeps the same
-// determinism contract — worker count only sizes the pool that executes a
-// window, so engine runs are byte-identical at any EngineWorkers >= 1 —
-// but engine and classic runs legitimately differ from each other, because
-// the fabric charges every cross-unit hop the conservative lookahead.
+// There is one execution path: every fleet runs on the conservative
+// parallel engine (simtime.Engine + simnet.Fabric, DESIGN.md §14), one
+// partition per deploy unit plus a control partition for the admin plane
+// and client routers, synchronized in lookahead-bounded windows. The
+// fabric charges every cross-unit hop at least crossUnitLatency, and no
+// component reads another partition's state mid-run: the admin plane and
+// shard masters discover a foreign shard's leader the way clients do, by
+// calling the believed replica and rotating on failure. Worker count
+// (Config.EngineWorkers) only sizes the pool that executes a window, so a
+// run with the same seed is byte-identical at any count and any -test.cpu.
 package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
@@ -113,13 +113,10 @@ type Config struct {
 	// Recorder receives fleet metrics and traces (nil = no recording).
 	Recorder *obs.Recorder
 
-	// EngineWorkers > 0 runs the fleet on the conservative parallel engine:
-	// the event space is partitioned per deploy unit (plus one control
-	// partition for the admin plane and client routers) and windows execute
-	// on up to EngineWorkers goroutines. 0 (the default) keeps the classic
-	// single-scheduler simulation. A partitioned run is byte-identical at
-	// any worker count >= 1, but its event interleaving legitimately
-	// differs from the single-scheduler one.
+	// EngineWorkers caps the goroutines that execute one engine window
+	// (1 = inline, no goroutines; never more than one per partition).
+	// 0 derives it: runtime.GOMAXPROCS(0). It sizes the pool and nothing
+	// else — a run is byte-identical at any value.
 	EngineWorkers int
 }
 
@@ -202,9 +199,9 @@ type Fleet struct {
 	Net   *simnet.Network
 	Topo  *Topology
 
-	// Engine/Fabric are set when Cfg.EngineWorkers > 0: partition 0 is the
-	// control plane (admin node, routers, the Settle driver) and partition
-	// 1+u is deploy unit u. Sched/Net then alias the control partition.
+	// Engine/Fabric run the fleet: partition 0 is the control plane (admin
+	// node, routers, the Settle driver) and partition 1+u is deploy unit u.
+	// Sched/Net are the control partition's handles.
 	Engine *simtime.Engine
 	Fabric *simnet.Fabric
 
@@ -217,21 +214,21 @@ type Fleet struct {
 
 	rec   *obs.Recorder
 	admin *simnet.RPCNode
-	// nets/recs are the per-partition network and recorder handles in
-	// engine mode (index = partition).
+	// nets/recs are the per-partition network and recorder handles
+	// (index = partition).
 	nets []*simnet.Network
 	recs []*obs.Recorder
 	// userRec is Cfg.Recorder; FinishObs folds the partition recorders
-	// into it once an engine-mode run completes.
+	// into it once a run completes.
 	userRec     *obs.Recorder
 	obsFinished bool
 	// replicaNames[k] lists shard k's master RPC names — static topology,
 	// safe to read from any partition.
 	replicaNames [][]string
 	// adminBelieved[k] is the control plane's believed-leader replica index
-	// for shard k. Engine mode cannot peek other partitions' leader flags
-	// mid-run, so the admin discovers leaders like clients do: call the
-	// believed replica, rotate on failure.
+	// for shard k. The control partition cannot peek other partitions'
+	// leader flags mid-run, so the admin discovers leaders like clients do:
+	// call the believed replica, rotate on failure.
 	adminBelieved []int
 	// authMap is the admin plane's authoritative shard map (advanced by
 	// MoveSlot; routers bootstrap from a clone).
@@ -250,24 +247,16 @@ type Fleet struct {
 // crosses a deploy-unit boundary takes at least this long.
 const crossUnitLatency = time.Millisecond
 
-// part bundles the simulation handles a component is built on: in engine
-// mode each deploy unit gets its own scheduler/network/recorder triple, in
-// classic mode every part aliases the shared one.
+// part bundles the simulation handles a component is built on: each
+// partition has its own scheduler/network/recorder triple.
 type part struct {
 	sched *simtime.Scheduler
 	net   *simnet.Network
 	rec   *obs.Recorder
 }
 
-// ctrlPart is the control plane's partition (the shared triple in classic
-// mode).
-func (f *Fleet) ctrlPart() part { return part{f.Sched, f.Net, f.rec} }
-
 // unitPart is the partition deploy unit u's processes run on.
 func (f *Fleet) unitPart(u int) part {
-	if f.Engine == nil {
-		return part{f.Sched, f.Net, f.rec}
-	}
 	return part{f.Engine.Part(1 + u), f.nets[1+u], f.recs[1+u]}
 }
 
@@ -293,38 +282,32 @@ func New(cfg Config) *Fleet {
 		deadUnits:    make(map[string]bool),
 		pendingMoves: make(map[int]int),
 	}
-	if cfg.EngineWorkers > 0 {
-		parts := cfg.Units + 1
-		f.Engine = simtime.NewEngine(cfg.Seed, parts, cfg.EngineWorkers, crossUnitLatency)
-		f.Fabric = simnet.NewFabric(f.Engine)
-		f.nets = make([]*simnet.Network, parts)
-		f.recs = make([]*obs.Recorder, parts)
-		for p := 0; p < parts; p++ {
-			f.nets[p] = f.Fabric.Network(p)
-			if cfg.Recorder != nil {
-				r := obs.NewRecorder()
-				psched := f.Engine.Part(p)
-				r.BindClock(func() time.Duration { return psched.Now() })
-				f.nets[p].SetRecorder(r)
-				f.recs[p] = r
-			}
-		}
-		f.Sched, f.Net, f.rec = f.Engine.Part(0), f.nets[0], f.recs[0]
-		f.adminBelieved = make([]int, cfg.Shards)
-	} else {
-		sched := simtime.NewScheduler(cfg.Seed)
-		net := simnet.New(sched)
-		if cfg.Recorder != nil {
-			cfg.Recorder.BindClock(func() time.Duration { return sched.Now() })
-			net.SetRecorder(cfg.Recorder)
-		}
-		f.Sched, f.Net, f.rec = sched, net, cfg.Recorder
+	parts := cfg.Units + 1
+	workers := cfg.EngineWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0) // the engine caps it at the partition count
 	}
+	f.Engine = simtime.NewEngine(cfg.Seed, parts, workers, crossUnitLatency)
+	f.Fabric = simnet.NewFabric(f.Engine)
+	f.nets = make([]*simnet.Network, parts)
+	f.recs = make([]*obs.Recorder, parts)
+	for p := 0; p < parts; p++ {
+		f.nets[p] = f.Fabric.Network(p)
+		if cfg.Recorder != nil {
+			r := obs.NewRecorder()
+			psched := f.Engine.Part(p)
+			r.BindClock(func() time.Duration { return psched.Now() })
+			f.nets[p].SetRecorder(r)
+			f.recs[p] = r
+		}
+	}
+	f.Sched, f.Net, f.rec = f.Engine.Part(0), f.nets[0], f.recs[0]
+	f.adminBelieved = make([]int, cfg.Shards)
 
 	// Shard groups: R coord replicas + R shard masters per shard, each
-	// replica pair colocated on a distinct unit's machine — and, in engine
-	// mode, built on that unit's partition so the group's paxos traffic is
-	// partition-local except for cross-unit hops through the fabric.
+	// replica pair colocated on a distinct unit's machine and built on that
+	// unit's partition, so the group's paxos traffic is partition-local
+	// except for cross-unit hops through the fabric.
 	replicas := make([][]string, cfg.Shards)
 	for k := 0; k < cfg.Shards; k++ {
 		peers := make([]string, cfg.ShardReplicas)
@@ -372,28 +355,16 @@ func New(cfg Config) *Fleet {
 }
 
 // Settle runs the simulation for d of virtual time.
-func (f *Fleet) Settle(d time.Duration) {
-	if f.Engine != nil {
-		f.Engine.RunFor(d)
-		return
-	}
-	f.Sched.RunFor(d)
-}
+func (f *Fleet) Settle(d time.Duration) { f.Engine.RunFor(d) }
 
 // EventsFired is the total number of simulation events executed so far,
-// summed over partitions in engine mode.
-func (f *Fleet) EventsFired() uint64 {
-	if f.Engine != nil {
-		return f.Engine.Fired()
-	}
-	return f.Sched.Fired()
-}
+// summed over partitions.
+func (f *Fleet) EventsFired() uint64 { return f.Engine.Fired() }
 
-// FinishObs folds the per-partition recorders into Cfg.Recorder after an
-// engine-mode run: series sum, trace events interleave in timestamp order.
-// Idempotent; a no-op in classic mode (where Cfg.Recorder records directly).
+// FinishObs folds the per-partition recorders into Cfg.Recorder after a
+// run: series sum, trace events interleave in timestamp order. Idempotent.
 func (f *Fleet) FinishObs() {
-	if f.Engine == nil || f.userRec == nil || f.obsFinished {
+	if f.userRec == nil || f.obsFinished {
 		return
 	}
 	f.obsFinished = true
@@ -401,23 +372,36 @@ func (f *Fleet) FinishObs() {
 	obs.MergeRecorders(f.userRec, f.recs...)
 }
 
-// Leader returns shard k's current leader master, or nil if the group is
-// between leaders.
-func (f *Fleet) Leader(k int) *ShardMaster {
-	for _, m := range f.Shards[k] {
-		if m.leading && !m.down {
-			return m
+// LeaderReplica returns the replica index currently leading shard k, or -1
+// if the group is between leaders. While a unit is isolated its replica may
+// still believe it leads behind the partition; a reachable leader always
+// wins over such a stale one, whatever their index order. Introspection
+// for tests, invariant checks and the chaos executor: call only at
+// quiescence (between Settle calls).
+func (f *Fleet) LeaderReplica(k int) int {
+	stale := -1
+	for i, m := range f.Shards[k] {
+		if !m.leading || m.down {
+			continue
+		}
+		u := f.Cfg.replicaUnit(k, i)
+		if !f.unitPart(u).net.MachineIsolated(unitMachine(unitName(u))) {
+			return i
+		}
+		if stale < 0 {
+			stale = i
 		}
 	}
-	return nil
+	return stale
 }
 
-// leaderNode returns shard k's leader RPC node name ("" if none).
-func (f *Fleet) leaderNode(k int) string {
-	if m := f.Leader(k); m != nil {
-		return m.rpcName
+// Leader is LeaderReplica as a *ShardMaster (nil if the group is between
+// leaders).
+func (f *Fleet) Leader(k int) *ShardMaster {
+	if i := f.LeaderReplica(k); i >= 0 {
+		return f.Shards[k][i]
 	}
-	return ""
+	return nil
 }
 
 // AuthMap returns a clone of the admin plane's authoritative shard map.
@@ -482,66 +466,19 @@ func (f *Fleet) DrainDisk(diskID string) {
 	}
 }
 
-// adminCall finds shard's leader and calls method from the admin node,
-// retrying (with leader re-resolution) on timeouts, lost leadership, and
-// leaderless windows.
+// adminCall calls method on shard's leader from the admin node: call the
+// believed-leader replica, rotate the belief and retry on timeout or
+// NotLeader, retry in place on Busy. All state it touches (adminBelieved,
+// the retry timer) lives on the control partition; replica names are static
+// topology.
 func (f *Fleet) adminCall(shard int, method string, args any, attempts int, done func(res any, err error)) {
-	f.adminCallFrom(f.admin, shard, method, args, attempts, done)
-}
-
-// adminCallFrom is adminCall sending from an arbitrary RPC node (shard
-// masters use it for cross-shard FreeForeign notifications in classic
-// mode). In engine mode the leader peek below would read another
-// partition's state mid-window, so the call rotates through believed
-// leaders instead.
-func (f *Fleet) adminCallFrom(from *simnet.RPCNode, shard int, method string, args any, attempts int, done func(res any, err error)) {
-	if f.Engine != nil {
-		f.adminRotate(shard, method, args, attempts, done)
-		return
-	}
 	retry := func(err error) {
 		if attempts <= 0 {
 			done(nil, err)
 			return
 		}
 		f.Sched.After(500*time.Millisecond, func() {
-			f.adminCallFrom(from, shard, method, args, attempts-1, done)
-		})
-	}
-	target := f.leaderNode(shard)
-	if target == "" {
-		retry(fmt.Errorf("fleet: no leader for shard %d", shard))
-		return
-	}
-	from.Call(target, method, args, 256, f.Cfg.RPCTimeout, func(res any, err error) {
-		if err != nil {
-			retry(err)
-			return
-		}
-		sr := res.(shardReplier).common()
-		switch {
-		case sr.OK:
-			done(res, nil)
-		case sr.NotLeader || sr.Busy:
-			retry(fmt.Errorf("fleet: %s on shard %d: not leader/busy", method, shard))
-		default:
-			done(nil, fmt.Errorf("fleet: %s on shard %d: %s", method, shard, sr.Err))
-		}
-	})
-}
-
-// adminRotate is the engine-mode adminCall: call the believed-leader
-// replica of the shard, rotate the belief and retry on timeout or
-// NotLeader. All state it touches (adminBelieved, the retry timer) lives on
-// the control partition; replica names are static topology.
-func (f *Fleet) adminRotate(shard int, method string, args any, attempts int, done func(res any, err error)) {
-	retry := func(err error) {
-		if attempts <= 0 {
-			done(nil, err)
-			return
-		}
-		f.Sched.After(500*time.Millisecond, func() {
-			f.adminRotate(shard, method, args, attempts-1, done)
+			f.adminCall(shard, method, args, attempts-1, done)
 		})
 	}
 	names := f.replicaNames[shard]

@@ -458,4 +458,13 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Scheduler.Tick <= 0 || c.Scheduler.MaxInflight <= 0 {
 		t.Fatalf("scheduler defaults missing: %+v", c.Scheduler)
 	}
+	// A zero Config still runs on the partitioned engine: one partition per
+	// unit plus the control partition, worker pool derived.
+	f := New(Config{})
+	if f.Engine == nil || f.Fabric == nil {
+		t.Fatalf("zero Config: Engine=%v Fabric=%v, want both non-nil", f.Engine, f.Fabric)
+	}
+	if got := f.Engine.Parts(); got != c.Units+1 {
+		t.Fatalf("zero Config: %d partitions, want Units+1 = %d", got, c.Units+1)
+	}
 }

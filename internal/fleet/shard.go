@@ -36,12 +36,11 @@ type ShardMaster struct {
 	rpc      *simnet.RPCNode
 	store    *coord.Store
 	election *coord.Election
-	// rec is the partition recorder this replica writes to (the shared
-	// fleet recorder in classic mode). May be nil.
+	// rec is the partition recorder this replica writes to. May be nil.
 	rec *obs.Recorder
 	// foreignBelieved[k] is this master's believed-leader replica index for
-	// foreign shard k (engine mode: cross-shard calls rotate through
-	// believed leaders instead of peeking another partition's state).
+	// foreign shard k (cross-shard calls rotate through believed leaders
+	// instead of peeking another partition's state).
 	foreignBelieved map[int]int
 
 	leading bool
@@ -113,9 +112,8 @@ func newShardMaster(f *Fleet, shard, replica int, store *coord.Store, p part) *S
 		deadUnit: make(map[string]bool),
 		badDisk:  make(map[string]bool),
 		draining: make(map[string]bool),
-	}
-	if f.Engine != nil {
-		m.foreignBelieved = make(map[int]int)
+
+		foreignBelieved: make(map[int]int),
 	}
 	m.rpc = simnet.NewRPCNode(p.net, m.rpcName)
 	m.sch = newShardScheduler(m)
@@ -673,15 +671,11 @@ func (m *ShardMaster) freeForeignFragments(volume string, foreign map[int][]stri
 		args := FreeForeignArgs{Volume: volume, Disks: append([]string(nil), foreign[k]...)}
 		// Generous retry budget: a lost free leaks export-ledger bytes until
 		// an operator reconciles, so ride out a full leader failover.
-		if m.f.Engine != nil {
-			m.callShard(k, "FreeForeign", args, 40, func(any, error) {})
-		} else {
-			m.f.adminCallFrom(m.rpc, k, "FreeForeign", args, 40, func(any, error) {})
-		}
+		m.callShard(k, "FreeForeign", args, 40, func(any, error) {})
 	}
 }
 
-// callShard is the engine-mode cross-shard call: everything it touches —
+// callShard is the cross-shard call: everything it touches —
 // the believed-leader map, the retry timer, the sending RPC node — belongs
 // to this master's partition, and the request itself crosses units through
 // the fabric. Leader discovery is by rotation, like clients.

@@ -453,6 +453,9 @@ func (n *Network) RejoinMachine(machine string) {
 	n.closePartition("isolate:" + machine)
 }
 
+// MachineIsolated reports whether the machine's uplink is unplugged.
+func (n *Network) MachineIsolated(machine string) bool { return n.isolatedMach[machine] }
+
 // Machine returns the machine a node is placed on ("" if unassigned).
 func (n *Network) Machine(node string) string { return n.machines[node] }
 

@@ -11,6 +11,13 @@ import (
 // change that invalidates cached cell results).
 const hashVersion = "ustore-spec-v1"
 
+// fleetHashVersion is the salt for mode "fleet" cells. It is bumped on its
+// own because the campaign report golden prints hash prefixes of other
+// modes' cells, which a fleet-only behaviour change must not move.
+// v2: fleet.engine_workers 0 stopped selecting a different event stream
+// (every fleet runs on the partitioned engine; 0 only derives the pool size).
+const fleetHashVersion = "ustore-spec-fleet-v2"
+
 // Canonical renders the decoded, defaulted spec in its canonical byte
 // form: JSON with struct-declaration field order. Because the hash is
 // computed here — after parsing, defaulting, and validation — two
@@ -30,7 +37,11 @@ func Canonical(s *Spec) []byte {
 // the canonical form, hex encoded. Cache entries are keyed by it.
 func Hash(s *Spec) string {
 	h := sha256.New()
-	h.Write([]byte(hashVersion))
+	if s.Mode == "fleet" {
+		h.Write([]byte(fleetHashVersion))
+	} else {
+		h.Write([]byte(hashVersion))
+	}
 	h.Write([]byte{0})
 	h.Write(Canonical(s))
 	return hex.EncodeToString(h.Sum(nil))
