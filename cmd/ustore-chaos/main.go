@@ -1,49 +1,46 @@
-// Command ustore-chaos runs the deterministic chaos harness against a
-// simulated UStore cluster and reports invariant violations.
+// Command ustore-chaos runs one scenario — a seeded fault schedule, a
+// multi-tenant traffic storm, or a sharded-fleet control-plane run — against
+// the simulated UStore cluster and reports invariant violations.
+//
+// The scenario is a spec (internal/spec): -spec FILE, or the empty document.
+// Scenario flags are overrides of spec fields applied on top of it, so a flag
+// line and the file saying the same thing are the same run, and the two mix:
 //
 //	ustore-chaos -seed 7 -days 100          # seeded all-fault soak
-//	ustore-chaos -seed 7 -days 2 -log       # print the event log
-//	ustore-chaos -seeds 8 -parallel 4       # sweep seeds 1..8 on 4 workers
-//	ustore-chaos -no-checksums -minimize    # shrink a violating schedule
-//	ustore-chaos -stale-lease -minimize     # model checker catches a seeded bug
+//	ustore-chaos -spec scenario.yaml -seed 5 -minimize   # a file, another seed, shrunk
 //	ustore-chaos -gray -mitigation          # fail-slow faults + the mitigation stack
-//	ustore-chaos -gray                      # same faults, unmitigated (tail comparison)
-//	ustore-chaos -gray -mitigation -quarantine-blind -minimize  # quarantine checker demo
-//	ustore-chaos -metrics-out m.json -trace-out t.json
-//	ustore-chaos -days 30 -cpuprofile cpu.out
-//	ustore-chaos -fleet -units 8 -shards 2 -unit-loss   # fleet-scale unit-loss run
-//	ustore-chaos -fleet -units 48 -fleet-bench 1,4,16   # shard-scaling throughput sweep
-//	ustore-chaos -fleet -units 64 -engine-workers 8     # same bytes, 8 engine workers
+//	ustore-chaos -tenants -storm -protect -slo-out slo.txt
 //	ustore-chaos -fleet -units 64 -shards 8 -crashes 3 -partitions 2 -moves 2
-//	                                                    # fleet chaos: crash/partition/
-//	                                                    # mid-migration fault schedule
 //	ustore-chaos -fleet -shards 4 -crashes 2 -moves 2 -skip-redrive -minimize
-//	                                                    # plant the skipped-redrive bug,
-//	                                                    # shrink to the violating prefix
-//	ustore-chaos -spec scenario.yaml                    # one declarative spec-file run
+//	ustore-chaos -fleet -units 48 -fleet-bench 1,4,16   # shard-scaling throughput sweep
 //
-// -seeds N runs N consecutive seeds starting at -seed; -parallel P spreads
-// independent runs over P workers (<1 = one per CPU). Every run is its own
-// deterministic simulation, so the per-seed reports are byte-identical at
-// any worker count, and -minimize speculatively probes bisection prefixes
-// in parallel while committing the exact sequential search path. With
-// -seeds > 1, -metrics-out / -trace-out write one file per seed (the seed
-// number is inserted before the extension).
+// The aliases table below maps each scenario flag to its spec path; defaults
+// and value rules are spec.Default's and spec.Validate's, and a flag under
+// faults., traffic. or fleet. needs that mode. What a spec cannot say stays a
+// plain flag: how to run it (-seeds -parallel -minimize -fleet-bench), what
+// to write (-schedule -metrics-out -trace-out -slo-out -bench-out
+// -cpuprofile -memprofile), and the three planted bugs the checkers'
+// negative controls need (-no-checksums -stale-lease -quarantine-blind) — a
+// spec describes the correct system, so a broken one is never a cached cell.
 //
-// -metrics-out writes the run's metrics registry as JSON (or Prometheus
-// text with a .prom suffix); -trace-out writes a Chrome trace_event file
-// loadable in chrome://tracing or https://ui.perfetto.dev. -cpuprofile /
-// -memprofile write runtime/pprof profiles like go test's flags of the
-// same names.
+// Every run is compile -> run -> report (campaign.Compile, Scenario.Run); a
+// single run is a sweep of one seed. -seeds N runs N consecutive seeds and
+// -parallel P spreads them (or -minimize's speculative probes) over P workers
+// (<1 = one per CPU); each run is its own deterministic simulation, so output
+// is byte-identical at any worker count. With -seeds > 1 output files are
+// written per seed (m.json -> m.seed7.json). -metrics-out takes a .prom
+// suffix for Prometheus text; -trace-out writes a Chrome trace_event file.
 //
-// Exit status 1 means at least one invariant was violated.
+// Exit status 1 means an invariant was violated, 2 a bad flag, spec or file.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -52,30 +49,386 @@ import (
 	"ustore/internal/chaos"
 	"ustore/internal/obs"
 	"ustore/internal/prof"
+	"ustore/internal/runner"
 	"ustore/internal/spec"
 )
 
-// writeMetrics dumps the registry to path: Prometheus text for .prom files,
-// JSON otherwise.
-func writeMetrics(rec *obs.Recorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".prom") {
-		return rec.Registry().WritePrometheus(f)
-	}
-	return rec.Registry().WriteJSON(f)
+// alias is a scenario flag: a command-line spelling of one spec field. It
+// carries no default and no rule of its own — when set, its text overrides
+// the field at path.
+type alias struct {
+	path  string
+	bare  bool                         // boolean: usable without a value
+	mode  string                       // a bare flag that sets path to this, not to "true"
+	conv  func(string) (string, error) // flag text -> field text; nil passes it through
+	usage string
 }
 
-func writeTrace(rec *obs.Recorder, path string) error {
+// seconds converts a Go duration into the spec's seconds.
+func seconds(v string) (string, error) {
+	d, err := time.ParseDuration(v)
+	if err != nil {
+		return "", err
+	}
+	return strconv.FormatFloat(d.Seconds(), 'g', -1, 64), nil
+}
+
+// aliases is the name table: every scenario flag and the spec path it
+// overrides.
+var aliases = map[string]alias{
+	"seed":             {path: "seed", usage: "schedule + simulation seed (first seed of a sweep)"},
+	"days":             {path: "days", usage: "fault-phase length in simulated days"},
+	"fleet":            {path: "mode", bare: true, mode: "fleet", usage: "run the fleet-scale harness (sharded metadata control plane) instead of a fault schedule"},
+	"tenants":          {path: "mode", bare: true, mode: "traffic", usage: "run the multi-tenant traffic engine instead of a fault schedule (per-class SLO report)"},
+	"gray":             {path: "faults.gray", bare: true, usage: "inject gray faults: fail-slow disks, USB link flaps/downgrades, host brownouts"},
+	"mitigation":       {path: "faults.mitigation", bare: true, usage: "enable the detect-quarantine-hedge mitigation stack (usually with -gray)"},
+	"units":            {path: "fleet.units", usage: "deploy units (64 disks each at defaults)"},
+	"shards":           {path: "fleet.shards", usage: "metadata shards"},
+	"unit-loss":        {path: "fleet.unit_loss", bare: true, usage: "kill unit u000 after the load phase and require the repair schedulers to drain it"},
+	"engine-workers":   {path: "fleet.engine_workers", usage: "goroutines executing each engine window (0 = one per CPU, capped at the partition count; results are byte-identical at any count)"},
+	"crashes":          {path: "fleet.crashes", usage: "shard-replica crash/restart cycles in the fault schedule"},
+	"partitions":       {path: "fleet.partitions", usage: "inter-unit partition (or leader-isolation) windows in the fault schedule"},
+	"moves":            {path: "fleet.slot_moves", usage: "schedule-driven slot migrations; the first is straddled by a source-leader crash (needs -shards >= 2)"},
+	"fault-window":     {path: "fleet.fault_window_sec", conv: seconds, usage: "fault phase length as a duration (0 = 2m when any fault knob is set)"},
+	"skip-redrive":     {path: "fleet.skip_redrive", bare: true, usage: "plant the skipped-ledger-re-drive recovery bug (model-checker demo; pairs with -minimize)"},
+	"storm":            {path: "traffic.storm", bare: true, usage: "add the restore-storm waves"},
+	"protect":          {path: "traffic.protect", bare: true, usage: "arm the admission/throttle/autoscale protection stack"},
+	"stream-quantiles": {path: "traffic.stream_quantiles", bare: true, usage: "O(1)-memory P² streaming percentile estimators in the SLO report (percentiles approximate, counts and max exact)"},
+	"log":              {path: "output.log", bare: true, usage: "print the full event log"},
+}
+
+// cliModes names the modes each mode-specific flag that is not a spec field
+// applies to; for an alias the mode is its path's section.
+var cliModes = map[string][]string{
+	"no-checksums": {"faults"}, "stale-lease": {"faults"}, "quarantine-blind": {"faults"},
+	"slo-out": {"traffic"}, "fleet-bench": {"fleet"}, "bench-out": {"fleet"},
+	"trace-out": {"faults", "traffic"}, "minimize": {"faults", "fleet"},
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ustore-chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	for name, a := range aliases {
+		usage := a.usage + " (spec: " + a.path + ")"
+		if a.bare {
+			fs.Bool(name, false, usage)
+		} else {
+			fs.String(name, "", usage)
+		}
+	}
+	var (
+		specPath    = fs.String("spec", "", "start from this spec file (YAML/JSON, no grid; grids belong to ustore-campaign) instead of the empty document")
+		seeds       = fs.Int("seeds", 1, "number of consecutive seeds to run")
+		parallel    = fs.Int("parallel", 1, "workers for a seed sweep or -minimize probing (<1 = one per CPU)")
+		minimize    = fs.Bool("minimize", false, "on violation, bisect the schedule to the shortest violating prefix")
+		noChecksums = fs.Bool("no-checksums", false, "disable per-block CRCs (silent corruption reaches clients)")
+		staleLease  = fs.Bool("stale-lease", false, "inject the stale-lease failover bug (model-checker demo; pairs with -minimize)")
+		quarBlind   = fs.Bool("quarantine-blind", false, "make the allocator ignore quarantine (invariant-checker demo; needs -mitigation)")
+		fleetBench  = fs.String("fleet-bench", "", "fleet mode: comma-separated shard counts to measure allocation throughput for (e.g. 1,4,16)")
+		benchOut    = fs.String("bench-out", "", "fleet mode: write the -fleet-bench JSON to this file (default stdout)")
+		showSched   = fs.Bool("schedule", false, "print the generated fault schedule")
+		sloOut      = fs.String("slo-out", "", "traffic mode: write the SLO report to this file")
+		metricsOut  = fs.String("metrics-out", "", "write end-of-run metrics to this file (JSON, or Prometheus text if it ends in .prom)")
+		traceOut    = fs.String("trace-out", "", "write a Chrome trace_event JSON file for chrome://tracing")
+		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile  = fs.String("memprofile", "", "write a heap profile to this file on exit")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// say prints one diagnostic line; error paths read "return say(...)".
+	say := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "ustore-chaos: "+format+"\n", a...)
+		return 2
+	}
+
+	// The scenario: the document (the empty one still has to name its mode),
+	// then each set flag as an override of it.
+	doc, name := []byte("mode: faults\n"), "flags"
+	if *specPath != "" {
+		var err error
+		if doc, err = os.ReadFile(*specPath); err != nil {
+			return say("%v", err)
+		}
+		name = *specPath
+	}
+	f, err := spec.Parse(doc, name)
+	if err != nil {
+		return say("%v", err)
+	}
+	if len(f.Axes) > 0 {
+		return say("%s has a parameter grid; run it with ustore-campaign -spec %s", name, name)
+	}
+	var set []*flag.Flag
+	fs.Visit(func(fl *flag.Flag) { set = append(set, fl) })
+	setBy := map[string]string{}
+	for _, fl := range set {
+		a, ok := aliases[fl.Name]
+		text, err := fl.Value.String(), error(nil)
+		if !ok || a.mode != "" && text != "true" {
+			continue // not a scenario flag, or a mode switch left off
+		}
+		if other, dup := setBy[a.path]; dup {
+			return say("-%s cannot combine with -%s (both set %s)", fl.Name, other, a.path)
+		}
+		setBy[a.path] = fl.Name
+		switch {
+		case a.mode != "":
+			text = a.mode
+		case a.conv != nil:
+			text, err = a.conv(text)
+		}
+		if err == nil {
+			err = f.Override(a.path, text)
+		}
+		if err != nil {
+			return say("-%s: %v", fl.Name, err)
+		}
+	}
+	s := f.Spec
+	if err := s.Validate(); err != nil {
+		return say("%v", err)
+	}
+
+	// The bug plants are the one thing a run carries that its spec does not.
+	var planted []string
+	for _, p := range []struct {
+		on   bool
+		name string
+	}{{*noChecksums, "no-checksums"}, {*staleLease, "stale-lease"}, {*quarBlind, "quarantine-blind"}} {
+		if p.on {
+			planted = append(planted, p.name)
+		}
+	}
+	compile := func(seed int64) (campaign.Scenario, error) {
+		sp := *s
+		sp.Seed = seed
+		sc, err := campaign.Compile(&sp)
+		if err == nil && sc.Chaos != nil {
+			sc.Chaos.DisableChecksums = *noChecksums
+			sc.Chaos.InjectStaleLease = *staleLease
+			sc.Chaos.InjectQuarantineBlind = *quarBlind
+		}
+		return sc, err
+	}
+	base, err := compile(s.Seed)
+	if err != nil {
+		return say("%v; fidelity and durability specs run under ustore-campaign", err)
+	}
+
+	// One mode rule for every mode-specific flag, then the three
+	// combinations no mode explains.
+	for _, fl := range set {
+		want := cliModes[fl.Name]
+		if sec, _, nested := strings.Cut(aliases[fl.Name].path, "."); nested && slices.Contains(spec.Modes, sec) {
+			want = []string{sec}
+		}
+		if want != nil && !slices.Contains(want, s.Mode) {
+			return say("-%s needs %s mode, and this is a %s run (-fleet, -tenants or the spec's mode select it)",
+				fl.Name, strings.Join(want, " or "), s.Mode)
+		}
+	}
+	switch {
+	case *seeds < 1:
+		return say("-seeds must be >= 1")
+	case *seeds > 1 && *minimize:
+		// -stale-lease and friends compose fine with -seeds: every seed of
+		// a sweep is an independent run, the planted bug rides along in each.
+		return say("-minimize works on a single seed (drop -seeds)")
+	case *quarBlind && !s.Faults.Mitigation:
+		return say("-quarantine-blind needs -mitigation (without quarantine there is no allocator exclusion to ignore)")
+	}
+
+	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		return say("%v", err)
+	}
+	defer func() {
+		if err := stopProf(); err != nil {
+			say("%v", err)
+		}
+	}()
+
+	if *fleetBench != "" {
+		return runFleetBench(stdout, say, s.Seed, s.Fleet.Units, s.Fleet.EngineWorkers, *fleetBench, *benchOut)
+	}
+	fmt.Fprint(stdout, header(s, *seeds, planted))
+
+	// n seeds on the worker pool, a recorder each when a file wants one; a
+	// single run is a sweep of 1, and -minimize is a single run that goes
+	// through the minimizer instead of Scenario.Run.
+	type seedRun struct {
+		out *campaign.Outcome
+		rec *obs.Recorder
+	}
+	runs, err := runner.MapErr(*seeds, *parallel, func(i int) (r seedRun, err error) {
+		if *metricsOut != "" || *traceOut != "" {
+			r.rec = obs.NewRecorder()
+		}
+		if *minimize {
+			r.out, err = runMinimized(stdout, base, r.rec, *parallel)
+			return r, err
+		}
+		sc, err := compile(s.Seed + int64(i))
+		if err != nil {
+			return r, err
+		}
+		r.out, err = sc.Run(r.rec)
+		return r, err
+	})
+	if err != nil {
+		return say("%v", err)
+	}
+
+	status := 0
+	for i, r := range runs {
+		outputs := []struct {
+			path, what string
+			write      func(io.Writer) error
+		}{
+			{*metricsOut, "metrics", func(w io.Writer) error {
+				if strings.HasSuffix(*metricsOut, ".prom") {
+					return r.rec.Registry().WritePrometheus(w)
+				}
+				return r.rec.Registry().WriteJSON(w)
+			}},
+			{*traceOut, "trace", func(w io.Writer) error { return r.rec.Tracer().WriteChromeTrace(w) }},
+			{*sloOut, "SLO report", func(w io.Writer) error {
+				_, err := io.WriteString(w, r.out.Chaos.SLO.Text())
+				return err
+			}},
+		}
+		for _, o := range outputs {
+			if o.path == "" {
+				continue
+			}
+			if *seeds > 1 {
+				o.path = seedPath(o.path, s.Seed+int64(i))
+			}
+			if err := writeFile(o.path, o.write); err != nil {
+				return say("writing %s: %v", o.what, err)
+			}
+		}
+		if *showSched && r.out.Chaos != nil {
+			printSchedule(stdout, r.out.Chaos.Schedule)
+		}
+		if s.Output.Log {
+			fmt.Fprintln(stdout, strings.Join(r.out.Log, "\n"))
+		}
+		fmt.Fprint(stdout, r.out.Summary)
+		if len(r.out.Violations) > 0 {
+			status = 1
+		}
+	}
+	return status
+}
+
+// header renders the run header from the spec — the effective fault mix and
+// planted bugs, or the fleet shape — so a pasted report is self-describing
+// (a gray run with mitigation off reads very differently from one with it
+// on). Traffic mode replaces the fault schedule, so its mix is "none".
+func header(s *spec.Spec, seeds int, planted []string) string {
+	who := fmt.Sprintf("seed %d", s.Seed)
+	if seeds > 1 {
+		who = fmt.Sprintf("seeds %d..%d", s.Seed, s.Seed+int64(seeds)-1)
+	}
+	if s.Mode == "fleet" {
+		fl := s.Fleet
+		h := fmt.Sprintf("ustore-chaos: fleet %s, %d units, %d shards, unit-loss=%v\n", who, fl.Units, fl.Shards, fl.UnitLoss)
+		if fl.Crashes > 0 || fl.Partitions > 0 || fl.SlotMoves > 0 {
+			h += fmt.Sprintf("fleet faults: %d crashes, %d partitions, %d slot moves, skip-redrive=%v\n",
+				fl.Crashes, fl.Partitions, fl.SlotMoves, fl.SkipRedrive)
+		}
+		return h
+	}
+	var fams, mods []string
+	add := func(list *[]string, on bool, name string) {
+		if on {
+			*list = append(*list, name)
+		}
+	}
+	if s.Mode == "traffic" {
+		mods = []string{"tenants"}
+		add(&mods, s.Traffic.Storm, "storm")
+		add(&mods, s.Traffic.Protect, "protect")
+	} else {
+		add(&fams, s.Faults.HostCrashes, "host-crashes")
+		add(&fams, s.Faults.Disks, "disk-faults")
+		add(&fams, s.Faults.Hubs, "hub-faults")
+		add(&fams, s.Faults.Net, "net-faults")
+		add(&fams, s.Faults.Corruptions, "corruptions")
+		add(&fams, s.Faults.Gray, "gray-faults")
+		add(&mods, s.Faults.Mitigation, "mitigation")
+		mods = append(mods, planted...)
+	}
+	if len(fams) == 0 {
+		fams = []string{"none"}
+	}
+	h := fmt.Sprintf("ustore-chaos: %s, %.3g days, faults: %s", who, s.Days, strings.Join(fams, " "))
+	if len(mods) > 0 {
+		h += ", " + strings.Join(mods, " ")
+	}
+	return h + "\n"
+}
+
+// runMinimized runs the scenario's seeded schedule and, on violation,
+// bisects (with parallel speculative probes) for the shortest prefix that
+// still violates, prints the surviving faults — the normal first step when a
+// run goes red — and hands back the minimized run in place of the full one.
+func runMinimized(stdout io.Writer, sc campaign.Scenario, rec *obs.Recorder, parallel int) (*campaign.Outcome, error) {
+	if sc.Fleet != nil {
+		o := *sc.Fleet
+		o.Recorder = rec
+		sched, min, full, err := chaos.MinimizeFleet(o, parallel)
+		if err != nil {
+			return nil, err
+		}
+		if min == nil {
+			return campaign.FleetOutcome(full), nil
+		}
+		fmt.Fprintf(stdout, "minimized fleet schedule: %d of %d faults still violate\n", len(sched), full.FaultsApplied)
+		for _, ft := range sched {
+			fmt.Fprintf(stdout, "  %s\n", ft)
+		}
+		return campaign.FleetOutcome(min), nil
+	}
+	o := *sc.Chaos
+	o.Recorder = rec
+	sched, min, full, err := chaos.MinimizeParallel(o, parallel)
+	if err != nil {
+		return nil, err
+	}
+	if min == nil {
+		return campaign.ChaosOutcome(full), nil
+	}
+	fmt.Fprintf(stdout, "minimized schedule: %d of %d faults still violate\n", len(sched), len(full.Schedule))
+	printSchedule(stdout, sched)
+	return campaign.ChaosOutcome(min), nil
+}
+
+func printSchedule(w io.Writer, sched []chaos.Fault) {
+	for _, f := range sched {
+		fmt.Fprintf(w, "  %-14v %s\n", f.At, f)
+	}
+}
+
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return rec.Tracer().WriteChromeTrace(f)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // seedPath inserts ".seed<n>" before path's extension, so a sweep's
@@ -85,569 +438,4 @@ func seedPath(path string, seed int64) string {
 		return fmt.Sprintf("%s.seed%d%s", path[:i], seed, path[i:])
 	}
 	return fmt.Sprintf("%s.seed%d", path, seed)
-}
-
-// mixHeader renders the run header: the effective fault mix and injected
-// bugs, so a pasted report is self-describing (a gray run with mitigation
-// off reads very differently from one with it on).
-func mixHeader(o chaos.Options, seeds int) string {
-	var fams []string
-	add := func(on bool, name string) {
-		if on {
-			fams = append(fams, name)
-		}
-	}
-	add(o.HostCrashes, "host-crashes")
-	add(o.DiskFaults, "disk-faults")
-	add(o.HubFaults, "hub-faults")
-	add(o.NetFaults, "net-faults")
-	add(o.Corruptions, "corruptions")
-	add(o.GrayFaults, "gray-faults")
-	if len(fams) == 0 {
-		fams = append(fams, "none")
-	}
-	var mods []string
-	add2 := func(on bool, name string) {
-		if on {
-			mods = append(mods, name)
-		}
-	}
-	add2(o.Mitigation, "mitigation")
-	add2(o.DisableChecksums, "no-checksums")
-	add2(o.InjectStaleLease, "stale-lease")
-	add2(o.InjectQuarantineBlind, "quarantine-blind")
-	add2(o.Tenants, "tenants")
-	add2(o.Storm, "storm")
-	add2(o.Protect, "protect")
-	h := fmt.Sprintf("ustore-chaos: seed %d", o.Seed)
-	if seeds > 1 {
-		h = fmt.Sprintf("ustore-chaos: seeds %d..%d", o.Seed, o.Seed+int64(seeds)-1)
-	}
-	h += fmt.Sprintf(", %.3g days, faults: %s", o.Duration.Hours()/24, strings.Join(fams, " "))
-	if len(mods) > 0 {
-		h += ", " + strings.Join(mods, " ")
-	}
-	return h
-}
-
-func main() {
-	os.Exit(run())
-}
-
-func run() int {
-	var (
-		specPath    = flag.String("spec", "", "run one experiment spec file (YAML/JSON, no grid) instead of flag-built options; grids belong to ustore-campaign")
-		seed        = flag.Int64("seed", 1, "schedule + simulation seed (first seed of a sweep)")
-		seeds       = flag.Int("seeds", 1, "number of consecutive seeds to run")
-		parallel    = flag.Int("parallel", 1, "workers for a seed sweep or -minimize probing (<1 = one per CPU)")
-		days        = flag.Float64("days", 2, "fault-phase length in simulated days")
-		noChecksums = flag.Bool("no-checksums", false, "disable per-block CRCs (silent corruption reaches clients)")
-		staleLease  = flag.Bool("stale-lease", false, "inject the stale-lease failover bug (model-checker demo; pairs with -minimize)")
-		gray        = flag.Bool("gray", false, "inject gray faults: fail-slow disks, USB link flaps/downgrades, host brownouts")
-		mitigation  = flag.Bool("mitigation", false, "enable the detect-quarantine-hedge mitigation stack (usually with -gray)")
-		quarBlind   = flag.Bool("quarantine-blind", false, "make the allocator ignore quarantine (invariant-checker demo; needs -mitigation)")
-		fleetMode   = flag.Bool("fleet", false, "run the fleet-scale harness (sharded metadata control plane) instead of a fault schedule")
-		units       = flag.Int("units", 8, "fleet mode: deploy units (64 disks each at defaults)")
-		shards      = flag.Int("shards", 1, "fleet mode: metadata shards")
-		unitLoss    = flag.Bool("unit-loss", false, "fleet mode: kill unit u000 after the load phase and require the repair schedulers to drain it")
-		engWorkers  = flag.Int("engine-workers", 0, "fleet mode: goroutines executing each engine window (0 = one per CPU, capped at the partition count; results are byte-identical at any count)")
-		crashes     = flag.Int("crashes", 0, "fleet mode: shard-replica crash/restart cycles in the fault schedule")
-		partitions  = flag.Int("partitions", 0, "fleet mode: inter-unit partition (or leader-isolation) windows in the fault schedule")
-		moves       = flag.Int("moves", 0, "fleet mode: schedule-driven slot migrations; the first is straddled by a source-leader crash (needs -shards >= 2)")
-		faultWindow = flag.Duration("fault-window", 0, "fleet mode: fault phase length (default 2m when any fault knob is set)")
-		skipRedrive = flag.Bool("skip-redrive", false, "fleet mode: plant the skipped-ledger-re-drive recovery bug (model-checker demo; pairs with -minimize)")
-		fleetBench  = flag.String("fleet-bench", "", "fleet mode: comma-separated shard counts to measure allocation throughput for (e.g. 1,4,16)")
-		benchOut    = flag.String("bench-out", "", "fleet mode: write the -fleet-bench JSON to this file (default stdout)")
-		tenants     = flag.Bool("tenants", false, "run the multi-tenant traffic engine instead of a fault schedule (per-class SLO report)")
-		storm       = flag.Bool("storm", false, "add the restore-storm waves to a -tenants run")
-		protect     = flag.Bool("protect", false, "arm the admission/throttle/autoscale protection stack in a -tenants run")
-		streamQuant = flag.Bool("stream-quantiles", false, "tenants mode: O(1)-memory P² streaming percentile estimators in the SLO report (percentiles approximate, counts and max exact)")
-		sloOut      = flag.String("slo-out", "", "write the -tenants run's SLO report to this file")
-		minimize    = flag.Bool("minimize", false, "on violation, bisect the schedule to the shortest violating prefix")
-		showLog     = flag.Bool("log", false, "print the full event log")
-		showSched   = flag.Bool("schedule", false, "print the generated fault schedule")
-		metricsOut  = flag.String("metrics-out", "", "write end-of-run metrics to this file (JSON, or Prometheus text if it ends in .prom)")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON file for chrome://tracing")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	)
-	flag.Parse()
-	if *specPath != "" {
-		return runSpec(*specPath, *showSched, *showLog)
-	}
-	if *days <= 0 {
-		fmt.Fprintln(os.Stderr, "ustore-chaos: -days must be positive")
-		return 2
-	}
-	if *seeds < 1 {
-		fmt.Fprintln(os.Stderr, "ustore-chaos: -seeds must be >= 1")
-		return 2
-	}
-	// Only genuinely incompatible combinations are rejected. In particular
-	// -stale-lease composes fine with -seeds: every seed of a sweep is an
-	// independent deterministic run, so the injected bug simply rides along
-	// in each of them.
-	if *seeds > 1 && *minimize {
-		fmt.Fprintln(os.Stderr, "ustore-chaos: -minimize works on a single seed (drop -seeds)")
-		return 2
-	}
-	if *quarBlind && !*mitigation {
-		fmt.Fprintln(os.Stderr, "ustore-chaos: -quarantine-blind needs -mitigation (without quarantine there is no allocator exclusion to ignore)")
-		return 2
-	}
-	// Fleet-mode flag dependencies: the fleet harness replaces both the
-	// fault schedule and the traffic engine, so its shaping flags need
-	// -fleet and -fleet can't combine with the other run modes.
-	if !*fleetMode {
-		for _, dep := range []struct {
-			set  bool
-			name string
-		}{{*unitLoss, "-unit-loss"}, {*fleetBench != "", "-fleet-bench"}, {*benchOut != "", "-bench-out"},
-			{*engWorkers != 0, "-engine-workers"}, {*crashes != 0, "-crashes"},
-			{*partitions != 0, "-partitions"}, {*moves != 0, "-moves"},
-			{*faultWindow != 0, "-fault-window"}, {*skipRedrive, "-skip-redrive"}} {
-			if dep.set {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: %s needs -fleet (it shapes the fleet run)\n", dep.name)
-				return 2
-			}
-		}
-	} else {
-		// -minimize composes with -fleet: it bisects the fleet fault
-		// schedule instead of the cluster one.
-		for _, bad := range []struct {
-			set  bool
-			name string
-		}{{*tenants, "-tenants"}, {*gray, "-gray"}, {*mitigation, "-mitigation"},
-			{*staleLease, "-stale-lease"},
-			{*quarBlind, "-quarantine-blind"}, {*noChecksums, "-no-checksums"},
-			{*traceOut != "", "-trace-out"}} {
-			if bad.set {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: %s cannot combine with -fleet\n", bad.name)
-				return 2
-			}
-		}
-	}
-
-	// Traffic-mode flag dependencies: -storm/-protect/-slo-out shape a
-	// tenant traffic run, and traffic mode replaces the fault schedule, so
-	// it cannot combine with the fault-run-only modes.
-	if !*tenants {
-		for _, dep := range []struct {
-			set  bool
-			name string
-		}{{*storm, "-storm"}, {*protect, "-protect"}, {*sloOut != "", "-slo-out"},
-			{*streamQuant, "-stream-quantiles"}} {
-			if dep.set {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: %s needs -tenants (it shapes the traffic run)\n", dep.name)
-				return 2
-			}
-		}
-	} else {
-		for _, bad := range []struct {
-			set  bool
-			name string
-		}{{*gray, "-gray"}, {*mitigation, "-mitigation"}, {*minimize, "-minimize"},
-			{*staleLease, "-stale-lease"}, {*quarBlind, "-quarantine-blind"},
-			{*noChecksums, "-no-checksums"}} {
-			if bad.set {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: %s is a fault-run mode and cannot combine with -tenants\n", bad.name)
-				return 2
-			}
-		}
-	}
-
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		return 2
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		}
-	}()
-
-	if *fleetMode {
-		base := chaos.FleetOptions{
-			Seed: *seed, Units: *units, Shards: *shards, UnitLoss: *unitLoss,
-			EngineWorkers: *engWorkers, ReplicaCrashes: *crashes,
-			Partitions: *partitions, SlotMoves: *moves, FaultWindow: *faultWindow,
-			InjectSkipRedrive: *skipRedrive,
-		}
-		return runFleetMode(base, *seeds, *parallel, *minimize,
-			*fleetBench, *benchOut, *showLog, *metricsOut)
-	}
-
-	o := chaos.DefaultOptions(*seed, time.Duration(float64(24*time.Hour)*(*days)))
-	o.DisableChecksums = *noChecksums
-	o.InjectStaleLease = *staleLease
-	o.GrayFaults = *gray
-	o.Mitigation = *mitigation
-	o.InjectQuarantineBlind = *quarBlind
-	o.Tenants = *tenants
-	o.Storm = *storm
-	o.Protect = *protect
-	o.StreamQuantiles = *streamQuant
-	if *tenants {
-		// Traffic mode replaces the fault schedule entirely.
-		o.HostCrashes, o.DiskFaults, o.HubFaults, o.NetFaults, o.Corruptions = false, false, false, false, false
-	}
-	fmt.Println(mixHeader(o, *seeds))
-	wantRec := *metricsOut != "" || *traceOut != ""
-
-	if *seeds > 1 {
-		return runSweep(o, *seeds, *parallel, wantRec, *metricsOut, *traceOut, *showSched, *showLog, *sloOut)
-	}
-
-	var rec *obs.Recorder
-	if wantRec {
-		rec = obs.NewRecorder()
-		o.Recorder = rec
-	}
-
-	var rep *chaos.Report
-	if *minimize {
-		var sched []chaos.Fault
-		var min *chaos.Report
-		sched, min, rep, err = chaos.MinimizeParallel(o, *parallel)
-		if err == nil && min != nil {
-			fmt.Printf("minimized schedule: %d of %d faults still violate\n", len(sched), len(rep.Schedule))
-			for _, f := range sched {
-				fmt.Printf("  %-14v %s\n", f.At, f)
-			}
-			rep = min
-		}
-	} else {
-		rep, err = chaos.Run(o)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		return 2
-	}
-	if *metricsOut != "" {
-		if werr := writeMetrics(rec, *metricsOut); werr != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: writing metrics: %v\n", werr)
-			return 2
-		}
-	}
-	if *traceOut != "" {
-		if werr := writeTrace(rec, *traceOut); werr != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: writing trace: %v\n", werr)
-			return 2
-		}
-	}
-
-	if *sloOut != "" {
-		if werr := writeSLO(rep, *sloOut); werr != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: writing SLO report: %v\n", werr)
-			return 2
-		}
-	}
-
-	if *showSched {
-		for _, f := range rep.Schedule {
-			fmt.Printf("  %-14v %s\n", f.At, f)
-		}
-	}
-	if *showLog {
-		fmt.Println(rep.LogText())
-	}
-	fmt.Print(rep.SummaryText())
-	if len(rep.Violations) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runSpec executes one spec-file cell through the campaign compiler: the
-// declarative path to exactly the run the flags would build. Grids are
-// ustore-campaign's job — a gridded spec is rejected here so the two
-// tools don't grow divergent sweep semantics.
-func runSpec(path string, showSched, showLog bool) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		return 2
-	}
-	f, err := spec.Parse(data, path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		return 2
-	}
-	if len(f.Axes) > 0 {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %s has a parameter grid; run it with ustore-campaign -spec %s\n", path, path)
-		return 2
-	}
-	s := f.Spec
-	switch s.Mode {
-	case "faults", "traffic":
-		o := campaign.CompileChaos(s)
-		fmt.Println(mixHeader(o, 1))
-		rep, err := chaos.Run(o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-			return 2
-		}
-		if showSched {
-			for _, fa := range rep.Schedule {
-				fmt.Printf("  %-14v %s\n", fa.At, fa)
-			}
-		}
-		if showLog {
-			fmt.Println(rep.LogText())
-		}
-		fmt.Print(rep.SummaryText())
-		if len(rep.Violations) > 0 {
-			return 1
-		}
-		return 0
-	case "fleet":
-		o := campaign.CompileFleet(s)
-		fmt.Printf("ustore-chaos: fleet seed %d, %d units, %d shards, unit-loss=%v\n",
-			o.Seed, o.Units, o.Shards, o.UnitLoss)
-		rep, err := chaos.RunFleet(o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-			return 2
-		}
-		if showLog {
-			fmt.Println(rep.LogText())
-		}
-		fmt.Print(rep.SummaryText())
-		if len(rep.Violations) > 0 {
-			return 1
-		}
-		return 0
-	default:
-		fmt.Fprintf(os.Stderr, "ustore-chaos: spec mode %q runs under ustore-campaign, not ustore-chaos\n", s.Mode)
-		return 2
-	}
-}
-
-// runFleetMode executes the fleet-scale harness: a bench sweep when
-// -fleet-bench is set, a schedule-minimizing run under -minimize, otherwise
-// one run per seed.
-func runFleetMode(base chaos.FleetOptions, seeds, parallel int, minimize bool,
-	benchList, benchOut string, showLog bool, metricsOut string) int {
-	if benchList != "" {
-		return runFleetBench(base.Seed, base.Units, base.EngineWorkers, benchList, benchOut)
-	}
-	header := fmt.Sprintf("ustore-chaos: fleet seed %d", base.Seed)
-	if seeds > 1 {
-		header = fmt.Sprintf("ustore-chaos: fleet seeds %d..%d", base.Seed, base.Seed+int64(seeds)-1)
-	}
-	fmt.Printf("%s, %d units, %d shards, unit-loss=%v\n",
-		header, base.Units, base.Shards, base.UnitLoss)
-	if base.ReplicaCrashes > 0 || base.Partitions > 0 || base.SlotMoves > 0 {
-		fmt.Printf("fleet faults: %d crashes, %d partitions, %d slot moves, skip-redrive=%v\n",
-			base.ReplicaCrashes, base.Partitions, base.SlotMoves, base.InjectSkipRedrive)
-	}
-
-	if minimize {
-		return runFleetMinimize(base, parallel, showLog)
-	}
-
-	var reps []*chaos.FleetReport
-	if seeds > 1 {
-		var err error
-		reps, err = chaos.FleetSweep(base, seeds, parallel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-			return 2
-		}
-	} else {
-		var rec *obs.Recorder
-		if metricsOut != "" {
-			rec = obs.NewRecorder()
-			base.Recorder = rec
-		}
-		rep, err := chaos.RunFleet(base)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-			return 2
-		}
-		if metricsOut != "" {
-			if werr := writeMetrics(rec, metricsOut); werr != nil {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: writing metrics: %v\n", werr)
-				return 2
-			}
-		}
-		reps = []*chaos.FleetReport{rep}
-	}
-
-	violated := false
-	for _, rep := range reps {
-		if showLog {
-			fmt.Println(rep.LogText())
-		}
-		fmt.Print(rep.SummaryText())
-		if len(rep.Violations) > 0 {
-			violated = true
-		}
-	}
-	if violated {
-		return 1
-	}
-	return 0
-}
-
-// runFleetMinimize runs the seeded fleet fault schedule and, on violation,
-// bisects (with parallel speculative probes) for the shortest schedule
-// prefix that still violates, then prints the surviving faults — the
-// normal first step when a fleet chaos run goes red.
-func runFleetMinimize(base chaos.FleetOptions, parallel int, showLog bool) int {
-	sched, min, full, err := chaos.MinimizeFleet(base, parallel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		return 2
-	}
-	if min == nil {
-		if showLog {
-			fmt.Println(full.LogText())
-		}
-		fmt.Print(full.SummaryText())
-		return 0
-	}
-	fmt.Printf("minimized fleet schedule: %d of %d faults still violate\n",
-		len(sched), full.FaultsApplied)
-	for _, ft := range sched {
-		fmt.Printf("  %s\n", ft)
-	}
-	if showLog {
-		fmt.Println(min.LogText())
-	}
-	fmt.Print(min.SummaryText())
-	return 1
-}
-
-// runFleetBench measures allocation throughput at each shard count in
-// benchList (comma-separated) on a fixed fleet, emitting a JSON document to
-// benchOut (stdout when empty). Offered load scales with capacity: 8
-// saturating closed-loop clients per shard.
-func runFleetBench(seed int64, units, engineWorkers int, benchList, benchOut string) int {
-	const (
-		warmup = 3 * time.Second
-		window = 6 * time.Second
-	)
-	type point struct {
-		Shards       int     `json:"shards"`
-		Clients      int     `json:"clients"`
-		AllocsPerSec float64 `json:"allocs_per_sec"`
-		Speedup      float64 `json:"speedup_vs_1_shard"`
-	}
-	doc := struct {
-		Bench     string  `json:"bench"`
-		Seed      int64   `json:"seed"`
-		Units     int     `json:"units"`
-		WarmupSec float64 `json:"warmup_sec"`
-		WindowSec float64 `json:"window_sec"`
-		Points    []point `json:"points"`
-	}{Bench: "fleet-alloc-shard-scaling", Seed: seed, Units: units,
-		WarmupSec: warmup.Seconds(), WindowSec: window.Seconds()}
-	for _, fld := range strings.Split(benchList, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(fld))
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: bad -fleet-bench shard count %q\n", fld)
-			return 2
-		}
-		v, err := chaos.MeasureFleetAlloc(chaos.FleetOptions{
-			Seed:          seed,
-			Units:         units,
-			Shards:        n,
-			Clients:       8 * n,
-			VolumeSize:    8 << 20,
-			EngineWorkers: engineWorkers,
-		}, warmup, window)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ustore-chaos: fleet bench %d shards: %v\n", n, err)
-			return 2
-		}
-		p := point{Shards: n, Clients: 8 * n, AllocsPerSec: v, Speedup: 1}
-		if len(doc.Points) > 0 {
-			p.Speedup = v / doc.Points[0].AllocsPerSec
-		}
-		doc.Points = append(doc.Points, p)
-		fmt.Fprintf(os.Stderr, "ustore-chaos: fleet bench %2d shards: %.0f allocs/sec\n", n, v)
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		return 2
-	}
-	out = append(out, '\n')
-	if benchOut == "" {
-		fmt.Print(string(out))
-		return 0
-	}
-	if err := os.WriteFile(benchOut, out, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: writing bench: %v\n", err)
-		return 2
-	}
-	return 0
-}
-
-// writeSLO writes a traffic run's SLO report text to path.
-func writeSLO(rep *chaos.Report, path string) error {
-	if rep.SLO == nil {
-		return fmt.Errorf("run produced no SLO report")
-	}
-	return os.WriteFile(path, []byte(rep.SLO.Text()), 0o644)
-}
-
-// runSweep executes a multi-seed sweep and prints each seed's summary in
-// seed order. Exit status 1 if any seed violated an invariant.
-func runSweep(base chaos.Options, seeds, parallel int, wantRec bool, metricsOut, traceOut string, showSched, showLog bool, sloOut string) int {
-	var recs map[int64]*obs.Recorder
-	var recFor func(seed int64) *obs.Recorder
-	if wantRec {
-		recs = make(map[int64]*obs.Recorder, seeds)
-		for s := base.Seed; s < base.Seed+int64(seeds); s++ {
-			recs[s] = obs.NewRecorder()
-		}
-		recFor = func(seed int64) *obs.Recorder { return recs[seed] }
-	}
-
-	reps, err := chaos.Sweep(base, seeds, parallel, recFor)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ustore-chaos: %v\n", err)
-		return 2
-	}
-
-	violated := false
-	for _, rep := range reps {
-		if metricsOut != "" {
-			if werr := writeMetrics(recs[rep.Seed], seedPath(metricsOut, rep.Seed)); werr != nil {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: writing metrics: %v\n", werr)
-				return 2
-			}
-		}
-		if traceOut != "" {
-			if werr := writeTrace(recs[rep.Seed], seedPath(traceOut, rep.Seed)); werr != nil {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: writing trace: %v\n", werr)
-				return 2
-			}
-		}
-		if sloOut != "" {
-			if werr := writeSLO(rep, seedPath(sloOut, rep.Seed)); werr != nil {
-				fmt.Fprintf(os.Stderr, "ustore-chaos: writing SLO report: %v\n", werr)
-				return 2
-			}
-		}
-		if showSched {
-			for _, f := range rep.Schedule {
-				fmt.Printf("  %-14v %s\n", f.At, f)
-			}
-		}
-		if showLog {
-			fmt.Println(rep.LogText())
-		}
-		fmt.Print(rep.SummaryText())
-		if len(rep.Violations) > 0 {
-			violated = true
-		}
-	}
-	if violated {
-		return 1
-	}
-	return 0
 }

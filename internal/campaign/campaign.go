@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"ustore/internal/bench"
-	"ustore/internal/chaos"
 	"ustore/internal/runner"
 	"ustore/internal/spec"
 )
@@ -119,25 +118,19 @@ func ExecCell(c spec.Cell) (*CellResult, error) {
 		Name: s.Name, Mode: s.Mode, Seed: s.Seed,
 	}
 	switch s.Mode {
-	case "faults", "traffic":
-		rep, err := chaos.Run(CompileChaos(s))
+	case "faults", "traffic", "fleet":
+		sc, err := Compile(s)
 		if err != nil {
 			return nil, err
 		}
-		r.Summary = rep.SummaryText()
-		r.Violations = rep.Violations
-		if s.Output.Log {
-			r.Log = rep.Log
-		}
-	case "fleet":
-		rep, err := chaos.RunFleet(CompileFleet(s))
+		out, err := sc.Run(nil)
 		if err != nil {
 			return nil, err
 		}
-		r.Summary = rep.SummaryText()
-		r.Violations = rep.Violations
+		r.Summary = out.Summary
+		r.Violations = out.Violations
 		if s.Output.Log {
-			r.Log = rep.Log
+			r.Log = out.Log
 		}
 	case "fidelity":
 		results, err := runFidelity(s.Fidelity.Check)

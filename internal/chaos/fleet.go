@@ -6,7 +6,7 @@ package chaos
 // and verifies the fleet drains the dead unit onto survivors with every
 // invariant intact. Like the cluster-scale harness, a run is a pure
 // function of its options: same seed, byte-identical report at any worker
-// count (TestFleetSweepParallelMatchesSequential proves it).
+// count (cmd/ustore-chaos's TestSweepParallelMatchesSequential proves it).
 
 import (
 	"errors"
@@ -17,7 +17,6 @@ import (
 	"ustore/internal/fleet"
 	"ustore/internal/model"
 	"ustore/internal/obs"
-	"ustore/internal/runner"
 )
 
 // FleetOptions parameterizes a fleet-scale chaos run.
@@ -146,14 +145,7 @@ func (r *FleetReport) SummaryText() string {
 			r.FaultsApplied, r.Unavailable, r.Redriven)
 	}
 	fmt.Fprintf(&b, "  map      epoch %d; %d events fired\n", r.MapEpoch, r.Events)
-	if len(r.Violations) == 0 {
-		b.WriteString("  invariants: all held\n")
-		return b.String()
-	}
-	fmt.Fprintf(&b, "  INVARIANT VIOLATIONS (%d):\n", len(r.Violations))
-	for _, v := range r.Violations {
-		fmt.Fprintf(&b, "    %s\n", v)
-	}
+	writeInvariants(&b, r.Violations)
 	return b.String()
 }
 
@@ -501,18 +493,6 @@ func settleUntil(f *fleet.Fleet, step, max time.Duration, done func() bool) bool
 		return "condition pending"
 	})
 	return ok
-}
-
-// FleetSweep runs base across n consecutive seeds on up to parallel
-// workers, one report per seed in seed order. Each run owns its scheduler,
-// so parallel reports are byte-identical to sequential ones.
-func FleetSweep(base FleetOptions, n, parallel int) ([]*FleetReport, error) {
-	return runner.MapErr(n, parallel, func(i int) (*FleetReport, error) {
-		o := base
-		o.Seed = base.Seed + int64(i)
-		o.Recorder = nil
-		return RunFleet(o)
-	})
 }
 
 // MeasureFleetAlloc measures steady-state allocation throughput (volumes

@@ -134,26 +134,3 @@ func TestFleetDeterministicReport(t *testing.T) {
 		t.Fatalf("event counts diverge: %d vs %d", a.Events, b.Events)
 	}
 }
-
-// TestFleetSweepParallelMatchesSequential proves worker count cannot leak
-// into results: a 3-seed sweep on 3 workers is byte-identical to the same
-// sweep run sequentially.
-func TestFleetSweepParallelMatchesSequential(t *testing.T) {
-	base := FleetOptions{Seed: 21, Units: 8, Shards: 2, UnitLoss: true}
-	seq, err := FleetSweep(base, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := FleetSweep(base, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq {
-		if seq[i].LogText() != par[i].LogText() {
-			t.Fatalf("seed %d: parallel log diverges from sequential", seq[i].Seed)
-		}
-		if seq[i].SummaryText() != par[i].SummaryText() {
-			t.Fatalf("seed %d: parallel summary diverges from sequential", seq[i].Seed)
-		}
-	}
-}

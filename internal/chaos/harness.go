@@ -79,6 +79,44 @@ type Report struct {
 // LogText renders the event log as one string (replay comparisons).
 func (r *Report) LogText() string { return strings.Join(r.Log, "\n") }
 
+// writeInvariants ends a summary block (cluster or fleet) with the verdict.
+func writeInvariants(b *strings.Builder, violations []string) {
+	if len(violations) == 0 {
+		b.WriteString("  invariants: all held\n")
+		return
+	}
+	fmt.Fprintf(b, "  INVARIANT VIOLATIONS (%d):\n", len(violations))
+	for _, v := range violations {
+		fmt.Fprintf(b, "    %s\n", v)
+	}
+}
+
+// SummaryText renders the per-seed summary block ustore-chaos prints for a
+// run and a campaign cell stores.
+func (r *Report) SummaryText() string {
+	var b strings.Builder
+	if r.SLO != nil {
+		b.WriteString(r.SLO.Text())
+		writeInvariants(&b, r.Violations)
+		return b.String()
+	}
+	s := r.Stats
+	days := r.Opts.Duration.Hours() / 24
+	fmt.Fprintf(&b, "seed %d, %.3g days: %d faults applied\n", r.Seed, days, s.FaultsApplied)
+	fmt.Fprintf(&b, "  writes   %d acked, %d failed; %d remounts\n", s.WritesAcked, s.WritesFailed, s.Remounts)
+	fmt.Fprintf(&b, "  audits   %d reads, %d checksum detections, %d repairs\n", s.AuditReads, s.CorruptionsDetected, s.Repairs)
+	fmt.Fprintf(&b, "  scrubber %d scanned, %d bad, %d repaired, %d unrepaired\n", s.ScrubScanned, s.ScrubBad, s.ScrubRepaired, s.ScrubUnrepaired)
+	fmt.Fprintf(&b, "  model    %d metadata ops checked in %d partitions\n", s.ModelOps, s.ModelPartitions)
+	if r.Opts.GrayFaults || r.Opts.Mitigation {
+		fmt.Fprintf(&b, "  gray     %d quarantines, %d migrations; %d probes (%d errors), p99 healthy %v / degraded %v\n",
+			s.GrayQuarantines, s.GrayMigrations, s.ProbeReads, s.ProbeErrors, s.ProbeHealthyP99, s.ProbeDegradedP99)
+		fmt.Fprintf(&b, "  hedging  %d hedges (%d wins), %d breaker opens, %d redirects, %d fast fails\n",
+			s.Hedges, s.HedgeWins, s.BreakerOpens, s.Redirects, s.FastFails)
+	}
+	writeInvariants(&b, r.Violations)
+	return b.String()
+}
+
 // replicaBlock tracks one block of one replica: the last acknowledged
 // content and whether an unacknowledged write makes it unverifiable.
 type replicaBlock struct {

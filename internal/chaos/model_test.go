@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ustore/internal/obs"
+	"ustore/internal/runner"
 )
 
 // staleLeaseOptions is the mutation scenario: host crashes only (so every
@@ -90,7 +91,11 @@ func TestModelCheckerCleanSweep(t *testing.T) {
 	}
 	base := staleLeaseOptions(100, false)
 	base.Duration = 24 * time.Hour
-	reps, err := Sweep(base, seeds, 4, nil)
+	reps, err := runner.MapErr(seeds, 4, func(i int) (*Report, error) {
+		o := base
+		o.Seed += int64(i)
+		return Run(o)
+	})
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ustore/internal/obs"
+	"ustore/internal/runner"
 	"ustore/internal/workload"
 )
 
@@ -109,7 +110,12 @@ func TestTrafficSweepParallelByteStability(t *testing.T) {
 		for s := base.Seed; s < base.Seed+seeds; s++ {
 			recs[s] = obs.NewRecorder()
 		}
-		reps, err := Sweep(base, seeds, parallel, func(seed int64) *obs.Recorder { return recs[seed] })
+		reps, err := runner.MapErr(seeds, parallel, func(i int) (*Report, error) {
+			o := base
+			o.Seed += int64(i)
+			o.Recorder = recs[o.Seed]
+			return Run(o)
+		})
 		if err != nil {
 			t.Fatalf("sweep (parallel=%d): %v", parallel, err)
 		}

@@ -3,9 +3,10 @@
 // months (software and network issues dominate), disks with an MTTF of
 // 10-50 years, and physical interconnect components at disk-like rates.
 //
-// Two modes are provided: an MTTF-driven injector that draws exponential
-// inter-failure times from the deterministic simulation RNG, and a
-// scripted schedule for reproducible scenario tests.
+// The Injector draws exponential inter-failure times from the
+// deterministic simulation RNG; EmpiricalModel (empirical.go) is the
+// measured bathtub/batch/URE alternative. Scripted schedules and gray
+// (fail-slow) faults are internal/chaos's job.
 package faults
 
 import (
@@ -43,19 +44,6 @@ const (
 	// a failed unit, arriving one MTTR after the corresponding failure.
 	KindDiskReplace
 	KindHubReplace
-	// Gray (fail-slow) kinds: the component keeps answering, just badly.
-	// KindDiskDegrade/KindDiskRecover bracket a fail-slow disk window;
-	// KindLinkFlap is a point event (USB surprise-remove + retry-storm
-	// re-enumeration); KindLinkDowngrade/KindLinkRestore bracket a USB3→USB2
-	// renegotiation; KindHostBrownout/KindBrownoutEnd bracket RPC
-	// service-time inflation on one machine.
-	KindDiskDegrade
-	KindDiskRecover
-	KindLinkFlap
-	KindLinkDowngrade
-	KindLinkRestore
-	KindHostBrownout
-	KindBrownoutEnd
 )
 
 // String names the kind.
@@ -73,20 +61,6 @@ func (k Kind) String() string {
 		return "disk-replace"
 	case KindHubReplace:
 		return "hub-replace"
-	case KindDiskDegrade:
-		return "disk-degrade"
-	case KindDiskRecover:
-		return "disk-recover"
-	case KindLinkFlap:
-		return "link-flap"
-	case KindLinkDowngrade:
-		return "link-downgrade"
-	case KindLinkRestore:
-		return "link-restore"
-	case KindHostBrownout:
-		return "host-brownout"
-	case KindBrownoutEnd:
-		return "brownout-end"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -97,10 +71,6 @@ type Event struct {
 	At     simtime.Time
 	Kind   Kind
 	Target string
-	// Severity scales gray windows ([0,1]; ignored by fail-stop kinds).
-	Severity float64
-	// Storms is the enumeration-retry count of a KindLinkFlap.
-	Storms int
 }
 
 // Actions connects the injector to the system under test.
@@ -113,16 +83,6 @@ type Actions struct {
 	// (fresh media for disks — data recovery is the upper layer's job).
 	ReplaceDisk func(disk string)
 	ReplaceHub  func(hub string)
-	// Gray-failure actions. Severity in [0,1] scales how bad the window is
-	// (the system under test maps it onto concrete degrade parameters).
-	// Storms is the number of failed enumeration attempts a flap burns.
-	DegradeDisk   func(disk string, severity float64)
-	RecoverDisk   func(disk string)
-	FlapLink      func(disk string, storms int)
-	DowngradeLink func(disk string, severity float64)
-	RestoreLink   func(disk string)
-	BrownoutHost  func(host string, severity float64)
-	EndBrownout   func(host string)
 }
 
 // Injector drives MTTF-based failure injection.
@@ -316,76 +276,5 @@ func (in *Injector) armHub(h string) {
 			}
 			in.armHub(h)
 		})
-	})
-}
-
-// Schedule replays a fixed list of events (scenario tests).
-type Schedule struct {
-	sched *simtime.Scheduler
-	act   Actions
-}
-
-// NewSchedule creates a scripted injector.
-func NewSchedule(sched *simtime.Scheduler, act Actions) *Schedule {
-	return &Schedule{sched: sched, act: act}
-}
-
-// Add arms one scripted event.
-func (s *Schedule) Add(ev Event) {
-	s.sched.At(ev.At, func() {
-		switch ev.Kind {
-		case KindHostCrash:
-			if s.act.CrashHost != nil {
-				s.act.CrashHost(ev.Target)
-			}
-		case KindHostRecover:
-			if s.act.RestoreHost != nil {
-				s.act.RestoreHost(ev.Target)
-			}
-		case KindDiskFail:
-			if s.act.FailDisk != nil {
-				s.act.FailDisk(ev.Target)
-			}
-		case KindHubFail:
-			if s.act.FailHub != nil {
-				s.act.FailHub(ev.Target)
-			}
-		case KindDiskReplace:
-			if s.act.ReplaceDisk != nil {
-				s.act.ReplaceDisk(ev.Target)
-			}
-		case KindHubReplace:
-			if s.act.ReplaceHub != nil {
-				s.act.ReplaceHub(ev.Target)
-			}
-		case KindDiskDegrade:
-			if s.act.DegradeDisk != nil {
-				s.act.DegradeDisk(ev.Target, ev.Severity)
-			}
-		case KindDiskRecover:
-			if s.act.RecoverDisk != nil {
-				s.act.RecoverDisk(ev.Target)
-			}
-		case KindLinkFlap:
-			if s.act.FlapLink != nil {
-				s.act.FlapLink(ev.Target, ev.Storms)
-			}
-		case KindLinkDowngrade:
-			if s.act.DowngradeLink != nil {
-				s.act.DowngradeLink(ev.Target, ev.Severity)
-			}
-		case KindLinkRestore:
-			if s.act.RestoreLink != nil {
-				s.act.RestoreLink(ev.Target)
-			}
-		case KindHostBrownout:
-			if s.act.BrownoutHost != nil {
-				s.act.BrownoutHost(ev.Target, ev.Severity)
-			}
-		case KindBrownoutEnd:
-			if s.act.EndBrownout != nil {
-				s.act.EndBrownout(ev.Target)
-			}
-		}
 	})
 }

@@ -7,31 +7,6 @@ import (
 	"ustore/internal/simtime"
 )
 
-func TestScheduledEventsFire(t *testing.T) {
-	s := simtime.NewScheduler(1)
-	var got []string
-	sch := NewSchedule(s, Actions{
-		CrashHost:   func(h string) { got = append(got, "crash:"+h) },
-		RestoreHost: func(h string) { got = append(got, "restore:"+h) },
-		FailDisk:    func(d string) { got = append(got, "disk:"+d) },
-		FailHub:     func(h string) { got = append(got, "hub:"+h) },
-	})
-	sch.Add(Event{At: 1 * time.Second, Kind: KindHostCrash, Target: "h1"})
-	sch.Add(Event{At: 2 * time.Second, Kind: KindDiskFail, Target: "disk00"})
-	sch.Add(Event{At: 3 * time.Second, Kind: KindHostRecover, Target: "h1"})
-	sch.Add(Event{At: 4 * time.Second, Kind: KindHubFail, Target: "leafhub00"})
-	s.Run()
-	want := []string{"crash:h1", "disk:disk00", "restore:h1", "hub:leafhub00"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
 func TestInjectorHostCrashAndRecover(t *testing.T) {
 	s := simtime.NewScheduler(7)
 	crashes, restores := 0, 0

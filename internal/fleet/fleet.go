@@ -466,29 +466,40 @@ func (f *Fleet) DrainDisk(diskID string) {
 	}
 }
 
-// adminCall calls method on shard's leader from the admin node: call the
-// believed-leader replica, rotate the belief and retry on timeout or
-// NotLeader, retry in place on Busy. All state it touches (adminBelieved,
-// the retry timer) lives on the control partition; replica names are static
-// topology.
+// adminCall calls method on shard's leader from the admin node. All state
+// it touches (adminBelieved, the retry timer) lives on the control
+// partition.
 func (f *Fleet) adminCall(shard int, method string, args any, attempts int, done func(res any, err error)) {
+	f.leaderCall(f.admin, f.Sched, f.adminBelieved, f.adminCall, shard, method, args, attempts, done)
+}
+
+// leaderCall is the control plane's one rotate-and-retry loop (adminCall
+// and ShardMaster.callShard both run it): call shard's believed-leader
+// replica, rotate the belief and retry on timeout or NotLeader, retry in
+// place on Busy. rpc, sched and believed belong to the caller's partition;
+// replica names are static topology. A retry re-enters the caller through
+// again, so a check the caller makes per attempt (callShard's down test)
+// keeps running per attempt.
+func (f *Fleet) leaderCall(rpc *simnet.RPCNode, sched *simtime.Scheduler, believed []int,
+	again func(shard int, method string, args any, attempts int, done func(res any, err error)),
+	shard int, method string, args any, attempts int, done func(res any, err error)) {
 	retry := func(err error) {
 		if attempts <= 0 {
 			done(nil, err)
 			return
 		}
-		f.Sched.After(500*time.Millisecond, func() {
-			f.adminCall(shard, method, args, attempts-1, done)
+		sched.After(500*time.Millisecond, func() {
+			again(shard, method, args, attempts-1, done)
 		})
 	}
 	names := f.replicaNames[shard]
-	idx := f.adminBelieved[shard] % len(names)
+	idx := believed[shard] % len(names)
 	rotate := func() {
-		if f.adminBelieved[shard] == idx {
-			f.adminBelieved[shard] = (idx + 1) % len(names)
+		if believed[shard] == idx {
+			believed[shard] = (idx + 1) % len(names)
 		}
 	}
-	f.admin.Call(names[idx], method, args, 256, f.Cfg.RPCTimeout, func(res any, err error) {
+	rpc.Call(names[idx], method, args, 256, f.Cfg.RPCTimeout, func(res any, err error) {
 		if err != nil {
 			rotate()
 			retry(err)

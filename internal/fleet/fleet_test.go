@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -466,5 +467,41 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if got := f.Engine.Parts(); got != c.Units+1 {
 		t.Fatalf("zero Config: %d partitions, want Units+1 = %d", got, c.Units+1)
+	}
+}
+
+// TestDrainedQueueReleasesOps: a served shardOp must not stay reachable
+// through the queue's backing array (the leak Disk.pump had): after the
+// leader drains 64 queued lookups whose reply closures each pin 1 MiB,
+// the heap is back where it started.
+func TestDrainedQueueReleasesOps(t *testing.T) {
+	f := boot(t, testConfig())
+	m := f.Leader(0)
+	const n, size = 64, 1 << 20
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	done := 0
+	for i, queued := 0, 0; queued < n; i++ {
+		vol := fmt.Sprintf("ghost-%d", i)
+		if !m.routeCheck(vol).OK {
+			continue // another shard's slot
+		}
+		queued++
+		payload := make([]byte, size)
+		m.enqueue("Lookup", LookupArgs{Volume: vol}, func(any, error) { done += len(payload) / size })
+	}
+	f.Settle(10 * time.Second)
+	if done != n {
+		t.Fatalf("served %d of %d queued lookups", done, n)
+	}
+	after := heap()
+	runtime.KeepAlive(f)
+	if held := int64(after) - int64(before); held > n*size/4 {
+		t.Fatalf("heap holds %d MiB after draining %d ops that each pinned 1 MiB", held>>20, n)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"ustore/internal/coord"
 	"ustore/internal/obs"
@@ -41,7 +40,7 @@ type ShardMaster struct {
 	// foreignBelieved[k] is this master's believed-leader replica index for
 	// foreign shard k (cross-shard calls rotate through believed leaders
 	// instead of peeking another partition's state).
-	foreignBelieved map[int]int
+	foreignBelieved []int
 
 	leading bool
 	down    bool
@@ -113,7 +112,7 @@ func newShardMaster(f *Fleet, shard, replica int, store *coord.Store, p part) *S
 		badDisk:  make(map[string]bool),
 		draining: make(map[string]bool),
 
-		foreignBelieved: make(map[int]int),
+		foreignBelieved: make([]int, f.Cfg.Shards),
 	}
 	m.rpc = simnet.NewRPCNode(p.net, m.rpcName)
 	m.sch = newShardScheduler(m)
@@ -431,6 +430,9 @@ func (m *ShardMaster) pump() {
 		return
 	}
 	op := m.queue[0]
+	// Clear the slot before re-slicing: the backing array outlives the pop,
+	// and a served op pins its args and reply closure.
+	m.queue[0] = nil
 	m.queue = m.queue[1:]
 	m.gQueue.Set(float64(len(m.queue)))
 	m.busy = true
@@ -676,49 +678,16 @@ func (m *ShardMaster) freeForeignFragments(volume string, foreign map[int][]stri
 }
 
 // callShard is the cross-shard call: everything it touches —
-// the believed-leader map, the retry timer, the sending RPC node — belongs
+// the believed-leader slice, the retry timer, the sending RPC node — belongs
 // to this master's partition, and the request itself crosses units through
-// the fabric. Leader discovery is by rotation, like clients.
+// the fabric. Leader discovery is by rotation, like clients
+// (Fleet.leaderCall). A replica that went down stops its retry chains here.
 func (m *ShardMaster) callShard(shard int, method string, args any, attempts int, done func(res any, err error)) {
-	retry := func(err error) {
-		if attempts <= 0 {
-			done(nil, err)
-			return
-		}
-		m.sched.After(500*time.Millisecond, func() {
-			m.callShard(shard, method, args, attempts-1, done)
-		})
-	}
 	if m.down {
 		done(nil, errors.New("fleet: replica down"))
 		return
 	}
-	names := m.f.replicaNames[shard]
-	idx := m.foreignBelieved[shard] % len(names)
-	rotate := func() {
-		if m.foreignBelieved[shard] == idx {
-			m.foreignBelieved[shard] = (idx + 1) % len(names)
-		}
-	}
-	m.rpc.Call(names[idx], method, args, 256, m.f.Cfg.RPCTimeout, func(res any, err error) {
-		if err != nil {
-			rotate()
-			retry(err)
-			return
-		}
-		sr := res.(shardReplier).common()
-		switch {
-		case sr.OK:
-			done(res, nil)
-		case sr.NotLeader:
-			rotate()
-			retry(fmt.Errorf("fleet: %s on shard %d: not leader", method, shard))
-		case sr.Busy:
-			retry(fmt.Errorf("fleet: %s on shard %d: busy", method, shard))
-		default:
-			done(nil, fmt.Errorf("fleet: %s on shard %d: %s", method, shard, sr.Err))
-		}
-	})
+	m.f.leaderCall(m.rpc, m.sched, m.foreignBelieved, m.callShard, shard, method, args, attempts, done)
 }
 
 // --- Heartbeats ---

@@ -76,18 +76,6 @@ func (d *decoder) floatVal(n *Node, field string) (float64, error) {
 	return v, nil
 }
 
-// section returns key's value when it is a mapping.
-func (d *decoder) section(n *Node, key string) (*Node, error) {
-	c := n.child(key)
-	if c == nil {
-		return nil, nil
-	}
-	if c.Kind != KindMap {
-		return nil, d.errf(c, "section %s: expected nested keys, got a %s", key, c.Kind)
-	}
-	return c, nil
-}
-
 // eachField iterates a mapping's entries through fn; fn returns false for
 // a key it does not know, which becomes the positional unknown-field
 // error (with the section name, so typos are easy to place).
@@ -107,9 +95,26 @@ func (d *decoder) eachField(n *Node, section string, fn func(key string, v *Node
 // DecodeSpec decodes a parsed document (sans grid) into a defaulted,
 // validated Spec.
 func DecodeSpec(root *Node, file string) (*Spec, error) {
+	s, err := decodeShape(root, file)
+	if err != nil {
+		return nil, err
+	}
+	if root.child("mode") == nil {
+		return nil, errAt(file, root.Line, root.Col, "spec is missing the required field \"mode\"")
+	}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: %w", file, err)
+	}
+	return s, nil
+}
+
+// decodeShape walks the document into a defaulted Spec, rejecting unknown
+// fields and type mismatches with their position. Value rules are
+// Validate's job.
+func decodeShape(root *Node, file string) (*Spec, error) {
 	d := &decoder{file: file}
 	s := Default()
-	err := d.eachField(root, "spec", func(key string, v *Node) (bool, error) {
+	if err := d.eachField(root, "spec", func(key string, v *Node) (bool, error) {
 		var err error
 		switch key {
 		case "name":
@@ -140,15 +145,8 @@ func DecodeSpec(root *Node, file string) (*Spec, error) {
 			return false, nil
 		}
 		return true, err
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
-	}
-	if root.child("mode") == nil {
-		return nil, d.errf(root, "spec is missing the required field \"mode\"")
-	}
-	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("%s: %w", file, err)
 	}
 	return s, nil
 }

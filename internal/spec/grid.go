@@ -99,15 +99,34 @@ func (f *File) cellAt(idx []int, n int) (Cell, error) {
 	return cell, nil
 }
 
+// Override sets the scalar at a dotted field path of the base document —
+// what a grid axis does to each cell — and re-decodes Spec. It is how
+// ustore-chaos applies a scenario flag: the document stays the one place a
+// value is named and typed. Shape errors (an unknown path, a wrong type, a
+// whole section) come back from the call that caused them, so the caller
+// can name what carried the value. Value rules span fields (slot_moves
+// needs shards >= 2), so call Spec.Validate once every override is in.
+func (f *File) Override(path, value string) error {
+	if err := applyOverride(f.root, path, &Node{Kind: KindScalar, Val: value}, f.Path); err != nil {
+		return err
+	}
+	s, err := decodeShape(f.root, f.Path)
+	if err != nil {
+		return err
+	}
+	f.Spec = s
+	return nil
+}
+
 // applyOverride sets the scalar at a dotted path, creating intermediate
 // mappings as needed. The decoder validates the resulting field, so a
-// typo'd axis path surfaces as its positional unknown-field error.
+// typo'd path surfaces as its positional unknown-field error.
 func applyOverride(root *Node, path string, v *Node, file string) error {
 	n := root
 	segs := strings.Split(path, ".")
 	for _, seg := range segs[:len(segs)-1] {
 		if seg == "" {
-			return errAt(file, v.Line, v.Col, "grid axis %q: empty path segment", path)
+			return errAt(file, v.Line, v.Col, "override %q: empty path segment", path)
 		}
 		c := n.child(seg)
 		if c == nil {
@@ -115,13 +134,13 @@ func applyOverride(root *Node, path string, v *Node, file string) error {
 			n.setChild(seg, c)
 		}
 		if c.Kind != KindMap {
-			return errAt(file, v.Line, v.Col, "grid axis %q: %s is a %s, not a section", path, seg, c.Kind)
+			return errAt(file, v.Line, v.Col, "override %q: %s is a %s, not a section", path, seg, c.Kind)
 		}
 		n = c
 	}
 	last := segs[len(segs)-1]
 	if last == "" || last == "grid" || (len(segs) == 1 && root.child(last) != nil && root.child(last).Kind == KindMap) {
-		return errAt(file, v.Line, v.Col, "grid axis %q: cannot override a whole section", path)
+		return errAt(file, v.Line, v.Col, "override %q: cannot override a whole section", path)
 	}
 	n.setChild(last, v.clone())
 	return nil

@@ -221,3 +221,56 @@ func TestCommentsAndQuoting(t *testing.T) {
 		t.Fatalf("comment stripping broke values: %+v", f.Spec)
 	}
 }
+
+// TestFileOverride: an override is the grid's per-cell operation applied to
+// the base document. It reaches the field like a document key would, rejects
+// what the decoder rejects (with the decoder's own error), and leaves value
+// rules to Validate, which spans fields.
+func TestFileOverride(t *testing.T) {
+	parse := func() *File {
+		f, err := Parse([]byte("mode: fleet\nseed: 3\nfleet:\n  units: 4\n"), "base.yaml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	f := parse()
+	for _, kv := range [][2]string{{"seed", "9"}, {"fleet.slot_moves", "2"}, {"fleet.shards", "4"}, {"output.log", "true"}} {
+		if err := f.Override(kv[0], kv[1]); err != nil {
+			t.Fatalf("override %s=%s: %v", kv[0], kv[1], err)
+		}
+	}
+	s := f.Spec
+	if s.Seed != 9 || s.Fleet.SlotMoves != 2 || s.Fleet.Shards != 4 || !s.Output.Log || s.Fleet.Units != 4 {
+		t.Fatalf("overrides not applied on top of the document: %+v", s)
+	}
+	// slot_moves arrived before shards made it legal; only the final state
+	// is judged.
+	if err := s.Validate(); err != nil {
+		t.Fatalf("final spec: %v", err)
+	}
+	// The same values spelled in a document hash the same.
+	doc, err := Parse([]byte("mode: fleet\nseed: 9\nfleet:\n  units: 4\n  shards: 4\n  slot_moves: 2\noutput:\n  log: true\n"), "doc.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Hash(doc.Spec) != Hash(s) {
+		t.Fatalf("overridden spec and the equivalent document hash differently")
+	}
+
+	for _, c := range []struct{ path, value, want string }{
+		{"fleet.unitz", "4", `base.yaml: unknown field "unitz" in fleet`},
+		{"nosuch", "1", `base.yaml: unknown field "nosuch" in spec`},
+		{"fleet.units", "many", `base.yaml: field fleet.units: cannot parse "many" as an integer`},
+		{"fleet.unit_loss", "1", `base.yaml: field fleet.unit_loss: expected true or false, got "1"`},
+		{"fleet", "x", `base.yaml: override "fleet": cannot override a whole section`},
+		{"traffic", "x", `base.yaml: section traffic: expected nested keys, got a scalar`},
+		{"seed.x", "1", `base.yaml: override "seed.x": seed is a scalar, not a section`},
+		{"fleet..units", "1", `base.yaml: override "fleet..units": empty path segment`},
+	} {
+		err := parse().Override(c.path, c.value)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("override %s=%s: got %v, want %s", c.path, c.value, err, c.want)
+		}
+	}
+}
