@@ -505,3 +505,103 @@ func TestDrainedQueueReleasesOps(t *testing.T) {
 		t.Fatalf("heap holds %d MiB after draining %d ops that each pinned 1 MiB", held>>20, n)
 	}
 }
+
+// TestIndexTracksFaultsAndMatchesRebuild drives every writer of the
+// leader's placement index — allocation, heartbeat-reported dead and
+// draining disks, a unit declared dead, repair and drop re-placement, a
+// leader crash and restart, a slot move with migrate-home and FreeForeign —
+// and then holds the incrementally maintained state to two recomputations:
+// ValidateCapacity (records vs ledger, plus placement.Index.Validate) and a
+// fresh rebuild from the replicated tree.
+func TestIndexTracksFaultsAndMatchesRebuild(t *testing.T) {
+	f := boot(t, testConfig())
+	r := f.NewRouter("c1")
+	for i := 0; i < 24; i++ {
+		mustAlloc(t, f, r, fmt.Sprintf("vol-%04d", i))
+	}
+
+	// A dead and a draining disk under shard 0, reported by heartbeat.
+	lead := f.Leader(0)
+	var held []string
+	for id := range lead.vols {
+		held = append(held, id)
+	}
+	sort.Strings(held)
+	dead, draining := lead.vols[held[0]].Disks[0], lead.vols[held[1]].Disks[1]
+	f.FailDisk(dead)
+	f.DrainDisk(draining)
+	f.Settle(2 * f.Cfg.HeartbeatInterval)
+	if lead.ix.BadDisks() != 1 || lead.ix.DrainingDisks() != 1 {
+		t.Fatalf("after two heartbeats the index counts %d bad and %d draining disks, want 1 and 1",
+			lead.ix.BadDisks(), lead.ix.DrainingDisks())
+	}
+
+	// u006 belongs to shard 0 and hosts no shard replica: only its disks go.
+	f.KillUnit("u006")
+	f.Settle(2 * time.Minute)
+	if lead.ix.DownUnits() != 1 || lead.unitAlive("u006") {
+		t.Fatalf("index counts %d down units after u006 went silent, want 1", lead.ix.DownUnits())
+	}
+	checkInvariants(t, f)
+
+	// The next leader starts from rebuild plus cumulative heartbeats; the
+	// restarted replica starts with health cleared.
+	old := f.LeaderReplica(0)
+	f.CrashReplica(0, old)
+	f.Settle(45 * time.Second)
+	f.RestartReplica(0, old)
+	if m := f.Shards[0][old]; m.ix.BadDisks()+m.ix.DrainingDisks()+m.ix.DownUnits() != 0 {
+		t.Fatal("restart kept health marks from the replica's previous life")
+	}
+	mustAlloc(t, f, r, "vol-after-failover")
+	f.Settle(time.Minute)
+	lead = f.Leader(0)
+	if lead == nil || lead.replica == old {
+		t.Fatalf("shard 0 leader after crash = %v, want a survivor", lead)
+	}
+	if lead.ix.BadDisks() != 1 || lead.ix.DrainingDisks() != 1 || lead.ix.DownUnits() != 1 {
+		t.Fatalf("new leader's index counts %d bad, %d draining, %d down; want 1, 1, 1",
+			lead.ix.BadDisks(), lead.ix.DrainingDisks(), lead.ix.DownUnits())
+	}
+
+	// Move a populated slot to shard 1 and let its scheduler bring the
+	// fragments home (export ledger charged, then freed).
+	slot := SlotOf(held[2])
+	var moveErr error
+	moved := false
+	f.MoveSlot(slot, 1, func(err error) { moved, moveErr = true, err })
+	f.Settle(4 * time.Minute)
+	if !moved || moveErr != nil {
+		t.Fatalf("slot move: moved=%v err=%v", moved, moveErr)
+	}
+	if !f.Drained("u006") {
+		t.Fatalf("u006 not drained: %s", f.DrainBlocker("u006"))
+	}
+	checkInvariants(t, f)
+
+	for k := 0; k < f.Cfg.Shards; k++ {
+		m := f.Leader(k)
+		live := make([]int64, m.ix.Len())
+		var total int64
+		for row := range live {
+			if row > 0 && m.ix.ID(row-1) >= m.ix.ID(row) {
+				t.Fatalf("shard %d ledger out of disk-ID order at %s", k, m.ix.ID(row))
+			}
+			live[row] = m.ix.Used(row)
+			total += live[row]
+		}
+		if total == 0 {
+			t.Fatalf("shard %d has nothing charged; the comparison would be vacuous", k)
+		}
+		m.rebuild()
+		for row, want := range live {
+			if got := m.ix.Used(row); got != want {
+				t.Fatalf("shard %d disk %s: live index says %d bytes, a fresh rebuild %d",
+					k, m.ix.ID(row), want, got)
+			}
+		}
+		if err := m.ix.Validate(); err != nil {
+			t.Fatalf("shard %d after rebuild: %v", k, err)
+		}
+	}
+}

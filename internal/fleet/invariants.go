@@ -50,7 +50,7 @@ func (f *Fleet) ValidateSpread() error {
 					return fmt.Errorf("fleet: volume %s fragment still on dead unit %s (disk %s)",
 						id, di.Loc.Unit, d)
 				}
-				dom := di.Loc.Domain(f.Cfg.SpreadLevel)
+				dom := di.Domain
 				if prev, dup := seen[dom]; dup {
 					return fmt.Errorf("fleet: volume %s has two fragments in %s %s (%s and %s)",
 						id, f.Cfg.SpreadLevel, dom, prev, d)
@@ -84,9 +84,10 @@ func (f *Fleet) ValidateShardMap() error {
 
 // ValidateCapacity checks the capacity ledger: each leader's per-disk
 // usage equals the sum of its volume records plus export-ledger entries on
-// that disk, nothing exceeds disk capacity, and every fragment a shard
-// holds on a foreign disk is backed by an export entry at the disk's
-// owning shard (no cross-shard leak or double-free).
+// that disk, nothing exceeds disk capacity, the placement index's derived
+// state agrees with its rows (placement.Index.Validate), and every fragment
+// a shard holds on a foreign disk is backed by an export entry at the
+// disk's owning shard (no cross-shard leak or double-free).
 func (f *Fleet) ValidateCapacity() error {
 	ms, err := f.leaders()
 	if err != nil {
@@ -105,25 +106,21 @@ func (f *Fleet) ValidateCapacity() error {
 		}
 		charge(m.vols)
 		charge(m.exports)
-		disks := make([]string, 0, len(m.used))
-		for d := range m.used {
-			disks = append(disks, d)
-		}
-		sort.Strings(disks)
-		for _, d := range disks {
-			if m.used[d] != want[d] {
+		// Every owned disk has a row, in disk-ID order.
+		for r := 0; r < m.ix.Len(); r++ {
+			d, used := m.ix.ID(r), m.ix.Used(r)
+			if used != want[d] {
 				return fmt.Errorf("fleet: shard %d disk %s ledger says %d bytes, records say %d",
-					m.shard, d, m.used[d], want[d])
+					m.shard, d, used, want[d])
 			}
-			if c := f.Topo.Disks[d].Capacity; m.used[d] > c {
-				return fmt.Errorf("fleet: disk %s over capacity: %d > %d", d, m.used[d], c)
+			if c := m.ix.Capacity(r); used > c {
+				return fmt.Errorf("fleet: disk %s over capacity: %d > %d", d, used, c)
 			}
 		}
-		for d, b := range want {
-			if b != m.used[d] {
-				return fmt.Errorf("fleet: shard %d disk %s records say %d bytes, ledger says %d",
-					m.shard, d, b, m.used[d])
-			}
+		// What placement reads is maintained incrementally; hold it to a
+		// recomputation from the rows.
+		if err := m.ix.Validate(); err != nil {
+			return fmt.Errorf("fleet: shard %d: %w", m.shard, err)
 		}
 		// Cross-shard: foreign fragments must be export-backed.
 		for id, rec := range m.vols {

@@ -1,12 +1,12 @@
 package fleet
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"time"
 
 	"ustore/internal/obs"
-	"ustore/internal/placement"
 	"ustore/internal/simtime"
 )
 
@@ -134,7 +134,13 @@ func (s *shardScheduler) tick() {
 		return
 	}
 	s.checkUnits()
-	s.inspect()
+	// Both scans below walk the volumes in ID order; sort them once.
+	ids := make([]string, 0, len(m.vols))
+	for id := range m.vols {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	s.inspect(ids)
 	// Cap generation by launch capacity: generate() fences every emitted
 	// task's volume in pendingVol and only finish() of a launched task
 	// unfences, so a task generated but never launched would stay fenced
@@ -143,10 +149,10 @@ func (s *shardScheduler) tick() {
 	if room := s.cfg.MaxInflight - s.inflight; budget > room {
 		budget = room
 	}
-	for _, t := range s.generate(budget) {
+	for _, t := range s.generate(budget, ids) {
 		s.launch(t)
 	}
-	m.gAlive.Set(float64(s.aliveOwnedUnits()))
+	m.gAlive.Set(float64(len(m.f.Topo.ShardUnits(m.shard)) - m.ix.DownUnits()))
 }
 
 // checkUnits flips owned units to dead after UnitDeadAfter silent
@@ -156,26 +162,16 @@ func (s *shardScheduler) checkUnits() {
 	deadline := time.Duration(m.f.Cfg.UnitDeadAfter) * m.f.Cfg.HeartbeatInterval
 	now := m.sched.Now()
 	for _, u := range m.f.Topo.ShardUnits(m.shard) {
-		if m.deadUnit[u] {
+		if !m.unitAlive(u) {
 			continue
 		}
 		if now-m.unitSeen[u] > deadline {
-			m.deadUnit[u] = true
+			m.ix.SetUnitDown(m.unitNo[u], true)
 			s.cUnitDead.Inc()
 			m.rec.Instant("fleet", "unit-declared-dead", "fleet",
 				obs.L("shard", strconv.Itoa(m.shard)), obs.L("unit", u))
 		}
 	}
-}
-
-func (s *shardScheduler) aliveOwnedUnits() int {
-	n := 0
-	for _, u := range s.m.f.Topo.ShardUnits(s.m.shard) {
-		if !s.m.deadUnit[u] {
-			n++
-		}
-	}
-	return n
 }
 
 // diskBad reports whether a fragment on diskID needs repair: the disk was
@@ -184,28 +180,26 @@ func (s *shardScheduler) aliveOwnedUnits() int {
 // by the owning shard — here we only see our own units' heartbeats, so
 // foreign disks are handled by migration).
 func (s *shardScheduler) diskBad(diskID string) bool {
-	m := s.m
-	if m.badDisk[diskID] {
-		return true
-	}
-	u := m.f.Topo.UnitOfDisk(diskID)
-	return u != nil && u.Shard == m.shard && m.deadUnit[u.ID]
+	ix := s.m.ix
+	r, owned := ix.Row(diskID)
+	return owned && (ix.Bad(r) || ix.UnitDown(ix.UnitOf(r)))
 }
 
-// generate scans volumes (sorted, so task order is deterministic) and
-// emits up to budget tasks in priority order: repair, migrate, drop, then
-// at most one balance move.
-func (s *shardScheduler) generate(budget int) []task {
+// diskDraining reports whether an owned disk is marked for graceful drain.
+func (s *shardScheduler) diskDraining(diskID string) bool {
+	r, owned := s.m.ix.Row(diskID)
+	return owned && s.m.ix.Draining(r)
+}
+
+// generate scans volumes (ids: every volume ID, sorted, so task order is
+// deterministic) and emits up to budget tasks in priority order: repair,
+// migrate, drop, then at most one balance move.
+func (s *shardScheduler) generate(budget int, ids []string) []task {
 	m := s.m
 	if budget <= 0 {
 		return nil
 	}
 	var tasks []task
-	ids := make([]string, 0, len(m.vols))
-	for id := range m.vols {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 
 	add := func(t task) bool {
 		tasks = append(tasks, t)
@@ -214,6 +208,12 @@ func (s *shardScheduler) generate(budget int) []task {
 	}
 
 	for _, pass := range []string{taskRepair, taskMigrate, taskDrop} {
+		// A pass with nothing to find is not walked: repair needs a dead
+		// disk or unit, drop a draining disk.
+		if (pass == taskRepair && m.ix.BadDisks() == 0 && m.ix.DownUnits() == 0) ||
+			(pass == taskDrop && m.ix.DrainingDisks() == 0) {
+			continue
+		}
 		for _, id := range ids {
 			if s.pendingVol[id] {
 				continue
@@ -231,7 +231,7 @@ func (s *shardScheduler) generate(budget int) []task {
 						from = append(from, d)
 					}
 				case taskDrop:
-					if m.draining[d] && !s.diskBad(d) {
+					if s.diskDraining(d) && !s.diskBad(d) {
 						from = append(from, d)
 					}
 				}
@@ -259,13 +259,10 @@ func (s *shardScheduler) balanceTask(ids []string) (task, bool) {
 	var minB, maxB int64 = -1, -1
 	unitCap := int64(m.f.Cfg.HostsPerUnit*m.f.Cfg.DisksPerHost) * m.f.Cfg.DiskCapacity
 	for _, uid := range units {
-		if m.deadUnit[uid] {
+		if !m.unitAlive(uid) {
 			continue
 		}
-		var b int64
-		for _, d := range m.f.Topo.UnitByID[uid].Disks {
-			b += m.used[d]
-		}
+		b := m.ix.UnitUsed(m.unitNo[uid])
 		if minB < 0 || b < minB {
 			minB, minU = b, uid
 		}
@@ -332,40 +329,32 @@ func (s *shardScheduler) finish(t task, epoch int) {
 		return // released or migrated away mid-task
 	}
 	// Fragments that stay put constrain the new picks.
-	moving := map[string]bool{}
-	for _, d := range t.from {
-		moving[d] = true
-	}
 	var keep []string
 	var exclude []string
 	for _, d := range rec.Disks {
-		if moving[d] {
+		if slices.Contains(t.from, d) {
 			continue
 		}
 		keep = append(keep, d)
 		if di := m.f.Topo.Disks[d]; di != nil {
-			exclude = append(exclude, di.Loc.Domain(m.f.Cfg.SpreadLevel))
+			exclude = append(exclude, di.Domain)
 		}
 	}
 	need := len(rec.Disks) - len(keep)
 	if need <= 0 {
 		return
 	}
-	res := placement.Spread(m.candidateViews(rec.Size), need, placement.SpreadOptions{
-		Level:      m.f.Cfg.SpreadLevel,
-		Exclude:    exclude,
-		SpinBudget: m.spinBudget(),
-	})
-	if len(res.Disks) < need {
+	rows, _ := m.ix.Spread(need, rec.Size, m.f.Cfg.SpreadLevel, exclude)
+	if len(rows) < need {
 		// Not enough healthy domains right now; the next tick regenerates
 		// the task (state is unchanged).
 		s.cRequeued.Inc()
 		return
 	}
 	newDisks := keep
-	for _, d := range res.Disks {
-		newDisks = append(newDisks, d.ID)
-		m.place(d.ID, rec.Size)
+	for _, r := range rows {
+		newDisks = append(newDisks, m.ix.ID(r))
+		m.ix.Charge(r, rec.Size)
 	}
 	sort.Strings(newDisks)
 	// Free the vacated fragments: owned disks directly, foreign disks via
@@ -385,17 +374,12 @@ func (s *shardScheduler) finish(t task, epoch int) {
 }
 
 // inspect advances the background consistency cursor over the sorted
-// volume set, InspectPerTick records per tick, wrapping at the end.
-func (s *shardScheduler) inspect() {
+// volume IDs, InspectPerTick records per tick, wrapping at the end.
+func (s *shardScheduler) inspect(ids []string) {
 	m := s.m
-	if len(m.vols) == 0 {
+	if len(ids) == 0 {
 		return
 	}
-	ids := make([]string, 0, len(m.vols))
-	for id := range m.vols {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	start := sort.SearchStrings(ids, s.cursor)
 	for i := 0; i < s.cfg.InspectPerTick; i++ {
 		idx := (start + i) % len(ids)

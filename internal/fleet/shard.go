@@ -18,7 +18,8 @@ import (
 // machine for the slice of the fleet its shard owns. Hard state (volume
 // records, the export ledger, the shard map) lives in the shard's coord
 // group; soft state (disk usage, spin state, unit liveness) is rebuilt
-// from coord plus agent heartbeats on every election.
+// from coord plus agent heartbeats on every election. The per-disk part of
+// it lives in one placement.Index, which is also what allocation reads.
 //
 // Volume operations serialize through a single queue charged
 // cfg.OpServiceTime each — the CPU bottleneck that makes shard count the
@@ -60,21 +61,21 @@ type ShardMaster struct {
 	// Leader soft state (rebuilt on election).
 	vols     map[string]VolRecord
 	exports  map[string]VolRecord
-	used     map[string]int64
-	spinning map[string]bool
 	unitSeen map[string]simtime.Time
-	deadUnit map[string]bool
-	badDisk  map[string]bool // agent-reported dead
-	draining map[string]bool
+	// ix holds every owned disk's bytes used and spin state (rebuilt from
+	// the tree), agent-reported dead and draining marks, and which owned
+	// units went silent. place/unplace, heartbeats and the scheduler's
+	// liveness check update it in place; allocation and re-placement pick
+	// from it.
+	ix *placement.Index
+	// unitNo maps an owned unit's ID to its number in ix.
+	unitNo map[string]int
 
 	// Serial op queue.
 	queue []*shardOp
 	busy  bool
 
 	sch *shardScheduler
-
-	// scratch avoids re-allocating the candidate slice per allocation.
-	scratch []placement.DiskView
 
 	cOps    *obs.Counter
 	cAlloc  *obs.Counter
@@ -105,14 +106,15 @@ func newShardMaster(f *Fleet, shard, replica int, store *coord.Store, p part) *S
 		frozen:   make(map[int]bool),
 		vols:     make(map[string]VolRecord),
 		exports:  make(map[string]VolRecord),
-		used:     make(map[string]int64),
-		spinning: make(map[string]bool),
 		unitSeen: make(map[string]simtime.Time),
-		deadUnit: make(map[string]bool),
-		badDisk:  make(map[string]bool),
-		draining: make(map[string]bool),
+		ix:       f.Topo.newShardIndex(shard),
+		unitNo:   make(map[string]int),
 
 		foreignBelieved: make([]int, f.Cfg.Shards),
+	}
+	for _, uid := range f.Topo.ShardUnits(shard) {
+		r, _ := m.ix.Row(f.Topo.UnitByID[uid].Disks[0])
+		m.unitNo[uid] = m.ix.UnitOf(r)
 	}
 	m.rpc = simnet.NewRPCNode(p.net, m.rpcName)
 	m.sch = newShardScheduler(m)
@@ -187,9 +189,7 @@ func (m *ShardMaster) restart() {
 	// refill from agent heartbeats (each beat carries the full cumulative
 	// dead/draining sets), and rebuild() grace-stamps units on election.
 	m.unitSeen = make(map[string]simtime.Time)
-	m.deadUnit = make(map[string]bool)
-	m.badDisk = make(map[string]bool)
-	m.draining = make(map[string]bool)
+	m.ix.ResetHealth()
 	m.incarnation++
 	m.election = coord.NewElection(m.store, "/active", m.name, m.f.Cfg.ElectionTTL)
 	m.election.SetSession(fmt.Sprintf("election:/active:%s#%d", m.name, m.incarnation))
@@ -256,9 +256,7 @@ func (m *ShardMaster) onVolEvent(ev coord.Event) {
 		}
 		m.vols[id] = rec
 		for _, d := range rec.Disks {
-			if m.ownsDisk(d) {
-				m.place(d, rec.Size)
-			}
+			m.place(d, rec.Size)
 		}
 	case coord.EventDeleted:
 		if m.frozen[SlotOf(id)] {
@@ -289,8 +287,7 @@ func (m *ShardMaster) onVolEvent(ev coord.Event) {
 func (m *ShardMaster) rebuild() {
 	m.vols = make(map[string]VolRecord)
 	m.exports = make(map[string]VolRecord)
-	m.used = make(map[string]int64)
-	m.spinning = make(map[string]bool)
+	m.ix.ResetUsage()
 	if data, err := m.store.Get("/map"); err == nil {
 		if mp := decodeMap(data, m.map_.Replicas); mp != nil && mp.Epoch > m.map_.Epoch {
 			m.map_ = mp
@@ -323,10 +320,7 @@ func (m *ShardMaster) rebuild() {
 			}
 			into[id] = rec
 			for _, d := range rec.Disks {
-				if m.ownsDisk(d) {
-					m.used[d] += rec.Size
-					m.spinning[d] = true
-				}
+				m.place(d, rec.Size)
 			}
 		}
 	}
@@ -347,7 +341,7 @@ func (m *ShardMaster) ownsDisk(diskID string) bool {
 }
 
 // unitAlive reports whether an owned unit's heartbeats are current.
-func (m *ShardMaster) unitAlive(unitID string) bool { return !m.deadUnit[unitID] }
+func (m *ShardMaster) unitAlive(unitID string) bool { return !m.ix.UnitDown(m.unitNo[unitID]) }
 
 // --- RPC surface ---
 
@@ -494,66 +488,18 @@ func (m *ShardMaster) commitGuard(op *shardOp) {
 	})
 }
 
-// candidateViews builds the placement candidate set: every disk of every
-// alive owned unit that is healthy, not draining, and has room for size
-// bytes. Construction order (unit index, then disk ID) is globally sorted,
-// which Spread requires for determinism.
-func (m *ShardMaster) candidateViews(size int64) []placement.DiskView {
-	views := m.scratch[:0]
-	for _, uid := range m.f.Topo.ShardUnits(m.shard) {
-		if !m.unitAlive(uid) {
-			continue
-		}
-		u := m.f.Topo.UnitByID[uid]
-		for _, d := range u.Disks {
-			if m.badDisk[d] || m.draining[d] {
-				continue
-			}
-			di := m.f.Topo.Disks[d]
-			free := di.Capacity - m.used[d]
-			if free < size {
-				continue
-			}
-			views = append(views, placement.DiskView{
-				ID:       d,
-				Host:     di.Loc.Host,
-				Free:     free,
-				Spinning: m.spinning[d],
-				Loc:      di.Loc,
-			})
-		}
-	}
-	m.scratch = views
-	return views
-}
-
-// spinBudget computes each alive owned unit's remaining power budget.
-func (m *ShardMaster) spinBudget() map[string]int {
-	budget := make(map[string]int)
-	for _, uid := range m.f.Topo.ShardUnits(m.shard) {
-		u := m.f.Topo.UnitByID[uid]
-		n := u.MaxSpinning
-		for _, d := range u.Disks {
-			if m.spinning[d] {
-				n--
-			}
-		}
-		budget[m.f.Topo.Disks[u.Disks[0]].Loc.Domain(placement.LevelUnit)] = n
-	}
-	return budget
-}
-
-// place charges a fragment onto a disk.
+// place charges a fragment onto a disk and spins it up; a disk of a unit
+// another shard owns is not this replica's to account.
 func (m *ShardMaster) place(diskID string, size int64) {
-	m.used[diskID] += size
-	m.spinning[diskID] = true
+	if r, ok := m.ix.Row(diskID); ok {
+		m.ix.Charge(r, size)
+	}
 }
 
 // unplace releases a fragment from an owned disk.
 func (m *ShardMaster) unplace(diskID string, size int64) {
-	m.used[diskID] -= size
-	if m.used[diskID] < 0 {
-		m.used[diskID] = 0
+	if r, ok := m.ix.Row(diskID); ok {
+		m.ix.Release(r, size)
 	}
 }
 
@@ -573,19 +519,16 @@ func (m *ShardMaster) execAllocate(op *shardOp, a AllocateArgs) {
 		m.opDone(op, AllocateReply{ShardReply{OK: true}, append([]string(nil), rec.Disks...)})
 		return
 	}
-	res := placement.Spread(m.candidateViews(a.Size), m.f.Cfg.Replicas, placement.SpreadOptions{
-		Level:      m.f.Cfg.SpreadLevel,
-		SpinBudget: m.spinBudget(),
-	})
-	if len(res.Disks) < m.f.Cfg.Replicas {
+	rows, _ := m.ix.Spread(m.f.Cfg.Replicas, a.Size, m.f.Cfg.SpreadLevel, nil)
+	if len(rows) < m.f.Cfg.Replicas {
 		m.opDone(op, AllocateReply{ShardReply: ShardReply{
-			Err: fmt.Sprintf("insufficient failure domains: placed %d/%d", len(res.Disks), m.f.Cfg.Replicas)}})
+			Err: fmt.Sprintf("insufficient failure domains: placed %d/%d", len(rows), m.f.Cfg.Replicas)}})
 		return
 	}
-	disks := make([]string, len(res.Disks))
-	for i, d := range res.Disks {
-		disks[i] = d.ID
-		m.place(d.ID, a.Size)
+	disks := make([]string, len(rows))
+	for i, r := range rows {
+		disks[i] = m.ix.ID(r)
+		m.ix.Charge(r, a.Size)
 	}
 	rec := VolRecord{Size: a.Size, Service: a.Service, Disks: disks}
 	m.vols[a.Volume] = rec
@@ -701,14 +644,18 @@ func (m *ShardMaster) onHeartbeat(_ string, args any) (any, error) {
 		return HeartbeatReply{ShardReply{NotLeader: true}}, nil
 	}
 	m.unitSeen[a.Unit] = m.sched.Now()
-	if m.deadUnit[a.Unit] {
-		delete(m.deadUnit, a.Unit)
+	if u, ok := m.unitNo[a.Unit]; ok {
+		m.ix.SetUnitDown(u, false)
 	}
 	for _, d := range a.Dead {
-		m.badDisk[d] = true
+		if r, ok := m.ix.Row(d); ok {
+			m.ix.SetBad(r, true)
+		}
 	}
 	for _, d := range a.Draining {
-		m.draining[d] = true
+		if r, ok := m.ix.Row(d); ok {
+			m.ix.SetDraining(r, true)
+		}
 	}
 	return HeartbeatReply{ShardReply{OK: true}}, nil
 }
@@ -803,9 +750,7 @@ func (m *ShardMaster) onInstallSlot(_ string, args any, reply func(any, error)) 
 		// charge the disks twice.
 		if _, dup := m.vols[id]; !dup {
 			for _, d := range rec.Disks {
-				if m.ownsDisk(d) {
-					m.place(d, rec.Size)
-				}
+				m.place(d, rec.Size)
 			}
 		}
 		m.vols[id] = rec

@@ -11,6 +11,9 @@ type DiskInfo struct {
 	ID       string
 	Loc      placement.Location
 	Capacity int64
+	// Domain is Loc.Domain at the fleet's configured spread level — the key
+	// re-placement excludes surviving fragments by — built once here.
+	Domain string
 }
 
 // UnitTopo is one deploy unit's static shape: its rack, hosts, disks, and
@@ -40,6 +43,8 @@ type Topology struct {
 	Disks    map[string]*DiskInfo
 	// NumDisks is the fleet-wide disk count.
 	NumDisks int
+	// shardUnits[k] is ShardUnits(k), computed once.
+	shardUnits [][]string
 }
 
 // unitName formats unit index i.
@@ -49,8 +54,9 @@ func unitName(i int) string { return fmt.Sprintf("u%03d", i) }
 // defaults applied).
 func buildTopology(cfg Config) *Topology {
 	t := &Topology{
-		UnitByID: make(map[string]*UnitTopo, cfg.Units),
-		Disks:    make(map[string]*DiskInfo, cfg.Units*cfg.HostsPerUnit*cfg.DisksPerHost),
+		UnitByID:   make(map[string]*UnitTopo, cfg.Units),
+		Disks:      make(map[string]*DiskInfo, cfg.Units*cfg.HostsPerUnit*cfg.DisksPerHost),
+		shardUnits: make([][]string, cfg.Shards),
 	}
 	for i := 0; i < cfg.Units; i++ {
 		u := &UnitTopo{
@@ -75,12 +81,14 @@ func buildTopology(cfg Config) *Topology {
 						Host: host,
 					},
 				}
+				di.Domain = di.Loc.Domain(cfg.SpreadLevel)
 				t.Disks[id] = di
 				u.Disks = append(u.Disks, id)
 			}
 		}
 		t.Units = append(t.Units, u)
 		t.UnitByID[u.ID] = u
+		t.shardUnits[u.Shard] = append(t.shardUnits[u.Shard], u.ID)
 	}
 	t.NumDisks = len(t.Disks)
 	return t
@@ -95,13 +103,28 @@ func (t *Topology) UnitOfDisk(diskID string) *UnitTopo {
 	return t.UnitByID[d.Loc.Unit]
 }
 
-// ShardUnits returns the sorted unit IDs statically owned by shard k.
+// ShardUnits returns the sorted unit IDs statically owned by shard k. The
+// slice is shared by every caller: range over it, do not modify it.
 func (t *Topology) ShardUnits(k int) []string {
-	var out []string
-	for _, u := range t.Units {
-		if u.Shard == k {
-			out = append(out, u.ID)
-		}
+	if k < 0 || k >= len(t.shardUnits) {
+		return nil
 	}
-	return out
+	return t.shardUnits[k]
+}
+
+// newShardIndex builds the placement index a replica of shard k keeps: one
+// row per disk of every unit the shard owns, empty and spun down, each unit
+// limited to its MaxSpinning.
+func (t *Topology) newShardIndex(k int) *placement.Index {
+	var views []placement.DiskView
+	limits := make(map[string]int)
+	for _, uid := range t.ShardUnits(k) {
+		u := t.UnitByID[uid]
+		for _, d := range u.Disks {
+			di := t.Disks[d]
+			views = append(views, placement.DiskView{ID: d, Host: di.Loc.Host, Free: di.Capacity, Loc: di.Loc})
+		}
+		limits[t.Disks[u.Disks[0]].Loc.Domain(placement.LevelUnit)] = u.MaxSpinning
+	}
+	return placement.NewIndex(views, limits)
 }

@@ -43,12 +43,14 @@ type traceEvent struct {
 	args  []Label
 }
 
-// NewTracer creates a tracer holding at most capacity events.
+// NewTracer creates a tracer holding at most capacity events. The ring
+// grows as events arrive: a fleet makes one recorder per partition, and
+// most of them never see more than a few hundred events.
 func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{cap: capacity, ring: make([]traceEvent, 0, capacity)}
+	return &Tracer{cap: capacity}
 }
 
 // BindClock sets the simulated-time source.

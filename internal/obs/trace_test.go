@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 type fakeClock struct{ now time.Duration }
@@ -107,6 +108,42 @@ func TestTracerRingOverwrite(t *testing.T) {
 	for i := range want {
 		if ids[i] != want[i] {
 			t.Fatalf("kept %v, want %v", ids, want)
+		}
+	}
+}
+
+// TestTracerRingGrowsOnDemand pins the cost of an idle recorder: a fleet
+// makes one per partition, so a default-capacity ring must not be paid for
+// up front (it was 31.5 MB each, ~2 GB per 64-unit fleet), and growing on
+// demand must still wrap at the capacity asked for.
+func TestTracerRingGrowsOnDemand(t *testing.T) {
+	rec := NewRecorder()
+	for i := 0; i < 10; i++ {
+		rec.Instant("c", "e", "")
+	}
+	tr := rec.Tracer()
+	if retained := uintptr(cap(tr.ring)) * unsafe.Sizeof(traceEvent{}); retained >= 64<<10 {
+		t.Fatalf("a recorder holding 10 events retains %d bytes of ring, want < 64 KiB", retained)
+	}
+	if tr.Len() != 10 || tr.Dropped() != 0 {
+		t.Fatalf("Len = %d, Dropped = %d, want 10 and 0", tr.Len(), tr.Dropped())
+	}
+
+	small := NewTracer(8)
+	var last uint64
+	for i := 0; i < 20; i++ {
+		last = small.Instant("c", "e", "")
+	}
+	if small.Len() != 8 || small.Dropped() != 12 {
+		t.Fatalf("cap-8 tracer after 20 events: Len = %d, Dropped = %d, want 8 and 12", small.Len(), small.Dropped())
+	}
+	kept := map[uint64]bool{}
+	for _, ev := range small.ring {
+		kept[ev.id] = true
+	}
+	for id := last - 7; id <= last; id++ {
+		if !kept[id] {
+			t.Fatalf("cap-8 tracer lost event %d of the last 8 (kept %v)", id, kept)
 		}
 	}
 }

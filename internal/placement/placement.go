@@ -15,7 +15,10 @@
 //
 // Both are pure functions over caller-supplied candidate views: callers
 // own the state (SysStat, heartbeat digests) and determinism (candidates
-// must arrive in a stable order — sorted by disk ID unless noted).
+// must arrive in a stable order — sorted by disk ID unless noted). A
+// placer that decides again and again over the same disks (the fleet's
+// ShardMaster) keeps an Index instead: the views held resident, updated in
+// place, and read by the same selection Spread runs.
 package placement
 
 // DiskView is one allocation candidate as the caller's state machine sees

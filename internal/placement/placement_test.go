@@ -202,3 +202,85 @@ func TestDomainKeysQualified(t *testing.T) {
 		t.Fatal("rack keys must differ")
 	}
 }
+
+// spreadReference is Spread as it was before the Index existed: a scan of
+// every candidate per pick, domains compared as strings. It is the
+// specification the differential test in index_test.go holds Index.Spread
+// and the Spread wrapper to, decision for decision.
+func spreadReference(candidates []DiskView, n int, opts SpreadOptions) SpreadResult {
+	var res SpreadResult
+	if n <= 0 || len(candidates) == 0 {
+		return res
+	}
+	candidates = append([]DiskView(nil), candidates...) // consumed in place
+	usedDomain := make(map[string]bool, n+len(opts.Exclude))
+	usedRack := make(map[string]bool, n)
+	for _, d := range opts.Exclude {
+		usedDomain[d] = true
+	}
+	// Remaining spin budget is consumed as picks land on spun-down disks —
+	// on a private copy, so a caller may reuse its budget across calls.
+	var budget map[string]int
+	if opts.SpinBudget != nil {
+		budget = make(map[string]int, len(opts.SpinBudget))
+		for k, v := range opts.SpinBudget {
+			budget[k] = v
+		}
+	}
+	for len(res.Disks) < n {
+		best := -1
+		bestCost := 0
+		for i, d := range candidates {
+			if d.ID == "" { // consumed
+				continue
+			}
+			if usedDomain[d.Loc.Domain(opts.Level)] {
+				continue
+			}
+			// Cost ranks the soft preferences: rack reuse is worst at 4,
+			// spin state adds 0 (spinning), 1 (spin-up within budget) or 2
+			// (forced over-budget spin-up).
+			cost := 0
+			if usedRack[d.Loc.Rack] {
+				cost += 4
+			}
+			if !d.Spinning {
+				cost++
+				if budget != nil && budget[d.Loc.Domain(LevelUnit)] <= 0 {
+					cost++
+				}
+			}
+			if best < 0 || cost < bestCost ||
+				(cost == bestCost && moreDesirable(d, candidates[best])) {
+				best, bestCost = i, cost
+			}
+		}
+		if best < 0 {
+			break
+		}
+		d := candidates[best]
+		candidates[best].ID = "" // consume without reslicing
+		usedDomain[d.Loc.Domain(opts.Level)] = true
+		usedRack[d.Loc.Rack] = true
+		if !d.Spinning {
+			if budget != nil {
+				key := d.Loc.Domain(LevelUnit)
+				if budget[key] <= 0 {
+					res.OverBudget++
+				}
+				budget[key]--
+			}
+		}
+		res.Disks = append(res.Disks, d)
+	}
+	return res
+}
+
+// moreDesirable orders equal-cost candidates: most free space first, then
+// lexicographic disk ID.
+func moreDesirable(a, b DiskView) bool {
+	if a.Free != b.Free {
+		return a.Free > b.Free
+	}
+	return a.ID < b.ID
+}

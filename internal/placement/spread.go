@@ -1,6 +1,9 @@
 package placement
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Level selects the failure domain two fragments of one volume must never
 // share. Levels nest by blast radius: a host is the smallest (its disks
@@ -69,7 +72,7 @@ type SpreadOptions struct {
 	// how many more disks it may spin up. Spun-down disks in units with no
 	// remaining budget are skipped unless nothing else fits; the
 	// OverBudget counter in the result reports such forced picks. Spread
-	// copies the map; the caller's budget is never modified.
+	// only reads the map; the caller's budget is never modified.
 	SpinBudget map[string]int
 }
 
@@ -90,82 +93,26 @@ type SpreadResult struct {
 // and the most free space; ties break on disk ID. It returns as many
 // disks as it could place (len < n means the topology cannot spread that
 // wide).
+//
+// Spread is Index.Spread over an index built from candidates for this one
+// call; a placer that decides repeatedly over the same disks keeps an
+// Index instead.
 func Spread(candidates []DiskView, n int, opts SpreadOptions) SpreadResult {
 	var res SpreadResult
 	if n <= 0 || len(candidates) == 0 {
 		return res
 	}
-	candidates = append([]DiskView(nil), candidates...) // consumed in place
-	usedDomain := make(map[string]bool, n+len(opts.Exclude))
-	usedRack := make(map[string]bool, n)
-	for _, d := range opts.Exclude {
-		usedDomain[d] = true
-	}
-	// Remaining spin budget is consumed as picks land on spun-down disks —
-	// on a private copy, so a caller may reuse its budget across calls.
-	var budget map[string]int
-	if opts.SpinBudget != nil {
-		budget = make(map[string]int, len(opts.SpinBudget))
-		for k, v := range opts.SpinBudget {
-			budget[k] = v
+	ix := NewIndex(candidates, opts.SpinBudget)
+	// Candidates are pre-filtered, so any amount of free space qualifies.
+	rows, over := ix.Spread(n, math.MinInt64, opts.Level, opts.Exclude)
+	res.OverBudget = over
+	if len(rows) > 0 {
+		res.Disks = make([]DiskView, len(rows))
+		for i, r := range rows {
+			res.Disks[i] = ix.disks[r]
 		}
-	}
-	for len(res.Disks) < n {
-		best := -1
-		bestCost := 0
-		for i, d := range candidates {
-			if d.ID == "" { // consumed
-				continue
-			}
-			if usedDomain[d.Loc.Domain(opts.Level)] {
-				continue
-			}
-			// Cost ranks the soft preferences: rack reuse is worst at 4,
-			// spin state adds 0 (spinning), 1 (spin-up within budget) or 2
-			// (forced over-budget spin-up).
-			cost := 0
-			if usedRack[d.Loc.Rack] {
-				cost += 4
-			}
-			if !d.Spinning {
-				cost++
-				if budget != nil && budget[d.Loc.Domain(LevelUnit)] <= 0 {
-					cost++
-				}
-			}
-			if best < 0 || cost < bestCost ||
-				(cost == bestCost && moreDesirable(d, candidates[best])) {
-				best, bestCost = i, cost
-			}
-		}
-		if best < 0 {
-			break
-		}
-		d := candidates[best]
-		candidates[best].ID = "" // consume without reslicing
-		usedDomain[d.Loc.Domain(opts.Level)] = true
-		usedRack[d.Loc.Rack] = true
-		if !d.Spinning {
-			if budget != nil {
-				key := d.Loc.Domain(LevelUnit)
-				if budget[key] <= 0 {
-					res.OverBudget++
-				}
-				budget[key]--
-			}
-		}
-		res.Disks = append(res.Disks, d)
 	}
 	return res
-}
-
-// moreDesirable orders equal-cost candidates: most free space first, then
-// lexicographic disk ID.
-func moreDesirable(a, b DiskView) bool {
-	if a.Free != b.Free {
-		return a.Free > b.Free
-	}
-	return a.ID < b.ID
 }
 
 // SortViews sorts candidate views by disk ID (the deterministic order
