@@ -71,17 +71,17 @@ func (ini *Initiator) onMessage(msg simnet.Message) {
 	if _, err := m.decode(raw); err != nil {
 		return
 	}
-	c, ok := ini.pending[m.Tag]
-	if !ok {
-		return // late reply after timeout
+	if c, ok := ini.pending[m.Tag]; ok {
+		delete(ini.pending, m.Tag)
+		c.timeout.Cancel()
+		c.done(m, nil)
 	}
-	delete(ini.pending, m.Tag)
-	c.timeout.Cancel()
-	c.done(m, nil)
 	if m.Type == MsgReadResp {
-		// The read's callback has returned, and with it the caller's claim
-		// on the payload: the frame can carry the next read. Frames that
-		// never get here (dropped, timed out, late) fall to the GC.
+		// Nobody holds the payload any more: the read's callback has returned
+		// and with it the caller's claim, or — a reply that lost the race with
+		// its timeout — the caller was already told ErrTimeout and never sees
+		// it. Either way the frame can carry the next read. Only frames that
+		// never arrive (dropped in flight) fall to the GC.
 		ini.frames.Put(raw)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+	"time"
 
 	"ustore/internal/disk"
 	"ustore/internal/simnet"
@@ -141,6 +142,28 @@ func TestReadPathChecksumErrorReleasesFrame(t *testing.T) {
 	// A leaked frame would cost a fresh 1 MiB buffer per round.
 	if perRound := (totalAlloc() - before) / rounds; perRound >= 8<<10 {
 		t.Fatalf("checksum failure + clean read allocate %d B per round: the failed read's frame was not released", perRound)
+	}
+}
+
+// A reply that loses the race with its own timeout is claimed by nobody — the
+// caller was already told ErrTimeout — so its frame must go straight back to
+// the free list: the next Get of that size returns the very buffer the late
+// reply arrived in. (In the unprotected restore storm that is thousands of
+// 4 MiB frames.)
+func TestReadPathLateReplyReleasesFrame(t *testing.T) {
+	const size = 1 << 20
+	r := newReadRig(t, size)
+	var payload *byte // where the one pooled frame's payload starts
+	if err := r.read(0, size, func(data []byte) { payload = &data[0] }); err != nil {
+		t.Fatal(err)
+	}
+	r.ini.Timeout = time.Millisecond // the response alone is 8 ms on the wire
+	if err := r.read(0, size, nil); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("read with a 1 ms deadline: err = %v, want ErrTimeout", err)
+	}
+	// sched.Run in read returned only after the late reply was delivered.
+	if frame := r.ini.frames.Get(headerLen + size); &frame[headerLen] != payload {
+		t.Fatal("the late reply's frame did not return to the free list")
 	}
 }
 

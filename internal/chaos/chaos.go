@@ -38,7 +38,9 @@ import (
 type FaultKind int
 
 // Fault kinds. Window-opening kinds pair with the closing kind right after
-// them; FaultCorrupt is a point event with no closing pair.
+// them; FaultCorrupt and FaultLinkFlap are point events with no closing pair.
+// What a kind is called and does is declared once, by its row of the
+// families table.
 const (
 	FaultHostCrash FaultKind = iota
 	FaultHostRestore
@@ -65,56 +67,16 @@ const (
 	FaultBrownoutEnd
 )
 
-// String names the kind.
+// String names the kind as the families table declares it.
 func (k FaultKind) String() string {
-	switch k {
-	case FaultHostCrash:
-		return "host-crash"
-	case FaultHostRestore:
-		return "host-restore"
-	case FaultDiskFail:
-		return "disk-fail"
-	case FaultDiskReplace:
-		return "disk-replace"
-	case FaultHubFail:
-		return "hub-fail"
-	case FaultHubReplace:
-		return "hub-replace"
-	case FaultLinkCut:
-		return "link-cut"
-	case FaultLinkHeal:
-		return "link-heal"
-	case FaultLinkLoss:
-		return "link-loss"
-	case FaultLinkLossEnd:
-		return "link-loss-end"
-	case FaultLinkDup:
-		return "link-dup"
-	case FaultLinkDupEnd:
-		return "link-dup-end"
-	case FaultIsolate:
-		return "isolate"
-	case FaultRejoin:
-		return "rejoin"
-	case FaultCorrupt:
-		return "corrupt"
-	case FaultDiskDegrade:
-		return "disk-degrade"
-	case FaultDiskRecover:
-		return "disk-recover"
-	case FaultLinkFlap:
-		return "link-flap"
-	case FaultLinkDowngrade:
-		return "link-downgrade"
-	case FaultLinkRestore:
-		return "link-restore"
-	case FaultBrownout:
-		return "brownout"
-	case FaultBrownoutEnd:
-		return "brownout-end"
-	default:
+	i, opens := familyOf(k)
+	if i < 0 {
 		return fmt.Sprintf("FaultKind(%d)", int(k))
 	}
+	if opens {
+		return families[i].openName
+	}
+	return families[i].closeName
 }
 
 // Fault is one entry of a chaos schedule. At is relative to the start of the
@@ -140,33 +102,34 @@ type Fault struct {
 	Block int
 }
 
-// String renders the fault for the event log.
+// String renders the fault for the event log: kind, target in the family's
+// shape, and — on a window opener — the family's rate label.
 func (f Fault) String() string {
-	switch f.Kind {
-	case FaultLinkCut, FaultLinkHeal:
-		return fmt.Sprintf("%s %s<->%s", f.Kind, f.A, f.B)
-	case FaultLinkLoss, FaultLinkDup:
-		return fmt.Sprintf("%s %s<->%s p=%.2f", f.Kind, f.A, f.B, f.Rate)
-	case FaultLinkLossEnd, FaultLinkDupEnd:
-		return fmt.Sprintf("%s %s<->%s", f.Kind, f.A, f.B)
-	case FaultCorrupt:
-		return fmt.Sprintf("corrupt copy%d/block%d", f.Copy, f.Block)
-	case FaultDiskDegrade, FaultLinkDowngrade, FaultBrownout:
-		return fmt.Sprintf("%s %s sev=%.2f", f.Kind, f.grayTarget(), f.Rate)
-	case FaultLinkFlap:
-		return fmt.Sprintf("%s %s storms=%d", f.Kind, f.A, f.Copy)
-	case FaultDiskRecover, FaultLinkRestore:
-		return fmt.Sprintf("%s %s", f.Kind, f.grayTarget())
-	default:
+	i, opens := familyOf(f.Kind)
+	if i < 0 {
 		return fmt.Sprintf("%s %s", f.Kind, f.A)
 	}
+	fam := &families[i]
+	s := f.Kind.String() + " " + f.target(fam.target)
+	if opens && fam.rate != "" {
+		s += fmt.Sprintf(" %s%.2f", fam.rate, f.Rate)
+	}
+	return s
 }
 
-// grayTarget renders a gray disk fault's target: the named disk, or the
-// copy-relative placeholder when resolution happens at apply time.
-func (f Fault) grayTarget() string {
-	if f.A == "" {
-		return fmt.Sprintf("disk(copy%d)", f.Copy)
+// target renders the fault's target in the given shape.
+func (f Fault) target(shape targetShape) string {
+	switch shape {
+	case targetPair:
+		return f.A + "<->" + f.B
+	case targetGrayDisk:
+		if f.A == "" {
+			return fmt.Sprintf("disk(copy%d)", f.Copy)
+		}
+	case targetBlock:
+		return fmt.Sprintf("copy%d/block%d", f.Copy, f.Block)
+	case targetStorms:
+		return fmt.Sprintf("%s storms=%d", f.A, f.Copy)
 	}
 	return f.A
 }

@@ -184,25 +184,11 @@ func RunFleetSchedule(o FleetOptions, schedule []FleetFault) (*FleetReport, erro
 func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 	rep := &FleetReport{Seed: o.Seed, Opts: o}
 	f := fleet.New(fleetConfig(o))
-	stamp := func() string {
-		now := f.Sched.Now()
-		day := now / (24 * time.Hour)
-		rem := now % (24 * time.Hour)
-		return fmt.Sprintf("[d%03d %02d:%02d:%02d]", day,
-			rem/time.Hour, (rem%time.Hour)/time.Minute, (rem%time.Minute)/time.Second)
-	}
-	logf := func(format string, a ...any) {
-		rep.Log = append(rep.Log, stamp()+" "+fmt.Sprintf(format, a...))
-	}
-	violate := func(format string, a ...any) {
-		v := stamp() + " " + fmt.Sprintf(format, a...)
-		rep.Log = append(rep.Log, v)
-		rep.Violations = append(rep.Violations, v)
-	}
+	rl := &runLog{now: f.Sched.Now}
 	check := func(phase string) {
 		for _, err := range []error{f.ValidateSpread(), f.ValidateShardMap(), f.ValidateCapacity()} {
 			if err != nil {
-				violate("fleet: %s invariant: %s", phase, err)
+				rl.violatef("fleet: %s invariant: %s", phase, err)
 			}
 		}
 	}
@@ -217,7 +203,7 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 	if ok, why := settleExplain(f, 10*time.Second, 3*time.Minute, leaderless); !ok {
 		return nil, fmt.Errorf("chaos: fleet boot settle timed out: %s", why)
 	}
-	logf("fleet: booted %d units (%d disks), %d shards, map epoch %d",
+	rl.logf("fleet: booted %d units (%d disks), %d shards, map epoch %d",
 		o.Units, f.Topo.NumDisks, o.Shards, f.AuthMap().Epoch)
 
 	// Load phase: o.Clients routers allocate o.Volumes volumes closed-loop
@@ -242,7 +228,7 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 				pending--
 				if err != nil {
 					rep.Failed++
-					logf("fleet: allocate %s failed: %s", name, err)
+					rl.logf("fleet: allocate %s failed: %s", name, err)
 				} else {
 					rep.Allocated++
 					ledger.Alloc(name)
@@ -259,16 +245,16 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 		}
 		return ""
 	}); !ok {
-		violate("fleet: load phase stalled: %s", why)
+		rl.violatef("fleet: load phase stalled: %s", why)
 	}
-	logf("fleet: load phase done: %d allocated, %d failed", rep.Allocated, rep.Failed)
+	rl.logf("fleet: load phase done: %d allocated, %d failed", rep.Allocated, rep.Failed)
 	check("post-load")
 
 	// Fault phase: apply the schedule at fixed quiescence boundaries while
 	// foreground clients keep allocating, then heal, re-drive interrupted
 	// migrations, and hold the fleet to the reference model.
 	if len(schedule) > 0 {
-		runFleetFaults(f, o, rep, schedule, routers, ledger, logf, violate, check, leaderless)
+		runFleetFaults(f, o, rep, rl, schedule, routers, ledger, check, leaderless)
 	}
 
 	// Fault phase: lose a whole deploy unit, then wait for the background
@@ -277,15 +263,15 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 		const victim = "u000"
 		killAt := f.Sched.Now()
 		f.KillUnit(victim)
-		logf("fleet: killed unit %s (machine isolated, replicas crashed)", victim)
+		rl.logf("fleet: killed unit %s (machine isolated, replicas crashed)", victim)
 		drained, blocker := settleExplain(f, 30*time.Second, o.DrainTimeout,
 			func() string { return f.DrainBlocker(victim) })
 		rep.Drained = drained
 		rep.DrainTime = f.Sched.Now() - killAt
 		if rep.Drained {
-			logf("fleet: unit %s drained in %v", victim, rep.DrainTime)
+			rl.logf("fleet: unit %s drained in %v", victim, rep.DrainTime)
 		} else {
-			violate("fleet: unit %s not drained within %v: %s",
+			rl.violatef("fleet: unit %s not drained within %v: %s",
 				victim, o.DrainTimeout, blocker)
 		}
 		check("post-drain")
@@ -313,7 +299,7 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 			if err == nil && len(disks) > 0 {
 				rep.Resolvable++
 			} else if err != nil {
-				logf("fleet: verify lookup %s failed: %s", name, err)
+				rl.logf("fleet: verify lookup %s failed: %s", name, err)
 			}
 		})
 	}
@@ -323,15 +309,16 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 		}
 		return ""
 	}); !ok {
-		violate("fleet: verify phase stalled: %s", why)
+		rl.violatef("fleet: verify phase stalled: %s", why)
 	}
 	if rep.Resolvable != want {
-		violate("fleet: only %d of %d live volumes resolvable", rep.Resolvable, want)
+		rl.violatef("fleet: only %d of %d live volumes resolvable", rep.Resolvable, want)
 	}
 
 	rep.MapEpoch = f.AuthMap().Epoch
 	rep.Events = f.EventsFired()
-	logf("fleet run complete: %d violations", len(rep.Violations))
+	rl.logf("fleet run complete: %d violations", len(rl.Violations))
+	rep.Log, rep.Violations = rl.Log, rl.Violations
 	f.FinishObs()
 	return rep, nil
 }
@@ -341,9 +328,8 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 // re-drive interrupted slot migrations, re-check invariants, and hold the
 // surviving state to the reference-model ledger.
 func runFleetFaults(
-	f *fleet.Fleet, o FleetOptions, rep *FleetReport, schedule []FleetFault,
+	f *fleet.Fleet, o FleetOptions, rep *FleetReport, rl *runLog, schedule []FleetFault,
 	routers []*fleet.Router, ledger *model.VolumeLedger,
-	logf func(string, ...any), violate func(string, ...any),
 	check func(string), leaderless func() string,
 ) {
 	st := newFleetFaultState(f)
@@ -353,9 +339,9 @@ func runFleetFaults(
 		f.MoveSlot(slot, dst, func(err error) {
 			movesInFlight--
 			if err != nil {
-				logf("fleet: move slot %d -> shard %d interrupted: %s", slot, dst, err)
+				rl.logf("fleet: move slot %d -> shard %d interrupted: %s", slot, dst, err)
 			} else {
-				logf("fleet: move slot %d -> shard %d completed", slot, dst)
+				rl.logf("fleet: move slot %d -> shard %d completed", slot, dst)
 			}
 		})
 	}
@@ -385,7 +371,7 @@ func runFleetFaults(
 					rep.Unavailable++
 				default:
 					rep.Failed++
-					logf("fleet: fault-phase allocate %s failed: %s", name, err)
+					rl.logf("fleet: fault-phase allocate %s failed: %s", name, err)
 				}
 				f.Sched.After(time.Second, func() { faultAlloc(cl) })
 			})
@@ -403,20 +389,20 @@ func runFleetFaults(
 		for idx < len(schedule) && schedule[idx].At <= t {
 			desc := st.apply(schedule[idx], onMove)
 			rep.FaultsApplied++
-			logf("fleet: fault: %s", desc)
+			rl.logf("fleet: fault: %s", desc)
 			idx++
 		}
 		f.Settle(fleetFaultStep)
 	}
 	stopLoad = true
-	logf("fleet: fault window closed: %d faults applied, %d ops degraded unavailable",
+	rl.logf("fleet: fault window closed: %d faults applied, %d ops degraded unavailable",
 		rep.FaultsApplied, rep.Unavailable)
 
 	// Recovery: close every window the schedule (or a truncated minimizer
 	// prefix) left open, then settle until leadership is whole and the
 	// fault-phase move chains have reported back.
 	healed, rejoined, restarted := st.healAll()
-	logf("fleet: recovery: healed %d partitions, rejoined %d units, restarted %d replicas",
+	rl.logf("fleet: recovery: healed %d partitions, rejoined %d units, restarted %d replicas",
 		healed, rejoined, restarted)
 	if ok, why := settleExplain(f, 10*time.Second, 5*time.Minute, func() string {
 		if why := leaderless(); why != "" {
@@ -427,7 +413,7 @@ func runFleetFaults(
 		}
 		return ""
 	}); !ok {
-		violate("fleet: post-heal settle stalled: %s", why)
+		rl.violatef("fleet: post-heal settle stalled: %s", why)
 	}
 
 	// Re-drive interrupted migrations from the admin intent ledger (the
@@ -442,12 +428,12 @@ func runFleetFaults(
 		}
 		return ""
 	}); !ok {
-		violate("fleet: redrive stalled: %s", why)
+		rl.violatef("fleet: redrive stalled: %s", why)
 	} else if redriveErr != nil {
-		violate("fleet: redrive failed: %s", redriveErr)
+		rl.violatef("fleet: redrive failed: %s", redriveErr)
 	}
 	if rep.Redriven > 0 {
-		logf("fleet: recovery: re-drove %d interrupted slot moves", rep.Redriven)
+		rl.logf("fleet: recovery: re-drove %d interrupted slot moves", rep.Redriven)
 	}
 	check("post-heal")
 
@@ -455,14 +441,14 @@ func runFleetFaults(
 	// exactly one shard, the one the map routes it to.
 	holders, err := f.VolumeHolders()
 	if err != nil {
-		violate("fleet: model check blocked: %s", err)
+		rl.violatef("fleet: model check blocked: %s", err)
 		return
 	}
 	am := f.AuthMap()
 	for _, v := range ledger.Check(holders, func(vol string) int { return am.ShardOf(vol) }) {
-		violate("fleet: model: %s", v)
+		rl.violatef("fleet: model: %s", v)
 	}
-	logf("fleet: model check done: %d live volumes against %d holders", ledger.Len(), len(holders))
+	rl.logf("fleet: model check done: %d live volumes against %d holders", ledger.Len(), len(holders))
 }
 
 // settleExplain advances the fleet in fixed step chunks until pending()

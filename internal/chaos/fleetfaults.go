@@ -11,8 +11,10 @@ package chaos
 // deterministic at any worker count.
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"ustore/internal/fleet"
@@ -256,7 +258,7 @@ func (s *fleetFaultState) apply(ft FleetFault, onMove func(slot, dst int)) strin
 			ft.Shard, i, f.ReplicaUnit(ft.Shard, i))
 	case FFRestartReplicas:
 		n := 0
-		for key := range s.crashed {
+		for _, key := range sortedKeys(s.crashed, cmpIntPair) {
 			if key[0] != ft.Shard {
 				continue
 			}
@@ -284,7 +286,7 @@ func (s *fleetFaultState) apply(ft FleetFault, onMove func(slot, dst int)) strin
 		return fmt.Sprintf("isolated u%03d (shard %d replica %d)", u, ft.Shard, i)
 	case FFRejoinUnits:
 		n := 0
-		for u := range s.isolated {
+		for _, u := range sortedKeys(s.isolated, cmp.Compare[int]) {
 			f.RejoinUnit(u)
 			delete(s.isolated, u)
 			n++
@@ -299,20 +301,19 @@ func (s *fleetFaultState) apply(ft FleetFault, onMove func(slot, dst int)) strin
 }
 
 // healAll closes every open fault window — heals partitions, rejoins
-// isolated units, restarts crashed replicas. Iteration order is made
-// deterministic by draining sorted snapshots.
+// isolated units, restarts crashed replicas, each in sorted order.
 func (s *fleetFaultState) healAll() (healed, rejoined, restarted int) {
-	for _, key := range sortedIntPairs(s.partitioned) {
+	for _, key := range sortedKeys(s.partitioned, cmpIntPair) {
 		s.f.HealPartition(key[0], key[1])
 		delete(s.partitioned, key)
 		healed++
 	}
-	for _, u := range sortedInts(s.isolated) {
+	for _, u := range sortedKeys(s.isolated, cmp.Compare[int]) {
 		s.f.RejoinUnit(u)
 		delete(s.isolated, u)
 		rejoined++
 	}
-	for _, key := range sortedIntPairs(s.crashed) {
+	for _, key := range sortedKeys(s.crashed, cmpIntPair) {
 		s.f.RestartReplica(key[0], key[1])
 		delete(s.crashed, key)
 		restarted++
@@ -320,38 +321,7 @@ func (s *fleetFaultState) healAll() (healed, rejoined, restarted int) {
 	return
 }
 
-func sortedIntPairs(m map[[2]int]bool) [][2]int {
-	out := make([][2]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && less2(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func less2(a, b [2]int) bool {
-	if a[0] != b[0] {
-		return a[0] < b[0]
-	}
-	return a[1] < b[1]
-}
-
-func sortedInts(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
+func cmpIntPair(a, b [2]int) int { return slices.Compare(a[:], b[:]) }
 
 // MinimizeFleet generates the seeded fleet fault schedule, runs it, and —
 // if the run violated — bisects for the shortest schedule prefix that

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -139,9 +140,15 @@ type replica struct {
 	migrating bool // a quarantine-drain migration is in flight
 }
 
-type pairKey struct{ a, b string }
+// openWindow is one registry entry: the fault that opened the window (its
+// target resolved) and the trace span covering it.
+type openWindow struct {
+	f    Fault
+	span *obs.Span
+}
 
 type harness struct {
+	runLog
 	opts Options
 	c    *core.Cluster
 	rng  *rand.Rand // workload randomness (schedule has its own stream)
@@ -153,33 +160,20 @@ type harness struct {
 	replicas []*replica
 	bySpace  map[core.SpaceID]*replica
 
-	log        []string
-	violations []string
-	allocSeen  map[string]bool
-	stats      Stats
+	allocSeen map[string]bool
+	stats     Stats
 
-	// Open fault windows, for the drain phase and quiet-point detection.
-	crashedHosts map[string]bool
-	failedDisks  map[string]bool
-	failedHubs   map[string]bool
-	openCuts     map[pairKey]bool
-	openLoss     map[pairKey]bool
-	openDup      map[pairKey]bool
-	isolated     map[string]bool
+	// open is the open-window registry: every fault window of every family
+	// between its opener and its closer. The drain phase heals what is left
+	// in it; quiet-point detection and probe-latency classification ask it
+	// whether a net or gray family has anything open.
+	open         map[windowID]openWindow
 	lastNetFault simtime.Time
 
-	// Open gray fault windows (for drain and probe-latency classification),
-	// plus the per-pair hedged-read probers of a gray/mitigation run.
-	degradedDisks   map[string]bool
-	downgradedLinks map[string]bool
-	brownedHosts    map[string]bool
-	probers         []*core.ClientLib
-	probeHealthy    []time.Duration
-	probeDegraded   []time.Duration
-
-	// windowSpans holds the open trace span of each active fault window,
-	// keyed by kind+target, so the closing fault ends the matching span.
-	windowSpans map[string]*obs.Span
+	// The per-pair hedged-read probers of a gray/mitigation run.
+	probers       []*core.ClientLib
+	probeHealthy  []time.Duration
+	probeDegraded []time.Duration
 
 	writeSeq int
 }
@@ -248,24 +242,14 @@ func newHarness(o Options) (*harness, error) {
 		return nil, err
 	}
 	h := &harness{
-		opts:         o,
-		c:            c,
-		hist:         hist,
-		rng:          rand.New(rand.NewSource(o.Seed ^ 0x5deece66d)),
-		bySpace:      make(map[core.SpaceID]*replica),
-		allocSeen:    make(map[string]bool),
-		crashedHosts: make(map[string]bool),
-		failedDisks:  make(map[string]bool),
-		failedHubs:   make(map[string]bool),
-		openCuts:     make(map[pairKey]bool),
-		openLoss:     make(map[pairKey]bool),
-		openDup:      make(map[pairKey]bool),
-		isolated:     make(map[string]bool),
-		windowSpans:  make(map[string]*obs.Span),
-
-		degradedDisks:   make(map[string]bool),
-		downgradedLinks: make(map[string]bool),
-		brownedHosts:    make(map[string]bool),
+		runLog:    runLog{now: c.Sched.Now, tag: "VIOLATION: "},
+		opts:      o,
+		c:         c,
+		hist:      hist,
+		rng:       rand.New(rand.NewSource(o.Seed ^ 0x5deece66d)),
+		bySpace:   make(map[core.SpaceID]*replica),
+		allocSeen: make(map[string]bool),
+		open:      make(map[windowID]openWindow),
 	}
 	if o.Empirical != nil {
 		// Arm the media-level URE model: every disk read then surfaces
@@ -441,7 +425,17 @@ func (h *harness) setupProbers() error {
 // grayOpen reports whether any gray fault window is currently open (probe
 // reads issued now are classified as degraded-phase samples).
 func (h *harness) grayOpen() bool {
-	return len(h.degradedDisks)+len(h.downgradedLinks)+len(h.brownedHosts) > 0
+	return h.anyOpen(func(fam *family) bool { return fam.gray })
+}
+
+// anyOpen reports whether a family satisfying is has a window open.
+func (h *harness) anyOpen(is func(*family) bool) bool {
+	for w := range h.open {
+		if is(&families[w.fam]) {
+			return true
+		}
+	}
+	return false
 }
 
 func (h *harness) probeAll() {
@@ -591,12 +585,7 @@ func (h *harness) remountProber(r *replica) {
 // known-good copies (standing in for the replica/EC read a service-level
 // repair would do).
 func (h *harness) installScrubRepair() {
-	hosts := make([]string, 0, len(h.c.EndPoints))
-	for name := range h.c.EndPoints {
-		hosts = append(hosts, name)
-	}
-	sort.Strings(hosts)
-	for _, name := range hosts {
+	for _, name := range sortedKeys(h.c.EndPoints, strings.Compare) {
 		sc := h.c.EndPoints[name].Scrubber()
 		if sc == nil {
 			continue
@@ -669,224 +658,82 @@ func (h *harness) inflightWrites() int {
 
 // --- logging ---
 
-func (h *harness) stamp() string {
-	now := h.c.Sched.Now()
+// runLog is a run's event log and violation list, stamped with simulated
+// time. All three run pipelines (fault schedule, traffic, fleet) write one.
+type runLog struct {
+	now             func() time.Duration
+	tag             string // what a violation's log line starts with
+	Log, Violations []string
+}
+
+func (l *runLog) stamp() string {
+	now := l.now()
 	day := now / (24 * time.Hour)
 	rem := now % (24 * time.Hour)
 	return fmt.Sprintf("[d%03d %02d:%02d:%02d]", day,
 		rem/time.Hour, (rem%time.Hour)/time.Minute, (rem%time.Minute)/time.Second)
 }
 
-func (h *harness) logf(format string, a ...any) {
-	h.log = append(h.log, h.stamp()+" "+fmt.Sprintf(format, a...))
+func (l *runLog) logf(format string, a ...any) {
+	l.Log = append(l.Log, l.stamp()+" "+fmt.Sprintf(format, a...))
+}
+
+// violatef records an invariant violation and logs it.
+func (l *runLog) violatef(format string, a ...any) {
+	msg := fmt.Sprintf(format, a...)
+	l.Violations = append(l.Violations, l.stamp()+" "+msg)
+	l.logf("%s%s", l.tag, msg)
 }
 
 func (h *harness) violatef(format string, a ...any) {
-	msg := fmt.Sprintf(format, a...)
-	h.violations = append(h.violations, h.stamp()+" "+msg)
-	h.logf("VIOLATION: %s", msg)
+	h.runLog.violatef(format, a...)
 	h.opts.Recorder.Counter("chaos", "violations_total").Inc()
 	h.opts.Recorder.Instant("chaos", "violation", "auditor")
 }
 
 // --- fault application ---
 
-// faultWindow maps a window-opening or -closing fault to its span key and
-// (for openers) the span name. Point events return an empty key.
-func faultWindow(f Fault) (key, name string, opens bool) {
-	switch f.Kind {
-	case FaultHostCrash:
-		return "host:" + f.A, "host-down", true
-	case FaultHostRestore:
-		return "host:" + f.A, "", false
-	case FaultDiskFail:
-		return "disk:" + f.A, "disk-failed", true
-	case FaultDiskReplace:
-		return "disk:" + f.A, "", false
-	case FaultHubFail:
-		return "hub:" + f.A, "hub-failed", true
-	case FaultHubReplace:
-		return "hub:" + f.A, "", false
-	case FaultLinkCut:
-		return "cut:" + f.A + "|" + f.B, "link-cut", true
-	case FaultLinkHeal:
-		return "cut:" + f.A + "|" + f.B, "", false
-	case FaultLinkLoss:
-		return "loss:" + f.A + "|" + f.B, "link-loss", true
-	case FaultLinkLossEnd:
-		return "loss:" + f.A + "|" + f.B, "", false
-	case FaultLinkDup:
-		return "dup:" + f.A + "|" + f.B, "link-dup", true
-	case FaultLinkDupEnd:
-		return "dup:" + f.A + "|" + f.B, "", false
-	case FaultIsolate:
-		return "isolate:" + f.A, "isolated", true
-	case FaultRejoin:
-		return "isolate:" + f.A, "", false
-	case FaultDiskDegrade:
-		return "degrade:" + f.A, "disk-degraded", true
-	case FaultDiskRecover:
-		return "degrade:" + f.A, "", false
-	case FaultLinkDowngrade:
-		return "linkdown:" + f.A, "link-downgraded", true
-	case FaultLinkRestore:
-		return "linkdown:" + f.A, "", false
-	case FaultBrownout:
-		return "brownout:" + f.A, "host-brownout", true
-	case FaultBrownoutEnd:
-		return "brownout:" + f.A, "", false
+// apply executes one scheduled fault through its family's row: log it,
+// record it (metrics, trace, the open-window registry), then inject or heal.
+func (h *harness) apply(f Fault) {
+	i, opens := familyOf(f.Kind)
+	// Copy-relative gray disk faults resolve their target now, against the
+	// replica's current placement.
+	if i >= 0 && families[i].target == targetGrayDisk && f.A == "" && len(h.replicas) > 0 {
+		f.A = h.replicas[f.Copy%len(h.replicas)].diskID
 	}
-	return "", "", false
-}
-
-// recordFault emits the fault into the run's metrics and trace: a per-kind
-// counter, an instant on the injector track, and (for window faults) a span
-// covering the open window.
-func (h *harness) recordFault(f Fault) {
-	rec := h.opts.Recorder
-	rec.Counter("chaos", "faults_total", obs.L("kind", f.Kind.String())).Inc()
+	h.stats.FaultsApplied++
+	h.logf("fault: %s", f)
+	rec, kind := h.opts.Recorder, f.Kind.String()
+	rec.Counter("chaos", "faults_total", obs.L("kind", kind)).Inc()
 	target := f.A
 	if f.B != "" {
 		target = f.A + "<->" + f.B
 	}
-	rec.Instant("chaos", f.Kind.String(), "injector", obs.L("target", target))
-	key, name, opens := faultWindow(f)
-	if key == "" {
+	rec.Instant("chaos", kind, "injector", obs.L("target", target))
+	if i < 0 {
 		return
 	}
-	if opens {
-		if h.windowSpans[key] == nil {
-			h.windowSpans[key] = rec.Begin("chaos", name, "injector", obs.L("target", target))
-		}
-	} else {
-		sp := h.windowSpans[key]
-		delete(h.windowSpans, key)
-		sp.End()
-	}
-}
-
-// closeWindowSpans ends every still-open fault-window span (the drain phase
-// heals the underlying faults).
-func (h *harness) closeWindowSpans() {
-	keys := make([]string, 0, len(h.windowSpans))
-	for k := range h.windowSpans {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		h.windowSpans[k].End(obs.L("status", "drained"))
-	}
-	h.windowSpans = make(map[string]*obs.Span)
-}
-
-func (h *harness) apply(f Fault) {
-	// Copy-relative gray disk faults resolve their target now, against the
-	// replica's current placement.
-	switch f.Kind {
-	case FaultDiskDegrade, FaultDiskRecover, FaultLinkDowngrade, FaultLinkRestore:
-		if f.A == "" && len(h.replicas) > 0 {
-			f.A = h.replicas[f.Copy%len(h.replicas)].diskID
+	fam := &families[i]
+	act := fam.inject
+	if fam.key != "" {
+		// A window fault: its span covers the window from the first opener
+		// to the closer (or the drain phase).
+		id := windowOf(i, f)
+		w, isOpen := h.open[id]
+		if !opens {
+			act = fam.heal
+			w.span.End()
+			delete(h.open, id)
+		} else if !isOpen {
+			h.open[id] = openWindow{f, rec.Begin("chaos", fam.span, "injector", obs.L("target", target))}
 		}
 	}
-	h.stats.FaultsApplied++
-	h.logf("fault: %s", f)
-	h.recordFault(f)
-	switch f.Kind {
-	case FaultHostCrash:
-		h.crashedHosts[f.A] = true
-		h.c.CrashHost(f.A)
-	case FaultHostRestore:
-		delete(h.crashedHosts, f.A)
-		h.c.RestoreHost(f.A)
-	case FaultDiskFail:
-		h.failedDisks[f.A] = true
-		if err := h.c.FailDisk(f.A); err != nil {
-			h.logf("fault error: %v", err)
-		}
-	case FaultDiskReplace:
-		delete(h.failedDisks, f.A)
-		if err := h.c.ReplaceDisk(f.A); err != nil {
-			h.logf("fault error: %v", err)
-		}
-		h.markWiped(f.A)
-		h.scheduleRebuild(f.A)
-	case FaultHubFail:
-		h.failedHubs[f.A] = true
-		if err := h.c.FailHub(f.A); err != nil {
-			h.logf("fault error: %v", err)
-		}
-	case FaultHubReplace:
-		delete(h.failedHubs, f.A)
-		if err := h.c.ReplaceHub(f.A); err != nil {
-			h.logf("fault error: %v", err)
-		}
-	case FaultLinkCut:
-		h.openCuts[pairKey{f.A, f.B}] = true
-		h.c.Net.CutMachines(f.A, f.B)
+	if err := act(h, f); err != nil {
+		h.logf("fault error: %v", err)
+	}
+	if fam.net {
 		h.netEvent()
-	case FaultLinkHeal:
-		delete(h.openCuts, pairKey{f.A, f.B})
-		h.c.Net.HealMachines(f.A, f.B)
-		h.netEvent()
-	case FaultLinkLoss:
-		h.openLoss[pairKey{f.A, f.B}] = true
-		h.c.Net.SetMachineLossRate(f.A, f.B, f.Rate)
-		h.netEvent()
-	case FaultLinkLossEnd:
-		delete(h.openLoss, pairKey{f.A, f.B})
-		h.c.Net.SetMachineLossRate(f.A, f.B, 0)
-		h.netEvent()
-	case FaultLinkDup:
-		h.openDup[pairKey{f.A, f.B}] = true
-		h.c.Net.SetMachineDupRate(f.A, f.B, f.Rate)
-		h.netEvent()
-	case FaultLinkDupEnd:
-		delete(h.openDup, pairKey{f.A, f.B})
-		h.c.Net.SetMachineDupRate(f.A, f.B, 0)
-		h.netEvent()
-	case FaultIsolate:
-		h.isolated[f.A] = true
-		h.c.Net.IsolateMachine(f.A)
-		h.netEvent()
-	case FaultRejoin:
-		delete(h.isolated, f.A)
-		h.c.Net.RejoinMachine(f.A)
-		h.netEvent()
-	case FaultCorrupt:
-		r := h.replicas[f.Copy%len(h.replicas)]
-		blk := f.Block % len(r.blocks)
-		off := r.offset + int64(blk)*BlockSize
-		h.c.Disks[r.diskID].CorruptSector(off)
-	case FaultDiskDegrade:
-		h.degradedDisks[f.A] = true
-		if err := h.c.DegradeDisk(f.A, f.Rate); err != nil {
-			h.logf("fault error: %v", err)
-		}
-	case FaultDiskRecover:
-		delete(h.degradedDisks, f.A)
-		if err := h.c.RecoverDisk(f.A); err != nil {
-			h.logf("fault error: %v", err)
-		}
-	case FaultLinkFlap:
-		if err := h.c.FlapLink(f.A, f.Copy); err != nil {
-			h.logf("fault error: %v", err)
-		}
-	case FaultLinkDowngrade:
-		h.downgradedLinks[f.A] = true
-		if err := h.c.DowngradeLink(f.A, f.Rate); err != nil {
-			h.logf("fault error: %v", err)
-		}
-	case FaultLinkRestore:
-		delete(h.downgradedLinks, f.A)
-		if err := h.c.RestoreLink(f.A); err != nil {
-			h.logf("fault error: %v", err)
-		}
-	case FaultBrownout:
-		h.brownedHosts[f.A] = true
-		h.c.BrownoutHost(f.A, f.Rate)
-	case FaultBrownoutEnd:
-		delete(h.brownedHosts, f.A)
-		h.c.EndBrownout(f.A)
 	}
 }
 
@@ -959,7 +806,7 @@ func (h *harness) checkAllocations(stage string) {
 // quiet points: no network fault window open and none closed within the last
 // two hours (well past session TTL + sweep + election convergence).
 func (h *harness) checkQuietMasters() {
-	if len(h.openCuts)+len(h.openLoss)+len(h.openDup)+len(h.isolated) > 0 {
+	if h.anyOpen(func(fam *family) bool { return fam.net }) {
 		return
 	}
 	if h.c.Sched.Now()-h.lastNetFault < 2*time.Hour {
@@ -1122,7 +969,6 @@ func (h *harness) execute(schedule []Fault) (*Report, error) {
 	h.lastNetFault = start
 	h.c.Settle(o.Duration)
 	h.drain()
-	h.closeWindowSpans()
 	h.c.Settle(12 * time.Hour)
 	if writeTick != nil {
 		writeTick.Stop()
@@ -1142,22 +988,17 @@ func (h *harness) execute(schedule []Fault) (*Report, error) {
 	h.checkAllocations("final")
 	h.checkQuarantine("final")
 	h.checkHistory()
-	h.logf("run complete: %d faults, %d violations", h.stats.FaultsApplied, len(h.violations))
+	h.logf("run complete: %d faults, %d violations", h.stats.FaultsApplied, len(h.Violations))
 
 	rep := &Report{
 		Seed:       o.Seed,
 		Opts:       o,
 		Schedule:   schedule,
-		Log:        h.log,
-		Violations: h.violations,
+		Log:        h.Log,
+		Violations: h.Violations,
 		Stats:      h.stats,
 	}
-	hosts := make([]string, 0, len(h.c.EndPoints))
-	for name := range h.c.EndPoints {
-		hosts = append(hosts, name)
-	}
-	sort.Strings(hosts)
-	for _, name := range hosts {
+	for _, name := range sortedKeys(h.c.EndPoints, strings.Compare) {
 		if sc := h.c.EndPoints[name].Scrubber(); sc != nil {
 			st := sc.Stats()
 			rep.Stats.ScrubScanned += st.Scanned
@@ -1213,60 +1054,22 @@ func (h *harness) checkHistory() {
 
 // drain force-heals everything still open so the convergence invariants can
 // be checked against a fault-free cluster (also what makes truncated
-// minimizer prefixes well-formed).
+// minimizer prefixes well-formed): every open window's heal in table order,
+// then every window's trace span in span-key order.
 func (h *harness) drain() {
 	h.logf("drain: healing all outstanding faults")
-	for _, host := range sortedKeys(h.crashedHosts) {
-		h.c.RestoreHost(host)
-	}
-	h.crashedHosts = make(map[string]bool)
-	for _, d := range sortedKeys(h.failedDisks) {
-		if err := h.c.ReplaceDisk(d); err != nil {
-			h.logf("drain error: %v", err)
-		}
-		h.markWiped(d)
-		h.scheduleRebuild(d)
-	}
-	h.failedDisks = make(map[string]bool)
-	for _, hub := range sortedKeys(h.failedHubs) {
-		if err := h.c.ReplaceHub(hub); err != nil {
+	ids := sortedKeys(h.open, windowID.compare)
+	for _, id := range ids {
+		if err := families[id.fam].heal(h, h.open[id].f); err != nil {
 			h.logf("drain error: %v", err)
 		}
 	}
-	h.failedHubs = make(map[string]bool)
-	for _, k := range sortedPairs(h.openCuts) {
-		h.c.Net.HealMachines(k.a, k.b)
-	}
-	h.openCuts = make(map[pairKey]bool)
-	for _, k := range sortedPairs(h.openLoss) {
-		h.c.Net.SetMachineLossRate(k.a, k.b, 0)
-	}
-	h.openLoss = make(map[pairKey]bool)
-	for _, k := range sortedPairs(h.openDup) {
-		h.c.Net.SetMachineDupRate(k.a, k.b, 0)
-	}
-	h.openDup = make(map[pairKey]bool)
-	for _, m := range sortedKeys(h.isolated) {
-		h.c.Net.RejoinMachine(m)
-	}
-	h.isolated = make(map[string]bool)
-	for _, d := range sortedKeys(h.degradedDisks) {
-		if err := h.c.RecoverDisk(d); err != nil {
-			h.logf("drain error: %v", err)
-		}
-	}
-	h.degradedDisks = make(map[string]bool)
-	for _, d := range sortedKeys(h.downgradedLinks) {
-		if err := h.c.RestoreLink(d); err != nil {
-			h.logf("drain error: %v", err)
-		}
-	}
-	h.downgradedLinks = make(map[string]bool)
-	for _, host := range sortedKeys(h.brownedHosts) {
-		h.c.EndBrownout(host)
-	}
-	h.brownedHosts = make(map[string]bool)
 	h.netEvent()
+	slices.SortFunc(ids, func(a, b windowID) int { return strings.Compare(a.spanKey(), b.spanKey()) })
+	for _, id := range ids {
+		h.open[id].span.End(obs.L("status", "drained"))
+	}
+	clear(h.open)
 }
 
 // finalAudit is the strict end-of-run sweep: every acknowledged block must
@@ -1376,25 +1179,13 @@ func (h *harness) settleUntil(cond func() bool, budget time.Duration) bool {
 	return cond()
 }
 
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
+// sortedKeys snapshots a map's keys in cmp order, so what is done per key
+// never depends on the runtime's map iteration order.
+func sortedKeys[K comparable, V any](m map[K]V, cmp func(a, b K) int) []K {
+	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedPairs(m map[pairKey]bool) []pairKey {
-	out := make([]pairKey, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].a != out[j].a {
-			return out[i].a < out[j].a
-		}
-		return out[i].b < out[j].b
-	})
+	slices.SortFunc(out, cmp)
 	return out
 }

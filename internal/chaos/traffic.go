@@ -77,31 +77,23 @@ func runTraffic(o Options) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{Seed: o.Seed, Opts: o}
-	stamp := func() string {
-		now := c.Sched.Now()
-		day := now / (24 * time.Hour)
-		rem := now % (24 * time.Hour)
-		return fmt.Sprintf("[d%03d %02d:%02d:%02d]", day,
-			rem/time.Hour, (rem%time.Hour)/time.Minute, (rem%time.Minute)/time.Second)
-	}
-	logf := func(format string, a ...any) {
-		rep.Log = append(rep.Log, stamp()+" "+fmt.Sprintf(format, a...))
-	}
+	rl := &runLog{now: c.Sched.Now}
 	c.Settle(30 * time.Minute)
 	if c.ActiveMaster() == nil {
 		return nil, fmt.Errorf("chaos: no active master after boot settle")
 	}
-	eng := workload.NewTrafficEngine(c, topts, logf)
+	eng := workload.NewTrafficEngine(c, topts, rl.logf)
 	if err := eng.Setup(); err != nil {
 		return nil, err
 	}
 	rep.SLO = eng.Run()
 	if m := c.ActiveMaster(); m != nil {
 		if err := m.ValidateAllocations(); err != nil {
-			v := stamp() + " traffic: allocation invariant: " + err.Error()
-			rep.Violations = append(rep.Violations, v)
+			// Not violatef: a traffic run's violation has no log line.
+			rl.Violations = append(rl.Violations, rl.stamp()+" traffic: allocation invariant: "+err.Error())
 		}
 	}
-	logf("traffic run complete: %d violations", len(rep.Violations))
+	rl.logf("traffic run complete: %d violations", len(rl.Violations))
+	rep.Log, rep.Violations = rl.Log, rl.Violations
 	return rep, nil
 }

@@ -14,7 +14,7 @@ func TestDuplicatedMessagesStillSafe(t *testing.T) {
 	c := newCluster(t, 3, 21)
 	for i, a := range c.names {
 		for _, b := range c.names[i+1:] {
-			c.net.SetDupRate(a, b, 0.33)
+			c.net.SetMachineDupRate(a, b, 0.33)
 		}
 	}
 	c.settle(3 * time.Second)
@@ -43,8 +43,8 @@ func TestDuplicationPlusLossPlusCrash(t *testing.T) {
 	c := newCluster(t, 5, 22)
 	for i, a := range c.names {
 		for _, b := range c.names[i+1:] {
-			c.net.SetDupRate(a, b, 0.2)
-			c.net.SetLossRate(a, b, 0.1)
+			c.net.SetMachineDupRate(a, b, 0.2)
+			c.net.SetMachineLossRate(a, b, 0.1)
 		}
 	}
 	c.settle(3 * time.Second)
@@ -102,13 +102,12 @@ func TestCatchUpPagination(t *testing.T) {
 	c.checkPrefixAgreement(t)
 }
 
-// TestSlowLinkReordering: asymmetric latencies reorder messages between
-// replicas; agreement must hold and the slow replica must catch up.
+// TestSlowLinkReordering: unequal delays reorder messages between replicas;
+// agreement must hold and the slow replica must catch up.
 func TestSlowLinkReordering(t *testing.T) {
 	c := newCluster(t, 3, 23)
 	// m2 is far away: its messages arrive long after everyone else's.
-	c.net.SetLatency("m0", "m2", 80*time.Millisecond)
-	c.net.SetLatency("m1", "m2", 90*time.Millisecond)
+	c.net.SetMachineBrownout("m2", 80*time.Millisecond)
 	c.settle(3 * time.Second)
 	l := c.leader(t)
 	for i := 0; i < 10; i++ {

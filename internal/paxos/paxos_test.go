@@ -28,6 +28,7 @@ func newCluster(t *testing.T, n int, seed int64) *cluster {
 	}
 	for _, name := range c.names {
 		name := name
+		net.Colocate(name, name) // a machine of its own, named like the replica: faults attach to machines
 		c.nodes[name] = New(net, name, c.names, DefaultConfig(), func(slot int, cmd Command) {
 			c.logs[name] = append(c.logs[name], cmd)
 		})
@@ -207,7 +208,7 @@ func TestMinorityPartitionCannotChoose(t *testing.T) {
 	for _, a := range c.names {
 		for _, b := range c.names {
 			if inMinority[a] != inMinority[b] {
-				c.net.Cut(a, b)
+				c.net.CutMachines(a, b)
 			}
 		}
 	}
@@ -251,7 +252,7 @@ func TestMinorityPartitionCannotChoose(t *testing.T) {
 	// may be re-proposed or lost (it was never chosen) — but prefixes agree.
 	for _, a := range c.names {
 		for _, b := range c.names {
-			c.net.Heal(a, b)
+			c.net.HealMachines(a, b)
 		}
 	}
 	c.settle(5 * time.Second)
@@ -262,7 +263,7 @@ func TestLossyNetworkStillAgrees(t *testing.T) {
 	c := newCluster(t, 3, 7)
 	for i, a := range c.names {
 		for _, b := range c.names[i+1:] {
-			c.net.SetLossRate(a, b, 0.15)
+			c.net.SetMachineLossRate(a, b, 0.15)
 		}
 	}
 	c.settle(3 * time.Second)
@@ -372,9 +373,9 @@ func TestSafetySweep(t *testing.T) {
 					a, b := c.names[rng.Intn(5)], c.names[rng.Intn(5)]
 					if a != b {
 						if rng.Intn(2) == 0 {
-							c.net.Cut(a, b)
+							c.net.CutMachines(a, b)
 						} else {
-							c.net.Heal(a, b)
+							c.net.HealMachines(a, b)
 						}
 					}
 				}
@@ -390,7 +391,7 @@ func TestSafetySweep(t *testing.T) {
 			// Heal everything, resume everyone, converge.
 			for _, a := range c.names {
 				for _, b := range c.names {
-					c.net.Heal(a, b)
+					c.net.HealMachines(a, b)
 				}
 			}
 			for _, n := range c.nodes {

@@ -12,7 +12,7 @@ func TestColocatedNodesAreLoopback(t *testing.T) {
 	n := New(s)
 	n.Colocate("ep:h1", "h1")
 	n.Colocate("blk:h1", "h1")
-	n.SetLatency("ep:h1", "blk:h1", time.Second) // must be ignored
+	n.SetMachineBrownout("h1", time.Second) // must be ignored
 	var gotAt simtime.Time = -1
 	n.Node("blk:h1").Handle(func(m Message) { gotAt = s.Now() })
 	n.Node("ep:h1").Send("blk:h1", "io", 4<<20)
@@ -72,8 +72,9 @@ func TestColocatedIgnoresLossAndCut(t *testing.T) {
 	n := New(s)
 	n.Colocate("a", "h1")
 	n.Colocate("b", "h1")
-	n.SetLossRate("a", "b", 1.0)
-	n.Cut("a", "b")
+	// Even a fault record on the machine's own pair cannot touch loopback.
+	n.SetMachineLossRate("h1", "h1", 1.0)
+	n.CutMachines("h1", "h1")
 	got := 0
 	n.Node("b").Handle(func(m Message) { got++ })
 	n.Node("a").Send("b", "x", 0)
@@ -86,7 +87,8 @@ func TestColocatedIgnoresLossAndCut(t *testing.T) {
 func TestDupRateDeliversTwice(t *testing.T) {
 	s := simtime.NewScheduler(3)
 	n := New(s)
-	n.SetDupRate("a", "b", 1.0)
+	ownMachines(n, "a", "b")
+	n.SetMachineDupRate("mach-a", "mach-b", 1.0)
 	got := 0
 	n.Node("b").Handle(func(m Message) { got++ })
 	n.Node("a").Send("b", "x", 0)
@@ -104,5 +106,5 @@ func TestDupRateValidation(t *testing.T) {
 			t.Fatal("no panic for dup rate out of range")
 		}
 	}()
-	n.SetDupRate("a", "b", -0.5)
+	n.SetMachineDupRate("mach-a", "mach-b", -0.5)
 }

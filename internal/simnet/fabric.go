@@ -8,8 +8,9 @@
 // engine's declared lookahead, which is precisely the conservative-synchrony
 // contract the engine's Post check enforces on the receiving side.
 //
-// The Fabric deliberately supports only the fault surface the fleet uses
-// across deploy units: machine isolation (checked on the source side at send
+// Like a Network, a Fabric knows faults at one level, the machine, and it
+// deliberately supports only the fault surface the fleet uses across deploy
+// units: machine isolation (checked on the source side at send
 // and on the destination side at delivery) and pairwise machine cuts
 // (CutMachines/HealMachines, checked on the source side). Loss/dup dice,
 // one-way cuts, and brownouts remain partition-local — cross-unit traffic in
@@ -64,7 +65,7 @@ func NewFabric(engine *simtime.Engine) *Fabric {
 		machines:       make(map[string]string),
 		machCuts:       make(map[linkKey]bool),
 		crossLatency:   engine.Lookahead(),
-		crossBandwidth: 125e6,
+		crossBandwidth: linkBandwidth,
 	}
 }
 
@@ -72,10 +73,10 @@ func NewFabric(engine *simtime.Engine) *Fabric {
 func (f *Fabric) Engine() *simtime.Engine { return f.engine }
 
 // Network returns partition part's Network, creating it on the partition's
-// scheduler on first use. Options apply only at creation.
-func (f *Fabric) Network(part int, opts ...Option) *Network {
+// scheduler on first use.
+func (f *Fabric) Network(part int) *Network {
 	if f.nets[part] == nil {
-		n := New(f.engine.Part(part), opts...)
+		n := New(f.engine.Part(part))
 		n.fabric = f
 		n.part = part
 		f.nets[part] = n
@@ -149,8 +150,7 @@ func (f *Fabric) forward(src *Network, msg Message) bool {
 		return false
 	}
 	if ma := src.machines[msg.From]; ma != "" && src.isolatedMach[ma] {
-		src.stats.Dropped++
-		src.cDropped.Inc()
+		src.drop()
 		return true
 	}
 	if len(f.machCuts) > 0 {
@@ -160,8 +160,7 @@ func (f *Fabric) forward(src *Network, msg Message) bool {
 				ma, mb = mb, ma
 			}
 			if f.machCuts[linkKey{ma, mb}] {
-				src.stats.Dropped++
-				src.cDropped.Inc()
+				src.drop()
 				return true
 			}
 		}
@@ -183,19 +182,9 @@ func (f *Fabric) forward(src *Network, msg Message) bool {
 // of a local deliver.
 func (n *Network) deliverRemote(msg Message) {
 	dst, ok := n.nodes[msg.To]
-	if !ok {
-		n.stats.Dropped++
-		n.cDropped.Inc()
-		return
-	}
-	if mb := n.machines[msg.To]; mb != "" && n.isolatedMach[mb] {
-		n.stats.Dropped++
-		n.cDropped.Inc()
-		return
-	}
-	if !dst.up || dst.handler == nil {
-		n.stats.Dropped++
-		n.cDropped.Inc()
+	mb := n.machines[msg.To]
+	if !ok || (mb != "" && n.isolatedMach[mb]) || !dst.up || dst.handler == nil {
+		n.drop()
 		return
 	}
 	n.stats.Delivered++

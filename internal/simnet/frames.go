@@ -12,8 +12,8 @@ import "math/bits"
 // collector empties on its own schedule — what Get returns depends only on
 // the sequence of Get and Put calls, so a seeded run allocates the same bytes
 // every time. Each class keeps a bounded number of buffers; Put beyond the
-// bound, and any frame that never comes back (dropped, timed out, delivered
-// late), is left to the garbage collector.
+// bound, and any frame that never comes back (dropped in flight), is left to
+// the garbage collector.
 type FrameList struct {
 	classes [maxFrameShift - minFrameShift + 1][][]byte
 }

@@ -91,7 +91,8 @@ func TestDuplicateDeliveryOwnsItsBytes(t *testing.T) {
 	s, n := newNet(t)
 	rec := obs.NewRecorder()
 	n.SetRecorder(rec)
-	n.SetDupRate("a", "b", 1.0)
+	ownMachines(n, "a", "b")
+	n.SetMachineDupRate("mach-a", "mach-b", 1.0)
 	want := []byte("retransmitted frame")
 	var got [][]byte
 	n.Node("b").Handle(func(m Message) {

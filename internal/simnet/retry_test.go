@@ -21,8 +21,9 @@ func TestCallWithRetrySurvivesLostRequest(t *testing.T) {
 	})
 
 	// Drop the first request deterministically via a one-shot cut.
-	n.Cut("cli", "srv")
-	s.After(50*time.Millisecond, func() { n.Heal("cli", "srv") })
+	ownMachines(n, "cli", "srv")
+	n.CutMachines("mach-cli", "mach-srv")
+	s.After(50*time.Millisecond, func() { n.HealMachines("mach-cli", "mach-srv") })
 
 	var got any
 	var gerr error = errors.New("pending")
@@ -46,7 +47,8 @@ func TestCallWithRetryExhaustsAttempts(t *testing.T) {
 	n := New(s)
 	NewRPCNode(n, "srv") // no handler matters; link stays cut
 	cli := NewRPCNode(n, "cli")
-	n.Cut("cli", "srv")
+	ownMachines(n, "cli", "srv")
+	n.CutMachines("mach-cli", "mach-srv")
 
 	var gerr error
 	fired := 0
@@ -76,8 +78,9 @@ func TestRetryResendIsDeduplicatedNotReExecuted(t *testing.T) {
 	})
 
 	// Cut only srv->cli so the first reply dies in flight.
-	n.link("srv", "cli").cut = true
-	s.After(50*time.Millisecond, func() { n.link("srv", "cli").cut = false })
+	ownMachines(n, "cli", "srv")
+	n.CutMachinesOneWay("mach-srv", "mach-cli")
+	s.After(50*time.Millisecond, func() { n.HealMachinesOneWay("mach-srv", "mach-cli") })
 
 	var got any
 	var gerr error = errors.New("pending")
@@ -104,7 +107,8 @@ func TestRetryMaxElapsedBudget(t *testing.T) {
 	n := New(s)
 	NewRPCNode(n, "srv")
 	cli := NewRPCNode(n, "cli")
-	n.Cut("cli", "srv")
+	ownMachines(n, "cli", "srv")
+	n.CutMachines("mach-cli", "mach-srv")
 
 	var gerr error
 	fired := 0
@@ -135,7 +139,8 @@ func TestRetryCountersVisible(t *testing.T) {
 	n.SetRecorder(rec)
 	NewRPCNode(n, "srv")
 	cli := NewRPCNode(n, "cli")
-	n.Cut("cli", "srv")
+	ownMachines(n, "cli", "srv")
+	n.CutMachines("mach-cli", "mach-srv")
 
 	cli.CallWithRetry("srv", "nope", nil, 0,
 		RetryOpts{Attempts: 3, Timeout: 50 * time.Millisecond, Backoff: 10 * time.Millisecond},
@@ -161,7 +166,8 @@ func TestDupDeliveredRequestExecutesOnce(t *testing.T) {
 		calls++
 		return nil, nil
 	})
-	n.SetDupRate("cli", "srv", 1.0) // every request delivered twice
+	ownMachines(n, "cli", "srv")
+	n.SetMachineDupRate("mach-cli", "mach-srv", 1.0) // every request delivered twice
 
 	oks := 0
 	for i := 0; i < 10; i++ {
@@ -216,6 +222,7 @@ func TestIsolateMachineKeepsLoopback(t *testing.T) {
 	n.Colocate("a", "m1")
 	n.Colocate("a2", "m1")
 	n.Colocate("peer", "m2")
+	n.Colocate("other", "m3")
 
 	n.IsolateMachine("m1")
 	a.Send("a2", "x", 0)   // loopback survives
@@ -228,6 +235,12 @@ func TestIsolateMachineKeepsLoopback(t *testing.T) {
 	if peerGot != 0 {
 		t.Fatal("isolated machine reached a peer")
 	}
+	n.Node("other").Send("peer", "x", 0) // a pair that does not touch m1
+	s.Run()
+	if peerGot != 1 {
+		t.Fatal("isolating m1 cut an unrelated machine pair")
+	}
+	peerGot = 0
 
 	n.RejoinMachine("m1")
 	a.Send("peer", "x", 0)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ustore/internal/obs"
+	"ustore/internal/simtime"
 )
 
 // ErrTimeout is returned to an RPC callback when no reply arrives within the
@@ -69,11 +70,8 @@ const dedupWindow = 128
 
 type pendingCall struct {
 	done    func(result any, err error)
-	timeout *eventRef
+	timeout *simtime.Event // nil (Cancel is nil-safe): no deadline
 }
-
-// eventRef lets us cancel the timeout without importing simtime types here.
-type eventRef struct{ cancel func() }
 
 // NewRPCNode registers name on the network and installs the RPC dispatcher
 // as its message handler.
@@ -152,7 +150,7 @@ func (r *RPCNode) Call(to, method string, args any, size int, timeout time.Durat
 	pc := &pendingCall{done: done}
 	r.pending[id] = pc
 	if timeout > 0 {
-		ev := r.net.sched.After(timeout, func() {
+		pc.timeout = r.net.sched.After(timeout, func() {
 			if _, ok := r.pending[id]; !ok {
 				return
 			}
@@ -161,7 +159,6 @@ func (r *RPCNode) Call(to, method string, args any, size int, timeout time.Durat
 				done(nil, ErrTimeout)
 			}
 		})
-		pc.timeout = &eventRef{cancel: ev.Cancel}
 	}
 	r.node.Send(to, rpcRequest{ID: id, Method: method, Args: args}, size)
 }
@@ -230,7 +227,7 @@ func (r *RPCNode) CallWithRetry(to, method string, args any, size int, o RetryOp
 				obs.L("method", method), obs.L("to", to))
 		}
 		r.node.Send(to, req, size)
-		ev := r.net.sched.After(o.Timeout, func() {
+		pc.timeout = r.net.sched.After(o.Timeout, func() {
 			if _, ok := r.pending[id]; !ok {
 				return
 			}
@@ -247,7 +244,6 @@ func (r *RPCNode) CallWithRetry(to, method string, args any, size int, o RetryOp
 			wait := time.Duration(1 + r.net.sched.Rand().Int63n(int64(backoff)))
 			r.net.sched.After(wait, func() { attempt(n + 1) })
 		})
-		pc.timeout = &eventRef{cancel: ev.Cancel}
 	}
 	attempt(0)
 }
@@ -320,9 +316,7 @@ func (r *RPCNode) dispatch(msg Message) {
 			return // late reply after timeout; drop
 		}
 		delete(r.pending, p.ID)
-		if pc.timeout != nil {
-			pc.timeout.cancel()
-		}
+		pc.timeout.Cancel()
 		if pc.done == nil {
 			return
 		}

@@ -1,11 +1,22 @@
 // Package simnet provides a simulated message-passing network for UStore
 // components, built on the simtime discrete-event scheduler.
 //
-// A Network holds named Nodes. Messages sent between nodes are delivered as
-// scheduled events after a per-link latency (plus optional serialization time
-// derived from link bandwidth and message size). Links can be cut, delayed,
-// or made lossy to inject the failure modes the paper's failure-detection and
-// failover machinery must survive.
+// A Network holds named Nodes, each placed on a machine (Colocate). Messages
+// between nodes of one machine are loopback; every other message is delivered
+// as a scheduled event after the link latency plus serialization time (message
+// size over link bandwidth).
+//
+// Faults and delays live at one level, the machine — the unit that has an
+// uplink and a cable to lose. A non-local Send checks, in this order: either
+// machine isolated (IsolateMachine), a directed cut from the sender's machine
+// to the receiver's (CutMachinesOneWay), then the machine pair's link record —
+// cut (CutMachines), loss dice (SetMachineLossRate), duplication dice
+// (SetMachineDupRate) — and finally adds both machines' brownout penalties
+// (SetMachineBrownout) to the delay. The scheduler's RNG is drawn only when a
+// loss or duplication rate is positive, so a fault-free run consumes none.
+// One-way cuts stay a separate table because they are the one asymmetric
+// fault: a machine that can send but not hear is what wedges naive lease
+// protocols, and no symmetric pair record can express it.
 package simnet
 
 import (
@@ -58,21 +69,20 @@ func (n *Node) Send(to string, payload any, size int) {
 	n.net.Send(Message{From: n.name, To: to, Payload: payload, Size: size})
 }
 
-type linkKey struct{ from, to string }
+// Every non-loopback link is the same: a same-cluster datacenter hop (RTT ≈
+// 0.4 ms) into a 1GbE NIC, the paper's datacenter setting.
+const (
+	linkLatency   = 200 * time.Microsecond
+	linkBandwidth = 125e6 // bytes/sec
+)
 
-type linkState struct {
-	latency   time.Duration
-	bandwidth float64 // bytes/sec; 0 = infinite
-	lossRate  float64 // probability a message is dropped
-	dupRate   float64 // probability a message is delivered twice
-	cut       bool
-}
+type linkKey struct{ from, to string }
 
 // machLink is fault state between a pair of machines.
 type machLink struct {
 	cut      bool
-	lossRate float64
-	dupRate  float64
+	lossRate float64 // probability a message is dropped
+	dupRate  float64 // probability a message is delivered twice
 }
 
 // Stats aggregates network counters.
@@ -83,11 +93,10 @@ type Stats struct {
 	Bytes     uint64
 }
 
-// Network is a collection of nodes and directed links.
+// Network is a collection of nodes placed on machines.
 type Network struct {
 	sched *simtime.Scheduler
 	nodes map[string]*Node
-	links map[linkKey]*linkState
 	// machines maps node name -> physical machine. Two nodes on the same
 	// machine exchange messages locally: no latency, no bandwidth charge,
 	// no loss, and no contribution to network byte counters.
@@ -109,9 +118,6 @@ type Network struct {
 	// throttling, a noisy co-tenant). Applied to every non-loopback message
 	// into or out of the machine.
 	brownout map[string]time.Duration
-
-	defaultLatency   time.Duration
-	defaultBandwidth float64
 
 	stats Stats
 
@@ -208,40 +214,17 @@ func (n *Network) closePartition(key string) {
 	}
 }
 
-// Option configures a Network.
-type Option func(*Network)
-
-// WithLatency sets the default one-way latency for links without an explicit
-// override. The default is 200µs (same-cluster datacenter RTT ≈ 0.4ms).
-func WithLatency(d time.Duration) Option {
-	return func(n *Network) { n.defaultLatency = d }
-}
-
-// WithBandwidth sets the default link bandwidth in bytes/sec (0 = infinite).
-// The default models a 1GbE NIC (125e6 bytes/sec), matching the paper's
-// datacenter setting.
-func WithBandwidth(bytesPerSec float64) Option {
-	return func(n *Network) { n.defaultBandwidth = bytesPerSec }
-}
-
 // New creates an empty network on the given scheduler.
-func New(sched *simtime.Scheduler, opts ...Option) *Network {
-	n := &Network{
-		sched:            sched,
-		nodes:            make(map[string]*Node),
-		links:            make(map[linkKey]*linkState),
-		machines:         make(map[string]string),
-		machLinks:        make(map[linkKey]*machLink),
-		isolatedMach:     make(map[string]bool),
-		oneWayCuts:       make(map[linkKey]bool),
-		brownout:         make(map[string]time.Duration),
-		defaultLatency:   200 * time.Microsecond,
-		defaultBandwidth: 125e6,
+func New(sched *simtime.Scheduler) *Network {
+	return &Network{
+		sched:        sched,
+		nodes:        make(map[string]*Node),
+		machines:     make(map[string]string),
+		machLinks:    make(map[linkKey]*machLink),
+		isolatedMach: make(map[string]bool),
+		oneWayCuts:   make(map[linkKey]bool),
+		brownout:     make(map[string]time.Duration),
 	}
-	for _, o := range opts {
-		o(n)
-	}
-	return n
 }
 
 // Scheduler returns the scheduler the network runs on.
@@ -268,72 +251,6 @@ func (n *Network) Stats() Stats { return n.stats }
 
 // Frames returns the network's wire-frame free list.
 func (n *Network) Frames() *FrameList { return &n.frames }
-
-func (n *Network) link(from, to string) *linkState {
-	k := linkKey{from, to}
-	if l, ok := n.links[k]; ok {
-		return l
-	}
-	l := &linkState{latency: n.defaultLatency, bandwidth: n.defaultBandwidth}
-	n.links[k] = l
-	return l
-}
-
-// SetLatency overrides the one-way latency in both directions between a and b.
-func (n *Network) SetLatency(a, b string, d time.Duration) {
-	n.link(a, b).latency = d
-	n.link(b, a).latency = d
-}
-
-// SetLossRate sets the message drop probability in both directions.
-func (n *Network) SetLossRate(a, b string, p float64) {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("simnet: loss rate %v out of [0,1]", p))
-	}
-	n.link(a, b).lossRate = p
-	n.link(b, a).lossRate = p
-}
-
-// SetDupRate sets the probability that a message is delivered twice in
-// both directions (retransmission storms; consensus must be idempotent).
-func (n *Network) SetDupRate(a, b string, p float64) {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("simnet: dup rate %v out of [0,1]", p))
-	}
-	n.link(a, b).dupRate = p
-	n.link(b, a).dupRate = p
-}
-
-// Cut severs the link in both directions (a network partition between the
-// pair). Messages sent while cut are dropped.
-func (n *Network) Cut(a, b string) {
-	n.link(a, b).cut = true
-	n.link(b, a).cut = true
-}
-
-// Heal restores a cut link.
-func (n *Network) Heal(a, b string) {
-	n.link(a, b).cut = false
-	n.link(b, a).cut = false
-}
-
-// Isolate cuts every link touching name (both directions).
-func (n *Network) Isolate(name string) {
-	for other := range n.nodes {
-		if other != name {
-			n.Cut(name, other)
-		}
-	}
-}
-
-// Rejoin heals every link touching name.
-func (n *Network) Rejoin(name string) {
-	for other := range n.nodes {
-		if other != name {
-			n.Heal(name, other)
-		}
-	}
-}
 
 // Colocate places a node on a physical machine. Messages between nodes of
 // the same machine are loopback: zero latency and no network accounting
@@ -390,7 +307,7 @@ func (n *Network) HealMachines(a, b string) {
 }
 
 // SetMachineLossRate sets the drop probability for messages between two
-// machines (a flaky inter-rack cable), layered on top of per-node links.
+// machines (a flaky inter-rack cable).
 func (n *Network) SetMachineLossRate(a, b string, p float64) {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("simnet: machine loss rate %v out of [0,1]", p))
@@ -399,7 +316,7 @@ func (n *Network) SetMachineLossRate(a, b string, p float64) {
 }
 
 // SetMachineDupRate sets the duplicate-delivery probability between two
-// machines.
+// machines (retransmission storms; consensus must be idempotent).
 func (n *Network) SetMachineDupRate(a, b string, p float64) {
 	if p < 0 || p > 1 {
 		panic(fmt.Sprintf("simnet: machine dup rate %v out of [0,1]", p))
@@ -410,8 +327,8 @@ func (n *Network) SetMachineDupRate(a, b string, p float64) {
 // CutMachinesOneWay drops traffic from machine `from` to machine `to` while
 // leaving the reverse direction intact — an asymmetric partition. A host
 // behind such a cut can still push heartbeats out (or receive them) without
-// the return path working, which is exactly the failure mode symmetric
-// Cut/CutMachines can never produce.
+// the return path working, which is exactly the failure mode the symmetric
+// CutMachines can never produce.
 func (n *Network) CutMachinesOneWay(from, to string) {
 	n.oneWayCuts[linkKey{from, to}] = true
 	n.openPartition(from+">"+to, "one-way-partition")
@@ -471,10 +388,12 @@ func (n *Network) sameMachine(a, b string) bool {
 	return ma == n.machines[b]
 }
 
-// Send delivers msg after the link's latency plus serialization time. It is a
-// no-op (counted as a drop) if either endpoint is unknown or down, the link
-// is cut, or the loss dice say so. Local sends (same node or same machine)
-// are delivered with zero latency on the next event.
+// Send delivers msg after the link latency plus serialization time and any
+// brownout penalty. It is a no-op (counted as a drop) if either endpoint is
+// unknown or down, a machine-level fault severs the path (isolation, one-way
+// cut, cut — checked in that order), or the loss dice say so. Local sends
+// (same node or same machine) are delivered with zero latency on the next
+// event.
 func (n *Network) Send(msg Message) {
 	n.stats.Sent++
 	n.cSent.Inc()
@@ -482,11 +401,9 @@ func (n *Network) Send(msg Message) {
 	if !ok {
 		// Not local: a fabric-connected network tries the cross-partition
 		// path before counting the destination as unknown.
-		if n.fabric != nil && n.fabric.forward(n, msg) {
-			return
+		if n.fabric == nil || !n.fabric.forward(n, msg) {
+			n.drop()
 		}
-		n.stats.Dropped++
-		n.cDropped.Inc()
 		return
 	}
 	local := n.sameMachine(msg.From, msg.To)
@@ -494,48 +411,19 @@ func (n *Network) Send(msg Message) {
 	dup := false
 	if !local {
 		ma, mb := n.machines[msg.From], n.machines[msg.To]
-		if (ma != "" && n.isolatedMach[ma]) || (mb != "" && n.isolatedMach[mb]) {
-			n.stats.Dropped++
-			n.cDropped.Inc()
+		ml := n.lookupMachLink(ma, mb)
+		switch {
+		case ma != "" && n.isolatedMach[ma], mb != "" && n.isolatedMach[mb],
+			ma != "" && mb != "" && n.oneWayCuts[linkKey{ma, mb}],
+			ml != nil && ml.cut,
+			ml != nil && ml.lossRate > 0 && n.sched.Rand().Float64() < ml.lossRate:
+			n.drop()
 			return
 		}
-		if ma != "" && mb != "" && n.oneWayCuts[linkKey{ma, mb}] {
-			n.stats.Dropped++
-			n.cDropped.Inc()
-			return
-		}
-		if ml := n.lookupMachLink(ma, mb); ml != nil {
-			if ml.cut {
-				n.stats.Dropped++
-				n.cDropped.Inc()
-				return
-			}
-			if ml.lossRate > 0 && n.sched.Rand().Float64() < ml.lossRate {
-				n.stats.Dropped++
-				n.cDropped.Inc()
-				return
-			}
-			if ml.dupRate > 0 && n.sched.Rand().Float64() < ml.dupRate {
-				dup = true
-			}
-		}
-		l := n.link(msg.From, msg.To)
-		if l.cut {
-			n.stats.Dropped++
-			n.cDropped.Inc()
-			return
-		}
-		if l.lossRate > 0 && n.sched.Rand().Float64() < l.lossRate {
-			n.stats.Dropped++
-			n.cDropped.Inc()
-			return
-		}
-		if l.dupRate > 0 && n.sched.Rand().Float64() < l.dupRate {
-			dup = true
-		}
-		delay = l.latency
-		if l.bandwidth > 0 && msg.Size > 0 {
-			delay += time.Duration(float64(msg.Size) / l.bandwidth * float64(time.Second))
+		dup = ml != nil && ml.dupRate > 0 && n.sched.Rand().Float64() < ml.dupRate
+		delay = linkLatency
+		if msg.Size > 0 {
+			delay += time.Duration(float64(msg.Size) / linkBandwidth * float64(time.Second))
 		}
 		if ma != "" {
 			delay += n.brownout[ma]
@@ -559,14 +447,19 @@ func (n *Network) Send(msg Message) {
 	n.deliver(msg, dst, delay, local)
 }
 
+// drop counts a message that will never be delivered.
+func (n *Network) drop() {
+	n.stats.Dropped++
+	n.cDropped.Inc()
+}
+
 func (n *Network) deliver(msg Message, dst *Node, delay time.Duration, local bool) {
 	// FireAfter rather than After: the delivery event has no owner to cancel
 	// it, so the scheduler may pool it — deliveries are the hottest timer
 	// source in any simulation.
 	n.sched.FireAfter(delay, func() {
 		if !dst.up || dst.handler == nil {
-			n.stats.Dropped++
-			n.cDropped.Inc()
+			n.drop()
 			return
 		}
 		n.stats.Delivered++

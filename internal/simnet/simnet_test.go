@@ -15,9 +15,16 @@ func newNet(t *testing.T) (*simtime.Scheduler, *Network) {
 	return s, New(s)
 }
 
+// ownMachines places each node on a machine of its own ("mach-"+node):
+// faults and brownouts attach to machines.
+func ownMachines(n *Network, nodes ...string) {
+	for _, node := range nodes {
+		n.Colocate(node, "mach-"+node)
+	}
+}
+
 func TestDeliveryWithLatency(t *testing.T) {
 	s, n := newNet(t)
-	n.SetLatency("a", "b", 5*time.Millisecond)
 	var gotAt simtime.Time
 	var got Message
 	n.Node("b").Handle(func(m Message) { got = m; gotAt = s.Now() })
@@ -26,21 +33,20 @@ func TestDeliveryWithLatency(t *testing.T) {
 	if got.Payload != "hello" || got.From != "a" {
 		t.Fatalf("got %+v", got)
 	}
-	if gotAt != 5*time.Millisecond {
-		t.Fatalf("delivered at %v, want 5ms", gotAt)
+	if gotAt != linkLatency {
+		t.Fatalf("delivered at %v, want the %v link latency", gotAt, linkLatency)
 	}
 }
 
 func TestSerializationDelay(t *testing.T) {
 	s, n := newNet(t)
-	n.SetLatency("a", "b", 0)
-	// default bandwidth 125e6 B/s: 125e6 bytes take exactly 1s.
+	// 125e6 B/s: 125e6 bytes take exactly 1s on top of the link latency.
 	var gotAt simtime.Time
 	n.Node("b").Handle(func(m Message) { gotAt = s.Now() })
 	n.Node("a").Send("b", nil, 125_000_000)
 	s.Run()
-	if gotAt != time.Second {
-		t.Fatalf("delivered at %v, want 1s", gotAt)
+	if gotAt != linkLatency+time.Second {
+		t.Fatalf("delivered at %v, want %v", gotAt, linkLatency+time.Second)
 	}
 }
 
@@ -60,13 +66,14 @@ func TestCutAndHeal(t *testing.T) {
 	count := 0
 	n.Node("b").Handle(func(m Message) { count++ })
 	a := n.Node("a")
-	n.Cut("a", "b")
+	ownMachines(n, "a", "b")
+	n.CutMachines("mach-a", "mach-b")
 	a.Send("b", 1, 0)
 	s.Run()
 	if count != 0 {
 		t.Fatal("message crossed a cut link")
 	}
-	n.Heal("a", "b")
+	n.HealMachines("mach-a", "mach-b")
 	a.Send("b", 2, 0)
 	s.Run()
 	if count != 1 {
@@ -78,36 +85,13 @@ func TestCutAndHeal(t *testing.T) {
 	}
 }
 
-func TestIsolateRejoin(t *testing.T) {
-	s, n := newNet(t)
-	count := 0
-	for _, name := range []string{"a", "b", "c"} {
-		n.Node(name).Handle(func(m Message) { count++ })
-	}
-	n.Isolate("a")
-	n.Node("b").Send("a", 1, 0)
-	n.Node("a").Send("c", 1, 0)
-	n.Node("b").Send("c", 1, 0) // unaffected pair
-	s.Run()
-	if count != 1 {
-		t.Fatalf("count = %d, want only b->c delivered", count)
-	}
-	n.Rejoin("a")
-	n.Node("b").Send("a", 1, 0)
-	s.Run()
-	if count != 2 {
-		t.Fatal("rejoin did not restore connectivity")
-	}
-}
-
 func TestDownNodeDropsInFlight(t *testing.T) {
 	s, n := newNet(t)
 	count := 0
 	b := n.Node("b")
 	b.Handle(func(m Message) { count++ })
-	n.SetLatency("a", "b", 10*time.Millisecond)
 	n.Node("a").Send("b", 1, 0)
-	s.After(5*time.Millisecond, func() { b.SetDown(true) })
+	s.After(linkLatency/2, func() { b.SetDown(true) })
 	s.Run()
 	if count != 0 {
 		t.Fatal("down node received an in-flight message")
@@ -126,7 +110,8 @@ func TestDownNodeDropsInFlight(t *testing.T) {
 func TestLossRate(t *testing.T) {
 	s := simtime.NewScheduler(99)
 	n := New(s)
-	n.SetLossRate("a", "b", 0.5)
+	ownMachines(n, "a", "b")
+	n.SetMachineLossRate("mach-a", "mach-b", 0.5)
 	got := 0
 	n.Node("b").Handle(func(m Message) { got++ })
 	a := n.Node("a")
@@ -147,7 +132,7 @@ func TestLossRateValidation(t *testing.T) {
 			t.Fatal("no panic for loss rate > 1")
 		}
 	}()
-	n.SetLossRate("a", "b", 1.5)
+	n.SetMachineLossRate("mach-a", "mach-b", 1.5)
 }
 
 func TestUnknownDestinationDropped(t *testing.T) {
@@ -210,7 +195,8 @@ func TestRPCTimeoutOnCutLink(t *testing.T) {
 	srv := NewRPCNode(n, "server")
 	srv.Register("ping", func(from string, args any) (any, error) { return "pong", nil })
 	cli := NewRPCNode(n, "client")
-	n.Cut("client", "server")
+	ownMachines(n, "client", "server")
+	n.CutMachines("mach-client", "mach-server")
 	var callErr error
 	fired := 0
 	cli.Call("server", "ping", nil, 0, 100*time.Millisecond, func(r any, err error) {
@@ -231,7 +217,8 @@ func TestRPCLateReplyAfterTimeoutIsDropped(t *testing.T) {
 	srv := NewRPCNode(n, "server")
 	srv.Register("slow", func(from string, args any) (any, error) { return "late", nil })
 	cli := NewRPCNode(n, "client")
-	n.SetLatency("client", "server", 200*time.Millisecond) // RTT 400ms > 100ms timeout
+	ownMachines(n, "client", "server")
+	n.SetMachineBrownout("mach-server", 200*time.Millisecond) // RTT > 400ms > 100ms timeout
 	fired := 0
 	var firstErr error
 	cli.Call("server", "slow", nil, 0, 100*time.Millisecond, func(r any, err error) {
