@@ -85,7 +85,7 @@ var aliases = map[string]alias{
 	"units":            {path: "fleet.units", usage: "deploy units (64 disks each at defaults)"},
 	"shards":           {path: "fleet.shards", usage: "metadata shards"},
 	"unit-loss":        {path: "fleet.unit_loss", bare: true, usage: "kill unit u000 after the load phase and require the repair schedulers to drain it"},
-	"engine-workers":   {path: "fleet.engine_workers", usage: "goroutines executing each engine window (0 = one per CPU, capped at the partition count; results are byte-identical at any count)"},
+	"engine-workers":   {path: "fleet.engine_workers", usage: "most goroutines executing one engine window (0 = one per CPU; results are byte-identical at any count)"},
 	"crashes":          {path: "fleet.crashes", usage: "shard-replica crash/restart cycles in the fault schedule"},
 	"partitions":       {path: "fleet.partitions", usage: "inter-unit partition (or leader-isolation) windows in the fault schedule"},
 	"moves":            {path: "fleet.slot_moves", usage: "schedule-driven slot migrations; the first is straddled by a source-leader crash (needs -shards >= 2)"},

@@ -37,7 +37,7 @@ func main() {
 	shards := flag.Int("shards", 2, "fleet scenario: metadata shards")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	scenario := flag.String("scenario", "crash", "scenario: crash | switch | powersave | fleet")
-	engWorkers := flag.Int("engine-workers", 0, "fleet scenario: goroutines executing each engine window (0 = one per CPU, capped at the partition count; output is byte-identical at any count)")
+	engWorkers := flag.Int("engine-workers", 0, "fleet scenario: most goroutines executing one engine window (0 = one per CPU; output is byte-identical at any count)")
 	stats := flag.Bool("stats", false, "print an end-of-run table of all collected metrics")
 	flag.Parse()
 

@@ -35,10 +35,12 @@ func engineFleetRun(t *testing.T, units, shards, workers int) (*FleetReport, str
 }
 
 // TestFleetEngineByteDeterminism is the engine's contract: the same seed
-// produces byte-identical logs, summaries, metrics JSON, trace JSON, and
-// event counts at every worker count, including 0 (derived from the host's
-// GOMAXPROCS). Worker count only sizes the goroutine pool that executes
-// each synchronization window; it never moves a window boundary.
+// produces byte-identical logs, summaries (engine counters included),
+// metrics JSON, trace JSON, and event counts at every worker count,
+// including 0 (derived from the host's GOMAXPROCS). Worker count only caps
+// the goroutines that execute a synchronization window; it never moves a
+// window boundary. At 2 and 8 workers some windows must have fanned out, so
+// -race covers the worker path whichever mode this host prefers.
 func TestFleetEngineByteDeterminism(t *testing.T) {
 	units, shards := 8, 2
 	if !testing.Short() {
@@ -47,6 +49,9 @@ func TestFleetEngineByteDeterminism(t *testing.T) {
 	base, bm, bt := engineFleetRun(t, units, shards, 1)
 	if len(base.Violations) != 0 {
 		t.Fatalf("violations at workers=1:\n%s", strings.Join(base.Violations, "\n"))
+	}
+	if base.Engine.Windows == 0 || base.Engine.FannedOut != 0 {
+		t.Fatalf("workers=1 engine stats %+v: want windows, none fanned out", base.Engine)
 	}
 	for _, workers := range []int{0, 2, 8} {
 		rep, m, tr := engineFleetRun(t, units, shards, workers)
@@ -60,6 +65,9 @@ func TestFleetEngineByteDeterminism(t *testing.T) {
 		}
 		if rep.Events != base.Events {
 			t.Fatalf("workers=%d: event count %d != %d", workers, rep.Events, base.Events)
+		}
+		if workers >= 2 && rep.Engine.FannedOut == 0 {
+			t.Fatalf("workers=%d: no engine window fanned out", workers)
 		}
 		if m != bm {
 			t.Fatalf("workers=%d: metrics JSON diverges from workers=1", workers)

@@ -17,6 +17,7 @@ import (
 	"ustore/internal/fleet"
 	"ustore/internal/model"
 	"ustore/internal/obs"
+	"ustore/internal/simtime"
 )
 
 // FleetOptions parameterizes a fleet-scale chaos run.
@@ -67,9 +68,9 @@ type FleetOptions struct {
 	DrainTimeout time.Duration
 	// Recorder, when non-nil, collects metrics and traces from the run.
 	Recorder *obs.Recorder `json:"-"`
-	// EngineWorkers sizes the pool that executes the fleet engine's windows
-	// (see fleet.Config.EngineWorkers; 0 derives it from GOMAXPROCS).
-	// Reports are byte-identical at any value.
+	// EngineWorkers caps the goroutines that execute one fleet engine
+	// window (see fleet.Config.EngineWorkers; 0 derives it from
+	// GOMAXPROCS). Reports are byte-identical at any value.
 	EngineWorkers int
 }
 
@@ -120,6 +121,9 @@ type FleetReport struct {
 	Resolvable int           // volumes a fresh router resolved post-run
 	MapEpoch   int64         // final authoritative shard-map epoch
 	Events     uint64        // scheduler events fired (determinism witness)
+	// Engine is the engine's synchronization work; every field but the
+	// host-dependent FannedOut is printed and byte-stable.
+	Engine simtime.EngineStats
 
 	// Fault-phase outcomes (fault-schedule runs only).
 	FaultsApplied int // schedule entries executed
@@ -145,6 +149,8 @@ func (r *FleetReport) SummaryText() string {
 			r.FaultsApplied, r.Unavailable, r.Redriven)
 	}
 	fmt.Fprintf(&b, "  map      epoch %d; %d events fired\n", r.MapEpoch, r.Events)
+	fmt.Fprintf(&b, "  engine   %d windows, %d partition visits, %d cross-partition messages, max inbox %d\n",
+		r.Engine.Windows, r.Engine.Visits, r.Engine.Messages, r.Engine.MaxInbox)
 	writeInvariants(&b, r.Violations)
 	return b.String()
 }
@@ -317,6 +323,7 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 
 	rep.MapEpoch = f.AuthMap().Epoch
 	rep.Events = f.EventsFired()
+	rep.Engine = f.Engine.Stats()
 	rl.logf("fleet run complete: %d violations", len(rl.Violations))
 	rep.Log, rep.Violations = rl.Log, rl.Violations
 	f.FinishObs()

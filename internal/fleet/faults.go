@@ -118,9 +118,6 @@ func (f *Fleet) RejoinUnit(u int) {
 // ReplicaUnit returns the deploy unit replica i of shard k runs on.
 func (f *Fleet) ReplicaUnit(k, i int) int { return f.Cfg.replicaUnit(k, i) }
 
-// ReplicaDown reports whether replica i of shard k is currently crashed.
-func (f *Fleet) ReplicaDown(k, i int) bool { return f.Shards[k][i].down }
-
 // PendingMoves returns the slot migrations started but not yet completed
 // (slot -> destination shard), sorted by slot.
 func (f *Fleet) PendingMoves() [][2]int {

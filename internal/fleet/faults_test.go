@@ -34,7 +34,7 @@ func TestCrashRestartReelection(t *testing.T) {
 		t.Fatal("shard 0 leaderless after boot")
 	}
 	f.CrashReplica(0, old)
-	if !f.ReplicaDown(0, old) {
+	if !f.Shards[0][old].down {
 		t.Fatal("crashed replica not marked down")
 	}
 	// Session TTL (10s) + election; give it a comfortable margin.
@@ -49,7 +49,7 @@ func TestCrashRestartReelection(t *testing.T) {
 	mustAlloc(t, f, r, "vol-0002")
 
 	f.RestartReplica(0, old)
-	if f.ReplicaDown(0, old) {
+	if f.Shards[0][old].down {
 		t.Fatal("restarted replica still marked down")
 	}
 	f.Settle(45 * time.Second)

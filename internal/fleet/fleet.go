@@ -22,8 +22,8 @@
 // component reads another partition's state mid-run: the admin plane and
 // shard masters discover a foreign shard's leader the way clients do, by
 // calling the believed replica and rotating on failure. Worker count
-// (Config.EngineWorkers) only sizes the pool that executes a window, so a
-// run with the same seed is byte-identical at any count and any -test.cpu.
+// (Config.EngineWorkers) only caps the goroutines that execute a window, so
+// a run with the same seed is byte-identical at any count and any -test.cpu.
 package fleet
 
 import (
@@ -114,9 +114,11 @@ type Config struct {
 	Recorder *obs.Recorder
 
 	// EngineWorkers caps the goroutines that execute one engine window
-	// (1 = inline, no goroutines; never more than one per partition).
-	// 0 derives it: runtime.GOMAXPROCS(0). It sizes the pool and nothing
-	// else — a run is byte-identical at any value.
+	// (1 = inline, no goroutines; never more than one per active
+	// partition); within the cap the engine runs each window inline or
+	// fanned out, whichever it has measured to be cheaper. 0 derives the
+	// cap: runtime.GOMAXPROCS(0). It is a cap and nothing else — a run is
+	// byte-identical at any value.
 	EngineWorkers int
 }
 
@@ -438,16 +440,6 @@ func (f *Fleet) KillUnit(unitID string) {
 	if f.rec != nil {
 		f.rec.Instant("fleet", "unit-killed", "fleet", obs.L("unit", unitID))
 	}
-}
-
-// DeadUnits returns the killed units, sorted.
-func (f *Fleet) DeadUnits() []string {
-	out := make([]string, 0, len(f.deadUnits))
-	for u := range f.deadUnits {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // FailDisk injects a single-disk failure: the unit's agent reports it dead

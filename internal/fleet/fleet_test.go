@@ -122,9 +122,6 @@ func TestShardMapBasics(t *testing.T) {
 	if m.Slots[0] == 3 || m.Epoch == 9 {
 		t.Fatal("Clone shares state with original")
 	}
-	if len(m.SlotsOwnedBy(1)) != NumSlots/4 {
-		t.Fatalf("SlotsOwnedBy(1) = %d slots", len(m.SlotsOwnedBy(1)))
-	}
 }
 
 func TestPersistenceRoundTrip(t *testing.T) {

@@ -58,17 +58,6 @@ func (m *ShardMap) ShardOf(volumeID string) int {
 	return m.Slots[SlotOf(volumeID)]
 }
 
-// SlotsOwnedBy returns the slots shard k owns, ascending.
-func (m *ShardMap) SlotsOwnedBy(k int) []int {
-	var out []int
-	for s, owner := range m.Slots {
-		if owner == k {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // String renders a short diagnostic form.
 func (m *ShardMap) String() string {
 	return fmt.Sprintf("shardmap{epoch=%d shards=%d}", m.Epoch, len(m.Replicas))

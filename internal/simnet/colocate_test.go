@@ -40,8 +40,8 @@ func TestDifferentMachinesUseNetwork(t *testing.T) {
 	if n.Stats().Bytes != 1000 {
 		t.Fatalf("bytes = %d", n.Stats().Bytes)
 	}
-	if n.Machine("a") != "h1" || n.Machine("unassigned") != "" {
-		t.Fatalf("Machine() wrong: %q %q", n.Machine("a"), n.Machine("unassigned"))
+	if n.machines["a"] != "h1" || n.machines["unassigned"] != "" {
+		t.Fatalf("machines wrong: %q %q", n.machines["a"], n.machines["unassigned"])
 	}
 }
 

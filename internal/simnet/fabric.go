@@ -3,10 +3,10 @@
 // A Fabric stitches per-partition Networks — each running on one partition of
 // a simtime.Engine — into a single address space. Sends whose destination is
 // registered on another partition are forwarded through Engine.Post, stamped
-// at send-time + cross-partition latency. That latency is the engine's
-// lookahead source: the Fabric refuses (panics) any cross latency below the
-// engine's declared lookahead, which is precisely the conservative-synchrony
-// contract the engine's Post check enforces on the receiving side.
+// at send-time + the engine's lookahead + serialization at the link
+// bandwidth. Every cross-partition hop is therefore at least one lookahead
+// long by construction — the conservative-synchrony contract the engine's
+// Post check enforces on the receiving side.
 //
 // Like a Network, a Fabric knows faults at one level, the machine, and it
 // deliberately supports only the fault surface the fleet uses across deploy
@@ -22,7 +22,6 @@
 package simnet
 
 import (
-	"fmt"
 	"time"
 
 	"ustore/internal/simtime"
@@ -48,29 +47,18 @@ type Fabric struct {
 	// machCuts holds severed machine pairs (keys normalized a<b). Mutated
 	// only at engine quiescence via CutMachines/HealMachines.
 	machCuts map[linkKey]bool
-
-	crossLatency   time.Duration
-	crossBandwidth float64 // bytes/sec; 0 = infinite
 }
 
-// NewFabric returns a fabric over the engine's partitions. The cross latency
-// starts at the engine's lookahead (the minimum legal value) and the cross
-// bandwidth at the 1GbE default; adjust with SetCrossLatency/SetCrossBandwidth
-// before traffic flows.
+// NewFabric returns a fabric over the engine's partitions.
 func NewFabric(engine *simtime.Engine) *Fabric {
 	return &Fabric{
-		engine:         engine,
-		nets:           make([]*Network, engine.Parts()),
-		dir:            make(map[string]int),
-		machines:       make(map[string]string),
-		machCuts:       make(map[linkKey]bool),
-		crossLatency:   engine.Lookahead(),
-		crossBandwidth: linkBandwidth,
+		engine:   engine,
+		nets:     make([]*Network, engine.Parts()),
+		dir:      make(map[string]int),
+		machines: make(map[string]string),
+		machCuts: make(map[linkKey]bool),
 	}
 }
-
-// Engine returns the engine the fabric routes over.
-func (f *Fabric) Engine() *simtime.Engine { return f.engine }
 
 // Network returns partition part's Network, creating it on the partition's
 // scheduler on first use.
@@ -82,32 +70,6 @@ func (f *Fabric) Network(part int) *Network {
 		f.nets[part] = n
 	}
 	return f.nets[part]
-}
-
-// SetCrossLatency sets the one-way latency for every cross-partition message.
-// It panics when d is below the engine's lookahead: a shorter link would let
-// a message land inside the window that sent it, in the destination's past.
-func (f *Fabric) SetCrossLatency(d time.Duration) {
-	if d < f.engine.Lookahead() {
-		panic(fmt.Sprintf(
-			"simnet: cross-partition latency %v below engine lookahead %v — conservative sync needs every cross-unit link to be at least one lookahead long",
-			d, f.engine.Lookahead()))
-	}
-	f.crossLatency = d
-}
-
-// CrossLatency returns the current cross-partition link latency.
-func (f *Fabric) CrossLatency() time.Duration { return f.crossLatency }
-
-// SetCrossBandwidth sets the cross-partition link bandwidth in bytes/sec
-// (0 = infinite). Serialization delay adds to the latency, so it can never
-// push a delivery below the lookahead.
-func (f *Fabric) SetCrossBandwidth(bytesPerSec float64) { f.crossBandwidth = bytesPerSec }
-
-// PartitionOf returns the partition a node name is registered on.
-func (f *Fabric) PartitionOf(node string) (int, bool) {
-	p, ok := f.dir[node]
-	return p, ok
 }
 
 // register records a node's home partition; called from Network.Node.
@@ -165,9 +127,9 @@ func (f *Fabric) forward(src *Network, msg Message) bool {
 			}
 		}
 	}
-	delay := f.crossLatency
-	if f.crossBandwidth > 0 && msg.Size > 0 {
-		delay += time.Duration(float64(msg.Size) / f.crossBandwidth * float64(time.Second))
+	delay := f.engine.Lookahead()
+	if msg.Size > 0 {
+		delay += time.Duration(float64(msg.Size) / linkBandwidth * float64(time.Second))
 	}
 	dst := f.nets[dstPart]
 	f.engine.Post(src.part, dstPart, src.sched.Now()+delay, func() {

@@ -352,9 +352,6 @@ func (n *Network) SetMachineBrownout(machine string, extra time.Duration) {
 	n.brownout[machine] = extra
 }
 
-// MachineBrownout returns the machine's current brownout penalty.
-func (n *Network) MachineBrownout(machine string) time.Duration { return n.brownout[machine] }
-
 // IsolateMachine unplugs a machine's uplink: all messages to or from any
 // node on it are dropped. Loopback traffic between its own nodes still
 // flows, so colocated processes (a master and its coord replica) keep
@@ -372,9 +369,6 @@ func (n *Network) RejoinMachine(machine string) {
 
 // MachineIsolated reports whether the machine's uplink is unplugged.
 func (n *Network) MachineIsolated(machine string) bool { return n.isolatedMach[machine] }
-
-// Machine returns the machine a node is placed on ("" if unassigned).
-func (n *Network) Machine(node string) string { return n.machines[node] }
 
 // sameMachine reports whether two nodes are loopback-local.
 func (n *Network) sameMachine(a, b string) bool {

@@ -3,11 +3,12 @@
 // An Engine partitions the event space into independent Schedulers and runs
 // them in lock-step windows. The synchronization protocol is the classic
 // conservative (LBTS + lookahead) scheme: between windows the driver computes
-// LBTS, the minimum next-event time across every partition, and then lets all
-// partitions advance in parallel to horizon = LBTS + lookahead. Lookahead is
-// the minimum virtual latency of any cross-partition interaction, so a
-// message sent during a window — stamped at send-time + link latency — can
-// never land before the horizon, i.e. never in any partition's past:
+// LBTS, the minimum next-event time across every partition, and then lets the
+// partitions with an event at or before horizon = LBTS + lookahead advance to
+// it. Lookahead is the minimum virtual latency of any cross-partition
+// interaction, so a message sent during a window — stamped at send-time +
+// link latency — can never land before the horizon, i.e. never in any
+// partition's past:
 //
 //	every event executed in the window has time t ≥ LBTS, so its sends are
 //	stamped ≥ t + lookahead ≥ LBTS + lookahead = horizon.
@@ -18,15 +19,19 @@
 // sequence). Because the window boundaries are a pure function of event
 // timestamps and the flush order is a pure function of message content, a
 // run's event interleaving — and therefore its output — is byte-identical at
-// any worker count, including the inline workers=1 path.
+// any worker count, and whether a window runs inline or on worker goroutines
+// (chosen per window from measured wall cost) cannot reach it either.
 package simtime
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // xmsg is a cross-partition event waiting in a destination inbox.
@@ -37,6 +42,10 @@ type xmsg struct {
 	fn  func()
 }
 
+func compareXmsg(a, b xmsg) int {
+	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
+}
+
 // partInbox collects events posted to one partition during a window. The
 // mutex makes concurrent Posts from different source partitions safe; the
 // (at, src, seq) sort at flush time makes their order deterministic.
@@ -45,21 +54,49 @@ type partInbox struct {
 	msgs []xmsg
 }
 
+// EngineStats counts an engine's synchronization work since NewEngine. Every
+// field but FannedOut is a pure function of the event stream, byte-identical
+// at any worker count.
+type EngineStats struct {
+	Windows  uint64 // synchronization windows executed
+	Visits   uint64 // partitions run inside windows, summed over windows
+	Messages uint64 // cross-partition messages flushed from inboxes
+	MaxInbox int    // largest single inbox at one flush
+	// FannedOut counts windows run on worker goroutines: host-dependent, so
+	// no report prints it.
+	FannedOut uint64
+}
+
+// Fan-out tuning: a window of two or more active partitions runs in the mode
+// with the lower moving-average wall cost per fired event in its size class
+// (active partitions, by power of two); every probeEvery-th window of a class
+// tries the other mode. A sample counts at most twice the average it updates,
+// so a window stalled by a GC pause cannot flip the choice for long.
+const (
+	probeEvery = 32
+	costWeight = 8 // each sample moves a moving average by 1/costWeight
+)
+
 // Engine drives a set of partitioned Schedulers through conservative
 // synchronization windows. Construct with NewEngine; the zero value is not
 // usable.
 //
 // The Engine itself must be driven from a single goroutine. During a window
-// each partition's Scheduler is touched by exactly one worker goroutine, and
-// Post may be called from any partition currently executing a window.
+// each partition's Scheduler is touched by exactly one goroutine, and Post
+// may be called from any partition currently executing a window.
 type Engine struct {
 	parts     []*Scheduler
 	inbox     []partInbox
 	srcSeq    []uint64 // per-source Post counter; owned by the source's executor
+	next      []Time   // per-partition next live deadline, recorded by lbts
+	active    []int    // partitions with an event at or before the horizon
 	lookahead Duration
 	workers   int
 	now       Time
 	horizon   Time // current window's upper edge, for the Post safety check
+	stats     EngineStats
+	cost      [8][2]float64 // per size class: ns per fired event inline, fanned out; 0 = unmeasured
+	probe     [8]int        // per size class: windows since the other mode last ran
 }
 
 // NewEngine returns an engine with parts partitioned Schedulers. Partition p
@@ -67,7 +104,7 @@ type Engine struct {
 // reproduces the single-scheduler stream for the same seed. lookahead must be
 // positive: it is the minimum virtual delay of any cross-partition event and
 // bounds how far a window may advance past LBTS. workers caps the goroutines
-// used per window; values below 2 select the inline (no goroutine) path.
+// that may execute one window; below 2 every window runs inline.
 func NewEngine(seed int64, parts, workers int, lookahead Duration) *Engine {
 	if parts < 1 {
 		panic(fmt.Sprintf("simtime: engine needs at least 1 partition, got %d", parts))
@@ -79,6 +116,7 @@ func NewEngine(seed int64, parts, workers int, lookahead Duration) *Engine {
 		parts:     make([]*Scheduler, parts),
 		inbox:     make([]partInbox, parts),
 		srcSeq:    make([]uint64, parts),
+		next:      make([]Time, parts),
 		lookahead: lookahead,
 		workers:   workers,
 	}
@@ -98,24 +136,18 @@ func (e *Engine) Parts() int { return len(e.parts) }
 // Lookahead returns the engine's synchronization lookahead.
 func (e *Engine) Lookahead() Duration { return e.lookahead }
 
-// Now returns the engine's virtual time: the deadline the last RunUntil
+// Now returns the engine's virtual time: the latest deadline a RunUntil
 // advanced every partition to.
 func (e *Engine) Now() Time { return e.now }
+
+// Stats returns the engine's synchronization counters.
+func (e *Engine) Stats() EngineStats { return e.stats }
 
 // Fired returns the total events executed across all partitions.
 func (e *Engine) Fired() uint64 {
 	var n uint64
 	for _, p := range e.parts {
 		n += p.Fired()
-	}
-	return n
-}
-
-// Pending returns the total live events queued across all partitions.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, p := range e.parts {
-		n += p.Pending()
 	}
 	return n
 }
@@ -140,81 +172,122 @@ func (e *Engine) Post(src, dst int, at Time, fn func()) {
 
 // flushInboxes drains every partition inbox into its scheduler. Messages are
 // sorted by (at, src, seq) first, so the arrival order — and the scheduler
-// sequence numbers they receive — is independent of worker interleaving.
+// sequence numbers they receive — is independent of worker interleaving. It
+// runs at quiescence, so it needs no lock and keeps each inbox's array.
 func (e *Engine) flushInboxes() {
-	for i := range e.parts {
-		ib := &e.inbox[i]
-		ib.mu.Lock()
-		msgs := ib.msgs
-		ib.msgs = nil
-		ib.mu.Unlock()
+	for i := range e.inbox {
+		msgs := e.inbox[i].msgs
 		if len(msgs) == 0 {
 			continue
 		}
-		sort.Slice(msgs, func(a, b int) bool {
-			if msgs[a].at != msgs[b].at {
-				return msgs[a].at < msgs[b].at
-			}
-			if msgs[a].src != msgs[b].src {
-				return msgs[a].src < msgs[b].src
-			}
-			return msgs[a].seq < msgs[b].seq
-		})
-		for _, m := range msgs {
-			e.parts[i].FireAt(m.at, m.fn)
+		slices.SortFunc(msgs, compareXmsg)
+		for j := range msgs {
+			e.parts[i].FireAt(msgs[j].at, msgs[j].fn)
+			msgs[j].fn = nil
 		}
+		e.stats.Messages += uint64(len(msgs))
+		e.stats.MaxInbox = max(e.stats.MaxInbox, len(msgs))
+		e.inbox[i].msgs = msgs[:0]
 	}
 }
 
-// lbts returns the lower bound on time stamp: the earliest live event
-// deadline across all partitions. ok is false when every partition is idle.
+// lbts records every partition's next live deadline (MaxInt64 when idle) and
+// returns the lower bound on time stamp, their minimum. ok is false when
+// every partition is idle.
 func (e *Engine) lbts() (Time, bool) {
 	earliest := Time(math.MaxInt64)
-	any := false
-	for _, p := range e.parts {
-		if at, ok := p.NextEventAt(); ok && at < earliest {
-			earliest = at
-			any = true
+	for i, p := range e.parts {
+		e.next[i] = math.MaxInt64
+		if at, ok := p.NextEventAt(); ok {
+			e.next[i] = at
 		}
+		earliest = min(earliest, e.next[i])
 	}
-	return earliest, any
+	return earliest, earliest != math.MaxInt64
 }
 
-// window advances every partition to horizon, in parallel when the engine has
-// workers to spare. Partition order within a window is irrelevant: partitions
-// interact only through inboxes, which are flushed between windows.
+// window advances the partitions with an event at or before horizon to it.
+// Partition order within a window is irrelevant: partitions interact only
+// through inboxes, which are flushed between windows.
 func (e *Engine) window(horizon Time) {
 	e.horizon = horizon
-	if e.workers <= 1 || len(e.parts) == 1 {
-		for _, p := range e.parts {
-			p.RunUntil(horizon)
+	e.active = e.active[:0]
+	for p, at := range e.next {
+		if at <= horizon {
+			e.active = append(e.active, p)
 		}
+	}
+	e.stats.Windows++
+	e.stats.Visits += uint64(len(e.active))
+	if len(e.active) < 2 || e.workers < 2 {
+		e.runInline(horizon)
 		return
 	}
-	n := e.workers
-	if n > len(e.parts) {
-		n = len(e.parts)
+	// Fan out until that mode has a measurement, then run whichever mode is
+	// cheaper per event, and the other one every probeEvery-th window.
+	class := min(bits.Len(uint(len(e.active)-1)), len(e.cost)-1)
+	cost := &e.cost[class]
+	fan := cost[1] == 0 || (cost[0] != 0 && cost[1] < cost[0])
+	if e.probe[class]++; e.probe[class] == probeEvery {
+		fan, e.probe[class] = !fan, 0
 	}
-	var next atomic.Int64
+	fired := e.firedActive()
+	start := time.Now()
+	avg := &cost[0]
+	if fan {
+		avg = &cost[1]
+		e.fanOut(horizon)
+	} else {
+		e.runInline(horizon)
+	}
+	if n := e.firedActive() - fired; n > 0 {
+		sample := float64(time.Since(start)) / float64(n)
+		if *avg == 0 {
+			*avg = sample
+		}
+		*avg += (min(sample, 2**avg) - *avg) / costWeight
+	}
+}
+
+func (e *Engine) runInline(horizon Time) {
+	for _, p := range e.active {
+		e.parts[p].RunUntil(horizon)
+	}
+}
+
+// fanOut runs the window's active partitions on up to workers goroutines,
+// the calling goroutine among them, each taking the next partition nobody
+// has taken.
+func (e *Engine) fanOut(horizon Time) {
+	e.stats.FannedOut++
+	var taken atomic.Int64
+	share := func() {
+		for i := int(taken.Add(1)) - 1; i < len(e.active); i = int(taken.Add(1)) - 1 {
+			e.parts[e.active[i]].RunUntil(horizon)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(n)
-	for w := 0; w < n; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(e.parts) {
-					return
-				}
-				e.parts[i].RunUntil(horizon)
-			}
-		}()
+	for w := 1; w < min(e.workers, len(e.active)); w++ {
+		wg.Add(1)
+		go func() { defer wg.Done(); share() }()
 	}
+	share()
 	wg.Wait()
 }
 
+// firedActive returns the events fired so far by the window's partitions.
+func (e *Engine) firedActive() uint64 {
+	var n uint64
+	for _, p := range e.active {
+		n += e.parts[p].Fired()
+	}
+	return n
+}
+
 // RunUntil executes events across all partitions up to and including
-// deadline, then advances every partition clock to deadline.
+// deadline, then advances every partition clock to deadline. Like
+// Scheduler.RunUntil it never moves the clock backwards: a deadline before
+// Now() runs nothing and leaves Now() where it was.
 func (e *Engine) RunUntil(deadline Time) Time {
 	for {
 		e.flushInboxes()
@@ -222,19 +295,15 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		if !ok || earliest > deadline {
 			break
 		}
-		horizon := deadline
-		if h := earliest + e.lookahead; h < horizon {
-			horizon = h
-		}
-		e.window(horizon)
+		e.window(min(deadline, earliest+e.lookahead))
 	}
 	// Nothing at or below deadline remains (the loop re-flushes inboxes, so
 	// in-window sends were seen); park every clock at the deadline.
 	for _, p := range e.parts {
 		p.RunUntil(deadline)
 	}
-	e.now = deadline
-	return deadline
+	e.now = max(e.now, deadline)
+	return e.now
 }
 
 // RunFor is RunUntil(Now()+d).

@@ -11,9 +11,10 @@ import (
 // engineWorkload runs a randomized cross-partition ping workload on an
 // engine with the given worker count and returns a text log of every event
 // execution: (partition, time, payload) lines in execution order per
-// partition, concatenated partition-major. Identical logs across worker
-// counts demonstrate the byte-determinism contract.
-func engineWorkload(t *testing.T, workers int) string {
+// partition, concatenated partition-major, plus the engine's counters.
+// Identical logs across worker counts demonstrate the byte-determinism
+// contract.
+func engineWorkload(t *testing.T, workers int) (string, EngineStats) {
 	t.Helper()
 	const (
 		parts     = 9
@@ -55,18 +56,95 @@ func engineWorkload(t *testing.T, workers int) string {
 		all.WriteString(logs[p].String())
 	}
 	fmt.Fprintf(&all, "fired=%d now=%v\n", e.Fired(), e.Now())
-	return all.String()
+	return all.String(), e.Stats()
 }
 
 func TestEngineByteDeterminismAcrossWorkers(t *testing.T) {
-	want := engineWorkload(t, 1)
+	want, wantStats := engineWorkload(t, 1)
 	if !strings.Contains(want, "ttl=0") {
 		t.Fatalf("workload never completed a hop chain:\n%s", want)
 	}
+	if wantStats.FannedOut != 0 || wantStats.Windows == 0 || wantStats.Messages == 0 {
+		t.Fatalf("workers=1 stats %+v: want windows and messages, nothing fanned out", wantStats)
+	}
 	for _, workers := range []int{2, 4, 8} {
-		if got := engineWorkload(t, workers); got != want {
+		got, st := engineWorkload(t, workers)
+		if got != want {
 			t.Errorf("workers=%d log diverges from workers=1", workers)
 		}
+		// The first window of each size class fans out, so the worker path
+		// runs (and -race sees it) whichever mode this host turns out to
+		// prefer.
+		if st.FannedOut == 0 {
+			t.Errorf("workers=%d: no window fanned out", workers)
+		}
+		st.FannedOut = 0
+		if st != wantStats {
+			t.Errorf("workers=%d stats %+v, want %+v", workers, st, wantStats)
+		}
+	}
+}
+
+// TestEngineStatsCountWindows pins each counter on a hand-countable run: two
+// partitions, three messages into one inbox, then a reply.
+func TestEngineStatsCountWindows(t *testing.T) {
+	e := NewEngine(1, 2, 1, time.Millisecond)
+	e.Part(0).FireAfter(time.Millisecond, func() {
+		for i := 0; i < 3; i++ {
+			e.Post(0, 1, e.Part(0).Now()+time.Millisecond, func() {})
+		}
+	})
+	e.Part(1).FireAfter(time.Millisecond, func() {})
+	e.Part(1).FireAfter(5*time.Millisecond, func() {
+		e.Post(1, 0, e.Part(1).Now()+time.Millisecond, func() {})
+	})
+	e.RunFor(time.Second)
+	// Windows at 1ms (both partitions), 2ms (partition 1's three
+	// messages), 5ms (partition 1) and 6ms (partition 0's reply).
+	want := EngineStats{Windows: 4, Visits: 5, Messages: 4, MaxInbox: 3}
+	if got := e.Stats(); got != want {
+		t.Fatalf("Stats = %+v, want %+v", got, want)
+	}
+}
+
+// TestEngineClockNeverRunsBackwards: like Scheduler.RunUntil, a deadline
+// before Now() runs nothing and leaves the engine clock where it was.
+func TestEngineClockNeverRunsBackwards(t *testing.T) {
+	e := NewEngine(1, 2, 1, time.Millisecond)
+	e.RunFor(10 * time.Millisecond)
+	if got := e.RunUntil(5 * time.Millisecond); got != 10*time.Millisecond || e.Now() != got {
+		t.Fatalf("RunUntil(5ms) at 10ms returned %v, Now %v; want 10ms for both", got, e.Now())
+	}
+	if got := e.RunFor(-time.Second); got != 10*time.Millisecond || e.Now() != got {
+		t.Fatalf("RunFor(-1s) at 10ms returned %v, Now %v; want 10ms for both", got, e.Now())
+	}
+	fired := false
+	e.Part(1).FireAfter(time.Millisecond, func() { fired = true })
+	if got := e.RunFor(2 * time.Millisecond); got != 12*time.Millisecond || !fired {
+		t.Fatalf("RunFor(2ms) returned %v with fired=%v; want 12ms and the 11ms event run", got, fired)
+	}
+}
+
+// TestEngineFlushSteadyStateAllocs: once inboxes, wheels and free lists have
+// grown to the load, posting, flushing and running a window allocate nothing.
+func TestEngineFlushSteadyStateAllocs(t *testing.T) {
+	const parts = 3
+	e := NewEngine(1, parts, 1, time.Millisecond)
+	noop := func() {}
+	round := func() {
+		at := e.Now() + e.Lookahead()
+		for src := 0; src < parts; src++ {
+			for i := 0; i < 16; i++ {
+				e.Post(src, (src+1)%parts, at, noop)
+			}
+		}
+		e.RunUntil(at)
+	}
+	for i := 0; i < 2*wheelSlotCount; i++ { // past a wheel rebase
+		round()
+	}
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("steady-state post+flush+window allocates %.1f times per round, want 0", allocs)
 	}
 }
 
@@ -122,8 +200,10 @@ func TestEngineIdleWithCancelledEvents(t *testing.T) {
 	if e.Fired() != 0 {
 		t.Fatalf("Fired = %d, want 0", e.Fired())
 	}
-	if got := e.Pending(); got != 0 {
-		t.Fatalf("Pending = %d, want 0", got)
+	for p := 0; p < e.Parts(); p++ {
+		if got := e.Part(p).Pending(); got != 0 {
+			t.Fatalf("partition %d Pending = %d, want 0", p, got)
+		}
 	}
 }
 

@@ -151,9 +151,6 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceledBit() }
-
 // Done reports whether the event can no longer fire: it was cancelled or it
 // already left the queue (fired or discarded).
 func (e *Event) Done() bool { return e.canceledBit() || e.index == indexFired }
@@ -696,6 +693,3 @@ func (t *Ticker) Reset(interval Duration) {
 	t.interval = interval
 	t.arm()
 }
-
-// Interval returns the current tick interval.
-func (t *Ticker) Interval() Duration { return t.interval }

@@ -77,8 +77,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if !e.canceledBit() {
+		t.Fatal("canceled bit clear after Cancel")
 	}
 	// Double cancel and nil cancel are no-ops.
 	e.Cancel()
@@ -195,8 +195,8 @@ func TestTickerReset(t *testing.T) {
 	if ticks[1] != 11*time.Second || ticks[2] != 21*time.Second {
 		t.Fatalf("ticks after reset = %v, want 11s and 21s", ticks)
 	}
-	if tk.Interval() != 10*time.Second {
-		t.Fatalf("Interval() = %v, want 10s", tk.Interval())
+	if tk.interval != 10*time.Second {
+		t.Fatalf("interval = %v, want 10s", tk.interval)
 	}
 }
 

@@ -16,7 +16,8 @@ const hashVersion = "ustore-spec-v1"
 // modes' cells, which a fleet-only behaviour change must not move.
 // v2: fleet.engine_workers 0 stopped selecting a different event stream
 // (every fleet runs on the partitioned engine; 0 only derives the pool size).
-const fleetHashVersion = "ustore-spec-fleet-v2"
+// v3: a fleet summary gained its engine line.
+const fleetHashVersion = "ustore-spec-fleet-v3"
 
 // Canonical renders the decoded, defaulted spec in its canonical byte
 // form: JSON with struct-declaration field order. Because the hash is

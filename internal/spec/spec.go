@@ -99,7 +99,7 @@ type FleetSpec struct {
 	Clients       int  `json:"clients"`
 	Volumes       int  `json:"volumes"`
 	UnitLoss      bool `json:"unit_loss"`
-	EngineWorkers int  `json:"engine_workers"` // engine worker-pool size only (0 = derived from the host); results are byte-identical at any value
+	EngineWorkers int  `json:"engine_workers"` // cap on goroutines per engine window (0 = derived from the host); results are byte-identical at any value
 
 	// Crashes is the number of shard-replica crash/restart cycles.
 	Crashes int `json:"crashes"`
