@@ -112,10 +112,10 @@ func (c *Controller) VisibleOn(host, diskID string) bool {
 // handleExecute implements the three-step §IV-C procedure: lock the fabric,
 // plan with Algorithm 1 (or forced planning), actuate through the
 // microcontroller, verify via EndPoint USB reports, roll back on timeout.
-func (c *Controller) handleExecute(from string, args any, reply func(any, error)) {
+func (c *Controller) handleExecute(from string, args any, reply *simnet.AsyncReply) {
 	cmd := args.(ExecuteArgs)
 	if c.locked {
-		reply(nil, ErrFabricLocked)
+		reply.Reply(nil, ErrFabricLocked)
 		return
 	}
 	// If the primary microcontroller is out of reach (e.g. its host died),
@@ -139,7 +139,7 @@ func (c *Controller) handleExecute(from string, args any, reply func(any, error)
 		if errors.Is(err, fabric.ErrConflict) {
 			c.conflicts++
 		}
-		reply(nil, err)
+		reply.Reply(nil, err)
 		return
 	}
 	rep := ExecuteReply{Turned: len(turns)}
@@ -148,7 +148,7 @@ func (c *Controller) handleExecute(from string, args any, reply func(any, error)
 	}
 	if len(turns) == 0 {
 		c.executed++
-		reply(rep, nil)
+		reply.Reply(rep, nil)
 		return
 	}
 	// Step 1: lock the fabric for the duration of the command.
@@ -163,7 +163,7 @@ func (c *Controller) handleExecute(from string, args any, reply func(any, error)
 	c.plane.TurnSwitches(c.mcu, turns, func(terr error) {
 		if terr != nil {
 			c.locked = false
-			reply(nil, terr)
+			reply.Reply(nil, terr)
 			return
 		}
 		deadline := c.sched.Now() + c.cfg.VerifyTimeout
@@ -179,7 +179,7 @@ func (c *Controller) handleExecute(from string, args any, reply func(any, error)
 			if ok {
 				c.locked = false
 				c.executed++
-				reply(rep, nil)
+				reply.Reply(rep, nil)
 				return
 			}
 			if c.sched.Now() >= deadline {
@@ -188,7 +188,7 @@ func (c *Controller) handleExecute(from string, args any, reply func(any, error)
 				c.rollbacks++
 				c.plane.TurnSwitches(c.mcu, prior, func(error) {
 					c.locked = false
-					reply(nil, fmt.Errorf("%w after %v", ErrVerifyTimeout, c.cfg.VerifyTimeout))
+					reply.Reply(nil, fmt.Errorf("%w after %v", ErrVerifyTimeout, c.cfg.VerifyTimeout))
 				})
 				return
 			}
@@ -198,19 +198,19 @@ func (c *Controller) handleExecute(from string, args any, reply func(any, error)
 	})
 }
 
-func (c *Controller) handleNodePower(from string, args any, reply func(any, error)) {
+func (c *Controller) handleNodePower(from string, args any, reply *simnet.AsyncReply) {
 	p := args.(NodePowerArgs)
 	if !c.plane.Reachable(c.mcu) {
 		c.plane.PowerOnMCU(c.mcu)
 	}
 	c.plane.SetPower(c.mcu, fabric.NodeID(p.Node), p.On, func(err error) {
 		if err != nil {
-			reply(nil, err)
+			reply.Reply(nil, err)
 			return
 		}
 		// Power changes alter the visible trees; resync the binding so
 		// hosts observe attach/detach events.
 		c.binding.Resync()
-		reply(struct{}{}, nil)
+		reply.Reply(struct{}{}, nil)
 	})
 }

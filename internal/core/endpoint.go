@@ -256,14 +256,14 @@ func (ep *EndPoint) sendUSBReport() {
 // middle component of the paper's Figure 6 decomposition, ~flat per batch).
 const ExportSetupDelay = 600 * time.Millisecond
 
-func (ep *EndPoint) handleExport(from string, args any, reply func(any, error)) {
+func (ep *EndPoint) handleExport(from string, args any, reply *simnet.AsyncReply) {
 	ex := args.(ExportArgs)
 	rec := ep.cfg.Recorder
 	span := rec.Begin("core", "export", ep.host,
 		obs.L("space", string(ex.Space)), obs.L("disk", ex.DiskID))
 	if !ep.attached[ex.DiskID] {
 		span.End(obs.L("status", "not-attached"))
-		reply(nil, fmt.Errorf("core: disk %s not attached to %s", ex.DiskID, ep.host))
+		reply.Reply(nil, fmt.Errorf("core: disk %s not attached to %s", ex.DiskID, ep.host))
 		return
 	}
 	d := ep.disks[ex.DiskID]
@@ -279,13 +279,13 @@ func (ep *EndPoint) handleExport(from string, args any, reply func(any, error)) 
 	}
 	if err != nil {
 		span.End(obs.L("status", "bad-extent"))
-		reply(nil, fmt.Errorf("exporting %s: %w", ex.Space, err))
+		reply.Reply(nil, fmt.Errorf("exporting %s: %w", ex.Space, err))
 		return
 	}
 	ep.sched.After(ExportSetupDelay, func() {
 		if ep.down || !ep.attached[ex.DiskID] {
 			span.End(obs.L("status", "lost-disk"))
-			reply(nil, fmt.Errorf("core: %s lost %s during export setup", ep.host, ex.DiskID))
+			reply.Reply(nil, fmt.Errorf("core: %s lost %s during export setup", ep.host, ex.DiskID))
 			return
 		}
 		ep.tgt.Export(string(ex.Space), vol)
@@ -294,7 +294,7 @@ func (ep *EndPoint) handleExport(from string, args any, reply func(any, error)) 
 		ep.cfg.History.Point(model.Op{Kind: model.OpExport, Client: ep.host, Space: string(ex.Space), Disk: ex.DiskID, Host: ep.host})
 		rec.Counter("core", "exports_total").Inc()
 		span.End(obs.L("status", "ok"))
-		reply(struct{}{}, nil)
+		reply.Reply(struct{}{}, nil)
 	})
 }
 

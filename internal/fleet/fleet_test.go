@@ -27,7 +27,7 @@ func testConfig() Config {
 const volSize = 64 << 20
 
 // boot assembles a fleet and settles until every shard has a leader.
-func boot(t *testing.T, cfg Config) *Fleet {
+func boot(t testing.TB, cfg Config) *Fleet {
 	t.Helper()
 	f := New(cfg)
 	f.Settle(30 * time.Second)
@@ -40,7 +40,7 @@ func boot(t *testing.T, cfg Config) *Fleet {
 }
 
 // mustAlloc drives one allocation to completion and returns its disks.
-func mustAlloc(t *testing.T, f *Fleet, r *Router, vol string) []string {
+func mustAlloc(t testing.TB, f *Fleet, r *Router, vol string) []string {
 	t.Helper()
 	var got []string
 	var gotErr error
@@ -467,10 +467,17 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// replyFn adapts a callback to simnet.Replier.
+type replyFn func(any, error)
+
+func (f replyFn) Reply(res any, err error) { f(res, err) }
+
 // TestDrainedQueueReleasesOps: a served shardOp must not stay reachable
 // through the queue's backing array (the leak Disk.pump had): after the
 // leader drains 64 queued lookups whose reply closures each pin 1 MiB,
-// the heap is back where it started.
+// the heap is back where it started. And a queue that drains between ops
+// keeps its array: a served lookup allocates its op, its boxed args and
+// its reply, not a new queue array or a service-time closure and event.
 func TestDrainedQueueReleasesOps(t *testing.T) {
 	f := boot(t, testConfig())
 	m := f.Leader(0)
@@ -483,14 +490,15 @@ func TestDrainedQueueReleasesOps(t *testing.T) {
 	}
 	before := heap()
 	done := 0
+	vol := ""
 	for i, queued := 0, 0; queued < n; i++ {
-		vol := fmt.Sprintf("ghost-%d", i)
+		vol = fmt.Sprintf("ghost-%d", i)
 		if !m.routeCheck(vol).OK {
 			continue // another shard's slot
 		}
 		queued++
 		payload := make([]byte, size)
-		m.enqueue("Lookup", LookupArgs{Volume: vol}, func(any, error) { done += len(payload) / size })
+		m.enqueue("Lookup", LookupArgs{Volume: vol}, replyFn(func(any, error) { done += len(payload) / size }))
 	}
 	f.Settle(10 * time.Second)
 	if done != n {
@@ -500,6 +508,20 @@ func TestDrainedQueueReleasesOps(t *testing.T) {
 	runtime.KeepAlive(f)
 	if held := int64(after) - int64(before); held > n*size/4 {
 		t.Fatalf("heap holds %d MiB after draining %d ops that each pinned 1 MiB", held>>20, n)
+	}
+
+	served := 0
+	count := replyFn(func(any, error) { served++ })
+	serve := func() {
+		m.enqueue("Lookup", LookupArgs{Volume: vol}, count)
+		f.Settle(f.Cfg.OpServiceTime)
+	}
+	serve()
+	if got := testing.AllocsPerRun(100, serve); got > 3 {
+		t.Fatalf("a served lookup allocates %.1f objects, want <= 3", got)
+	}
+	if served != 102 {
+		t.Fatalf("served %d of 102 lookups", served)
 	}
 }
 

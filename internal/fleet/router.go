@@ -58,35 +58,20 @@ func newRouter(f *Fleet, name string) *Router {
 // repair through it).
 func (r *Router) MapEpoch() int64 { return r.map_.Epoch }
 
-// Allocate places a volume through the owning shard.
+// Allocate places a volume through the owning shard; done's disks are read-only.
 func (r *Router) Allocate(volume string, size int64, service string, done func(disks []string, err error)) {
-	r.do("Allocate", volume, AllocateArgs{Volume: volume, Size: size, Service: service},
-		func(res any, err error) {
-			if err != nil {
-				done(nil, err)
-				return
-			}
-			done(res.(AllocateReply).Disks, nil)
-		})
+	(&routerOp{r: r, method: "Allocate", volume: volume,
+		args: AllocateArgs{Volume: volume, Size: size, Service: service}, alloc: done}).Fire()
 }
 
-// Lookup resolves a volume's fragment disks.
+// Lookup resolves a volume's fragment disks, which are read-only.
 func (r *Router) Lookup(volume string, done func(disks []string, size int64, err error)) {
-	r.do("Lookup", volume, LookupArgs{Volume: volume}, func(res any, err error) {
-		if err != nil {
-			done(nil, 0, err)
-			return
-		}
-		rep := res.(LookupReply)
-		done(rep.Disks, rep.Size, nil)
-	})
+	(&routerOp{r: r, method: "Lookup", volume: volume, args: LookupArgs{Volume: volume}, lookup: done}).Fire()
 }
 
 // Release frees a volume.
 func (r *Router) Release(volume string, done func(err error)) {
-	r.do("Release", volume, ReleaseArgs{Volume: volume}, func(_ any, err error) {
-		done(err)
-	})
+	(&routerOp{r: r, method: "Release", volume: volume, args: ReleaseArgs{Volume: volume}, release: done}).Fire()
 }
 
 // installMap adopts a newer map from a Stale reply.
@@ -99,10 +84,6 @@ func (r *Router) installMap(m *ShardMap) {
 			r.believed = grown
 		}
 	}
-}
-
-func (r *Router) do(method, volume string, args any, done func(res any, err error)) {
-	r.attempt(method, volume, args, routerAttempts, done)
 }
 
 // backoff turns a base retry delay into full-jitter exponential backoff
@@ -128,57 +109,95 @@ func (r *Router) backoff(base time.Duration, tried int) time.Duration {
 	return time.Duration(r.f.Sched.Rand().Int63n(int64(ceil)))
 }
 
-func (r *Router) attempt(method, volume string, args any, left int, done func(res any, err error)) {
-	if left <= 0 {
-		done(nil, fmt.Errorf("%w: %s %s: %d retries exhausted",
-			ErrShardUnavailable, method, volume, routerAttempts))
+// routerOp is one logical operation across all its attempts: the Replier
+// of each attempt's call and the receiver of its retry timer. Exactly one of
+// the typed done callbacks is set.
+type routerOp struct {
+	r              *Router
+	method, volume string
+	args           any
+	tried          int // attempts made before this one
+	// This attempt's shard, believed-leader index and replica count.
+	shard, idx, n int
+
+	alloc   func(disks []string, err error)
+	lookup  func(disks []string, size int64, err error)
+	release func(err error)
+}
+
+// Fire runs the next attempt: the first, then each retry once its backoff
+// expires.
+func (op *routerOp) Fire() {
+	r := op.r
+	if op.tried >= routerAttempts {
+		op.finish(nil, fmt.Errorf("%w: %s %s: %d retries exhausted",
+			ErrShardUnavailable, op.method, op.volume, routerAttempts))
 		return
 	}
-	again := func(delay time.Duration) {
-		r.cRetries.Inc()
-		delay = r.backoff(delay, routerAttempts-left)
-		r.f.Sched.After(delay, func() { r.attempt(method, volume, args, left-1, done) })
+	op.shard = r.map_.ShardOf(op.volume)
+	replicas := r.map_.Replicas[op.shard]
+	op.idx, op.n = r.believed[op.shard]%len(replicas), len(replicas)
+	r.rpc.CallR(replicas[op.idx], op.method, op.args, 192, r.f.Cfg.RPCTimeout, op)
+}
+
+// again schedules the next attempt after delay, jittered by backoff.
+func (op *routerOp) again(delay time.Duration) {
+	op.r.cRetries.Inc()
+	delay = op.r.backoff(delay, op.tried)
+	op.tried++
+	op.r.f.Sched.FireAfterR(delay, op)
+}
+
+// rotate advances the believed leader past this attempt's replica — but
+// only if a concurrent attempt hasn't already moved it. N in-flight ops
+// would otherwise each rotate once and collectively wrap the index back onto
+// the same stale replica (N ≡ 0 mod len), livelocking every retry on a
+// follower or a dead node.
+func (op *routerOp) rotate() {
+	if b := op.r.believed; b[op.shard] == op.idx {
+		b[op.shard] = (op.idx + 1) % op.n
 	}
-	shard := r.map_.ShardOf(volume)
-	replicas := r.map_.Replicas[shard]
-	idx := r.believed[shard] % len(replicas)
-	target := replicas[idx]
-	// rotate advances the believed leader past this attempt's replica —
-	// but only if a concurrent attempt hasn't already moved it. N in-flight
-	// ops would otherwise each rotate once and collectively wrap the index
-	// back onto the same stale replica (N ≡ 0 mod len), livelocking every
-	// retry on a follower or a dead node.
-	rotate := func() {
-		if r.believed[shard] == idx {
-			r.believed[shard] = (idx + 1) % len(replicas)
-		}
-		r.cRotates.Inc()
+	op.r.cRotates.Inc()
+}
+
+// Reply handles one attempt's outcome.
+func (op *routerOp) Reply(res any, err error) {
+	var sr ShardReply
+	if err == nil {
+		sr = res.(shardReplier).common()
 	}
-	r.rpc.Call(target, method, args, 192, r.f.Cfg.RPCTimeout, func(res any, err error) {
-		if err != nil {
-			if errors.Is(err, simnet.ErrTimeout) {
-				rotate()
-				again(50 * time.Millisecond)
-				return
-			}
-			done(nil, err)
-			return
-		}
-		sr := res.(shardReplier).common()
-		switch {
-		case sr.OK:
-			done(res, nil)
-		case sr.NotLeader:
-			rotate()
-			again(50 * time.Millisecond)
-		case sr.Stale:
-			r.cStale.Inc()
-			r.installMap(sr.Map)
-			again(0)
-		case sr.Busy:
-			again(200 * time.Millisecond)
-		default:
-			done(nil, fmt.Errorf("fleet: %s %s: %s", method, volume, sr.Err))
-		}
-	})
+	switch {
+	case err != nil && !errors.Is(err, simnet.ErrTimeout):
+		op.finish(nil, err)
+	case sr.OK:
+		op.finish(res, nil)
+	case err != nil || sr.NotLeader: // a timeout, or a follower
+		op.rotate()
+		op.again(50 * time.Millisecond)
+	case sr.Stale:
+		op.r.cStale.Inc()
+		op.r.installMap(sr.Map)
+		op.again(0)
+	case sr.Busy:
+		op.again(200 * time.Millisecond)
+	default:
+		op.finish(nil, fmt.Errorf("fleet: %s %s: %s", op.method, op.volume, sr.Err))
+	}
+}
+
+// finish hands the operation's outcome to its typed callback.
+func (op *routerOp) finish(res any, err error) {
+	switch {
+	case op.release != nil:
+		op.release(err)
+	case err != nil && op.alloc != nil:
+		op.alloc(nil, err)
+	case err != nil:
+		op.lookup(nil, 0, err)
+	case op.alloc != nil:
+		op.alloc(res.(AllocateReply).Disks, nil)
+	default:
+		rep := res.(LookupReply)
+		op.lookup(rep.Disks, rep.Size, nil)
+	}
 }

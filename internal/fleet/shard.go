@@ -71,8 +71,9 @@ type ShardMaster struct {
 	// unitNo maps an owned unit's ID to its number in ix.
 	unitNo map[string]int
 
-	// Serial op queue.
+	// Serial op queue: queue[qHead:] waits.
 	queue []*shardOp
+	qHead int
 	busy  bool
 
 	sch *shardScheduler
@@ -85,11 +86,21 @@ type ShardMaster struct {
 	hOpTime *obs.Histogram
 }
 
+// shardOp is one serialized volume operation, and the receiver of the
+// event that ends its service time.
 type shardOp struct {
+	m        *ShardMaster
 	method   string
 	args     any
-	reply    func(result any, err error)
+	reply    simnet.Replier
+	start    simtime.Time
 	finished bool
+}
+
+func (op *shardOp) Fire() {
+	m := op.m
+	m.exec(op)
+	m.hOpTime.ObserveDuration(m.sched.Now() - op.start)
 }
 
 func newShardMaster(f *Fleet, shard, replica int, store *coord.Store, p part) *ShardMaster {
@@ -349,7 +360,7 @@ func (m *ShardMaster) register() {
 	// Serialized volume operations.
 	for _, method := range []string{"Allocate", "Lookup", "Release"} {
 		method := method
-		m.rpc.RegisterAsync(method, func(_ string, args any, reply func(any, error)) {
+		m.rpc.RegisterAsync(method, func(_ string, args any, reply *simnet.AsyncReply) {
 			m.enqueue(method, args, reply)
 		})
 	}
@@ -407,34 +418,36 @@ func envelope(method string, sr ShardReply) any {
 	}
 }
 
-func (m *ShardMaster) enqueue(method string, args any, reply func(any, error)) {
+func (m *ShardMaster) enqueue(method string, args any, reply simnet.Replier) {
 	if sr := m.routeCheck(volumeOf(args)); !sr.OK {
-		reply(envelope(method, sr), nil)
+		reply.Reply(envelope(method, sr), nil)
 		return
 	}
-	m.queue = append(m.queue, &shardOp{method: method, args: args, reply: reply})
-	m.gQueue.Set(float64(len(m.queue)))
+	m.queue = append(m.queue, &shardOp{m: m, method: method, args: args, reply: reply})
+	m.gQueue.Set(float64(len(m.queue) - m.qHead))
 	m.pump()
 }
 
 // pump starts the next queued op if the service unit is idle. Each op
 // holds the unit for OpServiceTime before its state transition runs.
 func (m *ShardMaster) pump() {
-	if m.busy || len(m.queue) == 0 || m.down {
+	if m.busy || m.qHead == len(m.queue) || m.down {
 		return
 	}
-	op := m.queue[0]
-	// Clear the slot before re-slicing: the backing array outlives the pop,
-	// and a served op pins its args and reply closure.
-	m.queue[0] = nil
-	m.queue = m.queue[1:]
-	m.gQueue.Set(float64(len(m.queue)))
+	op := m.queue[m.qHead]
+	// Clear the served slot: the array outlives the pop, and a served op
+	// pins its args and reply. Once half the array is served, the waiting
+	// ops move to its front, so a drained queue reuses the whole array.
+	m.queue[m.qHead] = nil
+	if m.qHead++; 2*m.qHead >= len(m.queue) {
+		n := copy(m.queue, m.queue[m.qHead:])
+		clear(m.queue[n:])
+		m.queue, m.qHead = m.queue[:n], 0
+	}
+	m.gQueue.Set(float64(len(m.queue) - m.qHead))
 	m.busy = true
-	start := m.sched.Now()
-	m.sched.After(m.f.Cfg.OpServiceTime, func() {
-		m.exec(op)
-		m.hOpTime.ObserveDuration(m.sched.Now() - start)
-	})
+	op.start = m.sched.Now()
+	m.sched.FireAfterR(m.f.Cfg.OpServiceTime, op)
 }
 
 // opDone completes an op exactly once and releases the service unit.
@@ -443,7 +456,7 @@ func (m *ShardMaster) opDone(op *shardOp, result any) {
 		return
 	}
 	op.finished = true
-	op.reply(result, nil)
+	op.reply.Reply(result, nil)
 	m.busy = false
 	m.pump()
 }
@@ -451,8 +464,8 @@ func (m *ShardMaster) opDone(op *shardOp, result any) {
 // flushQueue answers every queued op NotLeader (lost leadership or crash;
 // crashed replicas' replies are dropped by the downed node anyway).
 func (m *ShardMaster) flushQueue() {
-	q := m.queue
-	m.queue = nil
+	q := m.queue[m.qHead:]
+	m.queue, m.qHead = nil, 0
 	m.gQueue.Set(0)
 	m.busy = false
 	for _, op := range q {
@@ -516,7 +529,7 @@ func (m *ShardMaster) execAllocate(op *shardOp, a AllocateArgs) {
 			m.opDone(op, AllocateReply{ShardReply: ShardReply{Busy: true}})
 			return
 		}
-		m.opDone(op, AllocateReply{ShardReply{OK: true}, append([]string(nil), rec.Disks...)})
+		m.opDone(op, AllocateReply{ShardReply{OK: true}, rec.Disks})
 		return
 	}
 	rows, _ := m.ix.Spread(m.f.Cfg.Replicas, a.Size, m.f.Cfg.SpreadLevel, nil)
@@ -549,7 +562,7 @@ func (m *ShardMaster) execAllocate(op *shardOp, a AllocateArgs) {
 			m.opDone(op, AllocateReply{ShardReply: ShardReply{Err: err.Error()}})
 			return
 		}
-		m.opDone(op, AllocateReply{ShardReply{OK: true}, append([]string(nil), disks...)})
+		m.opDone(op, AllocateReply{ShardReply{OK: true}, disks})
 	})
 }
 
@@ -559,11 +572,7 @@ func (m *ShardMaster) execLookup(op *shardOp, a LookupArgs) {
 		m.opDone(op, LookupReply{ShardReply: ShardReply{Err: "no such volume"}})
 		return
 	}
-	m.opDone(op, LookupReply{
-		ShardReply: ShardReply{OK: true},
-		Size:       rec.Size,
-		Disks:      append([]string(nil), rec.Disks...),
-	})
+	m.opDone(op, LookupReply{ShardReply: ShardReply{OK: true}, Size: rec.Size, Disks: rec.Disks})
 }
 
 func (m *ShardMaster) execRelease(op *shardOp, a ReleaseArgs) {
@@ -662,14 +671,14 @@ func (m *ShardMaster) onHeartbeat(_ string, args any) (any, error) {
 
 // --- Slot migration ---
 
-func (m *ShardMaster) onFreezeSlot(_ string, args any, reply func(any, error)) {
+func (m *ShardMaster) onFreezeSlot(_ string, args any, reply *simnet.AsyncReply) {
 	a := args.(FreezeSlotArgs)
 	if !m.leading {
-		reply(FreezeSlotReply{ShardReply{NotLeader: true}}, nil)
+		reply.Reply(FreezeSlotReply{ShardReply{NotLeader: true}}, nil)
 		return
 	}
 	if m.map_.Slots[a.Slot] != m.shard {
-		reply(FreezeSlotReply{ShardReply{Stale: true, Map: m.map_.Clone()}}, nil)
+		reply.Reply(FreezeSlotReply{ShardReply{Stale: true, Map: m.map_.Clone()}}, nil)
 		return
 	}
 	// The freeze must be durable before it is acknowledged: a leader that
@@ -679,10 +688,10 @@ func (m *ShardMaster) onFreezeSlot(_ string, args any, reply func(any, error)) {
 	m.frozen[a.Slot] = true
 	m.persistFrozen(func(err error) {
 		if err != nil {
-			reply(FreezeSlotReply{ShardReply{Busy: true}}, nil)
+			reply.Reply(FreezeSlotReply{ShardReply{Busy: true}}, nil)
 			return
 		}
-		reply(FreezeSlotReply{ShardReply{OK: true}}, nil)
+		reply.Reply(FreezeSlotReply{ShardReply{OK: true}}, nil)
 	})
 }
 
@@ -723,10 +732,10 @@ func (m *ShardMaster) onHandoff(_ string, args any) (any, error) {
 	return HandoffReply{ShardReply{OK: true}, out}, nil
 }
 
-func (m *ShardMaster) onInstallSlot(_ string, args any, reply func(any, error)) {
+func (m *ShardMaster) onInstallSlot(_ string, args any, reply *simnet.AsyncReply) {
 	a := args.(InstallSlotArgs)
 	if !m.leading {
-		reply(InstallSlotReply{ShardReply{NotLeader: true}}, nil)
+		reply.Reply(InstallSlotReply{ShardReply{NotLeader: true}}, nil)
 		return
 	}
 	ids := make([]string, 0, len(a.Vols))
@@ -736,7 +745,7 @@ func (m *ShardMaster) onInstallSlot(_ string, args any, reply func(any, error)) 
 	sort.Strings(ids)
 	remaining := len(ids)
 	if remaining == 0 {
-		reply(InstallSlotReply{ShardReply{OK: true}}, nil)
+		reply.Reply(InstallSlotReply{ShardReply{OK: true}}, nil)
 		return
 	}
 	// A commit that fails (leadership lost mid-install) must not be
@@ -761,19 +770,19 @@ func (m *ShardMaster) onInstallSlot(_ string, args any, reply func(any, error)) 
 			remaining--
 			if remaining == 0 {
 				if failed {
-					reply(InstallSlotReply{ShardReply{Busy: true}}, nil)
+					reply.Reply(InstallSlotReply{ShardReply{Busy: true}}, nil)
 					return
 				}
-				reply(InstallSlotReply{ShardReply{OK: true}}, nil)
+				reply.Reply(InstallSlotReply{ShardReply{OK: true}}, nil)
 			}
 		})
 	}
 }
 
-func (m *ShardMaster) onDropSlot(_ string, args any, reply func(any, error)) {
+func (m *ShardMaster) onDropSlot(_ string, args any, reply *simnet.AsyncReply) {
 	a := args.(DropSlotArgs)
 	if !m.leading {
-		reply(DropSlotReply{ShardReply{NotLeader: true}}, nil)
+		reply.Reply(DropSlotReply{ShardReply{NotLeader: true}}, nil)
 		return
 	}
 	var ids []string
@@ -785,7 +794,7 @@ func (m *ShardMaster) onDropSlot(_ string, args any, reply func(any, error)) {
 	sort.Strings(ids)
 	remaining := len(ids)
 	if remaining == 0 {
-		reply(DropSlotReply{ShardReply{OK: true}}, nil)
+		reply.Reply(DropSlotReply{ShardReply{OK: true}}, nil)
 		return
 	}
 	// The in-memory vols -> exports move is applied per record only after
@@ -817,10 +826,10 @@ func (m *ShardMaster) onDropSlot(_ string, args any, reply func(any, error)) {
 			remaining--
 			if remaining == 0 {
 				if failed {
-					reply(DropSlotReply{ShardReply{Busy: true}}, nil)
+					reply.Reply(DropSlotReply{ShardReply{Busy: true}}, nil)
 					return
 				}
-				reply(DropSlotReply{ShardReply{OK: true}}, nil)
+				reply.Reply(DropSlotReply{ShardReply{OK: true}}, nil)
 			}
 		}
 		m.store.Create(expPath(id), encodeVol(rec), "", func(err error) { createErr = err; step() })
@@ -828,10 +837,10 @@ func (m *ShardMaster) onDropSlot(_ string, args any, reply func(any, error)) {
 	}
 }
 
-func (m *ShardMaster) onInstallMap(_ string, args any, reply func(any, error)) {
+func (m *ShardMaster) onInstallMap(_ string, args any, reply *simnet.AsyncReply) {
 	a := args.(InstallMapArgs)
 	if a.Map == nil {
-		reply(InstallMapReply{ShardReply{Err: "nil map"}}, nil)
+		reply.Reply(InstallMapReply{ShardReply{Err: "nil map"}}, nil)
 		return
 	}
 	if a.Map.Epoch > m.map_.Epoch {
@@ -857,7 +866,7 @@ func (m *ShardMaster) onInstallMap(_ string, args any, reply func(any, error)) {
 		// from a follower would let the broadcast succeed while the actual
 		// leader keeps routing on the old epoch — exactly the stale-leader
 		// hole a healed partition opens. Rotate the caller onward.
-		reply(InstallMapReply{ShardReply{NotLeader: true}}, nil)
+		reply.Reply(InstallMapReply{ShardReply{NotLeader: true}}, nil)
 		return
 	}
 	// Persist whenever the durable copy is behind the installed epoch — not
@@ -871,16 +880,16 @@ func (m *ShardMaster) onInstallMap(_ string, args any, reply func(any, error)) {
 		}
 	}
 	if stored >= m.map_.Epoch {
-		reply(InstallMapReply{ShardReply{OK: true}}, nil) // already durable
+		reply.Reply(InstallMapReply{ShardReply{OK: true}}, nil) // already durable
 		return
 	}
 	data := encodeMap(m.map_)
 	finish := func(err error) {
 		if err != nil && !errors.Is(err, coord.ErrExists) {
-			reply(InstallMapReply{ShardReply{Busy: true}}, nil)
+			reply.Reply(InstallMapReply{ShardReply{Busy: true}}, nil)
 			return
 		}
-		reply(InstallMapReply{ShardReply{OK: true}}, nil)
+		reply.Reply(InstallMapReply{ShardReply{OK: true}}, nil)
 	}
 	if m.store.Exists("/map") {
 		m.store.Set("/map", data, finish)
@@ -889,15 +898,15 @@ func (m *ShardMaster) onInstallMap(_ string, args any, reply func(any, error)) {
 	}
 }
 
-func (m *ShardMaster) onFreeForeign(_ string, args any, reply func(any, error)) {
+func (m *ShardMaster) onFreeForeign(_ string, args any, reply *simnet.AsyncReply) {
 	a := args.(FreeForeignArgs)
 	if !m.leading {
-		reply(FreeForeignReply{ShardReply{NotLeader: true}}, nil)
+		reply.Reply(FreeForeignReply{ShardReply{NotLeader: true}}, nil)
 		return
 	}
 	rec, ok := m.exports[a.Volume]
 	if !ok {
-		reply(FreeForeignReply{ShardReply{OK: true}}, nil) // idempotent
+		reply.Reply(FreeForeignReply{ShardReply{OK: true}}, nil) // idempotent
 		return
 	}
 	freed := map[string]bool{}
@@ -916,13 +925,13 @@ func (m *ShardMaster) onFreeForeign(_ string, args any, reply func(any, error)) 
 		rec.Disks = remaining
 		m.exports[a.Volume] = rec
 		m.store.Set(expPath(a.Volume), encodeVol(rec), func(error) {
-			reply(FreeForeignReply{ShardReply{OK: true}}, nil)
+			reply.Reply(FreeForeignReply{ShardReply{OK: true}}, nil)
 		})
 		return
 	}
 	delete(m.exports, a.Volume)
 	m.store.Delete(expPath(a.Volume), func(error) {
-		reply(FreeForeignReply{ShardReply{OK: true}}, nil)
+		reply.Reply(FreeForeignReply{ShardReply{OK: true}}, nil)
 	})
 }
 

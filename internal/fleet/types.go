@@ -28,7 +28,8 @@ func (r ShardReply) common() ShardReply { return r }
 type shardReplier interface{ common() ShardReply }
 
 // VolRecord is a volume's replicated metadata: its size, owning service,
-// and the disks holding its fragments.
+// and the disks holding its fragments. Disks is never written in place (repair
+// and FreeForeign install a new slice), so replies share it: read-only.
 type VolRecord struct {
 	Size    int64
 	Service string

@@ -262,23 +262,23 @@ func (dn *DataNode) Blocks() int { return len(dn.blocks) }
 // downstream acks (chain replication, like the HDFS write pipeline);
 // ReadBlock serves a stored block.
 func (dn *DataNode) initHandlers() {
-	dn.rpc.RegisterAsync("WriteBlock", func(from string, args any, reply func(any, error)) {
+	dn.rpc.RegisterAsync("WriteBlock", func(from string, args any, reply *simnet.AsyncReply) {
 		w := args.(dnWriteArgs)
 		if !dn.ready {
-			reply(nil, fmt.Errorf("hdfs: datanode %s not ready", dn.name))
+			reply.Reply(nil, fmt.Errorf("hdfs: datanode %s not ready", dn.name))
 			return
 		}
 		loc, dup := dn.blocks[w.Block]
 		if !dup {
 			if dn.offset+int64(len(w.Data)) > dn.size {
-				reply(nil, fmt.Errorf("hdfs: datanode %s volume full", dn.name))
+				reply.Reply(nil, fmt.Errorf("hdfs: datanode %s volume full", dn.name))
 				return
 			}
 			loc = blockLoc{off: dn.offset, size: len(w.Data)}
 		}
 		dn.cl.Write(dn.space, loc.off, w.Data, func(err error) {
 			if err != nil {
-				reply(nil, fmt.Errorf("datanode %s store: %w", dn.name, err))
+				reply.Reply(nil, fmt.Errorf("datanode %s store: %w", dn.name, err))
 				return
 			}
 			if !dup {
@@ -286,7 +286,7 @@ func (dn *DataNode) initHandlers() {
 				dn.offset += int64(len(w.Data))
 			}
 			if len(w.Pipeline) == 0 {
-				reply(struct{}{}, nil)
+				reply.Reply(struct{}{}, nil)
 				return
 			}
 			next := w.Pipeline[0]
@@ -294,28 +294,28 @@ func (dn *DataNode) initHandlers() {
 			dn.rpc.Call("dn:"+next, "WriteBlock", fw, len(w.Data), 40*time.Second,
 				func(_ any, err error) {
 					if err != nil {
-						reply(nil, fmt.Errorf("pipeline to %s: %w", next, err))
+						reply.Reply(nil, fmt.Errorf("pipeline to %s: %w", next, err))
 						return
 					}
-					reply(struct{}{}, nil)
+					reply.Reply(struct{}{}, nil)
 				})
 		})
 	})
-	dn.rpc.RegisterAsync("ReadBlock", func(from string, args any, reply func(any, error)) {
+	dn.rpc.RegisterAsync("ReadBlock", func(from string, args any, reply *simnet.AsyncReply) {
 		r := args.(dnReadArgs)
 		loc, ok := dn.blocks[r.Block]
 		if !ok {
-			reply(nil, fmt.Errorf("hdfs: %s has no %s", dn.name, r.Block))
+			reply.Reply(nil, fmt.Errorf("hdfs: %s has no %s", dn.name, r.Block))
 			return
 		}
 		dn.cl.Read(dn.space, loc.off, loc.size, func(data []byte, err error) {
 			if err != nil {
-				reply(nil, err)
+				reply.Reply(nil, err)
 				return
 			}
 			// The reply travels as an RPC payload long after this callback
 			// returns, and data is only valid until then.
-			reply(append([]byte(nil), data...), nil)
+			reply.Reply(append([]byte(nil), data...), nil)
 		})
 	})
 }

@@ -12,8 +12,8 @@ func TestAsyncRPCRepliesLater(t *testing.T) {
 	s := simtime.NewScheduler(1)
 	n := New(s)
 	srv := NewRPCNode(n, "server")
-	srv.RegisterAsync("slow", func(from string, args any, reply func(any, error)) {
-		s.After(2*time.Second, func() { reply("done after work", nil) })
+	srv.RegisterAsync("slow", func(from string, args any, reply *AsyncReply) {
+		s.After(2*time.Second, func() { reply.Reply("done after work", nil) })
 	})
 	cli := NewRPCNode(n, "client")
 	var got any
@@ -37,8 +37,8 @@ func TestAsyncRPCErrorPropagates(t *testing.T) {
 	s := simtime.NewScheduler(1)
 	n := New(s)
 	srv := NewRPCNode(n, "server")
-	srv.RegisterAsync("fail", func(from string, args any, reply func(any, error)) {
-		s.After(time.Second, func() { reply(nil, errors.New("deferred boom")) })
+	srv.RegisterAsync("fail", func(from string, args any, reply *AsyncReply) {
+		s.After(time.Second, func() { reply.Reply(nil, errors.New("deferred boom")) })
 	})
 	cli := NewRPCNode(n, "client")
 	var gotErr error
@@ -53,8 +53,8 @@ func TestAsyncRPCTimeoutBeforeReply(t *testing.T) {
 	s := simtime.NewScheduler(1)
 	n := New(s)
 	srv := NewRPCNode(n, "server")
-	srv.RegisterAsync("glacial", func(from string, args any, reply func(any, error)) {
-		s.After(30*time.Second, func() { reply("too late", nil) })
+	srv.RegisterAsync("glacial", func(from string, args any, reply *AsyncReply) {
+		s.After(30*time.Second, func() { reply.Reply("too late", nil) })
 	})
 	cli := NewRPCNode(n, "client")
 	fired := 0
@@ -76,14 +76,14 @@ func TestAsyncRPCDoubleReplyPanics(t *testing.T) {
 	s := simtime.NewScheduler(1)
 	n := New(s)
 	srv := NewRPCNode(n, "server")
-	srv.RegisterAsync("dup", func(from string, args any, reply func(any, error)) {
-		reply("first", nil)
+	srv.RegisterAsync("dup", func(from string, args any, reply *AsyncReply) {
+		reply.Reply("first", nil)
 		defer func() {
 			if recover() == nil {
 				t.Error("second reply did not panic")
 			}
 		}()
-		reply("second", nil)
+		reply.Reply("second", nil)
 	})
 	cli := NewRPCNode(n, "client")
 	cli.Call("server", "dup", nil, 0, time.Second, func(any, error) {})
@@ -95,7 +95,7 @@ func TestAsyncTakesPrecedenceOverSync(t *testing.T) {
 	n := New(s)
 	srv := NewRPCNode(n, "server")
 	srv.Register("m", func(from string, args any) (any, error) { return "sync", nil })
-	srv.RegisterAsync("m", func(from string, args any, reply func(any, error)) { reply("async", nil) })
+	srv.RegisterAsync("m", func(from string, args any, reply *AsyncReply) { reply.Reply("async", nil) })
 	cli := NewRPCNode(n, "client")
 	var got any
 	cli.Call("server", "m", nil, 0, time.Second, func(res any, err error) { got = res })

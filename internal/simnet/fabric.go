@@ -105,7 +105,7 @@ func (f *Fabric) HealMachines(a, b string) {
 // forward routes a message whose destination is not local to src. It reports
 // false when the destination is unknown fabric-wide (the caller then counts
 // the drop). Runs on src's partition goroutine mid-window: it may only touch
-// src-side state and Engine.Post.
+// src-side state, Engine.Post and dst's locked record pool.
 func (f *Fabric) forward(src *Network, msg Message) bool {
 	dstPart, ok := f.dir[msg.To]
 	if !ok {
@@ -132,26 +132,34 @@ func (f *Fabric) forward(src *Network, msg Message) bool {
 		delay += time.Duration(float64(msg.Size) / linkBandwidth * float64(time.Second))
 	}
 	dst := f.nets[dstPart]
-	f.engine.Post(src.part, dstPart, src.sched.Now()+delay, func() {
-		dst.deliverRemote(msg)
-	})
+	dst.remoteMu.Lock()
+	m := dst.remote.get()
+	dst.remoteMu.Unlock()
+	m.dst, m.msg = dst, msg
+	f.engine.PostR(src.part, dstPart, src.sched.Now()+delay, m)
 	return true
 }
 
-// deliverRemote completes a cross-partition delivery on the destination
-// partition: the destination-side checks (machine isolation, node up, handler
-// installed) are evaluated against delivery-time state, exactly like the tail
-// of a local deliver.
-func (n *Network) deliverRemote(msg Message) {
+// remoteMsg is a cross-partition message in flight, pooled by the
+// destination Network: the sending partition takes it, the destination
+// returns it on delivery.
+type remoteMsg struct {
+	dst *Network
+	msg Message
+}
+
+// Fire completes the delivery on the destination partition: the
+// destination-side checks (machine isolation, node up, handler installed)
+// are evaluated against delivery-time state, like a local delivery's.
+func (m *remoteMsg) Fire() {
+	n, msg := m.dst, m.msg
+	n.remoteMu.Lock()
+	n.remote.put(m)
+	n.remoteMu.Unlock()
 	dst, ok := n.nodes[msg.To]
-	mb := n.machines[msg.To]
-	if !ok || (mb != "" && n.isolatedMach[mb]) || !dst.up || dst.handler == nil {
+	if mb := n.machines[msg.To]; !ok || (mb != "" && n.isolatedMach[mb]) {
 		n.drop()
 		return
 	}
-	n.stats.Delivered++
-	n.cDelivered.Inc()
-	n.stats.Bytes += uint64(msg.Size)
-	n.cBytes.Add(uint64(msg.Size))
-	dst.handler(msg)
+	n.arrive(dst, msg, false)
 }

@@ -12,15 +12,21 @@ import (
 // deadline.
 var ErrTimeout = errors.New("simnet: rpc timeout")
 
-// rpcRequest and rpcReply are the internal envelopes the RPC layer exchanges.
-type rpcRequest struct {
-	ID     uint64
-	Method string
-	Args   any
+// rpcHeader is the RPC envelope. It travels by value in Message, so a
+// request or reply boxes nothing beyond its payload (args or result).
+type rpcHeader struct {
+	kind uint8 // 0 for a raw message, else kindRequest or kindReply
+	id   uint64
+	text string // a request's method, or a reply's remote error ("" for success)
 }
 
+const (
+	kindRequest uint8 = 1 + iota
+	kindReply
+)
+
+// rpcReply is a served request's outcome, cached for duplicates.
 type rpcReply struct {
-	ID     uint64
 	Result any
 	Err    string
 }
@@ -30,8 +36,42 @@ type rpcReply struct {
 type RPCHandler func(from string, args any) (any, error)
 
 // RPCAsyncHandler serves one method whose reply is produced later (e.g.
-// after further scheduled events). reply must be called exactly once.
-type RPCAsyncHandler func(from string, args any, reply func(result any, err error))
+// after further scheduled events). reply.Reply must be called exactly once.
+type RPCAsyncHandler func(from string, args any, reply *AsyncReply)
+
+// Replier receives a call's outcome: the result, a remote error, or
+// ErrTimeout. A record that is its own Replier costs no closure per call.
+// Reply data is read-only: the server may share it with its own state.
+type Replier interface{ Reply(result any, err error) }
+
+// replyFunc adapts a plain callback; nil means nobody is waiting.
+type replyFunc func(result any, err error)
+
+func (f replyFunc) Reply(result any, err error) {
+	if f != nil {
+		f(result, err)
+	}
+}
+
+// AsyncReply is an async handler's pending answer. The handler owns it until
+// it calls Reply, exactly once; the record then returns to the node's free
+// list and may be answering another request.
+type AsyncReply struct {
+	r *RPCNode
+	k dedupKey
+}
+
+// Reply answers the request. It may be called from any subsequently
+// scheduled event.
+func (a *AsyncReply) Reply(result any, err error) {
+	r, k := a.r, a.k
+	if r == nil {
+		panic("simnet: async RPC handler replied twice")
+	}
+	r.replies.put(a)
+	delete(r.inflight, k)
+	r.answer(k, result, err)
+}
 
 // RPCNode wraps a Node with request/response semantics: named methods on the
 // server side, per-call timeouts and callbacks on the client side. All
@@ -50,6 +90,8 @@ type RPCNode struct {
 	async    map[string]RPCAsyncHandler
 	nextID   uint64
 	pending  map[uint64]*pendingCall
+	calls    freeList[pendingCall]
+	replies  freeList[AsyncReply]
 	otherRaw Handler
 
 	seen     map[dedupKey]rpcReply
@@ -68,9 +110,33 @@ type dedupKey struct {
 // plenty while keeping the cache bounded over long runs.
 const dedupWindow = 128
 
+// pendingCall is one outstanding call and its timeout's receiver, recycled
+// when the call completes. A reply that outlives the call finds its ID gone
+// from pending, and so never reaches the record's next call.
 type pendingCall struct {
-	done    func(result any, err error)
-	timeout *simtime.Event // nil (Cancel is nil-safe): no deadline
+	r       *RPCNode
+	id      uint64
+	done    Replier
+	timeout *simtime.Event // nil (Cancel and Release are nil-safe): no deadline
+	retry   func() bool    // CallWithRetry's: schedule a resend, or report false
+}
+
+// Fire is the call's timeout: fail it, unless it schedules a resend.
+func (pc *pendingCall) Fire() {
+	if pc.retry == nil || !pc.retry() {
+		pc.r.complete(pc, nil, ErrTimeout)
+	}
+}
+
+// complete retires a call and hands its outcome to the caller, recycling the
+// record and its timeout event first so the callback may reuse both.
+func (r *RPCNode) complete(pc *pendingCall, result any, err error) {
+	delete(r.pending, pc.id)
+	pc.timeout.Cancel()
+	pc.timeout.Release()
+	done := pc.done
+	r.calls.put(pc)
+	done.Reply(result, err)
 }
 
 // NewRPCNode registers name on the network and installs the RPC dispatcher
@@ -101,8 +167,8 @@ func (r *RPCNode) Register(method string, h RPCHandler) {
 	r.methods[method] = h
 }
 
-// RegisterAsync installs a handler whose reply arrives later. The reply
-// closure is safe to call from any subsequently scheduled event.
+// RegisterAsync installs a handler whose reply arrives later, through the
+// AsyncReply record it is handed.
 func (r *RPCNode) RegisterAsync(method string, h RPCAsyncHandler) {
 	r.async[method] = h
 }
@@ -115,7 +181,7 @@ func (r *RPCNode) HandleRaw(h Handler) { r.otherRaw = h }
 // trace recording: a span on the caller's track for the call's lifetime,
 // the latency into simnet_rpc_seconds{method=...}, and a timeout counter.
 // With no recorder bound it returns done unchanged (zero overhead).
-func (r *RPCNode) instrumentCall(to, method string, done func(result any, err error)) func(result any, err error) {
+func (r *RPCNode) instrumentCall(to, method string, done Replier) Replier {
 	rec := r.net.rec
 	if rec == nil {
 		return done
@@ -123,7 +189,7 @@ func (r *RPCNode) instrumentCall(to, method string, done func(result any, err er
 	span := rec.Begin("simnet", "rpc:"+method, r.Name(), obs.L("to", to))
 	start := r.net.sched.Now()
 	mm := r.net.methodMetrics(method)
-	return func(result any, err error) {
+	return replyFunc(func(result any, err error) {
 		status := "ok"
 		switch {
 		case errors.Is(err, ErrTimeout):
@@ -134,33 +200,32 @@ func (r *RPCNode) instrumentCall(to, method string, done func(result any, err er
 		}
 		mm.latency.ObserveDuration(r.net.sched.Now() - start)
 		span.End(obs.L("status", status))
-		if done != nil {
-			done(result, err)
-		}
-	}
+		done.Reply(result, err)
+	})
 }
 
 // Call sends an async request. done is invoked exactly once: with the reply,
 // with a remote error, or with ErrTimeout. size is the request's nominal
 // wire size in bytes.
 func (r *RPCNode) Call(to, method string, args any, size int, timeout time.Duration, done func(result any, err error)) {
+	r.CallR(to, method, args, size, timeout, replyFunc(done))
+}
+
+// CallR is Call with a non-nil receiver in place of a callback.
+func (r *RPCNode) CallR(to, method string, args any, size int, timeout time.Duration, done Replier) {
 	done = r.instrumentCall(to, method, done)
 	r.nextID++
-	id := r.nextID
-	pc := &pendingCall{done: done}
-	r.pending[id] = pc
+	pc := r.calls.get()
+	pc.r, pc.id, pc.done = r, r.nextID, done
+	r.pending[pc.id] = pc
 	if timeout > 0 {
-		pc.timeout = r.net.sched.After(timeout, func() {
-			if _, ok := r.pending[id]; !ok {
-				return
-			}
-			delete(r.pending, id)
-			if done != nil {
-				done(nil, ErrTimeout)
-			}
-		})
+		pc.timeout = r.net.sched.AfterR(timeout, pc)
 	}
-	r.node.Send(to, rpcRequest{ID: id, Method: method, Args: args}, size)
+	r.send(to, args, size, rpcHeader{kind: kindRequest, id: pc.id, text: method})
+}
+
+func (r *RPCNode) send(to string, payload any, size int, h rpcHeader) {
+	r.net.Send(Message{From: r.node.name, To: to, Payload: payload, Size: size, rpc: h})
 }
 
 // RetryOpts tunes CallWithRetry. Zero values pick the defaults.
@@ -209,43 +274,28 @@ func (r *RPCNode) CallWithRetry(to, method string, args any, size int, o RetryOp
 	if o.Backoff <= 0 {
 		o.Backoff = DefaultRetryBackoff
 	}
-	done = r.instrumentCall(to, method, done)
-	r.nextID++
-	id := r.nextID
-	pc := &pendingCall{done: done}
-	r.pending[id] = pc
-	req := rpcRequest{ID: id, Method: method, Args: args}
-	start := r.net.sched.Now()
-	var attempt func(n int)
-	attempt = func(n int) {
-		if _, ok := r.pending[id]; !ok {
-			return // an earlier attempt's reply already landed
+	r.CallR(to, method, args, size, o.Timeout, replyFunc(done))
+	pc, id, start, n := r.pending[r.nextID], r.nextID, r.net.sched.Now(), 0
+	pc.retry = func() bool {
+		if n+1 >= o.Attempts || o.MaxElapsed > 0 && r.net.sched.Now()-start >= o.MaxElapsed {
+			r.net.methodMetrics(method).exhausted.Inc()
+			return false
 		}
-		if n > 0 {
+		pc.timeout.Release()
+		pc.timeout = nil
+		backoff := o.Backoff << uint(n)
+		r.net.sched.After(time.Duration(1+r.net.sched.Rand().Int63n(int64(backoff))), func() {
+			if r.pending[id] != pc {
+				return // an earlier attempt's reply already landed
+			}
+			n++
 			r.net.methodMetrics(method).retries.Inc()
-			r.net.rec.Instant("simnet", "rpc-retry", r.Name(),
-				obs.L("method", method), obs.L("to", to))
-		}
-		r.node.Send(to, req, size)
-		pc.timeout = r.net.sched.After(o.Timeout, func() {
-			if _, ok := r.pending[id]; !ok {
-				return
-			}
-			overBudget := o.MaxElapsed > 0 && r.net.sched.Now()-start >= o.MaxElapsed
-			if n+1 >= o.Attempts || overBudget {
-				delete(r.pending, id)
-				r.net.methodMetrics(method).exhausted.Inc()
-				if done != nil {
-					done(nil, ErrTimeout)
-				}
-				return
-			}
-			backoff := o.Backoff << uint(n)
-			wait := time.Duration(1 + r.net.sched.Rand().Int63n(int64(backoff)))
-			r.net.sched.After(wait, func() { attempt(n + 1) })
+			r.net.rec.Instant("simnet", "rpc-retry", r.Name(), obs.L("method", method), obs.L("to", to))
+			r.send(to, args, size, rpcHeader{kind: kindRequest, id: id, text: method})
+			pc.timeout = r.net.sched.AfterR(o.Timeout, pc)
 		})
+		return true
 	}
-	attempt(0)
 }
 
 // remember caches a finished request's reply for duplicate suppression and
@@ -266,64 +316,56 @@ func (r *RPCNode) remember(k dedupKey, rep rpcReply) {
 	}
 }
 
+// answer caches a served request's outcome for duplicates and sends it.
+func (r *RPCNode) answer(k dedupKey, result any, err error) {
+	rep := rpcReply{Result: result}
+	if err != nil {
+		rep.Err = err.Error()
+	}
+	r.remember(k, rep)
+	r.reply(k, rep)
+}
+
+func (r *RPCNode) reply(k dedupKey, rep rpcReply) {
+	r.send(k.from, rep.Result, 0, rpcHeader{kind: kindReply, id: k.id, text: rep.Err})
+}
+
 func (r *RPCNode) dispatch(msg Message) {
-	switch p := msg.Payload.(type) {
-	case rpcRequest:
-		k := dedupKey{from: msg.From, id: p.ID}
+	switch h := msg.rpc; h.kind {
+	case kindRequest:
+		k := dedupKey{from: msg.From, id: h.id}
 		if rep, ok := r.seen[k]; ok {
 			r.net.cDedup.Inc()
-			r.node.Send(msg.From, rep, 0) // duplicate of a served request
+			r.reply(k, rep) // duplicate of a served request
 			return
 		}
 		if r.inflight[k] {
 			r.net.cDedup.Inc()
 			return // duplicate while the async handler runs; it will reply
 		}
-		if ah, ok := r.async[p.Method]; ok {
-			from := msg.From
-			replied := false
+		if ah, ok := r.async[h.text]; ok {
 			r.inflight[k] = true
-			ah(from, p.Args, func(result any, err error) {
-				if replied {
-					panic("simnet: async RPC handler replied twice")
-				}
-				replied = true
-				delete(r.inflight, k)
-				rep := rpcReply{ID: k.id, Result: result}
-				if err != nil {
-					rep.Err = err.Error()
-				}
-				r.remember(k, rep)
-				r.node.Send(from, rep, 0)
-			})
+			a := r.replies.get()
+			a.r, a.k = r, k
+			ah(msg.From, msg.Payload, a)
 			return
 		}
-		h, ok := r.methods[p.Method]
+		hf, ok := r.methods[h.text]
 		if !ok {
-			r.node.Send(msg.From, rpcReply{ID: p.ID, Err: "unknown method " + p.Method}, 0)
+			r.reply(k, rpcReply{Err: "unknown method " + h.text})
 			return
 		}
-		result, err := h(msg.From, p.Args)
-		rep := rpcReply{ID: p.ID, Result: result}
-		if err != nil {
-			rep.Err = err.Error()
-		}
-		r.remember(k, rep)
-		r.node.Send(msg.From, rep, 0)
-	case rpcReply:
-		pc, ok := r.pending[p.ID]
+		result, err := hf(msg.From, msg.Payload)
+		r.answer(k, result, err)
+	case kindReply:
+		pc, ok := r.pending[h.id]
 		if !ok {
 			return // late reply after timeout; drop
 		}
-		delete(r.pending, p.ID)
-		pc.timeout.Cancel()
-		if pc.done == nil {
-			return
-		}
-		if p.Err != "" {
-			pc.done(nil, errors.New(p.Err))
+		if h.text != "" {
+			r.complete(pc, nil, errors.New(h.text))
 		} else {
-			pc.done(p.Result, nil)
+			r.complete(pc, msg.Payload, nil)
 		}
 	default:
 		if r.otherRaw != nil {

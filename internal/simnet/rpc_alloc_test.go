@@ -28,17 +28,48 @@ func rpcEcho(tb testing.TB) (trip func()) {
 	}
 }
 
-// TestRPCRoundTripAllocs pins what one RPC round trip allocates: the pending
-// call, its timeout event and closure, and per message the boxed envelope and
-// the delivery closure. Holding the timeout as the *simtime.Event itself
-// (not a cancel-func wrapper) is what keeps it at 7.
+// TestRPCRoundTripAllocs pins what one RPC round trip allocates: nothing.
+// The pending call and both messages in flight are pooled records that are
+// their own event receivers, the envelope rides in Message by value, and the
+// cancelled timeout event is released, so it is recycled once dropped.
 func TestRPCRoundTripAllocs(t *testing.T) {
 	trip := rpcEcho(t)
 	for i := 0; i < 64; i++ { // warm the scheduler's pools and the dedup cache
 		trip()
 	}
-	if got := testing.AllocsPerRun(200, trip); got > 7 {
-		t.Fatalf("RPC round trip allocates %.0f objects, want <= 7", got)
+	if got := testing.AllocsPerRun(200, trip); got > 0 {
+		t.Fatalf("RPC round trip allocates %.0f objects, want 0", got)
+	}
+}
+
+// TestFabricRoundTripAllocs is the same round trip across two partitions
+// of an engine: the request and the reply each take a cross-partition
+// record from the destination network's pool, and nothing else allocates.
+func TestFabricRoundTripAllocs(t *testing.T) {
+	e, f := newTestFabric(t, 2, 1)
+	srv := NewRPCNode(f.Network(1), "srv")
+	cli := NewRPCNode(f.Network(0), "cli")
+	srv.Register("echo", func(_ string, args any) (any, error) { return args, nil })
+	args := any("ping")
+	replies := 0
+	done := func(_ any, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies++
+	}
+	trip := func() {
+		cli.Call("srv", "echo", args, 0, time.Second, done)
+		e.RunFor(2 * time.Second) // past the timeout, so its event is dropped
+	}
+	for i := 0; i < 64; i++ {
+		trip()
+	}
+	if got := testing.AllocsPerRun(200, trip); got > 0 {
+		t.Fatalf("cross-partition RPC round trip allocates %.0f objects, want 0", got)
+	}
+	if replies != 64+201 {
+		t.Fatalf("%d replies, want %d", replies, 64+201)
 	}
 }
 

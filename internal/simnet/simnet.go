@@ -21,6 +21,7 @@ package simnet
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"ustore/internal/obs"
@@ -36,6 +37,8 @@ type Message struct {
 	// Size is the nominal size in bytes, used for serialization delay on
 	// bandwidth-limited links. Zero means "control message" (latency only).
 	Size int
+
+	rpc rpcHeader // set on RPC requests and replies
 }
 
 // Handler receives delivered messages on a node.
@@ -123,6 +126,12 @@ type Network struct {
 
 	// frames recycles the wire frames of large payloads (see FrameList).
 	frames FrameList
+	// deliveries recycles this partition's messages in flight; remote
+	// recycles cross-partition ones addressed here, which other partitions
+	// take mid-window, hence the lock.
+	deliveries freeList[delivery]
+	remoteMu   sync.Mutex
+	remote     freeList[remoteMsg]
 
 	// Observability handles (nil-safe; SetRecorder fills them in).
 	rec        *obs.Recorder
@@ -447,21 +456,60 @@ func (n *Network) drop() {
 	n.cDropped.Inc()
 }
 
+// delivery is a message in flight inside one partition and its event's receiver.
+type delivery struct {
+	dst   *Node
+	msg   Message
+	local bool
+}
+
 func (n *Network) deliver(msg Message, dst *Node, delay time.Duration, local bool) {
-	// FireAfter rather than After: the delivery event has no owner to cancel
-	// it, so the scheduler may pool it — deliveries are the hottest timer
-	// source in any simulation.
-	n.sched.FireAfter(delay, func() {
-		if !dst.up || dst.handler == nil {
-			n.drop()
-			return
-		}
-		n.stats.Delivered++
-		n.cDelivered.Inc()
-		if !local {
-			n.stats.Bytes += uint64(msg.Size)
-			n.cBytes.Add(uint64(msg.Size))
-		}
-		dst.handler(msg)
-	})
+	// FireAfterR: no owner cancels a delivery, so the scheduler may pool its
+	// event — deliveries are the hottest timer source in any simulation.
+	d := n.deliveries.get()
+	d.dst, d.msg, d.local = dst, msg, local
+	n.sched.FireAfterR(delay, d)
+}
+
+// Fire delivers the message, recycling the record first so the handler's
+// own sends may reuse it.
+func (d *delivery) Fire() {
+	dst, msg, local := d.dst, d.msg, d.local
+	dst.net.deliveries.put(d)
+	dst.net.arrive(dst, msg, local)
+}
+
+// arrive hands a message to its node, counting it; local (loopback)
+// messages are no network bytes.
+func (n *Network) arrive(dst *Node, msg Message, local bool) {
+	if !dst.up || dst.handler == nil {
+		n.drop()
+		return
+	}
+	n.stats.Delivered++
+	n.cDelivered.Inc()
+	if !local {
+		n.stats.Bytes += uint64(msg.Size)
+		n.cBytes.Add(uint64(msg.Size))
+	}
+	dst.handler(msg)
+}
+
+// freeList recycles records of one type. put zeroes a record, so a recycled
+// one pins nothing its last user referenced.
+type freeList[T any] []*T
+
+func (l *freeList[T]) get() *T {
+	n := len(*l)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*l)[n-1]
+	*l = (*l)[:n-1]
+	return x
+}
+
+func (l *freeList[T]) put(x *T) {
+	*x = *new(T)
+	*l = append(*l, x)
 }

@@ -39,7 +39,7 @@ type xmsg struct {
 	at  Time
 	src int    // source partition, second-level sort key
 	seq uint64 // per-source sequence, third-level sort key
-	fn  func()
+	f   Firer
 }
 
 func compareXmsg(a, b xmsg) int {
@@ -157,7 +157,11 @@ func (e *Engine) Fired() uint64 {
 // must be stamped at least one lookahead past the sender's clock; an earlier
 // stamp would land inside the current window, where the destination may have
 // advanced past it, so Post panics rather than corrupt the timeline.
-func (e *Engine) Post(src, dst int, at Time, fn func()) {
+func (e *Engine) Post(src, dst int, at Time, fn func()) { e.PostR(src, dst, at, asFirer(fn)) }
+
+// PostR is Post with a receiver in place of a callback. f runs on dst's
+// partition, so a record posted here changes hands between partitions.
+func (e *Engine) PostR(src, dst int, at Time, f Firer) {
 	if at < e.horizon {
 		panic(fmt.Sprintf(
 			"simtime: cross-partition event at %v posted before window horizon %v (link latency below engine lookahead %v violates the conservative synchronization contract)",
@@ -166,7 +170,7 @@ func (e *Engine) Post(src, dst int, at Time, fn func()) {
 	e.srcSeq[src]++
 	ib := &e.inbox[dst]
 	ib.mu.Lock()
-	ib.msgs = append(ib.msgs, xmsg{at: at, src: src, seq: e.srcSeq[src], fn: fn})
+	ib.msgs = append(ib.msgs, xmsg{at: at, src: src, seq: e.srcSeq[src], f: f})
 	ib.mu.Unlock()
 }
 
@@ -182,8 +186,8 @@ func (e *Engine) flushInboxes() {
 		}
 		slices.SortFunc(msgs, compareXmsg)
 		for j := range msgs {
-			e.parts[i].FireAt(msgs[j].at, msgs[j].fn)
-			msgs[j].fn = nil
+			e.parts[i].FireAtR(msgs[j].at, msgs[j].f)
+			msgs[j].f = nil
 		}
 		e.stats.Messages += uint64(len(msgs))
 		e.stats.MaxInbox = max(e.stats.MaxInbox, len(msgs))

@@ -33,8 +33,9 @@
 // heap's, which TestPropertyWheelMatchesReferenceHeap verifies.
 //
 // Event structs are pooled on a free list. Only events that never escape to
-// a caller — FireAt/FireAfter, used by hot paths like simnet delivery — are
-// recycled, so a stale handle can never cancel a reused event. Tickers go
+// a caller — FireAt/FireAfter, used by hot paths like simnet delivery — and
+// events whose holder gave the handle back with Release are recycled, so a
+// stale handle can never cancel a reused event. Tickers go
 // one step further and re-arm their own event in place, making steady-state
 // periodic load allocation-free. Cancelled events are dropped lazily when
 // popped or promoted; if they ever exceed half the pending population the
@@ -82,22 +83,32 @@ const (
 // pending population.
 const compactMinCanceled = 64
 
-// Event is a scheduled callback.
+// Firer is an event's receiver: Fire runs when the clock reaches the
+// event's deadline, and may schedule further events. A record that is its
+// own Firer (an RPC call, a message in flight) costs no closure per event.
+type Firer interface{ Fire() }
+
+// funcFirer adapts a plain callback; a func value is one pointer, so boxing
+// it in a Firer does not allocate.
+type funcFirer func()
+
+func (f funcFirer) Fire() { f() }
+
+// Event is a scheduled callback. Its size is pinned at 48 bytes (see
+// TestEventSize): one more word moves it into Go's 64-byte size class.
 type Event struct {
 	// At is the virtual deadline of the event.
 	At Time
-	// Fn runs when the clock reaches At. It may schedule further events.
-	Fn func()
 
-	seq    uint64     // tie-break: FIFO among events with equal deadline
-	index  int        // heap position, or an index* sentinel
-	s      *Scheduler // owner, for cancellation bookkeeping
-	pooled bool       // no handle escaped; recycle through the free list
+	fire  Firer      // runs when the clock reaches At
+	seq   uint64     // tie-break: FIFO among events with equal deadline
+	s     *Scheduler // owner, for cancellation bookkeeping
+	index int32      // heap position, or an index* sentinel
 
 	// state is atomic so Cancel may be called from a goroutine other than
 	// the one driving the scheduler (e.g. a test stopping a fault injector
-	// mid-run) without racing the Step/peek reads. It holds the evCanceled
-	// and evDeparted bits; their combination makes canceledPending exact:
+	// mid-run) without racing the Step/peek reads. It holds the evPooled,
+	// evCanceled and evDeparted bits; the last two make canceledPending exact:
 	// Cancel counts an event only while it is still queued, and the side
 	// that takes it out of the queue (fire or drop) uncounts it.
 	state atomic.Uint32
@@ -105,9 +116,12 @@ type Event struct {
 
 // state bits. evDeparted marks an event that has left the queue (fired,
 // dropped, or discarded); once set, a late Cancel is a no-op for accounting.
+// evPooled marks an event no handle refers to: it is recycled when it
+// departs.
 const (
 	evCanceled uint32 = 1 << 0
 	evDeparted uint32 = 1 << 1
+	evPooled   uint32 = 1 << 2
 )
 
 func (e *Event) canceledBit() bool { return e.state.Load()&evCanceled != 0 }
@@ -155,6 +169,23 @@ func (e *Event) Cancel() {
 // already left the queue (fired or discarded).
 func (e *Event) Done() bool { return e.canceledBit() || e.index == indexFired }
 
+// Release gives the handle back: the caller promises never to touch the
+// event again, so the scheduler recycles it once it leaves the queue — at
+// once if it already has. A cancelled event is still queued until it is
+// dropped, so it is recycled then, never at Cancel. Release must run on the
+// scheduler's goroutine, and is a no-op on nil.
+func (e *Event) Release() {
+	if e == nil {
+		return
+	}
+	if e.state.Load()&evDeparted != 0 { // only this goroutine sets it
+		e.s.recycle(e)
+		return
+	}
+	for old := e.state.Load(); !e.state.CompareAndSwap(old, old|evPooled); old = e.state.Load() {
+	}
+}
+
 type eventQueue []*Event
 
 func (q eventQueue) Len() int { return len(q) }
@@ -166,12 +197,12 @@ func (q eventQueue) Less(i, j int) bool {
 }
 func (q eventQueue) Swap(i, j int) {
 	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+	q[i].index = int32(i)
+	q[j].index = int32(j)
 }
 func (q *eventQueue) Push(x any) {
 	e := x.(*Event)
-	e.index = len(*q)
+	e.index = int32(len(*q))
 	*q = append(*q, e)
 }
 func (q *eventQueue) Pop() any {
@@ -300,14 +331,13 @@ func (s *Scheduler) alloc() *Event {
 	return &Event{s: s}
 }
 
-// recycle returns a pooled event to the free list. Only events whose handle
-// never escaped (FireAt/FireAfter) are recycled, so no caller can hold a
-// reference to a reused Event.
+// recycle returns a departed event to the free list. Only events whose
+// handle never escaped (FireAt/FireAfter) or was given back (Release) are
+// recycled, so no caller can hold a reference to a reused Event.
 func (s *Scheduler) recycle(e *Event) {
-	e.Fn = nil
-	e.pooled = false
-	// Pooled events never escape, so no goroutine can hold a handle to
-	// cancel: resetting the state bits here cannot race.
+	e.fire = nil
+	// No goroutine holds a handle to cancel: resetting the state bits here
+	// cannot race.
 	e.state.Store(0)
 	s.free = append(s.free, e)
 	s.stats.Recycled++
@@ -358,6 +388,9 @@ func (s *Scheduler) dropCanceled(e *Event) {
 	s.stats.CanceledDropped++
 	if e.depart() {
 		s.canceledPending.Add(-1)
+	}
+	if e.state.Load()&evPooled != 0 {
+		s.recycle(e)
 	}
 }
 
@@ -470,7 +503,7 @@ func (s *Scheduler) maybeCompact() {
 		}
 		*q = keep
 		for i, e := range keep {
-			e.index = i
+			e.index = int32(i)
 		}
 		heap.Init(q)
 	}
@@ -505,53 +538,42 @@ func (s *Scheduler) maybeCompact() {
 
 // At schedules fn to run at absolute virtual time at. If at is in the past it
 // fires at the current time (events never run the clock backwards).
-func (s *Scheduler) At(at Time, fn func()) *Event {
-	if fn == nil {
-		panic("simtime: nil event callback")
-	}
-	if at < s.now {
-		at = s.now
-	}
-	e := s.alloc()
-	e.At, e.Fn, e.seq, e.pooled = at, fn, s.seq, false
-	s.seq++
-	s.schedule(e)
-	return e
-}
+func (s *Scheduler) At(at Time, fn func()) *Event { return s.arm(at, asFirer(fn), 0) }
 
 // After schedules fn to run d from now. Negative d is treated as zero.
-func (s *Scheduler) After(d Duration, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
-}
+func (s *Scheduler) After(d Duration, fn func()) *Event { return s.AfterR(d, asFirer(fn)) }
 
 // FireAt schedules fn to run at absolute virtual time at, like At, but
 // returns no handle. Because the event can never be cancelled or inspected,
 // the scheduler recycles its Event struct through a free list — hot paths
 // that fire and forget (message delivery, decay sweeps) should prefer this
 // over At to avoid one allocation per event.
-func (s *Scheduler) FireAt(at Time, fn func()) {
-	if fn == nil {
-		panic("simtime: nil event callback")
-	}
-	if at < s.now {
-		at = s.now
-	}
-	e := s.alloc()
-	e.At, e.Fn, e.seq, e.pooled = at, fn, s.seq, true
-	s.seq++
-	s.schedule(e)
-}
+func (s *Scheduler) FireAt(at Time, fn func()) { s.FireAtR(at, asFirer(fn)) }
 
 // FireAfter schedules fn to run d from now without returning a handle; see
 // FireAt. Negative d is treated as zero.
-func (s *Scheduler) FireAfter(d Duration, fn func()) {
-	if d < 0 {
-		d = 0
+func (s *Scheduler) FireAfter(d Duration, fn func()) { s.FireAfterR(d, asFirer(fn)) }
+
+// AfterR, FireAtR and FireAfterR take a receiver in place of a callback.
+func (s *Scheduler) AfterR(d Duration, f Firer) *Event { return s.arm(s.now+max(d, 0), f, 0) }
+func (s *Scheduler) FireAtR(at Time, f Firer)          { s.arm(at, f, evPooled) }
+func (s *Scheduler) FireAfterR(d Duration, f Firer)    { s.arm(s.now+max(d, 0), f, evPooled) }
+
+func asFirer(fn func()) Firer {
+	if fn == nil {
+		panic("simtime: nil event callback")
 	}
-	s.FireAt(s.now+d, fn)
+	return funcFirer(fn)
+}
+
+// arm schedules f at at (clamped to now) with the given initial state bits.
+func (s *Scheduler) arm(at Time, f Firer, state uint32) *Event {
+	e := s.alloc()
+	e.At, e.fire, e.seq = max(at, s.now), f, s.seq
+	e.state.Store(state)
+	s.seq++
+	s.schedule(e)
+	return e
 }
 
 // Every schedules fn to run every interval, starting one interval from now,
@@ -596,11 +618,11 @@ func (s *Scheduler) Step() bool {
 	if e.depart() {
 		s.canceledPending.Add(-1)
 	}
-	fn := e.Fn
-	if e.pooled {
+	f := e.fire
+	if e.state.Load()&evPooled != 0 {
 		s.recycle(e)
 	}
-	fn()
+	f.Fire()
 	return true
 }
 
@@ -653,11 +675,7 @@ type Ticker struct {
 // the previous event may still sit cancelled in the queue and so cannot be
 // reused.
 func (t *Ticker) arm() {
-	e := t.s.alloc()
-	e.At, e.Fn, e.seq, e.pooled = t.s.now+t.interval, t.tick, t.s.seq, false
-	t.s.seq++
-	t.ev = e
-	t.s.schedule(e)
+	t.ev = t.s.AfterR(t.interval, funcFirer(t.tick))
 }
 
 // rearm reschedules the just-fired Event in place: no allocation on the
