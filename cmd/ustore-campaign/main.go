@@ -1,5 +1,5 @@
 // Command ustore-campaign compiles a declarative experiment spec
-// (YAML/JSON: topology, workload mix, fault schedule, failure model,
+// (YAML subset: topology, workload mix, fault schedule, failure model,
 // protection policies) and sweeps its parameter grid across the
 // simulation engines, reusing cached cell results keyed by content hash.
 //
@@ -35,7 +35,7 @@ func main() {
 
 func run() int {
 	var (
-		specPath = flag.String("spec", "", "experiment spec file (YAML or JSON; required)")
+		specPath = flag.String("spec", "", "experiment spec file (YAML subset; required)")
 		cacheDir = flag.String("cache", ".campaign-cache", "cell result cache directory (\"\" disables caching)")
 		workers  = flag.Int("workers", 0, "cell worker pool size (<1 = one per CPU; reports are byte-identical at any count)")
 		force    = flag.Bool("force", false, "re-execute every cell even on a cache hit (entries are refreshed)")

@@ -121,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	var (
-		specPath    = fs.String("spec", "", "start from this spec file (YAML/JSON, no grid; grids belong to ustore-campaign) instead of the empty document")
+		specPath    = fs.String("spec", "", "start from this spec file (YAML subset, no grid; grids belong to ustore-campaign) instead of the empty document")
 		seeds       = fs.Int("seeds", 1, "number of consecutive seeds to run")
 		parallel    = fs.Int("parallel", 1, "workers for a seed sweep or -minimize probing (<1 = one per CPU)")
 		minimize    = fs.Bool("minimize", false, "on violation, bisect the schedule to the shortest violating prefix")

@@ -139,6 +139,20 @@ func TestBadCombinationsExit2(t *testing.T) {
 	}
 }
 
+// TestJSONSpecRefused: JSON is not a spec format. -spec x.json exits 2 with
+// one file:line:col line that names the supported format.
+func TestJSONSpecRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.json")
+	if err := os.WriteFile(path, []byte(`{"mode": "faults", "seed": 3}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, status := chaosCmd(t, "-spec", path)
+	want := path + ":1:1: JSON specs are not supported; write the spec in the YAML subset"
+	if status != 2 || stdout != "" || !strings.Contains(stderr, want) || strings.Count(stderr, "\n") != 1 {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 2 and one line containing %q", status, stdout, stderr, want)
+	}
+}
+
 // TestSweepParallelMatchesSequential is the determinism contract of the one
 // sweep loop, for a cluster and a fleet scenario: -seeds 4 prints the same
 // bytes (header, per-seed event logs and summaries, in seed order) and

@@ -30,10 +30,11 @@ func main() {
 			cluster.Sched.Now().Truncate(time.Millisecond), fmt.Sprintf(format, args...))
 	}
 
-	// The backup service allocates a volume and streams 4MB chunks.
+	// The backup service allocates a volume and streams 4MB chunks. Simulated
+	// disks keep what is written, so the volume is sized to fit in memory.
 	client := cluster.Client("backup-agent", "nightly-backup")
 	var alloc ustore.AllocateReply
-	client.Allocate(8<<30, func(rep ustore.AllocateReply, err error) {
+	client.Allocate(512<<20, func(rep ustore.AllocateReply, err error) {
 		if err != nil {
 			log.Fatalf("allocate: %v", err)
 		}

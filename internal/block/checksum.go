@@ -64,7 +64,7 @@ func (v *ChecksumDiskVolume) WriteAt(off int64, data []byte, done func(error)) {
 	})
 }
 
-// ReadAt implements Volume.
+// ReadAt is ReadInto into a fresh buffer.
 func (v *ChecksumDiskVolume) ReadAt(off int64, length int, done func([]byte, error)) {
 	v.ReadInto(off, length, nil, done)
 }

@@ -59,9 +59,6 @@ func NewInitiator(net *simnet.Network, clientNode string) *Initiator {
 	return ini
 }
 
-// NodeName returns the initiator's network name.
-func (ini *Initiator) NodeName() string { return ini.node.Name() }
-
 func (ini *Initiator) onMessage(msg simnet.Message) {
 	raw, ok := msg.Payload.([]byte)
 	if !ok {
@@ -170,13 +167,4 @@ func (ini *Initiator) Write(host, volume string, off int64, data []byte, done fu
 			}
 			done(m.Status.Err())
 		})
-}
-
-// Logout closes the session to volume (fire and forget).
-func (ini *Initiator) Logout(host, volume string) {
-	m := &Msg{Type: MsgLogout, Volume: volume}
-	ini.nextTag++
-	m.Tag = ini.nextTag
-	buf := m.Encode()
-	ini.node.Send(TargetNode(host), buf, len(buf))
 }

@@ -5,8 +5,7 @@
 // The protocol is a simple request/response PDU stream: a client logs in to
 // a named volume exported by a Target, then issues bounded reads and writes
 // by offset. PDUs carry a tag so multiple commands can be in flight. The
-// codec is transport-agnostic: the same bytes travel over the simulated
-// network (simnet) or a real net.Conn (see ServeConn/DialConn).
+// encoded bytes travel over the simulated network (simnet).
 package block
 
 import (

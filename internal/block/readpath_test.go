@@ -90,7 +90,8 @@ func totalAlloc() uint64 {
 func TestReadPathSteadyStateAllocatesNoPayload(t *testing.T) {
 	const size = 1 << 20
 	r := newReadRig(t, 2*size)
-	want := r.d.Store().ReadAt(size/2, size)
+	want := make([]byte, size)
+	r.d.Store().ReadInto(size/2, want)
 	verify := func(data []byte) {
 		if !bytes.Equal(data, want) {
 			t.Error("read returned wrong bytes")

@@ -17,7 +17,7 @@ type Target struct {
 	// sessions tracks which (client, volume) pairs are logged in.
 	sessions map[string]map[string]bool
 
-	// Stats.
+	// reads and writes count served IOs.
 	reads, writes uint64
 }
 
@@ -43,19 +43,6 @@ func (t *Target) Export(name string, vol Volume) { t.volumes[name] = vol }
 // Revoke removes an export; logged-in clients get StatusNoVolume on
 // subsequent IO (what a client sees when its disk was switched away).
 func (t *Target) Revoke(name string) { delete(t.volumes, name) }
-
-// Exports lists exported volume names (unsorted).
-func (t *Target) Exports() []string {
-	var out []string
-	for name := range t.volumes {
-		out = append(out, name)
-	}
-	return out
-}
-
-// Reads and Writes return served-IO counters.
-func (t *Target) Reads() uint64  { return t.reads }
-func (t *Target) Writes() uint64 { return t.writes }
 
 // Down makes the target unreachable (host crash) or reachable again.
 func (t *Target) Down(down bool) { t.node.SetDown(down) }

@@ -13,15 +13,12 @@ import (
 type Volume interface {
 	// Size returns the volume size in bytes.
 	Size() int64
-	// ReadAt reads length bytes from off into a fresh buffer, which done may
-	// keep.
-	ReadAt(off int64, length int, done func(data []byte, err error))
-	// ReadInto is ReadAt into the buffer dst supplies. dst is asked only once
-	// the bytes are about to be copied (never for a read that fails before
-	// reaching the medium), and on success done receives exactly that buffer.
-	// The buffer belongs to whoever supplied it: data is valid until done
-	// returns, and a done that keeps the bytes longer must copy them. A nil
-	// dst means a fresh buffer, as ReadAt.
+	// ReadInto reads length bytes from off into the buffer dst supplies. dst
+	// is asked only once the bytes are about to be copied (never for a read
+	// that fails before reaching the medium), and on success done receives
+	// exactly that buffer. The buffer belongs to whoever supplied it: data is
+	// valid until done returns, and a done that keeps the bytes longer must
+	// copy them. A nil dst means a fresh buffer, which done may keep.
 	ReadInto(off int64, length int, dst disk.ReadDest, done func(data []byte, err error))
 	// WriteAt writes data at off.
 	WriteAt(off int64, data []byte, done func(err error))
@@ -49,9 +46,6 @@ func NewDiskVolume(d *disk.Disk, base, size int64) (*DiskVolume, error) {
 	return &DiskVolume{d: d, base: base, size: size, nextSeq: -1}, nil
 }
 
-// Disk returns the backing disk.
-func (v *DiskVolume) Disk() *disk.Disk { return v.d }
-
 // Size implements Volume.
 func (v *DiskVolume) Size() int64 { return v.size }
 
@@ -62,11 +56,6 @@ func (v *DiskVolume) classify(off int64, length int) disk.Pattern {
 	}
 	v.nextSeq = off + int64(length)
 	return pat
-}
-
-// ReadAt implements Volume.
-func (v *DiskVolume) ReadAt(off int64, length int, done func([]byte, error)) {
-	v.ReadInto(off, length, nil, done)
 }
 
 // ReadInto implements Volume.
@@ -97,50 +86,4 @@ func (v *DiskVolume) WriteAt(off int64, data []byte, done func(error)) {
 	})
 }
 
-// MemVolume is a synchronous in-memory Volume for protocol tests and the
-// real-net.Conn transport (no scheduler involved).
-type MemVolume struct {
-	buf []byte
-}
-
-// NewMemVolume allocates a zeroed in-memory volume.
-func NewMemVolume(size int64) *MemVolume { return &MemVolume{buf: make([]byte, size)} }
-
-// Size implements Volume.
-func (v *MemVolume) Size() int64 { return int64(len(v.buf)) }
-
-// ReadAt implements Volume.
-func (v *MemVolume) ReadAt(off int64, length int, done func([]byte, error)) {
-	v.ReadInto(off, length, nil, done)
-}
-
-// ReadInto implements Volume.
-func (v *MemVolume) ReadInto(off int64, length int, dst disk.ReadDest, done func([]byte, error)) {
-	if off < 0 || length <= 0 || off+int64(length) > int64(len(v.buf)) {
-		done(nil, ErrVolumeRange)
-		return
-	}
-	var out []byte
-	if dst != nil {
-		out = dst.ReadBuffer(length)
-	} else {
-		out = make([]byte, length)
-	}
-	copy(out, v.buf[off:])
-	done(out, nil)
-}
-
-// WriteAt implements Volume.
-func (v *MemVolume) WriteAt(off int64, data []byte, done func(error)) {
-	if off < 0 || off+int64(len(data)) > int64(len(v.buf)) {
-		done(ErrVolumeRange)
-		return
-	}
-	copy(v.buf[off:], data)
-	done(nil)
-}
-
-var (
-	_ Volume = (*DiskVolume)(nil)
-	_ Volume = (*MemVolume)(nil)
-)
+var _ Volume = (*DiskVolume)(nil)

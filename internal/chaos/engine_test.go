@@ -55,9 +55,9 @@ func TestFleetEngineByteDeterminism(t *testing.T) {
 	}
 	for _, workers := range []int{0, 2, 8} {
 		rep, m, tr := engineFleetRun(t, units, shards, workers)
-		if rep.LogText() != base.LogText() {
+		if strings.Join(rep.Log, "\n") != strings.Join(base.Log, "\n") {
 			t.Fatalf("workers=%d: log diverges from workers=1:\n--- w1\n%s\n--- w%d\n%s",
-				workers, base.LogText(), workers, rep.LogText())
+				workers, strings.Join(base.Log, "\n"), workers, strings.Join(rep.Log, "\n"))
 		}
 		if rep.SummaryText() != base.SummaryText() {
 			t.Fatalf("workers=%d: summary diverges:\n%s\nvs\n%s",

@@ -131,9 +131,6 @@ type FleetReport struct {
 	Redriven      int // interrupted slot moves re-driven during recovery
 }
 
-// LogText renders the event log as one string (replay comparisons).
-func (r *FleetReport) LogText() string { return strings.Join(r.Log, "\n") }
-
 // SummaryText renders the block ustore-chaos prints for a fleet run.
 func (r *FleetReport) SummaryText() string {
 	var b strings.Builder

@@ -30,7 +30,7 @@ func TestFleetUnitLossSmall(t *testing.T) {
 				t.Fatalf("violations:\n%s", strings.Join(rep.Violations, "\n"))
 			}
 			if !rep.Drained {
-				t.Fatalf("unit not drained:\n%s", rep.LogText())
+				t.Fatalf("unit not drained:\n%s", strings.Join(rep.Log, "\n"))
 			}
 			if rep.Failed != 0 || rep.Allocated != rep.Opts.Volumes {
 				t.Fatalf("load phase: %d allocated, %d failed, want %d/0",
@@ -69,7 +69,7 @@ func TestFleetScaleUnitLoss(t *testing.T) {
 		t.Fatalf("violations:\n%s", strings.Join(rep.Violations, "\n"))
 	}
 	if !rep.Drained {
-		t.Fatalf("unit not drained in %v:\n%s", rep.Opts.DrainTimeout, rep.LogText())
+		t.Fatalf("unit not drained in %v:\n%s", rep.Opts.DrainTimeout, strings.Join(rep.Log, "\n"))
 	}
 	if rep.Failed != 0 || rep.Resolvable != 512 {
 		t.Fatalf("load/verify: %d allocated, %d failed, %d resolvable",
@@ -124,8 +124,8 @@ func TestFleetDeterministicReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.LogText() != b.LogText() {
-		t.Fatalf("logs diverge:\n--- run A\n%s\n--- run B\n%s", a.LogText(), b.LogText())
+	if strings.Join(a.Log, "\n") != strings.Join(b.Log, "\n") {
+		t.Fatalf("logs diverge:\n--- run A\n%s\n--- run B\n%s", strings.Join(a.Log, "\n"), strings.Join(b.Log, "\n"))
 	}
 	if a.SummaryText() != b.SummaryText() {
 		t.Fatalf("summaries diverge:\n%s\nvs\n%s", a.SummaryText(), b.SummaryText())

@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"ustore/internal/fleet"
@@ -224,17 +223,25 @@ func sortFleetFaults(fs []FleetFault) {
 // fleetFaultState tracks open faults so the recovery phase (and therefore
 // any truncated minimizer prefix) can close every window it finds open.
 type fleetFaultState struct {
-	f           *fleet.Fleet
-	crashed     map[[2]int]bool
-	partitioned map[[2]int]bool
+	f *fleet.Fleet
+	// crashed holds pair(shard, replica) keys, partitioned pair(a, b) unit
+	// keys, so their sorted keys come in (first, second) order.
+	crashed     map[int]bool
+	partitioned map[int]bool
 	isolated    map[int]bool
 }
+
+// pair packs two small non-negative ints into one ordered map key.
+func pair(a, b int) int { return a<<16 | b }
+
+// unpair is pair's inverse.
+func unpair(k int) (int, int) { return k >> 16, k & 0xffff }
 
 func newFleetFaultState(f *fleet.Fleet) *fleetFaultState {
 	return &fleetFaultState{
 		f:           f,
-		crashed:     make(map[[2]int]bool),
-		partitioned: make(map[[2]int]bool),
+		crashed:     make(map[int]bool),
+		partitioned: make(map[int]bool),
 		isolated:    make(map[int]bool),
 	}
 }
@@ -253,27 +260,28 @@ func (s *fleetFaultState) apply(ft FleetFault, onMove func(slot, dst int)) strin
 			}
 		}
 		f.CrashReplica(ft.Shard, i)
-		s.crashed[[2]int{ft.Shard, i}] = true
+		s.crashed[pair(ft.Shard, i)] = true
 		return fmt.Sprintf("crashed shard %d replica %d (unit u%03d)",
 			ft.Shard, i, f.ReplicaUnit(ft.Shard, i))
 	case FFRestartReplicas:
 		n := 0
-		for _, key := range sortedKeys(s.crashed, cmpIntPair) {
-			if key[0] != ft.Shard {
+		for _, key := range sortedKeys(s.crashed, cmp.Compare[int]) {
+			shard, i := unpair(key)
+			if shard != ft.Shard {
 				continue
 			}
-			f.RestartReplica(key[0], key[1])
+			f.RestartReplica(shard, i)
 			delete(s.crashed, key)
 			n++
 		}
 		return fmt.Sprintf("restarted %d crashed replicas of shard %d", n, ft.Shard)
 	case FFPartitionUnits:
 		f.PartitionUnits(ft.A, ft.B)
-		s.partitioned[[2]int{ft.A, ft.B}] = true
+		s.partitioned[pair(ft.A, ft.B)] = true
 		return fmt.Sprintf("partitioned u%03d<->u%03d", ft.A, ft.B)
 	case FFHealUnits:
 		f.HealPartition(ft.A, ft.B)
-		delete(s.partitioned, [2]int{ft.A, ft.B})
+		delete(s.partitioned, pair(ft.A, ft.B))
 		return fmt.Sprintf("healed u%03d<->u%03d", ft.A, ft.B)
 	case FFIsolateLeader:
 		i := f.LeaderReplica(ft.Shard)
@@ -303,8 +311,8 @@ func (s *fleetFaultState) apply(ft FleetFault, onMove func(slot, dst int)) strin
 // healAll closes every open fault window — heals partitions, rejoins
 // isolated units, restarts crashed replicas, each in sorted order.
 func (s *fleetFaultState) healAll() (healed, rejoined, restarted int) {
-	for _, key := range sortedKeys(s.partitioned, cmpIntPair) {
-		s.f.HealPartition(key[0], key[1])
+	for _, key := range sortedKeys(s.partitioned, cmp.Compare[int]) {
+		s.f.HealPartition(unpair(key))
 		delete(s.partitioned, key)
 		healed++
 	}
@@ -313,15 +321,13 @@ func (s *fleetFaultState) healAll() (healed, rejoined, restarted int) {
 		delete(s.isolated, u)
 		rejoined++
 	}
-	for _, key := range sortedKeys(s.crashed, cmpIntPair) {
-		s.f.RestartReplica(key[0], key[1])
+	for _, key := range sortedKeys(s.crashed, cmp.Compare[int]) {
+		s.f.RestartReplica(unpair(key))
 		delete(s.crashed, key)
 		restarted++
 	}
 	return
 }
-
-func cmpIntPair(a, b [2]int) int { return slices.Compare(a[:], b[:]) }
 
 // MinimizeFleet generates the seeded fleet fault schedule, runs it, and —
 // if the run violated — bisects for the shortest schedule prefix that

@@ -64,7 +64,7 @@ func TestFleetFaultRecovery(t *testing.T) {
 	}
 	if len(rep.Violations) != 0 {
 		t.Fatalf("violations:\n%s\n--- log ---\n%s",
-			strings.Join(rep.Violations, "\n"), rep.LogText())
+			strings.Join(rep.Violations, "\n"), strings.Join(rep.Log, "\n"))
 	}
 	if rep.FaultsApplied != len(schedule) {
 		t.Fatalf("applied %d of %d scheduled faults", rep.FaultsApplied, len(schedule))
@@ -72,7 +72,7 @@ func TestFleetFaultRecovery(t *testing.T) {
 	// The t=0 straddle (move + source-leader crash) must interrupt its move:
 	// the redrive path has to actually run, not just exist.
 	if rep.Redriven < 1 {
-		t.Fatalf("no interrupted move re-driven; straddle did not interrupt:\n%s", rep.LogText())
+		t.Fatalf("no interrupted move re-driven; straddle did not interrupt:\n%s", strings.Join(rep.Log, "\n"))
 	}
 	if rep.Resolvable != rep.Allocated {
 		t.Fatalf("resolvable %d != acknowledged %d", rep.Resolvable, rep.Allocated)
@@ -101,7 +101,7 @@ func TestFleetFaultSkipRedriveMinimized(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(full.Violations) == 0 {
-		t.Fatalf("injected skip-redrive bug produced no violation:\n%s", full.LogText())
+		t.Fatalf("injected skip-redrive bug produced no violation:\n%s", strings.Join(full.Log, "\n"))
 	}
 	if minimized == nil || len(minimized.Violations) == 0 {
 		t.Fatal("minimizer returned no violating prefix")
@@ -160,9 +160,9 @@ func TestFleetFaultEngineDeterminism(t *testing.T) {
 	base := run(1)
 	for _, workers := range []int{0, 8} {
 		rep := run(workers)
-		if rep.LogText() != base.LogText() {
+		if strings.Join(rep.Log, "\n") != strings.Join(base.Log, "\n") {
 			t.Fatalf("workers=%d: fault-run log diverges from workers=1:\n--- w1\n%s\n--- w%d\n%s",
-				workers, base.LogText(), workers, rep.LogText())
+				workers, strings.Join(base.Log, "\n"), workers, strings.Join(rep.Log, "\n"))
 		}
 		if rep.SummaryText() != base.SummaryText() {
 			t.Fatalf("workers=%d: summary diverges:\n%s\nvs\n%s",

@@ -55,20 +55,6 @@ const (
 	EventDataChanged
 )
 
-// String names the event type.
-func (t EventType) String() string {
-	switch t {
-	case EventCreated:
-		return "created"
-	case EventDeleted:
-		return "deleted"
-	case EventDataChanged:
-		return "changed"
-	default:
-		return fmt.Sprintf("EventType(%d)", int(t))
-	}
-}
-
 // Event is delivered to watchers.
 type Event struct {
 	Type EventType
@@ -187,14 +173,8 @@ func NewStore(net *simnet.Network, name string, peers []string, cfg paxos.Config
 	return s
 }
 
-// Name returns the replica name.
-func (s *Store) Name() string { return s.name }
-
 // IsLeader reports whether this replica's paxos node leads.
 func (s *Store) IsLeader() bool { return s.px.IsLeader() }
-
-// Paxos exposes the underlying consensus node (tests, failover drills).
-func (s *Store) Paxos() *paxos.Node { return s.px }
 
 // Stop crashes the replica; Resume restarts it.
 func (s *Store) Stop() {
@@ -550,10 +530,4 @@ func (s *Store) applyExpire(op opExpireSession) {
 	for _, p := range owned {
 		_ = s.applyDelete(opDelete{Path: p})
 	}
-}
-
-// SessionAlive reports whether the session exists in replicated state.
-func (s *Store) SessionAlive(id string) bool {
-	_, ok := s.sessions[id]
-	return ok
 }

@@ -3,6 +3,7 @@ package coord
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -61,7 +62,7 @@ func TestCreateGetOnAllReplicas(t *testing.T) {
 	for _, replica := range tc.stores {
 		data, err := replica.Get("/a")
 		if err != nil || string(data) != "hello" {
-			t.Fatalf("%s: data=%q err=%v", replica.Name(), data, err)
+			t.Fatalf("%s: data=%q err=%v", replica.name, data, err)
 		}
 	}
 }
@@ -138,15 +139,15 @@ func TestChildren(t *testing.T) {
 
 func TestWatchesFireOnEveryReplica(t *testing.T) {
 	tc := newTestCluster(t, 3, 5)
-	var events []string
+	var events []EventType
 	tc.stores[2].Watch("/w", func(ev Event) {
-		events = append(events, ev.Type.String())
+		events = append(events, ev.Type)
 	})
 	st := tc.stores[0]
 	mustDo(t, tc, func(done func(error)) { st.Create("/w", []byte("a"), "", done) })
 	mustDo(t, tc, func(done func(error)) { st.Set("/w", []byte("b"), done) })
 	mustDo(t, tc, func(done func(error)) { st.Delete("/w", done) })
-	if len(events) != 3 || events[0] != "created" || events[1] != "changed" || events[2] != "deleted" {
+	if !slices.Equal(events, []EventType{EventCreated, EventDataChanged, EventDeleted}) {
 		t.Fatalf("events = %v", events)
 	}
 }
@@ -190,10 +191,10 @@ func TestEphemeralExpiresWhenPingsStop(t *testing.T) {
 	tc.sched.RunFor(8 * time.Second)
 	for _, r := range tc.stores {
 		if r.Exists("/live") {
-			t.Fatalf("%s: ephemeral survived expiry", r.Name())
+			t.Fatalf("%s: ephemeral survived expiry", r.name)
 		}
-		if r.SessionAlive("sess1") {
-			t.Fatalf("%s: session survived expiry", r.Name())
+		if _, ok := r.sessions["sess1"]; ok {
+			t.Fatalf("%s: session survived expiry", r.name)
 		}
 	}
 }
@@ -223,7 +224,7 @@ func TestEphemeralSurvivesCoordLeaderFailover(t *testing.T) {
 			continue
 		}
 		if !r.Exists("/live") {
-			t.Fatalf("%s: ephemeral lost across coord failover", r.Name())
+			t.Fatalf("%s: ephemeral lost across coord failover", r.name)
 		}
 	}
 }

@@ -76,9 +76,6 @@ func NewClientLib(net *simnet.Network, name, service string, cfg Config, masters
 	return cl
 }
 
-// Service returns the service name this client allocates under.
-func (cl *ClientLib) Service() string { return cl.service }
-
 // callMaster tries the believed-active master, then the rest, until one
 // accepts (a standby returns ErrNotActive-equivalent text). Each replica is
 // called with retry so a lossy or flapping link doesn't masquerade as a

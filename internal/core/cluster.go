@@ -233,7 +233,6 @@ func (c *Cluster) FailDisk(id string) error {
 	}
 	if d := c.Disks[id]; d != nil {
 		d.PowerOff()
-		d.StopMediaDecay()
 	}
 	rig.Binding.Resync()
 	return nil

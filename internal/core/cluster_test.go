@@ -9,6 +9,13 @@ import (
 	"ustore/internal/fabric"
 )
 
+// stopMaster crashes a master replica and its coord store.
+func stopMaster(m *Master) {
+	m.elect.Stop()
+	m.rpc.Node().SetDown(true)
+	m.store.Stop()
+}
+
 // boot builds a default cluster and settles long enough for initial
 // enumeration, master election, and first heartbeats.
 func boot(t *testing.T, mutate ...func(*Config)) *Cluster {
@@ -45,7 +52,7 @@ func TestBootSysStatSeesAllHostsAndDisks(t *testing.T) {
 	c := boot(t)
 	m := c.ActiveMaster()
 	for _, h := range c.Fabric.Hosts() {
-		if !m.HostOnline(h) {
+		if hs := m.hosts[h]; hs == nil || !hs.online {
 			t.Fatalf("host %s not online in SysStat", h)
 		}
 	}
@@ -243,7 +250,7 @@ func TestFailoverUsesBackupControllerWhenPrimaryHostDies(t *testing.T) {
 			t.Fatalf("disk %s still on %q after h1 death", d, h)
 		}
 	}
-	if c.Ctrls[1].Executed() == 0 {
+	if c.Ctrls[1].executed == 0 {
 		t.Fatal("backup controller executed nothing")
 	}
 }
@@ -256,7 +263,7 @@ func TestMasterFailoverStandbyTakesOver(t *testing.T) {
 	cl.Allocate(1<<30, func(r AllocateReply, err error) { rep = r })
 	c.Settle(2 * time.Second)
 
-	active.Stop()
+	stopMaster(active)
 	c.Settle(15 * time.Second)
 	next := c.ActiveMaster()
 	if next == nil || next == active {
@@ -303,7 +310,7 @@ func TestControllerConflictReporting(t *testing.T) {
 	if gotErr == nil {
 		t.Fatal("conflicting single-disk move succeeded")
 	}
-	if c.Ctrls[0].Conflicts() == 0 {
+	if c.Ctrls[0].conflicts == 0 {
 		t.Fatal("controller did not count the conflict")
 	}
 }

@@ -84,11 +84,6 @@ func (c *Controller) Down(down bool) {
 // switches after the primary's MCU became unreachable.
 func (c *Controller) TakeOver() { c.plane.PowerOnMCU(c.mcu) }
 
-// Executed, Conflicts and Rollbacks expose counters.
-func (c *Controller) Executed() uint64  { return c.executed }
-func (c *Controller) Conflicts() uint64 { return c.conflicts }
-func (c *Controller) Rollbacks() uint64 { return c.rollbacks }
-
 func (c *Controller) handleUSBReport(from string, args any) (any, error) {
 	r := args.(USBReportArgs)
 	if prev, ok := c.usbView[r.Host]; ok && r.Seq < prev.Seq {

@@ -85,12 +85,6 @@ func NewEndPoint(net *simnet.Network, host string, cfg Config, hc *usb.HostContr
 	return ep
 }
 
-// Host returns the host name.
-func (ep *EndPoint) Host() string { return ep.host }
-
-// Target exposes the block target (tests).
-func (ep *EndPoint) Target() *block.Target { return ep.tgt }
-
 // PowerManager returns the endpoint's power manager (nil if disabled).
 func (ep *EndPoint) PowerManager() *PowerManager { return ep.pm }
 
@@ -323,9 +317,6 @@ func (ep *EndPoint) handleDiskPower(from string, args any) (any, error) {
 	ep.cfg.History.Point(model.Op{Kind: model.OpPower, Client: ep.host, Disk: p.DiskID, Host: ep.host, Up: p.Up})
 	return struct{}{}, nil
 }
-
-// Exports returns the number of live exports.
-func (ep *EndPoint) Exports() int { return len(ep.exports) }
 
 // Scrubber returns the endpoint's background scrubber (nil if disabled).
 func (ep *EndPoint) Scrubber() *Scrubber { return ep.scrub }

@@ -40,7 +40,7 @@ func TestControllerRollbackOnVerifyTimeout(t *testing.T) {
 	if execErr == nil {
 		t.Fatal("command to unreachable destination succeeded")
 	}
-	if c.Ctrls[0].Rollbacks() == 0 {
+	if c.Ctrls[0].rollbacks == 0 {
 		t.Fatal("controller did not roll back")
 	}
 	// Switches restored.
@@ -100,12 +100,12 @@ func TestHostRecoveryRejoins(t *testing.T) {
 	m := c.ActiveMaster()
 	c.CrashHost("h4")
 	c.Settle(20 * time.Second)
-	if m.HostOnline("h4") {
+	if m.hosts["h4"].online {
 		t.Fatal("h4 still online in SysStat")
 	}
 	c.RestoreHost("h4")
 	c.Settle(5 * time.Second)
-	if !m.HostOnline("h4") {
+	if !m.hosts["h4"].online {
 		t.Fatal("restored host not online")
 	}
 	if got := c.DiskCountOn("h4"); got != 0 {
@@ -144,7 +144,7 @@ func TestMasterFailoverDuringHostFailover(t *testing.T) {
 	died := make(chan struct{}, 1)
 	m.OnHostDead = func(h string) {
 		// Kill the master at the worst moment.
-		m.Stop()
+		stopMaster(m)
 		select {
 		case died <- struct{}{}:
 		default:

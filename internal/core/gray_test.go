@@ -29,7 +29,7 @@ func allocMountOn(t *testing.T, c *Cluster, cl *ClientLib, size int64) AllocateR
 	cl.Allocate(size, func(r AllocateReply, e error) { rep, err = r, e })
 	c.Settle(3 * time.Second)
 	if err != nil {
-		t.Fatalf("allocate for %s: %v", cl.Service(), err)
+		t.Fatalf("allocate for %s: %v", cl.service, err)
 	}
 	var merr error = errors.New("pending")
 	cl.Mount(rep.Space, func(e error) { merr = e })
@@ -99,14 +99,15 @@ func TestGrayDiskQuarantineAndRelease(t *testing.T) {
 	c.Settle(15 * time.Second)
 
 	if got := m.DiskHealthState(gray); got != HealthQuarantined {
-		h, _ := m.DiskHealth(gray)
-		t.Fatalf("gray disk state = %s (tail %v), want quarantined", got, h.TailEWMA)
+		t.Fatalf("gray disk state = %s (tail %v), want quarantined", got, m.health.disks[gray].last.TailEWMA)
 	}
 	if len(quarantined) != 1 || quarantined[0] != gray {
 		t.Fatalf("OnDiskQuarantined fired for %v, want [%s]", quarantined, gray)
 	}
-	if q := m.QuarantinedDisks(); len(q) != 1 || q[0] != gray {
-		t.Fatalf("QuarantinedDisks = %v", q)
+	for id := range m.health.disks {
+		if m.health.excluded(id) != (id == gray) {
+			t.Fatalf("disk %s excluded = %v, want only %s", id, m.health.excluded(id), gray)
+		}
 	}
 	for _, rep := range reps[1:] {
 		if m.DiskHealthState(rep.DiskID) != HealthGood {

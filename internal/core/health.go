@@ -58,6 +58,16 @@ type diskHealth struct {
 	since      simtime.Time     // when the current state was entered
 }
 
+// Quarantine thresholds: a disk is gray when its tail-latency EWMA sits
+// quarantineTailFactor times above the cohort median; quarantineSuspectBeats
+// consecutive gray-scoring heartbeats promote Suspect to Quarantined, and
+// quarantineProbationBeats consecutive clean ones release it.
+const (
+	quarantineTailFactor     = 3
+	quarantineSuspectBeats   = 3
+	quarantineProbationBeats = 6
+)
+
 // healthTracker holds the active master's gray-disk state. Like SysStat it
 // is in-memory only: after master failover the new active replica rebuilds
 // its view from heartbeats, and a still-gray disk re-earns quarantine within
@@ -146,11 +156,10 @@ func (m *Master) scorePass() {
 		sort.Slice(tails, func(i, j int) bool { return tails[i] < tails[j] })
 		median = tails[len(tails)/2]
 	}
-	factor := m.cfg.QuarantineTailFactorOrDefault()
 	grayCount := 0
 	for _, id := range ids {
 		dh := t.disks[id]
-		isGray := dh.gray(median, factor)
+		isGray := dh.gray(median, quarantineTailFactor)
 		dh.scored = dh.last
 		if isGray {
 			grayCount++
@@ -173,7 +182,7 @@ func (m *Master) stepHealth(id string, dh *diskHealth, gray bool) {
 		if !gray {
 			dh.state = HealthGood
 			dh.grayBeats = 0
-		} else if dh.grayBeats++; dh.grayBeats >= m.cfg.QuarantineSuspectBeatsOrDefault() {
+		} else if dh.grayBeats++; dh.grayBeats >= quarantineSuspectBeats {
 			dh.state = HealthQuarantined
 			dh.cleanBeats = 0
 		}
@@ -186,7 +195,7 @@ func (m *Master) stepHealth(id string, dh *diskHealth, gray bool) {
 		if gray {
 			dh.state = HealthQuarantined
 			dh.cleanBeats = 0
-		} else if dh.cleanBeats++; dh.cleanBeats >= m.cfg.QuarantineProbationBeatsOrDefault() {
+		} else if dh.cleanBeats++; dh.cleanBeats >= quarantineProbationBeats {
 			dh.state = HealthGood
 			dh.grayBeats = 0
 		}
@@ -220,26 +229,6 @@ func (m *Master) DiskHealthState(diskID string) DiskHealthState {
 		return dh.state
 	}
 	return HealthGood
-}
-
-// QuarantinedDisks lists disks currently excluded from allocation, sorted.
-func (m *Master) QuarantinedDisks() []string {
-	var out []string
-	for id := range m.health.disks {
-		if m.health.excluded(id) {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DiskHealth returns the newest heartbeat health sample for a disk.
-func (m *Master) DiskHealth(diskID string) (disk.HealthStats, bool) {
-	if dh := m.health.disks[diskID]; dh != nil {
-		return dh.last, true
-	}
-	return disk.HealthStats{}, false
 }
 
 // ValidateQuarantine checks the quarantine invariant: no allocation was ever

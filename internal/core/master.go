@@ -169,13 +169,6 @@ func (m *Master) Name() string { return m.name }
 // Active reports whether this replica is the active master.
 func (m *Master) Active() bool { return m.elect.Leading() }
 
-// Stop crashes the replica (and its coord store).
-func (m *Master) Stop() {
-	m.elect.Stop()
-	m.rpc.Node().SetDown(true)
-	m.store.Stop()
-}
-
 // onElected rebuilds StorAlloc from coord when this replica becomes active
 // (SysStat rebuilds itself from incoming heartbeats).
 func (m *Master) onElected() {
@@ -803,12 +796,6 @@ func (m *Master) ValidateAllocations() error {
 		}
 	}
 	return nil
-}
-
-// HostOnline exposes SysStat for tests and the bench harness.
-func (m *Master) HostOnline(host string) bool {
-	hs := m.hosts[host]
-	return hs != nil && hs.online
 }
 
 // DiskHost exposes the current disk->host mapping.

@@ -63,7 +63,7 @@ func buildUnit(c *Cluster, unitID string, fcfg fabric.Config, masterNodes []stri
 	if limit <= 0 {
 		limit = usb.MaxDevicesPerTree
 	}
-	rig.Binding = fabric.NewBindingWithLimit(fab, limit,
+	rig.Binding = fabric.NewBinding(fab, limit,
 		func() time.Duration { return sched.Now() },
 		func(d time.Duration, fn func()) { sched.After(d, fn) })
 
@@ -139,20 +139,4 @@ func allGroups(rigs []*UnitRig) [][]string {
 		}
 	}
 	return out
-}
-
-// Rig returns the i-th deploy unit (0 is the primary one the legacy
-// accessors point at).
-func (c *Cluster) Rig(i int) *UnitRig { return c.UnitRigs[i] }
-
-// RigOfHost returns the deploy unit containing host (nil if unknown).
-func (c *Cluster) RigOfHost(host string) *UnitRig {
-	for _, rig := range c.UnitRigs {
-		for _, h := range rig.Fabric.Hosts() {
-			if h == host {
-				return rig
-			}
-		}
-	}
-	return nil
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Coverage for the multi-unit helpers themselves: Rig/RigOfHost accessors,
-// fabric-config namespacing, and the derived Master inventory. The
+// Coverage for the multi-unit helpers themselves: the rig list, one rig per
+// host, fabric-config namespacing, and the derived Master inventory. The
 // end-to-end multi-unit behaviors live in multiunit_test.go.
 
 func TestRigAccessorAliasesUnitRigs(t *testing.T) {
@@ -14,23 +14,9 @@ func TestRigAccessorAliasesUnitRigs(t *testing.T) {
 	if len(c.UnitRigs) != 3 {
 		t.Fatalf("rigs = %d, want 3", len(c.UnitRigs))
 	}
-	for i, rig := range c.UnitRigs {
-		if c.Rig(i) != rig {
-			t.Fatalf("Rig(%d) is not UnitRigs[%d]", i, i)
-		}
-	}
 	// Rig 0 is the primary unit the legacy accessors alias.
-	if c.Rig(0).Fabric != c.Fabric {
-		t.Fatal("Rig(0).Fabric is not the cluster's legacy Fabric alias")
-	}
-}
-
-func TestRigOfHostUnknown(t *testing.T) {
-	c := bootMulti(t, 2)
-	for _, host := range []string{"", "nope", "u2.h1", "h99", "u1.h99"} {
-		if rig := c.RigOfHost(host); rig != nil {
-			t.Fatalf("RigOfHost(%q) = %s, want nil", host, rig.ID)
-		}
+	if c.UnitRigs[0].Fabric != c.Fabric {
+		t.Fatal("UnitRigs[0].Fabric is not the cluster's legacy Fabric alias")
 	}
 }
 
@@ -43,9 +29,6 @@ func TestRigOfHostResolvesEveryHostToItsOwnRig(t *testing.T) {
 				t.Fatalf("host %s appears in two rigs", h)
 			}
 			seen[h] = true
-			if got := c.RigOfHost(h); got != rig {
-				t.Fatalf("RigOfHost(%s) = %v, want rig %s", h, got, rig.ID)
-			}
 		}
 	}
 }

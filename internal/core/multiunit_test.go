@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -37,7 +38,7 @@ func TestMultiUnitBoot(t *testing.T) {
 	// Every host from both units heartbeats.
 	for _, rig := range c.UnitRigs {
 		for _, h := range rig.Fabric.Hosts() {
-			if !m.HostOnline(h) {
+			if hs := m.hosts[h]; hs == nil || !hs.online {
 				t.Fatalf("host %s offline in SysStat", h)
 			}
 			if got := c.DiskCountOn(h); got != 4 {
@@ -46,11 +47,8 @@ func TestMultiUnitBoot(t *testing.T) {
 		}
 	}
 	// Second unit's names are namespaced.
-	if c.RigOfHost("u1.h1") == nil || c.RigOfHost("h1") == nil {
-		t.Fatal("RigOfHost failed to resolve unit hosts")
-	}
-	if c.RigOfHost("u1.h1") == c.RigOfHost("h1") {
-		t.Fatal("namespaced host resolved to the wrong unit")
+	if !slices.Contains(c.UnitRigs[0].Fabric.Hosts(), "h1") || !slices.Contains(c.UnitRigs[1].Fabric.Hosts(), "u1.h1") {
+		t.Fatal("unit hosts are not namespaced h1 / u1.h1")
 	}
 }
 
@@ -106,13 +104,13 @@ func TestMultiUnitFailoverStaysInUnit(t *testing.T) {
 	if done == 0 {
 		t.Fatal("unit-1 failover never completed")
 	}
-	rig := c.RigOfHost("u1.h1")
+	rig := c.UnitRigs[1]
 	for _, d := range rig.Fabric.Disks() {
 		h := m.DiskHost(string(d))
 		if h == "u1.h3" || h == "" {
 			t.Fatalf("disk %s still on %q", d, h)
 		}
-		if c.RigOfHost(h) != rig {
+		if !slices.Contains(rig.Fabric.Hosts(), h) {
 			t.Fatalf("disk %s crossed units to %s", d, h)
 		}
 	}
@@ -123,7 +121,7 @@ func TestMultiUnitFailoverStaysInUnit(t *testing.T) {
 		}
 	}
 	// Unit-1's own controllers did the work, not unit-0's.
-	u1Exec := c.UnitRigs[1].Ctrls[0].Executed() + c.UnitRigs[1].Ctrls[1].Executed()
+	u1Exec := c.UnitRigs[1].Ctrls[0].executed + c.UnitRigs[1].Ctrls[1].executed
 	if u1Exec == 0 {
 		t.Fatal("unit-1 controllers executed nothing")
 	}

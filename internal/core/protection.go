@@ -267,12 +267,6 @@ func (p *Protector) Done(diskID string, err error) {
 	p.adm.Release(now, diskID)
 }
 
-// Stats returns the admission controller's per-class outcomes.
-func (p *Protector) Stats() []policy.ClassStats { return p.adm.Stats() }
-
-// QueueDepth returns the current admission backlog.
-func (p *Protector) QueueDepth() int { return p.adm.QueueDepth() }
-
 // tick runs deadline shedding, refreshes gauges, and executes one
 // autoscale plan.
 func (p *Protector) tick() {

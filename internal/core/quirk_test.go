@@ -52,7 +52,7 @@ func TestIntelDeviceLimitQuirk(t *testing.T) {
 	}
 	rollbacks := uint64(0)
 	for _, ctl := range c.Ctrls {
-		rollbacks += ctl.Rollbacks()
+		rollbacks += ctl.rollbacks
 	}
 	if rollbacks == 0 {
 		t.Fatal("no rollback recorded")

@@ -6,7 +6,6 @@ import (
 	"ustore/internal/block"
 	"ustore/internal/disk"
 	"ustore/internal/obs"
-	"ustore/internal/simtime"
 
 	"time"
 )
@@ -52,9 +51,7 @@ type Scrubber struct {
 	spaceIdx int
 	offset   int64
 
-	stats   ScrubStats
-	stopped bool
-	tick    *simtime.Event
+	stats ScrubStats
 	// inFlight guards against overlapping sweeps when a verify-read plus
 	// repair round-trip outlasts the tick interval.
 	inFlight bool
@@ -105,20 +102,8 @@ func (sc *Scrubber) SetRepairFunc(fn RepairFunc) { sc.repair = fn }
 // Stats returns a snapshot of the scrubber's counters.
 func (sc *Scrubber) Stats() ScrubStats { return sc.stats }
 
-// Stop halts scrubbing permanently.
-func (sc *Scrubber) Stop() {
-	sc.stopped = true
-	if sc.tick != nil {
-		sc.tick.Cancel()
-		sc.tick = nil
-	}
-}
-
 func (sc *Scrubber) arm() {
-	if sc.stopped {
-		return
-	}
-	sc.tick = sc.ep.sched.After(sc.interval, func() {
+	sc.ep.sched.After(sc.interval, func() {
 		sc.step()
 		sc.arm()
 	})

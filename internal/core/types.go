@@ -127,15 +127,6 @@ type Config struct {
 	// quarantined — excluded from new allocations and flagged for
 	// proactive migration — until they recover.
 	HealthQuarantine bool
-	// QuarantineTailFactor is how far above the cohort median a disk's
-	// tail-latency EWMA must sit to count as gray (0 = 3x).
-	QuarantineTailFactor float64
-	// QuarantineSuspectBeats is how many consecutive gray-scoring
-	// heartbeats promote Suspect to Quarantined (0 = 3).
-	QuarantineSuspectBeats int
-	// QuarantineProbationBeats is how many consecutive clean heartbeats a
-	// quarantined disk must show before release (0 = 6).
-	QuarantineProbationBeats int
 	// InjectQuarantineBlind deliberately breaks quarantine enforcement for
 	// checker self-tests: the allocator ignores quarantine state, so
 	// allocations land on known-gray disks. ValidateQuarantine (and the
@@ -165,31 +156,6 @@ func (c Config) ElectionTTLOrDefault() time.Duration {
 		return c.ElectionTTL
 	}
 	return 2 * time.Second
-}
-
-// QuarantineTailFactorOrDefault returns the gray-scoring tail divergence
-// threshold.
-func (c Config) QuarantineTailFactorOrDefault() float64 {
-	if c.QuarantineTailFactor > 0 {
-		return c.QuarantineTailFactor
-	}
-	return 3
-}
-
-// QuarantineSuspectBeatsOrDefault returns the Suspect->Quarantined streak.
-func (c Config) QuarantineSuspectBeatsOrDefault() int {
-	if c.QuarantineSuspectBeats > 0 {
-		return c.QuarantineSuspectBeats
-	}
-	return 3
-}
-
-// QuarantineProbationBeatsOrDefault returns the release streak.
-func (c Config) QuarantineProbationBeatsOrDefault() int {
-	if c.QuarantineProbationBeats > 0 {
-		return c.QuarantineProbationBeats
-	}
-	return 6
 }
 
 // PaxosOrDefault returns the consensus timing (DefaultConfig if unset).

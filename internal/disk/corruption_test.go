@@ -3,7 +3,6 @@ package disk
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"ustore/internal/simtime"
 )
@@ -28,6 +27,13 @@ func submitRead(s *simtime.Scheduler, d *Disk, off int64, size int) []byte {
 	return out
 }
 
+// readStore returns size bytes of st from off in a fresh buffer.
+func readStore(st *Store, off int64, size int) []byte {
+	out := make([]byte, size)
+	st.ReadInto(off, out)
+	return out
+}
+
 func TestCorruptAtFlipsBitsButKeepsSidecar(t *testing.T) {
 	st := NewStore()
 	data := bytes.Repeat([]byte{0xAB}, 1024)
@@ -35,7 +41,7 @@ func TestCorruptAtFlipsBitsButKeepsSidecar(t *testing.T) {
 	st.SetBlockCRC(0, 1234)
 
 	st.CorruptAt(100, 10, 0x5a)
-	got := st.ReadAt(0, 1024)
+	got := readStore(st, 0, 1024)
 	if bytes.Equal(got, data) {
 		t.Fatal("CorruptAt did not change the data")
 	}
@@ -56,30 +62,12 @@ func TestCorruptAtFlipsBitsButKeepsSidecar(t *testing.T) {
 func TestCorruptAtHoleMaterializesChunk(t *testing.T) {
 	st := NewStore()
 	st.CorruptAt(chunkSize*3+5, 2, 0x01)
-	got := st.ReadAt(chunkSize*3+5, 2)
+	got := readStore(st, chunkSize*3+5, 2)
 	if got[0] != 0x01 || got[1] != 0x01 {
 		t.Fatalf("corrupting a hole read back %v, want [1 1]", got)
 	}
-	offs := st.AllocatedChunkOffsets()
-	if len(offs) != 1 || offs[0] != chunkSize*3 {
-		t.Fatalf("AllocatedChunkOffsets = %v, want [%d]", offs, chunkSize*3)
-	}
-}
-
-func TestAllocatedChunkOffsetsSorted(t *testing.T) {
-	st := NewStore()
-	for _, off := range []int64{chunkSize * 7, 0, chunkSize * 3, chunkSize * 12} {
-		st.WriteAt(off, []byte{1})
-	}
-	offs := st.AllocatedChunkOffsets()
-	want := []int64{0, chunkSize * 3, chunkSize * 7, chunkSize * 12}
-	if len(offs) != len(want) {
-		t.Fatalf("got %v, want %v", offs, want)
-	}
-	for i := range want {
-		if offs[i] != want[i] {
-			t.Fatalf("got %v, want %v", offs, want)
-		}
+	if len(st.chunks) != 1 || st.chunks[3] == nil {
+		t.Fatalf("materialized chunks = %d, want only chunk 3", len(st.chunks))
 	}
 }
 
@@ -93,7 +81,7 @@ func TestURECorruptsReadPersistently(t *testing.T) {
 	if bytes.Equal(got, payload) {
 		t.Fatal("URE rate 1.0 read returned clean data")
 	}
-	if d.LatentErrors() == 0 {
+	if d.latentErrors == 0 {
 		t.Fatal("LatentErrors not counted")
 	}
 
@@ -133,40 +121,17 @@ func TestUREZeroRateConsumesNoRNG(t *testing.T) {
 	}
 }
 
-func TestMediaDecayCorruptsAllocatedSectors(t *testing.T) {
-	s, d := newDisk(t)
-	payload := bytes.Repeat([]byte{0x42}, chunkSize)
-	submitWrite(s, d, 0, payload)
-
-	d.StartMediaDecay(1 * time.Hour)
-	s.RunFor(24 * time.Hour)
-	if d.LatentErrors() == 0 {
-		t.Fatal("no decay events in 24h with 1h mean")
-	}
-	d.StopMediaDecay()
-	got := submitRead(s, d, 0, chunkSize)
-	if bytes.Equal(got, payload) {
-		t.Fatal("decay events did not damage stored data")
-	}
-
-	before := d.LatentErrors()
-	s.RunFor(24 * time.Hour)
-	if d.LatentErrors() != before {
-		t.Fatal("decay continued after StopMediaDecay")
-	}
-}
-
 func TestReplaceMediaWipesDataAndResetsCounters(t *testing.T) {
 	s, d := newDisk(t)
 	submitWrite(s, d, 0, bytes.Repeat([]byte{7}, SectorSize))
 	d.Store().SetBlockCRC(0, 99)
 	d.CorruptSector(0)
-	if d.LatentErrors() != 1 {
-		t.Fatalf("LatentErrors = %d, want 1", d.LatentErrors())
+	if d.latentErrors != 1 {
+		t.Fatalf("LatentErrors = %d, want 1", d.latentErrors)
 	}
 
 	d.ReplaceMedia()
-	if d.LatentErrors() != 0 {
+	if d.latentErrors != 0 {
 		t.Fatal("LatentErrors survived media replacement")
 	}
 	if _, ok := d.Store().BlockCRC(0); ok {

@@ -131,11 +131,11 @@ type Disk struct {
 	lastActive simtime.Time
 	spinUps    int
 
-	// stats
-	completed  uint64
-	bytesRead  uint64
-	bytesWrote uint64
-	busy       time.Duration
+	// completed, bytesRead and busy count finished IOs, bytes read and
+	// time spent servicing IO.
+	completed uint64
+	bytesRead uint64
+	busy      time.Duration
 
 	// stateObservers are notified of every state transition (power meter,
 	// rolling spin-up sequencer, ...).
@@ -155,9 +155,7 @@ type Disk struct {
 	// Silent-corruption model (Gray & van Ingen: uncorrectable read errors
 	// and latent sector errors dominate on low-cost SATA media).
 	ureRate      float64 // per-sector probability of corruption on read
-	latentErrors int
-	decayMean    time.Duration
-	decayEvent   *simtime.Event
+	latentErrors int     // sectors corrupted on this medium
 
 	// Gray-failure model. degr is the media/mechanism regime (DiskDegrade
 	// faults); linkCapBps/linkExtra is a separate transport regime
@@ -173,7 +171,7 @@ type Disk struct {
 }
 
 // SectorSize is the granularity of the corruption model: URE draws are per
-// sector read, and decay events damage one sector at a time.
+// sector read, and CorruptSector damages one sector at a time.
 const SectorSize = 4096
 
 // New creates a disk in the spun-down state (as after rack power-on, before
@@ -208,9 +206,6 @@ func (d *Disk) Store() *Store { return d.store }
 // SetInterconnect changes the attachment path (used when a disk is switched
 // between hosts or between SATA/USB in calibration benches).
 func (d *Disk) SetInterconnect(ic Interconnect) { d.ic = ic }
-
-// Interconnect returns the current attachment path type.
-func (d *Disk) Interconnect() Interconnect { return d.ic }
 
 // SetRecorder points the disk's instrumentation at a run Recorder. IO
 // service times land in the disk_io_seconds histogram (labelled by op),
@@ -248,16 +243,6 @@ func (d *Disk) SpinUpCount() int { return d.spinUps }
 
 // QueueDepth returns the number of requests waiting or in service.
 func (d *Disk) QueueDepth() int { return len(d.queue) }
-
-// Completed returns the number of IOs finished.
-func (d *Disk) Completed() uint64 { return d.completed }
-
-// BytesRead and BytesWritten return data-plane counters.
-func (d *Disk) BytesRead() uint64    { return d.bytesRead }
-func (d *Disk) BytesWritten() uint64 { return d.bytesWrote }
-
-// BusyTime returns cumulative time spent servicing IO.
-func (d *Disk) BusyTime() time.Duration { return d.busy }
 
 func (d *Disk) setState(s State) {
 	if s == d.state {
@@ -365,13 +350,6 @@ func (d *Disk) Submit(req *Request) {
 // sector-terabyte; chaos runs compress this the same way they compress MTTF.
 func (d *Disk) SetURERate(p float64) { d.ureRate = p }
 
-// URERate returns the configured per-sector corruption probability.
-func (d *Disk) URERate() float64 { return d.ureRate }
-
-// LatentErrors returns how many sectors the fault model has corrupted on
-// this medium (URE hits, decay events, and manual CorruptSector calls).
-func (d *Disk) LatentErrors() int { return d.latentErrors }
-
 // CorruptSector flips bits in the sector containing off. The damage is
 // persistent — it lives in the backing store, exactly like a real latent
 // sector error, until something rewrites the sector.
@@ -405,44 +383,6 @@ func (d *Disk) maybeCorruptOnRead(off int64, size int) {
 	}
 }
 
-// StartMediaDecay begins background bit rot: at exponentially-distributed
-// intervals with the given mean, one random allocated sector is corrupted
-// in place (no IO involved — this is the medium decaying while the platters
-// sit, the failure mode scrubbing exists to bound). Restarting replaces any
-// previous decay clock.
-func (d *Disk) StartMediaDecay(mean time.Duration) {
-	d.StopMediaDecay()
-	if mean <= 0 {
-		return
-	}
-	d.decayMean = mean
-	d.armDecay()
-}
-
-// StopMediaDecay cancels the background decay clock.
-func (d *Disk) StopMediaDecay() {
-	if d.decayEvent != nil {
-		d.decayEvent.Cancel()
-		d.decayEvent = nil
-	}
-	d.decayMean = 0
-}
-
-func (d *Disk) armDecay() {
-	wait := time.Duration(d.sched.Rand().ExpFloat64() * float64(d.decayMean))
-	d.decayEvent = d.sched.After(wait, func() {
-		if d.decayMean <= 0 {
-			return
-		}
-		if offs := d.store.AllocatedChunkOffsets(); len(offs) > 0 {
-			chunk := offs[d.sched.Rand().Intn(len(offs))]
-			sector := chunk + int64(d.sched.Rand().Intn(chunkSize/SectorSize))*SectorSize
-			d.CorruptSector(sector)
-		}
-		d.armDecay()
-	})
-}
-
 // Degrade puts the disk mechanism into the given fail-slow regime. A second
 // call replaces the first (the chaos scheduler closes one window before it
 // opens another on the same disk).
@@ -462,9 +402,6 @@ func (d *Disk) ClearDegrade() {
 	d.rec.Instant("disk", "degrade-clear", d.id)
 }
 
-// Degraded reports the active fail-slow regime, if any.
-func (d *Disk) Degraded() (DegradeParams, bool) { return d.degr, d.degraded }
-
 // SetLinkCap caps the transport path independently of the mechanism: a USB
 // link renegotiated down to HighSpeed moves ~35 MB/s no matter how healthy
 // the platters are, and every transaction pays extra turnarounds. Zero cap
@@ -473,9 +410,6 @@ func (d *Disk) SetLinkCap(bytesPerSec float64, extra time.Duration) {
 	d.linkCapBps = bytesPerSec
 	d.linkExtra = extra
 }
-
-// LinkCap returns the transport cap (0 = native link speed).
-func (d *Disk) LinkCap() (float64, time.Duration) { return d.linkCapBps, d.linkExtra }
 
 // Health returns the current SMART-style health block.
 func (d *Disk) Health() HealthStats { return d.health }
@@ -513,14 +447,11 @@ func (d *Disk) observeHealth(svc time.Duration, failed bool) {
 
 // ReplaceMedia swaps in a blank platter stack, modelling an operator
 // swapping the failed drive for a fresh unit of the same model. All data
-// and checksums are gone; latent-error history resets; the URE/decay
-// configuration carries over (the replacement is the same drive model).
+// and checksums are gone; latent-error history resets; the URE rate
+// carries over (the replacement is the same drive model).
 func (d *Disk) ReplaceMedia() {
 	d.store = NewStore()
 	d.latentErrors = 0
-	if d.decayMean > 0 {
-		d.StartMediaDecay(d.decayMean)
-	}
 }
 
 // pump starts servicing the head of the queue if the disk is ready.
@@ -598,7 +529,6 @@ func (d *Disk) pump() {
 			d.bytesRead += uint64(op.Size)
 		} else {
 			d.store.WriteAt(req.Offset, req.Data)
-			d.bytesWrote += uint64(op.Size)
 		}
 		d.setState(StateIdle)
 		if req.Done != nil {

@@ -147,12 +147,12 @@ func TestFIFOAndBusyAccounting(t *testing.T) {
 			t.Fatalf("completion order %v", order)
 		}
 	}
-	if d.Completed() != 5 || d.BytesRead() != 5*4096 {
-		t.Fatalf("completed=%d bytesRead=%d", d.Completed(), d.BytesRead())
+	if d.completed != 5 || d.bytesRead != 5*4096 {
+		t.Fatalf("completed=%d bytesRead=%d", d.completed, d.bytesRead)
 	}
 	wantBusy := 5 * d.Params().ServiceTime(AttachSATA, Op{Read: true, Size: 4096, Pattern: Sequential})
-	if d.BusyTime() != wantBusy {
-		t.Fatalf("busy = %v, want %v", d.BusyTime(), wantBusy)
+	if d.busy != wantBusy {
+		t.Fatalf("busy = %v, want %v", d.busy, wantBusy)
 	}
 }
 
@@ -308,7 +308,7 @@ func TestPropertyStoreMatchesFlatArray(t *testing.T) {
 		if int(ro)+rl > window {
 			rl = window - int(ro)
 		}
-		got := st.ReadAt(ro, rl)
+		got := readStore(st, ro, rl)
 		return bytes.Equal(got, ref[ro:int(ro)+rl])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(3))}); err != nil {

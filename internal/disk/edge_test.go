@@ -124,16 +124,16 @@ func TestInterconnectSwitchMidStream(t *testing.T) {
 	op := Op{Read: true, Size: 4096, Pattern: Sequential}
 	d.Submit(&Request{Op: op})
 	s.Run()
-	fabricBusy := d.BusyTime()
+	fabricBusy := d.busy
 	d.SetInterconnect(AttachSATA)
 	d.Submit(&Request{Op: op})
 	s.Run()
-	sataCost := d.BusyTime() - fabricBusy
+	sataCost := d.busy - fabricBusy
 	if sataCost >= fabricBusy {
 		t.Fatalf("SATA op (%v) not cheaper than fabric op (%v)", sataCost, fabricBusy)
 	}
-	if d.Interconnect() != AttachSATA {
-		t.Fatalf("interconnect = %v", d.Interconnect())
+	if d.ic != AttachSATA {
+		t.Fatalf("interconnect = %v", d.ic)
 	}
 }
 

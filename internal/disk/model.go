@@ -59,14 +59,6 @@ const (
 	Random
 )
 
-// String returns "Seq" or "Rand" as used in the paper's table headers.
-func (p Pattern) String() string {
-	if p == Sequential {
-		return "Seq"
-	}
-	return "Rand"
-}
-
 // Op describes one IO for service-time purposes.
 type Op struct {
 	Read    bool

@@ -56,9 +56,6 @@ func TestPropertyReadIntoMatchesReadAt(t *testing.T) {
 			if !bytes.Equal(dst[1:n+1], ref[off:off+n]) {
 				t.Fatalf("round %d: ReadInto(%d, %d bytes) differs from the flat array", round, off, n)
 			}
-			if !bytes.Equal(st.ReadAt(int64(off), n), ref[off:off+n]) {
-				t.Fatalf("round %d: ReadAt(%d, %d) differs from the flat array", round, off, n)
-			}
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package disk
 
-import (
-	"hash/crc32"
-	"sort"
-)
+import "hash/crc32"
 
 // Store is a sparse in-memory byte store backing a simulated disk's data
 // plane. Unwritten regions read as zero, like a fresh drive. Chunks are
@@ -51,14 +48,6 @@ func (s *Store) WriteAt(off int64, data []byte) {
 	}
 }
 
-// ReadAt returns size bytes starting at off in a fresh buffer. Holes read as
-// zeros.
-func (s *Store) ReadAt(off int64, size int) []byte {
-	out := make([]byte, size)
-	s.ReadInto(off, out)
-	return out
-}
-
 // ReadInto fills dst with the len(dst) bytes starting at off, copying each
 // chunk straight from the store's backing memory. dst may hold anything on
 // entry (a recycled buffer): holes are zero-filled, not skipped.
@@ -78,11 +67,6 @@ func (s *Store) ReadInto(off int64, dst []byte) {
 		dst = dst[n:]
 		off += int64(n)
 	}
-}
-
-// BytesAllocated returns the memory footprint of written chunks.
-func (s *Store) BytesAllocated() int64 {
-	return int64(len(s.chunks)) * chunkSize
 }
 
 // CorruptAt flips bits in n bytes starting at off by XOR-ing mask into the
@@ -112,7 +96,7 @@ var zeroChunkCRC = crc32.ChecksumIEEE(make([]byte, chunkSize))
 
 // ChunkCRC returns the CRC32 (IEEE) of the chunk-aligned block idx, computed
 // directly over the store's backing memory with no copy. Holes hash as all
-// zeros, matching what ReadAt would return for them.
+// zeros, matching what ReadInto returns for them.
 func (s *Store) ChunkCRC(idx int64) uint32 {
 	if c, ok := s.chunks[idx]; ok {
 		return crc32.ChecksumIEEE(c)
@@ -132,16 +116,4 @@ func (s *Store) SetBlockCRC(idx int64, crc uint32) {
 func (s *Store) BlockCRC(idx int64) (uint32, bool) {
 	crc, ok := s.crcs[idx]
 	return crc, ok
-}
-
-// AllocatedChunkOffsets returns the byte offsets of all materialized chunks
-// in ascending order. Sorting makes random-victim selection deterministic
-// under a seeded RNG despite map iteration order.
-func (s *Store) AllocatedChunkOffsets() []int64 {
-	out := make([]int64, 0, len(s.chunks))
-	for ci := range s.chunks {
-		out = append(out, ci*chunkSize)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

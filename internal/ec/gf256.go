@@ -40,27 +40,6 @@ func gfMul(a, b byte) byte {
 	return gfExp[gfLog[a]+gfLog[b]]
 }
 
-// gfDiv divides in GF(256); division by zero panics (a programming error:
-// the decode matrix is invertible by construction).
-func gfDiv(a, b byte) byte {
-	if b == 0 {
-		panic("ec: division by zero in GF(256)")
-	}
-	if a == 0 {
-		return 0
-	}
-	return gfExp[gfLog[a]+255-gfLog[b]]
-}
-
-// gfPow raises the generator's power: g^n.
-func gfPow(n int) byte {
-	n %= 255
-	if n < 0 {
-		n += 255
-	}
-	return gfExp[n]
-}
-
 // gfInv returns the multiplicative inverse.
 func gfInv(a byte) byte {
 	if a == 0 {

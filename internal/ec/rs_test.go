@@ -14,9 +14,6 @@ func TestGFFieldAxioms(t *testing.T) {
 		if gfMul(ab, gfInv(ab)) != 1 {
 			t.Fatalf("a * a^-1 != 1 for %d", a)
 		}
-		if gfDiv(ab, ab) != 1 {
-			t.Fatalf("a/a != 1 for %d", a)
-		}
 		if gfMul(ab, 1) != ab {
 			t.Fatalf("a*1 != a for %d", a)
 		}
@@ -24,16 +21,13 @@ func TestGFFieldAxioms(t *testing.T) {
 			t.Fatalf("a*0 != 0 for %d", a)
 		}
 	}
-	// gfPow agrees with repeated multiplication of the generator.
+	// The exp table agrees with repeated multiplication of the generator.
 	acc := byte(1)
 	for n := 0; n < 300; n++ {
-		if gfPow(n) != acc {
-			t.Fatalf("gfPow(%d) = %d, want %d", n, gfPow(n), acc)
+		if gfExp[n%255] != acc {
+			t.Fatalf("g^%d = %d, want %d", n, gfExp[n%255], acc)
 		}
 		acc = gfMul(acc, 2)
-	}
-	if gfPow(-3) != gfPow(252) {
-		t.Fatal("negative exponent not wrapped")
 	}
 	// Distributivity on a sample grid.
 	for a := 0; a < 256; a += 17 {

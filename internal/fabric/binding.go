@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -29,17 +28,12 @@ type Binding struct {
 
 // NewBinding creates host controllers for every fabric host and attaches
 // the initial visible trees. Run the scheduler to complete the initial
-// enumeration. It uses the full USB addressing limit per controller; use
-// NewBindingWithLimit to reproduce the Intel driver quirk (§V-B).
-func NewBinding(f *Fabric, clock func() time.Duration, schedule func(time.Duration, func())) *Binding {
-	return NewBindingWithLimit(f, usb.MaxDevicesPerTree, clock, schedule)
-}
-
-// NewBindingWithLimit is NewBinding with an explicit per-host device limit
-// (hubs included). With usb.IntelRootHubDeviceLimit the binding reproduces
-// the prototype's observed behaviour: devices beyond the limit silently
-// fail to enumerate until the tree shrinks.
-func NewBindingWithLimit(f *Fabric, limit int, clock func() time.Duration, schedule func(time.Duration, func())) *Binding {
+// enumeration. limit caps the devices per host controller (hubs included):
+// usb.MaxDevicesPerTree is the full USB addressing limit, and with
+// usb.IntelRootHubDeviceLimit the binding reproduces the prototype's
+// observed behaviour (§V-B): devices beyond the limit silently fail to
+// enumerate until the tree shrinks.
+func NewBinding(f *Fabric, limit int, clock func() time.Duration, schedule func(time.Duration, func())) *Binding {
 	b := &Binding{
 		fabric:  f,
 		hcs:     make(map[string]*usb.HostController),
@@ -252,33 +246,4 @@ func (b *Binding) parentDevice(want VisibleChild, hc *usb.HostController) *usb.D
 		return hc.Root()
 	}
 	return b.devices[want.Parent]
-}
-
-// DataPath returns the fabric resources a data flow from disk consumes:
-// the hub uplinks on its current path and the owning host. Used to build
-// the usb.FlowSim resource path for throughput experiments.
-func (b *Binding) DataPath(disk NodeID) (hubs []NodeID, host string, err error) {
-	path, err := b.fabric.PathToRoot(disk)
-	if err != nil {
-		return nil, "", err
-	}
-	for _, id := range path {
-		n := b.fabric.Node(id)
-		switch n.Kind {
-		case KindHub:
-			hubs = append(hubs, id)
-		case KindRootPort:
-			host = n.Host
-		}
-	}
-	return hubs, host, nil
-}
-
-// String summarizes current attachment for debugging.
-func (b *Binding) String() string {
-	out := ""
-	for _, h := range b.fabric.Hosts() {
-		out += fmt.Sprintf("%s: %v\n", h, b.hcs[h].EnumeratedStorage())
-	}
-	return out
 }

@@ -12,17 +12,28 @@ func protoBinding(t *testing.T) (*simtime.Scheduler, *Fabric, *Binding) {
 	t.Helper()
 	s := simtime.NewScheduler(1)
 	f := proto(t)
-	b := NewBinding(f,
+	b := NewBinding(f, usb.MaxDevicesPerTree,
 		func() time.Duration { return s.Now() },
 		func(d time.Duration, fn func()) { s.After(d, fn) })
 	s.Run() // complete initial enumeration
 	return s, f, b
 }
 
+// enumeratedOn lists the disks host h has enumerated, in fabric order.
+func enumeratedOn(f *Fabric, b *Binding, h string) []string {
+	var out []string
+	for _, d := range f.Disks() {
+		if b.HostOf(d) == h && b.Device(d).Enumerated {
+			out = append(out, string(d))
+		}
+	}
+	return out
+}
+
 func TestInitialEnumeration(t *testing.T) {
 	_, f, b := protoBinding(t)
 	for _, h := range f.Hosts() {
-		got := b.HostController(h).EnumeratedStorage()
+		got := enumeratedOn(f, b, h)
 		if len(got) != 4 {
 			t.Fatalf("host %s sees %v, want 4 disks", h, got)
 		}
@@ -60,10 +71,10 @@ func TestSwitchTurnMovesUSBSubtree(t *testing.T) {
 			t.Fatalf("enumerated on wrong host: %v", enumerated)
 		}
 	}
-	if n := len(b.HostController(dst).EnumeratedStorage()); n != 8 {
+	if n := len(enumeratedOn(f, b, dst)); n != 8 {
 		t.Fatalf("dst sees %d disks, want 8", n)
 	}
-	if n := len(b.HostController(src).EnumeratedStorage()); n != 0 {
+	if n := len(enumeratedOn(f, b, src)); n != 0 {
 		t.Fatalf("src still sees %d disks", n)
 	}
 }
@@ -77,7 +88,7 @@ func TestEnumerationDelayGrowsWithDisksSwitched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := NewBinding(f,
+		b := NewBinding(f, usb.MaxDevicesPerTree,
 			func() time.Duration { return s.Now() },
 			func(d time.Duration, fn func()) { s.After(d, fn) })
 		s.Run()
@@ -140,7 +151,7 @@ func TestFailedHubDetachesSubtree(t *testing.T) {
 	if len(detached) != 4 {
 		t.Fatalf("detached = %v, want 4 disks under failed hub", detached)
 	}
-	if n := len(b.HostController(h).EnumeratedStorage()); n != 0 {
+	if n := len(enumeratedOn(f, b, h)); n != 0 {
 		t.Fatalf("host still sees %d disks", n)
 	}
 }
@@ -153,7 +164,7 @@ func TestPowerCutDetachesDisk(t *testing.T) {
 	}
 	b.Resync()
 	s.Run()
-	for _, id := range b.HostController(h).EnumeratedStorage() {
+	for _, id := range enumeratedOn(f, b, h) {
 		if id == string(DiskID(0)) {
 			t.Fatal("unpowered disk still enumerated")
 		}
@@ -165,7 +176,7 @@ func TestPowerCutDetachesDisk(t *testing.T) {
 	b.Resync()
 	s.Run()
 	found := false
-	for _, id := range b.HostController(h).EnumeratedStorage() {
+	for _, id := range enumeratedOn(f, b, h) {
 		if id == string(DiskID(0)) {
 			found = true
 		}
@@ -189,8 +200,8 @@ func TestHostOf(t *testing.T) {
 }
 
 func TestDataPath(t *testing.T) {
-	_, f, b := protoBinding(t)
-	hubs, host, err := b.DataPath(DiskID(0))
+	_, f, _ := protoBinding(t)
+	hubs, host, err := f.DataPath(DiskID(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,22 +42,6 @@ const (
 	KindDisk
 )
 
-// String returns the kind name.
-func (k Kind) String() string {
-	switch k {
-	case KindRootPort:
-		return "root"
-	case KindHub:
-		return "hub"
-	case KindSwitch:
-		return "switch"
-	case KindDisk:
-		return "disk"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
 // Attachment is a (parent node, downstream slot) pair.
 type Attachment struct {
 	Parent NodeID
@@ -374,16 +358,24 @@ func (f *Fabric) leadsToHost(id NodeID, host string, budget int) bool {
 	}
 }
 
-// ReachableHosts returns the hosts disk can reach under some switch
-// assignment through healthy components, sorted.
-func (f *Fabric) ReachableHosts(disk NodeID) []string {
-	var out []string
-	for _, h := range f.hosts {
-		if _, err := f.RouteTo(disk, h); err == nil {
-			out = append(out, h)
+// DataPath returns the fabric resources a data flow from disk consumes:
+// the hub uplinks on its current path and the owning host. It builds the
+// usb.FlowSim resource path for throughput experiments.
+func (f *Fabric) DataPath(disk NodeID) (hubs []NodeID, host string, err error) {
+	path, err := f.PathToRoot(disk)
+	if err != nil {
+		return nil, "", err
+	}
+	for _, id := range path {
+		n := f.nodes[id]
+		switch n.Kind {
+		case KindHub:
+			hubs = append(hubs, id)
+		case KindRootPort:
+			host = n.Host
 		}
 	}
-	return out
+	return hubs, host, nil
 }
 
 // SetSwitch turns sw to sel, firing the turn observer. It is the low-level

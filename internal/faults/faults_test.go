@@ -25,8 +25,8 @@ func TestInjectorHostCrashAndRecover(t *testing.T) {
 	if restores < crashes-1 || restores > crashes {
 		t.Fatalf("restores = %d for %d crashes", restores, crashes)
 	}
-	if len(in.Log()) != crashes+restores {
-		t.Fatalf("log length %d", len(in.Log()))
+	if len(in.log) != crashes+restores {
+		t.Fatalf("log length %d", len(in.log))
 	}
 }
 
@@ -56,7 +56,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		in.Start()
 		s.RunUntil(90 * 24 * time.Hour)
 		in.Stop()
-		return in.Log()
+		return in.log
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {

@@ -8,6 +8,13 @@ import (
 	"ustore/internal/simtime"
 )
 
+// logLen reads the injector's log length under its lock.
+func logLen(in *Injector) int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return len(in.log)
+}
+
 // TestStopMidScheduleRace stops an injector from a different goroutine
 // than the one driving the scheduler, while fault events are firing, and
 // asserts that no action fires and no log entry appears after Stop
@@ -56,7 +63,7 @@ func TestStopMidScheduleRace(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	in.Stop()
-	logLen := len(in.Log())
+	before := logLen(in)
 	fired := actions.Load()
 
 	// Give the driver real time to run far past the Stop point.
@@ -64,8 +71,8 @@ func TestStopMidScheduleRace(t *testing.T) {
 	if got := actions.Load(); got != fired {
 		t.Fatalf("action fired after Stop returned: %d -> %d", fired, got)
 	}
-	if got := len(in.Log()); got != logLen {
-		t.Fatalf("log grew after Stop returned: %d -> %d", logLen, got)
+	if got := logLen(in); got != before {
+		t.Fatalf("log grew after Stop returned: %d -> %d", before, got)
 	}
 
 	quit.Store(true)
@@ -84,18 +91,16 @@ func TestStopFromSchedulerGoroutine(t *testing.T) {
 	in.HostRepair = time.Minute
 	in.Start()
 
+	after := -1
 	sched.After(10*time.Minute, func() {
 		in.Stop()
-		sched.Stop()
+		after = actions
 	})
-	sched.Run()
-	after := actions
-	sched.Resume()
 	sched.RunFor(24 * time.Hour)
 	if actions != after {
 		t.Fatalf("actions fired after Stop: %d -> %d", after, actions)
 	}
-	if len(in.Log()) != after {
-		t.Fatalf("log has %d entries, %d actions fired", len(in.Log()), actions)
+	if len(in.log) != after {
+		t.Fatalf("log has %d entries, %d actions fired", len(in.log), actions)
 	}
 }

@@ -370,7 +370,7 @@ func (f *Fleet) FinishObs() {
 		return
 	}
 	f.obsFinished = true
-	f.userRec.BindClock(func() time.Duration { return f.Engine.Now() })
+	f.userRec.BindClock(f.Sched.Now) // every partition clock sits at the engine time
 	obs.MergeRecorders(f.userRec, f.recs...)
 }
 

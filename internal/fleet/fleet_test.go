@@ -198,8 +198,10 @@ func TestAllocateLookupRelease(t *testing.T) {
 	if !released {
 		t.Fatal("release never completed")
 	}
-	if n := f.VolumeCount(); n != 0 {
-		t.Fatalf("%d volumes remain after release", n)
+	for k := 0; k < f.Cfg.Shards; k++ {
+		if m := f.Leader(k); m != nil && len(m.vols) != 0 {
+			t.Fatalf("shard %d keeps %d volumes after release", k, len(m.vols))
+		}
 	}
 	var lookupErr error
 	r.Lookup("vol-0001", func(_ []string, _ int64, err error) { lookupErr = err })
@@ -357,8 +359,8 @@ func TestSlotMoveStaleRetryAndMigration(t *testing.T) {
 	}
 
 	// The stale router must be redirected and repaired in one lookup.
-	if r.MapEpoch() != 1 {
-		t.Fatalf("router unexpectedly refreshed early: epoch %d", r.MapEpoch())
+	if r.map_.Epoch != 1 {
+		t.Fatalf("router unexpectedly refreshed early: epoch %d", r.map_.Epoch)
 	}
 	var got []string
 	r.Lookup(vol, func(d []string, _ int64, err error) {
@@ -373,8 +375,8 @@ func TestSlotMoveStaleRetryAndMigration(t *testing.T) {
 	if len(got) != len(orig) {
 		t.Fatalf("lookup after move: %v, want %d fragments", got, len(orig))
 	}
-	if r.MapEpoch() != 2 {
-		t.Fatalf("router did not install the new map: epoch %d", r.MapEpoch())
+	if r.map_.Epoch != 2 {
+		t.Fatalf("router did not install the new map: epoch %d", r.map_.Epoch)
 	}
 
 	// The new owner's scheduler migrates the fragments home and the source
@@ -400,7 +402,7 @@ func TestSlotMoveStaleRetryAndMigration(t *testing.T) {
 // comparison.
 func summary(f *Fleet) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "epoch=%d vols=%d fired=%d\n", f.AuthMap().Epoch, f.VolumeCount(), f.Sched.Fired())
+	fmt.Fprintf(&b, "epoch=%d fired=%d\n", f.AuthMap().Epoch, f.Sched.Fired())
 	for k := 0; k < f.Cfg.Shards; k++ {
 		m := f.Leader(k)
 		if m == nil {

@@ -52,8 +52,8 @@ func (f *Fleet) ValidateSpread() error {
 				}
 				dom := di.Domain
 				if prev, dup := seen[dom]; dup {
-					return fmt.Errorf("fleet: volume %s has two fragments in %s %s (%s and %s)",
-						id, f.Cfg.SpreadLevel, dom, prev, d)
+					return fmt.Errorf("fleet: volume %s has two fragments in failure domain %s (%s and %s)",
+						id, dom, prev, d)
 				}
 				seen[dom] = d
 			}
@@ -242,15 +242,4 @@ func (f *Fleet) DrainBlocker(unitID string) string {
 		}
 	}
 	return ""
-}
-
-// VolumeCount sums volumes across shard leaders.
-func (f *Fleet) VolumeCount() int {
-	n := 0
-	for k := 0; k < f.Cfg.Shards; k++ {
-		if m := f.Leader(k); m != nil {
-			n += len(m.vols)
-		}
-	}
-	return n
 }

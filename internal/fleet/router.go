@@ -54,10 +54,6 @@ func newRouter(f *Fleet, name string) *Router {
 	return r
 }
 
-// MapEpoch returns the cached map's epoch (tests observe stale-retry
-// repair through it).
-func (r *Router) MapEpoch() int64 { return r.map_.Epoch }
-
 // Allocate places a volume through the owning shard; done's disks are read-only.
 func (r *Router) Allocate(volume string, size int64, service string, done func(disks []string, err error)) {
 	(&routerOp{r: r, method: "Allocate", volume: volume,

@@ -151,15 +151,6 @@ func newShardMaster(f *Fleet, shard, replica int, store *coord.Store, p part) *S
 // Name returns the replica name (s<shard>m<replica>).
 func (m *ShardMaster) Name() string { return m.name }
 
-// Shard returns the shard index.
-func (m *ShardMaster) Shard() int { return m.shard }
-
-// Leading reports whether this replica currently leads its group.
-func (m *ShardMaster) Leading() bool { return m.leading && !m.down }
-
-// Map returns a clone of the replica's installed shard map.
-func (m *ShardMaster) Map() *ShardMap { return m.map_.Clone() }
-
 // installInitialMap seeds the replica's map before the fleet starts.
 func (m *ShardMaster) installInitialMap(mp *ShardMap) { m.map_ = mp.Clone() }
 
@@ -306,13 +297,13 @@ func (m *ShardMaster) rebuild() {
 	}
 	// Restore durable freezes so an interrupted migration's Handoff succeeds
 	// against the new leader. Slots the current map routes elsewhere are
-	// stale freezes from a completed move — drop them.
+	// stale freezes from a completed move — drop them. A missing /frozen
+	// reads as no freezes.
 	m.frozen = make(map[int]bool)
-	if data, err := m.store.Get("/frozen"); err == nil {
-		for _, slot := range decodeFrozen(data) {
-			if m.map_.Slots[slot] == m.shard {
-				m.frozen[slot] = true
-			}
+	data, _ := m.store.Get("/frozen")
+	for _, slot := range decodeFrozen(data) {
+		if m.map_.Slots[slot] == m.shard {
+			m.frozen[slot] = true
 		}
 	}
 	load := func(root string, into map[string]VolRecord) {

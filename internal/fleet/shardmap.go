@@ -1,9 +1,6 @@
 package fleet
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "hash/fnv"
 
 // NumSlots is the fixed number of volume hash slots the shard map divides
 // the keyspace into. Slots — not volumes — are the unit of metadata
@@ -56,9 +53,4 @@ func (m *ShardMap) Clone() *ShardMap {
 // ShardOf returns the shard owning a volume under this map.
 func (m *ShardMap) ShardOf(volumeID string) int {
 	return m.Slots[SlotOf(volumeID)]
-}
-
-// String renders a short diagnostic form.
-func (m *ShardMap) String() string {
-	return fmt.Sprintf("shardmap{epoch=%d shards=%d}", m.Epoch, len(m.Replicas))
 }

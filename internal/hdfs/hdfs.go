@@ -254,9 +254,6 @@ func (dn *DataNode) Start(volBytes int64, done func(error)) {
 // Space returns the datanode's UStore space.
 func (dn *DataNode) Space() core.SpaceID { return dn.space }
 
-// Blocks returns how many blocks this datanode stores.
-func (dn *DataNode) Blocks() int { return len(dn.blocks) }
-
 // initHandlers wires the block protocol: WriteBlock stores the block
 // locally then forwards down the pipeline, replying upstream only after
 // downstream acks (chain replication, like the HDFS write pipeline);

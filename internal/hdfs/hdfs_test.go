@@ -73,8 +73,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	// Every block landed on all three datanodes.
 	for _, dn := range r.dns {
-		if dn.Blocks() != 4 {
-			t.Fatalf("datanode %s holds %d blocks, want 4", dn.name, dn.Blocks())
+		if len(dn.blocks) != 4 {
+			t.Fatalf("datanode %s holds %d blocks, want 4", dn.name, len(dn.blocks))
 		}
 	}
 }

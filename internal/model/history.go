@@ -100,13 +100,3 @@ func (h *History) Ops() []Op {
 	defer h.mu.Unlock()
 	return append([]Op(nil), h.ops...)
 }
-
-// Len reports how many ops have been recorded.
-func (h *History) Len() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.ops)
-}

@@ -82,8 +82,8 @@ func TestMergeTracerOrdersAndRemapsIDs(t *testing.T) {
 	dst := NewRecorder()
 	MergeRecorders(dst, buildPartitionRecorders()...)
 	tr := dst.Tracer()
-	if tr.Len() != 3 {
-		t.Fatalf("merged tracer has %d events, want 3", tr.Len())
+	if len(tr.ring) != 3 {
+		t.Fatalf("merged tracer has %d events, want 3", len(tr.ring))
 	}
 	// Events must be time-ordered with IDs assigned in that order: the 3ms
 	// event from partition B sorts ahead of partition A's 5ms and 9ms ones,

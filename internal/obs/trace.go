@@ -109,14 +109,6 @@ func (t *Tracer) Begin(cat, name, track string, args ...Label) *Span {
 	return &Span{t: t, id: t.nextID, cat: cat, name: name, track: track, start: t.now(), args: args}
 }
 
-// ID returns the span's event ID for cause-linking (0 on nil).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // End closes the span, appending extra args to those given at Begin.
 func (s *Span) End(args ...Label) {
 	if s == nil {
@@ -155,17 +147,6 @@ func (t *Tracer) InstantCause(cat, name, track string, cause uint64, args ...Lab
 		phase: 'i', ts: t.now(), cause: cause, args: args,
 	})
 	return t.nextID
-}
-
-// Len returns the number of buffered events; Dropped how many were
-// overwritten.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ring)
 }
 
 // Dropped returns how many events were overwritten by ring wraparound.

@@ -74,8 +74,8 @@ func TestTracerRingOverwrite(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Instant("c", "e", "")
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", tr.Len())
+	if len(tr.ring) != 4 {
+		t.Fatalf("Len = %d, want 4", len(tr.ring))
 	}
 	if tr.Dropped() != 6 {
 		t.Fatalf("Dropped = %d, want 6", tr.Dropped())
@@ -125,8 +125,8 @@ func TestTracerRingGrowsOnDemand(t *testing.T) {
 	if retained := uintptr(cap(tr.ring)) * unsafe.Sizeof(traceEvent{}); retained >= 64<<10 {
 		t.Fatalf("a recorder holding 10 events retains %d bytes of ring, want < 64 KiB", retained)
 	}
-	if tr.Len() != 10 || tr.Dropped() != 0 {
-		t.Fatalf("Len = %d, Dropped = %d, want 10 and 0", tr.Len(), tr.Dropped())
+	if len(tr.ring) != 10 || tr.Dropped() != 0 {
+		t.Fatalf("Len = %d, Dropped = %d, want 10 and 0", len(tr.ring), tr.Dropped())
 	}
 
 	small := NewTracer(8)
@@ -134,8 +134,8 @@ func TestTracerRingGrowsOnDemand(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		last = small.Instant("c", "e", "")
 	}
-	if small.Len() != 8 || small.Dropped() != 12 {
-		t.Fatalf("cap-8 tracer after 20 events: Len = %d, Dropped = %d, want 8 and 12", small.Len(), small.Dropped())
+	if len(small.ring) != 8 || small.Dropped() != 12 {
+		t.Fatalf("cap-8 tracer after 20 events: Len = %d, Dropped = %d, want 8 and 12", len(small.ring), small.Dropped())
 	}
 	kept := map[uint64]bool{}
 	for _, ev := range small.ring {

@@ -91,12 +91,12 @@ func TestCatchUpPagination(t *testing.T) {
 		}
 	}
 	c.settle(5 * time.Second)
-	if got := len(c.logs[l.Name()]); got != total {
+	if got := len(c.logs[l.name]); got != total {
 		t.Fatalf("leader applied %d of %d", got, total)
 	}
 	lagger.Resume()
 	c.settle(30 * time.Second)
-	if got := len(c.logs[lagger.Name()]); got != total {
+	if got := len(c.logs[lagger.name]); got != total {
 		t.Fatalf("lagger caught up %d of %d", got, total)
 	}
 	c.checkPrefixAgreement(t)

@@ -75,9 +75,6 @@ func NewBallot(round uint64, proposer int) Ballot {
 // Round returns the round component.
 func (b Ballot) Round() uint64 { return uint64(b) >> 16 }
 
-// Proposer returns the proposer index component.
-func (b Ballot) Proposer() int { return int(uint64(b) & 0xffff) }
-
 // slotState is one log position's acceptor + learner state.
 type slotState struct {
 	acceptedBallot Ballot
@@ -170,10 +167,6 @@ type Node struct {
 	onApplied map[string]func(slot int)
 
 	stopped bool
-
-	// Stats.
-	elections uint64
-	proposed  uint64
 }
 
 // New creates a replica named name (must appear in peers) on net.
@@ -208,9 +201,6 @@ func New(net *simnet.Network, name string, peers []string, cfg Config, apply App
 	return n
 }
 
-// Name returns the node's name.
-func (n *Node) Name() string { return n.name }
-
 // IsLeader reports current leadership belief.
 func (n *Node) IsLeader() bool { return n.isLeader }
 
@@ -221,12 +211,6 @@ func (n *Node) Leader() string {
 	}
 	return n.leaderHint
 }
-
-// Applied returns the number of slots applied to the state machine.
-func (n *Node) Applied() int { return n.applied }
-
-// Elections returns how many campaigns this node has started.
-func (n *Node) Elections() uint64 { return n.elections }
 
 // Stop makes the node inert (process crash). Its acceptor state is
 // retained, modelling a restart-with-durable-state when Resume is called.
@@ -300,7 +284,6 @@ func (n *Node) armElectionTimer() {
 }
 
 func (n *Node) campaign() {
-	n.elections++
 	n.campaigning = true
 	round := n.promised.Round() + 1
 	b := NewBallot(round, n.index)
@@ -456,7 +439,6 @@ func (n *Node) leaderPropose(cmd Command) {
 	slot := n.nextSlot
 	n.nextSlot++
 	n.inFlight[cmd.ID] = slot
-	n.proposed++
 	n.phase2(slot, cmd)
 }
 

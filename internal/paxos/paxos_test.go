@@ -47,7 +47,7 @@ func (c *cluster) leader(t *testing.T) *Node {
 			continue
 		}
 		if l != nil {
-			t.Fatalf("two leaders: %s and %s", l.Name(), n.Name())
+			t.Fatalf("two leaders: %s and %s", l.name, n.name)
 		}
 		l = n
 	}
@@ -85,8 +85,8 @@ func TestElectsSingleLeader(t *testing.T) {
 	l := c.leader(t)
 	// All nodes agree on the leader.
 	for _, n := range c.nodes {
-		if n.Leader() != l.Name() {
-			t.Fatalf("%s believes leader is %q, want %s", n.Name(), n.Leader(), l.Name())
+		if n.Leader() != l.name {
+			t.Fatalf("%s believes leader is %q, want %s", n.name, n.Leader(), l.name)
 		}
 	}
 }
@@ -155,7 +155,7 @@ func TestLeaderFailureElectsNewAndPreservesLog(t *testing.T) {
 	}
 	c.settle(2 * time.Second)
 	for _, name := range c.names {
-		if name == l1.Name() {
+		if name == l1.name {
 			continue
 		}
 		if got := len(c.logs[name]); got != 10 {
@@ -180,7 +180,7 @@ func TestStoppedLeaderResumesAsFollowerAndCatchesUp(t *testing.T) {
 	c.settle(2 * time.Second)
 	l1.Resume()
 	c.settle(5 * time.Second)
-	if got := len(c.logs[l1.Name()]); got != 9 {
+	if got := len(c.logs[l1.name]); got != 9 {
 		t.Fatalf("resumed node applied %d, want 9 (catch-up)", got)
 	}
 	c.checkPrefixAgreement(t)
@@ -194,9 +194,9 @@ func TestMinorityPartitionCannotChoose(t *testing.T) {
 	c.settle(2 * time.Second)
 	l := c.leader(t)
 	// Partition the leader plus one follower away from the other three.
-	minority := []string{l.Name()}
+	minority := []string{l.name}
 	for _, name := range c.names {
-		if name != l.Name() {
+		if name != l.name {
 			minority = append(minority, name)
 			break
 		}
@@ -320,8 +320,8 @@ func TestDeterministicReplay(t *testing.T) {
 
 func TestBallotEncoding(t *testing.T) {
 	b := NewBallot(7, 3)
-	if b.Round() != 7 || b.Proposer() != 3 {
-		t.Fatalf("ballot round=%d proposer=%d", b.Round(), b.Proposer())
+	if b.Round() != 7 || b != 7<<16|3 {
+		t.Fatalf("ballot %#x: round=%d, want round 7 proposer 3", uint64(b), b.Round())
 	}
 	if NewBallot(2, 0) <= NewBallot(1, 65535) {
 		t.Fatal("higher round must dominate proposer index")

@@ -550,17 +550,17 @@ func (ix *Index) Validate() error {
 			for _, r := range s.members[b.lo:b.hi] {
 				if int(s.bucketOf[r]) != i || ix.unitOf[r] != b.unit {
 					return fmt.Errorf("placement: %s bucket %d lists disk %s of another bucket",
-						Level(level), i, ix.disks[r].ID)
+						levelNames[level], i, ix.disks[r].ID)
 				}
 			}
 			grouped += int(b.hi - b.lo)
 			if want := ix.tops(s, b); !b.stale && b.top != want {
 				return fmt.Errorf("placement: %s bucket %d caches tops %v, rows say %v",
-					Level(level), i, b.top, want)
+					levelNames[level], i, b.top, want)
 			}
 		}
 		if grouped != len(ix.rows) {
-			return fmt.Errorf("placement: %s buckets group %d of %d rows", Level(level), grouped, len(ix.rows))
+			return fmt.Errorf("placement: %s buckets group %d of %d rows", levelNames[level], grouped, len(ix.rows))
 		}
 	}
 	return nil

@@ -185,12 +185,12 @@ func TestIndexSpreadMatchesReference(t *testing.T) {
 			}
 			if g, w := strings.Join(got, " "), ids(want.Disks); g != w || over != want.OverBudget {
 				t.Fatalf("topology %d step %d (%s, n=%d, size=%d, exclude=%v):\n index picked [%s] over=%d\n  reference [%s] over=%d",
-					topo, step, level, n, size, exclude, g, over, w, want.OverBudget)
+					topo, step, levelNames[level], n, size, exclude, g, over, w, want.OverBudget)
 			}
 			wrapped := Spread(views, n, opts)
 			if g, w := ids(wrapped.Disks), ids(want.Disks); g != w || wrapped.OverBudget != want.OverBudget {
 				t.Fatalf("topology %d step %d (%s, n=%d): Spread picked [%s] over=%d, reference [%s] over=%d",
-					topo, step, level, n, g, wrapped.OverBudget, w, want.OverBudget)
+					topo, step, levelNames[level], n, g, wrapped.OverBudget, w, want.OverBudget)
 			}
 			for i := range wrapped.Disks {
 				if wrapped.Disks[i] != want.Disks[i] {
@@ -227,7 +227,7 @@ func TestSpreadUnsortedAndUnbudgeted(t *testing.T) {
 		got, want := Spread(views, n, opts), spreadReference(views, n, opts)
 		if g, w := ids(got.Disks), ids(want.Disks); g != w || got.OverBudget != want.OverBudget {
 			t.Fatalf("round %d (%s, n=%d): Spread picked [%s] over=%d, reference [%s] over=%d",
-				round, opts.Level, n, g, got.OverBudget, w, want.OverBudget)
+				round, levelNames[opts.Level], n, g, got.OverBudget, w, want.OverBudget)
 		}
 		for i := range views {
 			if views[i] != before[i] {
@@ -272,7 +272,7 @@ func TestIndexSpreadAllocatesOnlyItsResult(t *testing.T) {
 			}
 		})
 		if allocs > 1 {
-			t.Fatalf("%s: Spread + Charge allocated %.0f times per call, want at most the result slice", level, allocs)
+			t.Fatalf("%s: Spread + Charge allocated %.0f times per call, want at most the result slice", levelNames[level], allocs)
 		}
 	}
 }

@@ -19,21 +19,8 @@ const (
 	LevelRack
 )
 
-// String names the level.
-func (l Level) String() string {
-	switch l {
-	case LevelHost:
-		return "host"
-	case LevelHub:
-		return "hub"
-	case LevelUnit:
-		return "unit"
-	case LevelRack:
-		return "rack"
-	default:
-		return "level?"
-	}
-}
+// levelNames names each Level for error messages.
+var levelNames = [...]string{LevelHost: "host", LevelHub: "hub", LevelUnit: "unit", LevelRack: "rack"}
 
 // Location places a disk in the failure-domain hierarchy. Rack, Unit and
 // Hub are static wiring; Host is the current (dynamic) attachment.

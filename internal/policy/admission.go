@@ -40,11 +40,9 @@ type classState struct {
 	cfg   ClassConfig
 	queue []*request
 
-	// Cumulative outcome counters (reports read them via ClassStats).
-	admitted  uint64
-	shedFull  uint64
-	shedLate  uint64
-	maxQueued int
+	// shedFull and shedLate count requests shed on a full queue and past
+	// their deadline.
+	shedFull, shedLate uint64
 }
 
 type resourceState struct {
@@ -121,9 +119,6 @@ func (a *Admission) Submit(now simtime.Time, class, resource string, grant func(
 	cs.queue = append(cs.queue, &request{
 		class: cs, resource: resource, enqueued: now, grant: grant, shed: shed,
 	})
-	if len(cs.queue) > cs.maxQueued {
-		cs.maxQueued = len(cs.queue)
-	}
 	a.dispatch(now)
 }
 
@@ -168,7 +163,6 @@ func (a *Admission) dispatch(now simtime.Time) {
 				rs := a.resource(rq.resource)
 				if rs.ready && rs.inflight < a.slotCap {
 					rs.inflight++
-					cs.admitted++
 					rq := rq
 					fire = append(fire, func() { rq.grant() })
 					continue
@@ -216,30 +210,4 @@ func (a *Admission) Demand() map[string]int {
 		}
 	}
 	return d
-}
-
-// ClassStats is one class's cumulative admission outcomes.
-type ClassStats struct {
-	Name         string
-	Admitted     uint64
-	ShedFull     uint64
-	ShedDeadline uint64
-	Queued       int // current depth
-	MaxQueued    int // high-water mark
-}
-
-// Stats returns per-class outcome counters in priority order.
-func (a *Admission) Stats() []ClassStats {
-	out := make([]ClassStats, 0, len(a.classes))
-	for _, cs := range a.classes {
-		out = append(out, ClassStats{
-			Name:         cs.cfg.Name,
-			Admitted:     cs.admitted,
-			ShedFull:     cs.shedFull,
-			ShedDeadline: cs.shedLate,
-			Queued:       len(cs.queue),
-			MaxQueued:    cs.maxQueued,
-		})
-	}
-	return out
 }

@@ -17,7 +17,9 @@ func TestBucketPoolMatchesDirectAllocation(t *testing.T) {
 			if got, want := pooled.Allow(now), direct.Allow(now); got != want {
 				t.Fatalf("bucket %d step %d: pooled Allow=%v, direct=%v", i, step, got, want)
 			}
-			if got, want := pooled.Tokens(now), direct.Tokens(now); got != want {
+			pooled.refill(now)
+			direct.refill(now)
+			if got, want := pooled.tokens, direct.tokens; got != want {
 				t.Fatalf("bucket %d step %d: pooled Tokens=%v, direct=%v", i, step, got, want)
 			}
 		}

@@ -22,8 +22,8 @@ func TestTokenBucketBurstThenRate(t *testing.T) {
 	}
 	// 1s refills 2 tokens.
 	now = at(time.Second)
-	if got := tb.Tokens(now); got != 2 {
-		t.Fatalf("tokens after 1s = %g, want 2", got)
+	if tb.refill(now); tb.tokens != 2 {
+		t.Fatalf("tokens after 1s = %g, want 2", tb.tokens)
 	}
 	if !tb.TakeN(now, 2) {
 		t.Fatal("refilled tokens not spendable")
@@ -33,8 +33,8 @@ func TestTokenBucketBurstThenRate(t *testing.T) {
 	}
 	// Refill clamps at Burst.
 	now = at(time.Hour)
-	if got := tb.Tokens(now); got != 4 {
-		t.Fatalf("tokens after an hour = %g, want burst cap 4", got)
+	if tb.refill(now); tb.tokens != 4 {
+		t.Fatalf("tokens after an hour = %g, want burst cap 4", tb.tokens)
 	}
 }
 
@@ -127,9 +127,8 @@ func TestAdmissionGrantAndQueueFull(t *testing.T) {
 	if a.QueueDepth() != 2 {
 		t.Fatalf("depth = %d, want 2", a.QueueDepth())
 	}
-	st := a.Stats()
-	if st[1].Name != "batch" || st[1].ShedFull != 1 {
-		t.Fatalf("batch stats = %+v, want ShedFull 1", st[1])
+	if cs := a.byName["batch"]; cs.shedFull != 1 {
+		t.Fatalf("batch shedFull = %d, want 1", cs.shedFull)
 	}
 }
 
@@ -163,9 +162,8 @@ func TestAdmissionDeadlineShed(t *testing.T) {
 	if shed != ShedDeadline {
 		t.Fatalf("shed = %q, want deadline", shed)
 	}
-	st := a.Stats()
-	if st[0].ShedDeadline != 1 {
-		t.Fatalf("premium ShedDeadline = %d, want 1", st[0].ShedDeadline)
+	if cs := a.byName["premium"]; cs.shedLate != 1 {
+		t.Fatalf("premium shedLate = %d, want 1", cs.shedLate)
 	}
 }
 

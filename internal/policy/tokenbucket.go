@@ -54,10 +54,3 @@ func (tb *TokenBucket) TakeN(now simtime.Time, n float64) bool {
 	tb.tokens -= n
 	return true
 }
-
-// Tokens reports the current fill after advancing to now (for tests and
-// reports).
-func (tb *TokenBucket) Tokens(now simtime.Time) float64 {
-	tb.refill(now)
-	return tb.tokens
-}

@@ -12,8 +12,8 @@
 // deliberately supports only the fault surface the fleet uses across deploy
 // units: machine isolation (checked on the source side at send
 // and on the destination side at delivery) and pairwise machine cuts
-// (CutMachines/HealMachines, checked on the source side). Loss/dup dice,
-// one-way cuts, and brownouts remain partition-local — cross-unit traffic in
+// (CutMachines/HealMachines, checked on the source side). Loss/dup dice
+// and brownouts remain partition-local — cross-unit traffic in
 // the fleet is unit-to-unit RPC whose failure modes are "the unit's uplink is
 // gone" (isolation) and "these two units can't see each other" (a cut).
 // Keeping the dice out of the cross path also keeps every partition's RNG

@@ -77,10 +77,11 @@ func TestRetryResendIsDeduplicatedNotReExecuted(t *testing.T) {
 		return calls, nil
 	})
 
-	// Cut only srv->cli so the first reply dies in flight.
+	// cli hears nothing for 50ms, so the first reply dies in flight while
+	// its request still gets out.
 	ownMachines(n, "cli", "srv")
-	n.CutMachinesOneWay("mach-srv", "mach-cli")
-	s.After(50*time.Millisecond, func() { n.HealMachinesOneWay("mach-srv", "mach-cli") })
+	n.Node("cli").SetDown(true)
+	s.After(50*time.Millisecond, func() { n.Node("cli").SetDown(false) })
 
 	var got any
 	var gerr error = errors.New("pending")

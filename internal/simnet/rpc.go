@@ -84,15 +84,14 @@ func (a *AsyncReply) Reply(result any, err error) {
 // one request ID across resends, this gives effectively-once execution over
 // an at-least-once transport.
 type RPCNode struct {
-	node     *Node
-	net      *Network
-	methods  map[string]RPCHandler
-	async    map[string]RPCAsyncHandler
-	nextID   uint64
-	pending  map[uint64]*pendingCall
-	calls    freeList[pendingCall]
-	replies  freeList[AsyncReply]
-	otherRaw Handler
+	node    *Node
+	net     *Network
+	methods map[string]RPCHandler
+	async   map[string]RPCAsyncHandler
+	nextID  uint64
+	pending map[uint64]*pendingCall
+	calls   freeList[pendingCall]
+	replies freeList[AsyncReply]
 
 	seen     map[dedupKey]rpcReply
 	inflight map[dedupKey]bool
@@ -172,10 +171,6 @@ func (r *RPCNode) Register(method string, h RPCHandler) {
 func (r *RPCNode) RegisterAsync(method string, h RPCAsyncHandler) {
 	r.async[method] = h
 }
-
-// HandleRaw installs a handler for non-RPC payloads delivered to this node
-// (e.g. one-way notifications sent with Node.Send).
-func (r *RPCNode) HandleRaw(h Handler) { r.otherRaw = h }
 
 // instrumentCall wraps a call's completion callback with RPC latency and
 // trace recording: a span on the caller's track for the call's lifetime,
@@ -366,10 +361,6 @@ func (r *RPCNode) dispatch(msg Message) {
 			r.complete(pc, nil, errors.New(h.text))
 		} else {
 			r.complete(pc, msg.Payload, nil)
-		}
-	default:
-		if r.otherRaw != nil {
-			r.otherRaw(msg)
 		}
 	}
 }

@@ -96,9 +96,6 @@ func TestDownNodeDropsInFlight(t *testing.T) {
 	if count != 0 {
 		t.Fatal("down node received an in-flight message")
 	}
-	if !b.Up() == false {
-		_ = b
-	}
 	b.SetDown(false)
 	n.Node("a").Send("b", 2, 0)
 	s.Run()
@@ -255,14 +252,18 @@ func TestRPCConcurrentCallsKeepIdentity(t *testing.T) {
 	}
 }
 
-func TestRawHandler(t *testing.T) {
+// TestRPCNodeIgnoresRawPayload: a payload that is not an RPC envelope is
+// delivered and dropped without disturbing the node's calls.
+func TestRPCNodeIgnoresRawPayload(t *testing.T) {
 	s, n := newNet(t)
 	srv := NewRPCNode(n, "server")
-	var raw any
-	srv.HandleRaw(func(m Message) { raw = m.Payload })
+	srv.Register("echo", func(from string, args any) (any, error) { return args, nil })
+	cli := NewRPCNode(n, "client")
 	n.Node("client").Send("server", "oneway", 0)
+	var got any
+	cli.Call("server", "echo", 7, 0, time.Second, func(r any, err error) { got = r })
 	s.Run()
-	if raw != "oneway" {
-		t.Fatalf("raw = %v", raw)
+	if got != 7 {
+		t.Fatalf("echo after a raw payload = %v, want 7", got)
 	}
 }

@@ -92,7 +92,7 @@ type Engine struct {
 	active    []int    // partitions with an event at or before the horizon
 	lookahead Duration
 	workers   int
-	now       Time
+	now       Time // the latest deadline a RunUntil advanced every partition to
 	horizon   Time // current window's upper edge, for the Post safety check
 	stats     EngineStats
 	cost      [8][2]float64 // per size class: ns per fired event inline, fanned out; 0 = unmeasured
@@ -135,10 +135,6 @@ func (e *Engine) Parts() int { return len(e.parts) }
 
 // Lookahead returns the engine's synchronization lookahead.
 func (e *Engine) Lookahead() Duration { return e.lookahead }
-
-// Now returns the engine's virtual time: the latest deadline a RunUntil
-// advanced every partition to.
-func (e *Engine) Now() Time { return e.now }
 
 // Stats returns the engine's synchronization counters.
 func (e *Engine) Stats() EngineStats { return e.stats }
@@ -291,7 +287,7 @@ func (e *Engine) firedActive() uint64 {
 // RunUntil executes events across all partitions up to and including
 // deadline, then advances every partition clock to deadline. Like
 // Scheduler.RunUntil it never moves the clock backwards: a deadline before
-// Now() runs nothing and leaves Now() where it was.
+// the engine clock runs nothing and leaves the clock where it was.
 func (e *Engine) RunUntil(deadline Time) Time {
 	for {
 		e.flushInboxes()
@@ -310,5 +306,5 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// RunFor is RunUntil(Now()+d).
+// RunFor runs d past the engine clock.
 func (e *Engine) RunFor(d Duration) Time { return e.RunUntil(e.now + d) }

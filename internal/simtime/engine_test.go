@@ -55,7 +55,7 @@ func engineWorkload(t *testing.T, workers int) (string, EngineStats) {
 	for p := 0; p < parts; p++ {
 		all.WriteString(logs[p].String())
 	}
-	fmt.Fprintf(&all, "fired=%d now=%v\n", e.Fired(), e.Now())
+	fmt.Fprintf(&all, "fired=%d now=%v\n", e.Fired(), e.now)
 	return all.String(), e.Stats()
 }
 
@@ -112,11 +112,11 @@ func TestEngineStatsCountWindows(t *testing.T) {
 func TestEngineClockNeverRunsBackwards(t *testing.T) {
 	e := NewEngine(1, 2, 1, time.Millisecond)
 	e.RunFor(10 * time.Millisecond)
-	if got := e.RunUntil(5 * time.Millisecond); got != 10*time.Millisecond || e.Now() != got {
-		t.Fatalf("RunUntil(5ms) at 10ms returned %v, Now %v; want 10ms for both", got, e.Now())
+	if got := e.RunUntil(5 * time.Millisecond); got != 10*time.Millisecond || e.now != got {
+		t.Fatalf("RunUntil(5ms) at 10ms returned %v, Now %v; want 10ms for both", got, e.now)
 	}
-	if got := e.RunFor(-time.Second); got != 10*time.Millisecond || e.Now() != got {
-		t.Fatalf("RunFor(-1s) at 10ms returned %v, Now %v; want 10ms for both", got, e.Now())
+	if got := e.RunFor(-time.Second); got != 10*time.Millisecond || e.now != got {
+		t.Fatalf("RunFor(-1s) at 10ms returned %v, Now %v; want 10ms for both", got, e.now)
 	}
 	fired := false
 	e.Part(1).FireAfter(time.Millisecond, func() { fired = true })
@@ -132,7 +132,7 @@ func TestEngineFlushSteadyStateAllocs(t *testing.T) {
 	e := NewEngine(1, parts, 1, time.Millisecond)
 	noop := func() {}
 	round := func() {
-		at := e.Now() + e.Lookahead()
+		at := e.now + e.Lookahead()
 		for src := 0; src < parts; src++ {
 			for i := 0; i < 16; i++ {
 				e.Post(src, (src+1)%parts, at, noop)

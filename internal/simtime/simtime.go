@@ -33,7 +33,8 @@
 // heap's, which TestPropertyWheelMatchesReferenceHeap verifies.
 //
 // Event structs are pooled on a free list. Only events that never escape to
-// a caller — FireAt/FireAfter, used by hot paths like simnet delivery — and
+// a caller — FireAfter and the receiver forms FireAtR/FireAfterR, used by hot
+// paths like simnet delivery — and
 // events whose holder gave the handle back with Release are recycled, so a
 // stale handle can never cancel a reused event. Tickers go
 // one step further and re-arm their own event in place, making steady-state
@@ -165,10 +166,6 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Done reports whether the event can no longer fire: it was cancelled or it
-// already left the queue (fired or discarded).
-func (e *Event) Done() bool { return e.canceledBit() || e.index == indexFired }
-
 // Release gives the handle back: the caller promises never to touch the
 // event again, so the scheduler recycles it once it leaves the queue — at
 // once if it already has. A cancelled event is still queued until it is
@@ -255,9 +252,8 @@ type Scheduler struct {
 
 	free []*Event // recycled pooled events
 
-	fired   uint64
-	stopped bool
-	stats   Stats
+	fired uint64
+	stats Stats
 
 	// canceledPending counts exactly how many cancelled events are still
 	// queued: Cancel increments it only for queued events, and whichever
@@ -332,7 +328,8 @@ func (s *Scheduler) alloc() *Event {
 }
 
 // recycle returns a departed event to the free list. Only events whose
-// handle never escaped (FireAt/FireAfter) or was given back (Release) are
+// handle never escaped (FireAfter, FireAtR, FireAfterR) or was given back
+// (Release) are
 // recycled, so no caller can hold a reference to a reused Event.
 func (s *Scheduler) recycle(e *Event) {
 	e.fire = nil
@@ -543,15 +540,11 @@ func (s *Scheduler) At(at Time, fn func()) *Event { return s.arm(at, asFirer(fn)
 // After schedules fn to run d from now. Negative d is treated as zero.
 func (s *Scheduler) After(d Duration, fn func()) *Event { return s.AfterR(d, asFirer(fn)) }
 
-// FireAt schedules fn to run at absolute virtual time at, like At, but
-// returns no handle. Because the event can never be cancelled or inspected,
-// the scheduler recycles its Event struct through a free list — hot paths
-// that fire and forget (message delivery, decay sweeps) should prefer this
-// over At to avoid one allocation per event.
-func (s *Scheduler) FireAt(at Time, fn func()) { s.FireAtR(at, asFirer(fn)) }
-
-// FireAfter schedules fn to run d from now without returning a handle; see
-// FireAt. Negative d is treated as zero.
+// FireAfter schedules fn to run d from now, like After, but returns no
+// handle. Because the event can never be cancelled or inspected, the
+// scheduler recycles its Event struct through a free list — hot paths that
+// fire and forget should prefer this over After to avoid one allocation per
+// event. Negative d is treated as zero.
 func (s *Scheduler) FireAfter(d Duration, fn func()) { s.FireAfterR(d, asFirer(fn)) }
 
 // AfterR, FireAtR and FireAfterR take a receiver in place of a callback.
@@ -589,21 +582,18 @@ func (s *Scheduler) Every(interval Duration, fn func()) *Ticker {
 		}
 		t.fn()
 		// Re-arm the same Event in place unless the callback stopped the
-		// ticker or Reset already armed a replacement.
-		if !t.stopped && t.ev.index == indexFired {
+		// ticker.
+		if !t.stopped {
 			t.rearm()
 		}
 	}
-	t.arm()
+	t.ev = s.AfterR(interval, funcFirer(t.tick))
 	return t
 }
 
 // Step pops and executes the single earliest event. It reports false when the
-// queue is empty or the scheduler has been stopped.
+// queue is empty.
 func (s *Scheduler) Step() bool {
-	if s.stopped {
-		return false
-	}
 	s.maybeCompact()
 	e := s.popNext()
 	if e == nil {
@@ -626,8 +616,8 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// Run executes events until the queue is empty or Stop is called. It returns
-// the virtual time at which it stopped.
+// Run executes events until the queue is empty. It returns the virtual time
+// at which it stopped.
 func (s *Scheduler) Run() Time {
 	for s.Step() {
 	}
@@ -638,7 +628,7 @@ func (s *Scheduler) Run() Time {
 // advances the clock to deadline. Events scheduled beyond deadline remain
 // queued.
 func (s *Scheduler) RunUntil(deadline Time) Time {
-	for !s.stopped {
+	for {
 		next := s.peekNext()
 		if next == nil || next.At > deadline {
 			break
@@ -654,13 +644,6 @@ func (s *Scheduler) RunUntil(deadline Time) Time {
 // RunFor is RunUntil(Now()+d).
 func (s *Scheduler) RunFor(d Duration) Time { return s.RunUntil(s.now + d) }
 
-// Stop halts Run/RunUntil after the current event completes. Pending events
-// stay queued; a stopped scheduler can be resumed with Resume.
-func (s *Scheduler) Stop() { s.stopped = true }
-
-// Resume clears the stopped flag set by Stop.
-func (s *Scheduler) Resume() { s.stopped = false }
-
 // Ticker fires a callback at a fixed interval of virtual time.
 type Ticker struct {
 	s        *Scheduler
@@ -669,13 +652,6 @@ type Ticker struct {
 	ev       *Event
 	tick     func() // wraps fn; allocated once, shared by every re-arm
 	stopped  bool
-}
-
-// arm installs a fresh Event. Used for the first tick and after Reset, when
-// the previous event may still sit cancelled in the queue and so cannot be
-// reused.
-func (t *Ticker) arm() {
-	t.ev = t.s.AfterR(t.interval, funcFirer(t.tick))
 }
 
 // rearm reschedules the just-fired Event in place: no allocation on the
@@ -699,15 +675,4 @@ func (t *Ticker) Stop() {
 	}
 	t.stopped = true
 	t.ev.Cancel()
-}
-
-// Reset stops the ticker and re-arms it with a new interval.
-func (t *Ticker) Reset(interval Duration) {
-	if interval <= 0 {
-		panic(fmt.Sprintf("simtime: non-positive tick interval %v", interval))
-	}
-	t.Stop()
-	t.stopped = false
-	t.interval = interval
-	t.arm()
 }

@@ -130,22 +130,6 @@ func TestRunForAdvancesEvenWhenIdle(t *testing.T) {
 	}
 }
 
-func TestStopAndResume(t *testing.T) {
-	s := NewScheduler(1)
-	count := 0
-	s.After(1*time.Second, func() { count++; s.Stop() })
-	s.After(2*time.Second, func() { count++ })
-	s.Run()
-	if count != 1 {
-		t.Fatalf("count after Stop = %d, want 1", count)
-	}
-	s.Resume()
-	s.Run()
-	if count != 2 {
-		t.Fatalf("count after Resume = %d, want 2", count)
-	}
-}
-
 func TestEveryTicksAndStops(t *testing.T) {
 	s := NewScheduler(1)
 	var ticks []Time
@@ -178,25 +162,6 @@ func TestTickerStopFromCallback(t *testing.T) {
 	s.Run()
 	if count != 2 {
 		t.Fatalf("count = %d, want 2", count)
-	}
-}
-
-func TestTickerReset(t *testing.T) {
-	s := NewScheduler(1)
-	var ticks []Time
-	tk := s.Every(time.Second, func() { ticks = append(ticks, s.Now()) })
-	s.RunUntil(1 * time.Second)
-	tk.Reset(10 * time.Second)
-	s.RunUntil(25 * time.Second)
-	tk.Stop()
-	if len(ticks) != 3 {
-		t.Fatalf("ticks = %v, want [1s 11s 21s]", ticks)
-	}
-	if ticks[1] != 11*time.Second || ticks[2] != 21*time.Second {
-		t.Fatalf("ticks after reset = %v, want 11s and 21s", ticks)
-	}
-	if tk.interval != 10*time.Second {
-		t.Fatalf("interval = %v, want 10s", tk.interval)
 	}
 }
 

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -382,17 +383,15 @@ func (d *decoder) outputSection(v *Node, s *Spec) error {
 	})
 }
 
-// Parse parses and decodes a spec document (YAML subset or JSON — sniffed
-// from the first non-space byte), returning the File handle grid
-// expansion and hashing hang off.
+// Parse parses and decodes a spec document written in the YAML subset,
+// returning the File handle grid expansion and hashing hang off. A JSON
+// document (one whose first non-space byte is '{') is refused with an
+// error that wraps ErrJSON and points at that byte.
 func Parse(data []byte, file string) (*File, error) {
-	var root *Node
-	var err error
-	if isJSON(data) {
-		root, err = ParseJSON(data, file)
-	} else {
-		root, err = ParseYAML(data, file)
+	if line, col, ok := jsonStart(data); ok {
+		return nil, &posError{file: file, line: line, col: col, msg: ErrJSON.Error(), err: ErrJSON}
 	}
+	root, err := ParseYAML(data, file)
 	if err != nil {
 		return nil, err
 	}
@@ -406,18 +405,27 @@ func Parse(data []byte, file string) (*File, error) {
 	return f, nil
 }
 
-func isJSON(data []byte) bool {
+// ErrJSON is the refusal of a JSON spec document: specs are written in the
+// YAML subset ParseYAML accepts.
+var ErrJSON = errors.New("JSON specs are not supported; write the spec in the YAML subset (see examples/*.yaml)")
+
+// jsonStart reports the line and column of a leading '{', the first byte of
+// a JSON object, after any whitespace.
+func jsonStart(data []byte) (line, col int, ok bool) {
+	line, col = 1, 1
 	for _, b := range data {
 		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
+		case '\n':
+			line, col = line+1, 1
+		case ' ', '\t', '\r':
+			col++
 		case '{':
-			return true
+			return line, col, true
 		default:
-			return false
+			return 0, 0, false
 		}
 	}
-	return false
+	return 0, 0, false
 }
 
 // decodeAxes extracts the grid section (axis path -> list of scalar

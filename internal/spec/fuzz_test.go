@@ -11,8 +11,8 @@ import (
 // must round-trip through grid expansion and hashing without panicking
 // either, and hashing must be deterministic.
 //
-// The seed corpus covers the interesting regions: valid YAML and JSON
-// specs, unknown fields, type mismatches, grids, deep indentation, and
+// The seed corpus covers the interesting regions: valid specs, unknown
+// fields, type mismatches, grids, deep indentation, and
 // syntax the subset rejects.
 func FuzzSpecParse(f *testing.F) {
 	seeds := []string{
@@ -24,8 +24,8 @@ func FuzzSpecParse(f *testing.F) {
 		"mode: fleet\nfleet:\n  units: 4\n  shards: 2\n",
 		"mode: fidelity\nfidelity:\n  check: table1-ustore-capex\n",
 		"mode: durability\nfailure:\n  model: empirical\n  ure_bits: spec\n",
-		`{"mode": "faults", "seed": 1}`,
-		`{"mode": "fleet", "fleet": {"units": 2, "shards": 1}, "grid": {"seed": [1, 2, 3]}}`,
+		"mode: fleet\nfleet:\n  units: 2\n  shards: 1\ngrid:\n  seed:\n    - 1\n    - 2\n",
+		"mode: faults\nname: \"tab\\there\"\n",
 		"mode: faults\ngrid:\n  seed: [1, 2]\n  faults.pairs: [2, 4]\n",
 		"mode: faults\nname: \"quoted # name\"\n",
 		// Unknown fields and type mismatches.
@@ -34,7 +34,7 @@ func FuzzSpecParse(f *testing.F) {
 		"mode: faults\nseed: lots\n",
 		"mode: faults\nfaults:\n  disks: 3\n",
 		"mode: faults\nfailure:\n  ure_bits: sometimes\n",
-		`{"mode": "faults", "seed": "lots"}`,
+		"mode: faults\nseed: \"lots\"\n",
 		// Syntax stress.
 		"mode: faults\nfaults:\n\tdisks: true\n",
 		"mode: faults\nname: &anchor x\n",
@@ -48,8 +48,8 @@ func FuzzSpecParse(f *testing.F) {
 		"key:value\n",
 		"mode: faults\nname: \"unterminated\n",
 		"mode: faults\nname: \"bad \\q escape\"\n",
-		"{\"mode\": \"faults\"} trailing",
-		"{\"mode\": \"faults\", \"mode\": \"traffic\"}",
+		"mode: faults\n  stray: indent\n",
+		"mode: faults\nfaults:\n  disks: true\n  disks: false\n",
 		"{", "", "\x00", "\xff\xfe", strings.Repeat(" ", 100), strings.Repeat("a:\n", 50),
 	}
 	for _, s := range seeds {

@@ -4,8 +4,8 @@ import "testing"
 
 // TestHashStableAcrossFormatting is the cache-invalidation contract: the
 // hash is computed over the decoded, defaulted spec, so reformatting,
-// reordering keys, comments, explicit-defaults, and YAML-vs-JSON all map
-// to the same hash — while changing any value changes it.
+// reordering keys, comments, explicit defaults, and value-neutral quoting
+// all map to the same hash — while changing any value changes it.
 func TestHashStableAcrossFormatting(t *testing.T) {
 	base := "mode: durability\nseed: 5\ndurability:\n  scheme: r3\n  disks: 256\n"
 	same := []string{
@@ -15,8 +15,6 @@ func TestHashStableAcrossFormatting(t *testing.T) {
 		"# cmt\nmode: durability\n\nseed: 5\ndurability:\n  scheme: r3 # inline\n  disks: 256\n",
 		// Defaults spelled out explicitly.
 		"mode: durability\nseed: 5\ndays: 2\ndurability:\n  scheme: r3\n  disks: 256\n  disk_tb: 4\n",
-		// Same values via JSON.
-		`{"mode": "durability", "seed": 5, "durability": {"scheme": "r3", "disks": 256}}`,
 		// Quoted scalar strings where quoting is value-neutral.
 		"mode: \"durability\"\nseed: 5\ndurability:\n  scheme: \"r3\"\n  disks: 256\n",
 	}
@@ -42,11 +40,7 @@ func TestHashStableAcrossFormatting(t *testing.T) {
 
 func mustHash(t *testing.T, doc string) string {
 	t.Helper()
-	name := "h.yaml"
-	if doc[0] == '{' {
-		name = "h.json"
-	}
-	f, err := Parse([]byte(doc), name)
+	f, err := Parse([]byte(doc), "h.yaml")
 	if err != nil {
 		t.Fatalf("parse %q: %v", doc, err)
 	}

@@ -1,5 +1,5 @@
 // Package spec is the declarative experiment language of the repo: a
-// YAML/JSON document describing one scenario (topology, workload mix,
+// YAML-subset document describing one scenario (topology, workload mix,
 // fault schedule shape, failure model, protection policies, outputs) plus
 // an optional parameter grid, compiled into the existing chaos / traffic /
 // fleet option structs and swept by internal/campaign.
@@ -108,11 +108,13 @@ func (n *Node) clone() *Node {
 	return &c
 }
 
-// posError is a parse or decode rejection anchored to a file position.
+// posError is a parse or decode rejection anchored to a file position. err,
+// when set, is the sentinel the rejection wraps.
 type posError struct {
 	file      string
 	line, col int
 	msg       string
+	err       error
 }
 
 func (e *posError) Error() string {
@@ -121,6 +123,8 @@ func (e *posError) Error() string {
 	}
 	return fmt.Sprintf("%s:%d:%d: %s", e.file, e.line, e.col, e.msg)
 }
+
+func (e *posError) Unwrap() error { return e.err }
 
 func errAt(file string, line, col int, format string, args ...any) error {
 	return &posError{file: file, line: line, col: col, msg: fmt.Sprintf(format, args...)}

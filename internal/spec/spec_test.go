@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -89,26 +90,17 @@ func TestGridExpansion(t *testing.T) {
 	}
 }
 
+// TestParseJSONSpec: JSON is not a spec format. A JSON document is refused
+// with an error that wraps ErrJSON, points at the opening brace, and names
+// the format that is supported — not a YAML parse error about braces.
 func TestParseJSONSpec(t *testing.T) {
-	doc := `{
-  "mode": "fleet",
-  "seed": 3,
-  "fleet": {"units": 4, "shards": 2, "unit_loss": true},
-  "grid": {"fleet.engine_workers": [1, 4]}
-}`
-	f, err := Parse([]byte(doc), "sample.json")
-	if err != nil {
-		t.Fatal(err)
+	doc := "\n  {\"mode\": \"fleet\", \"seed\": 3}\n"
+	_, err := Parse([]byte(doc), "sample.json")
+	if !errors.Is(err, ErrJSON) {
+		t.Fatalf("JSON spec: err = %v, want ErrJSON", err)
 	}
-	if f.Spec.Mode != "fleet" || f.Spec.Fleet.Units != 4 || !f.Spec.Fleet.UnitLoss {
-		t.Fatalf("JSON decode wrong: %+v", f.Spec)
-	}
-	cells, err := f.Cells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 2 || cells[1].Spec.Fleet.EngineWorkers != 4 {
-		t.Fatalf("JSON grid wrong: %+v", cells)
+	if msg := err.Error(); !strings.HasPrefix(msg, "sample.json:2:3: ") || !strings.Contains(msg, "YAML subset") {
+		t.Fatalf("JSON spec error %q: want sample.json:2:3 naming the YAML subset", msg)
 	}
 }
 
@@ -132,8 +124,8 @@ func TestPositionalErrors(t *testing.T) {
 		{"grid nested list", "mode: faults\ngrid:\n  seed: [[1]]\n", "spec.yaml:3:9", "nested flow lists"},
 		{"bad ure_bits", "mode: faults\nfailure:\n  ure_bits: sometimes\n", "spec.yaml:3:13", "\"spec\", \"observed\", or \"off\""},
 		{"unsupported anchor", "mode: faults\nname: &a x\n", "spec.yaml:2:7", "unsupported YAML syntax"},
-		{"json trailing", `{"mode": "faults"} {`, "sample", "trailing data"},
-		{"json unknown field", "{\n \"mode\": \"faults\",\n \"bogus\": 1\n}", "sample.json:3", "unknown field \"bogus\""},
+		{"json trailing", `{"mode": "faults"} {`, "sample.json:1:1", "JSON specs are not supported"},
+		{"json unknown field", "{\n \"mode\": \"faults\",\n \"bogus\": 1\n}", "sample.json:1:1", "JSON specs are not supported"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -148,8 +140,7 @@ func TestPositionalErrors(t *testing.T) {
 			if !strings.Contains(err.Error(), c.wantMsg) {
 				t.Errorf("error %q does not mention %q", err, c.wantMsg)
 			}
-			if !strings.Contains(err.Error(), strings.Replace(c.wantPos, "sample", name, 1)) &&
-				!strings.Contains(err.Error(), c.wantPos) {
+			if !strings.Contains(err.Error(), c.wantPos) {
 				t.Errorf("error %q lacks position %q", err, c.wantPos)
 			}
 		})

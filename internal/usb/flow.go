@@ -5,8 +5,6 @@ import (
 	"math"
 	"sort"
 	"time"
-
-	"ustore/internal/obs"
 )
 
 // This file implements a fluid-flow bandwidth model with max-min fair
@@ -47,14 +45,11 @@ type Flow struct {
 	rate      float64
 	done      func()
 	lastTick  time.Duration
-	moved     float64
+	moved     float64 // bytes moved so far
 }
 
 // Rate returns the flow's current allocated rate in bytes/sec.
 func (f *Flow) Rate() float64 { return f.rate }
-
-// Moved returns the total bytes moved so far.
-func (f *Flow) Moved() float64 { return f.moved }
 
 // FlowSim owns resources and flows and advances them on the simulation
 // scheduler.
@@ -64,22 +59,6 @@ type FlowSim struct {
 	resources map[string]*Resource
 	flows     map[string]*Flow
 	nextEvent func() // cancel for pending completion event
-
-	rec *obs.Recorder
-}
-
-// SetRecorder publishes per-link utilization gauges
-// (usb_link_utilization_ratio{link=...}) updated on every rebalance.
-func (fs *FlowSim) SetRecorder(rec *obs.Recorder) { fs.rec = rec }
-
-// publishUtilization refreshes the per-resource utilization gauges.
-func (fs *FlowSim) publishUtilization() {
-	if fs.rec == nil {
-		return
-	}
-	for id := range fs.resources {
-		fs.rec.Gauge("usb", "link_utilization_ratio", obs.L("link", id)).Set(fs.Utilization(id))
-	}
 }
 
 // NewFlowSim creates a flow simulator. schedule must return a cancel func
@@ -103,12 +82,6 @@ func (fs *FlowSim) SetResource(id string, capacity float64) {
 	} else {
 		fs.resources[id] = &Resource{ID: id, Capacity: capacity}
 	}
-	fs.rebalance()
-}
-
-// RemoveResource deletes a resource; flows no longer consume it.
-func (fs *FlowSim) RemoveResource(id string) {
-	delete(fs.resources, id)
 	fs.rebalance()
 }
 
@@ -143,24 +116,6 @@ func (fs *FlowSim) StopFlow(id string) {
 	fs.rebalance()
 }
 
-// Flows returns the current flow count.
-func (fs *FlowSim) Flows() int { return len(fs.flows) }
-
-// Utilization returns current usage/capacity of a resource in [0,1].
-func (fs *FlowSim) Utilization(resourceID string) float64 {
-	r, ok := fs.resources[resourceID]
-	if !ok {
-		return 0
-	}
-	used := 0.0
-	for _, f := range fs.flows {
-		if u, ok := f.UnitsPerByte[resourceID]; ok {
-			used += f.rate * u
-		}
-	}
-	return used / r.Capacity
-}
-
 // settle credits progress at current rates since the last settle.
 func (fs *FlowSim) settle() {
 	now := fs.clock()
@@ -188,7 +143,6 @@ func (fs *FlowSim) rebalance() {
 		fs.nextEvent = nil
 	}
 	fs.assignRates()
-	fs.publishUtilization()
 
 	// Find the earliest finishing bounded flow.
 	var nextID string

@@ -188,7 +188,7 @@ func TestPropertyFlowByteConservation(t *testing.T) {
 			if !r.done {
 				return false
 			}
-			if diff := r.fl.Moved() - r.total; diff < -1 || diff > 1 {
+			if diff := r.fl.moved - r.total; diff < -1 || diff > 1 {
 				return false
 			}
 		}

@@ -79,14 +79,6 @@ func (s LinkSpeed) String() string {
 	return "super-speed"
 }
 
-// BytesPerSec returns the usable per-direction throughput at this speed.
-func (s LinkSpeed) BytesPerSec() float64 {
-	if s == LinkHigh {
-		return HighSpeedBytesPerSec
-	}
-	return LinkBytesPerSec
-}
-
 // Enumeration timing. Hot-plugged devices are detected after a debounce and
 // then enumerated serially per controller.
 const (
@@ -202,9 +194,6 @@ type HostController struct {
 	cEnum      *obs.Counter
 	cFlap      *obs.Counter
 	cDowngrade *obs.Counter
-
-	flaps      int
-	downgrades int
 }
 
 // SetRecorder points the controller's instrumentation at a run Recorder.
@@ -237,9 +226,6 @@ func NewHostController(host string, rootPorts int, limit int, clock func() time.
 		schedule: schedule,
 	}
 }
-
-// Host returns the owning host name.
-func (hc *HostController) Host() string { return hc.host }
 
 // Root returns the root hub device.
 func (hc *HostController) Root() *Device { return hc.root }
@@ -362,7 +348,6 @@ func (hc *HostController) SetLinkSpeed(dev *Device, s LinkSpeed) {
 	}
 	dev.Speed = s
 	if s == LinkHigh {
-		hc.downgrades++
 		hc.cDowngrade.Inc()
 	}
 	hc.rec.Instant("usb", "link-speed", hc.host,
@@ -385,7 +370,6 @@ func (hc *HostController) FlapDevice(dev *Device, linkDownFor time.Duration, ret
 	if err := hc.Detach(dev); err != nil {
 		return err
 	}
-	hc.flaps++
 	hc.cFlap.Inc()
 	hc.rec.Instant("usb", "link-flap", hc.host,
 		obs.L("device", dev.ID), obs.L("storms", fmt.Sprint(retryStorms)))
@@ -406,10 +390,6 @@ func (hc *HostController) FlapDevice(dev *Device, linkDownFor time.Duration, ret
 	})
 	return nil
 }
-
-// Flaps and Downgrades return lifetime gray-event counts for this controller.
-func (hc *HostController) Flaps() int      { return hc.flaps }
-func (hc *HostController) Downgrades() int { return hc.downgrades }
 
 func (hc *HostController) contains(dev *Device) bool {
 	found := false
@@ -450,18 +430,5 @@ func (hc *HostController) Tree() []TreeEntry {
 			ParentID: parentID, Enumerated: d.Enumerated,
 		})
 	})
-	return out
-}
-
-// EnumeratedStorage returns the IDs of enumerated storage devices, sorted —
-// what the host can actually use as disks right now.
-func (hc *HostController) EnumeratedStorage() []string {
-	var out []string
-	for _, e := range hc.Tree() {
-		if e.Class == ClassStorage {
-			out = append(out, e.ID)
-		}
-	}
-	sort.Strings(out)
 	return out
 }

@@ -205,12 +205,8 @@ func TestTreeSnapshotOnlyShowsEnumerated(t *testing.T) {
 	if len(tr) != 2 {
 		t.Fatalf("tree = %+v", tr)
 	}
-	if tr[1].ID != "d1" || tr[1].ParentID != "hub1" || tr[1].Tier != 3 {
+	if tr[1].ID != "d1" || tr[1].Class != ClassStorage || tr[1].ParentID != "hub1" || tr[1].Tier != 3 {
 		t.Fatalf("storage entry = %+v", tr[1])
-	}
-	es := hc.EnumeratedStorage()
-	if len(es) != 1 || es[0] != "d1" {
-		t.Fatalf("EnumeratedStorage = %v", es)
 	}
 }
 
@@ -239,7 +235,7 @@ func TestReattachToOtherHostEnumeratesThere(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run()
-	if !dev.Enumerated || len(h2.EnumeratedStorage()) != 1 || len(h1.EnumeratedStorage()) != 0 {
+	if !dev.Enumerated || len(h2.Tree()) != 1 || len(h1.Tree()) != 0 {
 		t.Fatal("switch did not move the device to h2's tree")
 	}
 }

@@ -87,11 +87,6 @@ func (s Spec) StandaloneRate(p disk.Params, ic disk.Interconnect) (readBps, writ
 	return total * f, total * (1 - f)
 }
 
-// IOPS returns the closed-loop operations per second for the spec.
-func (s Spec) IOPS(p disk.Params, ic disk.Interconnect) float64 {
-	return 1 / s.AvgServiceTime(p, ic).Seconds()
-}
-
 // PaperWorkloads returns Table II's twelve workload points in table order.
 func PaperWorkloads() []Spec {
 	var out []Spec
@@ -238,9 +233,9 @@ func startFlows(fs *usb.FlowSim, f *fabric.Fabric, p disk.Params, disks []fabric
 	readDemand, writeDemand := spec.StandaloneRate(p, disk.AttachFabric)
 	var recs []flowRec
 	for _, d := range disks {
-		hubs, host, err := dataPath(f, d)
+		hubs, host, err := f.DataPath(d)
 		if err != nil {
-			return recs, err
+			return recs, fmt.Errorf("disk %s: %w", d, err)
 		}
 		mk := func(dir string, demand float64) *usb.Flow {
 			units := map[string]float64{
@@ -310,21 +305,4 @@ func stopPrefixed(fs *usb.FlowSim, disks []fabric.NodeID) {
 		fs.StopFlow(string(d) + ":up")
 		fs.StopFlow(string(d) + ":down")
 	}
-}
-
-// dataPath resolves a disk's current hubs and host.
-func dataPath(f *fabric.Fabric, d fabric.NodeID) (hubs []fabric.NodeID, host string, err error) {
-	path, err := f.PathToRoot(d)
-	if err != nil {
-		return nil, "", fmt.Errorf("disk %s: %w", d, err)
-	}
-	for _, id := range path {
-		switch f.Node(id).Kind {
-		case fabric.KindHub:
-			hubs = append(hubs, id)
-		case fabric.KindRootPort:
-			host = f.Node(id).Host
-		}
-	}
-	return hubs, host, nil
 }

@@ -45,6 +45,8 @@ func TestPaperWorkloadsCoverTableII(t *testing.T) {
 
 // TestTableIIClosedLoop reproduces every Table II cell with the closed-loop
 // runner and checks it against the paper's measurement within tolerance.
+// The table has 36 cells (12 workloads x 3 interconnects), one row each in
+// bench.TableII.
 func TestTableIIClosedLoop(t *testing.T) {
 	// Paper Table II, in PaperWorkloads order per interconnect.
 	paper := map[disk.Interconnect][12]float64{
@@ -57,6 +59,7 @@ func TestTableIIClosedLoop(t *testing.T) {
 	// columns tightly; mixed columns and 4MB random (where the paper's own
 	// three interconnects disagree by up to 40%) get more slack.
 	tolerances := [12]float64{0.10, 0.12, 0.10, 0.10, 0.15, 0.10, 0.05, 0.25, 0.05, 0.30, 0.30, 0.45}
+	measured := 0
 	for ic, cells := range paper {
 		for i, spec := range PaperWorkloads() {
 			s := simtime.NewScheduler(int64(i))
@@ -74,7 +77,11 @@ func TestTableIIClosedLoop(t *testing.T) {
 				t.Errorf("%v %s: model %.1f, paper %.1f (tol %.0f%%)",
 					ic, spec, got, cells[i], tolerances[i]*100)
 			}
+			measured++
 		}
+	}
+	if measured != 36 {
+		t.Fatalf("measured %d Table II cells, want 36", measured)
 	}
 }
 
@@ -225,9 +232,11 @@ func TestDuplexHeadline(t *testing.T) {
 	if !within(res.ReadBps, res.WriteBps, 0.05) {
 		t.Errorf("unbalanced duplex: read %.0f vs write %.0f MB/s", res.ReadBps/1e6, res.WriteBps/1e6)
 	}
-	// All flows stopped afterwards.
-	if fs.Flows() != 0 {
-		t.Fatalf("leaked %d flows", fs.Flows())
+	// All flows stopped afterwards: a leaked flow would make the rerun's
+	// StartFlow panic on a duplicate ID.
+	again, err := RunFluidSplit(fs, f, p, f.Disks(), 4<<20)
+	if err != nil || again.ReadBps != res.ReadBps || again.WriteBps != res.WriteBps {
+		t.Fatalf("rerun on the same FlowSim = %+v, %v; want %+v", again, err, res)
 	}
 }
 
@@ -271,19 +280,22 @@ func TestRunFluidBrokenPath(t *testing.T) {
 func TestAvgServiceTimeAsymmetricMix(t *testing.T) {
 	// A 75%-read mix must sit between the pure-read and 50% mixed rates.
 	p := disk.DT01ACA300()
-	mk := func(pct int) float64 {
-		return Spec{Size: 4 << 10, ReadPct: pct, Pattern: disk.Sequential}.IOPS(p, disk.AttachSATA)
+	mk := func(pct int) time.Duration {
+		return Spec{Size: 4 << 10, ReadPct: pct, Pattern: disk.Sequential}.AvgServiceTime(p, disk.AttachSATA)
 	}
 	pure, threeQ, half := mk(100), mk(75), mk(50)
-	if !(half < threeQ && threeQ < pure) {
-		t.Fatalf("mix ordering violated: 100%%=%.0f 75%%=%.0f 50%%=%.0f", pure, threeQ, half)
+	if !(pure < threeQ && threeQ < half) {
+		t.Fatalf("mix ordering violated: 100%%=%v 75%%=%v 50%%=%v", pure, threeQ, half)
 	}
 }
 
 func TestIOPSMatchesAvgServiceTime(t *testing.T) {
 	p := disk.DT01ACA300()
 	for _, spec := range PaperWorkloads() {
-		iops := spec.IOPS(p, disk.AttachUSB)
+		// The operation rate StandaloneRate implies is one op per
+		// AvgServiceTime.
+		r, w := spec.StandaloneRate(p, disk.AttachUSB)
+		iops := (r + w) / float64(spec.Size)
 		want := 1 / spec.AvgServiceTime(p, disk.AttachUSB).Seconds()
 		if !within(iops, want, 1e-9) {
 			t.Fatalf("%s: IOPS %.2f != 1/svc %.2f", spec, iops, want)
