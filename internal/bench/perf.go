@@ -56,7 +56,11 @@ func TableIICell(ic disk.Interconnect, spec workload.Spec) float64 {
 
 // TableII regenerates the single-disk performance table (measured vs
 // paper for every interconnect and workload).
-func TableII() *Table {
+func TableII() *Table { return tableII(TableIICell) }
+
+// tableII lays out Table II with cell measuring each (interconnect,
+// workload) pair.
+func tableII(cell func(disk.Interconnect, workload.Spec) float64) *Table {
 	t := &Table{
 		ID:     "table2",
 		Title:  "One-disk performance, 3 connection types (Table II)",
@@ -67,7 +71,7 @@ func TableII() *Table {
 	}
 	for i, spec := range workload.PaperWorkloads() {
 		for _, ic := range []disk.Interconnect{disk.AttachSATA, disk.AttachUSB, disk.AttachFabric} {
-			got := TableIICell(ic, spec)
+			got := cell(ic, spec)
 			t.Rows = append(t.Rows, []string{
 				spec.String(), ic.String(), Cell(got), Cell(paperTableII[ic][i]),
 			})
