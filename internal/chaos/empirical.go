@@ -23,6 +23,13 @@ func empiricalAge(o Options) time.Duration {
 	return time.Duration(age * float64(faults.Year))
 }
 
+// empiricalURERate is the per-sector URE probability every disk is armed
+// with: the model's measured rate, accelerated by the same factor that
+// compresses media age into the run window.
+func empiricalURERate(o Options) float64 {
+	return o.Empirical.URESectorRate() * float64(empiricalAge(o)) / float64(o.Duration)
+}
+
 // empiricalDiskSchedule draws the disk fail/replace events from the
 // empirical failure model and maps them from media-age time onto the
 // run's duration. Its rand stream is derived from the seed but separate

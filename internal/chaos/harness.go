@@ -258,7 +258,7 @@ func newHarness(o Options) (*harness, error) {
 		// run window (a 5-year bathtub in a 2-day run reads ~900x more
 		// "age" per sector). The checksum layer and scrubber are what turn
 		// these into detections instead of corruption escapes.
-		rate := o.Empirical.URESectorRate() * float64(empiricalAge(o)) / float64(o.Duration)
+		rate := empiricalURERate(o)
 		for _, d := range c.Disks {
 			d.SetURERate(rate)
 		}
