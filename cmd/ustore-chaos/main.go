@@ -76,25 +76,24 @@ func seconds(v string) (string, error) {
 // aliases is the name table: every scenario flag and the spec path it
 // overrides.
 var aliases = map[string]alias{
-	"seed":             {path: "seed", usage: "schedule + simulation seed (first seed of a sweep)"},
-	"days":             {path: "days", usage: "fault-phase length in simulated days"},
-	"fleet":            {path: "mode", bare: true, mode: "fleet", usage: "run the fleet-scale harness (sharded metadata control plane) instead of a fault schedule"},
-	"tenants":          {path: "mode", bare: true, mode: "traffic", usage: "run the multi-tenant traffic engine instead of a fault schedule (per-class SLO report)"},
-	"gray":             {path: "faults.gray", bare: true, usage: "inject gray faults: fail-slow disks, USB link flaps/downgrades, host brownouts"},
-	"mitigation":       {path: "faults.mitigation", bare: true, usage: "enable the detect-quarantine-hedge mitigation stack (usually with -gray)"},
-	"units":            {path: "fleet.units", usage: "deploy units (64 disks each at defaults)"},
-	"shards":           {path: "fleet.shards", usage: "metadata shards"},
-	"unit-loss":        {path: "fleet.unit_loss", bare: true, usage: "kill unit u000 after the load phase and require the repair schedulers to drain it"},
-	"engine-workers":   {path: "fleet.engine_workers", usage: "most goroutines executing one engine window (0 = one per CPU; results are byte-identical at any count)"},
-	"crashes":          {path: "fleet.crashes", usage: "shard-replica crash/restart cycles in the fault schedule"},
-	"partitions":       {path: "fleet.partitions", usage: "inter-unit partition (or leader-isolation) windows in the fault schedule"},
-	"moves":            {path: "fleet.slot_moves", usage: "schedule-driven slot migrations; the first is straddled by a source-leader crash (needs -shards >= 2)"},
-	"fault-window":     {path: "fleet.fault_window_sec", conv: seconds, usage: "fault phase length as a duration (0 = 2m when any fault knob is set)"},
-	"skip-redrive":     {path: "fleet.skip_redrive", bare: true, usage: "plant the skipped-ledger-re-drive recovery bug (model-checker demo; pairs with -minimize)"},
-	"storm":            {path: "traffic.storm", bare: true, usage: "add the restore-storm waves"},
-	"protect":          {path: "traffic.protect", bare: true, usage: "arm the admission/throttle/autoscale protection stack"},
-	"stream-quantiles": {path: "traffic.stream_quantiles", bare: true, usage: "O(1)-memory P² streaming percentile estimators in the SLO report (percentiles approximate, counts and max exact)"},
-	"log":              {path: "output.log", bare: true, usage: "print the full event log"},
+	"seed":           {path: "seed", usage: "schedule + simulation seed (first seed of a sweep)"},
+	"days":           {path: "days", usage: "fault-phase length in simulated days"},
+	"fleet":          {path: "mode", bare: true, mode: "fleet", usage: "run the fleet-scale harness (sharded metadata control plane) instead of a fault schedule"},
+	"tenants":        {path: "mode", bare: true, mode: "traffic", usage: "run the multi-tenant traffic engine instead of a fault schedule (per-class SLO report)"},
+	"gray":           {path: "faults.gray", bare: true, usage: "inject gray faults: fail-slow disks, USB link flaps/downgrades, host brownouts"},
+	"mitigation":     {path: "faults.mitigation", bare: true, usage: "enable the detect-quarantine-hedge mitigation stack (usually with -gray)"},
+	"units":          {path: "fleet.units", usage: "deploy units (64 disks each at defaults)"},
+	"shards":         {path: "fleet.shards", usage: "metadata shards"},
+	"unit-loss":      {path: "fleet.unit_loss", bare: true, usage: "kill unit u000 after the load phase and require the repair schedulers to drain it"},
+	"engine-workers": {path: "fleet.engine_workers", usage: "most goroutines executing one engine window (0 = one per CPU; results are byte-identical at any count)"},
+	"crashes":        {path: "fleet.crashes", usage: "shard-replica crash/restart cycles in the fault schedule"},
+	"partitions":     {path: "fleet.partitions", usage: "inter-unit partition (or leader-isolation) windows in the fault schedule"},
+	"moves":          {path: "fleet.slot_moves", usage: "schedule-driven slot migrations; the first is straddled by a source-leader crash (needs -shards >= 2)"},
+	"fault-window":   {path: "fleet.fault_window_sec", conv: seconds, usage: "fault phase length as a duration (0 = 2m when any fault knob is set)"},
+	"skip-redrive":   {path: "fleet.skip_redrive", bare: true, usage: "plant the skipped-ledger-re-drive recovery bug (model-checker demo; pairs with -minimize)"},
+	"storm":          {path: "traffic.storm", bare: true, usage: "add the restore-storm waves"},
+	"protect":        {path: "traffic.protect", bare: true, usage: "arm the admission/throttle/autoscale protection stack"},
+	"log":            {path: "output.log", bare: true, usage: "print the full event log"},
 }
 
 // cliModes names the modes each mode-specific flag that is not a spec field

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"ustore/internal/spec"
 )
 
 // chaosCmd drives run in-process and returns what the command printed.
@@ -201,5 +204,32 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAliasesAreSpecLeaves: every scenario flag names a settable spec field,
+// and is bare exactly when that field is a bool — Override takes "true" and
+// refuses "1" — so a renamed or removed field cannot leave a dead flag
+// behind. A mode switch is a bare flag that sets mode to a valid mode.
+func TestAliasesAreSpecLeaves(t *testing.T) {
+	override := func(path, text string) error {
+		f, err := spec.Parse([]byte("mode: faults\n"), "flags")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.Override(path, text)
+	}
+	for name, a := range aliases {
+		errTrue, errOne := override(a.path, "true"), override(a.path, "1")
+		switch {
+		case errTrue != nil && errOne != nil:
+			t.Errorf("-%s: %s is not a spec field: %v", name, a.path, errOne)
+		case a.mode != "":
+			if !a.bare || !slices.Contains(spec.Modes, a.mode) || override(a.path, a.mode) != nil {
+				t.Errorf("-%s: a mode switch must be bare and set %s to a mode, not %q", name, a.path, a.mode)
+			}
+		case a.bare != (errTrue == nil && errOne != nil):
+			t.Errorf("-%s: bare=%v, but %s takes true (%v) and 1 (%v)", name, a.bare, a.path, errTrue, errOne)
+		}
 	}
 }

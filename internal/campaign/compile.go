@@ -47,7 +47,6 @@ func Compile(s *spec.Spec) (Scenario, error) {
 			o.Tenants = true
 			o.Storm = s.Traffic.Storm
 			o.Protect = s.Traffic.Protect
-			o.StreamQuantiles = s.Traffic.StreamQuantiles
 		}
 		if s.Failure.Model == "empirical" {
 			o.Empirical = s.EmpiricalModel()

@@ -171,9 +171,6 @@ type Options struct {
 	Tenants bool
 	Storm   bool
 	Protect bool
-	// StreamQuantiles switches the traffic SLO report to O(1)-memory P²
-	// percentile estimators (workload.TrafficOptions.StreamingQuantiles).
-	StreamQuantiles bool
 
 	// DisableChecksums turns off the per-block CRC export wrapper, so
 	// injected media corruption reaches clients silently. Used to prove the

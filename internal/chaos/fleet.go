@@ -281,18 +281,10 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 	}
 
 	// Verify phase: a fresh router (cold map cache) must resolve every
-	// volume with a full replica set. Fault runs verify exactly the model
-	// ledger's live set (fault-phase volumes included); legacy runs keep
-	// the historical fixed-name sweep.
+	// volume with a full replica set: exactly the model ledger's live set
+	// (fault-phase volumes included).
 	verifyNames := ledger.Live()
-	want := ledger.Len()
-	if len(schedule) == 0 {
-		verifyNames = verifyNames[:0]
-		for i := 0; i < o.Volumes; i++ {
-			verifyNames = append(verifyNames, fmt.Sprintf("v%04d", i))
-		}
-		want = rep.Allocated
-	}
+	want := len(verifyNames)
 	vr := f.NewRouter("verify")
 	left := len(verifyNames)
 	for _, name := range verifyNames {

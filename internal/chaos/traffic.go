@@ -62,7 +62,6 @@ func trafficOptions(o Options) workload.TrafficOptions {
 	topts := workload.DefaultTrafficOptions(o.Seed)
 	topts.StormEnabled = o.Storm
 	topts.Protect = o.Protect
-	topts.StreamingQuantiles = o.StreamQuantiles
 	return topts
 }
 

@@ -161,27 +161,6 @@ func TestTrafficSLOGolden(t *testing.T) {
 	checkSLOGolden(t, rep, "slo_seed1.txt")
 }
 
-// TestTrafficSLOGoldenStreaming pins the same canonical run with the P²
-// streaming-quantile estimators: outcome counts and max must match the
-// exact run byte-for-byte (streaming only changes how percentiles are
-// computed, never which requests happen), and the approximate percentiles
-// are pinned by their own golden. Regenerate with -update.
-func TestTrafficSLOGoldenStreaming(t *testing.T) {
-	rep := trafficRun(t, Options{Seed: 1, Tenants: true, Storm: true, Protect: true,
-		StreamQuantiles: true})
-	checkSLOGolden(t, rep, "slo_seed1_stream.txt")
-
-	exact := trafficRun(t, Options{Seed: 1, Tenants: true, Storm: true, Protect: true})
-	for i, row := range rep.SLO.Rows {
-		e := exact.SLO.Rows[i]
-		if row.Total != e.Total || row.OK != e.OK || row.Errors != e.Errors ||
-			row.Shed != e.Shed || row.Throttled != e.Throttled || row.Max != e.Max {
-			t.Errorf("row %s/%s: streaming run changed counts or max: %+v vs %+v",
-				row.Class, row.Phase, row, e)
-		}
-	}
-}
-
 func checkSLOGolden(t *testing.T, rep *Report, name string) {
 	t.Helper()
 	got := []byte(rep.SLO.Text())

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -77,26 +78,10 @@ func (d *decoder) floatVal(n *Node, field string) (float64, error) {
 	return v, nil
 }
 
-// eachField iterates a mapping's entries through fn; fn returns false for
-// a key it does not know, which becomes the positional unknown-field
-// error (with the section name, so typos are easy to place).
-func (d *decoder) eachField(n *Node, section string, fn func(key string, v *Node) (bool, error)) error {
-	for i, key := range n.Keys {
-		known, err := fn(key, n.Children[i])
-		if err != nil {
-			return err
-		}
-		if !known {
-			return errAt(d.file, n.KeyLines[i], n.KeyCols[i], "unknown field %q in %s", key, section)
-		}
-	}
-	return nil
-}
-
 // DecodeSpec decodes a parsed document (sans grid) into a defaulted,
 // validated Spec.
 func DecodeSpec(root *Node, file string) (*Spec, error) {
-	s, err := decodeShape(root, file)
+	s, err := decodeTree(root, file)
 	if err != nil {
 		return nil, err
 	}
@@ -109,278 +94,105 @@ func DecodeSpec(root *Node, file string) (*Spec, error) {
 	return s, nil
 }
 
-// decodeShape walks the document into a defaulted Spec, rejecting unknown
+// decodeTree walks the document into a defaulted Spec, rejecting unknown
 // fields and type mismatches with their position. Value rules are
 // Validate's job.
-func decodeShape(root *Node, file string) (*Spec, error) {
+func decodeTree(root *Node, file string) (*Spec, error) {
 	d := &decoder{file: file}
 	s := Default()
-	if err := d.eachField(root, "spec", func(key string, v *Node) (bool, error) {
-		var err error
-		switch key {
-		case "name":
-			s.Name, err = d.str(v, "name")
-		case "mode":
-			s.Mode, err = d.str(v, "mode")
-		case "seed":
-			s.Seed, err = d.intVal(v, "seed")
-		case "days":
-			s.Days, err = d.floatVal(v, "days")
-		case "faults":
-			err = d.faultsSection(v, s)
-		case "failure":
-			err = d.failureSection(v, s)
-		case "traffic":
-			err = d.trafficSection(v, s)
-		case "fleet":
-			err = d.fleetSection(v, s)
-		case "fidelity":
-			err = d.fidelitySection(v, s)
-		case "durability":
-			err = d.durabilitySection(v, s)
-		case "output":
-			err = d.outputSection(v, s)
-		case "grid":
-			// handled by File.axes; skipped here
-		default:
-			return false, nil
-		}
-		return true, err
-	}); err != nil {
+	if err := d.fields(root, reflect.ValueOf(s).Elem(), "", "spec"); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-func (d *decoder) sectionMap(v *Node, name string) (*Node, error) {
-	if v.Kind != KindMap {
-		return nil, d.errf(v, "section %s: expected nested keys, got a %s", name, v.Kind)
+// fields decodes mapping n into struct v. A key names the field whose json
+// tag it equals — the tag Canonical hashes — so a field is declared once, in
+// the struct, and the decoder never lists one. A key no field carries is the
+// positional unknown-field error, naming the section so a typo is easy to
+// place.
+func (d *decoder) fields(n *Node, v reflect.Value, prefix, section string) error {
+	for i, key := range n.Keys {
+		if prefix == "" && key == "grid" {
+			continue // File.decodeAxes reads the grid
+		}
+		j, ok := tags[v.Type()][key]
+		if !ok {
+			return errAt(d.file, n.KeyLines[i], n.KeyCols[i], "unknown field %q in %s", key, section)
+		}
+		if err := d.value(n.Children[i], v.Field(j), prefix+key); err != nil {
+			return err
+		}
 	}
-	return v, nil
+	return nil
 }
 
-func (d *decoder) faultsSection(v *Node, s *Spec) error {
-	m, err := d.sectionMap(v, "faults")
-	if err != nil {
-		return err
-	}
-	return d.eachField(m, "faults", func(key string, v *Node) (bool, error) {
-		var err error
-		switch key {
-		case "host_crashes":
-			s.Faults.HostCrashes, err = d.boolVal(v, "faults.host_crashes")
-		case "disks":
-			s.Faults.Disks, err = d.boolVal(v, "faults.disks")
-		case "hubs":
-			s.Faults.Hubs, err = d.boolVal(v, "faults.hubs")
-		case "net":
-			s.Faults.Net, err = d.boolVal(v, "faults.net")
-		case "corruptions":
-			s.Faults.Corruptions, err = d.boolVal(v, "faults.corruptions")
-		case "gray":
-			s.Faults.Gray, err = d.boolVal(v, "faults.gray")
-		case "mitigation":
-			s.Faults.Mitigation, err = d.boolVal(v, "faults.mitigation")
-		case "pairs":
-			var n int64
-			n, err = d.intVal(v, "faults.pairs")
-			s.Faults.Pairs = int(n)
-		case "blocks_per_space":
-			var n int64
-			n, err = d.intVal(v, "faults.blocks_per_space")
-			s.Faults.BlocksPerSpace = int(n)
-		default:
-			return false, nil
+// tags maps each struct type in Spec to its fields' indexes by json tag,
+// read once from the declarations (reflect's tag parsing is the decoder's
+// main cost otherwise).
+var tags = map[reflect.Type]map[string]int{}
+
+func init() { indexTags(reflect.TypeOf(Spec{})) }
+
+func indexTags(t reflect.Type) {
+	m := map[string]int{}
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		m[f.Tag.Get("json")] = i
+		if f.Type.Kind() == reflect.Struct {
+			indexTags(f.Type)
 		}
-		return true, err
-	})
+	}
+	tags[t] = m
 }
 
-func (d *decoder) failureSection(v *Node, s *Spec) error {
-	m, err := d.sectionMap(v, "failure")
-	if err != nil {
-		return err
-	}
-	return d.eachField(m, "failure", func(key string, v *Node) (bool, error) {
-		var err error
-		switch key {
-		case "model":
-			s.Failure.Model, err = d.str(v, "failure.model")
-		case "age_years":
-			s.Failure.AgeYears, err = d.floatVal(v, "failure.age_years")
-		case "infant_afr":
-			s.Failure.InfantAFR, err = d.floatVal(v, "failure.infant_afr")
-		case "infant_decay_days":
-			s.Failure.InfantDecayDays, err = d.floatVal(v, "failure.infant_decay_days")
-		case "useful_afr":
-			s.Failure.UsefulAFR, err = d.floatVal(v, "failure.useful_afr")
-		case "wear_out_years":
-			s.Failure.WearOutYears, err = d.floatVal(v, "failure.wear_out_years")
-		case "wear_out_rise":
-			s.Failure.WearOutRise, err = d.floatVal(v, "failure.wear_out_rise")
-		case "batch_size":
-			var n int64
-			n, err = d.intVal(v, "failure.batch_size")
-			s.Failure.BatchSize = int(n)
-		case "batch_shock":
-			s.Failure.BatchShock, err = d.floatVal(v, "failure.batch_shock")
-		case "batch_window_days":
-			s.Failure.BatchWindowDays, err = d.floatVal(v, "failure.batch_window_days")
-		case "ure_bits":
-			// Accept the two named measurement points or a number.
-			if str, serr := d.str(v, "failure.ure_bits"); serr == nil {
-				switch str {
-				case "spec":
-					s.Failure.UREBits = faults.SpecUREBits
-					return true, nil
-				case "observed":
-					s.Failure.UREBits = faults.ObservedUREBits
-					return true, nil
-				case "off":
-					s.Failure.UREBits = 0
-					return true, nil
-				}
-			}
-			s.Failure.UREBits, err = d.floatVal(v, "failure.ure_bits")
-			if err != nil {
-				err = d.errf(v, "field failure.ure_bits: want a number of bits-per-error, \"spec\", \"observed\", or \"off\"")
-			}
-		default:
-			return false, nil
-		}
-		return true, err
-	})
+// ureWords are the names failure.ure_bits accepts in place of a number.
+var ureWords = map[string]float64{
+	"spec":     faults.SpecUREBits,
+	"observed": faults.ObservedUREBits,
+	"off":      0,
 }
 
-func (d *decoder) trafficSection(v *Node, s *Spec) error {
-	m, err := d.sectionMap(v, "traffic")
-	if err != nil {
+// value decodes node n into the field v at dotted path: a struct from a
+// mapping, a leaf from a scalar of its kind.
+func (d *decoder) value(n *Node, v reflect.Value, path string) error {
+	if path == "failure.ure_bits" {
+		if x, ok := ureWords[n.Val]; ok && n.Kind == KindScalar {
+			v.SetFloat(x)
+			return nil
+		}
+		x, err := d.floatVal(n, path)
+		if err != nil {
+			return d.errf(n, "field failure.ure_bits: want a number of bits-per-error, \"spec\", \"observed\", or \"off\"")
+		}
+		v.SetFloat(x)
+		return nil
+	}
+	switch v.Kind() {
+	case reflect.Struct:
+		if n.Kind != KindMap {
+			return d.errf(n, "section %s: expected nested keys, got a %s", path, n.Kind)
+		}
+		return d.fields(n, v, path+".", path)
+	case reflect.String:
+		x, err := d.str(n, path)
+		v.SetString(x)
+		return err
+	case reflect.Bool:
+		x, err := d.boolVal(n, path)
+		v.SetBool(x)
+		return err
+	case reflect.Int, reflect.Int64:
+		x, err := d.intVal(n, path)
+		v.SetInt(x)
+		return err
+	case reflect.Float64:
+		x, err := d.floatVal(n, path)
+		v.SetFloat(x)
 		return err
 	}
-	return d.eachField(m, "traffic", func(key string, v *Node) (bool, error) {
-		var err error
-		switch key {
-		case "storm":
-			s.Traffic.Storm, err = d.boolVal(v, "traffic.storm")
-		case "protect":
-			s.Traffic.Protect, err = d.boolVal(v, "traffic.protect")
-		case "stream_quantiles":
-			s.Traffic.StreamQuantiles, err = d.boolVal(v, "traffic.stream_quantiles")
-		default:
-			return false, nil
-		}
-		return true, err
-	})
-}
-
-func (d *decoder) fleetSection(v *Node, s *Spec) error {
-	m, err := d.sectionMap(v, "fleet")
-	if err != nil {
-		return err
-	}
-	return d.eachField(m, "fleet", func(key string, v *Node) (bool, error) {
-		var n int64
-		var err error
-		switch key {
-		case "units":
-			n, err = d.intVal(v, "fleet.units")
-			s.Fleet.Units = int(n)
-		case "shards":
-			n, err = d.intVal(v, "fleet.shards")
-			s.Fleet.Shards = int(n)
-		case "clients":
-			n, err = d.intVal(v, "fleet.clients")
-			s.Fleet.Clients = int(n)
-		case "volumes":
-			n, err = d.intVal(v, "fleet.volumes")
-			s.Fleet.Volumes = int(n)
-		case "unit_loss":
-			s.Fleet.UnitLoss, err = d.boolVal(v, "fleet.unit_loss")
-		case "engine_workers":
-			n, err = d.intVal(v, "fleet.engine_workers")
-			s.Fleet.EngineWorkers = int(n)
-		case "crashes":
-			n, err = d.intVal(v, "fleet.crashes")
-			s.Fleet.Crashes = int(n)
-		case "partitions":
-			n, err = d.intVal(v, "fleet.partitions")
-			s.Fleet.Partitions = int(n)
-		case "slot_moves":
-			n, err = d.intVal(v, "fleet.slot_moves")
-			s.Fleet.SlotMoves = int(n)
-		case "fault_window_sec":
-			s.Fleet.FaultWindowSec, err = d.floatVal(v, "fleet.fault_window_sec")
-		case "skip_redrive":
-			s.Fleet.SkipRedrive, err = d.boolVal(v, "fleet.skip_redrive")
-		default:
-			return false, nil
-		}
-		return true, err
-	})
-}
-
-func (d *decoder) fidelitySection(v *Node, s *Spec) error {
-	m, err := d.sectionMap(v, "fidelity")
-	if err != nil {
-		return err
-	}
-	return d.eachField(m, "fidelity", func(key string, v *Node) (bool, error) {
-		var err error
-		switch key {
-		case "check":
-			s.Fidelity.Check, err = d.str(v, "fidelity.check")
-		default:
-			return false, nil
-		}
-		return true, err
-	})
-}
-
-func (d *decoder) durabilitySection(v *Node, s *Spec) error {
-	m, err := d.sectionMap(v, "durability")
-	if err != nil {
-		return err
-	}
-	return d.eachField(m, "durability", func(key string, v *Node) (bool, error) {
-		var n int64
-		var err error
-		switch key {
-		case "scheme":
-			s.Durability.Scheme, err = d.str(v, "durability.scheme")
-		case "disks":
-			n, err = d.intVal(v, "durability.disks")
-			s.Durability.Disks = int(n)
-		case "disk_tb":
-			s.Durability.DiskTB, err = d.floatVal(v, "durability.disk_tb")
-		case "years":
-			s.Durability.Years, err = d.floatVal(v, "durability.years")
-		case "repair_hours":
-			s.Durability.RepairHours, err = d.floatVal(v, "durability.repair_hours")
-		case "trials":
-			n, err = d.intVal(v, "durability.trials")
-			s.Durability.Trials = int(n)
-		default:
-			return false, nil
-		}
-		return true, err
-	})
-}
-
-func (d *decoder) outputSection(v *Node, s *Spec) error {
-	m, err := d.sectionMap(v, "output")
-	if err != nil {
-		return err
-	}
-	return d.eachField(m, "output", func(key string, v *Node) (bool, error) {
-		var err error
-		switch key {
-		case "log":
-			s.Output.Log, err = d.boolVal(v, "output.log")
-		default:
-			return false, nil
-		}
-		return true, err
-	})
+	// TestSpecLeavesDecode keeps Spec free of kinds this switch lacks.
+	return d.errf(n, "field %s: unsupported type %s", path, v.Type())
 }
 
 // Parse parses and decodes a spec document written in the YAML subset,

@@ -35,6 +35,10 @@ func FuzzSpecParse(f *testing.F) {
 		"mode: faults\nfaults:\n  disks: 3\n",
 		"mode: faults\nfailure:\n  ure_bits: sometimes\n",
 		"mode: faults\nseed: \"lots\"\n",
+		"mode: faults\nseed: 99999999999999999999\n",
+		"mode: faults\nfaults: on\n",
+		"mode: faults\nfailure:\n  ure_bits: \"observed\"\n",
+		"mode: faults\nfailure:\n  ure_bits: [1]\n",
 		// Syntax stress.
 		"mode: faults\nfaults:\n\tdisks: true\n",
 		"mode: faults\nname: &anchor x\n",

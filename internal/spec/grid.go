@@ -110,7 +110,7 @@ func (f *File) Override(path, value string) error {
 	if err := applyOverride(f.root, path, &Node{Kind: KindScalar, Val: value}, f.Path); err != nil {
 		return err
 	}
-	s, err := decodeShape(f.root, f.Path)
+	s, err := decodeTree(f.root, f.Path)
 	if err != nil {
 		return err
 	}

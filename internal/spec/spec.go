@@ -83,9 +83,8 @@ type FailureSpec struct {
 
 // TrafficSpec shapes a traffic-mode run.
 type TrafficSpec struct {
-	Storm           bool `json:"storm"`
-	Protect         bool `json:"protect"`
-	StreamQuantiles bool `json:"stream_quantiles"`
+	Storm   bool `json:"storm"`
+	Protect bool `json:"protect"`
 }
 
 // FleetSpec shapes a fleet-mode run. The fault fields mirror the

@@ -2,6 +2,8 @@ package spec
 
 import (
 	"errors"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -263,5 +265,88 @@ func TestFileOverride(t *testing.T) {
 		if err == nil || err.Error() != c.want {
 			t.Errorf("override %s=%s: got %v, want %s", c.path, c.value, err, c.want)
 		}
+	}
+}
+
+// leaf is one settable field of Spec: its dotted document path and where it
+// sits in the struct.
+type leaf struct {
+	path  string
+	index []int
+	kind  reflect.Kind
+}
+
+// specLeaves walks Spec's type the way the decoder walks a document. It
+// fails on a field without a json tag, on a tag two fields of one struct
+// share, and on a leaf kind the decoder does not read — so the decoder's
+// unsupported-kind branch cannot be reached from a document.
+func specLeaves(t *testing.T, typ reflect.Type, prefix string, index []int) []leaf {
+	t.Helper()
+	var out []leaf
+	seen := map[string]bool{}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		tag := f.Tag.Get("json")
+		if tag == "" || seen[tag] {
+			t.Fatalf("%s%s: json tag %q missing or duplicated", prefix, f.Name, tag)
+		}
+		seen[tag] = true
+		idx := append(append([]int(nil), index...), i)
+		switch k := f.Type.Kind(); k {
+		case reflect.Struct:
+			out = append(out, specLeaves(t, f.Type, prefix+tag+".", idx)...)
+		case reflect.String, reflect.Bool, reflect.Int, reflect.Int64, reflect.Float64:
+			out = append(out, leaf{prefix + tag, idx, k})
+		default:
+			t.Fatalf("%s%s: the decoder reads no %s", prefix, tag, k)
+		}
+	}
+	return out
+}
+
+// TestSpecLeavesDecode holds "a field is declared once": the decoder finds
+// every leaf of Spec by its json tag alone. Each leaf round-trips through
+// File.Override with the text of its default (the spec stays Default), and
+// with a different value (exactly that field moves). A new field needs its
+// struct line and tag, and this test covers it with no decoder edit.
+func TestSpecLeavesDecode(t *testing.T) {
+	leaves := specLeaves(t, reflect.TypeOf(Spec{}), "", nil)
+	def := reflect.ValueOf(Default()).Elem()
+	for _, l := range leaves {
+		d := def.FieldByIndex(l.index)
+		var same, other string
+		switch l.kind {
+		case reflect.String:
+			same, other = d.String(), d.String()+"x"
+		case reflect.Bool:
+			same, other = strconv.FormatBool(d.Bool()), strconv.FormatBool(!d.Bool())
+		case reflect.Int, reflect.Int64:
+			same, other = strconv.FormatInt(d.Int(), 10), strconv.FormatInt(d.Int()+1, 10)
+		case reflect.Float64:
+			same, other = strconv.FormatFloat(d.Float(), 'g', -1, 64), strconv.FormatFloat(d.Float()+1, 'g', -1, 64)
+		}
+		for _, text := range []string{same, other} {
+			f, err := Parse([]byte("mode: "+Default().Mode+"\n"), "leaf.yaml")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Override(l.path, text); err != nil {
+				t.Fatalf("override %s=%q: %v", l.path, text, err)
+			}
+			want := Default()
+			if text == other {
+				w := reflect.ValueOf(want).Elem().FieldByIndex(l.index)
+				w.Set(reflect.ValueOf(f.Spec).Elem().FieldByIndex(l.index))
+				if reflect.DeepEqual(w.Interface(), d.Interface()) {
+					t.Fatalf("override %s=%q left the default", l.path, text)
+				}
+			}
+			if !reflect.DeepEqual(f.Spec, want) {
+				t.Fatalf("override %s=%q: got %+v, want %+v", l.path, text, f.Spec, want)
+			}
+		}
+	}
+	if len(leaves) < 40 {
+		t.Fatalf("only %d leaves found", len(leaves))
 	}
 }

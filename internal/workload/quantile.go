@@ -1,20 +1,14 @@
 package workload
 
-import (
-	"sort"
-	"time"
-)
+import "sort"
 
-// Streaming quantile estimation for the SLO report. The exact percentile
-// path keeps every completed request's latency until the report is built —
-// O(requests) memory per (class, phase), which is what caps tenant-scale
-// runs. TrafficOptions.StreamingQuantiles swaps it for the P² algorithm
-// (Jain & Chlamtac, CACM 1985): five markers per tracked quantile,
-// adjusted with a piecewise-parabolic fit on every observation, O(1)
-// memory regardless of run length. Estimates are approximate (the goldens
-// pin both modes); the max stays exact. The update is pure float
-// arithmetic over the observation sequence, so streaming runs keep the
-// engine's byte-determinism.
+// Streaming quantile estimation. The SLO report's percentiles are exact
+// (sloRow keeps every completed latency until the report is built); P2Quantile
+// is the O(1)-memory alternative the benchmark's estimator probe measures:
+// the P² algorithm (Jain & Chlamtac, CACM 1985), five markers per tracked
+// quantile, adjusted with a piecewise-parabolic fit on every observation.
+// Estimates are approximate. The update is pure float arithmetic over the
+// observation sequence, so identical sequences give identical estimates.
 
 // P2Quantile estimates a single quantile p in (0,1) online.
 type P2Quantile struct {
@@ -129,31 +123,4 @@ func (e *P2Quantile) Value() float64 {
 		return s[i]
 	}
 	return e.q[2]
-}
-
-// phaseQuantiles is one (class, phase)'s streaming replacement for the
-// latency sample slice: the three reported percentiles plus an exact max.
-type phaseQuantiles struct {
-	p50  *P2Quantile
-	p99  *P2Quantile
-	p999 *P2Quantile
-	max  time.Duration
-}
-
-func newPhaseQuantiles() *phaseQuantiles {
-	return &phaseQuantiles{
-		p50:  NewP2Quantile(0.50),
-		p99:  NewP2Quantile(0.99),
-		p999: NewP2Quantile(0.999),
-	}
-}
-
-func (pq *phaseQuantiles) observe(d time.Duration) {
-	x := float64(d)
-	pq.p50.Observe(x)
-	pq.p99.Observe(x)
-	pq.p999.Observe(x)
-	if d > pq.max {
-		pq.max = d
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 )
 
 // TestP2QuantileAccuracy feeds known distributions and requires the P²
@@ -72,23 +71,5 @@ func TestP2QuantileDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("same sequence, different estimates: %v vs %v", a, b)
-	}
-}
-
-// TestPhaseQuantilesMaxExact: the streaming row's max matches the largest
-// observation exactly.
-func TestPhaseQuantilesMaxExact(t *testing.T) {
-	pq := newPhaseQuantiles()
-	var max time.Duration
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 1000; i++ {
-		d := time.Duration(rng.Int63n(int64(10 * time.Second)))
-		pq.observe(d)
-		if d > max {
-			max = d
-		}
-	}
-	if pq.max != max {
-		t.Fatalf("streaming max %v != exact %v", pq.max, max)
 	}
 }

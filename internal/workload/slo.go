@@ -151,25 +151,6 @@ func quantile(sorted []time.Duration, perMille int) time.Duration {
 	return sorted[i]
 }
 
-// sloRowStream builds one report row from a phase's outcome counts and its
-// streaming quantile state (StreamingQuantiles runs).
-func sloRowStream(class, phase string, counts map[string]int, pq *phaseQuantiles) ClassSLO {
-	row := ClassSLO{
-		Class:     class,
-		Phase:     phase,
-		OK:        counts[OutcomeOK],
-		Errors:    counts[OutcomeError],
-		Shed:      counts[OutcomeShed],
-		Throttled: counts[OutcomeThrottled],
-		P50:       time.Duration(pq.p50.Value()),
-		P99:       time.Duration(pq.p99.Value()),
-		P999:      time.Duration(pq.p999.Value()),
-		Max:       pq.max,
-	}
-	row.Total = row.OK + row.Errors + row.Shed + row.Throttled
-	return row
-}
-
 // sloRow builds one report row from a phase's outcome counts and completed
 // latency samples (sorted in place).
 func sloRow(class, phase string, counts map[string]int, samples []time.Duration) ClassSLO {

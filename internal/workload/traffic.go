@@ -117,12 +117,6 @@ type TrafficOptions struct {
 	MaxSpinning   int
 	MaxSpinningUp int
 	IdleAfter     time.Duration
-
-	// StreamingQuantiles replaces the exact percentile computation (every
-	// completed latency retained until the report) with O(1)-memory P²
-	// estimators per (class, phase). Percentiles become approximate; counts
-	// and the max stay exact. Off by default — goldens pin both modes.
-	StreamingQuantiles bool
 }
 
 // Canonical class names used by DefaultTrafficOptions and the storm/ingest
@@ -237,7 +231,6 @@ type classState struct {
 	cdf     []float64
 	counts  map[string]map[string]int  // phase -> outcome -> n
 	samples map[string][]time.Duration // phase -> completed latencies
-	stream  map[string]*phaseQuantiles // phase -> P² state (StreamingQuantiles)
 	cOut    map[string]*obs.Counter    // outcome -> counter
 	hist    map[string]*obs.Histogram  // phase -> latency histogram
 }
@@ -306,16 +299,9 @@ func NewTrafficEngine(c *core.Cluster, o TrafficOptions, logf func(string, ...an
 			cOut:    make(map[string]*obs.Counter),
 			hist:    make(map[string]*obs.Histogram),
 		}
-		if o.StreamingQuantiles {
-			cs.stream = make(map[string]*phaseQuantiles)
-		}
 		for _, ph := range Phases {
 			cs.counts[ph] = make(map[string]int)
-			if o.StreamingQuantiles {
-				cs.stream[ph] = newPhaseQuantiles()
-			} else {
-				cs.samples[ph] = getSampleSlice()
-			}
+			cs.samples[ph] = getSampleSlice()
 			cs.hist[ph] = e.rec.Histogram("workload", "request_seconds",
 				obs.L("class", spec.Name), obs.L("phase", ph))
 		}
@@ -559,11 +545,7 @@ func (e *TrafficEngine) record(cs *classState, phase, outcome string, elapsed ti
 	cs.counts[phase][outcome]++
 	cs.cOut[outcome].Inc()
 	if outcome == OutcomeOK || outcome == OutcomeError {
-		if cs.stream != nil {
-			cs.stream[phase].observe(elapsed)
-		} else {
-			cs.samples[phase] = append(cs.samples[phase], elapsed)
-		}
+		cs.samples[phase] = append(cs.samples[phase], elapsed)
 		cs.hist[phase].ObserveDuration(elapsed)
 	}
 }
@@ -841,10 +823,6 @@ func (e *TrafficEngine) report() *SLOReport {
 	}
 	for _, cs := range e.classes {
 		for _, ph := range Phases {
-			if cs.stream != nil {
-				r.Rows = append(r.Rows, sloRowStream(cs.spec.Name, ph, cs.counts[ph], cs.stream[ph]))
-				continue
-			}
 			r.Rows = append(r.Rows, sloRow(cs.spec.Name, ph, cs.counts[ph], cs.samples[ph]))
 			// The row captured the quantiles; the sample arena is dead.
 			// Recycle it for the next run (or next sweep seed).

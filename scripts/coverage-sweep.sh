@@ -58,7 +58,6 @@ chaos=$bin/ustore-chaos
 run 0 "$chaos" -seed 1 -days 1 -metrics-out "$out/metrics.json" -trace-out "$out/trace.json"
 run 0 "$chaos" -seed 1 -days 1 -gray -mitigation -metrics-out "$out/gray.json"
 run 0 "$chaos" -tenants -storm -protect -seed 1 -slo-out "$out/slo.txt"
-run 0 "$chaos" -tenants -storm -protect -stream-quantiles -seed 1 -slo-out "$out/slo-stream.txt"
 run 0 "$chaos" -fleet -units 8 -shards 2 -unit-loss -log
 run 0 "$chaos" -fleet -units 8 -shards 2 -unit-loss -engine-workers 1 -log
 run 0 "$chaos" -fleet -units 8 -shards 2 -unit-loss -engine-workers 8 -log
