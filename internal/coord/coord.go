@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -64,10 +65,9 @@ type Event struct {
 
 type znode struct {
 	data     []byte
-	children map[string]*znode
+	children map[string]*znode // nil until the first child
 	// session is non-empty for ephemeral nodes.
 	session string
-	version int
 }
 
 // replicated command payloads
@@ -118,11 +118,11 @@ type sessionState struct {
 type Store struct {
 	name  string
 	sched *simtime.Scheduler
-	net   *simnet.Network
 	node  *simnet.Node
 	px    *paxos.Node
 
 	root     *znode
+	slab     []znode // unused znodes, carved 64 at a time
 	sessions map[string]*sessionState
 
 	// Leader-local liveness tracking.
@@ -138,13 +138,15 @@ type Store struct {
 	// pending completion callbacks keyed by command ID.
 	pending map[string]func(error)
 	nextCmd uint64
+	idBuf   []byte // scratch for building command IDs
 
-	// applyErrs records per-command outcomes so the proposing replica can
-	// complete its callback with the real result.
 	stopped bool
 
-	// sweep is the leader's session-expiry scan period.
-	sweep time.Duration
+	// sweep is the leader's session-expiry scan period; sweepArmed and
+	// sweepRelay describe the pending sweep event (see sweepLoop).
+	sweep      time.Duration
+	sweepArmed time.Duration
+	sweepRelay bool
 }
 
 // coordName is the simnet node name for a replica's session-ping endpoint.
@@ -156,9 +158,8 @@ func NewStore(net *simnet.Network, name string, peers []string, cfg paxos.Config
 	s := &Store{
 		name:         name,
 		sched:        net.Scheduler(),
-		net:          net,
 		node:         net.Node(coordName(name)),
-		root:         &znode{children: map[string]*znode{}},
+		root:         &znode{},
 		sessions:     map[string]*sessionState{},
 		lastSeen:     map[string]simtime.Time{},
 		ackSeen:      map[string]simtime.Time{},
@@ -190,41 +191,44 @@ func (s *Store) Resume() {
 	s.node.SetDown(false)
 }
 
-func splitPath(path string) ([]string, error) {
-	if path == "" || path[0] != '/' || (len(path) > 1 && strings.HasSuffix(path, "/")) {
-		return nil, fmt.Errorf("%w: %q", ErrBadPath, path)
+// noParent is the parent walk reports under a missing ancestor; it never
+// gains children.
+var noParent znode
+
+// walk checks path ("/" or "/a/b" with no empty component) and resolves it
+// in place to its parent znode and leaf name. The parent of "/" is nil.
+func (s *Store) walk(path string) (*znode, string, error) {
+	if path == "" || path[0] != '/' || (len(path) > 1 && (path[len(path)-1] == '/' || strings.Contains(path, "//"))) {
+		return nil, "", fmt.Errorf("%w: %q", ErrBadPath, path)
 	}
-	if path == "/" {
-		return nil, nil
-	}
-	parts := strings.Split(path[1:], "/")
-	for _, p := range parts {
-		if p == "" {
-			return nil, fmt.Errorf("%w: %q", ErrBadPath, path)
+	n, rest := s.root, path[1:]
+	for i := strings.IndexByte(rest, '/'); i >= 0 && n != &noParent; i = strings.IndexByte(rest, '/') {
+		if n = n.children[rest[:i]]; n == nil {
+			n = &noParent
 		}
+		rest = rest[i+1:]
 	}
-	return parts, nil
+	if rest == "" {
+		return nil, "", nil
+	}
+	return n, rest, nil
 }
 
 func (s *Store) lookup(path string) (*znode, error) {
-	parts, err := splitPath(path)
-	if err != nil {
+	switch p, leaf, err := s.walk(path); {
+	case err != nil:
 		return nil, err
+	case p == nil:
+		return s.root, nil
+	case p.children[leaf] != nil:
+		return p.children[leaf], nil
 	}
-	n := s.root
-	for _, p := range parts {
-		c, ok := n.children[p]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
-		}
-		n = c
-	}
-	return n, nil
+	return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 }
 
 // --- Local reads ---
 
-// Get returns a node's data.
+// Get returns a copy of a node's data.
 func (s *Store) Get(path string) ([]byte, error) {
 	n, err := s.lookup(path)
 	if err != nil {
@@ -292,7 +296,8 @@ func parentOf(path string) string {
 
 func (s *Store) propose(data any, done func(error)) {
 	s.nextCmd++
-	id := fmt.Sprintf("%s/%d", s.name, s.nextCmd)
+	s.idBuf = strconv.AppendUint(append(append(s.idBuf[:0], s.name...), '/'), s.nextCmd, 10)
+	id := string(s.idBuf)
 	if done != nil {
 		s.pending[id] = done
 	}
@@ -300,12 +305,13 @@ func (s *Store) propose(data any, done func(error)) {
 }
 
 // Create proposes creation of path. For ephemeral nodes pass the owning
-// session ID; "" creates a persistent node.
+// session ID; "" creates a persistent node. The store owns data from the
+// call on (every replica keeps that slice): the caller must not write it.
 func (s *Store) Create(path string, data []byte, session string, done func(error)) {
 	s.propose(opCreate{Path: path, Data: data, Session: session}, done)
 }
 
-// Set proposes replacing path's data.
+// Set proposes replacing path's data; the store owns data, as in Create.
 func (s *Store) Set(path string, data []byte, done func(error)) {
 	s.propose(opSet{Path: path, Data: data}, done)
 }
@@ -365,39 +371,53 @@ func (s *Store) SetSweepInterval(d time.Duration) {
 	}
 }
 
-// sweepLoop is the leader's session-expiry scan.
+// sweepLoop arms the next session-expiry scan, armed with period
+// sweepArmed. Stop and Resume arm nothing: a stopped replica's scan arms a
+// relay one sweepArmed later that arms the next scan, so a stopped replica
+// polls every two periods until it resumes.
 func (s *Store) sweepLoop() {
-	sweepEvery := s.sweep
-	s.sched.After(sweepEvery, func() {
-		if !s.stopped && s.px.IsLeader() {
-			now := s.sched.Now()
-			ids := make([]string, 0, len(s.sessions))
-			for id := range s.sessions {
-				ids = append(ids, id)
+	s.sweepArmed = s.sweep
+	s.sched.FireAfterR(s.sweep, (*sweepTimer)(s))
+}
+
+// sweepTimer is the receiver of a replica's sweep events.
+type sweepTimer Store
+
+func (t *sweepTimer) Fire() {
+	s := (*Store)(t)
+	if s.sweepRelay {
+		s.sweepRelay = false
+		s.sweepLoop()
+		return
+	}
+	if !s.stopped && s.px.IsLeader() {
+		now := s.sched.Now()
+		ids := make([]string, 0, len(s.sessions))
+		for id := range s.sessions {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids) // deterministic expiry-proposal order
+		for _, id := range ids {
+			sess := s.sessions[id]
+			seen, ok := s.lastSeen[id]
+			if !ok {
+				// First sweep since this replica became leader (or the
+				// session was created elsewhere): grant a grace period.
+				s.lastSeen[id] = now
+				continue
 			}
-			sort.Strings(ids) // deterministic expiry-proposal order
-			for _, id := range ids {
-				sess := s.sessions[id]
-				seen, ok := s.lastSeen[id]
-				if !ok {
-					// First sweep since this replica became leader (or the
-					// session was created elsewhere): grant a grace period.
-					s.lastSeen[id] = now
-					continue
-				}
-				if now-seen > sess.ttl {
-					s.propose(opExpireSession{ID: id, Gen: sess.gen}, nil)
-					delete(s.lastSeen, id) // avoid re-proposing every sweep
-				}
+			if now-seen > sess.ttl {
+				s.propose(opExpireSession{ID: id, Gen: sess.gen}, nil)
+				delete(s.lastSeen, id) // avoid re-proposing every sweep
 			}
 		}
-		if !s.stopped {
-			s.sweepLoop()
-			return
-		}
-		// Stopped replicas re-arm on Resume via a fresh loop.
-		s.sched.After(sweepEvery, func() { s.sweepLoop() })
-	})
+	}
+	if !s.stopped {
+		s.sweepLoop()
+		return
+	}
+	s.sweepRelay = true
+	s.sched.FireAfterR(s.sweepArmed, t)
 }
 
 // --- Replicated state machine ---
@@ -432,11 +452,11 @@ func (s *Store) apply(slot int, cmd paxos.Command) {
 }
 
 func (s *Store) applyCreate(op opCreate) error {
-	parts, err := splitPath(op.Path)
+	n, leaf, err := s.walk(op.Path)
 	if err != nil {
 		return err
 	}
-	if len(parts) == 0 {
+	if n == nil {
 		return fmt.Errorf("%w: cannot create root", ErrExists)
 	}
 	if op.Session != "" {
@@ -444,23 +464,22 @@ func (s *Store) applyCreate(op opCreate) error {
 			return fmt.Errorf("%w: %s", ErrNoSession, op.Session)
 		}
 	}
-	n := s.root
-	for _, p := range parts[:len(parts)-1] {
-		c, ok := n.children[p]
-		if !ok {
-			return fmt.Errorf("%w: creating %s", ErrNoParent, op.Path)
-		}
-		n = c
+	if n == &noParent {
+		return fmt.Errorf("%w: creating %s", ErrNoParent, op.Path)
 	}
-	leaf := parts[len(parts)-1]
 	if _, dup := n.children[leaf]; dup {
 		return fmt.Errorf("%w: %s", ErrExists, op.Path)
 	}
-	n.children[leaf] = &znode{
-		data:     append([]byte(nil), op.Data...),
-		children: map[string]*znode{},
-		session:  op.Session,
+	if n.children == nil {
+		n.children = map[string]*znode{}
 	}
+	if len(s.slab) == 0 {
+		s.slab = make([]znode, 64)
+	}
+	z := &s.slab[0]
+	s.slab = s.slab[1:]
+	z.data, z.session = op.Data, op.Session
+	n.children[leaf] = z
 	s.fire(Event{Type: EventCreated, Path: op.Path, Data: op.Data})
 	return nil
 }
@@ -470,37 +489,28 @@ func (s *Store) applySet(op opSet) error {
 	if err != nil {
 		return err
 	}
-	n.data = append([]byte(nil), op.Data...)
-	n.version++
+	n.data = op.Data
 	s.fire(Event{Type: EventDataChanged, Path: op.Path, Data: op.Data})
 	return nil
 }
 
 func (s *Store) applyDelete(op opDelete) error {
-	parts, err := splitPath(op.Path)
+	n, leaf, err := s.walk(op.Path)
 	if err != nil {
 		return err
 	}
-	if len(parts) == 0 {
+	if n == nil {
 		return fmt.Errorf("coord: cannot delete root")
 	}
-	n := s.root
-	for _, p := range parts[:len(parts)-1] {
-		c, ok := n.children[p]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrNotFound, op.Path)
-		}
-		n = c
-	}
-	leaf := parts[len(parts)-1]
-	child, ok := n.children[leaf]
-	if !ok {
+	child := n.children[leaf]
+	if child == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, op.Path)
 	}
 	if len(child.children) > 0 {
 		return fmt.Errorf("%w: %s", ErrHasChildren, op.Path)
 	}
 	delete(n.children, leaf)
+	*child = znode{} // its slab slot stays pinned; its data need not
 	s.fire(Event{Type: EventDeleted, Path: op.Path})
 	return nil
 }

@@ -26,7 +26,6 @@ type Election struct {
 
 	leading bool
 	stopped bool
-	ticker  interface{ Stop() }
 
 	// electedAt and the store's ping-ack log detect asymmetric partitions:
 	// a leader whose pings still reach the paxos leader (send path works)

@@ -241,7 +241,6 @@ type Fleet struct {
 	// (slot -> destination shard): the admin-side intent ledger RedriveMoves
 	// re-drives after faults interrupt a MoveSlot chain.
 	pendingMoves map[int]int
-	nRouters     int
 }
 
 // crossUnitLatency is the minimum latency of any cross-unit network link —
@@ -410,10 +409,7 @@ func (f *Fleet) Leader(k int) *ShardMaster {
 func (f *Fleet) AuthMap() *ShardMap { return f.authMap.Clone() }
 
 // NewRouter builds a client router bootstrapped with the current map.
-func (f *Fleet) NewRouter(name string) *Router {
-	f.nRouters++
-	return newRouter(f, name)
-}
+func (f *Fleet) NewRouter(name string) *Router { return newRouter(f, name) }
 
 // KillUnit permanently fails a deploy unit: its agent stops, its machine's
 // uplink is unplugged, and every shard replica or coord store colocated on

@@ -154,9 +154,13 @@ func (m *ShardMaster) Name() string { return m.name }
 // installInitialMap seeds the replica's map before the fleet starts.
 func (m *ShardMaster) installInitialMap(mp *ShardMap) { m.map_ = mp.Clone() }
 
-// start begins campaigning for shard leadership.
+// start begins campaigning for shard leadership; a restarted replica
+// campaigns under an incarnation-stamped session (see restart).
 func (m *ShardMaster) start() {
 	m.election = coord.NewElection(m.store, "/active", m.name, m.f.Cfg.ElectionTTL)
+	if m.incarnation > 0 {
+		m.election.SetSession(fmt.Sprintf("election:/active:%s#%d", m.name, m.incarnation))
+	}
 	m.election.OnElected = m.becomeLeader
 	m.election.OnDeposed = m.loseLeadership
 	m.election.Run()
@@ -193,11 +197,7 @@ func (m *ShardMaster) restart() {
 	m.unitSeen = make(map[string]simtime.Time)
 	m.ix.ResetHealth()
 	m.incarnation++
-	m.election = coord.NewElection(m.store, "/active", m.name, m.f.Cfg.ElectionTTL)
-	m.election.SetSession(fmt.Sprintf("election:/active:%s#%d", m.name, m.incarnation))
-	m.election.OnElected = m.becomeLeader
-	m.election.OnDeposed = m.loseLeadership
-	m.election.Run()
+	m.start()
 }
 
 func (m *ShardMaster) becomeLeader() {
@@ -273,13 +273,7 @@ func (m *ShardMaster) onVolEvent(ev coord.Event) {
 		// A previous leadership's release landing late: apply the same
 		// bookkeeping execRelease would have.
 		foreign := map[int][]string{}
-		for _, d := range rec.Disks {
-			if m.ownsDisk(d) {
-				m.unplace(d, rec.Size)
-			} else if u := m.f.Topo.UnitOfDisk(d); u != nil {
-				foreign[u.Shard] = append(foreign[u.Shard], d)
-			}
-		}
+		m.unplaceRecord(rec, foreign)
 		delete(m.vols, id)
 		m.freeForeignFragments(id, foreign)
 	}
@@ -487,9 +481,16 @@ func (m *ShardMaster) exec(op *shardOp) {
 // if the proposal is lost to a leadership change the client gets Busy
 // instead of the service unit wedging forever.
 func (m *ShardMaster) commitGuard(op *shardOp) {
-	m.sched.After(4*m.f.Cfg.ElectionTTL, func() {
-		m.opDone(op, envelope(op.method, ShardReply{Busy: true}))
-	})
+	m.sched.FireAfterR(4*m.f.Cfg.ElectionTTL, (*opGuard)(op))
+}
+
+// opGuard is the receiver of an op's commit guard.
+type opGuard shardOp
+
+func (g *opGuard) Fire() {
+	if op := (*shardOp)(g); !op.finished {
+		op.m.opDone(op, envelope(op.method, ShardReply{Busy: true}))
+	}
 }
 
 // place charges a fragment onto a disk and spins it up; a disk of a unit
@@ -581,17 +582,8 @@ func (m *ShardMaster) execRelease(op *shardOp, a ReleaseArgs) {
 		m.opDone(op, ReleaseReply{ShardReply{OK: true}})
 		return
 	}
-	// Free owned fragments immediately; fragments parked on another
-	// shard's disks (a migrated-in volume) free through that shard's
-	// export ledger.
 	foreign := map[int][]string{}
-	for _, d := range rec.Disks {
-		if m.ownsDisk(d) {
-			m.unplace(d, rec.Size)
-		} else if u := m.f.Topo.UnitOfDisk(d); u != nil {
-			foreign[u.Shard] = append(foreign[u.Shard], d)
-		}
-	}
+	m.unplaceRecord(rec, foreign)
 	delete(m.vols, a.Volume)
 	m.commitGuard(op)
 	m.store.Delete(volPath(a.Volume), func(err error) {
@@ -602,6 +594,19 @@ func (m *ShardMaster) execRelease(op *shardOp, a ReleaseArgs) {
 		m.opDone(op, ReleaseReply{ShardReply{OK: true}})
 	})
 	m.freeForeignFragments(a.Volume, foreign)
+}
+
+// unplaceRecord frees a record's owned fragments at once and adds the rest
+// to foreign by owning shard: fragments parked on another shard's disks (a
+// migrated-in volume) free through that shard's export ledger.
+func (m *ShardMaster) unplaceRecord(rec VolRecord, foreign map[int][]string) {
+	for _, d := range rec.Disks {
+		if m.ownsDisk(d) {
+			m.unplace(d, rec.Size)
+		} else if u := m.f.Topo.UnitOfDisk(d); u != nil {
+			foreign[u.Shard] = append(foreign[u.Shard], d)
+		}
+	}
 }
 
 // freeForeignFragments notifies each shard holding exported fragments of a
@@ -931,10 +936,24 @@ func (m *ShardMaster) onFreeForeign(_ string, args any, reply *simnet.AsyncReply
 func volPath(id string) string { return "/vol/" + id }
 func expPath(id string) string { return "/exp/" + id }
 
-// encodeVol renders a record as "size|service|disk1,disk2,...". Volume IDs
-// and services must not contain '|' or '/'.
+// encodeVol renders a record as "size|service|disk1,disk2,..." into one
+// buffer of exactly its length. Volume IDs and services must not contain
+// '|' or '/'.
 func encodeVol(r VolRecord) []byte {
-	return []byte(fmt.Sprintf("%d|%s|%s", r.Size, r.Service, strings.Join(r.Disks, ",")))
+	var num [20]byte
+	size := strconv.AppendInt(num[:0], r.Size, 10)
+	n := len(size) + len(r.Service) + 1 + max(len(r.Disks), 1) // two '|' and the commas
+	for _, d := range r.Disks {
+		n += len(d)
+	}
+	b := append(append(append(append(make([]byte, 0, n), size...), '|'), r.Service...), '|')
+	for i, d := range r.Disks {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, d...)
+	}
+	return b
 }
 
 func decodeVol(data []byte) (VolRecord, error) {

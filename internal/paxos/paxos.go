@@ -18,6 +18,7 @@ package paxos
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -82,7 +83,7 @@ type slotState struct {
 	hasAccepted    bool
 	chosen         bool
 	chosenValue    Command
-	acks           map[string]bool // leader-side Phase 2 acks
+	acks           uint64 // leader-side Phase 2 acks, one bit per sorted-peer index
 }
 
 // Wire messages (delivered as simnet payloads).
@@ -140,15 +141,14 @@ type Node struct {
 	peers []string // includes self
 	cfg   Config
 	sched *simtime.Scheduler
-	net   *simnet.Network
 	node  *simnet.Node
 	apply Applier
 
 	// Acceptor state.
 	promised Ballot
 
-	// Log.
-	slots   map[int]*slotState
+	// Log: slots[i] is slot i, grown to the highest slot touched.
+	slots   []slotState
 	applied int // next slot to apply
 	chosenP int // contiguous chosen prefix (== lowest unchosen slot)
 
@@ -166,6 +166,11 @@ type Node struct {
 	inFlight  map[string]int // cmd ID -> slot (leader side)
 	onApplied map[string]func(slot int)
 
+	// Receiver-event timers: one pending heartbeat and election timeout each.
+	hbArmed       bool
+	electionArmed bool
+	phaseFree     []*phaseTimer
+
 	stopped bool
 }
 
@@ -179,8 +184,8 @@ func New(net *simnet.Network, name string, peers []string, cfg Config, apply App
 			idx = i
 		}
 	}
-	if idx < 0 {
-		panic(fmt.Sprintf("paxos: %s not in peer list %v", name, peers))
+	if idx < 0 || len(sorted) > 64 { // acks are a 64-bit mask
+		panic(fmt.Sprintf("paxos: %s not in peer list %v, or over 64 peers", name, peers))
 	}
 	n := &Node{
 		name:      name,
@@ -188,10 +193,8 @@ func New(net *simnet.Network, name string, peers []string, cfg Config, apply App
 		peers:     sorted,
 		cfg:       cfg,
 		sched:     net.Scheduler(),
-		net:       net,
 		node:      net.Node(name),
 		apply:     apply,
-		slots:     make(map[int]*slotState),
 		promises:  make(map[string][]wireSlot),
 		inFlight:  make(map[string]int),
 		onApplied: make(map[string]func(int)),
@@ -220,7 +223,7 @@ func (n *Node) Stop() {
 	n.node.SetDown(true)
 }
 
-// Resume restarts a stopped node.
+// Resume restarts a stopped node, keeping an election timeout still pending.
 func (n *Node) Resume() {
 	n.stopped = false
 	n.node.SetDown(false)
@@ -252,13 +255,13 @@ func (n *Node) Propose(cmd Command, onApplied func(slot int)) {
 
 func (n *Node) quorum() int { return len(n.peers)/2 + 1 }
 
+// slot returns slot i, growing the log to hold it. The pointer is valid
+// until the log next grows.
 func (n *Node) slot(i int) *slotState {
-	s, ok := n.slots[i]
-	if !ok {
-		s = &slotState{acks: make(map[string]bool)}
-		n.slots[i] = s
+	for i >= len(n.slots) {
+		n.slots = append(n.slots, slotState{})
 	}
-	return s
+	return &n.slots[i]
 }
 
 func (n *Node) broadcast(payload any, size int) {
@@ -269,18 +272,28 @@ func (n *Node) broadcast(payload any, size int) {
 
 // --- Elections ---
 
+// electionTimer is the receiver of a node's election timeout.
+type electionTimer Node
+
+func (t *electionTimer) Fire() {
+	n := (*Node)(t)
+	n.electionArmed = false
+	if n.stopped {
+		return
+	}
+	if !n.isLeader && n.sched.Now()-n.lastLeaderAt >= n.cfg.ElectionTimeoutBase {
+		n.campaign()
+	}
+	n.armElectionTimer()
+}
+
 func (n *Node) armElectionTimer() {
+	if n.electionArmed {
+		return
+	}
+	n.electionArmed = true
 	jitter := time.Duration(n.sched.Rand().Int63n(int64(n.cfg.ElectionTimeoutBase)))
-	timeout := n.cfg.ElectionTimeoutBase + jitter
-	n.sched.After(timeout, func() {
-		if n.stopped {
-			return
-		}
-		if !n.isLeader && n.sched.Now()-n.lastLeaderAt >= n.cfg.ElectionTimeoutBase {
-			n.campaign()
-		}
-		n.armElectionTimer()
-	})
+	n.sched.FireAfterR(n.cfg.ElectionTimeoutBase+jitter, (*electionTimer)(n))
 }
 
 func (n *Node) campaign() {
@@ -290,11 +303,9 @@ func (n *Node) campaign() {
 	n.promised = b
 	n.leaderBallot = b
 	n.promises = map[string][]wireSlot{}
-	from := n.chosenP
-	ballot := b
-	n.broadcast(prepareMsg{Ballot: b, FromSlot: from}, 64)
-	n.sched.After(n.cfg.PhaseTimeout, func() {
-		if n.campaigning && n.leaderBallot == ballot && !n.isLeader {
+	n.broadcast(prepareMsg{Ballot: b, FromSlot: n.chosenP}, 64)
+	n.sched.FireAfter(n.cfg.PhaseTimeout, func() {
+		if n.campaigning && n.leaderBallot == b && !n.isLeader {
 			n.campaigning = false // retry via election timer
 		}
 	})
@@ -351,10 +362,8 @@ func (n *Node) onPrepare(from string, m prepareMsg) {
 		n.lastLeaderAt = n.sched.Now()
 	}
 	var acc []wireSlot
-	for i, s := range n.slots {
-		if i < m.FromSlot {
-			continue
-		}
+	for i := max(m.FromSlot, 0); i < len(n.slots); i++ {
+		s := &n.slots[i]
 		switch {
 		case s.chosen:
 			acc = append(acc, wireSlot{Slot: i, Ballot: s.acceptedBallot, Value: s.chosenValue, Chosen: true})
@@ -388,18 +397,12 @@ func (n *Node) onPromise(from string, m promiseMsg) {
 			if ws.Slot > maxSlot {
 				maxSlot = ws.Slot
 			}
-			cur, ok := highest[ws.Slot]
-			if ws.Chosen || !ok || ws.Ballot > cur.Ballot {
-				if !cur.Chosen || ws.Chosen {
-					highest[ws.Slot] = ws
-				}
+			if cur, ok := highest[ws.Slot]; ws.Chosen || !cur.Chosen && (!ok || ws.Ballot > cur.Ballot) {
+				highest[ws.Slot] = ws
 			}
 		}
 	}
-	n.nextSlot = maxSlot + 1
-	if n.nextSlot < n.chosenP {
-		n.nextSlot = n.chosenP
-	}
+	n.nextSlot = maxSlot + 1 // maxSlot starts at chosenP-1
 	for i := n.chosenP; i <= maxSlot; i++ {
 		if ws, ok := highest[i]; ok {
 			if ws.Chosen {
@@ -432,9 +435,8 @@ func (n *Node) onNack(m nackMsg) {
 }
 
 func (n *Node) leaderPropose(cmd Command) {
-	if slot, dup := n.inFlight[cmd.ID]; dup {
-		_ = slot // already proposed under this leadership; Phase 2 retries handle it
-		return
+	if _, dup := n.inFlight[cmd.ID]; dup {
+		return // already proposed under this leadership; Phase 2 retries handle it
 	}
 	slot := n.nextSlot
 	n.nextSlot++
@@ -447,17 +449,35 @@ func (n *Node) phase2(slot int, value Command) {
 	if s.chosen {
 		return
 	}
-	s.acks = make(map[string]bool)
+	s.acks = 0
 	b := n.leaderBallot
 	n.broadcast(acceptMsg{Ballot: b, Slot: slot, Value: value}, 128)
-	n.sched.After(n.cfg.PhaseTimeout, func() {
-		if n.stopped || !n.isLeader || n.leaderBallot != b {
-			return
-		}
-		if !n.slot(slot).chosen {
-			n.phase2(slot, value) // retry under same ballot
-		}
-	})
+	var t *phaseTimer
+	if k := len(n.phaseFree); k > 0 {
+		t, n.phaseFree = n.phaseFree[k-1], n.phaseFree[:k-1]
+	} else {
+		t = &phaseTimer{n: n}
+	}
+	t.slot, t.ballot, t.value = slot, b, value
+	n.sched.FireAfterR(n.cfg.PhaseTimeout, t)
+}
+
+// phaseTimer is a pending Phase 2 timeout, recycled through the node's
+// free list. It fires even after its slot is chosen.
+type phaseTimer struct {
+	n      *Node
+	slot   int
+	ballot Ballot
+	value  Command
+}
+
+func (t *phaseTimer) Fire() {
+	n := t.n
+	if !n.stopped && n.isLeader && n.leaderBallot == t.ballot && !n.slot(t.slot).chosen {
+		n.phase2(t.slot, t.value) // retry under same ballot
+	}
+	t.value = Command{}
+	n.phaseFree = append(n.phaseFree, t)
 }
 
 func (n *Node) onAccept(from string, m acceptMsg) {
@@ -490,15 +510,11 @@ func (n *Node) onAccepted(from string, m acceptedMsg) {
 	if s.chosen {
 		return
 	}
-	s.acks[from] = true
-	if len(s.acks) >= n.quorum() {
+	s.acks |= 1 << sort.SearchStrings(n.peers, from)
+	if bits.OnesCount64(s.acks) >= n.quorum() {
 		value := s.acceptedValue
 		if !s.hasAccepted {
-			// The leader itself may not have self-delivered yet; the value
-			// is whatever we sent — recover it from in-flight tracking is
-			// complex, so leaders always self-deliver (local sends have
-			// zero latency and are processed before remote acks).
-			return
+			return // leaders self-deliver their accept before remote acks arrive
 		}
 		n.markChosen(m.Slot, value)
 		n.broadcast(chosenMsg{Slot: m.Slot, Value: value}, 128)
@@ -512,7 +528,7 @@ func (n *Node) markChosen(slot int, value Command) {
 	}
 	s.chosen = true
 	s.chosenValue = value
-	for n.slots[n.chosenP] != nil && n.slots[n.chosenP].chosen {
+	for n.chosenP < len(n.slots) && n.slots[n.chosenP].chosen {
 		n.chosenP++
 	}
 	n.applyReady()
@@ -521,9 +537,8 @@ func (n *Node) markChosen(slot int, value Command) {
 func (n *Node) applyReady() {
 	for n.applied < n.chosenP {
 		slot := n.applied
-		s := n.slots[slot]
 		n.applied++
-		cmd := s.chosenValue
+		cmd := n.slots[slot].chosenValue
 		if !cmd.IsNoop() && n.apply != nil {
 			n.apply(slot, cmd)
 		}
@@ -536,12 +551,25 @@ func (n *Node) applyReady() {
 
 // --- Heartbeats & catch-up ---
 
+// heartbeatTimer is the receiver of a leader's heartbeat tick.
+type heartbeatTimer Node
+
+func (t *heartbeatTimer) Fire() {
+	n := (*Node)(t)
+	n.hbArmed = false
+	n.heartbeat()
+}
+
+// heartbeat broadcasts and keeps one tick pending, across a lose and regain.
 func (n *Node) heartbeat() {
 	if n.stopped || !n.isLeader {
 		return
 	}
 	n.broadcast(heartbeatMsg{Ballot: n.leaderBallot, ChosenPrefix: n.chosenP}, 32)
-	n.sched.After(n.cfg.HeartbeatInterval, n.heartbeat)
+	if !n.hbArmed {
+		n.hbArmed = true
+		n.sched.FireAfterR(n.cfg.HeartbeatInterval, (*heartbeatTimer)(n))
+	}
 }
 
 func (n *Node) onHeartbeat(from string, m heartbeatMsg) {
@@ -551,9 +579,7 @@ func (n *Node) onHeartbeat(from string, m heartbeatMsg) {
 	}
 	n.promised = m.Ballot
 	if from != n.name {
-		if n.isLeader {
-			n.isLeader = false
-		}
+		n.isLeader = false
 		n.leaderHint = from
 		n.lastLeaderAt = n.sched.Now()
 		n.campaigning = false
@@ -572,8 +598,8 @@ func (n *Node) onHeartbeat(from string, m heartbeatMsg) {
 func (n *Node) onCatchupReq(from string, m catchupReq) {
 	var entries []wireSlot
 	for i := m.FromSlot; i < n.chosenP; i++ {
-		s := n.slots[i]
-		if s == nil || !s.chosen {
+		s := &n.slots[i]
+		if !s.chosen {
 			break
 		}
 		entries = append(entries, wireSlot{Slot: i, Value: s.chosenValue, Chosen: true})

@@ -18,8 +18,8 @@ type cluster struct {
 	names []string
 }
 
-func newCluster(t *testing.T, n int, seed int64) *cluster {
-	t.Helper()
+func newCluster(tb testing.TB, n int, seed int64) *cluster {
+	tb.Helper()
 	s := simtime.NewScheduler(seed)
 	net := simnet.New(s)
 	c := &cluster{sched: s, net: net, nodes: map[string]*Node{}, logs: map[string][]Command{}}
@@ -39,7 +39,7 @@ func newCluster(t *testing.T, n int, seed int64) *cluster {
 // leader returns the unique live node claiming leadership, failing the test
 // if there are several (stale claims are allowed transiently, so callers
 // run the scheduler first).
-func (c *cluster) leader(t *testing.T) *Node {
+func (c *cluster) leader(t testing.TB) *Node {
 	t.Helper()
 	var l *Node
 	for _, n := range c.nodes {
