@@ -442,6 +442,8 @@ func (m *ShardMaster) opDone(op *shardOp, result any) {
 	}
 	op.finished = true
 	op.reply.Reply(result, nil)
+	// A pending commit guard holds op until it fires: drop what op pins.
+	op.args, op.reply = nil, nil
 	m.busy = false
 	m.pump()
 }

@@ -19,6 +19,7 @@ package paxos
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -27,9 +28,9 @@ import (
 )
 
 // Command is a value proposed into the log. ID must be unique per logical
-// command; the state machine above deduplicates replays by it (a command
-// may be re-proposed after leader change and can be chosen twice in
-// different slots).
+// command: a leader drops a second proposal of an ID it already placed (its
+// inFlight entry, kept for the node's life). A command that reaches another
+// leader too, as under a leader change, is chosen and applied twice.
 type Command struct {
 	ID   string
 	Data any
@@ -103,10 +104,12 @@ type (
 		Ballot Ballot
 		Slot   int
 		Value  Command
+		Floor  int
 	}
 	acceptedMsg struct {
-		Ballot Ballot
-		Slot   int
+		Ballot  Ballot
+		Slot    int
+		Applied int // the sender's applied index: a floor report
 	}
 	chosenMsg struct {
 		Slot  int
@@ -115,6 +118,7 @@ type (
 	heartbeatMsg struct {
 		Ballot       Ballot
 		ChosenPrefix int
+		Floor        int
 	}
 	proposeFwd struct {
 		Cmd Command
@@ -147,10 +151,16 @@ type Node struct {
 	// Acceptor state.
 	promised Ballot
 
-	// Log: slots[i] is slot i, grown to the highest slot touched.
+	// Log: slots[i] is slot base+i. Every slot below base is chosen and
+	// applied on every peer, and slot answers it with the sentinel below.
 	slots   []slotState
+	base    int
+	below   slotState
 	applied int // next slot to apply
 	chosenP int // contiguous chosen prefix (== lowest unchosen slot)
+	// peerApplied[i] bounds sorted peer i's applied index from below: its
+	// accepted replies report it, and leaders send the floor.
+	peerApplied []int
 
 	// Leadership.
 	isLeader     bool
@@ -188,16 +198,17 @@ func New(net *simnet.Network, name string, peers []string, cfg Config, apply App
 		panic(fmt.Sprintf("paxos: %s not in peer list %v, or over 64 peers", name, peers))
 	}
 	n := &Node{
-		name:      name,
-		index:     idx,
-		peers:     sorted,
-		cfg:       cfg,
-		sched:     net.Scheduler(),
-		node:      net.Node(name),
-		apply:     apply,
-		promises:  make(map[string][]wireSlot),
-		inFlight:  make(map[string]int),
-		onApplied: make(map[string]func(int)),
+		name:        name,
+		index:       idx,
+		peers:       sorted,
+		cfg:         cfg,
+		sched:       net.Scheduler(),
+		node:        net.Node(name),
+		apply:       apply,
+		below:       slotState{chosen: true},
+		peerApplied: make([]int, len(sorted)),
+		inFlight:    make(map[string]int),
+		onApplied:   make(map[string]func(int)),
 	}
 	n.node.Handle(n.dispatch)
 	n.armElectionTimer()
@@ -233,8 +244,8 @@ func (n *Node) Resume() {
 
 // Propose submits a command. If this node is not leader it forwards to the
 // believed leader (or buffers until one emerges). onApplied, if non-nil,
-// fires when the command is applied locally (at-least-once: callers give
-// commands unique IDs and the state machine deduplicates).
+// fires when the command is applied locally (at-least-once: see Command for
+// when a command can be applied twice).
 func (n *Node) Propose(cmd Command, onApplied func(slot int)) {
 	if n.stopped {
 		return
@@ -256,12 +267,41 @@ func (n *Node) Propose(cmd Command, onApplied func(slot int)) {
 func (n *Node) quorum() int { return len(n.peers)/2 + 1 }
 
 // slot returns slot i, growing the log to hold it. The pointer is valid
-// until the log next grows.
+// until the log next grows or truncates. A slot below the floor is the
+// chosen sentinel, which every caller leaves alone.
 func (n *Node) slot(i int) *slotState {
-	for i >= len(n.slots) {
+	if i < n.base {
+		return &n.below
+	}
+	for i-n.base >= len(n.slots) {
 		n.slots = append(n.slots, slotState{})
 	}
-	return &n.slots[i]
+	return &n.slots[i-n.base]
+}
+
+// floor is the lowest slot some peer of the group may not have applied.
+func (n *Node) floor() int { return slices.Min(n.peerApplied) }
+
+// learnFloor raises every peer's bound to a floor a leader sent.
+func (n *Node) learnFloor(f int) {
+	for i, a := range n.peerApplied {
+		n.peerApplied[i] = max(a, f)
+	}
+	n.truncate()
+}
+
+// truncate drops the slots below the floor once they are half the log and
+// at least 64: the tail moves to the front, and the vacated entries are
+// cleared so they pin nothing. inFlight is not trimmed (see Command).
+func (n *Node) truncate() {
+	drop := min(n.floor(), n.applied) - n.base
+	if drop < 64 || 2*drop < len(n.slots) {
+		return
+	}
+	k := copy(n.slots, n.slots[drop:])
+	clear(n.slots[k:])
+	n.slots = n.slots[:k]
+	n.base += drop
 }
 
 func (n *Node) broadcast(payload any, size int) {
@@ -361,17 +401,21 @@ func (n *Node) onPrepare(from string, m prepareMsg) {
 		// A prepare from a would-be leader resets our election patience.
 		n.lastLeaderAt = n.sched.Now()
 	}
+	// A request from below the floor is stale, a duplicate overtaken by the
+	// requester's own progress: the floor is at most the applied index it
+	// reported, so it holds every slot below base. Those are left out of the
+	// reply, which is still charged its full size (here and in onCatchupReq).
 	var acc []wireSlot
-	for i := max(m.FromSlot, 0); i < len(n.slots); i++ {
+	for i := max(m.FromSlot, n.base) - n.base; i < len(n.slots); i++ {
 		s := &n.slots[i]
 		switch {
 		case s.chosen:
-			acc = append(acc, wireSlot{Slot: i, Ballot: s.acceptedBallot, Value: s.chosenValue, Chosen: true})
+			acc = append(acc, wireSlot{Slot: n.base + i, Ballot: s.acceptedBallot, Value: s.chosenValue, Chosen: true})
 		case s.hasAccepted:
-			acc = append(acc, wireSlot{Slot: i, Ballot: s.acceptedBallot, Value: s.acceptedValue})
+			acc = append(acc, wireSlot{Slot: n.base + i, Ballot: s.acceptedBallot, Value: s.acceptedValue})
 		}
 	}
-	n.node.Send(from, promiseMsg{Ballot: m.Ballot, Accepted: acc}, 64+len(acc)*32)
+	n.node.Send(from, promiseMsg{Ballot: m.Ballot, Accepted: acc}, 64+(len(acc)+max(n.base-m.FromSlot, 0))*32)
 }
 
 func (n *Node) onPromise(from string, m promiseMsg) {
@@ -402,6 +446,7 @@ func (n *Node) onPromise(from string, m promiseMsg) {
 			}
 		}
 	}
+	n.promises = nil         // read once; the next campaign makes a fresh map
 	n.nextSlot = maxSlot + 1 // maxSlot starts at chosenP-1
 	for i := n.chosenP; i <= maxSlot; i++ {
 		if ws, ok := highest[i]; ok {
@@ -451,7 +496,7 @@ func (n *Node) phase2(slot int, value Command) {
 	}
 	s.acks = 0
 	b := n.leaderBallot
-	n.broadcast(acceptMsg{Ballot: b, Slot: slot, Value: value}, 128)
+	n.broadcast(acceptMsg{Ballot: b, Slot: slot, Value: value, Floor: n.floor()}, 128)
 	var t *phaseTimer
 	if k := len(n.phaseFree); k > 0 {
 		t, n.phaseFree = n.phaseFree[k-1], n.phaseFree[:k-1]
@@ -499,10 +544,14 @@ func (n *Node) onAccept(from string, m acceptMsg) {
 		s.acceptedValue = m.Value
 		s.hasAccepted = true
 	}
-	n.node.Send(from, acceptedMsg{Ballot: m.Ballot, Slot: m.Slot}, 32)
+	n.node.Send(from, acceptedMsg{Ballot: m.Ballot, Slot: m.Slot, Applied: n.applied}, 32)
+	n.learnFloor(m.Floor)
 }
 
 func (n *Node) onAccepted(from string, m acceptedMsg) {
+	i := sort.SearchStrings(n.peers, from)
+	n.peerApplied[i] = max(n.peerApplied[i], m.Applied)
+	n.truncate()
 	if !n.isLeader || m.Ballot != n.leaderBallot {
 		return
 	}
@@ -510,7 +559,7 @@ func (n *Node) onAccepted(from string, m acceptedMsg) {
 	if s.chosen {
 		return
 	}
-	s.acks |= 1 << sort.SearchStrings(n.peers, from)
+	s.acks |= 1 << i
 	if bits.OnesCount64(s.acks) >= n.quorum() {
 		value := s.acceptedValue
 		if !s.hasAccepted {
@@ -528,7 +577,7 @@ func (n *Node) markChosen(slot int, value Command) {
 	}
 	s.chosen = true
 	s.chosenValue = value
-	for n.chosenP < len(n.slots) && n.slots[n.chosenP].chosen {
+	for n.chosenP-n.base < len(n.slots) && n.slots[n.chosenP-n.base].chosen {
 		n.chosenP++
 	}
 	n.applyReady()
@@ -538,7 +587,7 @@ func (n *Node) applyReady() {
 	for n.applied < n.chosenP {
 		slot := n.applied
 		n.applied++
-		cmd := n.slots[slot].chosenValue
+		cmd := n.slots[slot-n.base].chosenValue
 		if !cmd.IsNoop() && n.apply != nil {
 			n.apply(slot, cmd)
 		}
@@ -565,7 +614,7 @@ func (n *Node) heartbeat() {
 	if n.stopped || !n.isLeader {
 		return
 	}
-	n.broadcast(heartbeatMsg{Ballot: n.leaderBallot, ChosenPrefix: n.chosenP}, 32)
+	n.broadcast(heartbeatMsg{Ballot: n.leaderBallot, ChosenPrefix: n.chosenP, Floor: n.floor()}, 32)
 	if !n.hbArmed {
 		n.hbArmed = true
 		n.sched.FireAfterR(n.cfg.HeartbeatInterval, (*heartbeatTimer)(n))
@@ -593,21 +642,18 @@ func (n *Node) onHeartbeat(from string, m heartbeatMsg) {
 	if m.ChosenPrefix > n.chosenP {
 		n.node.Send(from, catchupReq{FromSlot: n.chosenP}, 16)
 	}
+	n.learnFloor(m.Floor)
 }
 
 func (n *Node) onCatchupReq(from string, m catchupReq) {
-	var entries []wireSlot
-	for i := m.FromSlot; i < n.chosenP; i++ {
-		s := &n.slots[i]
-		if !s.chosen {
-			break
-		}
-		entries = append(entries, wireSlot{Slot: i, Value: s.chosenValue, Chosen: true})
-		if len(entries) >= 256 {
-			break
-		}
+	end := min(n.chosenP, m.FromSlot+256)
+	if end <= m.FromSlot {
+		return
 	}
-	if len(entries) > 0 {
-		n.node.Send(from, catchupResp{Entries: entries}, 64+len(entries)*64)
+	start := max(m.FromSlot, n.base)
+	entries := make([]wireSlot, 0, max(end-start, 0))
+	for i := start; i < end; i++ {
+		entries = append(entries, wireSlot{Slot: i, Value: n.slots[i-n.base].chosenValue, Chosen: true})
 	}
+	n.node.Send(from, catchupResp{Entries: entries}, 64+(end-m.FromSlot)*64)
 }
