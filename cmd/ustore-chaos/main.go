@@ -11,7 +11,7 @@
 //	ustore-chaos -gray -mitigation          # fail-slow faults + the mitigation stack
 //	ustore-chaos -tenants -storm -protect -slo-out slo.txt
 //	ustore-chaos -fleet -units 64 -shards 8 -crashes 3 -partitions 2 -moves 2
-//	ustore-chaos -fleet -shards 4 -crashes 2 -moves 2 -skip-redrive -minimize
+//	ustore-chaos -fleet -units 16 -shards 4 -crashes 2 -moves 2 -skip-redrive -minimize
 //	ustore-chaos -fleet -units 48 -fleet-bench 1,4,16   # shard-scaling throughput sweep
 //
 // The aliases table below maps each scenario flag to its spec path; defaults
@@ -82,7 +82,7 @@ var aliases = map[string]alias{
 	"tenants":        {path: "mode", bare: true, mode: "traffic", usage: "run the multi-tenant traffic engine instead of a fault schedule (per-class SLO report)"},
 	"gray":           {path: "faults.gray", bare: true, usage: "inject gray faults: fail-slow disks, USB link flaps/downgrades, host brownouts"},
 	"mitigation":     {path: "faults.mitigation", bare: true, usage: "enable the detect-quarantine-hedge mitigation stack (usually with -gray)"},
-	"units":          {path: "fleet.units", usage: "deploy units (64 disks each at defaults)"},
+	"units":          {path: "fleet.units", usage: "deploy units (64 disks each; at least 3 per shard)"},
 	"shards":         {path: "fleet.shards", usage: "metadata shards"},
 	"unit-loss":      {path: "fleet.unit_loss", bare: true, usage: "kill unit u000 after the load phase and require the repair schedulers to drain it"},
 	"engine-workers": {path: "fleet.engine_workers", usage: "most goroutines executing one engine window (0 = one per CPU; results are byte-identical at any count)"},

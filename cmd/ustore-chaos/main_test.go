@@ -130,6 +130,8 @@ func TestBadCombinationsExit2(t *testing.T) {
 		{[]string{"-days", "0"}, "days must be positive"},
 		{[]string{"-fleet", "-fault-window", "90"}, "-fault-window: "},
 		{[]string{"-fleet", "-moves", "2"}, "fleet.slot_moves needs fleet.shards >= 2"},
+		{[]string{"-fleet", "-shards", "4", "-crashes", "2", "-moves", "2", "-skip-redrive", "-minimize"}, "fleet.units 8 is below 12"},
+		{[]string{"-fleet", "-units", "2", "-shards", "1"}, "fleet.units 2 is below 3"},
 		{[]string{"-spec", grid}, "has a parameter grid; run it with ustore-campaign"},
 		{[]string{"-spec", writeSpec(t, "mode: durability\n")}, "run under ustore-campaign"},
 		{[]string{"-spec", filepath.Join(t.TempDir(), "missing.yaml")}, "missing.yaml"},

@@ -33,7 +33,7 @@ func main() {
 	hosts := flag.Int("hosts", 4, "hosts per deploy unit")
 	disks := flag.Int("disks", 16, "disks per deploy unit")
 	fanIn := flag.Int("fanin", 4, "hub fan-in factor")
-	units := flag.Int("units", 1, "number of deploy units under one Master")
+	units := flag.Int("units", 1, "fleet scenario: deploy units (raised to the fleet's minimum for -shards)")
 	shards := flag.Int("shards", 2, "fleet scenario: metadata shards")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	scenario := flag.String("scenario", "crash", "scenario: crash | switch | powersave | fleet")
@@ -55,7 +55,6 @@ func main() {
 		cfg.Recorder = rec
 	}
 	cfg.Seed = *seed
-	cfg.Units = *units
 	cfg.Fabric.Disks = *disks
 	cfg.Fabric.FanIn = *fanIn
 	cfg.Fabric.Hosts = nil
@@ -71,8 +70,8 @@ func main() {
 	say := func(format string, args ...any) {
 		fmt.Printf("[t=%8s] %s\n", c.Sched.Now().Truncate(time.Millisecond), fmt.Sprintf(format, args...))
 	}
-	say("booting: %d unit(s) x (%d hosts, %d disks), fan-in %d, %d master replicas",
-		*units, *hosts, *disks, *fanIn, cfg.MasterReplicas)
+	say("booting: 1 unit(s) x (%d hosts, %d disks), fan-in %d, 3 master replicas",
+		*hosts, *disks, *fanIn)
 	c.Settle(ustore.BootTime)
 	m := c.ActiveMaster()
 	if m == nil {
@@ -80,10 +79,8 @@ func main() {
 		os.Exit(1)
 	}
 	say("active master: %s", m.Name())
-	for _, rig := range c.UnitRigs {
-		for _, h := range rig.Fabric.Hosts() {
-			say("  [%s] host %s: %d disks attached", rig.ID, h, c.DiskCountOn(h))
-		}
+	for _, h := range c.Fabric.Hosts() {
+		say("  [unit0] host %s: %d disks attached", h, c.DiskCountOn(h))
 	}
 
 	switch *scenario {
@@ -213,12 +210,10 @@ func runCrash(c *ustore.Cluster, say func(string, ...any)) {
 // client router, kills a whole deploy unit, and narrates the background
 // schedulers draining it onto the survivors.
 func runFleet(units, shards, engineWorkers int, seed int64) {
-	if units < 3*shards {
-		// Each shard's Paxos group wants three distinct units to live on.
-		units = 3 * shards
-		if units < 8 {
-			units = 8
-		}
+	if need := fleet.MinUnits(shards); units < need {
+		// Each shard spreads a volume's fragments over the units it owns,
+		// one fragment per unit, so every shard needs that many units.
+		units = max(need, 8)
 		fmt.Printf("(bumping -units to %d so every shard group spans three units)\n", units)
 	}
 	f := fleet.New(fleet.Config{Units: units, Shards: shards, Seed: seed,
@@ -227,7 +222,7 @@ func runFleet(units, shards, engineWorkers int, seed int64) {
 		fmt.Printf("[t=%8s] %s\n", f.Sched.Now().Truncate(time.Millisecond), fmt.Sprintf(format, args...))
 	}
 	say("booting fleet: %d units (%d disks, %d racks), %d metadata shards",
-		units, f.Topo.NumDisks, f.Cfg.Racks, shards)
+		units, f.Topo.NumDisks, f.Topo.Racks, shards)
 	f.Settle(30 * time.Second)
 	for k := 0; k < shards; k++ {
 		m := f.Leader(k)

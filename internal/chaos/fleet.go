@@ -24,8 +24,9 @@ import (
 type FleetOptions struct {
 	// Seed drives the whole simulation.
 	Seed int64
-	// Units is the deploy-unit count (default 8; 64 disks per unit at the
-	// fleet defaults, so 256 units is a ≥16k-disk fleet).
+	// Units is the deploy-unit count (default 8; 64 disks per unit, so 256
+	// units is a ≥16k-disk fleet). Below fleet.MinUnits(Shards) some shard
+	// cannot place a volume.
 	Units int
 	// Shards is the metadata shard count (default 1).
 	Shards int
@@ -63,9 +64,6 @@ type FleetOptions struct {
 	// the fleet (see fleet.Config.InjectSkipRedrive) so the minimizer has a
 	// real violation to shrink.
 	InjectSkipRedrive bool
-	// DrainTimeout bounds the virtual time the run waits for the dead
-	// unit to drain (default 30 minutes).
-	DrainTimeout time.Duration
 	// Recorder, when non-nil, collects metrics and traces from the run.
 	Recorder *obs.Recorder `json:"-"`
 	// EngineWorkers caps the goroutines that execute one fleet engine
@@ -93,14 +91,15 @@ func (o FleetOptions) withDefaults() FleetOptions {
 	if o.VolumeSize <= 0 {
 		o.VolumeSize = 64 << 20
 	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 30 * time.Minute
-	}
 	if o.hasFaults() && o.FaultWindow <= 0 {
 		o.FaultWindow = 2 * time.Minute
 	}
 	return o
 }
+
+// drainTimeout bounds the virtual time a unit-loss run waits for the dead
+// unit to drain.
+const drainTimeout = 30 * time.Minute
 
 // hasFaults reports whether the options ask for a transient-fault phase.
 func (o FleetOptions) hasFaults() bool {
@@ -267,7 +266,7 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 		killAt := f.Sched.Now()
 		f.KillUnit(victim)
 		rl.logf("fleet: killed unit %s (machine isolated, replicas crashed)", victim)
-		drained, blocker := settleExplain(f, 30*time.Second, o.DrainTimeout,
+		drained, blocker := settleExplain(f, 30*time.Second, drainTimeout,
 			func() string { return f.DrainBlocker(victim) })
 		rep.Drained = drained
 		rep.DrainTime = f.Sched.Now() - killAt
@@ -275,7 +274,7 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 			rl.logf("fleet: unit %s drained in %v", victim, rep.DrainTime)
 		} else {
 			rl.violatef("fleet: unit %s not drained within %v: %s",
-				victim, o.DrainTimeout, blocker)
+				victim, drainTimeout, blocker)
 		}
 		check("post-drain")
 	}

@@ -69,7 +69,7 @@ func TestFleetScaleUnitLoss(t *testing.T) {
 		t.Fatalf("violations:\n%s", strings.Join(rep.Violations, "\n"))
 	}
 	if !rep.Drained {
-		t.Fatalf("unit not drained in %v:\n%s", rep.Opts.DrainTimeout, strings.Join(rep.Log, "\n"))
+		t.Fatalf("unit not drained in %v:\n%s", drainTimeout, strings.Join(rep.Log, "\n"))
 	}
 	if rep.Failed != 0 || rep.Resolvable != 512 {
 		t.Fatalf("load/verify: %d allocated, %d failed, %d resolvable",

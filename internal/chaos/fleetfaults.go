@@ -163,7 +163,7 @@ func genFleetSchedule(o FleetOptions) []FleetFault {
 		k := rng.Intn(o.Shards)
 		replica := -1
 		if rng.Intn(2) == 1 {
-			replica = rng.Intn(3) // fleet default ShardReplicas
+			replica = rng.Intn(fleet.ShardReplicas)
 		}
 		out = append(out,
 			FleetFault{At: t, Kind: FFCrashReplica, Shard: k, Replica: replica},
@@ -188,7 +188,7 @@ func genFleetSchedule(o FleetOptions) []FleetFault {
 			continue
 		}
 		k := rng.Intn(o.Shards)
-		a, b := (k*3)%o.Units, (k*3+1)%o.Units // fleet default replica placement
+		a, b := fleet.ReplicaUnit(o.Units, k, 0), fleet.ReplicaUnit(o.Units, k, 1)
 		if a == b {
 			continue
 		}

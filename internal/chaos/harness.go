@@ -185,7 +185,6 @@ func leanConfig(o Options, hist *model.History) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Seed = o.Seed
 	cfg.HeartbeatInterval = 5 * time.Minute
-	cfg.HostDeadAfter = 3
 	cfg.ElectionTTL = 30 * time.Minute
 	cfg.Paxos = paxos.Config{
 		HeartbeatInterval:   time.Minute,
@@ -1010,8 +1009,10 @@ func (h *harness) execute(schedule []Fault) (*Report, error) {
 	for _, r := range h.replicas {
 		rep.Stats.Remounts += r.cl.Remounts
 	}
-	rep.Stats.ProbeHealthyP99 = p99(h.probeHealthy)
-	rep.Stats.ProbeDegradedP99 = p99(h.probeDegraded)
+	slices.Sort(h.probeHealthy)
+	slices.Sort(h.probeDegraded)
+	rep.Stats.ProbeHealthyP99 = workload.Quantile(h.probeHealthy, 990)
+	rep.Stats.ProbeDegradedP99 = workload.Quantile(h.probeDegraded, 990)
 	for _, cl := range h.probers {
 		if m := cl.Mitigation(); m != nil {
 			rep.Stats.Hedges += m.Hedges
@@ -1022,16 +1023,6 @@ func (h *harness) execute(schedule []Fault) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// p99 returns the 99th-percentile of a latency sample set (0 if empty).
-func p99(samples []time.Duration) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)*99/100]
 }
 
 // checkHistory runs the recorded metadata history through the reference

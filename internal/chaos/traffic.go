@@ -32,7 +32,6 @@ func trafficConfig(o Options, topts workload.TrafficOptions, hist *model.History
 		FanIn: 4,
 	}
 	cfg.HeartbeatInterval = 30 * time.Second
-	cfg.HostDeadAfter = 3
 	cfg.ElectionTTL = 30 * time.Minute
 	cfg.Paxos = paxos.Config{
 		HeartbeatInterval:   time.Minute,

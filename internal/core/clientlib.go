@@ -144,25 +144,13 @@ func (cl *ClientLib) Allocate(size int64, done func(AllocateReply, error)) {
 }
 
 // locality derives the client's nearest host hint. Clients named after a
-// host (e.g. HDFS datanodes co-located on hosts) get that host's disks.
-// Multi-unit clusters prefix hosts with "u<j>."; the longest matching host
-// name wins so "u1.h1-agent" maps to "u1.h1", not "h1".
+// host (e.g. HDFS datanodes co-located on hosts) get that host's disks; the
+// longest matching host name wins.
 func (cl *ClientLib) locality() string {
-	units := cl.cfg.Units
-	if units < 1 {
-		units = 1
-	}
 	best := ""
-	for j := 0; j < units; j++ {
-		for _, h := range cl.cfg.Fabric.Hosts {
-			if j > 0 {
-				h = fmt.Sprintf("u%d.%s", j, h)
-			}
-			if cl.name == h || (len(cl.name) > len(h) && cl.name[:len(h)] == h) {
-				if len(h) > len(best) {
-					best = h
-				}
-			}
+	for _, h := range cl.cfg.Fabric.Hosts {
+		if strings.HasPrefix(cl.name, h) && len(h) > len(best) {
+			best = h
 		}
 	}
 	return best

@@ -21,14 +21,9 @@ type Cluster struct {
 	Cfg   Config
 	Sched *simtime.Scheduler
 	Net   *simnet.Network
-	// UnitRigs holds every deploy unit; the Fabric/Binding/Plane/Ctrls
-	// fields alias unit 0 for the common single-unit case.
-	UnitRigs []*UnitRig
-	Fabric   *fabric.Fabric
-	Binding  *fabric.Binding
-	Plane    *fabric.ControlPlane
-	Ctrls    []*Controller
-	// Disks and EndPoints span all units (names are unit-prefixed).
+	// UnitRig is the deploy unit: Fabric, Binding, Plane and Ctrls are its
+	// fields.
+	*UnitRig
 	Disks     map[string]*disk.Disk
 	Stores    []*coord.Store
 	Masters   []*Master
@@ -40,9 +35,6 @@ type Cluster struct {
 // NewCluster builds and boots a cluster per cfg. Run the scheduler (e.g.
 // Settle) to complete initial enumeration, elections, and exports.
 func NewCluster(cfg Config) (*Cluster, error) {
-	if cfg.MasterReplicas < 1 {
-		return nil, fmt.Errorf("core: need at least one master replica")
-	}
 	sched := simtime.NewScheduler(cfg.Seed)
 	net := simnet.New(sched)
 	if cfg.Recorder != nil {
@@ -61,9 +53,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		clients:   make(map[string]*ClientLib),
 	}
 
-	// Master replica names, needed before units wire their EndPoints.
+	// Master replica names, needed before the unit wires its EndPoints.
 	var peerNames []string
-	for i := 0; i < cfg.MasterReplicas; i++ {
+	for i := 0; i < masterReplicas; i++ {
 		peerNames = append(peerNames, fmt.Sprintf("m%d", i))
 	}
 	var masterNodes []string
@@ -71,38 +63,23 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		masterNodes = append(masterNodes, masterNode(name))
 	}
 
-	// Deploy units (one by default).
-	units := cfg.Units
-	if units < 1 {
-		units = 1
+	var err error
+	if c.UnitRig, err = buildUnit(c, masterNodes); err != nil {
+		return nil, err
 	}
-	for j := 0; j < units; j++ {
-		unitID, fcfg := unitFabricConfig(cfg, j)
-		rig, err := buildUnit(c, unitID, fcfg, masterNodes)
-		if err != nil {
-			return nil, err
-		}
-		c.UnitRigs = append(c.UnitRigs, rig)
-		c.Ctrls = append(c.Ctrls, rig.Ctrls...)
-	}
-	// Legacy single-unit accessors alias unit 0.
-	c.Fabric = c.UnitRigs[0].Fabric
-	c.Binding = c.UnitRigs[0].Binding
-	c.Plane = c.UnitRigs[0].Plane
 
-	// Master replicas with co-located coord stores, taught the full unit
-	// inventory (SysConf).
-	infos := unitInfos(c.UnitRigs)
-	groups := allGroups(c.UnitRigs)
-	primaryCtrls := infos[0].Controllers
+	// Master replicas with co-located coord stores, taught the unit's
+	// hosts, controllers and co-moving disk groups (SysConf).
+	hosts := c.Fabric.Hosts()
+	ctrls := []string{controllerNode(hosts[0]), controllerNode(hosts[1])}
+	groups := c.Fabric.CoMovingGroups()
 	for _, name := range peerNames {
 		st := coord.NewStore(net, name, peerNames, cfg.PaxosOrDefault())
 		if cfg.CoordSweepInterval > 0 {
 			st.SetSweepInterval(cfg.CoordSweepInterval)
 		}
 		c.Stores = append(c.Stores, st)
-		m := NewMaster(net, name, st, cfg, primaryCtrls)
-		m.SetUnits(infos)
+		m := NewMaster(net, name, st, cfg, ctrls)
 		m.SetDiskGroups(groups)
 		c.Masters = append(c.Masters, m)
 		net.Colocate(name, "mach-"+name)             // paxos node
@@ -209,32 +186,21 @@ func (c *Cluster) RestoreHost(host string) {
 	}
 }
 
-// rigOfNode returns the deploy unit whose fabric contains the node.
-func (c *Cluster) rigOfNode(id string) *UnitRig {
-	for _, rig := range c.UnitRigs {
-		if rig.Fabric.Node(fabric.NodeID(id)) != nil {
-			return rig
-		}
-	}
-	return nil
-}
-
 // FailDisk simulates a whole-disk hardware failure: the fabric marks the
 // disk node failed (its bridge shares the failure unit, §IV-E), the binding
 // drops it from its host's USB tree, and the device itself goes dark so
 // in-flight IO errors out.
 func (c *Cluster) FailDisk(id string) error {
-	rig := c.rigOfNode(id)
-	if rig == nil {
+	if c.Fabric.Node(fabric.NodeID(id)) == nil {
 		return fmt.Errorf("core: unknown disk %s", id)
 	}
-	if err := rig.Fabric.Fail(fabric.NodeID(id)); err != nil {
+	if err := c.Fabric.Fail(fabric.NodeID(id)); err != nil {
 		return err
 	}
 	if d := c.Disks[id]; d != nil {
 		d.PowerOff()
 	}
-	rig.Binding.Resync()
+	c.Binding.Resync()
 	return nil
 }
 
@@ -243,46 +209,43 @@ func (c *Cluster) FailDisk(id string) error {
 // fabric node repaired, and the device powered back on. The binding resync
 // re-enumerates it, and the heartbeat path re-exports spaces onto it.
 func (c *Cluster) ReplaceDisk(id string) error {
-	rig := c.rigOfNode(id)
-	if rig == nil {
+	if c.Fabric.Node(fabric.NodeID(id)) == nil {
 		return fmt.Errorf("core: unknown disk %s", id)
 	}
-	if err := rig.Fabric.Repair(fabric.NodeID(id)); err != nil {
+	if err := c.Fabric.Repair(fabric.NodeID(id)); err != nil {
 		return err
 	}
 	if d := c.Disks[id]; d != nil {
 		d.ReplaceMedia()
 		d.PowerOn()
 	}
-	rig.Binding.Resync()
+	c.Binding.Resync()
 	return nil
 }
 
 // FailHub marks a hub (and hence the subtree hanging off it) failed. Disk
 // data under the hub is intact — only the path to it is gone until repair.
 func (c *Cluster) FailHub(id string) error {
-	rig := c.rigOfNode(id)
-	if rig == nil {
+	if c.Fabric.Node(fabric.NodeID(id)) == nil {
 		return fmt.Errorf("core: unknown hub %s", id)
 	}
-	if err := rig.Fabric.Fail(fabric.NodeID(id)); err != nil {
+	if err := c.Fabric.Fail(fabric.NodeID(id)); err != nil {
 		return err
 	}
-	rig.Binding.Resync()
+	c.Binding.Resync()
 	return nil
 }
 
 // ReplaceHub repairs a failed hub; the subtree re-enumerates with its data
 // untouched.
 func (c *Cluster) ReplaceHub(id string) error {
-	rig := c.rigOfNode(id)
-	if rig == nil {
+	if c.Fabric.Node(fabric.NodeID(id)) == nil {
 		return fmt.Errorf("core: unknown hub %s", id)
 	}
-	if err := rig.Fabric.Repair(fabric.NodeID(id)); err != nil {
+	if err := c.Fabric.Repair(fabric.NodeID(id)); err != nil {
 		return err
 	}
-	rig.Binding.Resync()
+	c.Binding.Resync()
 	return nil
 }
 
@@ -306,7 +269,7 @@ func (c *Cluster) DegradeDisk(id string, severity float64) error {
 	p := disk.DegradeParams{
 		ServiceFactor: 1 + 9*severity,
 		ExtraLatency:  time.Duration(severity * float64(200*time.Millisecond)),
-		BandwidthCap:  (1 - 0.8*severity) * c.Cfg.DiskParams.MediaRate,
+		BandwidthCap:  (1 - 0.8*severity) * diskParams.MediaRate,
 	}
 	if severity >= 0.7 {
 		p.IOErrorRate = 0.02 * severity
@@ -331,16 +294,15 @@ func (c *Cluster) RecoverDisk(id string) error {
 // storms inflating the host's enumeration backlog (§V-B's flaky-cable
 // symptom). The disk's data is untouched.
 func (c *Cluster) FlapLink(id string, storms int) error {
-	rig := c.rigOfNode(id)
-	if rig == nil {
+	if c.Fabric.Node(fabric.NodeID(id)) == nil {
 		return fmt.Errorf("core: unknown disk %s", id)
 	}
-	dev := rig.Binding.Device(fabric.NodeID(id))
-	host := rig.Binding.HostOf(fabric.NodeID(id))
+	dev := c.Binding.Device(fabric.NodeID(id))
+	host := c.Binding.HostOf(fabric.NodeID(id))
 	if dev == nil || host == "" {
 		return fmt.Errorf("core: disk %s not attached", id)
 	}
-	hc := rig.Binding.HostController(host)
+	hc := c.Binding.HostController(host)
 	if hc == nil {
 		return fmt.Errorf("core: no host controller for %s", host)
 	}
@@ -352,16 +314,15 @@ func (c *Cluster) FlapLink(id string, storms int) error {
 // throttles transfers to USB 2.0 rates plus a severity-scaled turnaround
 // penalty per IO.
 func (c *Cluster) DowngradeLink(id string, severity float64) error {
-	rig := c.rigOfNode(id)
-	if rig == nil {
+	if c.Fabric.Node(fabric.NodeID(id)) == nil {
 		return fmt.Errorf("core: unknown disk %s", id)
 	}
-	dev := rig.Binding.Device(fabric.NodeID(id))
-	host := rig.Binding.HostOf(fabric.NodeID(id))
+	dev := c.Binding.Device(fabric.NodeID(id))
+	host := c.Binding.HostOf(fabric.NodeID(id))
 	if dev == nil || host == "" {
 		return fmt.Errorf("core: disk %s not attached", id)
 	}
-	if hc := rig.Binding.HostController(host); hc != nil {
+	if hc := c.Binding.HostController(host); hc != nil {
 		hc.SetLinkSpeed(dev, usb.LinkHigh)
 	}
 	if severity < 0 {
@@ -378,13 +339,12 @@ func (c *Cluster) DowngradeLink(id string, severity float64) error {
 
 // RestoreLink returns a downgraded link to SuperSpeed and removes the cap.
 func (c *Cluster) RestoreLink(id string) error {
-	rig := c.rigOfNode(id)
-	if rig == nil {
+	if c.Fabric.Node(fabric.NodeID(id)) == nil {
 		return fmt.Errorf("core: unknown disk %s", id)
 	}
-	if dev := rig.Binding.Device(fabric.NodeID(id)); dev != nil {
-		if host := rig.Binding.HostOf(fabric.NodeID(id)); host != "" {
-			if hc := rig.Binding.HostController(host); hc != nil {
+	if dev := c.Binding.Device(fabric.NodeID(id)); dev != nil {
+		if host := c.Binding.HostOf(fabric.NodeID(id)); host != "" {
+			if hc := c.Binding.HostController(host); hc != nil {
 				hc.SetLinkSpeed(dev, usb.LinkSuper)
 			}
 		}
@@ -421,11 +381,9 @@ func (c *Cluster) DiskCountOn(host string) int {
 		return 0
 	}
 	n := 0
-	for _, rig := range c.UnitRigs {
-		for _, d := range rig.Fabric.Disks() {
-			if m.DiskHost(string(d)) == host {
-				n++
-			}
+	for _, d := range c.Fabric.Disks() {
+		if m.DiskHost(string(d)) == host {
+			n++
 		}
 	}
 	return n

@@ -304,7 +304,7 @@ func TestControllerConflictReporting(t *testing.T) {
 		}
 	}
 	var gotErr error
-	m.executeOnController(0, 0, ExecuteArgs{Pairs: []fabric.DiskHost{{Disk: d0, Host: target}}},
+	m.executeOnController(0, ExecuteArgs{Pairs: []fabric.DiskHost{{Disk: d0, Host: target}}},
 		func(err error) { gotErr = err })
 	c.Settle(3 * time.Second)
 	if gotErr == nil {

@@ -161,7 +161,7 @@ func (c *Controller) handleExecute(from string, args any, reply *simnet.AsyncRep
 			reply.Reply(nil, terr)
 			return
 		}
-		deadline := c.sched.Now() + c.cfg.VerifyTimeout
+		deadline := c.sched.Now() + verifyTimeout
 		var verify func()
 		verify = func() {
 			ok := true
@@ -183,7 +183,7 @@ func (c *Controller) handleExecute(from string, args any, reply *simnet.AsyncRep
 				c.rollbacks++
 				c.plane.TurnSwitches(c.mcu, prior, func(error) {
 					c.locked = false
-					reply.Reply(nil, fmt.Errorf("%w after %v", ErrVerifyTimeout, c.cfg.VerifyTimeout))
+					reply.Reply(nil, fmt.Errorf("%w after %v", ErrVerifyTimeout, verifyTimeout))
 				})
 				return
 			}

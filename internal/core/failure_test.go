@@ -12,7 +12,7 @@ import (
 // report the switched disks (its EndPoint is down), the Controller must
 // time out, turn the switches back, and report the failure (§IV-C step 3).
 func TestControllerRollbackOnVerifyTimeout(t *testing.T) {
-	c := boot(t, func(cfg *Config) { cfg.VerifyTimeout = 3 * time.Second })
+	c := boot(t)
 	m := c.ActiveMaster()
 	src := m.DiskHost("disk00")
 	var dst string
@@ -35,7 +35,7 @@ func TestControllerRollbackOnVerifyTimeout(t *testing.T) {
 		cmd.Pairs = append(cmd.Pairs, fabric.DiskHost{Disk: fabric.DiskID(i), Host: dst})
 	}
 	var execErr error
-	m.executeOnController(0, 0, cmd, func(err error) { execErr = err })
+	m.executeOnController(0, cmd, func(err error) { execErr = err })
 	c.Settle(30 * time.Second)
 	if execErr == nil {
 		t.Fatal("command to unreachable destination succeeded")
@@ -185,8 +185,8 @@ func TestFabricLockSerializesCommands(t *testing.T) {
 	if m.DiskHost("disk04") == "h4" {
 		dst2 = "h3"
 	}
-	m.executeOnController(0, 0, mk(0, dst1), func(err error) { err1 = err })
-	m.executeOnController(0, 0, mk(1, dst2), func(err error) { err2 = err })
+	m.executeOnController(0, mk(0, dst1), func(err error) { err1 = err })
+	m.executeOnController(0, mk(1, dst2), func(err error) { err2 = err })
 	c.Settle(30 * time.Second)
 	if err1 != nil {
 		t.Fatalf("first command failed: %v", err1)
@@ -201,7 +201,7 @@ func TestFabricLockSerializesCommands(t *testing.T) {
 func TestAllocationExhaustion(t *testing.T) {
 	c := boot(t)
 	cl := c.Client("greedy", "big-svc")
-	diskCap := c.Cfg.DiskParams.CapacityBytes
+	diskCap := diskParams.CapacityBytes
 	// One allocation larger than any disk.
 	var fail error
 	cl.Allocate(diskCap+1, func(_ AllocateReply, err error) { fail = err })

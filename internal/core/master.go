@@ -76,10 +76,9 @@ type Master struct {
 
 	// Failover bookkeeping.
 	failingOver map[string]bool // hosts currently being failed over
-	// units is SysConf's deploy-unit inventory: each unit has its own
-	// controller pair and host set; disks never move across units.
-	units    []UnitInfo
-	hostUnit map[string]int // host -> index into units
+	// controllers are the unit's two Controller RPC nodes, primary first
+	// (SysConf; the unit's hosts are cfg.Fabric.Hosts).
+	controllers []string
 	// diskGroup maps a disk to its co-moving group (SysConf topology
 	// knowledge; disks in one group must target the same host).
 	diskGroup map[string]int
@@ -114,15 +113,6 @@ type Master struct {
 // masterNode returns the RPC node name of a master replica.
 func masterNode(name string) string { return "master:" + name }
 
-// UnitInfo is SysConf's record of one deploy unit: its hosts and the two
-// controllers that can reconfigure its fabric (§IV-A: "the mappings from
-// hosts to deploy units and from disks to deploy units").
-type UnitInfo struct {
-	ID          string
-	Hosts       []string
-	Controllers []string // RPC node names, primary first
-}
-
 // NewMaster creates replica name, co-located with store.
 func NewMaster(net *simnet.Network, name string, store *coord.Store, cfg Config, controllers []string) *Master {
 	m := &Master{
@@ -137,6 +127,7 @@ func NewMaster(net *simnet.Network, name string, store *coord.Store, cfg Config,
 		diskAllocs:  make(map[string][]*allocRecord),
 		diskOwner:   make(map[string]string),
 		failingOver: make(map[string]bool),
+		controllers: controllers,
 		diskGroup:   make(map[string]int),
 		exported:    make(map[SpaceID]string),
 		health:      newHealthTracker(cfg.Recorder),
@@ -146,11 +137,6 @@ func NewMaster(net *simnet.Network, name string, store *coord.Store, cfg Config,
 		m.limiterPool = policy.NewBucketPool(cfg.Protection.MasterRate, cfg.Protection.MasterBurst)
 		m.cThrottled = cfg.Recorder.Counter("core", "master_throttled_total")
 	}
-	m.SetUnits([]UnitInfo{{
-		ID:          cfg.UnitID,
-		Hosts:       cfg.Fabric.Hosts,
-		Controllers: controllers,
-	}})
 	m.elect = coord.NewElection(store, "/master/active", name, cfg.ElectionTTLOrDefault())
 	m.elect.OnElected = m.onElected
 	m.rpc.Register("Heartbeat", m.handleHeartbeat)
@@ -309,7 +295,7 @@ func (m *Master) reconcileExports() {
 func (m *Master) detectLoop() {
 	m.sched.After(m.cfg.HeartbeatInterval, func() {
 		if m.Active() {
-			deadline := time.Duration(m.cfg.HostDeadAfter) * m.cfg.HeartbeatInterval
+			deadline := time.Duration(hostDeadAfter) * m.cfg.HeartbeatInterval
 			hosts := make([]string, 0, len(m.hosts))
 			for host := range m.hosts {
 				hosts = append(hosts, host)
@@ -353,12 +339,10 @@ func (m *Master) hostDead(host string) {
 		span.End(obs.L("status", "no-disks"))
 		return
 	}
-	// Spread the disks over the same unit's online hosts, least-loaded
+	// Spread the disks over the unit's other online hosts, least-loaded
 	// first, keeping co-moving fabric groups together (a forced command
-	// spreading one leaf-hub group across hosts would contradict itself;
-	// disks are physically wired to one unit and cannot cross units).
-	unit := m.unitOf(host)
-	targets := m.onlineHostsByLoad(unit, host)
+	// spreading one leaf-hub group across hosts would contradict itself).
+	targets := m.onlineHostsByLoad(host)
 	if len(targets) == 0 {
 		span.End(obs.L("status", "no-targets"))
 		return // nothing alive to move to; retry on next detection pass
@@ -394,11 +378,11 @@ func (m *Master) hostDead(host string) {
 	// Prefer a controller whose host SysStat believes alive: when the dead
 	// host also ran the primary Controller, go straight to the backup
 	// instead of burning an RPC timeout (§IV-C primary/backup).
-	first := m.pickController(unit)
-	m.executeOnController(unit, first, ExecuteArgs{Pairs: pairs, Force: true}, func(err error) {
+	first := m.pickController()
+	m.executeOnController(first, ExecuteArgs{Pairs: pairs, Force: true}, func(err error) {
 		if err != nil {
 			// Retry once through the other controller.
-			m.executeOnController(unit, 1-first, ExecuteArgs{Pairs: pairs, Force: true}, func(err2 error) {
+			m.executeOnController(1-first, ExecuteArgs{Pairs: pairs, Force: true}, func(err2 error) {
 				if err2 == nil {
 					m.watchFailoverDone(host0, moving, started, span)
 				} else {
@@ -411,10 +395,10 @@ func (m *Master) hostDead(host string) {
 	})
 }
 
-// pickController returns the index of the first of unit's controllers
-// whose host is online per SysStat (0 when both or neither are).
-func (m *Master) pickController(unit int) int {
-	for i, ctl := range m.units[unit].Controllers {
+// pickController returns the index of the first controller whose host is
+// online per SysStat (0 when both or neither are).
+func (m *Master) pickController() int {
+	for i, ctl := range m.controllers {
 		host := ctl[len("ctl:"):]
 		if hs := m.hosts[host]; hs != nil && hs.online {
 			return i
@@ -457,11 +441,11 @@ func (m *Master) watchFailoverDone(host string, moving []string, started simtime
 	poll()
 }
 
-// onlineHostsByLoad returns unit's live hosts (excluding skip), least
+// onlineHostsByLoad returns the unit's live hosts (excluding skip), least
 // disks first.
-func (m *Master) onlineHostsByLoad(unit int, skip string) []string {
+func (m *Master) onlineHostsByLoad(skip string) []string {
 	load := make(map[string]int)
-	for _, host := range m.units[unit].Hosts {
+	for _, host := range m.cfg.Fabric.Hosts {
 		if host == skip {
 			continue
 		}
@@ -487,13 +471,9 @@ func (m *Master) onlineHostsByLoad(unit int, skip string) []string {
 	return out
 }
 
-// executeOnController sends a topology command to unit's idx-th controller.
-func (m *Master) executeOnController(unit, idx int, args ExecuteArgs, done func(error)) {
-	if unit >= len(m.units) || idx >= len(m.units[unit].Controllers) {
-		done(fmt.Errorf("core: no controller %d in unit %d", idx, unit))
-		return
-	}
-	m.rpc.Call(m.units[unit].Controllers[idx], "Execute", args, 256, m.cfg.VerifyTimeout+time.Second,
+// executeOnController sends a topology command to the idx-th controller.
+func (m *Master) executeOnController(idx int, args ExecuteArgs, done func(error)) {
+	m.rpc.Call(m.controllers[idx], "Execute", args, 256, verifyTimeout+time.Second,
 		func(_ any, err error) { done(err) })
 }
 
@@ -552,7 +532,7 @@ func (m *Master) handleAllocate(from string, args any) (any, error) {
 		}
 	}
 	m.nextSpace++
-	space := SpaceID(fmt.Sprintf("%s/%s/sp%d", m.cfg.UnitID, diskID, m.nextSpace))
+	space := SpaceID(fmt.Sprintf("%s/%s/sp%d", unitID, diskID, m.nextSpace))
 	rec := &allocRecord{Space: space, Service: a.Service, DiskID: diskID, Offset: offset, Size: a.Size}
 	m.indexAlloc(rec)
 	// Persist synchronously to coord ("stored persistently in the Master
@@ -593,7 +573,7 @@ func (m *Master) pickDisk(a AllocateArgs) string {
 				used = end
 			}
 		}
-		return m.cfg.DiskParams.CapacityBytes - used
+		return diskParams.CapacityBytes - used
 	}
 	var candidates []placement.DiskView
 	for diskID, host := range m.diskHost {
@@ -723,45 +703,22 @@ func (m *Master) ExecuteTopology(cmd ExecuteArgs, done func(error)) {
 		done(nil)
 		return
 	}
-	unit := m.unitOf(cmd.Pairs[0].Host)
-	first := m.pickController(unit)
-	m.executeOnController(unit, first, cmd, func(err error) {
+	first := m.pickController()
+	m.executeOnController(first, cmd, func(err error) {
 		if err == nil {
 			done(nil)
 			return
 		}
-		m.executeOnController(unit, 1-first, cmd, done)
+		m.executeOnController(1-first, cmd, done)
 	})
 }
 
-// SetUnits installs SysConf's deploy-unit inventory. The default (set by
-// NewMaster) is a single unit covering cfg.Fabric.Hosts; multi-unit
-// clusters replace it.
-func (m *Master) SetUnits(units []UnitInfo) {
-	m.units = units
-	m.hostUnit = make(map[string]int)
-	for i, u := range units {
-		for _, h := range u.Hosts {
-			m.hostUnit[h] = i
-		}
-	}
-}
-
-// unitOf returns the unit index of a host (0 if unknown, the safe default
-// for single-unit deployments).
-func (m *Master) unitOf(host string) int {
-	if i, ok := m.hostUnit[host]; ok {
-		return i
-	}
-	return 0
-}
-
 // SetDiskGroups installs the fabric's co-moving disk groups (SysConf).
-func (m *Master) SetDiskGroups(groups [][]string) {
+func (m *Master) SetDiskGroups(groups [][]fabric.NodeID) {
 	m.diskGroup = make(map[string]int)
 	for gid, group := range groups {
 		for _, d := range group {
-			m.diskGroup[d] = gid
+			m.diskGroup[string(d)] = gid
 		}
 	}
 }
@@ -784,7 +741,7 @@ func (m *Master) ValidateAllocations() error {
 			if rec.Size <= 0 || rec.Offset < 0 {
 				return fmt.Errorf("core: alloc %s on %s has bad extent [%d,+%d)", rec.Space, d, rec.Offset, rec.Size)
 			}
-			if rec.Offset+rec.Size > m.cfg.DiskParams.CapacityBytes {
+			if rec.Offset+rec.Size > diskParams.CapacityBytes {
 				return fmt.Errorf("core: alloc %s on %s exceeds capacity", rec.Space, d)
 			}
 			if rec.Offset < prevEnd {

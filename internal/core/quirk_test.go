@@ -17,7 +17,6 @@ import (
 func TestIntelDeviceLimitQuirk(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HostDeviceLimit = usb.IntelRootHubDeviceLimit // 14
-	cfg.VerifyTimeout = 4 * time.Second
 	c, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -35,44 +35,41 @@ const (
 // Timing defaults for the control loop; Config overrides them.
 const (
 	DefaultHeartbeatInterval = 500 * time.Millisecond
-	DefaultHostDeadAfter     = 3 // missed heartbeats before a host is dead
-	DefaultVerifyTimeout     = 10 * time.Second
 	DefaultRPCTimeout        = 1 * time.Second
 )
 
+// The deployment's fixed shape and timings: every run uses these values, so
+// they are constants, not Config fields (DESIGN.md §17).
+const (
+	// unitID names the deploy unit; it leads every SpaceID.
+	unitID = "unit0"
+	// masterReplicas is the size of the Master/coord quorum (paper: ~5).
+	masterReplicas = 3
+	// hostDeadAfter is how many missed heartbeats declare a host dead.
+	hostDeadAfter = 3
+	// verifyTimeout bounds the Controller's post-turn verification before
+	// rollback (the paper uses 30s).
+	verifyTimeout = 10 * time.Second
+)
+
+// diskParams calibrates the unit's disks: the prototype's 3 TB drive.
+var diskParams = disk.DT01ACA300()
+
 // Config parameterizes a cluster build.
 type Config struct {
-	// UnitID names the deploy unit (the prototype has one).
-	UnitID string
 	// Fabric is the unit's topology config.
 	Fabric fabric.Config
 	// FullTrees selects the Figure 2 (left) per-disk-switch topology
 	// instead of the default switch-high design.
 	FullTrees bool
-	// MasterReplicas is the size of the Master/coord quorum (paper: ~5;
-	// tests use 3).
-	MasterReplicas int
-	// DiskParams calibrates the unit's disks.
-	DiskParams disk.Params
 	// HeartbeatInterval is the EndPoint heartbeat period.
 	HeartbeatInterval time.Duration
-	// HostDeadAfter is how many missed heartbeats declare a host dead.
-	HostDeadAfter int
-	// VerifyTimeout bounds the Controller's post-turn verification before
-	// rollback (the paper uses 30s; the simulation default is 10s).
-	VerifyTimeout time.Duration
 	// SpinDownIdle is the power manager's initial idle threshold
 	// (0 disables automatic spin-down).
 	SpinDownIdle time.Duration
 	// BootSpinUpConcurrency caps how many disks spin up simultaneously at
 	// power-on (§III-B rolling spin-up). 0 spins everything at once.
 	BootSpinUpConcurrency int
-	// Units is the number of deploy units (default 1). With N > 1, unit j
-	// gets its own fabric, control plane, Controllers, and hosts named
-	// "u<j>."+<host> (unit 0 keeps the plain names); one Master quorum
-	// manages all of them (§IV: "one Master and a number of deploy
-	// units").
-	Units int
 	// HostDeviceLimit caps how many USB devices (hubs included) each
 	// host's controller enumerates; 0 means the full 127-device USB
 	// limit. Set to usb.IntelRootHubDeviceLimit (14) to reproduce the
@@ -167,20 +164,15 @@ func (c Config) PaxosOrDefault() paxos.Config {
 }
 
 // DefaultConfig returns the paper's prototype shape: one unit, 16 disks,
-// 4 hosts, 4-port hubs, 3 master replicas.
+// 4 hosts, 4-port hubs.
 func DefaultConfig() Config {
 	return Config{
-		UnitID: "unit0",
 		Fabric: fabric.Config{
 			Hosts: []string{"h1", "h2", "h3", "h4"},
 			Disks: 16,
 			FanIn: 4,
 		},
-		MasterReplicas:    3,
-		DiskParams:        disk.DT01ACA300(),
 		HeartbeatInterval: DefaultHeartbeatInterval,
-		HostDeadAfter:     DefaultHostDeadAfter,
-		VerifyTimeout:     DefaultVerifyTimeout,
 		Seed:              1,
 	}
 }

@@ -11,22 +11,21 @@ import (
 )
 
 // UnitRig is one deploy unit's hardware and per-host software: its fabric,
-// USB binding, control plane, two Controllers, and the EndPoints of its
-// hosts. A Cluster owns one or more rigs, all managed by the same Master
-// quorum.
+// USB binding, control plane and two Controllers (the EndPoints of its hosts
+// live in the Cluster's map). A Cluster runs exactly one rig; the sharded
+// fleet (internal/fleet) is how UStore spans many units (§IV: "one Master and
+// a number of deploy units").
 type UnitRig struct {
-	ID      string
 	Fabric  *fabric.Fabric
 	Binding *fabric.Binding
 	Plane   *fabric.ControlPlane
 	Ctrls   []*Controller
 }
 
-// buildUnit assembles one deploy unit: disks, control plane, binding,
+// buildUnit assembles the deploy unit: disks, control plane, binding,
 // controllers, endpoints, and co-location. Disk handles and EndPoints are
-// registered into the cluster-wide maps (host names and disk IDs are
-// namespaced per unit, so the maps stay flat).
-func buildUnit(c *Cluster, unitID string, fcfg fabric.Config, masterNodes []string) (*UnitRig, error) {
+// registered into the cluster's maps.
+func buildUnit(c *Cluster, masterNodes []string) (*UnitRig, error) {
 	cfg := c.Cfg
 	sched := c.Sched
 	net := c.Net
@@ -34,20 +33,18 @@ func buildUnit(c *Cluster, unitID string, fcfg fabric.Config, masterNodes []stri
 	if cfg.FullTrees {
 		build = fabric.BuildFullTrees
 	}
-	fab, err := build(fcfg)
+	fab, err := build(cfg.Fabric)
 	if err != nil {
 		return nil, fmt.Errorf("building fabric for %s: %w", unitID, err)
 	}
-	rig := &UnitRig{ID: unitID, Fabric: fab}
+	rig := &UnitRig{Fabric: fab}
 
-	unitDisks := make(map[string]*disk.Disk)
 	for _, id := range fab.Disks() {
-		d := disk.New(sched, string(id), cfg.DiskParams, disk.AttachFabric)
+		d := disk.New(sched, string(id), diskParams, disk.AttachFabric)
 		d.SetRecorder(cfg.Recorder)
 		c.Disks[string(id)] = d
-		unitDisks[string(id)] = d
 	}
-	RollingSpinUp(sched, unitDisks, cfg.BootSpinUpConcurrency, nil)
+	RollingSpinUp(sched, c.Disks, cfg.BootSpinUpConcurrency, nil)
 
 	hosts := fab.Hosts()
 	mcuA := fabric.NewMicrocontroller("mcuA:"+unitID, hosts[0])
@@ -75,7 +72,7 @@ func buildUnit(c *Cluster, unitID string, fcfg fabric.Config, masterNodes []stri
 
 	for _, h := range hosts {
 		rig.Binding.HostController(h).SetRecorder(cfg.Recorder)
-		c.EndPoints[h] = NewEndPoint(net, h, cfg, rig.Binding.HostController(h), unitDisks, masterNodes, ctrlNames)
+		c.EndPoints[h] = NewEndPoint(net, h, cfg, rig.Binding.HostController(h), c.Disks, masterNodes, ctrlNames)
 		net.Colocate(endpointNode(h), h)
 		net.Colocate(block.TargetNode(h), h)
 		net.Colocate(controllerNode(h), h)
@@ -92,51 +89,4 @@ func buildUnit(c *Cluster, unitID string, fcfg fabric.Config, masterNodes []stri
 		}
 	}
 	return rig, nil
-}
-
-// unitFabricConfig derives unit j's fabric config: unit 0 keeps the plain
-// names, later units get the "u<j>." namespace.
-func unitFabricConfig(cfg Config, j int) (string, fabric.Config) {
-	fcfg := cfg.Fabric
-	unitID := cfg.UnitID
-	if j > 0 {
-		prefix := fmt.Sprintf("u%d.", j)
-		fcfg.Prefix = prefix
-		unitID = fmt.Sprintf("unit%d", j)
-		hosts := make([]string, len(cfg.Fabric.Hosts))
-		for i, h := range cfg.Fabric.Hosts {
-			hosts[i] = prefix + h
-		}
-		fcfg.Hosts = hosts
-	}
-	return unitID, fcfg
-}
-
-// unitInfos derives the Master's SysConf unit inventory from the rigs.
-func unitInfos(rigs []*UnitRig) []UnitInfo {
-	out := make([]UnitInfo, len(rigs))
-	for i, rig := range rigs {
-		hosts := rig.Fabric.Hosts()
-		out[i] = UnitInfo{
-			ID:          rig.ID,
-			Hosts:       hosts,
-			Controllers: []string{controllerNode(hosts[0]), controllerNode(hosts[1])},
-		}
-	}
-	return out
-}
-
-// allGroups collects co-moving groups across every rig.
-func allGroups(rigs []*UnitRig) [][]string {
-	var out [][]string
-	for _, rig := range rigs {
-		for _, g := range rig.Fabric.CoMovingGroups() {
-			var names []string
-			for _, d := range g {
-				names = append(names, string(d))
-			}
-			out = append(out, names)
-		}
-	}
-	return out
 }

@@ -13,9 +13,6 @@ type Config struct {
 	Disks int
 	// FanIn is the hub fan-in factor k (4-port hubs in the prototype).
 	FanIn int
-	// Prefix namespaces every node ID, so multiple deploy units can share
-	// one Master's flat disk namespace (e.g. "u1.").
-	Prefix string
 }
 
 func (c Config) validate() error {
@@ -31,13 +28,11 @@ func (c Config) validate() error {
 	return nil
 }
 
-// DiskID returns the canonical disk node ID for index i (unprefixed unit).
-func DiskID(i int) NodeID { return PrefixedDiskID("", i) }
+// DiskID returns the canonical disk node ID for index i.
+func DiskID(i int) NodeID { return NodeID(fmt.Sprintf("disk%02d", i)) }
 
-// PrefixedDiskID returns the disk node ID for index i in a prefixed unit.
-func PrefixedDiskID(prefix string, i int) NodeID {
-	return NodeID(fmt.Sprintf("%sdisk%02d", prefix, i))
-}
+// leafHubID returns the node ID of switch-high leaf hub l.
+func leafHubID(l int) NodeID { return NodeID(fmt.Sprintf("leafhub%02d", l)) }
 
 // BuildSwitchHigh constructs the Figure 2 (right) topology: disks sit under
 // leaf hubs; each leaf hub's uplink enters a cascade of 2:1 switches that
@@ -73,11 +68,11 @@ func BuildSwitchHigh(cfg Config) (*Fabric, error) {
 		for hi, h := range cfg.Hosts {
 			ups[hi] = hostSlots[h][l]
 		}
-		top, err := buildCascade(f, fmt.Sprintf("%slh%02d", cfg.Prefix, l), ups)
+		top, err := buildCascade(f, fmt.Sprintf("lh%02d", l), ups)
 		if err != nil {
 			return nil, err
 		}
-		hubID := NodeID(fmt.Sprintf("%sleafhub%02d", cfg.Prefix, l))
+		hubID := leafHubID(l)
 		if err := f.AddHub(hubID, cfg.FanIn, top); err != nil {
 			return nil, err
 		}
@@ -86,7 +81,7 @@ func BuildSwitchHigh(cfg Config) (*Fabric, error) {
 			if di >= cfg.Disks {
 				break
 			}
-			if err := f.AddDisk(PrefixedDiskID(cfg.Prefix, di), Attachment{Parent: hubID, Slot: s}); err != nil {
+			if err := f.AddDisk(DiskID(di), Attachment{Parent: hubID, Slot: s}); err != nil {
 				return nil, err
 			}
 		}
@@ -120,12 +115,12 @@ func BuildFullTrees(cfg Config) (*Fabric, error) {
 		for hi, h := range cfg.Hosts {
 			ups[hi] = treeSlots[h][d]
 		}
-		top, err := buildCascade(f, fmt.Sprintf("%sdk%02d", cfg.Prefix, d), ups)
+		top, err := buildCascade(f, fmt.Sprintf("dk%02d", d), ups)
 		if err != nil {
 			return nil, err
 		}
 		// The disk plugs straight into its cascade.
-		if err := f.AddDisk(PrefixedDiskID(cfg.Prefix, d), top); err != nil {
+		if err := f.AddDisk(DiskID(d), top); err != nil {
 			return nil, err
 		}
 	}
@@ -208,11 +203,11 @@ func balance(f *Fabric, cfg Config) {
 		// In switch-high fabrics whole leaf-hub groups move together, so
 		// balance by group; per-disk cascades balance by disk.
 		group := i
-		if _, isGroup := f.nodes[NodeID(fmt.Sprintf("%sleafhub%02d", cfg.Prefix, i/cfg.FanIn))]; isGroup {
+		if _, isGroup := f.nodes[leafHubID(i/cfg.FanIn)]; isGroup {
 			group = i / cfg.FanIn
 		}
 		target := cfg.Hosts[group%len(cfg.Hosts)]
-		settings, err := f.RouteTo(PrefixedDiskID(cfg.Prefix, i), target)
+		settings, err := f.RouteTo(DiskID(i), target)
 		if err != nil {
 			continue
 		}

@@ -43,7 +43,7 @@ func newAgent(f *Fleet, u *UnitTopo, replicas []string, p part) *Agent {
 }
 
 func (a *Agent) start() {
-	a.ticker = a.sched.Every(a.f.Cfg.HeartbeatInterval, a.beat)
+	a.ticker = a.sched.Every(heartbeatInterval, a.beat)
 }
 
 func (a *Agent) stop() {
@@ -82,7 +82,7 @@ func (a *Agent) beat() {
 		Draining: sortedKeys(a.draining),
 	}
 	target := a.replicas[a.believed]
-	a.rpc.Call(target, "Heartbeat", args, 128, a.f.Cfg.RPCTimeout, func(res any, err error) {
+	a.rpc.Call(target, "Heartbeat", args, 128, rpcTimeout, func(res any, err error) {
 		if a.stopped {
 			return
 		}

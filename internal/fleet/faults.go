@@ -22,11 +22,11 @@ import (
 // lapses (so the group elects a survivor after the TTL), and any queued ops
 // flush. A no-op if the replica is already down or its unit was killed.
 func (f *Fleet) CrashReplica(k, i int) {
-	if k < 0 || k >= f.Cfg.Shards || i < 0 || i >= f.Cfg.ShardReplicas {
+	if k < 0 || k >= f.Cfg.Shards || i < 0 || i >= ShardReplicas {
 		return
 	}
 	m := f.Shards[k][i]
-	if m.down || f.deadUnits[unitName(f.Cfg.replicaUnit(k, i))] {
+	if m.down || f.deadUnits[unitName(f.ReplicaUnit(k, i))] {
 		return
 	}
 	f.Stores[k][i].Stop()
@@ -43,11 +43,11 @@ func (f *Fleet) CrashReplica(k, i int) {
 // incarnation-stamped election session. A no-op unless the replica is down,
 // and never revives a killed unit's replica.
 func (f *Fleet) RestartReplica(k, i int) {
-	if k < 0 || k >= f.Cfg.Shards || i < 0 || i >= f.Cfg.ShardReplicas {
+	if k < 0 || k >= f.Cfg.Shards || i < 0 || i >= ShardReplicas {
 		return
 	}
 	m := f.Shards[k][i]
-	if !m.down || f.deadUnits[unitName(f.Cfg.replicaUnit(k, i))] {
+	if !m.down || f.deadUnits[unitName(f.ReplicaUnit(k, i))] {
 		return
 	}
 	f.Stores[k][i].Resume()
@@ -116,7 +116,7 @@ func (f *Fleet) RejoinUnit(u int) {
 }
 
 // ReplicaUnit returns the deploy unit replica i of shard k runs on.
-func (f *Fleet) ReplicaUnit(k, i int) int { return f.Cfg.replicaUnit(k, i) }
+func (f *Fleet) ReplicaUnit(k, i int) int { return ReplicaUnit(f.Cfg.Units, k, i) }
 
 // PendingMoves returns the slot migrations started but not yet completed
 // (slot -> destination shard), sorted by slot.

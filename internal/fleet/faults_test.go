@@ -162,7 +162,7 @@ func TestRouterUnavailableOnQuorumLoss(t *testing.T) {
 
 	lead := f.LeaderReplica(0)
 	f.CrashReplica(0, lead)
-	f.CrashReplica(0, (lead+1)%f.Cfg.ShardReplicas)
+	f.CrashReplica(0, (lead+1)%ShardReplicas)
 	f.Settle(30 * time.Second) // sessions lapse; the survivor cannot win alone
 
 	var gotErr error
@@ -181,7 +181,7 @@ func TestRouterUnavailableOnQuorumLoss(t *testing.T) {
 	}
 
 	f.RestartReplica(0, lead)
-	f.RestartReplica(0, (lead+1)%f.Cfg.ShardReplicas)
+	f.RestartReplica(0, (lead+1)%ShardReplicas)
 	f.Settle(45 * time.Second)
 	mustAlloc(t, f, r, vol)
 	checkInvariants(t, f)
@@ -227,13 +227,11 @@ func TestSchedulerFencingStaleEpoch(t *testing.T) {
 // the new epoch and the capacity ledger stays exact (a double-applied
 // completion would double-place fragments and trip ValidateCapacity).
 func TestSchedulerFencingAcrossFailover(t *testing.T) {
-	cfg := testConfig()
-	// ~64 MiB per fragment at 1 MB/s: each repair copy takes over a minute,
-	// so the crash below is guaranteed to land mid-task.
-	cfg.Scheduler.RepairBytesPerSec = 1e6
-	f := boot(t, cfg)
+	// 16 GiB per fragment at 256 MB/s: each repair copy takes over a
+	// minute, so the crash below is guaranteed to land mid-task.
+	f := boot(t, testConfig())
 	r := f.NewRouter("c1")
-	disks := mustAlloc(t, f, r, "vol-0000")
+	disks := mustAllocSize(t, f, r, "vol-0000", 16<<30)
 
 	// Fail a fragment disk; the owning shard's scheduler starts a slow copy.
 	victim := disks[0]

@@ -40,61 +40,16 @@ import (
 	"ustore/internal/simtime"
 )
 
-// Config shapes a simulated fleet. Zero values pick defaults sized for a
+// Config shapes a simulated fleet. Only what two runs set to two values is
+// a field; the unit shape, placement rule and control-plane timings are the
+// constants below (DESIGN.md §17). Zero values pick defaults sized for a
 // small test fleet; production-scale runs set Units/Shards explicitly.
 type Config struct {
-	// Units is the number of deploy units (default 8).
+	// Units is the number of deploy units (default 8); at least
+	// MinUnits(Shards).
 	Units int
-	// Racks is the number of racks units are striped over (default
-	// max(2, Units/8)).
-	Racks int
-	// HostsPerUnit is servers per unit (default 4).
-	HostsPerUnit int
-	// DisksPerHost is disks per server (default 16).
-	DisksPerHost int
-	// HubFanIn is disks per hub (§III: disks attach to hosts through
-	// hub groups; default 4).
-	HubFanIn int
-
 	// Shards is the number of metadata shards (default 1).
 	Shards int
-	// ShardReplicas is the Paxos group size per shard (default 3).
-	ShardReplicas int
-
-	// Replicas is fragments placed per volume (default 3).
-	Replicas int
-	// SpreadLevel is the failure domain no two fragments may share
-	// (default placement.LevelUnit).
-	SpreadLevel placement.Level
-	// DiskCapacity is bytes per disk (default 3e12, a 3TB archival SMR).
-	DiskCapacity int64
-	// MaxSpinningPerUnit is the unit power budget in spinning disks
-	// (default half the unit's disks).
-	MaxSpinningPerUnit int
-
-	// HeartbeatInterval is the unit agent report period (default 5s).
-	HeartbeatInterval time.Duration
-	// UnitDeadAfter is how many missed heartbeat intervals declare a unit
-	// dead (default 3).
-	UnitDeadAfter int
-	// OpServiceTime is the serial CPU cost of one metadata operation on a
-	// shard leader — the bottleneck shard scaling divides (default 1ms).
-	OpServiceTime time.Duration
-	// RPCTimeout bounds client and control RPCs (default 3s).
-	RPCTimeout time.Duration
-
-	// ElectionTTL is the shard-leader session TTL (default 10s).
-	ElectionTTL time.Duration
-	// CoordSweepInterval is the coord session-expiry scan period (default
-	// 2s — stretched with the TTL so 48 groups stay inside the event
-	// budget).
-	CoordSweepInterval time.Duration
-	// Paxos tunes each shard group's consensus timing. Zero fields get
-	// stretched fleet defaults (1s heartbeats).
-	Paxos paxos.Config
-
-	// Scheduler tunes the per-shard background task scheduler.
-	Scheduler SchedulerConfig
 
 	// RetryJitter enables full-jitter exponential backoff on router retries
 	// (default off keeps the legacy fixed delays, which the checked-in
@@ -122,71 +77,75 @@ type Config struct {
 	EngineWorkers int
 }
 
+// The fleet's unit shape and placement rule.
+const (
+	// hostsPerUnit is servers per unit.
+	hostsPerUnit = 4
+	// disksPerHost is disks per server.
+	disksPerHost = 16
+	// hubFanIn is disks per hub (§III: disks attach to hosts through hub
+	// groups).
+	hubFanIn = 4
+	// diskCapacity is bytes per disk (a 3TB archival drive).
+	diskCapacity = 3e12
+	// maxSpinningPerUnit is the unit power budget in spinning disks: half
+	// the unit's disks.
+	maxSpinningPerUnit = hostsPerUnit * disksPerHost / 2
+
+	// ShardReplicas is the Paxos group size per shard.
+	ShardReplicas = 3
+	// replicas is fragments placed per volume.
+	replicas = 3
+	// spreadLevel is the failure domain no two fragments may share.
+	spreadLevel = placement.LevelUnit
+)
+
+// The control plane's timings, stretched past a single unit's so 48 shard
+// groups stay inside the event budget.
+const (
+	// heartbeatInterval is the unit agent report period.
+	heartbeatInterval = 5 * time.Second
+	// unitDeadAfter is how many missed heartbeat intervals declare a unit
+	// dead.
+	unitDeadAfter = 3
+	// opServiceTime is the serial CPU cost of one metadata operation on a
+	// shard leader — the bottleneck shard scaling divides.
+	opServiceTime = time.Millisecond
+	// rpcTimeout bounds client and control RPCs.
+	rpcTimeout = 3 * time.Second
+	// electionTTL is the shard-leader session TTL.
+	electionTTL = 10 * time.Second
+	// coordSweepInterval is the coord session-expiry scan period.
+	coordSweepInterval = 2 * time.Second
+)
+
+// paxosConfig is each shard group's consensus timing (1s heartbeats).
+var paxosConfig = paxos.Config{
+	HeartbeatInterval:   time.Second,
+	ElectionTimeoutBase: 4 * time.Second,
+	PhaseTimeout:        2 * time.Second,
+}
+
+// MinUnits is the smallest fleet that can place a volume on every shard:
+// a shard spreads a volume's fragments over the units it owns, one per
+// unit, so each shard needs as many units as a volume has fragments.
+func MinUnits(shards int) int { return replicas * shards }
+
+// ReplicaUnit places replica i of shard k on unit (k*R+i) mod units: each
+// shard's replicas land on R distinct units (units >= MinUnits(shards)
+// keeps distinct units per group even when shards share units), so losing
+// one unit kills at most one replica of any group.
+func ReplicaUnit(units, shard, replica int) int {
+	return (shard*ShardReplicas + replica) % units
+}
+
 func (c Config) withDefaults() Config {
 	if c.Units <= 0 {
 		c.Units = 8
 	}
-	if c.Racks <= 0 {
-		c.Racks = c.Units / 8
-		if c.Racks < 2 {
-			c.Racks = 2
-		}
-	}
-	if c.HostsPerUnit <= 0 {
-		c.HostsPerUnit = 4
-	}
-	if c.DisksPerHost <= 0 {
-		c.DisksPerHost = 16
-	}
-	if c.HubFanIn <= 0 {
-		c.HubFanIn = 4
-	}
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.ShardReplicas <= 0 {
-		c.ShardReplicas = 3
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 3
-	}
-	if c.SpreadLevel == 0 {
-		c.SpreadLevel = placement.LevelUnit
-	}
-	if c.DiskCapacity <= 0 {
-		c.DiskCapacity = 3e12
-	}
-	if c.MaxSpinningPerUnit <= 0 {
-		c.MaxSpinningPerUnit = c.HostsPerUnit * c.DisksPerHost / 2
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 5 * time.Second
-	}
-	if c.UnitDeadAfter <= 0 {
-		c.UnitDeadAfter = 3
-	}
-	if c.OpServiceTime <= 0 {
-		c.OpServiceTime = time.Millisecond
-	}
-	if c.RPCTimeout <= 0 {
-		c.RPCTimeout = 3 * time.Second
-	}
-	if c.ElectionTTL <= 0 {
-		c.ElectionTTL = 10 * time.Second
-	}
-	if c.CoordSweepInterval <= 0 {
-		c.CoordSweepInterval = 2 * time.Second
-	}
-	if c.Paxos.HeartbeatInterval <= 0 {
-		c.Paxos.HeartbeatInterval = time.Second
-	}
-	if c.Paxos.ElectionTimeoutBase <= 0 {
-		c.Paxos.ElectionTimeoutBase = 4 * time.Second
-	}
-	if c.Paxos.PhaseTimeout <= 0 {
-		c.Paxos.PhaseTimeout = 2 * time.Second
-	}
-	c.Scheduler = c.Scheduler.withDefaults()
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -264,14 +223,6 @@ func (f *Fleet) unitPart(u int) part {
 // unitMachine is the simnet machine name every process of a unit shares.
 func unitMachine(unitID string) string { return "mach-" + unitID }
 
-// replicaUnit places replica i of shard k on unit (k*R+i) mod Units: each
-// shard's replicas land on R distinct units (Units >= Shards*Replicas in
-// any sane fleet keeps distinct units per group even when shards share
-// units), so losing one unit kills at most one replica of any group.
-func (c Config) replicaUnit(shard, replica int) int {
-	return (shard*c.ShardReplicas + replica) % c.Units
-}
-
 // New assembles a fleet from cfg and starts its shard elections and unit
 // agents. Call Settle to let the first leaders emerge before driving load.
 func New(cfg Config) *Fleet {
@@ -311,18 +262,19 @@ func New(cfg Config) *Fleet {
 	// except for cross-unit hops through the fabric.
 	replicas := make([][]string, cfg.Shards)
 	for k := 0; k < cfg.Shards; k++ {
-		peers := make([]string, cfg.ShardReplicas)
+		peers := make([]string, ShardReplicas)
 		for i := range peers {
 			peers[i] = fmt.Sprintf("s%dm%d", k, i)
 		}
 		var stores []*coord.Store
 		var masters []*ShardMaster
-		for i := 0; i < cfg.ShardReplicas; i++ {
-			up := f.unitPart(cfg.replicaUnit(k, i))
-			st := coord.NewStore(up.net, peers[i], peers, cfg.Paxos)
-			st.SetSweepInterval(cfg.CoordSweepInterval)
+		for i := 0; i < ShardReplicas; i++ {
+			u := f.ReplicaUnit(k, i)
+			up := f.unitPart(u)
+			st := coord.NewStore(up.net, peers[i], peers, paxosConfig)
+			st.SetSweepInterval(coordSweepInterval)
 			m := newShardMaster(f, k, i, st, up)
-			mach := unitMachine(unitName(cfg.replicaUnit(k, i)))
+			mach := unitMachine(unitName(u))
 			up.net.Colocate(peers[i], mach)          // paxos node
 			up.net.Colocate("coord:"+peers[i], mach) // coord session endpoint
 			up.net.Colocate(m.rpcName, mach)         // shard master process
@@ -385,7 +337,7 @@ func (f *Fleet) LeaderReplica(k int) int {
 		if !m.leading || m.down {
 			continue
 		}
-		u := f.Cfg.replicaUnit(k, i)
+		u := f.ReplicaUnit(k, i)
 		if !f.unitPart(u).net.MachineIsolated(unitMachine(unitName(u))) {
 			return i
 		}
@@ -424,7 +376,7 @@ func (f *Fleet) KillUnit(unitID string) {
 	f.Agents[u.Index].stop()
 	for k := range f.Shards {
 		for i, m := range f.Shards[k] {
-			if f.Cfg.replicaUnit(k, i) == u.Index {
+			if f.ReplicaUnit(k, i) == u.Index {
 				f.Stores[k][i].Stop()
 				m.crash()
 			}
@@ -487,7 +439,7 @@ func (f *Fleet) leaderCall(rpc *simnet.RPCNode, sched *simtime.Scheduler, believ
 			believed[shard] = (idx + 1) % len(names)
 		}
 	}
-	rpc.Call(names[idx], method, args, 256, f.Cfg.RPCTimeout, func(res any, err error) {
+	rpc.Call(names[idx], method, args, 256, rpcTimeout, func(res any, err error) {
 		if err != nil {
 			rotate()
 			retry(err)

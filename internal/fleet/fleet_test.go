@@ -7,21 +7,10 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"ustore/internal/placement"
 )
 
 func testConfig() Config {
-	return Config{
-		Units:        8,
-		Racks:        2,
-		HostsPerUnit: 2,
-		DisksPerHost: 4,
-		Shards:       2,
-		Replicas:     3,
-		DiskCapacity: 1 << 32, // 4 GB so small volumes never hit capacity
-		Seed:         7,
-	}
+	return Config{Units: 8, Shards: 2, Seed: 7}
 }
 
 const volSize = 64 << 20
@@ -42,10 +31,16 @@ func boot(t testing.TB, cfg Config) *Fleet {
 // mustAlloc drives one allocation to completion and returns its disks.
 func mustAlloc(t testing.TB, f *Fleet, r *Router, vol string) []string {
 	t.Helper()
+	return mustAllocSize(t, f, r, vol, volSize)
+}
+
+// mustAllocSize is mustAlloc for a volume of size bytes.
+func mustAllocSize(t testing.TB, f *Fleet, r *Router, vol string, size int64) []string {
+	t.Helper()
 	var got []string
 	var gotErr error
 	fired := false
-	r.Allocate(vol, volSize, "svc-archive", func(disks []string, err error) {
+	r.Allocate(vol, size, "svc-archive", func(disks []string, err error) {
 		fired, got, gotErr = true, disks, err
 	})
 	f.Settle(20 * time.Second)
@@ -74,14 +69,14 @@ func checkInvariants(t *testing.T, f *Fleet) {
 func TestTopologyShape(t *testing.T) {
 	cfg := testConfig().withDefaults()
 	topo := buildTopology(cfg)
-	if len(topo.Units) != 8 || topo.NumDisks != 8*2*4 {
+	if len(topo.Units) != 8 || topo.NumDisks != 8*hostsPerUnit*disksPerHost || topo.Racks != 2 {
 		t.Fatalf("topology: %d units, %d disks", len(topo.Units), topo.NumDisks)
 	}
 	for i, u := range topo.Units {
 		if u.Shard != i%cfg.Shards {
 			t.Fatalf("unit %d owned by shard %d, want %d", i, u.Shard, i%cfg.Shards)
 		}
-		if u.Rack != fmt.Sprintf("r%02d", i%cfg.Racks) {
+		if u.Rack != fmt.Sprintf("r%02d", i%topo.Racks) {
 			t.Fatalf("unit %d in rack %s", i, u.Rack)
 		}
 	}
@@ -258,15 +253,13 @@ func TestUnitLossDrainsOntoSurvivors(t *testing.T) {
 
 // A scheduler whose per-tick generation outruns its inflight cap must not
 // fence the overflow tasks' volumes forever: every generated task launches,
-// so finish() always unfences.
+// so finish() always unfences. 4 GiB fragments copy for 16s, so a unit loss
+// with more repairs than maxInflight keeps the cap full across ticks.
 func TestSchedulerSaturationStillDrains(t *testing.T) {
-	cfg := testConfig()
-	cfg.Scheduler.MaxInflight = 1
-	cfg.Scheduler.TasksPerTick = 4
-	f := boot(t, cfg)
+	f := boot(t, testConfig())
 	r := f.NewRouter("c1")
-	for i := 0; i < 16; i++ {
-		mustAlloc(t, f, r, fmt.Sprintf("vol-%04d", i))
+	for i := 0; i < 40; i++ {
+		mustAllocSize(t, f, r, fmt.Sprintf("vol-%04d", i), 4<<30)
 	}
 
 	const victim = "u000"
@@ -446,17 +439,8 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Units != 8 || c.Shards != 1 || c.ShardReplicas != 3 || c.Replicas != 3 {
+	if c.Units != 8 || c.Shards != 1 || c.Seed != 1 {
 		t.Fatalf("defaults: %+v", c)
-	}
-	if c.SpreadLevel != placement.LevelUnit {
-		t.Fatalf("default spread level = %v", c.SpreadLevel)
-	}
-	if c.MaxSpinningPerUnit != c.HostsPerUnit*c.DisksPerHost/2 {
-		t.Fatalf("default spin budget = %d", c.MaxSpinningPerUnit)
-	}
-	if c.Scheduler.Tick <= 0 || c.Scheduler.MaxInflight <= 0 {
-		t.Fatalf("scheduler defaults missing: %+v", c.Scheduler)
 	}
 	// A zero Config still runs on the partitioned engine: one partition per
 	// unit plus the control partition, worker pool derived.
@@ -516,7 +500,7 @@ func TestDrainedQueueReleasesOps(t *testing.T) {
 	count := replyFn(func(any, error) { served++ })
 	serve := func() {
 		m.enqueue("Lookup", LookupArgs{Volume: vol}, count)
-		f.Settle(f.Cfg.OpServiceTime)
+		f.Settle(opServiceTime)
 	}
 	serve()
 	if got := testing.AllocsPerRun(100, serve); got > 3 {
@@ -551,7 +535,7 @@ func TestIndexTracksFaultsAndMatchesRebuild(t *testing.T) {
 	dead, draining := lead.vols[held[0]].Disks[0], lead.vols[held[1]].Disks[1]
 	f.FailDisk(dead)
 	f.DrainDisk(draining)
-	f.Settle(2 * f.Cfg.HeartbeatInterval)
+	f.Settle(2 * heartbeatInterval)
 	if lead.ix.BadDisks() != 1 || lead.ix.DrainingDisks() != 1 {
 		t.Fatalf("after two heartbeats the index counts %d bad and %d draining disks, want 1 and 1",
 			lead.ix.BadDisks(), lead.ix.DrainingDisks())

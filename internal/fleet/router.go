@@ -133,7 +133,7 @@ func (op *routerOp) Fire() {
 	op.shard = r.map_.ShardOf(op.volume)
 	replicas := r.map_.Replicas[op.shard]
 	op.idx, op.n = r.believed[op.shard]%len(replicas), len(replicas)
-	r.rpc.CallR(replicas[op.idx], op.method, op.args, 192, r.f.Cfg.RPCTimeout, op)
+	r.rpc.CallR(replicas[op.idx], op.method, op.args, 192, rpcTimeout, op)
 }
 
 // again schedules the next attempt after delay, jittered by backoff.

@@ -10,46 +10,24 @@ import (
 	"ustore/internal/simtime"
 )
 
-// SchedulerConfig tunes the per-shard background task scheduler.
-type SchedulerConfig struct {
-	// Tick is the scan period (default 2s).
-	Tick time.Duration
-	// MaxInflight bounds concurrently executing tasks (default 8).
-	MaxInflight int
-	// TasksPerTick bounds new tasks admitted per tick (default 4) — the
-	// rate limit that keeps repair traffic from starving foreground work.
-	TasksPerTick int
-	// RepairBytesPerSec models per-task copy bandwidth (default 256 MB/s).
-	RepairBytesPerSec float64
-	// BalanceSkew is the (max-min)/capacity per-unit usage spread that
-	// triggers rebalancing (default 0.25).
-	BalanceSkew float64
-	// InspectPerTick is how many volume records the inspection cursor
-	// verifies per tick (default 16).
-	InspectPerTick int
-}
-
-func (c SchedulerConfig) withDefaults() SchedulerConfig {
-	if c.Tick <= 0 {
-		c.Tick = 2 * time.Second
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 8
-	}
-	if c.TasksPerTick <= 0 {
-		c.TasksPerTick = 4
-	}
-	if c.RepairBytesPerSec <= 0 {
-		c.RepairBytesPerSec = 256e6
-	}
-	if c.BalanceSkew <= 0 {
-		c.BalanceSkew = 0.25
-	}
-	if c.InspectPerTick <= 0 {
-		c.InspectPerTick = 16
-	}
-	return c
-}
+// The per-shard background task scheduler's pacing.
+const (
+	// schedTick is the scan period.
+	schedTick = 2 * time.Second
+	// maxInflight bounds concurrently executing tasks.
+	maxInflight = 8
+	// tasksPerTick bounds new tasks admitted per tick — the rate limit that
+	// keeps repair traffic from starving foreground work.
+	tasksPerTick = 4
+	// repairBytesPerSec models per-task copy bandwidth (256 MB/s).
+	repairBytesPerSec = 256e6
+	// balanceSkew is the (max-min)/capacity per-unit usage spread that
+	// triggers rebalancing.
+	balanceSkew = 0.25
+	// inspectPerTick is how many volume records the inspection cursor
+	// verifies per tick.
+	inspectPerTick = 16
+)
 
 // Task kinds, in generation priority order.
 const (
@@ -65,7 +43,6 @@ const (
 // executes it under inflight and per-tick rate limits.
 type shardScheduler struct {
 	m      *ShardMaster
-	cfg    SchedulerConfig
 	ticker *simtime.Ticker
 
 	inflight int
@@ -89,7 +66,6 @@ type shardScheduler struct {
 func newShardScheduler(m *ShardMaster) *shardScheduler {
 	s := &shardScheduler{
 		m:          m,
-		cfg:        m.f.Cfg.Scheduler,
 		pendingVol: make(map[string]bool),
 	}
 	label := obs.L("shard", strconv.Itoa(m.shard))
@@ -110,7 +86,7 @@ func (s *shardScheduler) start() {
 	s.epoch++
 	s.pendingVol = make(map[string]bool)
 	s.inflight = 0
-	s.ticker = s.m.sched.Every(s.cfg.Tick, s.tick)
+	s.ticker = s.m.sched.Every(schedTick, s.tick)
 }
 
 func (s *shardScheduler) stop() {
@@ -145,8 +121,8 @@ func (s *shardScheduler) tick() {
 	// task's volume in pendingVol and only finish() of a launched task
 	// unfences, so a task generated but never launched would stay fenced
 	// (and unrepaired) forever.
-	budget := s.cfg.TasksPerTick
-	if room := s.cfg.MaxInflight - s.inflight; budget > room {
+	budget := tasksPerTick
+	if room := maxInflight - s.inflight; budget > room {
 		budget = room
 	}
 	for _, t := range s.generate(budget, ids) {
@@ -155,11 +131,11 @@ func (s *shardScheduler) tick() {
 	m.gAlive.Set(float64(len(m.f.Topo.ShardUnits(m.shard)) - m.ix.DownUnits()))
 }
 
-// checkUnits flips owned units to dead after UnitDeadAfter silent
+// checkUnits flips owned units to dead after unitDeadAfter silent
 // heartbeat intervals.
 func (s *shardScheduler) checkUnits() {
 	m := s.m
-	deadline := time.Duration(m.f.Cfg.UnitDeadAfter) * m.f.Cfg.HeartbeatInterval
+	deadline := time.Duration(unitDeadAfter) * heartbeatInterval
 	now := m.sched.Now()
 	for _, u := range m.f.Topo.ShardUnits(m.shard) {
 		if !m.unitAlive(u) {
@@ -251,13 +227,13 @@ func (s *shardScheduler) generate(budget int, ids []string) []task {
 }
 
 // balanceTask proposes moving one fragment from the most-loaded alive unit
-// to relieve skew beyond cfg.BalanceSkew.
+// to relieve skew beyond balanceSkew.
 func (s *shardScheduler) balanceTask(ids []string) (task, bool) {
 	m := s.m
 	units := m.f.Topo.ShardUnits(m.shard)
 	var minU, maxU string
 	var minB, maxB int64 = -1, -1
-	unitCap := int64(m.f.Cfg.HostsPerUnit*m.f.Cfg.DisksPerHost) * m.f.Cfg.DiskCapacity
+	unitCap := int64(hostsPerUnit*disksPerHost) * diskCapacity
 	for _, uid := range units {
 		if !m.unitAlive(uid) {
 			continue
@@ -273,7 +249,7 @@ func (s *shardScheduler) balanceTask(ids []string) (task, bool) {
 	if minU == "" || maxU == "" || minU == maxU {
 		return task{}, false
 	}
-	if float64(maxB-minB)/float64(unitCap) < s.cfg.BalanceSkew {
+	if float64(maxB-minB)/float64(unitCap) < balanceSkew {
 		return task{}, false
 	}
 	// First unfenced volume with a fragment on the hot unit.
@@ -290,7 +266,7 @@ func (s *shardScheduler) balanceTask(ids []string) (task, bool) {
 	return task{}, false
 }
 
-// launch runs a task: the copy takes size/RepairBytesPerSec of virtual
+// launch runs a task: the copy takes size/repairBytesPerSec of virtual
 // time per fragment moved, then the record is re-placed and committed.
 func (s *shardScheduler) launch(t task) {
 	m := s.m
@@ -300,7 +276,7 @@ func (s *shardScheduler) launch(t task) {
 	dur := 10 * time.Millisecond
 	if ok {
 		bytes := rec.Size * int64(len(t.from))
-		dur += time.Duration(float64(bytes) / s.cfg.RepairBytesPerSec * float64(time.Second))
+		dur += time.Duration(float64(bytes) / repairBytesPerSec * float64(time.Second))
 		s.cBytes.Add(uint64(bytes))
 	}
 	span := m.rec.Begin("fleet", "task:"+t.kind, "shard"+strconv.Itoa(m.shard),
@@ -344,7 +320,7 @@ func (s *shardScheduler) finish(t task, epoch int) {
 	if need <= 0 {
 		return
 	}
-	rows, _ := m.ix.Spread(need, rec.Size, m.f.Cfg.SpreadLevel, exclude)
+	rows, _ := m.ix.Spread(need, rec.Size, spreadLevel, exclude)
 	if len(rows) < need {
 		// Not enough healthy domains right now; the next tick regenerates
 		// the task (state is unchanged).
@@ -374,14 +350,14 @@ func (s *shardScheduler) finish(t task, epoch int) {
 }
 
 // inspect advances the background consistency cursor over the sorted
-// volume IDs, InspectPerTick records per tick, wrapping at the end.
+// volume IDs, inspectPerTick records per tick, wrapping at the end.
 func (s *shardScheduler) inspect(ids []string) {
 	m := s.m
 	if len(ids) == 0 {
 		return
 	}
 	start := sort.SearchStrings(ids, s.cursor)
-	for i := 0; i < s.cfg.InspectPerTick; i++ {
+	for i := 0; i < inspectPerTick; i++ {
 		idx := (start + i) % len(ids)
 		id := ids[idx]
 		rec := m.vols[id]

@@ -22,7 +22,7 @@ import (
 // it lives in one placement.Index, which is also what allocation reads.
 //
 // Volume operations serialize through a single queue charged
-// cfg.OpServiceTime each — the CPU bottleneck that makes shard count the
+// opServiceTime each — the CPU bottleneck that makes shard count the
 // unit of metadata scaling (Paxos itself pipelines, so consensus latency
 // alone would not bound throughput).
 type ShardMaster struct {
@@ -157,7 +157,7 @@ func (m *ShardMaster) installInitialMap(mp *ShardMap) { m.map_ = mp.Clone() }
 // start begins campaigning for shard leadership; a restarted replica
 // campaigns under an incarnation-stamped session (see restart).
 func (m *ShardMaster) start() {
-	m.election = coord.NewElection(m.store, "/active", m.name, m.f.Cfg.ElectionTTL)
+	m.election = coord.NewElection(m.store, "/active", m.name, electionTTL)
 	if m.incarnation > 0 {
 		m.election.SetSession(fmt.Sprintf("election:/active:%s#%d", m.name, m.incarnation))
 	}
@@ -414,7 +414,7 @@ func (m *ShardMaster) enqueue(method string, args any, reply simnet.Replier) {
 }
 
 // pump starts the next queued op if the service unit is idle. Each op
-// holds the unit for OpServiceTime before its state transition runs.
+// holds the unit for opServiceTime before its state transition runs.
 func (m *ShardMaster) pump() {
 	if m.busy || m.qHead == len(m.queue) || m.down {
 		return
@@ -432,7 +432,7 @@ func (m *ShardMaster) pump() {
 	m.gQueue.Set(float64(len(m.queue) - m.qHead))
 	m.busy = true
 	op.start = m.sched.Now()
-	m.sched.FireAfterR(m.f.Cfg.OpServiceTime, op)
+	m.sched.FireAfterR(opServiceTime, op)
 }
 
 // opDone completes an op exactly once and releases the service unit.
@@ -483,7 +483,7 @@ func (m *ShardMaster) exec(op *shardOp) {
 // if the proposal is lost to a leadership change the client gets Busy
 // instead of the service unit wedging forever.
 func (m *ShardMaster) commitGuard(op *shardOp) {
-	m.sched.FireAfterR(4*m.f.Cfg.ElectionTTL, (*opGuard)(op))
+	m.sched.FireAfterR(4*electionTTL, (*opGuard)(op))
 }
 
 // opGuard is the receiver of an op's commit guard.
@@ -526,10 +526,10 @@ func (m *ShardMaster) execAllocate(op *shardOp, a AllocateArgs) {
 		m.opDone(op, AllocateReply{ShardReply{OK: true}, rec.Disks})
 		return
 	}
-	rows, _ := m.ix.Spread(m.f.Cfg.Replicas, a.Size, m.f.Cfg.SpreadLevel, nil)
-	if len(rows) < m.f.Cfg.Replicas {
+	rows, _ := m.ix.Spread(replicas, a.Size, spreadLevel, nil)
+	if len(rows) < replicas {
 		m.opDone(op, AllocateReply{ShardReply: ShardReply{
-			Err: fmt.Sprintf("insufficient failure domains: placed %d/%d", len(rows), m.f.Cfg.Replicas)}})
+			Err: fmt.Sprintf("insufficient failure domains: placed %d/%d", len(rows), replicas)}})
 		return
 	}
 	disks := make([]string, len(rows))

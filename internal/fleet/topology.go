@@ -34,10 +34,12 @@ type UnitTopo struct {
 	MaxSpinning int
 }
 
-// Topology is the fleet's static hardware inventory: Units*HostsPerUnit
-// hosts and Units*HostsPerUnit*DisksPerHost disks spread round-robin over
-// Racks racks, with disks grouped HubFanIn to a hub.
+// Topology is the fleet's static hardware inventory: Units*hostsPerUnit
+// hosts and Units*hostsPerUnit*disksPerHost disks, units spread round-robin
+// over Racks racks, with disks grouped hubFanIn to a hub.
 type Topology struct {
+	// Racks is the rack count: max(2, Units/8).
+	Racks    int
 	Units    []*UnitTopo
 	UnitByID map[string]*UnitTopo
 	Disks    map[string]*DiskInfo
@@ -54,34 +56,35 @@ func unitName(i int) string { return fmt.Sprintf("u%03d", i) }
 // defaults applied).
 func buildTopology(cfg Config) *Topology {
 	t := &Topology{
+		Racks:      max(2, cfg.Units/8),
 		UnitByID:   make(map[string]*UnitTopo, cfg.Units),
-		Disks:      make(map[string]*DiskInfo, cfg.Units*cfg.HostsPerUnit*cfg.DisksPerHost),
+		Disks:      make(map[string]*DiskInfo, cfg.Units*hostsPerUnit*disksPerHost),
 		shardUnits: make([][]string, cfg.Shards),
 	}
 	for i := 0; i < cfg.Units; i++ {
 		u := &UnitTopo{
 			ID:          unitName(i),
-			Rack:        fmt.Sprintf("r%02d", i%cfg.Racks),
+			Rack:        fmt.Sprintf("r%02d", i%t.Racks),
 			Index:       i,
 			Shard:       i % cfg.Shards,
-			MaxSpinning: cfg.MaxSpinningPerUnit,
+			MaxSpinning: maxSpinningPerUnit,
 		}
-		for h := 0; h < cfg.HostsPerUnit; h++ {
+		for h := 0; h < hostsPerUnit; h++ {
 			host := fmt.Sprintf("%s/h%d", u.ID, h)
 			u.Hosts = append(u.Hosts, host)
-			for d := 0; d < cfg.DisksPerHost; d++ {
+			for d := 0; d < disksPerHost; d++ {
 				id := fmt.Sprintf("%s/h%d/d%02d", u.ID, h, d)
 				di := &DiskInfo{
 					ID:       id,
-					Capacity: cfg.DiskCapacity,
+					Capacity: diskCapacity,
 					Loc: placement.Location{
 						Rack: u.Rack,
 						Unit: u.ID,
-						Hub:  fmt.Sprintf("%s/h%d/b%d", u.ID, h, d/cfg.HubFanIn),
+						Hub:  fmt.Sprintf("%s/h%d/b%d", u.ID, h, d/hubFanIn),
 						Host: host,
 					},
 				}
-				di.Domain = di.Loc.Domain(cfg.SpreadLevel)
+				di.Domain = di.Loc.Domain(spreadLevel)
 				t.Disks[id] = di
 				u.Disks = append(u.Disks, id)
 			}

@@ -21,10 +21,10 @@ func FuzzSpecParse(f *testing.F) {
 		"mode: faults\nseed: 42\ndays: 1\n",
 		sampleYAML,
 		"mode: traffic\ntraffic:\n  storm: true\n  protect: true\n",
-		"mode: fleet\nfleet:\n  units: 4\n  shards: 2\n",
+		"mode: fleet\nfleet:\n  units: 6\n  shards: 2\n",
 		"mode: fidelity\nfidelity:\n  check: table1-ustore-capex\n",
 		"mode: durability\nfailure:\n  model: empirical\n  ure_bits: spec\n",
-		"mode: fleet\nfleet:\n  units: 2\n  shards: 1\ngrid:\n  seed:\n    - 1\n    - 2\n",
+		"mode: fleet\nfleet:\n  units: 3\n  shards: 1\ngrid:\n  seed:\n    - 1\n    - 2\n",
 		"mode: faults\nname: \"tab\\there\"\n",
 		"mode: faults\ngrid:\n  seed: [1, 2]\n  faults.pairs: [2, 4]\n",
 		"mode: faults\nname: \"quoted # name\"\n",

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ustore/internal/faults"
+	"ustore/internal/fleet"
 )
 
 // Spec is one fully-resolved experiment description. Field names in the
@@ -214,6 +215,9 @@ func (s *Spec) Validate() error {
 		fl := s.Fleet
 		if fl.Units <= 0 || fl.Shards <= 0 {
 			return fmt.Errorf("spec %q: fleet.units and fleet.shards must be positive", s.Name)
+		}
+		if need := fleet.MinUnits(fl.Shards); fl.Units < need {
+			return fmt.Errorf("spec %q: fleet.units %d is below %d, the least that gives each of %d shards a unit per volume fragment", s.Name, fl.Units, need, fl.Shards)
 		}
 		if fl.Crashes < 0 || fl.Partitions < 0 || fl.SlotMoves < 0 || fl.FaultWindowSec < 0 {
 			return fmt.Errorf("spec %q: fleet fault fields must be non-negative", s.Name)

@@ -195,6 +195,11 @@ func TestValidateRejectsBadValues(t *testing.T) {
 		"mode: fleet\nfleet:\n  units: 0\n",
 		"mode: fleet\nfleet:\n  units: 8\n  shards: 2\n  crashes: -1\n",
 		"mode: fleet\nfleet:\n  units: 8\n  shards: 1\n  slot_moves: 2\n",
+		// Below fleet.MinUnits(shards) some shard has fewer units than a
+		// volume has fragments and could place nothing.
+		"mode: fleet\nfleet:\n  shards: 4\n",
+		"mode: fleet\nfleet:\n  units: 2\n  shards: 1\n",
+		"mode: fleet\nfleet:\n  units: 11\n  shards: 4\n",
 		"mode: faults\nfailure:\n  model: empirical\n  age_years: 0\n",
 		"mode: faults\nfailure:\n  model: psychic\n",
 	} {
@@ -221,7 +226,7 @@ func TestCommentsAndQuoting(t *testing.T) {
 // rules to Validate, which spans fields.
 func TestFileOverride(t *testing.T) {
 	parse := func() *File {
-		f, err := Parse([]byte("mode: fleet\nseed: 3\nfleet:\n  units: 4\n"), "base.yaml")
+		f, err := Parse([]byte("mode: fleet\nseed: 3\nfleet:\n  units: 12\n"), "base.yaml")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +239,7 @@ func TestFileOverride(t *testing.T) {
 		}
 	}
 	s := f.Spec
-	if s.Seed != 9 || s.Fleet.SlotMoves != 2 || s.Fleet.Shards != 4 || !s.Output.Log || s.Fleet.Units != 4 {
+	if s.Seed != 9 || s.Fleet.SlotMoves != 2 || s.Fleet.Shards != 4 || !s.Output.Log || s.Fleet.Units != 12 {
 		t.Fatalf("overrides not applied on top of the document: %+v", s)
 	}
 	// slot_moves arrived before shards made it legal; only the final state
@@ -243,7 +248,7 @@ func TestFileOverride(t *testing.T) {
 		t.Fatalf("final spec: %v", err)
 	}
 	// The same values spelled in a document hash the same.
-	doc, err := Parse([]byte("mode: fleet\nseed: 9\nfleet:\n  units: 4\n  shards: 4\n  slot_moves: 2\noutput:\n  log: true\n"), "doc.yaml")
+	doc, err := Parse([]byte("mode: fleet\nseed: 9\nfleet:\n  units: 12\n  shards: 4\n  slot_moves: 2\noutput:\n  log: true\n"), "doc.yaml")
 	if err != nil {
 		t.Fatal(err)
 	}

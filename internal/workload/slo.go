@@ -137,10 +137,11 @@ func (r *SLOReport) Text() string {
 	return b.String()
 }
 
-// quantile returns the exact q-per-mille quantile of samples (0 if empty):
-// the element at floor index len*q/1000 of the sorted set, matching the
-// chaos harness's p99 convention. Samples must be sorted ascending.
-func quantile(sorted []time.Duration, perMille int) time.Duration {
+// Quantile returns the exact q-per-mille quantile of samples (0 if empty):
+// the element at floor index len*q/1000 of the sorted set. It is the one
+// percentile rule of the SLO report and the chaos harness's probe p99.
+// Samples must be sorted ascending.
+func Quantile(sorted []time.Duration, perMille int) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
@@ -162,10 +163,10 @@ func sloRow(class, phase string, counts map[string]int, samples []time.Duration)
 		Errors:    counts[OutcomeError],
 		Shed:      counts[OutcomeShed],
 		Throttled: counts[OutcomeThrottled],
-		P50:       quantile(samples, 500),
-		P99:       quantile(samples, 990),
-		P999:      quantile(samples, 999),
-		Max:       quantile(samples, 1000),
+		P50:       Quantile(samples, 500),
+		P99:       Quantile(samples, 990),
+		P999:      Quantile(samples, 999),
+		Max:       Quantile(samples, 1000),
 	}
 	row.Total = row.OK + row.Errors + row.Shed + row.Throttled
 	return row
