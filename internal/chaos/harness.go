@@ -178,13 +178,13 @@ type harness struct {
 	writeSeq int
 }
 
-// leanConfig stretches the control loop's timers so a 100-simulated-day run
-// stays within a simulable event budget, while keeping every ratio (failure
-// detection < MTTR < audit cadence) intact.
-func leanConfig(o Options, hist *model.History) core.Config {
+// stretchedConfig is the default cluster with the control loop's timers
+// stretched so a 100-simulated-day run stays within a simulable event
+// budget, while keeping every ratio (failure detection < MTTR < audit
+// cadence) intact. Both chaos cluster shapes start from it.
+func stretchedConfig(o Options, hist *model.History) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Seed = o.Seed
-	cfg.HeartbeatInterval = 5 * time.Minute
 	cfg.ElectionTTL = 30 * time.Minute
 	cfg.Paxos = paxos.Config{
 		HeartbeatInterval:   time.Minute,
@@ -192,11 +192,18 @@ func leanConfig(o Options, hist *model.History) core.Config {
 		PhaseTimeout:        2 * time.Minute,
 	}
 	cfg.CoordSweepInterval = 2 * time.Minute
-	cfg.ScrubInterval = o.ScrubEvery
-	cfg.DisableChecksums = o.DisableChecksums
 	cfg.RPCTimeout = 2 * time.Second
 	cfg.Recorder = o.Recorder
 	cfg.History = hist
+	return cfg
+}
+
+// leanConfig is the fault run's cluster: the stretched prototype unit.
+func leanConfig(o Options, hist *model.History) core.Config {
+	cfg := stretchedConfig(o, hist)
+	cfg.HeartbeatInterval = 5 * time.Minute
+	cfg.ScrubInterval = o.ScrubEvery
+	cfg.DisableChecksums = o.DisableChecksums
 	cfg.InjectStaleLease = o.InjectStaleLease
 	// The detect-quarantine side of the mitigation stack lives in the
 	// master; unmitigated gray runs leave it off so the same seed measures

@@ -7,7 +7,6 @@ import (
 	"ustore/internal/core"
 	"ustore/internal/fabric"
 	"ustore/internal/model"
-	"ustore/internal/paxos"
 	"ustore/internal/workload"
 )
 
@@ -19,32 +18,19 @@ import (
 // of one seed are the head-to-head overload experiment.
 
 // trafficConfig is the traffic run's cluster shape: a 3-host 6-disk unit
-// with the control-loop timers stretched the same way leanConfig does, no
-// scrubber or power manager (the engine and protector own disk power), and
-// checksums off so the read-heavy tenant workload needs no initial write
-// pass (reads of unwritten space return zeros deterministically).
+// with the control-loop timers stretched (stretchedConfig), no scrubber or
+// power manager (the engine and protector own disk power), and checksums
+// off so the read-heavy tenant workload needs no initial write pass (reads
+// of unwritten space return zeros deterministically).
 func trafficConfig(o Options, topts workload.TrafficOptions, hist *model.History) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Seed = o.Seed
+	cfg := stretchedConfig(o, hist)
 	cfg.Fabric = fabric.Config{
 		Hosts: []string{"h1", "h2", "h3"},
 		Disks: 6,
 		FanIn: 4,
 	}
 	cfg.HeartbeatInterval = 30 * time.Second
-	cfg.ElectionTTL = 30 * time.Minute
-	cfg.Paxos = paxos.Config{
-		HeartbeatInterval:   time.Minute,
-		ElectionTimeoutBase: 4 * time.Minute,
-		PhaseTimeout:        2 * time.Minute,
-	}
-	cfg.CoordSweepInterval = 2 * time.Minute
-	cfg.ScrubInterval = 0
-	cfg.SpinDownIdle = 0
 	cfg.DisableChecksums = true
-	cfg.RPCTimeout = 2 * time.Second
-	cfg.Recorder = o.Recorder
-	cfg.History = hist
 	if o.Protect {
 		// Arms the master-side per-caller metadata throttle; the rest of
 		// the stack (admission, tenant buckets, autoscaler) is created by

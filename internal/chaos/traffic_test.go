@@ -66,13 +66,12 @@ func TestTrafficProtectionBoundsStormTail(t *testing.T) {
 
 	// Power budget: the unprotected storm recalls every archived volume and
 	// spins the whole shelf; the protected autoscaler must stay within
-	// MaxSpinning+MaxSpinningUp.
+	// core's power budget (5 spinning) plus its inrush cap (1 spinning up).
 	if repU.SLO.ActiveDisksMax != repU.SLO.TotalDisks {
 		t.Errorf("unprotected storm should spin all %d disks, got max %d",
 			repU.SLO.TotalDisks, repU.SLO.ActiveDisksMax)
 	}
-	topts := workload.DefaultTrafficOptions(*chaosSeed)
-	budget := topts.MaxSpinning + topts.MaxSpinningUp
+	const budget = 5 + 1
 	if repP.SLO.ActiveDisksMax > budget {
 		t.Errorf("protected run max active disks %d exceeds power budget %d",
 			repP.SLO.ActiveDisksMax, budget)
@@ -150,26 +149,36 @@ func TestTrafficSweepParallelByteStability(t *testing.T) {
 	}
 }
 
-// TestTrafficSLOGolden pins the exact SLO report bytes for the canonical
-// protected restore-storm run (seed 1) — the same bytes ustore-chaos
-// -tenants -storm -protect -slo-out writes and the CI traffic-smoke job
-// diffs. Regenerate with:
+// TestTrafficSLOGolden pins the exact SLO report and event log bytes of
+// every traffic shape at seed 1: the protected restore storm (its SLO
+// report is what ustore-chaos -tenants -storm -protect -slo-out writes and
+// the CI traffic-smoke job diffs), the same storm unprotected, and
+// protection without a storm. Regenerate with:
 //
 //	go test ./internal/chaos -run TrafficSLOGolden -update
 func TestTrafficSLOGolden(t *testing.T) {
-	rep := trafficRun(t, Options{Seed: 1, Tenants: true, Storm: true, Protect: true})
-	checkSLOGolden(t, rep, "slo_seed1.txt")
+	for _, tc := range []struct {
+		name           string
+		storm, protect bool
+		slo, log       string
+	}{
+		{"storm-protect", true, true, "slo_seed1.txt", "log_seed1.txt"},
+		{"storm", true, false, "slo_storm_seed1.txt", "log_storm_seed1.txt"},
+		{"protect", false, true, "slo_protect_seed1.txt", "log_protect_seed1.txt"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := trafficRun(t, Options{Seed: 1, Tenants: true, Storm: tc.storm, Protect: tc.protect})
+			checkGolden(t, rep.SLO.Text(), tc.slo)
+			checkGolden(t, rep.LogText()+"\n", tc.log)
+		})
+	}
 }
 
-func checkSLOGolden(t *testing.T, rep *Report, name string) {
+func checkGolden(t *testing.T, got, name string) {
 	t.Helper()
-	got := []byte(rep.SLO.Text())
 	golden := filepath.Join("testdata", name)
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +186,7 @@ func checkSLOGolden(t *testing.T, rep *Report, name string) {
 	if err != nil {
 		t.Fatalf("read golden: %v (run with -update to create)", err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("SLO report drifted from golden file.\n--- got ---\n%s--- want ---\n%s", got, want)
+	if got != string(want) {
+		t.Fatalf("%s drifted from its golden file.\n--- got ---\n%s--- want ---\n%s", name, got, want)
 	}
 }

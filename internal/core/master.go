@@ -132,9 +132,9 @@ func NewMaster(net *simnet.Network, name string, store *coord.Store, cfg Config,
 		exported:    make(map[SpaceID]string),
 		health:      newHealthTracker(cfg.Recorder),
 	}
-	if cfg.Protection != nil && cfg.Protection.MasterRate > 0 {
+	if cfg.Protection != nil {
 		m.limiters = make(map[string]*policy.TokenBucket)
-		m.limiterPool = policy.NewBucketPool(cfg.Protection.MasterRate, cfg.Protection.MasterBurst)
+		m.limiterPool = policy.NewBucketPool(masterRate, masterBurst)
 		m.cThrottled = cfg.Recorder.Counter("core", "master_throttled_total")
 	}
 	m.elect = coord.NewElection(store, "/master/active", name, cfg.ElectionTTLOrDefault())
@@ -479,7 +479,7 @@ func (m *Master) executeOnController(idx int, args ExecuteArgs, done func(error)
 
 // throttled charges one metadata RPC against the caller's token bucket
 // and reports whether it must be rejected. Only armed by
-// Config.Protection with MasterRate > 0; buckets are per caller node
+// Config.Protection; buckets are per caller node
 // (one tenant's storm cannot spend another's tokens).
 func (m *Master) throttled(from string) bool {
 	if m.limiters == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -36,30 +37,30 @@ import (
 // Independently, Config.Protection arms a per-caller token bucket at the
 // Master's metadata RPC entry points (see master.go): recall storms hammer
 // Lookup/Allocate too, and a throttled caller gets ErrThrottled instead of
-// a seat in the run queue. A nil Config.Protection disables every piece,
-// keeping default runs byte-identical.
+// a seat in the run queue. A nil Config.Protection disables the whole
+// stack, keeping default runs byte-identical; an armed stack always runs
+// every piece, with the fixed tuning below.
 
-// ProtectionConfig parameterizes the protection stack. The zero value of
-// any field disables that piece.
+// The protection stack's tuning: one IO per disk so backlog stays in the
+// admission queues, tenants clipped at 3 req/s, the master's metadata RPCs
+// at 5 per caller per second, and a power budget of 5 spinning disks
+// started one at a time; a disk the scaler spun up goes back down after
+// 30 s without demand.
+const (
+	slotsPerDisk  = 1
+	tenantRate    = 3
+	tenantBurst   = 12
+	masterRate    = 5
+	masterBurst   = 10
+	maxSpinning   = 5
+	maxSpinningUp = 1
+	idleAfter     = 30 * time.Second
+)
+
+// ProtectionConfig parameterizes the protection stack.
 type ProtectionConfig struct {
 	// Classes are the admission classes (tenant tiers), best first.
 	Classes []policy.ClassConfig
-	// SlotsPerDisk caps in-flight requests per disk (0 = 1).
-	SlotsPerDisk int
-	// TenantRate / TenantBurst parameterize each tenant's token bucket
-	// (requests/sec and bucket size). TenantRate 0 disables per-tenant
-	// limiting.
-	TenantRate  float64
-	TenantBurst float64
-	// MasterRate / MasterBurst parameterize the Master's per-caller
-	// metadata-RPC bucket. MasterRate 0 disables master throttling.
-	MasterRate  float64
-	MasterBurst float64
-	// Scale bounds the autoscaler. Scale.MaxSpinning 0 disables
-	// autoscaling (readiness then just mirrors actual disk state).
-	Scale policy.AutoScalerConfig
-	// BreakerDisks arms the per-disk server-side breaker.
-	BreakerDisks bool
 }
 
 // Protector is the cluster-level protection stack. Create one with
@@ -67,7 +68,6 @@ type ProtectionConfig struct {
 // goroutine.
 type Protector struct {
 	c     *Cluster
-	pc    ProtectionConfig
 	sched *simtime.Scheduler
 	adm   *policy.Admission
 	scale *policy.AutoScaler
@@ -114,15 +114,16 @@ const (
 
 // NewProtector wires the protection stack over the cluster's disks and
 // starts the autoscale/poll ticker. Disks currently spinning form the
-// baseline active set: they are ready immediately and never scaled down.
+// baseline active set: they are ready immediately, never scaled down, and
+// their count is the autoscaler's floor.
 func NewProtector(c *Cluster, pc ProtectionConfig) *Protector {
 	rec := c.Cfg.Recorder
 	p := &Protector{
 		c:          c,
-		pc:         pc,
 		sched:      c.Sched,
-		adm:        policy.NewAdmission(pc.Classes, pc.SlotsPerDisk),
+		adm:        policy.NewAdmission(pc.Classes, slotsPerDisk),
 		tenants:    make(map[string]*policy.TokenBucket),
+		tenantPool: policy.NewBucketPool(tenantRate, tenantBurst),
 		brk:        make(map[string]*policy.Breaker),
 		managed:    make(map[string]bool),
 		idleSince:  make(map[string]simtime.Time),
@@ -138,9 +139,6 @@ func NewProtector(c *Cluster, pc ProtectionConfig) *Protector {
 		Throttled:    make(map[string]uint64),
 		BreakerTrips: make(map[string]uint64),
 	}
-	if pc.TenantRate > 0 {
-		p.tenantPool = policy.NewBucketPool(pc.TenantRate, pc.TenantBurst)
-	}
 	for _, cc := range pc.Classes {
 		p.cAdmitted[cc.Name] = rec.Counter("policy", "admitted_total", obs.L("class", cc.Name))
 		p.cThrottled[cc.Name] = rec.Counter("policy", "throttled_total", obs.L("class", cc.Name))
@@ -151,25 +149,43 @@ func NewProtector(c *Cluster, pc ProtectionConfig) *Protector {
 				obs.L("class", cc.Name), obs.L("reason", string(policy.ShedDeadline))),
 		}
 	}
-	if pc.Scale.MaxSpinning > 0 {
-		p.scale = policy.NewAutoScaler(pc.Scale)
-	}
 	now := p.sched.Now()
+	baseline := 0
 	for _, id := range p.diskIDs() {
 		d := c.Disks[id]
+		if diskSpinning(d.State()) {
+			baseline++
+		}
 		p.adm.SetReady(now, id, diskReady(d.State()))
 		id := id
 		d.OnStateChange(func(_, newState disk.State) {
 			p.adm.SetReady(p.sched.Now(), id, diskReady(newState))
 		})
 	}
+	p.scale = policy.NewAutoScaler(policy.AutoScalerConfig{
+		MinSpinning:   baseline,
+		MaxSpinning:   maxSpinning,
+		MaxSpinningUp: maxSpinningUp,
+		IdleAfter:     idleAfter,
+	})
 	p.ticker = p.sched.Every(protTickInterval, p.tick)
 	return p
+}
+
+// String names the stack's tuning for the run log.
+func (p *Protector) String() string {
+	return fmt.Sprintf("slots/disk=%d tenant=%d/s master=%d/s budget=%d spinning",
+		slotsPerDisk, tenantRate, masterRate, maxSpinning)
 }
 
 // diskReady: a disk can accept grants while spinning with the motor up.
 func diskReady(s disk.State) bool {
 	return s == disk.StateIdle || s == disk.StateActive
+}
+
+// diskSpinning: a disk draws spindle power while up or spinning up.
+func diskSpinning(s disk.State) bool {
+	return diskReady(s) || s == disk.StateSpinningUp
 }
 
 // diskIDs returns the cluster's disk IDs sorted (map-order independence).
@@ -194,26 +210,22 @@ func (p *Protector) Stop() { p.ticker.Stop() }
 // up — until the class deadline sheds them.
 func (p *Protector) Admit(class, tenant, diskID string, grant func(), reject func(reason string)) {
 	now := p.sched.Now()
-	if p.pc.TenantRate > 0 {
-		tb := p.tenants[tenant]
-		if tb == nil {
-			tb = p.tenantPool.Get()
-			p.tenants[tenant] = tb
-		}
-		if !tb.Allow(now) {
-			p.Throttled[class]++
-			p.cThrottled[class].Inc()
-			reject(RejectThrottled)
-			return
-		}
+	tb := p.tenants[tenant]
+	if tb == nil {
+		tb = p.tenantPool.Get()
+		p.tenants[tenant] = tb
 	}
-	if p.pc.BreakerDisks {
-		if br := p.brk[diskID]; br != nil && br.Open(now) {
-			p.BreakerTrips[class]++
-			p.cShedFor(class, RejectBreaker).Inc()
-			reject(RejectBreaker)
-			return
-		}
+	if !tb.Allow(now) {
+		p.Throttled[class]++
+		p.cThrottled[class].Inc()
+		reject(RejectThrottled)
+		return
+	}
+	if br := p.brk[diskID]; br != nil && br.Open(now) {
+		p.BreakerTrips[class]++
+		p.cShedFor(class, RejectBreaker).Inc()
+		reject(RejectBreaker)
+		return
 	}
 	p.adm.Submit(now, class, diskID,
 		func() {
@@ -247,22 +259,20 @@ func (p *Protector) cShedFor(class, reason string) *obs.Counter {
 // breaker with the outcome.
 func (p *Protector) Done(diskID string, err error) {
 	now := p.sched.Now()
-	if p.pc.BreakerDisks {
-		br := p.brk[diskID]
-		if br == nil {
-			br = &policy.Breaker{}
-			p.brk[diskID] = br
+	br := p.brk[diskID]
+	if br == nil {
+		br = &policy.Breaker{}
+		p.brk[diskID] = br
+	}
+	if err != nil {
+		if br.OnFailure(now) {
+			p.BreakerOpens++
+			p.cOpens.Inc()
+			p.c.Cfg.Recorder.Instant("policy", "breaker-open", "protector",
+				obs.L("disk", diskID))
 		}
-		if err != nil {
-			if br.OnFailure(now) {
-				p.BreakerOpens++
-				p.cOpens.Inc()
-				p.c.Cfg.Recorder.Instant("policy", "breaker-open", "protector",
-					obs.L("disk", diskID))
-			}
-		} else {
-			br.OnSuccess()
-		}
+	} else {
+		br.OnSuccess()
 	}
 	p.adm.Release(now, diskID)
 }
@@ -280,7 +290,7 @@ func (p *Protector) tick() {
 	for _, id := range p.diskIDs() {
 		d := p.c.Disks[id]
 		st := d.State()
-		spinning := st == disk.StateIdle || st == disk.StateActive || st == disk.StateSpinningUp
+		spinning := diskSpinning(st)
 		if spinning {
 			active++
 		}
@@ -302,9 +312,6 @@ func (p *Protector) tick() {
 		})
 	}
 	p.gActive.Set(float64(active))
-	if p.scale == nil {
-		return
-	}
 	up, down := p.scale.Plan(now, states)
 	for _, id := range up {
 		p.managed[id] = true

@@ -1,0 +1,181 @@
+package core
+
+import (
+	"errors"
+	"sort"
+	"testing"
+	"time"
+
+	"ustore/internal/policy"
+)
+
+// protClass is the one admission class the protection tests use.
+const protClass = "premium"
+
+// protectedCluster boots the default cluster with the protection stack
+// armed (master throttling) and settles past the boot spin-up.
+func protectedCluster(t *testing.T) *Cluster {
+	t.Helper()
+	c := boot(t, func(cfg *Config) {
+		cfg.Protection = &ProtectionConfig{Classes: []policy.ClassConfig{
+			{Name: protClass, Priority: 0, QueueLimit: 64, MaxWait: time.Minute},
+		}}
+	})
+	c.Settle(30 * time.Second)
+	return c
+}
+
+// readyDisks returns the disks the protector can grant on, sorted; a
+// test needs at least two.
+func readyDisks(t *testing.T, c *Cluster) []string {
+	t.Helper()
+	var ids []string
+	for id, d := range c.Disks {
+		if diskReady(d.State()) {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) < 2 {
+		t.Fatalf("%d spinning disks, want at least 2", len(ids))
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// admit runs one Admit and reports its synchronous outcome: "granted", a
+// reject reason, or "queued".
+func admit(p *Protector, tenant, diskID string) string {
+	got := "queued"
+	p.Admit(protClass, tenant, diskID, func() { got = "granted" }, func(r string) { got = r })
+	return got
+}
+
+// TestProtectorBreakerOpensAndProbes drives the per-disk breaker: three
+// failed requests open it, the next arrival is refused and counted as a
+// breaker trip, and after the cool-down exactly one probe is let through,
+// whose success closes it again.
+func TestProtectorBreakerOpensAndProbes(t *testing.T) {
+	c := protectedCluster(t)
+	p := NewProtector(c, *c.Cfg.Protection)
+	defer p.Stop()
+	disks := readyDisks(t, c)
+	id := disks[0]
+	failed := errors.New("io error")
+	for i := 0; i < policy.DefaultBreakerFails; i++ {
+		if got := admit(p, "t1", id); got != "granted" {
+			t.Fatalf("request %d before the breaker opened: %s", i, got)
+		}
+		p.Done(id, failed)
+	}
+	if p.BreakerOpens != 1 {
+		t.Fatalf("BreakerOpens = %d after %d failures, want 1", p.BreakerOpens, policy.DefaultBreakerFails)
+	}
+	if got := admit(p, "t1", id); got != RejectBreaker {
+		t.Fatalf("request at an open breaker: %s, want %s", got, RejectBreaker)
+	}
+	if n := p.BreakerTrips[protClass]; n != 1 {
+		t.Fatalf("BreakerTrips = %d, want 1", n)
+	}
+	if got := admit(p, "t2", disks[1]); got != "granted" {
+		t.Fatalf("request to a healthy disk while another's breaker is open: %s", got)
+	}
+
+	c.Settle(policy.DefaultBreakerOpenFor)
+	if got := admit(p, "t1", id); got != "granted" {
+		t.Fatalf("half-open probe after the cool-down: %s, want granted", got)
+	}
+	if got := admit(p, "t1", id); got != RejectBreaker {
+		t.Fatalf("second request during the probe: %s, want %s", got, RejectBreaker)
+	}
+	p.Done(id, nil)
+	if got := admit(p, "t1", id); got != "granted" {
+		t.Fatalf("request after a successful probe: %s, want granted", got)
+	}
+}
+
+// TestProtectorThrottlesTenantPastBurst drives one tenant's token bucket
+// past its burst within a single instant: the extra request is refused
+// with RejectThrottled and counted, while another tenant still gets in.
+func TestProtectorThrottlesTenantPastBurst(t *testing.T) {
+	c := protectedCluster(t)
+	p := NewProtector(c, *c.Cfg.Protection)
+	defer p.Stop()
+	id := readyDisks(t, c)[0]
+	for i := 0; i < tenantBurst; i++ {
+		if got := admit(p, "noisy", id); got == RejectThrottled {
+			t.Fatalf("request %d of a %d burst throttled", i, tenantBurst)
+		}
+	}
+	if got := admit(p, "noisy", id); got != RejectThrottled {
+		t.Fatalf("request past the burst: %s, want %s", got, RejectThrottled)
+	}
+	if n := p.Throttled[protClass]; n != 1 {
+		t.Fatalf("Throttled = %d, want 1", n)
+	}
+	if got := admit(p, "quiet", id); got == RejectThrottled {
+		t.Fatal("a second tenant was throttled by the first one's bucket")
+	}
+}
+
+// TestMasterThrottlesMetadataPastBurst fires more Allocates, then more
+// Lookups, than the master's per-caller burst in one instant: the excess
+// fails with ErrThrottled across the RPC boundary. A caller whose bucket
+// is empty still gets its heartbeats through.
+func TestMasterThrottlesMetadataPastBurst(t *testing.T) {
+	c := protectedCluster(t)
+	const calls = masterBurst + 5
+
+	cl := c.Client("thr-alloc", "thrsvc")
+	var spaces []SpaceID
+	ok, throttled := 0, 0
+	for i := 0; i < calls; i++ {
+		cl.Allocate(1<<20, func(r AllocateReply, err error) {
+			switch {
+			case err == nil:
+				ok++
+				spaces = append(spaces, r.Space)
+			case IsThrottled(err):
+				throttled++
+			default:
+				t.Errorf("allocate: %v", err)
+			}
+		})
+	}
+	c.Settle(5 * time.Second)
+	if ok != masterBurst || throttled != calls-masterBurst {
+		t.Fatalf("%d allocates in one instant: %d ok, %d throttled; want %d and %d",
+			calls, ok, throttled, masterBurst, calls-masterBurst)
+	}
+
+	lk := c.Client("thr-lookup", "thrsvc")
+	ok, throttled = 0, 0
+	for i := 0; i < calls; i++ {
+		lk.Lookup(spaces[0], func(_ LookupReply, err error) {
+			switch {
+			case err == nil:
+				ok++
+			case IsThrottled(err):
+				throttled++
+			default:
+				t.Errorf("lookup: %v", err)
+			}
+		})
+	}
+	c.Settle(5 * time.Second)
+	if ok != masterBurst || throttled != calls-masterBurst {
+		t.Fatalf("%d lookups in one instant: %d ok, %d throttled; want %d and %d",
+			calls, ok, throttled, masterBurst, calls-masterBurst)
+	}
+
+	m := c.ActiveMaster()
+	const caller = "drained-caller"
+	for i := 0; i <= masterBurst; i++ {
+		m.throttled(caller)
+	}
+	if _, err := m.handleLookup(caller, LookupArgs{Space: spaces[0]}); !errors.Is(err, ErrThrottled) {
+		t.Fatalf("lookup from a drained caller: %v, want ErrThrottled", err)
+	}
+	if _, err := m.handleHeartbeat(caller, HeartbeatArgs{Host: "hb-probe"}); err != nil {
+		t.Fatalf("heartbeat from a drained caller: %v", err)
+	}
+}

@@ -132,10 +132,10 @@ type Config struct {
 	InjectQuarantineBlind bool
 
 	// Protection, when non-nil, arms the overload-protection stack: the
-	// Master's per-caller metadata-RPC throttle (MasterRate > 0) and the
-	// parameters NewProtector wires over the cluster's disks (admission
-	// control, per-tenant rate limits, per-disk breakers, autoscaling —
-	// see protection.go). nil keeps every default run byte-identical.
+	// Master's per-caller metadata-RPC throttle and the admission classes
+	// NewProtector wires over the cluster's disks (admission control,
+	// per-tenant rate limits, per-disk breakers, autoscaling — see
+	// protection.go). nil keeps every default run byte-identical.
 	Protection *ProtectionConfig
 }
 

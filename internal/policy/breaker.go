@@ -6,8 +6,8 @@ import (
 	"ustore/internal/simtime"
 )
 
-// Breaker defaults, chosen by the client mitigation stack (core) and kept
-// here so both sides of the refactor share one definition.
+// Breaker tuning, chosen by the client mitigation stack (core) and kept
+// here so the client and server sides share one definition.
 const (
 	// DefaultBreakerFails consecutive failures (or anomalously slow
 	// completions — fail-slow is still a failure) open the breaker.
@@ -16,40 +16,20 @@ const (
 	DefaultBreakerOpenFor = 5 * time.Second
 )
 
-// Breaker is a circuit breaker with half-open probing: after FailThreshold
-// consecutive failures it opens for OpenFor, during which Open reports
-// true; once the cool-down expires exactly one caller is let through as a
-// probe (Open returns false for it) and that request's outcome decides the
-// breaker's fate. The zero value uses the defaults above.
+// Breaker is a circuit breaker with half-open probing: after
+// DefaultBreakerFails consecutive failures it opens for
+// DefaultBreakerOpenFor, during which Open reports true; once the
+// cool-down expires exactly one caller is let through as a probe (Open
+// returns false for it) and that request's outcome decides the breaker's
+// fate. The zero value is ready to use.
 //
 // This is the exact state machine PR 5's client-side mitigation used per
 // block target, extracted so core's server-side protection can run the
 // same breaker per disk.
 type Breaker struct {
-	// FailThreshold is the consecutive-failure count that opens the
-	// breaker (0 = DefaultBreakerFails).
-	FailThreshold int
-	// OpenFor is the cool-down between opening and the half-open probe
-	// (0 = DefaultBreakerOpenFor).
-	OpenFor simtime.Time
-
 	fails     int
 	openUntil simtime.Time
 	probing   bool
-}
-
-func (b *Breaker) failThreshold() int {
-	if b.FailThreshold > 0 {
-		return b.FailThreshold
-	}
-	return DefaultBreakerFails
-}
-
-func (b *Breaker) openFor() simtime.Time {
-	if b.OpenFor > 0 {
-		return b.OpenFor
-	}
-	return DefaultBreakerOpenFor
 }
 
 // OnSuccess records a clean completion: the streak resets and the breaker
@@ -68,8 +48,8 @@ func (b *Breaker) OnSuccess() {
 func (b *Breaker) OnFailure(now simtime.Time) (opened bool) {
 	b.fails++
 	b.probing = false
-	if b.fails >= b.failThreshold() && b.openUntil <= now {
-		b.openUntil = now + b.openFor()
+	if b.fails >= DefaultBreakerFails && b.openUntil <= now {
+		b.openUntil = now + DefaultBreakerOpenFor
 		return true
 	}
 	return false

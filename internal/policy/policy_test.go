@@ -39,7 +39,7 @@ func TestTokenBucketBurstThenRate(t *testing.T) {
 }
 
 func TestBreakerOpensAndProbes(t *testing.T) {
-	b := &Breaker{FailThreshold: 3, OpenFor: 5 * time.Second}
+	b := &Breaker{}
 	now := at(0)
 	if b.Open(now) {
 		t.Fatal("fresh breaker open")

@@ -31,12 +31,12 @@ import (
 // protection stack (core.Protector + master-side throttling): the same
 // seed run with Protect on and off is the head-to-head experiment.
 
-// ClassSpec describes one tenant class (an admission-priority tier).
+// ClassSpec describes one tenant class (an admission-priority tier). The
+// embedded policy.ClassConfig is the class's admission tier: Name,
+// Priority (lower is served first; keep priorities unique across
+// classes), and the QueueLimit / MaxWait of its queue in protected runs.
 type ClassSpec struct {
-	Name string
-	// Priority orders admission (lower is served first). Keep priorities
-	// unique across classes.
-	Priority int
+	policy.ClassConfig
 	// Tenants is the class population; per-request tenant identity is
 	// Zipf-skewed over it with exponent ZipfS.
 	Tenants int
@@ -50,10 +50,6 @@ type ClassSpec struct {
 	// Budget bounds one request's total retry time: a request that cannot
 	// complete inside it fails at full elapsed time (latency-to-outcome).
 	Budget time.Duration
-	// QueueLimit / MaxWait parameterize the class's admission queue in
-	// protected runs.
-	QueueLimit int
-	MaxWait    time.Duration
 }
 
 // TrafficOptions parameterizes a traffic run. Start from
@@ -63,61 +59,61 @@ type TrafficOptions struct {
 	Seed    int64
 	Classes []ClassSpec
 
-	// Placement: every disk gets VolumesPerDisk volumes of VolumeSize
-	// bytes; the last ColdDisks disks (sorted by name) are archival — spun
-	// down after setup, recalled only by the storm. Gateways is how many
-	// frontend clients carry tenant traffic (tenants hash onto them).
-	VolumeSize     int64
-	VolumesPerDisk int
-	ColdDisks      int
-	Gateways       int
-
 	// Phase timeline (all phases run back to back).
 	Warmup    time.Duration
 	Quiescent time.Duration
 	Storm     time.Duration
 	Drain     time.Duration
 
-	// Diurnal modulation: the steady arrival rate breathes as
-	// Rate * (1 + Amp*sin(2*pi*t/Period)), thinned from the peak rate so
-	// the rng draw sequence stays one-per-arrival.
-	DiurnalAmp    float64
-	DiurnalPeriod time.Duration
-
-	// Restore storm: during the storm phase, every WaveEvery a wave of
-	// WaveSize batch-class requests arrives over ~WaveSpread.
-	// WaveWarmFraction of them re-read warm volumes (the restore
-	// pipeline's catalog traffic — what actually tramples premium);
-	// the rest mass-recall archived volumes on spun-down disks.
-	StormEnabled     bool
-	WaveEvery        time.Duration
-	WaveSize         int
-	WaveSpread       time.Duration
-	WaveWarmFraction float64
-
-	// Archival-ingest campaigns: windows of IngestLen starting at
-	// IngestStart and repeating every IngestEvery, during which the ingest
-	// class allocates fresh archival volumes and writes IngestSize bytes
-	// into each, at IngestRate ops/sec.
-	IngestStart time.Duration
-	IngestEvery time.Duration
-	IngestLen   time.Duration
-	IngestRate  float64
-	IngestSize  int
-
-	// Protect arms the overload-protection stack; the knobs below feed
-	// core.ProtectionConfig (see ProtectionConfig()).
-	Protect       bool
-	SlotsPerDisk  int
-	TenantRate    float64
-	TenantBurst   float64
-	MasterRate    float64
-	MasterBurst   float64
-	MinSpinning   int
-	MaxSpinning   int
-	MaxSpinningUp int
-	IdleAfter     time.Duration
+	// StormEnabled adds the restore-storm waves to the storm phase.
+	StormEnabled bool
+	// Protect arms the overload-protection stack (core.Protector plus
+	// master-side throttling; see ProtectionConfig()).
+	Protect bool
 }
+
+// The engine's fixed shape. Placement: every disk gets volumesPerDisk
+// volumes of volumeSize bytes; the last coldDisks disks (sorted by name)
+// are archival — spun down after setup, recalled only by the storm — and
+// gateways frontend clients carry tenant traffic (tenants hash onto them).
+const (
+	volumeSize     = 8 << 20
+	volumesPerDisk = 2
+	coldDisks      = 2
+	gateways       = 4
+)
+
+// Diurnal modulation: the steady arrival rate breathes as
+// Rate * (1 + diurnalAmp*sin(2*pi*t/diurnalPeriod)), thinned from the
+// peak rate so the rng draw sequence stays one-per-arrival.
+const (
+	diurnalAmp    = 0.25
+	diurnalPeriod = 10 * time.Minute
+)
+
+// Restore storm: during the storm phase, every waveEvery a wave of
+// waveSize batch-class requests arrives over ~waveSpread.
+// waveWarmFraction of them re-read warm volumes (the restore pipeline's
+// catalog traffic — what actually tramples premium); the rest mass-recall
+// archived volumes on spun-down disks.
+const (
+	waveEvery        = 60 * time.Second
+	waveSize         = 800
+	waveSpread       = 2 * time.Second
+	waveWarmFraction = 0.6
+)
+
+// Archival-ingest campaigns: windows of ingestLen starting at ingestStart
+// and repeating every ingestEvery, during which the ingest class allocates
+// fresh archival volumes and writes ingestSize bytes into each, at
+// ingestRate ops/sec.
+const (
+	ingestStart = 2 * time.Minute
+	ingestEvery = 8 * time.Minute
+	ingestLen   = time.Minute
+	ingestRate  = 1.0
+	ingestSize  = 128 << 10
+)
 
 // Canonical class names used by DefaultTrafficOptions and the storm/ingest
 // machinery.
@@ -128,84 +124,34 @@ const (
 	ClassBatch    = "batch"
 )
 
-// DefaultTrafficOptions is the shared traffic configuration: a 3-host
-// 6-disk unit, four tenant classes, a ~24-minute timeline. The protection
-// knobs cap the active-disk count at 5 of 6 (the power budget), serialize
-// one IO per disk so backlog stays in the admission queues, and clip
-// tenants at 3 req/s.
+// DefaultTrafficOptions is the shared traffic configuration: four tenant
+// classes over a ~24-minute timeline, for a 3-host 6-disk unit.
 func DefaultTrafficOptions(seed int64) TrafficOptions {
 	return TrafficOptions{
 		Seed: seed,
 		Classes: []ClassSpec{
-			{Name: ClassPremium, Priority: 0, Tenants: 12, ZipfS: 1.2, Rate: 4.0,
-				IOSize: 256 << 10, Budget: 4 * time.Second, QueueLimit: 64, MaxWait: 2 * time.Second},
-			{Name: ClassStandard, Priority: 1, Tenants: 16, ZipfS: 1.2, Rate: 1.5,
-				IOSize: 1 << 20, Budget: 10 * time.Second, QueueLimit: 96, MaxWait: 10 * time.Second},
-			{Name: ClassIngest, Priority: 2, Tenants: 6, ZipfS: 1.1, Rate: 0,
-				IOSize: 128 << 10, Budget: 15 * time.Second, QueueLimit: 64, MaxWait: 15 * time.Second},
-			{Name: ClassBatch, Priority: 3, Tenants: 10, ZipfS: 1.1, Rate: 0.3,
-				IOSize: 4 << 20, Budget: 25 * time.Second, QueueLimit: 256, MaxWait: 20 * time.Second},
+			{ClassConfig: policy.ClassConfig{Name: ClassPremium, Priority: 0, QueueLimit: 64, MaxWait: 2 * time.Second},
+				Tenants: 12, ZipfS: 1.2, Rate: 4.0, IOSize: 256 << 10, Budget: 4 * time.Second},
+			{ClassConfig: policy.ClassConfig{Name: ClassStandard, Priority: 1, QueueLimit: 96, MaxWait: 10 * time.Second},
+				Tenants: 16, ZipfS: 1.2, Rate: 1.5, IOSize: 1 << 20, Budget: 10 * time.Second},
+			{ClassConfig: policy.ClassConfig{Name: ClassIngest, Priority: 2, QueueLimit: 64, MaxWait: 15 * time.Second},
+				Tenants: 6, ZipfS: 1.1, Rate: 0, IOSize: 128 << 10, Budget: 15 * time.Second},
+			{ClassConfig: policy.ClassConfig{Name: ClassBatch, Priority: 3, QueueLimit: 256, MaxWait: 20 * time.Second},
+				Tenants: 10, ZipfS: 1.1, Rate: 0.3, IOSize: 4 << 20, Budget: 25 * time.Second},
 		},
-		VolumeSize:     8 << 20,
-		VolumesPerDisk: 2,
-		ColdDisks:      2,
-		Gateways:       4,
-
 		Warmup:    4 * time.Minute,
 		Quiescent: 10 * time.Minute,
 		Storm:     6 * time.Minute,
 		Drain:     4 * time.Minute,
-
-		DiurnalAmp:    0.25,
-		DiurnalPeriod: 10 * time.Minute,
-
-		WaveEvery:        60 * time.Second,
-		WaveSize:         800,
-		WaveSpread:       2 * time.Second,
-		WaveWarmFraction: 0.6,
-
-		IngestStart: 2 * time.Minute,
-		IngestEvery: 8 * time.Minute,
-		IngestLen:   time.Minute,
-		IngestRate:  1.0,
-		IngestSize:  128 << 10,
-
-		SlotsPerDisk:  1,
-		TenantRate:    3,
-		TenantBurst:   12,
-		MasterRate:    5,
-		MasterBurst:   10,
-		MinSpinning:   4,
-		MaxSpinning:   5,
-		MaxSpinningUp: 1,
-		IdleAfter:     30 * time.Second,
 	}
 }
 
 // ProtectionConfig translates the options into the core protection stack's
-// configuration (admission classes mirror the traffic classes).
+// configuration: the admission classes are the traffic classes' tiers.
 func (o TrafficOptions) ProtectionConfig() *core.ProtectionConfig {
-	pc := &core.ProtectionConfig{
-		SlotsPerDisk: o.SlotsPerDisk,
-		TenantRate:   o.TenantRate,
-		TenantBurst:  o.TenantBurst,
-		MasterRate:   o.MasterRate,
-		MasterBurst:  o.MasterBurst,
-		Scale: policy.AutoScalerConfig{
-			MinSpinning:   o.MinSpinning,
-			MaxSpinning:   o.MaxSpinning,
-			MaxSpinningUp: o.MaxSpinningUp,
-			IdleAfter:     o.IdleAfter,
-		},
-		BreakerDisks: true,
-	}
+	pc := &core.ProtectionConfig{}
 	for _, cs := range o.Classes {
-		pc.Classes = append(pc.Classes, policy.ClassConfig{
-			Name:       cs.Name,
-			Priority:   cs.Priority,
-			QueueLimit: cs.QueueLimit,
-			MaxWait:    cs.MaxWait,
-		})
+		pc.Classes = append(pc.Classes, cs.ClassConfig)
 	}
 	return pc
 }
@@ -274,11 +220,8 @@ type TrafficEngine struct {
 var errTrafficPending = errors.New("workload: pending")
 
 // NewTrafficEngine builds the engine over a booted cluster. logf receives
-// the engine's event-log lines (nil discards them).
+// the engine's event-log lines.
 func NewTrafficEngine(c *core.Cluster, o TrafficOptions, logf func(string, ...any)) *TrafficEngine {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	e := &TrafficEngine{
 		c:        c,
 		o:        o,
@@ -377,16 +320,16 @@ func (e *TrafficEngine) settleUntil(cond func() bool, budget time.Duration) bool
 func (e *TrafficEngine) Setup() error {
 	o := e.o
 	nDisks := len(e.diskIDs)
-	if o.ColdDisks >= nDisks {
-		return fmt.Errorf("workload: ColdDisks %d must leave at least one warm disk of %d", o.ColdDisks, nDisks)
+	if coldDisks >= nDisks {
+		return fmt.Errorf("workload: %d cold disks must leave at least one warm disk of %d", coldDisks, nDisks)
 	}
 	var vols []*trafficVolume
 	for i := 0; i < nDisks; i++ {
 		cl := e.c.Client(fmt.Sprintf("talloc%d", i), fmt.Sprintf("tvol%d", i))
-		for j := 0; j < o.VolumesPerDisk; j++ {
+		for j := 0; j < volumesPerDisk; j++ {
 			var rep core.AllocateReply
 			err := errTrafficPending
-			cl.Allocate(o.VolumeSize, func(r core.AllocateReply, er error) { rep, err = r, er })
+			cl.Allocate(volumeSize, func(r core.AllocateReply, er error) { rep, err = r, er })
 			e.settleUntil(func() bool { return !errors.Is(err, errTrafficPending) }, 2*time.Minute)
 			if err != nil {
 				return fmt.Errorf("workload: allocating tvol%d/%d: %w", i, j, err)
@@ -394,7 +337,7 @@ func (e *TrafficEngine) Setup() error {
 			vols = append(vols, &trafficVolume{space: rep.Space, diskID: rep.DiskID, size: rep.Size})
 		}
 	}
-	// Cold set: the last ColdDisks populated disks in sorted order.
+	// Cold set: the last coldDisks populated disks in sorted order.
 	populated := map[string]bool{}
 	for _, v := range vols {
 		populated[v.diskID] = true
@@ -404,7 +347,7 @@ func (e *TrafficEngine) Setup() error {
 		popIDs = append(popIDs, id)
 	}
 	sort.Strings(popIDs)
-	e.coldDisks = popIDs[len(popIDs)-o.ColdDisks:]
+	e.coldDisks = popIDs[len(popIDs)-coldDisks:]
 	cold := map[string]bool{}
 	for _, id := range e.coldDisks {
 		cold[id] = true
@@ -418,7 +361,7 @@ func (e *TrafficEngine) Setup() error {
 	}
 	// Gateways mount every volume (mounting is metadata-only: it never
 	// spins a disk up, so mounting the archival set is free).
-	for g := 0; g < o.Gateways; g++ {
+	for g := 0; g < gateways; g++ {
 		cl := e.c.Client(fmt.Sprintf("gw%d", g), fmt.Sprintf("gwsvc%d", g))
 		for _, v := range vols {
 			err := errTrafficPending
@@ -431,7 +374,7 @@ func (e *TrafficEngine) Setup() error {
 		e.gws = append(e.gws, cl)
 	}
 	e.ingestCl = e.c.Client("ingest", "ingest")
-	e.ingestBuf = make([]byte, o.IngestSize)
+	e.ingestBuf = make([]byte, ingestSize)
 	for i := range e.ingestBuf {
 		e.ingestBuf[i] = byte(i*7 + int(o.Seed))
 	}
@@ -456,8 +399,7 @@ func (e *TrafficEngine) Run() *SLOReport {
 	o := e.o
 	if o.Protect {
 		e.prot = core.NewProtector(e.c, *o.ProtectionConfig())
-		e.logf("protection armed: slots/disk=%d tenant=%g/s master=%g/s budget=%d spinning",
-			o.SlotsPerDisk, o.TenantRate, o.MasterRate, o.MaxSpinning)
+		e.logf("protection armed: %s", e.prot)
 	}
 	e.start = e.sched.Now()
 	for _, id := range e.diskIDs {
@@ -553,7 +495,7 @@ func (e *TrafficEngine) record(cs *classState, phase, outcome string, elapsed ti
 // steadyLoop is a class's open-loop steady arrival process: exponential
 // gaps at the diurnal peak rate, thinned to the instantaneous rate.
 func (e *TrafficEngine) steadyLoop(cs *classState) {
-	peak := cs.spec.Rate * (1 + e.o.DiurnalAmp)
+	peak := cs.spec.Rate * (1 + diurnalAmp)
 	var next func()
 	next = func() {
 		if e.stopped {
@@ -579,13 +521,9 @@ func (e *TrafficEngine) steadyLoop(cs *classState) {
 // instantaneous diurnal rate (accept/reject keeps one rng draw per
 // arrival, so the stream stays aligned across option changes).
 func (e *TrafficEngine) diurnalAccept(cs *classState) bool {
-	amp := e.o.DiurnalAmp
-	if amp <= 0 {
-		return true
-	}
-	t := float64(e.sched.Now()-e.start) / float64(e.o.DiurnalPeriod)
-	m := 1 + amp*math.Sin(2*math.Pi*t)
-	return cs.rng.Float64()*(1+amp) < m
+	t := float64(e.sched.Now()-e.start) / float64(diurnalPeriod)
+	m := 1 + diurnalAmp*math.Sin(2*math.Pi*t)
+	return cs.rng.Float64()*(1+diurnalAmp) < m
 }
 
 // volOffset draws an aligned in-volume offset for an IO of the given size.
@@ -674,21 +612,21 @@ func (e *TrafficEngine) scheduleStorm() {
 	if cs == nil || len(e.archived) == 0 {
 		return
 	}
-	rate := float64(o.WaveSize) / o.WaveSpread.Seconds()
+	rate := float64(waveSize) / waveSpread.Seconds()
 	for w := 0; ; w++ {
-		waveAt := stormStart + time.Duration(w)*o.WaveEvery
+		waveAt := stormStart + time.Duration(w)*waveEvery
 		if waveAt >= stormStart+o.Storm {
 			break
 		}
 		wave := w
 		e.sched.After(waveAt, func() {
-			e.logf("restore storm: wave %d (%d requests over ~%v)", wave, o.WaveSize, o.WaveSpread)
+			e.logf("restore storm: wave %d (%d requests over ~%v)", wave, waveSize, waveSpread)
 			at := time.Duration(0)
-			for i := 0; i < o.WaveSize; i++ {
+			for i := 0; i < waveSize; i++ {
 				at += expGap(e.stormRng, rate)
 				tenant, idx := cs.pickTenant()
 				var vol *trafficVolume
-				warmRead := e.stormRng.Float64() < o.WaveWarmFraction
+				warmRead := e.stormRng.Float64() < waveWarmFraction
 				if warmRead {
 					vol = e.warm[e.stormRng.Intn(len(e.warm))]
 				} else {
@@ -712,13 +650,13 @@ func (e *TrafficEngine) scheduleStorm() {
 func (e *TrafficEngine) scheduleIngest() {
 	o := e.o
 	cs := e.byName[ClassIngest]
-	if cs == nil || o.IngestRate <= 0 || o.IngestLen <= 0 {
+	if cs == nil {
 		return
 	}
 	activeEnd := o.Warmup + o.Quiescent + o.Storm // campaigns stay out of drain
 	for k := 0; ; k++ {
-		at := o.IngestStart + time.Duration(k)*o.IngestEvery
-		if at+o.IngestLen > activeEnd {
+		at := ingestStart + time.Duration(k)*ingestEvery
+		if at+ingestLen > activeEnd {
 			break
 		}
 		campaign := k
@@ -726,8 +664,8 @@ func (e *TrafficEngine) scheduleIngest() {
 			n := 0
 			tt := time.Duration(0)
 			for {
-				tt += expGap(cs.rng, o.IngestRate)
-				if tt > o.IngestLen {
+				tt += expGap(cs.rng, ingestRate)
+				if tt > ingestLen {
 					break
 				}
 				n++
@@ -739,7 +677,7 @@ func (e *TrafficEngine) scheduleIngest() {
 					e.ingestOp(cs, tenant)
 				})
 			}
-			e.logf("ingest campaign %d: %d archival writes over %v", campaign, n, o.IngestLen)
+			e.logf("ingest campaign %d: %d archival writes over %v", campaign, n, ingestLen)
 		})
 	}
 }
@@ -768,7 +706,7 @@ func (e *TrafficEngine) ingestOp(cs *classState, tenant string) {
 		}
 	}
 	cl := e.ingestCl
-	cl.Allocate(e.o.VolumeSize, func(rep core.AllocateReply, err error) {
+	cl.Allocate(volumeSize, func(rep core.AllocateReply, err error) {
 		if err != nil {
 			fail(err)
 			return
