@@ -23,7 +23,8 @@ const ChecksumBlockSize = disk.ChunkSize
 // the medium, every read verifies them, and ErrChecksum surfaces silent
 // corruption that a plain DiskVolume would return as good data. Blocks no
 // write has ever covered carry no CRC and pass unverified (a fresh drive
-// has no ECC history either).
+// has no ECC history either). The checks run in the DiskVolume's own IO
+// completion, so verification costs no record per IO of its own.
 type ChecksumDiskVolume struct {
 	*DiskVolume
 }
@@ -35,65 +36,44 @@ func NewChecksumDiskVolume(d *disk.Disk, base, size int64) (*ChecksumDiskVolume,
 	if err != nil {
 		return nil, err
 	}
+	inner.crc = true
 	return &ChecksumDiskVolume{DiskVolume: inner}, nil
 }
 
-// blockRange returns the first and last absolute block index covered by the
-// volume-relative extent [off, off+length).
-func (v *ChecksumDiskVolume) blockRange(off int64, length int) (int64, int64) {
-	abs := v.base + off
-	return abs / ChecksumBlockSize, (abs + int64(length) - 1) / ChecksumBlockSize
+// refreshCRCs runs after the disk acknowledges a write: the CRCs of all
+// touched blocks are refreshed from the medium. The sidecar update models
+// the drive's ECC area being rewritten with the sector: it is metadata
+// maintenance, not extra platter IO, so it reads the store directly.
+func (v *DiskVolume) refreshCRCs(first, last int64) {
+	st := v.d.Store()
+	for b := first; b <= last; b++ {
+		st.SetBlockCRC(b, st.ChunkCRC(b))
+	}
 }
 
-// WriteAt implements Volume. After the disk acknowledges the write, the
-// CRCs of all touched blocks are refreshed from the medium. The sidecar
-// update models the drive's ECC area being rewritten with the sector: it is
-// metadata maintenance, not extra platter IO, so it reads the store
-// directly.
-func (v *ChecksumDiskVolume) WriteAt(off int64, data []byte, done func(error)) {
-	length := len(data)
-	v.DiskVolume.WriteAt(off, data, func(err error) {
-		if err == nil {
-			st := v.d.Store()
-			first, last := v.blockRange(off, length)
-			for b := first; b <= last; b++ {
-				st.SetBlockCRC(b, st.ChunkCRC(b))
-			}
+// verifyCRCs runs after the disk returns a read's data: every covered block
+// that has a recorded CRC is verified against the medium, and a mismatch
+// fails the read with ErrChecksum instead of returning rotten bytes (the
+// read's destination buffer has been taken by then and stays with whoever
+// supplied it).
+func (v *DiskVolume) verifyCRCs(first, last int64) error {
+	st := v.d.Store()
+	for b := first; b <= last; b++ {
+		want, ok := st.BlockCRC(b)
+		if !ok {
+			continue
 		}
-		done(err)
-	})
+		if got := st.ChunkCRC(b); got != want {
+			return fmt.Errorf("%w: disk %s block %d (offset %d)",
+				ErrChecksum, v.d.ID(), b, b*ChecksumBlockSize)
+		}
+	}
+	return nil
 }
 
 // ReadAt is ReadInto into a fresh buffer.
 func (v *ChecksumDiskVolume) ReadAt(off int64, length int, done func([]byte, error)) {
 	v.ReadInto(off, length, nil, done)
-}
-
-// ReadInto implements Volume. After the disk returns data, every covered
-// block that has a recorded CRC is verified against the medium; a mismatch
-// fails the read with ErrChecksum instead of returning rotten bytes (dst's
-// buffer has been taken by then and stays with whoever supplied it).
-func (v *ChecksumDiskVolume) ReadInto(off int64, length int, dst disk.ReadDest, done func([]byte, error)) {
-	v.DiskVolume.ReadInto(off, length, dst, func(data []byte, err error) {
-		if err != nil {
-			done(data, err)
-			return
-		}
-		st := v.d.Store()
-		first, last := v.blockRange(off, length)
-		for b := first; b <= last; b++ {
-			want, ok := st.BlockCRC(b)
-			if !ok {
-				continue
-			}
-			if got := st.ChunkCRC(b); got != want {
-				done(nil, fmt.Errorf("%w: disk %s block %d (offset %d)",
-					ErrChecksum, v.d.ID(), b, b*ChecksumBlockSize))
-				return
-			}
-		}
-		done(data, err)
-	})
 }
 
 var _ Volume = (*ChecksumDiskVolume)(nil)

@@ -19,11 +19,16 @@ var ErrTimeout = errors.New("block: request timeout")
 type Initiator struct {
 	node  *simnet.Node
 	sched *simtime.Scheduler
-	// frames is the network's free list read responses go back to.
+	// frames is the network's free list: write requests are encoded into
+	// its frames, and read responses go back to it.
 	frames *simnet.FrameList
 
 	nextTag uint64
 	pending map[uint64]*call
+	// spent holds retired call records for the next request.
+	spent []*call
+	// targets caches each host's TargetNode name.
+	targets map[string]string
 
 	// Timeout bounds each request (default 2s, enough for a spun-down
 	// disk's spin-up; failover remounts retry above this layer).
@@ -41,9 +46,28 @@ type Initiator struct {
 	OnComplete func(host, volume string, rtt time.Duration, err error)
 }
 
+// call is one request in flight and its timeout's receiver. The reply or the
+// timeout retires it, recycling the record before the caller's callback runs
+// so the callback may reuse it; a reply that outlives its call finds the tag
+// gone from pending and never reaches the record's next request.
 type call struct {
-	done    func(Msg, error)
+	ini     *Initiator
+	tag     uint64
+	typ     MsgType
+	host    string
+	volume  string
+	start   simtime.Time
+	observe bool // OnComplete was set when the request went out
 	timeout *simtime.Event
+	// The caller's completion; the one that is set is the request's kind.
+	login func(size int64, err error)
+	read  func([]byte, error)
+	write func(error)
+}
+
+// Fire is the call's timeout.
+func (c *call) Fire() {
+	c.ini.finish(c, Msg{}, fmt.Errorf("%w: %s to %s", ErrTimeout, c.typ, c.host))
 }
 
 // NewInitiator creates a client endpoint named clientNode.
@@ -53,6 +77,7 @@ func NewInitiator(net *simnet.Network, clientNode string) *Initiator {
 		sched:   net.Scheduler(),
 		frames:  net.Frames(),
 		pending: make(map[uint64]*call),
+		targets: make(map[string]string),
 		Timeout: 2 * time.Second,
 	}
 	ini.node.Handle(ini.onMessage)
@@ -65,13 +90,11 @@ func (ini *Initiator) onMessage(msg simnet.Message) {
 		return
 	}
 	var m Msg
-	if _, err := m.decode(raw); err != nil {
+	if _, err := m.decode(raw, nil); err != nil {
 		return
 	}
 	if c, ok := ini.pending[m.Tag]; ok {
-		delete(ini.pending, m.Tag)
-		c.timeout.Cancel()
-		c.done(m, nil)
+		ini.finish(c, m, nil)
 	}
 	if m.Type == MsgReadResp {
 		// Nobody holds the payload any more: the read's callback has returned
@@ -83,22 +106,28 @@ func (ini *Initiator) onMessage(msg simnet.Message) {
 	}
 }
 
-// send issues m and arranges for done to see the reply or a timeout. m does
-// not outlive the call (the frame is encoded here), so callers build it on
-// the stack.
-func (ini *Initiator) send(host string, m *Msg, done func(Msg, error)) {
+// newCall returns a call record for the next request.
+func (ini *Initiator) newCall() *call {
+	if n := len(ini.spent); n > 0 {
+		c := ini.spent[n-1]
+		ini.spent[n-1] = nil
+		ini.spent = ini.spent[:n-1]
+		return c
+	}
+	return &call{ini: ini}
+}
+
+// send issues m as call c, whose completion the caller has set, and arms
+// its timeout. m does not outlive the call (the frame is encoded here), so
+// callers build it on the stack. A write is encoded into a frame from the
+// network's free list, which the target gives back once the volume is done
+// with the payload: the caller's data is copied into the frame and never
+// aliased by the wire.
+func (ini *Initiator) send(host string, m *Msg, c *call) {
 	ini.nextTag++
 	m.Tag = ini.nextTag
-	if ini.OnComplete != nil {
-		start := ini.sched.Now()
-		volume := m.Volume
-		inner := done
-		done = func(reply Msg, err error) {
-			ini.OnComplete(host, volume, ini.sched.Now()-start, err)
-			inner(reply, err)
-		}
-	}
-	c := &call{done: done}
+	c.tag, c.typ, c.host, c.volume = m.Tag, m.Type, host, m.Volume
+	c.start, c.observe = ini.sched.Now(), ini.OnComplete != nil
 	timeout := ini.Timeout
 	if ini.AdaptiveTimeout != nil {
 		if t := ini.AdaptiveTimeout(host, m.Volume); t > 0 {
@@ -109,33 +138,62 @@ func (ini *Initiator) send(host string, m *Msg, done func(Msg, error)) {
 	if n := len(m.Data); n > 0 {
 		timeout += time.Duration(float64(n) / 50e6 * float64(time.Second))
 	}
-	tag, typ := m.Tag, m.Type
-	c.timeout = ini.sched.After(timeout, func() {
-		if _, ok := ini.pending[tag]; !ok {
+	c.timeout = ini.sched.AfterR(timeout, c)
+	ini.pending[c.tag] = c
+	var buf []byte
+	if m.Type == MsgWrite {
+		buf = ini.frames.Get(m.frameLen())
+		m.encodeInto(buf)
+	} else {
+		buf = m.Encode()
+	}
+	to, ok := ini.targets[host]
+	if !ok {
+		to = TargetNode(host)
+		ini.targets[host] = to
+	}
+	ini.node.Send(to, buf, len(buf))
+}
+
+// finish retires c with the reply or error and hands the outcome to the
+// caller.
+func (ini *Initiator) finish(c *call, reply Msg, err error) {
+	delete(ini.pending, c.tag)
+	c.timeout.Cancel()
+	c.timeout.Release()
+	if c.observe {
+		ini.OnComplete(c.host, c.volume, ini.sched.Now()-c.start, err)
+	}
+	login, read, write := c.login, c.read, c.write
+	*c = call{ini: ini}
+	ini.spent = append(ini.spent, c)
+	if err == nil {
+		err = reply.Status.Err()
+	}
+	switch {
+	case login != nil:
+		if err != nil {
+			login(0, err)
 			return
 		}
-		delete(ini.pending, tag)
-		done(Msg{}, fmt.Errorf("%w: %s to %s", ErrTimeout, typ, host))
-	})
-	ini.pending[tag] = c
-	buf := m.Encode()
-	ini.node.Send(TargetNode(host), buf, len(buf))
+		login(int64(reply.Size), nil)
+	case read != nil:
+		if err != nil {
+			read(nil, err)
+			return
+		}
+		read(reply.Data, nil)
+	default:
+		write(err)
+	}
 }
 
 // Login opens a session to volume on host's target. done receives the
 // volume size.
 func (ini *Initiator) Login(host, volume string, done func(size int64, err error)) {
-	ini.send(host, &Msg{Type: MsgLogin, Volume: volume}, func(m Msg, err error) {
-		if err != nil {
-			done(0, err)
-			return
-		}
-		if e := m.Status.Err(); e != nil {
-			done(0, e)
-			return
-		}
-		done(int64(m.Size), nil)
-	})
+	c := ini.newCall()
+	c.login = done
+	ini.send(host, &Msg{Type: MsgLogin, Volume: volume}, c)
 }
 
 // Read reads length bytes at off from a logged-in volume. data is the
@@ -143,28 +201,16 @@ func (ini *Initiator) Login(host, volume string, done func(size int64, err error
 // (the frame is then recycled for another read): a done that keeps the bytes
 // — stores them, passes them to an asynchronous call — must copy them first.
 func (ini *Initiator) Read(host, volume string, off int64, length int, done func([]byte, error)) {
-	ini.send(host, &Msg{Type: MsgRead, Volume: volume, Offset: uint64(off), Length: uint32(length)},
-		func(m Msg, err error) {
-			if err != nil {
-				done(nil, err)
-				return
-			}
-			if e := m.Status.Err(); e != nil {
-				done(nil, e)
-				return
-			}
-			done(m.Data, nil)
-		})
+	c := ini.newCall()
+	c.read = done
+	ini.send(host, &Msg{Type: MsgRead, Volume: volume, Offset: uint64(off), Length: uint32(length)}, c)
 }
 
-// Write writes data at off to a logged-in volume.
+// Write writes data at off to a logged-in volume. data is copied into the
+// request's frame before Write returns, so the wire never aliases it and the
+// caller may reuse it at once.
 func (ini *Initiator) Write(host, volume string, off int64, data []byte, done func(error)) {
-	ini.send(host, &Msg{Type: MsgWrite, Volume: volume, Offset: uint64(off), Data: data},
-		func(m Msg, err error) {
-			if err != nil {
-				done(err)
-				return
-			}
-			done(m.Status.Err())
-		})
+	c := ini.newCall()
+	c.write = done
+	ini.send(host, &Msg{Type: MsgWrite, Volume: volume, Offset: uint64(off), Data: data}, c)
 }

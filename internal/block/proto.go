@@ -131,8 +131,18 @@ func (m *Msg) bodyLen() int {
 // header and body are written directly into the output buffer, so a 64KB
 // write payload is copied exactly once on its way to the wire.
 func (m *Msg) Encode() []byte {
-	bl := m.bodyLen()
-	out := make([]byte, headerLen+bl)
+	out := make([]byte, m.frameLen())
+	m.encodeInto(out)
+	return out
+}
+
+// frameLen is the size of m's encoded frame.
+func (m *Msg) frameLen() int { return headerLen + m.bodyLen() }
+
+// encodeInto serializes m over out, which is exactly frameLen bytes long.
+// Every byte is written, so out may be a recycled frame.
+func (m *Msg) encodeInto(out []byte) {
+	bl := len(out) - headerLen
 	putHeader(out, m.Type, m.Status, m.Tag, bl)
 	b := out[headerLen:]
 	switch m.Type {
@@ -156,7 +166,6 @@ func (m *Msg) Encode() []byte {
 		binary.BigEndian.PutUint64(b[p:], m.Offset)
 		copy(b[p+8:], m.Data)
 	}
-	return out
 }
 
 // putHeader writes a PDU header over the first headerLen bytes of frame,
@@ -176,13 +185,14 @@ func putHeader(frame []byte, typ MsgType, status Status, tag uint64, bodyLen int
 // For payload-carrying PDUs (read-resp, write) the returned Msg.Data aliases
 // buf rather than copying it: both transports hand Decode frames whose bytes
 // are not rewritten while the message is being handled (simnet delivers each
-// frame to one owner, and the Initiator recycles a read response only after
-// the read's callback has returned; the net.Conn framers only append past,
+// frame to one owner, the Initiator recycles a read response only after the
+// read's callback has returned, and the Target recycles a write request only
+// after the volume's done has run; the net.Conn framers only append past,
 // and re-slice away from, consumed frames). Callers that retain Data beyond
 // the life of buf must copy it.
 func Decode(buf []byte) (*Msg, int, error) {
 	m := new(Msg)
-	n, err := m.decode(buf)
+	n, err := m.decode(buf, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -190,9 +200,11 @@ func Decode(buf []byte) (*Msg, int, error) {
 }
 
 // decode is Decode into a Msg the caller supplies (the simnet transports
-// decode every PDU into a stack variable). m's contents are unspecified
+// decode every PDU into a stack variable). A volume name found in names is
+// returned as names' string rather than a fresh copy (the target passes its
+// exports, so serving an IO allocates no name). m's contents are unspecified
 // after an error.
-func (m *Msg) decode(buf []byte) (int, error) {
+func (m *Msg) decode(buf []byte, names map[string]string) (int, error) {
 	if len(buf) < headerLen {
 		return 0, ErrTruncated
 	}
@@ -212,30 +224,27 @@ func (m *Msg) decode(buf []byte) (int, error) {
 		Status: Status(buf[5]),
 		Tag:    binary.BigEndian.Uint64(buf[8:]),
 	}
-	if err := m.decodeBody(buf[headerLen:total]); err != nil {
+	if err := m.decodeBody(buf[headerLen:total], names); err != nil {
 		return 0, err
 	}
 	return total, nil
 }
 
-func (m *Msg) decodeBody(body []byte) error {
+func (m *Msg) decodeBody(body []byte, names map[string]string) error {
 	switch m.Type {
 	case MsgLogin:
-		if len(body) < 2 {
-			return ErrTruncated
+		name, _, err := decodeName(body, names)
+		if err != nil {
+			return err
 		}
-		n := int(binary.BigEndian.Uint16(body))
-		if len(body) < 2+n {
-			return ErrTruncated
-		}
-		m.Volume = string(body[2 : 2+n])
+		m.Volume = name
 	case MsgLoginResp:
 		if len(body) < 8 {
 			return ErrTruncated
 		}
 		m.Size = binary.BigEndian.Uint64(body)
 	case MsgRead:
-		name, rest, err := decodeName(body)
+		name, rest, err := decodeName(body, names)
 		if err != nil {
 			return err
 		}
@@ -248,7 +257,7 @@ func (m *Msg) decodeBody(body []byte) error {
 	case MsgReadResp:
 		m.Data = body
 	case MsgWrite:
-		name, rest, err := decodeName(body)
+		name, rest, err := decodeName(body, names)
 		if err != nil {
 			return err
 		}
@@ -259,7 +268,7 @@ func (m *Msg) decodeBody(body []byte) error {
 		m.Offset = binary.BigEndian.Uint64(rest)
 		m.Data = rest[8:]
 	case MsgLogout:
-		name, _, err := decodeName(body)
+		name, _, err := decodeName(body, names)
 		if err != nil {
 			return err
 		}
@@ -272,7 +281,7 @@ func (m *Msg) decodeBody(body []byte) error {
 }
 
 // decodeName parses a u16-length-prefixed string, returning the remainder.
-func decodeName(body []byte) (string, []byte, error) {
+func decodeName(body []byte, names map[string]string) (string, []byte, error) {
 	if len(body) < 2 {
 		return "", nil, ErrTruncated
 	}
@@ -280,5 +289,9 @@ func decodeName(body []byte) (string, []byte, error) {
 	if len(body) < 2+n {
 		return "", nil, ErrTruncated
 	}
-	return string(body[2 : 2+n]), body[2+n:], nil
+	name, ok := names[string(body[2:2+n])]
+	if !ok {
+		name = string(body[2 : 2+n])
+	}
+	return name, body[2+n:], nil
 }

@@ -11,14 +11,21 @@ import (
 // Volumes are exported and revoked dynamically as the fabric moves disks.
 type Target struct {
 	node *simnet.Node
-	// frames is the network's free list read responses are built in.
+	// frames is the network's free list: read responses are built in its
+	// frames, and write requests go back to it.
 	frames  *simnet.FrameList
 	volumes map[string]Volume
+	// names maps each export's name to itself, so a decoded PDU reuses
+	// the export's string instead of copying the name out of the frame.
+	names map[string]string
 	// sessions tracks which (client, volume) pairs are logged in.
 	sessions map[string]map[string]bool
 
 	// reads and writes count served IOs.
 	reads, writes uint64
+	// spentReads and spentWrites hold finished reply records for the next IO.
+	spentReads  []*readReply
+	spentWrites []*writeReply
 }
 
 // TargetNode derives the simnet node name a host's target listens on.
@@ -31,6 +38,7 @@ func NewTarget(net *simnet.Network, host string) *Target {
 		node:     net.Node(TargetNode(host)),
 		frames:   net.Frames(),
 		volumes:  make(map[string]Volume),
+		names:    make(map[string]string),
 		sessions: make(map[string]map[string]bool),
 	}
 	t.node.Handle(t.onMessage)
@@ -38,11 +46,17 @@ func NewTarget(net *simnet.Network, host string) *Target {
 }
 
 // Export publishes vol under name. Re-exporting replaces the volume.
-func (t *Target) Export(name string, vol Volume) { t.volumes[name] = vol }
+func (t *Target) Export(name string, vol Volume) {
+	t.volumes[name] = vol
+	t.names[name] = name
+}
 
 // Revoke removes an export; logged-in clients get StatusNoVolume on
 // subsequent IO (what a client sees when its disk was switched away).
-func (t *Target) Revoke(name string) { delete(t.volumes, name) }
+func (t *Target) Revoke(name string) {
+	delete(t.volumes, name)
+	delete(t.names, name)
+}
 
 // Down makes the target unreachable (host crash) or reachable again.
 func (t *Target) Down(down bool) { t.node.SetDown(down) }
@@ -53,22 +67,21 @@ func (t *Target) onMessage(msg simnet.Message) {
 		return
 	}
 	var m Msg
-	if _, err := m.decode(raw); err != nil {
+	if _, err := m.decode(raw, t.names); err != nil {
 		return // corrupt frame: drop, client times out
 	}
-	reply := t.serve(msg.From, &m)
-	if reply != nil {
-		buf := reply.Encode()
-		t.node.Send(msg.From, buf, len(buf))
-	}
+	t.serve(msg.From, &m, raw)
 }
 
-func (t *Target) serve(from string, m *Msg) *Msg {
+// serve handles one decoded PDU. raw is its frame: a write's payload aliases
+// it, and the write's completion gives it back to the free list.
+func (t *Target) serve(from string, m *Msg, raw []byte) {
 	switch m.Type {
 	case MsgLogin:
 		vol, ok := t.volumes[m.Volume]
 		if !ok {
-			return &Msg{Type: MsgLoginResp, Tag: m.Tag, Status: StatusNoVolume}
+			t.reply(from, Msg{Type: MsgLoginResp, Tag: m.Tag, Status: StatusNoVolume})
+			return
 		}
 		sess := t.sessions[from]
 		if sess == nil {
@@ -76,50 +89,62 @@ func (t *Target) serve(from string, m *Msg) *Msg {
 			t.sessions[from] = sess
 		}
 		sess[m.Volume] = true
-		return &Msg{Type: MsgLoginResp, Tag: m.Tag, Size: uint64(vol.Size())}
+		t.reply(from, Msg{Type: MsgLoginResp, Tag: m.Tag, Size: uint64(vol.Size())})
 	case MsgLogout:
 		delete(t.sessions[from], m.Volume)
-		return nil
 	case MsgRead:
 		vol, status := t.volumeFor(from, m.Volume)
 		if status != StatusOK {
-			return &Msg{Type: MsgReadResp, Tag: m.Tag, Status: status}
+			t.reply(from, Msg{Type: MsgReadResp, Tag: m.Tag, Status: status})
+			return
 		}
-		rd := &readReply{t: t, from: from, tag: m.Tag}
+		rd := t.newReadReply()
+		rd.from, rd.tag = from, m.Tag
 		vol.ReadInto(int64(m.Offset), int(m.Length), rd, rd.done)
 		t.reads++
-		return nil
 	case MsgWrite:
 		vol, status := t.volumeFor(from, m.Volume)
 		if status != StatusOK {
-			return &Msg{Type: MsgWriteResp, Tag: m.Tag, Status: status}
+			t.reply(from, Msg{Type: MsgWriteResp, Tag: m.Tag, Status: status})
+			t.frames.Put(raw) // refused before any volume saw the payload
+			return
 		}
-		tag := m.Tag
-		vol.WriteAt(int64(m.Offset), m.Data, func(err error) {
-			resp := &Msg{Type: MsgWriteResp, Tag: tag}
-			if err != nil {
-				resp.Status = StatusIOError
-			}
-			buf := resp.Encode()
-			t.node.Send(from, buf, len(buf))
-		})
+		wr := t.newWriteReply()
+		wr.from, wr.tag, wr.frame = from, m.Tag, raw
+		vol.WriteAt(int64(m.Offset), m.Data, wr.done)
 		t.writes++
-		return nil
-	default:
-		return nil
 	}
+}
+
+// reply sends a response that carries no payload.
+func (t *Target) reply(to string, m Msg) {
+	buf := m.Encode()
+	t.node.Send(to, buf, len(buf))
 }
 
 // readReply is one read in service: the destination the volume copies the
 // payload into and the completion that sends it. The response is built in
 // place — the volume reads straight into a recycled frame behind the space
 // for the header — so the payload is copied once, store to wire, and in
-// steady state nothing payload-sized is allocated.
+// steady state nothing payload-sized is allocated. The record itself is
+// recycled once the response is sent.
 type readReply struct {
 	t     *Target
 	from  string
 	tag   uint64
 	frame []byte
+	done  func([]byte, error) // finish, bound once per record
+}
+
+func (t *Target) newReadReply() *readReply {
+	if n := len(t.spentReads); n > 0 {
+		r := t.spentReads[n-1]
+		t.spentReads = t.spentReads[:n-1]
+		return r
+	}
+	r := &readReply{t: t}
+	r.done = r.finish
+	return r
 }
 
 // ReadBuffer implements disk.ReadDest: it takes the response frame when the
@@ -129,25 +154,63 @@ func (r *readReply) ReadBuffer(size int) []byte {
 	return r.frame[headerLen:]
 }
 
-func (r *readReply) done(data []byte, err error) {
+func (r *readReply) finish(data []byte, err error) {
+	t, from, tag, frame := r.t, r.from, r.tag, r.frame
+	r.from, r.frame = "", nil
+	t.spentReads = append(t.spentReads, r)
 	if err != nil {
-		if r.frame != nil {
+		if frame != nil {
 			// The medium was read but the bytes failed verification: the
 			// frame goes back unused.
-			r.t.frames.Put(r.frame)
+			t.frames.Put(frame)
 		}
 		status := StatusIOError
 		if errors.Is(err, ErrChecksum) {
 			status = StatusChecksum
 		}
-		buf := (&Msg{Type: MsgReadResp, Tag: r.tag, Status: status}).Encode()
-		r.t.node.Send(r.from, buf, len(buf))
+		t.reply(from, Msg{Type: MsgReadResp, Tag: tag, Status: status})
 		return
 	}
-	// data is r.frame[headerLen:] (the Volume.ReadInto contract); only the
+	// data is frame[headerLen:] (the Volume.ReadInto contract); only the
 	// header is left to write.
-	putHeader(r.frame, MsgReadResp, StatusOK, r.tag, len(data))
-	r.t.node.Send(r.from, r.frame, len(r.frame))
+	putHeader(frame, MsgReadResp, StatusOK, tag, len(data))
+	t.node.Send(from, frame, len(frame))
+}
+
+// writeReply is one write in service: it owns the request's frame, whose
+// payload the volume is writing, and answers the initiator when the volume
+// is done. By then the disk has copied the payload into its store, or the
+// write failed and left the disk queue, so the frame goes back to the free
+// list for the next write; a frame dropped in flight falls to the GC.
+type writeReply struct {
+	t     *Target
+	from  string
+	tag   uint64
+	frame []byte
+	done  func(error) // finish, bound once per record
+}
+
+func (t *Target) newWriteReply() *writeReply {
+	if n := len(t.spentWrites); n > 0 {
+		w := t.spentWrites[n-1]
+		t.spentWrites = t.spentWrites[:n-1]
+		return w
+	}
+	w := &writeReply{t: t}
+	w.done = w.finish
+	return w
+}
+
+func (w *writeReply) finish(err error) {
+	t, from, tag, frame := w.t, w.from, w.tag, w.frame
+	w.from, w.frame = "", nil
+	t.spentWrites = append(t.spentWrites, w)
+	resp := Msg{Type: MsgWriteResp, Tag: tag}
+	if err != nil {
+		resp.Status = StatusIOError
+	}
+	t.reply(from, resp)
+	t.frames.Put(frame)
 }
 
 // volumeFor resolves an IO's volume, requiring a prior login. The IO PDUs

@@ -20,7 +20,10 @@ type Volume interface {
 	// valid until done returns, and a done that keeps the bytes longer must
 	// copy them. A nil dst means a fresh buffer, which done may keep.
 	ReadInto(off int64, length int, dst disk.ReadDest, done func(data []byte, err error))
-	// WriteAt writes data at off.
+	// WriteAt writes data at off. data belongs to the caller until done
+	// runs — for a Target, a request frame that is recycled right after —
+	// so the volume copies what it stores before calling done and keeps no
+	// reference to data afterwards.
 	WriteAt(off int64, data []byte, done func(err error))
 }
 
@@ -35,6 +38,20 @@ type DiskVolume struct {
 	base    int64
 	size    int64
 	nextSeq int64 // expected next offset for a sequential classification
+	// crc turns on ChecksumDiskVolume's per-block verification.
+	crc bool
+	// spent holds finished IO records for the next IO.
+	spent []*volumeIO
+}
+
+// volumeIO is one IO in its disk's queue: the disk request and the caller's
+// completion, in one record the volume recycles once the IO completes, so a
+// steady stream of IO allocates neither.
+type volumeIO struct {
+	req   disk.Request // req.Done is complete, bound once per record
+	v     *DiskVolume
+	read  func([]byte, error)
+	write func(error)
 }
 
 // NewDiskVolume exports d's range [base, base+size).
@@ -58,18 +75,52 @@ func (v *DiskVolume) classify(off int64, length int) disk.Pattern {
 	return pat
 }
 
+// submit queues an IO on the disk; exactly one of read and write is set.
+func (v *DiskVolume) submit(op disk.Op, off int64, data []byte, dst disk.ReadDest, read func([]byte, error), write func(error)) {
+	var io *volumeIO
+	if n := len(v.spent); n > 0 {
+		io = v.spent[n-1]
+		v.spent = v.spent[:n-1]
+	} else {
+		io = &volumeIO{v: v}
+		io.req.Done = io.complete
+	}
+	io.req.Op, io.req.Offset, io.req.Data, io.req.Dest = op, v.base+off, data, dst
+	io.read, io.write = read, write
+	v.d.Submit(&io.req)
+}
+
+// complete is the disk's completion of io. The record goes back to the
+// volume before the caller hears of the outcome, so the caller's next IO may
+// reuse it: the disk does not touch a request after its Done.
+func (io *volumeIO) complete(data []byte, err error) {
+	v, read, write := io.v, io.read, io.write
+	first, last := io.req.Offset/ChecksumBlockSize, (io.req.Offset+int64(io.req.Op.Size)-1)/ChecksumBlockSize
+	io.req.Data, io.req.Dest, io.read, io.write = nil, nil, nil, nil
+	v.spent = append(v.spent, io)
+	if write != nil {
+		if err == nil && v.crc {
+			v.refreshCRCs(first, last)
+		}
+		write(err)
+		return
+	}
+	if err == nil && v.crc {
+		if err := v.verifyCRCs(first, last); err != nil {
+			read(nil, err)
+			return
+		}
+	}
+	read(data, err)
+}
+
 // ReadInto implements Volume.
 func (v *DiskVolume) ReadInto(off int64, length int, dst disk.ReadDest, done func([]byte, error)) {
 	if off < 0 || length <= 0 || off+int64(length) > v.size {
 		done(nil, fmt.Errorf("%w: read [%d,+%d) size %d", ErrVolumeRange, off, length, v.size))
 		return
 	}
-	v.d.Submit(&disk.Request{
-		Op:     disk.Op{Read: true, Size: length, Pattern: v.classify(off, length)},
-		Offset: v.base + off,
-		Dest:   dst,
-		Done:   done,
-	})
+	v.submit(disk.Op{Read: true, Size: length, Pattern: v.classify(off, length)}, off, nil, dst, done, nil)
 }
 
 // WriteAt implements Volume.
@@ -78,12 +129,7 @@ func (v *DiskVolume) WriteAt(off int64, data []byte, done func(error)) {
 		done(fmt.Errorf("%w: write [%d,+%d) size %d", ErrVolumeRange, off, len(data), v.size))
 		return
 	}
-	v.d.Submit(&disk.Request{
-		Op:     disk.Op{Read: false, Size: len(data), Pattern: v.classify(off, len(data))},
-		Offset: v.base + off,
-		Data:   data,
-		Done:   func(_ []byte, err error) { done(err) },
-	})
+	v.submit(disk.Op{Read: false, Size: len(data), Pattern: v.classify(off, len(data))}, off, data, nil, nil, done)
 }
 
 var _ Volume = (*DiskVolume)(nil)

@@ -121,9 +121,13 @@ func (r *Report) SummaryText() string {
 // replicaBlock tracks one block of one replica: the last acknowledged
 // content and whether an unacknowledged write makes it unverifiable.
 type replicaBlock struct {
-	data      []byte // last acked content; nil = never acknowledged
-	uncertain bool   // an outstanding/failed write may or may not have landed
-	version   int    // bumped per write (and per media wipe) to drop stale acks
+	// data is the last acked content; nil = never acknowledged. It is a
+	// pattern buffer, shared and immutable: the other replica's block and
+	// in-flight writes may hold the same one, so it is replaced, never
+	// written.
+	data      []byte
+	uncertain bool // an outstanding/failed write may or may not have landed
+	version   int  // bumped per write (and per media wipe) to drop stale acks
 	inflight  int
 }
 
@@ -133,9 +137,9 @@ type replica struct {
 	cl        *core.ClientLib
 	space     core.SpaceID
 	diskID    string
-	offset    int64 // on-disk base offset of the space
-	blocks    []replicaBlock
-	streak    int // consecutive audits where every read failed
+	offset    int64          // on-disk base offset of the space
+	blocks    []replicaBlock // data buffers are shared and immutable (see replicaBlock)
+	streak    int            // consecutive audits where every read failed
 	auditing  bool
 	migrating bool // a quarantine-drain migration is in flight
 }
@@ -608,13 +612,15 @@ func (h *harness) installScrubRepair() {
 				done(nil, false)
 				return
 			}
-			done(append([]byte(nil), b.data...), true)
+			done(b.data, true)
 		})
 	}
 }
 
 // pattern builds deterministic block content for a (pair, block, sequence)
-// triple.
+// triple. The buffer is never written again once built: both replicas'
+// known-good copies, repair writes and the scrubber's repair source share
+// it.
 func (h *harness) pattern(pair, blk, seq int) []byte {
 	buf := make([]byte, BlockSize)
 	base := byte(pair*31 + blk*7 + seq*13 + int(h.opts.Seed))
@@ -643,7 +649,7 @@ func (h *harness) writeReplicaData(r *replica, blk int, data []byte) {
 			return // superseded by a newer write or a media wipe
 		}
 		if err == nil {
-			b.data = append([]byte(nil), data...)
+			b.data = data
 			b.uncertain = false
 			h.stats.WritesAcked++
 		} else {
@@ -928,7 +934,7 @@ func (h *harness) repairBlock(r *replica, blk int) {
 	if b.data == nil {
 		return
 	}
-	data := append([]byte(nil), b.data...)
+	data := b.data
 	b.version++
 	v := b.version
 	b.inflight++

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"ustore/internal/obs"
 	"ustore/internal/runner"
@@ -153,21 +154,36 @@ func TestTrafficSweepParallelByteStability(t *testing.T) {
 // every traffic shape at seed 1: the protected restore storm (its SLO
 // report is what ustore-chaos -tenants -storm -protect -slo-out writes and
 // the CI traffic-smoke job diffs), the same storm unprotected, and
-// protection without a storm. Regenerate with:
+// protection without a storm. Its gray-day row pins a fault-schedule run
+// the same way: the event log and summary of ustore-chaos -seed 1 -days 1
+// -gray -mitigation -log (what it prints after its header line, diffed by
+// the CI gray-smoke job) — the hedged-read, adaptive-timeout and breaker
+// path the traffic rows do not take. Regenerate with:
 //
 //	go test ./internal/chaos -run TrafficSLOGolden -update
 func TestTrafficSLOGolden(t *testing.T) {
+	grayDay := DefaultOptions(1, 24*time.Hour)
+	grayDay.GrayFaults, grayDay.Mitigation = true, true
 	for _, tc := range []struct {
-		name           string
-		storm, protect bool
-		slo, log       string
+		name     string
+		o        Options
+		slo, log string // no SLO report: a fault-schedule run
 	}{
-		{"storm-protect", true, true, "slo_seed1.txt", "log_seed1.txt"},
-		{"storm", true, false, "slo_storm_seed1.txt", "log_storm_seed1.txt"},
-		{"protect", false, true, "slo_protect_seed1.txt", "log_protect_seed1.txt"},
+		{"storm-protect", Options{Seed: 1, Tenants: true, Storm: true, Protect: true}, "slo_seed1.txt", "log_seed1.txt"},
+		{"storm", Options{Seed: 1, Tenants: true, Storm: true}, "slo_storm_seed1.txt", "log_storm_seed1.txt"},
+		{"protect", Options{Seed: 1, Tenants: true, Protect: true}, "slo_protect_seed1.txt", "log_protect_seed1.txt"},
+		{"gray-day", grayDay, "", "gray_seed1.txt"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := trafficRun(t, Options{Seed: 1, Tenants: true, Storm: tc.storm, Protect: tc.protect})
+			if tc.slo == "" {
+				rep, err := Run(tc.o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGolden(t, rep.LogText()+"\n"+rep.SummaryText(), tc.log)
+				return
+			}
+			rep := trafficRun(t, tc.o)
 			checkGolden(t, rep.SLO.Text(), tc.slo)
 			checkGolden(t, rep.LogText()+"\n", tc.log)
 		})

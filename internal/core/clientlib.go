@@ -268,6 +268,9 @@ func (cl *ClientLib) ReadWithBudget(space SpaceID, off int64, length int, budget
 }
 
 // Write writes to a mounted space with the same retry semantics as Read.
+// Each attempt copies data into its own request frame, so the wire never
+// aliases it; but a retry sends data again, so it must stay unchanged until
+// done runs.
 func (cl *ClientLib) Write(space SpaceID, off int64, data []byte, done func(error)) {
 	cl.withRetry(space, retryBudget, func(_ []byte, err error) { done(err) }, func(m *mount, attempt func(error)) {
 		cl.ini.Write(m.host, string(space), off, data, func(err error) {

@@ -5,6 +5,7 @@ import (
 
 	"ustore/internal/obs"
 	"ustore/internal/policy"
+	"ustore/internal/simtime"
 )
 
 // Client-side gray-failure mitigation. Quarantine (health.go) protects NEW
@@ -101,9 +102,11 @@ func (tl *targetLatency) deadline() time.Duration {
 // tuning.
 type Mitigation struct {
 	cl      *ClientLib
-	lat     map[string]*targetLatency
-	brk     map[string]*policy.Breaker
+	lat     map[target]*targetLatency
+	brk     map[target]*policy.Breaker
 	mirrors map[SpaceID]SpaceID
+	// spent holds finished hedged-read records for the next read.
+	spent []*hedgedRead
 
 	cHedges *obs.Counter
 	cWins   *obs.Counter
@@ -119,8 +122,8 @@ type Mitigation struct {
 	FastFails    uint64 // requests failed by the adaptive timeout
 }
 
-// targetKey identifies one block target session.
-func targetKey(host, volume string) string { return host + "|" + volume }
+// target identifies one block target session.
+type target struct{ host, volume string }
 
 // EnableMitigation turns on adaptive timeouts and latency observation for
 // this client and returns the mitigation handle for hedging and breaker
@@ -132,8 +135,8 @@ func (cl *ClientLib) EnableMitigation() *Mitigation {
 	rec := cl.cfg.Recorder
 	mit := &Mitigation{
 		cl:      cl,
-		lat:     make(map[string]*targetLatency),
-		brk:     make(map[string]*policy.Breaker),
+		lat:     make(map[target]*targetLatency),
+		brk:     make(map[target]*policy.Breaker),
 		mirrors: make(map[SpaceID]SpaceID),
 		cHedges: rec.Counter("core", "hedge_reads_total"),
 		cWins:   rec.Counter("core", "hedge_wins_total"),
@@ -163,7 +166,7 @@ func (m *Mitigation) SetMirror(a, b SpaceID) {
 // than the slow gate counts AGAINST the target — a disk that answers every
 // request in 20x its normal time is failing, whatever its status codes say.
 func (m *Mitigation) observe(host, volume string, rtt time.Duration, err error) {
-	k := targetKey(host, volume)
+	k := target{host, volume}
 	tl := m.lat[k]
 	if tl == nil {
 		tl = &targetLatency{}
@@ -203,7 +206,7 @@ func (m *Mitigation) observe(host, volume string, rtt time.Duration, err error) 
 // EWMA + 4*dev, backed off exponentially after timeouts, clamped to the
 // static Timeout.
 func (m *Mitigation) adaptiveTimeout(host, volume string) time.Duration {
-	tl := m.lat[targetKey(host, volume)]
+	tl := m.lat[target{host, volume}]
 	if !tl.warm() {
 		return 0 // static default
 	}
@@ -220,9 +223,9 @@ func (m *Mitigation) adaptiveTimeout(host, volume string) time.Duration {
 // gray, its own inflated model would push the hedge trigger out to exactly
 // the latency hedging is meant to cut, while the healthy mirror's model
 // keeps the delay anchored to what a good replica can do.
-func (m *Mitigation) hedgeDelay(primary, mirror string) time.Duration {
+func (m *Mitigation) hedgeDelay(primary, mirror target) time.Duration {
 	best := time.Duration(0)
-	for _, k := range [2]string{primary, mirror} {
+	for _, k := range [2]target{primary, mirror} {
 		tl := m.lat[k]
 		if !tl.warm() {
 			continue
@@ -245,7 +248,7 @@ func (m *Mitigation) hedgeDelay(primary, mirror string) time.Duration {
 // caller sees "closed" for that request; its outcome decides the breaker's
 // fate).
 func (m *Mitigation) breakerOpen(host, volume string) bool {
-	br := m.brk[targetKey(host, volume)]
+	br := m.brk[target{host, volume}]
 	if br == nil {
 		return false
 	}
@@ -273,78 +276,143 @@ func (cl *ClientLib) ReadHedged(space SpaceID, off int64, length int, done func(
 		cl.Read(space, off, length, done)
 		return
 	}
-	finished := false
-	finish := func(data []byte, err error) {
-		if finished {
-			return
-		}
-		finished = true
-		done(data, err)
-	}
-	fallback := func() {
-		if finished {
-			return
-		}
-		cl.Read(space, off, length, finish)
-	}
+	h := m.newHedgedRead()
+	h.space, h.mirror, h.mm, h.off, h.length, h.done = space, mirror, mm, off, length, done
 	if m.breakerOpen(pm.host, string(space)) {
 		m.Redirects++
 		m.cRedir.Inc()
-		cl.ini.Read(mm.host, string(mirror), off, length, func(data []byte, err error) {
-			if err != nil {
-				fallback()
-				return
-			}
-			finish(data, nil)
-		})
+		h.legsDown, h.refs = 1, 1 // the primary is skipped: the mirror is the last leg
+		cl.ini.Read(mm.host, string(mirror), off, length, h.onMirror)
 		return
 	}
-	legsDown := 0
-	legFailed := func() {
-		if legsDown++; legsDown == 2 {
-			fallback()
-		}
+	h.refs = 2 // the primary leg and the hedge timer
+	h.hedge = cl.sched.AfterR(m.hedgeDelay(target{pm.host, string(space)}, target{mm.host, string(mirror)}), h)
+	cl.ini.Read(pm.host, string(space), off, length, h.onPrimary)
+}
+
+// hedgedRead is one ReadHedged call: the state its legs, hedge timer and
+// fallback share, and the receiver of each. refs counts the callbacks still
+// to come; the last one gives the record back for the next read, after the
+// caller's done has returned.
+type hedgedRead struct {
+	m                *Mitigation
+	space, mirror    SpaceID
+	mm               *mount // the mirror's mount, read when its leg fires
+	off              int64
+	length           int
+	done             func([]byte, error)
+	finished, hedged bool
+	legsDown         int
+	hedge            *simtime.Event
+	refs             int
+	// The legs' and the fallback's completions, bound once per record.
+	onPrimary, onMirror, onFallback func([]byte, error)
+}
+
+func (m *Mitigation) newHedgedRead() *hedgedRead {
+	if n := len(m.spent); n > 0 {
+		h := m.spent[n-1]
+		m.spent = m.spent[:n-1]
+		return h
 	}
-	fireMirror := func() {
-		m.Hedges++
-		m.cHedges.Inc()
-		cl.ini.Read(mm.host, string(mirror), off, length, func(data []byte, err error) {
-			if err != nil {
-				legFailed()
-				return
-			}
-			if !finished {
-				m.HedgeWins++
-				m.cWins.Inc()
-			}
-			finish(data, nil)
-		})
+	h := &hedgedRead{m: m}
+	h.onPrimary, h.onMirror, h.onFallback = h.primary, h.mirrored, h.fellBack
+	return h
+}
+
+// unref drops one expected callback and recycles the record after the last.
+func (h *hedgedRead) unref() {
+	if h.refs--; h.refs > 0 {
+		return
 	}
-	hedged := false
-	hedge := cl.sched.After(m.hedgeDelay(targetKey(pm.host, string(space)), targetKey(mm.host, string(mirror))), func() {
-		if finished {
-			return
+	h.mm, h.done = nil, nil
+	h.finished, h.hedged, h.legsDown = false, false, 0
+	h.m.spent = append(h.m.spent, h)
+}
+
+func (h *hedgedRead) finish(data []byte, err error) {
+	if h.finished {
+		return
+	}
+	h.finished = true
+	h.done(data, err)
+}
+
+func (h *hedgedRead) fallback() {
+	if h.finished {
+		return
+	}
+	h.refs++
+	h.m.cl.Read(h.space, h.off, h.length, h.onFallback)
+}
+
+func (h *hedgedRead) fellBack(data []byte, err error) {
+	h.finish(data, err)
+	h.unref()
+}
+
+func (h *hedgedRead) legFailed() {
+	if h.legsDown++; h.legsDown == 2 {
+		h.fallback()
+	}
+}
+
+func (h *hedgedRead) fireMirror() {
+	m := h.m
+	m.Hedges++
+	m.cHedges.Inc()
+	h.refs++
+	m.cl.ini.Read(h.mm.host, string(h.mirror), h.off, h.length, h.onMirror)
+}
+
+// cancelHedge disarms the hedge timer, whose callback then never comes.
+func (h *hedgedRead) cancelHedge() {
+	h.hedge.Cancel()
+	h.hedge.Release()
+	h.hedge = nil
+	h.refs--
+}
+
+// Fire is the hedge timer: the primary has not answered in time.
+func (h *hedgedRead) Fire() {
+	h.hedge.Release()
+	h.hedge = nil
+	if !h.finished {
+		h.hedged = true
+		h.fireMirror()
+	}
+	h.unref()
+}
+
+func (h *hedgedRead) primary(data []byte, err error) {
+	switch {
+	case err != nil && !h.hedged:
+		h.cancelHedge()
+		// Primary failed before the hedge timer: fire the mirror leg
+		// immediately rather than waiting out the delay.
+		h.legsDown++ // the primary leg is down
+		h.hedged = true
+		h.fireMirror()
+	case err != nil:
+		h.legFailed()
+	default:
+		if !h.hedged {
+			h.cancelHedge()
 		}
-		hedged = true
-		fireMirror()
-	})
-	cl.ini.Read(pm.host, string(space), off, length, func(data []byte, err error) {
-		if err != nil {
-			if !hedged {
-				hedge.Cancel()
-				// Primary failed before the hedge timer: fire the mirror
-				// leg immediately rather than waiting out the delay.
-				legsDown++ // the primary leg is down
-				hedged = true
-				fireMirror()
-				return
-			}
-			legFailed()
-			return
+		h.finish(data, nil)
+	}
+	h.unref()
+}
+
+func (h *hedgedRead) mirrored(data []byte, err error) {
+	if err != nil {
+		h.legFailed()
+	} else {
+		if h.hedged && !h.finished { // a redirected read is no hedge
+			h.m.HedgeWins++
+			h.m.cWins.Inc()
 		}
-		if !hedged {
-			hedge.Cancel()
-		}
-		finish(data, nil)
-	})
+		h.finish(data, nil)
+	}
+	h.unref()
 }

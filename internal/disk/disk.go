@@ -131,6 +131,11 @@ type Disk struct {
 	lastActive simtime.Time
 	spinUps    int
 
+	// serving is the record of the IO in service (queue[0]) while the disk
+	// is active, nil otherwise; spent holds finished records for the next IO.
+	serving *service
+	spent   []*service
+
 	// completed, bytesRead and busy count finished IOs, bytes read and
 	// time spent servicing IO.
 	completed uint64
@@ -251,7 +256,9 @@ func (d *Disk) setState(s State) {
 	old := d.state
 	d.state = s
 	d.cTransitions[s].Inc()
-	d.rec.Instant("disk", "state:"+s.String(), d.id, obs.L("from", old.String()))
+	if d.rec != nil {
+		d.rec.Instant("disk", "state:"+s.String(), d.id, obs.L("from", old.String()))
+	}
 	for _, fn := range d.stateObservers {
 		fn(old, s)
 	}
@@ -266,6 +273,7 @@ func (d *Disk) PowerOn() {
 
 // PowerOff cuts power immediately. Queued requests fail with ErrPoweredOff.
 func (d *Disk) PowerOff() {
+	d.serving = nil
 	d.failQueue(ErrPoweredOff)
 	d.setState(StatePoweredOff)
 }
@@ -454,6 +462,20 @@ func (d *Disk) ReplaceMedia() {
 	d.latentErrors = 0
 }
 
+// service is one IO in service and its completion event's receiver. Every
+// pump takes its own record and the completion gives it back, so a
+// completion left over from before a power cycle still holds a record of its
+// own: it cannot mistake the IO now in service (whose Done would never run)
+// for the one it was scheduled for, nor store a payload whose write has
+// already been failed.
+type service struct {
+	d      *Disk
+	req    *Request
+	svc    time.Duration
+	failIO bool
+	span   *obs.Span
+}
+
 // pump starts servicing the head of the queue if the disk is ready.
 func (d *Disk) pump() {
 	if d.state != StateIdle || len(d.queue) == 0 {
@@ -483,57 +505,82 @@ func (d *Disk) pump() {
 			failIO = d.sched.Rand().Float64() < d.degr.IOErrorRate
 		}
 	}
-	opName, hist := "write", d.mIOWrite
+	opName := "write"
 	if op.Read {
-		opName, hist = "read", d.mIORead
+		opName = "read"
 	}
-	span := d.rec.Begin("disk", opName, d.id)
-	d.sched.FireAfter(svc, func() {
-		if d.state != StateActive {
-			span.End(obs.L("aborted", "power-off"))
-			return // powered off mid-IO; queue already failed
-		}
-		// Clear the slot before re-slicing: the backing array outlives the
-		// pop, and a completed request pins its payload and callbacks.
-		d.queue[0] = nil
-		d.queue = d.queue[1:]
-		d.busy += svc
-		d.completed++
-		d.lastActive = d.sched.Now()
-		d.observeHealth(svc, failIO)
-		if failIO {
-			// The command occupied the mechanism for its full service time
-			// and then failed — the fail-slow pattern the health monitor's
-			// error counters exist to catch.
-			span.End(obs.L("error", "eio"))
-			d.cIOErr.Inc()
-			d.setState(StateIdle)
-			if req.Done != nil {
-				req.Done(nil, ErrIO)
-			}
-			d.pump()
-			return
-		}
-		span.End()
-		hist.ObserveDuration(svc)
+	var s *service
+	if n := len(d.spent); n > 0 {
+		s = d.spent[n-1]
+		d.spent = d.spent[:n-1]
+	} else {
+		s = &service{d: d}
+	}
+	s.req, s.svc, s.failIO = req, svc, failIO
+	s.span = d.rec.Begin("disk", opName, d.id)
+	d.serving = s
+	d.sched.FireAfterR(svc, s)
+}
 
-		var data []byte
-		if op.Read {
-			d.maybeCorruptOnRead(req.Offset, op.Size)
-			if req.Dest != nil {
-				data = req.Dest.ReadBuffer(op.Size)
-			} else {
-				data = make([]byte, op.Size)
-			}
-			d.store.ReadInto(req.Offset, data)
-			d.bytesRead += uint64(op.Size)
-		} else {
-			d.store.WriteAt(req.Offset, req.Data)
-		}
+// Fire completes the IO the record was scheduled for, unless a power cut
+// failed it in the meantime.
+func (s *service) Fire() {
+	d, req, svc, failIO, span := s.d, s.req, s.svc, s.failIO, s.span
+	stale := d.serving != s
+	*s = service{d: d}
+	d.spent = append(d.spent, s)
+	if stale {
+		span.End(obs.L("aborted", "power-off"))
+		return // powered off mid-IO; queue already failed
+	}
+	d.serving = nil
+	// Shift the queue down rather than re-slicing past the head: the
+	// backing array is kept for the next Submit, and the vacated tail slot
+	// is cleared so a completed request pins nothing.
+	n := copy(d.queue, d.queue[1:])
+	d.queue[n] = nil
+	d.queue = d.queue[:n]
+	d.busy += svc
+	d.completed++
+	d.lastActive = d.sched.Now()
+	d.observeHealth(svc, failIO)
+	if failIO {
+		// The command occupied the mechanism for its full service time
+		// and then failed — the fail-slow pattern the health monitor's
+		// error counters exist to catch.
+		span.End(obs.L("error", "eio"))
+		d.cIOErr.Inc()
 		d.setState(StateIdle)
 		if req.Done != nil {
-			req.Done(data, nil)
+			req.Done(nil, ErrIO)
 		}
 		d.pump()
-	})
+		return
+	}
+	span.End()
+	op := req.Op
+	if op.Read {
+		d.mIORead.ObserveDuration(svc)
+	} else {
+		d.mIOWrite.ObserveDuration(svc)
+	}
+
+	var data []byte
+	if op.Read {
+		d.maybeCorruptOnRead(req.Offset, op.Size)
+		if req.Dest != nil {
+			data = req.Dest.ReadBuffer(op.Size)
+		} else {
+			data = make([]byte, op.Size)
+		}
+		d.store.ReadInto(req.Offset, data)
+		d.bytesRead += uint64(op.Size)
+	} else {
+		d.store.WriteAt(req.Offset, req.Data)
+	}
+	d.setState(StateIdle)
+	if req.Done != nil {
+		req.Done(data, nil)
+	}
+	d.pump()
 }

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -147,5 +148,68 @@ func TestMultipleStateObservers(t *testing.T) {
 	s.Run()
 	if a == 0 || a != b {
 		t.Fatalf("observers fired %d/%d, want equal and nonzero", a, b)
+	}
+}
+
+// A slow IO still in service when the power is cut leaves its completion
+// event behind. If the disk powers back on and starts a fresh IO before that
+// event fires, the event must not complete the fresh IO (whose Done would
+// then never run), must not run the failed IO's Done a second time, and must
+// not store the payload of a write the power cut already failed.
+func TestStaleCompletionAfterPowerCycle(t *testing.T) {
+	s := simtime.NewScheduler(1)
+	p := DT01ACA300()
+	p.SpinUpTime = 10 * time.Millisecond
+	d := New(s, "d0", p, AttachSATA)
+	d.Degrade(DegradeParams{ExtraLatency: time.Second})
+	d.SpinUp()
+	s.Run()
+
+	var doneA, doneB int
+	var errA, errB error
+	stale := bytes.Repeat([]byte{0xAA}, 4096)
+	d.Submit(&Request{Op: Op{Size: len(stale), Pattern: Random}, Offset: 0, Data: stale,
+		Done: func(_ []byte, err error) { doneA++; errA = err }})
+	s.RunFor(100 * time.Millisecond) // A is in service, ~1 s to go
+	d.PowerOff()
+	d.PowerOn()
+	fresh := bytes.Repeat([]byte{0xBB}, 4096)
+	d.Submit(&Request{Op: Op{Size: len(fresh), Pattern: Random}, Offset: 1 << 20, Data: fresh,
+		Done: func(_ []byte, err error) { doneB++; errB = err }})
+	// B spins the disk up and is in service when A's completion falls due.
+	s.RunFor(500 * time.Millisecond)
+	if d.State() != StateActive || d.QueueDepth() != 1 {
+		t.Fatalf("setup: want B in service, got state %v queue %d", d.State(), d.QueueDepth())
+	}
+	s.Run()
+
+	if doneA != 1 || !errors.Is(errA, ErrPoweredOff) {
+		t.Errorf("failed write: Done ran %d times, last err %v; want once with ErrPoweredOff", doneA, errA)
+	}
+	if doneB != 1 || errB != nil {
+		t.Errorf("fresh write: Done ran %d times, last err %v; want once with nil", doneB, errB)
+	}
+	got := make([]byte, len(stale))
+	d.Store().ReadInto(0, got)
+	if bytes.Equal(got, stale) {
+		t.Error("the power cut failed the write, yet its payload reached the store")
+	}
+	d.Store().ReadInto(1<<20, got)
+	if !bytes.Equal(got, fresh) {
+		t.Error("the fresh write's payload is not in the store")
+	}
+	if d.QueueDepth() != 0 || d.State() != StateIdle {
+		t.Errorf("after the run: state %v queue %d, want idle and empty", d.State(), d.QueueDepth())
+	}
+}
+
+// With no recorder bound, a state transition builds no trace name or label.
+func TestSetStateWithoutRecorderAllocatesNothing(t *testing.T) {
+	_, d := newDisk(t)
+	if n := testing.AllocsPerRun(100, func() {
+		d.setState(StateActive)
+		d.setState(StateIdle)
+	}); n != 0 {
+		t.Fatalf("setState with no recorder allocates %v objects per round trip, want 0", n)
 	}
 }

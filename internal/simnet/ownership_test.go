@@ -1,13 +1,14 @@
 package simnet_test
 
-// The payload-ownership rule of the block read path — data handed to a read
-// callback is valid until the callback returns, then its wire frame is
+// The payload-ownership rules of the block data path — data handed to a read
+// callback is valid until the callback returns, and a write's payload is
+// valid until the volume's done runs; after that either wire frame is
 // recycled — checked the only way a convention can be: every released frame
 // is overwritten with 0xDB (simnet.PoisonFrames, a test-only hook) and the
 // scenarios whose callers sit on that path must come out exactly as they do
-// unpoisoned. A caller that kept a payload would read back 0xDB: the chaos
-// harness reports that as silent corruption, HDFS and the archive return
-// wrong bytes.
+// unpoisoned. A caller that kept a payload, or a volume that stored one late,
+// would read back 0xDB: the chaos harness reports that as silent corruption,
+// HDFS and the archive return wrong bytes.
 //
 // The test lives here, in simnet's external test package, because the hook
 // is simnet's and an external test package may import the packages that are
@@ -74,6 +75,55 @@ func TestPoisonCatchesRetainedPayload(t *testing.T) {
 	s.Run()
 	if !bytes.Equal(kept, bytes.Repeat([]byte{0xDB}, len(payload))) {
 		t.Fatal("a payload kept past its callback was not poisoned")
+	}
+}
+
+// earlyDoneVolume breaks the write rule — a Volume must not keep data after
+// done — by reporting a write done first and copying its payload after, when
+// the target has already recycled the request frame.
+type earlyDoneVolume struct{ mem []byte }
+
+func (v *earlyDoneVolume) Size() int64 { return int64(len(v.mem)) }
+
+func (v *earlyDoneVolume) ReadInto(off int64, length int, dst disk.ReadDest, done func([]byte, error)) {
+	buf := dst.ReadBuffer(length)
+	copy(buf, v.mem[off:])
+	done(buf, nil)
+}
+
+func (v *earlyDoneVolume) WriteAt(off int64, data []byte, done func(error)) {
+	done(nil)
+	copy(v.mem[off:], data) // the bug under test
+}
+
+// TestPoisonCatchesEarlyWriteDone is the write path's negative control: a
+// volume that copies a write's payload after calling done stores the poison,
+// and the read-back shows it.
+func TestPoisonCatchesEarlyWriteDone(t *testing.T) {
+	defer simnet.PoisonFrames()()
+	s := simtime.NewScheduler(1)
+	net := simnet.New(s)
+	block.NewTarget(net, "h1").Export("sp0", &earlyDoneVolume{mem: make([]byte, 1<<20)})
+	ini := block.NewInitiator(net, "cli")
+	ini.Login("h1", "sp0", func(int64, error) {})
+	s.Run()
+	payload := bytes.Repeat([]byte{0x42}, 8192)
+	var werr error = errors.New("pending")
+	ini.Write("h1", "sp0", 0, payload, func(err error) { werr = err })
+	s.Run()
+	if werr != nil {
+		t.Fatalf("write: %v", werr)
+	}
+	var got []byte
+	ini.Read("h1", "sp0", 0, len(payload), func(data []byte, err error) {
+		if err != nil {
+			t.Errorf("read: %v", err)
+		}
+		got = append([]byte(nil), data...)
+	})
+	s.Run()
+	if !bytes.Equal(got, bytes.Repeat([]byte{0xDB}, len(payload))) {
+		t.Fatal("a payload copied after the write's done was not poisoned")
 	}
 }
 
