@@ -10,8 +10,9 @@
 //	ustore-sim -scenario switch    # deliberate disk-group switch
 //	ustore-sim -seed 7             # different deterministic run
 //	ustore-sim -stats              # end-of-run metrics table
-//	ustore-sim -scenario fleet -units 8 -shards 2   # sharded fleet unit-loss demo
-//	ustore-sim -scenario fleet -engine-workers 4    # same demo, same bytes, 4 engine workers
+//
+// The sharded fleet's narrated unit loss is
+// `ustore-chaos -fleet -units 8 -shards 2 -unit-loss -log`.
 package main
 
 import (
@@ -25,7 +26,6 @@ import (
 	"ustore"
 	"ustore/internal/core"
 	"ustore/internal/fabric"
-	"ustore/internal/fleet"
 	"ustore/internal/obs"
 )
 
@@ -33,20 +33,10 @@ func main() {
 	hosts := flag.Int("hosts", 4, "hosts per deploy unit")
 	disks := flag.Int("disks", 16, "disks per deploy unit")
 	fanIn := flag.Int("fanin", 4, "hub fan-in factor")
-	units := flag.Int("units", 1, "fleet scenario: deploy units (raised to the fleet's minimum for -shards)")
-	shards := flag.Int("shards", 2, "fleet scenario: metadata shards")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	scenario := flag.String("scenario", "crash", "scenario: crash | switch | powersave | fleet")
-	engWorkers := flag.Int("engine-workers", 0, "fleet scenario: most goroutines executing one engine window (0 = one per CPU; output is byte-identical at any count)")
+	scenario := flag.String("scenario", "crash", "scenario: crash | switch")
 	stats := flag.Bool("stats", false, "print an end-of-run table of all collected metrics")
 	flag.Parse()
-
-	if *scenario == "fleet" {
-		// The fleet scenario builds its own sharded control plane instead
-		// of a single-master cluster.
-		runFleet(*units, *shards, *engWorkers, *seed)
-		return
-	}
 
 	cfg := ustore.DefaultConfig()
 	var rec *obs.Recorder
@@ -88,8 +78,6 @@ func main() {
 		runCrash(c, say)
 	case "switch":
 		runSwitch(c, say)
-	case "powersave":
-		runPowersave(c, say)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown scenario %q\n", *scenario)
 		os.Exit(2)
@@ -206,92 +194,6 @@ func runCrash(c *ustore.Cluster, say func(string, ...any)) {
 	}
 }
 
-// runFleet boots the sharded fleet control plane, loads it through a
-// client router, kills a whole deploy unit, and narrates the background
-// schedulers draining it onto the survivors.
-func runFleet(units, shards, engineWorkers int, seed int64) {
-	if need := fleet.MinUnits(shards); units < need {
-		// Each shard spreads a volume's fragments over the units it owns,
-		// one fragment per unit, so every shard needs that many units.
-		units = max(need, 8)
-		fmt.Printf("(bumping -units to %d so every shard group spans three units)\n", units)
-	}
-	f := fleet.New(fleet.Config{Units: units, Shards: shards, Seed: seed,
-		EngineWorkers: engineWorkers})
-	say := func(format string, args ...any) {
-		fmt.Printf("[t=%8s] %s\n", f.Sched.Now().Truncate(time.Millisecond), fmt.Sprintf(format, args...))
-	}
-	say("booting fleet: %d units (%d disks, %d racks), %d metadata shards",
-		units, f.Topo.NumDisks, f.Topo.Racks, shards)
-	f.Settle(30 * time.Second)
-	for k := 0; k < shards; k++ {
-		m := f.Leader(k)
-		if m == nil {
-			fmt.Fprintf(os.Stderr, "shard %d has no leader after boot\n", k)
-			os.Exit(1)
-		}
-		say("  shard %d leader elected: %s", k, m.Name())
-	}
-
-	r := f.NewRouter("demo")
-	const nVols = 8
-	var firstDisks []string
-	for i := 0; i < nVols; i++ {
-		vol := fmt.Sprintf("vol-%02d", i)
-		r.Allocate(vol, 1<<30, "archive", func(disks []string, err error) {
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "allocate %s: %v\n", vol, err)
-				os.Exit(1)
-			}
-			if firstDisks == nil {
-				firstDisks = disks
-			}
-		})
-		f.Settle(5 * time.Second)
-	}
-	say("allocated %d volumes, 3 fragments each, spread across units", nVols)
-	say("  vol-00 fragments: %s", strings.Join(firstDisks, " "))
-
-	const victim = "u000"
-	say("killing unit %s: machine isolated, its shard replicas crash", victim)
-	killAt := f.Sched.Now()
-	f.KillUnit(victim)
-	drained := false
-	for waited := time.Duration(0); waited < 30*time.Minute; waited += 30 * time.Second {
-		f.Settle(30 * time.Second)
-		if f.Drained(victim) {
-			drained = true
-			break
-		}
-	}
-	if !drained {
-		fmt.Fprintf(os.Stderr, "unit %s not drained within 30m\n", victim)
-		os.Exit(1)
-	}
-	say("unit %s drained in %s: schedulers re-replicated every fragment onto survivors",
-		victim, (f.Sched.Now() - killAt).Truncate(time.Second))
-
-	r2 := f.NewRouter("verify")
-	var after []string
-	r2.Lookup("vol-00", func(disks []string, _ int64, err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lookup vol-00: %v\n", err)
-			os.Exit(1)
-		}
-		after = disks
-	})
-	f.Settle(10 * time.Second)
-	say("  vol-00 fragments now: %s", strings.Join(after, " "))
-
-	for _, err := range []error{f.ValidateSpread(), f.ValidateShardMap(), f.ValidateCapacity()} {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "invariant violated: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	say("invariants held: fragment spread, shard-map consistency, capacity ledger")
-}
-
 // runSwitch performs a deliberate topology command on a whole co-moving
 // group.
 func runSwitch(c *ustore.Cluster, say func(string, ...any)) {
@@ -323,16 +225,4 @@ func runSwitch(c *ustore.Cluster, say func(string, ...any)) {
 	for _, h := range c.Fabric.Hosts() {
 		say("  host %s: %d disks attached", h, c.DiskCountOn(h))
 	}
-}
-
-// runPowersave shows the adaptive spin-down policy at work.
-func runPowersave(c *ustore.Cluster, say func(string, ...any)) {
-	say("note: run with cfg.SpinDownIdle via examples/powersave for the full demo")
-	spun := 0
-	for _, d := range c.Disks {
-		d.SpinDown()
-		spun++
-	}
-	c.Settle(time.Second)
-	say("spun down %d idle disks; unit power drops to the Table V powered-off regime", spun)
 }

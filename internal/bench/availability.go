@@ -80,15 +80,14 @@ func runAvailabilitySoak() (soakResult, error) {
 		targets = append(targets, probeTarget{space: rep.Space, cl: cl})
 	}
 
-	// MTTF-driven host crashes with automatic reboot. The master quorum
-	// is off-host, so only EndPoints/Controllers die.
-	inj := faults.NewInjector(c.Sched, faults.Actions{
-		CrashHost:   func(h string) { res.crashes++; c.CrashHost(h) },
-		RestoreHost: func(h string) { c.RestoreHost(h) },
-	}, c.Fabric.Hosts(), nil, nil)
-	inj.HostMTTFOverride = 2 * time.Hour
-	inj.HostRepair = 10 * time.Minute
-	inj.Start()
+	// MTTF-driven host crashes with automatic reboot 10 minutes later. The
+	// master quorum is off-host, so only EndPoints/Controllers die.
+	faults.InjectHostCrashes(c.Sched, c.Fabric.Hosts(), 2*time.Hour, 10*time.Minute,
+		func(h string) {
+			res.crashes++
+			c.CrashHost(h)
+		},
+		c.RestoreHost)
 
 	// Probes: every 2s, each target does a small read with a 2s budget.
 	// A probe that does not complete in time counts as an unavailability
@@ -112,6 +111,5 @@ func runAvailabilitySoak() (soakResult, error) {
 	})
 	c.Settle(8 * time.Hour)
 	probeTick.Stop()
-	inj.Stop()
 	return res, nil
 }

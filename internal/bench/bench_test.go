@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -130,7 +131,11 @@ func TestFailoverHeadline(t *testing.T) {
 	}
 }
 
+// TestAblationsRun checks every ablation produces error-free rows and pins
+// the rendered tables byte for byte against testdata/ablations.txt, which
+// is `ustore-bench -ablate`'s output (regenerate it with that command).
 func TestAblationsRun(t *testing.T) {
+	var got strings.Builder
 	for _, tab := range Ablations() {
 		if len(tab.Rows) == 0 {
 			t.Fatalf("ablation %s produced no rows", tab.ID)
@@ -142,6 +147,14 @@ func TestAblationsRun(t *testing.T) {
 				}
 			}
 		}
+		got.WriteString(tab.Render() + "\n")
+	}
+	want, err := os.ReadFile("testdata/ablations.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("ablation tables differ from testdata/ablations.txt:\n%s", got.String())
 	}
 }
 

@@ -194,15 +194,8 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 			}
 		}
 	}
-	leaderless := func() string {
-		if k := f.LeaderlessShard(); k >= 0 {
-			return fmt.Sprintf("shard %d leaderless", k)
-		}
-		return ""
-	}
-
 	// Boot: settle until every shard has a leader.
-	if ok, why := settleExplain(f, 10*time.Second, 3*time.Minute, leaderless); !ok {
+	if ok, why := settleExplain(f, 10*time.Second, 3*time.Minute, leaderless(f)); !ok {
 		return nil, fmt.Errorf("chaos: fleet boot settle timed out: %s", why)
 	}
 	rl.logf("fleet: booted %d units (%d disks), %d shards, map epoch %d",
@@ -256,7 +249,7 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 	// foreground clients keep allocating, then heal, re-drive interrupted
 	// migrations, and hold the fleet to the reference model.
 	if len(schedule) > 0 {
-		runFleetFaults(f, o, rep, rl, schedule, routers, ledger, check, leaderless)
+		runFleetFaults(f, o, rep, rl, schedule, routers, ledger, check)
 	}
 
 	// Fault phase: lose a whole deploy unit, then wait for the background
@@ -325,7 +318,7 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 func runFleetFaults(
 	f *fleet.Fleet, o FleetOptions, rep *FleetReport, rl *runLog, schedule []FleetFault,
 	routers []*fleet.Router, ledger *model.VolumeLedger,
-	check func(string), leaderless func() string,
+	check func(string),
 ) {
 	st := newFleetFaultState(f)
 	movesInFlight := 0
@@ -400,7 +393,7 @@ func runFleetFaults(
 	rl.logf("fleet: recovery: healed %d partitions, rejoined %d units, restarted %d replicas",
 		healed, rejoined, restarted)
 	if ok, why := settleExplain(f, 10*time.Second, 5*time.Minute, func() string {
-		if why := leaderless(); why != "" {
+		if why := leaderless(f)(); why != "" {
 			return why
 		}
 		if movesInFlight > 0 {
@@ -465,15 +458,15 @@ func settleExplain(f *fleet.Fleet, step, max time.Duration, pending func() strin
 	}
 }
 
-// settleUntil is settleExplain for callers with nothing to explain.
-func settleUntil(f *fleet.Fleet, step, max time.Duration, done func() bool) bool {
-	ok, _ := settleExplain(f, step, max, func() string {
-		if done() {
-			return ""
+// leaderless is a settleExplain condition: pending while any shard has no
+// leader.
+func leaderless(f *fleet.Fleet) func() string {
+	return func() string {
+		if k := f.LeaderlessShard(); k >= 0 {
+			return fmt.Sprintf("shard %d leaderless", k)
 		}
-		return "condition pending"
-	})
-	return ok
+		return ""
+	}
 }
 
 // MeasureFleetAlloc measures steady-state allocation throughput (volumes
@@ -482,15 +475,8 @@ func settleUntil(f *fleet.Fleet, step, max time.Duration, done func() bool) bool
 func MeasureFleetAlloc(o FleetOptions, warmup, window time.Duration) (float64, error) {
 	o = o.withDefaults()
 	f := fleet.New(fleetConfig(o))
-	if !settleUntil(f, 10*time.Second, 3*time.Minute, func() bool {
-		for k := 0; k < o.Shards; k++ {
-			if f.Leader(k) == nil {
-				return false
-			}
-		}
-		return true
-	}) {
-		return 0, fmt.Errorf("chaos: fleet shards leaderless after boot settle")
+	if ok, why := settleExplain(f, 10*time.Second, 3*time.Minute, leaderless(f)); !ok {
+		return 0, fmt.Errorf("chaos: fleet boot settle timed out: %s", why)
 	}
 	completed := 0
 	for i := 0; i < o.Clients; i++ {

@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"ustore/internal/fleet"
@@ -204,20 +205,11 @@ func genFleetSchedule(o FleetOptions) []FleetFault {
 		out = append(out, FleetFault{At: t, Kind: FFMoveSlot, Slot: slot, Dst: dst})
 	}
 
-	sortFleetFaults(out)
+	// Order by At, stable in generation order: the executor applies
+	// same-instant faults in schedule order (a move before its co-timed
+	// interrupter).
+	slices.SortStableFunc(out, func(a, b FleetFault) int { return cmp.Compare(a.At, b.At) })
 	return out
-}
-
-// sortFleetFaults orders by At, stable in generation order — the executor
-// applies same-instant faults in schedule order (a move before its
-// co-timed interrupter).
-func sortFleetFaults(fs []FleetFault) {
-	// Insertion sort: schedules are tiny and stability matters.
-	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && fs[j].At < fs[j-1].At; j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
-		}
-	}
 }
 
 // fleetFaultState tracks open faults so the recovery phase (and therefore

@@ -90,8 +90,8 @@ func (cl *ClientLib) callMaster(method string, args any, size int, done func(any
 	order = append(order, cl.masters...)
 	retry := simnet.RetryOpts{
 		Attempts: 2,
-		Timeout:  cl.cfg.RPCTimeoutOrDefault(),
-		Backoff:  cl.cfg.RPCTimeoutOrDefault() / 8,
+		Timeout:  cl.cfg.RPCTimeout,
+		Backoff:  cl.cfg.RPCTimeout / 8,
 	}
 	var try func(i int, lastErr error)
 	try = func(i int, lastErr error) {

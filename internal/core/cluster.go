@@ -74,10 +74,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	ctrls := []string{controllerNode(hosts[0]), controllerNode(hosts[1])}
 	groups := c.Fabric.CoMovingGroups()
 	for _, name := range peerNames {
-		st := coord.NewStore(net, name, peerNames, cfg.PaxosOrDefault())
-		if cfg.CoordSweepInterval > 0 {
-			st.SetSweepInterval(cfg.CoordSweepInterval)
-		}
+		st := coord.NewStore(net, name, peerNames, cfg.Paxos)
+		st.SetSweepInterval(cfg.CoordSweepInterval)
 		c.Stores = append(c.Stores, st)
 		m := NewMaster(net, name, st, cfg, ctrls)
 		m.SetDiskGroups(groups)

@@ -202,8 +202,8 @@ func (ep *EndPoint) sendHeartbeat() {
 	}
 	retry := simnet.RetryOpts{
 		Attempts: 2,
-		Timeout:  ep.cfg.RPCTimeoutOrDefault(),
-		Backoff:  ep.cfg.RPCTimeoutOrDefault() / 8,
+		Timeout:  ep.cfg.RPCTimeout,
+		Backoff:  ep.cfg.RPCTimeout / 8,
 	}
 	sent := make(map[string]bool)
 	for _, t := range targets {
@@ -240,7 +240,7 @@ func (ep *EndPoint) sendUSBReport() {
 	}
 	rep := USBReportArgs{Host: ep.host, Storage: storage, Hubs: hubs, Seq: ep.usbSeq}
 	for _, ctl := range ep.controllers {
-		ep.rpc.Call(ctl, "USBReport", rep, 256, ep.cfg.RPCTimeoutOrDefault(), func(any, error) {})
+		ep.rpc.Call(ctl, "USBReport", rep, 256, ep.cfg.RPCTimeout, func(any, error) {})
 	}
 }
 

@@ -137,7 +137,7 @@ func NewMaster(net *simnet.Network, name string, store *coord.Store, cfg Config,
 		m.limiterPool = policy.NewBucketPool(masterRate, masterBurst)
 		m.cThrottled = cfg.Recorder.Counter("core", "master_throttled_total")
 	}
-	m.elect = coord.NewElection(store, "/master/active", name, cfg.ElectionTTLOrDefault())
+	m.elect = coord.NewElection(store, "/master/active", name, cfg.ElectionTTL)
 	m.elect.OnElected = m.onElected
 	m.rpc.Register("Heartbeat", m.handleHeartbeat)
 	m.rpc.Register("Allocate", m.handleAllocate)
@@ -264,7 +264,7 @@ func (m *Master) exportDisksOn(host string, diskIDs []string) {
 			m.exported[rec.Space] = host
 			m.rpc.Call(endpointNode(host), "Export",
 				ExportArgs{Space: rec.Space, DiskID: rec.DiskID, Offset: rec.Offset, Size: rec.Size},
-				128, m.cfg.RPCTimeoutOrDefault(), func(any, error) {})
+				128, m.cfg.RPCTimeout, func(any, error) {})
 		}
 	}
 }
@@ -554,7 +554,7 @@ func (m *Master) handleAllocate(from string, args any) (any, error) {
 			m.exported[space] = host
 			m.rpc.Call(endpointNode(host), "Export",
 				ExportArgs{Space: space, DiskID: diskID, Offset: offset, Size: a.Size},
-				128, m.cfg.RPCTimeoutOrDefault(), func(any, error) {})
+				128, m.cfg.RPCTimeout, func(any, error) {})
 		}
 	})
 	host := m.diskHost[diskID]
@@ -644,7 +644,7 @@ func (m *Master) handleRelease(from string, args any) (any, error) {
 	if host, ok := m.exported[r.Space]; ok {
 		delete(m.exported, r.Space)
 		m.rpc.Call(endpointNode(host), "Unexport", UnexportArgs{Space: r.Space},
-			64, m.cfg.RPCTimeoutOrDefault(), func(any, error) {})
+			64, m.cfg.RPCTimeout, func(any, error) {})
 	}
 	m.store.Delete("/alloc/"+rec.DiskID+"/"+spaceLeaf(r.Space), nil)
 	return struct{}{}, nil
@@ -689,7 +689,7 @@ func (m *Master) handleDiskPower(from string, args any) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: disk %s not attached", p.DiskID)
 	}
-	m.rpc.Call(endpointNode(host), "DiskPower", p, 64, m.cfg.RPCTimeoutOrDefault(), func(any, error) {})
+	m.rpc.Call(endpointNode(host), "DiskPower", p, 64, m.cfg.RPCTimeout, func(any, error) {})
 	return struct{}{}, nil
 }
 

@@ -32,12 +32,6 @@ const (
 	DiskMissing    DiskState = "missing" // not visible on any host
 )
 
-// Timing defaults for the control loop; Config overrides them.
-const (
-	DefaultHeartbeatInterval = 500 * time.Millisecond
-	DefaultRPCTimeout        = 1 * time.Second
-)
-
 // The deployment's fixed shape and timings: every run uses these values, so
 // they are constants, not Config fields (DESIGN.md §17).
 const (
@@ -75,18 +69,17 @@ type Config struct {
 	// limit. Set to usb.IntelRootHubDeviceLimit (14) to reproduce the
 	// prototype's §V-B driver quirk.
 	HostDeviceLimit int
-	// RPCTimeout bounds control-plane RPCs (0 = DefaultRPCTimeout).
+	// RPCTimeout bounds control-plane RPCs.
 	RPCTimeout time.Duration
-	// ElectionTTL is the master-election session TTL (0 = 2s). Long
-	// simulated horizons raise it so session keep-alives don't dominate
-	// the event budget.
+	// ElectionTTL is the master-election session TTL. Long simulated
+	// horizons raise it so session keep-alives don't dominate the event
+	// budget.
 	ElectionTTL time.Duration
-	// Paxos overrides the coord quorum's consensus timing; a zero value
-	// uses paxos.DefaultConfig(). Chaos soaks stretch these to keep a
-	// 100-day run's event count simulable.
+	// Paxos is the coord quorum's consensus timing. Chaos soaks stretch it
+	// to keep a 100-day run's event count simulable.
 	Paxos paxos.Config
-	// CoordSweepInterval is the coord leader's session-expiry scan period
-	// (0 = the store's 250ms default). Must stay well under ElectionTTL.
+	// CoordSweepInterval is the coord leader's session-expiry scan period.
+	// Must stay well under ElectionTTL.
 	CoordSweepInterval time.Duration
 	// DisableChecksums turns off the per-block CRC volume wrapper on
 	// exports, re-exposing silent media corruption to clients (used by the
@@ -139,32 +132,8 @@ type Config struct {
 	Protection *ProtectionConfig
 }
 
-// RPCTimeoutOrDefault returns the configured RPC timeout.
-func (c Config) RPCTimeoutOrDefault() time.Duration {
-	if c.RPCTimeout > 0 {
-		return c.RPCTimeout
-	}
-	return DefaultRPCTimeout
-}
-
-// ElectionTTLOrDefault returns the configured master-election TTL.
-func (c Config) ElectionTTLOrDefault() time.Duration {
-	if c.ElectionTTL > 0 {
-		return c.ElectionTTL
-	}
-	return 2 * time.Second
-}
-
-// PaxosOrDefault returns the consensus timing (DefaultConfig if unset).
-func (c Config) PaxosOrDefault() paxos.Config {
-	if c.Paxos == (paxos.Config{}) {
-		return paxos.DefaultConfig()
-	}
-	return c.Paxos
-}
-
-// DefaultConfig returns the paper's prototype shape: one unit, 16 disks,
-// 4 hosts, 4-port hubs.
+// DefaultConfig returns the paper's prototype shape (one unit, 16 disks,
+// 4 hosts, 4-port hubs) and the control loop's default timings.
 func DefaultConfig() Config {
 	return Config{
 		Fabric: fabric.Config{
@@ -172,8 +141,12 @@ func DefaultConfig() Config {
 			Disks: 16,
 			FanIn: 4,
 		},
-		HeartbeatInterval: DefaultHeartbeatInterval,
-		Seed:              1,
+		HeartbeatInterval:  500 * time.Millisecond,
+		RPCTimeout:         time.Second,
+		ElectionTTL:        2 * time.Second,
+		Paxos:              paxos.DefaultConfig(),
+		CoordSweepInterval: 250 * time.Millisecond,
+		Seed:               1,
 	}
 }
 

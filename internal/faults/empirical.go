@@ -3,9 +3,9 @@
 // rates, after Gray & van Ingen, "Empirical Measurements of Disk Failure
 // Rates and Error Rates" (MSR-TR-2005-166; PAPERS.md).
 //
-// The seed injector draws every component's lifetime from a flat
-// exponential — the datasheet world, where a disk's MTTF is a constant 10
-// to 50 years. Field measurements disagree on both shape and magnitude:
+// The paper's cited rates are flat exponentials — the datasheet world,
+// where a disk's MTTF is a constant 10 to 50 years. Field measurements
+// disagree on both shape and magnitude:
 //
 //   - observed annualized failure rates sit at 3-6%, several times the
 //     ~0.9% a 1M-hour datasheet MTTF implies (we use 3.6% as the
@@ -26,6 +26,7 @@
 // `failure: {model: empirical}`, the chaos harness maps sampled failure
 // ages onto an accelerated-aging schedule, and the campaign durability
 // grid integrates it directly.
+
 package faults
 
 import (

@@ -224,8 +224,8 @@ func TestUnitLossDrainsOntoSurvivors(t *testing.T) {
 	// (its replica 0 lived on u000) + rate-limited repair.
 	f.Settle(4 * time.Minute)
 
-	if !f.Drained(victim) {
-		t.Fatalf("unit %s not drained after repair window", victim)
+	if why := f.DrainBlocker(victim); why != "" {
+		t.Fatalf("unit %s not drained after repair window: %s", victim, why)
 	}
 	checkInvariants(t, f)
 
@@ -266,8 +266,8 @@ func TestSchedulerSaturationStillDrains(t *testing.T) {
 	f.KillUnit(victim)
 	f.Settle(6 * time.Minute)
 
-	if !f.Drained(victim) {
-		t.Fatalf("saturated scheduler never drained %s (tasks fenced but not launched)", victim)
+	if why := f.DrainBlocker(victim); why != "" {
+		t.Fatalf("saturated scheduler never drained %s (tasks fenced but not launched): %s", victim, why)
 	}
 	for k := 0; k < f.Cfg.Shards; k++ {
 		if m := f.Leader(k); m != nil && len(m.sch.pendingVol) != 0 {
@@ -407,7 +407,7 @@ func summary(f *Fleet) string {
 			ids = append(ids, id)
 		}
 		sort.Strings(ids)
-		fmt.Fprintf(&b, "shard %d leader=%s vols=%d\n", k, m.Name(), len(ids))
+		fmt.Fprintf(&b, "shard %d leader=%s vols=%d\n", k, m.name, len(ids))
 		for _, id := range ids {
 			fmt.Fprintf(&b, "  %s -> %s\n", id, strings.Join(m.vols[id].Disks, ","))
 		}
@@ -579,8 +579,8 @@ func TestIndexTracksFaultsAndMatchesRebuild(t *testing.T) {
 	if !moved || moveErr != nil {
 		t.Fatalf("slot move: moved=%v err=%v", moved, moveErr)
 	}
-	if !f.Drained("u006") {
-		t.Fatalf("u006 not drained: %s", f.DrainBlocker("u006"))
+	if why := f.DrainBlocker("u006"); why != "" {
+		t.Fatalf("u006 not drained: %s", why)
 	}
 	checkInvariants(t, f)
 

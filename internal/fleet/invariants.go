@@ -190,32 +190,11 @@ func (f *Fleet) VolumeHolders() (map[string][]int, error) {
 	return holders, nil
 }
 
-// Drained reports whether no live metadata references a unit's disks (the
-// unit-loss recovery end state).
-func (f *Fleet) Drained(unitID string) bool {
-	for k := 0; k < f.Cfg.Shards; k++ {
-		m := f.Leader(k)
-		if m == nil {
-			return false
-		}
-		for _, recs := range []map[string]VolRecord{m.vols, m.exports} {
-			for _, rec := range recs {
-				for _, d := range rec.Disks {
-					if di := f.Topo.Disks[d]; di != nil && di.Loc.Unit == unitID {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return true
-}
-
 // DrainBlocker names what still blocks a unit's drain: the first live
 // record (by shard, then kind, then volume ID) whose fragments reference
 // the unit's disks, or a leaderless shard hiding state. Returns "" once the
-// unit is drained — the explanatory companion to Drained for settle-timeout
-// reporting.
+// unit is drained: no live metadata references its disks (the unit-loss
+// recovery end state).
 func (f *Fleet) DrainBlocker(unitID string) string {
 	for k := 0; k < f.Cfg.Shards; k++ {
 		m := f.Leader(k)

@@ -148,9 +148,6 @@ func newShardMaster(f *Fleet, shard, replica int, store *coord.Store, p part) *S
 	return m
 }
 
-// Name returns the replica name (s<shard>m<replica>).
-func (m *ShardMaster) Name() string { return m.name }
-
 // installInitialMap seeds the replica's map before the fleet starts.
 func (m *ShardMaster) installInitialMap(mp *ShardMap) { m.map_ = mp.Clone() }
 

@@ -107,11 +107,11 @@ type Event struct {
 	index int32      // heap position, or an index* sentinel
 
 	// state is atomic so Cancel may be called from a goroutine other than
-	// the one driving the scheduler (e.g. a test stopping a fault injector
-	// mid-run) without racing the Step/peek reads. It holds the evPooled,
-	// evCanceled and evDeparted bits; the last two make canceledPending exact:
-	// Cancel counts an event only while it is still queued, and the side
-	// that takes it out of the queue (fire or drop) uncounts it.
+	// the one driving the scheduler without racing the Step/peek reads. It
+	// holds the evPooled, evCanceled and evDeparted bits; the last two make
+	// canceledPending exact: Cancel counts an event only while it is still
+	// queued, and the side that takes it out of the queue (fire or drop)
+	// uncounts it.
 	state atomic.Uint32
 }
 

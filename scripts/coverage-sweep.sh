@@ -9,7 +9,7 @@
 # scripts/coverage-allowlist.txt. The list is every ustore-chaos and
 # ustore-campaign line in .github/workflows/ci.yml and README.md, the planted
 # bugs with -minimize, a full ustore-bench plus -ablate/-latency/.prom output,
-# an empirical-model chaos spec, the four ustore-sim scenarios, the examples,
+# an empirical-model chaos spec, both ustore-sim scenarios, the examples,
 # and each perf workload traced.
 #
 #   bash scripts/coverage-sweep.sh [WORKDIR]
@@ -120,10 +120,9 @@ run 0 "$bench" -exp hdfs -latency
 run 0 "$bench" -exp failover -trials 10 -parallel 2
 run 0 "$bench" -list
 
-for s in crash switch powersave; do
+for s in crash switch; do
 	run 0 "$bin/ustore-sim" -scenario "$s" -stats
 done
-run 0 "$bin/ustore-sim" -scenario fleet -units 8 -shards 2 -engine-workers 4
 run 0 "$bin/fabric-plan"
 
 for ex in examples/*/; do

@@ -46,7 +46,7 @@ var settings = map[string]settingReason{
 	"core.Config.RPCTimeout":            {twoValues, "chaos.stretchedConfig (2s) and core.DefaultConfig (1s)"},
 	"core.Config.ElectionTTL":           {twoValues, "chaos.stretchedConfig (30m) and core.DefaultConfig (2s)"},
 	"core.Config.Paxos":                 {twoValues, "chaos.stretchedConfig (1m heartbeats) and core.DefaultConfig (paxos.DefaultConfig)"},
-	"core.Config.CoordSweepInterval":    {twoValues, "chaos.stretchedConfig (2m) and core.DefaultConfig (the store's 250ms)"},
+	"core.Config.CoordSweepInterval":    {twoValues, "chaos.stretchedConfig (2m) and core.DefaultConfig (250ms)"},
 	"core.Config.DisableChecksums":      {plantedBug, "ustore-chaos -no-checksums"},
 	"core.Config.ScrubInterval":         {twoValues, "chaos.leanConfig (Options.ScrubEvery) and chaos.trafficConfig (off)"},
 	"core.Config.Seed":                  {runIdentity, "the run's seed"},
