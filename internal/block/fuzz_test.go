@@ -97,6 +97,8 @@ func FuzzDecodeBody(f *testing.F) {
 	wrongMagic := seeds[8].Encode()
 	wrongMagic[0] ^= 0xff
 	f.Add(wrongMagic)
+	// A discard read, whose flag rides in the header.
+	f.Add((&Msg{Type: MsgRead, Tag: 7, Volume: "v", Offset: 8192, Length: 4 << 20, Discard: true}).Encode())
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		m, n, err := Decode(raw)
@@ -122,7 +124,7 @@ func FuzzDecodeBody(f *testing.F) {
 		}
 		if m2.Type != m.Type || m2.Tag != m.Tag || m2.Status != m.Status ||
 			m2.Volume != m.Volume || m2.Offset != m.Offset || m2.Length != m.Length ||
-			m2.Size != m.Size || !bytes.Equal(m2.Data, m.Data) {
+			m2.Size != m.Size || m2.Discard != m.Discard || !bytes.Equal(m2.Data, m.Data) {
 			t.Fatalf("round trip changed the message:\n  first:  %+v\n  second: %+v", m, m2)
 		}
 	})

@@ -206,6 +206,14 @@ func (ini *Initiator) Read(host, volume string, off int64, length int, done func
 	ini.send(host, &Msg{Type: MsgRead, Volume: volume, Offset: uint64(off), Length: uint32(length)}, c)
 }
 
+// ReadDiscard is Read for a caller that only times its reads: the bytes are
+// read, CRC-verified and timed on the link, but done's data is empty.
+func (ini *Initiator) ReadDiscard(host, volume string, off int64, length int, done func([]byte, error)) {
+	c := ini.newCall()
+	c.read = done
+	ini.send(host, &Msg{Type: MsgRead, Volume: volume, Offset: uint64(off), Length: uint32(length), Discard: true}, c)
+}
+
 // Write writes data at off to a logged-in volume. data is copied into the
 // request's frame before Write returns, so the wire never aliases it and the
 // caller may reuse it at once.

@@ -88,12 +88,16 @@ type Msg struct {
 	Length uint32
 	// Size is the volume size (login-resp).
 	Size uint64
+	// Discard asks for a header-only reply to a read (header flag).
+	Discard bool
 	// Data carries write payloads and read results.
 	Data []byte
 }
 
-// header layout: magic(4) type(1) status(1) pad(2) tag(8) bodyLen(4) = 20B.
+// header layout: magic(4) type(1) status(1) flags(1) pad(1) tag(8) bodyLen(4).
 const headerLen = 20
+
+const flagDiscard = 1 // flags bit of a discard read
 
 // MaxBody bounds a PDU body (sanity check against corrupt streams).
 const MaxBody = 64 << 20
@@ -144,6 +148,9 @@ func (m *Msg) frameLen() int { return headerLen + m.bodyLen() }
 func (m *Msg) encodeInto(out []byte) {
 	bl := len(out) - headerLen
 	putHeader(out, m.Type, m.Status, m.Tag, bl)
+	if m.Discard {
+		out[6] = flagDiscard
+	}
 	b := out[headerLen:]
 	switch m.Type {
 	case MsgLogin, MsgLogout:
@@ -220,9 +227,10 @@ func (m *Msg) decode(buf []byte, names map[string]string) (int, error) {
 		return 0, ErrTruncated
 	}
 	*m = Msg{
-		Type:   MsgType(buf[4]),
-		Status: Status(buf[5]),
-		Tag:    binary.BigEndian.Uint64(buf[8:]),
+		Type:    MsgType(buf[4]),
+		Status:  Status(buf[5]),
+		Discard: buf[6]&flagDiscard != 0,
+		Tag:     binary.BigEndian.Uint64(buf[8:]),
 	}
 	if err := m.decodeBody(buf[headerLen:total], names); err != nil {
 		return 0, err

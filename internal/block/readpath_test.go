@@ -16,13 +16,15 @@ import (
 // span bytes of the volume written — the path every cold read takes.
 type readRig struct {
 	sched *simtime.Scheduler
+	net   *simnet.Network
 	ini   *Initiator
 	d     *disk.Disk
 
 	// One callback for every read, so the rig itself allocates nothing
-	// per IO.
+	// per IO. at is when it last ran.
 	done  func([]byte, error)
 	err   error
+	at    simtime.Time
 	check func(data []byte)
 }
 
@@ -32,10 +34,10 @@ func newReadRig(tb testing.TB, span int) *readRig {
 	tb.Helper()
 	s := simtime.NewScheduler(1)
 	n := simnet.New(s)
-	r := &readRig{sched: s, ini: NewInitiator(n, "client1"),
+	r := &readRig{sched: s, net: n, ini: NewInitiator(n, "client1"),
 		d: disk.New(s, "disk00", disk.DT01ACA300(), disk.AttachFabric)}
 	r.done = func(data []byte, err error) {
-		r.err = err
+		r.err, r.at = err, s.Now()
 		if err == nil && r.check != nil {
 			r.check(data)
 		}
@@ -71,6 +73,15 @@ func newReadRig(tb testing.TB, span int) *readRig {
 func (r *readRig) read(off int64, length int, check func(data []byte)) error {
 	r.err, r.check = errPending, check
 	r.ini.Read("h1", readRigVolume, off, length, r.done)
+	r.sched.Run()
+	return r.err
+}
+
+// readDiscard is read as a discard read; check, if set, sees what the
+// callback got.
+func (r *readRig) readDiscard(off int64, length int, check func(data []byte)) error {
+	r.err, r.check = errPending, check
+	r.ini.ReadDiscard("h1", readRigVolume, off, length, r.done)
 	r.sched.Run()
 	return r.err
 }
@@ -222,6 +233,64 @@ func TestReadPathLateReplyReleasesFrame(t *testing.T) {
 	// sched.Run in read returned only after the late reply was delivered.
 	if frame := r.ini.frames.Get(headerLen + size); &frame[headerLen] != payload {
 		t.Fatal("the late reply's frame did not return to the free list")
+	}
+}
+
+// A discard read is a full read in everything but the payload it hands
+// back: its reply arrives when the full read's does and the network counts
+// the same bytes for it, a rotten block still fails it with ErrChecksum,
+// and once warm it allocates no more than a full read.
+func TestDiscardReadMatchesFullRead(t *testing.T) {
+	const size = 1 << 20
+	type outcome struct {
+		took  time.Duration
+		bytes uint64
+		err   error
+	}
+	for _, off := range []int64{0, size / 2, 3 * size} { // written, straddling, a hole
+		var full, discard outcome
+		for _, o := range []*outcome{&full, &discard} {
+			r := newReadRig(t, 2*size)
+			start, sent := r.sched.Now(), r.net.Stats().Bytes
+			if o == &full {
+				o.err = r.read(off, size, nil)
+			} else {
+				o.err = r.readDiscard(off, size, func(data []byte) {
+					if len(data) != 0 {
+						t.Errorf("discard read handed back %d bytes", len(data))
+					}
+				})
+			}
+			o.took, o.bytes = time.Duration(r.at-start), r.net.Stats().Bytes-sent
+		}
+		if full.err != nil || discard != full {
+			t.Fatalf("read at %d: discard %+v, full %+v", off, discard, full)
+		}
+	}
+
+	r := newReadRig(t, 2*size)
+	r.d.CorruptSector(size + 8192) // rots the second MiB only
+	if err := r.readDiscard(size, size, nil); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("discard read of a rotten block: err = %v, want ErrChecksum", err)
+	}
+	if err := r.readDiscard(0, size, nil); err != nil {
+		t.Fatalf("discard read of a clean block: %v", err)
+	}
+
+	allocs := func(read func(int64, int, func([]byte)) error) float64 {
+		for i := 0; i < 4; i++ { // warm the free list and the scheduler's pools
+			if err := read(0, size, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(32, func() {
+			if err := read(0, size, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if d, f := allocs(r.readDiscard), allocs(r.read); d > f {
+		t.Fatalf("a warm discard read makes %v allocations, a full read %v", d, f)
 	}
 }
 

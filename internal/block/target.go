@@ -3,6 +3,7 @@ package block
 import (
 	"errors"
 
+	"ustore/internal/disk"
 	"ustore/internal/simnet"
 )
 
@@ -100,7 +101,11 @@ func (t *Target) serve(from string, m *Msg, raw []byte) {
 		}
 		rd := t.newReadReply()
 		rd.from, rd.tag = from, m.Tag
-		vol.ReadInto(int64(m.Offset), int(m.Length), rd, rd.done)
+		var dst disk.ReadDest = rd
+		if m.Discard {
+			dst, rd.discarded = disk.Discard, int(m.Length)
+		}
+		vol.ReadInto(int64(m.Offset), int(m.Length), dst, rd.done)
 		t.reads++
 	case MsgWrite:
 		vol, status := t.volumeFor(from, m.Volume)
@@ -127,13 +132,15 @@ func (t *Target) reply(to string, m Msg) {
 // place — the volume reads straight into a recycled frame behind the space
 // for the header — so the payload is copied once, store to wire, and in
 // steady state nothing payload-sized is allocated. The record itself is
-// recycled once the response is sent.
+// recycled once the response is sent. A discard read's reply is a pooled
+// header-only frame that declares the discarded length to the network.
 type readReply struct {
-	t     *Target
-	from  string
-	tag   uint64
-	frame []byte
-	done  func([]byte, error) // finish, bound once per record
+	t         *Target
+	from      string
+	tag       uint64
+	frame     []byte
+	discarded int                 // a discard read's length, else 0
+	done      func([]byte, error) // finish, bound once per record
 }
 
 func (t *Target) newReadReply() *readReply {
@@ -155,8 +162,8 @@ func (r *readReply) ReadBuffer(size int) []byte {
 }
 
 func (r *readReply) finish(data []byte, err error) {
-	t, from, tag, frame := r.t, r.from, r.tag, r.frame
-	r.from, r.frame = "", nil
+	t, from, tag, frame, discarded := r.t, r.from, r.tag, r.frame, r.discarded
+	r.from, r.frame, r.discarded = "", nil, 0
 	t.spentReads = append(t.spentReads, r)
 	if err != nil {
 		if frame != nil {
@@ -171,10 +178,13 @@ func (r *readReply) finish(data []byte, err error) {
 		t.reply(from, Msg{Type: MsgReadResp, Tag: tag, Status: status})
 		return
 	}
+	if discarded > 0 {
+		frame = t.frames.Get(headerLen) // data is nil
+	}
 	// data is frame[headerLen:] (the Volume.ReadInto contract); only the
 	// header is left to write.
 	putHeader(frame, MsgReadResp, StatusOK, tag, len(data))
-	t.node.Send(from, frame, len(frame))
+	t.node.Send(from, frame, len(frame)+discarded)
 }
 
 // writeReply is one write in service: it owns the request's frame, whose

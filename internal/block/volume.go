@@ -18,7 +18,7 @@ type Volume interface {
 	// that fails before reaching the medium), and on success done receives
 	// exactly that buffer. The buffer belongs to whoever supplied it: data is
 	// valid until done returns, and a done that keeps the bytes longer must
-	// copy them. A nil dst means a fresh buffer, which done may keep.
+	// copy them. A nil dst means a fresh buffer done may keep; disk.Discard none.
 	ReadInto(off int64, length int, dst disk.ReadDest, done func(data []byte, err error))
 	// WriteAt writes data at off. data belongs to the caller until done
 	// runs — for a Target, a request frame that is recycled right after —

@@ -256,14 +256,30 @@ func (cl *ClientLib) Read(space SpaceID, off int64, length int, done func([]byte
 // use short budgets so a missing shard fails fast instead of riding out a
 // full failover. As with Read, data is valid only until done returns.
 func (cl *ClientLib) ReadWithBudget(space SpaceID, off int64, length int, budget time.Duration, done func([]byte, error)) {
+	cl.read(space, off, length, budget, false, done)
+}
+
+// ReadDiscard is ReadWithBudget for a caller that only times its reads
+// (block.Initiator.ReadDiscard): every check runs and every byte is timed
+// on the wire, but done's data is empty.
+func (cl *ClientLib) ReadDiscard(space SpaceID, off int64, length int, budget time.Duration, done func([]byte, error)) {
+	cl.read(space, off, length, budget, true, done)
+}
+
+func (cl *ClientLib) read(space SpaceID, off int64, length int, budget time.Duration, discard bool, done func([]byte, error)) {
 	cl.withRetry(space, budget, done, func(m *mount, attempt func(error)) {
-		cl.ini.Read(m.host, string(space), off, length, func(data []byte, err error) {
+		got := func(data []byte, err error) {
 			if err != nil {
 				attempt(err)
 				return
 			}
 			done(data, nil)
-		})
+		}
+		if discard {
+			cl.ini.ReadDiscard(m.host, string(space), off, length, got)
+		} else {
+			cl.ini.Read(m.host, string(space), off, length, got)
+		}
 	})
 }
 

@@ -55,11 +55,11 @@ type Scrubber struct {
 	// inFlight guards against overlapping sweeps when a verify-read plus
 	// repair round-trip outlasts the tick interval.
 	inFlight bool
-	// scratch is the one buffer every scrub IO uses. Verify-reads land in it
-	// and are thrown away; a repair's good copy is staged in it for the
-	// rewrite. inFlight keeps the steps of a sweep strictly one at a time,
-	// so the buffer is never in use twice.
-	scratch scratchDest
+	// scratch stages a repair's good copy for the rewrite (verify-reads
+	// discard their bytes: the volume's CRC check is what they are for).
+	// inFlight keeps the steps of a sweep strictly one at a time, so the
+	// buffer is never in use twice.
+	scratch []byte
 
 	// Pre-resolved progress counters (nil-safe), resolved once at
 	// construction instead of per scrub event.
@@ -82,17 +82,6 @@ func NewScrubber(ep *EndPoint, interval time.Duration) *Scrubber {
 	}
 	sc.arm()
 	return sc
-}
-
-// scratchDest is a disk.ReadDest over a single reused buffer.
-type scratchDest struct{ buf []byte }
-
-// ReadBuffer implements disk.ReadDest.
-func (s *scratchDest) ReadBuffer(size int) []byte {
-	if cap(s.buf) < size {
-		s.buf = make([]byte, size)
-	}
-	return s.buf[:size]
 }
 
 // SetRepairFunc installs the good-copy source used to fix bad blocks. With
@@ -149,7 +138,7 @@ func (sc *Scrubber) step() {
 	sc.stats.Scanned++
 	sc.cScanned.Inc()
 	rec := sc.ep.cfg.Recorder
-	vol.ReadInto(off, length, &sc.scratch, func(_ []byte, err error) {
+	vol.ReadInto(off, length, disk.Discard, func(_ []byte, err error) {
 		if err == nil || !errors.Is(err, block.ErrChecksum) {
 			// Clean block, or a non-checksum error (disk died mid-read);
 			// either way there is nothing to repair.
@@ -178,8 +167,8 @@ func (sc *Scrubber) step() {
 			// The disk holds a write's payload until the IO completes, and
 			// data is only valid until this callback returns (it may be a
 			// peer read's wire frame): stage a copy.
-			data = append(sc.scratch.buf[:0], data...)
-			vol.WriteAt(off, data, func(werr error) {
+			sc.scratch = append(sc.scratch[:0], data...)
+			vol.WriteAt(off, sc.scratch, func(werr error) {
 				if werr != nil {
 					sc.stats.Unrepaired++
 					sc.cUnrepaired.Inc()
@@ -189,7 +178,7 @@ func (sc *Scrubber) step() {
 				}
 				// Re-read to prove the rewrite really cleared the error
 				// (the write path recomputed the block CRC).
-				vol.ReadInto(off, length, &sc.scratch, func(_ []byte, rerr error) {
+				vol.ReadInto(off, length, disk.Discard, func(_ []byte, rerr error) {
 					if rerr == nil {
 						sc.stats.Repaired++
 						sc.cRepairs.Inc()

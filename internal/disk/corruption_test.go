@@ -2,6 +2,7 @@ package disk
 
 import (
 	"bytes"
+	"hash/crc32"
 	"testing"
 
 	"ustore/internal/simtime"
@@ -66,7 +67,7 @@ func TestCorruptAtHoleMaterializesChunk(t *testing.T) {
 	if got[0] != 0x01 || got[1] != 0x01 {
 		t.Fatalf("corrupting a hole read back %v, want [1 1]", got)
 	}
-	if len(st.chunks) != 1 || st.chunks[3] == nil {
+	if len(st.chunks) != 1 || st.chunks[3].data == nil {
 		t.Fatalf("materialized chunks = %d, want only chunk 3", len(st.chunks))
 	}
 }
@@ -143,4 +144,38 @@ func TestReplaceMediaWipesDataAndResetsCounters(t *testing.T) {
 			t.Fatal("data survived media replacement")
 		}
 	}
+}
+
+// ChunkCRC memoises each chunk's checksum, so every way a chunk's bytes
+// change must drop the memo: a stale one would let a verify compare the
+// sidecar against bytes the chunk no longer holds, missing real rot or
+// inventing it. Each step is checked after the chunk was hashed at least
+// once before, so a memo that survives the change is what the check sees.
+func TestChunkCRCFollowsEveryChange(t *testing.T) {
+	s, d := newDisk(t)
+	check := func(step string, idx ...int64) {
+		t.Helper()
+		st := d.Store()
+		for _, i := range idx {
+			want := crc32.ChecksumIEEE(readStore(st, i*chunkSize, chunkSize))
+			if got := st.ChunkCRC(i); got != want {
+				t.Fatalf("%s: ChunkCRC(%d) = %#x, want %#x, the CRC of the bytes ReadInto returns", step, i, got, want)
+			}
+		}
+	}
+	check("hole", 2, 3, 5)
+	d.Store().WriteAt(2*chunkSize+100, bytes.Repeat([]byte{0xAB}, chunkSize)) // straddles chunks 2 and 3
+	check("write over holes", 2, 3)
+	d.Store().WriteAt(3*chunkSize+7, []byte{1, 2, 3})
+	check("rewrite", 2, 3)
+	d.Store().CorruptAt(2*chunkSize+200, 16, 0x5a)
+	check("corrupt", 2, 3)
+	d.CorruptSector(3 * chunkSize)
+	check("corrupt sector", 2, 3)
+	d.Store().CorruptAt(5*chunkSize+1, 1, 0x01)
+	check("corrupt a hole", 5)
+	submitWrite(s, d, 2*chunkSize+chunkSize-2, []byte("over the boundary"))
+	check("write through Submit", 2, 3)
+	d.ReplaceMedia()
+	check("replaced media", 2, 3, 5)
 }

@@ -99,6 +99,13 @@ type ReadDest interface {
 	ReadBuffer(size int) []byte
 }
 
+// Discard is the destination of a read whose caller only times it: the disk
+// queues, times, counts and URE-draws it as any read but fills no bytes, and
+// Done gets nil data. Its ReadBuffer (a nil embedded interface's) never runs.
+var Discard ReadDest = discardDest{}
+
+type discardDest struct{ ReadDest }
+
 // Request is a queued IO with its completion callback.
 type Request struct {
 	Op     Op
@@ -107,7 +114,7 @@ type Request struct {
 	// bytes read.
 	Data []byte
 	// Dest, for reads, supplies the buffer the bytes are read into and Done
-	// then receives. Nil means a fresh buffer per read.
+	// then receives. Nil means a fresh buffer per read; Discard means none.
 	Dest ReadDest
 	// Done is invoked on completion with the data read (nil for writes)
 	// and an error.
@@ -312,7 +319,6 @@ func (d *Disk) failQueue(err error) {
 	q := d.queue
 	d.queue = nil
 	for _, r := range q {
-		r := r
 		d.sched.FireAfter(0, func() {
 			if r.Done != nil {
 				r.Done(nil, err)
@@ -568,12 +574,12 @@ func (s *service) Fire() {
 	var data []byte
 	if op.Read {
 		d.maybeCorruptOnRead(req.Offset, op.Size)
-		if req.Dest != nil {
-			data = req.Dest.ReadBuffer(op.Size)
-		} else {
+		if req.Dest == nil {
 			data = make([]byte, op.Size)
+		} else if req.Dest != Discard {
+			data = req.Dest.ReadBuffer(op.Size)
 		}
-		d.store.ReadInto(req.Offset, data)
+		d.store.ReadInto(req.Offset, data) // a discard read's nil: no bytes
 		d.bytesRead += uint64(op.Size)
 	} else {
 		d.store.WriteAt(req.Offset, req.Data)

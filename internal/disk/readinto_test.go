@@ -2,9 +2,13 @@ package disk
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
+
+	"ustore/internal/simtime"
 )
 
 // Property: ReadInto into a dirty buffer returns exactly what ReadAt returns
@@ -159,5 +163,97 @@ func TestDrainedQueueReleasesRequests(t *testing.T) {
 	runtime.KeepAlive(d)
 	if held := int64(after) - int64(before); held > n*size/4 {
 		t.Fatalf("heap holds %d MiB after draining %d queued 1 MiB writes (want about 1 MiB, the store's copy)", held>>20, n)
+	}
+}
+
+// A Discard read is the same IO as a read into a buffer, minus the bytes.
+// Two disks on schedulers with one seed serve one schedule of reads — a
+// spin-up, reads over data and over holes, a URE rate that rots sectors and
+// a fail-slow regime that draws EIO — one into a destination and one
+// discarding. Every completion time, state transition, URE draw (what the
+// store holds afterwards), EIO draw, bytesRead and health figure matches,
+// and so does the next number the RNG hands out.
+func TestDiscardReadIsTheSameIO(t *testing.T) {
+	type run struct {
+		events    []string
+		store     []byte
+		latent    int
+		bytesRead uint64
+		health    HealthStats
+		nextDraw  int64
+	}
+	serve := func(dst ReadDest) run {
+		s := simtime.NewScheduler(7)
+		d := New(s, "d0", DT01ACA300(), AttachSATA)
+		var r run
+		d.OnStateChange(func(old, new State) {
+			r.events = append(r.events, fmt.Sprintf("%v %v->%v", s.Now(), old, new))
+		})
+		d.Store().WriteAt(0, bytes.Repeat([]byte{0x11}, 4*chunkSize))
+		d.SetURERate(0.01)
+		d.Degrade(DegradeParams{ServiceFactor: 2, IOErrorRate: 0.3})
+		for i, off := range []int64{0, chunkSize, 3*chunkSize + 4096, 40 * chunkSize, 0, 2 * chunkSize} {
+			size := (i + 1) * 8192
+			d.Submit(&Request{Op: Op{Read: true, Size: size, Pattern: Random}, Offset: off, Dest: dst,
+				Done: func(data []byte, err error) {
+					switch {
+					case dst == Discard && data != nil:
+						t.Errorf("read %d: a discard read delivered %d bytes", i, len(data))
+					case dst != Discard && err == nil && len(data) != size:
+						t.Errorf("read %d: %d bytes, want %d", i, len(data), size)
+					}
+					r.events = append(r.events, fmt.Sprintf("%v read %d: %v", s.Now(), i, err))
+				}})
+		}
+		s.Run()
+		r.store = readStore(d.Store(), 0, 48*chunkSize)
+		r.latent, r.bytesRead, r.health = d.latentErrors, d.bytesRead, d.Health()
+		r.nextDraw = s.Rand().Int63()
+		return r
+	}
+	want := serve(&countingDest{buf: make([]byte, 64<<10)})
+	if want.latent == 0 || want.health.Errors == 0 || want.health.Errors == want.health.IOs {
+		t.Fatalf("schedule exercises too little: %d rotted sectors, %d of %d IOs failed",
+			want.latent, want.health.Errors, want.health.IOs)
+	}
+	if got := serve(Discard); !reflect.DeepEqual(got, want) {
+		t.Fatalf("discard run differs from the buffered run:\n got  %+v\n want %+v",
+			got.events, want.events)
+	}
+}
+
+// A discard read neither allocates nor fills its payload, while a read
+// with no destination still gets a fresh buffer of its own per read (the
+// disk probe and the tests rely on that).
+func TestDiscardReadAllocatesNoPayload(t *testing.T) {
+	s, d := newDisk(t)
+	const size = 4 << 20
+	d.Store().WriteAt(0, []byte("head"))
+	read := func(dst ReadDest) (data []byte) {
+		d.Submit(&Request{Op: Op{Read: true, Size: size, Pattern: Sequential}, Dest: dst,
+			Done: func(b []byte, err error) {
+				if err != nil {
+					t.Fatalf("read: %v", err)
+				}
+				data = b
+			}})
+		s.Run()
+		return data
+	}
+	a, b := read(nil), read(nil)
+	if len(a) != size || string(a[:4]) != "head" || &a[0] == &b[0] {
+		t.Fatal("a read with no destination did not get a fresh, filled buffer")
+	}
+	read(Discard)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 8; i++ {
+		if data := read(Discard); data != nil {
+			t.Fatalf("discard read delivered %d bytes", len(data))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / 8; per > 4096 {
+		t.Fatalf("a 4 MiB discard read allocates %d bytes", per)
 	}
 }

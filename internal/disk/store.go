@@ -13,8 +13,15 @@ import "hash/crc32"
 // disk is re-cabled to another host, and it is NOT damaged by CorruptAt —
 // which is exactly what makes silent bit rot detectable.
 type Store struct {
-	chunks map[int64][]byte
+	chunks map[int64]chunk
 	crcs   map[int64]uint32
+}
+
+// chunk is an allocated chunk; crc is its CRC32 while crcOK (changes clear it).
+type chunk struct {
+	data  []byte
+	crc   uint32
+	crcOK bool
 }
 
 // chunkSize is the allocation granularity of the sparse store.
@@ -27,7 +34,7 @@ const ChunkSize = chunkSize
 // NewStore returns an empty sparse store.
 func NewStore() *Store {
 	return &Store{
-		chunks: make(map[int64][]byte),
+		chunks: make(map[int64]chunk),
 		crcs:   make(map[int64]uint32),
 	}
 }
@@ -35,17 +42,20 @@ func NewStore() *Store {
 // WriteAt copies data into the store at off.
 func (s *Store) WriteAt(off int64, data []byte) {
 	for len(data) > 0 {
-		ci := off / chunkSize
-		co := off % chunkSize
-		c, ok := s.chunks[ci]
-		if !ok {
-			c = make([]byte, chunkSize)
-			s.chunks[ci] = c
-		}
-		n := copy(c[co:], data)
-		data = data[n:]
-		off += int64(n)
+		n := copy(s.chunkAt(off / chunkSize)[off%chunkSize:], data)
+		data, off = data[n:], off+int64(n)
 	}
+}
+
+// chunkAt returns chunk ci's bytes for a caller about to change them.
+func (s *Store) chunkAt(ci int64) []byte {
+	c, ok := s.chunks[ci]
+	if !ok {
+		c.data = make([]byte, chunkSize)
+	}
+	c.crcOK = false
+	s.chunks[ci] = c
+	return c.data
 }
 
 // ReadInto fills dst with the len(dst) bytes starting at off, copying each
@@ -60,7 +70,7 @@ func (s *Store) ReadInto(off int64, dst []byte) {
 			n = len(dst)
 		}
 		if c, ok := s.chunks[ci]; ok {
-			copy(dst[:n], c[co:])
+			copy(dst[:n], c.data[co:])
 		} else {
 			clear(dst[:n])
 		}
@@ -78,14 +88,7 @@ func (s *Store) CorruptAt(off int64, n int, mask byte) {
 		mask = 0xff
 	}
 	for ; n > 0; n-- {
-		ci := off / chunkSize
-		co := off % chunkSize
-		c, ok := s.chunks[ci]
-		if !ok {
-			c = make([]byte, chunkSize)
-			s.chunks[ci] = c
-		}
-		c[co] ^= mask
+		s.chunkAt(off / chunkSize)[off%chunkSize] ^= mask
 		off++
 	}
 }
@@ -94,14 +97,19 @@ func (s *Store) CorruptAt(off int64, n int, mask byte) {
 // without materializing 64KB of zeros.
 var zeroChunkCRC = crc32.ChecksumIEEE(make([]byte, chunkSize))
 
-// ChunkCRC returns the CRC32 (IEEE) of the chunk-aligned block idx, computed
-// directly over the store's backing memory with no copy. Holes hash as all
+// ChunkCRC returns the CRC32 (IEEE) of the chunk-aligned block idx, hashing
+// the store's backing memory in place once per change. Holes hash as all
 // zeros, matching what ReadInto returns for them.
 func (s *Store) ChunkCRC(idx int64) uint32 {
-	if c, ok := s.chunks[idx]; ok {
-		return crc32.ChecksumIEEE(c)
+	c, ok := s.chunks[idx]
+	if !ok {
+		return zeroChunkCRC
 	}
-	return zeroChunkCRC
+	if !c.crcOK {
+		c.crc, c.crcOK = crc32.ChecksumIEEE(c.data), true
+		s.chunks[idx] = c
+	}
+	return c.crc
 }
 
 // SetBlockCRC records the checksum for the chunk-aligned block with index

@@ -538,8 +538,9 @@ func (e *TrafficEngine) volOffset(rng *rand.Rand, vol *trafficVolume, size int) 
 
 // request runs one read request end to end: optional directory lookup (the
 // master's metadata gate), admission (protected runs), then the data read
-// with the class's retry budget. Outcomes are recorded at full elapsed time
-// from arrival.
+// with the class's retry budget. The engine only times its reads, so they
+// are discard reads. Outcomes are recorded at full elapsed time from
+// arrival.
 func (e *TrafficEngine) request(cs *classState, tenant string, tenantIdx int, vol *trafficVolume, off int64, size int, withLookup bool) {
 	startAt := e.sched.Now()
 	phase := e.phaseAt(startAt)
@@ -571,11 +572,11 @@ func (e *TrafficEngine) request(cs *classState, tenant string, tenantIdx int, vo
 	}
 	gated := func() {
 		if e.prot == nil {
-			gw.ReadWithBudget(vol.space, off, size, cs.spec.Budget, readDone(false))
+			gw.ReadDiscard(vol.space, off, size, cs.spec.Budget, readDone(false))
 			return
 		}
 		e.prot.Admit(cs.spec.Name, tenant, vol.diskID,
-			func() { gw.ReadWithBudget(vol.space, off, size, cs.spec.Budget, readDone(true)) },
+			func() { gw.ReadDiscard(vol.space, off, size, cs.spec.Budget, readDone(true)) },
 			func(reason string) {
 				if reason == core.RejectThrottled {
 					finish(OutcomeThrottled)

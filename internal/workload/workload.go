@@ -169,7 +169,9 @@ func startWorker(sched *simtime.Scheduler, d *disk.Disk, spec Spec, deadline sim
 				submit()
 			},
 		}
-		if !read {
+		if read {
+			req.Dest = disk.Discard // Iometer only times its reads
+		} else {
 			req.Data = make([]byte, 0) // metadata-only write: store elides
 		}
 		d.Submit(req)
