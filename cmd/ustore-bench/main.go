@@ -5,7 +5,6 @@
 // Usage:
 //
 //	ustore-bench                 # all tables and figures
-//	ustore-bench -quick          # skip the slow switching/failover runs
 //	ustore-bench -exp fig6       # one experiment by ID
 //	ustore-bench -ablate         # the design-choice ablations
 //	ustore-bench -list           # list experiment IDs
@@ -114,7 +113,6 @@ func main() {
 }
 
 func run() int {
-	quick := flag.Bool("quick", false, "skip slow experiments (fig6, failover, hdfs)")
 	exp := flag.String("exp", "", "run a single experiment by ID")
 	ablate := flag.Bool("ablate", false, "run the ablation studies instead")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
@@ -189,7 +187,7 @@ func run() int {
 			fmt.Println()
 		}
 	default:
-		for _, t := range bench.All(*quick, rec, *trials, *parallel) {
+		for _, t := range bench.All(rec, *trials, *parallel) {
 			fmt.Print(t.Render())
 			fmt.Println()
 		}

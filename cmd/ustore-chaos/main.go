@@ -41,9 +41,7 @@ import (
 	"io"
 	"os"
 	"slices"
-	"strconv"
 	"strings"
-	"time"
 
 	"ustore/internal/campaign"
 	"ustore/internal/chaos"
@@ -58,19 +56,9 @@ import (
 // the field at path.
 type alias struct {
 	path  string
-	bare  bool                         // boolean: usable without a value
-	mode  string                       // a bare flag that sets path to this, not to "true"
-	conv  func(string) (string, error) // flag text -> field text; nil passes it through
+	bare  bool   // boolean: usable without a value
+	mode  string // a bare flag that sets path to this, not to "true"
 	usage string
-}
-
-// seconds converts a Go duration into the spec's seconds.
-func seconds(v string) (string, error) {
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return "", err
-	}
-	return strconv.FormatFloat(d.Seconds(), 'g', -1, 64), nil
 }
 
 // aliases is the name table: every scenario flag and the spec path it
@@ -89,7 +77,6 @@ var aliases = map[string]alias{
 	"crashes":        {path: "fleet.crashes", usage: "shard-replica crash/restart cycles in the fault schedule"},
 	"partitions":     {path: "fleet.partitions", usage: "inter-unit partition (or leader-isolation) windows in the fault schedule"},
 	"moves":          {path: "fleet.slot_moves", usage: "schedule-driven slot migrations; the first is straddled by a source-leader crash (needs -shards >= 2)"},
-	"fault-window":   {path: "fleet.fault_window_sec", conv: seconds, usage: "fault phase length as a duration (0 = 2m when any fault knob is set)"},
 	"skip-redrive":   {path: "fleet.skip_redrive", bare: true, usage: "plant the skipped-ledger-re-drive recovery bug (model-checker demo; pairs with -minimize)"},
 	"storm":          {path: "traffic.storm", bare: true, usage: "add the restore-storm waves"},
 	"protect":        {path: "traffic.protect", bare: true, usage: "arm the admission/throttle/autoscale protection stack"},
@@ -170,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	setBy := map[string]string{}
 	for _, fl := range set {
 		a, ok := aliases[fl.Name]
-		text, err := fl.Value.String(), error(nil)
+		text := fl.Value.String()
 		if !ok || a.mode != "" && text != "true" {
 			continue // not a scenario flag, or a mode switch left off
 		}
@@ -178,16 +165,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return say("-%s cannot combine with -%s (both set %s)", fl.Name, other, a.path)
 		}
 		setBy[a.path] = fl.Name
-		switch {
-		case a.mode != "":
+		if a.mode != "" {
 			text = a.mode
-		case a.conv != nil:
-			text, err = a.conv(text)
 		}
-		if err == nil {
-			err = f.Override(a.path, text)
-		}
-		if err != nil {
+		if err := f.Override(a.path, text); err != nil {
 			return say("-%s: %v", fl.Name, err)
 		}
 	}
@@ -329,6 +310,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return status
 }
 
+// failStopFamilies names the fault families every faults-mode run draws
+// from.
+const failStopFamilies = "host-crashes disk-faults hub-faults net-faults corruptions"
+
 // header renders the run header from the spec — the effective fault mix and
 // planted bugs, or the fleet shape — so a pasted report is self-describing
 // (a gray run with mitigation off reads very differently from one with it
@@ -347,30 +332,26 @@ func header(s *spec.Spec, seeds int, planted []string) string {
 		}
 		return h
 	}
-	var fams, mods []string
-	add := func(list *[]string, on bool, name string) {
+	var fams string
+	var mods []string
+	add := func(on bool, name string) {
 		if on {
-			*list = append(*list, name)
+			mods = append(mods, name)
 		}
 	}
 	if s.Mode == "traffic" {
-		mods = []string{"tenants"}
-		add(&mods, s.Traffic.Storm, "storm")
-		add(&mods, s.Traffic.Protect, "protect")
+		fams, mods = "none", []string{"tenants"}
+		add(s.Traffic.Storm, "storm")
+		add(s.Traffic.Protect, "protect")
 	} else {
-		add(&fams, s.Faults.HostCrashes, "host-crashes")
-		add(&fams, s.Faults.Disks, "disk-faults")
-		add(&fams, s.Faults.Hubs, "hub-faults")
-		add(&fams, s.Faults.Net, "net-faults")
-		add(&fams, s.Faults.Corruptions, "corruptions")
-		add(&fams, s.Faults.Gray, "gray-faults")
-		add(&mods, s.Faults.Mitigation, "mitigation")
+		fams = failStopFamilies
+		if s.Faults.Gray {
+			fams += " gray-faults"
+		}
+		add(s.Faults.Mitigation, "mitigation")
 		mods = append(mods, planted...)
 	}
-	if len(fams) == 0 {
-		fams = []string{"none"}
-	}
-	h := fmt.Sprintf("ustore-chaos: %s, %.3g days, faults: %s", who, s.Days, strings.Join(fams, " "))
+	h := fmt.Sprintf("ustore-chaos: %s, %.3g days, faults: %s", who, s.Days, fams)
 	if len(mods) > 0 {
 		h += ", " + strings.Join(mods, " ")
 	}

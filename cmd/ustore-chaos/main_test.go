@@ -44,8 +44,8 @@ func TestFlagsAndSpecSameRun(t *testing.T) {
 			"mode: faults\nseed: 3\ndays: 0.5\nfaults:\n  gray: true\n  mitigation: true\n", nil},
 		{"traffic", []string{"-tenants", "-storm", "-protect", "-seed", "2"},
 			"mode: traffic\nseed: 2\ntraffic:\n  storm: true\n  protect: true\n", nil},
-		{"fleet-faults", []string{"-fleet", "-units", "8", "-shards", "2", "-crashes", "1", "-moves", "1", "-fault-window", "90s", "-log"},
-			"mode: fleet\nfleet:\n  units: 8\n  shards: 2\n  crashes: 1\n  slot_moves: 1\n  fault_window_sec: 90\noutput:\n  log: true\n", nil},
+		{"fleet-faults", []string{"-fleet", "-units", "8", "-shards", "2", "-crashes", "1", "-moves", "1", "-log"},
+			"mode: fleet\nfleet:\n  units: 8\n  shards: 2\n  crashes: 1\n  slot_moves: 1\noutput:\n  log: true\n", nil},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -128,7 +128,7 @@ func TestBadCombinationsExit2(t *testing.T) {
 		{[]string{"-seeds", "0"}, "-seeds must be >= 1"},
 		{[]string{"-days", "soon"}, `-days: flags: field days: cannot parse "soon" as a number`},
 		{[]string{"-days", "0"}, "days must be positive"},
-		{[]string{"-fleet", "-fault-window", "90"}, "-fault-window: "},
+		{[]string{"-fleet", "-fault-window", "90s"}, "flag provided but not defined: -fault-window"},
 		{[]string{"-fleet", "-moves", "2"}, "fleet.slot_moves needs fleet.shards >= 2"},
 		{[]string{"-fleet", "-shards", "4", "-crashes", "2", "-moves", "2", "-skip-redrive", "-minimize"}, "fleet.units 8 is below 12"},
 		{[]string{"-fleet", "-units", "2", "-shards", "1"}, "fleet.units 2 is below 3"},

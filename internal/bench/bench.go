@@ -67,14 +67,13 @@ func Cell(v float64) string {
 	}
 }
 
-// All runs every experiment in paper order. Slow experiments (fig6,
-// failover) can be skipped with quick=true. rec (optional) collects
+// All runs every experiment in paper order. rec (optional) collects
 // metrics and traces from the simulated experiments. trials sets the
 // failover trial count (<= 0 means DefaultTrials); parallel is the worker
 // count handed to the multi-run experiments (fig6 points, failover
 // trials), whose output is byte-identical at any worker count.
-func All(quick bool, rec *obs.Recorder, trials, parallel int) []*Table {
-	out := []*Table{
+func All(rec *obs.Recorder, trials, parallel int) []*Table {
+	return []*Table{
 		TableI(),
 		TableII(),
 		Figure5(),
@@ -82,11 +81,10 @@ func All(quick bool, rec *obs.Recorder, trials, parallel int) []*Table {
 		TableIII(),
 		TableIV(),
 		TableV(),
+		Figure6(rec, parallel),
+		Failover(rec, trials, parallel),
+		HDFSSwitch(rec),
 	}
-	if !quick {
-		out = append(out, Figure6(rec, parallel), Failover(rec, trials, parallel), HDFSSwitch(rec))
-	}
-	return out
 }
 
 // Ablations runs the design-choice studies DESIGN.md calls out.

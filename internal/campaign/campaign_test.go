@@ -14,9 +14,6 @@ mode: durability
 seed: 9
 durability:
   disks: 128
-  disk_tb: 4
-  years: 5
-  repair_hours: 24
   trials: 2
 grid:
   durability.scheme: [r2, r3]
@@ -141,9 +138,6 @@ func TestParallelByteEquality(t *testing.T) {
 mode: faults
 seed: 4
 days: 1
-faults:
-  pairs: 2
-  blocks_per_space: 4
 output:
   log: true
 grid:

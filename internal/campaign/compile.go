@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"ustore/internal/chaos"
+	"ustore/internal/faults"
 	"ustore/internal/obs"
 	"ustore/internal/spec"
 )
@@ -34,22 +35,15 @@ func Compile(s *spec.Spec) (Scenario, error) {
 	switch s.Mode {
 	case "faults", "traffic":
 		o := chaos.DefaultOptions(s.Seed, time.Duration(s.Days*float64(24*time.Hour)))
-		o.HostCrashes = s.Faults.HostCrashes
-		o.DiskFaults = s.Faults.Disks
-		o.HubFaults = s.Faults.Hubs
-		o.NetFaults = s.Faults.Net
-		o.Corruptions = s.Faults.Corruptions
 		o.GrayFaults = s.Faults.Gray
 		o.Mitigation = s.Faults.Mitigation
-		o.Pairs = s.Faults.Pairs
-		o.BlocksPerSpace = s.Faults.BlocksPerSpace
 		if s.Mode == "traffic" {
 			o.Tenants = true
 			o.Storm = s.Traffic.Storm
 			o.Protect = s.Traffic.Protect
 		}
 		if s.Failure.Model == "empirical" {
-			o.Empirical = s.EmpiricalModel()
+			o.Empirical = faults.DefaultEmpirical()
 			o.AgeYears = s.Failure.AgeYears
 		}
 		return Scenario{Chaos: &o}, nil
@@ -58,14 +52,11 @@ func Compile(s *spec.Spec) (Scenario, error) {
 			Seed:              s.Seed,
 			Units:             s.Fleet.Units,
 			Shards:            s.Fleet.Shards,
-			Clients:           s.Fleet.Clients,
-			Volumes:           s.Fleet.Volumes,
 			UnitLoss:          s.Fleet.UnitLoss,
 			EngineWorkers:     s.Fleet.EngineWorkers,
 			ReplicaCrashes:    s.Fleet.Crashes,
 			Partitions:        s.Fleet.Partitions,
 			SlotMoves:         s.Fleet.SlotMoves,
-			FaultWindow:       time.Duration(s.Fleet.FaultWindowSec * float64(time.Second)),
 			InjectSkipRedrive: s.Fleet.SkipRedrive,
 		}}, nil
 	}

@@ -47,6 +47,15 @@ type DurabilityResult struct {
 	CapExPerUsableTB float64 `json:"capex_per_usable_tb"`
 }
 
+// Every durability cell models the same disks over the same horizon:
+// durabilityDiskTB-TB drives watched for durabilityYears, each failed one
+// rebuilt durabilityRepair after it fails.
+const (
+	durabilityDiskTB = 4
+	durabilityYears  = 5
+	durabilityRepair = 24 * time.Hour
+)
+
 // RunDurability executes one durability cell. Everything is derived from
 // the spec: same spec, byte-identical result.
 func RunDurability(s *spec.Spec) (*DurabilityResult, error) {
@@ -55,28 +64,23 @@ func RunDurability(s *spec.Spec) (*DurabilityResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := s.EmpiricalModel()
+	model := faults.DefaultEmpirical()
 	if s.Failure.Model == "constant" {
 		// The constant model is the flat exponential at the field AFR: the
 		// same plateau, no infant mortality, no wear-out, no batch shocks.
 		model = &faults.EmpiricalModel{UsefulAFR: model.UsefulAFR, UREBits: model.UREBits}
 	}
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
 	res := &DurabilityResult{
 		Scheme: d.Scheme, Width: width, Tolerate: tol,
-		Groups: d.Disks / width, Trials: d.Trials, Years: d.Years,
+		Groups: d.Disks / width, Trials: d.Trials, Years: durabilityYears,
 	}
 	if res.Groups == 0 {
 		return nil, fmt.Errorf("durability: %d disks cannot fill one %s group (width %d)", d.Disks, d.Scheme, width)
 	}
-	horizon := time.Duration(d.Years * float64(faults.Year))
-	repair := time.Duration(d.RepairHours * float64(time.Hour))
 
 	// A rebuild at last redundancy reads width-tol surviving disks' worth
 	// of sectors; one URE there is an unrecoverable sector.
-	sectorsRead := float64(width-tol) * d.DiskTB * 1e12 / 4096
+	sectorsRead := float64(width-tol) * durabilityDiskTB * 1e12 / 4096
 	pURE := 1.0
 	if r := model.URESectorRate(); r > 0 {
 		pURE = -math.Expm1(sectorsRead * math.Log1p(-r))
@@ -86,11 +90,11 @@ func RunDurability(s *spec.Spec) (*DurabilityResult, error) {
 
 	for trial := 0; trial < d.Trials; trial++ {
 		rng := rand.New(rand.NewSource(s.Seed + int64(trial)*0x9e3779b9))
-		events := model.SampleFleet(rng, res.Groups*width, horizon, repair)
+		events := model.SampleFleet(rng, res.Groups*width, durabilityYears*faults.Year, durabilityRepair)
 		res.DiskFailures += len(events)
 		// Sweep the failures chronologically, tracking each group's open
-		// outage windows [At, At+repair). RNG draws happen only inside the
-		// sweep's deterministic event order.
+		// outage windows [At, At+durabilityRepair). RNG draws happen only
+		// inside the sweep's deterministic event order.
 		open := make([][]time.Duration, res.Groups) // repair-completion times
 		for _, ev := range events {
 			g := ev.Disk / width
@@ -101,7 +105,7 @@ func RunDurability(s *spec.Spec) (*DurabilityResult, error) {
 				}
 			}
 			concurrent := len(ends) // pre-existing overlapping outages
-			ends = append(ends, ev.At+repair)
+			ends = append(ends, ev.At+durabilityRepair)
 			open[g] = ends
 			switch {
 			case concurrent+1 > tol:
@@ -117,7 +121,7 @@ func RunDurability(s *spec.Spec) (*DurabilityResult, error) {
 		}
 	}
 
-	trialYears := float64(d.Trials) * d.Years
+	trialYears := float64(d.Trials) * durabilityYears
 	res.AnnualLossRate = float64(res.LossIncidents) / trialYears
 	rate := res.AnnualLossRate
 	if res.LossIncidents == 0 {
@@ -126,7 +130,7 @@ func RunDurability(s *spec.Spec) (*DurabilityResult, error) {
 	}
 	res.Nines = -math.Log10(-math.Expm1(-rate))
 
-	res.RawTB = float64(d.Disks) * d.DiskTB
+	res.RawTB = float64(d.Disks) * durabilityDiskTB
 	overhead, err := spec.SchemeOverhead(d.Scheme)
 	if err != nil {
 		return nil, err

@@ -18,6 +18,11 @@
 // Options.Mitigation so mitigated and unmitigated runs of the same seed can
 // be compared head to head.
 //
+// The replicated workload has one shape — workloadPairs pairs of
+// blocksPerSpace blocks, written every writeEvery, audited every
+// auditEvery, scrubbed every scrubEvery — so Options carries only what
+// runs vary.
+//
 // Every run is seeded and replayable: the same Options produce a
 // byte-identical event log. MinimizeParallel re-runs a violating schedule's
 // prefixes to find the shortest one that still violates.
@@ -177,17 +182,6 @@ type Options struct {
 	// invariant checker detects real corruption.
 	DisableChecksums bool
 
-	// Workload shape: Pairs replicated spaces (2 copies each), each
-	// BlocksPerSpace checksum blocks long. WriteEvery paces the mutating
-	// workload (0 disables it, leaving only the initial write pass);
-	// AuditEvery paces the read-back invariant audit.
-	Pairs          int
-	BlocksPerSpace int
-	WriteEvery     time.Duration
-	AuditEvery     time.Duration
-	// ScrubEvery is the per-endpoint scrub cadence (0 disables scrubbing).
-	ScrubEvery time.Duration
-
 	// Recorder, when non-nil, collects metrics and trace events from the
 	// run: the cluster's own instrumentation plus the harness's fault
 	// injections, fault windows, and invariant-audit timings. Use a fresh
@@ -198,12 +192,12 @@ type Options struct {
 	// windows for draws from the empirical failure model (bathtub AFR with
 	// infant mortality and wear-out, correlated vintage-batch failures) and
 	// arms every disk's uncorrectable-read-error rate from the model's
-	// UREBits. AgeYears maps the run's Duration onto that many years of
-	// media aging (accelerated aging: a 2-simulated-day run sweeps a 5-year
-	// bathtub); <= 0 means 5. The empirical draws use their own rand stream,
-	// so every other fault family keeps its per-seed schedule and a
-	// constant-vs-empirical pair of runs differs only in disk events. Nil
-	// (the default) leaves the seed byte-identical.
+	// UREBits. AgeYears, which must then be positive, maps the run's
+	// Duration onto that many years of media aging (accelerated aging: a
+	// 2-simulated-day run sweeps a 5-year bathtub). The empirical draws use
+	// their own rand stream, so every other fault family keeps its per-seed
+	// schedule and a constant-vs-empirical pair of runs differs only in disk
+	// events. Nil (the default) leaves the seed byte-identical.
 	Empirical *faults.EmpiricalModel
 	AgeYears  float64
 
@@ -224,20 +218,27 @@ type Options struct {
 // duration.
 func DefaultOptions(seed int64, duration time.Duration) Options {
 	return Options{
-		Seed:           seed,
-		Duration:       duration,
-		HostCrashes:    true,
-		DiskFaults:     true,
-		HubFaults:      true,
-		NetFaults:      true,
-		Corruptions:    true,
-		Pairs:          4,
-		BlocksPerSpace: 8,
-		WriteEvery:     30 * time.Minute,
-		AuditEvery:     12 * time.Hour,
-		ScrubEvery:     time.Hour,
+		Seed:        seed,
+		Duration:    duration,
+		HostCrashes: true,
+		DiskFaults:  true,
+		HubFaults:   true,
+		NetFaults:   true,
+		Corruptions: true,
 	}
 }
+
+// The replicated workload every faults-mode run drives: workloadPairs
+// spaces of 2 copies each, blocksPerSpace checksum blocks long, one block
+// rewritten every writeEvery, read back in full every auditEvery, and every
+// endpoint scrubbed every scrubEvery.
+const (
+	workloadPairs  = 4
+	blocksPerSpace = 8
+	writeEvery     = 30 * time.Minute
+	auditEvery     = 12 * time.Hour
+	scrubEvery     = time.Hour
+)
 
 // genSchedule builds the fault schedule for a run, deterministically from
 // opts.Seed. Window faults (crash/fail/cut/loss/dup/isolate) are generated
@@ -397,8 +398,8 @@ func genSchedule(o Options, hosts, disks, hubs, machines []string) []Fault {
 			out = append(out, Fault{
 				At:    time.Duration(rng.Int63n(int64(d))),
 				Kind:  FaultCorrupt,
-				Copy:  rng.Intn(2 * o.Pairs),
-				Block: rng.Intn(o.BlocksPerSpace),
+				Copy:  rng.Intn(2 * workloadPairs),
+				Block: rng.Intn(blocksPerSpace),
 			})
 		}
 	}

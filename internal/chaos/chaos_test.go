@@ -106,8 +106,9 @@ func TestChaosDeterministicReplay(t *testing.T) {
 }
 
 // corruptionOnlyOptions is the silent-corruption scenario: media rot with no
-// other faults, no mutating workload (so the corruption is never overwritten
-// before an audit reads it), and no scrubber racing the audit.
+// other faults, over the harness's one workload, which keeps rewriting
+// blocks (every writeEvery) and scrubbing them (every scrubEvery) between
+// its audits.
 func corruptionOnlyOptions(seed int64) Options {
 	o := DefaultOptions(seed, 24*time.Hour)
 	o.HostCrashes = false
@@ -115,12 +116,34 @@ func corruptionOnlyOptions(seed int64) Options {
 	o.HubFaults = false
 	o.NetFaults = false
 	o.Corruptions = true
-	o.Pairs = 2
-	o.BlocksPerSpace = 4
-	o.WriteEvery = 0
-	o.AuditEvery = 6 * time.Hour
-	o.ScrubEvery = 0
 	return o
+}
+
+// rotBeforeAudit is a corruption schedule the first audit is sure to read:
+// one block of each pair's first copy rots a minute before it, too late for
+// a rewrite or a scrub pass to reach them all. The seeded schedule's two
+// corruptions can both be rewritten before anything reads them (at seed 12
+// they are), which would leave the checkers below nothing to find.
+func rotBeforeAudit() []Fault {
+	var s []Fault
+	for pair := 0; pair < workloadPairs; pair++ {
+		s = append(s, Fault{At: auditEvery - time.Minute, Kind: FaultCorrupt, Copy: 2 * pair, Block: pair})
+	}
+	return s
+}
+
+// minimizeRot minimizes the rotBeforeAudit schedule under o.
+func minimizeRot(t *testing.T, o Options, parallel int) (schedule []Fault, minimized, full *Report) {
+	t.Helper()
+	h, err := newHarness(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schedule, minimized, full, err = minimizeSchedule(h, o, rotBeforeAudit(), parallel)
+	if err != nil {
+		t.Fatalf("minimize: %v", err)
+	}
+	return schedule, minimized, full
 }
 
 // TestChaosDetectsSilentCorruptionWithoutChecksums proves the invariant
@@ -130,7 +153,7 @@ func corruptionOnlyOptions(seed int64) Options {
 func TestChaosDetectsSilentCorruptionWithoutChecksums(t *testing.T) {
 	o := corruptionOnlyOptions(*chaosSeed)
 	o.DisableChecksums = true
-	rep, err := Run(o)
+	rep, err := RunSchedule(o, rotBeforeAudit())
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}
@@ -154,7 +177,7 @@ func TestChaosDetectsSilentCorruptionWithoutChecksums(t *testing.T) {
 // same scenario with the CRC layer on — corruption is detected at the storage
 // layer, repaired from the good copy, and no invariant is violated.
 func TestChaosChecksumsPreventSilentCorruption(t *testing.T) {
-	rep, err := Run(corruptionOnlyOptions(*chaosSeed))
+	rep, err := RunSchedule(corruptionOnlyOptions(*chaosSeed), rotBeforeAudit())
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}
@@ -172,10 +195,7 @@ func TestChaosChecksumsPreventSilentCorruption(t *testing.T) {
 func TestChaosMinimize(t *testing.T) {
 	o := corruptionOnlyOptions(*chaosSeed)
 	o.DisableChecksums = true
-	sched, minimized, full, err := MinimizeParallel(o, 1)
-	if err != nil {
-		t.Fatalf("minimize: %v", err)
-	}
+	sched, minimized, full := minimizeRot(t, o, 1)
 	if full == nil || len(full.Violations) == 0 {
 		t.Fatal("expected the full corruption run to violate")
 	}

@@ -16,11 +16,7 @@ const simDiskRepair = 5 * time.Hour
 
 // empiricalAge returns the media-age horizon the run compresses.
 func empiricalAge(o Options) time.Duration {
-	age := o.AgeYears
-	if age <= 0 {
-		age = 5
-	}
-	return time.Duration(age * float64(faults.Year))
+	return time.Duration(o.AgeYears * float64(faults.Year))
 }
 
 // empiricalURERate is the per-sector URE probability every disk is armed

@@ -10,8 +10,6 @@ import (
 
 func empiricalOpts(seed int64) Options {
 	o := DefaultOptions(seed, 24*time.Hour)
-	o.Pairs = 2
-	o.BlocksPerSpace = 4
 	o.Empirical = faults.DefaultEmpirical()
 	o.AgeYears = 5
 	return o
@@ -109,9 +107,13 @@ func TestEmpiricalRunReplays(t *testing.T) {
 	if got := empiricalURERate(o); math.Abs(got-want) > 1e-9*want {
 		t.Fatalf("URE rate %.6g, want %.6g", got, want)
 	}
-	o.AgeYears, o.Duration = 0, 48*time.Hour // age defaults to 5 years
+	o.Duration = 48 * time.Hour
 	if got := empiricalURERate(o); math.Abs(got-want/2) > 1e-9*want {
 		t.Fatalf("URE rate over 48 h %.6g, want %.6g", got, want/2)
+	}
+	o.AgeYears = 0
+	if _, err := Run(o); err == nil {
+		t.Fatal("an empirical run with no media age was accepted")
 	}
 }
 

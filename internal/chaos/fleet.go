@@ -33,9 +33,6 @@ type FleetOptions struct {
 	// Clients is the number of closed-loop allocating routers (default
 	// 4 per shard).
 	Clients int
-	// Volumes is how many volumes the load phase allocates (default
-	// 3 per unit).
-	Volumes int
 	// VolumeSize is bytes per volume (default 64 MiB).
 	VolumeSize int64
 	// UnitLoss kills unit u000 — which hosts shard 0's first replica, so
@@ -57,9 +54,6 @@ type FleetOptions struct {
 	// straddles another, exercising the RedriveMoves recovery path.
 	// Requires Shards >= 2 to take effect.
 	SlotMoves int
-	// FaultWindow is the fault phase length (default 2m when any fault
-	// knob is set).
-	FaultWindow time.Duration
 	// InjectSkipRedrive plants the skipped-ledger-re-drive recovery bug in
 	// the fleet (see fleet.Config.InjectSkipRedrive) so the minimizer has a
 	// real violation to shrink.
@@ -85,17 +79,15 @@ func (o FleetOptions) withDefaults() FleetOptions {
 	if o.Clients <= 0 {
 		o.Clients = 4 * o.Shards
 	}
-	if o.Volumes <= 0 {
-		o.Volumes = 3 * o.Units
-	}
 	if o.VolumeSize <= 0 {
 		o.VolumeSize = 64 << 20
 	}
-	if o.hasFaults() && o.FaultWindow <= 0 {
-		o.FaultWindow = 2 * time.Minute
-	}
 	return o
 }
+
+// volumesPerUnit is how many volumes the load phase allocates per deploy
+// unit.
+const volumesPerUnit = 3
 
 // drainTimeout bounds the virtual time a unit-loss run waits for the dead
 // unit to drain.
@@ -201,8 +193,8 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 	rl.logf("fleet: booted %d units (%d disks), %d shards, map epoch %d",
 		o.Units, f.Topo.NumDisks, o.Shards, f.AuthMap().Epoch)
 
-	// Load phase: o.Clients routers allocate o.Volumes volumes closed-loop
-	// (client i owns volumes i, i+C, i+2C, …).
+	// Load phase: o.Clients routers allocate volumesPerUnit volumes per
+	// unit closed-loop (client i owns volumes i, i+C, i+2C, …).
 	routers := make([]*fleet.Router, o.Clients)
 	for i := range routers {
 		routers[i] = f.NewRouter(fmt.Sprintf("c%03d", i))
@@ -211,10 +203,11 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 	// allocation enters it, and after recovery the shard leaders' holdings
 	// are checked against it (no volume lost, duplicated, or misplaced).
 	ledger := model.NewVolumeLedger()
-	pending := o.Volumes
+	volumes := volumesPerUnit * o.Units
+	pending := volumes
 	var allocate func(cl, vol int)
 	allocate = func(cl, vol int) {
-		if vol >= o.Volumes {
+		if vol >= volumes {
 			return
 		}
 		name := fmt.Sprintf("v%04d", vol)
@@ -236,7 +229,7 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 	}
 	if ok, why := settleExplain(f, 10*time.Second, 10*time.Minute, func() string {
 		if pending > 0 {
-			return fmt.Sprintf("%d of %d allocations still pending", pending, o.Volumes)
+			return fmt.Sprintf("%d of %d allocations still pending", pending, volumes)
 		}
 		return ""
 	}); !ok {
@@ -368,7 +361,7 @@ func runFleetFaults(
 		faultAlloc(cl)
 	}
 
-	window := o.FaultWindow
+	window := fleetFaultWindow
 	if last := schedule[len(schedule)-1].At; last > window {
 		window = last
 	}

@@ -32,9 +32,9 @@ func TestFleetUnitLossSmall(t *testing.T) {
 			if !rep.Drained {
 				t.Fatalf("unit not drained:\n%s", strings.Join(rep.Log, "\n"))
 			}
-			if rep.Failed != 0 || rep.Allocated != rep.Opts.Volumes {
+			if want := volumesPerUnit * rep.Opts.Units; rep.Failed != 0 || rep.Allocated != want {
 				t.Fatalf("load phase: %d allocated, %d failed, want %d/0",
-					rep.Allocated, rep.Failed, rep.Opts.Volumes)
+					rep.Allocated, rep.Failed, want)
 			}
 			if rep.Resolvable != rep.Allocated {
 				t.Fatalf("resolvable %d != allocated %d", rep.Resolvable, rep.Allocated)
@@ -56,7 +56,6 @@ func TestFleetScaleUnitLoss(t *testing.T) {
 		Units:    256,
 		Shards:   16,
 		Clients:  32,
-		Volumes:  512,
 		UnitLoss: true,
 	})
 	if err != nil {
@@ -71,7 +70,7 @@ func TestFleetScaleUnitLoss(t *testing.T) {
 	if !rep.Drained {
 		t.Fatalf("unit not drained in %v:\n%s", drainTimeout, strings.Join(rep.Log, "\n"))
 	}
-	if rep.Failed != 0 || rep.Resolvable != 512 {
+	if rep.Failed != 0 || rep.Resolvable != volumesPerUnit*256 {
 		t.Fatalf("load/verify: %d allocated, %d failed, %d resolvable",
 			rep.Allocated, rep.Failed, rep.Resolvable)
 	}

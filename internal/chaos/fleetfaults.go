@@ -88,6 +88,10 @@ func (f FleetFault) String() string {
 // multiple of it.
 const fleetFaultStep = 5 * time.Second
 
+// fleetFaultWindow is the fault phase's length, a multiple of
+// fleetFaultStep.
+const fleetFaultWindow = 2 * time.Minute
+
 // genFleetSchedule derives the fault schedule from the options alone. The
 // shape, in At order:
 //
@@ -115,16 +119,12 @@ func genFleetSchedule(o FleetOptions) []FleetFault {
 	q := func(d time.Duration) time.Duration {
 		return d / fleetFaultStep * fleetFaultStep
 	}
-	window := q(o.FaultWindow)
-	if window < fleetFaultStep {
-		window = fleetFaultStep
-	}
 	var out []FleetFault
 	t := time.Duration(0)
 	advance := func(min, spread time.Duration) {
 		t += q(min + time.Duration(rng.Int63n(int64(spread))))
-		if t > window {
-			t = window
+		if t > fleetFaultWindow {
+			t = fleetFaultWindow
 		}
 	}
 

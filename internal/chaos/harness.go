@@ -206,7 +206,7 @@ func stretchedConfig(o Options, hist *model.History) core.Config {
 func leanConfig(o Options, hist *model.History) core.Config {
 	cfg := stretchedConfig(o, hist)
 	cfg.HeartbeatInterval = 5 * time.Minute
-	cfg.ScrubInterval = o.ScrubEvery
+	cfg.ScrubInterval = scrubEvery
 	cfg.DisableChecksums = o.DisableChecksums
 	cfg.InjectStaleLease = o.InjectStaleLease
 	// The detect-quarantine side of the mitigation stack lives in the
@@ -242,9 +242,11 @@ func RunSchedule(o Options, schedule []Fault) (*Report, error) {
 }
 
 func newHarness(o Options) (*harness, error) {
-	if o.Pairs <= 0 || o.BlocksPerSpace <= 0 || o.Duration <= 0 {
-		return nil, fmt.Errorf("chaos: bad options (pairs=%d blocks=%d duration=%s)",
-			o.Pairs, o.BlocksPerSpace, o.Duration)
+	if o.Duration <= 0 {
+		return nil, fmt.Errorf("chaos: bad options (duration=%s)", o.Duration)
+	}
+	if o.Empirical != nil && o.AgeYears <= 0 {
+		return nil, fmt.Errorf("chaos: bad options (empirical model needs a positive AgeYears, got %g)", o.AgeYears)
 	}
 	hist := model.NewHistory()
 	c, err := core.NewCluster(leanConfig(o, hist))
@@ -338,8 +340,8 @@ func (h *harness) machineNames() []string {
 // --- workload setup ---
 
 func (h *harness) setupWorkload() error {
-	size := int64(h.opts.BlocksPerSpace) * BlockSize
-	for i := 0; i < h.opts.Pairs; i++ {
+	size := int64(blocksPerSpace) * BlockSize
+	for i := 0; i < workloadPairs; i++ {
 		for j := 0; j < 2; j++ {
 			name := fmt.Sprintf("chaos%d%c", i, 'a'+j)
 			cl := h.c.Client(name, fmt.Sprintf("chaos-svc%d%c", i, 'a'+j))
@@ -362,7 +364,7 @@ func (h *harness) setupWorkload() error {
 				space:  rep.Space,
 				diskID: rep.DiskID,
 				offset: rep.Offset,
-				blocks: make([]replicaBlock, h.opts.BlocksPerSpace),
+				blocks: make([]replicaBlock, blocksPerSpace),
 			}
 			h.replicas = append(h.replicas, r)
 			h.bySpace[rep.Space] = r
@@ -373,8 +375,8 @@ func (h *harness) setupWorkload() error {
 	}
 	// Initial write pass: every block of every pair gets acknowledged data
 	// before any fault fires, so the whole surface is auditable.
-	for i := 0; i < h.opts.Pairs; i++ {
-		for blk := 0; blk < h.opts.BlocksPerSpace; blk++ {
+	for i := 0; i < workloadPairs; i++ {
+		for blk := 0; blk < blocksPerSpace; blk++ {
 			h.writePair(i, blk)
 		}
 	}
@@ -390,7 +392,7 @@ func (h *harness) setupWorkload() error {
 		}
 	}
 	h.logf("workload ready: %d pairs x %d blocks x %d KiB, seed %d",
-		h.opts.Pairs, h.opts.BlocksPerSpace, BlockSize/1024, h.opts.Seed)
+		workloadPairs, blocksPerSpace, BlockSize/1024, h.opts.Seed)
 	return nil
 }
 
@@ -412,7 +414,7 @@ func (h *harness) setupProbers() error {
 	if !h.opts.GrayFaults && !h.opts.Mitigation {
 		return nil
 	}
-	for i := 0; i < h.opts.Pairs; i++ {
+	for i := 0; i < workloadPairs; i++ {
 		cl := h.c.Client(fmt.Sprintf("probe%d", i), fmt.Sprintf("probe-svc%d", i))
 		for j := 0; j < 2; j++ {
 			r := h.replicas[2*i+j]
@@ -468,7 +470,7 @@ func (h *harness) probePair(pair, remaining int) {
 	cl := h.probers[pair]
 	ra, rb := h.replicas[2*pair], h.replicas[2*pair+1]
 	r := h.replicas[2*pair+remaining%2]
-	blk := h.rng.Intn(h.opts.BlocksPerSpace)
+	blk := h.rng.Intn(blocksPerSpace)
 	// A hedged read may be served by either copy, and the copies legally
 	// diverge when one side's write failed. So verification snapshots both
 	// copies' block state and flags only a read that matches neither stable
@@ -527,7 +529,7 @@ func (h *harness) migrateReplica(r *replica) {
 		return
 	}
 	r.migrating = true
-	size := int64(h.opts.BlocksPerSpace) * BlockSize
+	size := int64(blocksPerSpace) * BlockSize
 	r.cl.Allocate(size, func(rep core.AllocateReply, err error) {
 		if err != nil {
 			r.migrating = false
@@ -961,18 +963,13 @@ func (h *harness) execute(schedule []Fault) (*Report, error) {
 		f := f
 		h.c.Sched.At(start+f.At, func() { h.apply(f) })
 	}
-	var writeTick, auditTick *simtime.Ticker
-	if o.WriteEvery > 0 {
-		tick := 0
-		writeTick = h.c.Sched.Every(o.WriteEvery, func() {
-			pair := tick % o.Pairs
-			tick++
-			h.writePair(pair, h.rng.Intn(o.BlocksPerSpace))
-		})
-	}
-	if o.AuditEvery > 0 {
-		auditTick = h.c.Sched.Every(o.AuditEvery, h.audit)
-	}
+	tick := 0
+	writeTick := h.c.Sched.Every(writeEvery, func() {
+		pair := tick % workloadPairs
+		tick++
+		h.writePair(pair, h.rng.Intn(blocksPerSpace))
+	})
+	auditTick := h.c.Sched.Every(auditEvery, h.audit)
 	var probeTick *simtime.Ticker
 	if len(h.probers) > 0 {
 		probeTick = h.c.Sched.Every(grayProbeEvery, h.probeAll)
@@ -982,12 +979,8 @@ func (h *harness) execute(schedule []Fault) (*Report, error) {
 	h.c.Settle(o.Duration)
 	h.drain()
 	h.c.Settle(12 * time.Hour)
-	if writeTick != nil {
-		writeTick.Stop()
-	}
-	if auditTick != nil {
-		auditTick.Stop()
-	}
+	writeTick.Stop()
+	auditTick.Stop()
 	if probeTick != nil {
 		probeTick.Stop()
 	}
@@ -1145,8 +1138,8 @@ func (h *harness) finalAudit() {
 // replica accepts a fresh acknowledged write on the healed cluster.
 func (h *harness) finalWritePass() {
 	h.logf("final: convergence write pass")
-	for pair := 0; pair < h.opts.Pairs; pair++ {
-		for blk := 0; blk < h.opts.BlocksPerSpace; blk++ {
+	for pair := 0; pair < workloadPairs; pair++ {
+		for blk := 0; blk < blocksPerSpace; blk++ {
 			h.writePair(pair, blk)
 		}
 	}

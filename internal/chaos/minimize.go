@@ -29,7 +29,12 @@ func MinimizeParallel(o Options, parallel int) (schedule []Fault, minimized, ful
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	all := genSchedule(o, h.hostNames(), h.diskNames(), h.leafHubNames(), h.machineNames())
+	return minimizeSchedule(h, o, genSchedule(o, h.hostNames(), h.diskNames(), h.leafHubNames(), h.machineNames()), parallel)
+}
+
+// minimizeSchedule is MinimizeParallel over an explicit schedule, whose
+// full run executes on h.
+func minimizeSchedule(h *harness, o Options, all []Fault, parallel int) (schedule []Fault, minimized, full *Report, err error) {
 	full, err = h.execute(all)
 	if err != nil {
 		return nil, nil, nil, err

@@ -12,14 +12,8 @@ func TestMinimizeParallelMatchesSequential(t *testing.T) {
 	o := corruptionOnlyOptions(*chaosSeed)
 	o.DisableChecksums = true
 
-	sSched, sMin, sFull, err := MinimizeParallel(o, 1)
-	if err != nil {
-		t.Fatalf("sequential minimize: %v", err)
-	}
-	pSched, pMin, pFull, err := MinimizeParallel(o, 4)
-	if err != nil {
-		t.Fatalf("parallel minimize: %v", err)
-	}
+	sSched, sMin, sFull := minimizeRot(t, o, 1)
+	pSched, pMin, pFull := minimizeRot(t, o, 4)
 	if sFull == nil || len(sFull.Violations) == 0 {
 		t.Fatal("expected the full corruption run to violate")
 	}

@@ -30,7 +30,6 @@
 package faults
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -101,25 +100,6 @@ func DefaultEmpirical() *EmpiricalModel {
 		BatchWindow:  30 * 24 * time.Hour,
 		UREBits:      ObservedUREBits,
 	}
-}
-
-// Validate rejects parameterizations the samplers cannot handle.
-func (m *EmpiricalModel) Validate() error {
-	switch {
-	case m.InfantAFR < 0 || m.UsefulAFR < 0 || m.WearOutRise < 0:
-		return fmt.Errorf("empirical model: negative rate")
-	case m.UsefulAFR == 0 && m.InfantAFR == 0 && m.WearOutRise == 0:
-		return fmt.Errorf("empirical model: hazard is identically zero")
-	case m.InfantAFR > 0 && m.InfantDecay <= 0:
-		return fmt.Errorf("empirical model: infant mortality needs a positive decay time")
-	case m.BatchShock < 0 || m.BatchShock >= 1:
-		return fmt.Errorf("empirical model: batch shock probability must be in [0,1)")
-	case m.BatchShock > 0 && (m.BatchSize < 2 || m.BatchWindow <= 0):
-		return fmt.Errorf("empirical model: batch shocks need size >= 2 and a positive window")
-	case m.UREBits < 0:
-		return fmt.Errorf("empirical model: negative URE rate")
-	}
-	return nil
 }
 
 // Hazard returns the instantaneous annual failure rate at the given disk

@@ -12,9 +12,6 @@ import (
 // climbs past onset.
 func TestBathtubShape(t *testing.T) {
 	m := DefaultEmpirical()
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	h0 := m.Hazard(0)
 	h1mo := m.Hazard(30 * 24 * time.Hour)
 	h2y := m.Hazard(2 * Year)

@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
-
-	"ustore/internal/faults"
 )
 
 // decoder walks a node tree into a Spec, rejecting unknown fields and type
@@ -146,28 +144,9 @@ func indexTags(t reflect.Type) {
 	tags[t] = m
 }
 
-// ureWords are the names failure.ure_bits accepts in place of a number.
-var ureWords = map[string]float64{
-	"spec":     faults.SpecUREBits,
-	"observed": faults.ObservedUREBits,
-	"off":      0,
-}
-
 // value decodes node n into the field v at dotted path: a struct from a
 // mapping, a leaf from a scalar of its kind.
 func (d *decoder) value(n *Node, v reflect.Value, path string) error {
-	if path == "failure.ure_bits" {
-		if x, ok := ureWords[n.Val]; ok && n.Kind == KindScalar {
-			v.SetFloat(x)
-			return nil
-		}
-		x, err := d.floatVal(n, path)
-		if err != nil {
-			return d.errf(n, "field failure.ure_bits: want a number of bits-per-error, \"spec\", \"observed\", or \"off\"")
-		}
-		v.SetFloat(x)
-		return nil
-	}
 	switch v.Kind() {
 	case reflect.Struct:
 		if n.Kind != KindMap {

@@ -23,24 +23,24 @@ func FuzzSpecParse(f *testing.F) {
 		"mode: traffic\ntraffic:\n  storm: true\n  protect: true\n",
 		"mode: fleet\nfleet:\n  units: 6\n  shards: 2\n",
 		"mode: fidelity\nfidelity:\n  check: table1-ustore-capex\n",
-		"mode: durability\nfailure:\n  model: empirical\n  ure_bits: spec\n",
+		"mode: durability\nfailure:\n  model: empirical\n  age_years: 3\n",
 		"mode: fleet\nfleet:\n  units: 3\n  shards: 1\ngrid:\n  seed:\n    - 1\n    - 2\n",
 		"mode: faults\nname: \"tab\\there\"\n",
-		"mode: faults\ngrid:\n  seed: [1, 2]\n  faults.pairs: [2, 4]\n",
+		"mode: faults\ngrid:\n  seed: [1, 2]\n  faults.gray: [false, true]\n",
 		"mode: faults\nname: \"quoted # name\"\n",
 		// Unknown fields and type mismatches.
 		"mode: faults\nbogus: 1\n",
 		"mode: faults\nfaults:\n  pears: 4\n",
 		"mode: faults\nseed: lots\n",
-		"mode: faults\nfaults:\n  disks: 3\n",
+		"mode: faults\nfaults:\n  gray: 3\n",
 		"mode: faults\nfailure:\n  ure_bits: sometimes\n",
 		"mode: faults\nseed: \"lots\"\n",
 		"mode: faults\nseed: 99999999999999999999\n",
 		"mode: faults\nfaults: on\n",
-		"mode: faults\nfailure:\n  ure_bits: \"observed\"\n",
-		"mode: faults\nfailure:\n  ure_bits: [1]\n",
+		"mode: faults\nfailure:\n  age_years: \"3\"\n",
+		"mode: faults\nfailure:\n  age_years: [1]\n",
 		// Syntax stress.
-		"mode: faults\nfaults:\n\tdisks: true\n",
+		"mode: faults\nfaults:\n\tgray: true\n",
 		"mode: faults\nname: &anchor x\n",
 		"mode: faults\nname: 'single'\n",
 		"mode: faults\nname: |\n  block\n",
@@ -53,7 +53,7 @@ func FuzzSpecParse(f *testing.F) {
 		"mode: faults\nname: \"unterminated\n",
 		"mode: faults\nname: \"bad \\q escape\"\n",
 		"mode: faults\n  stray: indent\n",
-		"mode: faults\nfaults:\n  disks: true\n  disks: false\n",
+		"mode: faults\nfaults:\n  gray: true\n  gray: false\n",
 		"{", "", "\x00", "\xff\xfe", strings.Repeat(" ", 100), strings.Repeat("a:\n", 50),
 	}
 	for _, s := range seeds {

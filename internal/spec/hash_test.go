@@ -14,7 +14,7 @@ func TestHashStableAcrossFormatting(t *testing.T) {
 		// Comments and blank lines.
 		"# cmt\nmode: durability\n\nseed: 5\ndurability:\n  scheme: r3 # inline\n  disks: 256\n",
 		// Defaults spelled out explicitly.
-		"mode: durability\nseed: 5\ndays: 2\ndurability:\n  scheme: r3\n  disks: 256\n  disk_tb: 4\n",
+		"mode: durability\nseed: 5\ndays: 2\ndurability:\n  scheme: r3\n  disks: 256\n  trials: 4\n",
 		// Quoted scalar strings where quoting is value-neutral.
 		"mode: \"durability\"\nseed: 5\ndurability:\n  scheme: \"r3\"\n  disks: 256\n",
 	}

@@ -4,16 +4,17 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
-	"ustore/internal/faults"
 	"ustore/internal/fleet"
 )
 
 // Spec is one fully-resolved experiment description. Field names in the
-// document are the snake_case forms of these (e.g. blocks_per_space);
+// document are the snake_case forms of these (e.g. age_years);
 // every field is optional except mode, and defaults are chosen so a
-// two-line spec runs the same scenario the CLI defaults would.
+// two-line spec runs the same scenario the CLI defaults would. A leaf
+// exists only where production runs set two values (DESIGN.md §17); what
+// every run shares is a constant of the engine, and a document naming a
+// removed path is refused like any unknown field.
 //
 // A Spec is what gets hashed: the canonical cell identity is the
 // sha256 of the decoded, defaulted struct (see Canonical/Hash), never the
@@ -37,49 +38,27 @@ type Spec struct {
 	Output     OutputSpec     `json:"output"`
 }
 
-// FaultsSpec shapes a faults-mode run: which families the schedule draws
-// from and the replicated workload dimensions.
+// FaultsSpec shapes a faults-mode run. Every run draws from all five
+// fail-stop families (host crashes, disk, hub and network faults, media
+// corruption) over the harness's fixed replicated workload; Gray adds the
+// fail-slow families and Mitigation the stack against them.
 type FaultsSpec struct {
-	HostCrashes bool `json:"host_crashes"`
-	Disks       bool `json:"disks"`
-	Hubs        bool `json:"hubs"`
-	Net         bool `json:"net"`
-	Corruptions bool `json:"corruptions"`
-	Gray        bool `json:"gray"`
-	Mitigation  bool `json:"mitigation"`
-
-	Pairs          int `json:"pairs"`
-	BlocksPerSpace int `json:"blocks_per_space"`
+	Gray       bool `json:"gray"`
+	Mitigation bool `json:"mitigation"`
 }
 
-// FailureSpec selects and parameterizes the failure model the run sweeps
-// over. "constant" is the seed behaviour (flat exponential lifetimes from
-// the paper's MTTF citations); "empirical" is the Gray & van Ingen model
+// FailureSpec selects the failure model the run sweeps over. "constant"
+// is the seed behaviour (flat exponential lifetimes from the paper's MTTF
+// citations); "empirical" is the Gray & van Ingen model
 // (faults.EmpiricalModel): bathtub AFR, correlated vintage batches,
-// measured URE rates. Rate fields left out of the document inherit the
-// calibrated defaults of faults.DefaultEmpirical.
+// measured URE rates. Its rates are the calibrated constants of
+// faults.DefaultEmpirical; only the disks' age is an input.
 type FailureSpec struct {
 	Model string `json:"model"` // "constant" | "empirical"
 	// AgeYears maps the simulated run window onto this many years of disk
 	// aging (accelerated aging), so a 2-simulated-day faults run can sweep
 	// a 5-year bathtub.
 	AgeYears float64 `json:"age_years"`
-
-	InfantAFR       float64 `json:"infant_afr"`
-	InfantDecayDays float64 `json:"infant_decay_days"`
-	UsefulAFR       float64 `json:"useful_afr"`
-	WearOutYears    float64 `json:"wear_out_years"`
-	WearOutRise     float64 `json:"wear_out_rise"`
-
-	BatchSize       int     `json:"batch_size"`
-	BatchShock      float64 `json:"batch_shock"`
-	BatchWindowDays float64 `json:"batch_window_days"`
-
-	// UREBits is the expected bits read per uncorrectable read error:
-	// faults.SpecUREBits (1e14) is the datasheet, faults.ObservedUREBits
-	// (3.2e15) the measurement. The strings "spec" and "observed" are
-	// accepted in the document.
-	UREBits float64 `json:"ure_bits"`
 }
 
 // TrafficSpec shapes a traffic-mode run.
@@ -96,8 +75,6 @@ type TrafficSpec struct {
 type FleetSpec struct {
 	Units         int  `json:"units"`
 	Shards        int  `json:"shards"`
-	Clients       int  `json:"clients"`
-	Volumes       int  `json:"volumes"`
 	UnitLoss      bool `json:"unit_loss"`
 	EngineWorkers int  `json:"engine_workers"` // cap on goroutines per engine window (0 = derived from the host); results are byte-identical at any value
 
@@ -109,9 +86,6 @@ type FleetSpec struct {
 	// SlotMoves is the number of schedule-driven slot migrations (the first
 	// straddled by a source-leader crash; needs shards >= 2 to take effect).
 	SlotMoves int `json:"slot_moves"`
-	// FaultWindowSec is the fault-phase length in simulated seconds
-	// (0 = the harness default).
-	FaultWindowSec float64 `json:"fault_window_sec"`
 	// SkipRedrive plants the skipped-ledger-re-drive recovery bug.
 	SkipRedrive bool `json:"skip_redrive"`
 }
@@ -125,18 +99,15 @@ type FidelitySpec struct {
 
 // DurabilitySpec shapes a durability-vs-cost Monte-Carlo cell: a
 // population of disks under the selected failure model, protected by
-// Scheme, with failed disks rebuilt after RepairHours. The cell reports
-// data-loss incidents, annual loss probability (as nines of durability),
-// and usable-capacity cost from the paper's CapEx model.
+// Scheme (disk size, horizon and repair time are campaign's constants).
+// The cell reports data-loss incidents, annual loss probability (as nines
+// of durability), and usable-capacity cost from the paper's CapEx model.
 type DurabilitySpec struct {
 	// Scheme is "r<N>" (N-way replication, e.g. "r3") or "ec<K>+<M>"
 	// (K data + M parity erasure coding, e.g. "ec8+3").
-	Scheme      string  `json:"scheme"`
-	Disks       int     `json:"disks"`
-	DiskTB      float64 `json:"disk_tb"`
-	Years       float64 `json:"years"`
-	RepairHours float64 `json:"repair_hours"`
-	Trials      int     `json:"trials"`
+	Scheme string `json:"scheme"`
+	Disks  int    `json:"disks"`
+	Trials int    `json:"trials"`
 }
 
 // OutputSpec selects what each cell's stamped output carries beyond the
@@ -148,32 +119,13 @@ type OutputSpec struct {
 // Default returns the spec every document starts from before its fields
 // are applied: the CLI-default faults run with the constant failure model.
 func Default() *Spec {
-	em := faults.DefaultEmpirical()
 	return &Spec{
-		Mode: "faults",
-		Seed: 1,
-		Days: 2,
-		Faults: FaultsSpec{
-			HostCrashes: true, Disks: true, Hubs: true, Net: true, Corruptions: true,
-			Pairs: 4, BlocksPerSpace: 8,
-		},
-		Failure: FailureSpec{
-			Model:           "constant",
-			AgeYears:        5,
-			InfantAFR:       em.InfantAFR,
-			InfantDecayDays: float64(em.InfantDecay) / float64(24*time.Hour),
-			UsefulAFR:       em.UsefulAFR,
-			WearOutYears:    float64(em.WearOutAfter) / float64(faults.Year),
-			WearOutRise:     em.WearOutRise,
-			BatchSize:       em.BatchSize,
-			BatchShock:      em.BatchShock,
-			BatchWindowDays: float64(em.BatchWindow) / float64(24*time.Hour),
-			UREBits:         em.UREBits,
-		},
-		Fleet: FleetSpec{Units: 8, Shards: 1},
-		Durability: DurabilitySpec{
-			Scheme: "r3", Disks: 1024, DiskTB: 4, Years: 5, RepairHours: 24, Trials: 4,
-		},
+		Mode:       "faults",
+		Seed:       1,
+		Days:       2,
+		Failure:    FailureSpec{Model: "constant", AgeYears: 5},
+		Fleet:      FleetSpec{Units: 8, Shards: 1},
+		Durability: DurabilitySpec{Scheme: "r3", Disks: 1024, Trials: 4},
 	}
 }
 
@@ -195,9 +147,6 @@ func (s *Spec) Validate() error {
 	if s.Days <= 0 {
 		return fmt.Errorf("spec %q: days must be positive", s.Name)
 	}
-	if s.Mode == "faults" && (s.Faults.Pairs <= 0 || s.Faults.BlocksPerSpace <= 0) {
-		return fmt.Errorf("spec %q: faults.pairs and faults.blocks_per_space must be positive", s.Name)
-	}
 	switch s.Failure.Model {
 	case "constant", "empirical":
 	default:
@@ -206,9 +155,6 @@ func (s *Spec) Validate() error {
 	if s.Failure.Model == "empirical" {
 		if s.Failure.AgeYears <= 0 {
 			return fmt.Errorf("spec %q: failure.age_years must be positive", s.Name)
-		}
-		if err := s.EmpiricalModel().Validate(); err != nil {
-			return fmt.Errorf("spec %q: %w", s.Name, err)
 		}
 	}
 	if s.Mode == "fleet" {
@@ -219,7 +165,7 @@ func (s *Spec) Validate() error {
 		if need := fleet.MinUnits(fl.Shards); fl.Units < need {
 			return fmt.Errorf("spec %q: fleet.units %d is below %d, the least that gives each of %d shards a unit per volume fragment", s.Name, fl.Units, need, fl.Shards)
 		}
-		if fl.Crashes < 0 || fl.Partitions < 0 || fl.SlotMoves < 0 || fl.FaultWindowSec < 0 {
+		if fl.Crashes < 0 || fl.Partitions < 0 || fl.SlotMoves < 0 {
 			return fmt.Errorf("spec %q: fleet fault fields must be non-negative", s.Name)
 		}
 		if fl.SlotMoves > 0 && fl.Shards < 2 {
@@ -231,27 +177,11 @@ func (s *Spec) Validate() error {
 		if _, _, err := ParseScheme(d.Scheme); err != nil {
 			return fmt.Errorf("spec %q: %w", s.Name, err)
 		}
-		if d.Disks <= 0 || d.Years <= 0 || d.DiskTB <= 0 || d.RepairHours <= 0 || d.Trials <= 0 {
+		if d.Disks <= 0 || d.Trials <= 0 {
 			return fmt.Errorf("spec %q: durability dimensions must be positive", s.Name)
 		}
 	}
 	return nil
-}
-
-// EmpiricalModel materializes the failure section as a faults model.
-func (s *Spec) EmpiricalModel() *faults.EmpiricalModel {
-	f := s.Failure
-	return &faults.EmpiricalModel{
-		InfantAFR:    f.InfantAFR,
-		InfantDecay:  time.Duration(f.InfantDecayDays * float64(24*time.Hour)),
-		UsefulAFR:    f.UsefulAFR,
-		WearOutAfter: time.Duration(f.WearOutYears * float64(faults.Year)),
-		WearOutRise:  f.WearOutRise,
-		BatchSize:    f.BatchSize,
-		BatchShock:   f.BatchShock,
-		BatchWindow:  time.Duration(f.BatchWindowDays * float64(24*time.Hour)),
-		UREBits:      f.UREBits,
-	}
 }
 
 // ParseScheme parses a durability protection scheme: "r<N>" replication

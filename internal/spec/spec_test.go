@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"ustore/internal/faults"
 )
 
 const sampleYAML = `# durability-vs-cost sweep
@@ -16,7 +14,6 @@ mode: durability
 seed: 7
 failure:
   model: empirical
-  ure_bits: observed
 durability:
   scheme: r3
   disks: 512
@@ -35,14 +32,14 @@ func TestParseYAMLSpec(t *testing.T) {
 	if s.Name != "durability-grid" || s.Mode != "durability" || s.Seed != 7 {
 		t.Fatalf("base fields wrong: %+v", s)
 	}
-	if s.Failure.Model != "empirical" || s.Failure.UREBits != faults.ObservedUREBits {
+	if s.Failure.Model != "empirical" {
 		t.Fatalf("failure section wrong: %+v", s.Failure)
 	}
 	if s.Durability.Disks != 512 || s.Durability.Trials != 2 {
 		t.Fatalf("durability section wrong: %+v", s.Durability)
 	}
 	// Defaults fill what the document leaves out.
-	if s.Durability.DiskTB != 4 || s.Days != 2 || !s.Faults.Disks {
+	if s.Days != 2 || s.Failure.AgeYears != 5 || s.Fleet.Units != 8 {
 		t.Fatalf("defaults not applied: %+v", s)
 	}
 	if len(f.Axes) != 2 || f.Axes[0].Path != "durability.scheme" || f.Axes[1].Name != "model" {
@@ -115,16 +112,22 @@ func TestPositionalErrors(t *testing.T) {
 		{"unknown top field", "mode: faults\nbogus: 1\n", "spec.yaml:2:1", "unknown field \"bogus\""},
 		{"unknown nested field", "mode: faults\nfaults:\n  pears: 4\n", "spec.yaml:3:3", "unknown field \"pears\" in faults"},
 		{"type mismatch int", "mode: faults\nseed: lots\n", "spec.yaml:2:7", "cannot parse \"lots\" as an integer"},
-		{"type mismatch bool", "mode: faults\nfaults:\n  disks: 3\n", "spec.yaml:3:10", "expected true or false"},
-		{"quoted bool rejected", "mode: faults\nfaults:\n  disks: \"true\"\n", "spec.yaml:3:10", "got the string"},
+		{"type mismatch bool", "mode: faults\nfaults:\n  gray: 3\n", "spec.yaml:3:9", "expected true or false"},
+		{"quoted bool rejected", "mode: faults\nfaults:\n  gray: \"true\"\n", "spec.yaml:3:9", "got the string"},
 		{"scalar for section", "mode: faults\nfaults: on\n", "spec.yaml:2:9", "expected nested keys"},
-		{"tab indent", "mode: faults\nfaults:\n\tdisks: true\n", "spec.yaml:3:1", "tab in indentation"},
+		{"tab indent", "mode: faults\nfaults:\n\tgray: true\n", "spec.yaml:3:1", "tab in indentation"},
 		{"duplicate key", "mode: faults\nmode: traffic\n", "spec.yaml:2:1", "duplicate key"},
 		{"missing mode", "seed: 4\n", "spec.yaml", "missing the required field \"mode\""},
 		{"bad mode value", "mode: sideways\n", "spec.yaml", "unknown mode"},
 		{"grid not a list", "mode: faults\ngrid:\n  seed: 4\n", "spec.yaml:3:9", "expected a list of values"},
 		{"grid nested list", "mode: faults\ngrid:\n  seed: [[1]]\n", "spec.yaml:3:9", "nested flow lists"},
-		{"bad ure_bits", "mode: faults\nfailure:\n  ure_bits: sometimes\n", "spec.yaml:3:13", "\"spec\", \"observed\", or \"off\""},
+		// Paths that were once settings and are now constants: an older
+		// spec file that still names one is refused, not silently ignored.
+		{"removed faults.pairs", "mode: faults\nfaults:\n  pairs: 2\n", "spec.yaml:3:3", "unknown field \"pairs\" in faults"},
+		{"removed failure.useful_afr", "mode: faults\nfailure:\n  model: empirical\n  useful_afr: 0.02\n", "spec.yaml:4:3", "unknown field \"useful_afr\" in failure"},
+		{"removed fleet.fault_window_sec", "mode: fleet\nfleet:\n  crashes: 1\n  fault_window_sec: 60\n", "spec.yaml:4:3", "unknown field \"fault_window_sec\" in fleet"},
+		{"bad ure_bits", "mode: faults\nfailure:\n  ure_bits: spec\n", "spec.yaml:3:3", "unknown field \"ure_bits\" in failure"},
+		{"removed durability.repair_hours", "mode: durability\ndurability:\n  repair_hours: 12\n", "spec.yaml:3:3", "unknown field \"repair_hours\" in durability"},
 		{"unsupported anchor", "mode: faults\nname: &a x\n", "spec.yaml:2:7", "unsupported YAML syntax"},
 		{"json trailing", `{"mode": "faults"} {`, "sample.json:1:1", "JSON specs are not supported"},
 		{"json unknown field", "{\n \"mode\": \"faults\",\n \"bogus\": 1\n}", "sample.json:1:1", "JSON specs are not supported"},
@@ -189,7 +192,7 @@ func TestSchemeParsing(t *testing.T) {
 func TestValidateRejectsBadValues(t *testing.T) {
 	for _, doc := range []string{
 		"mode: faults\ndays: 0\n",
-		"mode: faults\nfaults:\n  pairs: 0\n",
+		"mode: durability\ndurability:\n  disks: 0\n",
 		"mode: durability\ndurability:\n  scheme: raid6\n",
 		"mode: durability\ndurability:\n  trials: 0\n",
 		"mode: fleet\nfleet:\n  units: 0\n",
@@ -351,7 +354,7 @@ func TestSpecLeavesDecode(t *testing.T) {
 			}
 		}
 	}
-	if len(leaves) < 40 {
+	if len(leaves) < 23 {
 		t.Fatalf("only %d leaves found", len(leaves))
 	}
 }
