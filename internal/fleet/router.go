@@ -22,6 +22,8 @@ type Router struct {
 	map_ *ShardMap
 	// believed[k] indexes the replica last known to lead shard k.
 	believed []int
+	// free holds finished operation records (see routerOp.finish).
+	free []*routerOp
 
 	cStale   *obs.Counter
 	cRotates *obs.Counter
@@ -56,18 +58,35 @@ func newRouter(f *Fleet, name string) *Router {
 
 // Allocate places a volume through the owning shard; done's disks are read-only.
 func (r *Router) Allocate(volume string, size int64, service string, done func(disks []string, err error)) {
-	(&routerOp{r: r, method: "Allocate", volume: volume,
-		args: AllocateArgs{Volume: volume, Size: size, Service: service}, alloc: done}).Fire()
+	op := r.newOp("Allocate", volume, AllocateArgs{Volume: volume, Size: size, Service: service})
+	op.alloc = done
+	op.Fire()
 }
 
 // Lookup resolves a volume's fragment disks, which are read-only.
 func (r *Router) Lookup(volume string, done func(disks []string, size int64, err error)) {
-	(&routerOp{r: r, method: "Lookup", volume: volume, args: LookupArgs{Volume: volume}, lookup: done}).Fire()
+	op := r.newOp("Lookup", volume, LookupArgs{Volume: volume})
+	op.lookup = done
+	op.Fire()
 }
 
 // Release frees a volume.
 func (r *Router) Release(volume string, done func(err error)) {
-	(&routerOp{r: r, method: "Release", volume: volume, args: ReleaseArgs{Volume: volume}, release: done}).Fire()
+	op := r.newOp("Release", volume, ReleaseArgs{Volume: volume})
+	op.release = done
+	op.Fire()
+}
+
+// newOp takes an operation record off the free list, or makes one.
+func (r *Router) newOp(method, volume string, args any) *routerOp {
+	var op *routerOp
+	if n := len(r.free); n > 0 {
+		op, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		op = new(routerOp)
+	}
+	op.r, op.method, op.volume, op.args = r, method, volume, args
+	return op
 }
 
 // installMap adopts a newer map from a Stale reply.
@@ -107,7 +126,7 @@ func (r *Router) backoff(base time.Duration, tried int) time.Duration {
 
 // routerOp is one logical operation across all its attempts: the Replier
 // of each attempt's call and the receiver of its retry timer. Exactly one of
-// the typed done callbacks is set.
+// the typed done callbacks is set. The router recycles it at finish.
 type routerOp struct {
 	r              *Router
 	method, volume string
@@ -181,19 +200,26 @@ func (op *routerOp) Reply(res any, err error) {
 	}
 }
 
-// finish hands the operation's outcome to its typed callback.
+// finish hands the operation's outcome to its typed callback. Nothing can
+// reach op any more: each attempt's call ended before its Reply (a late
+// reply finds its call gone), and a retry timer is armed only between
+// attempts. So the record returns to the free list first, and the callback
+// may reuse it.
 func (op *routerOp) finish(res any, err error) {
+	r, alloc, lookup, release := op.r, op.alloc, op.lookup, op.release
+	*op = routerOp{}
+	r.free = append(r.free, op)
 	switch {
-	case op.release != nil:
-		op.release(err)
-	case err != nil && op.alloc != nil:
-		op.alloc(nil, err)
+	case release != nil:
+		release(err)
+	case err != nil && alloc != nil:
+		alloc(nil, err)
 	case err != nil:
-		op.lookup(nil, 0, err)
-	case op.alloc != nil:
-		op.alloc(res.(AllocateReply).Disks, nil)
+		lookup(nil, 0, err)
+	case alloc != nil:
+		alloc(res.(AllocateReply).Disks, nil)
 	default:
-		rep := res.(LookupReply)
-		op.lookup(rep.Disks, rep.Size, nil)
+		rep := res.(*LookupReply)
+		lookup(rep.Disks, rep.Size, nil)
 	}
 }

@@ -3,6 +3,8 @@ package fleet
 import (
 	"testing"
 	"time"
+
+	"ustore/internal/simnet"
 )
 
 // lookupTrip boots a fleet holding one volume and returns a function that
@@ -29,16 +31,17 @@ func lookupTrip(tb testing.TB) func() {
 }
 
 // TestRouterLookupAllocs pins what a Lookup round trip (router, shard
-// leader, reply) allocates: the router's op record and boxed args, the
-// shard's op and its boxed reply. Calls, messages in flight, async replies
-// and events are pooled, and the reply shares the record's disks.
+// leader, reply) allocates: its boxed args, and nothing else. The router's
+// and the shard's op records, calls, messages in flight, async replies and
+// events are recycled, and every Lookup of an unchanged record shares one
+// reply.
 func TestRouterLookupAllocs(t *testing.T) {
 	trip := lookupTrip(t)
 	for i := 0; i < 400; i++ { // past the RPC timeout, so released timeouts recycle
 		trip()
 	}
-	if got := testing.AllocsPerRun(200, trip); got > 4 {
-		t.Fatalf("Lookup round trip allocates %.1f objects, want <= 4", got)
+	if got := testing.AllocsPerRun(200, trip); got > 1 {
+		t.Fatalf("Lookup round trip allocates %.1f objects, want <= 1", got)
 	}
 }
 
@@ -48,5 +51,75 @@ func BenchmarkRouterLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		trip()
+	}
+}
+
+// TestRouterOpOutlivesLateReply: a router op's record is reused only once
+// nothing can reach it. Lookup A's first attempt is answered after its RPC
+// timeout, so A retries; Lookup B starts during A's backoff; A's callback
+// starts Lookup C, which takes A's record, and A's late first reply lands
+// while C is in flight. Each callback fires once, with its own volume's
+// disks. The shard is a stand-in whose reply delays the test sets per
+// attempt.
+func TestRouterOpOutlivesLateReply(t *testing.T) {
+	f := New(testConfig())
+	r := f.NewRouter("late")
+	srv := simnet.NewRPCNode(f.Net, "stand-in")
+	r.map_ = &ShardMap{Epoch: r.map_.Epoch, Replicas: [][]string{{srv.Name()}}}
+	delays := map[string][]time.Duration{
+		"vol-a": {rpcTimeout + 2*time.Second, 0},
+		"vol-b": {0},
+		"vol-c": {rpcTimeout - 500*time.Millisecond},
+	}
+	var lateSent time.Duration
+	srv.RegisterAsync("Lookup", func(_ string, args any, reply *simnet.AsyncReply) {
+		vol := args.(LookupArgs).Volume
+		if len(delays[vol]) == 0 {
+			t.Errorf("unplanned attempt to look up %s", vol)
+			return
+		}
+		d := delays[vol][0]
+		delays[vol] = delays[vol][1:]
+		f.Sched.After(d, func() {
+			if d > rpcTimeout {
+				lateSent = f.Sched.Now()
+			}
+			reply.Reply(&LookupReply{ShardReply: ShardReply{OK: true},
+				Size: int64(len(vol)), Disks: []string{vol + "/d0"}}, nil)
+		})
+	})
+
+	calls := map[string]int{}
+	finished := map[string]time.Duration{}
+	var lookup func(vol string, then func())
+	lookup = func(vol string, then func()) {
+		r.Lookup(vol, func(disks []string, size int64, err error) {
+			calls[vol]++
+			finished[vol] = f.Sched.Now()
+			if err != nil || len(disks) != 1 || disks[0] != vol+"/d0" || size != int64(len(vol)) {
+				t.Errorf("lookup %s answered disks %v size %d err %v", vol, disks, size, err)
+			}
+			if then != nil {
+				then()
+			}
+		})
+	}
+	lookup("vol-a", func() { lookup("vol-c", nil) })
+	f.Settle(rpcTimeout + 10*time.Millisecond) // A has timed out and backs off
+	if calls["vol-a"] != 0 {
+		t.Fatal("lookup A finished before its first attempt timed out")
+	}
+	lookup("vol-b", nil)
+	f.Settle(10 * time.Second)
+
+	for _, vol := range []string{"vol-a", "vol-b", "vol-c"} {
+		if calls[vol] != 1 {
+			t.Errorf("lookup %s answered %d times, want 1", vol, calls[vol])
+		}
+	}
+	if !(finished["vol-a"] < lateSent && lateSent < finished["vol-c"]) {
+		t.Errorf("A finished at %v, its late reply was sent at %v, C finished at %v: "+
+			"the late reply did not land while C held A's record",
+			finished["vol-a"], lateSent, finished["vol-c"])
 	}
 }

@@ -75,6 +75,8 @@ type ShardMaster struct {
 	queue []*shardOp
 	qHead int
 	busy  bool
+	// free holds answered op records (see opDone).
+	free []*shardOp
 
 	sch *shardScheduler
 
@@ -89,18 +91,20 @@ type ShardMaster struct {
 // shardOp is one serialized volume operation, and the receiver of the
 // event that ends its service time.
 type shardOp struct {
-	m        *ShardMaster
-	method   string
-	args     any
-	reply    simnet.Replier
-	start    simtime.Time
-	finished bool
+	m      *ShardMaster
+	method string
+	args   any
+	reply  simnet.Replier
+	start  simtime.Time
+	// guarded: commitGuard armed an event on the op, so opDone leaves it
+	// to that event and its coord callback instead of the free list.
+	guarded bool
 }
 
 func (op *shardOp) Fire() {
-	m := op.m
+	m, start := op.m, op.start // exec may recycle op
 	m.exec(op)
-	m.hOpTime.ObserveDuration(m.sched.Now() - op.start)
+	m.hOpTime.ObserveDuration(m.sched.Now() - start)
 }
 
 func newShardMaster(f *Fleet, shard, replica int, store *coord.Store, p part) *ShardMaster {
@@ -394,7 +398,7 @@ func envelope(method string, sr ShardReply) any {
 	case "Allocate":
 		return AllocateReply{ShardReply: sr}
 	case "Lookup":
-		return LookupReply{ShardReply: sr}
+		return &LookupReply{ShardReply: sr}
 	default:
 		return ReleaseReply{ShardReply: sr}
 	}
@@ -405,7 +409,14 @@ func (m *ShardMaster) enqueue(method string, args any, reply simnet.Replier) {
 		reply.Reply(envelope(method, sr), nil)
 		return
 	}
-	m.queue = append(m.queue, &shardOp{m: m, method: method, args: args, reply: reply})
+	var op *shardOp
+	if n := len(m.free); n > 0 {
+		op, m.free = m.free[n-1], m.free[:n-1]
+	} else {
+		op = new(shardOp)
+	}
+	op.m, op.method, op.args, op.reply = m, method, args, reply
+	m.queue = append(m.queue, op)
 	m.gQueue.Set(float64(len(m.queue) - m.qHead))
 	m.pump()
 }
@@ -432,15 +443,24 @@ func (m *ShardMaster) pump() {
 	m.sched.FireAfterR(opServiceTime, op)
 }
 
-// opDone completes an op exactly once and releases the service unit.
+// opDone completes an op exactly once and releases the service unit. An
+// unguarded op is done with: it returns to the free list before the reply,
+// so the reply's sends may reuse it. A guarded op stays owned by its guard
+// event and its coord callback, and either may call opDone again: the first
+// call clears its reply, so the second finds nil and does nothing.
 func (m *ShardMaster) opDone(op *shardOp, result any) {
-	if op.finished {
+	reply := op.reply
+	if reply == nil {
 		return
 	}
-	op.finished = true
-	op.reply.Reply(result, nil)
-	// A pending commit guard holds op until it fires: drop what op pins.
-	op.args, op.reply = nil, nil
+	if op.guarded {
+		// The guard holds op until it fires: drop what op pins.
+		op.args, op.reply = nil, nil
+	} else {
+		*op = shardOp{}
+		m.free = append(m.free, op)
+	}
+	reply.Reply(result, nil)
 	m.busy = false
 	m.pump()
 }
@@ -480,6 +500,7 @@ func (m *ShardMaster) exec(op *shardOp) {
 // if the proposal is lost to a leadership change the client gets Busy
 // instead of the service unit wedging forever.
 func (m *ShardMaster) commitGuard(op *shardOp) {
+	op.guarded = true
 	m.sched.FireAfterR(4*electionTTL, (*opGuard)(op))
 }
 
@@ -487,7 +508,7 @@ func (m *ShardMaster) commitGuard(op *shardOp) {
 type opGuard shardOp
 
 func (g *opGuard) Fire() {
-	if op := (*shardOp)(g); !op.finished {
+	if op := (*shardOp)(g); op.reply != nil {
 		op.m.opDone(op, envelope(op.method, ShardReply{Busy: true}))
 	}
 }
@@ -557,13 +578,30 @@ func (m *ShardMaster) execAllocate(op *shardOp, a AllocateArgs) {
 	})
 }
 
+// noSuchVolume answers every Lookup of a volume the shard does not hold.
+var noSuchVolume = &LookupReply{ShardReply: ShardReply{Err: "no such volume"}}
+
 func (m *ShardMaster) execLookup(op *shardOp, a LookupArgs) {
 	rec, ok := m.vols[a.Volume]
 	if !ok {
-		m.opDone(op, LookupReply{ShardReply: ShardReply{Err: "no such volume"}})
+		m.opDone(op, noSuchVolume)
 		return
 	}
-	m.opDone(op, LookupReply{ShardReply: ShardReply{OK: true}, Size: rec.Size, Disks: rec.Disks})
+	// Every Lookup of one record version shares one reply. Disks is never
+	// written in place, so the cached reply is current while it holds the
+	// record's Size and the very same Disks slice.
+	rep := rec.lookup
+	if rep == nil || rep.Size != rec.Size || !sameSlice(rep.Disks, rec.Disks) {
+		rep = &LookupReply{ShardReply: ShardReply{OK: true}, Size: rec.Size, Disks: rec.Disks}
+		rec.lookup = rep
+		m.vols[a.Volume] = rec
+	}
+	m.opDone(op, rep)
+}
+
+// sameSlice reports whether a and b are the same slice of one array.
+func sameSlice(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 func (m *ShardMaster) execRelease(op *shardOp, a ReleaseArgs) {

@@ -1,0 +1,153 @@
+package fleet
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+)
+
+// TestCommitGuardAnswersOnce: an Allocate whose commit guard answers Busy
+// before its coord commit lands gets exactly one reply, and the late commit
+// answers no other client. The leader's two followers crash while the
+// allocate waits for its commit, so the guard fires first. A second
+// allocate then queues, and its commit waits behind the first one's. Once
+// the followers restart, both commits land, and the first calls opDone on
+// its op a second time.
+func TestCommitGuardAnswersOnce(t *testing.T) {
+	f := boot(t, testConfig())
+	const k = 0
+	lead := f.LeaderReplica(k)
+	m := f.Shards[k][lead]
+	if !m.store.IsLeader() {
+		t.Fatal("the shard leader's coord replica does not lead paxos")
+	}
+	var vols []string
+	for i := 0; len(vols) < 2; i++ {
+		if v := fmt.Sprintf("guarded-%d", i); m.routeCheck(v).OK {
+			vols = append(vols, v)
+		}
+	}
+	replies := make([][]any, len(vols))
+	allocate := func(i int) {
+		m.enqueue("Allocate", AllocateArgs{Volume: vols[i], Size: volSize, Service: "svc"},
+			replyFn(func(res any, err error) { replies[i] = append(replies[i], res) }))
+	}
+	allocate(0)
+	for i := 0; i < ShardReplicas; i++ {
+		if i != lead {
+			f.CrashReplica(k, i)
+		}
+	}
+	f.Settle(4*electionTTL + time.Second)
+	if len(replies[0]) != 1 || !replies[0][0].(AllocateReply).Busy {
+		t.Fatalf("before the commit landed: replies %+v, want one Busy", replies[0])
+	}
+	allocate(1)
+	f.Settle(time.Second)
+	for i := 0; i < ShardReplicas; i++ {
+		if i != lead {
+			f.RestartReplica(k, i)
+		}
+	}
+	f.Settle(time.Minute)
+	for _, v := range vols {
+		if !m.store.Exists(volPath(v)) {
+			t.Fatalf("the commit of %s never landed", v)
+		}
+	}
+	if len(replies[0]) != 1 || len(replies[1]) != 1 {
+		t.Fatalf("the allocates were answered %d and %d times, want once each",
+			len(replies[0]), len(replies[1]))
+	}
+	// Both volumes may sit on the same disks, but an allocate's reply shares
+	// its own record's Disks slice, so the slice tells whose commit answered.
+	rep := replies[1][0].(AllocateReply)
+	if !rep.OK || !sameSlice(rep.Disks, m.vols[vols[1]].Disks) {
+		t.Fatalf("%s answered %+v, not with its own record's disks", vols[1], rep)
+	}
+}
+
+// TestLookupReplyFresh: the leader shares one Lookup reply per record, and
+// a Lookup still answers the current Size and Disks after each way a record
+// changes: a scheduler repair installs new Disks, a slot move installs the
+// record on another shard (whose scheduler then migrates the fragments
+// home), and a Release and re-Allocate replace it under the same name.
+func TestLookupReplyFresh(t *testing.T) {
+	f := boot(t, testConfig())
+	r := f.NewRouter("fresh")
+	record := func(vol string) VolRecord {
+		rec, ok := f.Leader(f.AuthMap().ShardOf(vol)).vols[vol]
+		if !ok {
+			t.Fatalf("%s has no record at its leader", vol)
+		}
+		return rec
+	}
+	check := func(step, vol string) {
+		t.Helper()
+		var disks []string
+		size := int64(-1)
+		r.Lookup(vol, func(d []string, s int64, err error) {
+			if err != nil {
+				t.Fatalf("%s: lookup %s: %v", step, vol, err)
+			}
+			disks, size = d, s
+		})
+		f.Settle(time.Second)
+		if rec := record(vol); size != rec.Size || !slices.Equal(disks, rec.Disks) {
+			t.Fatalf("%s: lookup %s answered size %d disks %v, record has %d %v",
+				step, vol, size, disks, rec.Size, rec.Disks)
+		}
+	}
+
+	// Repair.
+	failed := mustAlloc(t, f, r, "vol-repair")[0]
+	check("allocated", "vol-repair")
+	f.FailDisk(failed)
+	f.Settle(2 * time.Minute)
+	if slices.Contains(record("vol-repair").Disks, failed) {
+		t.Fatalf("vol-repair still on failed disk %s", failed)
+	}
+	check("repaired", "vol-repair")
+
+	// Slot move, then migrate-home on the new shard.
+	const moved = "vol-move"
+	mustAlloc(t, f, r, moved)
+	check("allocated", moved)
+	slot := SlotOf(moved)
+	dst := 1 - f.AuthMap().Slots[slot]
+	var moveErr error
+	f.MoveSlot(slot, dst, func(err error) { moveErr = err })
+	f.Settle(time.Second)
+	if moveErr != nil || f.AuthMap().Slots[slot] != dst {
+		t.Fatalf("slot move: err %v, slot owner %d", moveErr, f.AuthMap().Slots[slot])
+	}
+	check("moved", moved)
+	home := func() bool {
+		for _, d := range record(moved).Disks {
+			if f.Topo.UnitOfDisk(d).Shard != dst {
+				return false
+			}
+		}
+		return true
+	}
+	if !settleUntilTest(f, 10*time.Second, 3*time.Minute, home) {
+		t.Fatal("the new owner never migrated vol-move's fragments home")
+	}
+	check("migrated home", moved)
+
+	// Release and re-Allocate under the same name.
+	mustAllocSize(t, f, r, "vol-again", volSize)
+	check("allocated", "vol-again")
+	var relErr error
+	r.Release("vol-again", func(err error) { relErr = err })
+	f.Settle(time.Second)
+	if relErr != nil {
+		t.Fatalf("release: %v", relErr)
+	}
+	mustAllocSize(t, f, r, "vol-again", 2*volSize)
+	check("re-allocated", "vol-again")
+	if record("vol-again").Size != 2*volSize {
+		t.Fatal("re-allocate kept the released record")
+	}
+}

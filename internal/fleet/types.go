@@ -34,10 +34,14 @@ type VolRecord struct {
 	Size    int64
 	Service string
 	Disks   []string
+	// lookup is the leader's Lookup answer for this record, shared by every
+	// Lookup until Size or Disks changes (see execLookup). Not persisted.
+	lookup *LookupReply
 }
 
 func (v VolRecord) clone() VolRecord {
 	v.Disks = append([]string(nil), v.Disks...)
+	v.lookup = nil
 	return v
 }
 
@@ -59,7 +63,8 @@ type AllocateReply struct {
 // LookupArgs resolves a volume's fragment locations.
 type LookupArgs struct{ Volume string }
 
-// LookupReply carries the volume record.
+// LookupReply carries the volume record. The shard sends a *LookupReply,
+// which it may share with other Lookups of the same record: read-only.
 type LookupReply struct {
 	ShardReply
 	Size  int64

@@ -15,9 +15,9 @@
 # workload, and the working tree's median alloc_mb and mallocs_k may be at
 # most 1 % above REV's (BENCHMARK.json's bound). A recorded figure would not
 # carry across hosts: the fleet workloads fan an engine window out to
-# goroutines when that measures cheaper, and on a 2-CPU host fleet_alloc's
-# mallocs_k ranges from 1192 (no window fanned out) to 1227 (every window),
-# fleet_churn's from 2780 to 2981.
+# goroutines when that measures cheaper, so mallocs_k moves with the host's
+# timing. On a 2-CPU host, runs of the current tree measured fleet_alloc's
+# mallocs_k at 504-508 and fleet_churn's at 1366-1371.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 baseline=testdata/perf_baseline.json
