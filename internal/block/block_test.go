@@ -307,3 +307,34 @@ func TestDiskVolumePatternClassification(t *testing.T) {
 		t.Fatalf("random busy %v not >> sequential busy %v", randBusy, seqBusy)
 	}
 }
+
+// TestStatusErr: every failed status reads as it always has, a checksum
+// status still matches ErrChecksum across the wire, and building the error
+// allocates nothing (it is one prebuilt value per status).
+func TestStatusErr(t *testing.T) {
+	want := map[Status]string{
+		StatusNoVolume:    "block: no-volume",
+		StatusIOError:     "block: io-error",
+		StatusOutOfRange:  "block: out-of-range",
+		StatusNotLoggedIn: "block: not-logged-in",
+		StatusChecksum:    "block: checksum mismatch (remote)",
+		Status(9):         "block: Status(9)",
+	}
+	for s, text := range want {
+		if err := s.Err(); err == nil || err.Error() != text {
+			t.Errorf("%d.Err() = %v, want %q", s, err, text)
+		}
+	}
+	if StatusOK.Err() != nil {
+		t.Error("StatusOK.Err() is not nil")
+	}
+	if !errors.Is(StatusChecksum.Err(), ErrChecksum) {
+		t.Error("a remote checksum status does not match ErrChecksum")
+	}
+	if errors.Is(StatusIOError.Err(), ErrChecksum) {
+		t.Error("an io-error matches ErrChecksum")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = StatusIOError.Err(); _ = StatusChecksum.Err() }); n != 0 {
+		t.Fatalf("a failed status allocates %v objects", n)
+	}
+}

@@ -19,8 +19,8 @@ var ErrTimeout = errors.New("block: request timeout")
 type Initiator struct {
 	node  *simnet.Node
 	sched *simtime.Scheduler
-	// frames is the network's free list: write requests are encoded into
-	// its frames, and read responses go back to it.
+	// frames is the network's free list: every request is encoded into one
+	// of its frames, and every response goes back to it.
 	frames *simnet.FrameList
 
 	nextTag uint64
@@ -85,25 +85,22 @@ func NewInitiator(net *simnet.Network, clientNode string) *Initiator {
 }
 
 func (ini *Initiator) onMessage(msg simnet.Message) {
-	raw, ok := msg.Payload.([]byte)
+	fr, ok := msg.Payload.(*simnet.Frame)
 	if !ok {
 		return
 	}
 	var m Msg
-	if _, err := m.decode(raw, nil); err != nil {
-		return
+	if _, err := m.decode(fr.B, nil); err == nil {
+		if c, ok := ini.pending[m.Tag]; ok {
+			ini.finish(c, m, nil)
+		}
 	}
-	if c, ok := ini.pending[m.Tag]; ok {
-		ini.finish(c, m, nil)
-	}
-	if m.Type == MsgReadResp {
-		// Nobody holds the payload any more: the read's callback has returned
-		// and with it the caller's claim, or — a reply that lost the race with
-		// its timeout — the caller was already told ErrTimeout and never sees
-		// it. Either way the frame can carry the next read. Only frames that
-		// never arrive (dropped in flight) fall to the GC.
-		ini.frames.Put(raw)
-	}
+	// Nobody holds the frame any more: a read's callback has returned and
+	// with it the caller's claim, or — a reply that lost the race with its
+	// timeout — the caller was already told ErrTimeout and never sees it.
+	// Either way the frame can carry the next response. Only frames that
+	// never arrive (dropped in flight) fall to the GC.
+	ini.frames.Put(fr)
 }
 
 // newCall returns a call record for the next request.
@@ -119,10 +116,10 @@ func (ini *Initiator) newCall() *call {
 
 // send issues m as call c, whose completion the caller has set, and arms
 // its timeout. m does not outlive the call (the frame is encoded here), so
-// callers build it on the stack. A write is encoded into a frame from the
-// network's free list, which the target gives back once the volume is done
-// with the payload: the caller's data is copied into the frame and never
-// aliased by the wire.
+// callers build it on the stack. Every request is encoded into a frame from
+// the network's free list, which the target gives back once it has served
+// the request (a write's once the volume is done with the payload): the
+// caller's data is copied into the frame and never aliased by the wire.
 func (ini *Initiator) send(host string, m *Msg, c *call) {
 	ini.nextTag++
 	m.Tag = ini.nextTag
@@ -140,19 +137,14 @@ func (ini *Initiator) send(host string, m *Msg, c *call) {
 	}
 	c.timeout = ini.sched.AfterR(timeout, c)
 	ini.pending[c.tag] = c
-	var buf []byte
-	if m.Type == MsgWrite {
-		buf = ini.frames.Get(m.frameLen())
-		m.encodeInto(buf)
-	} else {
-		buf = m.Encode()
-	}
+	fr := ini.frames.Get(m.frameLen())
+	m.encodeInto(fr.B)
 	to, ok := ini.targets[host]
 	if !ok {
 		to = TargetNode(host)
 		ini.targets[host] = to
 	}
-	ini.node.Send(to, buf, len(buf))
+	ini.node.Send(to, fr, len(fr.B))
 }
 
 // finish retires c with the reply or error and hands the outcome to the

@@ -65,15 +65,23 @@ func (s Status) String() string {
 }
 
 // Err converts a non-OK status to an error (nil for StatusOK). A checksum
-// status wraps ErrChecksum so callers can errors.Is across the wire.
+// status wraps ErrChecksum so callers can errors.Is across the wire. Each
+// known status has one prebuilt error, so a failed reply allocates none.
 func (s Status) Err() error {
-	if s == StatusOK {
-		return nil
-	}
-	if s == StatusChecksum {
-		return fmt.Errorf("%w (remote)", ErrChecksum)
+	if int(s) < len(statusErrs) {
+		return statusErrs[s]
 	}
 	return fmt.Errorf("block: %s", s)
+}
+
+// statusErrs holds Err's value for each known status.
+var statusErrs = [...]error{
+	StatusOK:          nil,
+	StatusNoVolume:    errors.New("block: " + StatusNoVolume.String()),
+	StatusIOError:     errors.New("block: " + StatusIOError.String()),
+	StatusOutOfRange:  errors.New("block: " + StatusOutOfRange.String()),
+	StatusNotLoggedIn: errors.New("block: " + StatusNotLoggedIn.String()),
+	StatusChecksum:    fmt.Errorf("%w (remote)", ErrChecksum),
 }
 
 // Msg is the decoded form of a PDU.
@@ -192,11 +200,11 @@ func putHeader(frame []byte, typ MsgType, status Status, tag uint64, bodyLen int
 // For payload-carrying PDUs (read-resp, write) the returned Msg.Data aliases
 // buf rather than copying it: both transports hand Decode frames whose bytes
 // are not rewritten while the message is being handled (simnet delivers each
-// frame to one owner, the Initiator recycles a read response only after the
-// read's callback has returned, and the Target recycles a write request only
-// after the volume's done has run; the net.Conn framers only append past,
-// and re-slice away from, consumed frames). Callers that retain Data beyond
-// the life of buf must copy it.
+// frame to one owner, the Initiator recycles a response only after the
+// call's callback has returned, and the Target recycles a write request only
+// after the volume's done has run, any other request once it is served; the
+// net.Conn framers only append past, and re-slice away from, consumed
+// frames). Callers that retain Data beyond the life of buf must copy it.
 func Decode(buf []byte) (*Msg, int, error) {
 	m := new(Msg)
 	n, err := m.decode(buf, nil)

@@ -231,7 +231,7 @@ func TestReadPathLateReplyReleasesFrame(t *testing.T) {
 		t.Fatalf("read with a 1 ms deadline: err = %v, want ErrTimeout", err)
 	}
 	// sched.Run in read returned only after the late reply was delivered.
-	if frame := r.ini.frames.Get(headerLen + size); &frame[headerLen] != payload {
+	if frame := r.ini.frames.Get(headerLen + size); &frame.B[headerLen] != payload {
 		t.Fatal("the late reply's frame did not return to the free list")
 	}
 }

@@ -12,8 +12,8 @@ import (
 // Volumes are exported and revoked dynamically as the fabric moves disks.
 type Target struct {
 	node *simnet.Node
-	// frames is the network's free list: read responses are built in its
-	// frames, and write requests go back to it.
+	// frames is the network's free list: every response is built in one of
+	// its frames, and every request goes back to it.
 	frames  *simnet.FrameList
 	volumes map[string]Volume
 	// names maps each export's name to itself, so a decoded PDU reuses
@@ -63,20 +63,27 @@ func (t *Target) Revoke(name string) {
 func (t *Target) Down(down bool) { t.node.SetDown(down) }
 
 func (t *Target) onMessage(msg simnet.Message) {
-	raw, ok := msg.Payload.([]byte)
+	fr, ok := msg.Payload.(*simnet.Frame)
 	if !ok {
 		return
 	}
 	var m Msg
-	if _, err := m.decode(raw, t.names); err != nil {
-		return // corrupt frame: drop, client times out
+	if _, err := m.decode(fr.B, t.names); err != nil {
+		t.frames.Put(fr) // corrupt frame: drop, client times out
+		return
 	}
-	t.serve(msg.From, &m, raw)
+	t.serve(msg.From, &m, fr)
+	if m.Type != MsgWrite {
+		// Nothing served keeps a byte of the request: the volume name is
+		// the export's own string (or a copy), the rest was copied out.
+		t.frames.Put(fr)
+	}
 }
 
-// serve handles one decoded PDU. raw is its frame: a write's payload aliases
-// it, and the write's completion gives it back to the free list.
-func (t *Target) serve(from string, m *Msg, raw []byte) {
+// serve handles one decoded PDU. fr is its frame: a write's payload aliases
+// it, and the write's completion gives it back to the free list; any other
+// request's frame goes back once serve returns.
+func (t *Target) serve(from string, m *Msg, fr *simnet.Frame) {
 	switch m.Type {
 	case MsgLogin:
 		vol, ok := t.volumes[m.Volume]
@@ -111,20 +118,22 @@ func (t *Target) serve(from string, m *Msg, raw []byte) {
 		vol, status := t.volumeFor(from, m.Volume)
 		if status != StatusOK {
 			t.reply(from, Msg{Type: MsgWriteResp, Tag: m.Tag, Status: status})
-			t.frames.Put(raw) // refused before any volume saw the payload
+			t.frames.Put(fr) // refused before any volume saw the payload
 			return
 		}
 		wr := t.newWriteReply()
-		wr.from, wr.tag, wr.frame = from, m.Tag, raw
+		wr.from, wr.tag, wr.frame = from, m.Tag, fr
 		vol.WriteAt(int64(m.Offset), m.Data, wr.done)
 		t.writes++
 	}
 }
 
-// reply sends a response that carries no payload.
+// reply sends a response that carries no payload, in a frame from the free
+// list that the initiator gives back.
 func (t *Target) reply(to string, m Msg) {
-	buf := m.Encode()
-	t.node.Send(to, buf, len(buf))
+	fr := t.frames.Get(m.frameLen())
+	m.encodeInto(fr.B)
+	t.node.Send(to, fr, len(fr.B))
 }
 
 // readReply is one read in service: the destination the volume copies the
@@ -138,7 +147,7 @@ type readReply struct {
 	t         *Target
 	from      string
 	tag       uint64
-	frame     []byte
+	frame     *simnet.Frame
 	discarded int                 // a discard read's length, else 0
 	done      func([]byte, error) // finish, bound once per record
 }
@@ -158,7 +167,7 @@ func (t *Target) newReadReply() *readReply {
 // disk is about to fill it, so a read waiting in a disk queue holds none.
 func (r *readReply) ReadBuffer(size int) []byte {
 	r.frame = r.t.frames.Get(headerLen + size)
-	return r.frame[headerLen:]
+	return r.frame.B[headerLen:]
 }
 
 func (r *readReply) finish(data []byte, err error) {
@@ -181,10 +190,10 @@ func (r *readReply) finish(data []byte, err error) {
 	if discarded > 0 {
 		frame = t.frames.Get(headerLen) // data is nil
 	}
-	// data is frame[headerLen:] (the Volume.ReadInto contract); only the
+	// data is frame.B[headerLen:] (the Volume.ReadInto contract); only the
 	// header is left to write.
-	putHeader(frame, MsgReadResp, StatusOK, tag, len(data))
-	t.node.Send(from, frame, len(frame)+discarded)
+	putHeader(frame.B, MsgReadResp, StatusOK, tag, len(data))
+	t.node.Send(from, frame, len(frame.B)+discarded)
 }
 
 // writeReply is one write in service: it owns the request's frame, whose
@@ -196,7 +205,7 @@ type writeReply struct {
 	t     *Target
 	from  string
 	tag   uint64
-	frame []byte
+	frame *simnet.Frame
 	done  func(error) // finish, bound once per record
 }
 

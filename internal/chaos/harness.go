@@ -174,8 +174,11 @@ type harness struct {
 	open         map[windowID]openWindow
 	lastNetFault simtime.Time
 
-	// The per-pair hedged-read probers of a gray/mitigation run.
+	// The per-pair hedged-read probers of a gray/mitigation run, their
+	// spent probe records and their read-latency histogram.
 	probers       []*core.ClientLib
+	spentProbes   []*probe
+	probeHist     *obs.Histogram
 	probeHealthy  []time.Duration
 	probeDegraded []time.Duration
 
@@ -431,6 +434,7 @@ func (h *harness) setupProbers() error {
 		}
 		h.probers = append(h.probers, cl)
 	}
+	h.probeHist = h.opts.Recorder.Histogram("chaos", "probe_read_seconds")
 	return nil
 }
 
@@ -467,43 +471,83 @@ func (h *harness) probePair(pair, remaining int) {
 	if remaining == 0 {
 		return
 	}
-	cl := h.probers[pair]
-	ra, rb := h.replicas[2*pair], h.replicas[2*pair+1]
-	r := h.replicas[2*pair+remaining%2]
-	blk := h.rng.Intn(blocksPerSpace)
+	p := h.newProbe()
+	p.pair, p.remaining = pair, remaining
+	p.r = h.replicas[2*pair+remaining%2]
+	p.blk = h.rng.Intn(blocksPerSpace)
 	// A hedged read may be served by either copy, and the copies legally
 	// diverge when one side's write failed. So verification snapshots both
 	// copies' block state and flags only a read that matches neither stable
 	// acknowledged copy — that data came from nowhere.
-	ba, bb := &ra.blocks[blk], &rb.blocks[blk]
-	va, vb := ba.version, bb.version
-	stable := func(b *replicaBlock, v int) bool {
-		return b.version == v && !b.uncertain && b.inflight == 0 && b.data != nil
-	}
-	degraded := h.grayOpen()
-	start := h.c.Sched.Now()
-	done := func(data []byte, err error) {
-		rtt := h.c.Sched.Now() - start
-		h.stats.ProbeReads++
-		if degraded {
-			h.probeDegraded = append(h.probeDegraded, rtt)
-		} else {
-			h.probeHealthy = append(h.probeHealthy, rtt)
-		}
-		h.opts.Recorder.Histogram("chaos", "probe_read_seconds").ObserveDuration(rtt)
-		if err != nil {
-			h.stats.ProbeErrors++ // may race a migration or fault window; not a violation
-		} else if stable(ba, va) && stable(bb, vb) &&
-			!bytes.Equal(data, ba.data) && !bytes.Equal(data, bb.data) {
-			h.violatef("probe: %s block %d returned bytes matching neither copy", r.name, blk)
-		}
-		h.probePair(pair, remaining-1)
-	}
+	p.ba, p.bb = &h.replicas[2*pair].blocks[p.blk], &h.replicas[2*pair+1].blocks[p.blk]
+	p.va, p.vb = p.ba.version, p.bb.version
+	p.degraded = h.grayOpen()
+	p.start = h.c.Sched.Now()
+	cl, off := h.probers[pair], int64(p.blk)*BlockSize
 	if h.opts.Mitigation {
-		cl.ReadHedged(r.space, int64(blk)*BlockSize, BlockSize, done)
+		cl.ReadHedged(p.r.space, off, BlockSize, p.done)
 	} else {
-		cl.Read(r.space, int64(blk)*BlockSize, BlockSize, done)
+		cl.Read(p.r.space, off, BlockSize, p.done)
 	}
+}
+
+// probe is one probe read in flight and its snapshot of the pair's block
+// state. Records come from a free list on the harness, not one per pair:
+// probeAll starts a pair's next burst every grayProbeEvery whatever is still
+// in flight, so two bursts' reads may overlap on one pair.
+type probe struct {
+	h               *harness
+	pair, remaining int
+	r               *replica
+	blk             int
+	ba, bb          *replicaBlock
+	va, vb          int
+	degraded        bool
+	start           simtime.Time
+	done            func([]byte, error) // finish, bound once per record
+}
+
+func (h *harness) newProbe() *probe {
+	if n := len(h.spentProbes); n > 0 {
+		p := h.spentProbes[n-1]
+		h.spentProbes[n-1] = nil
+		h.spentProbes = h.spentProbes[:n-1]
+		return p
+	}
+	p := &probe{h: h}
+	p.done = p.finish
+	return p
+}
+
+// stableAt reports whether b still holds the acknowledged data it held at
+// version v, with nothing in flight that could have changed it.
+func stableAt(b *replicaBlock, v int) bool {
+	return b.version == v && !b.uncertain && b.inflight == 0 && b.data != nil
+}
+
+// finish records the read, verifies it against the record's snapshot, and
+// recycles the record before it chains the burst's next read, which may
+// take the same record.
+func (p *probe) finish(data []byte, err error) {
+	h := p.h
+	rtt := h.c.Sched.Now() - p.start
+	h.stats.ProbeReads++
+	if p.degraded {
+		h.probeDegraded = append(h.probeDegraded, rtt)
+	} else {
+		h.probeHealthy = append(h.probeHealthy, rtt)
+	}
+	h.probeHist.ObserveDuration(rtt)
+	if err != nil {
+		h.stats.ProbeErrors++ // may race a migration or fault window; not a violation
+	} else if stableAt(p.ba, p.va) && stableAt(p.bb, p.vb) &&
+		!bytes.Equal(data, p.ba.data) && !bytes.Equal(data, p.bb.data) {
+		h.violatef("probe: %s block %d returned bytes matching neither copy", p.r.name, p.blk)
+	}
+	pair, remaining := p.pair, p.remaining
+	*p = probe{h: h, done: p.done}
+	h.spentProbes = append(h.spentProbes, p)
+	h.probePair(pair, remaining-1)
 }
 
 // onQuarantine drains a quarantined disk: every workload replica on it is
@@ -619,17 +663,36 @@ func (h *harness) installScrubRepair() {
 	}
 }
 
-// pattern builds deterministic block content for a (pair, block, sequence)
-// triple. The buffer is never written again once built: both replicas'
-// known-good copies, repair writes and the scrubber's repair source share
-// it.
-func (h *harness) pattern(pair, blk, seq int) []byte {
-	buf := make([]byte, BlockSize)
-	base := byte(pair*31 + blk*7 + seq*13 + int(h.opts.Seed))
-	for i := range buf {
-		buf[i] = base + byte(i)
+// ramp holds byte(i) at every i. Every pattern is a window onto it: the
+// pattern whose byte i is base+byte(i) is ramp[base:base+BlockSize].
+var ramp = func() []byte {
+	r := make([]byte, BlockSize+256)
+	for i := range r {
+		r[i] = byte(i)
 	}
-	return buf
+	return r
+}()
+
+// pattern returns deterministic block content for a (pair, block, sequence)
+// triple: byte i is base+byte(i). It is a slice of the shared ramp, never
+// written: both replicas' known-good copies, repair writes and the
+// scrubber's repair source hold it, and its capacity is capped so an append
+// cannot reach the ramp behind it. checkRamp verifies nobody wrote it.
+func (h *harness) pattern(pair, blk, seq int) []byte {
+	base := int(byte(pair*31 + blk*7 + seq*13 + int(h.opts.Seed)))
+	return ramp[base : base+BlockSize : base+BlockSize]
+}
+
+// checkRamp is the end-of-run guard on the shared pattern buffer: a stray
+// write through any pattern slice (a layer that scribbles on its caller's
+// source buffer) would corrupt every pattern that overlaps it.
+func (h *harness) checkRamp() {
+	for i, b := range ramp {
+		if b != byte(i) {
+			h.violatef("final: pattern ramp overwritten at byte %d (0x%02x, want 0x%02x): a write path scribbled on its caller's buffer", i, b, byte(i))
+			return
+		}
+	}
 }
 
 func (h *harness) writePair(pair, blk int) {
@@ -993,6 +1056,7 @@ func (h *harness) execute(schedule []Fault) (*Report, error) {
 	h.checkAllocations("final")
 	h.checkQuarantine("final")
 	h.checkHistory()
+	h.checkRamp()
 	h.logf("run complete: %d faults, %d violations", h.stats.FaultsApplied, len(h.Violations))
 
 	rep := &Report{

@@ -16,3 +16,12 @@ func PoisonFrames() (restore func()) {
 	}
 	return func() { framePoison = nil }
 }
+
+// FreeCounts returns how many frames each size class of f holds.
+func (f *FrameList) FreeCounts() []int {
+	out := make([]int, len(f.classes))
+	for c := range f.classes {
+		out[c] = len(f.classes[c])
+	}
+	return out
+}

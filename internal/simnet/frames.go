@@ -2,10 +2,18 @@ package simnet
 
 import "math/bits"
 
-// FrameList is a network's free list of wire-frame buffers: a protocol that
-// moves large payloads (block reads) takes its response frame here and the
-// receiver gives it back once the payload has been consumed, so a steady
-// stream of reads allocates no payload memory.
+// Frame is one wire frame: a buffer and the record that carries it. A
+// protocol sends the *Frame itself as Message.Payload — a pointer, so the
+// send boxes nothing — and the buffer and its record are pooled together.
+type Frame struct {
+	// B is the frame's bytes.
+	B []byte
+}
+
+// FrameList is a network's free list of wire frames: a protocol takes every
+// frame it sends here and the receiver gives it back once the payload has
+// been consumed, so a steady stream of block IO allocates neither payload
+// memory nor frame records.
 //
 // It is a plain stack per size class, touched only from the network's own
 // scheduler goroutine: no locks, and — unlike sync.Pool, which the garbage
@@ -15,7 +23,7 @@ import "math/bits"
 // bound, and any frame that never comes back (dropped in flight), is left to
 // the garbage collector.
 type FrameList struct {
-	classes [maxFrameShift - minFrameShift + 1][][]byte
+	classes [maxFrameShift - minFrameShift + 1][]*Frame
 }
 
 // framePoison is set only by this package's tests (export_test.go): it
@@ -30,7 +38,7 @@ const (
 	// 20-byte header does not round up to an 8 MiB buffer.
 	FrameHeadroom = 64
 
-	minFrameShift = 12 // smallest class: 4 KiB payloads
+	minFrameShift = 8  // smallest class: 256 B payloads (requests, bare replies)
 	maxFrameShift = 23 // largest class: 8 MiB payloads; bigger frames are not pooled
 
 	// frameClassBytes bounds the bytes a class keeps (four buffers in the
@@ -61,35 +69,36 @@ func frameClassLimit(c int) int {
 	return min(frameClassBytes>>(c+minFrameShift), frameClassMax)
 }
 
-// Get returns a buffer of length size whose contents are unspecified (a
+// Get returns a frame whose B has length size and unspecified contents (a
 // recycled frame is dirty); the caller overwrites all of it.
-func (f *FrameList) Get(size int) []byte {
+func (f *FrameList) Get(size int) *Frame {
 	c := frameClass(size)
 	if c < 0 {
-		return make([]byte, size)
+		return &Frame{B: make([]byte, size)}
 	}
 	free := f.classes[c]
 	if n := len(free); n > 0 {
-		buf := free[n-1]
+		fr := free[n-1]
 		free[n-1] = nil
 		f.classes[c] = free[:n-1]
-		return buf[:size]
+		fr.B = fr.B[:size]
+		return fr
 	}
-	return make([]byte, size, frameCap(c))
+	return &Frame{B: make([]byte, size, frameCap(c))}
 }
 
-// Put gives a frame back. The caller must hold no other reference to it.
-// Buffers Get did not hand out (recognised by capacity) and frames beyond the
-// class bound are ignored.
-func (f *FrameList) Put(frame []byte) {
-	c := frameClass(cap(frame))
-	if c < 0 || cap(frame) != frameCap(c) {
+// Put gives a frame back. The caller must hold no other reference to it or
+// its bytes. Buffers Get did not hand out (recognised by capacity) and frames
+// beyond the class bound are ignored.
+func (f *FrameList) Put(fr *Frame) {
+	c := frameClass(cap(fr.B))
+	if c < 0 || cap(fr.B) != frameCap(c) {
 		return
 	}
 	if framePoison != nil {
-		framePoison(frame[:cap(frame)])
+		framePoison(fr.B[:cap(fr.B)])
 	}
 	if len(f.classes[c]) < frameClassLimit(c) {
-		f.classes[c] = append(f.classes[c], frame)
+		f.classes[c] = append(f.classes[c], fr)
 	}
 }

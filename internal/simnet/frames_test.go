@@ -11,20 +11,21 @@ import (
 // must land in the payload's own class, not the next one up.
 func TestFrameClassKeyedOnPayload(t *testing.T) {
 	var f FrameList
-	for _, payload := range []int{4 << 10, 64 << 10, 1 << 20, 4 << 20} {
-		buf := f.Get(20 + payload)
-		if len(buf) != 20+payload {
-			t.Fatalf("payload %d: len %d, want %d", payload, len(buf), 20+payload)
+	for _, payload := range []int{256, 4 << 10, 64 << 10, 1 << 20, 4 << 20} {
+		fr := f.Get(20 + payload)
+		if len(fr.B) != 20+payload {
+			t.Fatalf("payload %d: len %d, want %d", payload, len(fr.B), 20+payload)
 		}
-		if cap(buf) != payload+FrameHeadroom {
-			t.Fatalf("payload %d: cap %d, want %d (not the next class)", payload, cap(buf), payload+FrameHeadroom)
+		if cap(fr.B) != payload+FrameHeadroom {
+			t.Fatalf("payload %d: cap %d, want %d (not the next class)", payload, cap(fr.B), payload+FrameHeadroom)
 		}
 	}
-	// Small and odd sizes share the smallest class that holds them.
-	if got := cap(f.Get(100)); got != 4<<10+FrameHeadroom {
+	// Small and odd sizes share the smallest class that holds them: a
+	// request frame or a bare reply lands in the 256 B class.
+	if got := cap(f.Get(100).B); got != 256+FrameHeadroom {
 		t.Fatalf("100-byte frame: cap %d", got)
 	}
-	if got := cap(f.Get(20 + 5000)); got != 8<<10+FrameHeadroom {
+	if got := cap(f.Get(20 + 5000).B); got != 8<<10+FrameHeadroom {
 		t.Fatalf("5000-byte payload: cap %d", got)
 	}
 	// Beyond the largest class: served, never pooled.
@@ -38,21 +39,21 @@ func TestFrameClassKeyedOnPayload(t *testing.T) {
 }
 
 // TestFrameListRecyclesLIFO: what Get returns is a function of the Get/Put
-// sequence alone.
+// sequence alone, and a buffer comes back with its own record.
 func TestFrameListRecyclesLIFO(t *testing.T) {
 	var f FrameList
 	a := f.Get(20 + 1<<20)
 	b := f.Get(20 + 1<<20)
-	a[0], b[0] = 'a', 'b'
+	a.B[0], b.B[0] = 'a', 'b'
 	f.Put(a)
 	f.Put(b)
-	if got := f.Get(20 + 1<<20); &got[0] != &b[0] {
+	if got := f.Get(20 + 1<<20); got != b || &got.B[0] != &b.B[0] {
 		t.Fatal("Get did not return the most recently released frame")
 	}
-	if got := f.Get(20 + 1<<19 + 1000); &got[0] != &a[0] || len(got) != 20+1<<19+1000 {
-		t.Fatal("a shorter frame of the same class did not reuse the released buffer")
+	if got := f.Get(20 + 1<<19 + 1000); got != a || len(got.B) != 20+1<<19+1000 {
+		t.Fatal("a shorter frame of the same class did not reuse the released frame")
 	}
-	if got := f.Get(20 + 1<<20); &got[0] == &a[0] || &got[0] == &b[0] {
+	if got := f.Get(20 + 1<<20); got == a || got == b || &got.B[0] == &a.B[0] || &got.B[0] == &b.B[0] {
 		t.Fatal("empty class handed out a frame that is still in use")
 	}
 }
@@ -64,7 +65,7 @@ func TestFrameListBounded(t *testing.T) {
 	const size = 20 + 4<<20
 	c := frameClass(size)
 	limit := frameClassLimit(c)
-	var burst [][]byte
+	var burst []*Frame
 	for i := 0; i < limit+5; i++ {
 		burst = append(burst, f.Get(size))
 	}
@@ -77,16 +78,16 @@ func TestFrameListBounded(t *testing.T) {
 	if limit*(4<<20) > frameClassBytes {
 		t.Fatalf("4 MiB class may keep %d MiB", limit*4)
 	}
-	f.Put(make([]byte, size)) // not from Get: capacity is not a class capacity
+	f.Put(&Frame{B: make([]byte, size)}) // not from Get: capacity is not a class capacity
 	if got := len(f.classes[c]); got != limit {
 		t.Fatalf("foreign buffer was kept (%d frames)", got)
 	}
 }
 
-// TestDuplicateDeliveryOwnsItsBytes: a duplicated []byte delivery is a
-// separate buffer, so the first receiver may rewrite (or recycle) its bytes
-// without the second seeing it; the dup counter still counts one per
-// duplicated send.
+// TestDuplicateDeliveryOwnsItsBytes: a duplicated *Frame delivery is a
+// separate frame taken from the sender's list, so the first receiver may
+// rewrite (or recycle) its bytes without the second seeing it; the dup
+// counter still counts one per duplicated send.
 func TestDuplicateDeliveryOwnsItsBytes(t *testing.T) {
 	s, n := newNet(t)
 	rec := obs.NewRecorder()
@@ -95,14 +96,18 @@ func TestDuplicateDeliveryOwnsItsBytes(t *testing.T) {
 	n.SetMachineDupRate("mach-a", "mach-b", 1.0)
 	want := []byte("retransmitted frame")
 	var got [][]byte
+	var frames []*Frame
 	n.Node("b").Handle(func(m Message) {
-		raw := m.Payload.([]byte)
-		got = append(got, append([]byte(nil), raw...))
-		for i := range raw {
-			raw[i] = 0xDB // what a recycled frame looks like to anyone else holding it
+		fr := m.Payload.(*Frame)
+		frames = append(frames, fr)
+		got = append(got, append([]byte(nil), fr.B...))
+		for i := range fr.B {
+			fr.B[i] = 0xDB // what a recycled frame looks like to anyone else holding it
 		}
 	})
-	n.Node("a").Send("b", append([]byte(nil), want...), len(want))
+	fr := n.Frames().Get(len(want))
+	copy(fr.B, want)
+	n.Node("a").Send("b", fr, len(want))
 	s.Run()
 	if len(got) != 2 {
 		t.Fatalf("deliveries = %d, want 2", len(got))
@@ -112,10 +117,16 @@ func TestDuplicateDeliveryOwnsItsBytes(t *testing.T) {
 			t.Fatalf("delivery %d saw %q, want %q", i, g, want)
 		}
 	}
+	if frames[0] == frames[1] || &frames[0].B[0] == &frames[1].B[0] {
+		t.Fatal("both deliveries carried the same frame")
+	}
+	if cap(frames[0].B) != cap(frames[1].B) {
+		t.Fatalf("the copy is not a pooled frame of the original's class: cap %d vs %d", cap(frames[0].B), cap(frames[1].B))
+	}
 	if v := rec.Counter("simnet", "dup_deliveries_total").Value(); v != 1 {
 		t.Fatalf("dup_deliveries_total = %d, want 1", v)
 	}
-	// Non-byte payloads are passed through as before.
+	// Non-frame payloads are passed through as before.
 	n.Node("b").Handle(func(m Message) {
 		if m.Payload != "ctl" {
 			t.Errorf("payload %v", m.Payload)

@@ -3,10 +3,11 @@ package simnet_test
 // The payload-ownership rules of the block data path — data handed to a read
 // callback is valid until the callback returns, and a write's payload is
 // valid until the volume's done runs; after that either wire frame is
-// recycled — checked the only way a convention can be: every released frame
-// is overwritten with 0xDB (simnet.PoisonFrames, a test-only hook) and the
-// scenarios whose callers sit on that path must come out exactly as they do
-// unpoisoned. A caller that kept a payload, or a volume that stored one late,
+// recycled, as is every other request and response frame once its receiver
+// has handled it — checked the only way a convention can be: every released
+// frame is overwritten with 0xDB (simnet.PoisonFrames, a test-only hook) and
+// the scenarios whose callers sit on that path must come out exactly as they
+// do unpoisoned. A caller that kept a payload, or a volume that stored one late,
 // would read back 0xDB: the chaos harness reports that as silent corruption,
 // HDFS and the archive return wrong bytes.
 //
@@ -127,6 +128,12 @@ func TestPoisonCatchesEarlyWriteDone(t *testing.T) {
 	}
 }
 
+// TestOwnershipChaosGrayDay: a gray-fault chaos day comes out the same with
+// every released frame poisoned — read responses and write requests, and
+// also the request frames the target gives back after serving a read, login
+// or logout and the bare responses (login, write, error) the initiator gives
+// back after its callback. Its schedule opens link-dup windows, so the
+// private copy of a duplicated frame is released and poisoned too.
 func TestOwnershipChaosGrayDay(t *testing.T) {
 	bothWays(t, func(t *testing.T) string {
 		o := chaos.DefaultOptions(1, 24*time.Hour)
@@ -151,6 +158,9 @@ func TestOwnershipChaosGrayDay(t *testing.T) {
 	})
 }
 
+// TestOwnershipProtectedStorm: the seed-1 protected restore storm comes out
+// the same with every released frame poisoned, request frames and bare
+// responses included, as well as the 4 MiB read responses.
 func TestOwnershipProtectedStorm(t *testing.T) {
 	bothWays(t, func(t *testing.T) string {
 		rep, err := chaos.Run(chaos.Options{Seed: 1, Tenants: true, Storm: true, Protect: true})

@@ -115,7 +115,7 @@ type Network struct {
 
 	stats Stats
 
-	// frames recycles the wire frames of large payloads (see FrameList).
+	// frames recycles the block protocol's wire frames (see FrameList).
 	frames FrameList
 	// deliveries recycles this partition's messages in flight; remote
 	// recycles cross-partition ones addressed here, which other partitions
@@ -407,13 +407,16 @@ func (n *Network) Send(msg Message) {
 	}
 	if dup {
 		// Deliver a copy a little later (retransmission). A retransmitted
-		// frame is its own buffer: each delivery of wire bytes has one owner,
-		// who may recycle or rewrite them.
+		// frame is its own frame, taken from this (the sender's) network's
+		// list: each delivery of wire bytes has one owner, who may recycle
+		// or rewrite them.
 		n.cDups.Inc()
 		jitter := delay + time.Duration(n.sched.Rand().Int63n(int64(time.Millisecond)))
 		again := msg
-		if raw, ok := msg.Payload.([]byte); ok {
-			again.Payload = append([]byte(nil), raw...)
+		if fr, ok := msg.Payload.(*Frame); ok {
+			cp := n.frames.Get(len(fr.B))
+			copy(cp.B, fr.B)
+			again.Payload = cp
 		}
 		n.deliver(again, dst, jitter, local)
 	}
