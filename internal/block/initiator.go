@@ -90,7 +90,13 @@ func (ini *Initiator) onMessage(msg simnet.Message) {
 		return
 	}
 	var m Msg
-	if _, err := m.decode(fr.B, nil); err == nil {
+	var err error
+	if fr.Body != nil { // a lent read reply: the payload is the store's
+		err = m.decodeLent(fr.B, fr.Body)
+	} else {
+		_, err = m.decode(fr.B, nil)
+	}
+	if err == nil {
 		if c, ok := ini.pending[m.Tag]; ok {
 			ini.finish(c, m, nil)
 		}
@@ -98,8 +104,9 @@ func (ini *Initiator) onMessage(msg simnet.Message) {
 	// Nobody holds the frame any more: a read's callback has returned and
 	// with it the caller's claim, or — a reply that lost the race with its
 	// timeout — the caller was already told ErrTimeout and never sees it.
-	// Either way the frame can carry the next response. Only frames that
-	// never arrive (dropped in flight) fall to the GC.
+	// Either way the frame can carry the next response, and a lent payload's
+	// lease goes back to its store. Only frames that never arrive (dropped
+	// in flight) fall to the GC, their leases unreleased.
 	ini.frames.Put(fr)
 }
 
@@ -189,9 +196,11 @@ func (ini *Initiator) Login(host, volume string, done func(size int64, err error
 }
 
 // Read reads length bytes at off from a logged-in volume. data is the
-// payload of the response frame itself and is valid only until done returns
-// (the frame is then recycled for another read): a done that keeps the bytes
-// — stores them, passes them to an asynchronous call — must copy them first.
+// payload of the response frame itself — for a read inside one store chunk,
+// the target's store's own bytes, lent to the frame — and is valid only until
+// done returns (the frame is then recycled for another read, and a lent
+// payload's lease released): a done that keeps the bytes — stores them,
+// passes them to an asynchronous call — must copy them first.
 func (ini *Initiator) Read(host, volume string, off int64, length int, done func([]byte, error)) {
 	c := ini.newCall()
 	c.read = done

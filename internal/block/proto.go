@@ -220,6 +220,36 @@ func Decode(buf []byte) (*Msg, int, error) {
 // exports, so serving an IO allocates no name). m's contents are unspecified
 // after an error.
 func (m *Msg) decode(buf []byte, names map[string]string) (int, error) {
+	total, err := m.decodeHeader(buf)
+	if err != nil {
+		return 0, err
+	}
+	if len(buf) < total {
+		return 0, ErrTruncated
+	}
+	if err := m.decodeBody(buf[headerLen:total], names); err != nil {
+		return 0, err
+	}
+	return total, nil
+}
+
+// decodeLent is decode for a frame whose payload travels apart from its
+// header, as a lent read reply's does: head holds the header, and body must
+// be exactly the body it declares. m.Data aliases body.
+func (m *Msg) decodeLent(head, body []byte) error {
+	total, err := m.decodeHeader(head)
+	if err != nil {
+		return err
+	}
+	if total != headerLen+len(body) {
+		return ErrTruncated
+	}
+	return m.decodeBody(body, nil)
+}
+
+// decodeHeader parses the header at the start of buf into a fresh *m and
+// returns the whole PDU's length.
+func (m *Msg) decodeHeader(buf []byte) (int, error) {
 	if len(buf) < headerLen {
 		return 0, ErrTruncated
 	}
@@ -230,20 +260,13 @@ func (m *Msg) decode(buf []byte, names map[string]string) (int, error) {
 	if bodyLen > MaxBody {
 		return 0, fmt.Errorf("%w: %d", ErrBodyTooLarge, bodyLen)
 	}
-	total := headerLen + int(bodyLen)
-	if len(buf) < total {
-		return 0, ErrTruncated
-	}
 	*m = Msg{
 		Type:    MsgType(buf[4]),
 		Status:  Status(buf[5]),
 		Discard: buf[6]&flagDiscard != 0,
 		Tag:     binary.BigEndian.Uint64(buf[8:]),
 	}
-	if err := m.decodeBody(buf[headerLen:total], names); err != nil {
-		return 0, err
-	}
-	return total, nil
+	return headerLen + int(bodyLen), nil
 }
 
 func (m *Msg) decodeBody(body []byte, names map[string]string) error {

@@ -19,6 +19,8 @@ type readRig struct {
 	net   *simnet.Network
 	ini   *Initiator
 	d     *disk.Disk
+	tgt   *Target
+	vol   *ChecksumDiskVolume
 
 	// One callback for every read, so the rig itself allocates nothing
 	// per IO. at is when it last ran.
@@ -48,7 +50,8 @@ func newReadRig(tb testing.TB, span int) *readRig {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	NewTarget(n, "h1").Export(readRigVolume, vol)
+	r.tgt, r.vol = NewTarget(n, "h1"), vol
+	r.tgt.Export(readRigVolume, vol)
 	r.ini.Login("h1", readRigVolume, func(_ int64, err error) {
 		if err != nil {
 			tb.Fatalf("login: %v", err)
@@ -291,6 +294,100 @@ func TestDiscardReadMatchesFullRead(t *testing.T) {
 	}
 	if d, f := allocs(r.readDiscard), allocs(r.read); d > f {
 		t.Fatalf("a warm discard read makes %v allocations, a full read %v", d, f)
+	}
+}
+
+// copyingVolume serves every read on the copy path: the destination it
+// passes on hides Lend, so the disk copies even a read inside one chunk.
+type copyingVolume struct{ Volume }
+
+func (v copyingVolume) ReadInto(off int64, length int, dst disk.ReadDest, done func([]byte, error)) {
+	v.Volume.ReadInto(off, length, copyDest{dst}, done)
+}
+
+type copyDest struct{ disk.ReadDest }
+
+// A lent read is the same IO as a copied one: over a written chunk, a hole
+// and a range that straddles two chunks (which is copied either way), its
+// reply arrives at the same time, the network counts the same bytes and the
+// callback gets the same bytes; a rotten chunk still fails it with
+// ErrChecksum. And lent bytes do not change under their reader: with the
+// reply still on a browned-out link, a write to the same chunk is serviced,
+// and the reader gets the bytes from before the write.
+func TestLentReadMatchesCopiedRead(t *testing.T) {
+	const size = disk.ChunkSize
+	type outcome struct {
+		took  time.Duration
+		bytes uint64
+		data  string
+		err   error
+	}
+	rig := func(lent bool) *readRig {
+		r := newReadRig(t, 2*size)
+		if !lent {
+			r.tgt.Export(readRigVolume, copyingVolume{r.vol})
+		}
+		return r
+	}
+	for _, off := range []int64{0, 3 * size, size / 2} { // written, a hole, straddling
+		var lent, copied outcome
+		for _, o := range []*outcome{&lent, &copied} {
+			r := rig(o == &lent)
+			start, sent := r.sched.Now(), r.net.Stats().Bytes
+			o.err = r.read(off, size, func(data []byte) {
+				// Lent bytes are sliced to their length; a copy sits in
+				// a frame with room for its header.
+				if borrowed := cap(data) == len(data); borrowed != (o == &lent && off%size == 0) {
+					t.Errorf("read at %d: lent %v, want %v", off, borrowed, !borrowed)
+				}
+				o.data = string(data)
+			})
+			o.took, o.bytes = time.Duration(r.at-start), r.net.Stats().Bytes-sent
+		}
+		if lent.err != nil || lent != copied {
+			t.Fatalf("read at %d: lent took %v, %d bytes, err %v; copied took %v, %d bytes, err %v; same data %v",
+				off, lent.took, lent.bytes, lent.err, copied.took, copied.bytes, copied.err, lent.data == copied.data)
+		}
+	}
+
+	r := rig(true)
+	r.d.CorruptSector(size + 8192)
+	if err := r.read(size, size, nil); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("lent read of a rotten chunk: err = %v, want ErrChecksum", err)
+	}
+
+	for _, lent := range []bool{true, false} {
+		r := rig(lent)
+		r.net.Colocate("client1", "m-client")
+		r.net.Colocate(TargetNode("h1"), "m-target")
+		r.net.SetMachineBrownout("m-target", 50*time.Millisecond)
+		before := make([]byte, size)
+		r.d.Store().ReadInto(0, before)
+		after := bytes.Repeat([]byte{0xC3}, size)
+		readErr, writeErr := errPending, errPending
+		r.ini.Read("h1", readRigVolume, 0, size, func(data []byte, err error) {
+			readErr = err
+			now := make([]byte, size)
+			r.d.Store().ReadInto(0, now)
+			if !bytes.Equal(now, after) {
+				t.Errorf("lent=%v: the write was not serviced while the read's reply was in flight", lent)
+			}
+			if !bytes.Equal(data, before) {
+				t.Errorf("lent=%v: the reader got bytes written after its read was serviced", lent)
+			}
+		})
+		r.ini.Write("h1", readRigVolume, 0, after, func(err error) { writeErr = err })
+		r.sched.Run()
+		if readErr != nil || writeErr != nil {
+			t.Fatalf("lent=%v: read %v, write %v", lent, readErr, writeErr)
+		}
+		if err := r.read(0, size, func(data []byte) {
+			if !bytes.Equal(data, after) {
+				t.Errorf("lent=%v: a read after the write does not see it", lent)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -136,18 +136,22 @@ func (t *Target) reply(to string, m Msg) {
 	t.node.Send(to, fr, len(fr.B))
 }
 
-// readReply is one read in service: the destination the volume copies the
-// payload into and the completion that sends it. The response is built in
-// place — the volume reads straight into a recycled frame behind the space
-// for the header — so the payload is copied once, store to wire, and in
-// steady state nothing payload-sized is allocated. The record itself is
-// recycled once the response is sent. A discard read's reply is a pooled
-// header-only frame that declares the discarded length to the network.
+// readReply is one read in service: the destination the volume reads into
+// and the completion that sends the reply. A read inside one store chunk is
+// lent the store's bytes (disk.LendDest): the reply is a pooled header-only
+// frame that carries the lent bytes as its Body, under the read's lease, so
+// the payload is never copied on its way to the initiator. Any other read is
+// built in place — the volume reads straight into a recycled frame behind the
+// space for the header — so its payload is copied once, store to wire. In
+// steady state nothing payload-sized is allocated either way, and the record
+// itself is recycled once the response is sent. A discard read's reply is a
+// pooled header-only frame that declares the discarded length to the network.
 type readReply struct {
 	t         *Target
 	from      string
 	tag       uint64
-	frame     *simnet.Frame
+	frame     *simnet.Frame       // the copied read's reply frame
+	lease     *disk.Lease         // the lent read's lease
 	discarded int                 // a discard read's length, else 0
 	done      func([]byte, error) // finish, bound once per record
 }
@@ -170,16 +174,21 @@ func (r *readReply) ReadBuffer(size int) []byte {
 	return r.frame.B[headerLen:]
 }
 
+// Lend implements disk.LendDest: the reply holds the lease until the
+// initiator puts the frame that carries the lent bytes.
+func (r *readReply) Lend(lease *disk.Lease) { r.lease = lease }
+
 func (r *readReply) finish(data []byte, err error) {
-	t, from, tag, frame, discarded := r.t, r.from, r.tag, r.frame, r.discarded
-	r.from, r.frame, r.discarded = "", nil, 0
+	t, from, tag, frame, lease, discarded := r.t, r.from, r.tag, r.frame, r.lease, r.discarded
+	r.from, r.frame, r.lease, r.discarded = "", nil, nil, 0
 	t.spentReads = append(t.spentReads, r)
 	if err != nil {
+		// The medium was read but the bytes failed verification: the
+		// frame goes back unused, the lease before the error goes out.
 		if frame != nil {
-			// The medium was read but the bytes failed verification: the
-			// frame goes back unused.
 			t.frames.Put(frame)
 		}
+		lease.Release()
 		status := StatusIOError
 		if errors.Is(err, ErrChecksum) {
 			status = StatusChecksum
@@ -187,13 +196,17 @@ func (r *readReply) finish(data []byte, err error) {
 		t.reply(from, Msg{Type: MsgReadResp, Tag: tag, Status: status})
 		return
 	}
-	if discarded > 0 {
-		frame = t.frames.Get(headerLen) // data is nil
+	if frame == nil { // lent or discarded: only the header is the target's
+		frame = t.frames.Get(headerLen)
+		frame.Body = data // nil for a discard read
+		if lease != nil {
+			frame.Lease = lease
+		}
 	}
-	// data is frame.B[headerLen:] (the Volume.ReadInto contract); only the
-	// header is left to write.
+	// A copied read's data is frame.B[headerLen:] (the Volume.ReadInto
+	// contract); only the header is left to write.
 	putHeader(frame.B, MsgReadResp, StatusOK, tag, len(data))
-	t.node.Send(from, frame, len(frame.B)+discarded)
+	t.node.Send(from, frame, headerLen+len(data)+discarded)
 }
 
 // writeReply is one write in service: it owns the request's frame, whose

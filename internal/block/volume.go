@@ -16,9 +16,12 @@ type Volume interface {
 	// ReadInto reads length bytes from off into the buffer dst supplies. dst
 	// is asked only once the bytes are about to be copied (never for a read
 	// that fails before reaching the medium), and on success done receives
-	// exactly that buffer. The buffer belongs to whoever supplied it: data is
-	// valid until done returns, and a done that keeps the bytes longer must
-	// copy them. A nil dst means a fresh buffer done may keep; disk.Discard none.
+	// exactly that buffer — or, when dst is a disk.LendDest and the read
+	// lies inside one store chunk, the store's own bytes, lent to dst. The
+	// buffer belongs to whoever supplied it, lent bytes to the store: data
+	// is valid until done returns, and a done that keeps the bytes longer
+	// must copy them. A nil dst means a fresh buffer done may keep;
+	// disk.Discard none.
 	ReadInto(off int64, length int, dst disk.ReadDest, done func(data []byte, err error))
 	// WriteAt writes data at off. data belongs to the caller until done
 	// runs — for a Target, a request frame that is recycled right after —

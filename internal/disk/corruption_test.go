@@ -179,3 +179,92 @@ func TestChunkCRCFollowsEveryChange(t *testing.T) {
 	d.ReplaceMedia()
 	check("replaced media", 2, 3, 5)
 }
+
+// lender is a LendDest that keeps the last loan it was given.
+type lender struct {
+	countingDest
+	lease *Lease
+}
+
+func (l *lender) Lend(lease *Lease) { l.lease = lease }
+
+// lendRead reads size bytes at off through Submit into a LendDest and returns
+// the lent bytes and their lease.
+func lendRead(t *testing.T, s *simtime.Scheduler, d *Disk, off int64, size int) ([]byte, *Lease) {
+	t.Helper()
+	dst := &lender{}
+	var out []byte
+	d.Submit(&Request{Op: Op{Read: true, Size: size, Pattern: Random}, Offset: off, Dest: dst,
+		Done: func(data []byte, err error) {
+			if err != nil {
+				t.Fatalf("read: %v", err)
+			}
+			out = data
+		}})
+	s.Run()
+	if dst.calls != 0 {
+		t.Fatalf("a read inside one chunk asked for a buffer %d times instead of borrowing", dst.calls)
+	}
+	return out, dst.lease
+}
+
+// Lent bytes never change: every way a chunk's bytes change — a write of
+// the whole chunk or part of it, rot planted in a written chunk or a hole, a
+// URE drawn on read, a write through Submit, new media — leaves the bytes
+// lent before it as they were, while a new read sees the change and ChunkCRC
+// follows the chunk's new buffer. Once the lend is released, the chunk
+// changes in place again and allocates nothing.
+func TestLentChunkNeverChanges(t *testing.T) {
+	s, d := newDisk(t)
+	d.Store().WriteAt(0, bytes.Repeat([]byte{0x11}, 2*chunkSize))
+	for _, step := range []struct {
+		name   string
+		chunk  int64
+		change func()
+	}{
+		{"whole-chunk write", 0, func() { d.Store().WriteAt(0, bytes.Repeat([]byte{0x22}, chunkSize)) }},
+		{"partial write", 0, func() { d.Store().WriteAt(100, []byte("partial")) }},
+		{"corrupt", 0, func() { d.Store().CorruptAt(200, 16, 0x5a) }},
+		{"corrupt a hole", 5, func() { d.Store().CorruptAt(5*chunkSize+1, 1, 0x01) }},
+		{"URE on read", 1, func() {
+			d.SetURERate(1)
+			submitRead(s, d, chunkSize, SectorSize)
+			d.SetURERate(0)
+		}},
+		{"write through Submit", 1, func() { submitWrite(s, d, chunkSize-2, []byte("over the boundary")) }},
+		{"replaced media", 0, d.ReplaceMedia},
+	} {
+		off := step.chunk * chunkSize
+		lent, lease := lendRead(t, s, d, off, chunkSize)
+		was := append([]byte(nil), lent...)
+		step.change()
+		now := readStore(d.Store(), off, chunkSize)
+		switch {
+		case !bytes.Equal(lent, was):
+			t.Fatalf("%s: the lent bytes changed", step.name)
+		case bytes.Equal(now, was):
+			t.Fatalf("%s: a new read does not see the change", step.name)
+		case d.Store().ChunkCRC(step.chunk) != crc32.ChecksumIEEE(now):
+			t.Fatalf("%s: ChunkCRC does not follow the chunk's new bytes", step.name)
+		}
+		lease.Release()
+	}
+
+	whole := bytes.Repeat([]byte{0x33}, chunkSize)
+	d.Store().WriteAt(chunkSize, whole[:1]) // the new media's chunk 1 was a hole
+	lent, lease := lendRead(t, s, d, chunkSize, chunkSize)
+	lease.Release()
+	for name, write := range map[string]func(){
+		"whole-chunk write": func() { d.Store().WriteAt(chunkSize, whole) },
+		"partial write":     func() { d.Store().WriteAt(chunkSize+9, whole[:100]) },
+		"corrupt":           func() { d.Store().CorruptAt(chunkSize+300, 8, 0x5a) },
+		"lend and release":  func() { _, l := d.Store().lend(chunkSize, chunkSize); l.Release() },
+	} {
+		if n := testing.AllocsPerRun(10, write); n != 0 {
+			t.Errorf("%s after the lend was released: %v allocations, want 0 (in place)", name, n)
+		}
+	}
+	if !bytes.Equal(lent, readStore(d.Store(), chunkSize, chunkSize)) {
+		t.Fatal("after the lend was released the chunk was not changed in place")
+	}
+}

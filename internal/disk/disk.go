@@ -92,11 +92,26 @@ type HealthStats struct {
 
 // ReadDest supplies the buffer a read's bytes are copied into. The disk asks
 // for it when it services the read, not when the read is queued, so a deep
-// queue of large reads holds no payload memory while it waits.
+// queue of large reads holds no payload memory while it waits. A ReadDest
+// that is also a LendDest is lent the bytes instead when the read's shape
+// allows it.
 type ReadDest interface {
 	// ReadBuffer returns a buffer of exactly size bytes. Its contents on
 	// return do not matter: the disk overwrites all of it.
 	ReadBuffer(size int) []byte
+}
+
+// LendDest is a ReadDest that accepts a loan of the store's own bytes. A read
+// that lies inside one store chunk is not copied: at service time the disk
+// calls Lend with the lease on the chunk's bytes, and Done receives the lent
+// bytes themselves. They never change while the lease is held; the
+// destination releases it once nothing reads them any more. Any other read
+// (one that spans chunks) still asks ReadBuffer for a buffer to copy into.
+type LendDest interface {
+	ReadDest
+	// Lend takes the lease on the bytes Done is about to receive. A nil
+	// lease (a hole's zeros) needs no release.
+	Lend(lease *Lease)
 }
 
 // Discard is the destination of a read whose caller only times it: the disk
@@ -114,7 +129,8 @@ type Request struct {
 	// bytes read.
 	Data []byte
 	// Dest, for reads, supplies the buffer the bytes are read into and Done
-	// then receives. Nil means a fresh buffer per read; Discard means none.
+	// then receives, or takes a loan of the store's bytes (LendDest). Nil
+	// means a fresh buffer per read; Discard means none.
 	Dest ReadDest
 	// Done is invoked on completion with the data read (nil for writes)
 	// and an error.
@@ -574,12 +590,7 @@ func (s *service) Fire() {
 	var data []byte
 	if op.Read {
 		d.maybeCorruptOnRead(req.Offset, op.Size)
-		if req.Dest == nil {
-			data = make([]byte, op.Size)
-		} else if req.Dest != Discard {
-			data = req.Dest.ReadBuffer(op.Size)
-		}
-		d.store.ReadInto(req.Offset, data) // a discard read's nil: no bytes
+		data = d.readFor(req.Dest, req.Offset, op.Size)
 		d.bytesRead += uint64(op.Size)
 	} else {
 		d.store.WriteAt(req.Offset, req.Data)
@@ -589,4 +600,26 @@ func (s *service) Fire() {
 		req.Done(data, nil)
 	}
 	d.pump()
+}
+
+// readFor extracts a serviced read's bytes for dst: lent to a LendDest when
+// they lie inside one chunk, else copied into a fresh buffer (nil dst) or
+// dst's buffer. A discard read extracts none.
+func (d *Disk) readFor(dst ReadDest, off int64, size int) []byte {
+	if dst == Discard {
+		return nil
+	}
+	if ld, ok := dst.(LendDest); ok && inOneChunk(off, size) {
+		data, lease := d.store.lend(off, size)
+		ld.Lend(lease)
+		return data
+	}
+	var data []byte
+	if dst == nil {
+		data = make([]byte, size)
+	} else {
+		data = dst.ReadBuffer(size)
+	}
+	d.store.ReadInto(off, data)
+	return data
 }

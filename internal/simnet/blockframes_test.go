@@ -3,8 +3,10 @@ package simnet_test
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"ustore/internal/block"
 	"ustore/internal/disk"
@@ -18,6 +20,12 @@ import (
 // leaves every class it uses holding frames, a warm login, read, write and
 // error reply each end with every class at the count it started with; a
 // frame kept or dropped on either side would leave its class one short.
+//
+// Every 64 KiB read here is lent the store's chunk, so each op must also
+// give back every lend it took — a warm read, a checksum-error read, a reply
+// that arrives after its timeout and a duplicated delivery included: after
+// it, no lend of the chunks the reads touch is still out. (A lease released
+// twice panics.)
 func TestBlockIOReturnsEveryFrame(t *testing.T) {
 	const size = 64 << 10
 	s := simtime.NewScheduler(1)
@@ -58,7 +66,25 @@ func TestBlockIOReturnsEveryFrame(t *testing.T) {
 		{"not-logged-in error reply", func() {
 			ini.Read("h1", "other", 0, size, func(_ []byte, err error) { want(err, block.StatusNotLoggedIn.Err()) })
 		}},
+		{"late reply after a timeout", func() {
+			ini.Timeout = time.Millisecond // the disk alone takes longer
+			ini.Read("h1", "sp0", 0, size, func(_ []byte, err error) { want(err, block.ErrTimeout) })
+			ini.Timeout = 2 * time.Second
+		}},
+		{"duplicated delivery", func() {
+			s.Run() // the other ops' messages go once
+			net.SetMachineDupRate("m-cli", "m-h1", 1)
+			delivered := net.Stats().Delivered
+			ini.Read("h1", "sp0", 0, size, func(_ []byte, err error) { want(err, nil) })
+			s.Run()
+			net.SetMachineDupRate("m-cli", "m-h1", 0)
+			if n := net.Stats().Delivered - delivered; n != 6 {
+				t.Errorf("a duplicated read made %d deliveries, want 6 (each request and reply twice)", n)
+			}
+		}},
 	}
+	net.Colocate("cli", "m-cli")
+	net.Colocate(block.TargetNode("h1"), "m-h1")
 	ops[0].run()
 	ini.Write("h1", "sp0", 2*size, payload, wrote)
 	s.Run()
@@ -80,5 +106,23 @@ func TestBlockIOReturnsEveryFrame(t *testing.T) {
 		if after := frames.FreeCounts(); !slices.Equal(before, after) {
 			t.Errorf("%s: free frames per class went %v -> %v", op.name, before, after)
 		}
+		for _, off := range []int64{0, 2 * size} {
+			if lentOut(d.Store(), off) {
+				t.Errorf("%s: a lend of the chunk at %d is still out", op.name, off)
+			}
+		}
 	}
+}
+
+// lentOut reports whether a lend of the chunk at off is still out: a chunk
+// changes in place, allocating nothing, only when none is, and copies on
+// write otherwise. It rewrites the chunk's own bytes to find out.
+func lentOut(st *disk.Store, off int64) bool {
+	buf := make([]byte, disk.ChunkSize)
+	st.ReadInto(off, buf)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st.WriteAt(off, buf)
+	runtime.ReadMemStats(&after)
+	return after.Mallocs != before.Mallocs
 }

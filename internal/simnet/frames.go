@@ -5,9 +5,30 @@ import "math/bits"
 // Frame is one wire frame: a buffer and the record that carries it. A
 // protocol sends the *Frame itself as Message.Payload — a pointer, so the
 // send boxes nothing — and the buffer and its record are pooled together.
+//
+// A frame may also carry a body its sender does not own: memory lent by its
+// owner (a disk store's chunk, for a block read reply) under a Lease. Such a
+// frame's B is the header alone; Body is the payload the header declares.
+// Put releases the lease. A duplicated delivery gets a private frame with
+// the body copied in. A frame dropped in flight never releases its lease,
+// which costs the owner one copy-on-write on its next change to those bytes.
 type Frame struct {
-	// B is the frame's bytes.
+	// B is the frame's bytes: the whole frame, or the header of a frame
+	// whose payload is Body.
 	B []byte
+	// Body, if set, is the lent payload that follows B on the wire. Like
+	// B, it is valid until the frame is Put, and nobody writes it.
+	Body []byte
+	// Lease is the claim on Body's memory, or nil when it needs none.
+	Lease Lease
+}
+
+// Lease is a claim on memory lent to a frame's Body. Release gives it back,
+// after which the frame's holder must not read the memory. It runs on the
+// scheduler goroutine of the network that carries the frame, which is also
+// the owner's: block IO never crosses an engine partition.
+type Lease interface {
+	Release()
 }
 
 // FrameList is a network's free list of wire frames: a protocol takes every
@@ -87,10 +108,14 @@ func (f *FrameList) Get(size int) *Frame {
 	return &Frame{B: make([]byte, size, frameCap(c))}
 }
 
-// Put gives a frame back. The caller must hold no other reference to it or
-// its bytes. Buffers Get did not hand out (recognised by capacity) and frames
-// beyond the class bound are ignored.
+// Put gives a frame back, releasing its lease on a lent body. The caller
+// must hold no other reference to it or its bytes. Buffers Get did not hand
+// out (recognised by capacity) and frames beyond the class bound are ignored.
 func (f *FrameList) Put(fr *Frame) {
+	if fr.Lease != nil {
+		fr.Lease.Release()
+	}
+	fr.Body, fr.Lease = nil, nil
 	c := frameClass(cap(fr.B))
 	if c < 0 || cap(fr.B) != frameCap(c) {
 		return

@@ -137,4 +137,36 @@ func TestDuplicateDeliveryOwnsItsBytes(t *testing.T) {
 	if v := rec.Counter("simnet", "dup_deliveries_total").Value(); v != 2 {
 		t.Fatalf("dup_deliveries_total = %d, want 2", v)
 	}
+
+	// A lent body is copied into the retransmission, behind the header:
+	// the copy owns all its bytes and holds no lease, and the lease is
+	// released once, when the original is put.
+	var lent []*Frame
+	n.Node("b").Handle(func(m Message) { lent = append(lent, m.Payload.(*Frame)) })
+	lease := &countingLease{}
+	fr = n.Frames().Get(3)
+	copy(fr.B, "hdr")
+	fr.Body, fr.Lease = []byte("lent body"), lease
+	n.Node("a").Send("b", fr, 3+len(fr.Body))
+	s.Run()
+	if len(lent) != 2 {
+		t.Fatalf("lent-body deliveries = %d, want 2", len(lent))
+	}
+	cp := lent[0]
+	if cp == fr {
+		cp = lent[1]
+	}
+	if cp.Body != nil || cp.Lease != nil || string(cp.B) != "hdrlent body" {
+		t.Fatalf("retransmission of a lent frame: B %q, body %q, lease %v", cp.B, cp.Body, cp.Lease)
+	}
+	n.Frames().Put(cp)
+	n.Frames().Put(fr)
+	if lease.released != 1 || fr.Body != nil || fr.Lease != nil {
+		t.Fatalf("lease released %d times, want 1; the put frame kept body %q", lease.released, fr.Body)
+	}
 }
+
+// countingLease counts its releases.
+type countingLease struct{ released int }
+
+func (l *countingLease) Release() { l.released++ }

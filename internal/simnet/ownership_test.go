@@ -4,10 +4,11 @@ package simnet_test
 // callback is valid until the callback returns, and a write's payload is
 // valid until the volume's done runs; after that either wire frame is
 // recycled, as is every other request and response frame once its receiver
-// has handled it — checked the only way a convention can be: every released
-// frame is overwritten with 0xDB (simnet.PoisonFrames, a test-only hook) and
-// the scenarios whose callers sit on that path must come out exactly as they
-// do unpoisoned. A caller that kept a payload, or a volume that stored one late,
+// has handled it, and a read's lent chunk goes back to its store — checked
+// the only way a convention can be: every released frame, and every chunk
+// buffer whose last lend is released, is overwritten with 0xDB
+// (simnet.PoisonFrames, a test-only hook) and the scenarios whose callers
+// sit on that path must come out exactly as they do unpoisoned. A caller that kept a payload, or a volume that stored one late,
 // would read back 0xDB: the chaos harness reports that as silent corruption,
 // HDFS and the archive return wrong bytes.
 //
@@ -47,7 +48,9 @@ func bothWays(t *testing.T, scenario func(t *testing.T) string) {
 }
 
 // TestPoisonCatchesRetainedPayload is the negative control: the hook must
-// actually bite a caller that breaks the rule.
+// actually bite a caller that breaks the rule, whether its payload was copied
+// into the reply frame (a read across two chunks) or lent from the store (a
+// read inside one).
 func TestPoisonCatchesRetainedPayload(t *testing.T) {
 	defer simnet.PoisonFrames()()
 	s := simtime.NewScheduler(1)
@@ -62,20 +65,31 @@ func TestPoisonCatchesRetainedPayload(t *testing.T) {
 	ini := block.NewInitiator(net, "cli")
 	ini.Login("h1", "sp0", func(int64, error) {})
 	s.Run()
-	payload := bytes.Repeat([]byte{0x42}, 8192)
+	payload := bytes.Repeat([]byte{0x42}, 2*disk.ChunkSize)
 	ini.Write("h1", "sp0", 0, payload, func(error) {})
 	s.Run()
 
-	var kept []byte
-	ini.Read("h1", "sp0", 0, len(payload), func(data []byte, err error) {
-		if err != nil || !bytes.Equal(data, payload) {
-			t.Errorf("inside the callback the payload must be intact: err=%v", err)
+	for _, read := range []struct {
+		name string
+		off  int64
+	}{{"copied", disk.ChunkSize - 4096}, {"lent", 0}} {
+		var kept []byte
+		ini.Read("h1", "sp0", read.off, 8192, func(data []byte, err error) {
+			if err != nil || !bytes.Equal(data, payload[:8192]) {
+				t.Errorf("%s: inside the callback the payload must be intact: err=%v", read.name, err)
+			}
+			kept = data // the bug under test
+		})
+		s.Run()
+		if !bytes.Equal(kept, bytes.Repeat([]byte{0xDB}, 8192)) {
+			t.Fatalf("a %s payload kept past its callback was not poisoned", read.name)
 		}
-		kept = data // the bug under test
-	})
+	}
+	var now []byte
+	ini.Read("h1", "sp0", 0, 8192, func(data []byte, err error) { now = append(now, data...) })
 	s.Run()
-	if !bytes.Equal(kept, bytes.Repeat([]byte{0xDB}, len(payload))) {
-		t.Fatal("a payload kept past its callback was not poisoned")
+	if !bytes.Equal(now, payload[:8192]) {
+		t.Fatal("poisoning a released lend changed the chunk it was lent from")
 	}
 }
 

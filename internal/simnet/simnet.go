@@ -409,13 +409,14 @@ func (n *Network) Send(msg Message) {
 		// Deliver a copy a little later (retransmission). A retransmitted
 		// frame is its own frame, taken from this (the sender's) network's
 		// list: each delivery of wire bytes has one owner, who may recycle
-		// or rewrite them.
+		// or rewrite them. A lent body is copied in behind the header, so
+		// the copy owns all its bytes and holds no lease.
 		n.cDups.Inc()
 		jitter := delay + time.Duration(n.sched.Rand().Int63n(int64(time.Millisecond)))
 		again := msg
 		if fr, ok := msg.Payload.(*Frame); ok {
-			cp := n.frames.Get(len(fr.B))
-			copy(cp.B, fr.B)
+			cp := n.frames.Get(len(fr.B) + len(fr.Body))
+			copy(cp.B[copy(cp.B, fr.B):], fr.Body)
 			again.Payload = cp
 		}
 		n.deliver(again, dst, jitter, local)

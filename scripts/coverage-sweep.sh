@@ -58,6 +58,8 @@ chaos=$bin/ustore-chaos
 run 0 "$chaos" -seed 1 -days 1 -metrics-out "$out/metrics.json" -trace-out "$out/trace.json"
 run 0 "$chaos" -seed 1 -days 1 -gray -mitigation -metrics-out "$out/gray.json"
 run 0 "$chaos" -seed 1 -days 1 -gray -mitigation -log
+run 0 "$chaos" -seed 1 -days 8 -gray -mitigation -log
+run 0 "$chaos" -seed 4 -days 8 -gray -mitigation -log
 run 0 "$chaos" -tenants -storm -protect -seed 1 -slo-out "$out/slo.txt"
 run 0 "$chaos" -tenants -storm -seed 1 -slo-out "$out/slo-storm.txt"
 run 0 "$chaos" -fleet -units 8 -shards 2 -unit-loss -log
