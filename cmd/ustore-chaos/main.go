@@ -11,7 +11,7 @@
 //	ustore-chaos -gray -mitigation          # fail-slow faults + the mitigation stack
 //	ustore-chaos -tenants -storm -protect -slo-out slo.txt
 //	ustore-chaos -fleet -units 64 -shards 8 -crashes 3 -partitions 2 -moves 2
-//	ustore-chaos -fleet -units 16 -shards 4 -crashes 2 -moves 2 -skip-redrive -minimize
+//	ustore-chaos -fleet -units 16 -shards 4 -crashes 2 -moves 2 -minimize
 //	ustore-chaos -fleet -units 48 -fleet-bench 1,4,16   # shard-scaling throughput sweep
 //
 // The aliases table below maps each scenario flag to its spec path; defaults
@@ -19,9 +19,9 @@
 // faults., traffic. or fleet. needs that mode. What a spec cannot say stays a
 // plain flag: how to run it (-seeds -parallel -minimize -fleet-bench), what
 // to write (-schedule -metrics-out -trace-out -slo-out -bench-out
-// -cpuprofile -memprofile), and the three planted bugs the checkers'
-// negative controls need (-no-checksums -stale-lease -quarantine-blind) — a
-// spec describes the correct system, so a broken one is never a cached cell.
+// -cpuprofile -memprofile), and -no-checksums, the checksum checker's
+// negative control — a spec describes the correct system, so a run without
+// its checksums is never a cached cell.
 //
 // Every run is compile -> run -> report (campaign.Compile, Scenario.Run); a
 // single run is a sweep of one seed. -seeds N runs N consecutive seeds and
@@ -77,7 +77,6 @@ var aliases = map[string]alias{
 	"crashes":        {path: "fleet.crashes", usage: "shard-replica crash/restart cycles in the fault schedule"},
 	"partitions":     {path: "fleet.partitions", usage: "inter-unit partition (or leader-isolation) windows in the fault schedule"},
 	"moves":          {path: "fleet.slot_moves", usage: "schedule-driven slot migrations; the first is straddled by a source-leader crash (needs -shards >= 2)"},
-	"skip-redrive":   {path: "fleet.skip_redrive", bare: true, usage: "plant the skipped-ledger-re-drive recovery bug (model-checker demo; pairs with -minimize)"},
 	"storm":          {path: "traffic.storm", bare: true, usage: "add the restore-storm waves"},
 	"protect":        {path: "traffic.protect", bare: true, usage: "arm the admission/throttle/autoscale protection stack"},
 	"log":            {path: "output.log", bare: true, usage: "print the full event log"},
@@ -86,8 +85,7 @@ var aliases = map[string]alias{
 // cliModes names the modes each mode-specific flag that is not a spec field
 // applies to; for an alias the mode is its path's section.
 var cliModes = map[string][]string{
-	"no-checksums": {"faults"}, "stale-lease": {"faults"}, "quarantine-blind": {"faults"},
-	"slo-out": {"traffic"}, "fleet-bench": {"fleet"}, "bench-out": {"fleet"},
+	"no-checksums": {"faults"}, "slo-out": {"traffic"}, "fleet-bench": {"fleet"}, "bench-out": {"fleet"},
 	"trace-out": {"faults", "traffic"}, "minimize": {"faults", "fleet"},
 }
 
@@ -112,8 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel    = fs.Int("parallel", 1, "workers for a seed sweep or -minimize probing (<1 = one per CPU)")
 		minimize    = fs.Bool("minimize", false, "on violation, bisect the schedule to the shortest violating prefix")
 		noChecksums = fs.Bool("no-checksums", false, "disable per-block CRCs (silent corruption reaches clients)")
-		staleLease  = fs.Bool("stale-lease", false, "inject the stale-lease failover bug (model-checker demo; pairs with -minimize)")
-		quarBlind   = fs.Bool("quarantine-blind", false, "make the allocator ignore quarantine (invariant-checker demo; needs -mitigation)")
 		fleetBench  = fs.String("fleet-bench", "", "fleet mode: comma-separated shard counts to measure allocation throughput for (e.g. 1,4,16)")
 		benchOut    = fs.String("bench-out", "", "fleet mode: write the -fleet-bench JSON to this file (default stdout)")
 		showSched   = fs.Bool("schedule", false, "print the generated fault schedule")
@@ -177,24 +173,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return say("%v", err)
 	}
 
-	// The bug plants are the one thing a run carries that its spec does not.
-	var planted []string
-	for _, p := range []struct {
-		on   bool
-		name string
-	}{{*noChecksums, "no-checksums"}, {*staleLease, "stale-lease"}, {*quarBlind, "quarantine-blind"}} {
-		if p.on {
-			planted = append(planted, p.name)
-		}
-	}
+	// -no-checksums is the one thing a run carries that its spec does not.
 	compile := func(seed int64) (campaign.Scenario, error) {
 		sp := *s
 		sp.Seed = seed
 		sc, err := campaign.Compile(&sp)
 		if err == nil && sc.Chaos != nil {
 			sc.Chaos.DisableChecksums = *noChecksums
-			sc.Chaos.InjectStaleLease = *staleLease
-			sc.Chaos.InjectQuarantineBlind = *quarBlind
 		}
 		return sc, err
 	}
@@ -203,7 +188,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return say("%v; fidelity and durability specs run under ustore-campaign", err)
 	}
 
-	// One mode rule for every mode-specific flag, then the three
+	// One mode rule for every mode-specific flag, then the two
 	// combinations no mode explains.
 	for _, fl := range set {
 		want := cliModes[fl.Name]
@@ -219,11 +204,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *seeds < 1:
 		return say("-seeds must be >= 1")
 	case *seeds > 1 && *minimize:
-		// -stale-lease and friends compose fine with -seeds: every seed of
-		// a sweep is an independent run, the planted bug rides along in each.
 		return say("-minimize works on a single seed (drop -seeds)")
-	case *quarBlind && !s.Faults.Mitigation:
-		return say("-quarantine-blind needs -mitigation (without quarantine there is no allocator exclusion to ignore)")
 	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
@@ -239,7 +220,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *fleetBench != "" {
 		return runFleetBench(stdout, say, s.Seed, s.Fleet.Units, s.Fleet.EngineWorkers, *fleetBench, *benchOut)
 	}
-	fmt.Fprint(stdout, header(s, *seeds, planted))
+	fmt.Fprint(stdout, header(s, *seeds, *noChecksums))
 
 	// n seeds on the worker pool, a recorder each when a file wants one; a
 	// single run is a sweep of 1, and -minimize is a single run that goes
@@ -315,10 +296,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 const failStopFamilies = "host-crashes disk-faults hub-faults net-faults corruptions"
 
 // header renders the run header from the spec — the effective fault mix and
-// planted bugs, or the fleet shape — so a pasted report is self-describing
-// (a gray run with mitigation off reads very differently from one with it
-// on). Traffic mode replaces the fault schedule, so its mix is "none".
-func header(s *spec.Spec, seeds int, planted []string) string {
+// whether checksums are off, or the fleet shape — so a pasted report is
+// self-describing (a gray run with mitigation off reads very differently
+// from one with it on). Traffic mode replaces the fault schedule, so its mix
+// is "none".
+func header(s *spec.Spec, seeds int, noChecksums bool) string {
 	who := fmt.Sprintf("seed %d", s.Seed)
 	if seeds > 1 {
 		who = fmt.Sprintf("seeds %d..%d", s.Seed, s.Seed+int64(seeds)-1)
@@ -327,8 +309,8 @@ func header(s *spec.Spec, seeds int, planted []string) string {
 		fl := s.Fleet
 		h := fmt.Sprintf("ustore-chaos: fleet %s, %d units, %d shards, unit-loss=%v\n", who, fl.Units, fl.Shards, fl.UnitLoss)
 		if fl.Crashes > 0 || fl.Partitions > 0 || fl.SlotMoves > 0 {
-			h += fmt.Sprintf("fleet faults: %d crashes, %d partitions, %d slot moves, skip-redrive=%v\n",
-				fl.Crashes, fl.Partitions, fl.SlotMoves, fl.SkipRedrive)
+			h += fmt.Sprintf("fleet faults: %d crashes, %d partitions, %d slot moves\n",
+				fl.Crashes, fl.Partitions, fl.SlotMoves)
 		}
 		return h
 	}
@@ -349,7 +331,7 @@ func header(s *spec.Spec, seeds int, planted []string) string {
 			fams += " gray-faults"
 		}
 		add(s.Faults.Mitigation, "mitigation")
-		mods = append(mods, planted...)
+		add(noChecksums, "no-checksums")
 	}
 	h := fmt.Sprintf("ustore-chaos: %s, %.3g days, faults: %s", who, s.Days, fams)
 	if len(mods) > 0 {

@@ -81,7 +81,7 @@ func TestSpecFlagOverride(t *testing.T) {
 		t.Fatalf("-seed 4 did not reach the run:\n%s", over)
 	}
 
-	// -no-checksums -minimize on a spec run: the planted bug violates, the
+	// -no-checksums -minimize on a spec run: silent corruption violates, the
 	// minimizer shrinks it, the metrics file is written, exit status 1.
 	metrics := filepath.Join(t.TempDir(), "m.json")
 	min, errs, status := chaosCmd(t, "-spec", path, "-no-checksums", "-minimize", "-metrics-out", metrics)
@@ -123,14 +123,13 @@ func TestBadCombinationsExit2(t *testing.T) {
 		{[]string{"-fleet", "-trace-out", "t.json"}, "-trace-out needs faults or traffic mode"},
 		{[]string{"-tenants", "-minimize"}, "-minimize needs faults or fleet mode"},
 		{[]string{"-tenants", "-fleet"}, "-tenants cannot combine with -fleet"},
-		{[]string{"-quarantine-blind"}, "-quarantine-blind needs -mitigation"},
 		{[]string{"-seeds", "2", "-minimize"}, "-minimize works on a single seed"},
 		{[]string{"-seeds", "0"}, "-seeds must be >= 1"},
 		{[]string{"-days", "soon"}, `-days: flags: field days: cannot parse "soon" as a number`},
 		{[]string{"-days", "0"}, "days must be positive"},
 		{[]string{"-fleet", "-fault-window", "90s"}, "flag provided but not defined: -fault-window"},
 		{[]string{"-fleet", "-moves", "2"}, "fleet.slot_moves needs fleet.shards >= 2"},
-		{[]string{"-fleet", "-shards", "4", "-crashes", "2", "-moves", "2", "-skip-redrive", "-minimize"}, "fleet.units 8 is below 12"},
+		{[]string{"-fleet", "-shards", "4", "-crashes", "2", "-moves", "2", "-minimize"}, "fleet.units 8 is below 12"},
 		{[]string{"-fleet", "-units", "2", "-shards", "1"}, "fleet.units 2 is below 3"},
 		{[]string{"-spec", grid}, "has a parameter grid; run it with ustore-campaign"},
 		{[]string{"-spec", writeSpec(t, "mode: durability\n")}, "run under ustore-campaign"},

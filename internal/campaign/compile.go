@@ -49,15 +49,14 @@ func Compile(s *spec.Spec) (Scenario, error) {
 		return Scenario{Chaos: &o}, nil
 	case "fleet":
 		return Scenario{Fleet: &chaos.FleetOptions{
-			Seed:              s.Seed,
-			Units:             s.Fleet.Units,
-			Shards:            s.Fleet.Shards,
-			UnitLoss:          s.Fleet.UnitLoss,
-			EngineWorkers:     s.Fleet.EngineWorkers,
-			ReplicaCrashes:    s.Fleet.Crashes,
-			Partitions:        s.Fleet.Partitions,
-			SlotMoves:         s.Fleet.SlotMoves,
-			InjectSkipRedrive: s.Fleet.SkipRedrive,
+			Seed:           s.Seed,
+			Units:          s.Fleet.Units,
+			Shards:         s.Fleet.Shards,
+			UnitLoss:       s.Fleet.UnitLoss,
+			EngineWorkers:  s.Fleet.EngineWorkers,
+			ReplicaCrashes: s.Fleet.Crashes,
+			Partitions:     s.Fleet.Partitions,
+			SlotMoves:      s.Fleet.SlotMoves,
 		}}, nil
 	}
 	return Scenario{}, fmt.Errorf("mode %q has no simulation engine to compile onto", s.Mode)

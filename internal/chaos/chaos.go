@@ -200,18 +200,6 @@ type Options struct {
 	// events. Nil (the default) leaves the seed byte-identical.
 	Empirical *faults.EmpiricalModel
 	AgeYears  float64
-
-	// InjectStaleLease enables the deliberate stale-lease protocol bug
-	// (core.Config.InjectStaleLease) so the model checker's mutation
-	// self-test can prove it catches a broken failover path. Never set
-	// outside tests.
-	InjectStaleLease bool
-
-	// InjectQuarantineBlind makes the master's allocator ignore quarantine
-	// (core.Config.InjectQuarantineBlind) so the quarantine invariant
-	// checker's mutation self-test can prove ValidateQuarantine catches a
-	// broken allocator. Never set outside tests.
-	InjectQuarantineBlind bool
 }
 
 // DefaultOptions returns an all-faults configuration for the given seed and

@@ -54,10 +54,6 @@ type FleetOptions struct {
 	// straddles another, exercising the RedriveMoves recovery path.
 	// Requires Shards >= 2 to take effect.
 	SlotMoves int
-	// InjectSkipRedrive plants the skipped-ledger-re-drive recovery bug in
-	// the fleet (see fleet.Config.InjectSkipRedrive) so the minimizer has a
-	// real violation to shrink.
-	InjectSkipRedrive bool
 	// Recorder, when non-nil, collects metrics and traces from the run.
 	Recorder *obs.Recorder `json:"-"`
 	// EngineWorkers caps the goroutines that execute one fleet engine
@@ -153,9 +149,8 @@ func fleetConfig(o FleetOptions) fleet.Config {
 		Recorder: o.Recorder,
 		// Jittered retries only for fault runs: legacy runs keep the fixed
 		// delays their checked-in byte-stability records were made under.
-		RetryJitter:       o.hasFaults(),
-		InjectSkipRedrive: o.InjectSkipRedrive,
-		EngineWorkers:     o.EngineWorkers,
+		RetryJitter:   o.hasFaults(),
+		EngineWorkers: o.EngineWorkers,
 	}
 }
 

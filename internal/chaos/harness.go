@@ -211,12 +211,10 @@ func leanConfig(o Options, hist *model.History) core.Config {
 	cfg.HeartbeatInterval = 5 * time.Minute
 	cfg.ScrubInterval = scrubEvery
 	cfg.DisableChecksums = o.DisableChecksums
-	cfg.InjectStaleLease = o.InjectStaleLease
 	// The detect-quarantine side of the mitigation stack lives in the
 	// master; unmitigated gray runs leave it off so the same seed measures
 	// the raw cost of fail-slow hardware.
 	cfg.HealthQuarantine = o.Mitigation
-	cfg.InjectQuarantineBlind = o.InjectQuarantineBlind
 	return cfg
 }
 
@@ -895,8 +893,7 @@ func (h *harness) checkQuietMasters() {
 }
 
 // checkQuarantine verifies the allocator never handed out space on a
-// quarantined disk (core.Master.ValidateQuarantine — only ever violated by
-// the InjectQuarantineBlind mutation self-test).
+// quarantined disk (core.Master.ValidateQuarantine).
 func (h *harness) checkQuarantine(stage string) {
 	m := h.c.ActiveMaster()
 	if m == nil {

@@ -10,86 +10,68 @@ import (
 	"ustore/internal/runner"
 )
 
-// staleLeaseOptions is the mutation scenario: host crashes only (so every
-// violation can come only from the failover protocol), with the deliberate
-// stale-lease bug switched on or off.
-func staleLeaseOptions(seed int64, bug bool) Options {
+// hostCrashOptions is the failover scenario: host crashes only, so every
+// violation can come only from the failover protocol.
+func hostCrashOptions(seed int64) Options {
 	o := DefaultOptions(seed, 2*24*time.Hour)
 	o.DiskFaults = false
 	o.HubFaults = false
 	o.NetFaults = false
 	o.Corruptions = false
-	o.InjectStaleLease = bug
 	return o
 }
 
-// TestModelCheckerCatchesStaleLease is the mutation self-test the tentpole
-// demands: with InjectStaleLease, a crashed host's endpoint skips export
-// revocation, so after failover the old host still holds a serving lease
-// while the master exports the disk at the new one. The stored data stays
-// byte-identical (both exports reference the same simulated platters), so
-// the read-back audits all pass — only the linearizability check against
-// the reference model can see the double-serving metadata state. A clean
-// harness run here would mean the checker has no teeth.
-func TestModelCheckerCatchesStaleLease(t *testing.T) {
-	rep, err := Run(staleLeaseOptions(*chaosSeed, true))
+// requireCleanOrMinimize runs o and requires it clean. On a violation it
+// minimizes before failing, so the failure says how few faults cause it and
+// whether any violation came from outside the model checker; the entries of
+// mutants_test.go that break these scenarios match that text.
+func requireCleanOrMinimize(t *testing.T, o Options) *Report {
+	t.Helper()
+	rep, err := Run(o)
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}
+	if len(rep.Violations) == 0 {
+		return rep
+	}
+	outside := 0
+	for _, v := range rep.Violations {
+		if !strings.Contains(v, "model:") {
+			outside++
+		}
+	}
+	sched, min, _, err := MinimizeParallel(o, 2)
+	if err != nil || min == nil {
+		t.Fatalf("%d violations; minimize: %v, violating prefix found: %v", len(rep.Violations), err, min != nil)
+	}
+	t.Fatalf("%d violations (%d outside the model checker):\n%s\nminimized %d -> %d faults, still violating:\n%s\n%s",
+		len(rep.Violations), outside, strings.Join(rep.Violations, "\n"),
+		len(rep.Schedule), len(sched), strings.Join(min.Violations, "\n"), scheduleText(sched))
+	return nil
+}
+
+// TestHostCrashFailoverLinearizes runs the host-crash scenario and requires
+// every failover to leave a linearizable metadata history. Skipping export
+// revocation on detach (a stale lease) leaves the data audits green — both
+// exports reference the same platters — so only the model checker can fail
+// this, and it must fail with at most five faults after minimization.
+func TestHostCrashFailoverLinearizes(t *testing.T) {
+	rep := requireCleanOrMinimize(t, hostCrashOptions(*chaosSeed))
 	if rep.Stats.ModelOps == 0 {
 		t.Fatal("run recorded no metadata operations; history wiring is dead")
 	}
-	found := false
-	for _, v := range rep.Violations {
-		if strings.Contains(v, "model:") && strings.Contains(v, "lease") {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatalf("stale-lease bug injected but the model checker reported no lease violation; violations:\n%s",
-			strings.Join(rep.Violations, "\n"))
-	}
-	for _, v := range rep.Violations {
-		if !strings.Contains(v, "model:") {
-			t.Errorf("stale lease leaked into a data-path invariant (should be metadata-only): %s", v)
-		}
-	}
 }
 
-// TestModelViolationMinimizes shrinks the stale-lease violation down to the
-// few faults that actually matter: one crash window (two schedule entries)
-// is enough to trigger failover, so minimization must land at or below five
-// faults.
-func TestModelViolationMinimizes(t *testing.T) {
-	o := staleLeaseOptions(*chaosSeed, true)
-	sched, minimized, full, err := MinimizeParallel(o, 2)
-	if err != nil {
-		t.Fatalf("minimize: %v", err)
-	}
-	if full == nil || len(full.Violations) == 0 {
-		t.Fatal("expected the full stale-lease run to violate")
-	}
-	if minimized == nil || len(minimized.Violations) == 0 {
-		t.Fatal("minimized schedule no longer violates")
-	}
-	if len(sched) > 5 {
-		t.Fatalf("minimized schedule still has %d faults (want <= 5):\n%s",
-			len(sched), scheduleText(sched))
-	}
-	t.Logf("minimized %d faults -> %d:\n%s", len(full.Schedule), len(sched), scheduleText(sched))
-}
-
-// TestModelCheckerCleanSweep is the matching negative control: the same
-// crash-heavy scenario without the bug must linearize cleanly across a seed
-// sweep, proving the checker does not cry wolf on the correct failover
-// protocol. Full mode sweeps 32 seeds (the acceptance bar); -short keeps 8.
+// TestModelCheckerCleanSweep extends it over a seed sweep: the crash-heavy
+// scenario must linearize cleanly on every seed, so the checker does not cry
+// wolf on the correct failover protocol. Full mode sweeps 32 seeds (the
+// acceptance bar); -short keeps 8.
 func TestModelCheckerCleanSweep(t *testing.T) {
 	seeds := 32
 	if testing.Short() {
 		seeds = 8
 	}
-	base := staleLeaseOptions(100, false)
+	base := hostCrashOptions(100)
 	base.Duration = 24 * time.Hour
 	reps, err := runner.MapErr(seeds, 4, func(i int) (*Report, error) {
 		o := base
@@ -119,7 +101,8 @@ func TestModelCheckerCleanSweep(t *testing.T) {
 // plain Run, and the probes must still have performed their own model
 // checks.
 func TestMinimizeProbesDoNotFeedParentRecorder(t *testing.T) {
-	o := staleLeaseOptions(*chaosSeed, true)
+	o := DefaultOptions(*chaosSeed, 2*24*time.Hour)
+	o.DisableChecksums = true
 
 	recMin := obs.NewRecorder()
 	oMin := o

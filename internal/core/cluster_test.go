@@ -289,6 +289,41 @@ func TestMasterFailoverStandbyTakesOver(t *testing.T) {
 	}
 }
 
+// TestMasterFailoverKeepsSpaceIDsUnique allocates, fails the master over and
+// allocates again for the same service: the new master must not hand out a
+// space ID the old one already committed, and each ID must still resolve to
+// its own extent.
+func TestMasterFailoverKeepsSpaceIDsUnique(t *testing.T) {
+	c := boot(t)
+	cl := c.Client("client0", "svcA")
+	allocate := func() AllocateReply {
+		var rep AllocateReply
+		var err error = errors.New("pending")
+		cl.Allocate(1<<30, func(r AllocateReply, e error) { rep, err = r, e })
+		c.Settle(3 * time.Second)
+		if err != nil {
+			t.Fatalf("allocate: %v", err)
+		}
+		return rep
+	}
+	first := allocate()
+	stopMaster(c.ActiveMaster())
+	c.Settle(15 * time.Second)
+	second := allocate()
+	if second.Space == first.Space {
+		t.Fatalf("new master re-issued %s (offset %d, first at %d)", second.Space, second.Offset, first.Offset)
+	}
+	for _, rep := range []AllocateReply{first, second} {
+		var look LookupReply
+		var err error = errors.New("pending")
+		cl.Lookup(rep.Space, func(r LookupReply, e error) { look, err = r, e })
+		c.Settle(3 * time.Second)
+		if err != nil || look.DiskID != rep.DiskID || look.Offset != rep.Offset {
+			t.Fatalf("lookup %s = %+v, %v; want disk %s offset %d", rep.Space, look, err, rep.DiskID, rep.Offset)
+		}
+	}
+}
+
 func TestControllerConflictReporting(t *testing.T) {
 	// Moving one disk of a leaf-hub group without Force must surface
 	// Algorithm 1's conflict to the caller.

@@ -133,17 +133,14 @@ func (ep *EndPoint) DiskDetached(diskID string) {
 	delete(ep.attached, diskID)
 	ep.cfg.History.Point(model.Op{Kind: model.OpDetach, Client: ep.host, Disk: diskID, Host: ep.host})
 	// Revoke exports living on the vanished disk (sorted for determinism).
-	// InjectStaleLease is the deliberate protocol bug for the model
-	// checker's mutation self-test: the revocation is skipped, so this host
-	// keeps serving spaces whose disk has physically moved away.
-	if !ep.cfg.InjectStaleLease {
-		for _, space := range ep.exportedSpaces() {
-			if ep.exports[space].DiskID == diskID {
-				ep.tgt.Revoke(string(space))
-				delete(ep.exports, space)
-				delete(ep.volumes, space)
-				ep.cfg.History.Point(model.Op{Kind: model.OpRevoke, Client: ep.host, Space: string(space), Host: ep.host})
-			}
+	// Skipping this leaves the host serving a stale lease on a disk that
+	// has moved away; only the model checker sees that.
+	for _, space := range ep.exportedSpaces() {
+		if ep.exports[space].DiskID == diskID {
+			ep.tgt.Revoke(string(space))
+			delete(ep.exports, space)
+			delete(ep.volumes, space)
+			ep.cfg.History.Point(model.Op{Kind: model.OpRevoke, Client: ep.host, Space: string(space), Host: ep.host})
 		}
 	}
 	ep.sendUSBReport()

@@ -116,7 +116,10 @@ func TestGrayDiskQuarantineAndRelease(t *testing.T) {
 	}
 
 	// New allocations must avoid the quarantined disk — even for the
-	// service that owns it (affinity rule 1 would otherwise pick it).
+	// service that owns it (affinity rule 1 would otherwise pick it). The
+	// validator is asked first: an allocator that stops skipping quarantined
+	// disks must fail here, naming the invariant, which is what the
+	// quarantine-blind entry of mutants_test.go requires.
 	owner := c.Client("cold0", "cold-svc0")
 	var rep2 AllocateReply
 	var aerr error = errors.New("pending")
@@ -125,11 +128,11 @@ func TestGrayDiskQuarantineAndRelease(t *testing.T) {
 	if aerr != nil {
 		t.Fatalf("allocate during quarantine: %v", aerr)
 	}
-	if rep2.DiskID == gray {
-		t.Fatalf("allocation landed on quarantined disk %s", gray)
-	}
 	if err := m.ValidateQuarantine(); err != nil {
 		t.Fatalf("quarantine invariant: %v", err)
+	}
+	if rep2.DiskID == gray {
+		t.Fatalf("allocation landed on quarantined disk %s", gray)
 	}
 
 	// Recovery: clean scores walk the disk through probation to release.
@@ -142,46 +145,6 @@ func TestGrayDiskQuarantineAndRelease(t *testing.T) {
 	}
 	if len(released) != 1 || released[0] != gray {
 		t.Fatalf("OnDiskReleased fired for %v, want [%s]", released, gray)
-	}
-}
-
-// TestQuarantineBlindTripsValidator proves ValidateQuarantine is not
-// vacuous: with InjectQuarantineBlind the allocator ignores quarantine, an
-// allocation lands on the gray disk, and the validator reports it.
-func TestQuarantineBlindTripsValidator(t *testing.T) {
-	c := grayBoot(t, func(cfg *Config) { cfg.InjectQuarantineBlind = true })
-	m := c.ActiveMaster()
-	var reps []AllocateReply
-	for i := 0; i < 4; i++ {
-		cl := c.Client(fmt.Sprintf("cold%d", i), fmt.Sprintf("cold-svc%d", i))
-		rep := allocMountOn(t, c, cl, 1<<30)
-		reps = append(reps, rep)
-		defer pumpIO(c, cl, rep.Space, 150*time.Millisecond)()
-	}
-	c.Settle(5 * time.Second)
-	gray := reps[0].DiskID
-	if err := c.DegradeDisk(gray, 0.6); err != nil {
-		t.Fatal(err)
-	}
-	c.Settle(15 * time.Second)
-	if m.DiskHealthState(gray) != HealthQuarantined {
-		t.Fatalf("gray disk not quarantined (state %s)", m.DiskHealthState(gray))
-	}
-	// Owner's affinity picks the quarantined disk because the allocator is
-	// blind to quarantine.
-	owner := c.Client("cold0", "cold-svc0")
-	var rep2 AllocateReply
-	var aerr error = errors.New("pending")
-	owner.Allocate(1<<30, func(r AllocateReply, e error) { rep2, aerr = r, e })
-	c.Settle(3 * time.Second)
-	if aerr != nil {
-		t.Fatalf("allocate: %v", aerr)
-	}
-	if rep2.DiskID != gray {
-		t.Fatalf("blind allocation landed on %s, want gray disk %s", rep2.DiskID, gray)
-	}
-	if err := m.ValidateQuarantine(); err == nil {
-		t.Fatal("ValidateQuarantine passed despite a blind allocation on a quarantined disk")
 	}
 }
 

@@ -80,8 +80,7 @@ type healthTracker struct {
 	gGray        *obs.Gauge
 
 	// violations records quarantine-invariant breaches (an allocation
-	// placed on a quarantined disk); only InjectQuarantineBlind produces
-	// them, and ValidateQuarantine reports them.
+	// placed on a quarantined disk); ValidateQuarantine reports them.
 	violations []string
 }
 
@@ -232,9 +231,9 @@ func (m *Master) DiskHealthState(diskID string) DiskHealthState {
 }
 
 // ValidateQuarantine checks the quarantine invariant: no allocation was ever
-// placed on a disk that was quarantined at allocation time. Violations only
-// occur under InjectQuarantineBlind; the chaos harness asserts this stays
-// empty on correct builds and trips on the blind mutation.
+// placed on a disk that was quarantined at allocation time. The chaos
+// harness asserts it holds; mutants_test.go shows it trips when the
+// allocator stops skipping quarantined disks.
 func (m *Master) ValidateQuarantine() error {
 	if n := len(m.health.violations); n > 0 {
 		return fmt.Errorf("core: %d allocation(s) on quarantined disks (first: %s)",

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"ustore/internal/coord"
@@ -156,7 +158,8 @@ func (m *Master) Name() string { return m.name }
 func (m *Master) Active() bool { return m.elect.Leading() }
 
 // onElected rebuilds StorAlloc from coord when this replica becomes active
-// (SysStat rebuilds itself from incoming heartbeats).
+// (SysStat rebuilds itself from incoming heartbeats), and the space counter
+// past every recovered space, so no space ID is handed out twice.
 func (m *Master) onElected() {
 	m.cfg.Recorder.Counter("core", "elections_total").Inc()
 	m.cfg.Recorder.Instant("core", "elected", "master", obs.L("replica", m.name))
@@ -183,6 +186,9 @@ func (m *Master) onElected() {
 				continue
 			}
 			m.indexAlloc(&rec)
+			if seq, err := strconv.ParseUint(strings.TrimPrefix(sp, "sp"), 10, 64); err == nil {
+				m.nextSpace = max(m.nextSpace, seq)
+			}
 		}
 	}
 	// Ask every online host to (re-)export what it should be serving.
@@ -520,8 +526,8 @@ func (m *Master) handleAllocate(from string, args any) (any, error) {
 		return nil, ErrNoSpace
 	}
 	if m.health.excluded(diskID) {
-		// Only reachable under InjectQuarantineBlind; record the breach so
-		// ValidateQuarantine (and the chaos invariant built on it) trips.
+		// pickDisk skips quarantined disks; should it ever not, record the
+		// breach so ValidateQuarantine (and the chaos invariant) trips.
 		m.health.violations = append(m.health.violations,
 			fmt.Sprintf("%s (service %s, state %s)", diskID, a.Service, m.DiskHealthState(diskID)))
 	}
@@ -584,7 +590,7 @@ func (m *Master) pickDisk(a AllocateArgs) string {
 		if hs.diskState[diskID] == DiskPoweredOff {
 			continue
 		}
-		if m.health.excluded(diskID) && !m.cfg.InjectQuarantineBlind {
+		if m.health.excluded(diskID) {
 			continue
 		}
 		f := free(diskID)

@@ -103,26 +103,12 @@ type Config struct {
 	// for the internal/model linearizability checker. Like Recorder, use a
 	// fresh History per run; nil disables recording.
 	History *model.History
-	// InjectStaleLease deliberately breaks the failover protocol for
-	// checker self-tests: endpoints skip revoking exports when a disk
-	// detaches, so after a failover the old host keeps serving a stale
-	// lease alongside the new one (the classic stale-lease double-mount).
-	// Data stays intact — only the metadata history becomes illegal — which
-	// is exactly what the model checker, and nothing else, must catch.
-	// Never set outside tests.
-	InjectStaleLease bool
 	// HealthQuarantine enables the Master's gray-disk detector: per-disk
 	// health shipped in heartbeats is compared against the cohort, and
 	// disks whose tail latency diverges (fail-slow, not fail-stop) are
 	// quarantined — excluded from new allocations and flagged for
 	// proactive migration — until they recover.
 	HealthQuarantine bool
-	// InjectQuarantineBlind deliberately breaks quarantine enforcement for
-	// checker self-tests: the allocator ignores quarantine state, so
-	// allocations land on known-gray disks. ValidateQuarantine (and the
-	// chaos harness invariant built on it) must catch this, proving the
-	// quarantine invariant checker is not vacuous. Never set outside tests.
-	InjectQuarantineBlind bool
 
 	// Protection, when non-nil, arms the overload-protection stack: the
 	// Master's per-caller metadata-RPC throttle and the admission classes

@@ -57,11 +57,6 @@ type Config struct {
 	// under partitions, synchronized fixed-delay retries from many clients
 	// arrive as lockstep waves at a recovering leader.
 	RetryJitter bool
-	// InjectSkipRedrive plants a recovery bug for the chaos minimizer to
-	// catch: RedriveMoves bumps the map epoch for interrupted migrations
-	// without re-driving the freeze→handoff→install→drop chain, stranding
-	// handed-off records on the source shard. Never set outside tests.
-	InjectSkipRedrive bool
 
 	// Seed seeds the simulation (default 1).
 	Seed int64
@@ -545,22 +540,6 @@ func (f *Fleet) RedriveMoves(done func(error)) {
 	sort.Ints(slots)
 	if len(slots) == 0 {
 		done(nil)
-		return
-	}
-	if f.Cfg.InjectSkipRedrive {
-		// The planted bug: declare the moves complete by bumping the epoch
-		// and broadcasting, without re-driving the chain. Records still on
-		// the source shard become unreachable (the map routes their slot to
-		// a shard that never installed them) — the no-lost-volume model
-		// check catches this.
-		next := f.authMap.Clone()
-		next.Epoch++
-		for _, s := range slots {
-			next.Slots[s] = f.pendingMoves[s]
-			delete(f.pendingMoves, s)
-		}
-		f.authMap = next
-		f.broadcastMap(next, done)
 		return
 	}
 	dsts := make([]int, len(slots))

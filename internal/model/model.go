@@ -21,7 +21,7 @@
 // disk is physically attached to exactly one host, so at any instant at most
 // one EndPoint may export (serve) the space, and a client mount must observe
 // the host that actually holds that lease. A master that lets a client mount
-// a host whose lease was already revoked — the classic stale-lease
+// a host whose lease was already revoked — the classic stale lease
 // double-mount — produces a history with no valid linearization, which Check
 // reports as a violation.
 package model
@@ -193,7 +193,7 @@ func (s spaceState) apply(op *Op) (state, string) {
 			if s.server == "" {
 				return s, fmt.Sprintf("client mounted %s but no host holds the lease", op.Host)
 			}
-			return s, fmt.Sprintf("client mounted %s but %s holds the lease (stale-lease double-mount)", op.Host, s.server)
+			return s, fmt.Sprintf("client mounted %s but %s holds the lease (stale lease double-mount)", op.Host, s.server)
 		}
 		return s, ""
 	case OpExport:

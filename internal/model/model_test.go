@@ -86,8 +86,8 @@ func TestStaleMountRejected(t *testing.T) {
 	if len(res.Violations) != 1 {
 		t.Fatalf("violations = %v, want exactly one", res.Violations)
 	}
-	if !strings.Contains(res.Violations[0].Msg, "stale-lease double-mount") {
-		t.Errorf("message %q does not name the stale-lease double-mount", res.Violations[0].Msg)
+	if !strings.Contains(res.Violations[0].Msg, "stale lease double-mount") {
+		t.Errorf("message %q does not name the stale lease double-mount", res.Violations[0].Msg)
 	}
 }
 

@@ -86,8 +86,6 @@ type FleetSpec struct {
 	// SlotMoves is the number of schedule-driven slot migrations (the first
 	// straddled by a source-leader crash; needs shards >= 2 to take effect).
 	SlotMoves int `json:"slot_moves"`
-	// SkipRedrive plants the skipped-ledger-re-drive recovery bug.
-	SkipRedrive bool `json:"skip_redrive"`
 }
 
 // FidelitySpec shapes a fidelity-mode run: one named paper-fidelity check

@@ -354,7 +354,7 @@ func TestSpecLeavesDecode(t *testing.T) {
 			}
 		}
 	}
-	if len(leaves) < 23 {
+	if len(leaves) < 22 {
 		t.Fatalf("only %d leaves found", len(leaves))
 	}
 }

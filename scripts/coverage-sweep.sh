@@ -7,8 +7,9 @@
 # below under one GOCOVERDIR, and prints every function in internal/ that was
 # never entered (0.0 % in `go tool covdata func`) and is not listed in
 # scripts/coverage-allowlist.txt. The list is every ustore-chaos and
-# ustore-campaign line in .github/workflows/ci.yml and README.md, the planted
-# bugs with -minimize, a full ustore-bench plus -ablate/-latency/.prom output,
+# ustore-campaign line in .github/workflows/ci.yml and README.md, -no-checksums
+# and the go run entries of mutants_test.go (the checkers' planted bugs, each
+# with -minimize), a full ustore-bench plus -ablate/-latency/.prom output,
 # an empirical-model chaos spec, both ustore-sim scenarios, the examples,
 # and each perf workload traced.
 #
@@ -39,7 +40,7 @@ for pkg in cmd/* examples/*/ perf; do
 done
 
 # run WANT CMD...: run CMD with coverage on, stdout and stderr to a numbered
-# log, and fail the sweep unless it exits WANT (1 for the planted bugs, 2 for refused input).
+# log, and fail the sweep unless it exits WANT (1 for -no-checksums, 2 for refused input).
 n=0
 run() {
 	local want=$1 status=0
@@ -90,11 +91,11 @@ run 0 "$chaos" -spec "$out/empirical.yaml" -metrics-out "$out/empirical.json"
 # a JSON spec is refused (exit 2) by both spec readers
 printf '{"mode": "faults"}\n' >"$out/spec.json"
 run 2 "$chaos" -spec "$out/spec.json"
-# the planted bugs, each shrunk by -minimize (exit 1: the checker fires)
+# checksums off, shrunk by -minimize (exit 1: the checker fires)
 run 1 "$chaos" -no-checksums -minimize -parallel 2
-run 1 "$chaos" -stale-lease -minimize
-run 1 "$chaos" -gray -mitigation -quarantine-blind -minimize
-run 1 "$chaos" -fleet -units 16 -shards 4 -crashes 2 -partitions 1 -moves 2 -skip-redrive -minimize
+# the planted bugs: TestMutants builds each go run entry with -cover into
+# GOCOVERDIR and requires it to fail the way the entry says
+run 0 go test -count=1 -run 'TestMutants/.*-cli$' .
 
 campaign=$bin/ustore-campaign
 cat >"$out/mini.yaml" <<'EOF'

@@ -34,8 +34,6 @@ const (
 	twoValues = "two-values"
 	// runIdentity: which run this is — seed, recorder, history, worker cap.
 	runIdentity = "run-identity"
-	// plantedBug: a deliberate bug a CLI flag arms for a checker self-test.
-	plantedBug = "planted-bug"
 	// paperMechanism: a paper mechanism a fidelity test reproduces.
 	paperMechanism = "paper-mechanism"
 	// perfAPI: a field the frozen perf/ benchmark reads; the reason names
@@ -58,14 +56,12 @@ var settings = map[string]settingReason{
 	"core.Config.ElectionTTL":           {twoValues, "chaos.stretchedConfig (30m) and core.DefaultConfig (2s)"},
 	"core.Config.Paxos":                 {twoValues, "chaos.stretchedConfig (1m heartbeats) and core.DefaultConfig (paxos.DefaultConfig)"},
 	"core.Config.CoordSweepInterval":    {twoValues, "chaos.stretchedConfig (2m) and core.DefaultConfig (250ms)"},
-	"core.Config.DisableChecksums":      {plantedBug, "ustore-chaos -no-checksums"},
+	"core.Config.DisableChecksums":      {twoValues, "ustore-chaos -no-checksums (README, coverage-sweep.sh) and the checksummed default"},
 	"core.Config.ScrubInterval":         {twoValues, "chaos.leanConfig (1h) and chaos.trafficConfig (off)"},
 	"core.Config.Seed":                  {runIdentity, "the run's seed"},
 	"core.Config.Recorder":              {runIdentity, "the run's metrics and trace recorder"},
 	"core.Config.History":               {runIdentity, "the run's operation history"},
-	"core.Config.InjectStaleLease":      {plantedBug, "ustore-chaos -stale-lease"},
 	"core.Config.HealthQuarantine":      {twoValues, "ustore-chaos -mitigation on and off (chaos.leanConfig)"},
-	"core.Config.InjectQuarantineBlind": {plantedBug, "ustore-chaos -quarantine-blind"},
 	"core.Config.Protection":            {twoValues, "ustore-chaos -tenants with and without -protect (chaos.trafficConfig)"},
 
 	"core.ProtectionConfig.Classes": {perfAPI, "perf/probes.go:551 reads DefaultTrafficOptions(1).ProtectionConfig().Classes"},
@@ -78,45 +74,41 @@ var settings = map[string]settingReason{
 	"paxos.Config.ElectionTimeoutBase": {twoValues, "chaos.stretchedConfig (4m) and paxos.DefaultConfig (400ms)"},
 	"paxos.Config.PhaseTimeout":        {twoValues, "chaos.stretchedConfig (2m) and paxos.DefaultConfig (300ms)"},
 
-	"fleet.Config.Units":             {twoValues, "perf's fleet workloads (64) and chaos.FleetOptions' default (8)"},
-	"fleet.Config.Shards":            {twoValues, "perf's fleet workloads (8) and chaos.FleetOptions' default (1)"},
-	"fleet.Config.RetryJitter":       {twoValues, "chaos.fleetConfig: on for fault runs, off otherwise"},
-	"fleet.Config.InjectSkipRedrive": {plantedBug, "ustore-chaos -skip-redrive"},
-	"fleet.Config.Seed":              {runIdentity, "the run's seed"},
-	"fleet.Config.Recorder":          {runIdentity, "the run's metrics and trace recorder"},
-	"fleet.Config.EngineWorkers":     {runIdentity, "the engine's worker cap"},
+	"fleet.Config.Units":         {twoValues, "perf's fleet workloads (64) and chaos.FleetOptions' default (8)"},
+	"fleet.Config.Shards":        {twoValues, "perf's fleet workloads (8) and chaos.FleetOptions' default (1)"},
+	"fleet.Config.RetryJitter":   {twoValues, "chaos.fleetConfig: on for fault runs, off otherwise"},
+	"fleet.Config.Seed":          {runIdentity, "the run's seed"},
+	"fleet.Config.Recorder":      {runIdentity, "the run's metrics and trace recorder"},
+	"fleet.Config.EngineWorkers": {runIdentity, "the engine's worker cap"},
 
-	"chaos.Options.Seed":                  {runIdentity, "the run's seed"},
-	"chaos.Options.Duration":              {twoValues, "ustore-chaos -days 1 and perf's chaos_soak (8 days)"},
-	"chaos.Options.HostCrashes":           {perfAPI, "perf/probes.go:655 turns the five fail-stop families off"},
-	"chaos.Options.DiskFaults":            {perfAPI, "perf/probes.go:655 turns the five fail-stop families off"},
-	"chaos.Options.HubFaults":             {perfAPI, "perf/probes.go:655 turns the five fail-stop families off"},
-	"chaos.Options.NetFaults":             {perfAPI, "perf/probes.go:655 turns the five fail-stop families off"},
-	"chaos.Options.Corruptions":           {perfAPI, "perf/probes.go:655 turns the five fail-stop families off"},
-	"chaos.Options.GrayFaults":            {twoValues, "ustore-chaos -gray on and off"},
-	"chaos.Options.Mitigation":            {twoValues, "ustore-chaos -mitigation on and off"},
-	"chaos.Options.Tenants":               {twoValues, "ustore-chaos -tenants and fault runs"},
-	"chaos.Options.Storm":                 {twoValues, "ustore-chaos -tenants with and without -storm"},
-	"chaos.Options.Protect":               {twoValues, "ustore-chaos -tenants with and without -protect"},
-	"chaos.Options.DisableChecksums":      {plantedBug, "ustore-chaos -no-checksums"},
-	"chaos.Options.Recorder":              {runIdentity, "the run's metrics and trace recorder"},
-	"chaos.Options.Empirical":             {twoValues, "coverage-sweep.sh's failure.model: empirical spec and the constant default"},
-	"chaos.Options.AgeYears":              {twoValues, "coverage-sweep.sh's failure.age_years: 3 spec and spec.Default (5)"},
-	"chaos.Options.InjectStaleLease":      {plantedBug, "ustore-chaos -stale-lease"},
-	"chaos.Options.InjectQuarantineBlind": {plantedBug, "ustore-chaos -quarantine-blind"},
+	"chaos.Options.Seed":             {runIdentity, "the run's seed"},
+	"chaos.Options.Duration":         {twoValues, "ustore-chaos -days 1 and perf's chaos_soak (8 days)"},
+	"chaos.Options.HostCrashes":      {perfAPI, "perf/probes.go:655 turns the five fail-stop families off"},
+	"chaos.Options.DiskFaults":       {perfAPI, "perf/probes.go:655 turns the five fail-stop families off"},
+	"chaos.Options.HubFaults":        {perfAPI, "perf/probes.go:655 turns the five fail-stop families off"},
+	"chaos.Options.NetFaults":        {perfAPI, "perf/probes.go:655 turns the five fail-stop families off"},
+	"chaos.Options.Corruptions":      {perfAPI, "perf/probes.go:655 turns the five fail-stop families off"},
+	"chaos.Options.GrayFaults":       {twoValues, "ustore-chaos -gray on and off"},
+	"chaos.Options.Mitigation":       {twoValues, "ustore-chaos -mitigation on and off"},
+	"chaos.Options.Tenants":          {twoValues, "ustore-chaos -tenants and fault runs"},
+	"chaos.Options.Storm":            {twoValues, "ustore-chaos -tenants with and without -storm"},
+	"chaos.Options.Protect":          {twoValues, "ustore-chaos -tenants with and without -protect"},
+	"chaos.Options.DisableChecksums": {twoValues, "ustore-chaos -no-checksums (README, coverage-sweep.sh) and the checksummed default"},
+	"chaos.Options.Recorder":         {runIdentity, "the run's metrics and trace recorder"},
+	"chaos.Options.Empirical":        {twoValues, "coverage-sweep.sh's failure.model: empirical spec and the constant default"},
+	"chaos.Options.AgeYears":         {twoValues, "coverage-sweep.sh's failure.age_years: 3 spec and spec.Default (5)"},
 
-	"chaos.FleetOptions.Seed":              {runIdentity, "the run's seed"},
-	"chaos.FleetOptions.Units":             {twoValues, "ustore-chaos -units and perf's fleet workloads (64)"},
-	"chaos.FleetOptions.Shards":            {twoValues, "ustore-chaos -shards and perf's fleet workloads (8)"},
-	"chaos.FleetOptions.Clients":           {twoValues, "ustore-chaos -fleet-bench (8 per shard) and perf's fleet_alloc (64)"},
-	"chaos.FleetOptions.VolumeSize":        {twoValues, "ustore-chaos -fleet-bench (8 MiB) and the default (64 MiB)"},
-	"chaos.FleetOptions.UnitLoss":          {twoValues, "ustore-chaos -unit-loss on and off"},
-	"chaos.FleetOptions.ReplicaCrashes":    {twoValues, "ustore-chaos -crashes and fault-free runs (0)"},
-	"chaos.FleetOptions.Partitions":        {twoValues, "ustore-chaos -partitions and fault-free runs (0)"},
-	"chaos.FleetOptions.SlotMoves":         {twoValues, "ustore-chaos -moves and fault-free runs (0)"},
-	"chaos.FleetOptions.InjectSkipRedrive": {plantedBug, "ustore-chaos -skip-redrive"},
-	"chaos.FleetOptions.Recorder":          {runIdentity, "the run's metrics and trace recorder"},
-	"chaos.FleetOptions.EngineWorkers":     {runIdentity, "the engine's worker cap"},
+	"chaos.FleetOptions.Seed":           {runIdentity, "the run's seed"},
+	"chaos.FleetOptions.Units":          {twoValues, "ustore-chaos -units and perf's fleet workloads (64)"},
+	"chaos.FleetOptions.Shards":         {twoValues, "ustore-chaos -shards and perf's fleet workloads (8)"},
+	"chaos.FleetOptions.Clients":        {twoValues, "ustore-chaos -fleet-bench (8 per shard) and perf's fleet_alloc (64)"},
+	"chaos.FleetOptions.VolumeSize":     {twoValues, "ustore-chaos -fleet-bench (8 MiB) and the default (64 MiB)"},
+	"chaos.FleetOptions.UnitLoss":       {twoValues, "ustore-chaos -unit-loss on and off"},
+	"chaos.FleetOptions.ReplicaCrashes": {twoValues, "ustore-chaos -crashes and fault-free runs (0)"},
+	"chaos.FleetOptions.Partitions":     {twoValues, "ustore-chaos -partitions and fault-free runs (0)"},
+	"chaos.FleetOptions.SlotMoves":      {twoValues, "ustore-chaos -moves and fault-free runs (0)"},
+	"chaos.FleetOptions.Recorder":       {runIdentity, "the run's metrics and trace recorder"},
+	"chaos.FleetOptions.EngineWorkers":  {runIdentity, "the engine's worker cap"},
 
 	"workload.TrafficOptions.Seed":         {runIdentity, "the run's seed"},
 	"workload.TrafficOptions.Classes":      {perfAPI, "perf/probes.go:595 ranges DefaultTrafficOptions(1).Classes"},
@@ -144,7 +136,6 @@ var settings = map[string]settingReason{
 	"spec.FleetSpec.Crashes":       {twoValues, "ustore-chaos -crashes 2 (ci.yml) and -crashes 3 (README)"},
 	"spec.FleetSpec.Partitions":    {twoValues, "ustore-chaos -partitions 1 (ci.yml) and -partitions 2 (README)"},
 	"spec.FleetSpec.SlotMoves":     {twoValues, "ustore-chaos -moves 2 and fault-free fleet runs (0)"},
-	"spec.FleetSpec.SkipRedrive":   {plantedBug, "ustore-chaos -skip-redrive"},
 	"spec.FidelitySpec.Check":      {twoValues, "examples/experiments.yaml's grid of 14 check IDs"},
 	"spec.DurabilitySpec.Scheme":   {twoValues, "examples/durability.yaml's grid (r1 to ec10+4)"},
 	"spec.DurabilitySpec.Disks":    {twoValues, "examples/durability.yaml (1024) and ci.yml's mini campaign (128)"},
@@ -222,7 +213,7 @@ func TestSettingsInventory(t *testing.T) {
 			stale = append(stale, name)
 		}
 		switch r.class {
-		case twoValues, runIdentity, plantedBug, paperMechanism:
+		case twoValues, runIdentity, paperMechanism:
 		case perfAPI:
 			checkPerfLine(t, name, r.why)
 		default:
