@@ -1097,7 +1097,7 @@ func (h *harness) execute(schedule []Fault) (*Report, error) {
 // partition becomes a regular harness violation, so MinimizeParallel shrinks
 // model-checked failures exactly like data-loss ones.
 func (h *harness) checkHistory() {
-	res := model.Check(h.hist.Ops())
+	res := h.hist.Check()
 	h.stats.ModelOps = res.Ops
 	h.stats.ModelPartitions = res.Partitions
 	if res.BudgetExceeded > 0 {

@@ -50,7 +50,6 @@ type ClientLib struct {
 	masters []string
 
 	mounts map[SpaceID]*mount
-	active string // believed active master replica name
 	mit    *Mitigation
 
 	// OnMount receives mount and remount notifications.
@@ -76,18 +75,13 @@ func NewClientLib(net *simnet.Network, name, service string, cfg Config, masters
 	return cl
 }
 
-// callMaster tries the believed-active master, then the rest, until one
-// accepts (a standby returns ErrNotActive-equivalent text). Each replica is
+// callMaster tries the master replicas in order until one accepts (a
+// standby returns ErrNotActive-equivalent text). Each replica is
 // called with retry so a lossy or flapping link doesn't masquerade as a
 // rejected request: resends reuse the request ID, and the master's RPC dedup
 // guarantees the operation executes at most once even if the first send got
 // through and only the reply was lost.
 func (cl *ClientLib) callMaster(method string, args any, size int, done func(any, error)) {
-	order := make([]string, 0, len(cl.masters)+1)
-	if cl.active != "" {
-		order = append(order, masterNode(cl.active))
-	}
-	order = append(order, cl.masters...)
 	retry := simnet.RetryOpts{
 		Attempts: 2,
 		Timeout:  cl.cfg.RPCTimeout,
@@ -95,11 +89,11 @@ func (cl *ClientLib) callMaster(method string, args any, size int, done func(any
 	}
 	var try func(i int, lastErr error)
 	try = func(i int, lastErr error) {
-		if i >= len(order) {
+		if i >= len(cl.masters) {
 			done(nil, fmt.Errorf("core: no active master: %v", lastErr))
 			return
 		}
-		cl.rpc.CallWithRetry(order[i], method, args, size, retry, func(res any, err error) {
+		cl.rpc.CallWithRetry(cl.masters[i], method, args, size, retry, func(res any, err error) {
 			if err == nil {
 				done(res, nil)
 				return

@@ -48,6 +48,9 @@ type EndPoint struct {
 	// cHeartbeats is the pre-resolved heartbeats_total handle (nil-safe),
 	// resolved once instead of per heartbeat tick.
 	cHeartbeats *obs.Counter
+	// onHeartbeatReply is heartbeatReply bound once, so a beat builds no
+	// closure per target.
+	onHeartbeatReply func(any, error)
 }
 
 // endpointNode returns an EndPoint's RPC node name.
@@ -72,6 +75,7 @@ func NewEndPoint(net *simnet.Network, host string, cfg Config, hc *usb.HostContr
 		controllers: controllers,
 		cHeartbeats: cfg.Recorder.Counter("core", "heartbeats_total"),
 	}
+	ep.onHeartbeatReply = ep.heartbeatReply
 	ep.rpc.RegisterAsync("Export", ep.handleExport)
 	ep.rpc.Register("Unexport", ep.handleUnexport)
 	ep.rpc.Register("DiskPower", ep.handleDiskPower)
@@ -180,42 +184,51 @@ func (ep *EndPoint) sendHeartbeat() {
 	}
 	ep.hbSeq++
 	ep.cHeartbeats.Inc()
+	// Each beat gets its own infos: a retried beat's payload is still in
+	// flight when the next one is built.
+	ids := ep.AttachedDisks()
 	var infos []DiskInfo
-	for _, id := range ep.AttachedDisks() {
+	if len(ids) > 0 {
+		infos = make([]DiskInfo, 0, len(ids))
+	}
+	for _, id := range ids {
 		info := DiskInfo{ID: id, State: ep.diskState(id)}
 		if d := ep.disks[id]; d != nil {
 			info.Health = d.Health()
 		}
 		infos = append(infos, info)
 	}
-	hb := HeartbeatArgs{Host: ep.host, Seq: ep.hbSeq, Disks: infos}
-	// Send to the believed active master first, falling back to all. Each
+	// Boxed once: every target is sent the same read-only beat.
+	var hb any = HeartbeatArgs{Host: ep.host, Seq: ep.hbSeq, Disks: infos}
+	// Send to the believed active master first, then to every other. Each
 	// send retries once on loss (same request ID; the master's RPC dedup
 	// absorbs duplicates), so one dropped message doesn't cost a whole
 	// heartbeat cycle of failure-detection budget.
-	targets := ep.masters
-	if ep.activeHint != "" {
-		targets = append([]string{masterNode(ep.activeHint)}, ep.masters...)
-	}
 	retry := simnet.RetryOpts{
 		Attempts: 2,
 		Timeout:  ep.cfg.RPCTimeout,
 		Backoff:  ep.cfg.RPCTimeout / 8,
 	}
-	sent := make(map[string]bool)
-	for _, t := range targets {
-		if sent[t] {
+	hint := ""
+	if ep.activeHint != "" {
+		hint = masterNode(ep.activeHint)
+		ep.rpc.CallWithRetry(hint, "Heartbeat", hb, 128, retry, ep.onHeartbeatReply)
+	}
+	for _, t := range ep.masters { // each replica once
+		if t == hint {
 			continue
 		}
-		sent[t] = true
-		ep.rpc.CallWithRetry(t, "Heartbeat", hb, 128, retry, func(res any, err error) {
-			if err != nil {
-				return
-			}
-			if rep, ok := res.(HeartbeatReply); ok && !rep.Active && rep.ActiveHint != "" {
-				ep.activeHint = rep.ActiveHint
-			}
-		})
+		ep.rpc.CallWithRetry(t, "Heartbeat", hb, 128, retry, ep.onHeartbeatReply)
+	}
+}
+
+// heartbeatReply follows a standby's pointer to the active master.
+func (ep *EndPoint) heartbeatReply(res any, err error) {
+	if err != nil {
+		return
+	}
+	if rep, ok := res.(HeartbeatReply); ok && !rep.Active && rep.ActiveHint != "" {
+		ep.activeHint = rep.ActiveHint
 	}
 }
 

@@ -45,37 +45,57 @@ type Result struct {
 // disk partitions hold Attach/Detach/Power. Partitioning is sound because
 // the model couples no state across spaces or disks.
 func Check(ops []Op) Result {
-	parts := make(map[string][]*Op)
-	var res Result
+	var p partitions
 	for i := range ops {
-		op := &ops[i]
-		if !op.Done {
-			continue
-		}
-		var key string
-		switch op.Kind {
-		case OpAttach, OpDetach, OpPower:
-			if op.Disk == "" {
-				continue
-			}
-			key = "disk " + op.Disk
-		default:
-			if op.Space == "" {
-				continue
-			}
-			key = "space " + op.Space
-		}
-		parts[key] = append(parts[key], op)
-		res.Ops++
+		p.add(&ops[i])
 	}
-	keys := make([]string, 0, len(parts))
-	for k := range parts {
+	return p.check()
+}
+
+// partitions groups completed ops per space and per disk, pointing at the
+// ops where they are stored.
+type partitions struct {
+	parts map[string][]*Op
+	ops   int
+}
+
+// add files op under its partition; pending ops and ops that name no
+// space or disk are dropped.
+func (p *partitions) add(op *Op) {
+	if !op.Done {
+		return
+	}
+	var key string
+	switch op.Kind {
+	case OpAttach, OpDetach, OpPower:
+		if op.Disk == "" {
+			return
+		}
+		key = "disk " + op.Disk
+	default:
+		if op.Space == "" {
+			return
+		}
+		key = "space " + op.Space
+	}
+	if p.parts == nil {
+		p.parts = make(map[string][]*Op)
+	}
+	p.parts[key] = append(p.parts[key], op)
+	p.ops++
+}
+
+// check searches every partition, in key order.
+func (p *partitions) check() Result {
+	res := Result{Ops: p.ops}
+	keys := make([]string, 0, len(p.parts))
+	for k := range p.parts {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	res.Partitions = len(keys)
 	for _, key := range keys {
-		pops := parts[key]
+		pops := p.parts[key]
 		var init state
 		if strings.HasPrefix(key, "disk ") {
 			init = diskState{}

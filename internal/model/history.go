@@ -1,24 +1,28 @@
 package model
 
 import (
-	"sync"
-
 	"ustore/internal/simtime"
+)
+
+// A History stores its ops in fixed pages, each allocated once and never
+// copied: a growing slice would re-copy every op at each growth step and
+// allocate about five times what it keeps.
+const (
+	pageShift = 10
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
 )
 
 // History accumulates the operations of one run. Every method is safe on a
 // nil *History (a no-op), so instrumented components need no enable checks —
 // the same pattern as obs.Recorder. A History is owned by exactly one run
 // (the chaos harness builds a fresh one per harness), so minimizer probe
-// runs and sweep workers can never pollute a parent run's history.
-//
-// The mutex exists for the parallel sweep/minimize paths where several
-// independent schedulers run on different goroutines; within one run all
-// recording happens on the scheduler goroutine.
+// runs and sweep workers can never pollute a parent run's history, and all
+// recording happens on that run's scheduler goroutine: there is no lock.
 type History struct {
-	mu    sync.Mutex
 	clock func() simtime.Time
-	ops   []Op
+	pages []*[pageSize]Op
+	n     int // ops recorded; op i is at pages[i>>pageShift][i&pageMask]
 }
 
 // NewHistory returns an empty history. Bind the run's simulated clock with
@@ -31,9 +35,7 @@ func (h *History) BindClock(clock func() simtime.Time) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
 	h.clock = clock
-	h.mu.Unlock()
 }
 
 func (h *History) now() simtime.Time {
@@ -43,18 +45,30 @@ func (h *History) now() simtime.Time {
 	return 0
 }
 
+// op returns the recorded op with the given ID.
+func (h *History) op(id int) *Op { return &h.pages[id>>pageShift][id&pageMask] }
+
+// add appends op, stamped with its ID and the current time as its invoke,
+// and returns where it is stored.
+func (h *History) add(op Op) *Op {
+	if h.n == len(h.pages)<<pageShift {
+		h.pages = append(h.pages, new([pageSize]Op))
+	}
+	op.ID = h.n
+	op.Invoke = h.now()
+	h.n++
+	p := h.op(op.ID)
+	*p = op
+	return p
+}
+
 // Invoke records the start of a windowed client operation and returns a
 // token for Return. On a nil history it returns -1, which Return ignores.
 func (h *History) Invoke(op Op) int {
 	if h == nil {
 		return -1
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	op.ID = len(h.ops)
-	op.Invoke = h.now()
-	h.ops = append(h.ops, op)
-	return op.ID
+	return h.add(op).ID
 }
 
 // Return completes a windowed operation: it stamps the return time, marks
@@ -66,9 +80,7 @@ func (h *History) Return(token int, fill func(op *Op)) {
 	if h == nil || token < 0 {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	op := &h.ops[token]
+	op := h.op(token)
 	op.Return = h.now()
 	op.Done = true
 	if fill != nil {
@@ -82,21 +94,19 @@ func (h *History) Point(op Op) {
 	if h == nil {
 		return
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	op.ID = len(h.ops)
-	op.Invoke = h.now()
-	op.Return = op.Invoke
-	op.Done = true
-	h.ops = append(h.ops, op)
+	p := h.add(op)
+	p.Return = p.Invoke
+	p.Done = true
 }
 
-// Ops returns a snapshot of every recorded op, pending ones included.
-func (h *History) Ops() []Op {
-	if h == nil {
-		return nil
+// Check runs Check over the recorded ops where they lie in the pages,
+// without copying them. Pending ops are dropped, as Check drops them.
+func (h *History) Check() Result {
+	var p partitions
+	if h != nil {
+		for i := 0; i < h.n; i++ {
+			p.add(h.op(i))
+		}
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]Op(nil), h.ops...)
+	return p.check()
 }

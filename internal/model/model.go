@@ -100,20 +100,20 @@ func (k Kind) String() string {
 // are the extent outputs of Allocate and Lookup; Up is the direction of a
 // power command.
 type Op struct {
-	ID     int
-	Kind   Kind
+	ID   int
+	Kind Kind
+	Up   bool
+	// Done is false for ops whose return never arrived before the history
+	// was checked; such ops observed nothing and are dropped.
+	Done   bool
 	Client string
 	Space  string
 	Disk   string
 	Host   string
 	Offset int64
 	Size   int64
-	Up     bool
 	Invoke simtime.Time
 	Return simtime.Time
-	// Done is false for ops whose return never arrived before the history
-	// was checked; such ops observed nothing and are dropped.
-	Done bool
 }
 
 // String renders the op for violation messages.

@@ -1,9 +1,14 @@
 package model
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // opAt builds a completed op with an explicit window.
@@ -170,8 +175,8 @@ func TestHistoryRecordingAndNilSafety(t *testing.T) {
 	nilH.Return(-1, nil)
 	nilH.Point(Op{Kind: OpExport})
 	nilH.BindClock(nil)
-	if nilH.Ops() != nil {
-		t.Fatal("nil history should stay empty")
+	if res := nilH.Check(); !reflect.DeepEqual(res, Result{}) {
+		t.Fatalf("nil history checked %+v, want nothing", res)
 	}
 
 	h := NewHistory()
@@ -183,19 +188,21 @@ func TestHistoryRecordingAndNilSafety(t *testing.T) {
 	h.Point(Op{Kind: OpExport, Space: "sp1", Host: "h1", Client: "h1"})
 	now = 9 * time.Second
 	h.Return(tok, func(op *Op) { op.Host = "h1" })
-	ops := h.Ops()
-	if len(ops) != 2 {
-		t.Fatalf("got %d ops, want 2", len(ops))
+	if h.n != 2 {
+		t.Fatalf("got %d ops, want 2", h.n)
 	}
-	m := ops[0]
+	m := *h.op(0)
 	if m.Invoke != 5*time.Second || m.Return != 9*time.Second || !m.Done || m.Host != "h1" {
 		t.Fatalf("mount op = %+v, want stamped window and filled host", m)
 	}
-	e := ops[1]
+	e := *h.op(1)
 	if e.Invoke != 7*time.Second || e.Return != 7*time.Second || !e.Done {
 		t.Fatalf("export op = %+v, want zero-width done window", e)
 	}
-	noViolations(t, ops)
+	noViolations(t, []Op{m, e})
+	if res := h.Check(); res.Ops != 2 || res.Partitions != 1 || len(res.Violations) != 0 {
+		t.Fatalf("h.Check() = %+v, want 2 ops in 1 clean partition", res)
+	}
 }
 
 // Violations across partitions come out in sorted partition order so chaos
@@ -214,5 +221,144 @@ func TestViolationOrderDeterministic(t *testing.T) {
 	}
 	if res.Violations[0].Partition != "space aa" || res.Violations[1].Partition != "space zz" {
 		t.Fatalf("violation order %v not sorted", []string{res.Violations[0].Partition, res.Violations[1].Partition})
+	}
+}
+
+// TestHistoryPageBoundaries records ops across two page boundaries and
+// returns the ops on both sides of each: every op keeps its ID, its fields
+// and its own stamps.
+func TestHistoryPageBoundaries(t *testing.T) {
+	h := NewHistory()
+	now := time.Duration(0)
+	h.BindClock(func() time.Duration { return now })
+	const n = 2*pageSize + 100
+	boundary := map[int]bool{1023: true, 1024: true, 2047: true, 2048: true}
+	for i := 0; i < n; i++ {
+		now = time.Duration(i) * time.Millisecond
+		op := Op{Kind: OpLookup, Client: fmt.Sprint("c", i), Space: "sp1"}
+		if i%2 == 1 && !boundary[i] {
+			op.Kind, op.Host = OpExport, "h1"
+			h.Point(op)
+			continue
+		}
+		if tok := h.Invoke(op); tok != i {
+			t.Fatalf("op %d got token %d", i, tok)
+		}
+	}
+	returned := map[int]time.Duration{}
+	now = time.Hour
+	for _, id := range []int{1024, 1023, 2048, 2047} {
+		now += time.Second
+		h.Return(id, func(op *Op) { op.Host = fmt.Sprint("h", op.ID) })
+		returned[id] = now
+	}
+	if len(h.pages) != 3 {
+		t.Fatalf("%d ops fill %d pages, want 3", n, len(h.pages))
+	}
+	for _, id := range []int{0, 1, 1022, 1023, 1024, 1025, 2046, 2047, 2048, 2049, n - 1} {
+		op := h.op(id)
+		inv := time.Duration(id) * time.Millisecond
+		if op.ID != id || op.Client != fmt.Sprint("c", id) || op.Invoke != inv {
+			t.Fatalf("op %d = %+v, want ID, client and invoke of op %d", id, *op, id)
+		}
+		switch ret, ok := returned[id]; {
+		case id%2 == 1 && !boundary[id]:
+			if !op.Done || op.Return != inv || op.Host != "h1" {
+				t.Fatalf("point op %d = %+v, want a done zero-width export", id, *op)
+			}
+		case ok:
+			if !op.Done || op.Return != ret || op.Host != fmt.Sprint("h", id) {
+				t.Fatalf("returned op %d = %+v, want done at %v with its fill", id, *op, ret)
+			}
+		default:
+			if op.Done || op.Return != 0 {
+				t.Fatalf("pending op %d = %+v, want it pending", id, *op)
+			}
+		}
+	}
+}
+
+// randomHistory records a seeded history of overlapping client windows and
+// endpoint points over a few spaces, disks and hosts, and every 100 steps
+// a legal allocate-mount-export on a space of its own, so some partitions
+// linearize and some do not. It returns the ops it recorded as a flat copy.
+func randomHistory(seed int64, steps int) (*History, []Op) {
+	rng := rand.New(rand.NewSource(seed))
+	h := NewHistory()
+	now := time.Duration(0)
+	h.BindClock(func() time.Duration { return now })
+	pick := func(prefix string, k int) string { return fmt.Sprint(prefix, rng.Intn(k)) }
+	var pending []int
+	for i := 0; i < steps; i++ {
+		now += time.Duration(1+rng.Intn(5)) * time.Millisecond
+		if i%100 == 0 {
+			sp := fmt.Sprint("clean", i)
+			h.Return(h.Invoke(Op{Kind: OpAllocate, Client: "c0", Space: sp}), func(op *Op) { op.Disk, op.Size = "d9", 64 })
+			mount := h.Invoke(Op{Kind: OpMount, Client: "c0", Space: sp})
+			now += time.Millisecond
+			h.Point(Op{Kind: OpExport, Client: "h9", Host: "h9", Space: sp})
+			h.Return(mount, func(op *Op) { op.Host = "h9" })
+		}
+		switch r := rng.Intn(10); {
+		case r < 3 && len(pending) < 4:
+			kinds := []Kind{OpAllocate, OpRelease, OpLookup, OpMount, OpRemount}
+			pending = append(pending, h.Invoke(Op{Kind: kinds[rng.Intn(len(kinds))], Client: pick("c", 3), Space: pick("sp", 12)}))
+		case r < 6 && len(pending) > 0:
+			j := rng.Intn(len(pending))
+			host, disk := pick("h", 3), pick("d", 4)
+			h.Return(pending[j], func(op *Op) { op.Host, op.Disk, op.Size = host, disk, 64 })
+			pending = append(pending[:j], pending[j+1:]...)
+		case r < 8:
+			kinds := []Kind{OpExport, OpRevoke}
+			host := pick("h", 3)
+			h.Point(Op{Kind: kinds[rng.Intn(2)], Client: host, Host: host, Space: pick("sp", 12), Disk: pick("d", 4)})
+		default:
+			kinds := []Kind{OpAttach, OpDetach, OpPower}
+			host := pick("h", 3)
+			h.Point(Op{Kind: kinds[rng.Intn(3)], Client: host, Host: host, Disk: pick("d", 4), Up: rng.Intn(2) == 0})
+		}
+	}
+	ops := make([]Op, h.n)
+	for i := range ops {
+		ops[i] = *h.op(i)
+	}
+	return h, ops
+}
+
+// TestHistoryCheckMatchesCheck: checking a history where its pages hold the
+// ops gives the same result, field for field, as Check over a flat copy.
+func TestHistoryCheckMatchesCheck(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		h, ops := randomHistory(seed, 3*pageSize)
+		got, want := h.Check(), Check(ops)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: h.Check() = %+v\nCheck(ops) = %+v", seed, got, want)
+		}
+		if v := len(want.Violations); v == 0 || v == want.Partitions {
+			t.Fatalf("seed %d: %d of %d partitions violate; the comparison needs both kinds",
+				seed, v, want.Partitions)
+		}
+	}
+}
+
+// TestHistoryAllocsBoundedByPages: recording allocates what it keeps, the
+// pages themselves, and not the copies a growing slice would leave behind.
+func TestHistoryAllocsBoundedByPages(t *testing.T) {
+	const n = 200_000
+	h := NewHistory()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			h.Return(h.Invoke(Op{Kind: OpMount, Client: "c", Space: "sp1"}), nil)
+		} else {
+			h.Point(Op{Kind: OpExport, Client: "h1", Space: "sp1", Host: "h1"})
+		}
+	}
+	runtime.ReadMemStats(&after)
+	kept := float64(len(h.pages)) * float64(unsafe.Sizeof([pageSize]Op{}))
+	if got := float64(after.TotalAlloc - before.TotalAlloc); got > 1.1*kept {
+		t.Fatalf("recording %d ops allocated %.1f MB for %.1f MB of pages, want <= 1.1x",
+			n, got/(1<<20), kept/(1<<20))
 	}
 }

@@ -84,14 +84,15 @@ func (a *AsyncReply) Reply(result any, err error) {
 // one request ID across resends, this gives effectively-once execution over
 // an at-least-once transport.
 type RPCNode struct {
-	node    *Node
-	net     *Network
-	methods map[string]RPCHandler
-	async   map[string]RPCAsyncHandler
-	nextID  uint64
-	pending map[uint64]*pendingCall
-	calls   freeList[pendingCall]
-	replies freeList[AsyncReply]
+	node     *Node
+	net      *Network
+	methods  map[string]RPCHandler
+	async    map[string]RPCAsyncHandler
+	nextID   uint64
+	pending  map[uint64]*pendingCall
+	calls    freeList[pendingCall]
+	retriers freeList[retrier]
+	replies  freeList[AsyncReply]
 
 	seen     map[dedupKey]rpcReply
 	inflight map[dedupKey]bool
@@ -117,22 +118,26 @@ type pendingCall struct {
 	id      uint64
 	done    Replier
 	timeout *simtime.Event // nil (Cancel and Release are nil-safe): no deadline
-	retry   func() bool    // CallWithRetry's: schedule a resend, or report false
+	retry   *retrier       // CallWithRetry's resend state; nil for a plain Call
 }
 
 // Fire is the call's timeout: fail it, unless it schedules a resend.
 func (pc *pendingCall) Fire() {
-	if pc.retry == nil || !pc.retry() {
+	if pc.retry == nil || !pc.retry.backoff() {
 		pc.r.complete(pc, nil, ErrTimeout)
 	}
 }
 
 // complete retires a call and hands its outcome to the caller, recycling the
-// record and its timeout event first so the callback may reuse both.
+// records and its timeout event first so the callback may reuse them. A
+// retrier whose resend is armed stays out: its event still holds it.
 func (r *RPCNode) complete(pc *pendingCall, result any, err error) {
 	delete(r.pending, pc.id)
 	pc.timeout.Cancel()
 	pc.timeout.Release()
+	if rt := pc.retry; rt != nil && !rt.armed {
+		r.retriers.put(rt)
+	}
 	done := pc.done
 	r.calls.put(pc)
 	done.Reply(result, err)
@@ -270,27 +275,64 @@ func (r *RPCNode) CallWithRetry(to, method string, args any, size int, o RetryOp
 		o.Backoff = DefaultRetryBackoff
 	}
 	r.CallR(to, method, args, size, o.Timeout, replyFunc(done))
-	pc, id, start, n := r.pending[r.nextID], r.nextID, r.net.sched.Now(), 0
-	pc.retry = func() bool {
-		if n+1 >= o.Attempts || o.MaxElapsed > 0 && r.net.sched.Now()-start >= o.MaxElapsed {
-			r.net.methodMetrics(method).exhausted.Inc()
-			return false
-		}
-		pc.timeout.Release()
-		pc.timeout = nil
-		backoff := o.Backoff << uint(n)
-		r.net.sched.After(time.Duration(1+r.net.sched.Rand().Int63n(int64(backoff))), func() {
-			if r.pending[id] != pc {
-				return // an earlier attempt's reply already landed
-			}
-			n++
-			r.net.methodMetrics(method).retries.Inc()
-			r.net.rec.Instant("simnet", "rpc-retry", r.Name(), obs.L("method", method), obs.L("to", to))
-			r.send(to, args, size, rpcHeader{kind: kindRequest, id: id, text: method})
-			pc.timeout = r.net.sched.AfterR(o.Timeout, pc)
-		})
-		return true
+	rt := r.retriers.get()
+	rt.r, rt.pc, rt.id = r, r.pending[r.nextID], r.nextID
+	rt.to, rt.method, rt.args, rt.size, rt.o = to, method, args, size, o
+	rt.start = r.net.sched.Now()
+	rt.pc.retry = rt
+}
+
+// retrier is one CallWithRetry call's resend state and its backoff's
+// receiver. It belongs to its RPCNode from CallWithRetry until the call
+// completes with no resend armed, or, when one is armed, until that resend
+// fires and finds the call gone.
+type retrier struct {
+	r      *RPCNode
+	pc     *pendingCall
+	id     uint64
+	to     string
+	method string
+	args   any
+	size   int
+	o      RetryOpts
+	start  simtime.Time
+	n      int32 // resends sent so far
+	armed  bool  // a backoff event holds the record
+}
+
+// backoff runs when an attempt times out: it arms the resend after a
+// jittered backoff, or reports false when the attempts or the time budget
+// are spent.
+func (rt *retrier) backoff() bool {
+	r := rt.r
+	if int(rt.n)+1 >= rt.o.Attempts || rt.o.MaxElapsed > 0 && r.net.sched.Now()-rt.start >= rt.o.MaxElapsed {
+		r.net.methodMetrics(rt.method).exhausted.Inc()
+		return false
 	}
+	rt.pc.timeout.Release()
+	rt.pc.timeout = nil
+	backoff := rt.o.Backoff << uint(rt.n)
+	rt.armed = true
+	r.net.sched.FireAfterR(time.Duration(1+r.net.sched.Rand().Int63n(int64(backoff))), rt)
+	return true
+}
+
+// Fire is the backoff's end: resend the request under its call ID, unless
+// an earlier attempt's reply already completed the call.
+func (rt *retrier) Fire() {
+	r := rt.r
+	rt.armed = false
+	if r.pending[rt.id] != rt.pc {
+		r.retriers.put(rt)
+		return
+	}
+	rt.n++
+	r.net.methodMetrics(rt.method).retries.Inc()
+	if r.net.rec != nil { // the variadic labels would escape even to a nil recorder
+		r.net.rec.Instant("simnet", "rpc-retry", r.Name(), obs.L("method", rt.method), obs.L("to", rt.to))
+	}
+	r.send(rt.to, rt.args, rt.size, rpcHeader{kind: kindRequest, id: rt.id, text: rt.method})
+	rt.pc.timeout = r.net.sched.AfterR(rt.o.Timeout, rt.pc)
 }
 
 // remember caches a finished request's reply for duplicate suppression and

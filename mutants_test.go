@@ -130,6 +130,30 @@ var mutants = []mutant{
 			`--- FAIL: TestOwnershipChaosGrayDay`, `--- FAIL: TestOwnershipHDFS`, `--- FAIL: TestOwnershipArchive`,
 		},
 	},
+	{
+		// A page index must stay inside its page.
+		name: "history-page-mask", file: "internal/model/history.go",
+		old: "\tpageMask  = pageSize - 1", new: "\tpageMask  = pageSize",
+		cmd:  "go test ./internal/model -run ^TestHistoryPageBoundaries$",
+		want: []string{`--- FAIL: TestHistoryPageBoundaries`},
+	},
+	{
+		// A retrier whose resend is armed must not serve another call.
+		name: "retrier-recycled-while-armed", file: "internal/simnet/rpc.go",
+		old: "\tif rt := pc.retry; rt != nil && !rt.armed {", new: "\tif rt := pc.retry; rt != nil {",
+		cmd: "go test ./internal/simnet -run ^TestReplyDuringBackoffCompletesOnce$",
+		want: []string{
+			`--- FAIL: TestReplyDuringBackoffCompletesOnce`,
+			`took the retrier whose resend is still armed`, `4 messages sent by 15\.2s, want 3`,
+		},
+	},
+	{
+		// A resend whose call already completed must not reach the wire.
+		name: "retrier-fire-skips-pending-check", file: "internal/simnet/rpc.go",
+		old: "\tif r.pending[rt.id] != rt.pc {", new: "\tif false {",
+		cmd:  "go test ./internal/simnet -run ^TestReplyDuringBackoffCompletesOnce$",
+		want: []string{`--- FAIL: TestReplyDuringBackoffCompletesOnce`, `[5-9] messages sent by 15\.2s, want 3`},
+	},
 }
 
 // TestMutants applies each mutant through go's -overlay (the tree is never
