@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -51,6 +52,55 @@ func BenchmarkRouterLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		trip()
+	}
+}
+
+// allocTrip boots a fleet and returns a function that runs one
+// Router.Allocate of a fresh volume to completion. The volume names are
+// made up front, so the trip allocates only what the Allocate does.
+func allocTrip(tb testing.TB, trips int) func() {
+	f := boot(tb, testConfig())
+	r := f.NewRouter("alloc")
+	vols := make([]string, trips)
+	for i := range vols {
+		vols[i] = fmt.Sprintf("vol-%05d", i)
+	}
+	served := 0
+	done := func(disks []string, err error) {
+		if err != nil || len(disks) != replicas {
+			tb.Fatalf("allocate: disks %v, err %v", disks, err)
+		}
+		served++
+	}
+	return func() {
+		want := served + 1
+		r.Allocate(vols[served], 1<<20, "svc", done)
+		f.Settle(10 * time.Millisecond)
+		if served != want {
+			tb.Fatal("allocate did not complete within 10ms")
+		}
+	}
+}
+
+// TestRouterAllocateAllocs pins what an Allocate of a new volume allocates
+// on a warmed fleet: its boxed args, the record's Disks, its path, its
+// encoding, the boxed coord op, the command ID, the boxed reply, and the
+// commit guard's Event, which stays queued for 4*electionTTL and so is
+// never recycled inside the measurement. The Paxos messages are pooled
+// records, the router's and the shard's op records are recycled, the coord
+// callback is bound once per op record, and the placement picks go into a
+// buffer the shard keeps.
+func TestRouterAllocateAllocs(t *testing.T) {
+	// 30 simulated seconds of warm-up, so every partition's timer wheel
+	// slots have grown to the load, and the measured trips end before the
+	// first guard fires (and its Event would recycle).
+	const warm, runs = 3000, 200
+	trip := allocTrip(t, warm+runs+1)
+	for i := 0; i < warm; i++ {
+		trip()
+	}
+	if got := testing.AllocsPerRun(runs, trip); got > 8 {
+		t.Fatalf("Allocate round trip allocates %.1f objects, want <= 8", got)
 	}
 }
 

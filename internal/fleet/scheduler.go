@@ -320,7 +320,8 @@ func (s *shardScheduler) finish(t task, epoch int) {
 	if need <= 0 {
 		return
 	}
-	rows, _ := m.ix.Spread(need, rec.Size, spreadLevel, exclude)
+	rows, _ := m.ix.Spread(m.spread[:0], need, rec.Size, spreadLevel, exclude)
+	m.spread = rows
 	if len(rows) < need {
 		// Not enough healthy domains right now; the next tick regenerates
 		// the task (state is unchanged).
@@ -357,6 +358,9 @@ func (s *shardScheduler) inspect(ids []string) {
 		return
 	}
 	start := sort.SearchStrings(ids, s.cursor)
+	if start < len(ids) && ids[start] == s.cursor {
+		start++ // resume just past the last inspected ID
+	}
 	for i := 0; i < inspectPerTick; i++ {
 		idx := (start + i) % len(ids)
 		id := ids[idx]
@@ -365,6 +369,6 @@ func (s *shardScheduler) inspect(ids []string) {
 		if len(rec.Disks) == 0 || rec.Size < 0 {
 			m.rec.Instant("fleet", "inspect-anomaly", "fleet", obs.L("volume", id))
 		}
-		s.cursor = id + "\x00" // resume just past the last inspected ID
+		s.cursor = id
 	}
 }

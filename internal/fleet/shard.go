@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,6 +78,12 @@ type ShardMaster struct {
 	busy  bool
 	// free holds answered op records (see opDone).
 	free []*shardOp
+	// Commit guards (see guardTimer): how many were armed and how many
+	// fired, and the guarded ops still waiting for an answer.
+	guardsArmed, guardsFired uint64
+	waiting                  []*shardOp
+	// spread is the buffer allocation picks its rows into.
+	spread []int
 
 	sch *shardScheduler
 
@@ -96,9 +103,15 @@ type shardOp struct {
 	args   any
 	reply  simnet.Replier
 	start  simtime.Time
-	// guarded: commitGuard armed an event on the op, so opDone leaves it
-	// to that event and its coord callback instead of the free list.
-	guarded bool
+	// seq numbers the op's commit guard (see guardTimer); 0 when none is
+	// armed. A guarded op is recycled by its coord callback, not opDone.
+	seq uint64
+	// What the coord callback reads: an allocate's volume, size and disks.
+	volume string
+	size   int64
+	disks  []string
+	// committed is the op's coord callback, bound once per record.
+	committed func(error)
 }
 
 func (op *shardOp) Fire() {
@@ -414,6 +427,7 @@ func (m *ShardMaster) enqueue(method string, args any, reply simnet.Replier) {
 		op, m.free = m.free[n-1], m.free[:n-1]
 	} else {
 		op = new(shardOp)
+		op.committed = op.commitDone
 	}
 	op.m, op.method, op.args, op.reply = m, method, args, reply
 	m.queue = append(m.queue, op)
@@ -445,24 +459,31 @@ func (m *ShardMaster) pump() {
 
 // opDone completes an op exactly once and releases the service unit. An
 // unguarded op is done with: it returns to the free list before the reply,
-// so the reply's sends may reuse it. A guarded op stays owned by its guard
-// event and its coord callback, and either may call opDone again: the first
-// call clears its reply, so the second finds nil and does nothing.
+// so the reply's sends may reuse it. A guarded op stops waiting, but its
+// coord callback still holds it; the guard and the callback may both call
+// opDone, and the first call clears the reply, so the second does nothing.
+// The callback recycles the record after its own call.
 func (m *ShardMaster) opDone(op *shardOp, result any) {
 	reply := op.reply
 	if reply == nil {
 		return
 	}
-	if op.guarded {
-		// The guard holds op until it fires: drop what op pins.
+	if op.seq != 0 {
 		op.args, op.reply = nil, nil
+		i := slices.Index(m.waiting, op)
+		m.waiting = slices.Delete(m.waiting, i, i+1)
 	} else {
-		*op = shardOp{}
-		m.free = append(m.free, op)
+		m.recycle(op)
 	}
 	reply.Reply(result, nil)
 	m.busy = false
 	m.pump()
+}
+
+// recycle returns an answered op record to the free list.
+func (m *ShardMaster) recycle(op *shardOp) {
+	*op = shardOp{committed: op.committed}
+	m.free = append(m.free, op)
 }
 
 // flushQueue answers every queued op NotLeader (lost leadership or crash;
@@ -500,17 +521,55 @@ func (m *ShardMaster) exec(op *shardOp) {
 // if the proposal is lost to a leadership change the client gets Busy
 // instead of the service unit wedging forever.
 func (m *ShardMaster) commitGuard(op *shardOp) {
-	op.guarded = true
-	m.sched.FireAfterR(4*electionTTL, (*opGuard)(op))
+	m.guardsArmed++
+	op.seq = m.guardsArmed
+	m.waiting = append(m.waiting, op)
+	m.sched.FireAfterR(4*electionTTL, (*guardTimer)(m))
 }
 
-// opGuard is the receiver of an op's commit guard.
-type opGuard shardOp
+// guardTimer is the receiver of every commit guard of one master, so a
+// guard holds no op. All guards wait the same 4*electionTTL, so they fire in
+// the order they were armed: the k-th fire is the guard of the k-th op
+// guarded, which it answers Busy if that op still waits.
+type guardTimer ShardMaster
 
-func (g *opGuard) Fire() {
-	if op := (*shardOp)(g); op.reply != nil {
-		op.m.opDone(op, envelope(op.method, ShardReply{Busy: true}))
+func (g *guardTimer) Fire() {
+	m := (*ShardMaster)(g)
+	m.guardsFired++
+	for _, op := range m.waiting {
+		if op.seq == m.guardsFired {
+			m.opDone(op, envelope(op.method, ShardReply{Busy: true}))
+			return
+		}
 	}
+}
+
+// commitDone is a guarded op's coord callback (op.committed). It answers
+// the op unless the guard already did, then recycles the record: nothing
+// else holds it any more.
+func (op *shardOp) commitDone(err error) {
+	m := op.m
+	switch {
+	case op.method == "Allocate" && err != nil && !errors.Is(err, coord.ErrExists):
+		// Roll back the optimistic charge: a creation reported as failed
+		// must not stay lookupable or keep its capacity held until the
+		// next failover rebuild. (After a lose/regain cycle rebuild()
+		// already discarded the entry, so guard on its presence.)
+		if _, ok := m.vols[op.volume]; ok {
+			delete(m.vols, op.volume)
+			for _, d := range op.disks {
+				m.unplace(d, op.size)
+			}
+		}
+		m.opDone(op, AllocateReply{ShardReply: ShardReply{Err: err.Error()}})
+	case op.method == "Allocate":
+		m.opDone(op, AllocateReply{ShardReply{OK: true}, op.disks})
+	case err != nil && !errors.Is(err, coord.ErrNotFound):
+		m.opDone(op, ReleaseReply{ShardReply{Err: err.Error()}})
+	default:
+		m.opDone(op, ReleaseReply{ShardReply{OK: true}})
+	}
+	m.recycle(op)
 }
 
 // place charges a fragment onto a disk and spins it up; a disk of a unit
@@ -544,7 +603,8 @@ func (m *ShardMaster) execAllocate(op *shardOp, a AllocateArgs) {
 		m.opDone(op, AllocateReply{ShardReply{OK: true}, rec.Disks})
 		return
 	}
-	rows, _ := m.ix.Spread(replicas, a.Size, spreadLevel, nil)
+	rows, _ := m.ix.Spread(m.spread[:0], replicas, a.Size, spreadLevel, nil)
+	m.spread = rows
 	if len(rows) < replicas {
 		m.opDone(op, AllocateReply{ShardReply: ShardReply{
 			Err: fmt.Sprintf("insufficient failure domains: placed %d/%d", len(rows), replicas)}})
@@ -558,24 +618,9 @@ func (m *ShardMaster) execAllocate(op *shardOp, a AllocateArgs) {
 	rec := VolRecord{Size: a.Size, Service: a.Service, Disks: disks}
 	m.vols[a.Volume] = rec
 	m.cAlloc.Inc()
+	op.volume, op.size, op.disks = a.Volume, a.Size, disks
 	m.commitGuard(op)
-	m.store.Create(volPath(a.Volume), encodeVol(rec), "", func(err error) {
-		if err != nil && !errors.Is(err, coord.ErrExists) {
-			// Roll back the optimistic charge: a creation reported as failed
-			// must not stay lookupable or keep its capacity held until the
-			// next failover rebuild. (After a lose/regain cycle rebuild()
-			// already discarded the entry, so guard on its presence.)
-			if _, ok := m.vols[a.Volume]; ok {
-				delete(m.vols, a.Volume)
-				for _, d := range disks {
-					m.unplace(d, a.Size)
-				}
-			}
-			m.opDone(op, AllocateReply{ShardReply: ShardReply{Err: err.Error()}})
-			return
-		}
-		m.opDone(op, AllocateReply{ShardReply{OK: true}, disks})
-	})
+	m.store.Create(volPath(a.Volume), encodeVol(rec), "", op.committed)
 }
 
 // noSuchVolume answers every Lookup of a volume the shard does not hold.
@@ -623,13 +668,7 @@ func (m *ShardMaster) execRelease(op *shardOp, a ReleaseArgs) {
 	m.unplaceRecord(rec, foreign)
 	delete(m.vols, a.Volume)
 	m.commitGuard(op)
-	m.store.Delete(volPath(a.Volume), func(err error) {
-		if err != nil && !errors.Is(err, coord.ErrNotFound) {
-			m.opDone(op, ReleaseReply{ShardReply{Err: err.Error()}})
-			return
-		}
-		m.opDone(op, ReleaseReply{ShardReply{OK: true}})
-	})
+	m.store.Delete(volPath(a.Volume), op.committed)
 	m.freeForeignFragments(a.Volume, foreign)
 }
 

@@ -13,7 +13,8 @@ import (
 // allocate waits for its commit, so the guard fires first. A second
 // allocate then queues, and its commit waits behind the first one's. Once
 // the followers restart, both commits land, and the first calls opDone on
-// its op a second time.
+// its op a second time. An OK answers only a commit that landed, and each
+// op record goes back to the free list once.
 func TestCommitGuardAnswersOnce(t *testing.T) {
 	f := boot(t, testConfig())
 	const k = 0
@@ -31,7 +32,12 @@ func TestCommitGuardAnswersOnce(t *testing.T) {
 	replies := make([][]any, len(vols))
 	allocate := func(i int) {
 		m.enqueue("Allocate", AllocateArgs{Volume: vols[i], Size: volSize, Service: "svc"},
-			replyFn(func(res any, err error) { replies[i] = append(replies[i], res) }))
+			replyFn(func(res any, err error) {
+				replies[i] = append(replies[i], res)
+				if res.(AllocateReply).OK && !m.store.Exists(volPath(vols[i])) {
+					t.Errorf("%s was answered OK before its own commit landed", vols[i])
+				}
+			}))
 	}
 	allocate(0)
 	for i := 0; i < ShardReplicas; i++ {
@@ -65,6 +71,11 @@ func TestCommitGuardAnswersOnce(t *testing.T) {
 	rep := replies[1][0].(AllocateReply)
 	if !rep.OK || !sameSlice(rep.Disks, m.vols[vols[1]].Disks) {
 		t.Fatalf("%s answered %+v, not with its own record's disks", vols[1], rep)
+	}
+	for i, op := range m.free {
+		if slices.Contains(m.free[:i], op) {
+			t.Fatalf("an op record is on the free list twice: %d records, %d distinct", len(m.free), i)
+		}
 	}
 }
 

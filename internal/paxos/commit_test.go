@@ -29,17 +29,17 @@ func commitTrip(tb testing.TB) func() {
 }
 
 // TestLeaderCommitAllocs pins what one commit allocates on a warmed group:
-// the command's ID, the boxed accept, three boxed accepteds and the boxed
-// chosen. Slots are values in a dense log with bitmask acks, and the Phase 2
-// timeout is a recycled record on a pooled event; heartbeats and log growth
-// amortise to under one object per commit.
+// the command's ID. The accepts, accepteds and chosens are pooled wire
+// records, slots are values in a dense log with bitmask acks, and the Phase
+// 2 timeout is a recycled record on a pooled event; log growth amortises to
+// under one object per commit.
 func TestLeaderCommitAllocs(t *testing.T) {
 	trip := commitTrip(t)
 	for i := 0; i < 1000; i++ { // past a wheel cycle, so timer records and wheel slots recycle
 		trip()
 	}
-	if got := testing.AllocsPerRun(400, trip); got > 6 {
-		t.Fatalf("a commit allocates %.1f objects, want <= 6", got)
+	if got := testing.AllocsPerRun(400, trip); got > 1 {
+		t.Fatalf("a commit allocates %.1f objects, want <= 1", got)
 	}
 }
 
@@ -68,7 +68,7 @@ func TestOneHeartbeatChainAcrossLoseRegain(t *testing.T) {
 	}
 	beats := 0
 	c.net.Node(f.name).Handle(func(m simnet.Message) {
-		if _, ok := m.Payload.(heartbeatMsg); ok && m.From == l.name {
+		if _, ok := m.Payload.(*wire[heartbeatMsg]); ok && m.From == l.name {
 			beats++
 		}
 		f.dispatch(m)

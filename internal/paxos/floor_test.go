@@ -105,8 +105,8 @@ func TestLeaderAfterTruncationRecovers(t *testing.T) {
 	for _, name := range c.names {
 		n := c.nodes[name]
 		c.net.Node(name).Handle(func(m simnet.Message) {
-			if a, ok := m.Payload.(acceptMsg); ok && a.Value.IsNoop() && a.Slot < chosen {
-				t.Errorf("%s proposed a no-op into chosen slot %d", m.From, a.Slot)
+			if w, ok := m.Payload.(*wire[acceptMsg]); ok && w.msg.Value.IsNoop() && w.msg.Slot < chosen {
+				t.Errorf("%s proposed a no-op into chosen slot %d", m.From, w.msg.Slot)
 			}
 			n.dispatch(m)
 		})

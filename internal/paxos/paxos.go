@@ -10,10 +10,11 @@
 //
 // The implementation is single-threaded on the simulation scheduler: all
 // handlers run as scheduler events, so the protocol state needs no locks
-// and every run is deterministic. Safety holds under message loss,
-// duplication, reordering (simnet delivers with per-link latency), and
-// partitions; tests assert the canonical invariants (one value chosen per
-// slot, identical applied prefixes).
+// and every run is deterministic. (The free lists of hot wire records take
+// one: a receiver on another engine partition gives records back.) Safety
+// holds under message loss, duplication, reordering (simnet delivers with
+// per-link latency), and partitions; tests assert the canonical invariants
+// (one value chosen per slot, identical applied prefixes).
 package paxos
 
 import (
@@ -21,6 +22,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"ustore/internal/simnet"
@@ -87,7 +89,9 @@ type slotState struct {
 	acks           uint64 // leader-side Phase 2 acks, one bit per sorted-peer index
 }
 
-// Wire messages (delivered as simnet payloads).
+// Wire messages (delivered as simnet payloads). The hot kinds — accept,
+// accepted, chosen and heartbeat — travel as pooled wire records; the rare
+// ones are boxed values.
 type (
 	prepareMsg struct {
 		Ballot   Ballot
@@ -138,6 +142,78 @@ type wireSlot struct {
 	Chosen bool
 }
 
+// wire is a hot message sent by pointer, so its send boxes nothing. Each
+// destination gets a record of its own from the sending node's list, home.
+// It is valid until the receiver's handler returns: dispatch then gives it
+// back, and simnet gives back one it drops or duplicates (simnet.Pooled).
+// The handlers copy what they keep, the Command and scalars.
+type wire[T any] struct {
+	msg  T
+	home *wireList[T]
+}
+
+// Dup returns a record of its own for a duplicated delivery.
+func (w *wire[T]) Dup() any {
+	c := w.home.get()
+	c.msg = w.msg
+	return c
+}
+
+// Release gives the record back to its home list, zeroed so it pins no
+// command.
+func (w *wire[T]) Release() {
+	if wirePoison != nil {
+		wirePoison(&w.msg)
+	} else {
+		w.msg = *new(T)
+	}
+	l := w.home
+	l.mu.Lock()
+	l.free = append(l.free, w)
+	l.mu.Unlock()
+}
+
+// wirePoison is set only by this package's tests (poisonWire): it
+// overwrites every released record, so a reader that kept one past its
+// handler sees garbage instead of a message that happens to be intact.
+var wirePoison func(msg any)
+
+// wireList is one node's free list of one kind of wire record. The records
+// come back from whichever node received them, which may run on another
+// engine partition mid-window, hence the lock (as simnet's remoteMsg list
+// has).
+type wireList[T any] struct {
+	mu   sync.Mutex
+	free []*wire[T]
+	made int // records the list allocated: all are free when none is in flight
+}
+
+func (l *wireList[T]) get() *wire[T] {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if k := len(l.free); k > 0 {
+		w := l.free[k-1]
+		l.free = l.free[:k-1]
+		return w
+	}
+	l.made++
+	return &wire[T]{home: l}
+}
+
+// send sends msg to one peer in a record of its own.
+func (l *wireList[T]) send(n *Node, to string, msg T, size int) {
+	w := l.get()
+	w.msg = msg
+	n.node.Send(to, w, size)
+}
+
+// broadcast sends msg to every peer, self included, a record each.
+func (l *wireList[T]) broadcast(n *Node, msg T, size int) {
+	for _, p := range n.peers {
+		l.send(n, p, msg, size)
+	}
+}
+
 // Node is one Paxos replica.
 type Node struct {
 	name  string
@@ -180,6 +256,12 @@ type Node struct {
 	hbArmed       bool
 	electionArmed bool
 	phaseFree     []*phaseTimer
+
+	// Free lists of the hot wire records this node sends.
+	accepts   wireList[acceptMsg]
+	accepteds wireList[acceptedMsg]
+	chosens   wireList[chosenMsg]
+	beats     wireList[heartbeatMsg]
 
 	stopped bool
 }
@@ -304,12 +386,6 @@ func (n *Node) truncate() {
 	n.base += drop
 }
 
-func (n *Node) broadcast(payload any, size int) {
-	for _, p := range n.peers {
-		n.node.Send(p, payload, size)
-	}
-}
-
 // --- Elections ---
 
 // electionTimer is the receiver of a node's election timeout.
@@ -343,7 +419,10 @@ func (n *Node) campaign() {
 	n.promised = b
 	n.leaderBallot = b
 	n.promises = map[string][]wireSlot{}
-	n.broadcast(prepareMsg{Ballot: b, FromSlot: n.chosenP}, 64)
+	prepare := any(prepareMsg{Ballot: b, FromSlot: n.chosenP}) // boxed once for every peer
+	for _, p := range n.peers {
+		n.node.Send(p, prepare, 64)
+	}
 	n.sched.FireAfter(n.cfg.PhaseTimeout, func() {
 		if n.campaigning && n.leaderBallot == b && !n.isLeader {
 			n.campaigning = false // retry via election timer
@@ -353,7 +432,11 @@ func (n *Node) campaign() {
 
 // --- Message handling ---
 
+// dispatch handles one delivery and then gives a wire record back home.
 func (n *Node) dispatch(msg simnet.Message) {
+	if w, ok := msg.Payload.(simnet.Pooled); ok {
+		defer w.Release()
+	}
 	if n.stopped {
 		return
 	}
@@ -364,14 +447,14 @@ func (n *Node) dispatch(msg simnet.Message) {
 		n.onPromise(msg.From, m)
 	case nackMsg:
 		n.onNack(m)
-	case acceptMsg:
-		n.onAccept(msg.From, m)
-	case acceptedMsg:
-		n.onAccepted(msg.From, m)
-	case chosenMsg:
-		n.markChosen(m.Slot, m.Value)
-	case heartbeatMsg:
-		n.onHeartbeat(msg.From, m)
+	case *wire[acceptMsg]:
+		n.onAccept(msg.From, m.msg)
+	case *wire[acceptedMsg]:
+		n.onAccepted(msg.From, m.msg)
+	case *wire[chosenMsg]:
+		n.markChosen(m.msg.Slot, m.msg.Value)
+	case *wire[heartbeatMsg]:
+		n.onHeartbeat(msg.From, m.msg)
 	case proposeFwd:
 		if n.isLeader {
 			n.leaderPropose(m.Cmd)
@@ -452,7 +535,7 @@ func (n *Node) onPromise(from string, m promiseMsg) {
 		if ws, ok := highest[i]; ok {
 			if ws.Chosen {
 				n.markChosen(ws.Slot, ws.Value)
-				n.broadcast(chosenMsg{Slot: ws.Slot, Value: ws.Value}, 64)
+				n.chosens.broadcast(n, chosenMsg{Slot: ws.Slot, Value: ws.Value}, 64)
 			} else {
 				n.phase2(i, ws.Value)
 			}
@@ -496,7 +579,7 @@ func (n *Node) phase2(slot int, value Command) {
 	}
 	s.acks = 0
 	b := n.leaderBallot
-	n.broadcast(acceptMsg{Ballot: b, Slot: slot, Value: value, Floor: n.floor()}, 128)
+	n.accepts.broadcast(n, acceptMsg{Ballot: b, Slot: slot, Value: value, Floor: n.floor()}, 128)
 	var t *phaseTimer
 	if k := len(n.phaseFree); k > 0 {
 		t, n.phaseFree = n.phaseFree[k-1], n.phaseFree[:k-1]
@@ -544,7 +627,7 @@ func (n *Node) onAccept(from string, m acceptMsg) {
 		s.acceptedValue = m.Value
 		s.hasAccepted = true
 	}
-	n.node.Send(from, acceptedMsg{Ballot: m.Ballot, Slot: m.Slot, Applied: n.applied}, 32)
+	n.accepteds.send(n, from, acceptedMsg{Ballot: m.Ballot, Slot: m.Slot, Applied: n.applied}, 32)
 	n.learnFloor(m.Floor)
 }
 
@@ -566,7 +649,7 @@ func (n *Node) onAccepted(from string, m acceptedMsg) {
 			return // leaders self-deliver their accept before remote acks arrive
 		}
 		n.markChosen(m.Slot, value)
-		n.broadcast(chosenMsg{Slot: m.Slot, Value: value}, 128)
+		n.chosens.broadcast(n, chosenMsg{Slot: m.Slot, Value: value}, 128)
 	}
 }
 
@@ -614,7 +697,7 @@ func (n *Node) heartbeat() {
 	if n.stopped || !n.isLeader {
 		return
 	}
-	n.broadcast(heartbeatMsg{Ballot: n.leaderBallot, ChosenPrefix: n.chosenP, Floor: n.floor()}, 32)
+	n.beats.broadcast(n, heartbeatMsg{Ballot: n.leaderBallot, ChosenPrefix: n.chosenP, Floor: n.floor()}, 32)
 	if !n.hbArmed {
 		n.hbArmed = true
 		n.sched.FireAfterR(n.cfg.HeartbeatInterval, (*heartbeatTimer)(n))

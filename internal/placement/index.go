@@ -273,21 +273,23 @@ func (ix *Index) touchAll() {
 	}
 }
 
-// Spread chooses up to n rows, no two in one failure domain at level and
-// none in a domain exclude names (a key no row has excludes nothing), each
-// on a unit that is up, neither bad nor draining, with at least size bytes
-// free. Among those the greedy pick prefers, in order: a rack not yet
+// Spread appends to dst up to n rows, no two in one failure domain at
+// level and none in a domain exclude names (a key no row has excludes
+// nothing), each on a unit that is up, neither bad nor draining, with at
+// least size bytes free. Among those the greedy pick prefers, in order: a rack not yet
 // holding a fragment (cost 4), a spinning disk (spin-up costs 1, one more
 // when the unit's spin budget — its limit less its spinning disks less the
 // spin-ups this call already chose there — is exhausted), the most free
-// space, and the lowest ID. It returns the rows in pick order (fewer than
-// n when the topology cannot spread that wide) and how many picks were
-// forced over budget. The index is not changed: the caller charges what it
-// commits to. Beyond the returned slice, a call allocates only when it
-// excludes or places more than eight domains.
-func (ix *Index) Spread(n int, size int64, level Level, exclude []string) (picked []int, overBudget int) {
+// space, and the lowest ID. It returns dst extended by the rows in pick
+// order (fewer than n when the topology cannot spread that wide) and how
+// many picks were forced over budget. The index is not changed: the caller
+// charges what it commits to. A call allocates only to grow dst (a nil dst
+// gets room for n rows), or when it excludes or places more than eight
+// domains.
+func (ix *Index) Spread(dst []int, n int, size int64, level Level, exclude []string) (picked []int, overBudget int) {
+	picked = dst
 	if n <= 0 || len(ix.rows) == 0 {
-		return nil, 0
+		return picked, 0
 	}
 	s := ix.set(level)
 	var domBuf, rackBuf, spunBuf [8]int32
@@ -297,7 +299,7 @@ func (ix *Index) Spread(n int, size int64, level Level, exclude []string) (picke
 			usedDomains = append(usedDomains, d)
 		}
 	}
-	for len(picked) < n {
+	for len(picked)-len(dst) < n {
 		var best *bucket
 		bestRow, bestCost, bestFree, bestOver := int32(-1), 0, int64(0), false
 		for i := range s.buckets {

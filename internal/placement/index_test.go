@@ -159,6 +159,7 @@ func TestIndexSpreadMatchesReference(t *testing.T) {
 	for topo := 0; topo < topologies; topo++ {
 		m := randomModel(rng)
 		ix := m.index()
+		buf := []int{-1}
 		for step := 0; step < mutations; step++ {
 			m.mutate(rng, ix)
 			if err := ix.Validate(); err != nil {
@@ -178,7 +179,18 @@ func TestIndexSpreadMatchesReference(t *testing.T) {
 			opts := SpreadOptions{Level: level, Exclude: exclude, SpinBudget: budget}
 			want := spreadReference(views, n, opts)
 
-			rows, over := ix.Spread(n, size, level, exclude)
+			// Odd steps append behind a row already in a reused buffer.
+			var dst []int
+			if step%2 == 1 {
+				dst = buf[:1]
+			}
+			rows, over := ix.Spread(dst, n, size, level, exclude)
+			if len(dst) > 0 {
+				if rows[0] != -1 {
+					t.Fatalf("topology %d step %d: Spread overwrote the buffer's first row", topo, step)
+				}
+				rows, buf = rows[1:], rows
+			}
 			got := make([]string, len(rows))
 			for i, r := range rows {
 				got[i] = ix.ID(r)
@@ -266,7 +278,7 @@ func TestIndexSpreadAllocatesOnlyItsResult(t *testing.T) {
 	for _, level := range []Level{LevelHost, LevelHub, LevelUnit, LevelRack} {
 		exclude := []string{ix.disks[0].Loc.Domain(level)}
 		allocs := testing.AllocsPerRun(100, func() {
-			rows, _ := ix.Spread(3, 1<<30, level, exclude)
+			rows, _ := ix.Spread(nil, 3, 1<<30, level, exclude)
 			for _, r := range rows {
 				ix.Charge(r, 1<<30)
 			}
@@ -281,7 +293,7 @@ func TestIndexSpreadAllocatesOnlyItsResult(t *testing.T) {
 // counter that drifts from its rows must fail Validate.
 func TestIndexValidateCatchesSkew(t *testing.T) {
 	ix := shardIndex(2)
-	rows, _ := ix.Spread(2, 1, LevelUnit, nil)
+	rows, _ := ix.Spread(nil, 2, 1, LevelUnit, nil)
 	for _, r := range rows {
 		ix.Charge(r, 1)
 	}
@@ -298,8 +310,8 @@ func TestIndexValidateCatchesSkew(t *testing.T) {
 // state: a bucket top that no longer matches its rows.
 func TestIndexValidateCatchesStaleTop(t *testing.T) {
 	ix := shardIndex(2)
-	rows, _ := ix.Spread(1, 1, LevelUnit, nil) // builds and caches the tops
-	ix.rows[rows[0]].used = 5                  // behind the index's back: no bucket marked stale
+	rows, _ := ix.Spread(nil, 1, 1, LevelUnit, nil) // builds and caches the tops
+	ix.rows[rows[0]].used = 5                       // behind the index's back: no bucket marked stale
 	ix.units[ix.unitOf[rows[0]]].used = 5
 	if err := ix.Validate(); err == nil || !strings.Contains(err.Error(), "tops") {
 		t.Fatalf("Validate = %v after an untracked change, want a bucket-top error", err)
@@ -317,7 +329,7 @@ func BenchmarkIndexAllocate(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sinkRows, _ = ix.Spread(3, 1<<20, LevelUnit, nil)
+				sinkRows, _ = ix.Spread(sinkRows[:0], 3, 1<<20, LevelUnit, nil)
 				for _, r := range sinkRows {
 					ix.Charge(r, 1<<20)
 				}

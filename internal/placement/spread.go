@@ -91,7 +91,7 @@ func Spread(candidates []DiskView, n int, opts SpreadOptions) SpreadResult {
 	}
 	ix := NewIndex(candidates, opts.SpinBudget)
 	// Candidates are pre-filtered, so any amount of free space qualifies.
-	rows, over := ix.Spread(n, math.MinInt64, opts.Level, opts.Exclude)
+	rows, over := ix.Spread(nil, n, math.MinInt64, opts.Level, opts.Exclude)
 	res.OverBudget = over
 	if len(rows) > 0 {
 		res.Disks = make([]DiskView, len(rows))

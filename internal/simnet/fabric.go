@@ -112,7 +112,7 @@ func (f *Fabric) forward(src *Network, msg Message) bool {
 		return false
 	}
 	if ma := src.machines[msg.From]; ma != "" && src.isolatedMach[ma] {
-		src.drop()
+		src.drop(msg.Payload)
 		return true
 	}
 	if len(f.machCuts) > 0 {
@@ -122,7 +122,7 @@ func (f *Fabric) forward(src *Network, msg Message) bool {
 				ma, mb = mb, ma
 			}
 			if f.machCuts[linkKey{ma, mb}] {
-				src.drop()
+				src.drop(msg.Payload)
 				return true
 			}
 		}
@@ -158,7 +158,7 @@ func (m *remoteMsg) Fire() {
 	n.remoteMu.Unlock()
 	dst, ok := n.nodes[msg.To]
 	if mb := n.machines[msg.To]; !ok || (mb != "" && n.isolatedMach[mb]) {
-		n.drop()
+		n.drop(msg.Payload)
 		return
 	}
 	n.arrive(dst, msg, false)

@@ -1,0 +1,105 @@
+package simnet
+
+import (
+	"testing"
+	"time"
+
+	"ustore/internal/simtime"
+)
+
+// pooledRec is a Pooled payload that counts what the network does with it.
+type pooledRec struct {
+	n *pooledCounts
+}
+
+type pooledCounts struct{ dups, released int }
+
+func (r *pooledRec) Dup() any { r.n.dups++; return &pooledRec{r.n} }
+func (r *pooledRec) Release() { r.n.released++ }
+
+// TestDupGetsOwnPooledRecord: a duplicated delivery of a Pooled payload
+// carries a record of its own, so each delivery has one owner.
+func TestDupGetsOwnPooledRecord(t *testing.T) {
+	s := simtime.NewScheduler(1)
+	net := New(s)
+	net.Colocate("a", "ma")
+	net.Colocate("b", "mb")
+	net.SetMachineDupRate("ma", "mb", 1)
+	var got []*pooledRec
+	net.Node("b").Handle(func(m Message) { got = append(got, m.Payload.(*pooledRec)) })
+	counts := &pooledCounts{}
+	rec := &pooledRec{counts}
+	net.Node("a").Send("b", rec, 32)
+	s.RunFor(time.Second)
+	if len(got) != 2 || counts.dups != 1 {
+		t.Fatalf("%d deliveries after %d dups, want 2 after 1", len(got), counts.dups)
+	}
+	if got[0] == got[1] || (got[0] != rec && got[1] != rec) {
+		t.Fatalf("the two deliveries share one record")
+	}
+	if counts.released != 0 {
+		t.Fatalf("a delivered record was released %d times by the network", counts.released)
+	}
+}
+
+// TestDroppedPooledRecordReleased: every path that drops a message gives
+// its Pooled record back, once: an unknown destination, an isolated machine,
+// a cut, the loss dice, a down node, a node with no handler, and on a
+// fabric a source-side cut or isolation and a destination-side isolation or
+// unknown node.
+func TestDroppedPooledRecordReleased(t *testing.T) {
+	local := func(fault func(net *Network)) func(t *testing.T) (*pooledCounts, uint64) {
+		return func(t *testing.T) (*pooledCounts, uint64) {
+			s := simtime.NewScheduler(1)
+			net := New(s)
+			net.Colocate("a", "ma")
+			net.Colocate("b", "mb")
+			net.Node("b").Handle(func(Message) { t.Error("a dropped message was delivered") })
+			fault(net)
+			counts := &pooledCounts{}
+			net.Node("a").Send("b", &pooledRec{counts}, 32)
+			s.RunFor(time.Second)
+			return counts, net.Stats().Dropped
+		}
+	}
+	fabric := func(fault func(f *Fabric)) func(t *testing.T) (*pooledCounts, uint64) {
+		return func(t *testing.T) (*pooledCounts, uint64) {
+			e, f := newTestFabric(t, 2, 1)
+			na, nb := f.Network(0), f.Network(1)
+			na.Colocate("a", "ma")
+			nb.Colocate("b", "mb")
+			na.Node("a")
+			nb.Node("b").Handle(func(Message) { t.Error("a dropped message was delivered") })
+			fault(f)
+			counts := &pooledCounts{}
+			na.Node("a").Send("b", &pooledRec{counts}, 32)
+			e.RunFor(time.Second)
+			return counts, na.Stats().Dropped + nb.Stats().Dropped
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) (*pooledCounts, uint64)
+	}{
+		{"unknown", local(func(net *Network) { delete(net.nodes, "b") })},
+		{"isolated", local(func(net *Network) { net.IsolateMachine("mb") })},
+		{"cut", local(func(net *Network) { net.CutMachines("ma", "mb") })},
+		{"loss", local(func(net *Network) { net.SetMachineLossRate("ma", "mb", 1) })},
+		{"down", local(func(net *Network) { net.Node("b").SetDown(true) })},
+		{"no-handler", local(func(net *Network) { net.Node("b").Handle(nil) })},
+		{"fabric-unknown", fabric(func(f *Fabric) { delete(f.dir, "b") })},
+		{"fabric-dst-unknown", fabric(func(f *Fabric) { delete(f.Network(1).nodes, "b") })},
+		{"fabric-cut", fabric(func(f *Fabric) { f.CutMachines("ma", "mb") })},
+		{"fabric-src-isolated", fabric(func(f *Fabric) { f.Network(0).IsolateMachine("ma") })},
+		{"fabric-dst-isolated", fabric(func(f *Fabric) { f.Network(1).IsolateMachine("mb") })},
+		{"fabric-down", fabric(func(f *Fabric) { f.Network(1).Node("b").SetDown(true) })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			counts, dropped := tc.run(t)
+			if dropped != 1 || counts.released != 1 || counts.dups != 0 {
+				t.Fatalf("dropped %d, released %d times, duplicated %d times; want 1, 1, 0",
+					dropped, counts.released, counts.dups)
+			}
+		})
+	}
+}

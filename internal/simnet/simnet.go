@@ -40,6 +40,18 @@ type Message struct {
 // Handler receives delivered messages on a node.
 type Handler func(msg Message)
 
+// Pooled is a payload record its protocol recycles: the receiving handler
+// gives it back once done with it, so each delivery needs a record of its
+// own. Send gives a duplicated delivery its own record (Dup), and every path
+// that drops a message gives the record back (Release). A *Frame is pooled
+// too, but by the networks' FrameLists, not through this interface.
+type Pooled interface {
+	// Dup returns a copy of the record, for a second delivery.
+	Dup() any
+	// Release gives back a record that will not be delivered.
+	Release()
+}
+
 // Node is a network endpoint.
 type Node struct {
 	name    string
@@ -376,7 +388,7 @@ func (n *Network) Send(msg Message) {
 		// Not local: a fabric-connected network tries the cross-partition
 		// path before counting the destination as unknown.
 		if n.fabric == nil || !n.fabric.forward(n, msg) {
-			n.drop()
+			n.drop(msg.Payload)
 		}
 		return
 	}
@@ -390,7 +402,7 @@ func (n *Network) Send(msg Message) {
 		case ma != "" && n.isolatedMach[ma], mb != "" && n.isolatedMach[mb],
 			ml != nil && ml.cut,
 			ml != nil && ml.lossRate > 0 && n.sched.Rand().Float64() < ml.lossRate:
-			n.drop()
+			n.drop(msg.Payload)
 			return
 		}
 		dup = ml != nil && ml.dupRate > 0 && n.sched.Rand().Float64() < ml.dupRate
@@ -410,24 +422,33 @@ func (n *Network) Send(msg Message) {
 		// frame is its own frame, taken from this (the sender's) network's
 		// list: each delivery of wire bytes has one owner, who may recycle
 		// or rewrite them. A lent body is copied in behind the header, so
-		// the copy owns all its bytes and holds no lease.
+		// the copy owns all its bytes and holds no lease. Any other pooled
+		// record is duplicated by its protocol, for the same reason.
 		n.cDups.Inc()
 		jitter := delay + time.Duration(n.sched.Rand().Int63n(int64(time.Millisecond)))
 		again := msg
-		if fr, ok := msg.Payload.(*Frame); ok {
-			cp := n.frames.Get(len(fr.B) + len(fr.Body))
-			copy(cp.B[copy(cp.B, fr.B):], fr.Body)
+		switch p := msg.Payload.(type) {
+		case *Frame:
+			cp := n.frames.Get(len(p.B) + len(p.Body))
+			copy(cp.B[copy(cp.B, p.B):], p.Body)
 			again.Payload = cp
+		case Pooled:
+			again.Payload = p.Dup()
 		}
 		n.deliver(again, dst, jitter, local)
 	}
 	n.deliver(msg, dst, delay, local)
 }
 
-// drop counts a message that will never be delivered.
-func (n *Network) drop() {
+// drop counts a message that will never be delivered and gives back its
+// payload's record if the payload is Pooled. Every path that drops a
+// message comes here.
+func (n *Network) drop(payload any) {
 	n.stats.Dropped++
 	n.cDropped.Inc()
+	if p, ok := payload.(Pooled); ok {
+		p.Release()
+	}
 }
 
 // delivery is a message in flight inside one partition and its event's receiver.
@@ -457,7 +478,7 @@ func (d *delivery) Fire() {
 // messages are no network bytes.
 func (n *Network) arrive(dst *Node, msg Message, local bool) {
 	if !dst.up || dst.handler == nil {
-		n.drop()
+		n.drop(msg.Payload)
 		return
 	}
 	n.stats.Delivered++

@@ -93,10 +93,18 @@ type Engine struct {
 	lookahead Duration
 	workers   int
 	now       Time // the latest deadline a RunUntil advanced every partition to
-	horizon   Time // current window's upper edge, for the Post safety check
+	horizon   Time // current window's upper edge: the Post safety check, and how far fanOut runs
 	stats     EngineStats
 	cost      [8][2]float64 // per size class: ns per fired event inline, fanned out; 0 = unmeasured
 	probe     [8]int        // per size class: windows since the other mode last ran
+
+	// Fan-out state, kept across windows so a fanned window allocates
+	// nothing: the next active index to take, the goroutines still running
+	// the window, and share bound once as a func value, which a go
+	// statement starts without a wrapper closure.
+	taken   atomic.Int64
+	running sync.WaitGroup
+	shareFn func()
 }
 
 // NewEngine returns an engine with parts partitioned Schedulers. Partition p
@@ -123,6 +131,7 @@ func NewEngine(seed int64, parts, workers int, lookahead Duration) *Engine {
 	for p := range e.parts {
 		e.parts[p] = NewScheduler(seed ^ int64(p))
 	}
+	e.shareFn = e.share
 	return e
 }
 
@@ -236,7 +245,7 @@ func (e *Engine) window(horizon Time) {
 	avg := &cost[0]
 	if fan {
 		avg = &cost[1]
-		e.fanOut(horizon)
+		e.fanOut()
 	} else {
 		e.runInline(horizon)
 	}
@@ -255,24 +264,27 @@ func (e *Engine) runInline(horizon Time) {
 	}
 }
 
-// fanOut runs the window's active partitions on up to workers goroutines,
-// the calling goroutine among them, each taking the next partition nobody
-// has taken.
-func (e *Engine) fanOut(horizon Time) {
+// fanOut runs the window's active partitions to the horizon on up to
+// workers goroutines, the calling goroutine among them.
+func (e *Engine) fanOut() {
 	e.stats.FannedOut++
-	var taken atomic.Int64
-	share := func() {
-		for i := int(taken.Add(1)) - 1; i < len(e.active); i = int(taken.Add(1)) - 1 {
-			e.parts[e.active[i]].RunUntil(horizon)
-		}
+	e.taken.Store(0)
+	helpers := min(e.workers, len(e.active)) - 1
+	e.running.Add(helpers + 1)
+	for range helpers {
+		go e.shareFn()
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(e.workers, len(e.active)); w++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); share() }()
+	e.share()
+	e.running.Wait()
+}
+
+// share runs the next active partition nobody has taken until none is
+// left.
+func (e *Engine) share() {
+	for i := int(e.taken.Add(1)) - 1; i < len(e.active); i = int(e.taken.Add(1)) - 1 {
+		e.parts[e.active[i]].RunUntil(e.horizon)
 	}
-	share()
-	wg.Wait()
+	e.running.Done()
 }
 
 // firedActive returns the events fired so far by the window's partitions.

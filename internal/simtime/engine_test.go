@@ -148,6 +148,41 @@ func TestEngineFlushSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// selfTicker re-arms itself every period on its scheduler.
+type selfTicker struct {
+	s     *Scheduler
+	every Duration
+}
+
+func (t *selfTicker) Fire() { t.s.FireAfterR(t.every, t) }
+
+// TestFanOutAllocs: once warm, a window fanned out to two workers over three
+// active partitions allocates nothing, neither its goroutine nor the state
+// the workers share. Each window is forced to fan out by clearing the cost
+// averages that choose the mode.
+func TestFanOutAllocs(t *testing.T) {
+	const parts = 3
+	e := NewEngine(1, parts, 2, time.Millisecond)
+	for p := 0; p < parts; p++ {
+		e.Part(p).FireAfterR(0, &selfTicker{e.Part(p), 100 * time.Microsecond})
+	}
+	window := func() {
+		earliest, _ := e.lbts()
+		e.cost, e.probe = [8][2]float64{}, [8]int{}
+		fanned := e.stats.FannedOut
+		e.window(earliest + e.lookahead)
+		if e.stats.FannedOut != fanned+1 || len(e.active) < 2 {
+			t.Fatalf("window over %d active partitions did not fan out", len(e.active))
+		}
+	}
+	for i := 0; i < 2*wheelSlotCount; i++ { // past a wheel rebase
+		window()
+	}
+	if allocs := testing.AllocsPerRun(200, window); allocs != 0 {
+		t.Fatalf("a fanned-out window allocates %.1f objects, want 0", allocs)
+	}
+}
+
 func TestEnginePartitionRNGSplit(t *testing.T) {
 	e := NewEngine(7, 3, 1, time.Millisecond)
 	// Partition 0 must reproduce the plain single-scheduler stream for the

@@ -154,6 +154,40 @@ var mutants = []mutant{
 		cmd:  "go test ./internal/simnet -run ^TestReplyDuringBackoffCompletesOnce$",
 		want: []string{`--- FAIL: TestReplyDuringBackoffCompletesOnce`, `[5-9] messages sent by 15\.2s, want 3`},
 	},
+	{
+		// A Paxos wire record goes home only after its handler returns. The
+		// plain run then reads zeroed records and the poisoned run poisoned
+		// ones; when neither commits anything, the two logs agree.
+		name: "wire-released-before-dispatch", file: "internal/paxos/paxos.go",
+		old: "\t\tdefer w.Release()", new: "\t\tw.Release()",
+		cmd:  "go test ./internal/paxos -run ^TestPoisonedWireRecordsSameLog$",
+		want: []string{`--- FAIL: TestPoisonedWireRecordsSameLog`, `seed 0: (poisoned records changed the applied logs|only 0 commands applied)`},
+	},
+	{
+		// A duplicated delivery needs a record of its own.
+		name: "dup-shares-pooled-record", file: "internal/simnet/simnet.go",
+		old: "\t\t\tagain.Payload = p.Dup()", new: "\t\t\tagain.Payload = p",
+		cmd: "go test ./internal/simnet ./internal/paxos -run ^(TestDupGetsOwnPooledRecord|TestPoisonedWireRecordsSameLog)$",
+		want: []string{
+			`--- FAIL: TestDupGetsOwnPooledRecord`, `2 deliveries after 0 dups, want 2 after 1`,
+			`--- FAIL: TestPoisonedWireRecordsSameLog`,
+		},
+	},
+	{
+		// A guarded op's coord callback still holds it: opDone must not
+		// recycle it.
+		name: "shardop-recycled-while-commit-pending", file: "internal/fleet/shard.go",
+		old: "\tif op.seq != 0 {\n\t\top.args, op.reply = nil, nil", new: "\tif false {\n\t\top.args, op.reply = nil, nil",
+		cmd:  "go test ./internal/fleet -run ^TestCommitGuardAnswersOnce$",
+		want: []string{`--- FAIL: TestCommitGuardAnswersOnce`, `guarded-\d+ was answered OK before its own commit landed`},
+	},
+	{
+		// The k-th guard fire answers the k-th guarded op.
+		name: "guard-seq-off-by-one", file: "internal/fleet/shard.go",
+		old: "\t\tif op.seq == m.guardsFired {", new: "\t\tif op.seq == m.guardsFired+1 {",
+		cmd:  "go test ./internal/fleet -run ^TestCommitGuardAnswersOnce$",
+		want: []string{`--- FAIL: TestCommitGuardAnswersOnce`, `before the commit landed: replies \[\], want one Busy`},
+	},
 }
 
 // TestMutants applies each mutant through go's -overlay (the tree is never

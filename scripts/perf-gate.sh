@@ -14,10 +14,11 @@
 # run on this machine: three interleaved REV/working-tree pairs per
 # workload, and the working tree's median alloc_mb and mallocs_k may be at
 # most 1 % above REV's (BENCHMARK.json's bound). A recorded figure would not
-# carry across hosts: the fleet workloads fan an engine window out to
-# goroutines when that measures cheaper, so mallocs_k moves with the host's
-# timing. On a 2-CPU host, runs of the current tree measured fleet_alloc's
-# mallocs_k at 504-508 and fleet_churn's at 1366-1371.
+# carry across hosts or Go versions. A fanned-out engine window allocates
+# nothing, but whether a pooled record is free when the next send wants one
+# still depends on how the partitions interleave. On a 2-CPU host, runs of
+# the current tree measured fleet_alloc's mallocs_k at 319.5-319.6 and
+# fleet_churn's at 1146.7-1146.8 (--seconds 20).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 baseline=testdata/perf_baseline.json
