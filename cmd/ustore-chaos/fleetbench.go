@@ -16,7 +16,7 @@ import (
 // benchList (comma-separated) on a fixed fleet, emitting a JSON document to
 // benchOut (stdout when empty). Offered load scales with capacity: 8
 // saturating closed-loop clients per shard.
-func runFleetBench(stdout io.Writer, say func(string, ...any) int, seed int64, units, engineWorkers int, benchList, benchOut string) int {
+func runFleetBench(stdout io.Writer, say func(string, ...any) int, seed int64, units int, benchList, benchOut string) int {
 	const (
 		warmup = 3 * time.Second
 		window = 6 * time.Second
@@ -42,12 +42,11 @@ func runFleetBench(stdout io.Writer, say func(string, ...any) int, seed int64, u
 			return say("bad -fleet-bench shard count %q", fld)
 		}
 		v, err := chaos.MeasureFleetAlloc(chaos.FleetOptions{
-			Seed:          seed,
-			Units:         units,
-			Shards:        n,
-			Clients:       8 * n,
-			VolumeSize:    8 << 20,
-			EngineWorkers: engineWorkers,
+			Seed:       seed,
+			Units:      units,
+			Shards:     n,
+			Clients:    8 * n,
+			VolumeSize: 8 << 20,
 		}, warmup, window)
 		if err != nil {
 			return say("fleet bench %d shards: %v", n, err)

@@ -64,22 +64,21 @@ type alias struct {
 // aliases is the name table: every scenario flag and the spec path it
 // overrides.
 var aliases = map[string]alias{
-	"seed":           {path: "seed", usage: "schedule + simulation seed (first seed of a sweep)"},
-	"days":           {path: "days", usage: "fault-phase length in simulated days"},
-	"fleet":          {path: "mode", bare: true, mode: "fleet", usage: "run the fleet-scale harness (sharded metadata control plane) instead of a fault schedule"},
-	"tenants":        {path: "mode", bare: true, mode: "traffic", usage: "run the multi-tenant traffic engine instead of a fault schedule (per-class SLO report)"},
-	"gray":           {path: "faults.gray", bare: true, usage: "inject gray faults: fail-slow disks, USB link flaps/downgrades, host brownouts"},
-	"mitigation":     {path: "faults.mitigation", bare: true, usage: "enable the detect-quarantine-hedge mitigation stack (usually with -gray)"},
-	"units":          {path: "fleet.units", usage: "deploy units (64 disks each; at least 3 per shard)"},
-	"shards":         {path: "fleet.shards", usage: "metadata shards"},
-	"unit-loss":      {path: "fleet.unit_loss", bare: true, usage: "kill unit u000 after the load phase and require the repair schedulers to drain it"},
-	"engine-workers": {path: "fleet.engine_workers", usage: "most goroutines executing one engine window (0 = one per CPU; results are byte-identical at any count)"},
-	"crashes":        {path: "fleet.crashes", usage: "shard-replica crash/restart cycles in the fault schedule"},
-	"partitions":     {path: "fleet.partitions", usage: "inter-unit partition (or leader-isolation) windows in the fault schedule"},
-	"moves":          {path: "fleet.slot_moves", usage: "schedule-driven slot migrations; the first is straddled by a source-leader crash (needs -shards >= 2)"},
-	"storm":          {path: "traffic.storm", bare: true, usage: "add the restore-storm waves"},
-	"protect":        {path: "traffic.protect", bare: true, usage: "arm the admission/throttle/autoscale protection stack"},
-	"log":            {path: "output.log", bare: true, usage: "print the full event log"},
+	"seed":       {path: "seed", usage: "schedule + simulation seed (first seed of a sweep)"},
+	"days":       {path: "days", usage: "fault-phase length in simulated days"},
+	"fleet":      {path: "mode", bare: true, mode: "fleet", usage: "run the fleet-scale harness (sharded metadata control plane) instead of a fault schedule"},
+	"tenants":    {path: "mode", bare: true, mode: "traffic", usage: "run the multi-tenant traffic engine instead of a fault schedule (per-class SLO report)"},
+	"gray":       {path: "faults.gray", bare: true, usage: "inject gray faults: fail-slow disks, USB link flaps/downgrades, host brownouts"},
+	"mitigation": {path: "faults.mitigation", bare: true, usage: "enable the detect-quarantine-hedge mitigation stack (usually with -gray)"},
+	"units":      {path: "fleet.units", usage: "deploy units (64 disks each; at least 3 per shard)"},
+	"shards":     {path: "fleet.shards", usage: "metadata shards"},
+	"unit-loss":  {path: "fleet.unit_loss", bare: true, usage: "kill unit u000 after the load phase and require the repair schedulers to drain it"},
+	"crashes":    {path: "fleet.crashes", usage: "shard-replica crash/restart cycles in the fault schedule"},
+	"partitions": {path: "fleet.partitions", usage: "inter-unit partition (or leader-isolation) windows in the fault schedule"},
+	"moves":      {path: "fleet.slot_moves", usage: "schedule-driven slot migrations; the first is straddled by a source-leader crash (needs -shards >= 2)"},
+	"storm":      {path: "traffic.storm", bare: true, usage: "add the restore-storm waves"},
+	"protect":    {path: "traffic.protect", bare: true, usage: "arm the admission/throttle/autoscale protection stack"},
+	"log":        {path: "output.log", bare: true, usage: "print the full event log"},
 }
 
 // cliModes names the modes each mode-specific flag that is not a spec field
@@ -218,7 +217,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}()
 
 	if *fleetBench != "" {
-		return runFleetBench(stdout, say, s.Seed, s.Fleet.Units, s.Fleet.EngineWorkers, *fleetBench, *benchOut)
+		return runFleetBench(stdout, say, s.Seed, s.Fleet.Units, *fleetBench, *benchOut)
 	}
 	fmt.Fprint(stdout, header(s, *seeds, *noChecksums))
 

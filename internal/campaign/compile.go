@@ -53,7 +53,6 @@ func Compile(s *spec.Spec) (Scenario, error) {
 			Units:          s.Fleet.Units,
 			Shards:         s.Fleet.Shards,
 			UnitLoss:       s.Fleet.UnitLoss,
-			EngineWorkers:  s.Fleet.EngineWorkers,
 			ReplicaCrashes: s.Fleet.Crashes,
 			Partitions:     s.Fleet.Partitions,
 			SlotMoves:      s.Fleet.SlotMoves,

@@ -8,8 +8,8 @@ import (
 	"ustore/internal/obs"
 )
 
-// engineFleetRun runs the unit-loss scenario with the given engine worker
-// count and returns the report plus serialized metrics/trace.
+// engineFleetRun runs the unit-loss scenario with the given EngineWorkers
+// value and returns the report plus serialized metrics/trace.
 func engineFleetRun(t *testing.T, units, shards, workers int) (*FleetReport, string, string) {
 	t.Helper()
 	rec := obs.NewRecorder()
@@ -34,13 +34,10 @@ func engineFleetRun(t *testing.T, units, shards, workers int) (*FleetReport, str
 	return rep, m.String(), tr.String()
 }
 
-// TestFleetEngineByteDeterminism is the engine's contract: the same seed
-// produces byte-identical logs, summaries (engine counters included),
-// metrics JSON, trace JSON, and event counts at every worker count,
-// including 0 (derived from the host's GOMAXPROCS). Worker count only caps
-// the goroutines that execute a synchronization window; it never moves a
-// window boundary. At 2 and 8 workers some windows must have fanned out, so
-// -race covers the worker path whichever mode this host prefers.
+// TestFleetEngineByteDeterminism: the same seed produces byte-identical
+// logs, summaries (engine counters included), metrics JSON, trace JSON, and
+// event counts at every EngineWorkers value. The field is accepted and
+// ignored; these runs show it stays inert.
 func TestFleetEngineByteDeterminism(t *testing.T) {
 	units, shards := 8, 2
 	if !testing.Short() {
@@ -50,8 +47,8 @@ func TestFleetEngineByteDeterminism(t *testing.T) {
 	if len(base.Violations) != 0 {
 		t.Fatalf("violations at workers=1:\n%s", strings.Join(base.Violations, "\n"))
 	}
-	if base.Engine.Windows == 0 || base.Engine.FannedOut != 0 {
-		t.Fatalf("workers=1 engine stats %+v: want windows, none fanned out", base.Engine)
+	if base.Engine.Windows == 0 {
+		t.Fatalf("workers=1 engine stats %+v: want windows", base.Engine)
 	}
 	for _, workers := range []int{0, 2, 8} {
 		rep, m, tr := engineFleetRun(t, units, shards, workers)
@@ -65,9 +62,6 @@ func TestFleetEngineByteDeterminism(t *testing.T) {
 		}
 		if rep.Events != base.Events {
 			t.Fatalf("workers=%d: event count %d != %d", workers, rep.Events, base.Events)
-		}
-		if workers >= 2 && rep.Engine.FannedOut == 0 {
-			t.Fatalf("workers=%d: no engine window fanned out", workers)
 		}
 		if m != bm {
 			t.Fatalf("workers=%d: metrics JSON diverges from workers=1", workers)

@@ -56,9 +56,8 @@ type FleetOptions struct {
 	SlotMoves int
 	// Recorder, when non-nil, collects metrics and traces from the run.
 	Recorder *obs.Recorder `json:"-"`
-	// EngineWorkers caps the goroutines that execute one fleet engine
-	// window (see fleet.Config.EngineWorkers; 0 derives it from
-	// GOMAXPROCS). Reports are byte-identical at any value.
+	// EngineWorkers is accepted and ignored, like fleet.Config's field of
+	// that name. The perf/ benchmark still sets it.
 	EngineWorkers int
 }
 
@@ -108,8 +107,8 @@ type FleetReport struct {
 	Resolvable int           // volumes a fresh router resolved post-run
 	MapEpoch   int64         // final authoritative shard-map epoch
 	Events     uint64        // scheduler events fired (determinism witness)
-	// Engine is the engine's synchronization work; every field but the
-	// host-dependent FannedOut is printed and byte-stable.
+	// Engine is the engine's synchronization work, printed as the
+	// summary's engine line.
 	Engine simtime.EngineStats
 
 	// Fault-phase outcomes (fault-schedule runs only).
@@ -149,8 +148,7 @@ func fleetConfig(o FleetOptions) fleet.Config {
 		Recorder: o.Recorder,
 		// Jittered retries only for fault runs: legacy runs keep the fixed
 		// delays their checked-in byte-stability records were made under.
-		RetryJitter:   o.hasFaults(),
-		EngineWorkers: o.EngineWorkers,
+		RetryJitter: o.hasFaults(),
 	}
 }
 

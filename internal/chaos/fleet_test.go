@@ -8,9 +8,8 @@ import (
 
 // TestFleetUnitLossSmall runs the quick 8-unit/2-shard unit-loss scenario:
 // load, kill u000 (shard 0's first replica — forces a leader failover),
-// drain, verify — once with the engine's worker pool derived from the host
-// and once pinned to two workers. CI's fleet-smoke job runs this same shape
-// via ustore-chaos.
+// drain, verify — at two seeds, one of them setting the ignored
+// EngineWorkers. CI's fleet-smoke job runs this same shape via ustore-chaos.
 func TestFleetUnitLossSmall(t *testing.T) {
 	for _, tc := range []struct {
 		name          string

@@ -8,7 +8,7 @@ package chaos
 // the property MinimizeFleet's bisection rests on. Faults that need live
 // state ("the current leader of shard k") carry a symbolic target and
 // resolve at apply time, which happens at engine quiescence where state is
-// deterministic at any worker count.
+// deterministic.
 
 import (
 	"cmp"

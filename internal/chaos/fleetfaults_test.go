@@ -114,8 +114,8 @@ func TestFleetFaultStraddleHolds(t *testing.T) {
 
 // TestFleetFaultEngineDeterminism extends the byte-determinism contract to
 // fault runs: crash/partition/migration fault injection, jittered retries
-// and all, must be a pure function of the seed at any engine worker count
-// (0 = derived from the host).
+// and all, must be a pure function of the seed at any EngineWorkers value,
+// which is accepted and ignored.
 func TestFleetFaultEngineDeterminism(t *testing.T) {
 	o := FleetOptions{
 		Seed:           9,

@@ -15,20 +15,18 @@
 // clock) and placement (the Spread policy extracted from core.Master).
 //
 // There is one execution path: every fleet runs on the conservative
-// parallel engine (simtime.Engine + simnet.Fabric, DESIGN.md §14), one
+// partitioned engine (simtime.Engine + simnet.Fabric, DESIGN.md §14), one
 // partition per deploy unit plus a control partition for the admin plane
-// and client routers, synchronized in lookahead-bounded windows. The
-// fabric charges every cross-unit hop at least crossUnitLatency, and no
-// component reads another partition's state mid-run: the admin plane and
-// shard masters discover a foreign shard's leader the way clients do, by
-// calling the believed replica and rotating on failure. Worker count
-// (Config.EngineWorkers) only caps the goroutines that execute a window, so
-// a run with the same seed is byte-identical at any count and any -test.cpu.
+// and client routers, synchronized in lookahead-bounded windows on one
+// goroutine. The fabric charges every cross-unit hop at least
+// crossUnitLatency, and no component reads another partition's state
+// mid-run: the admin plane and shard masters discover a foreign shard's
+// leader the way clients do, by calling the believed replica and rotating on
+// failure. A run with the same seed is byte-identical at any -test.cpu.
 package fleet
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -63,12 +61,8 @@ type Config struct {
 	// Recorder receives fleet metrics and traces (nil = no recording).
 	Recorder *obs.Recorder
 
-	// EngineWorkers caps the goroutines that execute one engine window
-	// (1 = inline, no goroutines; never more than one per active
-	// partition); within the cap the engine runs each window inline or
-	// fanned out, whichever it has measured to be cheaper. 0 derives the
-	// cap: runtime.GOMAXPROCS(0). It is a cap and nothing else — a run is
-	// byte-identical at any value.
+	// EngineWorkers is accepted and ignored: the engine runs every window
+	// on one goroutine. The perf/ benchmark still sets it.
 	EngineWorkers int
 }
 
@@ -230,11 +224,7 @@ func New(cfg Config) *Fleet {
 		pendingMoves: make(map[int]int),
 	}
 	parts := cfg.Units + 1
-	workers := cfg.EngineWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) // the engine caps it at the partition count
-	}
-	f.Engine = simtime.NewEngine(cfg.Seed, parts, workers, crossUnitLatency)
+	f.Engine = simtime.NewEngine(cfg.Seed, parts, 1, crossUnitLatency)
 	f.Fabric = simnet.NewFabric(f.Engine)
 	f.nets = make([]*simnet.Network, parts)
 	f.recs = make([]*obs.Recorder, parts)

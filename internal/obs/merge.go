@@ -8,7 +8,7 @@ import (
 
 // Deterministic merge of per-partition observability state.
 //
-// The parallel engine gives every partition its own Recorder so metric and
+// The partitioned engine gives every partition its own Recorder so metric and
 // trace writes never cross partition boundaries mid-window. At the end of a
 // run the partitions are folded into the user's recorder with MergeRecorders.
 // Everything about the fold is a pure function of the partitions' contents

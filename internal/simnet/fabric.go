@@ -1,4 +1,4 @@
-// Fabric: cross-partition message routing for the parallel engine.
+// Fabric: cross-partition message routing for the partitioned engine.
 //
 // A Fabric stitches per-partition Networks — each running on one partition of
 // a simtime.Engine — into a single address space. Sends whose destination is

@@ -1,7 +1,6 @@
 package simtime
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -78,32 +77,28 @@ func BenchmarkSchedulerCancelledTimeouts(b *testing.B) {
 // over a dozen or so active partitions. One op = one simulated millisecond,
 // about one window.
 func BenchmarkEngineWindow(b *testing.B) {
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			const parts, lookahead = 65, time.Millisecond
-			e := NewEngine(1, parts, workers, lookahead)
-			hops := make([]func(), parts)
-			for p := range hops {
-				s := e.Part(p)
-				hops[p] = func() {
-					s.FireAfter(100*time.Microsecond, func() {})
-					dst := s.Rand().Intn(parts)
-					at := s.Now() + lookahead + time.Duration(s.Rand().Intn(2000))*time.Microsecond
-					e.Post(p, dst, at, hops[dst])
-				}
-			}
-			for c := 0; c < 64; c++ {
-				e.Part(c).FireAfter(time.Duration(c)*10*time.Microsecond, hops[c])
-			}
-			e.RunFor(2 * wheelSpan) // inboxes, wheel slots and free lists grow to the load
-			w0, f0 := e.Stats().Windows, e.Fired()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.RunFor(lookahead)
-			}
-			b.ReportMetric(float64(e.Stats().Windows-w0)/float64(b.N), "windows/op")
-			b.ReportMetric(float64(e.Fired()-f0)/float64(b.N), "events/op")
-		})
+	const parts, lookahead = 65, time.Millisecond
+	e := NewEngine(1, parts, 1, lookahead)
+	hops := make([]func(), parts)
+	for p := range hops {
+		s := e.Part(p)
+		hops[p] = func() {
+			s.FireAfter(100*time.Microsecond, func() {})
+			dst := s.Rand().Intn(parts)
+			at := s.Now() + lookahead + time.Duration(s.Rand().Intn(2000))*time.Microsecond
+			e.Post(p, dst, at, hops[dst])
+		}
 	}
+	for c := 0; c < 64; c++ {
+		e.Part(c).FireAfter(time.Duration(c)*10*time.Microsecond, hops[c])
+	}
+	e.RunFor(2 * wheelSpan) // inboxes, wheel slots and free lists grow to the load
+	w0, f0 := e.Stats().Windows, e.Fired()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.RunFor(lookahead)
+	}
+	b.ReportMetric(float64(e.Stats().Windows-w0)/float64(b.N), "windows/op")
+	b.ReportMetric(float64(e.Fired()-f0)/float64(b.N), "events/op")
 }

@@ -1,4 +1,4 @@
-// Conservative parallel discrete-event engine.
+// Conservative partitioned discrete-event engine.
 //
 // An Engine partitions the event space into independent Schedulers and runs
 // them in lock-step windows. The synchronization protocol is the classic
@@ -14,24 +14,25 @@
 //	stamped ≥ t + lookahead ≥ LBTS + lookahead = horizon.
 //
 // Cross-partition sends go through Post, which appends to the destination
-// partition's mutex-guarded inbox; inboxes are flushed into the destination
-// schedulers between windows, sorted by (deadline, source partition, source
-// sequence). Because the window boundaries are a pure function of event
-// timestamps and the flush order is a pure function of message content, a
-// run's event interleaving — and therefore its output — is byte-identical at
-// any worker count, and whether a window runs inline or on worker goroutines
-// (chosen per window from measured wall cost) cannot reach it either.
+// partition's inbox; inboxes are flushed into the destination schedulers
+// between windows, sorted by (deadline, source partition, source sequence).
+// Because the window boundaries are a pure function of event timestamps and
+// the flush order is a pure function of message content, a run's event
+// interleaving — and therefore its output — does not depend on the order in
+// which a window visits its partitions.
+//
+// A window visits its active partitions in index order on the calling
+// goroutine. Running them on several goroutines was measured and did not
+// pay: a fleet window holds a few active partitions and tens of
+// microseconds of work, less than a goroutine hand-off costs (DESIGN.md
+// §14).
 package simtime
 
 import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // xmsg is a cross-partition event waiting in a destination inbox.
@@ -46,74 +47,36 @@ func compareXmsg(a, b xmsg) int {
 	return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 }
 
-// partInbox collects events posted to one partition during a window. The
-// mutex makes concurrent Posts from different source partitions safe; the
-// (at, src, seq) sort at flush time makes their order deterministic.
-type partInbox struct {
-	mu   sync.Mutex
-	msgs []xmsg
-}
-
 // EngineStats counts an engine's synchronization work since NewEngine. Every
-// field but FannedOut is a pure function of the event stream, byte-identical
-// at any worker count.
+// field is a pure function of the event stream.
 type EngineStats struct {
 	Windows  uint64 // synchronization windows executed
 	Visits   uint64 // partitions run inside windows, summed over windows
 	Messages uint64 // cross-partition messages flushed from inboxes
 	MaxInbox int    // largest single inbox at one flush
-	// FannedOut counts windows run on worker goroutines: host-dependent, so
-	// no report prints it.
-	FannedOut uint64
 }
-
-// Fan-out tuning: a window of two or more active partitions runs in the mode
-// with the lower moving-average wall cost per fired event in its size class
-// (active partitions, by power of two); every probeEvery-th window of a class
-// tries the other mode. A sample counts at most twice the average it updates,
-// so a window stalled by a GC pause cannot flip the choice for long.
-const (
-	probeEvery = 32
-	costWeight = 8 // each sample moves a moving average by 1/costWeight
-)
 
 // Engine drives a set of partitioned Schedulers through conservative
 // synchronization windows. Construct with NewEngine; the zero value is not
-// usable.
-//
-// The Engine itself must be driven from a single goroutine. During a window
-// each partition's Scheduler is touched by exactly one goroutine, and Post
-// may be called from any partition currently executing a window.
+// usable. An Engine, its partitions and Post are used from one goroutine.
 type Engine struct {
 	parts     []*Scheduler
-	inbox     []partInbox
-	srcSeq    []uint64 // per-source Post counter; owned by the source's executor
+	inbox     [][]xmsg // per destination partition: events posted since the last flush
+	srcSeq    []uint64 // per-source Post counter
 	next      []Time   // per-partition next live deadline, recorded by lbts
-	active    []int    // partitions with an event at or before the horizon
 	lookahead Duration
-	workers   int
 	now       Time // the latest deadline a RunUntil advanced every partition to
-	horizon   Time // current window's upper edge: the Post safety check, and how far fanOut runs
+	horizon   Time // current window's upper edge: the Post safety check
 	stats     EngineStats
-	cost      [8][2]float64 // per size class: ns per fired event inline, fanned out; 0 = unmeasured
-	probe     [8]int        // per size class: windows since the other mode last ran
-
-	// Fan-out state, kept across windows so a fanned window allocates
-	// nothing: the next active index to take, the goroutines still running
-	// the window, and share bound once as a func value, which a go
-	// statement starts without a wrapper closure.
-	taken   atomic.Int64
-	running sync.WaitGroup
-	shareFn func()
 }
 
 // NewEngine returns an engine with parts partitioned Schedulers. Partition p
 // is seeded seed^p — a deterministic per-partition RNG split, so partition 0
 // reproduces the single-scheduler stream for the same seed. lookahead must be
 // positive: it is the minimum virtual delay of any cross-partition event and
-// bounds how far a window may advance past LBTS. workers caps the goroutines
-// that may execute one window; below 2 every window runs inline.
-func NewEngine(seed int64, parts, workers int, lookahead Duration) *Engine {
+// bounds how far a window may advance past LBTS. The third argument is
+// accepted and ignored; the perf/ benchmark still passes it.
+func NewEngine(seed int64, parts, _ int, lookahead Duration) *Engine {
 	if parts < 1 {
 		panic(fmt.Sprintf("simtime: engine needs at least 1 partition, got %d", parts))
 	}
@@ -122,16 +85,14 @@ func NewEngine(seed int64, parts, workers int, lookahead Duration) *Engine {
 	}
 	e := &Engine{
 		parts:     make([]*Scheduler, parts),
-		inbox:     make([]partInbox, parts),
+		inbox:     make([][]xmsg, parts),
 		srcSeq:    make([]uint64, parts),
 		next:      make([]Time, parts),
 		lookahead: lookahead,
-		workers:   workers,
 	}
 	for p := range e.parts {
 		e.parts[p] = NewScheduler(seed ^ int64(p))
 	}
-	e.shareFn = e.share
 	return e
 }
 
@@ -173,19 +134,15 @@ func (e *Engine) PostR(src, dst int, at Time, f Firer) {
 			at, e.horizon, e.lookahead))
 	}
 	e.srcSeq[src]++
-	ib := &e.inbox[dst]
-	ib.mu.Lock()
-	ib.msgs = append(ib.msgs, xmsg{at: at, src: src, seq: e.srcSeq[src], f: f})
-	ib.mu.Unlock()
+	e.inbox[dst] = append(e.inbox[dst], xmsg{at: at, src: src, seq: e.srcSeq[src], f: f})
 }
 
 // flushInboxes drains every partition inbox into its scheduler. Messages are
 // sorted by (at, src, seq) first, so the arrival order — and the scheduler
-// sequence numbers they receive — is independent of worker interleaving. It
-// runs at quiescence, so it needs no lock and keeps each inbox's array.
+// sequence numbers they receive — is a function of message content alone.
+// Each inbox keeps its array.
 func (e *Engine) flushInboxes() {
-	for i := range e.inbox {
-		msgs := e.inbox[i].msgs
+	for i, msgs := range e.inbox {
 		if len(msgs) == 0 {
 			continue
 		}
@@ -196,7 +153,7 @@ func (e *Engine) flushInboxes() {
 		}
 		e.stats.Messages += uint64(len(msgs))
 		e.stats.MaxInbox = max(e.stats.MaxInbox, len(msgs))
-		e.inbox[i].msgs = msgs[:0]
+		e.inbox[i] = msgs[:0]
 	}
 }
 
@@ -215,85 +172,19 @@ func (e *Engine) lbts() (Time, bool) {
 	return earliest, earliest != math.MaxInt64
 }
 
-// window advances the partitions with an event at or before horizon to it.
-// Partition order within a window is irrelevant: partitions interact only
-// through inboxes, which are flushed between windows.
+// window advances the partitions with an event at or before horizon to it,
+// in index order. A partition's events reach another partition only through
+// its inbox, which is flushed after the window, so no visit changes which
+// partitions are active.
 func (e *Engine) window(horizon Time) {
 	e.horizon = horizon
-	e.active = e.active[:0]
+	e.stats.Windows++
 	for p, at := range e.next {
 		if at <= horizon {
-			e.active = append(e.active, p)
+			e.stats.Visits++
+			e.parts[p].RunUntil(horizon)
 		}
 	}
-	e.stats.Windows++
-	e.stats.Visits += uint64(len(e.active))
-	if len(e.active) < 2 || e.workers < 2 {
-		e.runInline(horizon)
-		return
-	}
-	// Fan out until that mode has a measurement, then run whichever mode is
-	// cheaper per event, and the other one every probeEvery-th window.
-	class := min(bits.Len(uint(len(e.active)-1)), len(e.cost)-1)
-	cost := &e.cost[class]
-	fan := cost[1] == 0 || (cost[0] != 0 && cost[1] < cost[0])
-	if e.probe[class]++; e.probe[class] == probeEvery {
-		fan, e.probe[class] = !fan, 0
-	}
-	fired := e.firedActive()
-	start := time.Now()
-	avg := &cost[0]
-	if fan {
-		avg = &cost[1]
-		e.fanOut()
-	} else {
-		e.runInline(horizon)
-	}
-	if n := e.firedActive() - fired; n > 0 {
-		sample := float64(time.Since(start)) / float64(n)
-		if *avg == 0 {
-			*avg = sample
-		}
-		*avg += (min(sample, 2**avg) - *avg) / costWeight
-	}
-}
-
-func (e *Engine) runInline(horizon Time) {
-	for _, p := range e.active {
-		e.parts[p].RunUntil(horizon)
-	}
-}
-
-// fanOut runs the window's active partitions to the horizon on up to
-// workers goroutines, the calling goroutine among them.
-func (e *Engine) fanOut() {
-	e.stats.FannedOut++
-	e.taken.Store(0)
-	helpers := min(e.workers, len(e.active)) - 1
-	e.running.Add(helpers + 1)
-	for range helpers {
-		go e.shareFn()
-	}
-	e.share()
-	e.running.Wait()
-}
-
-// share runs the next active partition nobody has taken until none is
-// left.
-func (e *Engine) share() {
-	for i := int(e.taken.Add(1)) - 1; i < len(e.active); i = int(e.taken.Add(1)) - 1 {
-		e.parts[e.active[i]].RunUntil(e.horizon)
-	}
-	e.running.Done()
-}
-
-// firedActive returns the events fired so far by the window's partitions.
-func (e *Engine) firedActive() uint64 {
-	var n uint64
-	for _, p := range e.active {
-		n += e.parts[p].Fired()
-	}
-	return n
 }
 
 // RunUntil executes events across all partitions up to and including

@@ -3,17 +3,16 @@ package simtime
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
 
 // engineWorkload runs a randomized cross-partition ping workload on an
-// engine with the given worker count and returns a text log of every event
-// execution: (partition, time, payload) lines in execution order per
-// partition, concatenated partition-major, plus the engine's counters.
-// Identical logs across worker counts demonstrate the byte-determinism
-// contract.
+// engine built with the given worker argument and returns a text log of
+// every event execution: (partition, time, payload) lines in execution order
+// per partition, concatenated partition-major, plus the engine's counters.
 func engineWorkload(t *testing.T, workers int) (string, EngineStats) {
 	t.Helper()
 	const (
@@ -64,24 +63,43 @@ func TestEngineByteDeterminismAcrossWorkers(t *testing.T) {
 	if !strings.Contains(want, "ttl=0") {
 		t.Fatalf("workload never completed a hop chain:\n%s", want)
 	}
-	if wantStats.FannedOut != 0 || wantStats.Windows == 0 || wantStats.Messages == 0 {
-		t.Fatalf("workers=1 stats %+v: want windows and messages, nothing fanned out", wantStats)
+	if wantStats.Windows == 0 || wantStats.Messages == 0 {
+		t.Fatalf("workers=1 stats %+v: want windows and messages", wantStats)
 	}
+	// The worker argument is ignored; these runs show it stays inert.
 	for _, workers := range []int{2, 4, 8} {
 		got, st := engineWorkload(t, workers)
 		if got != want {
 			t.Errorf("workers=%d log diverges from workers=1", workers)
 		}
-		// The first window of each size class fans out, so the worker path
-		// runs (and -race sees it) whichever mode this host turns out to
-		// prefer.
-		if st.FannedOut == 0 {
-			t.Errorf("workers=%d: no window fanned out", workers)
-		}
-		st.FannedOut = 0
 		if st != wantStats {
 			t.Errorf("workers=%d stats %+v, want %+v", workers, st, wantStats)
 		}
+	}
+}
+
+// TestEngineStartsNoGoroutine: a multi-partition engine built with a
+// worker argument of 8 runs every window on the calling goroutine. Event
+// handlers sample the goroutine count, which must never exceed its value
+// before the run.
+func TestEngineStartsNoGoroutine(t *testing.T) {
+	const parts = 8
+	e := NewEngine(1, parts, 8, time.Millisecond)
+	before := runtime.NumGoroutine()
+	most := 0
+	for p := 0; p < parts; p++ {
+		s := e.Part(p)
+		s.Every(100*time.Microsecond, func() {
+			most = max(most, runtime.NumGoroutine())
+			e.Post(p, (p+1)%parts, s.Now()+e.Lookahead(), func() {})
+		})
+	}
+	e.RunFor(100 * time.Millisecond)
+	if e.Stats().Visits <= e.Stats().Windows {
+		t.Fatalf("stats %+v: no window had two active partitions", e.Stats())
+	}
+	if most > before {
+		t.Fatalf("%d goroutines during the run, %d before it", most, before)
 	}
 }
 
@@ -126,60 +144,28 @@ func TestEngineClockNeverRunsBackwards(t *testing.T) {
 }
 
 // TestEngineFlushSteadyStateAllocs: once inboxes, wheels and free lists have
-// grown to the load, posting, flushing and running a window allocate nothing.
+// grown to the load, posting, flushing and running a window allocate
+// nothing, whatever the ignored worker argument says.
 func TestEngineFlushSteadyStateAllocs(t *testing.T) {
 	const parts = 3
-	e := NewEngine(1, parts, 1, time.Millisecond)
-	noop := func() {}
-	round := func() {
-		at := e.now + e.Lookahead()
-		for src := 0; src < parts; src++ {
-			for i := 0; i < 16; i++ {
-				e.Post(src, (src+1)%parts, at, noop)
+	for _, workers := range []int{1, 8} {
+		e := NewEngine(1, parts, workers, time.Millisecond)
+		noop := func() {}
+		round := func() {
+			at := e.now + e.Lookahead()
+			for src := 0; src < parts; src++ {
+				for i := 0; i < 16; i++ {
+					e.Post(src, (src+1)%parts, at, noop)
+				}
 			}
+			e.RunUntil(at)
 		}
-		e.RunUntil(at)
-	}
-	for i := 0; i < 2*wheelSlotCount; i++ { // past a wheel rebase
-		round()
-	}
-	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
-		t.Fatalf("steady-state post+flush+window allocates %.1f times per round, want 0", allocs)
-	}
-}
-
-// selfTicker re-arms itself every period on its scheduler.
-type selfTicker struct {
-	s     *Scheduler
-	every Duration
-}
-
-func (t *selfTicker) Fire() { t.s.FireAfterR(t.every, t) }
-
-// TestFanOutAllocs: once warm, a window fanned out to two workers over three
-// active partitions allocates nothing, neither its goroutine nor the state
-// the workers share. Each window is forced to fan out by clearing the cost
-// averages that choose the mode.
-func TestFanOutAllocs(t *testing.T) {
-	const parts = 3
-	e := NewEngine(1, parts, 2, time.Millisecond)
-	for p := 0; p < parts; p++ {
-		e.Part(p).FireAfterR(0, &selfTicker{e.Part(p), 100 * time.Microsecond})
-	}
-	window := func() {
-		earliest, _ := e.lbts()
-		e.cost, e.probe = [8][2]float64{}, [8]int{}
-		fanned := e.stats.FannedOut
-		e.window(earliest + e.lookahead)
-		if e.stats.FannedOut != fanned+1 || len(e.active) < 2 {
-			t.Fatalf("window over %d active partitions did not fan out", len(e.active))
+		for i := 0; i < 2*wheelSlotCount; i++ { // past a wheel rebase
+			round()
 		}
-	}
-	for i := 0; i < 2*wheelSlotCount; i++ { // past a wheel rebase
-		window()
-	}
-	if allocs := testing.AllocsPerRun(200, window); allocs != 0 {
-		t.Fatalf("a fanned-out window allocates %.1f objects, want 0", allocs)
+		if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+			t.Fatalf("workers=%d: steady-state post+flush+window allocates %.1f times per round, want 0", workers, allocs)
+		}
 	}
 }
 

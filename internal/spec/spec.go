@@ -73,10 +73,9 @@ type TrafficSpec struct {
 // partitions or slot_moves being positive adds the seeded transient-fault
 // phase between load and verify.
 type FleetSpec struct {
-	Units         int  `json:"units"`
-	Shards        int  `json:"shards"`
-	UnitLoss      bool `json:"unit_loss"`
-	EngineWorkers int  `json:"engine_workers"` // cap on goroutines per engine window (0 = derived from the host); results are byte-identical at any value
+	Units    int  `json:"units"`
+	Shards   int  `json:"shards"`
+	UnitLoss bool `json:"unit_loss"`
 
 	// Crashes is the number of shard-replica crash/restart cycles.
 	Crashes int `json:"crashes"`

@@ -126,6 +126,7 @@ func TestPositionalErrors(t *testing.T) {
 		{"removed faults.pairs", "mode: faults\nfaults:\n  pairs: 2\n", "spec.yaml:3:3", "unknown field \"pairs\" in faults"},
 		{"removed failure.useful_afr", "mode: faults\nfailure:\n  model: empirical\n  useful_afr: 0.02\n", "spec.yaml:4:3", "unknown field \"useful_afr\" in failure"},
 		{"removed fleet.fault_window_sec", "mode: fleet\nfleet:\n  crashes: 1\n  fault_window_sec: 60\n", "spec.yaml:4:3", "unknown field \"fault_window_sec\" in fleet"},
+		{"removed fleet.engine_workers", "mode: fleet\nfleet:\n  engine_workers: 2\n", "spec.yaml:3:3", "unknown field \"engine_workers\" in fleet"},
 		{"bad ure_bits", "mode: faults\nfailure:\n  ure_bits: spec\n", "spec.yaml:3:3", "unknown field \"ure_bits\" in failure"},
 		{"removed durability.repair_hours", "mode: durability\ndurability:\n  repair_hours: 12\n", "spec.yaml:3:3", "unknown field \"repair_hours\" in durability"},
 		{"unsupported anchor", "mode: faults\nname: &a x\n", "spec.yaml:2:7", "unsupported YAML syntax"},
@@ -354,7 +355,7 @@ func TestSpecLeavesDecode(t *testing.T) {
 			}
 		}
 	}
-	if len(leaves) < 22 {
+	if len(leaves) < 21 {
 		t.Fatalf("only %d leaves found", len(leaves))
 	}
 }

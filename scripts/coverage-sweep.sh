@@ -64,10 +64,8 @@ run 0 "$chaos" -seed 4 -days 8 -gray -mitigation -log
 run 0 "$chaos" -tenants -storm -protect -seed 1 -slo-out "$out/slo.txt"
 run 0 "$chaos" -tenants -storm -seed 1 -slo-out "$out/slo-storm.txt"
 run 0 "$chaos" -fleet -units 8 -shards 2 -unit-loss -log
-run 0 "$chaos" -fleet -units 8 -shards 2 -unit-loss -engine-workers 1 -log
-run 0 "$chaos" -fleet -units 8 -shards 2 -unit-loss -engine-workers 8 -log
 run 0 "$chaos" -fleet -units 48 -seed 3 -fleet-bench 1,4,16 -bench-out "$out/bench.json"
-run 0 "$chaos" -fleet -units 64 -seed 9 -fleet-bench 8 -engine-workers 1 -bench-out "$out/bench-w1.json"
+run 0 "$chaos" -fleet -units 64 -seed 9 -fleet-bench 8 -bench-out "$out/bench-a.json"
 printf 'mode: faults\ndays: 0.5\nseed: 3\nfaults:\n  gray: true\n  mitigation: true\n' >"$out/one.yaml"
 run 0 "$chaos" -seed 3 -days 0.5 -gray -mitigation
 run 0 "$chaos" -spec "$out/one.yaml"
@@ -79,7 +77,7 @@ run 0 "$chaos" -fleet -units 16 -shards 4 -crashes 2 -partitions 1 -moves 2 -log
 run 0 "$chaos" -seed 7 -days 2 -metrics-out "$out/m7.prom" -trace-out "$out/t7.json"
 run 0 "$chaos" -spec "$out/one.yaml" -seed 5 -minimize
 run 0 "$chaos" -fleet -units 256 -shards 16 -unit-loss
-run 0 "$chaos" -fleet -units 64 -shards 8 -unit-loss -engine-workers 2
+run 0 "$chaos" -fleet -units 64 -shards 8 -unit-loss
 run 0 "$chaos" -fleet -units 64 -shards 8 -crashes 3 -partitions 2 -moves 2
 run 0 "$chaos" -days 30 -seeds 8 -parallel 2
 run 0 "$chaos" -tenants -storm -seed 1

@@ -32,7 +32,7 @@ const (
 	// twoValues: production callers set at least two values; the reason
 	// names two of those callers.
 	twoValues = "two-values"
-	// runIdentity: which run this is — seed, recorder, history, worker cap.
+	// runIdentity: which run this is — seed, recorder, history.
 	runIdentity = "run-identity"
 	// paperMechanism: a paper mechanism a fidelity test reproduces.
 	paperMechanism = "paper-mechanism"
@@ -79,7 +79,7 @@ var settings = map[string]settingReason{
 	"fleet.Config.RetryJitter":   {twoValues, "chaos.fleetConfig: on for fault runs, off otherwise"},
 	"fleet.Config.Seed":          {runIdentity, "the run's seed"},
 	"fleet.Config.Recorder":      {runIdentity, "the run's metrics and trace recorder"},
-	"fleet.Config.EngineWorkers": {runIdentity, "the engine's worker cap"},
+	"fleet.Config.EngineWorkers": {perfAPI, "perf/workloads.go:248 sets it; accepted and ignored"},
 
 	"chaos.Options.Seed":             {runIdentity, "the run's seed"},
 	"chaos.Options.Duration":         {twoValues, "ustore-chaos -days 1 and perf's chaos_soak (8 days)"},
@@ -108,7 +108,7 @@ var settings = map[string]settingReason{
 	"chaos.FleetOptions.Partitions":     {twoValues, "ustore-chaos -partitions and fault-free runs (0)"},
 	"chaos.FleetOptions.SlotMoves":      {twoValues, "ustore-chaos -moves and fault-free runs (0)"},
 	"chaos.FleetOptions.Recorder":       {runIdentity, "the run's metrics and trace recorder"},
-	"chaos.FleetOptions.EngineWorkers":  {runIdentity, "the engine's worker cap"},
+	"chaos.FleetOptions.EngineWorkers":  {perfAPI, "perf/workloads.go:239 sets it; accepted and ignored"},
 
 	"workload.TrafficOptions.Seed":         {runIdentity, "the run's seed"},
 	"workload.TrafficOptions.Classes":      {perfAPI, "perf/probes.go:595 ranges DefaultTrafficOptions(1).Classes"},
@@ -119,28 +119,27 @@ var settings = map[string]settingReason{
 	"workload.TrafficOptions.StormEnabled": {twoValues, "ustore-chaos -tenants with and without -storm (chaos.trafficOptions)"},
 	"workload.TrafficOptions.Protect":      {twoValues, "ustore-chaos -tenants with and without -protect (chaos.trafficOptions)"},
 
-	"spec.Spec.Name":               {runIdentity, "the run's name in a campaign report"},
-	"spec.Spec.Mode":               {twoValues, "ustore-chaos -fleet and examples/durability.yaml (durability)"},
-	"spec.Spec.Seed":               {runIdentity, "the run's seed"},
-	"spec.Spec.Days":               {twoValues, "ustore-chaos -days 1 and -days 0.25 (ci.yml)"},
-	"spec.FaultsSpec.Gray":         {twoValues, "ustore-chaos -gray on and off"},
-	"spec.FaultsSpec.Mitigation":   {twoValues, "ustore-chaos -mitigation on and off"},
-	"spec.FailureSpec.Model":       {twoValues, "examples/durability.yaml's grid (constant, empirical)"},
-	"spec.FailureSpec.AgeYears":    {twoValues, "coverage-sweep.sh's empirical spec (3) and spec.Default (5)"},
-	"spec.TrafficSpec.Storm":       {twoValues, "ustore-chaos -tenants with and without -storm"},
-	"spec.TrafficSpec.Protect":     {twoValues, "ustore-chaos -tenants with and without -protect"},
-	"spec.FleetSpec.Units":         {twoValues, "ustore-chaos -units 8 and -units 16 (ci.yml)"},
-	"spec.FleetSpec.Shards":        {twoValues, "ustore-chaos -shards 2 and -shards 4 (ci.yml)"},
-	"spec.FleetSpec.UnitLoss":      {twoValues, "ustore-chaos -unit-loss on and off"},
-	"spec.FleetSpec.EngineWorkers": {runIdentity, "the engine's worker cap"},
-	"spec.FleetSpec.Crashes":       {twoValues, "ustore-chaos -crashes 2 (ci.yml) and -crashes 3 (README)"},
-	"spec.FleetSpec.Partitions":    {twoValues, "ustore-chaos -partitions 1 (ci.yml) and -partitions 2 (README)"},
-	"spec.FleetSpec.SlotMoves":     {twoValues, "ustore-chaos -moves 2 and fault-free fleet runs (0)"},
-	"spec.FidelitySpec.Check":      {twoValues, "examples/experiments.yaml's grid of 14 check IDs"},
-	"spec.DurabilitySpec.Scheme":   {twoValues, "examples/durability.yaml's grid (r1 to ec10+4)"},
-	"spec.DurabilitySpec.Disks":    {twoValues, "examples/durability.yaml (1024) and ci.yml's mini campaign (128)"},
-	"spec.DurabilitySpec.Trials":   {twoValues, "examples/durability.yaml (4) and ci.yml's mini campaign (2)"},
-	"spec.OutputSpec.Log":          {twoValues, "ustore-chaos -log on and off"},
+	"spec.Spec.Name":             {runIdentity, "the run's name in a campaign report"},
+	"spec.Spec.Mode":             {twoValues, "ustore-chaos -fleet and examples/durability.yaml (durability)"},
+	"spec.Spec.Seed":             {runIdentity, "the run's seed"},
+	"spec.Spec.Days":             {twoValues, "ustore-chaos -days 1 and -days 0.25 (ci.yml)"},
+	"spec.FaultsSpec.Gray":       {twoValues, "ustore-chaos -gray on and off"},
+	"spec.FaultsSpec.Mitigation": {twoValues, "ustore-chaos -mitigation on and off"},
+	"spec.FailureSpec.Model":     {twoValues, "examples/durability.yaml's grid (constant, empirical)"},
+	"spec.FailureSpec.AgeYears":  {twoValues, "coverage-sweep.sh's empirical spec (3) and spec.Default (5)"},
+	"spec.TrafficSpec.Storm":     {twoValues, "ustore-chaos -tenants with and without -storm"},
+	"spec.TrafficSpec.Protect":   {twoValues, "ustore-chaos -tenants with and without -protect"},
+	"spec.FleetSpec.Units":       {twoValues, "ustore-chaos -units 8 and -units 16 (ci.yml)"},
+	"spec.FleetSpec.Shards":      {twoValues, "ustore-chaos -shards 2 and -shards 4 (ci.yml)"},
+	"spec.FleetSpec.UnitLoss":    {twoValues, "ustore-chaos -unit-loss on and off"},
+	"spec.FleetSpec.Crashes":     {twoValues, "ustore-chaos -crashes 2 (ci.yml) and -crashes 3 (README)"},
+	"spec.FleetSpec.Partitions":  {twoValues, "ustore-chaos -partitions 1 (ci.yml) and -partitions 2 (README)"},
+	"spec.FleetSpec.SlotMoves":   {twoValues, "ustore-chaos -moves 2 and fault-free fleet runs (0)"},
+	"spec.FidelitySpec.Check":    {twoValues, "examples/experiments.yaml's grid of 14 check IDs"},
+	"spec.DurabilitySpec.Scheme": {twoValues, "examples/durability.yaml's grid (r1 to ec10+4)"},
+	"spec.DurabilitySpec.Disks":  {twoValues, "examples/durability.yaml (1024) and ci.yml's mini campaign (128)"},
+	"spec.DurabilitySpec.Trials": {twoValues, "examples/durability.yaml (4) and ci.yml's mini campaign (2)"},
+	"spec.OutputSpec.Log":        {twoValues, "ustore-chaos -log on and off"},
 }
 
 // inventoried are the option structs whose exported fields the settings
