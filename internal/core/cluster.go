@@ -114,7 +114,6 @@ func (c *Cluster) publishSchedStats() {
 	rec.Gauge("simtime", "inserts_wheel").Set(float64(st.WheelInserts))
 	rec.Gauge("simtime", "inserts_far").Set(float64(st.FarInserts))
 	rec.Gauge("simtime", "canceled_dropped").Set(float64(st.CanceledDropped))
-	rec.Gauge("simtime", "compactions").Set(float64(st.Compactions))
 	rec.Gauge("simtime", "max_pending").Set(float64(st.MaxPending))
 }
 

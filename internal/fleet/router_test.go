@@ -91,10 +91,9 @@ func allocTrip(tb testing.TB, trips int) func() {
 // callback is bound once per op record, and the placement picks go into a
 // buffer the shard keeps.
 func TestRouterAllocateAllocs(t *testing.T) {
-	// 30 simulated seconds of warm-up, so every partition's timer wheel
-	// slots have grown to the load, and the measured trips end before the
+	// 3 simulated seconds of warm-up; the measured trips end before the
 	// first guard fires (and its Event would recycle).
-	const warm, runs = 3000, 200
+	const warm, runs = 300, 200
 	trip := allocTrip(t, warm+runs+1)
 	for i := 0; i < warm; i++ {
 		trip()

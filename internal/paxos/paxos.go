@@ -22,7 +22,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"ustore/internal/simnet"
@@ -167,10 +166,7 @@ func (w *wire[T]) Release() {
 	} else {
 		w.msg = *new(T)
 	}
-	l := w.home
-	l.mu.Lock()
-	l.free = append(l.free, w)
-	l.mu.Unlock()
+	w.home.free = append(w.home.free, w)
 }
 
 // wirePoison is set only by this package's tests (poisonWire): it
@@ -179,18 +175,15 @@ func (w *wire[T]) Release() {
 var wirePoison func(msg any)
 
 // wireList is one node's free list of one kind of wire record. The records
-// come back from whichever node received them, which may run on another
-// engine partition mid-window, hence the lock (as simnet's remoteMsg list
-// has).
+// come back from whichever node received them, on whatever engine partition
+// that node lives; the engine runs every partition on one goroutine, so the
+// list needs no lock.
 type wireList[T any] struct {
-	mu   sync.Mutex
 	free []*wire[T]
 	made int // records the list allocated: all are free when none is in flight
 }
 
 func (l *wireList[T]) get() *wire[T] {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if k := len(l.free); k > 0 {
 		w := l.free[k-1]
 		l.free = l.free[:k-1]

@@ -38,11 +38,12 @@ type Fabric struct {
 	engine *simtime.Engine
 	nets   []*Network
 	// dir maps every node name to its home partition. Written at
-	// quiescence when nodes register, read concurrently during windows.
+	// quiescence when nodes register, read by every partition's sends
+	// during windows.
 	dir map[string]int
 	// machines maps node name to machine fabric-wide, mirroring each
-	// partition Network's Colocate calls. Same concurrency contract as dir:
-	// written at quiescence, read mid-window by forward.
+	// partition Network's Colocate calls. Same contract as dir: written at
+	// quiescence, read mid-window by forward.
 	machines map[string]string
 	// machCuts holds severed machine pairs (keys normalized a<b). Mutated
 	// only at engine quiescence via CutMachines/HealMachines.
@@ -104,8 +105,8 @@ func (f *Fabric) HealMachines(a, b string) {
 
 // forward routes a message whose destination is not local to src. It reports
 // false when the destination is unknown fabric-wide (the caller then counts
-// the drop). Runs on src's partition goroutine mid-window: it may only touch
-// src-side state, Engine.Post and dst's locked record pool.
+// the drop). Runs mid-window in src's partition: of dst it touches only the
+// record pool, so the destination-side checks wait for delivery time.
 func (f *Fabric) forward(src *Network, msg Message) bool {
 	dstPart, ok := f.dir[msg.To]
 	if !ok {
@@ -132,9 +133,7 @@ func (f *Fabric) forward(src *Network, msg Message) bool {
 		delay += time.Duration(float64(msg.Size) / linkBandwidth * float64(time.Second))
 	}
 	dst := f.nets[dstPart]
-	dst.remoteMu.Lock()
 	m := dst.remote.get()
-	dst.remoteMu.Unlock()
 	m.dst, m.msg = dst, msg
 	f.engine.PostR(src.part, dstPart, src.sched.Now()+delay, m)
 	return true
@@ -153,9 +152,7 @@ type remoteMsg struct {
 // are evaluated against delivery-time state, like a local delivery's.
 func (m *remoteMsg) Fire() {
 	n, msg := m.dst, m.msg
-	n.remoteMu.Lock()
 	n.remote.put(m)
-	n.remoteMu.Unlock()
 	dst, ok := n.nodes[msg.To]
 	if mb := n.machines[msg.To]; !ok || (mb != "" && n.isolatedMach[mb]) {
 		n.drop(msg.Payload)

@@ -77,9 +77,9 @@ func TestLateReplyReachesNeitherCall(t *testing.T) {
 
 // TestReleasedTimeoutNeverFires: call 1's reply cancels and releases its
 // timeout while the event is still queued, and call 2 reuses call 1's
-// record. The released event is recycled only once the queue drops it; had
-// it been recycled at once, call 2 would re-arm the same event while it
-// still sits at call 1's deadline, which then times call 2 out early.
+// record. Cancel takes the event out of the queue, so it may be recycled at
+// once; had it stayed queued at call 1's deadline when call 2 re-armed it,
+// call 2 would time out early.
 func TestReleasedTimeoutNeverFires(t *testing.T) {
 	s, cli := slowEcho()
 	var first, second []outcome

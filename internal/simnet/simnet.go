@@ -17,7 +17,6 @@ package simnet
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"ustore/internal/obs"
@@ -130,10 +129,9 @@ type Network struct {
 	// frames recycles the block protocol's wire frames (see FrameList).
 	frames FrameList
 	// deliveries recycles this partition's messages in flight; remote
-	// recycles cross-partition ones addressed here, which other partitions
-	// take mid-window, hence the lock.
+	// recycles cross-partition ones addressed here, which the sending
+	// partition takes.
 	deliveries freeList[delivery]
-	remoteMu   sync.Mutex
 	remote     freeList[remoteMsg]
 
 	// Observability handles (nil-safe; SetRecorder fills them in).

@@ -46,7 +46,7 @@ func BenchmarkSchedulerShortTimers(b *testing.B) {
 
 // BenchmarkSchedulerCancelledTimeouts models the RPC-timeout pattern: every
 // "call" arms a timeout seconds out and cancels it moments later when the
-// reply arrives, so nearly every timer dies lazily in the queue.
+// reply arrives, so nearly every timer leaves the wheel by Cancel.
 func BenchmarkSchedulerCancelledTimeouts(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -92,7 +92,7 @@ func BenchmarkEngineWindow(b *testing.B) {
 	for c := 0; c < 64; c++ {
 		e.Part(c).FireAfter(time.Duration(c)*10*time.Microsecond, hops[c])
 	}
-	e.RunFor(2 * wheelSpan) // inboxes, wheel slots and free lists grow to the load
+	e.RunFor(2 * wheelSpan) // inboxes, spare slot arrays and free lists grow to the load
 	w0, f0 := e.Stats().Windows, e.Fired()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -20,10 +21,10 @@ type countFirer struct{ n int }
 
 func (c *countFirer) Fire() { c.n++ }
 
-// TestReleaseRecyclesOnDrop: a cancelled event given back with Release stays
-// out of the free list while the queue still holds it, so an event armed in
-// the meantime is a different struct; once the queue drops it, it is reused.
-// An event released after it fired is reused at once.
+// TestReleaseRecyclesOnDrop: Cancel takes an event out of the queue, so a
+// cancelled event given back with Release is reused by the very next arm,
+// and the released event itself still never fires. An event released after
+// it fired is reused at once too.
 func TestReleaseRecyclesOnDrop(t *testing.T) {
 	s := NewScheduler(1)
 	c := &countFirer{}
@@ -31,19 +32,21 @@ func TestReleaseRecyclesOnDrop(t *testing.T) {
 	e.Cancel()
 	e.Release()
 	e2 := s.AfterR(2*time.Second, c)
-	if e2 == e {
-		t.Fatal("a released event was reused while still queued")
+	if e2 != e {
+		t.Fatal("a cancelled, released event was not recycled at once")
+	}
+	if got := s.Pending(); got != 1 {
+		t.Fatalf("Pending() = %d, want 1 (the cancelled arm left the queue)", got)
 	}
 	s.Run()
 	if c.n != 1 {
-		t.Fatalf("fired %d times, want 1 (the released event must not fire)", c.n)
+		t.Fatalf("fired %d times, want 1 (the cancelled arm must not fire)", c.n)
 	}
-	if e3 := s.AfterR(time.Second, c); e3 != e {
-		t.Fatal("a released event was not recycled once dropped")
+	if s.Now() != 2*time.Second {
+		t.Fatalf("Now() = %v, want 2s: only the second arm fired", s.Now())
 	}
-	s.Run()
 	e2.Release()
-	if e4 := s.AfterR(time.Second, c); e4 != e2 {
+	if e3 := s.AfterR(time.Second, c); e3 != e2 {
 		t.Fatal("an event released after firing was not recycled")
 	}
 }
@@ -72,5 +75,45 @@ func TestReceiverEventsAllocateNothing(t *testing.T) {
 	}
 	if c.n != 2*109 {
 		t.Fatalf("fired %d events, want %d", c.n, 2*109)
+	}
+}
+
+// hopper keeps one event in flight: each fire cancels and gives back the
+// timeout its previous hop armed, arms a fresh one, and hops on a
+// millisecond, like an RPC answered before its timeout.
+type hopper struct {
+	s       *Scheduler
+	timeout *Event
+}
+
+func (h *hopper) Fire() {
+	h.timeout.Cancel()
+	h.timeout.Release()
+	h.timeout = h.s.AfterR(3*time.Millisecond, h)
+	h.s.FireAfterR(time.Millisecond, h)
+}
+
+// TestWheelWalkAllocatesNothing: emptied wheel slots hand their arrays on,
+// so once a warm pass has filled the spare list, walking the clock across
+// more than the wheel's 4 096 distinct milliseconds allocates nothing: no
+// slot needs an array of its own. The warm pass starts 50ms short of the
+// wheel horizon and crosses one rebase, so it sizes the far heap but touches
+// only about a hundred slots.
+func TestWheelWalkAllocatesNothing(t *testing.T) {
+	s := NewScheduler(1)
+	for i := 0; i < 4; i++ {
+		s.FireAfterR(wheelSpan-50*time.Millisecond+time.Duration(i)*250*time.Microsecond, &hopper{s: s})
+	}
+	s.RunFor(wheelSpan + 50*time.Millisecond)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.RunFor(2 * wheelSpan)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("walking %v of a warm wheel allocated %d objects, want 0", 2*wheelSpan, n)
+	}
+	if st := s.Stats(); st.Migrated == 0 || st.CanceledDropped == 0 {
+		t.Fatalf("the walk missed a rebase or Cancel: %+v", st)
 	}
 }

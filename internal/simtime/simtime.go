@@ -2,10 +2,11 @@
 //
 // All UStore simulation components share one Scheduler. Time is virtual: the
 // scheduler pops the earliest pending event, advances the clock to the event's
-// deadline, and runs the event's callback on the scheduler goroutine (or the
-// caller's goroutine when driven via Run/Step). Because every state change
-// happens inside an event callback, components need no locking and every run
-// with the same seed is bit-for-bit reproducible.
+// deadline, and runs the event's callback. A Scheduler belongs to one
+// goroutine, the one driving Run/Step, and every callback runs on it.
+// Because every state change happens inside an event callback, components
+// need no locking and every run with the same seed is bit-for-bit
+// reproducible.
 //
 // # Internals
 //
@@ -30,17 +31,21 @@
 // Promotion always completes before slotEnd moves past a slot, so at any pop
 // the ready heap contains every unfired event below slotEnd and its top is
 // the global minimum: the (At, seq) firing order is identical to a single
-// heap's, which TestPropertyWheelMatchesReferenceHeap verifies.
+// heap's, which TestWheelMatchesReferenceHeap verifies.
+//
+// Cancel takes an event out of the queue at once. Its tier follows from its
+// deadline by the same rule that placed it; ready and far remove it by heap
+// index, and a wheel slot swap-removes it by its position in the slot. A
+// slot that empties, by promotion or by Cancel, hands its array to a spare
+// list that the next slot to fill takes from, so a warm scheduler's wheel
+// allocates nothing however far the clock walks.
 //
 // Event structs are pooled on a free list. Only events that never escape to
 // a caller — FireAfter and the receiver forms FireAtR/FireAfterR, used by hot
-// paths like simnet delivery — and
-// events whose holder gave the handle back with Release are recycled, so a
-// stale handle can never cancel a reused event. Tickers go
-// one step further and re-arm their own event in place, making steady-state
-// periodic load allocation-free. Cancelled events are dropped lazily when
-// popped or promoted; if they ever exceed half the pending population the
-// queue is compacted in (At, seq)-preserving order.
+// paths like simnet delivery — and events whose holder gave the handle back
+// with Release are recycled, so a stale handle can never cancel a reused
+// event. Tickers go one step further and re-arm their own event in place,
+// making steady-state periodic load allocation-free.
 package simtime
 
 import (
@@ -48,7 +53,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"sync/atomic"
 	"time"
 )
 
@@ -71,18 +75,9 @@ const (
 	wheelSpan        Duration = wheelSlotCount * wheelGranularity
 )
 
-// index sentinels: a non-negative index is a position in the ready or far
-// heap; events in a wheel slot and events that have left the queue entirely
-// (fired, recycled, or dropped after cancellation) are marked instead.
-const (
-	indexFired = -1
-	indexWheel = -2
-)
-
-// compaction thresholds: sweep lazily-cancelled events out of the queue once
-// there are at least compactMinCanceled of them and they outnumber half the
-// pending population.
-const compactMinCanceled = 64
+// notQueued is the index of an event that is in no tier: fired, cancelled,
+// or on the free list.
+const notQueued = -1
 
 // Firer is an event's receiver: Fire runs when the clock reaches the
 // event's deadline, and may schedule further events. A record that is its
@@ -101,86 +96,36 @@ type Event struct {
 	// At is the virtual deadline of the event.
 	At Time
 
-	fire  Firer      // runs when the clock reaches At
-	seq   uint64     // tie-break: FIFO among events with equal deadline
-	s     *Scheduler // owner, for cancellation bookkeeping
-	index int32      // heap position, or an index* sentinel
-
-	// state is atomic so Cancel may be called from a goroutine other than
-	// the one driving the scheduler without racing the Step/peek reads. It
-	// holds the evPooled, evCanceled and evDeparted bits; the last two make
-	// canceledPending exact: Cancel counts an event only while it is still
-	// queued, and the side that takes it out of the queue (fire or drop)
-	// uncounts it.
-	state atomic.Uint32
+	fire   Firer      // runs when the clock reaches At
+	seq    uint64     // tie-break: FIFO among events with equal deadline
+	s      *Scheduler // owner, whose queue Cancel takes the event out of
+	index  int32      // position in its heap or wheel slot, or notQueued
+	pooled bool       // no handle refers to the event: recycle it when it leaves the queue
 }
 
-// state bits. evDeparted marks an event that has left the queue (fired,
-// dropped, or discarded); once set, a late Cancel is a no-op for accounting.
-// evPooled marks an event no handle refers to: it is recycled when it
-// departs.
-const (
-	evCanceled uint32 = 1 << 0
-	evDeparted uint32 = 1 << 1
-	evPooled   uint32 = 1 << 2
-)
-
-func (e *Event) canceledBit() bool { return e.state.Load()&evCanceled != 0 }
-
-// depart marks the event as out of the queue and reports whether a Cancel was
-// counted against it (i.e. the canceled bit was set while it was still
-// queued). The caller must decrement canceledPending when depart returns true.
-func (e *Event) depart() bool {
-	for {
-		old := e.state.Load()
-		if old&evDeparted != 0 {
-			return false
-		}
-		if e.state.CompareAndSwap(old, old|evDeparted) {
-			return old&evCanceled != 0
-		}
-	}
-}
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. Unlike every other scheduler
-// operation, Cancel is safe to call from any goroutine.
+// Cancel takes the event out of the queue, so it never fires. Cancelling an
+// event that already fired or was cancelled is a no-op, and so is a nil
+// event.
 func (e *Event) Cancel() {
-	if e == nil {
+	if e == nil || e.index == notQueued {
 		return
 	}
-	for {
-		old := e.state.Load()
-		if old&evCanceled != 0 {
-			return
-		}
-		if e.state.CompareAndSwap(old, old|evCanceled) {
-			// Count the cancellation only if the event is still queued;
-			// cancelling after the event fired must not leave a ghost in
-			// canceledPending (it has nothing left to uncount it).
-			if old&evDeparted == 0 && e.s != nil {
-				e.s.canceledPending.Add(1)
-			}
-			return
-		}
-	}
+	e.s.remove(e)
+	e.s.stats.CanceledDropped++
 }
 
 // Release gives the handle back: the caller promises never to touch the
 // event again, so the scheduler recycles it once it leaves the queue — at
-// once if it already has. A cancelled event is still queued until it is
-// dropped, so it is recycled then, never at Cancel. Release must run on the
-// scheduler's goroutine, and is a no-op on nil.
+// once if it already has, by firing or by Cancel. Release is a no-op on nil.
 func (e *Event) Release() {
 	if e == nil {
 		return
 	}
-	if e.state.Load()&evDeparted != 0 { // only this goroutine sets it
+	if e.index == notQueued {
 		e.s.recycle(e)
 		return
 	}
-	for old := e.state.Load(); !e.state.CompareAndSwap(old, old|evPooled); old = e.state.Load() {
-	}
+	e.pooled = true
 }
 
 type eventQueue []*Event
@@ -207,7 +152,7 @@ func (q *eventQueue) Pop() any {
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = indexFired
+	e.index = notQueued
 	*q = old[:n-1]
 	return e
 }
@@ -223,45 +168,40 @@ type Stats struct {
 	WheelInserts    uint64 // O(1) insertions into a wheel slot
 	FarInserts      uint64 // insertions beyond the wheel horizon
 	Migrated        uint64 // far-heap events pulled into the wheel at a rebase
-	CanceledDropped uint64 // cancelled events discarded without firing
-	Compactions     uint64 // full-queue sweeps of cancelled events
+	CanceledDropped uint64 // Cancel calls that took a queued event out
 	MaxPending      int    // high-water mark of Pending()
 }
 
 // Scheduler is a discrete-event scheduler with a virtual clock and a seeded
 // random source. The zero value is not usable; call NewScheduler.
 //
-// Scheduler is not safe for concurrent use: all interaction must happen from
-// the goroutine driving Run/Step (which is also the goroutine event callbacks
-// run on). This is deliberate — single-threaded event execution is what makes
-// simulations deterministic.
+// A Scheduler belongs to one goroutine: every method, and Cancel and Release
+// on its events, must be called from the goroutine driving Run/Step (which
+// is also the goroutine event callbacks run on). This is deliberate —
+// single-threaded event execution is what makes simulations deterministic —
+// and it is why nothing here locks.
 type Scheduler struct {
 	now Time
 	seq uint64
 	rng *rand.Rand
 
-	// near/far event structure; see the package comment.
+	// near/far event structure; see the package comment. A slot's entry in
+	// slots is its own only while its bitmap bit is set; an emptied slot's
+	// array belongs to spare.
 	ready   eventQueue
 	slots   [wheelSlotCount][]*Event
 	bitmap  [wheelSlotCount / 64]uint64
-	base    Time // wheel origin; slot i covers [base+i·G, base+(i+1)·G)
-	cursor  int  // slots below cursor have been promoted
-	slotEnd Time // = base + cursor·G; every event below it is in ready (or fired)
-	wheel   int  // events currently in wheel slots
+	spare   [][]*Event // arrays of emptied slots, for the next slot to fill
+	base    Time       // wheel origin; slot i covers [base+i·G, base+(i+1)·G)
+	cursor  int        // slots below cursor have been promoted
+	slotEnd Time       // = base + cursor·G; every event below it is in ready (or fired)
+	wheel   int        // events currently in wheel slots
 	far     eventQueue
 
 	free []*Event // recycled pooled events
 
 	fired uint64
 	stats Stats
-
-	// canceledPending counts exactly how many cancelled events are still
-	// queued: Cancel increments it only for queued events, and whichever
-	// path removes the event (lazy drop, compaction, or a racing fire)
-	// decrements it. Atomic because Cancel may run on another goroutine.
-	// The count gates compaction and keeps Pending() free of ghosts, which
-	// the partition engine relies on for idle detection.
-	canceledPending atomic.Int64
 }
 
 // NewScheduler returns a scheduler whose clock reads zero and whose random
@@ -279,25 +219,12 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 // Fired returns the number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
-// Pending returns the number of live events waiting to fire. Lazily-cancelled
-// events still sitting in the queue are excluded, so an engine polling
-// Pending() for idleness cannot spin on ghosts.
-func (s *Scheduler) Pending() int {
-	p := s.queued() - int(s.canceledPending.Load())
-	if p < 0 {
-		// A Cancel on another goroutine can land between the two reads;
-		// never report a negative count for it.
-		p = 0
-	}
-	return p
-}
+// Pending returns the number of events waiting to fire. A cancelled event
+// has left the queue, so it is not counted.
+func (s *Scheduler) Pending() int { return len(s.ready) + s.wheel + len(s.far) }
 
-// queued returns the raw queue population, cancelled events included.
-func (s *Scheduler) queued() int { return len(s.ready) + s.wheel + len(s.far) }
-
-// NextEventAt returns the deadline of the earliest live pending event. ok is
-// false when no live events remain. Cancelled events are swept past, so the
-// partition engine's LBTS computation never stalls on a ghost deadline.
+// NextEventAt returns the deadline of the earliest pending event. ok is
+// false when none remain.
 func (s *Scheduler) NextEventAt() (at Time, ok bool) {
 	e := s.peekNext()
 	if e == nil {
@@ -324,18 +251,16 @@ func (s *Scheduler) alloc() *Event {
 		return e
 	}
 	s.stats.Allocated++
-	return &Event{s: s}
+	return &Event{s: s, index: notQueued}
 }
 
-// recycle returns a departed event to the free list. Only events whose
-// handle never escaped (FireAfter, FireAtR, FireAfterR) or was given back
-// (Release) are
-// recycled, so no caller can hold a reference to a reused Event.
+// recycle returns an event that has left the queue to the free list. Only
+// events whose handle never escaped (FireAfter, FireAtR, FireAfterR) or was
+// given back (Release) are recycled, so no caller can hold a reference to a
+// reused Event.
 func (s *Scheduler) recycle(e *Event) {
 	e.fire = nil
-	// No goroutine holds a handle to cancel: resetting the state bits here
-	// cannot race.
-	e.state.Store(0)
+	e.pooled = false
 	s.free = append(s.free, e)
 	s.stats.Recycled++
 }
@@ -358,12 +283,59 @@ func (s *Scheduler) schedule(e *Event) {
 	}
 }
 
+// remove takes a queued event out of its tier. schedule's rule still names
+// that tier: promotion and rebase move the window only past events they
+// move to the tier the rule then selects.
+func (s *Scheduler) remove(e *Event) {
+	switch {
+	case e.At < s.slotEnd:
+		heap.Remove(&s.ready, int(e.index))
+	case e.At < s.base+wheelSpan:
+		s.wheelRemove(e)
+	default:
+		heap.Remove(&s.far, int(e.index))
+	}
+}
+
+func (s *Scheduler) slotOf(at Time) int { return int((at - s.base) / wheelGranularity) }
+
 func (s *Scheduler) wheelInsert(e *Event) {
-	idx := int((e.At - s.base) / wheelGranularity)
-	e.index = indexWheel
+	idx := s.slotOf(e.At)
+	if w, bit := idx>>6, uint64(1)<<uint(idx&63); s.bitmap[w]&bit == 0 {
+		s.bitmap[w] |= bit
+		s.slots[idx] = nil // its last array, if any, belongs to spare
+		if n := len(s.spare); n > 0 {
+			s.slots[idx] = s.spare[n-1]
+			s.spare[n-1] = nil
+			s.spare = s.spare[:n-1]
+		}
+	}
+	e.index = int32(len(s.slots[idx]))
 	s.slots[idx] = append(s.slots[idx], e)
-	s.bitmap[idx>>6] |= 1 << uint(idx&63)
 	s.wheel++
+}
+
+// wheelRemove swap-removes e from its slot.
+func (s *Scheduler) wheelRemove(e *Event) {
+	idx := s.slotOf(e.At)
+	slot := s.slots[idx]
+	last := len(slot) - 1
+	moved := slot[last]
+	slot[e.index] = moved
+	moved.index = e.index
+	slot[last] = nil
+	e.index = notQueued
+	s.slots[idx] = slot[:last]
+	s.wheel--
+	if last == 0 {
+		s.freeSlot(idx)
+	}
+}
+
+// freeSlot marks an emptied slot unoccupied and hands its array to spare.
+func (s *Scheduler) freeSlot(idx int) {
+	s.bitmap[idx>>6] &^= 1 << uint(idx&63)
+	s.spare = append(s.spare, s.slots[idx][:0])
 }
 
 // nextOccupied returns the first occupied slot at or after from. The caller
@@ -378,164 +350,47 @@ func (s *Scheduler) nextOccupied(from int) int {
 	return w<<6 + bits.TrailingZeros64(word)
 }
 
-// dropCanceled retires a cancelled event that has been removed from its
-// container.
-func (s *Scheduler) dropCanceled(e *Event) {
-	e.index = indexFired
-	s.stats.CanceledDropped++
-	if e.depart() {
-		s.canceledPending.Add(-1)
-	}
-	if e.state.Load()&evPooled != 0 {
-		s.recycle(e)
-	}
-}
-
-// advanceWindow moves the wheel window forward until the ready heap gains at
-// least one event. It reports false when no events remain anywhere.
-func (s *Scheduler) advanceWindow() bool {
-	for {
-		if s.wheel > 0 {
-			idx := s.nextOccupied(s.cursor)
-			bucket := s.slots[idx]
-			s.bitmap[idx>>6] &^= 1 << uint(idx&63)
-			s.cursor = idx + 1
-			s.slotEnd = s.base + Duration(idx+1)*wheelGranularity
-			s.wheel -= len(bucket)
-			for i, e := range bucket {
-				bucket[i] = nil
-				if e.canceledBit() {
-					s.dropCanceled(e)
-					continue
-				}
-				heap.Push(&s.ready, e)
-			}
-			s.slots[idx] = bucket[:0]
-			if len(s.ready) > 0 {
-				return true
-			}
-			continue
-		}
-		if len(s.far) > 0 {
-			// Rebase the window at the earliest far deadline and pull
-			// everything within one span into the wheel. far deadlines are
-			// always at or beyond the old horizon, so base never regresses.
-			at := s.far[0].At
-			s.base = at - at%wheelGranularity
-			s.cursor = 0
-			s.slotEnd = s.base
-			horizon := s.base + wheelSpan
-			for len(s.far) > 0 && s.far[0].At < horizon {
-				e := heap.Pop(&s.far).(*Event)
-				if e.canceledBit() {
-					s.dropCanceled(e)
-					continue
-				}
-				s.wheelInsert(e)
-				s.stats.Migrated++
-			}
-			continue
-		}
-		return false
-	}
-}
-
-// popNext removes and returns the earliest live event, or nil if none remain.
-func (s *Scheduler) popNext() *Event {
-	for {
-		for len(s.ready) > 0 {
-			e := heap.Pop(&s.ready).(*Event)
-			if e.canceledBit() {
-				s.dropCanceled(e)
-				continue
-			}
-			return e
-		}
-		if !s.advanceWindow() {
-			return nil
-		}
-	}
-}
-
-// peekNext returns the earliest live event without removing it, or nil.
+// peekNext returns the earliest pending event without removing it, or nil.
+// When ready is empty it first moves the wheel window forward: it rebases
+// at the earliest far deadline if the wheel is empty too, then promotes the
+// next occupied slot. An occupied slot holds at least one event, so one
+// promotion refills ready.
 func (s *Scheduler) peekNext() *Event {
-	for {
-		for len(s.ready) > 0 {
-			e := s.ready[0]
-			if !e.canceledBit() {
-				return e
-			}
-			heap.Pop(&s.ready)
-			s.dropCanceled(e)
-		}
-		if !s.advanceWindow() {
+	if len(s.ready) > 0 {
+		return s.ready[0]
+	}
+	if s.wheel == 0 {
+		if len(s.far) == 0 {
 			return nil
 		}
-	}
-}
-
-// maybeCompact sweeps cancelled events out of all tiers once they are both
-// numerous and a large fraction of the queue. The sweep preserves (At, seq)
-// order, so firing results are unchanged; it only reclaims memory and keeps
-// Pending() honest under cancel-heavy loads (every RPC arms a timeout that
-// is almost always cancelled).
-func (s *Scheduler) maybeCompact() {
-	cp := s.canceledPending.Load()
-	if cp < compactMinCanceled || cp*2 < int64(s.queued()) {
-		return
-	}
-	s.stats.Compactions++
-	filter := func(q *eventQueue) {
-		old := *q
-		keep := old[:0]
-		for _, e := range old {
-			if e.canceledBit() {
-				s.dropCanceled(e)
-			} else {
-				keep = append(keep, e)
-			}
-		}
-		for i := len(keep); i < len(old); i++ {
-			old[i] = nil
-		}
-		*q = keep
-		for i, e := range keep {
-			e.index = int32(i)
-		}
-		heap.Init(q)
-	}
-	filter(&s.ready)
-	filter(&s.far)
-	for idx := s.cursor; idx < wheelSlotCount && s.wheel > 0; idx++ {
-		if s.bitmap[idx>>6]&(1<<uint(idx&63)) == 0 {
-			continue
-		}
-		bucket := s.slots[idx]
-		keep := bucket[:0]
-		for _, e := range bucket {
-			if e.canceledBit() {
-				s.dropCanceled(e)
-				s.wheel--
-			} else {
-				keep = append(keep, e)
-			}
-		}
-		for i := len(keep); i < len(bucket); i++ {
-			bucket[i] = nil
-		}
-		s.slots[idx] = keep
-		if len(keep) == 0 {
-			s.bitmap[idx>>6] &^= 1 << uint(idx&63)
+		// Rebase the window at the earliest far deadline and pull
+		// everything within one span into the wheel. far deadlines are
+		// always at or beyond the old horizon, so base never regresses.
+		at := s.far[0].At
+		s.base = at - at%wheelGranularity
+		s.cursor = 0
+		s.slotEnd = s.base
+		for horizon := s.base + wheelSpan; len(s.far) > 0 && s.far[0].At < horizon; {
+			s.wheelInsert(heap.Pop(&s.far).(*Event))
+			s.stats.Migrated++
 		}
 	}
-	// No reset of canceledPending here: dropCanceled decremented it exactly
-	// once per swept event, so whatever remains was cancelled concurrently
-	// during the sweep and is still queued.
+	idx := s.nextOccupied(s.cursor)
+	bucket := s.slots[idx]
+	s.cursor = idx + 1
+	s.slotEnd = s.base + Duration(idx+1)*wheelGranularity
+	s.wheel -= len(bucket)
+	for i, e := range bucket {
+		bucket[i] = nil
+		heap.Push(&s.ready, e)
+	}
+	s.freeSlot(idx)
+	return s.ready[0]
 }
 
 // At schedules fn to run at absolute virtual time at. If at is in the past it
 // fires at the current time (events never run the clock backwards).
-func (s *Scheduler) At(at Time, fn func()) *Event { return s.arm(at, asFirer(fn), 0) }
+func (s *Scheduler) At(at Time, fn func()) *Event { return s.arm(at, asFirer(fn), false) }
 
 // After schedules fn to run d from now. Negative d is treated as zero.
 func (s *Scheduler) After(d Duration, fn func()) *Event { return s.AfterR(d, asFirer(fn)) }
@@ -548,9 +403,9 @@ func (s *Scheduler) After(d Duration, fn func()) *Event { return s.AfterR(d, asF
 func (s *Scheduler) FireAfter(d Duration, fn func()) { s.FireAfterR(d, asFirer(fn)) }
 
 // AfterR, FireAtR and FireAfterR take a receiver in place of a callback.
-func (s *Scheduler) AfterR(d Duration, f Firer) *Event { return s.arm(s.now+max(d, 0), f, 0) }
-func (s *Scheduler) FireAtR(at Time, f Firer)          { s.arm(at, f, evPooled) }
-func (s *Scheduler) FireAfterR(d Duration, f Firer)    { s.arm(s.now+max(d, 0), f, evPooled) }
+func (s *Scheduler) AfterR(d Duration, f Firer) *Event { return s.arm(s.now+max(d, 0), f, false) }
+func (s *Scheduler) FireAtR(at Time, f Firer)          { s.arm(at, f, true) }
+func (s *Scheduler) FireAfterR(d Duration, f Firer)    { s.arm(s.now+max(d, 0), f, true) }
 
 func asFirer(fn func()) Firer {
 	if fn == nil {
@@ -559,11 +414,11 @@ func asFirer(fn func()) Firer {
 	return funcFirer(fn)
 }
 
-// arm schedules f at at (clamped to now) with the given initial state bits.
-func (s *Scheduler) arm(at Time, f Firer, state uint32) *Event {
+// arm schedules f at at (clamped to now); a pooled event is recycled when
+// it fires.
+func (s *Scheduler) arm(at Time, f Firer, pooled bool) *Event {
 	e := s.alloc()
-	e.At, e.fire, e.seq = max(at, s.now), f, s.seq
-	e.state.Store(state)
+	e.At, e.fire, e.seq, e.pooled = max(at, s.now), f, s.seq, pooled
 	s.seq++
 	s.schedule(e)
 	return e
@@ -577,9 +432,6 @@ func (s *Scheduler) Every(interval Duration, fn func()) *Ticker {
 	}
 	t := &Ticker{s: s, interval: interval, fn: fn}
 	t.tick = func() {
-		if t.stopped {
-			return
-		}
 		t.fn()
 		// Re-arm the same Event in place unless the callback stopped the
 		// ticker.
@@ -594,22 +446,14 @@ func (s *Scheduler) Every(interval Duration, fn func()) *Ticker {
 // Step pops and executes the single earliest event. It reports false when the
 // queue is empty.
 func (s *Scheduler) Step() bool {
-	s.maybeCompact()
-	e := s.popNext()
-	if e == nil {
+	if s.peekNext() == nil {
 		return false
 	}
+	e := heap.Pop(&s.ready).(*Event)
 	s.now = e.At
 	s.fired++
-	// The event is leaving the queue by firing. A Cancel can still land
-	// between popNext's liveness check and here; it was counted against
-	// canceledPending (the event looked queued), so uncount it. The event
-	// fires anyway, matching the historical best-effort race semantics.
-	if e.depart() {
-		s.canceledPending.Add(-1)
-	}
 	f := e.fire
-	if e.state.Load()&evPooled != 0 {
+	if e.pooled {
 		s.recycle(e)
 	}
 	f.Fire()
@@ -658,17 +502,14 @@ type Ticker struct {
 // steady-state tick path.
 func (t *Ticker) rearm() {
 	e := t.ev
-	// The event fired (departed bit set) and was not cancelled — tick
-	// checked t.stopped before calling us — so the reset cannot race a
-	// counted cancellation.
-	e.state.Store(0)
 	e.At, e.seq = t.s.now+t.interval, t.s.seq
 	t.s.seq++
 	t.s.stats.Reused++
 	t.s.schedule(e)
 }
 
-// Stop cancels future ticks. Safe to call multiple times.
+// Stop cancels future ticks. Safe to call multiple times, and from the
+// ticker's own callback.
 func (t *Ticker) Stop() {
 	if t.stopped {
 		return

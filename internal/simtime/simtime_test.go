@@ -73,12 +73,12 @@ func TestCancel(t *testing.T) {
 	fired := false
 	e := s.After(time.Second, func() { fired = true })
 	e.Cancel()
+	if e.index != notQueued || s.Pending() != 0 {
+		t.Fatalf("cancelled event still queued: index %d, Pending() %d", e.index, s.Pending())
+	}
 	s.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
-	}
-	if !e.canceledBit() {
-		t.Fatal("canceled bit clear after Cancel")
 	}
 	// Double cancel and nil cancel are no-ops.
 	e.Cancel()

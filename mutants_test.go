@@ -188,6 +188,22 @@ var mutants = []mutant{
 		cmd:  "go test ./internal/fleet -run ^TestCommitGuardAnswersOnce$",
 		want: []string{`--- FAIL: TestCommitGuardAnswersOnce`, `before the commit landed: replies \[\], want one Busy`},
 	},
+	{
+		// Cancel's swap-remove must re-index the event it moves into the
+		// hole, or a later Cancel of that event misses it.
+		name: "wheel-remove-skips-reindex", file: "internal/simtime/simtime.go",
+		old: "\tmoved.index = e.index\n", new: "",
+		cmd:  "go test ./internal/simtime -run ^TestWheelMatchesReferenceHeap$",
+		want: []string{`--- FAIL: TestWheelMatchesReferenceHeap`, `index out of range`, `simtime\.\(\*Scheduler\)\.wheelRemove`},
+	},
+	{
+		// An emptied slot gives its array away, so its occupancy bit must go
+		// with it.
+		name: "emptied-slot-keeps-bit", file: "internal/simtime/simtime.go",
+		old: "\ts.bitmap[idx>>6] &^= 1 << uint(idx&63)\n", new: "",
+		cmd:  "go test ./internal/simtime -run ^TestWheelMatchesReferenceHeap$",
+		want: []string{`--- FAIL: TestWheelMatchesReferenceHeap`, `index out of range`, `simtime\.\(\*Scheduler\)\.peekNext`},
+	},
 }
 
 // TestMutants applies each mutant through go's -overlay (the tree is never

@@ -17,7 +17,7 @@
 # carry across hosts or Go versions. The engine runs on one goroutine, so
 # what is left of the run-to-run spread is the Go runtime's own: on a 2-CPU
 # host, runs of the current tree measured fleet_alloc's mallocs_k at
-# 318.88-318.89 and fleet_churn's at 1141.16-1141.17 (--seconds 20).
+# 292.56-292.57 and fleet_churn's at 1083.11-1083.13 (--seconds 20).
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 baseline=testdata/perf_baseline.json
