@@ -12,6 +12,7 @@ import (
 
 	"ustore/internal/block"
 	"ustore/internal/core"
+	"ustore/internal/disk"
 	"ustore/internal/model"
 	"ustore/internal/obs"
 	"ustore/internal/paxos"
@@ -62,6 +63,12 @@ type Stats struct {
 	BreakerOpens     uint64
 	Redirects        uint64
 	FastFails        uint64
+	// ProbeBytesCompared and ProbeMemoHits are the probe check's own work:
+	// the bytes it compared against a known-good copy, and the reads it
+	// knew equal without a compare because they were a chunk generation it
+	// had already verified (see replicaBlock.verified).
+	ProbeBytesCompared int64
+	ProbeMemoHits      int
 }
 
 // Report is the outcome of a chaos run.
@@ -124,11 +131,26 @@ type replicaBlock struct {
 	// data is the last acked content; nil = never acknowledged. It is a
 	// pattern buffer, shared and immutable: the other replica's block and
 	// in-flight writes may hold the same one, so it is replaced, never
-	// written.
+	// written, and only together with a version bump.
 	data      []byte
 	uncertain bool // an outstanding/failed write may or may not have landed
 	version   int  // bumped per write (and per media wipe) to drop stale acks
 	inflight  int
+	// verified is the last probe read of this copy that was the store's
+	// own chunk bytes and compared equal to data. A later read that is the
+	// same store's chunk at the same generation, checked at the same
+	// version, holds the same bytes against the same data, so it is known
+	// equal without a compare (probe.matches; DESIGN.md "Memoised probe
+	// verification").
+	verified chunkGen
+}
+
+// chunkGen names one state of a store chunk's bytes (disk.Store.Generation)
+// and the block version they were verified at.
+type chunkGen struct {
+	store   *disk.Store
+	gen     uint64
+	version int
 }
 
 // replica is one copy of a replicated workload space.
@@ -538,14 +560,51 @@ func (p *probe) finish(data []byte, err error) {
 	h.probeHist.ObserveDuration(rtt)
 	if err != nil {
 		h.stats.ProbeErrors++ // may race a migration or fault window; not a violation
-	} else if stableAt(p.ba, p.va) && stableAt(p.bb, p.vb) &&
-		!bytes.Equal(data, p.ba.data) && !bytes.Equal(data, p.bb.data) {
+	} else if stableAt(p.ba, p.va) && stableAt(p.bb, p.vb) && !p.matches(data) {
 		h.violatef("probe: %s block %d returned bytes matching neither copy", p.r.name, p.blk)
 	}
 	pair, remaining := p.pair, p.remaining
 	*p = probe{h: h, done: p.done}
 	h.spentProbes = append(h.spentProbes, p)
 	h.probePair(pair, remaining-1)
+}
+
+// matches reports whether a read equals either copy's acknowledged data. A
+// read that is a copy's store chunk at the generation and version that
+// copy last verified is known equal; otherwise the bytes are compared, the
+// copy whose chunk they are first, and a copy whose chunk compares equal
+// remembers the generation.
+func (p *probe) matches(data []byte) bool {
+	h := p.h
+	blocks := [2]*replicaBlock{p.ba, p.bb}
+	var seen [2]chunkGen
+	var own [2]bool
+	for i, b := range blocks {
+		r := h.replicas[2*p.pair+i]
+		st := h.c.Disks[r.diskID].Store()
+		if gen, ok := st.Generation(r.offset+int64(p.blk)*BlockSize, data); ok {
+			seen[i], own[i] = chunkGen{st, gen, b.version}, true
+			if b.verified == seen[i] {
+				h.stats.ProbeMemoHits++
+				return true
+			}
+		}
+	}
+	order := [2]int{0, 1}
+	if own[1] {
+		order = [2]int{1, 0}
+	}
+	for _, i := range order {
+		b := blocks[i]
+		h.stats.ProbeBytesCompared += int64(len(data))
+		if bytes.Equal(data, b.data) {
+			if own[i] {
+				b.verified = seen[i]
+			}
+			return true
+		}
+	}
+	return false
 }
 
 // onQuarantine drains a quarantined disk: every workload replica on it is
@@ -1088,6 +1147,10 @@ func (h *harness) execute(schedule []Fault) (*Report, error) {
 			rep.Stats.Redirects += m.Redirects
 			rep.Stats.FastFails += m.FastFails
 		}
+	}
+	if len(h.probers) > 0 {
+		o.Recorder.Counter("chaos", "probe_bytes_compared_total").Add(uint64(rep.Stats.ProbeBytesCompared))
+		o.Recorder.Counter("chaos", "probe_memo_hits_total").Add(uint64(rep.Stats.ProbeMemoHits))
 	}
 	return rep, nil
 }

@@ -268,3 +268,94 @@ func TestLentChunkNeverChanges(t *testing.T) {
 		t.Fatal("after the lend was released the chunk was not changed in place")
 	}
 }
+
+// Generation answers only for the chunk's own bytes, and every change to
+// them gives the chunk a new generation: a whole-chunk or partial write, rot
+// planted in a written chunk or a hole, a damaged sector, a URE drawn on
+// read, a write through Submit. Each change here is made in place (the lend
+// is released first), so the old slice still aliases the chunk and only the
+// generation tells the bytes changed. A copied read, a hole's zeros, a slice
+// asked about at the wrong offset, a lent slice the chunk left by copying on
+// write and a slice of replaced media all answer not-current.
+func TestGenerationFollowsEveryChange(t *testing.T) {
+	s, d := newDisk(t)
+	d.Store().WriteAt(0, bytes.Repeat([]byte{0x11}, 2*chunkSize))
+	// current lends the chunk at off, gives the lend back and returns the
+	// lent bytes and their generation.
+	current := func(step string, off int64) ([]byte, uint64) {
+		t.Helper()
+		lent, lease := lendRead(t, s, d, off, chunkSize)
+		lease.Release()
+		gen, ok := d.Store().Generation(off, lent)
+		if !ok {
+			t.Fatalf("%s: the chunk's own bytes answer not-current", step)
+		}
+		return lent, gen
+	}
+	for _, step := range []struct {
+		name   string
+		chunk  int64
+		change func()
+	}{
+		{"whole-chunk write", 0, func() { d.Store().WriteAt(0, bytes.Repeat([]byte{0x22}, chunkSize)) }},
+		{"partial write", 0, func() { d.Store().WriteAt(100, []byte("partial")) }},
+		{"corrupt", 0, func() { d.Store().CorruptAt(200, 16, 0x5a) }},
+		{"corrupt sector", 1, func() { d.CorruptSector(chunkSize + 3*SectorSize) }},
+		{"URE on read", 1, func() {
+			d.SetURERate(1)
+			submitRead(s, d, chunkSize, SectorSize)
+			d.SetURERate(0)
+		}},
+		{"write through Submit", 1, func() { submitWrite(s, d, chunkSize-2, []byte("over the boundary")) }},
+	} {
+		off := step.chunk * chunkSize
+		lent, before := current(step.name, off)
+		step.change()
+		after, ok := d.Store().Generation(off, lent)
+		if !ok {
+			t.Fatalf("%s: a change in place left the chunk's buffer", step.name)
+		}
+		if after == before {
+			t.Fatalf("%s: the bytes changed but the generation stayed %d", step.name, before)
+		}
+		if _, gen := current(step.name, off); gen != after {
+			t.Fatalf("%s: a new lend answers generation %d, the old slice %d", step.name, gen, after)
+		}
+	}
+
+	st := d.Store()
+	lent, gen := current("copied read", 0)
+	if _, ok := st.Generation(0, readStore(st, 0, chunkSize)); ok {
+		t.Fatal("a copied read answers current")
+	}
+	if _, ok := st.Generation(1, lent); ok {
+		t.Fatal("a slice asked about at the wrong offset answers current")
+	}
+	if g, ok := st.Generation(100, lent[100:200]); !ok || g != gen {
+		t.Fatalf("a slice inside the chunk answers (%d, %v), want (%d, true)", g, ok, gen)
+	}
+
+	hole, _ := lendRead(t, s, d, 5*chunkSize, chunkSize)
+	if _, ok := st.Generation(5*chunkSize, hole); ok {
+		t.Fatal("a hole's zeros answer current")
+	}
+	st.CorruptAt(5*chunkSize+1, 1, 0x01)
+	current("corrupt a hole", 5*chunkSize)
+
+	held, lease := lendRead(t, s, d, 0, chunkSize)
+	st.WriteAt(100, []byte("under a lend"))
+	if _, ok := st.Generation(0, held); ok {
+		t.Fatal("a lent slice answers current after its chunk was copied on write")
+	}
+	lease.Release()
+	if _, g := current("write under a lend", 0); g == gen {
+		t.Fatalf("a write under a lend kept generation %d", gen)
+	}
+
+	old, _ := current("replaced media", 0)
+	d.ReplaceMedia()
+	d.Store().WriteAt(0, bytes.Repeat([]byte{0x44}, chunkSize))
+	if _, ok := d.Store().Generation(0, old); ok {
+		t.Fatal("the replaced media's bytes answer current on the new store")
+	}
+}

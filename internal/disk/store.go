@@ -18,16 +18,28 @@ import "hash/crc32"
 // bytes are lent out goes to a fresh copy of the chunk (chunkAt), and the
 // lent buffer stays with its borrowers until its last lend is released and
 // the garbage collector takes it.
+//
+// Every change to a chunk's bytes goes through chunkAt (WriteAt, CorruptAt
+// and, through it, Disk.CorruptSector and a URE drawn on read), which stamps
+// the chunk with the next value of a store-wide change counter. Generation
+// reads that stamp back for a caller holding the chunk's own bytes: two
+// reads that alias a chunk at one generation saw the same bytes, so a
+// checker may compare them once (the chaos probe's memo). A borrower that
+// writes through lent bytes bypasses chunkAt and is the one change the
+// stamp cannot see.
 type Store struct {
 	chunks map[int64]chunk
 	crcs   map[int64]uint32
+	gen    uint64 // changes so far; the last generation chunkAt stamped
 }
 
 // chunk is an allocated chunk; crc is its CRC32 while crcOK (changes clear
-// it). lease is data's lend record once data has been lent, else nil.
+// it). lease is data's lend record once data has been lent, else nil. gen
+// is the store's change count at data's last change.
 type chunk struct {
 	data  []byte
 	lease *Lease
+	gen   uint64
 	crc   uint32
 	crcOK bool
 }
@@ -105,10 +117,11 @@ func (s *Store) WriteAt(off int64, data []byte) {
 	}
 }
 
-// chunkAt returns chunk ci's bytes for a caller about to change them. A
-// chunk whose bytes are lent out gets a fresh buffer first and leaves the
-// lent one to its borrowers; the fresh buffer starts as a copy of the chunk
-// unless whole says the caller overwrites all of it.
+// chunkAt returns chunk ci's bytes for a caller about to change them, and
+// stamps the chunk with a new generation. A chunk whose bytes are lent out
+// gets a fresh buffer first and leaves the lent one to its borrowers; the
+// fresh buffer starts as a copy of the chunk unless whole says the caller
+// overwrites all of it.
 func (s *Store) chunkAt(ci int64, whole bool) []byte {
 	c, ok := s.chunks[ci]
 	switch {
@@ -121,9 +134,26 @@ func (s *Store) chunkAt(ci int64, whole bool) []byte {
 		}
 		c.data, c.lease = fresh, nil
 	}
-	c.crcOK = false
+	s.gen++
+	c.gen, c.crcOK = s.gen, false
 	s.chunks[ci] = c
 	return c.data
+}
+
+// Generation returns the generation of the chunk holding off when data is
+// that chunk's current bytes from off on: the store's own memory, as a lend
+// hands it out, not a copy of it. A hole, a copied read, and a lent buffer
+// the chunk has since left by copying on write all answer false. While the
+// answer is true and the generation unchanged, the bytes are unchanged too.
+func (s *Store) Generation(off int64, data []byte) (uint64, bool) {
+	if len(data) == 0 {
+		return 0, false
+	}
+	c, ok := s.chunks[off/chunkSize]
+	if !ok || &data[0] != &c.data[off%chunkSize] {
+		return 0, false
+	}
+	return c.gen, true
 }
 
 // lend returns the n bytes at off, which lie inside one chunk, as the

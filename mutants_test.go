@@ -27,6 +27,10 @@ type mutant struct {
 	// ends with the exit status ("exit status 1").
 	cmd  string
 	want []string
+	// smoke marks the one cheap entry of its checker family that a plain
+	// go test runs; USTORE_MUTANTS=all (CI's test job, the nightly race
+	// run) runs every entry.
+	smoke bool
 }
 
 // The checkers' planted bugs, shared by the entries that run them through
@@ -55,7 +59,7 @@ var (
 
 var mutants = []mutant{
 	{
-		name: "stale-lease", file: "internal/core/endpoint.go", old: staleLease[0], new: staleLease[1],
+		name: "stale-lease", smoke: true, file: "internal/core/endpoint.go", old: staleLease[0], new: staleLease[1],
 		cmd: "go test ./internal/chaos -run ^TestHostCrashFailoverLinearizes$",
 		want: []string{
 			`model: .*still holds the lease`,
@@ -74,7 +78,7 @@ var mutants = []mutant{
 		},
 	},
 	{
-		name: "quarantine-blind", file: "internal/core/master.go", old: quarantineBlind[0], new: quarantineBlind[1],
+		name: "quarantine-blind", smoke: true, file: "internal/core/master.go", old: quarantineBlind[0], new: quarantineBlind[1],
 		cmd:  "go test ./internal/core -run ^TestGrayDiskQuarantineAndRelease$",
 		want: []string{`quarantine invariant: core: 1 allocation\(s\) on quarantined disks \(first: disk\d+ \(service cold-svc0, state quarantined\)\)`},
 	},
@@ -92,7 +96,7 @@ var mutants = []mutant{
 		},
 	},
 	{
-		name: "skip-redrive", file: "internal/fleet/fleet.go", old: skipRedrive[0], new: skipRedrive[1],
+		name: "skip-redrive", smoke: true, file: "internal/fleet/fleet.go", old: skipRedrive[0], new: skipRedrive[1],
 		cmd: "go test ./internal/chaos -run ^TestFleetFaultStraddleHolds$",
 		want: []string{
 			`minimized fleet schedule: [12] of \d+ faults still violate:\n\s+0s move slot`, // at most 2, the move first
@@ -106,7 +110,7 @@ var mutants = []mutant{
 	},
 	{
 		// A write to a chunk with a lend out must copy first.
-		name: "lent-chunk-written-in-place", file: "internal/disk/store.go",
+		name: "lent-chunk-written-in-place", smoke: true, file: "internal/disk/store.go",
 		old: "\tcase c.lease != nil && c.lease.n > 0:", new: "\tcase false:",
 		cmd:  "go test ./internal/disk ./internal/block -run ^(TestLentChunkNeverChanges|TestLentReadMatchesCopiedRead)$",
 		want: []string{`--- FAIL: TestLentChunkNeverChanges`, `--- FAIL: TestLentReadMatchesCopiedRead`},
@@ -132,14 +136,14 @@ var mutants = []mutant{
 	},
 	{
 		// A page index must stay inside its page.
-		name: "history-page-mask", file: "internal/model/history.go",
+		name: "history-page-mask", smoke: true, file: "internal/model/history.go",
 		old: "\tpageMask  = pageSize - 1", new: "\tpageMask  = pageSize",
 		cmd:  "go test ./internal/model -run ^TestHistoryPageBoundaries$",
 		want: []string{`--- FAIL: TestHistoryPageBoundaries`},
 	},
 	{
 		// A retrier whose resend is armed must not serve another call.
-		name: "retrier-recycled-while-armed", file: "internal/simnet/rpc.go",
+		name: "retrier-recycled-while-armed", smoke: true, file: "internal/simnet/rpc.go",
 		old: "\tif rt := pc.retry; rt != nil && !rt.armed {", new: "\tif rt := pc.retry; rt != nil {",
 		cmd: "go test ./internal/simnet -run ^TestReplyDuringBackoffCompletesOnce$",
 		want: []string{
@@ -158,7 +162,7 @@ var mutants = []mutant{
 		// A Paxos wire record goes home only after its handler returns. The
 		// plain run then reads zeroed records and the poisoned run poisoned
 		// ones; when neither commits anything, the two logs agree.
-		name: "wire-released-before-dispatch", file: "internal/paxos/paxos.go",
+		name: "wire-released-before-dispatch", smoke: true, file: "internal/paxos/paxos.go",
 		old: "\t\tdefer w.Release()", new: "\t\tw.Release()",
 		cmd:  "go test ./internal/paxos -run ^TestPoisonedWireRecordsSameLog$",
 		want: []string{`--- FAIL: TestPoisonedWireRecordsSameLog`, `seed 0: (poisoned records changed the applied logs|only 0 commands applied)`},
@@ -183,7 +187,7 @@ var mutants = []mutant{
 	},
 	{
 		// The k-th guard fire answers the k-th guarded op.
-		name: "guard-seq-off-by-one", file: "internal/fleet/shard.go",
+		name: "guard-seq-off-by-one", smoke: true, file: "internal/fleet/shard.go",
 		old: "\t\tif op.seq == m.guardsFired {", new: "\t\tif op.seq == m.guardsFired+1 {",
 		cmd:  "go test ./internal/fleet -run ^TestCommitGuardAnswersOnce$",
 		want: []string{`--- FAIL: TestCommitGuardAnswersOnce`, `before the commit landed: replies \[\], want one Busy`},
@@ -191,7 +195,7 @@ var mutants = []mutant{
 	{
 		// Cancel's swap-remove must re-index the event it moves into the
 		// hole, or a later Cancel of that event misses it.
-		name: "wheel-remove-skips-reindex", file: "internal/simtime/simtime.go",
+		name: "wheel-remove-skips-reindex", smoke: true, file: "internal/simtime/simtime.go",
 		old: "\tmoved.index = e.index\n", new: "",
 		cmd:  "go test ./internal/simtime -run ^TestWheelMatchesReferenceHeap$",
 		want: []string{`--- FAIL: TestWheelMatchesReferenceHeap`, `index out of range`, `simtime\.\(\*Scheduler\)\.wheelRemove`},
@@ -204,15 +208,51 @@ var mutants = []mutant{
 		cmd:  "go test ./internal/simtime -run ^TestWheelMatchesReferenceHeap$",
 		want: []string{`--- FAIL: TestWheelMatchesReferenceHeap`, `index out of range`, `simtime\.\(\*Scheduler\)\.peekNext`},
 	},
+	{
+		// Every change to a chunk's bytes gives it a new generation, or
+		// the probe's memo calls changed bytes known equal.
+		name: "chunk-change-keeps-generation", file: "internal/disk/store.go",
+		old: "\ts.gen++\n\tc.gen, c.crcOK = s.gen, false\n", new: "\tc.crcOK = false\n",
+		cmd: "go test ./internal/disk ./internal/chaos -run ^(TestGenerationFollowsEveryChange|TestProbeMemoCatchesRogueRewrite)$",
+		want: []string{
+			`--- FAIL: TestGenerationFollowsEveryChange`, `whole-chunk write: the bytes changed but the generation stayed`,
+			`--- FAIL: TestProbeMemoCatchesRogueRewrite`, `\d+ of 160 probe reads reported the divergence`,
+		},
+	},
+	{
+		// A generation names the chunk's own bytes only, not a copy.
+		name: "generation-ignores-alias", smoke: true, file: "internal/disk/store.go",
+		old: "\tif !ok || &data[0] != &c.data[off%chunkSize] {", new: "\tif !ok {",
+		cmd:  "go test ./internal/disk -run ^TestGenerationFollowsEveryChange$",
+		want: []string{`--- FAIL: TestGenerationFollowsEveryChange`, `a copied read answers current`},
+	},
+	{
+		// A verified generation holds for the version it was checked at.
+		name: "probe-memo-ignores-version", file: "internal/chaos/harness.go",
+		old: "chunkGen{st, gen, b.version}", new: "chunkGen{st, gen, b.verified.version}",
+		cmd:  "go test ./internal/chaos -run ^TestProbeMemoCatchesLostAck$",
+		want: []string{`--- FAIL: TestProbeMemoCatchesLostAck`, `\d+ of 160 probe reads reported the divergence`},
+	},
 }
 
 // TestMutants applies each mutant through go's -overlay (the tree is never
 // touched or copied) and requires its command to fail with the output its
 // regexps describe. A mutant whose old text no longer occurs exactly once
 // fails too: the code it broke has moved, and the entry must follow it.
+//
+// Each entry costs a rebuild of its packages, so a plain go test runs the
+// smoke entries only and checks that every other entry still applies;
+// USTORE_MUTANTS=all runs them all.
 func TestMutants(t *testing.T) {
+	all := os.Getenv("USTORE_MUTANTS") == "all"
 	for _, m := range mutants {
 		t.Run(m.name, func(t *testing.T) {
+			if !m.smoke && !all {
+				if _, _, _, err := m.apply(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
 			t.Parallel()
 			out, killed, err := m.run(t.TempDir())
 			if err != nil {

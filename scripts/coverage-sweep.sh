@@ -92,8 +92,9 @@ run 2 "$chaos" -spec "$out/spec.json"
 # checksums off, shrunk by -minimize (exit 1: the checker fires)
 run 1 "$chaos" -no-checksums -minimize -parallel 2
 # the planted bugs: TestMutants builds each go run entry with -cover into
-# GOCOVERDIR and requires it to fail the way the entry says
-run 0 go test -count=1 -run 'TestMutants/.*-cli$' .
+# GOCOVERDIR and requires it to fail the way the entry says (no -cli entry is
+# a smoke entry, so USTORE_MUTANTS=all)
+run 0 env USTORE_MUTANTS=all go test -count=1 -run 'TestMutants/.*-cli$' .
 
 campaign=$bin/ustore-campaign
 cat >"$out/mini.yaml" <<'EOF'

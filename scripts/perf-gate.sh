@@ -18,12 +18,20 @@
 # what is left of the run-to-run spread is the Go runtime's own: on a 2-CPU
 # host, runs of the current tree measured fleet_alloc's mallocs_k at
 # 292.56-292.57 and fleet_churn's at 1083.11-1083.13 (--seconds 20).
+#
+# Time is reported, not gated: per workload, each side's median and
+# quartiles of cpu_s, wall_s and setup_s, and in how many pairs the working
+# tree was lower. CPU moves with the host and the run-to-run spread is
+# still being measured. Each side's build cache is warmed by one discarded
+# run first, because perf/run.sh builds before it runs and setup_s counts
+# a cold build.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 baseline=testdata/perf_baseline.json
 workloads="restore_storm fleet_alloc fleet_churn chaos_soak"
 exact="digest sim_ops_per_s sim_p99_ms ok_pct"
 bounded="alloc_mb mallocs_k"
+timed="cpu_s wall_s setup_s"
 pairs=3
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -36,7 +44,19 @@ run() {
 		digest: $digest, correct: .correct, failed: .failed,
 		sim_ops_per_s: .metrics.sim_ops_per_s.value, sim_p99_ms: .metrics.sim_p99_ms.value,
 		ok_pct: .metrics.ok_pct.value, alloc_mb: .metrics.alloc_mb.value,
-		mallocs_k: .metrics.mallocs_k.value}' >"$3.json"
+		mallocs_k: .metrics.mallocs_k.value, cpu_s: .metrics.cpu_s.value,
+		wall_s: .metrics.wall_s.value, setup_s: .metrics.setup_s.value}' >"$3.json"
+}
+
+# spread K FILES...: "median (q1-q3)" of field K over the files, each
+# quantile interpolated between the two nearest runs.
+spread() {
+	local k=$1
+	shift
+	jq -rs --arg k "$k" 'map(.[$k]) | sort | . as $a | length as $n |
+		def q(p): (p * ($n - 1)) as $x | ($x | floor) as $i |
+			$a[$i] + ($a[[$i + 1, $n - 1] | min] - $a[$i]) * ($x - $i) | . * 1000 | round / 1000;
+		"\(q(0.5)) (\(q(0.25))-\(q(0.75)))"' "$@"
 }
 
 if [ "${1:-}" = "-update" ]; then
@@ -54,6 +74,10 @@ fi
 rev=${1:-HEAD}
 mkdir "$tmp/rev"
 git archive "$rev" | tar -x -C "$tmp/rev"
+echo "perf-gate: warming both build caches" >&2
+for dir in "$tmp/rev" .; do
+	bash "$dir/perf/run.sh" --workload restore_storm --seed 1 --seconds 1 --trace 0 >/dev/null
+done
 status=0
 for w in $workloads; do
 	echo "perf-gate: $w, $pairs pairs against $rev" >&2
@@ -86,6 +110,16 @@ for w in $workloads; do
 		line+=", $k $got ($rev $base)"
 	done
 	echo "$line"
+	for k in $timed; do
+		won=0
+		for i in $(seq "$pairs"); do
+			if jq -en --arg k "$k" --slurpfile r "$tmp/rev-$w-$i.json" --slurpfile n "$tmp/now-$w-$i.json" \
+				'$n[0][$k] < $r[0][$k]' >/dev/null; then
+				won=$((won + 1))
+			fi
+		done
+		echo "  $k median (quartiles): $(spread "$k" "${now[@]}"), $rev $(spread "$k" "$tmp/rev-$w-"*.json); lower in $won/$pairs pairs (not gated)"
+	done
 done
 [ "$status" -eq 0 ] && echo "perf-gate: every workload matches $baseline and allocates within 1 % of $rev"
 exit "$status"
