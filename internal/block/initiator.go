@@ -18,6 +18,7 @@ var ErrTimeout = errors.New("block: request timeout")
 // Initiator serves one client node and may hold sessions to many targets.
 type Initiator struct {
 	node  *simnet.Node
+	net   *simnet.Network
 	sched *simtime.Scheduler
 	// frames is the network's free list: every request is encoded into one
 	// of its frames, and every response goes back to it.
@@ -27,8 +28,8 @@ type Initiator struct {
 	pending map[uint64]*call
 	// spent holds retired call records for the next request.
 	spent []*call
-	// targets caches each host's TargetNode name.
-	targets map[string]string
+	// targets caches each host's TargetNode address.
+	targets map[string]simnet.Addr
 
 	// Timeout bounds each request (default 2s, enough for a spun-down
 	// disk's spin-up; failover remounts retry above this layer).
@@ -74,10 +75,11 @@ func (c *call) Fire() {
 func NewInitiator(net *simnet.Network, clientNode string) *Initiator {
 	ini := &Initiator{
 		node:    net.Node(clientNode),
+		net:     net,
 		sched:   net.Scheduler(),
 		frames:  net.Frames(),
 		pending: make(map[uint64]*call),
-		targets: make(map[string]string),
+		targets: make(map[string]simnet.Addr),
 		Timeout: 2 * time.Second,
 	}
 	ini.node.Handle(ini.onMessage)
@@ -148,7 +150,7 @@ func (ini *Initiator) send(host string, m *Msg, c *call) {
 	m.encodeInto(fr.B)
 	to, ok := ini.targets[host]
 	if !ok {
-		to = TargetNode(host)
+		to = ini.net.Addr(TargetNode(host))
 		ini.targets[host] = to
 	}
 	ini.node.Send(to, fr, len(fr.B))

@@ -19,8 +19,10 @@ type Target struct {
 	// names maps each export's name to itself, so a decoded PDU reuses
 	// the export's string instead of copying the name out of the frame.
 	names map[string]string
-	// sessions tracks which (client, volume) pairs are logged in.
-	sessions map[string]map[string]bool
+	// sessions holds, per initiator, the volume names it is logged in to,
+	// each with its export (nil while revoked; a revoke keeps the login),
+	// so a served IO hashes the volume name once.
+	sessions map[simnet.Addr]map[string]Volume
 
 	// reads and writes count served IOs.
 	reads, writes uint64
@@ -40,7 +42,7 @@ func NewTarget(net *simnet.Network, host string) *Target {
 		frames:   net.Frames(),
 		volumes:  make(map[string]Volume),
 		names:    make(map[string]string),
-		sessions: make(map[string]map[string]bool),
+		sessions: make(map[simnet.Addr]map[string]Volume),
 	}
 	t.node.Handle(t.onMessage)
 	return t
@@ -50,6 +52,7 @@ func NewTarget(net *simnet.Network, host string) *Target {
 func (t *Target) Export(name string, vol Volume) {
 	t.volumes[name] = vol
 	t.names[name] = name
+	t.setSessions(name, vol)
 }
 
 // Revoke removes an export; logged-in clients get StatusNoVolume on
@@ -57,6 +60,16 @@ func (t *Target) Export(name string, vol Volume) {
 func (t *Target) Revoke(name string) {
 	delete(t.volumes, name)
 	delete(t.names, name)
+	t.setSessions(name, nil)
+}
+
+// setSessions points every login to name at vol.
+func (t *Target) setSessions(name string, vol Volume) {
+	for _, sess := range t.sessions {
+		if _, in := sess[name]; in {
+			sess[name] = vol
+		}
+	}
 }
 
 // Down makes the target unreachable (host crash) or reachable again.
@@ -83,7 +96,7 @@ func (t *Target) onMessage(msg simnet.Message) {
 // serve handles one decoded PDU. fr is its frame: a write's payload aliases
 // it, and the write's completion gives it back to the free list; any other
 // request's frame goes back once serve returns.
-func (t *Target) serve(from string, m *Msg, fr *simnet.Frame) {
+func (t *Target) serve(from simnet.Addr, m *Msg, fr *simnet.Frame) {
 	switch m.Type {
 	case MsgLogin:
 		vol, ok := t.volumes[m.Volume]
@@ -93,10 +106,10 @@ func (t *Target) serve(from string, m *Msg, fr *simnet.Frame) {
 		}
 		sess := t.sessions[from]
 		if sess == nil {
-			sess = make(map[string]bool)
+			sess = make(map[string]Volume)
 			t.sessions[from] = sess
 		}
-		sess[m.Volume] = true
+		sess[m.Volume] = vol
 		t.reply(from, Msg{Type: MsgLoginResp, Tag: m.Tag, Size: uint64(vol.Size())})
 	case MsgLogout:
 		delete(t.sessions[from], m.Volume)
@@ -130,7 +143,7 @@ func (t *Target) serve(from string, m *Msg, fr *simnet.Frame) {
 
 // reply sends a response that carries no payload, in a frame from the free
 // list that the initiator gives back.
-func (t *Target) reply(to string, m Msg) {
+func (t *Target) reply(to simnet.Addr, m Msg) {
 	fr := t.frames.Get(m.frameLen())
 	m.encodeInto(fr.B)
 	t.node.Send(to, fr, len(fr.B))
@@ -148,7 +161,7 @@ func (t *Target) reply(to string, m Msg) {
 // pooled header-only frame that declares the discarded length to the network.
 type readReply struct {
 	t         *Target
-	from      string
+	from      simnet.Addr
 	tag       uint64
 	frame     *simnet.Frame       // the copied read's reply frame
 	lease     *disk.Lease         // the lent read's lease
@@ -180,7 +193,7 @@ func (r *readReply) Lend(lease *disk.Lease) { r.lease = lease }
 
 func (r *readReply) finish(data []byte, err error) {
 	t, from, tag, frame, lease, discarded := r.t, r.from, r.tag, r.frame, r.lease, r.discarded
-	r.from, r.frame, r.lease, r.discarded = "", nil, nil, 0
+	r.frame, r.lease, r.discarded = nil, nil, 0
 	t.spentReads = append(t.spentReads, r)
 	if err != nil {
 		// The medium was read but the bytes failed verification: the
@@ -216,7 +229,7 @@ func (r *readReply) finish(data []byte, err error) {
 // list for the next write; a frame dropped in flight falls to the GC.
 type writeReply struct {
 	t     *Target
-	from  string
+	from  simnet.Addr
 	tag   uint64
 	frame *simnet.Frame
 	done  func(error) // finish, bound once per record
@@ -235,7 +248,7 @@ func (t *Target) newWriteReply() *writeReply {
 
 func (w *writeReply) finish(err error) {
 	t, from, tag, frame := w.t, w.from, w.tag, w.frame
-	w.from, w.frame = "", nil
+	w.frame = nil
 	t.spentWrites = append(t.spentWrites, w)
 	resp := Msg{Type: MsgWriteResp, Tag: tag}
 	if err != nil {
@@ -248,15 +261,15 @@ func (w *writeReply) finish(err error) {
 // volumeFor resolves an IO's volume, requiring a prior login. The IO PDUs
 // carry the volume name in Msg.Volume for simplicity (real iSCSI binds a
 // session to one target; we multiplex).
-func (t *Target) volumeFor(from, name string) (Volume, Status) {
+func (t *Target) volumeFor(from simnet.Addr, name string) (Volume, Status) {
 	if name == "" {
 		return nil, StatusNoVolume
 	}
-	if !t.sessions[from][name] {
+	vol, in := t.sessions[from][name]
+	switch {
+	case !in:
 		return nil, StatusNotLoggedIn
-	}
-	vol, ok := t.volumes[name]
-	if !ok {
+	case vol == nil:
 		return nil, StatusNoVolume
 	}
 	return vol, StatusOK

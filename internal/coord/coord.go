@@ -120,6 +120,8 @@ type Store struct {
 	sched *simtime.Scheduler
 	node  *simnet.Node
 	px    *paxos.Node
+	// pingTo[i] is the ping endpoint of the paxos group's sorted peer i.
+	pingTo []simnet.Addr
 
 	root     *znode
 	slab     []znode // unused znodes, carved 64 at a time
@@ -169,6 +171,9 @@ func NewStore(net *simnet.Network, name string, peers []string, cfg paxos.Config
 		sweep:        250 * time.Millisecond,
 	}
 	s.px = paxos.New(net, name, peers, cfg, s.apply)
+	for _, p := range s.px.Peers() {
+		s.pingTo = append(s.pingTo, net.Addr(coordName(p)))
+	}
 	s.node.Handle(s.onMessage)
 	s.sweepLoop()
 	return s
@@ -333,11 +338,11 @@ func (s *Store) Ping(session string) {
 	if s.stopped {
 		return
 	}
-	leader := s.px.Leader()
-	if leader == "" {
+	leader := s.px.LeaderIndex()
+	if leader < 0 {
 		return
 	}
-	s.node.Send(coordName(leader), pingMsg{Session: session}, 16)
+	s.node.Send(s.pingTo[leader], pingMsg{Session: session}, 16)
 }
 
 func (s *Store) onMessage(msg simnet.Message) {

@@ -14,6 +14,8 @@ type DiskInfo struct {
 	// Domain is Loc.Domain at the fleet's configured spread level — the key
 	// re-placement excludes surviving fragments by — built once here.
 	Domain string
+	// unit is the unit owning the disk (UnitOfDisk).
+	unit *UnitTopo
 }
 
 // UnitTopo is one deploy unit's static shape: its rack, hosts, disks, and
@@ -77,6 +79,7 @@ func buildTopology(cfg Config) *Topology {
 				di := &DiskInfo{
 					ID:       id,
 					Capacity: diskCapacity,
+					unit:     u,
 					Loc: placement.Location{
 						Rack: u.Rack,
 						Unit: u.ID,
@@ -99,11 +102,10 @@ func buildTopology(cfg Config) *Topology {
 
 // UnitOfDisk returns the unit topo owning a disk (nil if unknown).
 func (t *Topology) UnitOfDisk(diskID string) *UnitTopo {
-	d := t.Disks[diskID]
-	if d == nil {
-		return nil
+	if d := t.Disks[diskID]; d != nil {
+		return d.unit
 	}
-	return t.UnitByID[d.Loc.Unit]
+	return nil
 }
 
 // ShardUnits returns the sorted unit IDs statically owned by shard k. The

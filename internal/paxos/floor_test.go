@@ -106,7 +106,7 @@ func TestLeaderAfterTruncationRecovers(t *testing.T) {
 		n := c.nodes[name]
 		c.net.Node(name).Handle(func(m simnet.Message) {
 			if w, ok := m.Payload.(*wire[acceptMsg]); ok && w.msg.Value.IsNoop() && w.msg.Slot < chosen {
-				t.Errorf("%s proposed a no-op into chosen slot %d", m.From, w.msg.Slot)
+				t.Errorf("%s proposed a no-op into chosen slot %d", c.net.Name(m.From), w.msg.Slot)
 			}
 			n.dispatch(m)
 		})
@@ -153,8 +153,8 @@ func TestRequestBelowFloorAnsweredFromFloor(t *testing.T) {
 			got = append(got, m)
 		}
 	})
-	l.onCatchupReq(f, catchupReq{FromSlot: 0})
-	l.onPrepare(f, prepareMsg{Ballot: l.promised, FromSlot: 0})
+	l.onCatchupReq(c.net.Addr(f), catchupReq{FromSlot: 0})
+	l.onPrepare(c.net.Addr(f), prepareMsg{Ballot: l.promised, FromSlot: 0})
 	c.settle(10 * time.Millisecond)
 	if len(got) != 2 {
 		t.Fatalf("got %d replies, want a catch-up page and a promise", len(got))

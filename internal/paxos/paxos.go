@@ -194,7 +194,7 @@ func (l *wireList[T]) get() *wire[T] {
 }
 
 // send sends msg to one peer in a record of its own.
-func (l *wireList[T]) send(n *Node, to string, msg T, size int) {
+func (l *wireList[T]) send(n *Node, to simnet.Addr, msg T, size int) {
 	w := l.get()
 	w.msg = msg
 	n.node.Send(to, w, size)
@@ -202,7 +202,7 @@ func (l *wireList[T]) send(n *Node, to string, msg T, size int) {
 
 // broadcast sends msg to every peer, self included, a record each.
 func (l *wireList[T]) broadcast(n *Node, msg T, size int) {
-	for _, p := range n.peers {
+	for _, p := range n.peerAddrs {
 		l.send(n, p, msg, size)
 	}
 }
@@ -212,10 +212,15 @@ type Node struct {
 	name  string
 	index int
 	peers []string // includes self
-	cfg   Config
-	sched *simtime.Scheduler
-	node  *simnet.Node
-	apply Applier
+	// peerAddrs are the peers' interned addresses, in peers' order; addr
+	// is this node's.
+	peerAddrs []simnet.Addr
+	addr      simnet.Addr
+	cfg       Config
+	sched     *simtime.Scheduler
+	net       *simnet.Network
+	node      *simnet.Node
+	apply     Applier
 
 	// Acceptor state.
 	promised Ballot
@@ -234,10 +239,10 @@ type Node struct {
 	// Leadership.
 	isLeader     bool
 	leaderBallot Ballot
-	leaderHint   string // who we believe leads
+	leaderHint   simnet.Addr // who we believe leads (simnet.NoAddr: nobody)
 	lastLeaderAt simtime.Time
 	campaigning  bool
-	promises     map[string][]wireSlot
+	promises     map[simnet.Addr][]wireSlot
 	nextSlot     int // leader: next free slot
 
 	// Client proposals.
@@ -276,15 +281,22 @@ func New(net *simnet.Network, name string, peers []string, cfg Config, apply App
 		name:        name,
 		index:       idx,
 		peers:       sorted,
+		peerAddrs:   make([]simnet.Addr, len(sorted)),
 		cfg:         cfg,
 		sched:       net.Scheduler(),
+		net:         net,
 		node:        net.Node(name),
 		apply:       apply,
 		below:       slotState{chosen: true},
+		leaderHint:  simnet.NoAddr,
 		peerApplied: make([]int, len(sorted)),
 		inFlight:    make(map[string]int),
 		onApplied:   make(map[string]func(int)),
 	}
+	for i, p := range sorted {
+		n.peerAddrs[i] = net.Addr(p)
+	}
+	n.addr = net.Addr(name)
 	n.node.Handle(n.dispatch)
 	n.armElectionTimer()
 	return n
@@ -298,8 +310,23 @@ func (n *Node) Leader() string {
 	if n.isLeader {
 		return n.name
 	}
-	return n.leaderHint
+	if n.leaderHint == simnet.NoAddr {
+		return ""
+	}
+	return n.net.Name(n.leaderHint)
 }
+
+// LeaderIndex returns the believed leader's index in Peers (-1 if unknown).
+func (n *Node) LeaderIndex() int {
+	if n.isLeader {
+		return n.index
+	}
+	return slices.Index(n.peerAddrs, n.leaderHint)
+}
+
+// Peers returns the group's names, sorted. The slice is shared: do not
+// modify it.
+func (n *Node) Peers() []string { return n.peers }
 
 // Stop makes the node inert (process crash). Its acceptor state is
 // retained, modelling a restart-with-durable-state when Resume is called.
@@ -332,7 +359,7 @@ func (n *Node) Propose(cmd Command, onApplied func(slot int)) {
 		n.leaderPropose(cmd)
 		return
 	}
-	if n.leaderHint != "" {
+	if n.leaderHint != simnet.NoAddr {
 		n.node.Send(n.leaderHint, proposeFwd{Cmd: cmd}, 64)
 		return
 	}
@@ -411,9 +438,9 @@ func (n *Node) campaign() {
 	b := NewBallot(round, n.index)
 	n.promised = b
 	n.leaderBallot = b
-	n.promises = map[string][]wireSlot{}
+	n.promises = map[simnet.Addr][]wireSlot{}
 	prepare := any(prepareMsg{Ballot: b, FromSlot: n.chosenP}) // boxed once for every peer
-	for _, p := range n.peers {
+	for _, p := range n.peerAddrs {
 		n.node.Send(p, prepare, 64)
 	}
 	n.sched.FireAfter(n.cfg.PhaseTimeout, func() {
@@ -451,7 +478,7 @@ func (n *Node) dispatch(msg simnet.Message) {
 	case proposeFwd:
 		if n.isLeader {
 			n.leaderPropose(m.Cmd)
-		} else if n.leaderHint != "" && n.leaderHint != msg.From {
+		} else if n.leaderHint != simnet.NoAddr && n.leaderHint != msg.From {
 			n.node.Send(n.leaderHint, m, 64)
 		} else {
 			n.pending = append(n.pending, m.Cmd)
@@ -467,13 +494,13 @@ func (n *Node) dispatch(msg simnet.Message) {
 	}
 }
 
-func (n *Node) onPrepare(from string, m prepareMsg) {
+func (n *Node) onPrepare(from simnet.Addr, m prepareMsg) {
 	if m.Ballot < n.promised {
 		n.node.Send(from, nackMsg{Ballot: n.promised}, 16)
 		return
 	}
 	n.promised = m.Ballot
-	if from != n.name {
+	if from != n.addr {
 		// A prepare from a would-be leader resets our election patience.
 		n.lastLeaderAt = n.sched.Now()
 	}
@@ -494,7 +521,7 @@ func (n *Node) onPrepare(from string, m prepareMsg) {
 	n.node.Send(from, promiseMsg{Ballot: m.Ballot, Accepted: acc}, 64+(len(acc)+max(n.base-m.FromSlot, 0))*32)
 }
 
-func (n *Node) onPromise(from string, m promiseMsg) {
+func (n *Node) onPromise(from simnet.Addr, m promiseMsg) {
 	if !n.campaigning || m.Ballot != n.leaderBallot {
 		return
 	}
@@ -505,7 +532,7 @@ func (n *Node) onPromise(from string, m promiseMsg) {
 	// Quorum: become leader.
 	n.campaigning = false
 	n.isLeader = true
-	n.leaderHint = n.name
+	n.leaderHint = n.addr
 	n.lastLeaderAt = n.sched.Now()
 
 	// Recover: adopt highest-ballot accepted value per slot; chosen values
@@ -601,13 +628,13 @@ func (t *phaseTimer) Fire() {
 	n.phaseFree = append(n.phaseFree, t)
 }
 
-func (n *Node) onAccept(from string, m acceptMsg) {
+func (n *Node) onAccept(from simnet.Addr, m acceptMsg) {
 	if m.Ballot < n.promised {
 		n.node.Send(from, nackMsg{Ballot: n.promised}, 16)
 		return
 	}
 	n.promised = m.Ballot
-	if from != n.name {
+	if from != n.addr {
 		n.lastLeaderAt = n.sched.Now()
 		n.leaderHint = from
 		if n.isLeader && m.Ballot > n.leaderBallot {
@@ -624,8 +651,8 @@ func (n *Node) onAccept(from string, m acceptMsg) {
 	n.learnFloor(m.Floor)
 }
 
-func (n *Node) onAccepted(from string, m acceptedMsg) {
-	i := sort.SearchStrings(n.peers, from)
+func (n *Node) onAccepted(from simnet.Addr, m acceptedMsg) {
+	i := slices.Index(n.peerAddrs, from)
 	n.peerApplied[i] = max(n.peerApplied[i], m.Applied)
 	n.truncate()
 	if !n.isLeader || m.Ballot != n.leaderBallot {
@@ -697,13 +724,13 @@ func (n *Node) heartbeat() {
 	}
 }
 
-func (n *Node) onHeartbeat(from string, m heartbeatMsg) {
+func (n *Node) onHeartbeat(from simnet.Addr, m heartbeatMsg) {
 	if m.Ballot < n.promised {
 		n.node.Send(from, nackMsg{Ballot: n.promised}, 16)
 		return
 	}
 	n.promised = m.Ballot
-	if from != n.name {
+	if from != n.addr {
 		n.isLeader = false
 		n.leaderHint = from
 		n.lastLeaderAt = n.sched.Now()
@@ -721,7 +748,7 @@ func (n *Node) onHeartbeat(from string, m heartbeatMsg) {
 	n.learnFloor(m.Floor)
 }
 
-func (n *Node) onCatchupReq(from string, m catchupReq) {
+func (n *Node) onCatchupReq(from simnet.Addr, m catchupReq) {
 	end := min(n.chosenP, m.FromSlot+256)
 	if end <= m.FromSlot {
 		return

@@ -15,7 +15,7 @@ func TestColocatedNodesAreLoopback(t *testing.T) {
 	n.SetMachineBrownout("h1", time.Second) // must be ignored
 	var gotAt simtime.Time = -1
 	n.Node("blk:h1").Handle(func(m Message) { gotAt = s.Now() })
-	n.Node("ep:h1").Send("blk:h1", "io", 4<<20)
+	n.Node("ep:h1").Send(n.Addr("blk:h1"), "io", 4<<20)
 	s.Run()
 	if gotAt != 0 {
 		t.Fatalf("loopback delivery at %v, want 0", gotAt)
@@ -32,7 +32,7 @@ func TestDifferentMachinesUseNetwork(t *testing.T) {
 	n.Colocate("b", "h2")
 	var gotAt simtime.Time = -1
 	n.Node("b").Handle(func(m Message) { gotAt = s.Now() })
-	n.Node("a").Send("b", "x", 1000)
+	n.Node("a").Send(n.Addr("b"), "x", 1000)
 	s.Run()
 	if gotAt <= 0 {
 		t.Fatalf("cross-machine delivery at %v, want network delay", gotAt)
@@ -40,8 +40,8 @@ func TestDifferentMachinesUseNetwork(t *testing.T) {
 	if n.Stats().Bytes != 1000 {
 		t.Fatalf("bytes = %d", n.Stats().Bytes)
 	}
-	if n.machines["a"] != "h1" || n.machines["unassigned"] != "" {
-		t.Fatalf("machines wrong: %q %q", n.machines["a"], n.machines["unassigned"])
+	if n.Node("a").mach != n.table.machines["h1"] || n.table.node("unassigned").mach != noMachine {
+		t.Fatalf("machines wrong: %d %d", n.Node("a").mach, n.table.node("unassigned").mach)
 	}
 }
 
@@ -52,7 +52,7 @@ func TestUnassignedNodeNotLocalToAssigned(t *testing.T) {
 	// "b" is unassigned; must not be treated as local to anything.
 	var gotAt simtime.Time = -1
 	n.Node("b").Handle(func(m Message) { gotAt = s.Now() })
-	n.Node("a").Send("b", "x", 0)
+	n.Node("a").Send(n.Addr("b"), "x", 0)
 	s.Run()
 	if gotAt <= 0 {
 		t.Fatal("unassigned node treated as loopback")
@@ -60,7 +60,7 @@ func TestUnassignedNodeNotLocalToAssigned(t *testing.T) {
 	// Two unassigned nodes are also remote to each other.
 	gotAt = -1
 	n.Node("c").Handle(func(m Message) { gotAt = s.Now() })
-	n.Node("b").Send("c", "x", 0)
+	n.Node("b").Send(n.Addr("c"), "x", 0)
 	s.Run()
 	if gotAt <= 0 {
 		t.Fatal("two unassigned nodes treated as loopback")
@@ -77,7 +77,7 @@ func TestColocatedIgnoresLossAndCut(t *testing.T) {
 	n.CutMachines("h1", "h1")
 	got := 0
 	n.Node("b").Handle(func(m Message) { got++ })
-	n.Node("a").Send("b", "x", 0)
+	n.Node("a").Send(n.Addr("b"), "x", 0)
 	s.Run()
 	if got != 1 {
 		t.Fatal("loopback affected by link loss/cut")
@@ -91,7 +91,7 @@ func TestDupRateDeliversTwice(t *testing.T) {
 	n.SetMachineDupRate("mach-a", "mach-b", 1.0)
 	got := 0
 	n.Node("b").Handle(func(m Message) { got++ })
-	n.Node("a").Send("b", "x", 0)
+	n.Node("a").Send(n.Addr("b"), "x", 0)
 	s.Run()
 	if got != 2 {
 		t.Fatalf("delivered %d times with dupRate 1, want 2", got)

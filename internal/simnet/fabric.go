@@ -31,23 +31,18 @@ import (
 // one simtime.Engine. Construct with NewFabric, then create each partition's
 // Network with Fabric.Network.
 //
-// Topology mutations — node registration, Colocate, IsolateMachine — must
-// happen at engine quiescence (between RunUntil windows); message forwarding
-// itself is safe from any partition mid-window.
+// Topology mutations — node registration, Colocate, IsolateMachine, cuts —
+// must happen at engine quiescence (between RunUntil windows); message
+// forwarding itself is safe from any partition mid-window.
 type Fabric struct {
 	engine *simtime.Engine
 	nets   []*Network
-	// dir maps every node name to its home partition. Written at
-	// quiescence when nodes register, read by every partition's sends
-	// during windows.
-	dir map[string]int
-	// machines maps node name to machine fabric-wide, mirroring each
-	// partition Network's Colocate calls. Same contract as dir: written at
-	// quiescence, read mid-window by forward.
-	machines map[string]string
-	// machCuts holds severed machine pairs (keys normalized a<b). Mutated
-	// only at engine quiescence via CutMachines/HealMachines.
-	machCuts map[linkKey]bool
+	// table is the address table every partition's Network shares: a node
+	// record's net is its home partition's Network.
+	table *addrTable
+	// machCuts holds severed machine pairs by pairKey. Mutated only at
+	// engine quiescence via CutMachines/HealMachines.
+	machCuts map[uint64]bool
 }
 
 // NewFabric returns a fabric over the engine's partitions.
@@ -55,9 +50,8 @@ func NewFabric(engine *simtime.Engine) *Fabric {
 	return &Fabric{
 		engine:   engine,
 		nets:     make([]*Network, engine.Parts()),
-		dir:      make(map[string]int),
-		machines: make(map[string]string),
-		machCuts: make(map[linkKey]bool),
+		table:    newAddrTable(),
+		machCuts: make(map[uint64]bool),
 	}
 }
 
@@ -66,22 +60,10 @@ func NewFabric(engine *simtime.Engine) *Fabric {
 func (f *Fabric) Network(part int) *Network {
 	if f.nets[part] == nil {
 		n := New(f.engine.Part(part))
-		n.fabric = f
-		n.part = part
+		n.table, n.fabric, n.part = f.table, f, part
 		f.nets[part] = n
 	}
 	return f.nets[part]
-}
-
-// register records a node's home partition; called from Network.Node.
-func (f *Fabric) register(name string, part int) {
-	f.dir[name] = part
-}
-
-// colocate mirrors a partition Network's Colocate into the fabric-wide
-// registry so cross-partition sends can resolve both endpoints' machines.
-func (f *Fabric) colocate(node, machine string) {
-	f.machines[node] = machine
 }
 
 // CutMachines severs cross-partition traffic between two machines in both
@@ -89,61 +71,38 @@ func (f *Fabric) colocate(node, machine string) {
 // the same contract as node registration. Partition-local traffic between the
 // machines is governed by each Network's own CutMachines.
 func (f *Fabric) CutMachines(a, b string) {
-	if a > b {
-		a, b = b, a
-	}
-	f.machCuts[linkKey{a, b}] = true
+	f.machCuts[pairKey(f.table.machine(a), f.table.machine(b))] = true
 }
 
 // HealMachines restores cross-partition traffic between two machines.
 func (f *Fabric) HealMachines(a, b string) {
-	if a > b {
-		a, b = b, a
-	}
-	delete(f.machCuts, linkKey{a, b})
+	delete(f.machCuts, pairKey(f.table.machine(a), f.table.machine(b)))
 }
 
-// forward routes a message whose destination is not local to src. It reports
-// false when the destination is unknown fabric-wide (the caller then counts
-// the drop). Runs mid-window in src's partition: of dst it touches only the
-// record pool, so the destination-side checks wait for delivery time.
-func (f *Fabric) forward(src *Network, msg Message) bool {
-	dstPart, ok := f.dir[msg.To]
-	if !ok {
-		return false
-	}
-	if ma := src.machines[msg.From]; ma != "" && src.isolatedMach[ma] {
-		src.drop(msg.Payload)
-		return true
-	}
-	if len(f.machCuts) > 0 {
-		ma, mb := f.machines[msg.From], f.machines[msg.To]
-		if ma != "" && mb != "" {
-			if ma > mb {
-				ma, mb = mb, ma
-			}
-			if f.machCuts[linkKey{ma, mb}] {
-				src.drop(msg.Payload)
-				return true
-			}
-		}
+// forward routes a message from src to dst, a node registered on another
+// partition. Runs mid-window in src's partition: of dst's network it touches
+// only the record pool, so the destination-side checks wait for delivery
+// time.
+func (f *Fabric) forward(src, dst *Node, msg Message) {
+	n := src.net
+	if n.machAt(src.mach).isolated || f.machCuts[pairKey(src.mach, dst.mach)] {
+		n.drop(msg.Payload)
+		return
 	}
 	delay := f.engine.Lookahead()
 	if msg.Size > 0 {
 		delay += time.Duration(float64(msg.Size) / linkBandwidth * float64(time.Second))
 	}
-	dst := f.nets[dstPart]
-	m := dst.remote.get()
+	m := dst.net.remote.get()
 	m.dst, m.msg = dst, msg
-	f.engine.PostR(src.part, dstPart, src.sched.Now()+delay, m)
-	return true
+	f.engine.PostR(n.part, dst.net.part, n.sched.Now()+delay, m)
 }
 
 // remoteMsg is a cross-partition message in flight, pooled by the
 // destination Network: the sending partition takes it, the destination
 // returns it on delivery.
 type remoteMsg struct {
-	dst *Network
+	dst *Node
 	msg Message
 }
 
@@ -151,10 +110,9 @@ type remoteMsg struct {
 // destination-side checks (machine isolation, node up, handler installed)
 // are evaluated against delivery-time state, like a local delivery's.
 func (m *remoteMsg) Fire() {
-	n, msg := m.dst, m.msg
+	dst, msg, n := m.dst, m.msg, m.dst.net
 	n.remote.put(m)
-	dst, ok := n.nodes[msg.To]
-	if mb := n.machines[msg.To]; !ok || (mb != "" && n.isolatedMach[mb]) {
+	if n.machAt(dst.mach).isolated {
 		n.drop(msg.Payload)
 		return
 	}

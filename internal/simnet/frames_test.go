@@ -107,7 +107,7 @@ func TestDuplicateDeliveryOwnsItsBytes(t *testing.T) {
 	})
 	fr := n.Frames().Get(len(want))
 	copy(fr.B, want)
-	n.Node("a").Send("b", fr, len(want))
+	n.Node("a").Send(n.Addr("b"), fr, len(want))
 	s.Run()
 	if len(got) != 2 {
 		t.Fatalf("deliveries = %d, want 2", len(got))
@@ -132,7 +132,7 @@ func TestDuplicateDeliveryOwnsItsBytes(t *testing.T) {
 			t.Errorf("payload %v", m.Payload)
 		}
 	})
-	n.Node("a").Send("b", "ctl", 0)
+	n.Node("a").Send(n.Addr("b"), "ctl", 0)
 	s.Run()
 	if v := rec.Counter("simnet", "dup_deliveries_total").Value(); v != 2 {
 		t.Fatalf("dup_deliveries_total = %d, want 2", v)
@@ -147,7 +147,7 @@ func TestDuplicateDeliveryOwnsItsBytes(t *testing.T) {
 	fr = n.Frames().Get(3)
 	copy(fr.B, "hdr")
 	fr.Body, fr.Lease = []byte("lent body"), lease
-	n.Node("a").Send("b", fr, 3+len(fr.Body))
+	n.Node("a").Send(n.Addr("b"), fr, 3+len(fr.Body))
 	s.Run()
 	if len(lent) != 2 {
 		t.Fatalf("lent-body deliveries = %d, want 2", len(lent))

@@ -29,7 +29,7 @@ func TestDupGetsOwnPooledRecord(t *testing.T) {
 	net.Node("b").Handle(func(m Message) { got = append(got, m.Payload.(*pooledRec)) })
 	counts := &pooledCounts{}
 	rec := &pooledRec{counts}
-	net.Node("a").Send("b", rec, 32)
+	net.Node("a").Send(net.Addr("b"), rec, 32)
 	s.RunFor(time.Second)
 	if len(got) != 2 || counts.dups != 1 {
 		t.Fatalf("%d deliveries after %d dups, want 2 after 1", len(got), counts.dups)
@@ -42,11 +42,15 @@ func TestDupGetsOwnPooledRecord(t *testing.T) {
 	}
 }
 
+// unregister takes name's node off its network, leaving the name interned
+// with no node: the state of a name interned before its node registers.
+func unregister(n *Network, name string) { n.table.node(name).net = nil }
+
 // TestDroppedPooledRecordReleased: every path that drops a message gives
 // its Pooled record back, once: an unknown destination, an isolated machine,
 // a cut, the loss dice, a down node, a node with no handler, and on a
-// fabric a source-side cut or isolation and a destination-side isolation or
-// unknown node.
+// fabric a source-side cut or isolation, a destination-side isolation, and a
+// name with no node, unregistered through either partition's network.
 func TestDroppedPooledRecordReleased(t *testing.T) {
 	local := func(fault func(net *Network)) func(t *testing.T) (*pooledCounts, uint64) {
 		return func(t *testing.T) (*pooledCounts, uint64) {
@@ -57,7 +61,7 @@ func TestDroppedPooledRecordReleased(t *testing.T) {
 			net.Node("b").Handle(func(Message) { t.Error("a dropped message was delivered") })
 			fault(net)
 			counts := &pooledCounts{}
-			net.Node("a").Send("b", &pooledRec{counts}, 32)
+			net.Node("a").Send(net.Addr("b"), &pooledRec{counts}, 32)
 			s.RunFor(time.Second)
 			return counts, net.Stats().Dropped
 		}
@@ -72,7 +76,7 @@ func TestDroppedPooledRecordReleased(t *testing.T) {
 			nb.Node("b").Handle(func(Message) { t.Error("a dropped message was delivered") })
 			fault(f)
 			counts := &pooledCounts{}
-			na.Node("a").Send("b", &pooledRec{counts}, 32)
+			na.Node("a").Send(na.Addr("b"), &pooledRec{counts}, 32)
 			e.RunFor(time.Second)
 			return counts, na.Stats().Dropped + nb.Stats().Dropped
 		}
@@ -81,14 +85,14 @@ func TestDroppedPooledRecordReleased(t *testing.T) {
 		name string
 		run  func(t *testing.T) (*pooledCounts, uint64)
 	}{
-		{"unknown", local(func(net *Network) { delete(net.nodes, "b") })},
+		{"unknown", local(func(net *Network) { unregister(net, "b") })},
 		{"isolated", local(func(net *Network) { net.IsolateMachine("mb") })},
 		{"cut", local(func(net *Network) { net.CutMachines("ma", "mb") })},
 		{"loss", local(func(net *Network) { net.SetMachineLossRate("ma", "mb", 1) })},
 		{"down", local(func(net *Network) { net.Node("b").SetDown(true) })},
 		{"no-handler", local(func(net *Network) { net.Node("b").Handle(nil) })},
-		{"fabric-unknown", fabric(func(f *Fabric) { delete(f.dir, "b") })},
-		{"fabric-dst-unknown", fabric(func(f *Fabric) { delete(f.Network(1).nodes, "b") })},
+		{"fabric-unknown", fabric(func(f *Fabric) { unregister(f.Network(0), "b") })},
+		{"fabric-dst-unknown", fabric(func(f *Fabric) { unregister(f.Network(1), "b") })},
 		{"fabric-cut", fabric(func(f *Fabric) { f.CutMachines("ma", "mb") })},
 		{"fabric-src-isolated", fabric(func(f *Fabric) { f.Network(0).IsolateMachine("ma") })},
 		{"fabric-dst-isolated", fabric(func(f *Fabric) { f.Network(1).IsolateMachine("mb") })},

@@ -199,13 +199,13 @@ func TestMachineCutAndHeal(t *testing.T) {
 	n.Colocate("b", "rack2")
 
 	n.CutMachines("rack1", "rack2")
-	a.Send("b", "x", 0)
+	a.Send(n.Addr("b"), "x", 0)
 	s.Run()
 	if got != 0 {
 		t.Fatal("message crossed a cut machine pair")
 	}
 	n.HealMachines("rack2", "rack1") // order must not matter
-	a.Send("b", "x", 0)
+	a.Send(n.Addr("b"), "x", 0)
 	s.Run()
 	if got != 1 {
 		t.Fatal("message did not cross after heal")
@@ -226,9 +226,9 @@ func TestIsolateMachineKeepsLoopback(t *testing.T) {
 	n.Colocate("other", "m3")
 
 	n.IsolateMachine("m1")
-	a.Send("a2", "x", 0)   // loopback survives
-	a.Send("peer", "x", 0) // uplink is unplugged
-	peer.Send("a", "x", 0)
+	a.Send(n.Addr("a2"), "x", 0)   // loopback survives
+	a.Send(n.Addr("peer"), "x", 0) // uplink is unplugged
+	peer.Send(n.Addr("a"), "x", 0)
 	s.Run()
 	if aGot != 1 {
 		t.Fatalf("loopback deliveries = %d, want 1", aGot)
@@ -236,7 +236,7 @@ func TestIsolateMachineKeepsLoopback(t *testing.T) {
 	if peerGot != 0 {
 		t.Fatal("isolated machine reached a peer")
 	}
-	n.Node("other").Send("peer", "x", 0) // a pair that does not touch m1
+	n.Node("other").Send(n.Addr("peer"), "x", 0) // a pair that does not touch m1
 	s.Run()
 	if peerGot != 1 {
 		t.Fatal("isolating m1 cut an unrelated machine pair")
@@ -244,7 +244,7 @@ func TestIsolateMachineKeepsLoopback(t *testing.T) {
 	peerGot = 0
 
 	n.RejoinMachine("m1")
-	a.Send("peer", "x", 0)
+	a.Send(n.Addr("peer"), "x", 0)
 	s.Run()
 	if peerGot != 1 {
 		t.Fatal("rejoin did not restore traffic")
@@ -261,14 +261,14 @@ func TestMachineLossRate(t *testing.T) {
 	n.Colocate("b", "m2")
 	n.SetMachineLossRate("m1", "m2", 1.0)
 	for i := 0; i < 20; i++ {
-		a.Send("b", i, 0)
+		a.Send(n.Addr("b"), i, 0)
 	}
 	s.Run()
 	if got != 0 {
 		t.Fatalf("%d messages survived 100%% machine loss", got)
 	}
 	n.SetMachineLossRate("m1", "m2", 0)
-	a.Send("b", 1, 0)
+	a.Send(n.Addr("b"), 1, 0)
 	s.Run()
 	if got != 1 {
 		t.Fatal("message lost after loss rate reset")

@@ -86,8 +86,7 @@ func (a *AsyncReply) Reply(result any, err error) {
 type RPCNode struct {
 	node     *Node
 	net      *Network
-	methods  map[string]RPCHandler
-	async    map[string]RPCAsyncHandler
+	methods  map[string]rpcMethod
 	nextID   uint64
 	pending  map[uint64]*pendingCall
 	calls    freeList[pendingCall]
@@ -96,12 +95,18 @@ type RPCNode struct {
 
 	seen     map[dedupKey]rpcReply
 	inflight map[dedupKey]bool
-	lastID   map[string]uint64
+	lastID   map[Addr]uint64
 	dedupN   int
 }
 
+// rpcMethod is one method's handlers: an async one wins over a sync one.
+type rpcMethod struct {
+	sync  RPCHandler
+	async RPCAsyncHandler
+}
+
 type dedupKey struct {
-	from string
+	from Addr
 	id   uint64
 }
 
@@ -149,12 +154,11 @@ func NewRPCNode(net *Network, name string) *RPCNode {
 	r := &RPCNode{
 		node:     net.Node(name),
 		net:      net,
-		methods:  make(map[string]RPCHandler),
-		async:    make(map[string]RPCAsyncHandler),
+		methods:  make(map[string]rpcMethod),
 		pending:  make(map[uint64]*pendingCall),
 		seen:     make(map[dedupKey]rpcReply),
 		inflight: make(map[dedupKey]bool),
-		lastID:   make(map[string]uint64),
+		lastID:   make(map[Addr]uint64),
 	}
 	r.node.Handle(r.dispatch)
 	return r
@@ -168,13 +172,13 @@ func (r *RPCNode) Node() *Node { return r.node }
 
 // Register installs a handler for method. Re-registering replaces it.
 func (r *RPCNode) Register(method string, h RPCHandler) {
-	r.methods[method] = h
+	r.methods[method] = rpcMethod{sync: h, async: r.methods[method].async}
 }
 
 // RegisterAsync installs a handler whose reply arrives later, through the
 // AsyncReply record it is handed.
 func (r *RPCNode) RegisterAsync(method string, h RPCAsyncHandler) {
-	r.async[method] = h
+	r.methods[method] = rpcMethod{sync: r.methods[method].sync, async: h}
 }
 
 // instrumentCall wraps a call's completion callback with RPC latency and
@@ -221,11 +225,11 @@ func (r *RPCNode) CallR(to, method string, args any, size int, timeout time.Dura
 	if timeout > 0 {
 		pc.timeout = r.net.sched.AfterR(timeout, pc)
 	}
-	r.send(to, args, size, rpcHeader{kind: kindRequest, id: pc.id, text: method})
+	r.send(r.net.Addr(to), args, size, rpcHeader{kind: kindRequest, id: pc.id, text: method})
 }
 
-func (r *RPCNode) send(to string, payload any, size int, h rpcHeader) {
-	r.net.Send(Message{From: r.node.name, To: to, Payload: payload, Size: size, rpc: h})
+func (r *RPCNode) send(to Addr, payload any, size int, h rpcHeader) {
+	r.net.send(r.node, Message{From: r.node.addr, To: to, Payload: payload, Size: size, rpc: h})
 }
 
 // RetryOpts tunes CallWithRetry. Zero values pick the defaults.
@@ -331,7 +335,7 @@ func (rt *retrier) Fire() {
 	if r.net.rec != nil { // the variadic labels would escape even to a nil recorder
 		r.net.rec.Instant("simnet", "rpc-retry", r.Name(), obs.L("method", rt.method), obs.L("to", rt.to))
 	}
-	r.send(rt.to, rt.args, rt.size, rpcHeader{kind: kindRequest, id: rt.id, text: rt.method})
+	r.send(r.net.Addr(rt.to), rt.args, rt.size, rpcHeader{kind: kindRequest, id: rt.id, text: rt.method})
 	rt.pc.timeout = r.net.sched.AfterR(rt.o.Timeout, rt.pc)
 }
 
@@ -380,20 +384,19 @@ func (r *RPCNode) dispatch(msg Message) {
 			r.net.cDedup.Inc()
 			return // duplicate while the async handler runs; it will reply
 		}
-		if ah, ok := r.async[h.text]; ok {
+		m := r.methods[h.text]
+		switch {
+		case m.async != nil:
 			r.inflight[k] = true
 			a := r.replies.get()
 			a.r, a.k = r, k
-			ah(msg.From, msg.Payload, a)
-			return
-		}
-		hf, ok := r.methods[h.text]
-		if !ok {
+			m.async(r.net.Name(msg.From), msg.Payload, a)
+		case m.sync != nil:
+			result, err := m.sync(r.net.Name(msg.From), msg.Payload)
+			r.answer(k, result, err)
+		default:
 			r.reply(k, rpcReply{Err: "unknown method " + h.text})
-			return
 		}
-		result, err := hf(msg.From, msg.Payload)
-		r.answer(k, result, err)
 	case kindReply:
 		pc, ok := r.pending[h.id]
 		if !ok {

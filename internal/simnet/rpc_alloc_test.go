@@ -42,39 +42,55 @@ func TestRPCRoundTripAllocs(t *testing.T) {
 	}
 }
 
-// TestFabricRoundTripAllocs is the same round trip across two partitions
-// of an engine: the request and the reply each take a cross-partition
-// record from the destination network's pool, and nothing else allocates.
-func TestFabricRoundTripAllocs(t *testing.T) {
-	e, f := newTestFabric(t, 2, 1)
+// fabricEcho is rpcEcho across two partitions of an engine: the request
+// and the reply each take a cross-partition record from the destination
+// network's pool. trip runs past the call's timeout, so its event is
+// dropped; replies counts the replies.
+func fabricEcho(tb testing.TB) (trip func(), replies *int) {
+	e, f := newTestFabric(tb, 2, 1)
 	srv := NewRPCNode(f.Network(1), "srv")
 	cli := NewRPCNode(f.Network(0), "cli")
 	srv.Register("echo", func(_ string, args any) (any, error) { return args, nil })
 	args := any("ping")
-	replies := 0
+	replies = new(int)
 	done := func(_ any, err error) {
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		replies++
+		*replies++
 	}
-	trip := func() {
+	return func() {
 		cli.Call("srv", "echo", args, 0, time.Second, done)
-		e.RunFor(2 * time.Second) // past the timeout, so its event is dropped
-	}
+		e.RunFor(2 * time.Second)
+	}, replies
+}
+
+// TestFabricRoundTripAllocs is the round trip across two partitions, where
+// nothing allocates either.
+func TestFabricRoundTripAllocs(t *testing.T) {
+	trip, replies := fabricEcho(t)
 	for i := 0; i < 64; i++ {
 		trip()
 	}
 	if got := testing.AllocsPerRun(200, trip); got > 0 {
 		t.Fatalf("cross-partition RPC round trip allocates %.0f objects, want 0", got)
 	}
-	if replies != 64+201 {
-		t.Fatalf("%d replies, want %d", replies, 64+201)
+	if *replies != 64+201 {
+		t.Fatalf("%d replies, want %d", *replies, 64+201)
 	}
 }
 
 func BenchmarkRPCRoundTrip(b *testing.B) {
 	trip := rpcEcho(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trip()
+	}
+}
+
+func BenchmarkFabricRoundTrip(b *testing.B) {
+	trip, _ := fabricEcho(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -13,6 +13,15 @@
 // (SetMachineDupRate) — and finally adds both machines' brownout penalties
 // (SetMachineBrownout) to the delay. The scheduler's RNG is drawn only when a
 // loss or duplication rate is positive, so a fault-free run consumes none.
+//
+// Names are interned. A name's first use (Node, Colocate, Addr, an RPC call)
+// gives it a dense Addr, and a machine's a dense index, in a table that is
+// the network's own or, on a Fabric, shared by every partition. Registration
+// and topology calls write it at quiescence; an RPC call to a new name may
+// write it mid-run, which the engine's one goroutine keeps safe. A Message
+// carries Addrs and a node record its machine index, so Send, a Fabric's
+// forward and delivery, and RPC dispatch and reply index slices and hash no
+// string. A name is one index away (Name).
 package simnet
 
 import (
@@ -26,8 +35,8 @@ import (
 // Message is a unit of delivery. Payload typing is left to the application
 // protocols layered above (core RPCs, block protocol, paxos messages).
 type Message struct {
-	From    string
-	To      string
+	From    Addr
+	To      Addr
 	Payload any
 	// Size is the nominal size in bytes, used for serialization delay on
 	// bandwidth-limited links. Zero means "control message" (latency only).
@@ -51,10 +60,23 @@ type Pooled interface {
 	Release()
 }
 
-// Node is a network endpoint.
+// Addr is a node's interned address: its index in the address table of its
+// network, shared by every partition of a Fabric.
+type Addr int32
+
+// NoAddr is no node's address.
+const NoAddr Addr = -1
+
+// noMachine is the machine index of a node no Colocate has placed.
+const noMachine int32 = -1
+
+// Node is a network endpoint. Its record exists from the first use of its
+// name; it joins a network when Network.Node registers it.
 type Node struct {
 	name    string
-	net     *Network
+	addr    Addr
+	mach    int32    // machine index, noMachine until Colocate places it
+	net     *Network // nil until registered
 	handler Handler
 	up      bool
 }
@@ -73,9 +95,9 @@ func (n *Node) SetDown(down bool) { n.up = !down }
 // deliveries with no handler are counted as drops.
 func (n *Node) Handle(h Handler) { n.handler = h }
 
-// Send sends a message from this node. See Network.Send.
-func (n *Node) Send(to string, payload any, size int) {
-	n.net.Send(Message{From: n.name, To: to, Payload: payload, Size: size})
+// Send sends a message from this node. See Network.send.
+func (n *Node) Send(to Addr, payload any, size int) {
+	n.net.send(n, Message{From: n.addr, To: to, Payload: payload, Size: size})
 }
 
 // Every non-loopback link is the same: a same-cluster datacenter hop (RTT ≈
@@ -85,8 +107,53 @@ const (
 	linkBandwidth = 125e6 // bytes/sec
 )
 
-// linkKey names an unordered machine pair, smaller name first.
-type linkKey struct{ a, b string }
+// pairKey packs an unordered machine pair, smaller index first. A pair with
+// an unplaced node (noMachine) matches no record.
+func pairKey(a, b int32) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(uint32(b))
+}
+
+// addrTable interns node and machine names (see the package comment).
+type addrTable struct {
+	addrs    map[string]Addr
+	nodes    []*Node // by Addr
+	machines map[string]int32
+}
+
+func newAddrTable() *addrTable {
+	return &addrTable{addrs: make(map[string]Addr), machines: make(map[string]int32)}
+}
+
+// node returns name's record, interning the name on first use.
+func (t *addrTable) node(name string) *Node {
+	if a, ok := t.addrs[name]; ok {
+		return t.nodes[a]
+	}
+	nd := &Node{name: name, addr: Addr(len(t.nodes)), mach: noMachine}
+	t.addrs[name] = nd.addr
+	t.nodes = append(t.nodes, nd)
+	return nd
+}
+
+// machine returns a machine name's index, interning it on first use.
+func (t *addrTable) machine(name string) int32 {
+	m, ok := t.machines[name]
+	if !ok {
+		m = int32(len(t.machines))
+		t.machines[name] = m
+	}
+	return m
+}
+
+// machState is one machine's fault state on one network: an unplugged
+// uplink (IsolateMachine) and a brownout's extra delay (SetMachineBrownout).
+type machState struct {
+	isolated bool
+	brownout time.Duration
+}
 
 // machLink is fault state between a pair of machines.
 type machLink struct {
@@ -106,23 +173,16 @@ type Stats struct {
 // Network is a collection of nodes placed on machines.
 type Network struct {
 	sched *simtime.Scheduler
-	nodes map[string]*Node
-	// machines maps node name -> physical machine. Two nodes on the same
-	// machine exchange messages locally: no latency, no bandwidth charge,
-	// no loss, and no contribution to network byte counters.
-	machines map[string]string
-	// machLinks holds machine-pair fault state (switch-port/cable faults):
-	// it applies uniformly to every node pair spanning the two machines,
-	// which is how chaos injects partitions without enumerating node names.
-	machLinks map[linkKey]*machLink
-	// isolatedMach marks machines whose uplink is unplugged: every message
-	// in or out is dropped, loopback traffic still flows.
-	isolatedMach map[string]bool
-	// brownout is per-machine extra processing delay: a browned-out host
-	// still answers everything, just slowly (CPU starvation, thermal
-	// throttling, a noisy co-tenant). Applied to every non-loopback message
-	// into or out of the machine.
-	brownout map[string]time.Duration
+	// table interns names; a Fabric's partitions share the Fabric's.
+	table *addrTable
+	// machLinks holds machine-pair fault state (switch-port/cable faults),
+	// keyed by pairKey: it applies uniformly to every node pair spanning the
+	// two machines, which is how chaos injects partitions without
+	// enumerating node names.
+	machLinks map[uint64]*machLink
+	// machs is per-machine fault state by machine index, grown by the
+	// topology calls; a machine past its end has none.
+	machs []machState
 
 	stats Stats
 
@@ -178,9 +238,6 @@ func (n *Network) methodMetrics(method string) *rpcMethodMetrics {
 		retries:   n.rec.Counter("simnet", "rpc_retry_attempts_total", obs.L("method", method)),
 		exhausted: n.rec.Counter("simnet", "rpc_retry_exhausted_total", obs.L("method", method)),
 	}
-	if n.rpcMetrics == nil {
-		n.rpcMetrics = make(map[string]*rpcMethodMetrics)
-	}
 	n.rpcMetrics[method] = m
 	return m
 }
@@ -199,15 +256,13 @@ func (n *Network) SetRecorder(rec *obs.Recorder) {
 	n.cParts = rec.Counter("simnet", "partitions_total")
 	n.cDedup = rec.Counter("simnet", "rpc_dedup_hits_total")
 	n.rpcMetrics = make(map[string]*rpcMethodMetrics)
+	n.partSpans = make(map[string]*obs.Span)
 }
 
 // openPartition opens (or replaces) a partition-window span.
 func (n *Network) openPartition(key, name string) {
 	if n.rec == nil {
 		return
-	}
-	if n.partSpans == nil {
-		n.partSpans = make(map[string]*obs.Span)
 	}
 	if _, open := n.partSpans[key]; open {
 		return
@@ -226,31 +281,31 @@ func (n *Network) closePartition(key string) {
 
 // New creates an empty network on the given scheduler.
 func New(sched *simtime.Scheduler) *Network {
-	return &Network{
-		sched:        sched,
-		nodes:        make(map[string]*Node),
-		machines:     make(map[string]string),
-		machLinks:    make(map[linkKey]*machLink),
-		isolatedMach: make(map[string]bool),
-		brownout:     make(map[string]time.Duration),
-	}
+	return &Network{sched: sched, table: newAddrTable(), machLinks: make(map[uint64]*machLink),
+		rpcMetrics: make(map[string]*rpcMethodMetrics)}
 }
 
 // Scheduler returns the scheduler the network runs on.
 func (n *Network) Scheduler() *simtime.Scheduler { return n.sched }
 
-// Node registers (or returns the existing) node with the given name.
+// Node registers (or returns the existing) node with the given name. On a
+// Fabric a name belongs to one partition's network.
 func (n *Network) Node(name string) *Node {
-	if nd, ok := n.nodes[name]; ok {
-		return nd
-	}
-	nd := &Node{name: name, net: n, up: true}
-	n.nodes[name] = nd
-	if n.fabric != nil {
-		n.fabric.register(name, n.part)
+	nd := n.table.node(name)
+	if nd.net == nil {
+		nd.net, nd.up = n, true
+	} else if nd.net != n {
+		panic(fmt.Sprintf("simnet: node %q registered on partitions %d and %d", name, nd.net.part, n.part))
 	}
 	return nd
 }
+
+// Addr interns name, which need not have a node yet: a message to a name
+// with none is dropped.
+func (n *Network) Addr(name string) Addr { return n.table.node(name).addr }
+
+// Name returns the name an Addr interns.
+func (n *Network) Name(a Addr) string { return n.table.nodes[a].name }
 
 // Stats returns a snapshot of network counters.
 func (n *Network) Stats() Stats { return n.stats }
@@ -262,35 +317,37 @@ func (n *Network) Frames() *FrameList { return &n.frames }
 // the same machine are loopback: zero latency and no network accounting
 // (the process-to-process path inside one host).
 func (n *Network) Colocate(node, machine string) {
-	n.machines[node] = machine
-	if n.fabric != nil {
-		n.fabric.colocate(node, machine)
-	}
+	n.table.node(node).mach = n.table.machine(machine)
 }
 
+// machLink returns the one undirected record for a machine pair, making it
+// on first use.
 func (n *Network) machLink(a, b string) *machLink {
-	if a > b {
-		a, b = b, a // one undirected record per machine pair
+	k := pairKey(n.table.machine(a), n.table.machine(b))
+	l, ok := n.machLinks[k]
+	if !ok {
+		l = &machLink{}
+		n.machLinks[k] = l
 	}
-	k := linkKey{a, b}
-	if l, ok := n.machLinks[k]; ok {
-		return l
-	}
-	l := &machLink{}
-	n.machLinks[k] = l
 	return l
 }
 
-// lookupMachLink returns the fault record for a machine pair without
-// allocating one ("" or same-machine pairs have none).
-func (n *Network) lookupMachLink(a, b string) *machLink {
-	if a == "" || b == "" || a == b {
-		return nil
+// mach returns a machine's fault state for writing, growing machs to hold it.
+func (n *Network) mach(machine string) *machState {
+	m := int(n.table.machine(machine))
+	if m >= len(n.machs) {
+		n.machs = append(n.machs, make([]machState, m+1-len(n.machs))...)
 	}
-	if a > b {
-		a, b = b, a
+	return &n.machs[m]
+}
+
+// machAt returns machine m's fault state; an unplaced or untouched machine
+// has none.
+func (n *Network) machAt(m int32) machState {
+	if uint(m) < uint(len(n.machs)) {
+		return n.machs[m]
 	}
-	return n.machLinks[linkKey{a, b}]
+	return machState{}
 }
 
 // CutMachines severs all traffic between two machines (in both directions):
@@ -335,11 +392,7 @@ func (n *Network) SetMachineDupRate(a, b string, p float64) {
 // drop, the host-brownout gray failure. Both endpoints browned out pay both
 // penalties.
 func (n *Network) SetMachineBrownout(machine string, extra time.Duration) {
-	if extra <= 0 {
-		delete(n.brownout, machine)
-		return
-	}
-	n.brownout[machine] = extra
+	n.mach(machine).brownout = max(extra, 0)
 }
 
 // IsolateMachine unplugs a machine's uplink: all messages to or from any
@@ -347,57 +400,48 @@ func (n *Network) SetMachineBrownout(machine string, extra time.Duration) {
 // flows, so colocated processes (a master and its coord replica) keep
 // talking — exactly the asymmetry real partitions have.
 func (n *Network) IsolateMachine(machine string) {
-	n.isolatedMach[machine] = true
+	n.mach(machine).isolated = true
 	n.openPartition("isolate:"+machine, "isolation")
 }
 
 // RejoinMachine plugs the uplink back in.
 func (n *Network) RejoinMachine(machine string) {
-	delete(n.isolatedMach, machine)
+	n.mach(machine).isolated = false
 	n.closePartition("isolate:" + machine)
 }
 
 // MachineIsolated reports whether the machine's uplink is unplugged.
-func (n *Network) MachineIsolated(machine string) bool { return n.isolatedMach[machine] }
-
-// sameMachine reports whether two nodes are loopback-local.
-func (n *Network) sameMachine(a, b string) bool {
-	if a == b {
-		return true
-	}
-	ma, ok := n.machines[a]
-	if !ok {
-		return false
-	}
-	return ma == n.machines[b]
+func (n *Network) MachineIsolated(machine string) bool {
+	return n.machAt(n.table.machine(machine)).isolated
 }
 
-// Send delivers msg after the link latency plus serialization time and any
-// brownout penalty. It is a no-op (counted as a drop) if the destination is
-// unknown, a machine-level fault severs the path (isolation, then cut), or
-// the loss dice say so; a destination down at arrival drops it there. Local sends
-// (same node or same machine) are delivered with zero latency on the next
-// event.
-func (n *Network) Send(msg Message) {
+// send delivers msg from src after the link latency plus serialization time
+// and any brownout penalty. It is a no-op (counted as a drop) if the
+// destination has no node, a machine-level fault severs the path
+// (isolation, then cut), or the loss dice say so; a destination down at
+// arrival drops it there. Local sends (same node or same machine) are
+// delivered with zero latency on the next event.
+func (n *Network) send(src *Node, msg Message) {
 	n.stats.Sent++
 	n.cSent.Inc()
-	dst, ok := n.nodes[msg.To]
-	if !ok {
-		// Not local: a fabric-connected network tries the cross-partition
-		// path before counting the destination as unknown.
-		if n.fabric == nil || !n.fabric.forward(n, msg) {
-			n.drop(msg.Payload)
-		}
+	dst := n.table.nodes[msg.To]
+	switch dst.net {
+	case n:
+	case nil: // a name with no node
+		n.drop(msg.Payload)
+		return
+	default: // registered on another partition of n's Fabric
+		n.fabric.forward(src, dst, msg)
 		return
 	}
-	local := n.sameMachine(msg.From, msg.To)
+	local := src == dst || src.mach != noMachine && src.mach == dst.mach
 	var delay time.Duration
 	dup := false
 	if !local {
-		ma, mb := n.machines[msg.From], n.machines[msg.To]
-		ml := n.lookupMachLink(ma, mb)
+		ma, mb := n.machAt(src.mach), n.machAt(dst.mach)
+		ml := n.machLinks[pairKey(src.mach, dst.mach)]
 		switch {
-		case ma != "" && n.isolatedMach[ma], mb != "" && n.isolatedMach[mb],
+		case ma.isolated, mb.isolated,
 			ml != nil && ml.cut,
 			ml != nil && ml.lossRate > 0 && n.sched.Rand().Float64() < ml.lossRate:
 			n.drop(msg.Payload)
@@ -408,12 +452,7 @@ func (n *Network) Send(msg Message) {
 		if msg.Size > 0 {
 			delay += time.Duration(float64(msg.Size) / linkBandwidth * float64(time.Second))
 		}
-		if ma != "" {
-			delay += n.brownout[ma]
-		}
-		if mb != "" {
-			delay += n.brownout[mb]
-		}
+		delay += ma.brownout + mb.brownout
 	}
 	if dup {
 		// Deliver a copy a little later (retransmission). A retransmitted

@@ -28,9 +28,9 @@ func TestDeliveryWithLatency(t *testing.T) {
 	var gotAt simtime.Time
 	var got Message
 	n.Node("b").Handle(func(m Message) { got = m; gotAt = s.Now() })
-	n.Node("a").Send("b", "hello", 0)
+	n.Node("a").Send(n.Addr("b"), "hello", 0)
 	s.Run()
-	if got.Payload != "hello" || got.From != "a" {
+	if got.Payload != "hello" || n.Name(got.From) != "a" {
 		t.Fatalf("got %+v", got)
 	}
 	if gotAt != linkLatency {
@@ -43,7 +43,7 @@ func TestSerializationDelay(t *testing.T) {
 	// 125e6 B/s: 125e6 bytes take exactly 1s on top of the link latency.
 	var gotAt simtime.Time
 	n.Node("b").Handle(func(m Message) { gotAt = s.Now() })
-	n.Node("a").Send("b", nil, 125_000_000)
+	n.Node("a").Send(n.Addr("b"), nil, 125_000_000)
 	s.Run()
 	if gotAt != linkLatency+time.Second {
 		t.Fatalf("delivered at %v, want %v", gotAt, linkLatency+time.Second)
@@ -54,7 +54,7 @@ func TestLocalSendNoLatency(t *testing.T) {
 	s, n := newNet(t)
 	var gotAt simtime.Time = -1
 	n.Node("a").Handle(func(m Message) { gotAt = s.Now() })
-	n.Node("a").Send("a", "self", 1000)
+	n.Node("a").Send(n.Addr("a"), "self", 1000)
 	s.Run()
 	if gotAt != 0 {
 		t.Fatalf("local delivery at %v, want 0", gotAt)
@@ -68,13 +68,13 @@ func TestCutAndHeal(t *testing.T) {
 	a := n.Node("a")
 	ownMachines(n, "a", "b")
 	n.CutMachines("mach-a", "mach-b")
-	a.Send("b", 1, 0)
+	a.Send(n.Addr("b"), 1, 0)
 	s.Run()
 	if count != 0 {
 		t.Fatal("message crossed a cut link")
 	}
 	n.HealMachines("mach-a", "mach-b")
-	a.Send("b", 2, 0)
+	a.Send(n.Addr("b"), 2, 0)
 	s.Run()
 	if count != 1 {
 		t.Fatal("message lost after heal")
@@ -90,14 +90,14 @@ func TestDownNodeDropsInFlight(t *testing.T) {
 	count := 0
 	b := n.Node("b")
 	b.Handle(func(m Message) { count++ })
-	n.Node("a").Send("b", 1, 0)
+	n.Node("a").Send(n.Addr("b"), 1, 0)
 	s.After(linkLatency/2, func() { b.SetDown(true) })
 	s.Run()
 	if count != 0 {
 		t.Fatal("down node received an in-flight message")
 	}
 	b.SetDown(false)
-	n.Node("a").Send("b", 2, 0)
+	n.Node("a").Send(n.Addr("b"), 2, 0)
 	s.Run()
 	if count != 1 {
 		t.Fatal("restored node did not receive")
@@ -114,7 +114,7 @@ func TestLossRate(t *testing.T) {
 	a := n.Node("a")
 	const total = 2000
 	for i := 0; i < total; i++ {
-		a.Send("b", i, 0)
+		a.Send(n.Addr("b"), i, 0)
 	}
 	s.Run()
 	if got < total*2/5 || got > total*3/5 {
@@ -134,7 +134,7 @@ func TestLossRateValidation(t *testing.T) {
 
 func TestUnknownDestinationDropped(t *testing.T) {
 	s, n := newNet(t)
-	n.Node("a").Send("ghost", 1, 0)
+	n.Node("a").Send(n.Addr("ghost"), 1, 0)
 	s.Run()
 	if n.Stats().Dropped != 1 {
 		t.Fatalf("stats = %+v, want 1 drop", n.Stats())
@@ -259,7 +259,7 @@ func TestRPCNodeIgnoresRawPayload(t *testing.T) {
 	srv := NewRPCNode(n, "server")
 	srv.Register("echo", func(from string, args any) (any, error) { return args, nil })
 	cli := NewRPCNode(n, "client")
-	n.Node("client").Send("server", "oneway", 0)
+	n.Node("client").Send(n.Addr("server"), "oneway", 0)
 	var got any
 	cli.Call("server", "echo", 7, 0, time.Second, func(r any, err error) { got = r })
 	s.Run()

@@ -233,6 +233,25 @@ var mutants = []mutant{
 		cmd:  "go test ./internal/chaos -run ^TestProbeMemoCatchesLostAck$",
 		want: []string{`--- FAIL: TestProbeMemoCatchesLostAck`, `\d+ of 160 probe reads reported the divergence`},
 	},
+	{
+		// A node record holds its machine index, so Colocate must place a
+		// node that has already registered too.
+		name: "colocate-skips-registered-node", smoke: true, file: "internal/simnet/simnet.go",
+		old: "\tn.table.node(node).mach = n.table.machine(machine)\n",
+		new: "\tif nd := n.table.node(node); nd.net == nil {\n\t\tnd.mach = n.table.machine(machine)\n\t}\n",
+		cmd: "go test ./internal/simnet -run ^TestRoutingIndependentOfColocateOrder$",
+		want: []string{
+			`--- FAIL: TestRoutingIndependentOfColocateOrder/plain`, `--- FAIL: TestRoutingIndependentOfColocateOrder/fabric`,
+			`Colocate after Node routed`,
+		},
+	},
+	{
+		// A reply goes to the requester's address.
+		name: "reply-to-own-addr", file: "internal/simnet/rpc.go",
+		old: "\tr.send(k.from, rep.Result,", new: "\tr.send(r.node.addr, rep.Result,",
+		cmd:  "go test ./internal/simnet -run ^(TestRPCBasic|TestAsyncRPCRepliesLater)$",
+		want: []string{`--- FAIL: TestRPCBasic`, `result=<nil> err=simnet: rpc timeout`, `--- FAIL: TestAsyncRPCRepliesLater`},
+	},
 }
 
 // TestMutants applies each mutant through go's -overlay (the tree is never
