@@ -347,7 +347,7 @@ func TestSlowSuccessTripsBreaker(t *testing.T) {
 		t.Fatal("breaker not open after sustained slow successes")
 	}
 	// The slow samples must not have redefined "normal".
-	if tl := mit.lat[target{host, vol}]; tl.ewma > 20*time.Millisecond {
+	if tl := mit.latency(target{host, vol}); tl.ewma > 20*time.Millisecond {
 		t.Fatalf("slow successes polluted the latency model (ewma %v)", tl.ewma)
 	}
 }

@@ -102,8 +102,7 @@ func (tl *targetLatency) deadline() time.Duration {
 // tuning.
 type Mitigation struct {
 	cl      *ClientLib
-	lat     map[target]*targetLatency
-	brk     map[target]*policy.Breaker
+	targets map[target]*targetState
 	mirrors map[SpaceID]SpaceID
 	// spent holds finished hedged-read records for the next read.
 	spent []*hedgedRead
@@ -125,6 +124,21 @@ type Mitigation struct {
 // target identifies one block target session.
 type target struct{ host, volume string }
 
+// targetState is one target's latency model and breaker, made together on
+// its first completion.
+type targetState struct {
+	lat targetLatency
+	brk policy.Breaker
+}
+
+// latency returns k's model, nil before k's first completion.
+func (m *Mitigation) latency(k target) *targetLatency {
+	if ts := m.targets[k]; ts != nil {
+		return &ts.lat
+	}
+	return nil
+}
+
 // EnableMitigation turns on adaptive timeouts and latency observation for
 // this client and returns the mitigation handle for hedging and breaker
 // control. Calling it twice returns the same handle.
@@ -135,8 +149,7 @@ func (cl *ClientLib) EnableMitigation() *Mitigation {
 	rec := cl.cfg.Recorder
 	mit := &Mitigation{
 		cl:      cl,
-		lat:     make(map[target]*targetLatency),
-		brk:     make(map[target]*policy.Breaker),
+		targets: make(map[target]*targetState),
 		mirrors: make(map[SpaceID]SpaceID),
 		cHedges: rec.Counter("core", "hedge_reads_total"),
 		cWins:   rec.Counter("core", "hedge_wins_total"),
@@ -167,16 +180,12 @@ func (m *Mitigation) SetMirror(a, b SpaceID) {
 // request in 20x its normal time is failing, whatever its status codes say.
 func (m *Mitigation) observe(host, volume string, rtt time.Duration, err error) {
 	k := target{host, volume}
-	tl := m.lat[k]
-	if tl == nil {
-		tl = &targetLatency{}
-		m.lat[k] = tl
+	ts := m.targets[k]
+	if ts == nil {
+		ts = &targetState{}
+		m.targets[k] = ts
 	}
-	br := m.brk[k]
-	if br == nil {
-		br = &policy.Breaker{}
-		m.brk[k] = br
-	}
+	tl, br := &ts.lat, &ts.brk
 	slow := err == nil && tl.warm() && rtt > tl.deadline()
 	if err == nil {
 		tl.rtoShift = 0 // the deadline was adequate; stop backing off
@@ -206,7 +215,7 @@ func (m *Mitigation) observe(host, volume string, rtt time.Duration, err error) 
 // EWMA + 4*dev, backed off exponentially after timeouts, clamped to the
 // static Timeout.
 func (m *Mitigation) adaptiveTimeout(host, volume string) time.Duration {
-	tl := m.lat[target{host, volume}]
+	tl := m.latency(target{host, volume})
 	if !tl.warm() {
 		return 0 // static default
 	}
@@ -226,7 +235,7 @@ func (m *Mitigation) adaptiveTimeout(host, volume string) time.Duration {
 func (m *Mitigation) hedgeDelay(primary, mirror target) time.Duration {
 	best := time.Duration(0)
 	for _, k := range [2]target{primary, mirror} {
-		tl := m.lat[k]
+		tl := m.latency(k)
 		if !tl.warm() {
 			continue
 		}
@@ -248,11 +257,11 @@ func (m *Mitigation) hedgeDelay(primary, mirror target) time.Duration {
 // caller sees "closed" for that request; its outcome decides the breaker's
 // fate).
 func (m *Mitigation) breakerOpen(host, volume string) bool {
-	br := m.brk[target{host, volume}]
-	if br == nil {
+	ts := m.targets[target{host, volume}]
+	if ts == nil {
 		return false
 	}
-	return br.Open(m.cl.sched.Now())
+	return ts.brk.Open(m.cl.sched.Now())
 }
 
 // ReadHedged reads from a mounted space with tail-latency hedging: if a

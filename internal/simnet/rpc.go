@@ -1,7 +1,10 @@
 package simnet
 
 import (
+	"cmp"
 	"errors"
+	"math"
+	"slices"
 	"time"
 
 	"ustore/internal/obs"
@@ -55,22 +58,27 @@ func (f replyFunc) Reply(result any, err error) {
 
 // AsyncReply is an async handler's pending answer. The handler owns it until
 // it calls Reply, exactly once; the record then returns to the node's free
-// list and may be answering another request.
+// list and may be answering another request. It carries its caller's record
+// and the request ID, so Reply looks nothing up.
 type AsyncReply struct {
-	r *RPCNode
-	k dedupKey
+	r  *RPCNode
+	c  int32 // the caller's record in r.callers
+	id uint64
 }
 
 // Reply answers the request. It may be called from any subsequently
 // scheduled event.
 func (a *AsyncReply) Reply(result any, err error) {
-	r, k := a.r, a.k
+	r, c, id := a.r, a.c, a.id
 	if r == nil {
 		panic("simnet: async RPC handler replied twice")
 	}
 	r.replies.put(a)
-	delete(r.inflight, k)
-	r.answer(k, result, err)
+	rec := &r.callers[c]
+	if i := slices.Index(rec.inflight, id); i >= 0 {
+		rec.inflight = slices.Delete(rec.inflight, i, i+1)
+	}
+	r.answer(c, id, result, err)
 }
 
 // RPCNode wraps a Node with request/response semantics: named methods on the
@@ -82,7 +90,8 @@ func (a *AsyncReply) Reply(result any, err error) {
 // (or silently absorbed while the original async handler is still running)
 // instead of re-executing the handler. Combined with CallWithRetry reusing
 // one request ID across resends, this gives effectively-once execution over
-// an at-least-once transport.
+// an at-least-once transport. Each caller has one record (callers, found
+// through callerOf), so a request costs one lookup.
 type RPCNode struct {
 	node     *Node
 	net      *Network
@@ -93,10 +102,13 @@ type RPCNode struct {
 	retriers freeList[retrier]
 	replies  freeList[AsyncReply]
 
-	seen     map[dedupKey]rpcReply
-	inflight map[dedupKey]bool
-	lastID   map[Addr]uint64
-	dedupN   int
+	callerOf map[Addr]int32
+	callers  []caller
+	dedupN   int // remembers since the last prune
+	// The callers' slices come from these, so hundreds of callers cost a
+	// server a few allocations, not a few each.
+	servedSlab slab[served]
+	flightSlab slab[uint64]
 }
 
 // rpcMethod is one method's handlers: an async one wins over a sync one.
@@ -105,15 +117,54 @@ type rpcMethod struct {
 	async RPCAsyncHandler
 }
 
-type dedupKey struct {
-	from Addr
-	id   uint64
-}
-
 // dedupWindow is how far behind a caller's newest request ID a cached reply
 // is kept; duplicates arrive within milliseconds, so a small window is
-// plenty while keeping the cache bounded over long runs.
-const dedupWindow = 128
+// plenty while keeping the cache bounded over long runs. Replies are pruned
+// in a pass over every caller on each pruneEvery-th remember, not as they
+// age out, so a reply outside the window may still answer until that pass.
+const (
+	dedupWindow = 128
+	pruneEvery  = 1024
+	// maxServed bounds one caller's served replies: at most dedupWindow+1
+	// IDs survive a prune, and at most pruneEvery replies arrive by the next.
+	maxServed = dedupWindow + 1 + pruneEvery
+)
+
+// caller is one caller's dedup record on a server: its served replies in ID
+// order and the IDs its async handlers still work on. The newest served ID
+// is the last entry's: a prune drops only entries dedupWindow behind it, so
+// it never drops that one. Both slices keep their capacity as entries
+// leave, so a warm record allocates nothing.
+type caller struct {
+	addr     Addr
+	served   []served
+	inflight []uint64
+}
+
+// served is one served request's cached reply.
+type served struct {
+	id  uint64
+	rep rpcReply
+}
+
+// find returns where id's reply is or belongs in c.served, and whether it
+// is there. A new request, above the newest, is one compare.
+func (c *caller) find(id uint64) (int, bool) {
+	if n := len(c.served); n == 0 || id > c.served[n-1].id {
+		return n, false
+	}
+	return slices.BinarySearchFunc(c.served, id, func(e served, id uint64) int { return cmp.Compare(e.id, id) })
+}
+
+// prune drops the served replies more than dedupWindow IDs behind the
+// newest: a prefix, as they are in ID order.
+func (c *caller) prune() {
+	s, k := c.served, 0
+	for k < len(s) && s[k].id+dedupWindow < s[len(s)-1].id {
+		k++
+	}
+	c.served = slices.Delete(s, 0, k)
+}
 
 // pendingCall is one outstanding call and its timeout's receiver, recycled
 // when the call completes. A reply that outlives the call finds its ID gone
@@ -156,9 +207,7 @@ func NewRPCNode(net *Network, name string) *RPCNode {
 		net:      net,
 		methods:  make(map[string]rpcMethod),
 		pending:  make(map[uint64]*pendingCall),
-		seen:     make(map[dedupKey]rpcReply),
-		inflight: make(map[dedupKey]bool),
-		lastID:   make(map[Addr]uint64),
+		callerOf: make(map[Addr]int32),
 	}
 	r.node.Handle(r.dispatch)
 	return r
@@ -339,63 +388,117 @@ func (rt *retrier) Fire() {
 	rt.pc.timeout = r.net.sched.AfterR(rt.o.Timeout, rt.pc)
 }
 
-// remember caches a finished request's reply for duplicate suppression and
-// periodically prunes entries that have fallen out of the caller's window.
-func (r *RPCNode) remember(k dedupKey, rep rpcReply) {
-	r.seen[k] = rep
-	if k.id > r.lastID[k.from] {
-		r.lastID[k.from] = k.id
+// A slab's arrays double from slabMin elements to slabMax.
+const (
+	slabMin = 8
+	slabMax = 1024
+)
+
+// slab hands out slices from backing arrays that double in size. A slice
+// that grow outgrows is cleared and kept for the next grow to its capacity.
+type slab[T any] struct {
+	free  []T   // the current array's unused rest
+	size  int   // the current array's length
+	spare [][]T // outgrown slices, empty
+}
+
+// grow returns s with room for one more element: s while it has room, else
+// a copy of it with twice the capacity, capped at most, the length its user
+// knows s never passes.
+func (b *slab[T]) grow(s []T, most int) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	n := max(min(2*cap(s), most), len(s)+1)
+	var ns []T
+	if i := slices.IndexFunc(b.spare, func(sp []T) bool { return cap(sp) == n }); i >= 0 {
+		ns = b.spare[i]
+		b.spare = slices.Delete(b.spare, i, i+1)
+	} else {
+		if len(b.free) < n {
+			b.size = max(min(2*b.size, slabMax), n, slabMin)
+			b.free = make([]T, b.size)
+		}
+		ns, b.free = b.free[:0:n], b.free[n:]
+	}
+	ns = append(ns, s...)
+	clear(s)
+	if cap(s) > 0 {
+		b.spare = append(b.spare, s[:0])
+	}
+	return ns
+}
+
+// callerFor returns from's record, making it on from's first request.
+func (r *RPCNode) callerFor(from Addr) int32 {
+	c, ok := r.callerOf[from]
+	if !ok {
+		c = int32(len(r.callers))
+		r.callers = append(r.callers, caller{addr: from})
+		r.callerOf[from] = c
+	}
+	return c
+}
+
+// remember caches a finished request's reply for duplicate suppression and,
+// on every pruneEvery-th call, prunes every caller's replies that have
+// fallen out of its window.
+func (r *RPCNode) remember(c int32, id uint64, rep rpcReply) {
+	rec := &r.callers[c]
+	if i, ok := rec.find(id); ok {
+		rec.served[i].rep = rep
+	} else {
+		rec.served = slices.Insert(r.servedSlab.grow(rec.served, maxServed), i, served{id, rep})
 	}
 	r.dedupN++
-	if r.dedupN >= 1024 {
+	if r.dedupN >= pruneEvery {
 		r.dedupN = 0
-		for old := range r.seen {
-			if old.id+dedupWindow < r.lastID[old.from] {
-				delete(r.seen, old)
-			}
+		for i := range r.callers {
+			r.callers[i].prune()
 		}
 	}
 }
 
 // answer caches a served request's outcome for duplicates and sends it.
-func (r *RPCNode) answer(k dedupKey, result any, err error) {
+func (r *RPCNode) answer(c int32, id uint64, result any, err error) {
 	rep := rpcReply{Result: result}
 	if err != nil {
 		rep.Err = err.Error()
 	}
-	r.remember(k, rep)
-	r.reply(k, rep)
+	r.remember(c, id, rep)
+	r.reply(r.callers[c].addr, id, rep)
 }
 
-func (r *RPCNode) reply(k dedupKey, rep rpcReply) {
-	r.send(k.from, rep.Result, 0, rpcHeader{kind: kindReply, id: k.id, text: rep.Err})
+func (r *RPCNode) reply(to Addr, id uint64, rep rpcReply) {
+	r.send(to, rep.Result, 0, rpcHeader{kind: kindReply, id: id, text: rep.Err})
 }
 
 func (r *RPCNode) dispatch(msg Message) {
 	switch h := msg.rpc; h.kind {
 	case kindRequest:
-		k := dedupKey{from: msg.From, id: h.id}
-		if rep, ok := r.seen[k]; ok {
+		c := r.callerFor(msg.From)
+		rec := &r.callers[c]
+		if i, ok := rec.find(h.id); ok {
 			r.net.cDedup.Inc()
-			r.reply(k, rep) // duplicate of a served request
+			r.reply(msg.From, h.id, rec.served[i].rep) // duplicate of a served request
 			return
 		}
-		if r.inflight[k] {
+		if slices.Contains(rec.inflight, h.id) {
 			r.net.cDedup.Inc()
 			return // duplicate while the async handler runs; it will reply
 		}
 		m := r.methods[h.text]
 		switch {
 		case m.async != nil:
-			r.inflight[k] = true
+			rec.inflight = append(r.flightSlab.grow(rec.inflight, math.MaxInt), h.id)
 			a := r.replies.get()
-			a.r, a.k = r, k
+			a.r, a.c, a.id = r, c, h.id
 			m.async(r.net.Name(msg.From), msg.Payload, a)
 		case m.sync != nil:
 			result, err := m.sync(r.net.Name(msg.From), msg.Payload)
-			r.answer(k, result, err)
+			r.answer(c, h.id, result, err)
 		default:
-			r.reply(k, rpcReply{Err: "unknown method " + h.text})
+			r.reply(msg.From, h.id, rpcReply{Err: "unknown method " + h.text})
 		}
 	case kindReply:
 		pc, ok := r.pending[h.id]

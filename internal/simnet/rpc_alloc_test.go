@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -39,6 +40,51 @@ func TestRPCRoundTripAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, trip); got > 0 {
 		t.Fatalf("RPC round trip allocates %.0f objects, want 0", got)
+	}
+}
+
+// manyCallers is fleet_churn's RPC shape: 64 callers and 8 echo servers,
+// each on a machine of its own. Each trip is one Call to completion, the
+// callers taking turns and each turn of all 64 going to the next server, so
+// every server keeps a dedup record per caller and prunes them all.
+func manyCallers(tb testing.TB) (trip func()) {
+	s := simtime.NewScheduler(1)
+	n := New(s)
+	var srvs [8]string
+	var clis [64]*RPCNode
+	for i := range srvs {
+		srvs[i] = fmt.Sprintf("srv%d", i)
+		NewRPCNode(n, srvs[i]).Register("echo", func(_ string, args any) (any, error) { return args, nil })
+		ownMachines(n, srvs[i])
+	}
+	for i := range clis {
+		name := fmt.Sprintf("cli%d", i)
+		clis[i] = NewRPCNode(n, name)
+		ownMachines(n, name)
+	}
+	args := any("ping")
+	done := func(_ any, err error) {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	i := 0
+	return func() {
+		clis[i%len(clis)].Call(srvs[i/len(clis)%len(srvs)], "echo", args, 0, time.Second, done)
+		s.Run()
+		i++
+	}
+}
+
+// TestRPCManyCallersAllocs: with many callers per server, a warm server's
+// dedup records allocate nothing either, prunes included.
+func TestRPCManyCallersAllocs(t *testing.T) {
+	trip := manyCallers(t)
+	for i := 0; i < 4*8*pruneEvery; i++ { // every server through four prunes
+		trip()
+	}
+	if got := testing.AllocsPerRun(2*pruneEvery, trip); got > 0 {
+		t.Fatalf("RPC round trip among 64 callers and 8 servers allocates %.2f objects, want 0", got)
 	}
 }
 
@@ -82,6 +128,18 @@ func TestFabricRoundTripAllocs(t *testing.T) {
 
 func BenchmarkRPCRoundTrip(b *testing.B) {
 	trip := rpcEcho(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		trip()
+	}
+}
+
+func BenchmarkRPCManyCallers(b *testing.B) {
+	trip := manyCallers(b)
+	for i := 0; i < 4*8*pruneEvery; i++ {
+		trip()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -248,9 +248,25 @@ var mutants = []mutant{
 	{
 		// A reply goes to the requester's address.
 		name: "reply-to-own-addr", file: "internal/simnet/rpc.go",
-		old: "\tr.send(k.from, rep.Result,", new: "\tr.send(r.node.addr, rep.Result,",
+		old: "\tr.send(to, rep.Result,", new: "\tr.send(r.node.addr, rep.Result,",
 		cmd:  "go test ./internal/simnet -run ^(TestRPCBasic|TestAsyncRPCRepliesLater)$",
 		want: []string{`--- FAIL: TestRPCBasic`, `result=<nil> err=simnet: rpc timeout`, `--- FAIL: TestAsyncRPCRepliesLater`},
+	},
+	{
+		// The prune keeps a reply exactly dedupWindow IDs behind its
+		// caller's newest.
+		name: "prune-drops-window-edge", smoke: true, file: "internal/simnet/rpc.go",
+		old: "s[k].id+dedupWindow < s[len(s)-1].id", new: "s[k].id+dedupWindow <= s[len(s)-1].id",
+		cmd:  "go test ./internal/simnet -run ^TestDedupWindowPrunedOnlyEvery1024th$",
+		want: []string{`--- FAIL: TestDedupWindowPrunedOnlyEvery1024th`, `duplicate at the window's edge: replies \[\{896 1025\}\]`},
+	},
+	{
+		// An answered async request leaves the in-flight set, or a
+		// duplicate after its cached reply is pruned is absorbed unanswered.
+		name: "async-reply-stays-in-flight", file: "internal/simnet/rpc.go",
+		old: "\t\trec.inflight = slices.Delete(rec.inflight, i, i+1)\n", new: "",
+		cmd:  "go test ./internal/simnet -run ^TestDedupAsyncDuplicateAbsorbed$",
+		want: []string{`--- FAIL: TestDedupAsyncDuplicateAbsorbed`, `duplicate after the prune: replies \[\], want one to request 1 from run 1025`},
 	},
 }
 
