@@ -132,8 +132,8 @@ func (r *FleetReport) SummaryText() string {
 			r.FaultsApplied, r.Unavailable, r.Redriven)
 	}
 	fmt.Fprintf(&b, "  map      epoch %d; %d events fired\n", r.MapEpoch, r.Events)
-	fmt.Fprintf(&b, "  engine   %d windows, %d partition visits, %d cross-partition messages, max inbox %d\n",
-		r.Engine.Windows, r.Engine.Visits, r.Engine.Messages, r.Engine.MaxInbox)
+	fmt.Fprintf(&b, "  engine   %d windows, %d cross-lane messages, max inbox %d\n",
+		r.Engine.Windows, r.Engine.Messages, r.Engine.MaxInbox)
 	writeInvariants(&b, r.Violations)
 	return b.String()
 }

@@ -30,11 +30,11 @@ type Agent struct {
 	stopped bool
 }
 
-func newAgent(f *Fleet, u *UnitTopo, replicas []string, p part) *Agent {
+func newAgent(f *Fleet, u *UnitTopo, replicas []string, p lane) *Agent {
 	return &Agent{
 		f:        f,
 		unit:     u,
-		sched:    p.sched,
+		sched:    f.Sched,
 		rpc:      simnet.NewRPCNode(p.net, "agent:"+u.ID),
 		replicas: replicas,
 		dead:     make(map[string]bool),

@@ -13,8 +13,8 @@ import (
 // network between two deploy units tears and later heals.
 //
 // Every verb must be applied at engine quiescence (between Settle calls):
-// they mutate per-partition component state and the fabric's cut table, both
-// of which are only safe to touch while no window runs.
+// they mutate per-lane component state and the fabric's cut table, both of
+// which are only safe to touch while no window runs.
 // The chaos fault executor guarantees this by construction.
 
 // CrashReplica crash-stops replica i of shard k: its coord store and paxos
@@ -67,8 +67,8 @@ func (f *Fleet) PartitionUnits(a, b int) {
 		return
 	}
 	ma, mb := unitMachine(unitName(a)), unitMachine(unitName(b))
-	// Units live on distinct partitions, so all their mutual traffic crosses
-	// the fabric.
+	// Units live on distinct lanes, so all their mutual traffic crosses the
+	// fabric.
 	f.Fabric.CutMachines(ma, mb)
 	if f.rec != nil {
 		f.rec.Instant("fleet", "units-partitioned", "fleet",
@@ -98,7 +98,7 @@ func (f *Fleet) IsolateUnit(u int) {
 	if u < 0 || u >= f.Cfg.Units {
 		return
 	}
-	f.unitPart(u).net.IsolateMachine(unitMachine(unitName(u)))
+	f.unitLane(u).net.IsolateMachine(unitMachine(unitName(u)))
 	if f.rec != nil {
 		f.rec.Instant("fleet", "unit-isolated", "fleet", obs.L("unit", unitName(u)))
 	}
@@ -109,7 +109,7 @@ func (f *Fleet) RejoinUnit(u int) {
 	if u < 0 || u >= f.Cfg.Units || f.deadUnits[unitName(u)] {
 		return
 	}
-	f.unitPart(u).net.RejoinMachine(unitMachine(unitName(u)))
+	f.unitLane(u).net.RejoinMachine(unitMachine(unitName(u)))
 	if f.rec != nil {
 		f.rec.Instant("fleet", "unit-rejoined", "fleet", obs.L("unit", unitName(u)))
 	}

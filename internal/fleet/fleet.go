@@ -14,15 +14,18 @@
 // (consensus under coord), simnet/simtime (deterministic transport and
 // clock) and placement (the Spread policy extracted from core.Master).
 //
-// There is one execution path: every fleet runs on the conservative
-// partitioned engine (simtime.Engine + simnet.Fabric, DESIGN.md §14), one
-// partition per deploy unit plus a control partition for the admin plane
-// and client routers, synchronized in lookahead-bounded windows on one
-// goroutine. The fabric charges every cross-unit hop at least
-// crossUnitLatency, and no component reads another partition's state
-// mid-run: the admin plane and shard masters discover a foreign shard's
-// leader the way clients do, by calling the believed replica and rotating on
-// failure. A run with the same seed is byte-identical at any -test.cpu.
+// There is one execution path: every fleet runs on one scheduler, a
+// one-partition simtime.Engine, with a simnet.Fabric lane per deploy unit
+// plus a control lane for the admin plane and client routers (DESIGN.md
+// §14). A lane is a Network of its own — machine state, record pools and a
+// random stream seeded as a partition of its own would be — so a unit's
+// processes see the same events in the same order as on a partitioned
+// engine. The fabric charges every cross-unit hop at least
+// crossUnitLatency and delivers it at the next window edge, and no component
+// reads another lane's state mid-run: the admin plane and shard masters
+// discover a foreign shard's leader the way clients do, by calling the
+// believed replica and rotating on failure. A run with the same seed is
+// byte-identical at any -test.cpu.
 package fleet
 
 import (
@@ -149,9 +152,10 @@ type Fleet struct {
 	Net   *simnet.Network
 	Topo  *Topology
 
-	// Engine/Fabric run the fleet: partition 0 is the control plane (admin
-	// node, routers, the Settle driver) and partition 1+u is deploy unit u.
-	// Sched/Net are the control partition's handles.
+	// Engine runs the fleet on one partition, whose scheduler is Sched.
+	// Fabric gives each deploy unit a lane of it: lane 0 is the control
+	// plane (admin node, routers, the Settle driver), whose network is Net,
+	// and lane 1+u is deploy unit u.
 	Engine *simtime.Engine
 	Fabric *simnet.Fabric
 
@@ -164,20 +168,20 @@ type Fleet struct {
 
 	rec   *obs.Recorder
 	admin *simnet.RPCNode
-	// nets/recs are the per-partition network and recorder handles
-	// (index = partition).
+	// nets/recs are the per-lane network and recorder handles (index =
+	// lane).
 	nets []*simnet.Network
 	recs []*obs.Recorder
-	// userRec is Cfg.Recorder; FinishObs folds the partition recorders
-	// into it once a run completes.
+	// userRec is Cfg.Recorder; FinishObs folds the lane recorders into it
+	// once a run completes.
 	userRec     *obs.Recorder
 	obsFinished bool
 	// replicaNames[k] lists shard k's master RPC names — static topology,
-	// safe to read from any partition.
+	// safe to read from any lane.
 	replicaNames [][]string
 	// adminBelieved[k] is the control plane's believed-leader replica index
-	// for shard k. The control partition cannot peek other partitions'
-	// leader flags mid-run, so the admin discovers leaders like clients do:
+	// for shard k. The control lane does not peek other lanes' leader
+	// flags mid-run, so the admin discovers leaders like clients do:
 	// call the believed replica, rotate on failure.
 	adminBelieved []int
 	// authMap is the admin plane's authoritative shard map (advanced by
@@ -192,22 +196,19 @@ type Fleet struct {
 }
 
 // crossUnitLatency is the minimum latency of any cross-unit network link —
-// the lookahead the conservative engine synchronizes on. Every message that
+// the lookahead the engine's windows advance by. Every message that
 // crosses a deploy-unit boundary takes at least this long.
 const crossUnitLatency = time.Millisecond
 
-// part bundles the simulation handles a component is built on: each
-// partition has its own scheduler/network/recorder triple.
-type part struct {
-	sched *simtime.Scheduler
-	net   *simnet.Network
-	rec   *obs.Recorder
+// lane bundles the handles a component is built on besides the fleet's
+// scheduler: its lane's network and recorder.
+type lane struct {
+	net *simnet.Network
+	rec *obs.Recorder
 }
 
-// unitPart is the partition deploy unit u's processes run on.
-func (f *Fleet) unitPart(u int) part {
-	return part{f.Engine.Part(1 + u), f.nets[1+u], f.recs[1+u]}
-}
+// unitLane is the lane deploy unit u's processes run on.
+func (f *Fleet) unitLane(u int) lane { return lane{f.nets[1+u], f.recs[1+u]} }
 
 // unitMachine is the simnet machine name every process of a unit shares.
 func unitMachine(unitID string) string { return "mach-" + unitID }
@@ -223,28 +224,28 @@ func New(cfg Config) *Fleet {
 		deadUnits:    make(map[string]bool),
 		pendingMoves: make(map[int]int),
 	}
-	parts := cfg.Units + 1
-	f.Engine = simtime.NewEngine(cfg.Seed, parts, 1, crossUnitLatency)
+	lanes := cfg.Units + 1
+	f.Engine = simtime.NewEngine(cfg.Seed, 1, 1, crossUnitLatency)
 	f.Fabric = simnet.NewFabric(f.Engine)
-	f.nets = make([]*simnet.Network, parts)
-	f.recs = make([]*obs.Recorder, parts)
-	for p := 0; p < parts; p++ {
-		f.nets[p] = f.Fabric.Network(p)
+	f.Sched = f.Engine.Part(0)
+	f.nets = make([]*simnet.Network, lanes)
+	f.recs = make([]*obs.Recorder, lanes)
+	for l := 0; l < lanes; l++ {
+		f.nets[l] = f.Fabric.Lane(l)
 		if cfg.Recorder != nil {
 			r := obs.NewRecorder()
-			psched := f.Engine.Part(p)
-			r.BindClock(func() time.Duration { return psched.Now() })
-			f.nets[p].SetRecorder(r)
-			f.recs[p] = r
+			r.BindClock(f.Sched.Now)
+			f.nets[l].SetRecorder(r)
+			f.recs[l] = r
 		}
 	}
-	f.Sched, f.Net, f.rec = f.Engine.Part(0), f.nets[0], f.recs[0]
+	f.Net, f.rec = f.nets[0], f.recs[0]
 	f.adminBelieved = make([]int, cfg.Shards)
 
 	// Shard groups: R coord replicas + R shard masters per shard, each
 	// replica pair colocated on a distinct unit's machine and built on that
-	// unit's partition, so the group's paxos traffic is partition-local
-	// except for cross-unit hops through the fabric.
+	// unit's lane, so the group's paxos traffic is lane-local except for
+	// cross-unit hops through the fabric.
 	replicas := make([][]string, cfg.Shards)
 	for k := 0; k < cfg.Shards; k++ {
 		peers := make([]string, ShardReplicas)
@@ -255,7 +256,7 @@ func New(cfg Config) *Fleet {
 		var masters []*ShardMaster
 		for i := 0; i < ShardReplicas; i++ {
 			u := f.ReplicaUnit(k, i)
-			up := f.unitPart(u)
+			up := f.unitLane(u)
 			st := coord.NewStore(up.net, peers[i], peers, paxosConfig)
 			st.SetSweepInterval(coordSweepInterval)
 			m := newShardMaster(f, k, i, st, up)
@@ -281,7 +282,7 @@ func New(cfg Config) *Fleet {
 
 	// Unit agents.
 	for _, u := range f.Topo.Units {
-		up := f.unitPart(u.Index)
+		up := f.unitLane(u.Index)
 		a := newAgent(f, u, replicas[u.Shard], up)
 		up.net.Colocate(a.rpc.Name(), unitMachine(u.ID))
 		f.Agents = append(f.Agents, a)
@@ -295,18 +296,17 @@ func New(cfg Config) *Fleet {
 // Settle runs the simulation for d of virtual time.
 func (f *Fleet) Settle(d time.Duration) { f.Engine.RunFor(d) }
 
-// EventsFired is the total number of simulation events executed so far,
-// summed over partitions.
+// EventsFired is the total number of simulation events executed so far.
 func (f *Fleet) EventsFired() uint64 { return f.Engine.Fired() }
 
-// FinishObs folds the per-partition recorders into Cfg.Recorder after a
-// run: series sum, trace events interleave in timestamp order. Idempotent.
+// FinishObs folds the per-lane recorders into Cfg.Recorder after a run:
+// series sum, trace events interleave in timestamp order. Idempotent.
 func (f *Fleet) FinishObs() {
 	if f.userRec == nil || f.obsFinished {
 		return
 	}
 	f.obsFinished = true
-	f.userRec.BindClock(f.Sched.Now) // every partition clock sits at the engine time
+	f.userRec.BindClock(f.Sched.Now)
 	obs.MergeRecorders(f.userRec, f.recs...)
 }
 
@@ -323,7 +323,7 @@ func (f *Fleet) LeaderReplica(k int) int {
 			continue
 		}
 		u := f.ReplicaUnit(k, i)
-		if !f.unitPart(u).net.MachineIsolated(unitMachine(unitName(u))) {
+		if !f.unitLane(u).net.MachineIsolated(unitMachine(unitName(u))) {
 			return i
 		}
 		if stale < 0 {
@@ -367,9 +367,9 @@ func (f *Fleet) KillUnit(unitID string) {
 			}
 		}
 	}
-	// Unplug on the partition that owns the machine: local sends drop at
-	// the source, fabric traffic drops against this state on either side.
-	f.unitPart(u.Index).net.IsolateMachine(unitMachine(unitID))
+	// Unplug on the lane that owns the machine: local sends drop at the
+	// source, fabric traffic drops against this state on either side.
+	f.unitLane(u.Index).net.IsolateMachine(unitMachine(unitID))
 	if f.rec != nil {
 		f.rec.Instant("fleet", "unit-killed", "fleet", obs.L("unit", unitID))
 	}
@@ -392,8 +392,7 @@ func (f *Fleet) DrainDisk(diskID string) {
 }
 
 // adminCall calls method on shard's leader from the admin node. All state
-// it touches (adminBelieved, the retry timer) lives on the control
-// partition.
+// it touches (adminBelieved, the retry timer) lives on the control lane.
 func (f *Fleet) adminCall(shard int, method string, args any, attempts int, done func(res any, err error)) {
 	f.leaderCall(f.admin, f.Sched, f.adminBelieved, f.adminCall, shard, method, args, attempts, done)
 }
@@ -401,7 +400,7 @@ func (f *Fleet) adminCall(shard int, method string, args any, attempts int, done
 // leaderCall is the control plane's one rotate-and-retry loop (adminCall
 // and ShardMaster.callShard both run it): call shard's believed-leader
 // replica, rotate the belief and retry on timeout or NotLeader, retry in
-// place on Busy. rpc, sched and believed belong to the caller's partition;
+// place on Busy. rpc, sched and believed belong to the caller's lane;
 // replica names are static topology. A retry re-enters the caller through
 // again, so a check the caller makes per attempt (callShard's down test)
 // keeps running per attempt.

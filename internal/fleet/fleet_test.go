@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ustore/internal/simnet"
 )
 
 func testConfig() Config {
@@ -442,14 +444,44 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Units != 8 || c.Shards != 1 || c.Seed != 1 {
 		t.Fatalf("defaults: %+v", c)
 	}
-	// A zero Config still runs on the partitioned engine: one partition per
-	// unit plus the control partition, worker pool derived.
+	// A zero Config runs on one partition: a lane network per unit plus the
+	// control lane, each on the one scheduler.
 	f := New(Config{})
 	if f.Engine == nil || f.Fabric == nil {
 		t.Fatalf("zero Config: Engine=%v Fabric=%v, want both non-nil", f.Engine, f.Fabric)
 	}
-	if got := f.Engine.Parts(); got != c.Units+1 {
-		t.Fatalf("zero Config: %d partitions, want Units+1 = %d", got, c.Units+1)
+	if got := f.Engine.Parts(); got != 1 {
+		t.Fatalf("zero Config: %d partitions, want 1", got)
+	}
+	if len(f.nets) != c.Units+1 {
+		t.Fatalf("zero Config: %d lane networks, want Units+1 = %d", len(f.nets), c.Units+1)
+	}
+	seen := map[*simnet.Network]bool{}
+	for l, n := range f.nets {
+		if n != f.Fabric.Lane(l) || n.Scheduler() != f.Sched || seen[n] {
+			t.Fatalf("zero Config: lane %d's network is not the fabric's own lane on the fleet scheduler", l)
+		}
+		seen[n] = true
+	}
+}
+
+// TestBootHeap256Units: a 256-unit fleet boots into at most 20 MB of live
+// heap. Its 257 lanes share one scheduler and one timer wheel; a scheduler
+// per unit held about 43 MB.
+func TestBootHeap256Units(t *testing.T) {
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	f := New(Config{Units: 256, Shards: 32, Seed: 1})
+	heap := float64(live()-before) / (1 << 20)
+	runtime.KeepAlive(f)
+	t.Logf("heap after New at 256 units: %.1f MB", heap)
+	if heap > 20 {
+		t.Fatalf("heap after New at 256 units = %.1f MB, want <= 20", heap)
 	}
 }
 

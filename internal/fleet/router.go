@@ -107,8 +107,8 @@ func (r *Router) installMap(m *ShardMap) {
 // retry waves a fleet of fixed-delay clients sends a recovering leader.)
 // With jitter off it returns base unchanged — the legacy schedule the
 // checked-in byte-stability goldens were recorded under. Draws come from
-// the router's home-partition scheduler RNG, so jittered runs stay
-// deterministic per seed at any engine worker count.
+// the control lane's stream, the scheduler's own, so jittered runs stay
+// deterministic per seed.
 func (r *Router) backoff(base time.Duration, tried int) time.Duration {
 	if !r.f.Cfg.RetryJitter || base <= 0 {
 		return base

@@ -37,11 +37,11 @@ type ShardMaster struct {
 	rpc      *simnet.RPCNode
 	store    *coord.Store
 	election *coord.Election
-	// rec is the partition recorder this replica writes to. May be nil.
+	// rec is the lane recorder this replica writes to. May be nil.
 	rec *obs.Recorder
 	// foreignBelieved[k] is this master's believed-leader replica index for
 	// foreign shard k (cross-shard calls rotate through believed leaders
-	// instead of peeking another partition's state).
+	// instead of peeking another lane's state).
 	foreignBelieved []int
 
 	leading bool
@@ -120,7 +120,7 @@ func (op *shardOp) Fire() {
 	m.hOpTime.ObserveDuration(m.sched.Now() - start)
 }
 
-func newShardMaster(f *Fleet, shard, replica int, store *coord.Store, p part) *ShardMaster {
+func newShardMaster(f *Fleet, shard, replica int, store *coord.Store, p lane) *ShardMaster {
 	name := fmt.Sprintf("s%dm%d", shard, replica)
 	m := &ShardMaster{
 		f:        f,
@@ -128,7 +128,7 @@ func newShardMaster(f *Fleet, shard, replica int, store *coord.Store, p part) *S
 		replica:  replica,
 		name:     name,
 		rpcName:  "fm:" + name,
-		sched:    p.sched,
+		sched:    f.Sched,
 		rec:      p.rec,
 		store:    store,
 		frozen:   make(map[int]bool),
@@ -703,7 +703,7 @@ func (m *ShardMaster) freeForeignFragments(volume string, foreign map[int][]stri
 
 // callShard is the cross-shard call: everything it touches —
 // the believed-leader slice, the retry timer, the sending RPC node — belongs
-// to this master's partition, and the request itself crosses units through
+// to this master's lane, and the request itself crosses units through
 // the fabric. Leader discovery is by rotation, like clients
 // (Fleet.leaderCall). A replica that went down stops its retry chains here.
 func (m *ShardMaster) callShard(shard int, method string, args any, attempts int, done func(res any, err error)) {

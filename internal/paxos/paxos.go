@@ -305,17 +305,6 @@ func New(net *simnet.Network, name string, peers []string, cfg Config, apply App
 // IsLeader reports current leadership belief.
 func (n *Node) IsLeader() bool { return n.isLeader }
 
-// Leader returns the believed leader's name ("" if unknown).
-func (n *Node) Leader() string {
-	if n.isLeader {
-		return n.name
-	}
-	if n.leaderHint == simnet.NoAddr {
-		return ""
-	}
-	return n.net.Name(n.leaderHint)
-}
-
 // LeaderIndex returns the believed leader's index in Peers (-1 if unknown).
 func (n *Node) LeaderIndex() int {
 	if n.isLeader {
@@ -428,7 +417,7 @@ func (n *Node) armElectionTimer() {
 		return
 	}
 	n.electionArmed = true
-	jitter := time.Duration(n.sched.Rand().Int63n(int64(n.cfg.ElectionTimeoutBase)))
+	jitter := time.Duration(n.net.Rand().Int63n(int64(n.cfg.ElectionTimeoutBase)))
 	n.sched.FireAfterR(n.cfg.ElectionTimeoutBase+jitter, (*electionTimer)(n))
 }
 

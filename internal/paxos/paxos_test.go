@@ -85,8 +85,8 @@ func TestElectsSingleLeader(t *testing.T) {
 	l := c.leader(t)
 	// All nodes agree on the leader.
 	for _, n := range c.nodes {
-		if n.Leader() != l.name {
-			t.Fatalf("%s believes leader is %q, want %s", n.name, n.Leader(), l.name)
+		if i := n.LeaderIndex(); i < 0 || n.Peers()[i] != l.name {
+			t.Fatalf("%s believes leader is peer %d of %v, want %s", n.name, i, n.Peers(), l.name)
 		}
 	}
 }

@@ -366,7 +366,7 @@ func (rt *retrier) backoff() bool {
 	rt.pc.timeout = nil
 	backoff := rt.o.Backoff << uint(rt.n)
 	rt.armed = true
-	r.net.sched.FireAfterR(time.Duration(1+r.net.sched.Rand().Int63n(int64(backoff))), rt)
+	r.net.sched.FireAfterR(time.Duration(1+r.net.rng.Int63n(int64(backoff))), rt)
 	return true
 }
 

@@ -11,12 +11,13 @@
 // machine isolated (IsolateMachine), then the machine pair's link record —
 // cut (CutMachines), loss dice (SetMachineLossRate), duplication dice
 // (SetMachineDupRate) — and finally adds both machines' brownout penalties
-// (SetMachineBrownout) to the delay. The scheduler's RNG is drawn only when a
-// loss or duplication rate is positive, so a fault-free run consumes none.
+// (SetMachineBrownout) to the delay. The network's RNG (Rand) is drawn only
+// when a loss or duplication rate is positive, so a fault-free run consumes
+// none.
 //
 // Names are interned. A name's first use (Node, Colocate, Addr, an RPC call)
 // gives it a dense Addr, and a machine's a dense index, in a table that is
-// the network's own or, on a Fabric, shared by every partition. Registration
+// the network's own or, on a Fabric, shared by every lane. Registration
 // and topology calls write it at quiescence; an RPC call to a new name may
 // write it mid-run, which the engine's one goroutine keeps safe. A Message
 // carries Addrs and a node record its machine index, so Send, a Fabric's
@@ -26,6 +27,7 @@ package simnet
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"ustore/internal/obs"
@@ -61,7 +63,7 @@ type Pooled interface {
 }
 
 // Addr is a node's interned address: its index in the address table of its
-// network, shared by every partition of a Fabric.
+// network, shared by every lane of a Fabric.
 type Addr int32
 
 // NoAddr is no node's address.
@@ -173,7 +175,10 @@ type Stats struct {
 // Network is a collection of nodes placed on machines.
 type Network struct {
 	sched *simtime.Scheduler
-	// table interns names; a Fabric's partitions share the Fabric's.
+	// rng is every draw the network and the protocols on it make: the
+	// scheduler's own, unless a Fabric gives the network a lane of its own.
+	rng *rand.Rand
+	// table interns names; a Fabric's lanes share the Fabric's.
 	table *addrTable
 	// machLinks holds machine-pair fault state (switch-port/cable faults),
 	// keyed by pairKey: it applies uniformly to every node pair spanning the
@@ -188,9 +193,9 @@ type Network struct {
 
 	// frames recycles the block protocol's wire frames (see FrameList).
 	frames FrameList
-	// deliveries recycles this partition's messages in flight; remote
-	// recycles cross-partition ones addressed here, which the sending
-	// partition takes.
+	// deliveries recycles this network's messages in flight; remote
+	// recycles cross-lane ones addressed here, which the sending lane
+	// takes.
 	deliveries freeList[delivery]
 	remote     freeList[remoteMsg]
 
@@ -203,10 +208,12 @@ type Network struct {
 	cDups      *obs.Counter
 	cParts     *obs.Counter
 	cDedup     *obs.Counter
-	// fabric links this network into a multi-partition address space; nil
-	// for a standalone (single-scheduler) network. part is this network's
-	// partition index within the fabric's engine.
+	// fabric links this network into a multi-lane address space; nil for
+	// a standalone network. lane is this network's lane, the sender's key
+	// in the engine's flush order, and part the engine partition it runs
+	// on.
 	fabric *Fabric
+	lane   int
 	part   int
 
 	// rpcMetrics caches the per-method RPC series handles so the hot call
@@ -281,21 +288,25 @@ func (n *Network) closePartition(key string) {
 
 // New creates an empty network on the given scheduler.
 func New(sched *simtime.Scheduler) *Network {
-	return &Network{sched: sched, table: newAddrTable(), machLinks: make(map[uint64]*machLink),
+	return &Network{sched: sched, rng: sched.Rand(), table: newAddrTable(), machLinks: make(map[uint64]*machLink),
 		rpcMetrics: make(map[string]*rpcMethodMetrics)}
 }
 
 // Scheduler returns the scheduler the network runs on.
 func (n *Network) Scheduler() *simtime.Scheduler { return n.sched }
 
+// Rand returns the network's deterministic random source, which the
+// processes on it draw from.
+func (n *Network) Rand() *rand.Rand { return n.rng }
+
 // Node registers (or returns the existing) node with the given name. On a
-// Fabric a name belongs to one partition's network.
+// Fabric a name belongs to one lane's network.
 func (n *Network) Node(name string) *Node {
 	nd := n.table.node(name)
 	if nd.net == nil {
 		nd.net, nd.up = n, true
 	} else if nd.net != n {
-		panic(fmt.Sprintf("simnet: node %q registered on partitions %d and %d", name, nd.net.part, n.part))
+		panic(fmt.Sprintf("simnet: node %q registered on lanes %d and %d", name, nd.net.lane, n.lane))
 	}
 	return nd
 }
@@ -430,7 +441,7 @@ func (n *Network) send(src *Node, msg Message) {
 	case nil: // a name with no node
 		n.drop(msg.Payload)
 		return
-	default: // registered on another partition of n's Fabric
+	default: // registered on another lane of n's Fabric
 		n.fabric.forward(src, dst, msg)
 		return
 	}
@@ -443,11 +454,11 @@ func (n *Network) send(src *Node, msg Message) {
 		switch {
 		case ma.isolated, mb.isolated,
 			ml != nil && ml.cut,
-			ml != nil && ml.lossRate > 0 && n.sched.Rand().Float64() < ml.lossRate:
+			ml != nil && ml.lossRate > 0 && n.rng.Float64() < ml.lossRate:
 			n.drop(msg.Payload)
 			return
 		}
-		dup = ml != nil && ml.dupRate > 0 && n.sched.Rand().Float64() < ml.dupRate
+		dup = ml != nil && ml.dupRate > 0 && n.rng.Float64() < ml.dupRate
 		delay = linkLatency
 		if msg.Size > 0 {
 			delay += time.Duration(float64(msg.Size) / linkBandwidth * float64(time.Second))
@@ -462,7 +473,7 @@ func (n *Network) send(src *Node, msg Message) {
 		// the copy owns all its bytes and holds no lease. Any other pooled
 		// record is duplicated by its protocol, for the same reason.
 		n.cDups.Inc()
-		jitter := delay + time.Duration(n.sched.Rand().Int63n(int64(time.Millisecond)))
+		jitter := delay + time.Duration(n.rng.Int63n(int64(time.Millisecond)))
 		again := msg
 		switch p := msg.Payload.(type) {
 		case *Frame:
@@ -488,7 +499,7 @@ func (n *Network) drop(payload any) {
 	}
 }
 
-// delivery is a message in flight inside one partition and its event's receiver.
+// delivery is a message in flight inside one lane and its event's receiver.
 type delivery struct {
 	dst   *Node
 	msg   Message

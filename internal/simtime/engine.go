@@ -15,11 +15,14 @@
 //
 // Cross-partition sends go through Post, which appends to the destination
 // partition's inbox; inboxes are flushed into the destination schedulers
-// between windows, sorted by (deadline, source partition, source sequence).
-// Because the window boundaries are a pure function of event timestamps and
-// the flush order is a pure function of message content, a run's event
-// interleaving — and therefore its output — does not depend on the order in
-// which a window visits its partitions.
+// between windows, sorted by (deadline, sending lane, post order). A lane is
+// the sender's identity in that order: a partition's own index, or, when
+// several independent components share one partition's scheduler, each
+// component's (DESIGN.md §14). Because the window boundaries are a pure
+// function of event timestamps and the flush order is a pure function of
+// message content, a run's event interleaving — and therefore its output —
+// does not depend on the order in which a window visits its partitions, nor
+// on whether two lanes share a partition.
 //
 // A window visits its active partitions in index order on the calling
 // goroutine. Running them on several goroutines was measured and did not
@@ -32,14 +35,15 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 )
 
 // xmsg is a cross-partition event waiting in a destination inbox.
 type xmsg struct {
 	at  Time
-	src int    // source partition, second-level sort key
-	seq uint64 // per-source sequence, third-level sort key
+	src int    // sending lane, second-level sort key
+	seq uint64 // post order, third-level sort key
 	f   Firer
 }
 
@@ -60,9 +64,10 @@ type EngineStats struct {
 // synchronization windows. Construct with NewEngine; the zero value is not
 // usable. An Engine, its partitions and Post are used from one goroutine.
 type Engine struct {
+	seed      int64
 	parts     []*Scheduler
 	inbox     [][]xmsg // per destination partition: events posted since the last flush
-	srcSeq    []uint64 // per-source Post counter
+	posts     uint64   // Post counter: restricted to one lane, that lane's post order
 	next      []Time   // per-partition next live deadline, recorded by lbts
 	lookahead Duration
 	now       Time // the latest deadline a RunUntil advanced every partition to
@@ -84,9 +89,9 @@ func NewEngine(seed int64, parts, _ int, lookahead Duration) *Engine {
 		panic(fmt.Sprintf("simtime: engine lookahead must be positive, got %v", lookahead))
 	}
 	e := &Engine{
+		seed:      seed,
 		parts:     make([]*Scheduler, parts),
 		inbox:     make([][]xmsg, parts),
-		srcSeq:    make([]uint64, parts),
 		next:      make([]Time, parts),
 		lookahead: lookahead,
 	}
@@ -103,6 +108,13 @@ func (e *Engine) Part(p int) *Scheduler { return e.parts[p] }
 // Parts returns the number of partitions.
 func (e *Engine) Parts() int { return len(e.parts) }
 
+// LaneRand returns a new random source seeded seed^lane, the seed NewEngine
+// gives partition lane. A lane that runs on another partition's scheduler
+// draws from it, so it draws what it would on a partition of its own.
+func (e *Engine) LaneRand(lane int) *rand.Rand {
+	return rand.New(rand.NewSource(e.seed ^ int64(lane)))
+}
+
 // Lookahead returns the engine's synchronization lookahead.
 func (e *Engine) Lookahead() Duration { return e.lookahead }
 
@@ -118,23 +130,24 @@ func (e *Engine) Fired() uint64 {
 	return n
 }
 
-// Post schedules fn at absolute time at on partition dst, on behalf of
-// partition src. It is the only safe way to cross partitions mid-window and
-// must be stamped at least one lookahead past the sender's clock; an earlier
-// stamp would land inside the current window, where the destination may have
-// advanced past it, so Post panics rather than corrupt the timeline.
+// Post schedules fn at absolute time at on partition dst, on behalf of lane
+// src (the sending partition's index, unless lanes share a partition). It is
+// the only safe way to cross lanes mid-window and must be stamped at least
+// one lookahead past the sender's clock; an earlier stamp would land inside
+// the current window, where the destination may have advanced past it, so
+// Post panics rather than corrupt the timeline.
 func (e *Engine) Post(src, dst int, at Time, fn func()) { e.PostR(src, dst, at, asFirer(fn)) }
 
 // PostR is Post with a receiver in place of a callback. f runs on dst's
-// partition, so a record posted here changes hands between partitions.
+// partition, so a record posted here changes hands between lanes.
 func (e *Engine) PostR(src, dst int, at Time, f Firer) {
 	if at < e.horizon {
 		panic(fmt.Sprintf(
 			"simtime: cross-partition event at %v posted before window horizon %v (link latency below engine lookahead %v violates the conservative synchronization contract)",
 			at, e.horizon, e.lookahead))
 	}
-	e.srcSeq[src]++
-	e.inbox[dst] = append(e.inbox[dst], xmsg{at: at, src: src, seq: e.srcSeq[src], f: f})
+	e.posts++
+	e.inbox[dst] = append(e.inbox[dst], xmsg{at: at, src: src, seq: e.posts, f: f})
 }
 
 // flushInboxes drains every partition inbox into its scheduler. Messages are

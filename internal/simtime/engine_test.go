@@ -125,6 +125,25 @@ func TestEngineStatsCountWindows(t *testing.T) {
 	}
 }
 
+// TestEngineFlushOrdersLanesOnOnePartition: lanes sharing a partition post
+// in the order their events run, but equal deadlines arrive in lane order,
+// as they would from partitions of their own, and one lane's posts keep
+// their post order.
+func TestEngineFlushOrdersLanesOnOnePartition(t *testing.T) {
+	e := NewEngine(1, 1, 1, time.Millisecond)
+	s := e.Part(0)
+	var got []string
+	post := func(lane int, tag string) {
+		e.Post(lane, 0, s.Now()+time.Millisecond, func() { got = append(got, tag) })
+	}
+	s.FireAfter(time.Millisecond, func() { post(2, "lane2-a"); post(2, "lane2-b") })
+	s.FireAfter(time.Millisecond, func() { post(1, "lane1") })
+	e.RunFor(time.Second)
+	if want := "[lane1 lane2-a lane2-b]"; fmt.Sprint(got) != want {
+		t.Fatalf("equal-deadline posts fired %v, want %s", got, want)
+	}
+}
+
 // TestEngineClockNeverRunsBackwards: like Scheduler.RunUntil, a deadline
 // before Now() runs nothing and leaves the engine clock where it was.
 func TestEngineClockNeverRunsBackwards(t *testing.T) {

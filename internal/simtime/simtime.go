@@ -49,7 +49,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -73,6 +72,11 @@ const (
 	wheelGranularity          = time.Millisecond
 	wheelSlotCount            = 4096
 	wheelSpan        Duration = wheelSlotCount * wheelGranularity
+	// slotCap is a new slot array's capacity: a fleet's one scheduler holds
+	// several events per millisecond, which append would otherwise regrow
+	// through capacities 1, 2 and 4 in every slot that fills for the first
+	// time.
+	slotCap = 8
 )
 
 // notQueued is the index of an event that is in no tier: fired, cancelled,
@@ -128,33 +132,75 @@ func (e *Event) Release() {
 	e.pooled = true
 }
 
+// eventQueue is a binary min-heap of events in (At, seq) order; each
+// event's index is its position in the heap.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].At != q[j].At {
-		return q[i].At < q[j].At
-	}
-	return q[i].seq < q[j].seq
+// before reports whether e fires before o: seq is unique per scheduler, so
+// this is a total order and any heap pops the same sequence.
+func (e *Event) before(o *Event) bool {
+	return e.At < o.At || e.At == o.At && e.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = int32(i)
-	q[j].index = int32(j)
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = int32(len(*q))
+
+func (q *eventQueue) push(e *Event) {
 	*q = append(*q, e)
+	q.up(len(*q)-1, e)
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
+
+// pop removes and returns the earliest event.
+func (q *eventQueue) pop() *Event { return q.removeAt(0) }
+
+// removeAt removes and returns the event at position i.
+func (q *eventQueue) removeAt(i int) *Event {
+	h := *q
+	n := len(h) - 1
+	e := h[i]
+	if last := h[n]; i != n {
+		if !h[:n].down(i, last) {
+			h.up(i, last)
+		}
+	}
+	h[n] = nil
+	*q = h[:n]
 	e.index = notQueued
-	*q = old[:n-1]
 	return e
+}
+
+// up places e at position j or above it, moving the later parents down.
+func (q eventQueue) up(j int, e *Event) {
+	for j > 0 {
+		i := (j - 1) / 2
+		p := q[i]
+		if !e.before(p) {
+			break
+		}
+		q[j], p.index = p, int32(j)
+		j = i
+	}
+	q[j], e.index = e, int32(j)
+}
+
+// down places e at position i or below it, moving the earlier children up.
+// It reports whether e moved below i.
+func (q eventQueue) down(i int, e *Event) bool {
+	i0 := i
+	for {
+		j := 2*i + 1
+		if j >= len(q) {
+			break
+		}
+		if r := j + 1; r < len(q) && q[r].before(q[j]) {
+			j = r
+		}
+		c := q[j]
+		if !c.before(e) {
+			break
+		}
+		q[i], c.index = c, int32(i)
+		i = j
+	}
+	q[i], e.index = e, int32(i)
+	return i > i0
 }
 
 // Stats is a snapshot of scheduler activity counters, for observability and
@@ -269,13 +315,13 @@ func (s *Scheduler) recycle(e *Event) {
 func (s *Scheduler) schedule(e *Event) {
 	switch {
 	case e.At < s.slotEnd:
-		heap.Push(&s.ready, e)
+		s.ready.push(e)
 		s.stats.ReadyInserts++
 	case e.At < s.base+wheelSpan:
 		s.wheelInsert(e)
 		s.stats.WheelInserts++
 	default:
-		heap.Push(&s.far, e)
+		s.far.push(e)
 		s.stats.FarInserts++
 	}
 	if p := s.Pending(); p > s.stats.MaxPending {
@@ -289,11 +335,11 @@ func (s *Scheduler) schedule(e *Event) {
 func (s *Scheduler) remove(e *Event) {
 	switch {
 	case e.At < s.slotEnd:
-		heap.Remove(&s.ready, int(e.index))
+		s.ready.removeAt(int(e.index))
 	case e.At < s.base+wheelSpan:
 		s.wheelRemove(e)
 	default:
-		heap.Remove(&s.far, int(e.index))
+		s.far.removeAt(int(e.index))
 	}
 }
 
@@ -303,11 +349,13 @@ func (s *Scheduler) wheelInsert(e *Event) {
 	idx := s.slotOf(e.At)
 	if w, bit := idx>>6, uint64(1)<<uint(idx&63); s.bitmap[w]&bit == 0 {
 		s.bitmap[w] |= bit
-		s.slots[idx] = nil // its last array, if any, belongs to spare
+		// The slot's last array, if any, belongs to spare.
 		if n := len(s.spare); n > 0 {
 			s.slots[idx] = s.spare[n-1]
 			s.spare[n-1] = nil
 			s.spare = s.spare[:n-1]
+		} else {
+			s.slots[idx] = make([]*Event, 0, slotCap)
 		}
 	}
 	e.index = int32(len(s.slots[idx]))
@@ -371,7 +419,7 @@ func (s *Scheduler) peekNext() *Event {
 		s.cursor = 0
 		s.slotEnd = s.base
 		for horizon := s.base + wheelSpan; len(s.far) > 0 && s.far[0].At < horizon; {
-			s.wheelInsert(heap.Pop(&s.far).(*Event))
+			s.wheelInsert(s.far.pop())
 			s.stats.Migrated++
 		}
 	}
@@ -382,7 +430,7 @@ func (s *Scheduler) peekNext() *Event {
 	s.wheel -= len(bucket)
 	for i, e := range bucket {
 		bucket[i] = nil
-		heap.Push(&s.ready, e)
+		s.ready.push(e)
 	}
 	s.freeSlot(idx)
 	return s.ready[0]
@@ -449,7 +497,7 @@ func (s *Scheduler) Step() bool {
 	if s.peekNext() == nil {
 		return false
 	}
-	e := heap.Pop(&s.ready).(*Event)
+	e := s.ready.pop()
 	s.now = e.At
 	s.fired++
 	f := e.fire

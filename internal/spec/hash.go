@@ -17,7 +17,9 @@ const hashVersion = "ustore-spec-v1"
 // v2: fleet.engine_workers 0 stopped selecting a different event stream
 // (every fleet runs on the partitioned engine; 0 only derives the pool size).
 // v3: a fleet summary gained its engine line.
-const fleetHashVersion = "ustore-spec-fleet-v3"
+// v4: the engine line lost its partition visits (the fleet runs on one
+// partition, so they equal the windows).
+const fleetHashVersion = "ustore-spec-fleet-v4"
 
 // Canonical renders the decoded, defaulted spec in its canonical byte
 // form: JSON with struct-declaration field order. Because the hash is

@@ -261,6 +261,16 @@ var mutants = []mutant{
 		want: []string{`--- FAIL: TestDedupWindowPrunedOnlyEvery1024th`, `duplicate at the window's edge: replies \[\{896 1025\}\]`},
 	},
 	{
+		// The flush orders equal deadlines by sending lane before post
+		// order, or lanes sharing a partition hear each other in the order
+		// their sends ran, not the order partitions of their own would
+		// deliver.
+		name: "flush-ignores-sending-lane", smoke: true, file: "internal/simtime/engine.go",
+		old: "cmp.Compare(a.src, b.src), ", new: "",
+		cmd:  "go test ./internal/simnet -run ^TestLanesMatchPartitions$",
+		want: []string{`--- FAIL: TestLanesMatchPartitions`, `one partition, lanes:\s+lane 0: .*\s+2ms from n3 ttl=3`},
+	},
+	{
 		// An answered async request leaves the in-flight set, or a
 		// duplicate after its cached reply is pruned is absorbed unanswered.
 		name: "async-reply-stays-in-flight", file: "internal/simnet/rpc.go",
