@@ -293,7 +293,6 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 	rep.Engine = f.Engine.Stats()
 	rl.logf("fleet run complete: %d violations", len(rl.Violations))
 	rep.Log, rep.Violations = rl.Log, rl.Violations
-	f.FinishObs()
 	return rep, nil
 }
 

@@ -1,27 +1,24 @@
 package chaos
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"ustore/internal/fleet"
+	"ustore/internal/obs"
 )
 
 // TestFleetUnitLossSmall runs the quick 8-unit/2-shard unit-loss scenario:
 // load, kill u000 (shard 0's first replica — forces a leader failover),
-// drain, verify — at two seeds, one of them setting the ignored
-// EngineWorkers. CI's fleet-smoke job runs this same shape via ustore-chaos.
+// drain, verify — at two seeds. CI's fleet-smoke job runs this same shape
+// via ustore-chaos.
 func TestFleetUnitLossSmall(t *testing.T) {
-	for _, tc := range []struct {
-		name          string
-		seed          int64
-		engineWorkers int
-	}{
-		{"seed5-auto", 5, 0},
-		{"seed9-workers2", 9, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rep, err := RunFleet(FleetOptions{Seed: tc.seed, Units: 8, Shards: 2,
-				UnitLoss: true, EngineWorkers: tc.engineWorkers})
+	for _, seed := range []int64{5, 9} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			rep, err := RunFleet(FleetOptions{Seed: seed, Units: 8, Shards: 2, UnitLoss: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,6 +34,48 @@ func TestFleetUnitLossSmall(t *testing.T) {
 			}
 			if rep.Resolvable != rep.Allocated {
 				t.Fatalf("resolvable %d != allocated %d", rep.Resolvable, rep.Allocated)
+			}
+		})
+	}
+}
+
+// TestFleetUnitsAliveGauge: each shard's fleet_units_alive gauge reads its
+// current leader's count, the shard's units less the dead ones, after a unit
+// loss (u000, which fails shard 0's leader over) and after a fault run
+// whose replica crashes and isolation move leadership around. Every lane
+// records into the run's one recorder; folding a recorder per lane summed
+// the gauge over every replica that ever led (7 and 9 here, not 3 and 4).
+func TestFleetUnitsAliveGauge(t *testing.T) {
+	topo := fleet.New(fleet.Config{Units: 8, Shards: 2}).Topo
+	for _, tc := range []struct {
+		name string
+		o    FleetOptions
+		dead string
+	}{
+		{"unit-loss", FleetOptions{Units: 8, Shards: 2, UnitLoss: true}, "u000"},
+		{"faults", FleetOptions{Units: 8, Shards: 2, ReplicaCrashes: 2, Partitions: 1, SlotMoves: 2}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := obs.NewRecorder()
+			tc.o.Recorder = rec
+			rep, err := RunFleet(tc.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Violations) != 0 {
+				t.Fatalf("violations:\n%s", strings.Join(rep.Violations, "\n"))
+			}
+			for k := 0; k < 2; k++ {
+				want := 0
+				for _, u := range topo.ShardUnits(k) {
+					if u != tc.dead {
+						want++
+					}
+				}
+				got := rec.Gauge("fleet", "units_alive", obs.L("shard", strconv.Itoa(k))).Value()
+				if got != float64(want) {
+					t.Errorf("shard %d: fleet_units_alive = %v, want %d", k, got, want)
+				}
 			}
 		})
 	}

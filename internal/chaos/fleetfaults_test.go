@@ -114,8 +114,8 @@ func TestFleetFaultStraddleHolds(t *testing.T) {
 
 // TestFleetFaultEngineDeterminism extends the byte-determinism contract to
 // fault runs: crash/partition/migration fault injection, jittered retries
-// and all, must be a pure function of the seed at any EngineWorkers value,
-// which is accepted and ignored.
+// and all, must be a pure function of the seed, so two runs of one seed
+// agree.
 func TestFleetFaultEngineDeterminism(t *testing.T) {
 	o := FleetOptions{
 		Seed:           9,
@@ -125,32 +125,26 @@ func TestFleetFaultEngineDeterminism(t *testing.T) {
 		Partitions:     1,
 		SlotMoves:      2,
 	}
-	run := func(workers int) *FleetReport {
-		oo := o
-		oo.EngineWorkers = workers
-		rep, err := RunFleet(oo)
+	run := func() *FleetReport {
+		rep, err := RunFleet(o)
 		if err != nil {
-			t.Fatalf("workers=%d: %s", workers, err)
+			t.Fatal(err)
 		}
 		if len(rep.Violations) != 0 {
-			t.Fatalf("workers=%d violations:\n%s", workers, strings.Join(rep.Violations, "\n"))
+			t.Fatalf("violations:\n%s", strings.Join(rep.Violations, "\n"))
 		}
 		return rep
 	}
-	base := run(1)
-	for _, workers := range []int{0, 8} {
-		rep := run(workers)
-		if strings.Join(rep.Log, "\n") != strings.Join(base.Log, "\n") {
-			t.Fatalf("workers=%d: fault-run log diverges from workers=1:\n--- w1\n%s\n--- w%d\n%s",
-				workers, strings.Join(base.Log, "\n"), workers, strings.Join(rep.Log, "\n"))
-		}
-		if rep.SummaryText() != base.SummaryText() {
-			t.Fatalf("workers=%d: summary diverges:\n%s\nvs\n%s",
-				workers, base.SummaryText(), rep.SummaryText())
-		}
-		if rep.Events != base.Events {
-			t.Fatalf("workers=%d: event count %d != %d", workers, rep.Events, base.Events)
-		}
+	base, rep := run(), run()
+	if strings.Join(rep.Log, "\n") != strings.Join(base.Log, "\n") {
+		t.Fatalf("fault-run log diverges between runs:\n--- run 1\n%s\n--- run 2\n%s",
+			strings.Join(base.Log, "\n"), strings.Join(rep.Log, "\n"))
+	}
+	if rep.SummaryText() != base.SummaryText() {
+		t.Fatalf("summary diverges:\n%s\nvs\n%s", base.SummaryText(), rep.SummaryText())
+	}
+	if rep.Events != base.Events {
+		t.Fatalf("event count %d != %d", rep.Events, base.Events)
 	}
 }
 

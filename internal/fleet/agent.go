@@ -30,12 +30,12 @@ type Agent struct {
 	stopped bool
 }
 
-func newAgent(f *Fleet, u *UnitTopo, replicas []string, p lane) *Agent {
+func newAgent(f *Fleet, u *UnitTopo, replicas []string, net *simnet.Network) *Agent {
 	return &Agent{
 		f:        f,
 		unit:     u,
 		sched:    f.Sched,
-		rpc:      simnet.NewRPCNode(p.net, "agent:"+u.ID),
+		rpc:      simnet.NewRPCNode(net, "agent:"+u.ID),
 		replicas: replicas,
 		dead:     make(map[string]bool),
 		draining: make(map[string]bool),

@@ -13,9 +13,9 @@ import (
 // network between two deploy units tears and later heals.
 //
 // Every verb must be applied at engine quiescence (between Settle calls):
-// they mutate per-lane component state and the fabric's cut table, both of
-// which are only safe to touch while no window runs.
-// The chaos fault executor guarantees this by construction.
+// they mutate per-lane component state and the lanes' shared fault table,
+// both of which are only safe to touch while no window runs. The chaos
+// fault executor guarantees this by construction.
 
 // CrashReplica crash-stops replica i of shard k: its coord store and paxos
 // node go silent, its RPC endpoint drops traffic, its election session
@@ -66,10 +66,7 @@ func (f *Fleet) PartitionUnits(a, b int) {
 	if a == b || a < 0 || b < 0 || a >= f.Cfg.Units || b >= f.Cfg.Units {
 		return
 	}
-	ma, mb := unitMachine(unitName(a)), unitMachine(unitName(b))
-	// Units live on distinct lanes, so all their mutual traffic crosses the
-	// fabric.
-	f.Fabric.CutMachines(ma, mb)
+	f.Net.CutMachines(unitMachine(unitName(a)), unitMachine(unitName(b)))
 	if f.rec != nil {
 		f.rec.Instant("fleet", "units-partitioned", "fleet",
 			obs.L("a", unitName(a)), obs.L("b", unitName(b)))
@@ -81,8 +78,7 @@ func (f *Fleet) HealPartition(a, b int) {
 	if a == b || a < 0 || b < 0 || a >= f.Cfg.Units || b >= f.Cfg.Units {
 		return
 	}
-	ma, mb := unitMachine(unitName(a)), unitMachine(unitName(b))
-	f.Fabric.HealMachines(ma, mb)
+	f.Net.HealMachines(unitMachine(unitName(a)), unitMachine(unitName(b)))
 	if f.rec != nil {
 		f.rec.Instant("fleet", "units-healed", "fleet",
 			obs.L("a", unitName(a)), obs.L("b", unitName(b)))
@@ -98,7 +94,7 @@ func (f *Fleet) IsolateUnit(u int) {
 	if u < 0 || u >= f.Cfg.Units {
 		return
 	}
-	f.unitLane(u).net.IsolateMachine(unitMachine(unitName(u)))
+	f.Net.IsolateMachine(unitMachine(unitName(u)))
 	if f.rec != nil {
 		f.rec.Instant("fleet", "unit-isolated", "fleet", obs.L("unit", unitName(u)))
 	}
@@ -109,7 +105,7 @@ func (f *Fleet) RejoinUnit(u int) {
 	if u < 0 || u >= f.Cfg.Units || f.deadUnits[unitName(u)] {
 		return
 	}
-	f.unitLane(u).net.RejoinMachine(unitMachine(unitName(u)))
+	f.Net.RejoinMachine(unitMachine(unitName(u)))
 	if f.rec != nil {
 		f.rec.Instant("fleet", "unit-rejoined", "fleet", obs.L("unit", unitName(u)))
 	}

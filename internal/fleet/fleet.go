@@ -15,17 +15,18 @@
 // clock) and placement (the Spread policy extracted from core.Master).
 //
 // There is one execution path: every fleet runs on one scheduler, a
-// one-partition simtime.Engine, with a simnet.Fabric lane per deploy unit
-// plus a control lane for the admin plane and client routers (DESIGN.md
-// §14). A lane is a Network of its own — machine state, record pools and a
-// random stream seeded as a partition of its own would be — so a unit's
-// processes see the same events in the same order as on a partitioned
-// engine. The fabric charges every cross-unit hop at least
-// crossUnitLatency and delivers it at the next window edge, and no component
-// reads another lane's state mid-run: the admin plane and shard masters
-// discover a foreign shard's leader the way clients do, by calling the
-// believed replica and rotating on failure. A run with the same seed is
-// byte-identical at any -test.cpu.
+// simtime.Engine, with a simnet.Fabric lane per deploy unit plus a control
+// lane for the admin plane and client routers (DESIGN.md §14). A lane is a
+// Network of its own — record pools, counters and a random stream seeded
+// as a partition of its own was — so a unit's processes see the events they
+// saw when each unit had a partition, in the same order. The lanes share one
+// machine fault table, which the fault verbs write through the control
+// lane's Network, and one recorder, Config.Recorder. The fabric charges
+// every cross-unit hop at least crossUnitLatency and delivers it at the next
+// window edge, and no component reads another lane's state mid-run: the
+// admin plane and shard masters discover a foreign shard's leader the way
+// clients do, by calling the believed replica and rotating on failure. A run
+// with the same seed is byte-identical at any -test.cpu.
 package fleet
 
 import (
@@ -152,12 +153,10 @@ type Fleet struct {
 	Net   *simnet.Network
 	Topo  *Topology
 
-	// Engine runs the fleet on one partition, whose scheduler is Sched.
-	// Fabric gives each deploy unit a lane of it: lane 0 is the control
-	// plane (admin node, routers, the Settle driver), whose network is Net,
-	// and lane 1+u is deploy unit u.
+	// Engine runs the fleet on its one scheduler, Sched, with a lane per
+	// network: lane 0 is the control plane (admin node, routers, the Settle
+	// driver), whose network is Net, and lane 1+u is deploy unit u.
 	Engine *simtime.Engine
-	Fabric *simnet.Fabric
 
 	// Shards[k][i] is replica i of shard k.
 	Shards [][]*ShardMaster
@@ -166,16 +165,11 @@ type Fleet struct {
 	// Agents[u] is unit u's heartbeat agent.
 	Agents []*Agent
 
+	// rec is Cfg.Recorder, which every lane records into.
 	rec   *obs.Recorder
 	admin *simnet.RPCNode
-	// nets/recs are the per-lane network and recorder handles (index =
-	// lane).
+	// nets are the lanes' networks (index = lane).
 	nets []*simnet.Network
-	recs []*obs.Recorder
-	// userRec is Cfg.Recorder; FinishObs folds the lane recorders into it
-	// once a run completes.
-	userRec     *obs.Recorder
-	obsFinished bool
 	// replicaNames[k] lists shard k's master RPC names — static topology,
 	// safe to read from any lane.
 	replicaNames [][]string
@@ -200,15 +194,8 @@ type Fleet struct {
 // crosses a deploy-unit boundary takes at least this long.
 const crossUnitLatency = time.Millisecond
 
-// lane bundles the handles a component is built on besides the fleet's
-// scheduler: its lane's network and recorder.
-type lane struct {
-	net *simnet.Network
-	rec *obs.Recorder
-}
-
-// unitLane is the lane deploy unit u's processes run on.
-func (f *Fleet) unitLane(u int) lane { return lane{f.nets[1+u], f.recs[1+u]} }
+// unitNet is the network of the lane deploy unit u's processes run on.
+func (f *Fleet) unitNet(u int) *simnet.Network { return f.nets[1+u] }
 
 // unitMachine is the simnet machine name every process of a unit shares.
 func unitMachine(unitID string) string { return "mach-" + unitID }
@@ -220,26 +207,22 @@ func New(cfg Config) *Fleet {
 	f := &Fleet{
 		Cfg:          cfg,
 		Topo:         buildTopology(cfg),
-		userRec:      cfg.Recorder,
+		rec:          cfg.Recorder,
 		deadUnits:    make(map[string]bool),
 		pendingMoves: make(map[int]int),
 	}
-	lanes := cfg.Units + 1
 	f.Engine = simtime.NewEngine(cfg.Seed, 1, 1, crossUnitLatency)
-	f.Fabric = simnet.NewFabric(f.Engine)
 	f.Sched = f.Engine.Part(0)
-	f.nets = make([]*simnet.Network, lanes)
-	f.recs = make([]*obs.Recorder, lanes)
-	for l := 0; l < lanes; l++ {
-		f.nets[l] = f.Fabric.Lane(l)
-		if cfg.Recorder != nil {
-			r := obs.NewRecorder()
-			r.BindClock(f.Sched.Now)
-			f.nets[l].SetRecorder(r)
-			f.recs[l] = r
+	f.rec.BindClock(f.Sched.Now)
+	fabric := simnet.NewFabric(f.Engine)
+	f.nets = make([]*simnet.Network, cfg.Units+1)
+	for l := range f.nets {
+		f.nets[l] = fabric.Network(l)
+		if f.rec != nil {
+			f.nets[l].SetRecorder(f.rec)
 		}
 	}
-	f.Net, f.rec = f.nets[0], f.recs[0]
+	f.Net = f.nets[0]
 	f.adminBelieved = make([]int, cfg.Shards)
 
 	// Shard groups: R coord replicas + R shard masters per shard, each
@@ -256,14 +239,14 @@ func New(cfg Config) *Fleet {
 		var masters []*ShardMaster
 		for i := 0; i < ShardReplicas; i++ {
 			u := f.ReplicaUnit(k, i)
-			up := f.unitLane(u)
-			st := coord.NewStore(up.net, peers[i], peers, paxosConfig)
+			net := f.unitNet(u)
+			st := coord.NewStore(net, peers[i], peers, paxosConfig)
 			st.SetSweepInterval(coordSweepInterval)
-			m := newShardMaster(f, k, i, st, up)
+			m := newShardMaster(f, k, i, st, net)
 			mach := unitMachine(unitName(u))
-			up.net.Colocate(peers[i], mach)          // paxos node
-			up.net.Colocate("coord:"+peers[i], mach) // coord session endpoint
-			up.net.Colocate(m.rpcName, mach)         // shard master process
+			net.Colocate(peers[i], mach)          // paxos node
+			net.Colocate("coord:"+peers[i], mach) // coord session endpoint
+			net.Colocate(m.rpcName, mach)         // shard master process
 			stores = append(stores, st)
 			masters = append(masters, m)
 			replicas[k] = append(replicas[k], m.rpcName)
@@ -282,9 +265,9 @@ func New(cfg Config) *Fleet {
 
 	// Unit agents.
 	for _, u := range f.Topo.Units {
-		up := f.unitLane(u.Index)
-		a := newAgent(f, u, replicas[u.Shard], up)
-		up.net.Colocate(a.rpc.Name(), unitMachine(u.ID))
+		net := f.unitNet(u.Index)
+		a := newAgent(f, u, replicas[u.Shard], net)
+		net.Colocate(a.rpc.Name(), unitMachine(u.ID))
 		f.Agents = append(f.Agents, a)
 		a.start()
 	}
@@ -299,16 +282,9 @@ func (f *Fleet) Settle(d time.Duration) { f.Engine.RunFor(d) }
 // EventsFired is the total number of simulation events executed so far.
 func (f *Fleet) EventsFired() uint64 { return f.Engine.Fired() }
 
-// FinishObs folds the per-lane recorders into Cfg.Recorder after a run:
-// series sum, trace events interleave in timestamp order. Idempotent.
-func (f *Fleet) FinishObs() {
-	if f.userRec == nil || f.obsFinished {
-		return
-	}
-	f.obsFinished = true
-	f.userRec.BindClock(f.Sched.Now)
-	obs.MergeRecorders(f.userRec, f.recs...)
-}
+// FinishObs does nothing: every lane records straight into Cfg.Recorder.
+// The perf/ benchmark still calls it.
+func (f *Fleet) FinishObs() {}
 
 // LeaderReplica returns the replica index currently leading shard k, or -1
 // if the group is between leaders. While a unit is isolated its replica may
@@ -323,7 +299,7 @@ func (f *Fleet) LeaderReplica(k int) int {
 			continue
 		}
 		u := f.ReplicaUnit(k, i)
-		if !f.unitLane(u).net.MachineIsolated(unitMachine(unitName(u))) {
+		if !f.Net.MachineIsolated(unitMachine(unitName(u))) {
 			return i
 		}
 		if stale < 0 {
@@ -367,9 +343,9 @@ func (f *Fleet) KillUnit(unitID string) {
 			}
 		}
 	}
-	// Unplug on the lane that owns the machine: local sends drop at the
-	// source, fabric traffic drops against this state on either side.
-	f.unitLane(u.Index).net.IsolateMachine(unitMachine(unitID))
+	// The lanes share one fault table: local sends drop at the source,
+	// fabric traffic against this state on either side.
+	f.Net.IsolateMachine(unitMachine(unitID))
 	if f.rec != nil {
 		f.rec.Instant("fleet", "unit-killed", "fleet", obs.L("unit", unitID))
 	}

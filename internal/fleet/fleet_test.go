@@ -444,22 +444,19 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Units != 8 || c.Shards != 1 || c.Seed != 1 {
 		t.Fatalf("defaults: %+v", c)
 	}
-	// A zero Config runs on one partition: a lane network per unit plus the
-	// control lane, each on the one scheduler.
+	// A zero Config runs on one scheduler: a lane network per unit plus the
+	// control lane, each on that scheduler and each with a stream of its own.
 	f := New(Config{})
-	if f.Engine == nil || f.Fabric == nil {
-		t.Fatalf("zero Config: Engine=%v Fabric=%v, want both non-nil", f.Engine, f.Fabric)
+	if f.Engine == nil || f.Engine.Parts() != 1 {
+		t.Fatalf("zero Config: Engine=%v, want one on one scheduler", f.Engine)
 	}
-	if got := f.Engine.Parts(); got != 1 {
-		t.Fatalf("zero Config: %d partitions, want 1", got)
-	}
-	if len(f.nets) != c.Units+1 {
-		t.Fatalf("zero Config: %d lane networks, want Units+1 = %d", len(f.nets), c.Units+1)
+	if len(f.nets) != c.Units+1 || f.nets[0] != f.Net {
+		t.Fatalf("zero Config: %d lane networks, want Units+1 = %d with Net first", len(f.nets), c.Units+1)
 	}
 	seen := map[*simnet.Network]bool{}
 	for l, n := range f.nets {
-		if n != f.Fabric.Lane(l) || n.Scheduler() != f.Sched || seen[n] {
-			t.Fatalf("zero Config: lane %d's network is not the fabric's own lane on the fleet scheduler", l)
+		if n.Scheduler() != f.Sched || seen[n] || l > 0 && n.Rand() == f.Sched.Rand() {
+			t.Fatalf("zero Config: lane %d's network is not a lane of its own on the fleet scheduler", l)
 		}
 		seen[n] = true
 	}
@@ -577,7 +574,7 @@ func TestIndexTracksFaultsAndMatchesRebuild(t *testing.T) {
 	// u006 belongs to shard 0 and hosts no shard replica: only its disks go.
 	f.KillUnit("u006")
 	f.Settle(2 * time.Minute)
-	if lead.ix.DownUnits() != 1 || lead.unitAlive("u006") {
+	if lead.ix.DownUnits() != 1 || !lead.ix.UnitDown(lead.unitNo["u006"]) {
 		t.Fatalf("index counts %d down units after u006 went silent, want 1", lead.ix.DownUnits())
 	}
 	checkInvariants(t, f)

@@ -128,7 +128,7 @@ func (s *shardScheduler) tick() {
 	for _, t := range s.generate(budget, ids) {
 		s.launch(t)
 	}
-	m.gAlive.Set(float64(len(m.f.Topo.ShardUnits(m.shard)) - m.ix.DownUnits()))
+	m.gAlive.Set(float64(len(m.units) - m.ix.DownUnits()))
 }
 
 // checkUnits flips owned units to dead after unitDeadAfter silent
@@ -137,15 +137,12 @@ func (s *shardScheduler) checkUnits() {
 	m := s.m
 	deadline := time.Duration(unitDeadAfter) * heartbeatInterval
 	now := m.sched.Now()
-	for _, u := range m.f.Topo.ShardUnits(m.shard) {
-		if !m.unitAlive(u) {
-			continue
-		}
-		if now-m.unitSeen[u] > deadline {
-			m.ix.SetUnitDown(m.unitNo[u], true)
+	for n, seen := range m.unitSeen {
+		if !m.ix.UnitDown(n) && now-seen > deadline {
+			m.ix.SetUnitDown(n, true)
 			s.cUnitDead.Inc()
 			m.rec.Instant("fleet", "unit-declared-dead", "fleet",
-				obs.L("shard", strconv.Itoa(m.shard)), obs.L("unit", u))
+				obs.L("shard", strconv.Itoa(m.shard)), obs.L("unit", m.units[n]))
 		}
 	}
 }
@@ -230,15 +227,14 @@ func (s *shardScheduler) generate(budget int, ids []string) []task {
 // to relieve skew beyond balanceSkew.
 func (s *shardScheduler) balanceTask(ids []string) (task, bool) {
 	m := s.m
-	units := m.f.Topo.ShardUnits(m.shard)
 	var minU, maxU string
 	var minB, maxB int64 = -1, -1
 	unitCap := int64(hostsPerUnit*disksPerHost) * diskCapacity
-	for _, uid := range units {
-		if !m.unitAlive(uid) {
+	for n, uid := range m.units {
+		if m.ix.UnitDown(n) {
 			continue
 		}
-		b := m.ix.UnitUsed(m.unitNo[uid])
+		b := m.ix.UnitUsed(n)
 		if minB < 0 || b < minB {
 			minB, minU = b, uid
 		}

@@ -37,7 +37,7 @@ type ShardMaster struct {
 	rpc      *simnet.RPCNode
 	store    *coord.Store
 	election *coord.Election
-	// rec is the lane recorder this replica writes to. May be nil.
+	// rec is the fleet's recorder. May be nil.
 	rec *obs.Recorder
 	// foreignBelieved[k] is this master's believed-leader replica index for
 	// foreign shard k (cross-shard calls rotate through believed leaders
@@ -60,16 +60,18 @@ type ShardMaster struct {
 	frozen map[int]bool
 
 	// Leader soft state (rebuilt on election).
-	vols     map[string]VolRecord
-	exports  map[string]VolRecord
-	unitSeen map[string]simtime.Time
+	vols    map[string]VolRecord
+	exports map[string]VolRecord
+	// unitSeen[n] is when owned unit n (its number in ix) last reported.
+	unitSeen []simtime.Time
 	// ix holds every owned disk's bytes used and spin state (rebuilt from
 	// the tree), agent-reported dead and draining marks, and which owned
 	// units went silent. place/unplace, heartbeats and the scheduler's
 	// liveness check update it in place; allocation and re-placement pick
 	// from it.
 	ix *placement.Index
-	// unitNo maps an owned unit's ID to its number in ix.
+	// units[n] is owned unit n's ID, and unitNo the reverse map.
+	units  []string
 	unitNo map[string]int
 
 	// Serial op queue: queue[qHead:] waits.
@@ -120,31 +122,33 @@ func (op *shardOp) Fire() {
 	m.hOpTime.ObserveDuration(m.sched.Now() - start)
 }
 
-func newShardMaster(f *Fleet, shard, replica int, store *coord.Store, p lane) *ShardMaster {
+func newShardMaster(f *Fleet, shard, replica int, store *coord.Store, net *simnet.Network) *ShardMaster {
 	name := fmt.Sprintf("s%dm%d", shard, replica)
 	m := &ShardMaster{
-		f:        f,
-		shard:    shard,
-		replica:  replica,
-		name:     name,
-		rpcName:  "fm:" + name,
-		sched:    f.Sched,
-		rec:      p.rec,
-		store:    store,
-		frozen:   make(map[int]bool),
-		vols:     make(map[string]VolRecord),
-		exports:  make(map[string]VolRecord),
-		unitSeen: make(map[string]simtime.Time),
-		ix:       f.Topo.newShardIndex(shard),
-		unitNo:   make(map[string]int),
+		f:       f,
+		shard:   shard,
+		replica: replica,
+		name:    name,
+		rpcName: "fm:" + name,
+		sched:   f.Sched,
+		rec:     f.rec,
+		store:   store,
+		frozen:  make(map[int]bool),
+		vols:    make(map[string]VolRecord),
+		exports: make(map[string]VolRecord),
+		ix:      f.Topo.newShardIndex(shard),
+		unitNo:  make(map[string]int),
 
 		foreignBelieved: make([]int, f.Cfg.Shards),
 	}
-	for _, uid := range f.Topo.ShardUnits(shard) {
+	owned := f.Topo.ShardUnits(shard)
+	m.units, m.unitSeen = make([]string, len(owned)), make([]simtime.Time, len(owned))
+	for _, uid := range owned {
 		r, _ := m.ix.Row(f.Topo.UnitByID[uid].Disks[0])
-		m.unitNo[uid] = m.ix.UnitOf(r)
+		n := m.ix.UnitOf(r)
+		m.units[n], m.unitNo[uid] = uid, n
 	}
-	m.rpc = simnet.NewRPCNode(p.net, m.rpcName)
+	m.rpc = simnet.NewRPCNode(net, m.rpcName)
 	m.sch = newShardScheduler(m)
 	// Leader soft state must track the replicated tree even for commits this
 	// leadership never issued: a previous leader's Allocate or Release can
@@ -208,7 +212,7 @@ func (m *ShardMaster) restart() {
 	// A restarted process has no soft state: liveness and disk-health views
 	// refill from agent heartbeats (each beat carries the full cumulative
 	// dead/draining sets), and rebuild() grace-stamps units on election.
-	m.unitSeen = make(map[string]simtime.Time)
+	clear(m.unitSeen)
 	m.ix.ResetHealth()
 	m.incarnation++
 	m.start()
@@ -339,8 +343,8 @@ func (m *ShardMaster) rebuild() {
 	// Grace-stamp every owned unit so a fresh leader waits a full dead
 	// window before declaring silence fatal.
 	now := m.sched.Now()
-	for _, u := range m.f.Topo.ShardUnits(m.shard) {
-		m.unitSeen[u] = now
+	for n := range m.unitSeen {
+		m.unitSeen[n] = now
 	}
 }
 
@@ -349,9 +353,6 @@ func (m *ShardMaster) ownsDisk(diskID string) bool {
 	u := m.f.Topo.UnitOfDisk(diskID)
 	return u != nil && u.Shard == m.shard
 }
-
-// unitAlive reports whether an owned unit's heartbeats are current.
-func (m *ShardMaster) unitAlive(unitID string) bool { return !m.ix.UnitDown(m.unitNo[unitID]) }
 
 // --- RPC surface ---
 
@@ -724,8 +725,8 @@ func (m *ShardMaster) onHeartbeat(_ string, args any) (any, error) {
 	if !m.leading {
 		return HeartbeatReply{ShardReply{NotLeader: true}}, nil
 	}
-	m.unitSeen[a.Unit] = m.sched.Now()
 	if u, ok := m.unitNo[a.Unit]; ok {
+		m.unitSeen[u] = m.sched.Now()
 		m.ix.SetUnitDown(u, false)
 	}
 	for _, d := range a.Dead {

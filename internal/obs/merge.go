@@ -6,19 +6,21 @@ import (
 	"sync/atomic"
 )
 
-// Deterministic merge of per-partition observability state.
+// Deterministic merge of several recorders into one.
 //
-// The partitioned engine gives every partition its own Recorder so metric and
-// trace writes never cross partition boundaries mid-window. At the end of a
-// run the partitions are folded into the user's recorder with MergeRecorders.
-// Everything about the fold is a pure function of the partitions' contents
-// and their order — series are visited in sorted-key order, trace events in
-// (timestamp, partition, sequence) order, float sums accumulate in that fixed
-// order — so the merged output is byte-identical at any worker count.
+// No simulation folds recorders: a fleet's lanes all record into the run's
+// one Recorder (DESIGN.md §8). MergeRecorders stays for callers that build
+// recorders apart and want one view of them; the perf benchmark's merge
+// probe is one. Everything about the fold is a pure function of the parts'
+// contents and their order — series are visited in sorted-key order, trace
+// events in (timestamp, part, sequence) order, float sums accumulate in that
+// fixed order — so the merged output is byte-identical from run to run.
 
-// MergeRecorders folds the partition recorders into dst, in slice order.
-// Nil recorders (dst or partitions) are skipped; the fold is additive, so
-// anything already recorded directly on dst is preserved.
+// MergeRecorders folds the part recorders into dst, in slice order. Nil
+// recorders (dst or parts) are skipped; the fold is additive, so anything
+// already recorded directly on dst is preserved. Gauges add up, which is
+// right only when the parts measure disjoint populations: two recorders
+// that each set one gauge in turn merge into their sum, not the last value.
 func MergeRecorders(dst *Recorder, parts ...*Recorder) {
 	if dst == nil {
 		return
@@ -68,10 +70,9 @@ func (r *Registry) mergeFrom(src *Registry) {
 		case kindCounter:
 			(*Counter)(&d.counter).Add((*Counter)(&s.counter).Value())
 		case kindGauge:
-			// Partition gauges measure disjoint populations (per-partition
-			// queue depths, per-unit spinning counts), so the fleet-level
-			// value is their sum.
-			(*Gauge)(&d.gauge).Add((*Gauge)(&s.gauge).Value())
+			// Gauges of disjoint populations add up (see MergeRecorders).
+			g := (*Gauge)(&d.gauge)
+			g.Set(g.Value() + (*Gauge)(&s.gauge).Value())
 		case kindHistogram:
 			d.hist.merge(s.hist)
 		}
@@ -104,10 +105,10 @@ func (h *Histogram) merge(src *Histogram) {
 	}
 }
 
-// mergeFrom interleaves the partitions' buffered trace events into t in
-// (timestamp, partition, sequence) order, remapping event IDs — allocated
-// independently per partition — into t's ID space so cause links stay valid
-// and IDs stay unique. Events evicted from a partition ring count toward t's
+// mergeFrom interleaves the parts' buffered trace events into t in
+// (timestamp, part, sequence) order, remapping event IDs — allocated
+// independently per part — into t's ID space so cause links stay valid
+// and IDs stay unique. Events evicted from a part's ring count toward t's
 // dropped total; causes pointing at evicted events are cleared.
 func (t *Tracer) mergeFrom(parts []*Tracer) {
 	if t == nil {

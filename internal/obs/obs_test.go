@@ -107,7 +107,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(3)
-	g.Add(1)
 	_ = g.Value()
 	var h *Histogram
 	h.Observe(1)

@@ -166,20 +166,6 @@ func (g *Gauge) Set(v float64) {
 	atomic.StoreUint64((*uint64)(g), math.Float64bits(v))
 }
 
-// Add increments the gauge by delta (CAS loop).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := atomic.LoadUint64((*uint64)(g))
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if atomic.CompareAndSwapUint64((*uint64)(g), old, next) {
-			return
-		}
-	}
-}
-
 // Value reads the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -44,8 +44,7 @@ type traceEvent struct {
 }
 
 // NewTracer creates a tracer holding at most capacity events. The ring
-// grows as events arrive: a fleet makes one recorder per partition, and
-// most of them never see more than a few hundred events.
+// grows as events arrive, so a short run's recorder holds only what it saw.
 func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1

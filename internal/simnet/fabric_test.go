@@ -7,14 +7,14 @@ import (
 	"ustore/internal/simtime"
 )
 
-func newTestFabric(tb testing.TB, parts, workers int) (*simtime.Engine, *Fabric) {
+func newTestFabric(tb testing.TB) (*simtime.Engine, *Fabric) {
 	tb.Helper()
-	e := simtime.NewEngine(11, parts, workers, time.Millisecond)
+	e := simtime.NewEngine(11, 2, 1, time.Millisecond)
 	return e, NewFabric(e)
 }
 
 func TestFabricCrossPartitionDelivery(t *testing.T) {
-	e, f := newTestFabric(t, 2, 1)
+	e, f := newTestFabric(t)
 	na, nb := f.Network(0), f.Network(1)
 	na.Node("a")
 	var gotAt simtime.Time
@@ -27,18 +27,18 @@ func TestFabricCrossPartitionDelivery(t *testing.T) {
 	na.Node("a").Send(na.Addr("b"), "ping", 0)
 	e.RunFor(time.Second)
 	if gotAt == 0 {
-		t.Fatal("cross-partition message never delivered")
+		t.Fatal("cross-lane message never delivered")
 	}
 	if gotAt < e.Lookahead() {
 		t.Fatalf("delivered at %v, before one lookahead %v", gotAt, e.Lookahead())
 	}
 	if b := f.table.node("b"); b.net != nb {
-		t.Fatalf("b registered on %v, want partition 1's network", b.net)
+		t.Fatalf("b registered on %v, want lane 1's network", b.net)
 	}
 }
 
 func TestFabricIsolationBothSides(t *testing.T) {
-	e, f := newTestFabric(t, 2, 1)
+	e, f := newTestFabric(t)
 	na, nb := f.Network(0), f.Network(1)
 	na.Colocate("a", "mach-a")
 	nb.Colocate("b", "mach-b")
@@ -56,7 +56,7 @@ func TestFabricIsolationBothSides(t *testing.T) {
 	na.RejoinMachine("mach-a")
 
 	// Destination-side isolation: the message crosses the fabric and is
-	// dropped against delivery-time state on the destination partition.
+	// dropped against delivery-time state on the destination lane.
 	nb.IsolateMachine("mach-b")
 	na.Node("a").Send(na.Addr("b"), 2, 0)
 	e.RunFor(time.Second)
@@ -72,10 +72,10 @@ func TestFabricIsolationBothSides(t *testing.T) {
 	}
 }
 
-// TestFabricSerializationDelay pins the cross-partition delay: one lookahead
+// TestFabricSerializationDelay pins the cross-lane delay: one lookahead
 // plus the payload serialized at the link bandwidth.
 func TestFabricSerializationDelay(t *testing.T) {
-	e, f := newTestFabric(t, 2, 1)
+	e, f := newTestFabric(t)
 	na, nb := f.Network(0), f.Network(1)
 	na.Node("a")
 	var gotAt simtime.Time
@@ -90,7 +90,7 @@ func TestFabricSerializationDelay(t *testing.T) {
 }
 
 func TestFabricUnknownDestinationCountsDrop(t *testing.T) {
-	e, f := newTestFabric(t, 2, 1)
+	e, f := newTestFabric(t)
 	na := f.Network(0)
 	na.Node("a").Send(na.Addr("nobody"), 1, 0)
 	e.RunFor(time.Second)

@@ -50,7 +50,7 @@ func unregister(n *Network, name string) { n.table.node(name).net = nil }
 // its Pooled record back, once: an unknown destination, an isolated machine,
 // a cut, the loss dice, a down node, a node with no handler, and on a
 // fabric a source-side cut or isolation, a destination-side isolation, and a
-// name with no node, unregistered through either partition's network.
+// name with no node, unregistered through either lane's network.
 func TestDroppedPooledRecordReleased(t *testing.T) {
 	local := func(fault func(net *Network)) func(t *testing.T) (*pooledCounts, uint64) {
 		return func(t *testing.T) (*pooledCounts, uint64) {
@@ -68,7 +68,7 @@ func TestDroppedPooledRecordReleased(t *testing.T) {
 	}
 	fabric := func(fault func(f *Fabric)) func(t *testing.T) (*pooledCounts, uint64) {
 		return func(t *testing.T) (*pooledCounts, uint64) {
-			e, f := newTestFabric(t, 2, 1)
+			e, f := newTestFabric(t)
 			na, nb := f.Network(0), f.Network(1)
 			na.Colocate("a", "ma")
 			nb.Colocate("b", "mb")
@@ -93,7 +93,7 @@ func TestDroppedPooledRecordReleased(t *testing.T) {
 		{"no-handler", local(func(net *Network) { net.Node("b").Handle(nil) })},
 		{"fabric-unknown", fabric(func(f *Fabric) { unregister(f.Network(0), "b") })},
 		{"fabric-dst-unknown", fabric(func(f *Fabric) { unregister(f.Network(1), "b") })},
-		{"fabric-cut", fabric(func(f *Fabric) { f.CutMachines("ma", "mb") })},
+		{"fabric-cut", fabric(func(f *Fabric) { f.Network(0).CutMachines("ma", "mb") })},
 		{"fabric-src-isolated", fabric(func(f *Fabric) { f.Network(0).IsolateMachine("ma") })},
 		{"fabric-dst-isolated", fabric(func(f *Fabric) { f.Network(1).IsolateMachine("mb") })},
 		{"fabric-down", fabric(func(f *Fabric) { f.Network(1).Node("b").SetDown(true) })},

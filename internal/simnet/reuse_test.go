@@ -105,19 +105,18 @@ func TestReleasedTimeoutNeverFires(t *testing.T) {
 	}
 }
 
-// TestFabricPoolsAcrossWorkers runs chains of RPCs between four partitions,
-// so cross-partition records are taken from one network's pool and returned
-// to it from another partition. Every call gets its own reply. The engine's
-// worker argument of four is ignored.
+// TestFabricPoolsAcrossWorkers runs chains of RPCs between four lanes, so
+// cross-lane records are taken from one network's pool and returned to it
+// from another lane. Every call gets its own reply.
 func TestFabricPoolsAcrossWorkers(t *testing.T) {
 	const parts, chains, rounds = 4, 8, 25
-	e, f := newTestFabric(t, parts, parts)
+	e, f := newTestFabric(t)
 	nodes := make([]*RPCNode, parts)
 	for p := range nodes {
 		nodes[p] = NewRPCNode(f.Network(p), fmt.Sprintf("n%d", p))
 		nodes[p].Register("echo", func(_ string, args any) (any, error) { return args, nil })
 	}
-	replies := make([]int, parts) // replies[p] is written on p's partition only
+	replies := make([]int, parts) // replies[p] is written on p's lane only
 	for p, n := range nodes {
 		p, n := p, n
 		var call func(i int)

@@ -10,7 +10,7 @@ import (
 
 // routeWorld is one layout the routing test drives: a, a2 and c on the a
 // side, b on the b side. On a plain network both sides are one network; on
-// a Fabric they are partitions 0 and 1.
+// a Fabric they are lanes 0 and 1.
 type routeWorld struct {
 	na, nb *Network
 	cut    func(on bool) // cuts or heals machines m1 and m2
@@ -37,19 +37,19 @@ func plainWorld() routeWorld {
 }
 
 func fabricWorld(t *testing.T) routeWorld {
-	e, f := newTestFabric(t, 2, 1)
+	e, f := newTestFabric(t)
 	return routeWorld{
 		na: f.Network(0), nb: f.Network(1),
 		cut: func(on bool) {
 			if on {
-				f.CutMachines("m1", "m2")
+				f.Network(0).CutMachines("m1", "m2")
 			} else {
-				f.HealMachines("m1", "m2")
+				f.Network(0).HealMachines("m1", "m2")
 			}
 		},
 		run: func() { e.RunFor(time.Second) },
 		fresh: func() int64 {
-			e, _ := newTestFabric(t, 2, 1)
+			e, _ := newTestFabric(t)
 			return e.Part(0).Rand().Int63()
 		},
 	}
@@ -159,7 +159,7 @@ func route(t *testing.T, w routeWorld, colocateFirst bool) []string {
 
 // TestRoutingIndependentOfColocateOrder: a node placed before it registers
 // and one placed after route alike, on a plain network and across a
-// Fabric's partitions — loopback, link and brownout delays, isolation on
+// Fabric's lanes — loopback, link and brownout delays, isolation on
 // either side, a cut, and the loss and dup dice, drawn only at a positive
 // rate — and a send to a name with no node is one drop that gives its
 // Pooled record back.
@@ -174,8 +174,8 @@ func TestRoutingIndependentOfColocateOrder(t *testing.T) {
 			"a->b drop", "a->a2 0s", "a->b drop", "a->a2 0s",
 			"a->b drop", "a->b 200µs",
 		}},
-		// Brownouts and dice are partition-local; a cross-partition hop
-		// takes one lookahead.
+		// Brownouts and dice are lane-local; a cross-lane hop takes one
+		// lookahead.
 		{"fabric", func() routeWorld { return fabricWorld(t) }, []string{
 			"a->a2 0s", "a->b 1ms", "a->b 1ms", "a->a2 0s",
 			"a->b drop", "a->a2 0s", "a->b drop", "a->a2 0s",

@@ -88,12 +88,12 @@ func TestRPCManyCallersAllocs(t *testing.T) {
 	}
 }
 
-// fabricEcho is rpcEcho across two partitions of an engine: the request
-// and the reply each take a cross-partition record from the destination
+// fabricEcho is rpcEcho across two lanes of an engine: the request and
+// the reply each take a cross-lane record from the destination
 // network's pool. trip runs past the call's timeout, so its event is
 // dropped; replies counts the replies.
 func fabricEcho(tb testing.TB) (trip func(), replies *int) {
-	e, f := newTestFabric(tb, 2, 1)
+	e, f := newTestFabric(tb)
 	srv := NewRPCNode(f.Network(1), "srv")
 	cli := NewRPCNode(f.Network(0), "cli")
 	srv.Register("echo", func(_ string, args any) (any, error) { return args, nil })
@@ -111,7 +111,7 @@ func fabricEcho(tb testing.TB) (trip func(), replies *int) {
 	}, replies
 }
 
-// TestFabricRoundTripAllocs is the round trip across two partitions, where
+// TestFabricRoundTripAllocs is the round trip across two lanes, where
 // nothing allocates either.
 func TestFabricRoundTripAllocs(t *testing.T) {
 	trip, replies := fabricEcho(t)
@@ -119,7 +119,7 @@ func TestFabricRoundTripAllocs(t *testing.T) {
 		trip()
 	}
 	if got := testing.AllocsPerRun(200, trip); got > 0 {
-		t.Fatalf("cross-partition RPC round trip allocates %.0f objects, want 0", got)
+		t.Fatalf("cross-lane RPC round trip allocates %.0f objects, want 0", got)
 	}
 	if *replies != 64+201 {
 		t.Fatalf("%d replies, want %d", *replies, 64+201)

@@ -17,12 +17,14 @@
 //
 // Names are interned. A name's first use (Node, Colocate, Addr, an RPC call)
 // gives it a dense Addr, and a machine's a dense index, in a table that is
-// the network's own or, on a Fabric, shared by every lane. Registration
-// and topology calls write it at quiescence; an RPC call to a new name may
-// write it mid-run, which the engine's one goroutine keeps safe. A Message
-// carries Addrs and a node record its machine index, so Send, a Fabric's
-// forward and delivery, and RPC dispatch and reply index slices and hash no
-// string. A name is one index away (Name).
+// the network's own or, on a Fabric, shared by every lane. The machines'
+// fault state lives in the same table, so on a Fabric a fault set through
+// any lane's Network is every lane's. Registration, topology and fault calls
+// write the table at quiescence; an RPC call to a new name may write it
+// mid-run, which the engine's one goroutine keeps safe. A Message carries
+// Addrs and a node record its machine index, so Send, a Fabric's forward and
+// delivery, and RPC dispatch and reply index slices and hash no string. A
+// name is one index away (Name).
 package simnet
 
 import (
@@ -118,15 +120,25 @@ func pairKey(a, b int32) uint64 {
 	return uint64(a)<<32 | uint64(uint32(b))
 }
 
-// addrTable interns node and machine names (see the package comment).
+// addrTable interns node and machine names and holds the machines' fault
+// state (see the package comment).
 type addrTable struct {
 	addrs    map[string]Addr
 	nodes    []*Node // by Addr
 	machines map[string]int32
+	// machs is per-machine fault state by machine index, grown by the
+	// fault calls; a machine past its end has none.
+	machs []machState
+	// links holds machine-pair fault state (switch-port/cable faults),
+	// keyed by pairKey: it applies uniformly to every node pair spanning the
+	// two machines, which is how chaos injects partitions without
+	// enumerating node names.
+	links map[uint64]*machLink
 }
 
 func newAddrTable() *addrTable {
-	return &addrTable{addrs: make(map[string]Addr), machines: make(map[string]int32)}
+	return &addrTable{addrs: make(map[string]Addr), machines: make(map[string]int32),
+		links: make(map[uint64]*machLink)}
 }
 
 // node returns name's record, interning the name on first use.
@@ -150,8 +162,37 @@ func (t *addrTable) machine(name string) int32 {
 	return m
 }
 
-// machState is one machine's fault state on one network: an unplugged
-// uplink (IsolateMachine) and a brownout's extra delay (SetMachineBrownout).
+// mach returns machine m's fault state for writing, growing machs to hold it.
+func (t *addrTable) mach(m int32) *machState {
+	if int(m) >= len(t.machs) {
+		t.machs = append(t.machs, make([]machState, int(m)+1-len(t.machs))...)
+	}
+	return &t.machs[m]
+}
+
+// machAt returns machine m's fault state; an unplaced or untouched machine
+// has none.
+func (t *addrTable) machAt(m int32) machState {
+	if uint(m) < uint(len(t.machs)) {
+		return t.machs[m]
+	}
+	return machState{}
+}
+
+// link returns the one undirected record for a machine pair, making it on
+// first use.
+func (t *addrTable) link(a, b int32) *machLink {
+	k := pairKey(a, b)
+	l, ok := t.links[k]
+	if !ok {
+		l = &machLink{}
+		t.links[k] = l
+	}
+	return l
+}
+
+// machState is one machine's fault state: an unplugged uplink
+// (IsolateMachine) and a brownout's extra delay (SetMachineBrownout).
 type machState struct {
 	isolated bool
 	brownout time.Duration
@@ -178,16 +219,9 @@ type Network struct {
 	// rng is every draw the network and the protocols on it make: the
 	// scheduler's own, unless a Fabric gives the network a lane of its own.
 	rng *rand.Rand
-	// table interns names; a Fabric's lanes share the Fabric's.
+	// table interns names and holds the machines' fault state; a Fabric's
+	// lanes share the Fabric's.
 	table *addrTable
-	// machLinks holds machine-pair fault state (switch-port/cable faults),
-	// keyed by pairKey: it applies uniformly to every node pair spanning the
-	// two machines, which is how chaos injects partitions without
-	// enumerating node names.
-	machLinks map[uint64]*machLink
-	// machs is per-machine fault state by machine index, grown by the
-	// topology calls; a machine past its end has none.
-	machs []machState
 
 	stats Stats
 
@@ -210,11 +244,9 @@ type Network struct {
 	cDedup     *obs.Counter
 	// fabric links this network into a multi-lane address space; nil for
 	// a standalone network. lane is this network's lane, the sender's key
-	// in the engine's flush order, and part the engine partition it runs
-	// on.
+	// in the engine's flush order.
 	fabric *Fabric
 	lane   int
-	part   int
 
 	// rpcMetrics caches the per-method RPC series handles so the hot call
 	// path resolves each method's series once instead of rebuilding the
@@ -288,7 +320,7 @@ func (n *Network) closePartition(key string) {
 
 // New creates an empty network on the given scheduler.
 func New(sched *simtime.Scheduler) *Network {
-	return &Network{sched: sched, rng: sched.Rand(), table: newAddrTable(), machLinks: make(map[uint64]*machLink),
+	return &Network{sched: sched, rng: sched.Rand(), table: newAddrTable(),
 		rpcMetrics: make(map[string]*rpcMethodMetrics)}
 }
 
@@ -331,34 +363,15 @@ func (n *Network) Colocate(node, machine string) {
 	n.table.node(node).mach = n.table.machine(machine)
 }
 
-// machLink returns the one undirected record for a machine pair, making it
-// on first use.
+// machLink returns the record for a named machine pair, making it on first
+// use.
 func (n *Network) machLink(a, b string) *machLink {
-	k := pairKey(n.table.machine(a), n.table.machine(b))
-	l, ok := n.machLinks[k]
-	if !ok {
-		l = &machLink{}
-		n.machLinks[k] = l
-	}
-	return l
+	return n.table.link(n.table.machine(a), n.table.machine(b))
 }
 
-// mach returns a machine's fault state for writing, growing machs to hold it.
+// mach returns a named machine's fault state for writing.
 func (n *Network) mach(machine string) *machState {
-	m := int(n.table.machine(machine))
-	if m >= len(n.machs) {
-		n.machs = append(n.machs, make([]machState, m+1-len(n.machs))...)
-	}
-	return &n.machs[m]
-}
-
-// machAt returns machine m's fault state; an unplaced or untouched machine
-// has none.
-func (n *Network) machAt(m int32) machState {
-	if uint(m) < uint(len(n.machs)) {
-		return n.machs[m]
-	}
-	return machState{}
+	return n.table.mach(n.table.machine(machine))
 }
 
 // CutMachines severs all traffic between two machines (in both directions):
@@ -423,7 +436,7 @@ func (n *Network) RejoinMachine(machine string) {
 
 // MachineIsolated reports whether the machine's uplink is unplugged.
 func (n *Network) MachineIsolated(machine string) bool {
-	return n.machAt(n.table.machine(machine)).isolated
+	return n.table.machAt(n.table.machine(machine)).isolated
 }
 
 // send delivers msg from src after the link latency plus serialization time
@@ -449,8 +462,8 @@ func (n *Network) send(src *Node, msg Message) {
 	var delay time.Duration
 	dup := false
 	if !local {
-		ma, mb := n.machAt(src.mach), n.machAt(dst.mach)
-		ml := n.machLinks[pairKey(src.mach, dst.mach)]
+		ma, mb := n.table.machAt(src.mach), n.table.machAt(dst.mach)
+		ml := n.table.links[pairKey(src.mach, dst.mach)]
 		switch {
 		case ma.isolated, mb.isolated,
 			ml != nil && ml.cut,

@@ -71,10 +71,10 @@ func BenchmarkSchedulerCancelledTimeouts(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineWindow models a fleet's engine windows: 65 partitions and 64
-// hop chains, each hop firing a local follow-up and posting to a random
-// partition one to three lookaheads out, so a window holds a few dozen events
-// over a dozen or so active partitions. One op = one simulated millisecond,
+// BenchmarkEngineWindow models a fleet's engine windows: 65 lanes and 64 hop
+// chains, each hop firing a local follow-up and posting to a random lane one
+// to three lookaheads out, so a window holds a few dozen events over a dozen
+// or so active lanes. One op = one simulated millisecond,
 // about one window.
 func BenchmarkEngineWindow(b *testing.B) {
 	const parts, lookahead = 65, time.Millisecond
@@ -92,7 +92,7 @@ func BenchmarkEngineWindow(b *testing.B) {
 	for c := 0; c < 64; c++ {
 		e.Part(c).FireAfter(time.Duration(c)*10*time.Microsecond, hops[c])
 	}
-	e.RunFor(2 * wheelSpan) // inboxes, spare slot arrays and free lists grow to the load
+	e.RunFor(2 * wheelSpan) // the inbox, spare slot arrays and free lists grow to the load
 	w0, f0 := e.Stats().Windows, e.Fired()
 	b.ReportAllocs()
 	b.ResetTimer()

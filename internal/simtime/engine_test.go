@@ -3,28 +3,29 @@ package simtime
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 )
 
-// engineWorkload runs a randomized cross-partition ping workload on an
-// engine built with the given worker argument and returns a text log of
-// every event execution: (partition, time, payload) lines in execution order
-// per partition, concatenated partition-major, plus the engine's counters.
-func engineWorkload(t *testing.T, workers int) (string, EngineStats) {
+// engineWorkload runs a randomized cross-lane ping workload on nine lanes,
+// each drawing from its own stream (LaneRand), and returns a text log of
+// every event execution: (lane, time, payload) lines in execution order per
+// lane, concatenated lane-major, plus the engine's counters.
+func engineWorkload(t *testing.T) (string, EngineStats) {
 	t.Helper()
 	const (
 		parts     = 9
 		lookahead = time.Millisecond
 	)
-	e := NewEngine(42, parts, workers, lookahead)
+	e := NewEngine(42, parts, 1, lookahead)
 	logs := make([]*strings.Builder, parts)
 	rngs := make([]*rand.Rand, parts)
 	for p := 0; p < parts; p++ {
 		logs[p] = &strings.Builder{}
-		rngs[p] = e.Part(p).Rand()
+		rngs[p] = e.LaneRand(p)
 	}
 	var hop func(p, ttl int) func()
 	hop = func(p, ttl int) func() {
@@ -34,8 +35,8 @@ func engineWorkload(t *testing.T, workers int) (string, EngineStats) {
 			if ttl == 0 {
 				return
 			}
-			// Local follow-up below the lookahead, then a cross-partition
-			// hop stamped exactly one link latency (≥ lookahead) out.
+			// Local follow-up below the lookahead, then a cross-lane hop
+			// stamped exactly one link latency (≥ lookahead) out.
 			sched.FireAfter(200*time.Microsecond, func() {
 				fmt.Fprintf(logs[p], "p%d %v local\n", p, sched.Now())
 			})
@@ -58,30 +59,36 @@ func engineWorkload(t *testing.T, workers int) (string, EngineStats) {
 	return all.String(), e.Stats()
 }
 
-func TestEngineByteDeterminismAcrossWorkers(t *testing.T) {
-	want, wantStats := engineWorkload(t, 1)
-	if !strings.Contains(want, "ttl=0") {
-		t.Fatalf("workload never completed a hop chain:\n%s", want)
+// TestEngineWorkloadGolden: the nine lanes of engineWorkload, on one
+// scheduler, log what nine partitions of their own logged.
+// testdata/engine_workload.txt is that partitioned engine's log, each
+// partition drawing from the stream LaneRand gives its lane; it is a frozen
+// reference, not regenerated from this engine. The windows and messages are
+// the partitioned run's too; the one inbox holds what nine held, so its
+// largest flush is 9 where the largest of nine was 4.
+func TestEngineWorkloadGolden(t *testing.T) {
+	got, st := engineWorkload(t)
+	want, err := os.ReadFile("testdata/engine_workload.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if wantStats.Windows == 0 || wantStats.Messages == 0 {
-		t.Fatalf("workers=1 stats %+v: want windows and messages", wantStats)
+	if got != string(want) {
+		t.Errorf("lane log differs from testdata/engine_workload.txt:\n%s", got)
 	}
-	// The worker argument is ignored; these runs show it stays inert.
-	for _, workers := range []int{2, 4, 8} {
-		got, st := engineWorkload(t, workers)
-		if got != want {
-			t.Errorf("workers=%d log diverges from workers=1", workers)
-		}
-		if st != wantStats {
-			t.Errorf("workers=%d stats %+v, want %+v", workers, st, wantStats)
-		}
+	if !strings.Contains(got, "ttl=0") {
+		t.Fatalf("workload never completed a hop chain:\n%s", got)
+	}
+	if wantStats := (EngineStats{Windows: 20, Messages: 108, MaxInbox: 9}); st != wantStats {
+		t.Errorf("stats %+v, want %+v", st, wantStats)
+	}
+	if again, st2 := engineWorkload(t); again != got || st2 != st {
+		t.Error("a second run of the same seed diverges")
 	}
 }
 
-// TestEngineStartsNoGoroutine: a multi-partition engine built with a
-// worker argument of 8 runs every window on the calling goroutine. Event
-// handlers sample the goroutine count, which must never exceed its value
-// before the run.
+// TestEngineStartsNoGoroutine: an engine built with a worker argument of 8
+// runs every window on the calling goroutine. Event handlers sample the
+// goroutine count, which must never exceed its value before the run.
 func TestEngineStartsNoGoroutine(t *testing.T) {
 	const parts = 8
 	e := NewEngine(1, parts, 8, time.Millisecond)
@@ -95,8 +102,8 @@ func TestEngineStartsNoGoroutine(t *testing.T) {
 		})
 	}
 	e.RunFor(100 * time.Millisecond)
-	if e.Stats().Visits <= e.Stats().Windows {
-		t.Fatalf("stats %+v: no window had two active partitions", e.Stats())
+	if st := e.Stats(); st.Windows == 0 || st.Messages == 0 {
+		t.Fatalf("stats %+v: want windows and cross-lane messages", st)
 	}
 	if most > before {
 		t.Fatalf("%d goroutines during the run, %d before it", most, before)
@@ -104,7 +111,7 @@ func TestEngineStartsNoGoroutine(t *testing.T) {
 }
 
 // TestEngineStatsCountWindows pins each counter on a hand-countable run: two
-// partitions, three messages into one inbox, then a reply.
+// lanes, three messages from one to the other, then a reply.
 func TestEngineStatsCountWindows(t *testing.T) {
 	e := NewEngine(1, 2, 1, time.Millisecond)
 	e.Part(0).FireAfter(time.Millisecond, func() {
@@ -117,18 +124,17 @@ func TestEngineStatsCountWindows(t *testing.T) {
 		e.Post(1, 0, e.Part(1).Now()+time.Millisecond, func() {})
 	})
 	e.RunFor(time.Second)
-	// Windows at 1ms (both partitions), 2ms (partition 1's three
-	// messages), 5ms (partition 1) and 6ms (partition 0's reply).
-	want := EngineStats{Windows: 4, Visits: 5, Messages: 4, MaxInbox: 3}
+	// Windows at 1ms (both lanes), 2ms (lane 1's three messages), 5ms
+	// (lane 1) and 6ms (lane 0's reply).
+	want := EngineStats{Windows: 4, Messages: 4, MaxInbox: 3}
 	if got := e.Stats(); got != want {
 		t.Fatalf("Stats = %+v, want %+v", got, want)
 	}
 }
 
-// TestEngineFlushOrdersLanesOnOnePartition: lanes sharing a partition post
-// in the order their events run, but equal deadlines arrive in lane order,
-// as they would from partitions of their own, and one lane's posts keep
-// their post order.
+// TestEngineFlushOrdersLanesOnOnePartition: lanes post in the order their
+// events run, but equal deadlines arrive in lane order, as they did from
+// partitions of their own, and one lane's posts keep their post order.
 func TestEngineFlushOrdersLanesOnOnePartition(t *testing.T) {
 	e := NewEngine(1, 1, 1, time.Millisecond)
 	s := e.Part(0)
@@ -162,8 +168,8 @@ func TestEngineClockNeverRunsBackwards(t *testing.T) {
 	}
 }
 
-// TestEngineFlushSteadyStateAllocs: once inboxes, wheels and free lists have
-// grown to the load, posting, flushing and running a window allocate
+// TestEngineFlushSteadyStateAllocs: once the inbox, wheels and free lists
+// have grown to the load, posting, flushing and running a window allocate
 // nothing, whatever the ignored worker argument says.
 func TestEngineFlushSteadyStateAllocs(t *testing.T) {
 	const parts = 3
@@ -188,18 +194,24 @@ func TestEngineFlushSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestEnginePartitionRNGSplit: lane l's stream is the one a scheduler
+// seeded seed^l draws, the seed a partition of its own had. Lane 0's is the
+// engine scheduler's, and other lanes diverge from it.
 func TestEnginePartitionRNGSplit(t *testing.T) {
 	e := NewEngine(7, 3, 1, time.Millisecond)
-	// Partition 0 must reproduce the plain single-scheduler stream for the
-	// same seed; other partitions must diverge from it.
-	ref := NewScheduler(7)
-	for i := 0; i < 8; i++ {
-		if got, want := e.Part(0).Rand().Int63(), ref.Rand().Int63(); got != want {
-			t.Fatalf("partition 0 draw %d = %d, want %d", i, got, want)
+	for lane := 0; lane < 3; lane++ {
+		r, ref := e.LaneRand(lane), NewScheduler(7^int64(lane))
+		for i := 0; i < 8; i++ {
+			if got, want := r.Int63(), ref.Rand().Int63(); got != want {
+				t.Fatalf("lane %d draw %d = %d, want %d", lane, i, got, want)
+			}
 		}
 	}
-	if e.Part(1).Rand().Int63() == NewScheduler(7).Rand().Int63() {
-		t.Fatal("partition 1 RNG matches the unsplit seed stream")
+	if e.Part(0).Rand().Int63() != NewScheduler(7).Rand().Int63() {
+		t.Fatal("the engine scheduler's stream is not the seed's")
+	}
+	if e.LaneRand(1).Int63() == NewScheduler(7).Rand().Int63() {
+		t.Fatal("lane 1's stream matches the unsplit seed stream")
 	}
 }
 
@@ -224,41 +236,36 @@ func TestEnginePostBeforeHorizonPanics(t *testing.T) {
 
 func TestEngineIdleWithCancelledEvents(t *testing.T) {
 	e := NewEngine(3, 4, 2, time.Millisecond)
-	// Fill partitions with events that are all cancelled before the run:
-	// idle detection must see through the ghosts instead of spinning.
-	for p := 0; p < e.Parts(); p++ {
+	// Fill lanes with events that are all cancelled before the run: idle
+	// detection must see through the ghosts instead of spinning.
+	for lane := 0; lane < 4; lane++ {
 		for i := 0; i < 500; i++ {
-			e.Part(p).After(time.Duration(i)*time.Millisecond, func() {
+			e.Part(lane).After(time.Duration(i)*time.Millisecond, func() {
 				t.Error("cancelled event fired")
 			}).Cancel()
 		}
 	}
-	if got, ok := e.lbts(); ok {
-		t.Fatalf("lbts = %v on an all-cancelled engine, want idle", got)
+	if got, ok := e.Part(0).NextEventAt(); ok {
+		t.Fatalf("NextEventAt = %v on an all-cancelled engine, want idle", got)
 	}
 	e.RunFor(10 * time.Second)
-	if e.Fired() != 0 {
-		t.Fatalf("Fired = %d, want 0", e.Fired())
+	if e.Fired() != 0 || e.Stats().Windows != 0 {
+		t.Fatalf("Fired = %d, windows = %d, want 0 and 0", e.Fired(), e.Stats().Windows)
 	}
-	for p := 0; p < e.Parts(); p++ {
-		if got := e.Part(p).Pending(); got != 0 {
-			t.Fatalf("partition %d Pending = %d, want 0", p, got)
-		}
+	if got := e.Part(0).Pending(); got != 0 {
+		t.Fatalf("Pending = %d, want 0", got)
 	}
 }
 
 func TestEngineRejectsBadConfig(t *testing.T) {
-	for _, tc := range []struct {
-		parts     int
-		lookahead Duration
-	}{{0, time.Millisecond}, {2, 0}, {2, -time.Second}} {
+	for _, lookahead := range []Duration{0, -time.Second} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("NewEngine(parts=%d, lookahead=%v) did not panic", tc.parts, tc.lookahead)
+					t.Errorf("NewEngine(lookahead=%v) did not panic", lookahead)
 				}
 			}()
-			NewEngine(1, tc.parts, 1, tc.lookahead)
+			NewEngine(1, 2, 1, lookahead)
 		}()
 	}
 }

@@ -262,13 +262,13 @@ var mutants = []mutant{
 	},
 	{
 		// The flush orders equal deadlines by sending lane before post
-		// order, or lanes sharing a partition hear each other in the order
-		// their sends ran, not the order partitions of their own would
-		// deliver.
+		// order, or lanes on the one scheduler hear each other in the order
+		// their sends ran, not the order partitions of their own delivered
+		// (the partitioned golden).
 		name: "flush-ignores-sending-lane", smoke: true, file: "internal/simtime/engine.go",
 		old: "cmp.Compare(a.src, b.src), ", new: "",
 		cmd:  "go test ./internal/simnet -run ^TestLanesMatchPartitions$",
-		want: []string{`--- FAIL: TestLanesMatchPartitions`, `one partition, lanes:\s+lane 0: .*\s+2ms from n3 ttl=3`},
+		want: []string{`--- FAIL: TestLanesMatchPartitions`, `\blanes:\s+lane 0: .*\s+2ms from n3 ttl=3`, `lane 0 heard lane 3 before lane 1`},
 	},
 	{
 		// An answered async request leaves the in-flight set, or a
