@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"sort"
-
 	"ustore/internal/simnet"
 	"ustore/internal/simtime"
 )
@@ -58,18 +56,6 @@ func (a *Agent) failDisk(diskID string) { a.dead[diskID] = true }
 
 func (a *Agent) drainDisk(diskID string) { a.draining[diskID] = true }
 
-func sortedKeys(m map[string]bool) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func (a *Agent) beat() {
 	if a.stopped {
 		return
@@ -78,8 +64,8 @@ func (a *Agent) beat() {
 	args := HeartbeatArgs{
 		Unit:     a.unit.ID,
 		Seq:      a.seq,
-		Dead:     sortedKeys(a.dead),
-		Draining: sortedKeys(a.draining),
+		Dead:     sortedKeys(nil, a.dead),
+		Draining: sortedKeys(nil, a.draining),
 	}
 	target := a.replicas[a.believed]
 	a.rpc.Call(target, "Heartbeat", args, 128, rpcTimeout, func(res any, err error) {

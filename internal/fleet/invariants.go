@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -26,36 +27,47 @@ func (f *Fleet) leaders() ([]*ShardMaster, error) {
 // ValidateSpread checks the placement invariant: no volume has two
 // fragments in the same failure domain at the configured spread level, and
 // no fragment sits on a disk of a unit the fleet killed (i.e. repair has
-// fully drained dead units).
+// fully drained dead units). It reports the violation of the lowest shard's
+// smallest volume ID.
 func (f *Fleet) ValidateSpread() error {
 	ms, err := f.leaders()
 	if err != nil {
 		return err
 	}
 	for _, m := range ms {
-		ids := make([]string, 0, len(m.vols))
-		for id := range m.vols {
-			ids = append(ids, id)
+		var first string
+		var firstErr error
+		for id, rec := range m.vols {
+			if firstErr != nil && id > first {
+				continue
+			}
+			if err := f.spreadViolation(id, rec); err != nil {
+				first, firstErr = id, err
+			}
 		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			rec := m.vols[id]
-			seen := map[string]string{}
-			for _, d := range rec.Disks {
-				di := f.Topo.Disks[d]
-				if di == nil {
-					return fmt.Errorf("fleet: volume %s references unknown disk %s", id, d)
-				}
-				if f.deadUnits[di.Loc.Unit] {
-					return fmt.Errorf("fleet: volume %s fragment still on dead unit %s (disk %s)",
-						id, di.Loc.Unit, d)
-				}
-				dom := di.Domain
-				if prev, dup := seen[dom]; dup {
-					return fmt.Errorf("fleet: volume %s has two fragments in failure domain %s (%s and %s)",
-						id, dom, prev, d)
-				}
-				seen[dom] = d
+		if firstErr != nil {
+			return firstErr
+		}
+	}
+	return nil
+}
+
+// spreadViolation returns the first placement violation among a record's
+// fragments, in disk order, or nil.
+func (f *Fleet) spreadViolation(id string, rec VolRecord) error {
+	for i, d := range rec.Disks {
+		di := f.Topo.Disks[d]
+		if di == nil {
+			return fmt.Errorf("fleet: volume %s references unknown disk %s", id, d)
+		}
+		if f.deadUnits[di.Loc.Unit] {
+			return fmt.Errorf("fleet: volume %s fragment still on dead unit %s (disk %s)",
+				id, di.Loc.Unit, d)
+		}
+		for _, prev := range rec.Disks[:i] {
+			if f.Topo.Disks[prev].Domain == di.Domain {
+				return fmt.Errorf("fleet: volume %s has two fragments in failure domain %s (%s and %s)",
+					id, di.Domain, prev, d)
 			}
 		}
 	}
@@ -85,33 +97,34 @@ func (f *Fleet) ValidateShardMap() error {
 // ValidateCapacity checks the capacity ledger: each leader's per-disk
 // usage equals the sum of its volume records plus export-ledger entries on
 // that disk, nothing exceeds disk capacity, the placement index's derived
-// state agrees with its rows (placement.Index.Validate), and every fragment
-// a shard holds on a foreign disk is backed by an export entry at the
-// disk's owning shard (no cross-shard leak or double-free).
+// state agrees with its rows (placement.Index.Validate), the foreign set
+// names exactly the volumes with a fragment on a foreign disk, and every
+// such fragment is backed by an export entry at the disk's owning shard (no
+// cross-shard leak or double-free).
 func (f *Fleet) ValidateCapacity() error {
 	ms, err := f.leaders()
 	if err != nil {
 		return err
 	}
+	var want []int64 // bytes the records charge to each owned disk, by row
+	var foreign []string
 	for _, m := range ms {
-		want := map[string]int64{}
-		charge := func(recs map[string]VolRecord) {
-			for _, rec := range recs {
-				for _, d := range rec.Disks {
-					if m.ownsDisk(d) {
-						want[d] += rec.Size
-					}
-				}
+		want = append(want[:0], make([]int64, m.ix.Len())...)
+		foreign = foreign[:0]
+		for id, rec := range m.vols {
+			if m.charge(want, rec) {
+				foreign = append(foreign, id)
 			}
 		}
-		charge(m.vols)
-		charge(m.exports)
+		for _, rec := range m.exports {
+			m.charge(want, rec)
+		}
 		// Every owned disk has a row, in disk-ID order.
-		for r := 0; r < m.ix.Len(); r++ {
+		for r := range want {
 			d, used := m.ix.ID(r), m.ix.Used(r)
-			if used != want[d] {
+			if used != want[r] {
 				return fmt.Errorf("fleet: shard %d disk %s ledger says %d bytes, records say %d",
-					m.shard, d, used, want[d])
+					m.shard, d, used, want[r])
 			}
 			if c := m.ix.Capacity(r); used > c {
 				return fmt.Errorf("fleet: disk %s over capacity: %d > %d", d, used, c)
@@ -122,9 +135,12 @@ func (f *Fleet) ValidateCapacity() error {
 		if err := m.ix.Validate(); err != nil {
 			return fmt.Errorf("fleet: shard %d: %w", m.shard, err)
 		}
+		if err := m.validateForeign(foreign); err != nil {
+			return err
+		}
 		// Cross-shard: foreign fragments must be export-backed.
-		for id, rec := range m.vols {
-			for _, d := range rec.Disks {
+		for _, id := range foreign {
+			for _, d := range m.vols[id].Disks {
 				if m.ownsDisk(d) {
 					continue
 				}
@@ -132,25 +148,64 @@ func (f *Fleet) ValidateCapacity() error {
 				if u == nil {
 					return fmt.Errorf("fleet: volume %s on unknown disk %s", id, d)
 				}
-				owner := ms[u.Shard]
-				exp, ok := owner.exports[id]
+				exp, ok := ms[u.Shard].exports[id]
 				if !ok {
 					return fmt.Errorf("fleet: volume %s fragment on shard %d disk %s has no export entry",
 						id, u.Shard, d)
 				}
-				backed := false
-				for _, ed := range exp.Disks {
-					if ed == d {
-						backed = true
-						break
-					}
-				}
-				if !backed {
+				if !slices.Contains(exp.Disks, d) {
 					return fmt.Errorf("fleet: volume %s export entry at shard %d omits disk %s",
 						id, u.Shard, d)
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// charge adds a record's fragments on owned disks to want, by index row,
+// and reports whether the record has a fragment on a disk the shard does
+// not own.
+func (m *ShardMaster) charge(want []int64, rec VolRecord) (foreign bool) {
+	for _, d := range rec.Disks {
+		if r, owned := m.ix.Row(d); owned {
+			want[r] += rec.Size
+		} else {
+			foreign = true
+		}
+	}
+	return foreign
+}
+
+// validateForeign holds the foreign set to want, the volumes whose records
+// have a fragment on a foreign disk, and names the smallest volume ID where
+// they disagree.
+func (m *ShardMaster) validateForeign(want []string) error {
+	var first, why string
+	note := func(id, what string) {
+		if why == "" || id < first {
+			first, why = id, what
+		}
+	}
+	held := 0
+	for _, id := range want {
+		if _, ok := m.foreign[id]; ok {
+			held++
+		} else {
+			note(id, "has a fragment on a foreign disk but is not in the foreign set")
+		}
+	}
+	if len(m.foreign) > held {
+		for id := range m.foreign {
+			if _, ok := m.vols[id]; !ok {
+				note(id, "is in the foreign set but has no record")
+			} else if !slices.Contains(want, id) {
+				note(id, "is in the foreign set but has no foreign fragment")
+			}
+		}
+	}
+	if why != "" {
+		return fmt.Errorf("fleet: shard %d volume %s %s", m.shard, first, why)
 	}
 	return nil
 }
@@ -205,18 +260,21 @@ func (f *Fleet) DrainBlocker(unitID string) string {
 			kind string
 			m    map[string]VolRecord
 		}{{"volume", m.vols}, {"export", m.exports}} {
-			ids := make([]string, 0, len(recs.m))
-			for id := range recs.m {
-				ids = append(ids, id)
-			}
-			sort.Strings(ids)
-			for _, id := range ids {
-				for _, d := range recs.m[id].Disks {
+			var first, disk string
+			for id, rec := range recs.m {
+				if disk != "" && id > first {
+					continue
+				}
+				for _, d := range rec.Disks {
 					if di := f.Topo.Disks[d]; di != nil && di.Loc.Unit == unitID {
-						return fmt.Sprintf("shard %d %s %s still on %s (disk %s)",
-							k, recs.kind, id, unitID, d)
+						first, disk = id, d
+						break
 					}
 				}
+			}
+			if disk != "" {
+				return fmt.Sprintf("shard %d %s %s still on %s (disk %s)",
+					k, recs.kind, first, unitID, disk)
 			}
 		}
 	}

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"slices"
-	"sort"
 	"strconv"
 	"time"
 
@@ -53,8 +52,13 @@ type shardScheduler struct {
 	// pendingVol fences volumes with an inflight task so a slow copy is
 	// not re-issued every tick.
 	pendingVol map[string]bool
-	// cursor is the inspection scan position (last inspected volume ID).
-	cursor string
+	// snap is the inspection pass's volume IDs, sorted when the pass
+	// began, and next the position of the next one to inspect.
+	snap []string
+	next int
+	// ids and fids are the buffers generate sorts every volume ID and the
+	// foreign set into, when a pass needs them.
+	ids, fids []string
 
 	cTasks     map[string]*obs.Counter
 	cRequeued  *obs.Counter
@@ -86,6 +90,7 @@ func (s *shardScheduler) start() {
 	s.epoch++
 	s.pendingVol = make(map[string]bool)
 	s.inflight = 0
+	s.snap, s.next = s.snap[:0], 0
 	s.ticker = s.m.sched.Every(schedTick, s.tick)
 }
 
@@ -110,13 +115,7 @@ func (s *shardScheduler) tick() {
 		return
 	}
 	s.checkUnits()
-	// Both scans below walk the volumes in ID order; sort them once.
-	ids := make([]string, 0, len(m.vols))
-	for id := range m.vols {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	s.inspect(ids)
+	s.inspect()
 	// Cap generation by launch capacity: generate() fences every emitted
 	// task's volume in pendingVol and only finish() of a launched task
 	// unfences, so a task generated but never launched would stay fenced
@@ -125,7 +124,7 @@ func (s *shardScheduler) tick() {
 	if room := maxInflight - s.inflight; budget > room {
 		budget = room
 	}
-	for _, t := range s.generate(budget, ids) {
+	for _, t := range s.generate(budget) {
 		s.launch(t)
 	}
 	m.gAlive.Set(float64(len(m.units) - m.ix.DownUnits()))
@@ -164,15 +163,25 @@ func (s *shardScheduler) diskDraining(diskID string) bool {
 	return owned && s.m.ix.Draining(r)
 }
 
-// generate scans volumes (ids: every volume ID, sorted, so task order is
-// deterministic) and emits up to budget tasks in priority order: repair,
-// migrate, drop, then at most one balance move.
-func (s *shardScheduler) generate(budget int, ids []string) []task {
+// generate scans volumes in ID order, so task order is deterministic, and
+// emits up to budget tasks in priority order: repair, migrate, drop, then at
+// most one balance move. A pass walks only what it can find something in:
+// migrate the foreign set; repair, drop and balance every volume, and only
+// while a disk is bad or a unit down, a disk draining, or the units skewed.
+func (s *shardScheduler) generate(budget int) []task {
 	m := s.m
 	if budget <= 0 {
 		return nil
 	}
 	var tasks []task
+	var all []string // every volume ID, sorted on first use
+	sorted := func() []string {
+		if all == nil {
+			s.ids = sortedKeys(s.ids, m.vols)
+			all = s.ids
+		}
+		return all
+	}
 
 	add := func(t task) bool {
 		tasks = append(tasks, t)
@@ -181,11 +190,18 @@ func (s *shardScheduler) generate(budget int, ids []string) []task {
 	}
 
 	for _, pass := range []string{taskRepair, taskMigrate, taskDrop} {
-		// A pass with nothing to find is not walked: repair needs a dead
-		// disk or unit, drop a draining disk.
-		if (pass == taskRepair && m.ix.BadDisks() == 0 && m.ix.DownUnits() == 0) ||
-			(pass == taskDrop && m.ix.DrainingDisks() == 0) {
-			continue
+		var ids []string
+		switch {
+		case pass == taskMigrate:
+			// A volume outside the foreign set has nothing to migrate, so
+			// walking the set emits what walking every ID would.
+			if len(m.foreign) > 0 {
+				s.fids = sortedKeys(s.fids, m.foreign)
+				ids = s.fids
+			}
+		case pass == taskRepair && (m.ix.BadDisks() > 0 || m.ix.DownUnits() > 0),
+			pass == taskDrop && m.ix.DrainingDisks() > 0:
+			ids = sorted()
 		}
 		for _, id := range ids {
 			if s.pendingVol[id] {
@@ -217,44 +233,56 @@ func (s *shardScheduler) generate(budget int, ids []string) []task {
 			}
 		}
 	}
-	if t, ok := s.balanceTask(ids); ok {
+	if t, ok := s.balanceTask(sorted); ok {
 		add(t)
 	}
 	return tasks
 }
 
+// sortedKeys returns set's keys in ascending order, in buf's array if it
+// has room (nil for an empty set and a nil buf).
+func sortedKeys[V any](buf []string, set map[string]V) []string {
+	buf = slices.Grow(buf[:0], len(set))
+	for id := range set {
+		buf = append(buf, id)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
 // balanceTask proposes moving one fragment from the most-loaded alive unit
-// to relieve skew beyond balanceSkew.
-func (s *shardScheduler) balanceTask(ids []string) (task, bool) {
+// to relieve skew beyond balanceSkew; sorted returns every volume ID in
+// order.
+func (s *shardScheduler) balanceTask(sorted func() []string) (task, bool) {
 	m := s.m
-	var minU, maxU string
+	minU, maxU := -1, -1
 	var minB, maxB int64 = -1, -1
 	unitCap := int64(hostsPerUnit*disksPerHost) * diskCapacity
-	for n, uid := range m.units {
+	for n := range m.units {
 		if m.ix.UnitDown(n) {
 			continue
 		}
 		b := m.ix.UnitUsed(n)
 		if minB < 0 || b < minB {
-			minB, minU = b, uid
+			minB, minU = b, n
 		}
 		if b > maxB {
-			maxB, maxU = b, uid
+			maxB, maxU = b, n
 		}
 	}
-	if minU == "" || maxU == "" || minU == maxU {
+	if minU < 0 || minU == maxU {
 		return task{}, false
 	}
 	if float64(maxB-minB)/float64(unitCap) < balanceSkew {
 		return task{}, false
 	}
 	// First unfenced volume with a fragment on the hot unit.
-	for _, id := range ids {
+	for _, id := range sorted() {
 		if s.pendingVol[id] {
 			continue
 		}
 		for _, d := range m.vols[id].Disks {
-			if u := m.f.Topo.UnitOfDisk(d); u != nil && u.ID == maxU {
+			if r, owned := m.ix.Row(d); owned && m.ix.UnitOf(r) == maxU {
 				return task{kind: taskBalance, volume: id, from: []string{d}}, true
 			}
 		}
@@ -329,7 +357,7 @@ func (s *shardScheduler) finish(t task, epoch int) {
 		newDisks = append(newDisks, m.ix.ID(r))
 		m.ix.Charge(r, rec.Size)
 	}
-	sort.Strings(newDisks)
+	slices.Sort(newDisks)
 	// Free the vacated fragments: owned disks directly, foreign disks via
 	// the owning shard's export ledger.
 	foreign := map[int][]string{}
@@ -341,30 +369,34 @@ func (s *shardScheduler) finish(t task, epoch int) {
 		}
 	}
 	rec.Disks = newDisks
-	m.vols[t.volume] = rec
+	m.putVol(t.volume, rec)
 	m.store.Set(volPath(t.volume), encodeVol(rec), nil)
 	m.freeForeignFragments(t.volume, foreign)
 }
 
-// inspect advances the background consistency cursor over the sorted
-// volume IDs, inspectPerTick records per tick, wrapping at the end.
-func (s *shardScheduler) inspect(ids []string) {
+// inspect verifies inspectPerTick live records per tick. A pass walks the
+// volume IDs sorted when it began, skipping those released since; a record
+// created mid-pass waits for the next pass, which begins when this one runs
+// out (the BlobStore inspector's snapshot, §Snippet 1).
+func (s *shardScheduler) inspect() {
 	m := s.m
-	if len(ids) == 0 {
+	if len(m.vols) == 0 {
 		return
 	}
-	start := sort.SearchStrings(ids, s.cursor)
-	if start < len(ids) && ids[start] == s.cursor {
-		start++ // resume just past the last inspected ID
-	}
-	for i := 0; i < inspectPerTick; i++ {
-		idx := (start + i) % len(ids)
-		id := ids[idx]
-		rec := m.vols[id]
+	for n := 0; n < inspectPerTick; {
+		if s.next == len(s.snap) {
+			s.snap, s.next = sortedKeys(s.snap, m.vols), 0
+		}
+		id := s.snap[s.next]
+		s.next++
+		rec, ok := m.vols[id]
+		if !ok {
+			continue
+		}
+		n++
 		s.cInspected.Inc()
 		if len(rec.Disks) == 0 || rec.Size < 0 {
 			m.rec.Instant("fleet", "inspect-anomaly", "fleet", obs.L("volume", id))
 		}
-		s.cursor = id
 	}
 }

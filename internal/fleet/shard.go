@@ -59,8 +59,12 @@ type ShardMaster struct {
 	// frozen slots answer Busy until an InstallMap flips their ownership.
 	frozen map[int]bool
 
-	// Leader soft state (rebuilt on election).
+	// Leader soft state (rebuilt on election). Writes to vols go through
+	// putVol and delVol, which keep foreign current: the IDs of the volumes
+	// with a fragment on a disk this shard does not own, which the
+	// scheduler's migrate pass walks.
 	vols    map[string]VolRecord
+	foreign map[string]struct{}
 	exports map[string]VolRecord
 	// unitSeen[n] is when owned unit n (its number in ix) last reported.
 	unitSeen []simtime.Time
@@ -135,6 +139,7 @@ func newShardMaster(f *Fleet, shard, replica int, store *coord.Store, net *simne
 		store:   store,
 		frozen:  make(map[int]bool),
 		vols:    make(map[string]VolRecord),
+		foreign: make(map[string]struct{}),
 		exports: make(map[string]VolRecord),
 		ix:      f.Topo.newShardIndex(shard),
 		unitNo:  make(map[string]int),
@@ -274,7 +279,7 @@ func (m *ShardMaster) onVolEvent(ev coord.Event) {
 		if err != nil {
 			return
 		}
-		m.vols[id] = rec
+		m.putVol(id, rec)
 		for _, d := range rec.Disks {
 			m.place(d, rec.Size)
 		}
@@ -292,7 +297,7 @@ func (m *ShardMaster) onVolEvent(ev coord.Event) {
 		// bookkeeping execRelease would have.
 		foreign := map[int][]string{}
 		m.unplaceRecord(rec, foreign)
-		delete(m.vols, id)
+		m.delVol(id)
 		m.freeForeignFragments(id, foreign)
 	}
 }
@@ -300,6 +305,7 @@ func (m *ShardMaster) onVolEvent(ev coord.Event) {
 // rebuild reconstructs leader soft state from the shard's replicated tree.
 func (m *ShardMaster) rebuild() {
 	m.vols = make(map[string]VolRecord)
+	clear(m.foreign)
 	m.exports = make(map[string]VolRecord)
 	m.ix.ResetUsage()
 	if data, err := m.store.Get("/map"); err == nil {
@@ -318,7 +324,7 @@ func (m *ShardMaster) rebuild() {
 			m.frozen[slot] = true
 		}
 	}
-	load := func(root string, into map[string]VolRecord) {
+	load := func(root string, put func(string, VolRecord)) {
 		ids, err := m.store.Children(root)
 		if err != nil {
 			return
@@ -332,20 +338,40 @@ func (m *ShardMaster) rebuild() {
 			if err != nil {
 				continue
 			}
-			into[id] = rec
+			put(id, rec)
 			for _, d := range rec.Disks {
 				m.place(d, rec.Size)
 			}
 		}
 	}
-	load("/vol", m.vols)
-	load("/exp", m.exports)
+	load("/vol", m.putVol)
+	load("/exp", func(id string, rec VolRecord) { m.exports[id] = rec })
 	// Grace-stamp every owned unit so a fresh leader waits a full dead
 	// window before declaring silence fatal.
 	now := m.sched.Now()
 	for n := range m.unitSeen {
 		m.unitSeen[n] = now
 	}
+}
+
+// putVol writes a volume record into leader soft state and files it in or
+// out of the foreign set; delVol removes it from both. Every write to
+// m.vols goes through them but execLookup's, which only caches a reply on
+// the record and keeps its Disks.
+func (m *ShardMaster) putVol(id string, rec VolRecord) {
+	m.vols[id] = rec
+	for _, d := range rec.Disks {
+		if !m.ownsDisk(d) {
+			m.foreign[id] = struct{}{}
+			return
+		}
+	}
+	delete(m.foreign, id)
+}
+
+func (m *ShardMaster) delVol(id string) {
+	delete(m.vols, id)
+	delete(m.foreign, id)
 }
 
 // ownsDisk reports whether a disk belongs to a unit this shard owns.
@@ -557,7 +583,7 @@ func (op *shardOp) commitDone(err error) {
 		// next failover rebuild. (After a lose/regain cycle rebuild()
 		// already discarded the entry, so guard on its presence.)
 		if _, ok := m.vols[op.volume]; ok {
-			delete(m.vols, op.volume)
+			m.delVol(op.volume)
 			for _, d := range op.disks {
 				m.unplace(d, op.size)
 			}
@@ -617,7 +643,7 @@ func (m *ShardMaster) execAllocate(op *shardOp, a AllocateArgs) {
 		m.ix.Charge(r, a.Size)
 	}
 	rec := VolRecord{Size: a.Size, Service: a.Service, Disks: disks}
-	m.vols[a.Volume] = rec
+	m.putVol(a.Volume, rec)
 	m.cAlloc.Inc()
 	op.volume, op.size, op.disks = a.Volume, a.Size, disks
 	m.commitGuard(op)
@@ -667,7 +693,7 @@ func (m *ShardMaster) execRelease(op *shardOp, a ReleaseArgs) {
 	}
 	foreign := map[int][]string{}
 	m.unplaceRecord(rec, foreign)
-	delete(m.vols, a.Volume)
+	m.delVol(a.Volume)
 	m.commitGuard(op)
 	m.store.Delete(volPath(a.Volume), op.committed)
 	m.freeForeignFragments(a.Volume, foreign)
@@ -835,7 +861,7 @@ func (m *ShardMaster) onInstallSlot(_ string, args any, reply *simnet.AsyncReply
 				m.place(d, rec.Size)
 			}
 		}
-		m.vols[id] = rec
+		m.putVol(id, rec)
 		m.store.Create(volPath(id), encodeVol(rec), "", func(err error) {
 			if err != nil && !errors.Is(err, coord.ErrExists) {
 				failed = true
@@ -893,7 +919,7 @@ func (m *ShardMaster) onDropSlot(_ string, args any, reply *simnet.AsyncReply) {
 				// Our disks keep holding the fragments until the new owner
 				// migrates them home, so usage stays charged and the export
 				// ledger makes that survivable across our own failovers.
-				delete(m.vols, id)
+				m.delVol(id)
 				m.exports[id] = cur
 			}
 			remaining--

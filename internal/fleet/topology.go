@@ -121,9 +121,10 @@ func (t *Topology) ShardUnits(k int) []string {
 // row per disk of every unit the shard owns, empty and spun down, each unit
 // limited to its MaxSpinning.
 func (t *Topology) newShardIndex(k int) *placement.Index {
-	var views []placement.DiskView
-	limits := make(map[string]int)
-	for _, uid := range t.ShardUnits(k) {
+	units := t.ShardUnits(k)
+	views := make([]placement.DiskView, 0, len(units)*hostsPerUnit*disksPerHost)
+	limits := make(map[string]int, len(units))
+	for _, uid := range units {
 		u := t.UnitByID[uid]
 		for _, d := range u.Disks {
 			di := t.Disks[d]

@@ -57,11 +57,11 @@ func (f *Fabric) Network(l int) *Network {
 		f.nets = append(f.nets, make([]*Network, l+1-len(f.nets))...)
 	}
 	if f.nets[l] == nil {
-		n := New(f.engine.Part(l))
+		n := newNetwork(f.engine.Part(l), f.table)
 		if l != 0 {
 			n.rng = f.engine.LaneRand(l)
 		}
-		n.table, n.fabric, n.lane = f.table, f, l
+		n.fabric, n.lane = f, l
 		f.nets[l] = n
 	}
 	return f.nets[l]

@@ -319,8 +319,12 @@ func (n *Network) closePartition(key string) {
 }
 
 // New creates an empty network on the given scheduler.
-func New(sched *simtime.Scheduler) *Network {
-	return &Network{sched: sched, rng: sched.Rand(), table: newAddrTable(),
+func New(sched *simtime.Scheduler) *Network { return newNetwork(sched, newAddrTable()) }
+
+// newNetwork creates an empty network that interns its addresses in table:
+// a plain network's own, or the one a Fabric's lanes share.
+func newNetwork(sched *simtime.Scheduler, table *addrTable) *Network {
+	return &Network{sched: sched, rng: sched.Rand(), table: table,
 		rpcMetrics: make(map[string]*rpcMethodMetrics)}
 }
 

@@ -186,6 +186,15 @@ var mutants = []mutant{
 		want: []string{`--- FAIL: TestCommitGuardAnswersOnce`, `guarded-\d+ was answered OK before its own commit landed`},
 	},
 	{
+		// A slot install files a record whose fragments sit on the source
+		// shard's disks in the foreign set, or the migrate pass, which walks
+		// only that set, never brings them home.
+		name: "install-skips-foreign-set", file: "internal/fleet/shard.go",
+		old: "\t\tm.putVol(id, rec)\n\t\tm.store.Create(volPath(id)", new: "\t\tm.vols[id] = rec\n\t\tm.store.Create(volPath(id)",
+		cmd:  "go test ./internal/fleet -run ^TestSlotMoveStaleRetryAndMigration$",
+		want: []string{`--- FAIL: TestSlotMoveStaleRetryAndMigration`, `capacity invariant: fleet: shard \d volume vol-move has a fragment on a foreign disk but is not in the foreign set`},
+	},
+	{
 		// The k-th guard fire answers the k-th guarded op.
 		name: "guard-seq-off-by-one", smoke: true, file: "internal/fleet/shard.go",
 		old: "\t\tif op.seq == m.guardsFired {", new: "\t\tif op.seq == m.guardsFired+1 {",
