@@ -156,8 +156,13 @@ func (e *Election) keepAlive() {
 		e.store.Ping(e.session)
 	}
 	e.ensure()
-	e.store.sched.After(e.ttl/3, e.keepAlive)
+	e.store.sched.FireAfterR(e.ttl/3, (*keepAliveTimer)(e))
 }
+
+// keepAliveTimer is the receiver of an election's keep-alive events.
+type keepAliveTimer Election
+
+func (t *keepAliveTimer) Fire() { (*Election)(t).keepAlive() }
 
 func (e *Election) tryAcquire() {
 	if e.stopped || e.leading || e.demoted {

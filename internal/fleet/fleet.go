@@ -388,7 +388,7 @@ func (f *Fleet) leaderCall(rpc *simnet.RPCNode, sched *simtime.Scheduler, believ
 			done(nil, err)
 			return
 		}
-		sched.After(500*time.Millisecond, func() {
+		sched.FireAfter(500*time.Millisecond, func() {
 			again(shard, method, args, attempts-1, done)
 		})
 	}

@@ -84,22 +84,20 @@ func allocTrip(tb testing.TB, trips int) func() {
 
 // TestRouterAllocateAllocs pins what an Allocate of a new volume allocates
 // on a warmed fleet: its boxed args, the record's Disks, its path, its
-// encoding, the boxed coord op, the command ID, the boxed reply, and the
-// commit guard's Event, which stays queued for 4*electionTTL and so is
-// never recycled inside the measurement. The Paxos messages are pooled
-// records, the router's and the shard's op records are recycled, the coord
-// callback is bound once per op record, and the placement picks go into a
-// buffer the shard keeps.
+// encoding, the boxed coord op, the command ID and the boxed reply. The
+// Paxos messages are pooled records, the router's and the shard's op
+// records are recycled, the coord callback is bound once per op record, the
+// commit guard's and the Phase 2 timer's Events go back to the scheduler
+// when the commit lands, and the placement picks go into a buffer the
+// shard keeps.
 func TestRouterAllocateAllocs(t *testing.T) {
-	// 3 simulated seconds of warm-up; the measured trips end before the
-	// first guard fires (and its Event would recycle).
 	const warm, runs = 300, 200
 	trip := allocTrip(t, warm+runs+1)
 	for i := 0; i < warm; i++ {
 		trip()
 	}
-	if got := testing.AllocsPerRun(runs, trip); got > 8 {
-		t.Fatalf("Allocate round trip allocates %.1f objects, want <= 8", got)
+	if got := testing.AllocsPerRun(runs, trip); got > 7 {
+		t.Fatalf("Allocate round trip allocates %.1f objects, want <= 7", got)
 	}
 }
 

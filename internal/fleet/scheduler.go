@@ -306,7 +306,7 @@ func (s *shardScheduler) launch(t task) {
 	span := m.rec.Begin("fleet", "task:"+t.kind, "shard"+strconv.Itoa(m.shard),
 		obs.L("volume", t.volume))
 	epoch := s.epoch
-	m.sched.After(dur, func() {
+	m.sched.FireAfter(dur, func() {
 		s.finish(t, epoch)
 		span.End()
 	})

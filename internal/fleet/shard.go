@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,10 +83,6 @@ type ShardMaster struct {
 	busy  bool
 	// free holds answered op records (see opDone).
 	free []*shardOp
-	// Commit guards (see guardTimer): how many were armed and how many
-	// fired, and the guarded ops still waiting for an answer.
-	guardsArmed, guardsFired uint64
-	waiting                  []*shardOp
 	// spread is the buffer allocation picks its rows into.
 	spread []int
 
@@ -109,9 +104,11 @@ type shardOp struct {
 	args   any
 	reply  simnet.Replier
 	start  simtime.Time
-	// seq numbers the op's commit guard (see guardTimer); 0 when none is
-	// armed. A guarded op is recycled by its coord callback, not opDone.
-	seq uint64
+	// guarded marks an op awaiting a coord commit: its coord callback, not
+	// opDone, recycles it. guard is its commit guard (see guardTimer) until
+	// the guard fires or opDone cancels it.
+	guarded bool
+	guard   *simtime.Event
 	// What the coord callback reads: an allocate's volume, size and disks.
 	volume string
 	size   int64
@@ -486,19 +483,22 @@ func (m *ShardMaster) pump() {
 
 // opDone completes an op exactly once and releases the service unit. An
 // unguarded op is done with: it returns to the free list before the reply,
-// so the reply's sends may reuse it. A guarded op stops waiting, but its
-// coord callback still holds it; the guard and the callback may both call
-// opDone, and the first call clears the reply, so the second does nothing.
-// The callback recycles the record after its own call.
+// so the reply's sends may reuse it. A guarded op's coord callback still
+// holds it; the guard and the callback may both call opDone, and the first
+// call clears the reply, so the second does nothing. That first call takes
+// the guard out of the queue (a fired guard has already let go of it), so
+// no guard outlives its answer; the callback recycles the record after its
+// own call.
 func (m *ShardMaster) opDone(op *shardOp, result any) {
 	reply := op.reply
 	if reply == nil {
 		return
 	}
-	if op.seq != 0 {
+	if op.guarded {
 		op.args, op.reply = nil, nil
-		i := slices.Index(m.waiting, op)
-		m.waiting = slices.Delete(m.waiting, i, i+1)
+		op.guard.Cancel()
+		op.guard.Release()
+		op.guard = nil
 	} else {
 		m.recycle(op)
 	}
@@ -548,27 +548,21 @@ func (m *ShardMaster) exec(op *shardOp) {
 // if the proposal is lost to a leadership change the client gets Busy
 // instead of the service unit wedging forever.
 func (m *ShardMaster) commitGuard(op *shardOp) {
-	m.guardsArmed++
-	op.seq = m.guardsArmed
-	m.waiting = append(m.waiting, op)
-	m.sched.FireAfterR(4*electionTTL, (*guardTimer)(m))
+	op.guarded = true
+	op.guard = m.sched.AfterR(4*electionTTL, (*guardTimer)(op))
 }
 
-// guardTimer is the receiver of every commit guard of one master, so a
-// guard holds no op. All guards wait the same 4*electionTTL, so they fire in
-// the order they were armed: the k-th fire is the guard of the k-th op
-// guarded, which it answers Busy if that op still waits.
-type guardTimer ShardMaster
+// guardTimer is an op's commit guard: it fires only while the op still
+// waits for its commit, and answers it Busy. The op is not recycled before
+// its coord callback runs, which comes after opDone took the guard out of
+// the queue, so a live guard always holds its own op.
+type guardTimer shardOp
 
 func (g *guardTimer) Fire() {
-	m := (*ShardMaster)(g)
-	m.guardsFired++
-	for _, op := range m.waiting {
-		if op.seq == m.guardsFired {
-			m.opDone(op, envelope(op.method, ShardReply{Busy: true}))
-			return
-		}
-	}
+	op := (*shardOp)(g)
+	op.guard.Release()
+	op.guard = nil
+	op.m.opDone(op, envelope(op.method, ShardReply{Busy: true}))
 }
 
 // commitDone is a guarded op's coord callback (op.committed). It answers

@@ -162,3 +162,81 @@ func TestLookupReplyFresh(t *testing.T) {
 		t.Fatal("re-allocate kept the released record")
 	}
 }
+
+// TestStaleGuardSparesReusedOp: a commit that lands takes its guard out of
+// the queue, so the guard cannot answer the next op that reuses the record.
+// The first allocate commits at once and its record goes back to the free
+// list; 20 s later a second allocate takes that record, and the leader's two
+// followers crash, so its commit waits. Only its own guard, 4*electionTTL
+// after it was armed, answers it Busy.
+func TestStaleGuardSparesReusedOp(t *testing.T) {
+	f := boot(t, testConfig())
+	const k = 0
+	lead := f.LeaderReplica(k)
+	m := f.Shards[k][lead]
+	var vols []string
+	for i := 0; len(vols) < 2; i++ {
+		if v := fmt.Sprintf("reused-%d", i); m.routeCheck(v).OK {
+			vols = append(vols, v)
+		}
+	}
+	replies := make([][]any, len(vols))
+	allocate := func(i int) {
+		m.enqueue("Allocate", AllocateArgs{Volume: vols[i], Size: volSize, Service: "svc"},
+			replyFn(func(res any, err error) { replies[i] = append(replies[i], res) }))
+	}
+	allocate(0)
+	f.Settle(time.Second)
+	if len(replies[0]) != 1 || !replies[0][0].(AllocateReply).OK {
+		t.Fatalf("%s: replies %+v, want one OK", vols[0], replies[0])
+	}
+	if len(m.free) != 1 {
+		t.Fatalf("%d op records on the free list, want the first allocate's alone", len(m.free))
+	}
+	f.Settle(4*electionTTL/2 - time.Second)
+	allocate(1)
+	if len(m.free) != 0 {
+		t.Fatal("the second allocate did not reuse the first one's record")
+	}
+	for i := 0; i < ShardReplicas; i++ {
+		if i != lead {
+			f.CrashReplica(k, i)
+		}
+	}
+	f.Settle(4*electionTTL - time.Second)
+	if len(replies[1]) != 0 {
+		t.Fatalf("%s was answered %+v before its own guard fired", vols[1], replies[1])
+	}
+	f.Settle(2 * time.Second)
+	if len(replies[1]) != 1 || !replies[1][0].(AllocateReply).Busy {
+		t.Fatalf("%s: replies %+v after its guard, want one Busy", vols[1], replies[1])
+	}
+}
+
+// TestCommittedOpsLeaveNoTimers: a committed op leaves no timer behind.
+// After a burst of allocations on an 8-unit fleet and a 1 s settle, the
+// fleet's one scheduler holds about as many events as it did idle, not one
+// commit guard and one Phase 2 timer per commit.
+func TestCommittedOpsLeaveNoTimers(t *testing.T) {
+	f := boot(t, testConfig())
+	r := f.NewRouter("burst")
+	f.Settle(time.Second)
+	idle := f.Sched.Pending()
+	const burst = 200
+	served := 0
+	for i := 0; i < burst; i++ {
+		r.Allocate(fmt.Sprintf("burst-%03d", i), volSize, "svc", func(disks []string, err error) {
+			if err != nil {
+				t.Errorf("allocate: %v", err)
+			}
+			served++
+		})
+	}
+	f.Settle(time.Second)
+	if served != burst {
+		t.Fatalf("%d of %d allocates served within 1s", served, burst)
+	}
+	if got := f.Sched.Pending(); got > idle+16 {
+		t.Fatalf("%d events pending after %d committed allocates, %d idle", got, burst, idle)
+	}
+}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"strconv"
 
 	"ustore/internal/placement"
 )
@@ -54,6 +55,14 @@ type Topology struct {
 // unitName formats unit index i.
 func unitName(i int) string { return fmt.Sprintf("u%03d", i) }
 
+// diskName formats disk d of a host: host + "/d" and d in two digits.
+func diskName(host string, d int) string {
+	if d < 10 {
+		return host + "/d0" + strconv.Itoa(d)
+	}
+	return host + "/d" + strconv.Itoa(d)
+}
+
 // buildTopology synthesizes the fleet inventory from cfg (which must have
 // defaults applied).
 func buildTopology(cfg Config) *Topology {
@@ -70,26 +79,31 @@ func buildTopology(cfg Config) *Topology {
 			Index:       i,
 			Shard:       i % cfg.Shards,
 			MaxSpinning: maxSpinningPerUnit,
+			Hosts:       make([]string, 0, hostsPerUnit),
+			Disks:       make([]string, 0, hostsPerUnit*disksPerHost),
 		}
+		// Names are built per unit, host and hub, and each unit's disks
+		// come from one array: a fleet boot makes one object per disk ID.
+		infos := make([]DiskInfo, hostsPerUnit*disksPerHost)
+		loc := placement.Location{Rack: u.Rack, Unit: u.ID}
+		domain := loc.Domain(spreadLevel)
 		for h := 0; h < hostsPerUnit; h++ {
-			host := fmt.Sprintf("%s/h%d", u.ID, h)
-			u.Hosts = append(u.Hosts, host)
+			loc.Host = u.ID + "/h" + strconv.Itoa(h)
+			u.Hosts = append(u.Hosts, loc.Host)
 			for d := 0; d < disksPerHost; d++ {
-				id := fmt.Sprintf("%s/h%d/d%02d", u.ID, h, d)
-				di := &DiskInfo{
-					ID:       id,
-					Capacity: diskCapacity,
-					unit:     u,
-					Loc: placement.Location{
-						Rack: u.Rack,
-						Unit: u.ID,
-						Hub:  fmt.Sprintf("%s/h%d/b%d", u.ID, h, d/hubFanIn),
-						Host: host,
-					},
+				if d%hubFanIn == 0 {
+					loc.Hub = loc.Host + "/b" + strconv.Itoa(d/hubFanIn)
 				}
-				di.Domain = di.Loc.Domain(spreadLevel)
-				t.Disks[id] = di
-				u.Disks = append(u.Disks, id)
+				di := &infos[h*disksPerHost+d]
+				*di = DiskInfo{
+					ID:       diskName(loc.Host, d),
+					Loc:      loc,
+					Capacity: diskCapacity,
+					Domain:   domain,
+					unit:     u,
+				}
+				t.Disks[di.ID] = di
+				u.Disks = append(u.Disks, di.ID)
 			}
 		}
 		t.Units = append(t.Units, u)

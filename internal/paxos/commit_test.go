@@ -93,3 +93,37 @@ func TestOneHeartbeatChainAcrossLoseRegain(t *testing.T) {
 		t.Fatalf("%s sent %d heartbeats in %v, want <= %d (one per interval)", l.name, beats, window, limit)
 	}
 }
+
+// TestChosenSlotsLeaveNoTimers: a chosen slot takes its Phase 2 timer out of
+// the queue. After 200 commits on a healthy group the scheduler holds as
+// many events as it did idle, and a quiet window one Phase 2 timeout long
+// fires about as many events as an idle one: heartbeats and election
+// timers, no timer of a chosen slot.
+func TestChosenSlotsLeaveNoTimers(t *testing.T) {
+	c := newCluster(t, 3, 2)
+	c.settle(2 * time.Second)
+	l := c.leader(t)
+	window := DefaultConfig().PhaseTimeout + 50*time.Millisecond
+	quiet := func() uint64 {
+		before := c.sched.Fired()
+		c.settle(window)
+		return c.sched.Fired() - before
+	}
+	idle, idleFired := c.sched.Pending(), quiet()
+	const commits = 200
+	for i := 1; i <= commits; i++ {
+		l.Propose(Command{ID: strconv.Itoa(i)}, nil)
+	}
+	c.settle(20 * time.Millisecond)
+	for _, name := range c.names {
+		if len(c.logs[name]) != commits {
+			t.Fatalf("%s applied %d of %d commands", name, len(c.logs[name]), commits)
+		}
+	}
+	if got := c.sched.Pending(); got > idle+2 {
+		t.Fatalf("%d events pending after %d commits, %d idle", got, commits, idle)
+	}
+	if got := quiet(); got > idleFired+10 {
+		t.Fatalf("a quiet window after %d commits fired %d events, an idle one %d", commits, got, idleFired)
+	}
+}

@@ -85,7 +85,9 @@ type slotState struct {
 	hasAccepted    bool
 	chosen         bool
 	chosenValue    Command
-	acks           uint64 // leader-side Phase 2 acks, one bit per sorted-peer index
+	// timer is the leader's newest Phase 2 proposal of the slot, which
+	// counts its acks; nil once the slot is chosen or the timer fired.
+	timer *phaseTimer
 }
 
 // Wire messages (delivered as simnet payloads). The hot kinds — accept,
@@ -586,7 +588,6 @@ func (n *Node) phase2(slot int, value Command) {
 	if s.chosen {
 		return
 	}
-	s.acks = 0
 	b := n.leaderBallot
 	n.accepts.broadcast(n, acceptMsg{Ballot: b, Slot: slot, Value: value, Floor: n.floor()}, 128)
 	var t *phaseTimer
@@ -595,25 +596,40 @@ func (n *Node) phase2(slot int, value Command) {
 	} else {
 		t = &phaseTimer{n: n}
 	}
-	t.slot, t.ballot, t.value = slot, b, value
-	n.sched.FireAfterR(n.cfg.PhaseTimeout, t)
+	t.slot, t.ballot, t.value, t.acks = slot, b, value, 0
+	t.ev = n.sched.AfterR(n.cfg.PhaseTimeout, t)
+	s.timer = t
 }
 
-// phaseTimer is a pending Phase 2 timeout, recycled through the node's
-// free list. It fires even after its slot is chosen.
+// phaseTimer is one Phase 2 proposal of a slot: its acks and its timeout,
+// recycled through the node's free list. markChosen takes the slot's
+// newest proposal out of the queue; an older one, superseded by a
+// proposal under a new ballot, still fires, and does nothing.
 type phaseTimer struct {
 	n      *Node
+	ev     *simtime.Event
 	slot   int
 	ballot Ballot
 	value  Command
+	acks   uint64 // one bit per sorted-peer index
 }
 
 func (t *phaseTimer) Fire() {
 	n := t.n
-	if !n.stopped && n.isLeader && n.leaderBallot == t.ballot && !n.slot(t.slot).chosen {
+	t.ev.Release()
+	s := n.slot(t.slot)
+	if s.timer == t {
+		s.timer = nil
+	}
+	if !n.stopped && n.isLeader && n.leaderBallot == t.ballot && !s.chosen {
 		n.phase2(t.slot, t.value) // retry under same ballot
 	}
-	t.value = Command{}
+	n.freePhase(t)
+}
+
+// freePhase returns a proposal that left the queue to the free list.
+func (n *Node) freePhase(t *phaseTimer) {
+	t.ev, t.value = nil, Command{}
 	n.phaseFree = append(n.phaseFree, t)
 }
 
@@ -648,11 +664,12 @@ func (n *Node) onAccepted(from simnet.Addr, m acceptedMsg) {
 		return
 	}
 	s := n.slot(m.Slot)
-	if s.chosen {
-		return
+	t := s.timer
+	if t == nil {
+		return // chosen: markChosen dropped the proposal
 	}
-	s.acks |= 1 << i
-	if bits.OnesCount64(s.acks) >= n.quorum() {
+	t.acks |= 1 << i
+	if bits.OnesCount64(t.acks) >= n.quorum() {
 		value := s.acceptedValue
 		if !s.hasAccepted {
 			return // leaders self-deliver their accept before remote acks arrive
@@ -669,6 +686,12 @@ func (n *Node) markChosen(slot int, value Command) {
 	}
 	s.chosen = true
 	s.chosenValue = value
+	if t := s.timer; t != nil {
+		s.timer = nil
+		t.ev.Cancel()
+		t.ev.Release()
+		n.freePhase(t)
+	}
 	for n.chosenP-n.base < len(n.slots) && n.slots[n.chosenP-n.base].chosen {
 		n.chosenP++
 	}

@@ -181,7 +181,7 @@ var mutants = []mutant{
 		// A guarded op's coord callback still holds it: opDone must not
 		// recycle it.
 		name: "shardop-recycled-while-commit-pending", file: "internal/fleet/shard.go",
-		old: "\tif op.seq != 0 {\n\t\top.args, op.reply = nil, nil", new: "\tif false {\n\t\top.args, op.reply = nil, nil",
+		old: "\tif op.guarded {\n\t\top.args, op.reply = nil, nil", new: "\tif false {\n\t\top.args, op.reply = nil, nil",
 		cmd:  "go test ./internal/fleet -run ^TestCommitGuardAnswersOnce$",
 		want: []string{`--- FAIL: TestCommitGuardAnswersOnce`, `guarded-\d+ was answered OK before its own commit landed`},
 	},
@@ -195,11 +195,19 @@ var mutants = []mutant{
 		want: []string{`--- FAIL: TestSlotMoveStaleRetryAndMigration`, `capacity invariant: fleet: shard \d volume vol-move has a fragment on a foreign disk but is not in the foreign set`},
 	},
 	{
-		// The k-th guard fire answers the k-th guarded op.
-		name: "guard-seq-off-by-one", smoke: true, file: "internal/fleet/shard.go",
-		old: "\t\tif op.seq == m.guardsFired {", new: "\t\tif op.seq == m.guardsFired+1 {",
-		cmd:  "go test ./internal/fleet -run ^TestCommitGuardAnswersOnce$",
-		want: []string{`--- FAIL: TestCommitGuardAnswersOnce`, `before the commit landed: replies \[\], want one Busy`},
+		// An answered op takes its commit guard out of the queue, or the
+		// guard later answers whichever op reuses the record.
+		name: "guard-left-armed", smoke: true, file: "internal/fleet/shard.go",
+		old: "\t\top.guard.Cancel()\n", new: "",
+		cmd:  "go test ./internal/fleet -run ^TestStaleGuardSparesReusedOp$",
+		want: []string{`--- FAIL: TestStaleGuardSparesReusedOp`, `reused-\d+ was answered \[.*Busy:true.*\] before its own guard fired`},
+	},
+	{
+		// A chosen slot takes its Phase 2 timer out of the queue.
+		name: "phase-timer-left-armed", file: "internal/paxos/paxos.go",
+		old: "\t\tt.ev.Cancel()\n", new: "",
+		cmd:  "go test ./internal/paxos -run ^TestChosenSlotsLeaveNoTimers$",
+		want: []string{`--- FAIL: TestChosenSlotsLeaveNoTimers`, `2\d\d events pending after 200 commits, \d+ idle`},
 	},
 	{
 		// Cancel's swap-remove must re-index the event it moves into the

@@ -10,8 +10,9 @@
 # ustore-campaign line in .github/workflows/ci.yml and README.md, -no-checksums
 # and the go run entries of mutants_test.go (the checkers' planted bugs, each
 # with -minimize), a full ustore-bench plus -ablate/-latency/.prom output,
-# an empirical-model chaos spec, both ustore-sim scenarios, the examples,
-# and each perf workload traced.
+# an empirical-model chaos spec, a fleet fault run in which commit guards
+# fire, both ustore-sim scenarios, the examples, and each perf workload
+# traced.
 #
 #   bash scripts/coverage-sweep.sh [WORKDIR]
 #
@@ -73,6 +74,9 @@ run 0 "$chaos" -spec "$out/one.yaml" -seed 4
 run 0 "$chaos" -seed 2 -days 0.25 -seeds 4 -parallel 2
 run 0 "$chaos" -seed 2 -days 0.25 -cpuprofile "$out/cpu.out" -memprofile "$out/mem.out"
 run 0 "$chaos" -fleet -units 16 -shards 4 -crashes 2 -partitions 1 -moves 2 -log
+# A commit guard fires only when a commit is lost for 4*electionTTL: this
+# fault schedule loses two (the runs above lose none).
+run 0 "$chaos" -fleet -units 8 -shards 2 -crashes 6 -partitions 6 -seed 2
 # README.md
 run 0 "$chaos" -seed 7 -days 2 -metrics-out "$out/m7.prom" -trace-out "$out/t7.json"
 run 0 "$chaos" -spec "$out/one.yaml" -seed 5 -minimize
