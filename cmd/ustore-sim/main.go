@@ -184,7 +184,7 @@ func runCrash(c *ustore.Cluster, say func(string, ...any)) {
 				}
 				return
 			}
-			c.Sched.After(200*time.Millisecond, probe)
+			c.Sched.FireAfter(200*time.Millisecond, probe)
 		})
 	}
 	probe()

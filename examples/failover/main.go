@@ -86,7 +86,7 @@ func main() {
 	writeNext(0)
 
 	// Crash the serving host mid-stream.
-	cluster.Sched.After(5*time.Second, func() {
+	cluster.Sched.FireAfter(5*time.Second, func() {
 		say("CRASH: killing host %s", alloc.Host)
 		cluster.CrashHost(alloc.Host)
 	})

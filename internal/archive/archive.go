@@ -130,13 +130,13 @@ func (s *Store) Slots() []string {
 // parallel, succeed when every shard is durable.
 func (s *Store) Put(name string, data []byte, done func(error)) {
 	if !s.open {
-		s.sched.After(0, func() { done(ErrNotOpen) })
+		s.sched.FireAfter(0, func() { done(ErrNotOpen) })
 		return
 	}
 	shards := s.code.Split(data)
 	parity, err := s.code.Encode(shards)
 	if err != nil {
-		s.sched.After(0, func() { done(err) })
+		s.sched.FireAfter(0, func() { done(err) })
 		return
 	}
 	all := append(append([][]byte(nil), shards...), parity...)
@@ -144,7 +144,7 @@ func (s *Store) Put(name string, data []byte, done func(error)) {
 	meta := &objectMeta{length: int64(len(data)), shardLen: shardLen, offsets: make([]int64, len(all))}
 	for i, slot := range s.slots {
 		if slot.next+shardLen > slot.size {
-			s.sched.After(0, func() { done(fmt.Errorf("%w: slot %d full", ErrObjectTooLarge, i)) })
+			s.sched.FireAfter(0, func() { done(fmt.Errorf("%w: slot %d full", ErrObjectTooLarge, i)) })
 			return
 		}
 		meta.offsets[i] = slot.next
@@ -178,7 +178,7 @@ func (s *Store) Put(name string, data []byte, done func(error)) {
 func (s *Store) Get(name string, done func([]byte, error)) {
 	meta, ok := s.meta[name]
 	if !ok {
-		s.sched.After(0, func() { done(nil, fmt.Errorf("%w: %s", ErrUnknownObject, name)) })
+		s.sched.FireAfter(0, func() { done(nil, fmt.Errorf("%w: %s", ErrUnknownObject, name)) })
 		return
 	}
 	total := s.code.K() + s.code.M()

@@ -102,7 +102,7 @@ func runAvailabilitySoak() (soakResult, error) {
 					answered = true
 				}
 			})
-			c.Sched.After(1900*time.Millisecond, func() {
+			c.Sched.FireAfter(1900*time.Millisecond, func() {
 				if !answered {
 					res.failed++
 				}

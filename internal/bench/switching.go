@@ -147,7 +147,7 @@ func MeasureSwitch(n int, seed int64, rec *obs.Recorder) (SwitchParts, error) {
 		}
 		tg.cl.Read(tg.space, 0, 4096, func([]byte, error) {
 			if !mounts.has(string(tg.space)) {
-				c.Sched.After(200*time.Millisecond, func() { probe(tg) })
+				c.Sched.FireAfter(200*time.Millisecond, func() { probe(tg) })
 			}
 		})
 	}

@@ -346,7 +346,7 @@ func runFleetFaults(
 					rep.Failed++
 					rl.logf("fleet: fault-phase allocate %s failed: %s", name, err)
 				}
-				f.Sched.After(time.Second, func() { faultAlloc(cl) })
+				f.Sched.FireAfter(time.Second, func() { faultAlloc(cl) })
 			})
 	}
 	for cl := 0; cl < 2 && cl < len(routers); cl++ {

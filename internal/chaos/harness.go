@@ -895,7 +895,7 @@ func (h *harness) markWiped(diskID string) {
 // Retries cover rebuilds that collide with other open fault windows.
 func (h *harness) scheduleRebuild(diskID string) {
 	for _, delay := range []time.Duration{30 * time.Minute, 3 * time.Hour, 9 * time.Hour} {
-		h.c.Sched.After(delay, func() {
+		h.c.Sched.FireAfter(delay, func() {
 			for _, r := range h.replicas {
 				if r.diskID != diskID {
 					continue

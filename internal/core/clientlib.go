@@ -51,6 +51,9 @@ type ClientLib struct {
 
 	mounts map[SpaceID]*mount
 	mit    *Mitigation
+	// calls and ios hold finished callMaster and IO records for reuse.
+	calls []*masterCall
+	ios   []*clientIO
 
 	// OnMount receives mount and remount notifications.
 	OnMount func(MountEvent)
@@ -82,34 +85,66 @@ func NewClientLib(net *simnet.Network, name, service string, cfg Config, masters
 // guarantees the operation executes at most once even if the first send got
 // through and only the reply was lost.
 func (cl *ClientLib) callMaster(method string, args any, size int, done func(any, error)) {
+	var c *masterCall
+	if n := len(cl.calls); n > 0 {
+		c = cl.calls[n-1]
+		cl.calls = cl.calls[:n-1]
+	} else {
+		c = &masterCall{cl: cl}
+		c.onReply = c.reply
+	}
+	c.method, c.args, c.size, c.done = method, args, size, done
+	c.try(nil)
+}
+
+// masterCall is one callMaster call: the replica it is trying and the
+// caller's done. One replica call is in flight at a time and each answers
+// once, so the record is free again when done has returned.
+type masterCall struct {
+	cl      *ClientLib
+	method  string
+	args    any
+	size    int
+	i       int // the replica being tried
+	done    func(any, error)
+	onReply func(any, error) // c.reply, bound once per record
+}
+
+func (c *masterCall) try(lastErr error) {
+	cl := c.cl
+	if c.i >= len(cl.masters) {
+		c.finish(nil, fmt.Errorf("core: no active master: %v", lastErr))
+		return
+	}
 	retry := simnet.RetryOpts{
 		Attempts: 2,
 		Timeout:  cl.cfg.RPCTimeout,
 		Backoff:  cl.cfg.RPCTimeout / 8,
 	}
-	var try func(i int, lastErr error)
-	try = func(i int, lastErr error) {
-		if i >= len(cl.masters) {
-			done(nil, fmt.Errorf("core: no active master: %v", lastErr))
-			return
-		}
-		cl.rpc.CallWithRetry(cl.masters[i], method, args, size, retry, func(res any, err error) {
-			if err == nil {
-				done(res, nil)
-				return
-			}
-			if IsThrottled(err) {
-				// The active master deliberately shed this request; retrying
-				// against standbys (who would just redirect) or re-sending is
-				// exactly the retry amplification overload protection exists
-				// to stop. Fail fast to the caller.
-				done(nil, err)
-				return
-			}
-			try(i+1, err)
-		})
+	cl.rpc.CallWithRetry(cl.masters[c.i], c.method, c.args, c.size, retry, c.onReply)
+}
+
+func (c *masterCall) reply(res any, err error) {
+	switch {
+	case err == nil:
+		c.finish(res, nil)
+	case IsThrottled(err):
+		// The active master deliberately shed this request; retrying
+		// against standbys (who would just redirect) or re-sending is
+		// exactly the retry amplification overload protection exists
+		// to stop. Fail fast to the caller.
+		c.finish(nil, err)
+	default:
+		c.i++
+		c.try(err)
 	}
-	try(0, nil)
+}
+
+// finish hands the caller its result, then gives the record back.
+func (c *masterCall) finish(res any, err error) {
+	c.done(res, err)
+	c.method, c.args, c.i, c.done = "", nil, 0, nil
+	c.cl.calls = append(c.cl.calls, c)
 }
 
 // IsThrottled reports whether err is the Master's ErrThrottled rejection.
@@ -197,7 +232,7 @@ func (cl *ClientLib) Mount(space SpaceID, done func(error)) {
 					done(cause)
 					return
 				}
-				cl.sched.After(300*time.Millisecond, attempt)
+				cl.sched.FireAfter(retryBackoff, attempt)
 			}
 			if err != nil {
 				retry(err)
@@ -261,20 +296,13 @@ func (cl *ClientLib) ReadDiscard(space SpaceID, off int64, length int, budget ti
 }
 
 func (cl *ClientLib) read(space SpaceID, off int64, length int, budget time.Duration, discard bool, done func([]byte, error)) {
-	cl.withRetry(space, budget, done, func(m *mount, attempt func(error)) {
-		got := func(data []byte, err error) {
-			if err != nil {
-				attempt(err)
-				return
-			}
-			done(data, nil)
-		}
-		if discard {
-			cl.ini.ReadDiscard(m.host, string(space), off, length, got)
-		} else {
-			cl.ini.Read(m.host, string(space), off, length, got)
-		}
-	})
+	io := cl.newIO(space, budget)
+	if io == nil {
+		cl.sched.FireAfter(0, func() { done(nil, fmt.Errorf("%w: %s", ErrNotMounted, space)) })
+		return
+	}
+	io.off, io.length, io.discard, io.done = off, length, discard, done
+	io.attempt()
 }
 
 // Write writes to a mounted space with the same retry semantics as Read.
@@ -282,57 +310,155 @@ func (cl *ClientLib) read(space SpaceID, off int64, length int, budget time.Dura
 // aliases it; but a retry sends data again, so it must stay unchanged until
 // done runs.
 func (cl *ClientLib) Write(space SpaceID, off int64, data []byte, done func(error)) {
-	cl.withRetry(space, retryBudget, func(_ []byte, err error) { done(err) }, func(m *mount, attempt func(error)) {
-		cl.ini.Write(m.host, string(space), off, data, func(err error) {
-			if err != nil {
-				attempt(err)
-				return
-			}
-			done(nil)
-		})
-	})
+	io := cl.newIO(space, retryBudget)
+	if io == nil {
+		cl.sched.FireAfter(0, func() { done(fmt.Errorf("%w: %s", ErrNotMounted, space)) })
+		return
+	}
+	io.off, io.data, io.write, io.wdone = off, data, true, done
+	io.attempt()
 }
 
 // retryBudget bounds how long IO retries across remounts before giving up.
 const retryBudget = 30 * time.Second
 
-// withRetry runs op against the space's mount, remounting and retrying on
-// error until the budget is exhausted.
-func (cl *ClientLib) withRetry(space SpaceID, budget time.Duration, done func([]byte, error), op func(m *mount, attempt func(error))) {
-	m, ok := cl.mounts[space]
-	if !ok {
-		cl.sched.After(0, func() { done(nil, fmt.Errorf("%w: %s", ErrNotMounted, space)) })
-		return
-	}
-	deadline := cl.sched.Now() + budget
-	var attempt func()
-	attempt = func() {
-		op(m, func(err error) {
-			if cl.sched.Now() >= deadline {
-				done(nil, fmt.Errorf("core: giving up on %s: %w", space, err))
-				return
-			}
-			// Storage unreachable: consult the Master and remount
-			// ("retrieve the new host IP from the Master and remount the
-			// storage automatically", §IV-D).
-			cl.remount(m, func(remErr error) {
-				if remErr != nil {
-					// Master may not have completed failover yet; back
-					// off and retry.
-					cl.sched.After(300*time.Millisecond, attempt)
-					return
-				}
-				attempt()
-			})
-		})
-	}
-	attempt()
+// retryBackoff is how long a Mount, or an IO whose remount failed, waits
+// before trying again (the Master may not have completed failover yet).
+const retryBackoff = 300 * time.Millisecond
+
+// clientIO is one Read or Write: its retry loop's state — run the op
+// against the space's mount, remount and retry on error until the budget
+// is exhausted — and the receiver of each step. refs counts the callbacks
+// still to come (the block op's, the remount's, the back-off timer's); the
+// last one gives the record back to ClientLib.ios, after the caller's done
+// has returned. done (a read's) or wdone (a write's, when write is set)
+// runs exactly once.
+type clientIO struct {
+	cl       *ClientLib
+	m        *mount
+	off      int64
+	length   int
+	data     []byte // a write's payload
+	discard  bool
+	write    bool // a Write: send data, and report to wdone
+	deadline simtime.Time
+	done     func([]byte, error)
+	wdone    func(error)
+	finished bool
+	refs     int
+	// The op's and the remount's completions, bound once per record.
+	onRead    func([]byte, error)
+	onWrite   func(error)
+	onRemount func(ok bool)
 }
 
-// remount re-resolves the space and logs in at its new host.
-func (cl *ClientLib) remount(m *mount, done func(error)) {
+// newIO returns an IO record for space with its deadline set, or nil when
+// the space is not mounted.
+func (cl *ClientLib) newIO(space SpaceID, budget time.Duration) *clientIO {
+	m, ok := cl.mounts[space]
+	if !ok {
+		return nil
+	}
+	var io *clientIO
+	if n := len(cl.ios); n > 0 {
+		io = cl.ios[n-1]
+		cl.ios = cl.ios[:n-1]
+	} else {
+		io = &clientIO{cl: cl}
+		io.onRead, io.onWrite, io.onRemount = io.read, io.wrote, io.remounted
+	}
+	io.m, io.deadline = m, cl.sched.Now()+budget
+	return io
+}
+
+// attempt sends the op to the mount's current host.
+func (io *clientIO) attempt() {
+	cl, m := io.cl, io.m
+	io.refs++
+	switch {
+	case io.write:
+		cl.ini.Write(m.host, string(m.space), io.off, io.data, io.onWrite)
+	case io.discard:
+		cl.ini.ReadDiscard(m.host, string(m.space), io.off, io.length, io.onRead)
+	default:
+		cl.ini.Read(m.host, string(m.space), io.off, io.length, io.onRead)
+	}
+}
+
+func (io *clientIO) read(data []byte, err error) {
+	if err != nil {
+		io.failed(err)
+	} else {
+		io.finish(data, nil)
+	}
+	io.unref()
+}
+
+func (io *clientIO) wrote(err error) {
+	if err != nil {
+		io.failed(err)
+	} else {
+		io.finish(nil, nil)
+	}
+	io.unref()
+}
+
+// failed handles an attempt's error: give up past the deadline, else
+// consult the Master and remount ("retrieve the new host IP from the
+// Master and remount the storage automatically", §IV-D).
+func (io *clientIO) failed(err error) {
+	if io.cl.sched.Now() >= io.deadline {
+		io.finish(nil, fmt.Errorf("core: giving up on %s: %w", io.m.space, err))
+		return
+	}
+	io.refs++
+	io.cl.remount(io.m, io.onRemount)
+}
+
+func (io *clientIO) remounted(ok bool) {
+	if ok {
+		io.attempt()
+	} else {
+		io.refs++
+		io.cl.sched.FireAfterR(retryBackoff, io)
+	}
+	io.unref()
+}
+
+// Fire is the back-off timer: retry the op.
+func (io *clientIO) Fire() {
+	io.attempt()
+	io.unref()
+}
+
+func (io *clientIO) finish(data []byte, err error) {
+	if io.finished {
+		panic("core: a client IO finished twice")
+	}
+	io.finished = true
+	if io.write {
+		io.wdone(err)
+	} else {
+		io.done(data, err)
+	}
+}
+
+// unref drops one expected callback and recycles the record after the last.
+func (io *clientIO) unref() {
+	if io.refs--; io.refs > 0 {
+		return
+	}
+	io.m, io.data, io.done, io.wdone = nil, nil, nil, nil
+	io.discard, io.write, io.finished = false, false, false
+	io.cl.ios = append(io.cl.ios, io)
+}
+
+// remount re-resolves the space and logs in at its new host; done reports
+// whether it did. It fails at once while another remount of the space is
+// in progress.
+func (cl *ClientLib) remount(m *mount, done func(ok bool)) {
 	if m.remounting {
-		done(fmt.Errorf("core: remount already in progress"))
+		done(false)
 		return
 	}
 	m.remounting = true
@@ -343,16 +469,13 @@ func (cl *ClientLib) remount(m *mount, done func(error)) {
 	cl.Lookup(m.space, func(rep LookupReply, err error) {
 		if err != nil || rep.Host == "" {
 			m.remounting = false
-			if err == nil {
-				err = fmt.Errorf("core: %s not attached anywhere yet", m.space)
-			}
-			done(err)
+			done(false)
 			return
 		}
 		cl.ini.Login(rep.Host, string(m.space), func(size int64, err error) {
 			m.remounting = false
 			if err != nil {
-				done(err)
+				done(false)
 				return
 			}
 			m.host = rep.Host
@@ -362,7 +485,7 @@ func (cl *ClientLib) remount(m *mount, done func(error)) {
 			if cl.OnMount != nil {
 				cl.OnMount(MountEvent{Space: m.space, Host: rep.Host, Remounted: true})
 			}
-			done(nil)
+			done(true)
 		})
 	})
 }

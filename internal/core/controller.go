@@ -187,7 +187,7 @@ func (c *Controller) handleExecute(from string, args any, reply *simnet.AsyncRep
 				})
 				return
 			}
-			c.sched.After(200*time.Millisecond, verify)
+			c.sched.FireAfter(200*time.Millisecond, verify)
 		}
 		verify()
 	})

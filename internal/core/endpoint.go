@@ -169,13 +169,20 @@ func (ep *EndPoint) diskState(diskID string) DiskState {
 
 // --- Heartbeats (§IV-B) ---
 
+// heartbeatLoop arms the endpoint's next heartbeat.
 func (ep *EndPoint) heartbeatLoop() {
-	ep.sched.After(ep.cfg.HeartbeatInterval, func() {
-		if !ep.down {
-			ep.sendHeartbeat()
-		}
-		ep.heartbeatLoop()
-	})
+	ep.sched.FireAfterR(ep.cfg.HeartbeatInterval, (*heartbeatTimer)(ep))
+}
+
+// heartbeatTimer is the receiver of an endpoint's heartbeat events.
+type heartbeatTimer EndPoint
+
+func (t *heartbeatTimer) Fire() {
+	ep := (*EndPoint)(t)
+	if !ep.down {
+		ep.sendHeartbeat()
+	}
+	ep.heartbeatLoop()
 }
 
 func (ep *EndPoint) sendHeartbeat() {
@@ -286,7 +293,7 @@ func (ep *EndPoint) handleExport(from string, args any, reply *simnet.AsyncReply
 		reply.Reply(nil, fmt.Errorf("exporting %s: %w", ex.Space, err))
 		return
 	}
-	ep.sched.After(ExportSetupDelay, func() {
+	ep.sched.FireAfter(ExportSetupDelay, func() {
 		if ep.down || !ep.attached[ex.DiskID] {
 			span.End(obs.L("status", "lost-disk"))
 			reply.Reply(nil, fmt.Errorf("core: %s lost %s during export setup", ep.host, ex.DiskID))

@@ -192,7 +192,7 @@ func (m *Master) onElected() {
 		}
 	}
 	// Ask every online host to (re-)export what it should be serving.
-	m.sched.After(0, m.reconcileExports)
+	m.sched.FireAfter(0, m.reconcileExports)
 }
 
 func (m *Master) indexAlloc(rec *allocRecord) {
@@ -297,26 +297,32 @@ func (m *Master) reconcileExports() {
 	}
 }
 
-// detectLoop scans for hosts whose heartbeats stopped.
+// detectLoop arms the next scan for hosts whose heartbeats stopped.
 func (m *Master) detectLoop() {
-	m.sched.After(m.cfg.HeartbeatInterval, func() {
-		if m.Active() {
-			deadline := time.Duration(hostDeadAfter) * m.cfg.HeartbeatInterval
-			hosts := make([]string, 0, len(m.hosts))
-			for host := range m.hosts {
-				hosts = append(hosts, host)
-			}
-			sort.Strings(hosts)
-			for _, host := range hosts {
-				if hs := m.hosts[host]; hs.online && m.sched.Now()-hs.lastSeen > deadline {
-					hs.online = false
-					m.hostDead(host)
-				}
-			}
-			m.scorePass()
+	m.sched.FireAfterR(m.cfg.HeartbeatInterval, (*detectTimer)(m))
+}
+
+// detectTimer is the receiver of a master's detection scans.
+type detectTimer Master
+
+func (t *detectTimer) Fire() {
+	m := (*Master)(t)
+	if m.Active() {
+		deadline := time.Duration(hostDeadAfter) * m.cfg.HeartbeatInterval
+		hosts := make([]string, 0, len(m.hosts))
+		for host := range m.hosts {
+			hosts = append(hosts, host)
 		}
-		m.detectLoop()
-	})
+		sort.Strings(hosts)
+		for _, host := range hosts {
+			if hs := m.hosts[host]; hs.online && m.sched.Now()-hs.lastSeen > deadline {
+				hs.online = false
+				m.hostDead(host)
+			}
+		}
+		m.scorePass()
+	}
+	m.detectLoop()
 }
 
 // hostDead re-homes every disk of a dead host onto the surviving hosts
@@ -442,7 +448,7 @@ func (m *Master) watchFailoverDone(host string, moving []string, started simtime
 			}
 			return
 		}
-		m.sched.After(100*time.Millisecond, poll)
+		m.sched.FireAfter(100*time.Millisecond, poll)
 	}
 	poll()
 }

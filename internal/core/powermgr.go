@@ -59,7 +59,7 @@ func (pm *PowerManager) Threshold(diskID string) time.Duration {
 }
 
 func (pm *PowerManager) loop() {
-	pm.ep.sched.After(pmScanInterval, func() {
+	pm.ep.sched.FireAfter(pmScanInterval, func() {
 		if !pm.ep.down {
 			pm.scan()
 		}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"ustore/internal/disk"
@@ -81,6 +81,13 @@ type Protector struct {
 	// idleSince records when a managed disk's demand last hit zero.
 	idleSince map[string]simtime.Time
 
+	// ids is the cluster's disk IDs, sorted (Cluster.Disks is fixed once
+	// the unit is built); states is tick's reused autoscaler input.
+	ids    []string
+	states []policy.DiskState
+	// spent holds finished admissions for the next Admit.
+	spent []*admission
+
 	cAdmitted  map[string]*obs.Counter
 	cThrottled map[string]*obs.Counter
 	cShed      map[string]map[string]*obs.Counter
@@ -105,11 +112,11 @@ type Protector struct {
 // dominate the event budget.
 const protTickInterval = 250 * time.Millisecond
 
-// Reject reasons reported to Admit's reject callback (the admission
-// sheds reuse policy's reason strings).
+// The reasons Admit sheds a request before it reaches the admission
+// queues; the queues' own sheds carry policy's reasons.
 const (
-	RejectThrottled = "throttled"
-	RejectBreaker   = "breaker-open"
+	RejectThrottled policy.ShedReason = "throttled"
+	RejectBreaker   policy.ShedReason = "breaker-open"
 )
 
 // NewProtector wires the protection stack over the cluster's disks and
@@ -149,9 +156,13 @@ func NewProtector(c *Cluster, pc ProtectionConfig) *Protector {
 				obs.L("class", cc.Name), obs.L("reason", string(policy.ShedDeadline))),
 		}
 	}
+	for id := range c.Disks {
+		p.ids = append(p.ids, id)
+	}
+	slices.Sort(p.ids)
 	now := p.sched.Now()
 	baseline := 0
-	for _, id := range p.diskIDs() {
+	for _, id := range p.ids {
 		d := c.Disks[id]
 		if diskSpinning(d.State()) {
 			baseline++
@@ -188,27 +199,18 @@ func diskSpinning(s disk.State) bool {
 	return diskReady(s) || s == disk.StateSpinningUp
 }
 
-// diskIDs returns the cluster's disk IDs sorted (map-order independence).
-func (p *Protector) diskIDs() []string {
-	ids := make([]string, 0, len(p.c.Disks))
-	for id := range p.c.Disks {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
 // Stop halts the autoscale ticker (end of run).
 func (p *Protector) Stop() { p.ticker.Stop() }
 
 // Admit gates one request for the given tenant/class against diskID.
-// Exactly one of grant or reject fires, possibly synchronously: reject
-// with RejectThrottled (tenant over rate), RejectBreaker (disk breaker
-// open), or a policy shed reason; grant when the disk has a free slot
-// (callers MUST call Done when the granted work finishes). Requests for
-// cold disks queue — the autoscaler sees their demand and spins the disk
-// up — until the class deadline sheds them.
-func (p *Protector) Admit(class, tenant, diskID string, grant func(), reject func(reason string)) {
+// Exactly one of grant or shed is called, once, possibly synchronously:
+// shed with RejectThrottled (tenant over rate), RejectBreaker (disk
+// breaker open), or a policy shed reason; grant when the disk has a free
+// slot (callers MUST call Done when the granted work finishes). Requests
+// for cold disks queue — the autoscaler sees their demand and spins the
+// disk up — until the class deadline sheds them. A caller that binds its
+// two callbacks once per record of its own admits without allocating.
+func (p *Protector) Admit(class, tenant, diskID string, grant func(), shed func(policy.ShedReason)) {
 	now := p.sched.Now()
 	tb := p.tenants[tenant]
 	if tb == nil {
@@ -218,24 +220,60 @@ func (p *Protector) Admit(class, tenant, diskID string, grant func(), reject fun
 	if !tb.Allow(now) {
 		p.Throttled[class]++
 		p.cThrottled[class].Inc()
-		reject(RejectThrottled)
+		shed(RejectThrottled)
 		return
 	}
 	if br := p.brk[diskID]; br != nil && br.Open(now) {
 		p.BreakerTrips[class]++
-		p.cShedFor(class, RejectBreaker).Inc()
-		reject(RejectBreaker)
+		p.cShedFor(class, string(RejectBreaker)).Inc()
+		shed(RejectBreaker)
 		return
 	}
-	p.adm.Submit(now, class, diskID,
-		func() {
-			p.cAdmitted[class].Inc()
-			grant()
-		},
-		func(r policy.ShedReason) {
-			p.cShedFor(class, string(r)).Inc()
-			reject(string(r))
-		})
+	a := p.newAdmission()
+	a.class, a.grant, a.shed = class, grant, shed
+	p.adm.Submit(now, class, diskID, a.onGrant, a.onShed)
+}
+
+// admission is one Admit waiting in the admission queues. Its onGrant and
+// onShed, bound once per record, are what the queues call: they count the
+// outcome under its class and pass it on to the caller's callback. The
+// queues call exactly one of them, once; the record goes back to
+// Protector.spent after the caller's callback returns.
+type admission struct {
+	p       *Protector
+	class   string
+	grant   func()
+	shed    func(policy.ShedReason)
+	onGrant func()
+	onShed  func(policy.ShedReason)
+}
+
+func (p *Protector) newAdmission() *admission {
+	if n := len(p.spent); n > 0 {
+		a := p.spent[n-1]
+		p.spent = p.spent[:n-1]
+		return a
+	}
+	a := &admission{p: p}
+	a.onGrant, a.onShed = a.passGrant, a.passShed
+	return a
+}
+
+func (a *admission) passGrant() {
+	a.p.cAdmitted[a.class].Inc()
+	a.grant()
+	a.release()
+}
+
+func (a *admission) passShed(r policy.ShedReason) {
+	a.p.cShedFor(a.class, string(r)).Inc()
+	a.shed(r)
+	a.release()
+}
+
+func (a *admission) release() {
+	a.class, a.grant, a.shed = "", nil, nil
+	a.p.spent = append(a.p.spent, a)
 }
 
 // cShedFor resolves (lazily for non-preregistered reasons) the shed
@@ -284,17 +322,16 @@ func (p *Protector) tick() {
 	p.adm.Poll(now)
 	p.gDepth.Set(float64(p.adm.QueueDepth()))
 
-	demand := p.adm.Demand()
 	active := 0
-	var states []policy.DiskState
-	for _, id := range p.diskIDs() {
+	states := p.states[:0]
+	for _, id := range p.ids {
 		d := p.c.Disks[id]
 		st := d.State()
 		spinning := diskSpinning(st)
 		if spinning {
 			active++
 		}
-		dem := demand[id] + d.QueueDepth()
+		dem := p.adm.Demand(id) + d.QueueDepth()
 		if p.managed[id] && dem == 0 {
 			if _, ok := p.idleSince[id]; !ok {
 				p.idleSince[id] = now
@@ -311,6 +348,7 @@ func (p *Protector) tick() {
 			IdleSince:          p.idleSince[id],
 		})
 	}
+	p.states = states
 	p.gActive.Set(float64(active))
 	up, down := p.scale.Plan(now, states)
 	for _, id := range up {

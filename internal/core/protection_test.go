@@ -42,12 +42,28 @@ func readyDisks(t *testing.T, c *Cluster) []string {
 	return ids
 }
 
+// outcome keeps the last outcome Admit gave it; grant and shed are its
+// callbacks, bound once.
+type outcome struct {
+	got   policy.ShedReason
+	grant func()
+	shed  func(policy.ShedReason)
+}
+
+func newOutcome() *outcome {
+	o := &outcome{}
+	o.grant = func() { o.got = "granted" }
+	o.shed = func(r policy.ShedReason) { o.got = r }
+	return o
+}
+
 // admit runs one Admit and reports its synchronous outcome: "granted", a
 // reject reason, or "queued".
-func admit(p *Protector, tenant, diskID string) string {
-	got := "queued"
-	p.Admit(protClass, tenant, diskID, func() { got = "granted" }, func(r string) { got = r })
-	return got
+func admit(p *Protector, tenant, diskID string) policy.ShedReason {
+	o := newOutcome()
+	o.got = "queued"
+	p.Admit(protClass, tenant, diskID, o.grant, o.shed)
+	return o.got
 }
 
 // TestProtectorBreakerOpensAndProbes drives the per-disk breaker: three
@@ -177,5 +193,53 @@ func TestMasterThrottlesMetadataPastBurst(t *testing.T) {
 	}
 	if _, err := m.handleHeartbeat(caller, HeartbeatArgs{Host: "hb-probe"}); err != nil {
 		t.Fatalf("heartbeat from a drained caller: %v", err)
+	}
+}
+
+// TestProtectorTickAllocs pins a warm protector tick at nothing: the disk
+// IDs are sorted once, the autoscaler's input and working copies are
+// reused buffers, and demand is read per disk rather than built as a map.
+// The disk set is the booted cluster's, with no backlog, so the plan is
+// empty and no disk changes state.
+func TestProtectorTickAllocs(t *testing.T) {
+	c := protectedCluster(t)
+	p := NewProtector(c, *c.Cfg.Protection)
+	defer p.Stop()
+	p.tick()
+	if n := testing.AllocsPerRun(100, p.tick); n != 0 {
+		t.Fatalf("a warm protector tick allocates %v objects, want 0", n)
+	}
+	if p.SpinUps != 0 || p.SpinDowns != 0 {
+		t.Fatalf("%d spin-ups and %d spin-downs: the plan was not empty", p.SpinUps, p.SpinDowns)
+	}
+}
+
+// TestProtectorAdmitAllocs pins a warm Admit → grant → Done cycle at
+// nothing: the caller's callbacks are handed through a pooled admission
+// record and a pooled admission-queue request, and neither builds a
+// closure. Four
+// tenants take turns so none runs past its token bucket's burst.
+func TestProtectorAdmitAllocs(t *testing.T) {
+	c := protectedCluster(t)
+	p := NewProtector(c, *c.Cfg.Protection)
+	defer p.Stop()
+	id := readyDisks(t, c)[0]
+	tenants := []string{"t0", "t1", "t2", "t3"}
+	o := newOutcome()
+	i := 0
+	cycle := func() {
+		o.got = "queued"
+		p.Admit(protClass, tenants[i%len(tenants)], id, o.grant, o.shed)
+		i++
+		if o.got != "granted" {
+			t.Fatalf("admit %d: %s, want granted", i, o.got)
+		}
+		p.Done(id, nil)
+	}
+	for range tenants { // one bucket per tenant, and the free lists
+		cycle()
+	}
+	if n := testing.AllocsPerRun(40, cycle); n != 0 {
+		t.Fatalf("a warm Admit → grant → Done allocates %v objects, want 0", n)
 	}
 }

@@ -92,7 +92,7 @@ func (sc *Scrubber) SetRepairFunc(fn RepairFunc) { sc.repair = fn }
 func (sc *Scrubber) Stats() ScrubStats { return sc.stats }
 
 func (sc *Scrubber) arm() {
-	sc.ep.sched.After(sc.interval, func() {
+	sc.ep.sched.FireAfter(sc.interval, func() {
 		sc.step()
 		sc.arm()
 	})

@@ -24,7 +24,7 @@ func RollingSpinUp(sched *simtime.Scheduler, disks map[string]*disk.Disk, maxCon
 	remaining := len(ids)
 	if remaining == 0 {
 		if done != nil {
-			sched.After(0, done)
+			sched.FireAfter(0, done)
 		}
 		return
 	}

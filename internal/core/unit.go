@@ -49,8 +49,7 @@ func buildUnit(c *Cluster, masterNodes []string) (*UnitRig, error) {
 	hosts := fab.Hosts()
 	mcuA := fabric.NewMicrocontroller("mcuA:"+unitID, hosts[0])
 	mcuB := fabric.NewMicrocontroller("mcuB:"+unitID, hosts[1])
-	rig.Plane = fabric.NewControlPlane(fab, mcuA, mcuB,
-		func(d time.Duration, fn func()) { sched.After(d, fn) })
+	rig.Plane = fabric.NewControlPlane(fab, mcuA, mcuB, sched.FireAfter)
 	rig.Plane.SetHostUp(func(h string) bool {
 		ep := c.EndPoints[h]
 		return ep != nil && !ep.IsDown()
@@ -61,8 +60,7 @@ func buildUnit(c *Cluster, masterNodes []string) (*UnitRig, error) {
 		limit = usb.MaxDevicesPerTree
 	}
 	rig.Binding = fabric.NewBinding(fab, limit,
-		func() time.Duration { return sched.Now() },
-		func(d time.Duration, fn func()) { sched.After(d, fn) })
+		func() time.Duration { return sched.Now() }, sched.FireAfter)
 
 	ctrlNames := []string{controllerNode(hosts[0]), controllerNode(hosts[1])}
 	rig.Ctrls = []*Controller{

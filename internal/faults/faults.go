@@ -33,9 +33,9 @@ func InjectHostCrashes(s *simtime.Scheduler, hosts []string, mttf, repair time.D
 		if u <= 0 {
 			u = math.SmallestNonzeroFloat64
 		}
-		s.After(time.Duration(-math.Log(u)*float64(mttf)), func() {
+		s.FireAfter(time.Duration(-math.Log(u)*float64(mttf)), func() {
 			crash(h)
-			s.After(repair, func() {
+			s.FireAfter(repair, func() {
 				restore(h)
 				arm(h)
 			})

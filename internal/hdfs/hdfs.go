@@ -394,7 +394,7 @@ func (c *Client) retryOrFail(deadline simtime.Time, attempt func(), done func(er
 	c.WriteStalls++
 	const backoff = 1 * time.Second
 	c.StallTime += backoff
-	c.sched.After(backoff, attempt)
+	c.sched.FireAfter(backoff, attempt)
 }
 
 // ReadFile fetches name, trying each replica of each block in order.

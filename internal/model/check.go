@@ -192,6 +192,7 @@ type search struct {
 	ops       []*Op
 	suffixMin []int64
 	visited   map[string]bool
+	key       []byte // the memo key buffer, reused by every node
 	nodes     int
 	budget    int
 	bestDepth int
@@ -209,11 +210,11 @@ func (s *search) dfs(st state, skipped []int, lo, depth int) searchOutcome {
 	if s.nodes > s.budget {
 		return searchBudget
 	}
-	memo := s.memoKey(st, skipped, lo)
-	if s.visited[memo] {
+	s.key = s.appendMemoKey(s.key[:0], st, skipped, lo)
+	if s.visited[string(s.key)] {
 		return searchFail
 	}
-	s.visited[memo] = true
+	s.visited[string(s.key)] = true
 
 	// An op may linearize next only if no other remaining op finished
 	// entirely before it was invoked.
@@ -262,16 +263,17 @@ func (s *search) dfs(st state, skipped []int, lo, depth int) searchOutcome {
 	return searchFail
 }
 
-func (s *search) memoKey(st state, skipped []int, lo int) string {
-	var b strings.Builder
-	b.WriteString(st.key())
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(lo))
+// appendMemoKey appends the node's memo key — the state's key, "|", lo,
+// then ",i" per skipped op — to b.
+func (s *search) appendMemoKey(b []byte, st state, skipped []int, lo int) []byte {
+	b = st.appendKey(b)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(lo), 10)
 	for _, i := range skipped {
-		b.WriteByte(',')
-		b.WriteString(strconv.Itoa(i))
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(i), 10)
 	}
-	return b.String()
+	return b
 }
 
 // noteStuck records rejection reasons at the deepest prefix reached, which

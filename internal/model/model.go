@@ -28,6 +28,7 @@ package model
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"ustore/internal/simtime"
@@ -143,7 +144,8 @@ func (o Op) String() string {
 // so the search can branch without copying trouble.
 type state interface {
 	apply(op *Op) (state, string)
-	key() string
+	// appendKey appends the state's memo key to b.
+	appendKey(b []byte) []byte
 }
 
 // spaceState models one space: its allocation lifecycle, the recorded
@@ -216,8 +218,13 @@ func (s spaceState) apply(op *Op) (state, string) {
 	return s, "op kind not valid for a space partition"
 }
 
-func (s spaceState) key() string {
-	return fmt.Sprintf("a%t r%t %s", s.allocated, s.released, s.server)
+func (s spaceState) appendKey(b []byte) []byte {
+	b = append(b, 'a')
+	b = strconv.AppendBool(b, s.allocated)
+	b = append(b, " r"...)
+	b = strconv.AppendBool(b, s.released)
+	b = append(b, ' ')
+	return append(b, s.server...)
 }
 
 // diskState models one disk's fabric binding: the host it is enumerated on.
@@ -250,4 +257,4 @@ func (s diskState) apply(op *Op) (state, string) {
 	return s, "op kind not valid for a disk partition"
 }
 
-func (s diskState) key() string { return s.attached }
+func (s diskState) appendKey(b []byte) []byte { return append(b, s.attached...) }

@@ -362,3 +362,29 @@ func TestHistoryAllocsBoundedByPages(t *testing.T) {
 			n, got/(1<<20), kept/(1<<20))
 	}
 }
+
+// TestMemoKeyBytes pins the search's memo key bytes — the state's key, "|",
+// lo, then ",i" per skipped op — and that building one into a warm buffer
+// allocates nothing.
+func TestMemoKeyBytes(t *testing.T) {
+	s := &search{}
+	for _, tc := range []struct {
+		st      state
+		skipped []int
+		lo      int
+		want    string
+	}{
+		{spaceState{allocated: true, server: "h1"}, []int{3, 5}, 7, "atrue rfalse h1|7,3,5"},
+		{spaceState{released: true}, nil, 0, "afalse rtrue |0"},
+		{diskState{attached: "h2"}, []int{12}, 40, "h2|40,12"},
+	} {
+		s.key = s.appendMemoKey(s.key[:0], tc.st, tc.skipped, tc.lo)
+		if got := string(s.key); got != tc.want {
+			t.Errorf("memo key %q, want %q", got, tc.want)
+		}
+	}
+	st, skipped := state(spaceState{allocated: true, server: "host-17"}), []int{101, 102, 103}
+	if n := testing.AllocsPerRun(100, func() { s.key = s.appendMemoKey(s.key[:0], st, skipped, 99) }); n != 0 {
+		t.Errorf("a memo key allocates %v objects in a warm buffer, want 0", n)
+	}
+}

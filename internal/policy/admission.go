@@ -32,6 +32,10 @@ type Admission struct {
 	res     map[string]*resourceState
 	slotCap int
 
+	// spent holds finished requests for the next Submit; fire is
+	// dispatch's reused list of the requests one walk took out.
+	spent, fire []*request
+
 	dispatching bool
 	dirty       bool
 }
@@ -48,14 +52,17 @@ type classState struct {
 type resourceState struct {
 	ready    bool
 	inflight int
+	queued   int // requests waiting for this resource, across classes
 }
 
+// request is one queued submission. Requests are recycled through
+// Admission.spent once their outcome's callback has been read out.
 type request struct {
-	class    *classState
-	resource string
+	res      *resourceState
 	enqueued simtime.Time
 	grant    func()
 	shed     func(ShedReason)
+	granted  bool // set when dispatch grants it; otherwise it was shed
 }
 
 // NewAdmission builds a controller over the given classes. slotCap is the
@@ -101,8 +108,10 @@ func (a *Admission) SetReady(now simtime.Time, name string, ready bool) {
 }
 
 // Submit offers one request. Exactly one of grant or shed is eventually
-// called (possibly synchronously, after this Submit's queue surgery). The
-// caller must call Release(resource) once a granted request finishes.
+// called, once (possibly synchronously, after this Submit's queue surgery).
+// The caller must call Release(resource) once a granted request finishes.
+// Submit keeps the two callbacks, not a closure over them, so a caller
+// that binds them once per record of its own submits without allocating.
 func (a *Admission) Submit(now simtime.Time, class, resource string, grant func(), shed func(ShedReason)) {
 	cs, ok := a.byName[class]
 	if !ok {
@@ -116,10 +125,21 @@ func (a *Admission) Submit(now simtime.Time, class, resource string, grant func(
 		shed(ShedQueueFull)
 		return
 	}
-	cs.queue = append(cs.queue, &request{
-		class: cs, resource: resource, enqueued: now, grant: grant, shed: shed,
-	})
+	rq := a.newRequest()
+	rq.res, rq.enqueued, rq.grant, rq.shed = a.resource(resource), now, grant, shed
+	rq.res.queued++
+	cs.queue = append(cs.queue, rq)
 	a.dispatch(now)
+}
+
+func (a *Admission) newRequest() *request {
+	if n := len(a.spent); n > 0 {
+		rq := a.spent[n-1]
+		a.spent[n-1] = nil
+		a.spent = a.spent[:n-1]
+		return rq
+	}
+	return &request{}
 }
 
 // Release returns a granted request's resource slot and dispatches the
@@ -139,9 +159,11 @@ func (a *Admission) Poll(now simtime.Time) { a.dispatch(now) }
 
 // dispatch is the scheduler: shed expired requests, then grant as many
 // queued requests as ready resources have slots for, priority classes
-// first, FIFO within a class. Callbacks collected during the walk run
-// after it; if they re-enter (Submit/Release from a grant), the walk
-// re-runs until stable.
+// first, FIFO within a class. The requests the walk takes out of the
+// queues collect in a.fire and hear their outcome after it; if a callback
+// re-enters (Submit/Release from a grant), the walk re-runs until stable.
+// Each request goes back to the free list before its callback is called,
+// so a re-entrant Submit may reuse it: its fields are read first.
 func (a *Admission) dispatch(now simtime.Time) {
 	if a.dispatching {
 		a.dirty = true
@@ -150,33 +172,38 @@ func (a *Admission) dispatch(now simtime.Time) {
 	a.dispatching = true
 	for {
 		a.dirty = false
-		var fire []func()
+		a.fire = a.fire[:0]
 		for _, cs := range a.classes {
 			kept := cs.queue[:0]
 			for _, rq := range cs.queue {
 				if cs.cfg.MaxWait > 0 && now-rq.enqueued >= cs.cfg.MaxWait {
 					cs.shedLate++
-					rq := rq
-					fire = append(fire, func() { rq.shed(ShedDeadline) })
+					rq.res.queued--
+					a.fire = append(a.fire, rq)
 					continue
 				}
-				rs := a.resource(rq.resource)
-				if rs.ready && rs.inflight < a.slotCap {
+				if rs := rq.res; rs.ready && rs.inflight < a.slotCap {
 					rs.inflight++
-					rq := rq
-					fire = append(fire, func() { rq.grant() })
+					rs.queued--
+					rq.granted = true
+					a.fire = append(a.fire, rq)
 					continue
 				}
 				kept = append(kept, rq)
 			}
 			// Zero the tail so dropped requests don't pin memory.
-			for i := len(kept); i < len(cs.queue); i++ {
-				cs.queue[i] = nil
-			}
+			clear(cs.queue[len(kept):])
 			cs.queue = kept
 		}
-		for _, fn := range fire {
-			fn()
+		for _, rq := range a.fire {
+			grant, shed, granted := rq.grant, rq.shed, rq.granted
+			*rq = request{}
+			a.spent = append(a.spent, rq)
+			if granted {
+				grant()
+			} else {
+				shed(ShedDeadline)
+			}
 		}
 		if !a.dirty {
 			break
@@ -194,20 +221,12 @@ func (a *Admission) QueueDepth() int {
 	return n
 }
 
-// Demand returns, per resource, the queued + in-flight request count —
-// the autoscaler's pressure signal. Only resources with nonzero demand
-// or state appear.
-func (a *Admission) Demand() map[string]int {
-	d := make(map[string]int)
-	for _, cs := range a.classes {
-		for _, rq := range cs.queue {
-			d[rq.resource]++
-		}
+// Demand returns the queued + in-flight request count for one resource —
+// the autoscaler's pressure signal.
+func (a *Admission) Demand(resource string) int {
+	rs := a.res[resource]
+	if rs == nil {
+		return 0
 	}
-	for name, rs := range a.res {
-		if rs.inflight > 0 {
-			d[name] += rs.inflight
-		}
-	}
-	return d
+	return rs.queued + rs.inflight
 }

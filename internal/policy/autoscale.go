@@ -1,7 +1,8 @@
 package policy
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ustore/internal/simtime"
 )
@@ -48,6 +49,8 @@ type DiskState struct {
 // plans.
 type AutoScaler struct {
 	cfg AutoScalerConfig
+	// sorted and cold are Plan's working copies, reused across calls.
+	sorted, cold []DiskState
 }
 
 // NewAutoScaler validates and wraps the config.
@@ -64,9 +67,9 @@ func NewAutoScaler(cfg AutoScalerConfig) *AutoScaler {
 // MaxSpinningUp inrush cap. Spin-downs take candidates that have sat
 // demand-free past IdleAfter, provided the floor holds.
 func (as *AutoScaler) Plan(now simtime.Time, disks []DiskState) (spinUp, spinDown []string) {
-	sorted := make([]DiskState, len(disks))
-	copy(sorted, disks)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
+	sorted := append(as.sorted[:0], disks...)
+	slices.SortFunc(sorted, func(a, b DiskState) int { return cmp.Compare(a.Name, b.Name) })
+	as.sorted = sorted
 
 	spinning, up := 0, 0
 	for _, d := range sorted {
@@ -79,13 +82,14 @@ func (as *AutoScaler) Plan(now simtime.Time, disks []DiskState) (spinUp, spinDow
 	}
 
 	// Scale up: cold disks with demand, heaviest backlog first.
-	var cold []DiskState
+	cold := as.cold[:0]
 	for _, d := range sorted {
 		if !d.Spinning && d.Demand > 0 {
 			cold = append(cold, d)
 		}
 	}
-	sort.SliceStable(cold, func(i, j int) bool { return cold[i].Demand > cold[j].Demand })
+	slices.SortStableFunc(cold, func(a, b DiskState) int { return cmp.Compare(b.Demand, a.Demand) })
+	as.cold = cold
 	for _, d := range cold {
 		if spinning >= as.cfg.MaxSpinning || up >= as.cfg.MaxSpinningUp {
 			break

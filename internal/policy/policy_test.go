@@ -209,9 +209,91 @@ func TestAdmissionDemand(t *testing.T) {
 	a.Submit(at(0), "premium", "d1", func() {}, func(ShedReason) {}) // in flight
 	a.Submit(at(0), "premium", "d2", func() {}, func(ShedReason) {}) // queued (cold)
 	a.Submit(at(0), "batch", "d2", func() {}, func(ShedReason) {})   // queued (cold)
-	d := a.Demand()
-	if d["d1"] != 1 || d["d2"] != 2 {
-		t.Fatalf("demand = %v, want d1:1 d2:2", d)
+	if d1, d2, d3 := a.Demand("d1"), a.Demand("d2"), a.Demand("d3"); d1 != 1 || d2 != 2 || d3 != 0 {
+		t.Fatalf("demand d1:%d d2:%d d3:%d, want d1:1 d2:2 d3:0", d1, d2, d3)
+	}
+	a.Release(at(0), "d1")
+	if d := a.Demand("d1"); d != 0 {
+		t.Fatalf("demand d1:%d after its release, want 0", d)
+	}
+}
+
+// counter records every outcome Admission hands one submitter; onGrant,
+// when set, runs inside the grant (a re-entrant submitter). grant and shed
+// are its callbacks, bound once as the simulator's records bind theirs.
+type counter struct {
+	name    string
+	grants  int
+	sheds   []ShedReason
+	onGrant func()
+	grant   func()
+	shed    func(ShedReason)
+}
+
+func newCounter(name string) *counter {
+	c := &counter{name: name}
+	c.grant, c.shed = c.granted, c.refused
+	return c
+}
+
+func (c *counter) granted() {
+	c.grants++
+	if c.onGrant != nil {
+		c.onGrant()
+	}
+}
+
+func (c *counter) refused(r ShedReason) { c.sheds = append(c.sheds, r) }
+
+// TestAdmissionReentrantPassesFireOnce holds Admission to exactly one
+// outcome per request when a grant re-enters and dispatch walks again: the
+// second pass must fire only what it took out itself. The re-entrant Submit
+// reuses the granted request's record, so a pass that re-fired the first
+// pass's list would hand the new submitter a second outcome.
+func TestAdmissionReentrantPassesFireOnce(t *testing.T) {
+	a := NewAdmission(admissionClasses(), 1)
+	a.SetReady(at(0), "d1", true)
+	late, next, first := newCounter("late"), newCounter("next"), newCounter("first")
+	first.onGrant = func() {
+		a.Release(at(3*time.Second), "d1")
+		a.Submit(at(3*time.Second), "premium", "d1", next.grant, next.shed)
+	}
+	a.Submit(at(0), "premium", "cold", late.grant, late.shed) // "cold" never comes up: shed at its deadline
+	a.Submit(at(3*time.Second), "premium", "d1", first.grant, first.shed)
+	want := map[*counter][2]int{first: {1, 0}, next: {1, 0}, late: {0, 1}}
+	for c, n := range want {
+		if c.grants != n[0] || len(c.sheds) != n[1] {
+			t.Errorf("%s: %d grants, sheds %v; want %d grant(s) and %d shed(s)", c.name, c.grants, c.sheds, n[0], n[1])
+		}
+	}
+	if d := a.Demand("d1"); d != 1 {
+		t.Errorf("d1 demand %d, want 1 (next in flight)", d)
+	}
+	if q := a.QueueDepth(); q != 0 {
+		t.Errorf("queue depth %d, want 0", q)
+	}
+}
+
+// TestAdmissionWarmSubmitAllocs: once its free list is warm, a submit,
+// grant and release cycle allocates nothing when the caller's callbacks
+// are bound once.
+func TestAdmissionWarmSubmitAllocs(t *testing.T) {
+	a := NewAdmission(admissionClasses(), 1)
+	a.SetReady(at(0), "d1", true)
+	c := newCounter("c")
+	cycle := func() {
+		a.Submit(at(0), "premium", "d1", c.grant, c.shed) // takes the slot
+		a.Submit(at(0), "batch", "d1", c.grant, c.shed)   // queues behind it
+		a.Release(at(0), "d1")
+		a.Release(at(0), "d1")
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a warm submit/grant/release cycle allocates %v objects, want 0", n)
+	}
+	// AllocsPerRun adds one warm-up run of its own.
+	if want := 2 * 102; c.grants != want || len(c.sheds) != 0 {
+		t.Fatalf("%d grants and %d sheds, want %d and 0", c.grants, len(c.sheds), want)
 	}
 }
 

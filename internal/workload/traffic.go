@@ -175,6 +175,7 @@ type classState struct {
 	index   int
 	rng     *rand.Rand
 	cdf     []float64
+	tenants []string                   // tenant names by index: "<class>-tNN"
 	counts  map[string]map[string]int  // phase -> outcome -> n
 	samples map[string][]time.Duration // phase -> completed latencies
 	cOut    map[string]*obs.Counter    // outcome -> counter
@@ -208,6 +209,10 @@ type TrafficEngine struct {
 	inflight int
 
 	stormRng *rand.Rand
+	// reqs and arrivals hold finished request and arrival records for
+	// reuse.
+	reqs     []*trafficReq
+	arrivals []*arrival
 
 	activeMax int
 	spinUps   int
@@ -237,10 +242,14 @@ func NewTrafficEngine(c *core.Cluster, o TrafficOptions, logf func(string, ...an
 			index:   i,
 			rng:     rand.New(rand.NewSource(o.Seed*1000003 + int64(i))),
 			cdf:     zipfCDF(spec.Tenants, spec.ZipfS),
+			tenants: make([]string, max(spec.Tenants, 1)),
 			counts:  make(map[string]map[string]int),
 			samples: make(map[string][]time.Duration),
 			cOut:    make(map[string]*obs.Counter),
 			hist:    make(map[string]*obs.Histogram),
+		}
+		for t := range cs.tenants {
+			cs.tenants[t] = fmt.Sprintf("%s-t%02d", spec.Name, t)
 		}
 		for _, ph := range Phases {
 			cs.counts[ph] = make(map[string]int)
@@ -291,7 +300,7 @@ func (cs *classState) pickTenant() (string, int) {
 	if i >= len(cs.cdf) {
 		i = len(cs.cdf) - 1
 	}
-	return fmt.Sprintf("%s-t%02d", cs.spec.Name, i), i
+	return cs.tenants[i], i
 }
 
 // expGap draws one exponential interarrival gap for the given rate.
@@ -435,7 +444,7 @@ func (e *TrafficEngine) Run() *SLOReport {
 	}{{o.Warmup, PhaseQuiescent}, {o.Warmup + o.Quiescent, PhaseStorm},
 		{o.Warmup + o.Quiescent + o.Storm, PhaseDrain}} {
 		name := ph.name
-		e.sched.After(ph.at, func() { e.logf("traffic phase: %s", name) })
+		e.sched.FireAfter(ph.at, func() { e.logf("traffic phase: %s", name) })
 	}
 
 	e.c.Settle(o.total())
@@ -493,28 +502,40 @@ func (e *TrafficEngine) record(cs *classState, phase, outcome string, elapsed ti
 }
 
 // steadyLoop is a class's open-loop steady arrival process: exponential
-// gaps at the diurnal peak rate, thinned to the instantaneous rate.
+// gaps at the diurnal peak rate, thinned to the instantaneous rate. One
+// steadyArrivals record per class is the receiver of every arrival.
 func (e *TrafficEngine) steadyLoop(cs *classState) {
-	peak := cs.spec.Rate * (1 + diurnalAmp)
-	var next func()
-	next = func() {
-		if e.stopped {
-			return
-		}
-		e.sched.After(expGap(cs.rng, peak), func() {
-			if e.stopped {
-				return
-			}
-			if e.diurnalAccept(cs) {
-				tenant, idx := cs.pickTenant()
-				vol := e.warm[(idx*7+cs.index)%len(e.warm)]
-				off := e.volOffset(cs.rng, vol, cs.spec.IOSize)
-				e.request(cs, tenant, idx, vol, off, cs.spec.IOSize, false)
-			}
-			next()
-		})
+	(&steadyArrivals{e: e, cs: cs, peak: cs.spec.Rate * (1 + diurnalAmp)}).next()
+}
+
+// steadyArrivals is one class's steady arrival process.
+type steadyArrivals struct {
+	e    *TrafficEngine
+	cs   *classState
+	peak float64
+}
+
+// next arms the class's next arrival.
+func (a *steadyArrivals) next() {
+	if a.e.stopped {
+		return
 	}
-	next()
+	a.e.sched.FireAfterR(expGap(a.cs.rng, a.peak), a)
+}
+
+// Fire is one arrival: thinned to the diurnal rate, it becomes a request.
+func (a *steadyArrivals) Fire() {
+	e, cs := a.e, a.cs
+	if e.stopped {
+		return
+	}
+	if e.diurnalAccept(cs) {
+		tenant, idx := cs.pickTenant()
+		vol := e.warm[(idx*7+cs.index)%len(e.warm)]
+		off := e.volOffset(cs.rng, vol, cs.spec.IOSize)
+		e.request(cs, tenant, idx, vol, off, cs.spec.IOSize, false)
+	}
+	a.next()
 }
 
 // diurnalAccept thins the peak-rate arrival stream down to the
@@ -542,64 +563,202 @@ func (e *TrafficEngine) volOffset(rng *rand.Rand, vol *trafficVolume, size int) 
 // are discard reads. Outcomes are recorded at full elapsed time from
 // arrival.
 func (e *TrafficEngine) request(cs *classState, tenant string, tenantIdx int, vol *trafficVolume, off int64, size int, withLookup bool) {
-	startAt := e.sched.Now()
-	phase := e.phaseAt(startAt)
-	e.inflight++
-	finished := false
-	finish := func(outcome string) {
-		if finished {
-			return
-		}
-		finished = true
-		e.inflight--
-		e.record(cs, phase, outcome, time.Duration(e.sched.Now()-startAt))
-	}
-	gw := e.gws[tenantIdx%len(e.gws)]
-	readDone := func(granted bool) func([]byte, error) {
-		return func(_ []byte, err error) {
-			if granted {
-				e.prot.Done(vol.diskID, err)
-			}
-			switch {
-			case err == nil:
-				finish(OutcomeOK)
-			case core.IsThrottled(err):
-				finish(OutcomeThrottled)
-			default:
-				finish(OutcomeError)
-			}
-		}
-	}
-	gated := func() {
-		if e.prot == nil {
-			gw.ReadDiscard(vol.space, off, size, cs.spec.Budget, readDone(false))
-			return
-		}
-		e.prot.Admit(cs.spec.Name, tenant, vol.diskID,
-			func() { gw.ReadDiscard(vol.space, off, size, cs.spec.Budget, readDone(true)) },
-			func(reason string) {
-				if reason == core.RejectThrottled {
-					finish(OutcomeThrottled)
-				} else {
-					finish(OutcomeShed)
-				}
-			})
-	}
+	r := e.begin(cs, tenant, e.gws[tenantIdx%len(e.gws)])
+	r.vol, r.off, r.size = vol, off, size
 	if !withLookup {
-		gated()
+		r.gated()
 		return
 	}
-	gw.Lookup(vol.space, func(_ core.LookupReply, err error) {
-		if err != nil {
-			if core.IsThrottled(err) {
-				finish(OutcomeThrottled)
-			} else {
-				finish(OutcomeError)
-			}
-			return
-		}
-		gated()
-	})
+	r.gw.Lookup(vol.space, r.onLookup)
+}
+
+// ingestOp is one archival-ingest operation: allocate a fresh volume,
+// mount it, and write the ingest payload (gated by admission on the disk
+// the allocation landed on).
+func (e *TrafficEngine) ingestOp(cs *classState, tenant string) {
+	r := e.begin(cs, tenant, e.ingestCl)
+	r.ingest = true
+	r.gw.Allocate(volumeSize, r.onAllocate)
+}
+
+// trafficReq is one request's state — a read, or an ingest op — and the
+// receiver of each of its steps: the lookup's or the allocation's and the
+// mount's replies, admission's grant or shed, and the IO's completion.
+// Each step hands off to exactly one next callback,
+// so the request is done with its record when it finishes: finish records
+// the outcome and gives the record back to TrafficEngine.reqs, and no
+// callback of the request runs after it.
+type trafficReq struct {
+	e        *TrafficEngine
+	cs       *classState
+	phase    string
+	startAt  simtime.Time
+	tenant   string
+	gw       *core.ClientLib
+	vol      *trafficVolume // the volume read, or &fresh
+	fresh    trafficVolume  // an ingest op's allocation
+	off      int64
+	size     int
+	ingest   bool // allocate, mount and write instead of reading
+	granted  bool // admission granted a slot: Done must release it
+	finished bool
+	// Each step's completion, bound once per record.
+	onLookup   func(core.LookupReply, error)
+	onAllocate func(core.AllocateReply, error)
+	onMount    func(error)
+	onRead     func([]byte, error)
+	onWrite    func(error)
+	onGrant    func()
+	onShed     func(policy.ShedReason)
+}
+
+// begin starts a request of class cs at the current instant.
+func (e *TrafficEngine) begin(cs *classState, tenant string, gw *core.ClientLib) *trafficReq {
+	var r *trafficReq
+	if n := len(e.reqs); n > 0 {
+		r = e.reqs[n-1]
+		e.reqs = e.reqs[:n-1]
+	} else {
+		r = &trafficReq{e: e}
+		r.onLookup, r.onAllocate, r.onMount = r.lookedUp, r.allocated, r.mounted
+		r.onRead, r.onWrite = r.read, r.done
+		r.onGrant, r.onShed = r.admitted, r.refused
+	}
+	r.cs, r.tenant, r.gw = cs, tenant, gw
+	r.startAt = e.sched.Now()
+	r.phase = e.phaseAt(r.startAt)
+	e.inflight++
+	return r
+}
+
+// finish books the request's outcome and gives its record back.
+func (r *trafficReq) finish(outcome string) {
+	if r.finished {
+		panic("workload: a traffic request finished twice")
+	}
+	r.finished = true
+	e := r.e
+	e.inflight--
+	e.record(r.cs, r.phase, outcome, time.Duration(e.sched.Now()-r.startAt))
+	r.cs, r.gw, r.vol, r.tenant, r.phase, r.fresh = nil, nil, nil, "", "", trafficVolume{}
+	r.ingest, r.granted, r.finished = false, false, false
+	e.reqs = append(e.reqs, r)
+}
+
+func (r *trafficReq) lookedUp(_ core.LookupReply, err error) {
+	if err != nil {
+		r.finish(errOutcome(err))
+		return
+	}
+	r.gated()
+}
+
+func (r *trafficReq) allocated(rep core.AllocateReply, err error) {
+	if err != nil {
+		r.finish(errOutcome(err))
+		return
+	}
+	r.fresh = trafficVolume{space: rep.Space, diskID: rep.DiskID, size: rep.Size}
+	r.vol = &r.fresh
+	r.gw.Mount(rep.Space, r.onMount)
+}
+
+func (r *trafficReq) mounted(err error) {
+	if err != nil {
+		r.finish(errOutcome(err))
+		return
+	}
+	r.gated()
+}
+
+// gated does the IO through admission in protected runs, directly
+// otherwise.
+func (r *trafficReq) gated() {
+	if r.e.prot == nil {
+		r.startIO()
+		return
+	}
+	r.e.prot.Admit(r.cs.spec.Name, r.tenant, r.vol.diskID, r.onGrant, r.onShed)
+}
+
+// admitted is admission's go-ahead.
+func (r *trafficReq) admitted() {
+	r.granted = true
+	r.startIO()
+}
+
+// refused is admission's refusal.
+func (r *trafficReq) refused(reason policy.ShedReason) {
+	if reason == core.RejectThrottled {
+		r.finish(OutcomeThrottled)
+	} else {
+		r.finish(OutcomeShed)
+	}
+}
+
+func (r *trafficReq) startIO() {
+	if r.ingest {
+		r.gw.Write(r.vol.space, 0, r.e.ingestBuf, r.onWrite)
+	} else {
+		r.gw.ReadDiscard(r.vol.space, r.off, r.size, r.cs.spec.Budget, r.onRead)
+	}
+}
+
+func (r *trafficReq) read(_ []byte, err error) { r.done(err) }
+
+// done ends the IO: it releases an admission slot and books the outcome.
+func (r *trafficReq) done(err error) {
+	if r.granted {
+		r.e.prot.Done(r.vol.diskID, err)
+	}
+	r.finish(errOutcome(err))
+}
+
+// errOutcome is the outcome a request that ended with err is booked under.
+func errOutcome(err error) string {
+	switch {
+	case err == nil:
+		return OutcomeOK
+	case core.IsThrottled(err):
+		return OutcomeThrottled
+	default:
+		return OutcomeError
+	}
+}
+
+// arrival is one scheduled storm read or ingest op, drawn when its wave or
+// campaign was laid out; vol is nil for an ingest op. The record goes back
+// to TrafficEngine.arrivals when it fires.
+type arrival struct {
+	e      *TrafficEngine
+	cs     *classState
+	tenant string
+	idx    int
+	vol    *trafficVolume
+	off    int64
+	lookup bool
+}
+
+func (e *TrafficEngine) newArrival() *arrival {
+	if n := len(e.arrivals); n > 0 {
+		a := e.arrivals[n-1]
+		e.arrivals = e.arrivals[:n-1]
+		return a
+	}
+	return &arrival{e: e}
+}
+
+func (a *arrival) Fire() {
+	e, cs, tenant, idx, vol, off, lookup := a.e, a.cs, a.tenant, a.idx, a.vol, a.off, a.lookup
+	*a = arrival{e: e}
+	e.arrivals = append(e.arrivals, a)
+	switch {
+	case e.stopped:
+	case vol == nil:
+		e.ingestOp(cs, tenant)
+	default:
+		e.request(cs, tenant, idx, vol, off, cs.spec.IOSize, lookup)
+	}
 }
 
 // scheduleStorm lays out the restore-storm waves across the storm phase.
@@ -620,7 +779,7 @@ func (e *TrafficEngine) scheduleStorm() {
 			break
 		}
 		wave := w
-		e.sched.After(waveAt, func() {
+		e.sched.FireAfter(waveAt, func() {
 			e.logf("restore storm: wave %d (%d requests over ~%v)", wave, waveSize, waveSpread)
 			at := time.Duration(0)
 			for i := 0; i < waveSize; i++ {
@@ -634,13 +793,10 @@ func (e *TrafficEngine) scheduleStorm() {
 					vol = e.archived[e.stormRng.Intn(len(e.archived))]
 				}
 				off := e.volOffset(e.stormRng, vol, cs.spec.IOSize)
-				lookup := !warmRead // recalls resolve the archived volume first
-				e.sched.After(at, func() {
-					if e.stopped {
-						return
-					}
-					e.request(cs, tenant, idx, vol, off, cs.spec.IOSize, lookup)
-				})
+				a := e.newArrival()
+				a.cs, a.tenant, a.idx, a.vol, a.off = cs, tenant, idx, vol, off
+				a.lookup = !warmRead // recalls resolve the archived volume first
+				e.sched.FireAfterR(at, a)
 			}
 		})
 	}
@@ -661,7 +817,7 @@ func (e *TrafficEngine) scheduleIngest() {
 			break
 		}
 		campaign := k
-		e.sched.After(at, func() {
+		e.sched.FireAfter(at, func() {
 			n := 0
 			tt := time.Duration(0)
 			for {
@@ -670,80 +826,14 @@ func (e *TrafficEngine) scheduleIngest() {
 					break
 				}
 				n++
-				tenant, _ := cs.pickTenant()
-				e.sched.After(tt, func() {
-					if e.stopped {
-						return
-					}
-					e.ingestOp(cs, tenant)
-				})
+				a := e.newArrival()
+				a.cs = cs
+				a.tenant, _ = cs.pickTenant()
+				e.sched.FireAfterR(tt, a)
 			}
 			e.logf("ingest campaign %d: %d archival writes over %v", campaign, n, ingestLen)
 		})
 	}
-}
-
-// ingestOp is one archival-ingest operation: allocate a fresh volume,
-// mount it, and write the ingest payload (gated by admission on the disk
-// the allocation landed on).
-func (e *TrafficEngine) ingestOp(cs *classState, tenant string) {
-	startAt := e.sched.Now()
-	phase := e.phaseAt(startAt)
-	e.inflight++
-	finished := false
-	finish := func(outcome string) {
-		if finished {
-			return
-		}
-		finished = true
-		e.inflight--
-		e.record(cs, phase, outcome, time.Duration(e.sched.Now()-startAt))
-	}
-	fail := func(err error) {
-		if core.IsThrottled(err) {
-			finish(OutcomeThrottled)
-		} else {
-			finish(OutcomeError)
-		}
-	}
-	cl := e.ingestCl
-	cl.Allocate(volumeSize, func(rep core.AllocateReply, err error) {
-		if err != nil {
-			fail(err)
-			return
-		}
-		cl.Mount(rep.Space, func(err error) {
-			if err != nil {
-				fail(err)
-				return
-			}
-			write := func(granted bool) {
-				cl.Write(rep.Space, 0, e.ingestBuf, func(err error) {
-					if granted {
-						e.prot.Done(rep.DiskID, err)
-					}
-					if err != nil {
-						fail(err)
-						return
-					}
-					finish(OutcomeOK)
-				})
-			}
-			if e.prot == nil {
-				write(false)
-				return
-			}
-			e.prot.Admit(cs.spec.Name, tenant, rep.DiskID,
-				func() { write(true) },
-				func(reason string) {
-					if reason == core.RejectThrottled {
-						finish(OutcomeThrottled)
-					} else {
-						finish(OutcomeShed)
-					}
-				})
-		})
-	})
 }
 
 // report assembles the SLO report from the per-class accounting.

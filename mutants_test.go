@@ -295,6 +295,23 @@ var mutants = []mutant{
 		cmd:  "go test ./internal/simnet -run ^TestDedupAsyncDuplicateAbsorbed$",
 		want: []string{`--- FAIL: TestDedupAsyncDuplicateAbsorbed`, `duplicate after the prune: replies \[\], want one to request 1 from run 1025`},
 	},
+	{
+		// A client IO counts its pending remount as a reference, or the
+		// op callback recycles the record and the remount's completion
+		// drives a record that no longer holds a mount.
+		name: "io-recycled-before-remount", smoke: true, file: "internal/core/clientlib.go",
+		old: "\tio.refs++\n\tio.cl.remount(", new: "\tio.cl.remount(",
+		cmd:  "go test ./internal/core -run ^TestHostFailureRecovery$",
+		want: []string{`--- FAIL: TestHostFailureRecovery`, `nil pointer dereference`, `core\.\(\*clientIO\)\.attempt`},
+	},
+	{
+		// Each dispatch pass fires only what it took out of the queues, or
+		// a pass after a re-entrant Grant re-fires the last pass's requests.
+		name: "fire-buffer-kept-across-passes", file: "internal/policy/admission.go",
+		old: "\t\ta.fire = a.fire[:0]\n", new: "",
+		cmd:  "go test ./internal/policy -run ^TestAdmissionReentrantPassesFireOnce$",
+		want: []string{`--- FAIL: TestAdmissionReentrantPassesFireOnce`, `nil pointer dereference`, `policy\.\(\*Admission\)\.dispatch`},
+	},
 }
 
 // TestMutants applies each mutant through go's -overlay (the tree is never
