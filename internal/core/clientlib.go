@@ -79,7 +79,7 @@ func NewClientLib(net *simnet.Network, name, service string, cfg Config, masters
 }
 
 // callMaster tries the master replicas in order until one accepts (a
-// standby returns ErrNotActive-equivalent text). Each replica is
+// standby refuses with ErrNotActive). Each replica is
 // called with retry so a lossy or flapping link doesn't masquerade as a
 // rejected request: resends reuse the request ID, and the master's RPC dedup
 // guarantees the operation executes at most once even if the first send got
@@ -128,7 +128,7 @@ func (c *masterCall) reply(res any, err error) {
 	switch {
 	case err == nil:
 		c.finish(res, nil)
-	case IsThrottled(err):
+	case errors.Is(err, ErrThrottled):
 		// The active master deliberately shed this request; retrying
 		// against standbys (who would just redirect) or re-sending is
 		// exactly the retry amplification overload protection exists
@@ -145,13 +145,6 @@ func (c *masterCall) finish(res any, err error) {
 	c.done(res, err)
 	c.method, c.args, c.i, c.done = "", nil, 0, nil
 	c.cl.calls = append(c.cl.calls, c)
-}
-
-// IsThrottled reports whether err is the Master's ErrThrottled rejection.
-// Errors cross the RPC boundary as re-wrapped strings, so this matches on
-// text rather than errors.Is.
-func IsThrottled(err error) bool {
-	return err != nil && strings.Contains(err.Error(), ErrThrottled.Error())
 }
 
 // Allocate requests size bytes of storage ("applying for new storage

@@ -150,7 +150,7 @@ func TestMasterThrottlesMetadataPastBurst(t *testing.T) {
 			case err == nil:
 				ok++
 				spaces = append(spaces, r.Space)
-			case IsThrottled(err):
+			case errors.Is(err, ErrThrottled):
 				throttled++
 			default:
 				t.Errorf("allocate: %v", err)
@@ -170,7 +170,7 @@ func TestMasterThrottlesMetadataPastBurst(t *testing.T) {
 			switch {
 			case err == nil:
 				ok++
-			case IsThrottled(err):
+			case errors.Is(err, ErrThrottled):
 				throttled++
 			default:
 				t.Errorf("lookup: %v", err)

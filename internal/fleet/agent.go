@@ -68,15 +68,8 @@ func (a *Agent) beat() {
 		Draining: sortedKeys(nil, a.draining),
 	}
 	target := a.replicas[a.believed]
-	a.rpc.Call(target, "Heartbeat", args, 128, rpcTimeout, func(res any, err error) {
-		if a.stopped {
-			return
-		}
-		if err != nil {
-			a.believed = (a.believed + 1) % len(a.replicas)
-			return
-		}
-		if rep, ok := res.(HeartbeatReply); ok && rep.NotLeader {
+	a.rpc.Call(target, "Heartbeat", args, 128, rpcTimeout, func(_ any, err error) {
+		if !a.stopped && (err == simnet.ErrTimeout || err == ErrNotLeader) {
 			a.believed = (a.believed + 1) % len(a.replicas)
 		}
 	})

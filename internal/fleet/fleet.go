@@ -375,8 +375,8 @@ func (f *Fleet) adminCall(shard int, method string, args any, attempts int, done
 
 // leaderCall is the control plane's one rotate-and-retry loop (adminCall
 // and ShardMaster.callShard both run it): call shard's believed-leader
-// replica, rotate the belief and retry on timeout or NotLeader, retry in
-// place on Busy. rpc, sched and believed belong to the caller's lane;
+// replica, rotate the belief and retry on timeout or ErrNotLeader, retry in
+// place on ErrBusy. rpc, sched and believed belong to the caller's lane;
 // replica names are static topology. A retry re-enters the caller through
 // again, so a check the caller makes per attempt (callShard's down test)
 // keeps running per attempt.
@@ -400,22 +400,19 @@ func (f *Fleet) leaderCall(rpc *simnet.RPCNode, sched *simtime.Scheduler, believ
 		}
 	}
 	rpc.Call(names[idx], method, args, 256, rpcTimeout, func(res any, err error) {
-		if err != nil {
+		switch err {
+		case nil:
+			done(res, nil)
+		case simnet.ErrTimeout:
 			rotate()
 			retry(err)
-			return
-		}
-		sr := res.(shardReplier).common()
-		switch {
-		case sr.OK:
-			done(res, nil)
-		case sr.NotLeader:
+		case ErrNotLeader:
 			rotate()
 			retry(fmt.Errorf("fleet: %s on shard %d: not leader", method, shard))
-		case sr.Busy:
+		case ErrBusy:
 			retry(fmt.Errorf("fleet: %s on shard %d: busy", method, shard))
 		default:
-			done(nil, fmt.Errorf("fleet: %s on shard %d: %s", method, shard, sr.Err))
+			done(nil, fmt.Errorf("fleet: %s on shard %d: %v", method, shard, err))
 		}
 	})
 }

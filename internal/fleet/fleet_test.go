@@ -509,7 +509,7 @@ func TestDrainedQueueReleasesOps(t *testing.T) {
 	vol := ""
 	for i, queued := 0, 0; queued < n; i++ {
 		vol = fmt.Sprintf("ghost-%d", i)
-		if !m.routeCheck(vol).OK {
+		if m.routeCheck(vol) != nil {
 			continue // another shard's slot
 		}
 		queued++

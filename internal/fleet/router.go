@@ -10,10 +10,10 @@ import (
 )
 
 // Router is the client-side shard resolver: it caches a ShardMap, hashes
-// volumes to slots, and calls the owning shard's believed leader. Replies
-// repair its state: NotLeader rotates the believed replica, Stale installs
-// the attached newer map and retries, Busy (a slot frozen mid-migration)
-// backs off and retries.
+// volumes to slots, and calls the owning shard's believed leader. Refusals
+// repair its state: ErrNotLeader rotates the believed replica, a StaleError
+// installs the attached newer map and retries, ErrBusy (a slot frozen
+// mid-migration) backs off and retries.
 type Router struct {
 	f    *Fleet
 	name string
@@ -89,7 +89,7 @@ func (r *Router) newOp(method, volume string, args any) *routerOp {
 	return op
 }
 
-// installMap adopts a newer map from a Stale reply.
+// installMap adopts a newer map from a StaleError.
 func (r *Router) installMap(m *ShardMap) {
 	if m != nil && m.Epoch > r.map_.Epoch {
 		r.map_ = m.Clone()
@@ -175,28 +175,28 @@ func (op *routerOp) rotate() {
 	op.r.cRotates.Inc()
 }
 
-// Reply handles one attempt's outcome.
+// Reply handles one attempt's outcome. A timeout matches by identity: only
+// the attempt's own deadline is one, and a shard's error that wraps a
+// timeout is the operation's failure.
 func (op *routerOp) Reply(res any, err error) {
-	var sr ShardReply
-	if err == nil {
-		sr = res.(shardReplier).common()
-	}
-	switch {
-	case err != nil && !errors.Is(err, simnet.ErrTimeout):
-		op.finish(nil, err)
-	case sr.OK:
+	switch err {
+	case nil:
 		op.finish(res, nil)
-	case err != nil || sr.NotLeader: // a timeout, or a follower
+	case simnet.ErrTimeout, ErrNotLeader: // no answer, or a follower's
 		op.rotate()
 		op.again(50 * time.Millisecond)
-	case sr.Stale:
-		op.r.cStale.Inc()
-		op.r.installMap(sr.Map)
-		op.again(0)
-	case sr.Busy:
+	case ErrBusy:
 		op.again(200 * time.Millisecond)
 	default:
-		op.finish(nil, fmt.Errorf("fleet: %s %s: %s", op.method, op.volume, sr.Err))
+		// A type assertion, not errors.As: its target would escape, one
+		// allocation per reply.
+		if st, ok := err.(*StaleError); ok {
+			op.r.cStale.Inc()
+			op.r.installMap(st.Map)
+			op.again(0)
+			return
+		}
+		op.finish(nil, fmt.Errorf("fleet: %s %s: %v", op.method, op.volume, err))
 	}
 }
 

@@ -131,8 +131,7 @@ func TestRouterOpOutlivesLateReply(t *testing.T) {
 			if d > rpcTimeout {
 				lateSent = f.Sched.Now()
 			}
-			reply.Reply(&LookupReply{ShardReply: ShardReply{OK: true},
-				Size: int64(len(vol)), Disks: []string{vol + "/d0"}}, nil)
+			reply.Reply(&LookupReply{Size: int64(len(vol)), Disks: []string{vol + "/d0"}}, nil)
 		})
 	})
 

@@ -55,7 +55,7 @@ type ShardMaster struct {
 
 	// map_ is this replica's installed shard map.
 	map_ *ShardMap
-	// frozen slots answer Busy until an InstallMap flips their ownership.
+	// frozen slots answer ErrBusy until an InstallMap flips their ownership.
 	frozen map[int]bool
 
 	// Leader soft state (rebuilt on election). Writes to vols go through
@@ -234,7 +234,7 @@ func (m *ShardMaster) becomeLeader() {
 	// drop committed records from leader soft state. Store applies are
 	// strictly slot-ordered and the done callback fires on LOCAL apply, so
 	// once our own proposal has applied, every command chosen before this
-	// election has too. Until then the replica answers NotLeader and
+	// election has too. Until then the replica answers ErrNotLeader and
 	// routers keep rotating.
 	m.store.Create("/vol", nil, "", nil)
 	m.store.Create("/exp", nil, "", func(error) {
@@ -388,9 +388,6 @@ func (m *ShardMaster) register() {
 		})
 	}
 	m.rpc.Register("Heartbeat", m.onHeartbeat)
-	m.rpc.Register("FetchMap", func(string, any) (any, error) {
-		return FetchMapReply{ShardReply{OK: true, Map: m.map_.Clone()}}, nil
-	})
 	m.rpc.RegisterAsync("FreezeSlot", m.onFreezeSlot)
 	m.rpc.Register("Handoff", m.onHandoff)
 	m.rpc.RegisterAsync("InstallSlot", m.onInstallSlot)
@@ -400,21 +397,24 @@ func (m *ShardMaster) register() {
 }
 
 // routeCheck validates that a volume op belongs here right now. It returns
-// a non-OK envelope to send back, or OK=true to proceed.
-func (m *ShardMaster) routeCheck(volume string) ShardReply {
+// the refusal to send back, or nil to proceed.
+func (m *ShardMaster) routeCheck(volume string) error {
 	if !m.leading {
-		return ShardReply{NotLeader: true}
+		return ErrNotLeader
 	}
 	slot := SlotOf(volume)
 	if m.map_.Slots[slot] != m.shard {
 		m.cStale.Inc()
-		return ShardReply{Stale: true, Map: m.map_.Clone()}
+		return m.stale()
 	}
 	if m.frozen[slot] {
-		return ShardReply{Busy: true}
+		return ErrBusy
 	}
-	return ShardReply{OK: true}
+	return nil
 }
+
+// stale refuses a call routed on an older map, with this replica's.
+func (m *ShardMaster) stale() error { return &StaleError{ErrStale, m.map_.Clone()} }
 
 // volumeOf extracts the volume ID from a serialized op's args.
 func volumeOf(args any) string {
@@ -429,21 +429,9 @@ func volumeOf(args any) string {
 	return ""
 }
 
-// envelope wraps a bare ShardReply in the op's concrete reply type.
-func envelope(method string, sr ShardReply) any {
-	switch method {
-	case "Allocate":
-		return AllocateReply{ShardReply: sr}
-	case "Lookup":
-		return &LookupReply{ShardReply: sr}
-	default:
-		return ReleaseReply{ShardReply: sr}
-	}
-}
-
 func (m *ShardMaster) enqueue(method string, args any, reply simnet.Replier) {
-	if sr := m.routeCheck(volumeOf(args)); !sr.OK {
-		reply.Reply(envelope(method, sr), nil)
+	if err := m.routeCheck(volumeOf(args)); err != nil {
+		reply.Reply(nil, err)
 		return
 	}
 	var op *shardOp
@@ -489,7 +477,7 @@ func (m *ShardMaster) pump() {
 // the guard out of the queue (a fired guard has already let go of it), so
 // no guard outlives its answer; the callback recycles the record after its
 // own call.
-func (m *ShardMaster) opDone(op *shardOp, result any) {
+func (m *ShardMaster) opDone(op *shardOp, result any, err error) {
 	reply := op.reply
 	if reply == nil {
 		return
@@ -502,7 +490,7 @@ func (m *ShardMaster) opDone(op *shardOp, result any) {
 	} else {
 		m.recycle(op)
 	}
-	reply.Reply(result, nil)
+	reply.Reply(result, err)
 	m.busy = false
 	m.pump()
 }
@@ -513,7 +501,7 @@ func (m *ShardMaster) recycle(op *shardOp) {
 	m.free = append(m.free, op)
 }
 
-// flushQueue answers every queued op NotLeader (lost leadership or crash;
+// flushQueue answers every queued op ErrNotLeader (lost leadership or crash;
 // crashed replicas' replies are dropped by the downed node anyway).
 func (m *ShardMaster) flushQueue() {
 	q := m.queue[m.qHead:]
@@ -521,15 +509,15 @@ func (m *ShardMaster) flushQueue() {
 	m.gQueue.Set(0)
 	m.busy = false
 	for _, op := range q {
-		m.opDone(op, envelope(op.method, ShardReply{NotLeader: true}))
+		m.opDone(op, nil, ErrNotLeader)
 	}
 }
 
 func (m *ShardMaster) exec(op *shardOp) {
 	m.cOps.Inc()
 	// Re-check routing: the map may have flipped while the op queued.
-	if sr := m.routeCheck(volumeOf(op.args)); !sr.OK {
-		m.opDone(op, envelope(op.method, sr))
+	if err := m.routeCheck(volumeOf(op.args)); err != nil {
+		m.opDone(op, nil, err)
 		return
 	}
 	switch a := op.args.(type) {
@@ -540,12 +528,12 @@ func (m *ShardMaster) exec(op *shardOp) {
 	case ReleaseArgs:
 		m.execRelease(op, a)
 	default:
-		m.opDone(op, envelope(op.method, ShardReply{Err: "bad args"}))
+		m.opDone(op, nil, errBadArgs)
 	}
 }
 
 // commitGuard schedules a liveness bound on an op awaiting a coord commit:
-// if the proposal is lost to a leadership change the client gets Busy
+// if the proposal is lost to a leadership change the client gets ErrBusy
 // instead of the service unit wedging forever.
 func (m *ShardMaster) commitGuard(op *shardOp) {
 	op.guarded = true
@@ -553,7 +541,7 @@ func (m *ShardMaster) commitGuard(op *shardOp) {
 }
 
 // guardTimer is an op's commit guard: it fires only while the op still
-// waits for its commit, and answers it Busy. The op is not recycled before
+// waits for its commit, and answers it ErrBusy. The op is not recycled before
 // its coord callback runs, which comes after opDone took the guard out of
 // the queue, so a live guard always holds its own op.
 type guardTimer shardOp
@@ -562,7 +550,7 @@ func (g *guardTimer) Fire() {
 	op := (*shardOp)(g)
 	op.guard.Release()
 	op.guard = nil
-	op.m.opDone(op, envelope(op.method, ShardReply{Busy: true}))
+	op.m.opDone(op, nil, ErrBusy)
 }
 
 // commitDone is a guarded op's coord callback (op.committed). It answers
@@ -582,13 +570,13 @@ func (op *shardOp) commitDone(err error) {
 				m.unplace(d, op.size)
 			}
 		}
-		m.opDone(op, AllocateReply{ShardReply: ShardReply{Err: err.Error()}})
+		m.opDone(op, nil, err)
 	case op.method == "Allocate":
-		m.opDone(op, AllocateReply{ShardReply{OK: true}, op.disks})
+		m.opDone(op, AllocateReply{op.disks}, nil)
 	case err != nil && !errors.Is(err, coord.ErrNotFound):
-		m.opDone(op, ReleaseReply{ShardReply{Err: err.Error()}})
+		m.opDone(op, nil, err)
 	default:
-		m.opDone(op, ReleaseReply{ShardReply{OK: true}})
+		m.opDone(op, nil, nil)
 	}
 	m.recycle(op)
 }
@@ -616,19 +604,18 @@ func (m *ShardMaster) execAllocate(op *shardOp, a AllocateArgs) {
 		// silently lost when paxos leadership moves away mid-flight (a
 		// forwarded proposal doesn't survive a partition); acknowledging
 		// from soft state alone would hand the client a volume no future
-		// rebuild will ever see. Busy until the replicated tree has it.
+		// rebuild will ever see. ErrBusy until the replicated tree has it.
 		if !m.store.Exists(volPath(a.Volume)) {
-			m.opDone(op, AllocateReply{ShardReply: ShardReply{Busy: true}})
+			m.opDone(op, nil, ErrBusy)
 			return
 		}
-		m.opDone(op, AllocateReply{ShardReply{OK: true}, rec.Disks})
+		m.opDone(op, AllocateReply{rec.Disks}, nil)
 		return
 	}
 	rows, _ := m.ix.Spread(m.spread[:0], replicas, a.Size, spreadLevel, nil)
 	m.spread = rows
 	if len(rows) < replicas {
-		m.opDone(op, AllocateReply{ShardReply: ShardReply{
-			Err: fmt.Sprintf("insufficient failure domains: placed %d/%d", len(rows), replicas)}})
+		m.opDone(op, nil, fmt.Errorf("insufficient failure domains: placed %d/%d", len(rows), replicas))
 		return
 	}
 	disks := make([]string, len(rows))
@@ -644,13 +631,10 @@ func (m *ShardMaster) execAllocate(op *shardOp, a AllocateArgs) {
 	m.store.Create(volPath(a.Volume), encodeVol(rec), "", op.committed)
 }
 
-// noSuchVolume answers every Lookup of a volume the shard does not hold.
-var noSuchVolume = &LookupReply{ShardReply: ShardReply{Err: "no such volume"}}
-
 func (m *ShardMaster) execLookup(op *shardOp, a LookupArgs) {
 	rec, ok := m.vols[a.Volume]
 	if !ok {
-		m.opDone(op, noSuchVolume)
+		m.opDone(op, nil, errNoVolume)
 		return
 	}
 	// Every Lookup of one record version shares one reply. Disks is never
@@ -658,11 +642,11 @@ func (m *ShardMaster) execLookup(op *shardOp, a LookupArgs) {
 	// record's Size and the very same Disks slice.
 	rep := rec.lookup
 	if rep == nil || rep.Size != rec.Size || !sameSlice(rep.Disks, rec.Disks) {
-		rep = &LookupReply{ShardReply: ShardReply{OK: true}, Size: rec.Size, Disks: rec.Disks}
+		rep = &LookupReply{Size: rec.Size, Disks: rec.Disks}
 		rec.lookup = rep
 		m.vols[a.Volume] = rec
 	}
-	m.opDone(op, rep)
+	m.opDone(op, rep, nil)
 }
 
 // sameSlice reports whether a and b are the same slice of one array.
@@ -679,10 +663,10 @@ func (m *ShardMaster) execRelease(op *shardOp, a ReleaseArgs) {
 		// and an OK here would let the client forget a volume the next
 		// rebuild resurrects.
 		if m.store.Exists(volPath(a.Volume)) {
-			m.opDone(op, ReleaseReply{ShardReply{Busy: true}})
+			m.opDone(op, nil, ErrBusy)
 			return
 		}
-		m.opDone(op, ReleaseReply{ShardReply{OK: true}})
+		m.opDone(op, nil, nil)
 		return
 	}
 	foreign := map[int][]string{}
@@ -740,10 +724,10 @@ func (m *ShardMaster) callShard(shard int, method string, args any, attempts int
 func (m *ShardMaster) onHeartbeat(_ string, args any) (any, error) {
 	a, ok := args.(HeartbeatArgs)
 	if !ok {
-		return HeartbeatReply{ShardReply{Err: "bad args"}}, nil
+		return nil, errBadArgs
 	}
 	if !m.leading {
-		return HeartbeatReply{ShardReply{NotLeader: true}}, nil
+		return nil, ErrNotLeader
 	}
 	if u, ok := m.unitNo[a.Unit]; ok {
 		m.unitSeen[u] = m.sched.Now()
@@ -759,7 +743,7 @@ func (m *ShardMaster) onHeartbeat(_ string, args any) (any, error) {
 			m.ix.SetDraining(r, true)
 		}
 	}
-	return HeartbeatReply{ShardReply{OK: true}}, nil
+	return nil, nil
 }
 
 // --- Slot migration ---
@@ -767,11 +751,11 @@ func (m *ShardMaster) onHeartbeat(_ string, args any) (any, error) {
 func (m *ShardMaster) onFreezeSlot(_ string, args any, reply *simnet.AsyncReply) {
 	a := args.(FreezeSlotArgs)
 	if !m.leading {
-		reply.Reply(FreezeSlotReply{ShardReply{NotLeader: true}}, nil)
+		reply.Reply(nil, ErrNotLeader)
 		return
 	}
 	if m.map_.Slots[a.Slot] != m.shard {
-		reply.Reply(FreezeSlotReply{ShardReply{Stale: true, Map: m.map_.Clone()}}, nil)
+		reply.Reply(nil, m.stale())
 		return
 	}
 	// The freeze must be durable before it is acknowledged: a leader that
@@ -781,10 +765,10 @@ func (m *ShardMaster) onFreezeSlot(_ string, args any, reply *simnet.AsyncReply)
 	m.frozen[a.Slot] = true
 	m.persistFrozen(func(err error) {
 		if err != nil {
-			reply.Reply(FreezeSlotReply{ShardReply{Busy: true}}, nil)
+			reply.Reply(nil, ErrBusy)
 			return
 		}
-		reply.Reply(FreezeSlotReply{ShardReply{OK: true}}, nil)
+		reply.Reply(nil, nil)
 	})
 }
 
@@ -811,10 +795,10 @@ func (m *ShardMaster) persistFrozen(done func(error)) {
 func (m *ShardMaster) onHandoff(_ string, args any) (any, error) {
 	a := args.(HandoffArgs)
 	if !m.leading {
-		return HandoffReply{ShardReply: ShardReply{NotLeader: true}}, nil
+		return nil, ErrNotLeader
 	}
 	if !m.frozen[a.Slot] {
-		return HandoffReply{ShardReply: ShardReply{Err: "slot not frozen"}}, nil
+		return nil, errors.New("slot not frozen")
 	}
 	out := map[string]VolRecord{}
 	for id, rec := range m.vols {
@@ -822,13 +806,13 @@ func (m *ShardMaster) onHandoff(_ string, args any) (any, error) {
 			out[id] = rec.clone()
 		}
 	}
-	return HandoffReply{ShardReply{OK: true}, out}, nil
+	return HandoffReply{out}, nil
 }
 
 func (m *ShardMaster) onInstallSlot(_ string, args any, reply *simnet.AsyncReply) {
 	a := args.(InstallSlotArgs)
 	if !m.leading {
-		reply.Reply(InstallSlotReply{ShardReply{NotLeader: true}}, nil)
+		reply.Reply(nil, ErrNotLeader)
 		return
 	}
 	ids := make([]string, 0, len(a.Vols))
@@ -838,12 +822,12 @@ func (m *ShardMaster) onInstallSlot(_ string, args any, reply *simnet.AsyncReply
 	sort.Strings(ids)
 	remaining := len(ids)
 	if remaining == 0 {
-		reply.Reply(InstallSlotReply{ShardReply{OK: true}}, nil)
+		reply.Reply(nil, nil)
 		return
 	}
 	// A commit that fails (leadership lost mid-install) must not be
 	// acknowledged: the source would DropSlot and the records would be
-	// durably lost. Reply Busy so the admin retry loop re-drives the
+	// durably lost. Reply ErrBusy so the admin retry loop re-drives the
 	// install (re-Creates of already-committed records return ErrExists).
 	failed := false
 	for _, id := range ids {
@@ -863,10 +847,10 @@ func (m *ShardMaster) onInstallSlot(_ string, args any, reply *simnet.AsyncReply
 			remaining--
 			if remaining == 0 {
 				if failed {
-					reply.Reply(InstallSlotReply{ShardReply{Busy: true}}, nil)
+					reply.Reply(nil, ErrBusy)
 					return
 				}
-				reply.Reply(InstallSlotReply{ShardReply{OK: true}}, nil)
+				reply.Reply(nil, nil)
 			}
 		})
 	}
@@ -875,7 +859,7 @@ func (m *ShardMaster) onInstallSlot(_ string, args any, reply *simnet.AsyncReply
 func (m *ShardMaster) onDropSlot(_ string, args any, reply *simnet.AsyncReply) {
 	a := args.(DropSlotArgs)
 	if !m.leading {
-		reply.Reply(DropSlotReply{ShardReply{NotLeader: true}}, nil)
+		reply.Reply(nil, ErrNotLeader)
 		return
 	}
 	var ids []string
@@ -887,11 +871,11 @@ func (m *ShardMaster) onDropSlot(_ string, args any, reply *simnet.AsyncReply) {
 	sort.Strings(ids)
 	remaining := len(ids)
 	if remaining == 0 {
-		reply.Reply(DropSlotReply{ShardReply{OK: true}}, nil)
+		reply.Reply(nil, nil)
 		return
 	}
 	// The in-memory vols -> exports move is applied per record only after
-	// both its commits land, and a failed commit replies Busy: acknowledging
+	// both its commits land, and a failed commit replies ErrBusy: acknowledging
 	// an uncommitted drop would let the epoch bump while the replicated tree
 	// still holds (or has lost) the records, and mutating m.vols first would
 	// make the admin's retry find an empty slot and no-op.
@@ -919,10 +903,10 @@ func (m *ShardMaster) onDropSlot(_ string, args any, reply *simnet.AsyncReply) {
 			remaining--
 			if remaining == 0 {
 				if failed {
-					reply.Reply(DropSlotReply{ShardReply{Busy: true}}, nil)
+					reply.Reply(nil, ErrBusy)
 					return
 				}
-				reply.Reply(DropSlotReply{ShardReply{OK: true}}, nil)
+				reply.Reply(nil, nil)
 			}
 		}
 		m.store.Create(expPath(id), encodeVol(rec), "", func(err error) { createErr = err; step() })
@@ -933,7 +917,7 @@ func (m *ShardMaster) onDropSlot(_ string, args any, reply *simnet.AsyncReply) {
 func (m *ShardMaster) onInstallMap(_ string, args any, reply *simnet.AsyncReply) {
 	a := args.(InstallMapArgs)
 	if a.Map == nil {
-		reply.Reply(InstallMapReply{ShardReply{Err: "nil map"}}, nil)
+		reply.Reply(nil, errors.New("nil map"))
 		return
 	}
 	if a.Map.Epoch > m.map_.Epoch {
@@ -959,7 +943,7 @@ func (m *ShardMaster) onInstallMap(_ string, args any, reply *simnet.AsyncReply)
 		// from a follower would let the broadcast succeed while the actual
 		// leader keeps routing on the old epoch — exactly the stale-leader
 		// hole a healed partition opens. Rotate the caller onward.
-		reply.Reply(InstallMapReply{ShardReply{NotLeader: true}}, nil)
+		reply.Reply(nil, ErrNotLeader)
 		return
 	}
 	// Persist whenever the durable copy is behind the installed epoch — not
@@ -973,16 +957,16 @@ func (m *ShardMaster) onInstallMap(_ string, args any, reply *simnet.AsyncReply)
 		}
 	}
 	if stored >= m.map_.Epoch {
-		reply.Reply(InstallMapReply{ShardReply{OK: true}}, nil) // already durable
+		reply.Reply(nil, nil) // already durable
 		return
 	}
 	data := encodeMap(m.map_)
 	finish := func(err error) {
 		if err != nil && !errors.Is(err, coord.ErrExists) {
-			reply.Reply(InstallMapReply{ShardReply{Busy: true}}, nil)
+			reply.Reply(nil, ErrBusy)
 			return
 		}
-		reply.Reply(InstallMapReply{ShardReply{OK: true}}, nil)
+		reply.Reply(nil, nil)
 	}
 	if m.store.Exists("/map") {
 		m.store.Set("/map", data, finish)
@@ -994,12 +978,12 @@ func (m *ShardMaster) onInstallMap(_ string, args any, reply *simnet.AsyncReply)
 func (m *ShardMaster) onFreeForeign(_ string, args any, reply *simnet.AsyncReply) {
 	a := args.(FreeForeignArgs)
 	if !m.leading {
-		reply.Reply(FreeForeignReply{ShardReply{NotLeader: true}}, nil)
+		reply.Reply(nil, ErrNotLeader)
 		return
 	}
 	rec, ok := m.exports[a.Volume]
 	if !ok {
-		reply.Reply(FreeForeignReply{ShardReply{OK: true}}, nil) // idempotent
+		reply.Reply(nil, nil) // idempotent
 		return
 	}
 	freed := map[string]bool{}
@@ -1018,13 +1002,13 @@ func (m *ShardMaster) onFreeForeign(_ string, args any, reply *simnet.AsyncReply
 		rec.Disks = remaining
 		m.exports[a.Volume] = rec
 		m.store.Set(expPath(a.Volume), encodeVol(rec), func(error) {
-			reply.Reply(FreeForeignReply{ShardReply{OK: true}}, nil)
+			reply.Reply(nil, nil)
 		})
 		return
 	}
 	delete(m.exports, a.Volume)
 	m.store.Delete(expPath(a.Volume), func(error) {
-		reply.Reply(FreeForeignReply{ShardReply{OK: true}}, nil)
+		reply.Reply(nil, nil)
 	})
 }
 

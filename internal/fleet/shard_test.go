@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// TestCommitGuardAnswersOnce: an Allocate whose commit guard answers Busy
+// TestCommitGuardAnswersOnce: an Allocate whose commit guard answers ErrBusy
 // before its coord commit lands gets exactly one reply, and the late commit
 // answers no other client. The leader's two followers crash while the
 // allocate waits for its commit, so the guard fires first. A second
@@ -25,16 +25,21 @@ func TestCommitGuardAnswersOnce(t *testing.T) {
 	}
 	var vols []string
 	for i := 0; len(vols) < 2; i++ {
-		if v := fmt.Sprintf("guarded-%d", i); m.routeCheck(v).OK {
+		if v := fmt.Sprintf("guarded-%d", i); m.routeCheck(v) == nil {
 			vols = append(vols, v)
 		}
 	}
-	replies := make([][]any, len(vols))
+	replies := make([][]error, len(vols))
+	var answered AllocateReply // the last OK's
 	allocate := func(i int) {
 		m.enqueue("Allocate", AllocateArgs{Volume: vols[i], Size: volSize, Service: "svc"},
 			replyFn(func(res any, err error) {
-				replies[i] = append(replies[i], res)
-				if res.(AllocateReply).OK && !m.store.Exists(volPath(vols[i])) {
+				replies[i] = append(replies[i], err)
+				if err != nil {
+					return
+				}
+				answered = res.(AllocateReply)
+				if !m.store.Exists(volPath(vols[i])) {
 					t.Errorf("%s was answered OK before its own commit landed", vols[i])
 				}
 			}))
@@ -46,8 +51,8 @@ func TestCommitGuardAnswersOnce(t *testing.T) {
 		}
 	}
 	f.Settle(4*electionTTL + time.Second)
-	if len(replies[0]) != 1 || !replies[0][0].(AllocateReply).Busy {
-		t.Fatalf("before the commit landed: replies %+v, want one Busy", replies[0])
+	if len(replies[0]) != 1 || replies[0][0] != ErrBusy {
+		t.Fatalf("before the commit landed: replies %v, want one ErrBusy", replies[0])
 	}
 	allocate(1)
 	f.Settle(time.Second)
@@ -68,9 +73,8 @@ func TestCommitGuardAnswersOnce(t *testing.T) {
 	}
 	// Both volumes may sit on the same disks, but an allocate's reply shares
 	// its own record's Disks slice, so the slice tells whose commit answered.
-	rep := replies[1][0].(AllocateReply)
-	if !rep.OK || !sameSlice(rep.Disks, m.vols[vols[1]].Disks) {
-		t.Fatalf("%s answered %+v, not with its own record's disks", vols[1], rep)
+	if replies[1][0] != nil || !sameSlice(answered.Disks, m.vols[vols[1]].Disks) {
+		t.Fatalf("%s answered %v %+v, not with its own record's disks", vols[1], replies[1][0], answered)
 	}
 	for i, op := range m.free {
 		if slices.Contains(m.free[:i], op) {
@@ -168,7 +172,7 @@ func TestLookupReplyFresh(t *testing.T) {
 // The first allocate commits at once and its record goes back to the free
 // list; 20 s later a second allocate takes that record, and the leader's two
 // followers crash, so its commit waits. Only its own guard, 4*electionTTL
-// after it was armed, answers it Busy.
+// after it was armed, answers it ErrBusy.
 func TestStaleGuardSparesReusedOp(t *testing.T) {
 	f := boot(t, testConfig())
 	const k = 0
@@ -176,19 +180,19 @@ func TestStaleGuardSparesReusedOp(t *testing.T) {
 	m := f.Shards[k][lead]
 	var vols []string
 	for i := 0; len(vols) < 2; i++ {
-		if v := fmt.Sprintf("reused-%d", i); m.routeCheck(v).OK {
+		if v := fmt.Sprintf("reused-%d", i); m.routeCheck(v) == nil {
 			vols = append(vols, v)
 		}
 	}
-	replies := make([][]any, len(vols))
+	replies := make([][]error, len(vols))
 	allocate := func(i int) {
 		m.enqueue("Allocate", AllocateArgs{Volume: vols[i], Size: volSize, Service: "svc"},
-			replyFn(func(res any, err error) { replies[i] = append(replies[i], res) }))
+			replyFn(func(_ any, err error) { replies[i] = append(replies[i], err) }))
 	}
 	allocate(0)
 	f.Settle(time.Second)
-	if len(replies[0]) != 1 || !replies[0][0].(AllocateReply).OK {
-		t.Fatalf("%s: replies %+v, want one OK", vols[0], replies[0])
+	if len(replies[0]) != 1 || replies[0][0] != nil {
+		t.Fatalf("%s: replies %v, want one OK", vols[0], replies[0])
 	}
 	if len(m.free) != 1 {
 		t.Fatalf("%d op records on the free list, want the first allocate's alone", len(m.free))
@@ -205,11 +209,11 @@ func TestStaleGuardSparesReusedOp(t *testing.T) {
 	}
 	f.Settle(4*electionTTL - time.Second)
 	if len(replies[1]) != 0 {
-		t.Fatalf("%s was answered %+v before its own guard fired", vols[1], replies[1])
+		t.Fatalf("%s was answered %v before its own guard fired", vols[1], replies[1])
 	}
 	f.Settle(2 * time.Second)
-	if len(replies[1]) != 1 || !replies[1][0].(AllocateReply).Busy {
-		t.Fatalf("%s: replies %+v after its guard, want one Busy", vols[1], replies[1])
+	if len(replies[1]) != 1 || replies[1][0] != ErrBusy {
+		t.Fatalf("%s: replies %v after its guard, want one ErrBusy", vols[1], replies[1])
 	}
 }
 

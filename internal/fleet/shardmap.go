@@ -18,7 +18,8 @@ func SlotOf(volumeID string) int {
 
 // ShardMap is the routing table clients cache: which metadata shard owns
 // each volume hash slot, and where each shard's replicas run. Epoch bumps
-// on every slot move; a shard replying Stale attaches its newer map.
+// on every slot move; a shard refusing a call as stale attaches its newer
+// map (StaleError).
 type ShardMap struct {
 	// Epoch is the map version; higher wins.
 	Epoch int64

@@ -1,31 +1,34 @@
 package fleet
 
-// Wire types for the shard metadata protocol. Every reply embeds ShardReply
-// so routers can handle leadership and routing outcomes uniformly.
+import "errors"
 
-// ShardReply is the routing envelope on every shard response.
-type ShardReply struct {
-	// OK reports the operation was accepted and executed.
-	OK bool
-	// NotLeader means this replica does not lead the shard group; the
-	// caller should rotate to another replica.
-	NotLeader bool
-	// Stale means the caller's map routed the volume to the wrong shard;
-	// Map carries the replier's (newer) installed map.
-	Stale bool
-	// Busy means the volume's slot is frozen for migration; retry shortly.
-	Busy bool
-	// Err is a terminal operation error ("" if none).
-	Err string
-	// Map is attached to Stale replies (and FetchMap) so one round trip
-	// repairs the caller's cache.
-	Map *ShardMap
+// Wire types for the shard metadata protocol. A shard answers a call with
+// its result and a nil error, or with no result and an error: one of the
+// refusals below, which callers handle the same for every method, or the
+// operation's own failure. ErrNotLeader and ErrBusy are returned bare, so
+// callers compare them with ==.
+
+var (
+	// ErrNotLeader refuses a call at a replica that does not lead the
+	// shard group; the caller rotates to another replica.
+	ErrNotLeader = errors.New("fleet: not leader")
+	// ErrBusy refuses a call for now: the volume's slot is frozen for
+	// migration, or a commit did not land; retry shortly.
+	ErrBusy = errors.New("fleet: busy")
+	// ErrStale is the error every StaleError embeds: errors.Is finds one.
+	ErrStale = errors.New("fleet: stale shard map")
+
+	errBadArgs  = errors.New("bad args")
+	errNoVolume = errors.New("no such volume")
+)
+
+// StaleError refuses a call the caller's map routed to the wrong shard. Map
+// is the replier's newer installed map, so one round trip repairs the
+// caller's cache.
+type StaleError struct {
+	error // ErrStale
+	Map   *ShardMap
 }
-
-// common lets routers extract the envelope from any concrete reply.
-func (r ShardReply) common() ShardReply { return r }
-
-type shardReplier interface{ common() ShardReply }
 
 // VolRecord is a volume's replicated metadata: its size, owning service,
 // and the disks holding its fragments. Disks is never written in place (repair
@@ -55,10 +58,7 @@ type AllocateArgs struct {
 }
 
 // AllocateReply returns the chosen fragment disks.
-type AllocateReply struct {
-	ShardReply
-	Disks []string
-}
+type AllocateReply struct{ Disks []string }
 
 // LookupArgs resolves a volume's fragment locations.
 type LookupArgs struct{ Volume string }
@@ -66,16 +66,12 @@ type LookupArgs struct{ Volume string }
 // LookupReply carries the volume record. The shard sends a *LookupReply,
 // which it may share with other Lookups of the same record: read-only.
 type LookupReply struct {
-	ShardReply
 	Size  int64
 	Disks []string
 }
 
 // ReleaseArgs frees a volume.
 type ReleaseArgs struct{ Volume string }
-
-// ReleaseReply acknowledges the free.
-type ReleaseReply struct{ ShardReply }
 
 // HeartbeatArgs is a unit agent's periodic report to its owning shard. The
 // Dead and Draining lists are cumulative, so a freshly elected leader
@@ -87,30 +83,15 @@ type HeartbeatArgs struct {
 	Draining []string
 }
 
-// HeartbeatReply acknowledges a heartbeat.
-type HeartbeatReply struct{ ShardReply }
-
-// FetchMapArgs asks any replica for its installed shard map.
-type FetchMapArgs struct{}
-
-// FetchMapReply carries the map.
-type FetchMapReply struct{ ShardReply }
-
-// FreezeSlotArgs fences a slot for migration: volume ops on it answer Busy
-// until the epoch flips.
+// FreezeSlotArgs fences a slot for migration: volume ops on it answer
+// ErrBusy until the epoch flips.
 type FreezeSlotArgs struct{ Slot int }
-
-// FreezeSlotReply acknowledges the fence.
-type FreezeSlotReply struct{ ShardReply }
 
 // HandoffArgs asks the source leader for a frozen slot's volume records.
 type HandoffArgs struct{ Slot int }
 
 // HandoffReply carries the records to install on the destination.
-type HandoffReply struct {
-	ShardReply
-	Vols map[string]VolRecord
-}
+type HandoffReply struct{ Vols map[string]VolRecord }
 
 // InstallSlotArgs persists a migrated slot's records on the destination.
 type InstallSlotArgs struct {
@@ -118,22 +99,13 @@ type InstallSlotArgs struct {
 	Vols map[string]VolRecord
 }
 
-// InstallSlotReply acknowledges after the records are committed.
-type InstallSlotReply struct{ ShardReply }
-
 // DropSlotArgs retires a migrated slot on the source: records move to the
 // export ledger (their fragments still occupy source disks until the new
 // owner migrates them home).
 type DropSlotArgs struct{ Slot int }
 
-// DropSlotReply acknowledges after the ledger is committed.
-type DropSlotReply struct{ ShardReply }
-
 // InstallMapArgs broadcasts a new map epoch to shard leaders.
 type InstallMapArgs struct{ Map *ShardMap }
-
-// InstallMapReply acknowledges the install.
-type InstallMapReply struct{ ShardReply }
 
 // FreeForeignArgs tells the shard whose disks still hold an exported
 // volume's fragments that those bytes are free (the new owner re-placed
@@ -142,6 +114,3 @@ type FreeForeignArgs struct {
 	Volume string
 	Disks  []string
 }
-
-// FreeForeignReply acknowledges after the export ledger entry is deleted.
-type FreeForeignReply struct{ ShardReply }

@@ -10,8 +10,8 @@
 //
 // The implementation is single-threaded on the simulation scheduler: all
 // handlers run as scheduler events, so the protocol state needs no locks
-// and every run is deterministic. (The free lists of hot wire records take
-// one: a receiver on another engine partition gives records back.) Safety
+// and every run is deterministic. That holds for the free lists of hot wire
+// records too, which receivers on other lanes give records back to. Safety
 // holds under message loss, duplication, reordering (simnet delivers with
 // per-link latency), and partitions; tests assert the canonical invariants
 // (one value chosen per slot, identical applied prefixes).
@@ -177,9 +177,9 @@ func (w *wire[T]) Release() {
 var wirePoison func(msg any)
 
 // wireList is one node's free list of one kind of wire record. The records
-// come back from whichever node received them, on whatever engine partition
-// that node lives; the engine runs every partition on one goroutine, so the
-// list needs no lock.
+// come back from whichever node received them, on whatever lane of the
+// fabric it lives; every lane runs on the one scheduler, so the list is a
+// plain slice.
 type wireList[T any] struct {
 	free []*wire[T]
 	made int // records the list allocated: all are free when none is in flight

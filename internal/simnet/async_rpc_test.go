@@ -2,9 +2,11 @@ package simnet
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
+	"ustore/internal/obs"
 	"ustore/internal/simtime"
 )
 
@@ -102,5 +104,58 @@ func TestAsyncTakesPrecedenceOverSync(t *testing.T) {
 	s.Run()
 	if got != "async" {
 		t.Fatalf("got %v, want the async handler to win", got)
+	}
+}
+
+// TestRemoteErrorIsHandlersValue: a caller gets the very error value its
+// handler returned, whether a sync handler returned it, an async one
+// replied with it later, or the dedup cache answered a duplicate with it.
+// An async handler's error that wraps ErrTimeout stays a remote error: the
+// call's own timeout counter does not move.
+func TestRemoteErrorIsHandlersValue(t *testing.T) {
+	s := simtime.NewScheduler(1)
+	n := New(s)
+	rec := obs.NewRecorder()
+	n.SetRecorder(rec)
+	srv := NewRPCNode(n, "srv")
+	cli := NewRPCNode(n, "cli")
+	ownMachines(n, "srv", "cli")
+	wrapped := fmt.Errorf("lease store: %w", ErrTimeout)
+	srv.Register("sync", func(string, any) (any, error) { return nil, errRefused })
+	srv.RegisterAsync("async", func(_ string, _ any, reply *AsyncReply) {
+		s.FireAfter(time.Millisecond, func() { reply.Reply(nil, wrapped) })
+	})
+	for _, c := range []struct {
+		method string
+		want   error
+	}{{"sync", errRefused}, {"async", wrapped}} {
+		var got error
+		cli.Call("srv", c.method, nil, 0, time.Second, func(_ any, err error) { got = err })
+		s.Run()
+		if got != c.want {
+			t.Errorf("%s handler's error arrived as %#v, want its own value %#v", c.method, got, c.want)
+		}
+	}
+	if got := rec.Registry().Counter("simnet", "rpc_timeouts_total", obs.L("method", "async")).Value(); got != 0 {
+		t.Errorf("rpc_timeouts_total = %d after a handler's wrapped timeout, want 0", got)
+	}
+
+	// A raw caller sends one request ID twice: the second is answered from
+	// the dedup cache, with the same value.
+	raw := n.Node("raw")
+	ownMachines(n, "raw")
+	var replies []any
+	raw.Handle(func(m Message) {
+		if m.rpc.kind != kindError {
+			t.Fatalf("raw caller got a %d message, want an error reply", m.rpc.kind)
+		}
+		replies = append(replies, m.Payload)
+	})
+	for range 2 {
+		n.send(raw, Message{From: raw.addr, To: srv.node.addr, rpc: rpcHeader{kind: kindRequest, id: 1, text: "sync"}})
+		s.Run()
+	}
+	if len(replies) != 2 || replies[0] != errRefused || replies[1] != errRefused {
+		t.Fatalf("a request and its duplicate were answered %v, want errRefused twice", replies)
 	}
 }

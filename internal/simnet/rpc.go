@@ -16,26 +16,28 @@ import (
 var ErrTimeout = errors.New("simnet: rpc timeout")
 
 // rpcHeader is the RPC envelope. It travels by value in Message, so a
-// request or reply boxes nothing beyond its payload (args or result).
+// request or reply boxes nothing beyond its payload: args, a result, or
+// the handler's error.
 type rpcHeader struct {
-	kind uint8 // 0 for a raw message, else kindRequest or kindReply
+	kind uint8 // 0 for a raw message, else kindRequest, kindReply or kindError
 	id   uint64
-	text string // a request's method, or a reply's remote error ("" for success)
+	text string // a request's method
 }
 
 const (
 	kindRequest uint8 = 1 + iota
-	kindReply
+	kindReply         // the payload is the result
+	kindError         // the payload is the handler's error
 )
 
 // rpcReply is a served request's outcome, cached for duplicates.
 type rpcReply struct {
 	Result any
-	Err    string
+	Err    error
 }
 
-// RPCHandler serves one method. Returning a non-nil error sends the error
-// string to the caller instead of a result.
+// RPCHandler serves one method. Returning a non-nil error sends that error
+// value to the caller instead of a result.
 type RPCHandler func(from string, args any) (any, error)
 
 // RPCAsyncHandler serves one method whose reply is produced later (e.g.
@@ -245,7 +247,7 @@ func (r *RPCNode) instrumentCall(to, method string, done Replier) Replier {
 	return replyFunc(func(result any, err error) {
 		status := "ok"
 		switch {
-		case errors.Is(err, ErrTimeout):
+		case err == ErrTimeout: // this call's own; a handler's wrapped timeout is a remote error
 			status = "timeout"
 			mm.timeouts.Inc()
 		case err != nil:
@@ -461,16 +463,18 @@ func (r *RPCNode) remember(c int32, id uint64, rep rpcReply) {
 
 // answer caches a served request's outcome for duplicates and sends it.
 func (r *RPCNode) answer(c int32, id uint64, result any, err error) {
-	rep := rpcReply{Result: result}
-	if err != nil {
-		rep.Err = err.Error()
-	}
+	rep := rpcReply{Result: result, Err: err}
 	r.remember(c, id, rep)
 	r.reply(r.callers[c].addr, id, rep)
 }
 
+// reply sends an outcome: the result, or the error in the payload slot.
 func (r *RPCNode) reply(to Addr, id uint64, rep rpcReply) {
-	r.send(to, rep.Result, 0, rpcHeader{kind: kindReply, id: id, text: rep.Err})
+	kind, payload := kindReply, rep.Result
+	if rep.Err != nil {
+		kind, payload = kindError, rep.Err
+	}
+	r.send(to, payload, 0, rpcHeader{kind: kind, id: id})
 }
 
 func (r *RPCNode) dispatch(msg Message) {
@@ -498,17 +502,15 @@ func (r *RPCNode) dispatch(msg Message) {
 			result, err := m.sync(r.net.Name(msg.From), msg.Payload)
 			r.answer(c, h.id, result, err)
 		default:
-			r.reply(msg.From, h.id, rpcReply{Err: "unknown method " + h.text})
+			r.reply(msg.From, h.id, rpcReply{Err: errors.New("unknown method " + h.text)})
 		}
 	case kindReply:
-		pc, ok := r.pending[h.id]
-		if !ok {
-			return // late reply after timeout; drop
-		}
-		if h.text != "" {
-			r.complete(pc, nil, errors.New(h.text))
-		} else {
+		if pc, ok := r.pending[h.id]; ok { // else a late reply after timeout; drop
 			r.complete(pc, msg.Payload, nil)
+		}
+	case kindError:
+		if pc, ok := r.pending[h.id]; ok {
+			r.complete(pc, nil, msg.Payload.(error))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -40,6 +41,36 @@ func TestRPCRoundTripAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, trip); got > 0 {
 		t.Fatalf("RPC round trip allocates %.0f objects, want 0", got)
+	}
+}
+
+// errRefused is a handler's sentinel refusal, like a standby master's.
+var errRefused = errors.New("refused")
+
+// TestRPCErrorReplyAllocs: a warm call that a handler refuses with a
+// sentinel error allocates nothing either. The error value rides in the
+// reply's payload slot, so the caller gets it without rebuilding it.
+func TestRPCErrorReplyAllocs(t *testing.T) {
+	s := simtime.NewScheduler(1)
+	n := New(s)
+	srv := NewRPCNode(n, "srv")
+	cli := NewRPCNode(n, "cli")
+	ownMachines(n, "srv", "cli")
+	srv.Register("refuse", func(string, any) (any, error) { return nil, errRefused })
+	done := func(_ any, err error) {
+		if err == nil {
+			t.Fatal("a refused call succeeded")
+		}
+	}
+	trip := func() {
+		cli.Call("srv", "refuse", nil, 0, time.Second, done)
+		s.Run()
+	}
+	for i := 0; i < 64; i++ {
+		trip()
+	}
+	if got := testing.AllocsPerRun(200, trip); got > 0 {
+		t.Fatalf("refused RPC round trip allocates %.0f objects, want 0", got)
 	}
 }
 

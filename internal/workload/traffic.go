@@ -719,7 +719,7 @@ func errOutcome(err error) string {
 	switch {
 	case err == nil:
 		return OutcomeOK
-	case core.IsThrottled(err):
+	case errors.Is(err, core.ErrThrottled):
 		return OutcomeThrottled
 	default:
 		return OutcomeError

@@ -200,7 +200,7 @@ var mutants = []mutant{
 		name: "guard-left-armed", smoke: true, file: "internal/fleet/shard.go",
 		old: "\t\top.guard.Cancel()\n", new: "",
 		cmd:  "go test ./internal/fleet -run ^TestStaleGuardSparesReusedOp$",
-		want: []string{`--- FAIL: TestStaleGuardSparesReusedOp`, `reused-\d+ was answered \[.*Busy:true.*\] before its own guard fired`},
+		want: []string{`--- FAIL: TestStaleGuardSparesReusedOp`, `reused-\d+ was answered \[fleet: busy\] before its own guard fired`},
 	},
 	{
 		// A chosen slot takes its Phase 2 timer out of the queue.
@@ -265,7 +265,7 @@ var mutants = []mutant{
 	{
 		// A reply goes to the requester's address.
 		name: "reply-to-own-addr", file: "internal/simnet/rpc.go",
-		old: "\tr.send(to, rep.Result,", new: "\tr.send(r.node.addr, rep.Result,",
+		old: "\tr.send(to, payload,", new: "\tr.send(r.node.addr, payload,",
 		cmd:  "go test ./internal/simnet -run ^(TestRPCBasic|TestAsyncRPCRepliesLater)$",
 		want: []string{`--- FAIL: TestRPCBasic`, `result=<nil> err=simnet: rpc timeout`, `--- FAIL: TestAsyncRPCRepliesLater`},
 	},
@@ -294,6 +294,14 @@ var mutants = []mutant{
 		old: "\t\trec.inflight = slices.Delete(rec.inflight, i, i+1)\n", new: "",
 		cmd:  "go test ./internal/simnet -run ^TestDedupAsyncDuplicateAbsorbed$",
 		want: []string{`--- FAIL: TestDedupAsyncDuplicateAbsorbed`, `duplicate after the prune: replies \[\], want one to request 1 from run 1025`},
+	},
+	{
+		// Only a call's own deadline counts as its timeout: a handler's
+		// error that wraps ErrTimeout is a remote error.
+		name: "remote-timeout-counted", file: "internal/simnet/rpc.go",
+		old: "\t\tcase err == ErrTimeout:", new: "\t\tcase errors.Is(err, ErrTimeout):",
+		cmd:  "go test ./internal/simnet -run ^TestRemoteErrorIsHandlersValue$",
+		want: []string{`--- FAIL: TestRemoteErrorIsHandlersValue`, `rpc_timeouts_total = 1 after a handler's wrapped timeout, want 0`},
 	},
 	{
 		// A client IO counts its pending remount as a reference, or the
