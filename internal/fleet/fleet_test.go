@@ -491,9 +491,9 @@ func (f replyFn) Reply(res any, err error) { f(res, err) }
 // through the queue's backing array (the leak Disk.pump had): after the
 // leader drains 64 queued lookups whose reply closures each pin 1 MiB,
 // the heap is back where it started. And a queue that drains between ops
-// keeps its array: a served lookup allocates only the test's boxed args,
-// not an op (recycled), a reply (one "no such volume" value), a new queue
-// array or a service-time closure and event.
+// keeps its array: a served lookup allocates nothing, not an op
+// (recycled), a reply (one "no such volume" value), its args (copied into
+// the op), a new queue array or a service-time closure and event.
 func TestDrainedQueueReleasesOps(t *testing.T) {
 	f := boot(t, testConfig())
 	m := f.Leader(0)
@@ -514,7 +514,7 @@ func TestDrainedQueueReleasesOps(t *testing.T) {
 		}
 		queued++
 		payload := make([]byte, size)
-		m.enqueue("Lookup", LookupArgs{Volume: vol}, replyFn(func(any, error) { done += len(payload) / size }))
+		m.enqueue("Lookup", &VolumeArgs{Volume: vol}, replyFn(func(any, error) { done += len(payload) / size }))
 	}
 	f.Settle(10 * time.Second)
 	if done != n {
@@ -529,12 +529,12 @@ func TestDrainedQueueReleasesOps(t *testing.T) {
 	served := 0
 	count := replyFn(func(any, error) { served++ })
 	serve := func() {
-		m.enqueue("Lookup", LookupArgs{Volume: vol}, count)
+		m.enqueue("Lookup", &VolumeArgs{Volume: vol}, count)
 		f.Settle(opServiceTime)
 	}
 	serve()
-	if got := testing.AllocsPerRun(100, serve); got > 1 {
-		t.Fatalf("a served lookup allocates %.1f objects, want <= 1", got)
+	if got := testing.AllocsPerRun(100, serve); got != 0 {
+		t.Fatalf("a served lookup allocates %.1f objects, want 0", got)
 	}
 	if served != 102 {
 		t.Fatalf("served %d of 102 lookups", served)

@@ -24,6 +24,8 @@ type Router struct {
 	believed []int
 	// free holds finished operation records (see routerOp.finish).
 	free []*routerOp
+	// reqs holds the request records no attempt has in flight.
+	reqs requests[VolumeArgs]
 
 	cStale   *obs.Counter
 	cRotates *obs.Counter
@@ -58,34 +60,34 @@ func newRouter(f *Fleet, name string) *Router {
 
 // Allocate places a volume through the owning shard; done's disks are read-only.
 func (r *Router) Allocate(volume string, size int64, service string, done func(disks []string, err error)) {
-	op := r.newOp("Allocate", volume, AllocateArgs{Volume: volume, Size: size, Service: service})
+	op := r.newOp("Allocate", VolumeArgs{Volume: volume, Size: size, Service: service})
 	op.alloc = done
 	op.Fire()
 }
 
 // Lookup resolves a volume's fragment disks, which are read-only.
 func (r *Router) Lookup(volume string, done func(disks []string, size int64, err error)) {
-	op := r.newOp("Lookup", volume, LookupArgs{Volume: volume})
+	op := r.newOp("Lookup", VolumeArgs{Volume: volume})
 	op.lookup = done
 	op.Fire()
 }
 
 // Release frees a volume.
 func (r *Router) Release(volume string, done func(err error)) {
-	op := r.newOp("Release", volume, ReleaseArgs{Volume: volume})
+	op := r.newOp("Release", VolumeArgs{Volume: volume})
 	op.release = done
 	op.Fire()
 }
 
 // newOp takes an operation record off the free list, or makes one.
-func (r *Router) newOp(method, volume string, args any) *routerOp {
+func (r *Router) newOp(method string, args VolumeArgs) *routerOp {
 	var op *routerOp
 	if n := len(r.free); n > 0 {
 		op, r.free = r.free[n-1], r.free[:n-1]
 	} else {
 		op = new(routerOp)
 	}
-	op.r, op.method, op.volume, op.args = r, method, volume, args
+	op.r, op.method, op.args = r, method, args
 	return op
 }
 
@@ -128,10 +130,10 @@ func (r *Router) backoff(base time.Duration, tried int) time.Duration {
 // of each attempt's call and the receiver of its retry timer. Exactly one of
 // the typed done callbacks is set. The router recycles it at finish.
 type routerOp struct {
-	r              *Router
-	method, volume string
-	args           any
-	tried          int // attempts made before this one
+	r      *Router
+	method string
+	args   VolumeArgs
+	tried  int // attempts made before this one
 	// This attempt's shard, believed-leader index and replica count.
 	shard, idx, n int
 
@@ -141,18 +143,19 @@ type routerOp struct {
 }
 
 // Fire runs the next attempt: the first, then each retry once its backoff
-// expires.
+// expires. Each attempt sends a request record of its own: an earlier
+// attempt's may still be in flight.
 func (op *routerOp) Fire() {
 	r := op.r
 	if op.tried >= routerAttempts {
 		op.finish(nil, fmt.Errorf("%w: %s %s: %d retries exhausted",
-			ErrShardUnavailable, op.method, op.volume, routerAttempts))
+			ErrShardUnavailable, op.method, op.args.Volume, routerAttempts))
 		return
 	}
-	op.shard = r.map_.ShardOf(op.volume)
+	op.shard = r.map_.ShardOf(op.args.Volume)
 	replicas := r.map_.Replicas[op.shard]
 	op.idx, op.n = r.believed[op.shard]%len(replicas), len(replicas)
-	r.rpc.CallR(replicas[op.idx], op.method, op.args, 192, rpcTimeout, op)
+	r.rpc.CallR(replicas[op.idx], op.method, r.reqs.get(op.args), 192, rpcTimeout, op)
 }
 
 // again schedules the next attempt after delay, jittered by backoff.
@@ -196,7 +199,7 @@ func (op *routerOp) Reply(res any, err error) {
 			op.again(0)
 			return
 		}
-		op.finish(nil, fmt.Errorf("fleet: %s %s: %v", op.method, op.volume, err))
+		op.finish(nil, fmt.Errorf("fleet: %s %s: %v", op.method, op.args.Volume, err))
 	}
 }
 
@@ -217,7 +220,7 @@ func (op *routerOp) finish(res any, err error) {
 	case err != nil:
 		lookup(nil, 0, err)
 	case alloc != nil:
-		alloc(res.(AllocateReply).Disks, nil)
+		alloc(res.(*LookupReply).Disks, nil)
 	default:
 		rep := res.(*LookupReply)
 		lookup(rep.Disks, rep.Size, nil)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,8 +33,8 @@ func lookupTrip(tb testing.TB) func() {
 }
 
 // TestRouterLookupAllocs pins what a Lookup round trip (router, shard
-// leader, reply) allocates: its boxed args, and nothing else. The router's
-// and the shard's op records, calls, messages in flight, async replies and
+// leader, reply) allocates: nothing. The request records, the router's and
+// the shard's op records, calls, messages in flight, async replies and
 // events are recycled, and every Lookup of an unchanged record shares one
 // reply.
 func TestRouterLookupAllocs(t *testing.T) {
@@ -41,8 +42,8 @@ func TestRouterLookupAllocs(t *testing.T) {
 	for i := 0; i < 400; i++ { // past the RPC timeout, so released timeouts recycle
 		trip()
 	}
-	if got := testing.AllocsPerRun(200, trip); got > 1 {
-		t.Fatalf("Lookup round trip allocates %.1f objects, want <= 1", got)
+	if got := testing.AllocsPerRun(200, trip); got != 0 {
+		t.Fatalf("Lookup round trip allocates %.1f objects, want 0", got)
 	}
 }
 
@@ -83,21 +84,21 @@ func allocTrip(tb testing.TB, trips int) func() {
 }
 
 // TestRouterAllocateAllocs pins what an Allocate of a new volume allocates
-// on a warmed fleet: its boxed args, the record's Disks, its path, its
-// encoding, the boxed coord op, the command ID and the boxed reply. The
-// Paxos messages are pooled records, the router's and the shard's op
-// records are recycled, the coord callback is bound once per op record, the
-// commit guard's and the Phase 2 timer's Events go back to the scheduler
-// when the commit lands, and the placement picks go into a buffer the
-// shard keeps.
+// on a warmed fleet: the record's Disks, its path, its encoding, the boxed
+// coord op, the command ID and the record's shared reply, which answers the
+// Allocate and every later Lookup. The request and the Paxos messages are
+// pooled records, the router's and the shard's op records are recycled,
+// the coord callback is bound once per op record, the commit guard's and
+// the Phase 2 timer's Events go back to the scheduler when the commit
+// lands, and the placement picks go into a buffer the shard keeps.
 func TestRouterAllocateAllocs(t *testing.T) {
 	const warm, runs = 300, 200
 	trip := allocTrip(t, warm+runs+1)
 	for i := 0; i < warm; i++ {
 		trip()
 	}
-	if got := testing.AllocsPerRun(runs, trip); got > 7 {
-		t.Fatalf("Allocate round trip allocates %.1f objects, want <= 7", got)
+	if got := testing.AllocsPerRun(runs, trip); got > 6 {
+		t.Fatalf("Allocate round trip allocates %.1f objects, want <= 6", got)
 	}
 }
 
@@ -120,7 +121,7 @@ func TestRouterOpOutlivesLateReply(t *testing.T) {
 	}
 	var lateSent time.Duration
 	srv.RegisterAsync("Lookup", func(_ string, args any, reply *simnet.AsyncReply) {
-		vol := args.(LookupArgs).Volume
+		vol := args.(*request[VolumeArgs]).args.Volume
 		if len(delays[vol]) == 0 {
 			t.Errorf("unplanned attempt to look up %s", vol)
 			return
@@ -167,5 +168,57 @@ func TestRouterOpOutlivesLateReply(t *testing.T) {
 		t.Errorf("A finished at %v, its late reply was sent at %v, C finished at %v: "+
 			"the late reply did not land while C held A's record",
 			finished["vol-a"], lateSent, finished["vol-c"])
+	}
+}
+
+// TestLateRequestKeepsItsVolume: a request that arrives after its op has
+// finished still names its own volume. Lookup A's first request sits in a
+// brownout past the RPC timeout; the brownout lifts, A's retry is answered,
+// and A's callback starts Lookup B, which takes A's op record. A's first
+// request then reaches the stand-in shard, and must still ask for A.
+func TestLateRequestKeepsItsVolume(t *testing.T) {
+	f := New(testConfig())
+	r := f.NewRouter("late")
+	srv := simnet.NewRPCNode(f.Net, "stand-in")
+	f.Net.Colocate(srv.Name(), "mach-stand-in")
+	r.map_ = &ShardMap{Epoch: r.map_.Epoch, Replicas: [][]string{{srv.Name()}}}
+	var arrived []string
+	srv.Register("Lookup", func(_ string, args any) (any, error) {
+		vol := args.(*request[VolumeArgs]).args.Volume
+		arrived = append(arrived, vol)
+		return &LookupReply{Size: int64(len(vol)), Disks: []string{vol + "/d0"}}, nil
+	})
+
+	var answered []string
+	check := func(vol string, then func()) func([]string, int64, error) {
+		return func(disks []string, size int64, err error) {
+			answered = append(answered, vol)
+			if err != nil || len(disks) != 1 || disks[0] != vol+"/d0" || size != int64(len(vol)) {
+				t.Errorf("lookup %s answered disks %v size %d err %v", vol, disks, size, err)
+			}
+			if then != nil {
+				then()
+			}
+		}
+	}
+	f.Net.SetMachineBrownout("mach-stand-in", rpcTimeout+2*time.Second)
+	r.Lookup("vol-a", check("vol-a", func() {
+		if len(r.free) != 1 {
+			t.Errorf("%d op records free when A finished, want A's", len(r.free))
+		}
+		r.Lookup("vol-b", check("vol-b", nil))
+	}))
+	f.Settle(time.Millisecond)
+	f.Net.SetMachineBrownout("mach-stand-in", 0)
+	f.Settle(rpcTimeout + time.Second)
+	if want := []string{"vol-a", "vol-b"}; !slices.Equal(answered, want) || !slices.Equal(arrived, want) {
+		t.Fatalf("before the late request: answered %v, arrived %v, want %v each", answered, arrived, want)
+	}
+	f.Settle(5 * time.Second)
+	if want := []string{"vol-a", "vol-b", "vol-a"}; !slices.Equal(arrived, want) {
+		t.Fatalf("requests arrived for %v, want %v: the late request lost its volume", arrived, want)
+	}
+	if r.reqs.made != 2 || len(r.reqs.free) != 2 {
+		t.Fatalf("router made %d request records and has %d back, want 2 and 2", r.reqs.made, len(r.reqs.free))
 	}
 }

@@ -101,18 +101,21 @@ type ShardMaster struct {
 type shardOp struct {
 	m      *ShardMaster
 	method string
-	args   any
-	reply  simnet.Replier
-	start  simtime.Time
+	// The request's fields, copied by enqueue: its record goes back to the
+	// router when the handler returns.
+	volume  string
+	size    int64
+	service string
+	reply   simnet.Replier
+	start   simtime.Time
 	// guarded marks an op awaiting a coord commit: its coord callback, not
 	// opDone, recycles it. guard is its commit guard (see guardTimer) until
 	// the guard fires or opDone cancels it.
 	guarded bool
 	guard   *simtime.Event
-	// What the coord callback reads: an allocate's volume, size and disks.
-	volume string
-	size   int64
-	disks  []string
+	// lookup is an allocate's answer, which the coord callback sends: the
+	// new record's shared reply, holding its disks.
+	lookup *LookupReply
 	// committed is the op's coord callback, bound once per record.
 	committed func(error)
 }
@@ -353,7 +356,7 @@ func (m *ShardMaster) rebuild() {
 
 // putVol writes a volume record into leader soft state and files it in or
 // out of the foreign set; delVol removes it from both. Every write to
-// m.vols goes through them but execLookup's, which only caches a reply on
+// m.vols goes through them but lookupReply's, which only caches a reply on
 // the record and keeps its Disks.
 func (m *ShardMaster) putVol(id string, rec VolRecord) {
 	m.vols[id] = rec
@@ -384,7 +387,12 @@ func (m *ShardMaster) register() {
 	for _, method := range []string{"Allocate", "Lookup", "Release"} {
 		method := method
 		m.rpc.RegisterAsync(method, func(_ string, args any, reply *simnet.AsyncReply) {
-			m.enqueue(method, args, reply)
+			q, ok := args.(*request[VolumeArgs])
+			if !ok {
+				reply.Reply(nil, errBadArgs)
+				return
+			}
+			m.enqueue(method, &q.args, reply)
 		})
 	}
 	m.rpc.Register("Heartbeat", m.onHeartbeat)
@@ -416,21 +424,10 @@ func (m *ShardMaster) routeCheck(volume string) error {
 // stale refuses a call routed on an older map, with this replica's.
 func (m *ShardMaster) stale() error { return &StaleError{ErrStale, m.map_.Clone()} }
 
-// volumeOf extracts the volume ID from a serialized op's args.
-func volumeOf(args any) string {
-	switch a := args.(type) {
-	case AllocateArgs:
-		return a.Volume
-	case LookupArgs:
-		return a.Volume
-	case ReleaseArgs:
-		return a.Volume
-	}
-	return ""
-}
-
-func (m *ShardMaster) enqueue(method string, args any, reply simnet.Replier) {
-	if err := m.routeCheck(volumeOf(args)); err != nil {
+// enqueue queues a volume op. It copies a's fields: a is valid only until
+// the handler returns.
+func (m *ShardMaster) enqueue(method string, a *VolumeArgs, reply simnet.Replier) {
+	if err := m.routeCheck(a.Volume); err != nil {
 		reply.Reply(nil, err)
 		return
 	}
@@ -441,7 +438,8 @@ func (m *ShardMaster) enqueue(method string, args any, reply simnet.Replier) {
 		op = new(shardOp)
 		op.committed = op.commitDone
 	}
-	op.m, op.method, op.args, op.reply = m, method, args, reply
+	op.m, op.method, op.reply = m, method, reply
+	op.volume, op.size, op.service = a.Volume, a.Size, a.Service
 	m.queue = append(m.queue, op)
 	m.gQueue.Set(float64(len(m.queue) - m.qHead))
 	m.pump()
@@ -455,7 +453,7 @@ func (m *ShardMaster) pump() {
 	}
 	op := m.queue[m.qHead]
 	// Clear the served slot: the array outlives the pop, and a served op
-	// pins its args and reply. Once half the array is served, the waiting
+	// pins its reply. Once half the array is served, the waiting
 	// ops move to its front, so a drained queue reuses the whole array.
 	m.queue[m.qHead] = nil
 	if m.qHead++; 2*m.qHead >= len(m.queue) {
@@ -483,7 +481,7 @@ func (m *ShardMaster) opDone(op *shardOp, result any, err error) {
 		return
 	}
 	if op.guarded {
-		op.args, op.reply = nil, nil
+		op.reply = nil
 		op.guard.Cancel()
 		op.guard.Release()
 		op.guard = nil
@@ -516,17 +514,17 @@ func (m *ShardMaster) flushQueue() {
 func (m *ShardMaster) exec(op *shardOp) {
 	m.cOps.Inc()
 	// Re-check routing: the map may have flipped while the op queued.
-	if err := m.routeCheck(volumeOf(op.args)); err != nil {
+	if err := m.routeCheck(op.volume); err != nil {
 		m.opDone(op, nil, err)
 		return
 	}
-	switch a := op.args.(type) {
-	case AllocateArgs:
-		m.execAllocate(op, a)
-	case LookupArgs:
-		m.execLookup(op, a)
-	case ReleaseArgs:
-		m.execRelease(op, a)
+	switch op.method {
+	case "Allocate":
+		m.execAllocate(op)
+	case "Lookup":
+		m.execLookup(op)
+	case "Release":
+		m.execRelease(op)
 	default:
 		m.opDone(op, nil, errBadArgs)
 	}
@@ -566,13 +564,13 @@ func (op *shardOp) commitDone(err error) {
 		// already discarded the entry, so guard on its presence.)
 		if _, ok := m.vols[op.volume]; ok {
 			m.delVol(op.volume)
-			for _, d := range op.disks {
+			for _, d := range op.lookup.Disks {
 				m.unplace(d, op.size)
 			}
 		}
 		m.opDone(op, nil, err)
 	case op.method == "Allocate":
-		m.opDone(op, AllocateReply{op.disks}, nil)
+		m.opDone(op, op.lookup, nil)
 	case err != nil && !errors.Is(err, coord.ErrNotFound):
 		m.opDone(op, nil, err)
 	default:
@@ -596,8 +594,8 @@ func (m *ShardMaster) unplace(diskID string, size int64) {
 	}
 }
 
-func (m *ShardMaster) execAllocate(op *shardOp, a AllocateArgs) {
-	if rec, ok := m.vols[a.Volume]; ok {
+func (m *ShardMaster) execAllocate(op *shardOp) {
+	if rec, ok := m.vols[op.volume]; ok {
 		// Idempotent re-allocate (client retry after a lost reply) — but
 		// only once the record is durable. The in-memory entry is written
 		// optimistically before its commit lands, and a commit can be
@@ -605,14 +603,14 @@ func (m *ShardMaster) execAllocate(op *shardOp, a AllocateArgs) {
 		// forwarded proposal doesn't survive a partition); acknowledging
 		// from soft state alone would hand the client a volume no future
 		// rebuild will ever see. ErrBusy until the replicated tree has it.
-		if !m.store.Exists(volPath(a.Volume)) {
+		if !m.store.Exists(volPath(op.volume)) {
 			m.opDone(op, nil, ErrBusy)
 			return
 		}
-		m.opDone(op, AllocateReply{rec.Disks}, nil)
+		m.opDone(op, m.lookupReply(op.volume, rec), nil)
 		return
 	}
-	rows, _ := m.ix.Spread(m.spread[:0], replicas, a.Size, spreadLevel, nil)
+	rows, _ := m.ix.Spread(m.spread[:0], replicas, op.size, spreadLevel, nil)
 	m.spread = rows
 	if len(rows) < replicas {
 		m.opDone(op, nil, fmt.Errorf("insufficient failure domains: placed %d/%d", len(rows), replicas))
@@ -621,32 +619,39 @@ func (m *ShardMaster) execAllocate(op *shardOp, a AllocateArgs) {
 	disks := make([]string, len(rows))
 	for i, r := range rows {
 		disks[i] = m.ix.ID(r)
-		m.ix.Charge(r, a.Size)
+		m.ix.Charge(r, op.size)
 	}
-	rec := VolRecord{Size: a.Size, Service: a.Service, Disks: disks}
-	m.putVol(a.Volume, rec)
+	// The answer is the new record's shared reply, so the first Lookup
+	// finds it built.
+	op.lookup = &LookupReply{Size: op.size, Disks: disks}
+	rec := VolRecord{Size: op.size, Service: op.service, Disks: disks, lookup: op.lookup}
+	m.putVol(op.volume, rec)
 	m.cAlloc.Inc()
-	op.volume, op.size, op.disks = a.Volume, a.Size, disks
 	m.commitGuard(op)
-	m.store.Create(volPath(a.Volume), encodeVol(rec), "", op.committed)
+	m.store.Create(volPath(op.volume), encodeVol(rec), "", op.committed)
 }
 
-func (m *ShardMaster) execLookup(op *shardOp, a LookupArgs) {
-	rec, ok := m.vols[a.Volume]
+func (m *ShardMaster) execLookup(op *shardOp) {
+	rec, ok := m.vols[op.volume]
 	if !ok {
 		m.opDone(op, nil, errNoVolume)
 		return
 	}
-	// Every Lookup of one record version shares one reply. Disks is never
-	// written in place, so the cached reply is current while it holds the
-	// record's Size and the very same Disks slice.
+	m.opDone(op, m.lookupReply(op.volume, rec), nil)
+}
+
+// lookupReply returns the shared answer about volume's record, rec. Every
+// answer about one record version shares one reply. Disks is never written
+// in place, so the cached reply is current while it holds the record's Size
+// and the very same Disks slice.
+func (m *ShardMaster) lookupReply(volume string, rec VolRecord) *LookupReply {
 	rep := rec.lookup
 	if rep == nil || rep.Size != rec.Size || !sameSlice(rep.Disks, rec.Disks) {
 		rep = &LookupReply{Size: rec.Size, Disks: rec.Disks}
 		rec.lookup = rep
-		m.vols[a.Volume] = rec
+		m.vols[volume] = rec
 	}
-	m.opDone(op, rep, nil)
+	return rep
 }
 
 // sameSlice reports whether a and b are the same slice of one array.
@@ -654,15 +659,15 @@ func sameSlice(a, b []string) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-func (m *ShardMaster) execRelease(op *shardOp, a ReleaseArgs) {
-	rec, ok := m.vols[a.Volume]
+func (m *ShardMaster) execRelease(op *shardOp) {
+	rec, ok := m.vols[op.volume]
 	if !ok {
 		// Idempotent re-release — trustworthy only once the tombstone is
 		// durable (see execAllocate): a delete whose commit was lost with a
 		// paxos leadership change leaves the record in the replicated tree,
 		// and an OK here would let the client forget a volume the next
 		// rebuild resurrects.
-		if m.store.Exists(volPath(a.Volume)) {
+		if m.store.Exists(volPath(op.volume)) {
 			m.opDone(op, nil, ErrBusy)
 			return
 		}
@@ -671,10 +676,10 @@ func (m *ShardMaster) execRelease(op *shardOp, a ReleaseArgs) {
 	}
 	foreign := map[int][]string{}
 	m.unplaceRecord(rec, foreign)
-	m.delVol(a.Volume)
+	m.delVol(op.volume)
 	m.commitGuard(op)
-	m.store.Delete(volPath(a.Volume), op.committed)
-	m.freeForeignFragments(a.Volume, foreign)
+	m.store.Delete(volPath(op.volume), op.committed)
+	m.freeForeignFragments(op.volume, foreign)
 }
 
 // unplaceRecord frees a record's owned fragments at once and adds the rest
@@ -721,11 +726,13 @@ func (m *ShardMaster) callShard(shard int, method string, args any, attempts int
 
 // --- Heartbeats ---
 
+// onHeartbeat folds a beat into the index; it keeps nothing of the request.
 func (m *ShardMaster) onHeartbeat(_ string, args any) (any, error) {
-	a, ok := args.(HeartbeatArgs)
+	q, ok := args.(*request[HeartbeatArgs])
 	if !ok {
 		return nil, errBadArgs
 	}
+	a := &q.args
 	if !m.leading {
 		return nil, ErrNotLeader
 	}

@@ -30,15 +30,15 @@ func TestCommitGuardAnswersOnce(t *testing.T) {
 		}
 	}
 	replies := make([][]error, len(vols))
-	var answered AllocateReply // the last OK's
+	var answered *LookupReply // the last OK's
 	allocate := func(i int) {
-		m.enqueue("Allocate", AllocateArgs{Volume: vols[i], Size: volSize, Service: "svc"},
+		m.enqueue("Allocate", &VolumeArgs{Volume: vols[i], Size: volSize, Service: "svc"},
 			replyFn(func(res any, err error) {
 				replies[i] = append(replies[i], err)
 				if err != nil {
 					return
 				}
-				answered = res.(AllocateReply)
+				answered = res.(*LookupReply)
 				if !m.store.Exists(volPath(vols[i])) {
 					t.Errorf("%s was answered OK before its own commit landed", vols[i])
 				}
@@ -186,7 +186,7 @@ func TestStaleGuardSparesReusedOp(t *testing.T) {
 	}
 	replies := make([][]error, len(vols))
 	allocate := func(i int) {
-		m.enqueue("Allocate", AllocateArgs{Volume: vols[i], Size: volSize, Service: "svc"},
+		m.enqueue("Allocate", &VolumeArgs{Volume: vols[i], Size: volSize, Service: "svc"},
 			replyFn(func(_ any, err error) { replies[i] = append(replies[i], err) }))
 	}
 	allocate(0)

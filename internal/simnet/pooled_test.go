@@ -107,3 +107,69 @@ func TestDroppedPooledRecordReleased(t *testing.T) {
 		})
 	}
 }
+
+// TestDispatchReleasesPooledRequest: an RPC request that is Pooled goes back
+// once its delivery is done with, and only then: after a sync handler
+// answers, after an async handler returns, after a duplicate is answered
+// from the served cache or absorbed while its async handler works, and
+// after an unknown method is refused. Every request is duplicated, so each
+// case releases two records.
+func TestDispatchReleasesPooledRequest(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		register func(srv *RPCNode, s *simtime.Scheduler, handle func(args any))
+		calls    int // handler runs
+	}{
+		{"sync", func(srv *RPCNode, _ *simtime.Scheduler, handle func(any)) {
+			srv.Register("m", func(_ string, args any) (any, error) { handle(args); return 1, nil })
+		}, 1},
+		{"async", func(srv *RPCNode, s *simtime.Scheduler, handle func(any)) {
+			srv.RegisterAsync("m", func(_ string, args any, reply *AsyncReply) {
+				handle(args)
+				s.After(50*time.Millisecond, func() { reply.Reply(1, nil) })
+			})
+		}, 1},
+		{"unknown", func(*RPCNode, *simtime.Scheduler, func(any)) {}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := simtime.NewScheduler(1)
+			net := New(s)
+			net.Colocate("cli", "ma")
+			net.Colocate("srv", "mb")
+			net.SetMachineDupRate("ma", "mb", 1)
+			srv, cli := NewRPCNode(net, "srv"), NewRPCNode(net, "cli")
+			counts := &pooledCounts{}
+			calls := 0
+			tc.register(srv, s, func(args any) {
+				calls++
+				if _, ok := args.(*pooledRec); !ok || counts.released != 0 {
+					t.Errorf("handler got %T after %d releases, want a live *pooledRec", args, counts.released)
+				}
+			})
+			replies := 0
+			cli.Call("srv", "m", &pooledRec{counts}, 32, time.Second, func(any, error) { replies++ })
+			s.RunFor(2 * time.Second)
+			if calls != tc.calls || replies != 1 || counts.dups != 1 || counts.released != 2 {
+				t.Fatalf("%d handler runs, %d replies, %d dups, %d releases; want %d, 1, 1, 2",
+					calls, replies, counts.dups, counts.released, tc.calls)
+			}
+		})
+	}
+}
+
+// TestRetryRefusesPooledArgs: CallWithRetry resends its args, and the first
+// delivery gives a Pooled record back, so it refuses one before sending.
+func TestRetryRefusesPooledArgs(t *testing.T) {
+	s := simtime.NewScheduler(1)
+	net := New(s)
+	cli := NewRPCNode(net, "cli")
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("CallWithRetry sent Pooled args")
+		}
+		if sent := net.Stats().Sent; sent != 0 {
+			t.Fatalf("%d messages sent before the refusal", sent)
+		}
+	}()
+	cli.CallWithRetry("srv", "m", &pooledRec{&pooledCounts{}}, 32, RetryOpts{}, func(any, error) {})
+}

@@ -37,11 +37,15 @@ type rpcReply struct {
 }
 
 // RPCHandler serves one method. Returning a non-nil error sends that error
-// value to the caller instead of a result.
+// value to the caller instead of a result. args are valid until the handler
+// returns; copy what you keep (a Pooled request goes back to its sender's
+// list then).
 type RPCHandler func(from string, args any) (any, error)
 
 // RPCAsyncHandler serves one method whose reply is produced later (e.g.
 // after further scheduled events). reply.Reply must be called exactly once.
+// args are valid until the handler returns, not until it replies; copy what
+// you keep.
 type RPCAsyncHandler func(from string, args any, reply *AsyncReply)
 
 // Replier receives a call's outcome: the result, a remote error, or
@@ -318,8 +322,12 @@ const (
 // for non-idempotent methods. done fires exactly once — with the first
 // reply to arrive, a remote error, or ErrTimeout after the final attempt.
 // A healthy call consumes no RNG, so enabling retries does not perturb
-// fault-free runs.
+// fault-free runs. args must not be Pooled: each resend sends them again,
+// and the first delivery gives a Pooled record back.
 func (r *RPCNode) CallWithRetry(to, method string, args any, size int, o RetryOpts, done func(result any, err error)) {
+	if _, ok := args.(Pooled); ok {
+		panic("simnet: CallWithRetry resends its args, so they must not be Pooled")
+	}
 	if o.Attempts <= 0 {
 		o.Attempts = DefaultRetryAttempts
 	}
@@ -480,29 +488,11 @@ func (r *RPCNode) reply(to Addr, id uint64, rep rpcReply) {
 func (r *RPCNode) dispatch(msg Message) {
 	switch h := msg.rpc; h.kind {
 	case kindRequest:
-		c := r.callerFor(msg.From)
-		rec := &r.callers[c]
-		if i, ok := rec.find(h.id); ok {
-			r.net.cDedup.Inc()
-			r.reply(msg.From, h.id, rec.served[i].rep) // duplicate of a served request
-			return
-		}
-		if slices.Contains(rec.inflight, h.id) {
-			r.net.cDedup.Inc()
-			return // duplicate while the async handler runs; it will reply
-		}
-		m := r.methods[h.text]
-		switch {
-		case m.async != nil:
-			rec.inflight = append(r.flightSlab.grow(rec.inflight, math.MaxInt), h.id)
-			a := r.replies.get()
-			a.r, a.c, a.id = r, c, h.id
-			m.async(r.net.Name(msg.From), msg.Payload, a)
-		case m.sync != nil:
-			result, err := m.sync(r.net.Name(msg.From), msg.Payload)
-			r.answer(c, h.id, result, err)
-		default:
-			r.reply(msg.From, h.id, rpcReply{Err: errors.New("unknown method " + h.text)})
+		r.serve(msg, h)
+		// The request is done with: a handler has returned, or a duplicate
+		// or an unknown method was answered without one.
+		if p, ok := msg.Payload.(Pooled); ok {
+			p.Release()
 		}
 	case kindReply:
 		if pc, ok := r.pending[h.id]; ok { // else a late reply after timeout; drop
@@ -512,5 +502,33 @@ func (r *RPCNode) dispatch(msg Message) {
 		if pc, ok := r.pending[h.id]; ok {
 			r.complete(pc, nil, msg.Payload.(error))
 		}
+	}
+}
+
+// serve runs a request's handler, or answers a duplicate from the cache.
+func (r *RPCNode) serve(msg Message, h rpcHeader) {
+	c := r.callerFor(msg.From)
+	rec := &r.callers[c]
+	if i, ok := rec.find(h.id); ok {
+		r.net.cDedup.Inc()
+		r.reply(msg.From, h.id, rec.served[i].rep) // duplicate of a served request
+		return
+	}
+	if slices.Contains(rec.inflight, h.id) {
+		r.net.cDedup.Inc()
+		return // duplicate while the async handler runs; it will reply
+	}
+	m := r.methods[h.text]
+	switch {
+	case m.async != nil:
+		rec.inflight = append(r.flightSlab.grow(rec.inflight, math.MaxInt), h.id)
+		a := r.replies.get()
+		a.r, a.c, a.id = r, c, h.id
+		m.async(r.net.Name(msg.From), msg.Payload, a)
+	case m.sync != nil:
+		result, err := m.sync(r.net.Name(msg.From), msg.Payload)
+		r.answer(c, h.id, result, err)
+	default:
+		r.reply(msg.From, h.id, rpcReply{Err: errors.New("unknown method " + h.text)})
 	}
 }

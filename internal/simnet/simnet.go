@@ -55,8 +55,11 @@ type Handler func(msg Message)
 // Pooled is a payload record its protocol recycles: the receiving handler
 // gives it back once done with it, so each delivery needs a record of its
 // own. Send gives a duplicated delivery its own record (Dup), and every path
-// that drops a message gives the record back (Release). A *Frame is pooled
-// too, but by the networks' FrameLists, not through this interface.
+// that drops a message gives the record back (Release). An RPC request may
+// be Pooled: RPCNode gives it back once its handler returns (or once a
+// duplicate or an unknown method is answered), so a handler copies what it
+// keeps; CallWithRetry refuses one. A *Frame is pooled too, but by the
+// networks' FrameLists, not through this interface.
 type Pooled interface {
 	// Dup returns a copy of the record, for a second delivery.
 	Dup() any

@@ -181,9 +181,19 @@ var mutants = []mutant{
 		// A guarded op's coord callback still holds it: opDone must not
 		// recycle it.
 		name: "shardop-recycled-while-commit-pending", file: "internal/fleet/shard.go",
-		old: "\tif op.guarded {\n\t\top.args, op.reply = nil, nil", new: "\tif false {\n\t\top.args, op.reply = nil, nil",
+		old: "\tif op.guarded {\n\t\top.reply = nil", new: "\tif false {\n\t\top.reply = nil",
 		cmd:  "go test ./internal/fleet -run ^TestCommitGuardAnswersOnce$",
 		want: []string{`--- FAIL: TestCommitGuardAnswersOnce`, `guarded-\d+ was answered OK before its own commit landed`},
+	},
+	{
+		// A volume op copies its request's fields when it is queued: the
+		// record goes back to the router when the handler returns, so an op
+		// that reads it later (here, one event later) reads an emptied one.
+		name: "shard-keeps-request-record", file: "internal/fleet/shard.go",
+		old:  "\top.volume, op.size, op.service = a.Volume, a.Size, a.Service\n",
+		new:  "\tm.sched.FireAfter(0, func() { op.volume, op.size, op.service = a.Volume, a.Size, a.Service })\n",
+		cmd:  "go test ./internal/fleet -run ^TestPoisonedRequestsSameRun$",
+		want: []string{`--- FAIL: TestPoisonedRequestsSameRun`, `allocate vol-0000: fleet: Allocate vol-0000: coord: bad path: "/vol/"`},
 	},
 	{
 		// A slot install files a record whose fragments sit on the source
