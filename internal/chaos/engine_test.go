@@ -34,8 +34,8 @@ func engineFleetRun(t *testing.T, units, shards int) (*FleetReport, string, stri
 }
 
 // TestFleetEngineByteDeterminism: two runs of the same seed produce
-// byte-identical logs, summaries (engine counters included), metrics JSON,
-// trace JSON, and event counts.
+// byte-identical logs, summaries, metrics JSON, trace JSON, and event
+// counts.
 func TestFleetEngineByteDeterminism(t *testing.T) {
 	units, shards := 8, 2
 	if !testing.Short() {
@@ -44,9 +44,6 @@ func TestFleetEngineByteDeterminism(t *testing.T) {
 	base, bm, bt := engineFleetRun(t, units, shards)
 	if len(base.Violations) != 0 {
 		t.Fatalf("violations:\n%s", strings.Join(base.Violations, "\n"))
-	}
-	if base.Engine.Windows == 0 {
-		t.Fatalf("engine stats %+v: want windows", base.Engine)
 	}
 	rep, m, tr := engineFleetRun(t, units, shards)
 	if strings.Join(rep.Log, "\n") != strings.Join(base.Log, "\n") {

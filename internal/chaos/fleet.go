@@ -17,7 +17,6 @@ import (
 	"ustore/internal/fleet"
 	"ustore/internal/model"
 	"ustore/internal/obs"
-	"ustore/internal/simtime"
 )
 
 // FleetOptions parameterizes a fleet-scale chaos run.
@@ -107,9 +106,6 @@ type FleetReport struct {
 	Resolvable int           // volumes a fresh router resolved post-run
 	MapEpoch   int64         // final authoritative shard-map epoch
 	Events     uint64        // scheduler events fired (determinism witness)
-	// Engine is the engine's synchronization work, printed as the
-	// summary's engine line.
-	Engine simtime.EngineStats
 
 	// Fault-phase outcomes (fault-schedule runs only).
 	FaultsApplied int // schedule entries executed
@@ -132,8 +128,6 @@ func (r *FleetReport) SummaryText() string {
 			r.FaultsApplied, r.Unavailable, r.Redriven)
 	}
 	fmt.Fprintf(&b, "  map      epoch %d; %d events fired\n", r.MapEpoch, r.Events)
-	fmt.Fprintf(&b, "  engine   %d windows, %d cross-lane messages, max inbox %d\n",
-		r.Engine.Windows, r.Engine.Messages, r.Engine.MaxInbox)
 	writeInvariants(&b, r.Violations)
 	return b.String()
 }
@@ -290,7 +284,6 @@ func runFleet(o FleetOptions, schedule []FleetFault) (*FleetReport, error) {
 
 	rep.MapEpoch = f.AuthMap().Epoch
 	rep.Events = f.EventsFired()
-	rep.Engine = f.Engine.Stats()
 	rl.logf("fleet run complete: %d violations", len(rl.Violations))
 	rep.Log, rep.Violations = rl.Log, rl.Violations
 	return rep, nil

@@ -42,8 +42,8 @@ func TestFleetUnitLossSmall(t *testing.T) {
 // TestFleetUnitsAliveGauge: each shard's fleet_units_alive gauge reads its
 // current leader's count, the shard's units less the dead ones, after a unit
 // loss (u000, which fails shard 0's leader over) and after a fault run
-// whose replica crashes and isolation move leadership around. Every lane
-// records into the run's one recorder; folding a recorder per lane summed
+// whose replica crashes and isolation move leadership around. Every process
+// records into the run's one recorder; folding a recorder per unit summed
 // the gauge over every replica that ever led (7 and 9 here, not 3 and 4).
 func TestFleetUnitsAliveGauge(t *testing.T) {
 	topo := fleet.New(fleet.Config{Units: 8, Shards: 2}).Topo

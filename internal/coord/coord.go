@@ -96,8 +96,13 @@ type (
 	opTouchSession struct {
 		ID string
 	}
+	// pingMsg renews Session on the leader. A replica builds one per
+	// session on its first Ping and sends that record every time after,
+	// so ping and ack payloads are read-only and shared; ack is the reply
+	// the leader sends back.
 	pingMsg struct {
 		Session string
+		ack     *pingAck
 	}
 	// pingAck confirms receipt of a pingMsg back to the sender. A session
 	// holder that can send but not receive keeps refreshing its session on
@@ -132,6 +137,8 @@ type Store struct {
 	// Replica-local ping-ack tracking (sender side): when the leader last
 	// confirmed one of our session pings.
 	ackSeen map[string]simtime.Time
+	// pings holds each session's ping payload (see pingMsg).
+	pings map[string]*pingMsg
 
 	watches map[string][]func(Event)
 	// childWatches fire on create/delete of direct children of a path.
@@ -149,6 +156,8 @@ type Store struct {
 	sweep      time.Duration
 	sweepArmed time.Duration
 	sweepRelay bool
+	// sweepIDs is the sweep's buffer of session IDs, kept between sweeps.
+	sweepIDs []string
 }
 
 // coordName is the simnet node name for a replica's session-ping endpoint.
@@ -165,6 +174,7 @@ func NewStore(net *simnet.Network, name string, peers []string, cfg paxos.Config
 		sessions:     map[string]*sessionState{},
 		lastSeen:     map[string]simtime.Time{},
 		ackSeen:      map[string]simtime.Time{},
+		pings:        map[string]*pingMsg{},
 		watches:      map[string][]func(Event){},
 		childWatches: map[string][]func(Event){},
 		pending:      map[string]func(error){},
@@ -342,7 +352,12 @@ func (s *Store) Ping(session string) {
 	if leader < 0 {
 		return
 	}
-	s.node.Send(s.pingTo[leader], pingMsg{Session: session}, 16)
+	p := s.pings[session]
+	if p == nil {
+		p = &pingMsg{Session: session, ack: &pingAck{Session: session}}
+		s.pings[session] = p
+	}
+	s.node.Send(s.pingTo[leader], p, 16)
 }
 
 func (s *Store) onMessage(msg simnet.Message) {
@@ -350,10 +365,10 @@ func (s *Store) onMessage(msg simnet.Message) {
 		return
 	}
 	switch p := msg.Payload.(type) {
-	case pingMsg:
+	case *pingMsg:
 		s.lastSeen[p.Session] = s.sched.Now()
-		s.node.Send(msg.From, pingAck{Session: p.Session}, 16)
-	case pingAck:
+		s.node.Send(msg.From, p.ack, 16)
+	case *pingAck:
 		s.ackSeen[p.Session] = s.sched.Now()
 	}
 }
@@ -397,7 +412,7 @@ func (t *sweepTimer) Fire() {
 	}
 	if !s.stopped && s.px.IsLeader() {
 		now := s.sched.Now()
-		ids := make([]string, 0, len(s.sessions))
+		ids := s.sweepIDs[:0]
 		for id := range s.sessions {
 			ids = append(ids, id)
 		}
@@ -416,6 +431,7 @@ func (t *sweepTimer) Fire() {
 				delete(s.lastSeen, id) // avoid re-proposing every sweep
 			}
 		}
+		s.sweepIDs = ids
 	}
 	if !s.stopped {
 		s.sweepLoop()

@@ -108,3 +108,30 @@ func TestDataOwnership(t *testing.T) {
 		}
 	}
 }
+
+// TestPingRoundTripAllocs: on a warmed group a session ping and its ack
+// allocate nothing. A replica sends the session's one ping record, the
+// leader answers with the ack record built beside it, and the leader's
+// sweep reuses its buffer of session IDs.
+func TestPingRoundTripAllocs(t *testing.T) {
+	tc := newTestCluster(t, 3, 1)
+	leader := tc.leaderStore(t)
+	st := tc.stores[0]
+	if st == leader {
+		st = tc.stores[1] // a follower, so each ping crosses the network
+	}
+	mustDo(t, tc, func(done func(error)) { st.CreateSession("sess", time.Hour, done) })
+	trip := func() {
+		st.Ping("sess")
+		tc.sched.RunFor(time.Millisecond)
+	}
+	for i := 0; i < 5000; i++ { // past a wheel cycle and several sweeps
+		trip()
+	}
+	if got := testing.AllocsPerRun(1000, trip); got != 0 {
+		t.Fatalf("a ping round trip allocates %.2f objects, want 0", got)
+	}
+	if at, ok := st.LastPingAck("sess"); !ok || at != tc.sched.Now()-time.Millisecond+2*(200*time.Microsecond+128) {
+		t.Fatalf("last ack at %v (ok=%v), want the last ping's round trip", at, ok)
+	}
+}

@@ -33,12 +33,12 @@ type Agent struct {
 	stopped bool
 }
 
-func newAgent(f *Fleet, u *UnitTopo, replicas []string, net *simnet.Network) *Agent {
+func newAgent(f *Fleet, u *UnitTopo, replicas []string) *Agent {
 	return &Agent{
 		f:        f,
 		unit:     u,
 		sched:    f.Sched,
-		rpc:      simnet.NewRPCNode(net, "agent:"+u.ID),
+		rpc:      simnet.NewRPCNode(f.Net, "agent:"+u.ID),
 		replicas: replicas,
 	}
 }

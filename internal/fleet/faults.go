@@ -12,10 +12,10 @@ import (
 // later restarts from its durable /vol /exp /map /frozen state, or the
 // network between two deploy units tears and later heals.
 //
-// Every verb must be applied at engine quiescence (between Settle calls):
-// they mutate per-lane component state and the lanes' shared fault table,
-// both of which are only safe to touch while no window runs. The chaos
-// fault executor guarantees this by construction.
+// Every verb must be applied at quiescence (between Settle calls): they
+// mutate component state and the network's fault table, which no event
+// may see change mid-handler. The chaos fault executor guarantees this by
+// construction.
 
 // CrashReplica crash-stops replica i of shard k: its coord store and paxos
 // node go silent, its RPC endpoint drops traffic, its election session

@@ -14,23 +14,22 @@
 // (consensus under coord), simnet/simtime (deterministic transport and
 // clock) and placement (the Spread policy extracted from core.Master).
 //
-// There is one execution path: every fleet runs on one scheduler, a
-// simtime.Engine, with a simnet.Fabric lane per deploy unit plus a control
-// lane for the admin plane and client routers (DESIGN.md §14). A lane is a
-// Network of its own — record pools, counters and a random stream seeded
-// as a partition of its own was — so a unit's processes see the events they
-// saw when each unit had a partition, in the same order. The lanes share one
-// machine fault table, which the fault verbs write through the control
-// lane's Network, and one recorder, Config.Recorder. The fabric charges
-// every cross-unit hop at least crossUnitLatency and delivers it at the next
-// window edge, and no component reads another lane's state mid-run: the
-// admin plane and shard masters discover a foreign shard's leader the way
-// clients do, by calling the believed replica and rotating on failure. A run
-// with the same seed is byte-identical at any -test.cpu.
+// Every fleet runs on one scheduler and one network (DESIGN.md §14). Each
+// deploy unit is a machine on that network, and a hop between machines — a
+// hop between units, or between a unit and the control plane's admin node
+// and client routers — takes crossUnitLatency plus serialization. The
+// fault verbs write the network's machine fault table, and every process
+// records into Config.Recorder. Unit u's Paxos replicas draw their election
+// jitter from a stream of the unit's own, seeded seed^(1+u); every other
+// draw is the scheduler's. The admin plane and shard masters discover a
+// foreign shard's leader the way clients do, by calling the believed
+// replica and rotating on failure. A run with the same seed is
+// byte-identical at any -test.cpu.
 package fleet
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"time"
 
@@ -153,9 +152,8 @@ type Fleet struct {
 	Net   *simnet.Network
 	Topo  *Topology
 
-	// Engine runs the fleet on its one scheduler, Sched, with a lane per
-	// network: lane 0 is the control plane (admin node, routers, the Settle
-	// driver), whose network is Net, and lane 1+u is deploy unit u.
+	// Engine wraps Sched, the fleet's one scheduler; the perf/ benchmark
+	// reads it.
 	Engine *simtime.Engine
 
 	// Shards[k][i] is replica i of shard k.
@@ -165,18 +163,14 @@ type Fleet struct {
 	// Agents[u] is unit u's heartbeat agent.
 	Agents []*Agent
 
-	// rec is Cfg.Recorder, which every lane records into.
+	// rec is Cfg.Recorder, which every process records into.
 	rec   *obs.Recorder
 	admin *simnet.RPCNode
-	// nets are the lanes' networks (index = lane).
-	nets []*simnet.Network
-	// replicaNames[k] lists shard k's master RPC names — static topology,
-	// safe to read from any lane.
+	// replicaNames[k] lists shard k's master RPC names.
 	replicaNames [][]string
 	// adminBelieved[k] is the control plane's believed-leader replica index
-	// for shard k. The control lane does not peek other lanes' leader
-	// flags mid-run, so the admin discovers leaders like clients do:
-	// call the believed replica, rotate on failure.
+	// for shard k. The admin discovers leaders like clients do: call the
+	// believed replica, rotate on failure.
 	adminBelieved []int
 	// authMap is the admin plane's authoritative shard map (advanced by
 	// MoveSlot; routers bootstrap from a clone).
@@ -189,13 +183,10 @@ type Fleet struct {
 	pendingMoves map[int]int
 }
 
-// crossUnitLatency is the minimum latency of any cross-unit network link —
-// the lookahead the engine's windows advance by. Every message that
-// crosses a deploy-unit boundary takes at least this long.
+// crossUnitLatency is the latency of a hop between two machines of the
+// fleet's network, before serialization: every message that crosses a
+// deploy-unit boundary.
 const crossUnitLatency = time.Millisecond
-
-// unitNet is the network of the lane deploy unit u's processes run on.
-func (f *Fleet) unitNet(u int) *simnet.Network { return f.nets[1+u] }
 
 // unitMachine is the simnet machine name every process of a unit shares.
 func unitMachine(unitID string) string { return "mach-" + unitID }
@@ -214,21 +205,16 @@ func New(cfg Config) *Fleet {
 	f.Engine = simtime.NewEngine(cfg.Seed, 1, 1, crossUnitLatency)
 	f.Sched = f.Engine.Part(0)
 	f.rec.BindClock(f.Sched.Now)
-	fabric := simnet.NewFabric(f.Engine)
-	f.nets = make([]*simnet.Network, cfg.Units+1)
-	for l := range f.nets {
-		f.nets[l] = fabric.Network(l)
-		if f.rec != nil {
-			f.nets[l].SetRecorder(f.rec)
-		}
+	f.Net = simnet.NewWithLatency(f.Sched, crossUnitLatency)
+	if f.rec != nil {
+		f.Net.SetRecorder(f.rec)
 	}
-	f.Net = f.nets[0]
 	f.adminBelieved = make([]int, cfg.Shards)
 
 	// Shard groups: R coord replicas + R shard masters per shard, each
-	// replica pair colocated on a distinct unit's machine and built on that
-	// unit's lane, so the group's paxos traffic is lane-local except for
-	// cross-unit hops through the fabric.
+	// replica pair colocated on a distinct unit's machine. The replicas on
+	// unit u share one stream of election jitter, unitRand[u].
+	unitRand := make([]*rand.Rand, cfg.Units)
 	replicas := make([][]string, cfg.Shards)
 	for k := 0; k < cfg.Shards; k++ {
 		peers := make([]string, ShardReplicas)
@@ -239,14 +225,18 @@ func New(cfg Config) *Fleet {
 		var masters []*ShardMaster
 		for i := 0; i < ShardReplicas; i++ {
 			u := f.ReplicaUnit(k, i)
-			net := f.unitNet(u)
-			st := coord.NewStore(net, peers[i], peers, paxosConfig)
+			if unitRand[u] == nil {
+				unitRand[u] = f.Engine.LaneRand(1 + u)
+			}
+			pc := paxosConfig
+			pc.Rand = unitRand[u]
+			st := coord.NewStore(f.Net, peers[i], peers, pc)
 			st.SetSweepInterval(coordSweepInterval)
-			m := newShardMaster(f, k, i, st, net)
+			m := newShardMaster(f, k, i, st)
 			mach := unitMachine(unitName(u))
-			net.Colocate(peers[i], mach)          // paxos node
-			net.Colocate("coord:"+peers[i], mach) // coord session endpoint
-			net.Colocate(m.rpcName, mach)         // shard master process
+			f.Net.Colocate(peers[i], mach)          // paxos node
+			f.Net.Colocate("coord:"+peers[i], mach) // coord session endpoint
+			f.Net.Colocate(m.rpcName, mach)         // shard master process
 			stores = append(stores, st)
 			masters = append(masters, m)
 			replicas[k] = append(replicas[k], m.rpcName)
@@ -265,9 +255,8 @@ func New(cfg Config) *Fleet {
 
 	// Unit agents.
 	for _, u := range f.Topo.Units {
-		net := f.unitNet(u.Index)
-		a := newAgent(f, u, replicas[u.Shard], net)
-		net.Colocate(a.rpc.Name(), unitMachine(u.ID))
+		a := newAgent(f, u, replicas[u.Shard])
+		f.Net.Colocate(a.rpc.Name(), unitMachine(u.ID))
 		f.Agents = append(f.Agents, a)
 		a.start()
 	}
@@ -280,10 +269,10 @@ func New(cfg Config) *Fleet {
 func (f *Fleet) Settle(d time.Duration) { f.Engine.RunFor(d) }
 
 // EventsFired is the total number of simulation events executed so far.
-func (f *Fleet) EventsFired() uint64 { return f.Engine.Fired() }
+func (f *Fleet) EventsFired() uint64 { return f.Sched.Fired() }
 
-// FinishObs does nothing: every lane records straight into Cfg.Recorder.
-// The perf/ benchmark still calls it.
+// FinishObs does nothing: every process records straight into
+// Cfg.Recorder. The perf/ benchmark still calls it.
 func (f *Fleet) FinishObs() {}
 
 // LeaderReplica returns the replica index currently leading shard k, or -1
@@ -343,8 +332,6 @@ func (f *Fleet) KillUnit(unitID string) {
 			}
 		}
 	}
-	// The lanes share one fault table: local sends drop at the source,
-	// fabric traffic against this state on either side.
 	f.Net.IsolateMachine(unitMachine(unitID))
 	if f.rec != nil {
 		f.rec.Instant("fleet", "unit-killed", "fleet", obs.L("unit", unitID))
@@ -367,20 +354,18 @@ func (f *Fleet) DrainDisk(diskID string) {
 	}
 }
 
-// adminCall calls method on shard's leader from the admin node. All state
-// it touches (adminBelieved, the retry timer) lives on the control lane.
+// adminCall calls method on shard's leader from the admin node.
 func (f *Fleet) adminCall(shard int, method string, args any, attempts int, done func(res any, err error)) {
-	f.leaderCall(f.admin, f.Sched, f.adminBelieved, f.adminCall, shard, method, args, attempts, done)
+	f.leaderCall(f.admin, f.adminBelieved, f.adminCall, shard, method, args, attempts, done)
 }
 
 // leaderCall is the control plane's one rotate-and-retry loop (adminCall
 // and ShardMaster.callShard both run it): call shard's believed-leader
 // replica, rotate the belief and retry on timeout or ErrNotLeader, retry in
-// place on ErrBusy. rpc, sched and believed belong to the caller's lane;
-// replica names are static topology. A retry re-enters the caller through
-// again, so a check the caller makes per attempt (callShard's down test)
-// keeps running per attempt.
-func (f *Fleet) leaderCall(rpc *simnet.RPCNode, sched *simtime.Scheduler, believed []int,
+// place on ErrBusy. rpc and believed are the caller's. A retry re-enters
+// the caller through again, so a check the caller makes per attempt
+// (callShard's down test) keeps running per attempt.
+func (f *Fleet) leaderCall(rpc *simnet.RPCNode, believed []int,
 	again func(shard int, method string, args any, attempts int, done func(res any, err error)),
 	shard int, method string, args any, attempts int, done func(res any, err error)) {
 	retry := func(err error) {
@@ -388,7 +373,7 @@ func (f *Fleet) leaderCall(rpc *simnet.RPCNode, sched *simtime.Scheduler, believ
 			done(nil, err)
 			return
 		}
-		sched.FireAfter(500*time.Millisecond, func() {
+		f.Sched.FireAfter(500*time.Millisecond, func() {
 			again(shard, method, args, attempts-1, done)
 		})
 	}

@@ -2,13 +2,13 @@ package fleet
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
 	"time"
-
-	"ustore/internal/simnet"
 )
 
 func testConfig() Config {
@@ -444,27 +444,51 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Units != 8 || c.Shards != 1 || c.Seed != 1 {
 		t.Fatalf("defaults: %+v", c)
 	}
-	// A zero Config runs on one scheduler: a lane network per unit plus the
-	// control lane, each on that scheduler and each with a stream of its own.
+	// A zero Config runs on one scheduler and one network.
 	f := New(Config{})
-	if f.Engine == nil || f.Engine.Parts() != 1 {
-		t.Fatalf("zero Config: Engine=%v, want one on one scheduler", f.Engine)
+	if f.Engine == nil || f.Engine.Part(0) != f.Sched || f.Net.Scheduler() != f.Sched {
+		t.Fatalf("zero Config: Engine=%v, Net on %p, want both on Sched %p", f.Engine, f.Net.Scheduler(), f.Sched)
 	}
-	if len(f.nets) != c.Units+1 || f.nets[0] != f.Net {
-		t.Fatalf("zero Config: %d lane networks, want Units+1 = %d with Net first", len(f.nets), c.Units+1)
-	}
-	seen := map[*simnet.Network]bool{}
-	for l, n := range f.nets {
-		if n.Scheduler() != f.Sched || seen[n] || l > 0 && n.Rand() == f.Sched.Rand() {
-			t.Fatalf("zero Config: lane %d's network is not a lane of its own on the fleet scheduler", l)
+}
+
+// TestUnitPaxosStreams: unit u's Paxos replicas draw their election jitter
+// from a stream seeded seed^(1+u), not from the scheduler's. In a fleet
+// whose units host one replica each, each group's first leader is the
+// replica whose first draw from its unit's stream is smallest, and the
+// scheduler's stream is never drawn.
+func TestUnitPaxosStreams(t *testing.T) {
+	const shards = 4
+	for _, seed := range []int64{1, 2} {
+		f := New(Config{Units: MinUnits(shards), Shards: shards, Seed: seed})
+		f.Settle(9 * time.Second) // past every replica's first election timeout
+		for k := 0; k < shards; k++ {
+			want, least := -1, int64(math.MaxInt64)
+			for i := 0; i < ShardReplicas; i++ {
+				u := f.ReplicaUnit(k, i)
+				jitter := rand.New(rand.NewSource(seed ^ int64(1+u))).Int63n(int64(paxosConfig.ElectionTimeoutBase))
+				if jitter < least {
+					want, least = i, jitter
+				}
+			}
+			got := -1
+			for i, st := range f.Stores[k] {
+				if st.IsLeader() {
+					got = i
+				}
+			}
+			if got != want {
+				t.Errorf("seed %d: shard %d's Paxos leader is replica %d, want %d, the first to time out on its unit's stream", seed, k, got, want)
+			}
 		}
-		seen[n] = true
+		if got, fresh := f.Sched.Rand().Int63(), rand.New(rand.NewSource(seed)).Int63(); got != fresh {
+			t.Errorf("seed %d: the scheduler's stream was drawn: next draw %d, want the seed's first %d", seed, got, fresh)
+		}
 	}
 }
 
 // TestBootHeap256Units: a 256-unit fleet boots into at most 20 MB of live
-// heap. Its 257 lanes share one scheduler and one timer wheel; a scheduler
-// per unit held about 43 MB.
+// heap. Its processes share one scheduler, one timer wheel and one
+// network; a scheduler per unit held about 43 MB.
 func TestBootHeap256Units(t *testing.T) {
 	live := func() uint64 {
 		runtime.GC()

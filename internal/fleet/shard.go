@@ -40,7 +40,7 @@ type ShardMaster struct {
 	rec *obs.Recorder
 	// foreignBelieved[k] is this master's believed-leader replica index for
 	// foreign shard k (cross-shard calls rotate through believed leaders
-	// instead of peeking another lane's state).
+	// instead of peeking another shard's state).
 	foreignBelieved []int
 
 	leading bool
@@ -126,7 +126,7 @@ func (op *shardOp) Fire() {
 	m.hOpTime.ObserveDuration(m.sched.Now() - start)
 }
 
-func newShardMaster(f *Fleet, shard, replica int, store *coord.Store, net *simnet.Network) *ShardMaster {
+func newShardMaster(f *Fleet, shard, replica int, store *coord.Store) *ShardMaster {
 	name := fmt.Sprintf("s%dm%d", shard, replica)
 	m := &ShardMaster{
 		f:       f,
@@ -153,7 +153,7 @@ func newShardMaster(f *Fleet, shard, replica int, store *coord.Store, net *simne
 		n := m.ix.UnitOf(r)
 		m.units[n], m.unitNo[uid] = uid, n
 	}
-	m.rpc = simnet.NewRPCNode(net, m.rpcName)
+	m.rpc = simnet.NewRPCNode(f.Net, m.rpcName)
 	m.sch = newShardScheduler(m)
 	// Leader soft state must track the replicated tree even for commits this
 	// leadership never issued: a previous leader's Allocate or Release can
@@ -711,17 +711,15 @@ func (m *ShardMaster) freeForeignFragments(volume string, foreign map[int][]stri
 	}
 }
 
-// callShard is the cross-shard call: everything it touches —
-// the believed-leader slice, the retry timer, the sending RPC node — belongs
-// to this master's lane, and the request itself crosses units through
-// the fabric. Leader discovery is by rotation, like clients
+// callShard is the cross-shard call, sent from this master's RPC node with
+// its believed-leader slice. Leader discovery is by rotation, like clients
 // (Fleet.leaderCall). A replica that went down stops its retry chains here.
 func (m *ShardMaster) callShard(shard int, method string, args any, attempts int, done func(res any, err error)) {
 	if m.down {
 		done(nil, errors.New("fleet: replica down"))
 		return
 	}
-	m.f.leaderCall(m.rpc, m.sched, m.foreignBelieved, m.callShard, shard, method, args, attempts, done)
+	m.f.leaderCall(m.rpc, m.foreignBelieved, m.callShard, shard, method, args, attempts, done)
 }
 
 // --- Heartbeats ---

@@ -109,8 +109,8 @@ func (q *request[T]) Release() {
 var requestPoison func(args any)
 
 // requests is one sender's free list of request records. The records come
-// back from whichever node received them, on whatever lane; every lane runs
-// on the one scheduler, so the list is a plain slice.
+// back from whichever node received them; every node runs on the one
+// scheduler, so the list is a plain slice.
 type requests[T any] struct {
 	free []*request[T]
 	made int // records the list allocated: all are free when none is in flight

@@ -11,15 +11,16 @@
 // The implementation is single-threaded on the simulation scheduler: all
 // handlers run as scheduler events, so the protocol state needs no locks
 // and every run is deterministic. That holds for the free lists of hot wire
-// records too, which receivers on other lanes give records back to. Safety
-// holds under message loss, duplication, reordering (simnet delivers with
-// per-link latency), and partitions; tests assert the canonical invariants
-// (one value chosen per slot, identical applied prefixes).
+// records too, which receivers give records back to. Safety holds under
+// message loss, duplication, reordering (simnet delivers with per-link
+// latency), and partitions; tests assert the canonical invariants (one
+// value chosen per slot, identical applied prefixes).
 package paxos
 
 import (
 	"fmt"
 	"math/bits"
+	"math/rand"
 	"slices"
 	"sort"
 	"time"
@@ -56,6 +57,9 @@ type Config struct {
 	ElectionTimeoutBase time.Duration
 	// PhaseTimeout bounds each Prepare/Accept round before retry.
 	PhaseTimeout time.Duration
+	// Rand is the stream the election jitter draws from; nil draws from
+	// the network's (Network.Rand).
+	Rand *rand.Rand
 }
 
 // DefaultConfig returns timing suitable for a datacenter-local quorum.
@@ -177,9 +181,8 @@ func (w *wire[T]) Release() {
 var wirePoison func(msg any)
 
 // wireList is one node's free list of one kind of wire record. The records
-// come back from whichever node received them, on whatever lane of the
-// fabric it lives; every lane runs on the one scheduler, so the list is a
-// plain slice.
+// come back from whichever node received them; every node runs on the one
+// scheduler, so the list is a plain slice.
 type wireList[T any] struct {
 	free []*wire[T]
 	made int // records the list allocated: all are free when none is in flight
@@ -278,6 +281,9 @@ func New(net *simnet.Network, name string, peers []string, cfg Config, apply App
 	}
 	if idx < 0 || len(sorted) > 64 { // acks are a 64-bit mask
 		panic(fmt.Sprintf("paxos: %s not in peer list %v, or over 64 peers", name, peers))
+	}
+	if cfg.Rand == nil {
+		cfg.Rand = net.Rand()
 	}
 	n := &Node{
 		name:        name,
@@ -419,7 +425,7 @@ func (n *Node) armElectionTimer() {
 		return
 	}
 	n.electionArmed = true
-	jitter := time.Duration(n.net.Rand().Int63n(int64(n.cfg.ElectionTimeoutBase)))
+	jitter := time.Duration(n.cfg.Rand.Int63n(int64(n.cfg.ElectionTimeoutBase)))
 	n.sched.FireAfterR(n.cfg.ElectionTimeoutBase+jitter, (*electionTimer)(n))
 }
 

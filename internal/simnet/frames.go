@@ -25,8 +25,8 @@ type Frame struct {
 
 // Lease is a claim on memory lent to a frame's Body. Release gives it back,
 // after which the frame's holder must not read the memory. It runs on the
-// scheduler goroutine of the network that carries the frame, which is also
-// the owner's: block IO never crosses an engine lane.
+// goroutine of the scheduler the network runs on, which is also the
+// owner's.
 type Lease interface {
 	Release()
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // TestRecordSizes pins the pooled records' sizes to the Go size classes they
-// fill today (48, 80, 80 and 128 bytes), as simtime.TestEventSize does for
+// fill today (48, 80 and 128 bytes), as simtime.TestEventSize does for
 // Event: a field that crosses a class boundary grows every record by a
-// whole class. Both messages in flight carry a Message, whose interned
+// whole class. A message in flight carries a Message, whose interned
 // addresses keep it at 64 bytes.
 func TestRecordSizes(t *testing.T) {
 	for _, c := range []struct {
@@ -22,7 +22,6 @@ func TestRecordSizes(t *testing.T) {
 	}{
 		{"Message", unsafe.Sizeof(Message{}), 64},
 		{"pendingCall", unsafe.Sizeof(pendingCall{}), 48},
-		{"remoteMsg", unsafe.Sizeof(remoteMsg{}), 80},
 		{"delivery", unsafe.Sizeof(delivery{}), 80},
 		{"retrier", unsafe.Sizeof(retrier{}), 128},
 	} {
@@ -105,9 +104,9 @@ func TestReleasedTimeoutNeverFires(t *testing.T) {
 	}
 }
 
-// TestFabricPoolsAcrossWorkers runs chains of RPCs between four lanes, so
-// cross-lane records are taken from one network's pool and returned to it
-// from another lane. Every call gets its own reply.
+// TestFabricPoolsAcrossWorkers runs chains of RPCs among four nodes of a
+// Fabric's network, so records in flight are taken from and returned to its
+// pools by every node. Every call gets its own reply.
 func TestFabricPoolsAcrossWorkers(t *testing.T) {
 	const parts, chains, rounds = 4, 8, 25
 	e, f := newTestFabric(t)
@@ -116,7 +115,7 @@ func TestFabricPoolsAcrossWorkers(t *testing.T) {
 		nodes[p] = NewRPCNode(f.Network(p), fmt.Sprintf("n%d", p))
 		nodes[p].Register("echo", func(_ string, args any) (any, error) { return args, nil })
 	}
-	replies := make([]int, parts) // replies[p] is written on p's lane only
+	replies := make([]int, parts)
 	for p, n := range nodes {
 		p, n := p, n
 		var call func(i int)

@@ -9,8 +9,8 @@ import (
 )
 
 // routeWorld is one layout the routing test drives: a, a2 and c on the a
-// side, b on the b side. On a plain network both sides are one network; on
-// a Fabric they are lanes 0 and 1.
+// side, b on the b side, registered through Network(0) and Network(1) of a
+// Fabric, which name one network.
 type routeWorld struct {
 	na, nb *Network
 	cut    func(on bool) // cuts or heals machines m1 and m2
@@ -133,12 +133,7 @@ func route(t *testing.T, w routeWorld, colocateFirst bool) []string {
 
 	// Names with no node: one interned before its node registers, one never
 	// registered. Each send is one drop and gives its record back once.
-	dropped := func() uint64 {
-		if w.na == w.nb {
-			return w.na.Stats().Dropped
-		}
-		return w.na.Stats().Dropped + w.nb.Stats().Dropped
-	}
+	dropped := func() uint64 { return w.na.Stats().Dropped }
 	late := w.nb.Addr("late")
 	for _, to := range []Addr{late, w.na.Addr("ghost")} {
 		counts := &pooledCounts{}
@@ -158,8 +153,8 @@ func route(t *testing.T, w routeWorld, colocateFirst bool) []string {
 }
 
 // TestRoutingIndependentOfColocateOrder: a node placed before it registers
-// and one placed after route alike, on a plain network and across a
-// Fabric's lanes — loopback, link and brownout delays, isolation on
+// and one placed after route alike, on a plain network and on a Fabric's
+// — loopback, link and brownout delays, isolation on
 // either side, a cut, and the loss and dup dice, drawn only at a positive
 // rate — and a send to a name with no node is one drop that gives its
 // Pooled record back.
@@ -174,10 +169,9 @@ func TestRoutingIndependentOfColocateOrder(t *testing.T) {
 			"a->b drop", "a->a2 0s", "a->b drop", "a->a2 0s",
 			"a->b drop", "a->b 200µs",
 		}},
-		// Brownouts and dice are lane-local; a cross-lane hop takes one
-		// lookahead.
+		// A Fabric's hop takes one lookahead.
 		{"fabric", func() routeWorld { return fabricWorld(t) }, []string{
-			"a->a2 0s", "a->b 1ms", "a->b 1ms", "a->a2 0s",
+			"a->a2 0s", "a->b 1ms", "a->b 6ms", "a->a2 0s",
 			"a->b drop", "a->a2 0s", "a->b drop", "a->a2 0s",
 			"a->b drop", "a->b 1ms",
 		}},

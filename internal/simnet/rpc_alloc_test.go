@@ -119,10 +119,9 @@ func TestRPCManyCallersAllocs(t *testing.T) {
 	}
 }
 
-// fabricEcho is rpcEcho across two lanes of an engine: the request and
-// the reply each take a cross-lane record from the destination
-// network's pool. trip runs past the call's timeout, so its event is
-// dropped; replies counts the replies.
+// fabricEcho is rpcEcho on a Fabric's network, whose hop is the engine's
+// lookahead. trip runs past the call's timeout, so its event is dropped;
+// replies counts the replies.
 func fabricEcho(tb testing.TB) (trip func(), replies *int) {
 	e, f := newTestFabric(tb)
 	srv := NewRPCNode(f.Network(1), "srv")
@@ -142,7 +141,7 @@ func fabricEcho(tb testing.TB) (trip func(), replies *int) {
 	}, replies
 }
 
-// TestFabricRoundTripAllocs is the round trip across two lanes, where
+// TestFabricRoundTripAllocs is the round trip on a Fabric's network, where
 // nothing allocates either.
 func TestFabricRoundTripAllocs(t *testing.T) {
 	trip, replies := fabricEcho(t)

@@ -3,8 +3,10 @@
 //
 // A Network holds named Nodes, each placed on a machine (Colocate). Messages
 // between nodes of one machine are loopback; every other message is delivered
-// as a scheduled event after the link latency plus serialization time (message
-// size over link bandwidth).
+// as a scheduled event after the network's hop latency plus serialization
+// time (message size over link bandwidth). A unit's network (New) hops in
+// 200 µs, a same-cluster datacenter hop; a fleet's (NewWithLatency) in 1 ms,
+// a hop between deploy units.
 //
 // Faults and delays live at one level, the machine — the unit that has an
 // uplink and a cable to lose. A non-local Send checks, in this order: either
@@ -16,13 +18,11 @@
 // none.
 //
 // Names are interned. A name's first use (Node, Colocate, Addr, an RPC call)
-// gives it a dense Addr, and a machine's a dense index, in a table that is
-// the network's own or, on a Fabric, shared by every lane. The machines'
-// fault state lives in the same table, so on a Fabric a fault set through
-// any lane's Network is every lane's. Registration, topology and fault calls
-// write the table at quiescence; an RPC call to a new name may write it
-// mid-run, which the engine's one goroutine keeps safe. A Message carries
-// Addrs and a node record its machine index, so Send, a Fabric's forward and
+// gives it a dense Addr, and a machine's a dense index, in the network's
+// table, which also holds the machines' fault state. Registration, topology
+// and fault calls write the table at quiescence; an RPC call to a new name
+// may write it mid-run, which the scheduler's one goroutine keeps safe. A
+// Message carries Addrs and a node record its machine index, so Send,
 // delivery, and RPC dispatch and reply index slices and hash no string. A
 // name is one index away (Name).
 package simnet
@@ -67,8 +67,8 @@ type Pooled interface {
 	Release()
 }
 
-// Addr is a node's interned address: its index in the address table of its
-// network, shared by every lane of a Fabric.
+// Addr is a node's interned address: its index in its network's address
+// table.
 type Addr int32
 
 // NoAddr is no node's address.
@@ -107,8 +107,9 @@ func (n *Node) Send(to Addr, payload any, size int) {
 	n.net.send(n, Message{From: n.addr, To: to, Payload: payload, Size: size})
 }
 
-// Every non-loopback link is the same: a same-cluster datacenter hop (RTT ≈
-// 0.4 ms) into a 1GbE NIC, the paper's datacenter setting.
+// Every non-loopback link of a network is the same: its hop latency into a
+// 1GbE NIC. New's hop is a same-cluster datacenter hop (RTT ≈ 0.4 ms), the
+// paper's datacenter setting.
 const (
 	linkLatency   = 200 * time.Microsecond
 	linkBandwidth = 125e6 // bytes/sec
@@ -219,22 +220,17 @@ type Stats struct {
 // Network is a collection of nodes placed on machines.
 type Network struct {
 	sched *simtime.Scheduler
-	// rng is every draw the network and the protocols on it make: the
-	// scheduler's own, unless a Fabric gives the network a lane of its own.
-	rng *rand.Rand
-	// table interns names and holds the machines' fault state; a Fabric's
-	// lanes share the Fabric's.
+	// table interns names and holds the machines' fault state.
 	table *addrTable
+	// latency is every non-loopback hop's latency before serialization.
+	latency time.Duration
 
 	stats Stats
 
 	// frames recycles the block protocol's wire frames (see FrameList).
 	frames FrameList
-	// deliveries recycles this network's messages in flight; remote
-	// recycles cross-lane ones addressed here, which the sending lane
-	// takes.
+	// deliveries recycles this network's messages in flight.
 	deliveries freeList[delivery]
-	remote     freeList[remoteMsg]
 
 	// Observability handles (nil-safe; SetRecorder fills them in).
 	rec        *obs.Recorder
@@ -245,11 +241,6 @@ type Network struct {
 	cDups      *obs.Counter
 	cParts     *obs.Counter
 	cDedup     *obs.Counter
-	// fabric links this network into a multi-lane address space; nil for
-	// a standalone network. lane is this network's lane, the sender's key
-	// in the engine's flush order.
-	fabric *Fabric
-	lane   int
 
 	// rpcMetrics caches the per-method RPC series handles so the hot call
 	// path resolves each method's series once instead of rebuilding the
@@ -321,31 +312,29 @@ func (n *Network) closePartition(key string) {
 	}
 }
 
-// New creates an empty network on the given scheduler.
-func New(sched *simtime.Scheduler) *Network { return newNetwork(sched, newAddrTable()) }
+// New creates an empty network on the given scheduler whose hops are
+// same-cluster datacenter hops.
+func New(sched *simtime.Scheduler) *Network { return NewWithLatency(sched, linkLatency) }
 
-// newNetwork creates an empty network that interns its addresses in table:
-// a plain network's own, or the one a Fabric's lanes share.
-func newNetwork(sched *simtime.Scheduler, table *addrTable) *Network {
-	return &Network{sched: sched, rng: sched.Rand(), table: table,
+// NewWithLatency creates an empty network on the given scheduler whose
+// every non-loopback hop takes latency plus serialization.
+func NewWithLatency(sched *simtime.Scheduler, latency time.Duration) *Network {
+	return &Network{sched: sched, table: newAddrTable(), latency: latency,
 		rpcMetrics: make(map[string]*rpcMethodMetrics)}
 }
 
 // Scheduler returns the scheduler the network runs on.
 func (n *Network) Scheduler() *simtime.Scheduler { return n.sched }
 
-// Rand returns the network's deterministic random source, which the
-// processes on it draw from.
-func (n *Network) Rand() *rand.Rand { return n.rng }
+// Rand returns the scheduler's deterministic random source, which the
+// network's dice and the processes on it draw from.
+func (n *Network) Rand() *rand.Rand { return n.sched.Rand() }
 
-// Node registers (or returns the existing) node with the given name. On a
-// Fabric a name belongs to one lane's network.
+// Node registers (or returns the existing) node with the given name.
 func (n *Network) Node(name string) *Node {
 	nd := n.table.node(name)
 	if nd.net == nil {
 		nd.net, nd.up = n, true
-	} else if nd.net != n {
-		panic(fmt.Sprintf("simnet: node %q registered on lanes %d and %d", name, nd.net.lane, n.lane))
 	}
 	return nd
 }
@@ -446,7 +435,7 @@ func (n *Network) MachineIsolated(machine string) bool {
 	return n.table.machAt(n.table.machine(machine)).isolated
 }
 
-// send delivers msg from src after the link latency plus serialization time
+// send delivers msg from src after the hop latency plus serialization time
 // and any brownout penalty. It is a no-op (counted as a drop) if the
 // destination has no node, a machine-level fault severs the path
 // (isolation, then cut), or the loss dice say so; a destination down at
@@ -456,13 +445,8 @@ func (n *Network) send(src *Node, msg Message) {
 	n.stats.Sent++
 	n.cSent.Inc()
 	dst := n.table.nodes[msg.To]
-	switch dst.net {
-	case n:
-	case nil: // a name with no node
+	if dst.net == nil { // a name with no node
 		n.drop(msg.Payload)
-		return
-	default: // registered on another lane of n's Fabric
-		n.fabric.forward(src, dst, msg)
 		return
 	}
 	local := src == dst || src.mach != noMachine && src.mach == dst.mach
@@ -474,12 +458,12 @@ func (n *Network) send(src *Node, msg Message) {
 		switch {
 		case ma.isolated, mb.isolated,
 			ml != nil && ml.cut,
-			ml != nil && ml.lossRate > 0 && n.rng.Float64() < ml.lossRate:
+			ml != nil && ml.lossRate > 0 && n.sched.Rand().Float64() < ml.lossRate:
 			n.drop(msg.Payload)
 			return
 		}
-		dup = ml != nil && ml.dupRate > 0 && n.rng.Float64() < ml.dupRate
-		delay = linkLatency
+		dup = ml != nil && ml.dupRate > 0 && n.sched.Rand().Float64() < ml.dupRate
+		delay = n.latency
 		if msg.Size > 0 {
 			delay += time.Duration(float64(msg.Size) / linkBandwidth * float64(time.Second))
 		}
@@ -493,7 +477,7 @@ func (n *Network) send(src *Node, msg Message) {
 		// the copy owns all its bytes and holds no lease. Any other pooled
 		// record is duplicated by its protocol, for the same reason.
 		n.cDups.Inc()
-		jitter := delay + time.Duration(n.rng.Int63n(int64(time.Millisecond)))
+		jitter := delay + time.Duration(n.sched.Rand().Int63n(int64(time.Millisecond)))
 		again := msg
 		switch p := msg.Payload.(type) {
 		case *Frame:
@@ -519,7 +503,7 @@ func (n *Network) drop(payload any) {
 	}
 }
 
-// delivery is a message in flight inside one lane and its event's receiver.
+// delivery is a message in flight and its event's receiver.
 type delivery struct {
 	dst   *Node
 	msg   Message

@@ -70,35 +70,3 @@ func BenchmarkSchedulerCancelledTimeouts(b *testing.B) {
 		s.Run()
 	}
 }
-
-// BenchmarkEngineWindow models a fleet's engine windows: 65 lanes and 64 hop
-// chains, each hop firing a local follow-up and posting to a random lane one
-// to three lookaheads out, so a window holds a few dozen events over a dozen
-// or so active lanes. One op = one simulated millisecond,
-// about one window.
-func BenchmarkEngineWindow(b *testing.B) {
-	const parts, lookahead = 65, time.Millisecond
-	e := NewEngine(1, parts, 1, lookahead)
-	hops := make([]func(), parts)
-	for p := range hops {
-		s := e.Part(p)
-		hops[p] = func() {
-			s.FireAfter(100*time.Microsecond, func() {})
-			dst := s.Rand().Intn(parts)
-			at := s.Now() + lookahead + time.Duration(s.Rand().Intn(2000))*time.Microsecond
-			e.Post(p, dst, at, hops[dst])
-		}
-	}
-	for c := 0; c < 64; c++ {
-		e.Part(c).FireAfter(time.Duration(c)*10*time.Microsecond, hops[c])
-	}
-	e.RunFor(2 * wheelSpan) // the inbox, spare slot arrays and free lists grow to the load
-	w0, f0 := e.Stats().Windows, e.Fired()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.RunFor(lookahead)
-	}
-	b.ReportMetric(float64(e.Stats().Windows-w0)/float64(b.N), "windows/op")
-	b.ReportMetric(float64(e.Fired()-f0)/float64(b.N), "events/op")
-}

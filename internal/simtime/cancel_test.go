@@ -71,7 +71,7 @@ func TestPendingExactUnderArmCancelStorm(t *testing.T) {
 	}
 }
 
-// TestNextEventAtSkipsCancelledHead pins that the LBTS probe never reports a
+// TestNextEventAtSkipsCancelledHead pins that the probe never reports a
 // cancelled deadline.
 func TestNextEventAtSkipsCancelledHead(t *testing.T) {
 	s := NewScheduler(1)

@@ -521,8 +521,7 @@ func (s *Scheduler) Run() Time {
 // queued.
 func (s *Scheduler) RunUntil(deadline Time) Time {
 	for {
-		next := s.peekNext()
-		if next == nil || next.At > deadline {
+		if at, ok := s.NextEventAt(); !ok || at > deadline {
 			break
 		}
 		s.Step()

@@ -288,14 +288,13 @@ var mutants = []mutant{
 		want: []string{`--- FAIL: TestDedupWindowPrunedOnlyEvery1024th`, `duplicate at the window's edge: replies \[\{896 1025\}\]`},
 	},
 	{
-		// The flush orders equal deadlines by sending lane before post
-		// order, or lanes on the one scheduler hear each other in the order
-		// their sends ran, not the order partitions of their own delivered
-		// (the partitioned golden).
-		name: "flush-ignores-sending-lane", smoke: true, file: "internal/simtime/engine.go",
-		old: "cmp.Compare(a.src, b.src), ", new: "",
-		cmd:  "go test ./internal/simnet -run ^TestLanesMatchPartitions$",
-		want: []string{`--- FAIL: TestLanesMatchPartitions`, `\blanes:\s+lane 0: .*\s+2ms from n3 ttl=3`, `lane 0 heard lane 3 before lane 1`},
+		// Unit u's Paxos replicas draw their election jitter from the
+		// unit's own stream, seeded seed^(1+u); drawing the scheduler's
+		// moves every fleet's elections.
+		name: "paxos-draws-scheduler-stream", smoke: true, file: "internal/fleet/fleet.go",
+		old: "\t\t\tpc.Rand = unitRand[u]\n", new: "",
+		cmd:  "go test ./internal/fleet -run ^TestUnitPaxosStreams$",
+		want: []string{`--- FAIL: TestUnitPaxosStreams`, `seed 1: the scheduler's stream was drawn`},
 	},
 	{
 		// An answered async request leaves the in-flight set, or a

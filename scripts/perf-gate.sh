@@ -11,13 +11,15 @@
 # equal it, the correctness gate passes and no operation fails.
 #
 # Allocations are checked against REV (default HEAD), exported from git and
-# run on this machine: three interleaved REV/working-tree pairs per
+# run on this machine beside a plain copy of the working tree's files (git
+# ls-files -co --exclude-standard), so neither side's go build stamps VCS
+# state the other's does not: three interleaved REV/working-tree pairs per
 # workload, and the working tree's median alloc_mb and mallocs_k may be at
 # most 1 % above REV's (BENCHMARK.json's bound). A recorded figure would not
-# carry across hosts or Go versions. The engine runs on one goroutine, so
+# carry across hosts or Go versions. The simulation runs on one goroutine, so
 # what is left of the run-to-run spread is the Go runtime's own: on a 2-CPU
-# host, runs of the current tree measured fleet_alloc's mallocs_k at
-# 292.56-292.57 and fleet_churn's at 1083.11-1083.13 (--seconds 20).
+# host, ten runs of the current tree measured fleet_alloc's mallocs_k at
+# 206.81-206.82 and fleet_churn's at 716.80-716.81 (--seconds 20).
 #
 # Time is reported, not gated: per workload, each side's median and
 # quartiles of cpu_s, wall_s and setup_s, and in how many pairs the working
@@ -72,10 +74,15 @@ if [ "${1:-}" = "-update" ]; then
 fi
 
 rev=${1:-HEAD}
-mkdir "$tmp/rev"
+mkdir "$tmp/rev" "$tmp/now"
 git archive "$rev" | tar -x -C "$tmp/rev"
+git ls-files -co --exclude-standard -z | while IFS= read -r -d '' f; do
+	if [ -e "$f" ]; then # a tracked file the tree deleted is not copied
+		printf '%s\0' "$f"
+	fi
+done | tar --null -T - -cf - | tar -x -C "$tmp/now"
 echo "perf-gate: warming both build caches" >&2
-for dir in "$tmp/rev" .; do
+for dir in "$tmp/rev" "$tmp/now"; do
 	bash "$dir/perf/run.sh" --workload restore_storm --seed 1 --seconds 1 --trace 0 >/dev/null
 done
 status=0
@@ -83,7 +90,7 @@ for w in $workloads; do
 	echo "perf-gate: $w, $pairs pairs against $rev" >&2
 	for i in $(seq "$pairs"); do
 		run "$tmp/rev" "$w" "$tmp/rev-$w-$i"
-		run . "$w" "$tmp/now-$w-$i"
+		run "$tmp/now" "$w" "$tmp/now-$w-$i"
 	done
 	now=("$tmp/now-$w-"*.json)
 	if [ "$(jq -s 'all(.correct == true and .failed == 0)' "${now[@]}")" != true ]; then

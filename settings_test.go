@@ -73,6 +73,7 @@ var settings = map[string]settingReason{
 	"paxos.Config.HeartbeatInterval":   {twoValues, "chaos.stretchedConfig (1m) and paxos.DefaultConfig (100ms)"},
 	"paxos.Config.ElectionTimeoutBase": {twoValues, "chaos.stretchedConfig (4m) and paxos.DefaultConfig (400ms)"},
 	"paxos.Config.PhaseTimeout":        {twoValues, "chaos.stretchedConfig (2m) and paxos.DefaultConfig (300ms)"},
+	"paxos.Config.Rand":                {twoValues, "fleet.New's per-unit streams (seed^(1+u)) and nil, the network's stream (core.DefaultConfig)"},
 
 	"fleet.Config.Units":         {twoValues, "perf's fleet workloads (64) and chaos.FleetOptions' default (8)"},
 	"fleet.Config.Shards":        {twoValues, "perf's fleet workloads (8) and chaos.FleetOptions' default (1)"},
