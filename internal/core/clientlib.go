@@ -54,6 +54,8 @@ type ClientLib struct {
 	// calls and ios hold finished callMaster and IO records for reuse.
 	calls []*masterCall
 	ios   []*clientIO
+	// allocSeq numbers this client's Allocate requests (AllocateArgs.Seq).
+	allocSeq uint64
 
 	// OnMount receives mount and remount notifications.
 	OnMount func(MountEvent)
@@ -79,11 +81,12 @@ func NewClientLib(net *simnet.Network, name, service string, cfg Config, masters
 }
 
 // callMaster tries the master replicas in order until one accepts (a
-// standby refuses with ErrNotActive). Each replica is
-// called with retry so a lossy or flapping link doesn't masquerade as a
-// rejected request: resends reuse the request ID, and the master's RPC dedup
-// guarantees the operation executes at most once even if the first send got
-// through and only the reply was lost.
+// standby refuses with ErrNotActive). Each replica is called with retry so a
+// lossy or flapping link doesn't masquerade as a rejected request. Every
+// send reaches the master's handler, resends and the move to the next
+// replica included, so each method is safe to repeat: Allocate carries its
+// request key, which the active master answers from the allocation record,
+// and Release, Lookup and DiskPower are idempotent.
 func (cl *ClientLib) callMaster(method string, args any, size int, done func(any, error)) {
 	var c *masterCall
 	if n := len(cl.calls); n > 0 {
@@ -151,7 +154,9 @@ func (c *masterCall) finish(res any, err error) {
 // space", §IV-D) and returns the allocation.
 func (cl *ClientLib) Allocate(size int64, done func(AllocateReply, error)) {
 	tok := cl.cfg.History.Invoke(model.Op{Kind: model.OpAllocate, Client: cl.name})
-	cl.callMaster("Allocate", AllocateArgs{Service: cl.service, Size: size, ClientHost: cl.locality()}, 64,
+	cl.allocSeq++
+	args := AllocateArgs{Service: cl.service, Size: size, ClientHost: cl.locality(), Seq: cl.allocSeq}
+	cl.callMaster("Allocate", args, 64,
 		func(res any, err error) {
 			if err != nil {
 				done(AllocateReply{}, err)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"ustore/internal/fabric"
@@ -38,9 +39,19 @@ type Controller struct {
 	usbView map[string]USBReportArgs
 
 	locked bool
+	// run is the command that holds the lock.
+	run *execRun
 
 	// Stats.
 	executed, conflicts, rollbacks uint64
+}
+
+// execRun is a command in flight: its caller, its args, and the duplicate
+// deliveries of it that wait for its outcome.
+type execRun struct {
+	from   string
+	cmd    ExecuteArgs
+	joined []*simnet.AsyncReply
 }
 
 // controllerNode returns a controller's RPC node name.
@@ -110,6 +121,12 @@ func (c *Controller) VisibleOn(host, diskID string) bool {
 func (c *Controller) handleExecute(from string, args any, reply *simnet.AsyncReply) {
 	cmd := args.(ExecuteArgs)
 	if c.locked {
+		if r := c.run; r.from == from && r.cmd.Force == cmd.Force && slices.Equal(r.cmd.Pairs, cmd.Pairs) {
+			// A duplicate of the command in flight is answered with its
+			// outcome, not refused: its refusal would reach the caller first.
+			r.joined = append(r.joined, reply)
+			return
+		}
 		reply.Reply(nil, ErrFabricLocked)
 		return
 	}
@@ -148,6 +165,15 @@ func (c *Controller) handleExecute(from string, args any, reply *simnet.AsyncRep
 	}
 	// Step 1: lock the fabric for the duration of the command.
 	c.locked = true
+	run := &execRun{from: from, cmd: cmd}
+	c.run = run
+	finish := func(res any, err error) {
+		c.locked, c.run = false, nil
+		reply.Reply(res, err)
+		for _, j := range run.joined {
+			j.Reply(res, err)
+		}
+	}
 	// Remember prior state for rollback.
 	prior := make([]fabric.SwitchSetting, len(turns))
 	for i, t := range turns {
@@ -157,8 +183,7 @@ func (c *Controller) handleExecute(from string, args any, reply *simnet.AsyncRep
 	// target host within the verification window.
 	c.plane.TurnSwitches(c.mcu, turns, func(terr error) {
 		if terr != nil {
-			c.locked = false
-			reply.Reply(nil, terr)
+			finish(nil, terr)
 			return
 		}
 		deadline := c.sched.Now() + verifyTimeout
@@ -172,9 +197,8 @@ func (c *Controller) handleExecute(from string, args any, reply *simnet.AsyncRep
 				}
 			}
 			if ok {
-				c.locked = false
 				c.executed++
-				reply.Reply(rep, nil)
+				finish(rep, nil)
 				return
 			}
 			if c.sched.Now() >= deadline {
@@ -182,8 +206,7 @@ func (c *Controller) handleExecute(from string, args any, reply *simnet.AsyncRep
 				// and report failure back to the Master (§IV-C step 3).
 				c.rollbacks++
 				c.plane.TurnSwitches(c.mcu, prior, func(error) {
-					c.locked = false
-					reply.Reply(nil, fmt.Errorf("%w after %v", ErrVerifyTimeout, verifyTimeout))
+					finish(nil, fmt.Errorf("%w after %v", ErrVerifyTimeout, verifyTimeout))
 				})
 				return
 			}

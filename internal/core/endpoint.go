@@ -208,9 +208,10 @@ func (ep *EndPoint) sendHeartbeat() {
 	// Boxed once: every target is sent the same read-only beat.
 	var hb any = HeartbeatArgs{Host: ep.host, Seq: ep.hbSeq, Disks: infos}
 	// Send to the believed active master first, then to every other. Each
-	// send retries once on loss (same request ID; the master's RPC dedup
-	// absorbs duplicates), so one dropped message doesn't cost a whole
-	// heartbeat cycle of failure-detection budget.
+	// send retries once on loss, so one dropped message doesn't cost a whole
+	// heartbeat cycle of failure-detection budget. A resend or a duplicate
+	// carries the beat's Seq, which the master has already counted, so it
+	// does not refresh the host's liveness.
 	retry := simnet.RetryOpts{
 		Attempts: 2,
 		Timeout:  ep.cfg.RPCTimeout,

@@ -37,12 +37,24 @@ var (
 )
 
 // allocRecord is the persistent StorAlloc entry, JSON-encoded into coord.
+// Caller and Seq are the request key the allocation answered (Seq 0: no
+// key, and not indexed); they persist in the same coord Create as the
+// space.
 type allocRecord struct {
 	Space   SpaceID `json:"space"`
 	Service string  `json:"service"`
 	DiskID  string  `json:"disk"`
 	Offset  int64   `json:"offset"`
 	Size    int64   `json:"size"`
+	Caller  string  `json:"caller,omitempty"`
+	Seq     uint64  `json:"seq,omitempty"`
+}
+
+// requestKey names one client request: the caller's RPC node and its
+// sequence number.
+type requestKey struct {
+	caller string
+	seq    uint64
 }
 
 // hostStat is SysStat's per-host record (in-memory only, §IV-A).
@@ -73,8 +85,10 @@ type Master struct {
 	allocs map[SpaceID]*allocRecord
 	// diskAllocs indexes allocations and owning service per disk.
 	diskAllocs map[string][]*allocRecord
-	diskOwner  map[string]string
-	nextSpace  uint64
+	// byKey indexes the live allocations by the request that made them.
+	byKey     map[requestKey]*allocRecord
+	diskOwner map[string]string
+	nextSpace uint64
 
 	// Failover bookkeeping.
 	failingOver map[string]bool // hosts currently being failed over
@@ -127,6 +141,7 @@ func NewMaster(net *simnet.Network, name string, store *coord.Store, cfg Config,
 		diskHost:    make(map[string]string),
 		allocs:      make(map[SpaceID]*allocRecord),
 		diskAllocs:  make(map[string][]*allocRecord),
+		byKey:       make(map[requestKey]*allocRecord),
 		diskOwner:   make(map[string]string),
 		failingOver: make(map[string]bool),
 		controllers: controllers,
@@ -165,6 +180,7 @@ func (m *Master) onElected() {
 	m.cfg.Recorder.Instant("core", "elected", "master", obs.L("replica", m.name))
 	m.allocs = make(map[SpaceID]*allocRecord)
 	m.diskAllocs = make(map[string][]*allocRecord)
+	m.byKey = make(map[requestKey]*allocRecord)
 	m.diskOwner = make(map[string]string)
 	m.exported = make(map[SpaceID]string)
 	disks, err := m.store.Children("/alloc")
@@ -197,6 +213,9 @@ func (m *Master) onElected() {
 
 func (m *Master) indexAlloc(rec *allocRecord) {
 	m.allocs[rec.Space] = rec
+	if rec.Seq != 0 {
+		m.byKey[requestKey{rec.Caller, rec.Seq}] = rec
+	}
 	m.diskAllocs[rec.DiskID] = append(m.diskAllocs[rec.DiskID], rec)
 	m.diskOwner[rec.DiskID] = rec.Service
 }
@@ -213,8 +232,10 @@ func (m *Master) handleHeartbeat(from string, args any) (any, error) {
 		hs = &hostStat{diskState: make(map[string]DiskState)}
 		m.hosts[hb.Host] = hs
 	}
-	if hb.Seq < hs.lastSeq {
-		return HeartbeatReply{Active: true}, nil // stale duplicate
+	if hb.Seq <= hs.lastSeq {
+		// A resend or a duplicate of a beat already counted, or an older
+		// one: it says nothing about the host now.
+		return HeartbeatReply{Active: true}, nil
 	}
 	hs.lastSeq = hb.Seq
 	hs.lastSeen = m.sched.Now()
@@ -515,10 +536,15 @@ func (m *Master) handleAllocate(from string, args any) (any, error) {
 	if !m.Active() {
 		return nil, ErrNotActive
 	}
+	a := args.(AllocateArgs)
+	if rec := m.byKey[requestKey{from, a.Seq}]; rec != nil {
+		// A resend of a request this master or its predecessor served: the
+		// space its first send took is the answer, and it costs no token.
+		return m.allocReply(rec), nil
+	}
 	if m.throttled(from) {
 		return nil, ErrThrottled
 	}
-	a := args.(AllocateArgs)
 	if a.Size <= 0 {
 		return nil, fmt.Errorf("core: allocation size %d", a.Size)
 	}
@@ -545,7 +571,7 @@ func (m *Master) handleAllocate(from string, args any) (any, error) {
 	}
 	m.nextSpace++
 	space := SpaceID(fmt.Sprintf("%s/%s/sp%d", unitID, diskID, m.nextSpace))
-	rec := &allocRecord{Space: space, Service: a.Service, DiskID: diskID, Offset: offset, Size: a.Size}
+	rec := &allocRecord{Space: space, Service: a.Service, DiskID: diskID, Offset: offset, Size: a.Size, Caller: from, Seq: a.Seq}
 	m.indexAlloc(rec)
 	// Persist synchronously to coord ("stored persistently in the Master
 	// synchronously"); export after commit.
@@ -569,8 +595,12 @@ func (m *Master) handleAllocate(from string, args any) (any, error) {
 				128, m.cfg.RPCTimeout, func(any, error) {})
 		}
 	})
-	host := m.diskHost[diskID]
-	return AllocateReply{Space: space, DiskID: diskID, Host: host, Offset: offset, Size: a.Size}, nil
+	return m.allocReply(rec), nil
+}
+
+// allocReply answers an Allocate with rec and its disk's current host.
+func (m *Master) allocReply(rec *allocRecord) AllocateReply {
+	return AllocateReply{Space: rec.Space, DiskID: rec.DiskID, Host: m.diskHost[rec.DiskID], Offset: rec.Offset, Size: rec.Size}
 }
 
 // pickDisk builds the candidate views SysStat allows (online host, not
@@ -640,9 +670,10 @@ func (m *Master) handleRelease(from string, args any) (any, error) {
 	r := args.(ReleaseArgs)
 	rec, ok := m.allocs[r.Space]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownSpace, r.Space)
+		return struct{}{}, nil // released already: a resend or a duplicate
 	}
 	delete(m.allocs, r.Space)
+	delete(m.byKey, requestKey{rec.Caller, rec.Seq})
 	recs := m.diskAllocs[rec.DiskID][:0]
 	for _, other := range m.diskAllocs[rec.DiskID] {
 		if other.Space != r.Space {

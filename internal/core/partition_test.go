@@ -81,18 +81,21 @@ func TestPartitionedMasterFailsOverAndHealsToSingleActive(t *testing.T) {
 
 // TestDuplicateDeliveryIdempotency turns on heavy message duplication across
 // every control-plane path — host heartbeats to the masters and the client's
-// RPC links — and checks the request-ID dedup keeps everything exactly-once:
-// allocations stay contiguous and non-overlapping, IO stays correct, and the
-// election stays single-leader.
+// RPC links — and checks that the protocols absorb the duplicates, which
+// every run its handler: a duplicated Allocate is answered from the record
+// its request key names, so allocations stay contiguous and
+// non-overlapping; IO stays correct; and the election stays single-leader.
 func TestDuplicateDeliveryIdempotency(t *testing.T) {
 	c := boot(t)
 	machines := append([]string(nil), c.Fabric.Hosts()...)
 	for _, m := range c.Masters {
 		machines = append(machines, "mach-"+m.Name())
 	}
-	// The (un-colocated) client's RPC and initiator nodes are machines of
-	// their own.
-	machines = append(machines, "client0", "cl:client0")
+	// The client's RPC and initiator nodes run on a machine of their own:
+	// simnet duplicates only messages between placed nodes.
+	c.Net.Colocate("client0", "mach-client0")
+	c.Net.Colocate("cl:client0", "mach-client0")
+	machines = append(machines, "mach-client0")
 	for i := 0; i < len(machines); i++ {
 		for j := i + 1; j < len(machines); j++ {
 			c.Net.SetMachineDupRate(machines[i], machines[j], 0.5)

@@ -170,6 +170,11 @@ type AllocateArgs struct {
 	Size    int64
 	// ClientHost hints locality (the host nearest the client).
 	ClientHost string
+	// Seq numbers the request among its caller's allocations (0: none).
+	// The caller's name and Seq key the allocation record, so a resend of
+	// the request, to the same master or its successor, is answered with
+	// the space its first send took.
+	Seq uint64
 }
 
 // AllocateReply returns the allocated space and where to mount it.

@@ -109,7 +109,7 @@ func TestAsyncTakesPrecedenceOverSync(t *testing.T) {
 
 // TestRemoteErrorIsHandlersValue: a caller gets the very error value its
 // handler returned, whether a sync handler returned it, an async one
-// replied with it later, or the dedup cache answered a duplicate with it.
+// replied with it later, and a duplicate delivery runs the handler again.
 // An async handler's error that wraps ErrTimeout stays a remote error: the
 // call's own timeout counter does not move.
 func TestRemoteErrorIsHandlersValue(t *testing.T) {
@@ -140,8 +140,8 @@ func TestRemoteErrorIsHandlersValue(t *testing.T) {
 		t.Errorf("rpc_timeouts_total = %d after a handler's wrapped timeout, want 0", got)
 	}
 
-	// A raw caller sends one request ID twice: the second is answered from
-	// the dedup cache, with the same value.
+	// A raw caller sends one request ID twice: the handler runs for each,
+	// and each reply carries its value.
 	raw := n.Node("raw")
 	ownMachines(n, "raw")
 	var replies []any

@@ -110,10 +110,10 @@ func TestDroppedPooledRecordReleased(t *testing.T) {
 
 // TestDispatchReleasesPooledRequest: an RPC request that is Pooled goes back
 // once its delivery is done with, and only then: after a sync handler
-// answers, after an async handler returns, after a duplicate is answered
-// from the served cache or absorbed while its async handler works, and
-// after an unknown method is refused. Every request is duplicated, so each
-// case releases two records.
+// answers, after an async handler returns, and after an unknown method is
+// refused. Every request is duplicated, and every delivery runs the handler,
+// so each case releases two records, each after its own handler run; the
+// caller takes the first reply.
 func TestDispatchReleasesPooledRequest(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -122,13 +122,13 @@ func TestDispatchReleasesPooledRequest(t *testing.T) {
 	}{
 		{"sync", func(srv *RPCNode, _ *simtime.Scheduler, handle func(any)) {
 			srv.Register("m", func(_ string, args any) (any, error) { handle(args); return 1, nil })
-		}, 1},
+		}, 2},
 		{"async", func(srv *RPCNode, s *simtime.Scheduler, handle func(any)) {
 			srv.RegisterAsync("m", func(_ string, args any, reply *AsyncReply) {
 				handle(args)
 				s.After(50*time.Millisecond, func() { reply.Reply(1, nil) })
 			})
-		}, 1},
+		}, 2},
 		{"unknown", func(*RPCNode, *simtime.Scheduler, func(any)) {}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,10 +141,11 @@ func TestDispatchReleasesPooledRequest(t *testing.T) {
 			counts := &pooledCounts{}
 			calls := 0
 			tc.register(srv, s, func(args any) {
-				calls++
-				if _, ok := args.(*pooledRec); !ok || counts.released != 0 {
-					t.Errorf("handler got %T after %d releases, want a live *pooledRec", args, counts.released)
+				if _, ok := args.(*pooledRec); !ok || counts.released != calls {
+					t.Errorf("handler run %d got %T after %d releases, want a live *pooledRec after %d",
+						calls+1, args, counts.released, calls)
 				}
+				calls++
 			})
 			replies := 0
 			cli.Call("srv", "m", &pooledRec{counts}, 32, time.Second, func(any, error) { replies++ })

@@ -64,9 +64,10 @@ func TestCallWithRetryExhaustsAttempts(t *testing.T) {
 	}
 }
 
-func TestRetryResendIsDeduplicatedNotReExecuted(t *testing.T) {
-	// The reply (not the request) is lost: the server executes once, the
-	// retry hits the dedup cache, and the client still gets the answer.
+// TestRetryResendReExecutes: the reply, not the request, is lost. The
+// server keeps no reply cache, so the resend runs the handler again, and the
+// call completes once, with the reply to the resend.
+func TestRetryResendReExecutes(t *testing.T) {
 	s := simtime.NewScheduler(1)
 	n := New(s)
 	srv := NewRPCNode(n, "srv")
@@ -83,20 +84,20 @@ func TestRetryResendIsDeduplicatedNotReExecuted(t *testing.T) {
 	n.Node("cli").SetDown(true)
 	s.After(50*time.Millisecond, func() { n.Node("cli").SetDown(false) })
 
-	var got any
+	var got []any
 	var gerr error = errors.New("pending")
 	cli.CallWithRetry("srv", "bump", nil, 0,
 		RetryOpts{Attempts: 4, Timeout: 100 * time.Millisecond, Backoff: 20 * time.Millisecond},
-		func(result any, err error) { got, gerr = result, err })
+		func(result any, err error) { got, gerr = append(got, result), err })
 	s.Run()
 	if gerr != nil {
 		t.Fatal(gerr)
 	}
-	if calls != 1 {
-		t.Fatalf("non-idempotent handler ran %d times, want 1", calls)
+	if calls != 2 {
+		t.Fatalf("handler ran %d times for a request and its resend, want 2", calls)
 	}
-	if got != 1 {
-		t.Fatalf("result = %v, want 1 (the cached first execution)", got)
+	if len(got) != 1 || got[0] != 2 {
+		t.Fatalf("call completed with %v, want once with 2 (the resend's execution)", got)
 	}
 }
 
@@ -157,7 +158,9 @@ func TestRetryCountersVisible(t *testing.T) {
 	}
 }
 
-func TestDupDeliveredRequestExecutesOnce(t *testing.T) {
+// TestDupDeliveredRequestRunsPerDelivery: a duplicated request runs its
+// handler once per delivery, and each call still completes once.
+func TestDupDeliveredRequestRunsPerDelivery(t *testing.T) {
 	s := simtime.NewScheduler(7)
 	n := New(s)
 	srv := NewRPCNode(n, "srv")
@@ -179,8 +182,8 @@ func TestDupDeliveredRequestExecutesOnce(t *testing.T) {
 		})
 		s.RunFor(2 * time.Second)
 	}
-	if calls != 10 {
-		t.Fatalf("handler ran %d times for 10 calls, want 10", calls)
+	if calls != 20 {
+		t.Fatalf("handler ran %d times for 10 twice-delivered calls, want 20", calls)
 	}
 	if oks != 10 {
 		t.Fatalf("%d calls succeeded, want 10", oks)

@@ -1,10 +1,7 @@
 package simnet
 
 import (
-	"cmp"
 	"errors"
-	"math"
-	"slices"
 	"time"
 
 	"ustore/internal/obs"
@@ -29,12 +26,6 @@ const (
 	kindReply         // the payload is the result
 	kindError         // the payload is the handler's error
 )
-
-// rpcReply is a served request's outcome, cached for duplicates.
-type rpcReply struct {
-	Result any
-	Err    error
-}
 
 // RPCHandler serves one method. Returning a non-nil error sends that error
 // value to the caller instead of a result. args are valid until the handler
@@ -64,40 +55,35 @@ func (f replyFunc) Reply(result any, err error) {
 
 // AsyncReply is an async handler's pending answer. The handler owns it until
 // it calls Reply, exactly once; the record then returns to the node's free
-// list and may be answering another request. It carries its caller's record
-// and the request ID, so Reply looks nothing up.
+// list and may be answering another request. It carries its caller's
+// address and the request ID, so Reply looks nothing up.
 type AsyncReply struct {
 	r  *RPCNode
-	c  int32 // the caller's record in r.callers
+	to Addr
 	id uint64
 }
 
 // Reply answers the request. It may be called from any subsequently
 // scheduled event.
 func (a *AsyncReply) Reply(result any, err error) {
-	r, c, id := a.r, a.c, a.id
+	r, to, id := a.r, a.to, a.id
 	if r == nil {
 		panic("simnet: async RPC handler replied twice")
 	}
 	r.replies.put(a)
-	rec := &r.callers[c]
-	if i := slices.Index(rec.inflight, id); i >= 0 {
-		rec.inflight = slices.Delete(rec.inflight, i, i+1)
-	}
-	r.answer(c, id, result, err)
+	r.reply(to, id, result, err)
 }
 
 // RPCNode wraps a Node with request/response semantics: named methods on the
 // server side, per-call timeouts and callbacks on the client side. All
 // callbacks run on the scheduler goroutine.
 //
-// The server side deduplicates requests by (caller, request ID): a retried
-// or duplicate-delivered request is answered from a cache of recent replies
-// (or silently absorbed while the original async handler is still running)
-// instead of re-executing the handler. Combined with CallWithRetry reusing
-// one request ID across resends, this gives effectively-once execution over
-// an at-least-once transport. Each caller has one record (callers, found
-// through callerOf), so a request costs one lookup.
+// The server keeps no record of the requests it served: every delivery of a
+// request, a CallWithRetry resend or a network duplicate, runs its handler,
+// and the caller takes the first reply to its call ID. A handler that a
+// resend or a duplicate can reach is made safe by its protocol (a request
+// key, a sequence number, or an operation that is idempotent by
+// construction), not by the transport.
 type RPCNode struct {
 	node     *Node
 	net      *Network
@@ -107,69 +93,12 @@ type RPCNode struct {
 	calls    freeList[pendingCall]
 	retriers freeList[retrier]
 	replies  freeList[AsyncReply]
-
-	callerOf map[Addr]int32
-	callers  []caller
-	dedupN   int // remembers since the last prune
-	// The callers' slices come from these, so hundreds of callers cost a
-	// server a few allocations, not a few each.
-	servedSlab slab[served]
-	flightSlab slab[uint64]
 }
 
 // rpcMethod is one method's handlers: an async one wins over a sync one.
 type rpcMethod struct {
 	sync  RPCHandler
 	async RPCAsyncHandler
-}
-
-// dedupWindow is how far behind a caller's newest request ID a cached reply
-// is kept; duplicates arrive within milliseconds, so a small window is
-// plenty while keeping the cache bounded over long runs. Replies are pruned
-// in a pass over every caller on each pruneEvery-th remember, not as they
-// age out, so a reply outside the window may still answer until that pass.
-const (
-	dedupWindow = 128
-	pruneEvery  = 1024
-	// maxServed bounds one caller's served replies: at most dedupWindow+1
-	// IDs survive a prune, and at most pruneEvery replies arrive by the next.
-	maxServed = dedupWindow + 1 + pruneEvery
-)
-
-// caller is one caller's dedup record on a server: its served replies in ID
-// order and the IDs its async handlers still work on. The newest served ID
-// is the last entry's: a prune drops only entries dedupWindow behind it, so
-// it never drops that one. Both slices keep their capacity as entries
-// leave, so a warm record allocates nothing.
-type caller struct {
-	addr     Addr
-	served   []served
-	inflight []uint64
-}
-
-// served is one served request's cached reply.
-type served struct {
-	id  uint64
-	rep rpcReply
-}
-
-// find returns where id's reply is or belongs in c.served, and whether it
-// is there. A new request, above the newest, is one compare.
-func (c *caller) find(id uint64) (int, bool) {
-	if n := len(c.served); n == 0 || id > c.served[n-1].id {
-		return n, false
-	}
-	return slices.BinarySearchFunc(c.served, id, func(e served, id uint64) int { return cmp.Compare(e.id, id) })
-}
-
-// prune drops the served replies more than dedupWindow IDs behind the
-// newest: a prefix, as they are in ID order.
-func (c *caller) prune() {
-	s, k := c.served, 0
-	for k < len(s) && s[k].id+dedupWindow < s[len(s)-1].id {
-		k++
-	}
-	c.served = slices.Delete(s, 0, k)
 }
 
 // pendingCall is one outstanding call and its timeout's receiver, recycled
@@ -209,11 +138,10 @@ func (r *RPCNode) complete(pc *pendingCall, result any, err error) {
 // as its message handler.
 func NewRPCNode(net *Network, name string) *RPCNode {
 	r := &RPCNode{
-		node:     net.Node(name),
-		net:      net,
-		methods:  make(map[string]rpcMethod),
-		pending:  make(map[uint64]*pendingCall),
-		callerOf: make(map[Addr]int32),
+		node:    net.Node(name),
+		net:     net,
+		methods: make(map[string]rpcMethod),
+		pending: make(map[uint64]*pendingCall),
 	}
 	r.node.Handle(r.dispatch)
 	return r
@@ -318,8 +246,9 @@ const (
 
 // CallWithRetry is Call with capped retransmission: if an attempt times out
 // the same request (same ID) is re-sent after an exponential backoff with
-// deterministic jitter. The receiver's dedup cache makes the retries safe
-// for non-idempotent methods. done fires exactly once — with the first
+// deterministic jitter. The server runs its handler for every send that
+// arrives, so the method must be safe to repeat: idempotent, or keyed by
+// its caller so the server recognises the repeat. done fires exactly once — with the first
 // reply to arrive, a remote error, or ErrTimeout after the final attempt.
 // A healthy call consumes no RNG, so enabling retries does not perturb
 // fault-free runs. args must not be Pooled: each resend sends them again,
@@ -398,89 +327,11 @@ func (rt *retrier) Fire() {
 	rt.pc.timeout = r.net.sched.AfterR(rt.o.Timeout, rt.pc)
 }
 
-// A slab's arrays double from slabMin elements to slabMax.
-const (
-	slabMin = 8
-	slabMax = 1024
-)
-
-// slab hands out slices from backing arrays that double in size. A slice
-// that grow outgrows is cleared and kept for the next grow to its capacity.
-type slab[T any] struct {
-	free  []T   // the current array's unused rest
-	size  int   // the current array's length
-	spare [][]T // outgrown slices, empty
-}
-
-// grow returns s with room for one more element: s while it has room, else
-// a copy of it with twice the capacity, capped at most, the length its user
-// knows s never passes.
-func (b *slab[T]) grow(s []T, most int) []T {
-	if len(s) < cap(s) {
-		return s
-	}
-	n := max(min(2*cap(s), most), len(s)+1)
-	var ns []T
-	if i := slices.IndexFunc(b.spare, func(sp []T) bool { return cap(sp) == n }); i >= 0 {
-		ns = b.spare[i]
-		b.spare = slices.Delete(b.spare, i, i+1)
-	} else {
-		if len(b.free) < n {
-			b.size = max(min(2*b.size, slabMax), n, slabMin)
-			b.free = make([]T, b.size)
-		}
-		ns, b.free = b.free[:0:n], b.free[n:]
-	}
-	ns = append(ns, s...)
-	clear(s)
-	if cap(s) > 0 {
-		b.spare = append(b.spare, s[:0])
-	}
-	return ns
-}
-
-// callerFor returns from's record, making it on from's first request.
-func (r *RPCNode) callerFor(from Addr) int32 {
-	c, ok := r.callerOf[from]
-	if !ok {
-		c = int32(len(r.callers))
-		r.callers = append(r.callers, caller{addr: from})
-		r.callerOf[from] = c
-	}
-	return c
-}
-
-// remember caches a finished request's reply for duplicate suppression and,
-// on every pruneEvery-th call, prunes every caller's replies that have
-// fallen out of its window.
-func (r *RPCNode) remember(c int32, id uint64, rep rpcReply) {
-	rec := &r.callers[c]
-	if i, ok := rec.find(id); ok {
-		rec.served[i].rep = rep
-	} else {
-		rec.served = slices.Insert(r.servedSlab.grow(rec.served, maxServed), i, served{id, rep})
-	}
-	r.dedupN++
-	if r.dedupN >= pruneEvery {
-		r.dedupN = 0
-		for i := range r.callers {
-			r.callers[i].prune()
-		}
-	}
-}
-
-// answer caches a served request's outcome for duplicates and sends it.
-func (r *RPCNode) answer(c int32, id uint64, result any, err error) {
-	rep := rpcReply{Result: result, Err: err}
-	r.remember(c, id, rep)
-	r.reply(r.callers[c].addr, id, rep)
-}
-
 // reply sends an outcome: the result, or the error in the payload slot.
-func (r *RPCNode) reply(to Addr, id uint64, rep rpcReply) {
-	kind, payload := kindReply, rep.Result
-	if rep.Err != nil {
-		kind, payload = kindError, rep.Err
+func (r *RPCNode) reply(to Addr, id uint64, result any, err error) {
+	kind, payload := kindReply, result
+	if err != nil {
+		kind, payload = kindError, err
 	}
 	r.send(to, payload, 0, rpcHeader{kind: kind, id: id})
 }
@@ -489,8 +340,8 @@ func (r *RPCNode) dispatch(msg Message) {
 	switch h := msg.rpc; h.kind {
 	case kindRequest:
 		r.serve(msg, h)
-		// The request is done with: a handler has returned, or a duplicate
-		// or an unknown method was answered without one.
+		// The request is done with: its handler has returned, or an
+		// unknown method was refused.
 		if p, ok := msg.Payload.(Pooled); ok {
 			p.Release()
 		}
@@ -505,30 +356,18 @@ func (r *RPCNode) dispatch(msg Message) {
 	}
 }
 
-// serve runs a request's handler, or answers a duplicate from the cache.
+// serve runs a request's handler, or refuses an unknown method.
 func (r *RPCNode) serve(msg Message, h rpcHeader) {
-	c := r.callerFor(msg.From)
-	rec := &r.callers[c]
-	if i, ok := rec.find(h.id); ok {
-		r.net.cDedup.Inc()
-		r.reply(msg.From, h.id, rec.served[i].rep) // duplicate of a served request
-		return
-	}
-	if slices.Contains(rec.inflight, h.id) {
-		r.net.cDedup.Inc()
-		return // duplicate while the async handler runs; it will reply
-	}
 	m := r.methods[h.text]
 	switch {
 	case m.async != nil:
-		rec.inflight = append(r.flightSlab.grow(rec.inflight, math.MaxInt), h.id)
 		a := r.replies.get()
-		a.r, a.c, a.id = r, c, h.id
+		a.r, a.to, a.id = r, msg.From, h.id
 		m.async(r.net.Name(msg.From), msg.Payload, a)
 	case m.sync != nil:
 		result, err := m.sync(r.net.Name(msg.From), msg.Payload)
-		r.answer(c, h.id, result, err)
+		r.reply(msg.From, h.id, result, err)
 	default:
-		r.reply(msg.From, h.id, rpcReply{Err: errors.New("unknown method " + h.text)})
+		r.reply(msg.From, h.id, nil, errors.New("unknown method "+h.text))
 	}
 }

@@ -36,7 +36,7 @@ func rpcEcho(tb testing.TB) (trip func()) {
 // cancelled timeout event is released, so it is recycled once dropped.
 func TestRPCRoundTripAllocs(t *testing.T) {
 	trip := rpcEcho(t)
-	for i := 0; i < 64; i++ { // warm the scheduler's pools and the dedup cache
+	for i := 0; i < 64; i++ { // warm the scheduler's pools
 		trip()
 	}
 	if got := testing.AllocsPerRun(200, trip); got > 0 {
@@ -77,7 +77,7 @@ func TestRPCErrorReplyAllocs(t *testing.T) {
 // manyCallers is fleet_churn's RPC shape: 64 callers and 8 echo servers,
 // each on a machine of its own. Each trip is one Call to completion, the
 // callers taking turns and each turn of all 64 going to the next server, so
-// every server keeps a dedup record per caller and prunes them all.
+// every server answers every caller.
 func manyCallers(tb testing.TB) (trip func()) {
 	s := simtime.NewScheduler(1)
 	n := New(s)
@@ -107,14 +107,17 @@ func manyCallers(tb testing.TB) (trip func()) {
 	}
 }
 
-// TestRPCManyCallersAllocs: with many callers per server, a warm server's
-// dedup records allocate nothing either, prunes included.
+// manyCallersWarm is four turns of every caller to every server.
+const manyCallersWarm = 4 * 64 * 8
+
+// TestRPCManyCallersAllocs: with many callers per server, a warm round trip
+// allocates nothing either: a server keeps nothing per caller.
 func TestRPCManyCallersAllocs(t *testing.T) {
 	trip := manyCallers(t)
-	for i := 0; i < 4*8*pruneEvery; i++ { // every server through four prunes
+	for i := 0; i < manyCallersWarm; i++ {
 		trip()
 	}
-	if got := testing.AllocsPerRun(2*pruneEvery, trip); got > 0 {
+	if got := testing.AllocsPerRun(manyCallersWarm, trip); got > 0 {
 		t.Fatalf("RPC round trip among 64 callers and 8 servers allocates %.2f objects, want 0", got)
 	}
 }
@@ -167,7 +170,7 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 
 func BenchmarkRPCManyCallers(b *testing.B) {
 	trip := manyCallers(b)
-	for i := 0; i < 4*8*pruneEvery; i++ {
+	for i := 0; i < manyCallersWarm; i++ {
 		trip()
 	}
 	b.ReportAllocs()

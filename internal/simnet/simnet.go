@@ -56,9 +56,9 @@ type Handler func(msg Message)
 // gives it back once done with it, so each delivery needs a record of its
 // own. Send gives a duplicated delivery its own record (Dup), and every path
 // that drops a message gives the record back (Release). An RPC request may
-// be Pooled: RPCNode gives it back once its handler returns (or once a
-// duplicate or an unknown method is answered), so a handler copies what it
-// keeps; CallWithRetry refuses one. A *Frame is pooled too, but by the
+// be Pooled: RPCNode gives it back once its handler returns (or once an
+// unknown method is refused), so a handler copies what it keeps;
+// CallWithRetry refuses one. A *Frame is pooled too, but by the
 // networks' FrameLists, not through this interface.
 type Pooled interface {
 	// Dup returns a copy of the record, for a second delivery.
@@ -240,7 +240,6 @@ type Network struct {
 	cBytes     *obs.Counter
 	cDups      *obs.Counter
 	cParts     *obs.Counter
-	cDedup     *obs.Counter
 
 	// rpcMetrics caches the per-method RPC series handles so the hot call
 	// path resolves each method's series once instead of rebuilding the
@@ -287,7 +286,6 @@ func (n *Network) SetRecorder(rec *obs.Recorder) {
 	n.cBytes = rec.Counter("simnet", "bytes_total")
 	n.cDups = rec.Counter("simnet", "dup_deliveries_total")
 	n.cParts = rec.Counter("simnet", "partitions_total")
-	n.cDedup = rec.Counter("simnet", "rpc_dedup_hits_total")
 	n.rpcMetrics = make(map[string]*rpcMethodMetrics)
 	n.partSpans = make(map[string]*obs.Span)
 }

@@ -280,14 +280,6 @@ var mutants = []mutant{
 		want: []string{`--- FAIL: TestRPCBasic`, `result=<nil> err=simnet: rpc timeout`, `--- FAIL: TestAsyncRPCRepliesLater`},
 	},
 	{
-		// The prune keeps a reply exactly dedupWindow IDs behind its
-		// caller's newest.
-		name: "prune-drops-window-edge", smoke: true, file: "internal/simnet/rpc.go",
-		old: "s[k].id+dedupWindow < s[len(s)-1].id", new: "s[k].id+dedupWindow <= s[len(s)-1].id",
-		cmd:  "go test ./internal/simnet -run ^TestDedupWindowPrunedOnlyEvery1024th$",
-		want: []string{`--- FAIL: TestDedupWindowPrunedOnlyEvery1024th`, `duplicate at the window's edge: replies \[\{896 1025\}\]`},
-	},
-	{
 		// Unit u's Paxos replicas draw their election jitter from the
 		// unit's own stream, seeded seed^(1+u); drawing the scheduler's
 		// moves every fleet's elections.
@@ -297,12 +289,37 @@ var mutants = []mutant{
 		want: []string{`--- FAIL: TestUnitPaxosStreams`, `seed 1: the scheduler's stream was drawn`},
 	},
 	{
-		// An answered async request leaves the in-flight set, or a
-		// duplicate after its cached reply is pruned is absorbed unanswered.
-		name: "async-reply-stays-in-flight", file: "internal/simnet/rpc.go",
-		old: "\t\trec.inflight = slices.Delete(rec.inflight, i, i+1)\n", new: "",
-		cmd:  "go test ./internal/simnet -run ^TestDedupAsyncDuplicateAbsorbed$",
-		want: []string{`--- FAIL: TestDedupAsyncDuplicateAbsorbed`, `duplicate after the prune: replies \[\], want one to request 1 from run 1025`},
+		// The active master answers a known request key from its
+		// allocation record, or a duplicated Allocate and a retry that
+		// reaches a successor each take a second space.
+		name: "allocate-ignores-request-key", smoke: true, file: "internal/core/master.go",
+		old: "requestKey{from, a.Seq}]; rec != nil {", new: "requestKey{from, a.Seq}]; false && rec != nil {",
+		cmd: "go test ./internal/core -run ^(TestDuplicateDeliveryIdempotency|TestAllocateRetryAcrossFailoverTakesOneSpace)$",
+		want: []string{
+			`--- FAIL: TestAllocateRetryAcrossFailoverTakesOneSpace`, `2 spaces allocated for one request across a master failover, want 1`,
+			`--- FAIL: TestDuplicateDeliveryIdempotency`, `second allocation at offset 2147483648, want 1073741824`,
+		},
+	},
+	{
+		// A heartbeat whose Seq the master already counted says nothing
+		// about the host now, or a crashed host's pending resend delays
+		// its detection by a retry timeout.
+		name: "heartbeat-equal-seq-refreshes", file: "internal/core/master.go",
+		old: "if hb.Seq <= hs.lastSeq {", new: "if hb.Seq < hs.lastSeq {",
+		cmd:  "go test ./internal/core -run ^TestCrashedHostHeartbeatResendKeepsDetection$",
+		want: []string{`--- FAIL: TestCrashedHostHeartbeatResendKeepsDetection`, `declared dead 3s after its crash, want <= 2.001s`},
+	},
+	{
+		// A controller answers a duplicate of the command in flight with
+		// that command's outcome; refusing it as a second command sends
+		// ErrFabricLocked, which reaches the master first.
+		name: "execute-refuses-own-duplicate", file: "internal/core/controller.go",
+		old: "if r := c.run; r.from == from &&", new: "if r := c.run; false && r.from == from &&",
+		cmd: "go test ./internal/core -run ^TestDuplicatedExecuteJoinsCommandInFlight$",
+		want: []string{
+			`--- FAIL: TestDuplicatedExecuteJoinsCommandInFlight`,
+			`a duplicated command completed with \[core: fabric locked by another command\], want once with no error`,
+		},
 	},
 	{
 		// Only a call's own deadline counts as its timeout: a handler's

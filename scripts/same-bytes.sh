@@ -3,14 +3,17 @@
 # ustore-campaign at REV (exported with git archive) and from the working
 # tree, runs every invocation of the list below with both, and compares
 # each run's stdout, exit status and every file it writes. It names each
-# invocation whose output moved, with the files that differ, and exits 1
-# if any did.
+# invocation whose output moved, with the files that differ.
 #
 #   bash scripts/same-bytes.sh [REV]     # default HEAD
 #
-# A change meant to leave every simulated result alone runs it against
-# its parent (HEAD^ once committed); a change that moves numbers on
-# purpose pastes its output into CHANGES.md. The two sides run at once,
+# A commit that moves an invocation on purpose declares it in
+# testdata/same-bytes-moves.txt: one invocation a line, its name and then
+# the cause. The script exits 1 when an invocation moves that is not
+# declared, when a declared one does not move, and when a declared name is
+# not an invocation. So the next commit that moves nothing empties the
+# file again. A change meant to leave every simulated result alone runs it
+# against its parent (HEAD^ once committed). The two sides run at once,
 # about a minute in all on a 2-CPU host, most of it the two builds. The
 # script uses mktemp -d; set TMPDIR to keep its files where you want them.
 set -euo pipefail
@@ -71,17 +74,40 @@ side rev &
 side now
 wait
 
+# declared: the names testdata/same-bytes-moves.txt declares, one a line.
+declared=$(sed 's/#.*//' testdata/same-bytes-moves.txt | awk 'NF { print $1 }')
+bad=0
+for name in $declared; do
+	if ! grep -q "^$name " <<<"$invocations"; then
+		echo "declared but not an invocation: $name"
+		bad=$((bad + 1))
+	fi
+done
 moved=0
 while read -r name _; do
 	[ -n "$name" ] || continue
+	is_declared=0
+	grep -qx "$name" <<<"$declared" && is_declared=1
 	if ! out=$(diff -rq "$tmp/rev/$name" "$tmp/now/$name"); then
-		echo "moved: $name"
-		sed "s|$tmp/||g; s|^|  |" <<<"$out"
 		moved=$((moved + 1))
+		if [ "$is_declared" = 1 ]; then
+			echo "moved as declared: $name"
+		else
+			echo "moved: $name"
+			bad=$((bad + 1))
+		fi
+		sed "s|$tmp/||g; s|^|  |" <<<"$out"
+	elif [ "$is_declared" = 1 ]; then
+		echo "declared but byte-identical: $name"
+		bad=$((bad + 1))
 	fi
 done <<<"$invocations"
-if [ "$moved" -gt 0 ]; then
-	echo "same-bytes: $moved invocation(s) moved against $rev"
+if [ "$bad" -gt 0 ]; then
+	echo "same-bytes: $bad invocation(s) differ from testdata/same-bytes-moves.txt against $rev ($moved moved)"
 	exit 1
 fi
-echo "same-bytes: every invocation is byte-identical to $rev"
+if [ "$moved" -gt 0 ]; then
+	echo "same-bytes: $moved invocation(s) moved against $rev, each as declared"
+else
+	echo "same-bytes: every invocation is byte-identical to $rev"
+fi
