@@ -26,8 +26,8 @@ type Initiator struct {
 
 	nextTag uint64
 	pending map[uint64]*call
-	// spent holds retired call records for the next request.
-	spent []*call
+	// calls recycles retired call records.
+	calls simtime.FreeList[call]
 	// targets caches each host's TargetNode address.
 	targets map[string]simnet.Addr
 
@@ -114,13 +114,11 @@ func (ini *Initiator) onMessage(msg simnet.Message) {
 
 // newCall returns a call record for the next request.
 func (ini *Initiator) newCall() *call {
-	if n := len(ini.spent); n > 0 {
-		c := ini.spent[n-1]
-		ini.spent[n-1] = nil
-		ini.spent = ini.spent[:n-1]
-		return c
+	c, fresh := ini.calls.Get()
+	if fresh {
+		c.ini = ini
 	}
-	return &call{ini: ini}
+	return c
 }
 
 // send issues m as call c, whose completion the caller has set, and arms
@@ -167,7 +165,7 @@ func (ini *Initiator) finish(c *call, reply Msg, err error) {
 	}
 	login, read, write := c.login, c.read, c.write
 	*c = call{ini: ini}
-	ini.spent = append(ini.spent, c)
+	ini.calls.Put(c)
 	if err == nil {
 		err = reply.Status.Err()
 	}

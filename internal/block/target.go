@@ -5,6 +5,7 @@ import (
 
 	"ustore/internal/disk"
 	"ustore/internal/simnet"
+	"ustore/internal/simtime"
 )
 
 // Target serves UBLK PDUs on a simnet node — the iSCSI-target role an
@@ -26,9 +27,9 @@ type Target struct {
 
 	// reads and writes count served IOs.
 	reads, writes uint64
-	// spentReads and spentWrites hold finished reply records for the next IO.
-	spentReads  []*readReply
-	spentWrites []*writeReply
+	// readReplies and writeReplies recycle the reply records.
+	readReplies  simtime.FreeList[readReply]
+	writeReplies simtime.FreeList[writeReply]
 }
 
 // TargetNode derives the simnet node name a host's target listens on.
@@ -119,7 +120,10 @@ func (t *Target) serve(from simnet.Addr, m *Msg, fr *simnet.Frame) {
 			t.reply(from, Msg{Type: MsgReadResp, Tag: m.Tag, Status: status})
 			return
 		}
-		rd := t.newReadReply()
+		rd, fresh := t.readReplies.Get()
+		if fresh {
+			rd.t, rd.done = t, rd.finish
+		}
 		rd.from, rd.tag = from, m.Tag
 		var dst disk.ReadDest = rd
 		if m.Discard {
@@ -134,7 +138,10 @@ func (t *Target) serve(from simnet.Addr, m *Msg, fr *simnet.Frame) {
 			t.frames.Put(fr) // refused before any volume saw the payload
 			return
 		}
-		wr := t.newWriteReply()
+		wr, fresh := t.writeReplies.Get()
+		if fresh {
+			wr.t, wr.done = t, wr.finish
+		}
 		wr.from, wr.tag, wr.frame = from, m.Tag, fr
 		vol.WriteAt(int64(m.Offset), m.Data, wr.done)
 		t.writes++
@@ -169,17 +176,6 @@ type readReply struct {
 	done      func([]byte, error) // finish, bound once per record
 }
 
-func (t *Target) newReadReply() *readReply {
-	if n := len(t.spentReads); n > 0 {
-		r := t.spentReads[n-1]
-		t.spentReads = t.spentReads[:n-1]
-		return r
-	}
-	r := &readReply{t: t}
-	r.done = r.finish
-	return r
-}
-
 // ReadBuffer implements disk.ReadDest: it takes the response frame when the
 // disk is about to fill it, so a read waiting in a disk queue holds none.
 func (r *readReply) ReadBuffer(size int) []byte {
@@ -194,7 +190,7 @@ func (r *readReply) Lend(lease *disk.Lease) { r.lease = lease }
 func (r *readReply) finish(data []byte, err error) {
 	t, from, tag, frame, lease, discarded := r.t, r.from, r.tag, r.frame, r.lease, r.discarded
 	r.frame, r.lease, r.discarded = nil, nil, 0
-	t.spentReads = append(t.spentReads, r)
+	t.readReplies.Put(r)
 	if err != nil {
 		// The medium was read but the bytes failed verification: the
 		// frame goes back unused, the lease before the error goes out.
@@ -235,21 +231,10 @@ type writeReply struct {
 	done  func(error) // finish, bound once per record
 }
 
-func (t *Target) newWriteReply() *writeReply {
-	if n := len(t.spentWrites); n > 0 {
-		w := t.spentWrites[n-1]
-		t.spentWrites = t.spentWrites[:n-1]
-		return w
-	}
-	w := &writeReply{t: t}
-	w.done = w.finish
-	return w
-}
-
 func (w *writeReply) finish(err error) {
 	t, from, tag, frame := w.t, w.from, w.tag, w.frame
 	w.frame = nil
-	t.spentWrites = append(t.spentWrites, w)
+	t.writeReplies.Put(w)
 	resp := Msg{Type: MsgWriteResp, Tag: tag}
 	if err != nil {
 		resp.Status = StatusIOError

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"ustore/internal/disk"
+	"ustore/internal/simtime"
 )
 
 // Volume is the storage a Target exports: a whole disk, a partition, or a
@@ -43,8 +44,8 @@ type DiskVolume struct {
 	nextSeq int64 // expected next offset for a sequential classification
 	// crc turns on ChecksumDiskVolume's per-block verification.
 	crc bool
-	// spent holds finished IO records for the next IO.
-	spent []*volumeIO
+	// ios recycles IO records.
+	ios simtime.FreeList[volumeIO]
 }
 
 // volumeIO is one IO in its disk's queue: the disk request and the caller's
@@ -80,13 +81,9 @@ func (v *DiskVolume) classify(off int64, length int) disk.Pattern {
 
 // submit queues an IO on the disk; exactly one of read and write is set.
 func (v *DiskVolume) submit(op disk.Op, off int64, data []byte, dst disk.ReadDest, read func([]byte, error), write func(error)) {
-	var io *volumeIO
-	if n := len(v.spent); n > 0 {
-		io = v.spent[n-1]
-		v.spent = v.spent[:n-1]
-	} else {
-		io = &volumeIO{v: v}
-		io.req.Done = io.complete
+	io, fresh := v.ios.Get()
+	if fresh {
+		io.v, io.req.Done = v, io.complete
 	}
 	io.req.Op, io.req.Offset, io.req.Data, io.req.Dest = op, v.base+off, data, dst
 	io.read, io.write = read, write
@@ -100,7 +97,7 @@ func (io *volumeIO) complete(data []byte, err error) {
 	v, read, write := io.v, io.read, io.write
 	first, last := io.req.Offset/ChecksumBlockSize, (io.req.Offset+int64(io.req.Op.Size)-1)/ChecksumBlockSize
 	io.req.Data, io.req.Dest, io.read, io.write = nil, nil, nil, nil
-	v.spent = append(v.spent, io)
+	v.ios.Put(io)
 	if write != nil {
 		if err == nil && v.crc {
 			v.refreshCRCs(first, last)

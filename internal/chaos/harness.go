@@ -197,9 +197,9 @@ type harness struct {
 	lastNetFault simtime.Time
 
 	// The per-pair hedged-read probers of a gray/mitigation run, their
-	// spent probe records and their read-latency histogram.
+	// probe records and their read-latency histogram.
 	probers       []*core.ClientLib
-	spentProbes   []*probe
+	probes        simtime.FreeList[probe]
 	probeHist     *obs.Histogram
 	probeHealthy  []time.Duration
 	probeDegraded []time.Duration
@@ -491,7 +491,10 @@ func (h *harness) probePair(pair, remaining int) {
 	if remaining == 0 {
 		return
 	}
-	p := h.newProbe()
+	p, fresh := h.probes.Get()
+	if fresh {
+		p.h, p.done = h, p.finish
+	}
 	p.pair, p.remaining = pair, remaining
 	p.r = h.replicas[2*pair+remaining%2]
 	p.blk = h.rng.Intn(blocksPerSpace)
@@ -527,18 +530,6 @@ type probe struct {
 	done            func([]byte, error) // finish, bound once per record
 }
 
-func (h *harness) newProbe() *probe {
-	if n := len(h.spentProbes); n > 0 {
-		p := h.spentProbes[n-1]
-		h.spentProbes[n-1] = nil
-		h.spentProbes = h.spentProbes[:n-1]
-		return p
-	}
-	p := &probe{h: h}
-	p.done = p.finish
-	return p
-}
-
 // stableAt reports whether b still holds the acknowledged data it held at
 // version v, with nothing in flight that could have changed it.
 func stableAt(b *replicaBlock, v int) bool {
@@ -565,7 +556,7 @@ func (p *probe) finish(data []byte, err error) {
 	}
 	pair, remaining := p.pair, p.remaining
 	*p = probe{h: h, done: p.done}
-	h.spentProbes = append(h.spentProbes, p)
+	h.probes.Put(p)
 	h.probePair(pair, remaining-1)
 }
 

@@ -173,8 +173,9 @@ func TestOverlappingProbeBursts(t *testing.T) {
 	if h.stats.ProbeReads != want || h.stats.ProbeErrors != 0 {
 		t.Fatalf("%d probe reads (%d errors), want %d clean", h.stats.ProbeReads, h.stats.ProbeErrors, want)
 	}
-	if n := len(h.spentProbes); n != 2*workloadPairs {
-		t.Fatalf("%d probe records, want %d (two bursts in flight per pair)", n, 2*workloadPairs)
+	if made, idle := h.probes.Counts(); made != 2*workloadPairs || idle != made {
+		t.Fatalf("%d of %d probe records back, want %d of %d (two bursts in flight per pair)",
+			idle, made, 2*workloadPairs, 2*workloadPairs)
 	}
 }
 

@@ -51,9 +51,9 @@ type ClientLib struct {
 
 	mounts map[SpaceID]*mount
 	mit    *Mitigation
-	// calls and ios hold finished callMaster and IO records for reuse.
-	calls []*masterCall
-	ios   []*clientIO
+	// calls and ios recycle callMaster and IO records.
+	calls simtime.FreeList[masterCall]
+	ios   simtime.FreeList[clientIO]
 	// allocSeq numbers this client's Allocate requests (AllocateArgs.Seq).
 	allocSeq uint64
 
@@ -88,13 +88,9 @@ func NewClientLib(net *simnet.Network, name, service string, cfg Config, masters
 // request key, which the active master answers from the allocation record,
 // and Release, Lookup and DiskPower are idempotent.
 func (cl *ClientLib) callMaster(method string, args any, size int, done func(any, error)) {
-	var c *masterCall
-	if n := len(cl.calls); n > 0 {
-		c = cl.calls[n-1]
-		cl.calls = cl.calls[:n-1]
-	} else {
-		c = &masterCall{cl: cl}
-		c.onReply = c.reply
+	c, fresh := cl.calls.Get()
+	if fresh {
+		c.cl, c.onReply = cl, c.reply
 	}
 	c.method, c.args, c.size, c.done = method, args, size, done
 	c.try(nil)
@@ -147,7 +143,7 @@ func (c *masterCall) reply(res any, err error) {
 func (c *masterCall) finish(res any, err error) {
 	c.done(res, err)
 	c.method, c.args, c.i, c.done = "", nil, 0, nil
-	c.cl.calls = append(c.cl.calls, c)
+	c.cl.calls.Put(c)
 }
 
 // Allocate requests size bytes of storage ("applying for new storage
@@ -357,12 +353,9 @@ func (cl *ClientLib) newIO(space SpaceID, budget time.Duration) *clientIO {
 	if !ok {
 		return nil
 	}
-	var io *clientIO
-	if n := len(cl.ios); n > 0 {
-		io = cl.ios[n-1]
-		cl.ios = cl.ios[:n-1]
-	} else {
-		io = &clientIO{cl: cl}
+	io, fresh := cl.ios.Get()
+	if fresh {
+		io.cl = cl
 		io.onRead, io.onWrite, io.onRemount = io.read, io.wrote, io.remounted
 	}
 	io.m, io.deadline = m, cl.sched.Now()+budget
@@ -448,7 +441,7 @@ func (io *clientIO) unref() {
 	}
 	io.m, io.data, io.done, io.wdone = nil, nil, nil, nil
 	io.discard, io.write, io.finished = false, false, false
-	io.cl.ios = append(io.cl.ios, io)
+	io.cl.ios.Put(io)
 }
 
 // remount re-resolves the space and logs in at its new host; done reports

@@ -56,8 +56,8 @@ func TestReadDiscardSteadyStateAllocations(t *testing.T) {
 	if want := 32 + 65; reads != want {
 		t.Fatalf("done ran %d times for %d reads", reads, want)
 	}
-	if len(cl.ios) != 1 {
-		t.Fatalf("%d IO records free after sequential reads, want 1", len(cl.ios))
+	if made, idle := cl.ios.Counts(); made != 1 || idle != 1 {
+		t.Fatalf("%d of %d IO records free after sequential reads, want 1 of 1", idle, made)
 	}
 }
 
@@ -88,7 +88,7 @@ func TestCallMasterSteadyStateAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(200, lookup); n > 1 {
 		t.Fatalf("a warm callMaster allocates %v objects, want at most 1 (its boxed args)", n)
 	}
-	if got.Host != "h1" || len(cl.calls) != 1 {
-		t.Fatalf("reply %+v with %d call records free, want host h1 and 1", got, len(cl.calls))
+	if made, idle := cl.calls.Counts(); got.Host != "h1" || made != 1 || idle != 1 {
+		t.Fatalf("reply %+v with %d of %d call records free, want host h1 and 1 of 1", got, idle, made)
 	}
 }

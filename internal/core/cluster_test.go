@@ -231,6 +231,8 @@ func TestHostFailureRecovery(t *testing.T) {
 	if got := cl.MountedOn(rep.Space); got == victim || got == "" {
 		t.Fatalf("still mounted on %q", got)
 	}
+	c.Settle(time.Minute)
+	recordsHome(t, map[string]interface{ Counts() (int, int) }{"master calls": &cl.calls, "client IOs": &cl.ios})
 }
 
 func TestFailoverUsesBackupControllerWhenPrimaryHostDies(t *testing.T) {

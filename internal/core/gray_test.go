@@ -277,6 +277,10 @@ func TestHedgedReadCutsGrayTail(t *testing.T) {
 	if unmitigatedP99 < 3*mitigatedP99 {
 		t.Fatalf("plain p99 %v not >> mitigated p99 %v: degrade too weak to matter", unmitigatedP99, mitigatedP99)
 	}
+	c.Settle(time.Minute) // the losing legs of the last hedged reads land
+	recordsHome(t, map[string]interface{ Counts() (int, int) }{
+		"hedged reads": &mit.reads, "writer IOs": &wa.ios,
+	})
 }
 
 // TestBreakerOpensAndHalfOpenProbes unit-tests the circuit breaker's state

@@ -104,8 +104,8 @@ type Mitigation struct {
 	cl      *ClientLib
 	targets map[target]*targetState
 	mirrors map[SpaceID]SpaceID
-	// spent holds finished hedged-read records for the next read.
-	spent []*hedgedRead
+	// reads recycles hedged-read records.
+	reads simtime.FreeList[hedgedRead]
 
 	cHedges *obs.Counter
 	cWins   *obs.Counter
@@ -285,7 +285,11 @@ func (cl *ClientLib) ReadHedged(space SpaceID, off int64, length int, done func(
 		cl.Read(space, off, length, done)
 		return
 	}
-	h := m.newHedgedRead()
+	h, fresh := m.reads.Get()
+	if fresh {
+		h.m = m
+		h.onPrimary, h.onMirror, h.onFallback = h.primary, h.mirrored, h.fellBack
+	}
 	h.space, h.mirror, h.mm, h.off, h.length, h.done = space, mirror, mm, off, length, done
 	if m.breakerOpen(pm.host, string(space)) {
 		m.Redirects++
@@ -318,17 +322,6 @@ type hedgedRead struct {
 	onPrimary, onMirror, onFallback func([]byte, error)
 }
 
-func (m *Mitigation) newHedgedRead() *hedgedRead {
-	if n := len(m.spent); n > 0 {
-		h := m.spent[n-1]
-		m.spent = m.spent[:n-1]
-		return h
-	}
-	h := &hedgedRead{m: m}
-	h.onPrimary, h.onMirror, h.onFallback = h.primary, h.mirrored, h.fellBack
-	return h
-}
-
 // unref drops one expected callback and recycles the record after the last.
 func (h *hedgedRead) unref() {
 	if h.refs--; h.refs > 0 {
@@ -336,7 +329,7 @@ func (h *hedgedRead) unref() {
 	}
 	h.mm, h.done = nil, nil
 	h.finished, h.hedged, h.legsDown = false, false, 0
-	h.m.spent = append(h.m.spent, h)
+	h.m.reads.Put(h)
 }
 
 func (h *hedgedRead) finish(data []byte, err error) {

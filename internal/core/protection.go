@@ -85,8 +85,8 @@ type Protector struct {
 	// the unit is built); states is tick's reused autoscaler input.
 	ids    []string
 	states []policy.DiskState
-	// spent holds finished admissions for the next Admit.
-	spent []*admission
+	// admissions recycles admission records.
+	admissions simtime.FreeList[admission]
 
 	cAdmitted  map[string]*obs.Counter
 	cThrottled map[string]*obs.Counter
@@ -229,7 +229,10 @@ func (p *Protector) Admit(class, tenant, diskID string, grant func(), shed func(
 		shed(RejectBreaker)
 		return
 	}
-	a := p.newAdmission()
+	a, fresh := p.admissions.Get()
+	if fresh {
+		a.p, a.onGrant, a.onShed = p, a.passGrant, a.passShed
+	}
 	a.class, a.grant, a.shed = class, grant, shed
 	p.adm.Submit(now, class, diskID, a.onGrant, a.onShed)
 }
@@ -238,7 +241,7 @@ func (p *Protector) Admit(class, tenant, diskID string, grant func(), shed func(
 // onShed, bound once per record, are what the queues call: they count the
 // outcome under its class and pass it on to the caller's callback. The
 // queues call exactly one of them, once; the record goes back to
-// Protector.spent after the caller's callback returns.
+// Protector.admissions after the caller's callback returns.
 type admission struct {
 	p       *Protector
 	class   string
@@ -246,17 +249,6 @@ type admission struct {
 	shed    func(policy.ShedReason)
 	onGrant func()
 	onShed  func(policy.ShedReason)
-}
-
-func (p *Protector) newAdmission() *admission {
-	if n := len(p.spent); n > 0 {
-		a := p.spent[n-1]
-		p.spent = p.spent[:n-1]
-		return a
-	}
-	a := &admission{p: p}
-	a.onGrant, a.onShed = a.passGrant, a.passShed
-	return a
 }
 
 func (a *admission) passGrant() {
@@ -273,7 +265,7 @@ func (a *admission) passShed(r policy.ShedReason) {
 
 func (a *admission) release() {
 	a.class, a.grant, a.shed = "", nil, nil
-	a.p.spent = append(a.p.spent, a)
+	a.p.admissions.Put(a)
 }
 
 // cShedFor resolves (lazily for non-preregistered reasons) the shed

@@ -107,6 +107,7 @@ func TestProtectorBreakerOpensAndProbes(t *testing.T) {
 	if got := admit(p, "t1", id); got != "granted" {
 		t.Fatalf("request after a successful probe: %s, want granted", got)
 	}
+	recordsHome(t, map[string]interface{ Counts() (int, int) }{"admissions": &p.admissions})
 }
 
 // TestProtectorThrottlesTenantPastBurst drives one tenant's token bucket

@@ -155,9 +155,9 @@ type Disk struct {
 	spinUps    int
 
 	// serving is the record of the IO in service (queue[0]) while the disk
-	// is active, nil otherwise; spent holds finished records for the next IO.
-	serving *service
-	spent   []*service
+	// is active, nil otherwise; services recycles the records.
+	serving  *service
+	services simtime.FreeList[service]
 
 	// completed, bytesRead and busy count finished IOs, bytes read and
 	// time spent servicing IO.
@@ -531,12 +531,9 @@ func (d *Disk) pump() {
 	if op.Read {
 		opName = "read"
 	}
-	var s *service
-	if n := len(d.spent); n > 0 {
-		s = d.spent[n-1]
-		d.spent = d.spent[:n-1]
-	} else {
-		s = &service{d: d}
+	s, fresh := d.services.Get()
+	if fresh {
+		s.d = d
 	}
 	s.req, s.svc, s.failIO = req, svc, failIO
 	s.span = d.rec.Begin("disk", opName, d.id)
@@ -550,7 +547,7 @@ func (s *service) Fire() {
 	d, req, svc, failIO, span := s.d, s.req, s.svc, s.failIO, s.span
 	stale := d.serving != s
 	*s = service{d: d}
-	d.spent = append(d.spent, s)
+	d.services.Put(s)
 	if stale {
 		span.End(obs.L("aborted", "power-off"))
 		return // powered off mid-IO; queue already failed

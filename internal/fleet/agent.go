@@ -27,7 +27,7 @@ type Agent struct {
 	// builds a new list (withDisk), never changing one in place.
 	dead, draining []string
 	// reqs holds the beats' request records no beat has in flight.
-	reqs requests[HeartbeatArgs]
+	reqs simnet.Records[HeartbeatArgs]
 
 	ticker  *simtime.Ticker
 	stopped bool
@@ -74,7 +74,7 @@ func (a *Agent) beat() {
 		return
 	}
 	a.seq++
-	q := a.reqs.get(HeartbeatArgs{Unit: a.unit.ID, Seq: a.seq, Dead: a.dead, Draining: a.draining})
+	q := a.reqs.Take(HeartbeatArgs{Unit: a.unit.ID, Seq: a.seq, Dead: a.dead, Draining: a.draining})
 	a.rpc.CallR(a.replicas[a.believed], "Heartbeat", q, 128, rpcTimeout, a)
 }
 

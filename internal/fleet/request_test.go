@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ustore/internal/simnet"
 )
 
 // poisonRequests makes every released request record garbage from now on:
@@ -13,7 +15,7 @@ import (
 // went home would act on that garbage. It returns the function that undoes
 // it. Tests that use it must not run in parallel with other tests.
 func poisonRequests() (restore func()) {
-	requestPoison = func(args any) {
+	simnet.RecordPoison = func(args any) {
 		switch a := args.(type) {
 		case *VolumeArgs:
 			*a = VolumeArgs{Volume: "poisoned", Size: -1, Service: "poisoned"}
@@ -21,7 +23,7 @@ func poisonRequests() (restore func()) {
 			*a = HeartbeatArgs{Unit: "poisoned", Seq: 1 << 62, Dead: []string{"poisoned"}, Draining: []string{"poisoned"}}
 		}
 	}
-	return func() { requestPoison = nil }
+	return func() { simnet.RecordPoison = nil }
 }
 
 // requestFaultRun runs lookups, allocates and releases through unit kills,
@@ -102,12 +104,12 @@ func TestRequestRecordsComeHome(t *testing.T) {
 		a.stop()
 	}
 	f.Settle(10 * time.Second)
-	if r.reqs.made == 0 || len(r.reqs.free) != r.reqs.made {
-		t.Errorf("router: %d of %d request records back", len(r.reqs.free), r.reqs.made)
+	if made, idle := r.reqs.Counts(); made == 0 || idle != made {
+		t.Errorf("router: %d of %d request records back", idle, made)
 	}
 	for _, a := range f.Agents {
-		if a.reqs.made == 0 || len(a.reqs.free) != a.reqs.made {
-			t.Errorf("agent %s: %d of %d request records back", a.unit.ID, len(a.reqs.free), a.reqs.made)
+		if made, idle := a.reqs.Counts(); made == 0 || idle != made {
+			t.Errorf("agent %s: %d of %d request records back", a.unit.ID, idle, made)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"ustore/internal/obs"
 	"ustore/internal/simnet"
+	"ustore/internal/simtime"
 )
 
 // Router is the client-side shard resolver: it caches a ShardMap, hashes
@@ -22,10 +23,10 @@ type Router struct {
 	map_ *ShardMap
 	// believed[k] indexes the replica last known to lead shard k.
 	believed []int
-	// free holds finished operation records (see routerOp.finish).
-	free []*routerOp
+	// ops recycles finished operation records (see routerOp.finish).
+	ops simtime.FreeList[routerOp]
 	// reqs holds the request records no attempt has in flight.
-	reqs requests[VolumeArgs]
+	reqs simnet.Records[VolumeArgs]
 
 	cStale   *obs.Counter
 	cRotates *obs.Counter
@@ -81,12 +82,7 @@ func (r *Router) Release(volume string, done func(err error)) {
 
 // newOp takes an operation record off the free list, or makes one.
 func (r *Router) newOp(method string, args VolumeArgs) *routerOp {
-	var op *routerOp
-	if n := len(r.free); n > 0 {
-		op, r.free = r.free[n-1], r.free[:n-1]
-	} else {
-		op = new(routerOp)
-	}
+	op, _ := r.ops.Get()
 	op.r, op.method, op.args = r, method, args
 	return op
 }
@@ -154,7 +150,7 @@ func (op *routerOp) Fire() {
 	op.shard = r.map_.ShardOf(op.args.Volume)
 	replicas := r.map_.Replicas[op.shard]
 	op.idx, op.n = r.believed[op.shard]%len(replicas), len(replicas)
-	r.rpc.CallR(replicas[op.idx], op.method, r.reqs.get(op.args), 192, rpcTimeout, op)
+	r.rpc.CallR(replicas[op.idx], op.method, r.reqs.Take(op.args), 192, rpcTimeout, op)
 }
 
 // again schedules the next attempt after delay, jittered by backoff.
@@ -210,7 +206,7 @@ func (op *routerOp) Reply(res any, err error) {
 func (op *routerOp) finish(res any, err error) {
 	r, alloc, lookup, release := op.r, op.alloc, op.lookup, op.release
 	*op = routerOp{}
-	r.free = append(r.free, op)
+	r.ops.Put(op)
 	switch {
 	case release != nil:
 		release(err)

@@ -121,7 +121,7 @@ func TestRouterOpOutlivesLateReply(t *testing.T) {
 	}
 	var lateSent time.Duration
 	srv.RegisterAsync("Lookup", func(_ string, args any, reply *simnet.AsyncReply) {
-		vol := args.(*request[VolumeArgs]).args.Volume
+		vol := args.(*simnet.Record[VolumeArgs]).Msg.Volume
 		if len(delays[vol]) == 0 {
 			t.Errorf("unplanned attempt to look up %s", vol)
 			return
@@ -184,7 +184,7 @@ func TestLateRequestKeepsItsVolume(t *testing.T) {
 	r.map_ = &ShardMap{Epoch: r.map_.Epoch, Replicas: [][]string{{srv.Name()}}}
 	var arrived []string
 	srv.Register("Lookup", func(_ string, args any) (any, error) {
-		vol := args.(*request[VolumeArgs]).args.Volume
+		vol := args.(*simnet.Record[VolumeArgs]).Msg.Volume
 		arrived = append(arrived, vol)
 		return &LookupReply{Size: int64(len(vol)), Disks: []string{vol + "/d0"}}, nil
 	})
@@ -203,8 +203,8 @@ func TestLateRequestKeepsItsVolume(t *testing.T) {
 	}
 	f.Net.SetMachineBrownout("mach-stand-in", rpcTimeout+2*time.Second)
 	r.Lookup("vol-a", check("vol-a", func() {
-		if len(r.free) != 1 {
-			t.Errorf("%d op records free when A finished, want A's", len(r.free))
+		if _, idle := r.ops.Counts(); idle != 1 {
+			t.Errorf("%d op records free when A finished, want A's", idle)
 		}
 		r.Lookup("vol-b", check("vol-b", nil))
 	}))
@@ -218,7 +218,7 @@ func TestLateRequestKeepsItsVolume(t *testing.T) {
 	if want := []string{"vol-a", "vol-b", "vol-a"}; !slices.Equal(arrived, want) {
 		t.Fatalf("requests arrived for %v, want %v: the late request lost its volume", arrived, want)
 	}
-	if r.reqs.made != 2 || len(r.reqs.free) != 2 {
-		t.Fatalf("router made %d request records and has %d back, want 2 and 2", r.reqs.made, len(r.reqs.free))
+	if made, idle := r.reqs.Counts(); made != 2 || idle != 2 {
+		t.Fatalf("router made %d request records and has %d back, want 2 and 2", made, idle)
 	}
 }

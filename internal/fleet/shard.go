@@ -81,8 +81,8 @@ type ShardMaster struct {
 	queue []*shardOp
 	qHead int
 	busy  bool
-	// free holds answered op records (see opDone).
-	free []*shardOp
+	// ops recycles answered op records (see opDone).
+	ops simtime.FreeList[shardOp]
 	// spread is the buffer allocation picks its rows into.
 	spread []int
 
@@ -387,12 +387,12 @@ func (m *ShardMaster) register() {
 	for _, method := range []string{"Allocate", "Lookup", "Release"} {
 		method := method
 		m.rpc.RegisterAsync(method, func(_ string, args any, reply *simnet.AsyncReply) {
-			q, ok := args.(*request[VolumeArgs])
+			q, ok := args.(*simnet.Record[VolumeArgs])
 			if !ok {
 				reply.Reply(nil, errBadArgs)
 				return
 			}
-			m.enqueue(method, &q.args, reply)
+			m.enqueue(method, &q.Msg, reply)
 		})
 	}
 	m.rpc.Register("Heartbeat", m.onHeartbeat)
@@ -431,11 +431,8 @@ func (m *ShardMaster) enqueue(method string, a *VolumeArgs, reply simnet.Replier
 		reply.Reply(nil, err)
 		return
 	}
-	var op *shardOp
-	if n := len(m.free); n > 0 {
-		op, m.free = m.free[n-1], m.free[:n-1]
-	} else {
-		op = new(shardOp)
+	op, fresh := m.ops.Get()
+	if fresh {
 		op.committed = op.commitDone
 	}
 	op.m, op.method, op.reply = m, method, reply
@@ -496,7 +493,7 @@ func (m *ShardMaster) opDone(op *shardOp, result any, err error) {
 // recycle returns an answered op record to the free list.
 func (m *ShardMaster) recycle(op *shardOp) {
 	*op = shardOp{committed: op.committed}
-	m.free = append(m.free, op)
+	m.ops.Put(op)
 }
 
 // flushQueue answers every queued op ErrNotLeader (lost leadership or crash;
@@ -726,11 +723,11 @@ func (m *ShardMaster) callShard(shard int, method string, args any, attempts int
 
 // onHeartbeat folds a beat into the index; it keeps nothing of the request.
 func (m *ShardMaster) onHeartbeat(_ string, args any) (any, error) {
-	q, ok := args.(*request[HeartbeatArgs])
+	q, ok := args.(*simnet.Record[HeartbeatArgs])
 	if !ok {
 		return nil, errBadArgs
 	}
-	a := &q.args
+	a := &q.Msg
 	if !m.leading {
 		return nil, ErrNotLeader
 	}

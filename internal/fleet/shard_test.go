@@ -76,10 +76,8 @@ func TestCommitGuardAnswersOnce(t *testing.T) {
 	if replies[1][0] != nil || !sameSlice(answered.Disks, m.vols[vols[1]].Disks) {
 		t.Fatalf("%s answered %v %+v, not with its own record's disks", vols[1], replies[1][0], answered)
 	}
-	for i, op := range m.free {
-		if slices.Contains(m.free[:i], op) {
-			t.Fatalf("an op record is on the free list twice: %d records, %d distinct", len(m.free), i)
-		}
+	if made, idle := m.ops.Counts(); idle != made {
+		t.Fatalf("%d op records on the free list of the %d made, with nothing in flight", idle, made)
 	}
 }
 
@@ -194,12 +192,12 @@ func TestStaleGuardSparesReusedOp(t *testing.T) {
 	if len(replies[0]) != 1 || replies[0][0] != nil {
 		t.Fatalf("%s: replies %v, want one OK", vols[0], replies[0])
 	}
-	if len(m.free) != 1 {
-		t.Fatalf("%d op records on the free list, want the first allocate's alone", len(m.free))
+	if made, idle := m.ops.Counts(); made != 1 || idle != 1 {
+		t.Fatalf("%d of %d op records on the free list, want the first allocate's alone", idle, made)
 	}
 	f.Settle(4*electionTTL/2 - time.Second)
 	allocate(1)
-	if len(m.free) != 0 {
+	if made, _ := m.ops.Counts(); made != 1 {
 		t.Fatal("the second allocate did not reuse the first one's record")
 	}
 	for i := 0; i < ShardReplicas; i++ {

@@ -50,7 +50,7 @@ func (v VolRecord) clone() VolRecord {
 
 // VolumeArgs is a volume operation's request: Allocate reads all three
 // fields, Lookup and Release the volume alone. The router sends it in a
-// request record.
+// simnet.Record.
 type VolumeArgs struct {
 	Volume  string
 	Size    int64
@@ -66,7 +66,7 @@ type LookupReply struct {
 }
 
 // HeartbeatArgs is a unit agent's periodic report to its owning shard, sent
-// in a request record. The Dead and Draining lists are cumulative, so a
+// in a simnet.Record. The Dead and Draining lists are cumulative, so a
 // freshly elected leader rebuilds disk health from the very next heartbeat.
 // They are sorted and never written in place: the agent builds a new list
 // when one grows, so every beat shares them.
@@ -75,58 +75,6 @@ type HeartbeatArgs struct {
 	Seq      uint64
 	Dead     []string
 	Draining []string
-}
-
-// request is a hot request sent by pointer, so its send boxes nothing. Each
-// delivery has a record of its own from its sender's list, home. It is
-// valid until the handler returns: simnet's RPC dispatch then gives it
-// back, and the network gives back one it drops and makes one for a
-// duplicate (simnet.Pooled). Handlers copy what they keep. A record in
-// flight is on no list, so a request that arrives after its caller gave up
-// still carries its own args.
-type request[T any] struct {
-	args T
-	home *requests[T]
-}
-
-// Dup returns a record of its own for a duplicated delivery.
-func (q *request[T]) Dup() any { return q.home.get(q.args) }
-
-// Release gives the record back to its home list, zeroed so it pins
-// nothing.
-func (q *request[T]) Release() {
-	if requestPoison != nil {
-		requestPoison(&q.args)
-	} else {
-		q.args = *new(T)
-	}
-	q.home.free = append(q.home.free, q)
-}
-
-// requestPoison is set only by this package's tests (poisonRequests): it
-// overwrites every released record, so a handler that kept one past its
-// return reads garbage instead of args that happen to be intact.
-var requestPoison func(args any)
-
-// requests is one sender's free list of request records. The records come
-// back from whichever node received them; every node runs on the one
-// scheduler, so the list is a plain slice.
-type requests[T any] struct {
-	free []*request[T]
-	made int // records the list allocated: all are free when none is in flight
-}
-
-// get returns a record for one delivery of args.
-func (l *requests[T]) get(args T) *request[T] {
-	var q *request[T]
-	if k := len(l.free); k > 0 {
-		q, l.free = l.free[k-1], l.free[:k-1]
-	} else {
-		q = &request[T]{home: l}
-		l.made++
-	}
-	q.args = args
-	return q
 }
 
 // FreezeSlotArgs fences a slot for migration: volume ops on it answer

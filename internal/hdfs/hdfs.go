@@ -13,6 +13,7 @@ package hdfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -56,15 +57,20 @@ type blockEntry struct {
 
 // --- Wire types ---
 
+// addBlockArgs is one attempt to add a block to a file. Seq numbers the
+// client's attempts, so the namenode answers a repeat of the latest for the
+// file from its record and refuses an older one. Since is the Seq of this
+// block's first attempt: a latest attempt at or after it was this block's,
+// and failed, so its block leaves the file.
 type addBlockArgs struct {
-	File string
-	Size int
+	File       string
+	Size       int
+	Seq, Since uint64
 }
 
 type addBlockReply struct {
-	Block     blockID
-	Pipeline  []string
-	BlockSeqs []int // per-datanode block slot (assigned on arrival)
+	Block    blockID
+	Pipeline []string
 }
 
 type locateArgs struct {
@@ -109,6 +115,15 @@ type NameNode struct {
 	nodes  []string
 	next   uint64
 	rr     int
+	// adds holds each client's latest AddBlock per file, and its reply.
+	adds map[addKey]addedBlock
+}
+
+type addKey struct{ client, file string }
+
+type addedBlock struct {
+	seq   uint64
+	reply addBlockReply
 }
 
 // NewNameNode creates the namenode listening as "nn:<name>".
@@ -118,6 +133,7 @@ func NewNameNode(net *simnet.Network, name string) *NameNode {
 		sched:  net.Scheduler(),
 		files:  make(map[string]*fileEntry),
 		blocks: make(map[blockID]*blockEntry),
+		adds:   make(map[addKey]addedBlock),
 	}
 	nn.rpc.Register("Register", nn.handleRegister)
 	nn.rpc.Register("AddBlock", nn.handleAddBlock)
@@ -140,6 +156,14 @@ func (nn *NameNode) handleRegister(from string, args any) (any, error) {
 
 func (nn *NameNode) handleAddBlock(from string, args any) (any, error) {
 	a := args.(addBlockArgs)
+	key := addKey{from, a.File}
+	last := nn.adds[key]
+	switch {
+	case a.Seq == last.seq:
+		return last.reply, nil
+	case a.Seq < last.seq: // its client has given up on it
+		return nil, errors.New("hdfs: stale AddBlock attempt")
+	}
 	if len(nn.nodes) < DefaultReplication {
 		return nil, fmt.Errorf("%w: %d registered", ErrNotEnoughNodes, len(nn.nodes))
 	}
@@ -147,6 +171,11 @@ func (nn *NameNode) handleAddBlock(from string, args any) (any, error) {
 	if f == nil {
 		f = &fileEntry{}
 		nn.files[a.File] = f
+	}
+	if failed := last.reply.Block; last.seq != 0 && last.seq >= a.Since {
+		f.blocks = slices.DeleteFunc(f.blocks, func(b blockID) bool { return b == failed })
+		f.size -= int64(nn.blocks[failed].size)
+		delete(nn.blocks, failed)
 	}
 	nn.next++
 	b := blockID(fmt.Sprintf("blk_%d", nn.next))
@@ -159,7 +188,9 @@ func (nn *NameNode) handleAddBlock(from string, args any) (any, error) {
 	nn.blocks[b] = &blockEntry{locations: pipeline, size: a.Size}
 	f.blocks = append(f.blocks, b)
 	f.size += int64(a.Size)
-	return addBlockReply{Block: b, Pipeline: pipeline}, nil
+	rep := addBlockReply{Block: b, Pipeline: pipeline}
+	nn.adds[key] = addedBlock{a.Seq, rep}
+	return rep, nil
 }
 
 func (nn *NameNode) handleCommitBlock(from string, args any) (any, error) {
@@ -203,8 +234,9 @@ type DataNode struct {
 }
 
 type blockLoc struct {
-	off  int64
-	size int
+	off    int64
+	size   int
+	stored bool // a write of the block has completed
 }
 
 // NewDataNode creates a datanode named name whose storage is a UStore
@@ -265,23 +297,25 @@ func (dn *DataNode) initHandlers() {
 			reply.Reply(nil, fmt.Errorf("hdfs: datanode %s not ready", dn.name))
 			return
 		}
-		loc, dup := dn.blocks[w.Block]
-		if !dup {
+		// A block's place is reserved when its first write arrives, so a
+		// repeat writes the same place, even while that write is in flight.
+		loc, known := dn.blocks[w.Block]
+		if !known {
 			if dn.offset+int64(len(w.Data)) > dn.size {
 				reply.Reply(nil, fmt.Errorf("hdfs: datanode %s volume full", dn.name))
 				return
 			}
 			loc = blockLoc{off: dn.offset, size: len(w.Data)}
+			dn.blocks[w.Block] = loc
+			dn.offset += int64(len(w.Data))
 		}
 		dn.cl.Write(dn.space, loc.off, w.Data, func(err error) {
 			if err != nil {
 				reply.Reply(nil, fmt.Errorf("datanode %s store: %w", dn.name, err))
 				return
 			}
-			if !dup {
-				dn.blocks[w.Block] = loc
-				dn.offset += int64(len(w.Data))
-			}
+			loc.stored = true
+			dn.blocks[w.Block] = loc
 			if len(w.Pipeline) == 0 {
 				reply.Reply(struct{}{}, nil)
 				return
@@ -301,7 +335,7 @@ func (dn *DataNode) initHandlers() {
 	dn.rpc.RegisterAsync("ReadBlock", func(from string, args any, reply *simnet.AsyncReply) {
 		r := args.(dnReadArgs)
 		loc, ok := dn.blocks[r.Block]
-		if !ok {
+		if !ok || !loc.stored {
 			reply.Reply(nil, fmt.Errorf("hdfs: %s has no %s", dn.name, r.Block))
 			return
 		}
@@ -322,6 +356,7 @@ type Client struct {
 	rpc   *simnet.RPCNode
 	sched *simtime.Scheduler
 	nn    string
+	seq   uint64 // numbers AddBlock attempts (addBlockArgs.Seq)
 
 	// WriteStalls counts write attempts that had to retry (the §VII-B
 	// observation: "the HDFS client encounters error only for several
@@ -358,9 +393,11 @@ func (c *Client) WriteFile(name string, data []byte, done func(error)) {
 		}
 		chunk := data[off:end]
 		deadline := c.sched.Now() + writeRetryBudget
+		since := c.seq + 1
 		var attempt func()
 		attempt = func() {
-			c.rpc.Call(c.nn, "AddBlock", addBlockArgs{File: name, Size: len(chunk)}, 64, 2*time.Second,
+			c.seq++
+			c.rpc.Call(c.nn, "AddBlock", addBlockArgs{File: name, Size: len(chunk), Seq: c.seq, Since: since}, 64, 2*time.Second,
 				func(res any, err error) {
 					if err != nil {
 						c.retryOrFail(deadline, attempt, done, err)

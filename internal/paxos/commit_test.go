@@ -68,7 +68,7 @@ func TestOneHeartbeatChainAcrossLoseRegain(t *testing.T) {
 	}
 	beats := 0
 	c.net.Node(f.name).Handle(func(m simnet.Message) {
-		if _, ok := m.Payload.(*wire[heartbeatMsg]); ok && m.From == l.addr {
+		if _, ok := m.Payload.(*simnet.Record[heartbeatMsg]); ok && m.From == l.addr {
 			beats++
 		}
 		f.dispatch(m)

@@ -105,8 +105,8 @@ func TestLeaderAfterTruncationRecovers(t *testing.T) {
 	for _, name := range c.names {
 		n := c.nodes[name]
 		c.net.Node(name).Handle(func(m simnet.Message) {
-			if w, ok := m.Payload.(*wire[acceptMsg]); ok && w.msg.Value.IsNoop() && w.msg.Slot < chosen {
-				t.Errorf("%s proposed a no-op into chosen slot %d", c.net.Name(m.From), w.msg.Slot)
+			if w, ok := m.Payload.(*simnet.Record[acceptMsg]); ok && w.Msg.Value.IsNoop() && w.Msg.Slot < chosen {
+				t.Errorf("%s proposed a no-op into chosen slot %d", c.net.Name(m.From), w.Msg.Slot)
 			}
 			n.dispatch(m)
 		})

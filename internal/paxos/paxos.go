@@ -147,68 +147,14 @@ type wireSlot struct {
 	Chosen bool
 }
 
-// wire is a hot message sent by pointer, so its send boxes nothing. Each
-// destination gets a record of its own from the sending node's list, home.
-// It is valid until the receiver's handler returns: dispatch then gives it
-// back, and simnet gives back one it drops or duplicates (simnet.Pooled).
-// The handlers copy what they keep, the Command and scalars.
-type wire[T any] struct {
-	msg  T
-	home *wireList[T]
-}
-
-// Dup returns a record of its own for a duplicated delivery.
-func (w *wire[T]) Dup() any {
-	c := w.home.get()
-	c.msg = w.msg
-	return c
-}
-
-// Release gives the record back to its home list, zeroed so it pins no
-// command.
-func (w *wire[T]) Release() {
-	if wirePoison != nil {
-		wirePoison(&w.msg)
-	} else {
-		w.msg = *new(T)
-	}
-	w.home.free = append(w.home.free, w)
-}
-
-// wirePoison is set only by this package's tests (poisonWire): it
-// overwrites every released record, so a reader that kept one past its
-// handler sees garbage instead of a message that happens to be intact.
-var wirePoison func(msg any)
-
-// wireList is one node's free list of one kind of wire record. The records
-// come back from whichever node received them; every node runs on the one
-// scheduler, so the list is a plain slice.
-type wireList[T any] struct {
-	free []*wire[T]
-	made int // records the list allocated: all are free when none is in flight
-}
-
-func (l *wireList[T]) get() *wire[T] {
-	if k := len(l.free); k > 0 {
-		w := l.free[k-1]
-		l.free = l.free[:k-1]
-		return w
-	}
-	l.made++
-	return &wire[T]{home: l}
-}
-
-// send sends msg to one peer in a record of its own.
-func (l *wireList[T]) send(n *Node, to simnet.Addr, msg T, size int) {
-	w := l.get()
-	w.msg = msg
-	n.node.Send(to, w, size)
-}
-
-// broadcast sends msg to every peer, self included, a record each.
-func (l *wireList[T]) broadcast(n *Node, msg T, size int) {
+// broadcast sends msg to every peer, self included, each in a record of
+// its own from the sending node's list l. The hot messages travel as
+// *simnet.Record, so a send boxes nothing; dispatch gives each record back
+// once its handler returns, and the handlers copy what they keep, the
+// Command and scalars.
+func broadcast[T any](n *Node, l *simnet.Records[T], msg T, size int) {
 	for _, p := range n.peerAddrs {
-		l.send(n, p, msg, size)
+		n.node.Send(p, l.Take(msg), size)
 	}
 }
 
@@ -258,13 +204,13 @@ type Node struct {
 	// Receiver-event timers: one pending heartbeat and election timeout each.
 	hbArmed       bool
 	electionArmed bool
-	phaseFree     []*phaseTimer
+	phases        simtime.FreeList[phaseTimer]
 
 	// Free lists of the hot wire records this node sends.
-	accepts   wireList[acceptMsg]
-	accepteds wireList[acceptedMsg]
-	chosens   wireList[chosenMsg]
-	beats     wireList[heartbeatMsg]
+	accepts   simnet.Records[acceptMsg]
+	accepteds simnet.Records[acceptedMsg]
+	chosens   simnet.Records[chosenMsg]
+	beats     simnet.Records[heartbeatMsg]
 
 	stopped bool
 }
@@ -464,14 +410,14 @@ func (n *Node) dispatch(msg simnet.Message) {
 		n.onPromise(msg.From, m)
 	case nackMsg:
 		n.onNack(m)
-	case *wire[acceptMsg]:
-		n.onAccept(msg.From, m.msg)
-	case *wire[acceptedMsg]:
-		n.onAccepted(msg.From, m.msg)
-	case *wire[chosenMsg]:
-		n.markChosen(m.msg.Slot, m.msg.Value)
-	case *wire[heartbeatMsg]:
-		n.onHeartbeat(msg.From, m.msg)
+	case *simnet.Record[acceptMsg]:
+		n.onAccept(msg.From, m.Msg)
+	case *simnet.Record[acceptedMsg]:
+		n.onAccepted(msg.From, m.Msg)
+	case *simnet.Record[chosenMsg]:
+		n.markChosen(m.Msg.Slot, m.Msg.Value)
+	case *simnet.Record[heartbeatMsg]:
+		n.onHeartbeat(msg.From, m.Msg)
 	case proposeFwd:
 		if n.isLeader {
 			n.leaderPropose(m.Cmd)
@@ -552,7 +498,7 @@ func (n *Node) onPromise(from simnet.Addr, m promiseMsg) {
 		if ws, ok := highest[i]; ok {
 			if ws.Chosen {
 				n.markChosen(ws.Slot, ws.Value)
-				n.chosens.broadcast(n, chosenMsg{Slot: ws.Slot, Value: ws.Value}, 64)
+				broadcast(n, &n.chosens, chosenMsg{Slot: ws.Slot, Value: ws.Value}, 64)
 			} else {
 				n.phase2(i, ws.Value)
 			}
@@ -595,12 +541,10 @@ func (n *Node) phase2(slot int, value Command) {
 		return
 	}
 	b := n.leaderBallot
-	n.accepts.broadcast(n, acceptMsg{Ballot: b, Slot: slot, Value: value, Floor: n.floor()}, 128)
-	var t *phaseTimer
-	if k := len(n.phaseFree); k > 0 {
-		t, n.phaseFree = n.phaseFree[k-1], n.phaseFree[:k-1]
-	} else {
-		t = &phaseTimer{n: n}
+	broadcast(n, &n.accepts, acceptMsg{Ballot: b, Slot: slot, Value: value, Floor: n.floor()}, 128)
+	t, fresh := n.phases.Get()
+	if fresh {
+		t.n = n
 	}
 	t.slot, t.ballot, t.value, t.acks = slot, b, value, 0
 	t.ev = n.sched.AfterR(n.cfg.PhaseTimeout, t)
@@ -636,7 +580,7 @@ func (t *phaseTimer) Fire() {
 // freePhase returns a proposal that left the queue to the free list.
 func (n *Node) freePhase(t *phaseTimer) {
 	t.ev, t.value = nil, Command{}
-	n.phaseFree = append(n.phaseFree, t)
+	n.phases.Put(t)
 }
 
 func (n *Node) onAccept(from simnet.Addr, m acceptMsg) {
@@ -658,7 +602,7 @@ func (n *Node) onAccept(from simnet.Addr, m acceptMsg) {
 		s.acceptedValue = m.Value
 		s.hasAccepted = true
 	}
-	n.accepteds.send(n, from, acceptedMsg{Ballot: m.Ballot, Slot: m.Slot, Applied: n.applied}, 32)
+	n.node.Send(from, n.accepteds.Take(acceptedMsg{Ballot: m.Ballot, Slot: m.Slot, Applied: n.applied}), 32)
 	n.learnFloor(m.Floor)
 }
 
@@ -681,7 +625,7 @@ func (n *Node) onAccepted(from simnet.Addr, m acceptedMsg) {
 			return // leaders self-deliver their accept before remote acks arrive
 		}
 		n.markChosen(m.Slot, value)
-		n.chosens.broadcast(n, chosenMsg{Slot: m.Slot, Value: value}, 128)
+		broadcast(n, &n.chosens, chosenMsg{Slot: m.Slot, Value: value}, 128)
 	}
 }
 
@@ -735,7 +679,7 @@ func (n *Node) heartbeat() {
 	if n.stopped || !n.isLeader {
 		return
 	}
-	n.beats.broadcast(n, heartbeatMsg{Ballot: n.leaderBallot, ChosenPrefix: n.chosenP, Floor: n.floor()}, 32)
+	broadcast(n, &n.beats, heartbeatMsg{Ballot: n.leaderBallot, ChosenPrefix: n.chosenP, Floor: n.floor()}, 32)
 	if !n.hbArmed {
 		n.hbArmed = true
 		n.sched.FireAfterR(n.cfg.HeartbeatInterval, (*heartbeatTimer)(n))

@@ -18,7 +18,7 @@ import (
 func poisonWire() (restore func()) {
 	const bad = Ballot(1 << 62)
 	poisoned := Command{ID: "poisoned"}
-	wirePoison = func(msg any) {
+	simnet.RecordPoison = func(msg any) {
 		switch m := msg.(type) {
 		case *acceptMsg:
 			*m = acceptMsg{Ballot: bad, Slot: -1, Value: poisoned, Floor: -1}
@@ -30,7 +30,7 @@ func poisonWire() (restore func()) {
 			*m = heartbeatMsg{Ballot: bad, ChosenPrefix: -1, Floor: -1}
 		}
 	}
-	return func() { wirePoison = nil }
+	return func() { simnet.RecordPoison = nil }
 }
 
 // runWireSeed runs three replicas whose links duplicate every message and
@@ -128,19 +128,22 @@ func TestDroppedWireRecordsGoHome(t *testing.T) {
 			c.settle(time.Second)
 			for _, name := range c.names {
 				n := c.nodes[name]
-				for kind, counts := range map[string][2]int{
-					"accept":    {len(n.accepts.free), n.accepts.made},
-					"accepted":  {len(n.accepteds.free), n.accepteds.made},
-					"chosen":    {len(n.chosens.free), n.chosens.made},
-					"heartbeat": {len(n.beats.free), n.beats.made},
+				for kind, list := range map[string]interface{ Counts() (int, int) }{
+					"accept":    &n.accepts,
+					"accepted":  &n.accepteds,
+					"chosen":    &n.chosens,
+					"heartbeat": &n.beats,
 				} {
-					if counts[0] != counts[1] {
-						t.Errorf("%s: %d of the %d %s records it made are home", name, counts[0], counts[1], kind)
+					if made, idle := list.Counts(); idle != made {
+						t.Errorf("%s: %d of the %d %s records it made are home", name, idle, made, kind)
 					}
 				}
 			}
-			if l.accepts.made == 0 || l.beats.made == 0 {
-				t.Fatal("the leader made no accept or heartbeat records")
+			if made, _ := l.accepts.Counts(); made == 0 {
+				t.Fatal("the leader made no accept records")
+			}
+			if made, _ := l.beats.Counts(); made == 0 {
+				t.Fatal("the leader made no heartbeat records")
 			}
 		})
 	}

@@ -32,9 +32,10 @@ type Admission struct {
 	res     map[string]*resourceState
 	slotCap int
 
-	// spent holds finished requests for the next Submit; fire is
-	// dispatch's reused list of the requests one walk took out.
-	spent, fire []*request
+	// requests recycles request records; fire is dispatch's reused list
+	// of the requests one walk took out.
+	requests simtime.FreeList[request]
+	fire     []*request
 
 	dispatching bool
 	dirty       bool
@@ -56,7 +57,7 @@ type resourceState struct {
 }
 
 // request is one queued submission. Requests are recycled through
-// Admission.spent once their outcome's callback has been read out.
+// Admission.requests once their outcome's callback has been read out.
 type request struct {
 	res      *resourceState
 	enqueued simtime.Time
@@ -125,21 +126,11 @@ func (a *Admission) Submit(now simtime.Time, class, resource string, grant func(
 		shed(ShedQueueFull)
 		return
 	}
-	rq := a.newRequest()
+	rq, _ := a.requests.Get()
 	rq.res, rq.enqueued, rq.grant, rq.shed = a.resource(resource), now, grant, shed
 	rq.res.queued++
 	cs.queue = append(cs.queue, rq)
 	a.dispatch(now)
-}
-
-func (a *Admission) newRequest() *request {
-	if n := len(a.spent); n > 0 {
-		rq := a.spent[n-1]
-		a.spent[n-1] = nil
-		a.spent = a.spent[:n-1]
-		return rq
-	}
-	return &request{}
 }
 
 // Release returns a granted request's resource slot and dispatches the
@@ -198,7 +189,7 @@ func (a *Admission) dispatch(now simtime.Time) {
 		for _, rq := range a.fire {
 			grant, shed, granted := rq.grant, rq.shed, rq.granted
 			*rq = request{}
-			a.spent = append(a.spent, rq)
+			a.requests.Put(rq)
 			if granted {
 				grant()
 			} else {

@@ -184,9 +184,9 @@ func TestReplyDuringBackoffCompletesOnce(t *testing.T) {
 	if n := sent(); n != 4 {
 		t.Fatalf("%d messages sent, want 4: a request and a reply per call, no resend", n)
 	}
-	if len(cli.retriers) != 2 || len(cli.pending) != 0 {
-		t.Fatalf("%d retriers free and %d calls pending after both calls, want 2 and 0",
-			len(cli.retriers), len(cli.pending))
+	if made, idle := cli.retriers.Counts(); made != 2 || idle != 2 || len(cli.pending) != 0 {
+		t.Fatalf("%d of %d retriers free and %d calls pending after both calls, want 2 of 2 and 0",
+			idle, made, len(cli.pending))
 	}
 }
 

@@ -70,7 +70,8 @@ func (a *AsyncReply) Reply(result any, err error) {
 	if r == nil {
 		panic("simnet: async RPC handler replied twice")
 	}
-	r.replies.put(a)
+	*a = AsyncReply{}
+	r.replies.Put(a)
 	r.reply(to, id, result, err)
 }
 
@@ -90,9 +91,9 @@ type RPCNode struct {
 	methods  map[string]rpcMethod
 	nextID   uint64
 	pending  map[uint64]*pendingCall
-	calls    freeList[pendingCall]
-	retriers freeList[retrier]
-	replies  freeList[AsyncReply]
+	calls    simtime.FreeList[pendingCall]
+	retriers simtime.FreeList[retrier]
+	replies  simtime.FreeList[AsyncReply]
 }
 
 // rpcMethod is one method's handlers: an async one wins over a sync one.
@@ -127,10 +128,12 @@ func (r *RPCNode) complete(pc *pendingCall, result any, err error) {
 	pc.timeout.Cancel()
 	pc.timeout.Release()
 	if rt := pc.retry; rt != nil && !rt.armed {
-		r.retriers.put(rt)
+		*rt = retrier{}
+		r.retriers.Put(rt)
 	}
 	done := pc.done
-	r.calls.put(pc)
+	*pc = pendingCall{}
+	r.calls.Put(pc)
 	done.Reply(result, err)
 }
 
@@ -202,7 +205,7 @@ func (r *RPCNode) Call(to, method string, args any, size int, timeout time.Durat
 func (r *RPCNode) CallR(to, method string, args any, size int, timeout time.Duration, done Replier) {
 	done = r.instrumentCall(to, method, done)
 	r.nextID++
-	pc := r.calls.get()
+	pc, _ := r.calls.Get()
 	pc.r, pc.id, pc.done = r, r.nextID, done
 	r.pending[pc.id] = pc
 	if timeout > 0 {
@@ -267,7 +270,7 @@ func (r *RPCNode) CallWithRetry(to, method string, args any, size int, o RetryOp
 		o.Backoff = DefaultRetryBackoff
 	}
 	r.CallR(to, method, args, size, o.Timeout, replyFunc(done))
-	rt := r.retriers.get()
+	rt, _ := r.retriers.Get()
 	rt.r, rt.pc, rt.id = r, r.pending[r.nextID], r.nextID
 	rt.to, rt.method, rt.args, rt.size, rt.o = to, method, args, size, o
 	rt.start = r.net.sched.Now()
@@ -315,7 +318,8 @@ func (rt *retrier) Fire() {
 	r := rt.r
 	rt.armed = false
 	if r.pending[rt.id] != rt.pc {
-		r.retriers.put(rt)
+		*rt = retrier{}
+		r.retriers.Put(rt)
 		return
 	}
 	rt.n++
@@ -361,7 +365,7 @@ func (r *RPCNode) serve(msg Message, h rpcHeader) {
 	m := r.methods[h.text]
 	switch {
 	case m.async != nil:
-		a := r.replies.get()
+		a, _ := r.replies.Get()
 		a.r, a.to, a.id = r, msg.From, h.id
 		m.async(r.net.Name(msg.From), msg.Payload, a)
 	case m.sync != nil:

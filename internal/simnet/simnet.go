@@ -230,7 +230,7 @@ type Network struct {
 	// frames recycles the block protocol's wire frames (see FrameList).
 	frames FrameList
 	// deliveries recycles this network's messages in flight.
-	deliveries freeList[delivery]
+	deliveries simtime.FreeList[delivery]
 
 	// Observability handles (nil-safe; SetRecorder fills them in).
 	rec        *obs.Recorder
@@ -511,7 +511,7 @@ type delivery struct {
 func (n *Network) deliver(msg Message, dst *Node, delay time.Duration, local bool) {
 	// FireAfterR: no owner cancels a delivery, so the scheduler may pool its
 	// event — deliveries are the hottest timer source in any simulation.
-	d := n.deliveries.get()
+	d, _ := n.deliveries.Get()
 	d.dst, d.msg, d.local = dst, msg, local
 	n.sched.FireAfterR(delay, d)
 }
@@ -520,7 +520,8 @@ func (n *Network) deliver(msg Message, dst *Node, delay time.Duration, local boo
 // own sends may reuse it.
 func (d *delivery) Fire() {
 	dst, msg, local := d.dst, d.msg, d.local
-	dst.net.deliveries.put(d)
+	*d = delivery{}
+	dst.net.deliveries.Put(d)
 	dst.net.arrive(dst, msg, local)
 }
 
@@ -538,23 +539,4 @@ func (n *Network) arrive(dst *Node, msg Message, local bool) {
 		n.cBytes.Add(uint64(msg.Size))
 	}
 	dst.handler(msg)
-}
-
-// freeList recycles records of one type. put zeroes a record, so a recycled
-// one pins nothing its last user referenced.
-type freeList[T any] []*T
-
-func (l *freeList[T]) get() *T {
-	n := len(*l)
-	if n == 0 {
-		return new(T)
-	}
-	x := (*l)[n-1]
-	*l = (*l)[:n-1]
-	return x
-}
-
-func (l *freeList[T]) put(x *T) {
-	*x = *new(T)
-	*l = append(*l, x)
 }

@@ -40,8 +40,10 @@
 // list that the next slot to fill takes from, so a warm scheduler's wheel
 // allocates nothing however far the clock walks.
 //
-// Event structs are pooled on a free list. Only events that never escape to
-// a caller — FireAfter and the receiver forms FireAtR/FireAfterR, used by hot
+// Event structs are pooled on a FreeList, the one free list every package
+// recycles its records on (simnet's messages and calls, Paxos timers, fleet
+// ops, client IOs, disk services, ...). Only events that never escape to a
+// caller — FireAfter and the receiver forms FireAtR/FireAfterR, used by hot
 // paths like simnet delivery — and events whose holder gave the handle back
 // with Release are recycled, so a stale handle can never cancel a reused
 // event. Tickers go one step further and re-arm their own event in place,
@@ -244,7 +246,7 @@ type Scheduler struct {
 	wheel   int        // events currently in wheel slots
 	far     eventQueue
 
-	free []*Event // recycled pooled events
+	events FreeList[Event] // recycled pooled events
 
 	fired uint64
 	stats Stats
@@ -283,21 +285,21 @@ func (s *Scheduler) NextEventAt() (at Time, ok bool) {
 func (s *Scheduler) Stats() Stats {
 	st := s.stats
 	st.Fired = s.fired
+	made, _ := s.events.Counts()
+	st.Allocated = uint64(made)
 	return st
 }
 
 // alloc returns an Event ready for scheduling, from the free list when one
 // is available.
 func (s *Scheduler) alloc() *Event {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
+	e, fresh := s.events.Get()
+	if fresh {
+		e.s, e.index = s, notQueued
+	} else {
 		s.stats.Reused++
-		return e
 	}
-	s.stats.Allocated++
-	return &Event{s: s, index: notQueued}
+	return e
 }
 
 // recycle returns an event that has left the queue to the free list. Only
@@ -307,7 +309,7 @@ func (s *Scheduler) alloc() *Event {
 func (s *Scheduler) recycle(e *Event) {
 	e.fire = nil
 	e.pooled = false
-	s.free = append(s.free, e)
+	s.events.Put(e)
 	s.stats.Recycled++
 }
 

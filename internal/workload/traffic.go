@@ -209,10 +209,9 @@ type TrafficEngine struct {
 	inflight int
 
 	stormRng *rand.Rand
-	// reqs and arrivals hold finished request and arrival records for
-	// reuse.
-	reqs     []*trafficReq
-	arrivals []*arrival
+	// reqs and arrivals recycle request and arrival records.
+	reqs     simtime.FreeList[trafficReq]
+	arrivals simtime.FreeList[arrival]
 
 	activeMax int
 	spinUps   int
@@ -614,12 +613,9 @@ type trafficReq struct {
 
 // begin starts a request of class cs at the current instant.
 func (e *TrafficEngine) begin(cs *classState, tenant string, gw *core.ClientLib) *trafficReq {
-	var r *trafficReq
-	if n := len(e.reqs); n > 0 {
-		r = e.reqs[n-1]
-		e.reqs = e.reqs[:n-1]
-	} else {
-		r = &trafficReq{e: e}
+	r, fresh := e.reqs.Get()
+	if fresh {
+		r.e = e
 		r.onLookup, r.onAllocate, r.onMount = r.lookedUp, r.allocated, r.mounted
 		r.onRead, r.onWrite = r.read, r.done
 		r.onGrant, r.onShed = r.admitted, r.refused
@@ -642,7 +638,7 @@ func (r *trafficReq) finish(outcome string) {
 	e.record(r.cs, r.phase, outcome, time.Duration(e.sched.Now()-r.startAt))
 	r.cs, r.gw, r.vol, r.tenant, r.phase, r.fresh = nil, nil, nil, "", "", trafficVolume{}
 	r.ingest, r.granted, r.finished = false, false, false
-	e.reqs = append(e.reqs, r)
+	e.reqs.Put(r)
 }
 
 func (r *trafficReq) lookedUp(_ core.LookupReply, err error) {
@@ -740,18 +736,17 @@ type arrival struct {
 }
 
 func (e *TrafficEngine) newArrival() *arrival {
-	if n := len(e.arrivals); n > 0 {
-		a := e.arrivals[n-1]
-		e.arrivals = e.arrivals[:n-1]
-		return a
+	a, fresh := e.arrivals.Get()
+	if fresh {
+		a.e = e
 	}
-	return &arrival{e: e}
+	return a
 }
 
 func (a *arrival) Fire() {
 	e, cs, tenant, idx, vol, off, lookup := a.e, a.cs, a.tenant, a.idx, a.vol, a.off, a.lookup
 	*a = arrival{e: e}
-	e.arrivals = append(e.arrivals, a)
+	e.arrivals.Put(a)
 	switch {
 	case e.stopped:
 	case vol == nil:

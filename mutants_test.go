@@ -339,6 +339,20 @@ var mutants = []mutant{
 		want: []string{`--- FAIL: TestHostFailureRecovery`, `nil pointer dereference`, `core\.\(\*clientIO\)\.attempt`},
 	},
 	{
+		// A free list keeps what its sites give back, or every record it
+		// made is lost to the next Get and the made == idle checks of the
+		// pools' run-level tests fail.
+		name: "free-list-put-drops-record", file: "internal/simtime/freelist.go",
+		old: "func (l *FreeList[T]) Put(x *T) { l.free = append(l.free, x) }", new: "func (l *FreeList[T]) Put(x *T) {}",
+		cmd: "go test ./internal/core ./internal/block ./internal/disk ./internal/policy ./internal/workload -run ^(TestHostFailureRecovery|TestHedgedReadCutsGrayTail|TestProtectorBreakerOpensAndProbes|TestRecordsComeHome|TestTrafficRecordsComeHome)$",
+		want: []string{
+			`master calls: 0 of the \d+ records made are back`, `client IOs: 0 of the \d+`, `hedged reads: 0 of the \d+`, `admissions: 0 of the \d+`,
+			`initiator calls: 0 of the \d+`, `read replies: 0 of the \d+`, `write replies: 0 of the \d+`, `volume IOs: 0 of the \d+`,
+			`service records: 0 of the \d+ made are back`, `request records: 0 of the \d+ made are back`,
+			`requests: 0 of the \d+ records made are back`, `arrivals: 0 of the \d+`,
+		},
+	},
+	{
 		// Each dispatch pass fires only what it took out of the queues, or
 		// a pass after a re-entrant Grant re-fires the last pass's requests.
 		name: "fire-buffer-kept-across-passes", file: "internal/policy/admission.go",
