@@ -217,6 +217,71 @@ func TestRevokedVolumeFailsIO(t *testing.T) {
 	}
 }
 
+// TestUnexportedVolumeRefusedWithoutCopy: a request naming a volume the
+// target does not export, or no longer exports, gets the status it always
+// got, and the target answers it without copying the name out of the
+// frame: a revoked login is still a login (no-volume), a name never logged
+// in to is not (not-logged-in), and a logout of a revoked name ends the
+// login.
+func TestUnexportedVolumeRefusedWithoutCopy(t *testing.T) {
+	r := newSimRig(t)
+	const sp = "unit0/disk00/sp0"
+	noAnswer, payload := errors.New("no answer"), []byte("x")
+	var got error
+	loggedIn := func(_ int64, err error) { got = err }
+	readDone := func(_ []byte, err error) { got = err }
+	wrote := func(err error) { got = err }
+	login := func(vol string) error {
+		got = noAnswer
+		r.ini.Login("h1", vol, loggedIn)
+		r.sched.Run()
+		return got
+	}
+	read := func(vol string) error {
+		got = noAnswer
+		r.ini.Read("h1", vol, 0, 512, readDone)
+		r.sched.Run()
+		return got
+	}
+	write := func(vol string) error {
+		got = noAnswer
+		r.ini.Write("h1", vol, 0, payload, wrote)
+		r.sched.Run()
+		return got
+	}
+	noVolume, notLoggedIn := StatusNoVolume.Err(), StatusNotLoggedIn.Err()
+	if err := login(sp); err != nil {
+		t.Fatal(err)
+	}
+	r.tgt.Revoke(sp)
+	for _, tc := range []struct {
+		what string
+		op   func() error
+		want error
+	}{
+		{"login to a name never exported", func() error { return login("nope") }, noVolume},
+		{"login to a revoked name", func() error { return login(sp) }, noVolume},
+		{"read of a name never logged in to", func() error { return read("nope") }, notLoggedIn},
+		{"read of a revoked login", func() error { return read(sp) }, noVolume},
+		{"write of a revoked login", func() error { return write(sp) }, noVolume},
+	} {
+		if err := tc.op(); err != tc.want {
+			t.Fatalf("%s: %v, want %v", tc.what, err, tc.want)
+		}
+		if n := testing.AllocsPerRun(20, func() { tc.op() }); n != 0 {
+			t.Fatalf("%s allocates %v objects, want 0", tc.what, n)
+		}
+	}
+	m := Msg{Type: MsgLogout, Volume: sp}
+	fr := r.ini.frames.Get(m.frameLen())
+	m.encodeInto(fr.B)
+	r.ini.node.Send(r.net.Addr(TargetNode("h1")), fr, len(fr.B))
+	r.sched.Run()
+	if err := read(sp); err != notLoggedIn {
+		t.Fatalf("read after logging out of a revoked name: %v, want %v", err, notLoggedIn)
+	}
+}
+
 func TestTargetDownTimesOut(t *testing.T) {
 	r := newSimRig(t)
 	r.ini.Login("h1", "unit0/disk00/sp0", func(int64, error) {})

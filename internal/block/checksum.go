@@ -64,11 +64,22 @@ func (v *DiskVolume) verifyCRCs(first, last int64) error {
 			continue
 		}
 		if got := st.ChunkCRC(b); got != want {
-			return fmt.Errorf("%w: disk %s block %d (offset %d)",
-				ErrChecksum, v.d.ID(), b, b*ChecksumBlockSize)
+			return v.checksumErr(b)
 		}
 	}
 	return nil
+}
+
+// checksumErr is the ErrChecksum a read of rotten block b fails with. A
+// rotten block fails every read that covers it until a write repairs it, so
+// the volume keeps the error of the last block it reported: an error is an
+// immutable value, and a repeated mismatch formats nothing.
+func (v *DiskVolume) checksumErr(b int64) error {
+	if v.crcErr == nil || v.crcErrBlock != b {
+		v.crcErr = fmt.Errorf("%w: disk %s block %d (offset %d)", ErrChecksum, v.d.ID(), b, b*ChecksumBlockSize)
+		v.crcErrBlock = b
+	}
+	return v.crcErr
 }
 
 // ReadAt is ReadInto into a fresh buffer.

@@ -3,6 +3,7 @@ package block
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"ustore/internal/disk"
@@ -113,5 +114,34 @@ func TestStatusChecksumErrMapsToErrChecksum(t *testing.T) {
 	}
 	if StatusOK.Err() != nil {
 		t.Fatal("StatusOK.Err() != nil")
+	}
+}
+
+// TestChecksumErrorNamesTheBlock: a local mismatch's error names the disk
+// and the block and matches ErrChecksum, and a read of a block that stays
+// rotten gets the same error again without formatting one.
+func TestChecksumErrorNamesTheBlock(t *testing.T) {
+	s, d, v := newChecksumVolume(t, 0, 1<<20)
+	payload := bytes.Repeat([]byte{0xEE}, 2*ChecksumBlockSize)
+	v.WriteAt(0, payload, func(error) {})
+	s.Run()
+	d.Store().CorruptAt(ChecksumBlockSize+100, 16, 0x40)
+	var rerr error
+	v.ReadAt(0, len(payload), func(_ []byte, err error) { rerr = err })
+	s.Run()
+	want := fmt.Sprintf("block: checksum mismatch: disk d0 block 1 (offset %d)", ChecksumBlockSize)
+	if !errors.Is(rerr, ErrChecksum) || rerr.Error() != want {
+		t.Fatalf("read error = %v, want %q matching ErrChecksum", rerr, want)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if v.verifyCRCs(0, 1) != rerr {
+			t.Fatal("a second mismatch of the block got another error")
+		}
+	}); n != 0 {
+		t.Fatalf("a repeated mismatch allocates %v objects, want 0", n)
+	}
+	d.Store().CorruptAt(100, 16, 0x40)
+	if err := v.verifyCRCs(0, 1); err == rerr || err.Error() != "block: checksum mismatch: disk d0 block 0 (offset 0)" {
+		t.Fatalf("a mismatch in block 0 reports %v", err)
 	}
 }

@@ -100,6 +100,9 @@ type Msg struct {
 	Discard bool
 	// Data carries write payloads and read results.
 	Data []byte
+	// unexported is a volume name the decoding target does not export: the
+	// name's bytes in the frame, left uncopied (Volume is then empty).
+	unexported []byte
 }
 
 // header layout: magic(4) type(1) status(1) flags(1) pad(1) tag(8) bodyLen(4).
@@ -216,9 +219,10 @@ func Decode(buf []byte) (*Msg, int, error) {
 
 // decode is Decode into a Msg the caller supplies (the simnet transports
 // decode every PDU into a stack variable). A volume name found in names is
-// returned as names' string rather than a fresh copy (the target passes its
-// exports, so serving an IO allocates no name). m's contents are unspecified
-// after an error.
+// returned as names' string rather than a fresh copy, and a non-empty name
+// names lacks is left in the frame as m.unexported (the target passes its
+// exports, so decoding a request allocates no name). m's contents are
+// unspecified after an error.
 func (m *Msg) decode(buf []byte, names map[string]string) (int, error) {
 	total, err := m.decodeHeader(buf)
 	if err != nil {
@@ -272,46 +276,40 @@ func (m *Msg) decodeHeader(buf []byte) (int, error) {
 func (m *Msg) decodeBody(body []byte, names map[string]string) error {
 	switch m.Type {
 	case MsgLogin:
-		name, _, err := decodeName(body, names)
-		if err != nil {
+		if _, err := m.decodeName(body, names); err != nil {
 			return err
 		}
-		m.Volume = name
 	case MsgLoginResp:
 		if len(body) < 8 {
 			return ErrTruncated
 		}
 		m.Size = binary.BigEndian.Uint64(body)
 	case MsgRead:
-		name, rest, err := decodeName(body, names)
+		rest, err := m.decodeName(body, names)
 		if err != nil {
 			return err
 		}
 		if len(rest) < 12 {
 			return ErrTruncated
 		}
-		m.Volume = name
 		m.Offset = binary.BigEndian.Uint64(rest)
 		m.Length = binary.BigEndian.Uint32(rest[8:])
 	case MsgReadResp:
 		m.Data = body
 	case MsgWrite:
-		name, rest, err := decodeName(body, names)
+		rest, err := m.decodeName(body, names)
 		if err != nil {
 			return err
 		}
 		if len(rest) < 8 {
 			return ErrTruncated
 		}
-		m.Volume = name
 		m.Offset = binary.BigEndian.Uint64(rest)
 		m.Data = rest[8:]
 	case MsgLogout:
-		name, _, err := decodeName(body, names)
-		if err != nil {
+		if _, err := m.decodeName(body, names); err != nil {
 			return err
 		}
-		m.Volume = name
 	case MsgWriteResp:
 	default:
 		return fmt.Errorf("block: unknown PDU type %d", m.Type)
@@ -319,18 +317,25 @@ func (m *Msg) decodeBody(body []byte, names map[string]string) error {
 	return nil
 }
 
-// decodeName parses a u16-length-prefixed string, returning the remainder.
-func decodeName(body []byte, names map[string]string) (string, []byte, error) {
+// decodeName parses a u16-length-prefixed volume name into m (see decode
+// for names), returning the remainder.
+func (m *Msg) decodeName(body []byte, names map[string]string) ([]byte, error) {
 	if len(body) < 2 {
-		return "", nil, ErrTruncated
+		return nil, ErrTruncated
 	}
 	n := int(binary.BigEndian.Uint16(body))
 	if len(body) < 2+n {
-		return "", nil, ErrTruncated
+		return nil, ErrTruncated
 	}
-	name, ok := names[string(body[2:2+n])]
-	if !ok {
-		name = string(body[2 : 2+n])
+	raw := body[2 : 2+n]
+	name, ok := names[string(raw)]
+	switch {
+	case ok:
+		m.Volume = name
+	case names != nil && n > 0:
+		m.unexported = raw
+	default:
+		m.Volume = string(raw)
 	}
-	return name, body[2+n:], nil
+	return body[2+n:], nil
 }

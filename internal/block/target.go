@@ -89,7 +89,7 @@ func (t *Target) onMessage(msg simnet.Message) {
 	t.serve(msg.From, &m, fr)
 	if m.Type != MsgWrite {
 		// Nothing served keeps a byte of the request: the volume name is
-		// the export's own string (or a copy), the rest was copied out.
+		// the export's own string, the rest was copied out.
 		t.frames.Put(fr)
 	}
 }
@@ -101,7 +101,7 @@ func (t *Target) serve(from simnet.Addr, m *Msg, fr *simnet.Frame) {
 	switch m.Type {
 	case MsgLogin:
 		vol, ok := t.volumes[m.Volume]
-		if !ok {
+		if !ok || m.unexported != nil {
 			t.reply(from, Msg{Type: MsgLoginResp, Tag: m.Tag, Status: StatusNoVolume})
 			return
 		}
@@ -113,9 +113,13 @@ func (t *Target) serve(from simnet.Addr, m *Msg, fr *simnet.Frame) {
 		sess[m.Volume] = vol
 		t.reply(from, Msg{Type: MsgLoginResp, Tag: m.Tag, Size: uint64(vol.Size())})
 	case MsgLogout:
-		delete(t.sessions[from], m.Volume)
+		if m.unexported != nil {
+			delete(t.sessions[from], string(m.unexported))
+		} else {
+			delete(t.sessions[from], m.Volume)
+		}
 	case MsgRead:
-		vol, status := t.volumeFor(from, m.Volume)
+		vol, status := t.volumeFor(from, m)
 		if status != StatusOK {
 			t.reply(from, Msg{Type: MsgReadResp, Tag: m.Tag, Status: status})
 			return
@@ -132,7 +136,7 @@ func (t *Target) serve(from simnet.Addr, m *Msg, fr *simnet.Frame) {
 		vol.ReadInto(int64(m.Offset), int(m.Length), dst, rd.done)
 		t.reads++
 	case MsgWrite:
-		vol, status := t.volumeFor(from, m.Volume)
+		vol, status := t.volumeFor(from, m)
 		if status != StatusOK {
 			t.reply(from, Msg{Type: MsgWriteResp, Tag: m.Tag, Status: status})
 			t.frames.Put(fr) // refused before any volume saw the payload
@@ -245,12 +249,20 @@ func (w *writeReply) finish(err error) {
 
 // volumeFor resolves an IO's volume, requiring a prior login. The IO PDUs
 // carry the volume name in Msg.Volume for simplicity (real iSCSI binds a
-// session to one target; we multiplex).
-func (t *Target) volumeFor(from simnet.Addr, name string) (Volume, Status) {
-	if name == "" {
+// session to one target; we multiplex). A name this target does not export
+// is looked up in the frame's bytes, without a copy: a login to it is one
+// the target revoked, or none.
+func (t *Target) volumeFor(from simnet.Addr, m *Msg) (Volume, Status) {
+	if m.unexported != nil {
+		if _, in := t.sessions[from][string(m.unexported)]; in {
+			return nil, StatusNoVolume
+		}
+		return nil, StatusNotLoggedIn
+	}
+	if m.Volume == "" {
 		return nil, StatusNoVolume
 	}
-	vol, in := t.sessions[from][name]
+	vol, in := t.sessions[from][m.Volume]
 	switch {
 	case !in:
 		return nil, StatusNotLoggedIn

@@ -42,8 +42,11 @@ type DiskVolume struct {
 	base    int64
 	size    int64
 	nextSeq int64 // expected next offset for a sequential classification
-	// crc turns on ChecksumDiskVolume's per-block verification.
-	crc bool
+	// crc turns on ChecksumDiskVolume's per-block verification; crcErr is
+	// the last mismatch's error, for block crcErrBlock (checksumErr).
+	crc         bool
+	crcErr      error
+	crcErrBlock int64
 	// ios recycles IO records.
 	ios simtime.FreeList[volumeIO]
 }

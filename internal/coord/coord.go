@@ -229,14 +229,26 @@ func (s *Store) walk(path string) (*znode, string, error) {
 	return n, rest, nil
 }
 
-func (s *Store) lookup(path string) (*znode, error) {
+// znode returns path's node, or nil when there is none or the path is
+// malformed; it formats no error.
+func (s *Store) znode(path string) *znode {
 	switch p, leaf, err := s.walk(path); {
 	case err != nil:
-		return nil, err
+		return nil
 	case p == nil:
-		return s.root, nil
-	case p.children[leaf] != nil:
-		return p.children[leaf], nil
+		return s.root
+	default:
+		return p.children[leaf]
+	}
+}
+
+// lookup is znode with the reason there is none.
+func (s *Store) lookup(path string) (*znode, error) {
+	if n := s.znode(path); n != nil {
+		return n, nil
+	}
+	if _, _, err := s.walk(path); err != nil {
+		return nil, err
 	}
 	return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
 }
@@ -255,10 +267,7 @@ func (s *Store) Get(path string) ([]byte, error) {
 }
 
 // Exists reports whether a node exists.
-func (s *Store) Exists(path string) bool {
-	_, err := s.lookup(path)
-	return err == nil
-}
+func (s *Store) Exists(path string) bool { return s.znode(path) != nil }
 
 // Children returns a node's child names, sorted.
 func (s *Store) Children(path string) ([]string, error) {
@@ -444,14 +453,18 @@ func (t *sweepTimer) Fire() {
 // --- Replicated state machine ---
 
 func (s *Store) apply(slot int, cmd paxos.Command) {
+	// Only a command's waiter reads its error: without one, a refusal is
+	// its bare sentinel and nothing is formatted (every replica applies
+	// every command, and only the proposer's has a waiter).
+	done, waiting := s.pending[cmd.ID]
 	var err error
 	switch op := cmd.Data.(type) {
 	case opCreate:
-		err = s.applyCreate(op)
+		err = s.applyCreate(op, waiting)
 	case opSet:
-		err = s.applySet(op)
+		err = s.applySet(op, waiting)
 	case opDelete:
-		err = s.applyDelete(op)
+		err = s.applyDelete(op, waiting)
 	case opNewSession:
 		s.sessions[op.ID] = &sessionState{ttl: op.TTL}
 		if s.px.IsLeader() {
@@ -466,13 +479,22 @@ func (s *Store) apply(slot int, cmd paxos.Command) {
 	default:
 		err = fmt.Errorf("coord: unknown op %T", cmd.Data)
 	}
-	if done, ok := s.pending[cmd.ID]; ok {
+	if waiting {
 		delete(s.pending, cmd.ID)
 		done(err)
 	}
 }
 
-func (s *Store) applyCreate(op opCreate) error {
+// pathErr is base's refusal of path: formatted with the path when explain
+// is set (a waiter will read it), else the bare sentinel.
+func pathErr(base error, path string, explain bool) error {
+	if !explain {
+		return base
+	}
+	return fmt.Errorf("%w: %s", base, path)
+}
+
+func (s *Store) applyCreate(op opCreate, explain bool) error {
 	n, leaf, err := s.walk(op.Path)
 	if err != nil {
 		return err
@@ -489,7 +511,7 @@ func (s *Store) applyCreate(op opCreate) error {
 		return fmt.Errorf("%w: creating %s", ErrNoParent, op.Path)
 	}
 	if _, dup := n.children[leaf]; dup {
-		return fmt.Errorf("%w: %s", ErrExists, op.Path)
+		return pathErr(ErrExists, op.Path, explain)
 	}
 	if n.children == nil {
 		n.children = map[string]*znode{}
@@ -505,9 +527,13 @@ func (s *Store) applyCreate(op opCreate) error {
 	return nil
 }
 
-func (s *Store) applySet(op opSet) error {
-	n, err := s.lookup(op.Path)
-	if err != nil {
+func (s *Store) applySet(op opSet, explain bool) error {
+	n := s.znode(op.Path)
+	if n == nil {
+		if !explain {
+			return ErrNotFound
+		}
+		_, err := s.lookup(op.Path)
 		return err
 	}
 	n.data = op.Data
@@ -515,7 +541,7 @@ func (s *Store) applySet(op opSet) error {
 	return nil
 }
 
-func (s *Store) applyDelete(op opDelete) error {
+func (s *Store) applyDelete(op opDelete, explain bool) error {
 	n, leaf, err := s.walk(op.Path)
 	if err != nil {
 		return err
@@ -525,7 +551,7 @@ func (s *Store) applyDelete(op opDelete) error {
 	}
 	child := n.children[leaf]
 	if child == nil {
-		return fmt.Errorf("%w: %s", ErrNotFound, op.Path)
+		return pathErr(ErrNotFound, op.Path, explain)
 	}
 	if len(child.children) > 0 {
 		return fmt.Errorf("%w: %s", ErrHasChildren, op.Path)
@@ -559,6 +585,6 @@ func (s *Store) applyExpire(op opExpireSession) {
 	walk("", s.root)
 	sort.Slice(owned, func(i, j int) bool { return len(owned[i]) > len(owned[j]) })
 	for _, p := range owned {
-		_ = s.applyDelete(opDelete{Path: p})
+		_ = s.applyDelete(opDelete{Path: p}, false)
 	}
 }

@@ -26,6 +26,9 @@ type Election struct {
 
 	leading bool
 	stopped bool
+	// leader is Leader's last answer, kept so an unchanged leader costs no
+	// string.
+	leader string
 
 	// electedAt and the store's ping-ack log detect asymmetric partitions:
 	// a leader whose pings still reach the paxos leader (send path works)
@@ -65,11 +68,14 @@ func (e *Election) SetSession(id string) { e.session = id }
 // Leader returns the current leader's candidate name per this replica's
 // applied state ("" if none).
 func (e *Election) Leader() string {
-	data, err := e.store.Get(e.path)
-	if err != nil {
+	n := e.store.znode(e.path)
+	if n == nil {
 		return ""
 	}
-	return string(data)
+	if string(n.data) != e.leader {
+		e.leader = string(n.data)
+	}
+	return e.leader
 }
 
 // Run starts campaigning. It keeps the session alive and re-campaigns
@@ -118,7 +124,7 @@ func (e *Election) ensure() {
 	if e.stopped || e.leading || e.demoted {
 		return
 	}
-	if _, err := e.store.Get(e.path); err != nil {
+	if !e.store.Exists(e.path) {
 		e.tryAcquire()
 	}
 }

@@ -28,13 +28,38 @@ type MountEvent struct {
 	Remounted bool
 }
 
-// mount is the state of one mounted space.
+// mount is the state of one mounted space, and of the one Mount or remount
+// attempt in flight on it. Mount builds the record and registers it when its
+// first login succeeds; remount reuses it, one attempt at a time
+// (remounting). So the record holds the attempt's state and receives its
+// steps: its completions are bound once, and its Lookup args are boxed once
+// and never written again (CallWithRetry resends them), so an attempt
+// allocates nothing.
 type mount struct {
+	cl         *ClientLib
 	space      SpaceID
 	host       string
 	size       int64
 	mounted    bool
 	remounting bool
+
+	lookupArgs any    // LookupArgs{Space: space}
+	tok        int    // the attempt's history token (OpMount or OpRemount)
+	target     string // the host the attempt's Lookup answered
+	// A Mount's caller and retry deadline; a remount's caller.
+	mountDone   func(error)
+	deadline    simtime.Time
+	remountDone func(ok bool)
+	// m.lookedUp and m.loggedIn, bound once per record.
+	onLookup func(LookupReply, error)
+	onLogin  func(size int64, err error)
+}
+
+// newMount returns an unregistered record for space.
+func (cl *ClientLib) newMount(space SpaceID) *mount {
+	m := &mount{cl: cl, space: space, lookupArgs: LookupArgs{Space: space}}
+	m.onLookup, m.onLogin = m.lookedUp, m.loggedIn
+	return m
 }
 
 // ClientLib is the client library of §IV-D: storage management calls
@@ -86,26 +111,36 @@ func NewClientLib(net *simnet.Network, name, service string, cfg Config, masters
 // send reaches the master's handler, resends and the move to the next
 // replica included, so each method is safe to repeat: Allocate carries its
 // request key, which the active master answers from the allocation record,
-// and Release, Lookup and DiskPower are idempotent.
-func (cl *ClientLib) callMaster(method string, args any, size int, done func(any, error)) {
+// and Release, Lookup and DiskPower are idempotent. tok is the history
+// token of the op the call completes (-1: none), recorded when it succeeds.
+func (cl *ClientLib) callMaster(method string, args any, tok int, done masterDone) {
 	c, fresh := cl.calls.Get()
 	if fresh {
 		c.cl, c.onReply = cl, c.reply
 	}
-	c.method, c.args, c.size, c.done = method, args, size, done
+	c.method, c.args, c.tok, c.done = method, args, tok, done
 	c.try(nil)
 }
 
+// masterDone is a master call's completion, typed by its method, so a call
+// builds no closure: the one that is set is the call's kind.
+type masterDone struct {
+	lookup func(LookupReply, error)
+	alloc  func(AllocateReply, error)
+	err    func(error) // a Release's or a DiskPower's
+}
+
 // masterCall is one callMaster call: the replica it is trying and the
-// caller's done. One replica call is in flight at a time and each answers
-// once, so the record is free again when done has returned.
+// caller's completion. One replica call is in flight at a time and each
+// answers once, so the record is free again once it has answered; it goes
+// back before the completion runs, so the completion may reuse it.
 type masterCall struct {
 	cl      *ClientLib
 	method  string
 	args    any
-	size    int
 	i       int // the replica being tried
-	done    func(any, error)
+	tok     int
+	done    masterDone
 	onReply func(any, error) // c.reply, bound once per record
 }
 
@@ -120,7 +155,7 @@ func (c *masterCall) try(lastErr error) {
 		Timeout:  cl.cfg.RPCTimeout,
 		Backoff:  cl.cfg.RPCTimeout / 8,
 	}
-	cl.rpc.CallWithRetry(cl.masters[c.i], c.method, c.args, c.size, retry, c.onReply)
+	cl.rpc.CallWithRetry(cl.masters[c.i], c.method, c.args, 64, retry, c.onReply)
 }
 
 func (c *masterCall) reply(res any, err error) {
@@ -139,11 +174,42 @@ func (c *masterCall) reply(res any, err error) {
 	}
 }
 
-// finish hands the caller its result, then gives the record back.
+// finish gives the record back, records the op's return when it
+// succeeded, and hands the caller its result.
 func (c *masterCall) finish(res any, err error) {
-	c.done(res, err)
-	c.method, c.args, c.i, c.done = "", nil, 0, nil
-	c.cl.calls.Put(c)
+	cl, tok, done := c.cl, c.tok, c.done
+	*c = masterCall{cl: cl, onReply: c.onReply}
+	cl.calls.Put(c)
+	h := cl.cfg.History
+	switch {
+	case done.lookup != nil:
+		lookup := done.lookup
+		if err != nil {
+			lookup(LookupReply{}, err)
+			return
+		}
+		rep := res.(LookupReply)
+		if op := h.Complete(tok); op != nil {
+			op.Host, op.Disk, op.Offset, op.Size = rep.Host, rep.DiskID, rep.Offset, rep.Size
+		}
+		lookup(rep, nil)
+	case done.alloc != nil:
+		alloc := done.alloc
+		if err != nil {
+			alloc(AllocateReply{}, err)
+			return
+		}
+		rep := res.(AllocateReply)
+		if op := h.Complete(tok); op != nil {
+			op.Space, op.Disk, op.Offset, op.Size = string(rep.Space), rep.DiskID, rep.Offset, rep.Size
+		}
+		alloc(rep, nil)
+	default:
+		if err == nil {
+			h.Complete(tok)
+		}
+		done.err(err)
+	}
 }
 
 // Allocate requests size bytes of storage ("applying for new storage
@@ -152,18 +218,7 @@ func (cl *ClientLib) Allocate(size int64, done func(AllocateReply, error)) {
 	tok := cl.cfg.History.Invoke(model.Op{Kind: model.OpAllocate, Client: cl.name})
 	cl.allocSeq++
 	args := AllocateArgs{Service: cl.service, Size: size, ClientHost: cl.locality(), Seq: cl.allocSeq}
-	cl.callMaster("Allocate", args, 64,
-		func(res any, err error) {
-			if err != nil {
-				done(AllocateReply{}, err)
-				return
-			}
-			rep := res.(AllocateReply)
-			cl.cfg.History.Return(tok, func(op *model.Op) {
-				op.Space, op.Disk, op.Offset, op.Size = string(rep.Space), rep.DiskID, rep.Offset, rep.Size
-			})
-			done(rep, nil)
-		})
+	cl.callMaster("Allocate", args, tok, masterDone{alloc: done})
 }
 
 // locality derives the client's nearest host hint. Clients named after a
@@ -183,28 +238,19 @@ func (cl *ClientLib) locality() string {
 func (cl *ClientLib) Release(space SpaceID, done func(error)) {
 	delete(cl.mounts, space)
 	tok := cl.cfg.History.Invoke(model.Op{Kind: model.OpRelease, Client: cl.name, Space: string(space)})
-	cl.callMaster("Release", ReleaseArgs{Space: space}, 64, func(_ any, err error) {
-		if err == nil {
-			cl.cfg.History.Return(tok, nil)
-		}
-		done(err)
-	})
+	cl.callMaster("Release", ReleaseArgs{Space: space}, tok, masterDone{err: done})
 }
 
 // Lookup resolves a space's current host (the directory service, §IV-D).
 func (cl *ClientLib) Lookup(space SpaceID, done func(LookupReply, error)) {
+	cl.lookup(space, LookupArgs{Space: space}, done)
+}
+
+// lookup is Lookup with its args boxed by the caller (a mount boxes its
+// own once).
+func (cl *ClientLib) lookup(space SpaceID, args any, done func(LookupReply, error)) {
 	tok := cl.cfg.History.Invoke(model.Op{Kind: model.OpLookup, Client: cl.name, Space: string(space)})
-	cl.callMaster("Lookup", LookupArgs{Space: space}, 64, func(res any, err error) {
-		if err != nil {
-			done(LookupReply{}, err)
-			return
-		}
-		rep := res.(LookupReply)
-		cl.cfg.History.Return(tok, func(op *model.Op) {
-			op.Host, op.Disk, op.Offset, op.Size = rep.Host, rep.DiskID, rep.Offset, rep.Size
-		})
-		done(rep, nil)
-	})
+	cl.callMaster("Lookup", args, tok, masterDone{lookup: done})
 }
 
 // mountBudget bounds Mount's retries: a freshly allocated space's target
@@ -216,42 +262,74 @@ const mountBudget = 15 * time.Second
 // still being set up. After a successful mount, Read and Write retry
 // transparently across failovers.
 func (cl *ClientLib) Mount(space SpaceID, done func(error)) {
-	tok := cl.cfg.History.Invoke(model.Op{Kind: model.OpMount, Client: cl.name, Space: string(space)})
-	deadline := cl.sched.Now() + mountBudget
-	var attempt func()
-	attempt = func() {
-		cl.Lookup(space, func(rep LookupReply, err error) {
-			retry := func(cause error) {
-				if cl.sched.Now() >= deadline {
-					done(cause)
-					return
-				}
-				cl.sched.FireAfter(retryBackoff, attempt)
-			}
-			if err != nil {
-				retry(err)
-				return
-			}
-			if rep.Host == "" {
-				retry(fmt.Errorf("core: space %s not attached anywhere", space))
-				return
-			}
-			cl.ini.Login(rep.Host, string(space), func(size int64, err error) {
-				if err != nil {
-					retry(err)
-					return
-				}
-				m := &mount{space: space, host: rep.Host, size: size, mounted: true}
-				cl.mounts[space] = m
-				cl.cfg.History.Return(tok, func(op *model.Op) { op.Host = rep.Host })
-				if cl.OnMount != nil {
-					cl.OnMount(MountEvent{Space: space, Host: rep.Host})
-				}
-				done(nil)
-			})
-		})
+	m := cl.newMount(space)
+	m.tok = cl.cfg.History.Invoke(model.Op{Kind: model.OpMount, Client: cl.name, Space: string(space)})
+	m.mountDone, m.deadline = done, cl.sched.Now()+mountBudget
+	m.attempt()
+}
+
+// attempt looks the space up; lookedUp logs in to the host it names.
+func (m *mount) attempt() {
+	m.cl.lookup(m.space, m.lookupArgs, m.onLookup)
+}
+
+// Fire is a Mount's back-off timer: try again.
+func (m *mount) Fire() { m.attempt() }
+
+func (m *mount) lookedUp(rep LookupReply, err error) {
+	switch {
+	case err == nil && rep.Host != "":
+		m.target = rep.Host
+		m.cl.ini.Login(rep.Host, string(m.space), m.onLogin)
+	case m.remounting:
+		m.remounted(false)
+	case err != nil:
+		m.retry(err)
+	default:
+		m.retry(fmt.Errorf("core: space %s not attached anywhere", m.space))
 	}
-	attempt()
+}
+
+func (m *mount) loggedIn(size int64, err error) {
+	switch {
+	case err != nil && m.remounting:
+		m.remounted(false)
+	case err != nil:
+		m.retry(err)
+	case m.remounting:
+		m.host, m.mounted = m.target, true
+		m.cl.Remounts++
+		m.remounted(true)
+	default:
+		m.host, m.size, m.mounted = m.target, size, true
+		m.cl.mounts[m.space] = m
+		m.returned(false)
+		done := m.mountDone
+		m.mountDone = nil
+		done(nil)
+	}
+}
+
+// returned records the attempt's op and notifies the upper layer.
+func (m *mount) returned(remounted bool) {
+	if op := m.cl.cfg.History.Complete(m.tok); op != nil {
+		op.Host = m.host
+	}
+	if m.cl.OnMount != nil {
+		m.cl.OnMount(MountEvent{Space: m.space, Host: m.host, Remounted: remounted})
+	}
+}
+
+// retry fails a Mount attempt: try again after a back-off, or give up with
+// cause past the deadline.
+func (m *mount) retry(cause error) {
+	if m.cl.sched.Now() >= m.deadline {
+		done := m.mountDone
+		m.mountDone = nil
+		done(cause)
+		return
+	}
+	m.cl.sched.FireAfterR(retryBackoff, m)
 }
 
 // MountedOn returns the host a space is currently mounted from ("" if not
@@ -452,38 +530,28 @@ func (cl *ClientLib) remount(m *mount, done func(ok bool)) {
 		done(false)
 		return
 	}
-	m.remounting = true
+	m.remounting, m.remountDone = true, done
 	// Recorded per attempt (after the in-progress guard, so the steady
 	// 300ms retry loop doesn't flood the history with guard bounces);
 	// failed attempts stay pending and the checker drops them.
-	tok := cl.cfg.History.Invoke(model.Op{Kind: model.OpRemount, Client: cl.name, Space: string(m.space)})
-	cl.Lookup(m.space, func(rep LookupReply, err error) {
-		if err != nil || rep.Host == "" {
-			m.remounting = false
-			done(false)
-			return
-		}
-		cl.ini.Login(rep.Host, string(m.space), func(size int64, err error) {
-			m.remounting = false
-			if err != nil {
-				done(false)
-				return
-			}
-			m.host = rep.Host
-			m.mounted = true
-			cl.Remounts++
-			cl.cfg.History.Return(tok, func(op *model.Op) { op.Host = rep.Host })
-			if cl.OnMount != nil {
-				cl.OnMount(MountEvent{Space: m.space, Host: rep.Host, Remounted: true})
-			}
-			done(true)
-		})
-	})
+	m.tok = cl.cfg.History.Invoke(model.Op{Kind: model.OpRemount, Client: cl.name, Space: string(m.space)})
+	m.attempt()
+}
+
+// remounted ends the remount attempt and tells its caller whether it
+// remounted.
+func (m *mount) remounted(ok bool) {
+	m.remounting = false
+	if ok {
+		m.returned(true)
+	}
+	done := m.remountDone
+	m.remountDone = nil
+	done(ok)
 }
 
 // SetDiskPower asks the Master to spin the service's disk up or down
 // (§IV-F's interface for services that know their workload).
 func (cl *ClientLib) SetDiskPower(diskID string, up bool, done func(error)) {
-	cl.callMaster("DiskPower", DiskPowerArgs{Service: cl.service, DiskID: diskID, Up: up}, 64,
-		func(_ any, err error) { done(err) })
+	cl.callMaster("DiskPower", DiskPowerArgs{Service: cl.service, DiskID: diskID, Up: up}, -1, masterDone{err: done})
 }

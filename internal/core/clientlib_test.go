@@ -34,7 +34,7 @@ func TestReadDiscardSteadyStateAllocations(t *testing.T) {
 			t.Fatalf("login: %v", err)
 		}
 	})
-	cl.mounts["vol"] = &mount{space: "vol", host: "h1", size: 1 << 30, mounted: true}
+	mountedOn(cl, "vol", "h1", 1<<30)
 	s.Run()
 
 	var readErr error
@@ -61,10 +61,11 @@ func TestReadDiscardSteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// TestCallMasterSteadyStateAllocations pins a warm callMaster round trip at
-// its boxed args: the call record, its reply callback and the RPC layer's
-// records are all reused. The master is a stub that answers Lookup with a
-// reply boxed once, so the count is the client's alone.
+// TestCallMasterSteadyStateAllocations pins a warm Lookup round trip at
+// its boxed args: the call record, its reply callback, the typed
+// completion and the RPC layer's records are all reused. The master is a
+// stub that answers Lookup with a reply boxed once, so the count is the
+// client's alone.
 func TestCallMasterSteadyStateAllocations(t *testing.T) {
 	s := simtime.NewScheduler(1)
 	net := simnet.New(s)
@@ -72,21 +73,21 @@ func TestCallMasterSteadyStateAllocations(t *testing.T) {
 	simnet.NewRPCNode(net, "master0").Register("Lookup", func(string, any) (any, error) { return reply, nil })
 	cl := NewClientLib(net, "prober", "probe-svc", DefaultConfig(), []string{"master0"})
 	var got LookupReply
-	done := func(res any, err error) {
+	done := func(rep LookupReply, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = res.(LookupReply)
+		got = rep
 	}
 	lookup := func() {
-		cl.callMaster("Lookup", LookupArgs{Space: "vol"}, 64, done)
+		cl.Lookup("vol", done)
 		s.Run()
 	}
 	for i := 0; i < 64; i++ { // warm the scheduler's, the RPC layer's and the client's pools
 		lookup()
 	}
 	if n := testing.AllocsPerRun(200, lookup); n > 1 {
-		t.Fatalf("a warm callMaster allocates %v objects, want at most 1 (its boxed args)", n)
+		t.Fatalf("a warm master call allocates %v objects, want at most 1 (its boxed args)", n)
 	}
 	if made, idle := cl.calls.Counts(); got.Host != "h1" || made != 1 || idle != 1 {
 		t.Fatalf("reply %+v with %d of %d call records free, want host h1 and 1 of 1", got, idle, made)

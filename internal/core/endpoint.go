@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -26,9 +27,10 @@ type EndPoint struct {
 	hc    *usb.HostController
 
 	// disks maps disk ID -> device handle for disks physically in the
-	// unit; attached tracks which are currently enumerated on this host.
+	// unit; attached lists the ones currently enumerated on this host,
+	// sorted (isAttached).
 	disks    map[string]*disk.Disk
-	attached map[string]bool
+	attached []string
 
 	// exports tracks live exports: space -> disk; volumes holds the local
 	// Volume serving each export (the scrubber sweeps these directly).
@@ -40,6 +42,7 @@ type EndPoint struct {
 	hbSeq       uint64
 	usbSeq      uint64
 	activeHint  string
+	hintNode    string // masterNode(activeHint), "" while there is no hint
 	down        bool
 
 	pm    *PowerManager
@@ -68,7 +71,6 @@ func NewEndPoint(net *simnet.Network, host string, cfg Config, hc *usb.HostContr
 		tgt:         block.NewTarget(net, host),
 		hc:          hc,
 		disks:       disks,
-		attached:    make(map[string]bool),
 		exports:     make(map[SpaceID]ExportArgs),
 		volumes:     make(map[SpaceID]block.Volume),
 		masters:     masters,
@@ -92,14 +94,10 @@ func NewEndPoint(net *simnet.Network, host string, cfg Config, hc *usb.HostContr
 // PowerManager returns the endpoint's power manager (nil if disabled).
 func (ep *EndPoint) PowerManager() *PowerManager { return ep.pm }
 
-// AttachedDisks returns the enumerated disk IDs, sorted.
-func (ep *EndPoint) AttachedDisks() []string {
-	out := make([]string, 0, len(ep.attached))
-	for id := range ep.attached {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+// isAttached reports whether diskID is enumerated on this host.
+func (ep *EndPoint) isAttached(diskID string) bool {
+	_, ok := slices.BinarySearch(ep.attached, diskID)
+	return ok
 }
 
 // Down crashes or restores the host (EndPoint and its block target stop
@@ -116,10 +114,11 @@ func (ep *EndPoint) IsDown() bool { return ep.down }
 // DiskEnumerated is called (by the cluster wiring) when the fabric binding
 // enumerates a storage device on this host.
 func (ep *EndPoint) DiskEnumerated(diskID string) {
-	if ep.attached[diskID] {
+	i, in := slices.BinarySearch(ep.attached, diskID)
+	if in {
 		return
 	}
-	ep.attached[diskID] = true
+	ep.attached = slices.Insert(ep.attached, i, diskID)
 	ep.cfg.History.Point(model.Op{Kind: model.OpAttach, Client: ep.host, Disk: diskID, Host: ep.host})
 	d := ep.disks[diskID]
 	if d != nil {
@@ -131,10 +130,11 @@ func (ep *EndPoint) DiskEnumerated(diskID string) {
 
 // DiskDetached is called when a storage device disappears from this host.
 func (ep *EndPoint) DiskDetached(diskID string) {
-	if !ep.attached[diskID] {
+	i, in := slices.BinarySearch(ep.attached, diskID)
+	if !in {
 		return
 	}
-	delete(ep.attached, diskID)
+	ep.attached = slices.Delete(ep.attached, i, i+1)
 	ep.cfg.History.Point(model.Op{Kind: model.OpDetach, Client: ep.host, Disk: diskID, Host: ep.host})
 	// Revoke exports living on the vanished disk (sorted for determinism).
 	// Skipping this leaves the host serving a stale lease on a disk that
@@ -193,7 +193,7 @@ func (ep *EndPoint) sendHeartbeat() {
 	ep.cHeartbeats.Inc()
 	// Each beat gets its own infos: a retried beat's payload is still in
 	// flight when the next one is built.
-	ids := ep.AttachedDisks()
+	ids := ep.attached
 	var infos []DiskInfo
 	if len(ids) > 0 {
 		infos = make([]DiskInfo, 0, len(ids))
@@ -217,9 +217,8 @@ func (ep *EndPoint) sendHeartbeat() {
 		Timeout:  ep.cfg.RPCTimeout,
 		Backoff:  ep.cfg.RPCTimeout / 8,
 	}
-	hint := ""
-	if ep.activeHint != "" {
-		hint = masterNode(ep.activeHint)
+	hint := ep.hintNode
+	if hint != "" {
 		ep.rpc.CallWithRetry(hint, "Heartbeat", hb, 128, retry, ep.onHeartbeatReply)
 	}
 	for _, t := range ep.masters { // each replica once
@@ -235,8 +234,8 @@ func (ep *EndPoint) heartbeatReply(res any, err error) {
 	if err != nil {
 		return
 	}
-	if rep, ok := res.(HeartbeatReply); ok && !rep.Active && rep.ActiveHint != "" {
-		ep.activeHint = rep.ActiveHint
+	if rep, ok := res.(HeartbeatReply); ok && !rep.Active && rep.ActiveHint != "" && rep.ActiveHint != ep.activeHint {
+		ep.activeHint, ep.hintNode = rep.ActiveHint, masterNode(rep.ActiveHint)
 	}
 }
 
@@ -273,7 +272,7 @@ func (ep *EndPoint) handleExport(from string, args any, reply *simnet.AsyncReply
 	rec := ep.cfg.Recorder
 	span := rec.Begin("core", "export", ep.host,
 		obs.L("space", string(ex.Space)), obs.L("disk", ex.DiskID))
-	if !ep.attached[ex.DiskID] {
+	if !ep.isAttached(ex.DiskID) {
 		span.End(obs.L("status", "not-attached"))
 		reply.Reply(nil, fmt.Errorf("core: disk %s not attached to %s", ex.DiskID, ep.host))
 		return
@@ -295,7 +294,7 @@ func (ep *EndPoint) handleExport(from string, args any, reply *simnet.AsyncReply
 		return
 	}
 	ep.sched.FireAfter(ExportSetupDelay, func() {
-		if ep.down || !ep.attached[ex.DiskID] {
+		if ep.down || !ep.isAttached(ex.DiskID) {
 			span.End(obs.L("status", "lost-disk"))
 			reply.Reply(nil, fmt.Errorf("core: %s lost %s during export setup", ep.host, ex.DiskID))
 			return
@@ -324,7 +323,7 @@ func (ep *EndPoint) handleUnexport(from string, args any) (any, error) {
 func (ep *EndPoint) handleDiskPower(from string, args any) (any, error) {
 	p := args.(DiskPowerArgs)
 	d := ep.disks[p.DiskID]
-	if d == nil || !ep.attached[p.DiskID] {
+	if d == nil || !ep.isAttached(p.DiskID) {
 		return nil, fmt.Errorf("core: disk %s not attached to %s", p.DiskID, ep.host)
 	}
 	if p.Up {

@@ -48,6 +48,11 @@ type allocRecord struct {
 	Size    int64   `json:"size"`
 	Caller  string  `json:"caller,omitempty"`
 	Seq     uint64  `json:"seq,omitempty"`
+
+	// lookup is the boxed LookupReply last sent for this space, shared by
+	// every Lookup that finds the space where it reported: handleLookup
+	// builds a new one when the host or the disk state changes.
+	lookup any
 }
 
 // requestKey names one client request: the caller's RPC node and its
@@ -124,7 +129,19 @@ type Master struct {
 	OnDiskQuarantined func(diskID, host string)
 	// OnDiskReleased fires when a quarantined disk completes probation.
 	OnDiskReleased func(diskID string)
+
+	// standbyReply is the boxed HeartbeatReply a standby sends while
+	// standbyLeader leads; handleHeartbeat builds a new one when the
+	// leader changes.
+	standbyReply  any
+	standbyLeader string
+	// seen is handleHeartbeat's scratch set of the disks a beat names.
+	seen map[string]bool
 }
+
+// activeReply is every beat's answer from the active master. Reply data is
+// read-only (simnet.Replier), so one value serves them all.
+var activeReply any = HeartbeatReply{Active: true}
 
 // masterNode returns the RPC node name of a master replica.
 func masterNode(name string) string { return "master:" + name }
@@ -225,7 +242,10 @@ func (m *Master) indexAlloc(rec *allocRecord) {
 func (m *Master) handleHeartbeat(from string, args any) (any, error) {
 	hb := args.(HeartbeatArgs)
 	if !m.Active() {
-		return HeartbeatReply{Active: false, ActiveHint: m.elect.Leader()}, nil
+		if leader := m.elect.Leader(); m.standbyReply == nil || leader != m.standbyLeader {
+			m.standbyReply, m.standbyLeader = HeartbeatReply{Active: false, ActiveHint: leader}, leader
+		}
+		return m.standbyReply, nil
 	}
 	hs := m.hosts[hb.Host]
 	if hs == nil {
@@ -235,7 +255,7 @@ func (m *Master) handleHeartbeat(from string, args any) (any, error) {
 	if hb.Seq <= hs.lastSeq {
 		// A resend or a duplicate of a beat already counted, or an older
 		// one: it says nothing about the host now.
-		return HeartbeatReply{Active: true}, nil
+		return activeReply, nil
 	}
 	hs.lastSeq = hb.Seq
 	hs.lastSeen = m.sched.Now()
@@ -245,7 +265,11 @@ func (m *Master) handleHeartbeat(from string, args any) (any, error) {
 
 	// Update disk->host mapping; detect disks that appeared here.
 	var appeared []string
-	seen := make(map[string]bool, len(hb.Disks))
+	if m.seen == nil {
+		m.seen = make(map[string]bool)
+	}
+	seen := m.seen
+	clear(seen)
 	for _, di := range hb.Disks {
 		seen[di.ID] = true
 		hs.diskState[di.ID] = di.State
@@ -276,7 +300,7 @@ func (m *Master) handleHeartbeat(from string, args any) (any, error) {
 	if wasOffline || len(appeared) > 0 {
 		m.exportDisksOn(hb.Host, appeared)
 	}
-	return HeartbeatReply{Active: true}, nil
+	return activeReply, nil
 }
 
 // exportDisksOn sends export commands for the allocations living on the
@@ -712,7 +736,10 @@ func (m *Master) handleLookup(from string, args any) (any, error) {
 			state = hs.diskState[rec.DiskID]
 		}
 	}
-	return LookupReply{Host: host, DiskID: rec.DiskID, Offset: rec.Offset, Size: rec.Size, State: state}, nil
+	if last, ok := rec.lookup.(LookupReply); !ok || last.Host != host || last.State != state {
+		rec.lookup = LookupReply{Host: host, DiskID: rec.DiskID, Offset: rec.Offset, Size: rec.Size, State: state}
+	}
+	return rec.lookup, nil
 }
 
 // handleDiskPower lets the owning service spin its disks up or down

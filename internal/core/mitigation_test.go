@@ -47,7 +47,7 @@ func TestReadHedgedSteadyStateAllocations(t *testing.T) {
 				t.Fatalf("write %s: %v", space, err)
 			}
 		})
-		cl.mounts[space] = &mount{space: space, host: host, size: 1 << 30, mounted: true}
+		mountedOn(cl, space, host, 1<<30)
 	}
 	s.Run()
 	mit.SetMirror("pri", "mir")

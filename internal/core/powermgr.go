@@ -69,7 +69,7 @@ func (pm *PowerManager) loop() {
 
 func (pm *PowerManager) scan() {
 	now := pm.ep.sched.Now()
-	for _, id := range pm.ep.AttachedDisks() {
+	for _, id := range pm.ep.attached {
 		d := pm.ep.disks[id]
 		if d == nil {
 			continue

@@ -118,7 +118,7 @@ func (sc *Scrubber) step() {
 	ex := sc.ep.exports[sp]
 	vol := sc.ep.volumes[sp]
 	d := sc.ep.disks[ex.DiskID]
-	if vol == nil || d == nil || !sc.ep.attached[ex.DiskID] ||
+	if vol == nil || d == nil || !sc.ep.isAttached(ex.DiskID) ||
 		d.State() != disk.StateIdle || d.QueueDepth() > 0 {
 		// Not eligible right now (busy, spun down, or detached). Skip the
 		// tick rather than wake or delay foreground IO; the cursor stays

@@ -1,8 +1,10 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"hash/maphash"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -52,73 +54,104 @@ func Check(ops []Op) Result {
 	return p.check()
 }
 
-// partitions groups completed ops per space and per disk, pointing at the
-// ops where they are stored.
-type partitions struct {
-	parts map[string][]*Op
-	ops   int
+// partKey names one partition: a disk or a space.
+type partKey struct {
+	disk bool
+	id   string
 }
 
-// add files op under its partition; pending ops and ops that name no
-// space or disk are dropped.
-func (p *partitions) add(op *Op) {
-	if !op.Done {
-		return
+func (k partKey) String() string {
+	if k.disk {
+		return "disk " + k.id
 	}
-	var key string
+	return "space " + k.id
+}
+
+// compare orders partitions by name: every "disk …" before every
+// "space …", then by ID.
+func (k partKey) compare(o partKey) int {
+	switch {
+	case k.disk == o.disk:
+		return strings.Compare(k.id, o.id)
+	case k.disk:
+		return -1
+	}
+	return 1
+}
+
+// keyOf names op's partition; ok is false for an op that names no space or
+// disk it belongs to.
+func keyOf(op *Op) (k partKey, ok bool) {
 	switch op.Kind {
 	case OpAttach, OpDetach, OpPower:
-		if op.Disk == "" {
-			return
-		}
-		key = "disk " + op.Disk
+		return partKey{disk: true, id: op.Disk}, op.Disk != ""
 	default:
-		if op.Space == "" {
-			return
-		}
-		key = "space " + op.Space
+		return partKey{id: op.Space}, op.Space != ""
 	}
-	if p.parts == nil {
-		p.parts = make(map[string][]*Op)
+}
+
+// partitions collects the completed ops, pointing at them where they are
+// stored. check sorts them into runs, one per partition, each in invoke
+// order, so filing an op costs no map and no per-partition slice.
+type partitions struct {
+	ops []*Op
+}
+
+// add files op; pending ops and ops that name no space or disk are
+// dropped.
+func (p *partitions) add(op *Op) {
+	if _, ok := keyOf(op); ok && op.Done {
+		p.ops = append(p.ops, op)
 	}
-	p.parts[key] = append(p.parts[key], op)
-	p.ops++
 }
 
 // check searches every partition, in key order.
 func (p *partitions) check() Result {
-	res := Result{Ops: p.ops}
-	keys := make([]string, 0, len(p.parts))
-	for k := range p.parts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	res.Partitions = len(keys)
-	for _, key := range keys {
-		pops := p.parts[key]
-		var init state
-		if strings.HasPrefix(key, "disk ") {
-			init = diskState{}
+	res := Result{Ops: len(p.ops)}
+	// Stable, so ops equal in all three keep the order add saw them in.
+	slices.SortStableFunc(p.ops, func(a, b *Op) int {
+		ka, _ := keyOf(a)
+		kb, _ := keyOf(b)
+		return cmp.Or(ka.compare(kb), cmp.Compare(a.Invoke, b.Invoke), cmp.Compare(a.ID, b.ID))
+	})
+	var spaces search[spaceState]
+	var disks search[diskState]
+	for lo := 0; lo < len(p.ops); {
+		key, _ := keyOf(p.ops[lo])
+		hi := lo + 1
+		for hi < len(p.ops) {
+			if k, _ := keyOf(p.ops[hi]); k != key {
+				break
+			}
+			hi++
+		}
+		run := p.ops[lo:hi]
+		lo = hi
+		res.Partitions++
+		var outcome searchOutcome
+		var stuck []string
+		if key.disk {
+			outcome, stuck = disks.linearize(run, diskState{}, SearchBudget)
 		} else {
 			// A space partition with no recorded Allocate (the allocation
 			// predates the history or its reply was lost) starts allocated
 			// with unknown geometry, so extent checks are skipped but lease
 			// tracking still applies.
 			hasAlloc := false
-			for _, op := range pops {
+			for _, op := range run {
 				if op.Kind == OpAllocate {
 					hasAlloc = true
 					break
 				}
 			}
-			init = spaceState{allocated: !hasAlloc}
+			outcome, stuck = spaces.linearize(run, spaceState{allocated: !hasAlloc}, SearchBudget)
 		}
-		switch outcome, stuck := linearize(pops, init, SearchBudget); outcome {
+		switch outcome {
 		case searchBudget:
 			res.BudgetExceeded++
 		case searchFail:
 			res.Violations = append(res.Violations, Violation{
-				Partition: key,
+				Partition: key.String(),
 				Msg:       fmt.Sprintf("no linearization: %s", strings.Join(stuck, "; ")),
 			})
 		}
@@ -134,10 +167,11 @@ const (
 	searchBudget
 )
 
-// linearize runs a Wing & Gong search over one partition: repeatedly pick a
-// remaining op no other remaining op strictly precedes in real time (its
-// invoke is at or before every remaining return) and try to apply it to the
-// model, backtracking on rejection.
+// linearize runs a Wing & Gong search over one partition, whose ops run
+// holds in invoke order: repeatedly pick a remaining op no other remaining
+// op strictly precedes in real time (its invoke is at or before every
+// remaining return) and try to apply it to the model, backtracking on
+// rejection.
 //
 // The remaining set is represented as (lo, skipped): ops[lo:] is the
 // untouched suffix of the invoke-sorted ops, and skipped holds the few
@@ -149,36 +183,33 @@ const (
 // it returns the rejection reasons collected at the deepest prefix the
 // search reached — the ops that actually could not be placed — capped at
 // three.
-func linearize(ops []*Op, init state, budget int) (searchOutcome, []string) {
-	sorted := append([]*Op(nil), ops...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Invoke != sorted[j].Invoke {
-			return sorted[i].Invoke < sorted[j].Invoke
-		}
-		return sorted[i].ID < sorted[j].ID
-	})
-	n := len(sorted)
-	// suffixMinRet[i] = min Return over sorted[i:].
-	suffixMinRet := make([]int64, n+1)
-	suffixMinRet[n] = int64(^uint64(0) >> 1)
+//
+// s is reused from partition to partition: its buffers and its memo keep
+// their capacity, so a partition that branches nowhere allocates nothing.
+func (s *search[S]) linearize(run []*Op, init S, budget int) (searchOutcome, []string) {
+	n := len(run)
+	s.ops = run
+	// suffixMin[i] = min Return over ops[i:].
+	s.suffixMin = slices.Grow(s.suffixMin[:0], n+1)[:n+1]
+	s.suffixMin[n] = int64(^uint64(0) >> 1)
 	for i := n - 1; i >= 0; i-- {
-		suffixMinRet[i] = suffixMinRet[i+1]
-		if r := int64(sorted[i].Return); r < suffixMinRet[i] {
-			suffixMinRet[i] = r
+		s.suffixMin[i] = s.suffixMin[i+1]
+		if r := int64(s.ops[i].Return); r < s.suffixMin[i] {
+			s.suffixMin[i] = r
 		}
 	}
-	s := &search{
-		ops:       sorted,
-		suffixMin: suffixMinRet,
-		visited:   make(map[string]bool),
-		budget:    budget,
-		bestDepth: -1,
-	}
+	s.visited.reset()
+	s.nodes, s.budget, s.bestDepth, s.bestStuck = 0, budget, -1, s.bestStuck[:0]
 	out := s.dfs(init, nil, 0, 0)
 	if out == searchOK || out == searchBudget {
 		return out, nil
 	}
-	stuck := s.bestStuck
+	var stuck []string
+	for _, r := range s.bestStuck {
+		if text := fmt.Sprintf("%s: %s", r.op, r.reason); !slices.Contains(stuck, text) {
+			stuck = append(stuck, text)
+		}
+	}
 	if len(stuck) > 3 {
 		stuck = stuck[:3]
 	}
@@ -188,20 +219,36 @@ func linearize(ops []*Op, init state, budget int) (searchOutcome, []string) {
 	return searchFail, stuck
 }
 
-type search struct {
+// stateOf is what the search needs of a partition's state: a value type
+// whose apply returns the successor state by value, or a non-empty reason
+// the op is illegal here, and whose memo key appends to a buffer.
+type stateOf[S any] interface {
+	apply(op *Op) (S, string)
+	appendKey(b []byte) []byte
+}
+
+type search[S stateOf[S]] struct {
 	ops       []*Op
 	suffixMin []int64
-	visited   map[string]bool
+	visited   memo
 	key       []byte // the memo key buffer, reused by every node
 	nodes     int
 	budget    int
 	bestDepth int
-	bestStuck []string
+	bestStuck []rejection
+}
+
+// rejection is one op the model refused and why. The search notes one at
+// every branch that fails, so it is formatted only when the partition turns
+// out to have no linearization.
+type rejection struct {
+	op     *Op
+	reason string
 }
 
 // dfs linearizes the remaining ops — skipped (sorted indices < lo) plus the
 // suffix ops[lo:] — from state st. depth counts committed ops.
-func (s *search) dfs(st state, skipped []int, lo, depth int) searchOutcome {
+func (s *search[S]) dfs(st S, skipped []int, lo, depth int) searchOutcome {
 	n := len(s.ops)
 	if len(skipped) == 0 && lo >= n {
 		return searchOK
@@ -211,10 +258,9 @@ func (s *search) dfs(st state, skipped []int, lo, depth int) searchOutcome {
 		return searchBudget
 	}
 	s.key = s.appendMemoKey(s.key[:0], st, skipped, lo)
-	if s.visited[string(s.key)] {
+	if !s.visited.insert(s.key) {
 		return searchFail
 	}
-	s.visited[string(s.key)] = true
 
 	// An op may linearize next only if no other remaining op finished
 	// entirely before it was invoked.
@@ -232,7 +278,7 @@ func (s *search) dfs(st state, skipped []int, lo, depth int) searchOutcome {
 		}
 		next, reason := st.apply(s.ops[i])
 		if reason != "" {
-			s.noteStuck(depth, fmt.Sprintf("%s: %s", s.ops[i], reason))
+			s.noteStuck(depth, rejection{s.ops[i], reason})
 			continue
 		}
 		rest := make([]int, 0, len(skipped)-1)
@@ -245,7 +291,7 @@ func (s *search) dfs(st state, skipped []int, lo, depth int) searchOutcome {
 	for i := lo; i < n && int64(s.ops[i].Invoke) <= minRet; i++ {
 		next, reason := st.apply(s.ops[i])
 		if reason != "" {
-			s.noteStuck(depth, fmt.Sprintf("%s: %s", s.ops[i], reason))
+			s.noteStuck(depth, rejection{s.ops[i], reason})
 			continue
 		}
 		rest := skipped
@@ -265,7 +311,7 @@ func (s *search) dfs(st state, skipped []int, lo, depth int) searchOutcome {
 
 // appendMemoKey appends the node's memo key — the state's key, "|", lo,
 // then ",i" per skipped op — to b.
-func (s *search) appendMemoKey(b []byte, st state, skipped []int, lo int) []byte {
+func (s *search[S]) appendMemoKey(b []byte, st S, skipped []int, lo int) []byte {
 	b = st.appendKey(b)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(lo), 10)
@@ -276,19 +322,56 @@ func (s *search) appendMemoKey(b []byte, st state, skipped []int, lo int) []byte
 	return b
 }
 
-// noteStuck records rejection reasons at the deepest prefix reached, which
-// is where the genuinely unplaceable op lives.
-func (s *search) noteStuck(depth int, reason string) {
+// noteStuck records rejections at the deepest prefix reached, which is
+// where the genuinely unplaceable op lives. linearize drops the ones that
+// read the same as an earlier one.
+func (s *search[S]) noteStuck(depth int, r rejection) {
 	if depth > s.bestDepth {
 		s.bestDepth = depth
 		s.bestStuck = s.bestStuck[:0]
 	}
-	if depth == s.bestDepth {
-		for _, r := range s.bestStuck {
-			if r == reason {
-				return
-			}
-		}
-		s.bestStuck = append(s.bestStuck, reason)
+	if depth == s.bestDepth && !slices.Contains(s.bestStuck, r) {
+		s.bestStuck = append(s.bestStuck, r)
 	}
+}
+
+// memo is the search's visited set of memo keys. It keeps no string per
+// key: every key's bytes go into one growing arena, found through a 64-bit
+// hash, and a hash hit compares the full key, so a collision costs a
+// compare, never a wrong answer. reset empties it and keeps its capacity.
+type memo struct {
+	heads   map[uint64]int32 // hash -> its newest entry, plus one
+	entries []memoEntry
+	arena   []byte
+}
+
+type memoEntry struct {
+	off, len int32 // the key's bytes: arena[off : off+len]
+	next     int32 // the next entry of the same hash, plus one; 0 ends
+}
+
+var memoSeed = maphash.MakeSeed()
+
+func (m *memo) reset() {
+	if m.heads == nil {
+		m.heads = make(map[uint64]int32)
+	}
+	clear(m.heads)
+	m.entries, m.arena = m.entries[:0], m.arena[:0]
+}
+
+// insert adds key and reports whether it was new.
+func (m *memo) insert(key []byte) bool {
+	h := maphash.Bytes(memoSeed, key)
+	head := m.heads[h]
+	for e := head; e != 0; e = m.entries[e-1].next {
+		me := m.entries[e-1]
+		if string(m.arena[me.off:me.off+me.len]) == string(key) {
+			return false
+		}
+	}
+	m.entries = append(m.entries, memoEntry{off: int32(len(m.arena)), len: int32(len(key)), next: head})
+	m.arena = append(m.arena, key...)
+	m.heads[h] = int32(len(m.entries))
+	return true
 }

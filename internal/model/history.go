@@ -63,7 +63,7 @@ func (h *History) add(op Op) *Op {
 }
 
 // Invoke records the start of a windowed client operation and returns a
-// token for Return. On a nil history it returns -1, which Return ignores.
+// token for Complete. On a nil history it returns -1, which Complete ignores.
 func (h *History) Invoke(op Op) int {
 	if h == nil {
 		return -1
@@ -71,21 +71,20 @@ func (h *History) Invoke(op Op) int {
 	return h.add(op).ID
 }
 
-// Return completes a windowed operation: it stamps the return time, marks
-// the op done, and lets fill record the op's outputs (reply fields). Calls
-// with a negative token (from a nil-history Invoke) are no-ops. Operations
-// that failed should simply never be Returned — a client op that errored
-// observed nothing, and the checker drops pending ops.
-func (h *History) Return(token int, fill func(op *Op)) {
+// Complete completes a windowed operation: it stamps the return time, marks
+// the op done, and returns the op for the caller to record its outputs
+// (reply fields) in. On a nil history or a negative token (from a
+// nil-history Invoke) it returns nil. Operations that failed should simply
+// never be completed — a client op that errored observed nothing, and the
+// checker drops pending ops.
+func (h *History) Complete(token int) *Op {
 	if h == nil || token < 0 {
-		return
+		return nil
 	}
 	op := h.op(token)
 	op.Return = h.now()
 	op.Done = true
-	if fill != nil {
-		fill(op)
-	}
+	return op
 }
 
 // Point records an atomic (zero-width-window) endpoint transition at the

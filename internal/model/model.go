@@ -139,14 +139,10 @@ func (o Op) String() string {
 	return fmt.Sprintf("%s(%s) by %s %s", o.Kind, strings.Join(args, ","), o.Client, w)
 }
 
-// state is one partition's abstract state; apply returns the successor state
-// or a non-empty reason the op is illegal here. States are small value types
-// so the search can branch without copying trouble.
-type state interface {
-	apply(op *Op) (state, string)
-	// appendKey appends the state's memo key to b.
-	appendKey(b []byte) []byte
-}
+// A partition's abstract state is a small value type (spaceState or
+// diskState, the search's stateOf): apply returns the successor state or a
+// non-empty reason the op is illegal here, so the search branches by value
+// and boxes nothing.
 
 // spaceState models one space: its allocation lifecycle, the recorded
 // extent, and the host currently holding the export lease. A partition with
@@ -161,7 +157,7 @@ type spaceState struct {
 	server    string // host holding the export lease; "" = none
 }
 
-func (s spaceState) apply(op *Op) (state, string) {
+func (s spaceState) apply(op *Op) (spaceState, string) {
 	switch op.Kind {
 	case OpAllocate:
 		if s.allocated || s.released {
@@ -193,9 +189,9 @@ func (s spaceState) apply(op *Op) (state, string) {
 		}
 		if s.server != op.Host {
 			if s.server == "" {
-				return s, fmt.Sprintf("client mounted %s but no host holds the lease", op.Host)
+				return s, "client mounted " + op.Host + " but no host holds the lease"
 			}
-			return s, fmt.Sprintf("client mounted %s but %s holds the lease (stale lease double-mount)", op.Host, s.server)
+			return s, "client mounted " + op.Host + " but " + s.server + " holds the lease (stale lease double-mount)"
 		}
 		return s, ""
 	case OpExport:
@@ -203,7 +199,7 @@ func (s spaceState) apply(op *Op) (state, string) {
 			return s, "export of unallocated space"
 		}
 		if s.server != "" && s.server != op.Host {
-			return s, fmt.Sprintf("export at %s while %s still holds the lease (double serving)", op.Host, s.server)
+			return s, "export at " + op.Host + " while " + s.server + " still holds the lease (double serving)"
 		}
 		s.server = op.Host
 		return s, ""
@@ -234,7 +230,7 @@ type diskState struct {
 	attached string
 }
 
-func (s diskState) apply(op *Op) (state, string) {
+func (s diskState) apply(op *Op) (diskState, string) {
 	switch op.Kind {
 	case OpAttach:
 		if s.attached != "" && s.attached != op.Host {

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -172,7 +173,9 @@ func TestHistoryRecordingAndNilSafety(t *testing.T) {
 	if tok := nilH.Invoke(Op{Kind: OpMount}); tok != -1 {
 		t.Fatalf("nil Invoke token = %d, want -1", tok)
 	}
-	nilH.Return(-1, nil)
+	if op := nilH.Complete(-1); op != nil {
+		t.Fatalf("nil Complete returned %+v, want nil", op)
+	}
 	nilH.Point(Op{Kind: OpExport})
 	nilH.BindClock(nil)
 	if res := nilH.Check(); !reflect.DeepEqual(res, Result{}) {
@@ -187,7 +190,7 @@ func TestHistoryRecordingAndNilSafety(t *testing.T) {
 	now = 7 * time.Second
 	h.Point(Op{Kind: OpExport, Space: "sp1", Host: "h1", Client: "h1"})
 	now = 9 * time.Second
-	h.Return(tok, func(op *Op) { op.Host = "h1" })
+	h.Complete(tok).Host = "h1"
 	if h.n != 2 {
 		t.Fatalf("got %d ops, want 2", h.n)
 	}
@@ -249,7 +252,8 @@ func TestHistoryPageBoundaries(t *testing.T) {
 	now = time.Hour
 	for _, id := range []int{1024, 1023, 2048, 2047} {
 		now += time.Second
-		h.Return(id, func(op *Op) { op.Host = fmt.Sprint("h", op.ID) })
+		op := h.Complete(id)
+		op.Host = fmt.Sprint("h", op.ID)
 		returned[id] = now
 	}
 	if len(h.pages) != 3 {
@@ -293,11 +297,12 @@ func randomHistory(seed int64, steps int) (*History, []Op) {
 		now += time.Duration(1+rng.Intn(5)) * time.Millisecond
 		if i%100 == 0 {
 			sp := fmt.Sprint("clean", i)
-			h.Return(h.Invoke(Op{Kind: OpAllocate, Client: "c0", Space: sp}), func(op *Op) { op.Disk, op.Size = "d9", 64 })
+			op := h.Complete(h.Invoke(Op{Kind: OpAllocate, Client: "c0", Space: sp}))
+			op.Disk, op.Size = "d9", 64
 			mount := h.Invoke(Op{Kind: OpMount, Client: "c0", Space: sp})
 			now += time.Millisecond
 			h.Point(Op{Kind: OpExport, Client: "h9", Host: "h9", Space: sp})
-			h.Return(mount, func(op *Op) { op.Host = "h9" })
+			h.Complete(mount).Host = "h9"
 		}
 		switch r := rng.Intn(10); {
 		case r < 3 && len(pending) < 4:
@@ -306,7 +311,8 @@ func randomHistory(seed int64, steps int) (*History, []Op) {
 		case r < 6 && len(pending) > 0:
 			j := rng.Intn(len(pending))
 			host, disk := pick("h", 3), pick("d", 4)
-			h.Return(pending[j], func(op *Op) { op.Host, op.Disk, op.Size = host, disk, 64 })
+			op := h.Complete(pending[j])
+			op.Host, op.Disk, op.Size = host, disk, 64
 			pending = append(pending[:j], pending[j+1:]...)
 		case r < 8:
 			kinds := []Kind{OpExport, OpRevoke}
@@ -350,7 +356,7 @@ func TestHistoryAllocsBoundedByPages(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
 		if i%2 == 0 {
-			h.Return(h.Invoke(Op{Kind: OpMount, Client: "c", Space: "sp1"}), nil)
+			h.Complete(h.Invoke(Op{Kind: OpMount, Client: "c", Space: "sp1"}))
 		} else {
 			h.Point(Op{Kind: OpExport, Client: "h1", Space: "sp1", Host: "h1"})
 		}
@@ -367,24 +373,92 @@ func TestHistoryAllocsBoundedByPages(t *testing.T) {
 // lo, then ",i" per skipped op — and that building one into a warm buffer
 // allocates nothing.
 func TestMemoKeyBytes(t *testing.T) {
-	s := &search{}
+	spaces, disks := &search[spaceState]{}, &search[diskState]{}
 	for _, tc := range []struct {
-		st      state
-		skipped []int
-		lo      int
-		want    string
+		key  func() []byte
+		want string
 	}{
-		{spaceState{allocated: true, server: "h1"}, []int{3, 5}, 7, "atrue rfalse h1|7,3,5"},
-		{spaceState{released: true}, nil, 0, "afalse rtrue |0"},
-		{diskState{attached: "h2"}, []int{12}, 40, "h2|40,12"},
+		{func() []byte {
+			return spaces.appendMemoKey(nil, spaceState{allocated: true, server: "h1"}, []int{3, 5}, 7)
+		}, "atrue rfalse h1|7,3,5"},
+		{func() []byte { return spaces.appendMemoKey(nil, spaceState{released: true}, nil, 0) }, "afalse rtrue |0"},
+		{func() []byte { return disks.appendMemoKey(nil, diskState{attached: "h2"}, []int{12}, 40) }, "h2|40,12"},
 	} {
-		s.key = s.appendMemoKey(s.key[:0], tc.st, tc.skipped, tc.lo)
-		if got := string(s.key); got != tc.want {
+		if got := string(tc.key()); got != tc.want {
 			t.Errorf("memo key %q, want %q", got, tc.want)
 		}
 	}
-	st, skipped := state(spaceState{allocated: true, server: "host-17"}), []int{101, 102, 103}
-	if n := testing.AllocsPerRun(100, func() { s.key = s.appendMemoKey(s.key[:0], st, skipped, 99) }); n != 0 {
+	st, skipped := spaceState{allocated: true, server: "host-17"}, []int{101, 102, 103}
+	if n := testing.AllocsPerRun(100, func() { spaces.key = spaces.appendMemoKey(spaces.key[:0], st, skipped, 99) }); n != 0 {
 		t.Errorf("a memo key allocates %v objects in a warm buffer, want 0", n)
+	}
+}
+
+// TestMemoFindsEveryKeyOnce: the memo reports a key new exactly once, also
+// when keys share a hash chain, and forgets them all on reset.
+func TestMemoFindsEveryKeyOnce(t *testing.T) {
+	var m memo
+	m.reset()
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 3000; i++ {
+			if !m.insert([]byte(fmt.Sprint("k", i))) {
+				t.Fatalf("round %d: key %d reported seen before its first insert", round, i)
+			}
+		}
+		for i := 0; i < 3000; i++ {
+			if m.insert([]byte(fmt.Sprint("k", i))) {
+				t.Fatalf("round %d: key %d reported new twice", round, i)
+			}
+		}
+		m.reset()
+	}
+	// Two keys forced into one chain: the full compare tells them apart.
+	m.entries = append(m.entries, memoEntry{off: 0, len: 1})
+	m.arena = append(m.arena, 'x')
+	m.heads[maphash.Bytes(memoSeed, []byte("y"))] = 1
+	if !m.insert([]byte("y")) || m.insert([]byte("y")) || m.insert([]byte("x")) == false {
+		t.Fatal("a hash chain holding another key's bytes answered by hash, not by key")
+	}
+}
+
+// nearSequential builds the shape chaos histories have: spaces allocated,
+// exported, looked up by overlapping clients, mounted, remounted across a
+// failover, revoked and released, one space after another, n ops in all.
+func nearSequential(n int) []Op {
+	ops := make([]Op, 0, n)
+	add := func(k Kind, space string, inv, ret int, host string) {
+		ops = append(ops, Op{ID: len(ops), Kind: k, Client: "c", Space: space, Disk: "d0", Host: host,
+			Size: 1 << 20, Invoke: time.Duration(inv) * time.Millisecond,
+			Return: time.Duration(ret) * time.Millisecond, Done: true})
+	}
+	for sp := 0; len(ops) < n; sp++ {
+		name, t := fmt.Sprint("s", sp), sp*1000
+		add(OpAllocate, name, t, t+2, "")
+		add(OpExport, name, t+3, t+3, "h1")
+		add(OpMount, name, t+5, t+12, "h1")
+		for l := 0; l < 40 && len(ops) < n-6; l++ {
+			add(OpLookup, name, t+20+10*l, t+27+10*l, "")
+		}
+		add(OpRevoke, name, t+500, t+500, "h1")
+		add(OpExport, name, t+600, t+600, "h2")
+		add(OpRemount, name, t+590, t+610, "h2")
+		add(OpRevoke, name, t+700, t+700, "h2")
+		add(OpRelease, name, t+710, t+715, "")
+	}
+	return ops
+}
+
+// TestCheckAllocatesPerBranchNotPerOp: checking a 10 000-op near-sequential
+// history costs well under an object per op. The search boxes no state,
+// stores no string per memo node and files ops under a struct key, so what
+// is left is buffer growth and the rare branch.
+func TestCheckAllocatesPerBranchNotPerOp(t *testing.T) {
+	ops := nearSequential(10_000)
+	res := Check(ops)
+	if len(res.Violations) != 0 || res.BudgetExceeded != 0 || res.Ops != len(ops) {
+		t.Fatalf("a clean history checked %+v, want all %d ops and no violation", res, len(ops))
+	}
+	if n := testing.AllocsPerRun(5, func() { Check(ops) }); n > 0.1*float64(len(ops)) {
+		t.Fatalf("Check of %d ops allocates %v objects, want at most %v (0.1 per op)", len(ops), n, 0.1*float64(len(ops)))
 	}
 }

@@ -310,6 +310,22 @@ var mutants = []mutant{
 		want: []string{`--- FAIL: TestCrashedHostHeartbeatResendKeepsDetection`, `declared dead 3s after its crash, want <= 2.001s`},
 	},
 	{
+		// The master's cached Lookup reply is rebuilt when the space's
+		// disk moves, or a remount keeps logging in to the host it left.
+		name: "lookup-reply-ignores-host", file: "internal/core/master.go",
+		old: "!ok || last.Host != host || last.State != state {", new: "!ok || last.State != state {",
+		cmd:  "go test ./internal/core -run ^TestLookupReplyFollowsHost$",
+		want: []string{`--- FAIL: TestLookupReplyFollowsHost`, `lookup after the move = \{Host:h1 `},
+	},
+	{
+		// A standby's cached heartbeat reply is rebuilt when the leader
+		// changes, or its endpoints keep following the old leader's hint.
+		name: "standby-reply-ignores-leader", file: "internal/core/master.go",
+		old: "m.standbyReply == nil || leader != m.standbyLeader {", new: "m.standbyReply == nil {",
+		cmd:  "go test ./internal/core -run ^TestStandbyReplyFollowsLeader$",
+		want: []string{`--- FAIL: TestStandbyReplyFollowsLeader`, `after the leader moved to m\d the standby m\d still hints "m\d"`},
+	},
+	{
 		// A controller answers a duplicate of the command in flight with
 		// that command's outcome; refusing it as a second command sends
 		// ErrFabricLocked, which reaches the master first.
