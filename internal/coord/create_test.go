@@ -60,7 +60,7 @@ func createTrip(tb testing.TB) func() {
 // 64-entry slabs.
 func TestCreateAllocs(t *testing.T) {
 	trip := createTrip(t)
-	for i := 0; i < 1000; i++ { // past a wheel cycle, so timer records and wheel slots recycle
+	for i := 0; i < 1000; i++ { // so timer records and pooled events recycle
 		trip()
 	}
 	if got := testing.AllocsPerRun(400, trip); got > 3 {
@@ -125,7 +125,7 @@ func TestPingRoundTripAllocs(t *testing.T) {
 		st.Ping("sess")
 		tc.sched.RunFor(time.Millisecond)
 	}
-	for i := 0; i < 5000; i++ { // past a wheel cycle and several sweeps
+	for i := 0; i < 5000; i++ { // past several sweeps
 		trip()
 	}
 	if got := testing.AllocsPerRun(1000, trip); got != 0 {

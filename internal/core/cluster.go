@@ -110,9 +110,6 @@ func (c *Cluster) publishSchedStats() {
 	rec.Gauge("simtime", "events_allocated").Set(float64(st.Allocated))
 	rec.Gauge("simtime", "events_recycled").Set(float64(st.Recycled))
 	rec.Gauge("simtime", "events_reused").Set(float64(st.Reused))
-	rec.Gauge("simtime", "inserts_ready").Set(float64(st.ReadyInserts))
-	rec.Gauge("simtime", "inserts_wheel").Set(float64(st.WheelInserts))
-	rec.Gauge("simtime", "inserts_far").Set(float64(st.FarInserts))
 	rec.Gauge("simtime", "canceled_dropped").Set(float64(st.CanceledDropped))
 	rec.Gauge("simtime", "max_pending").Set(float64(st.MaxPending))
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ustore/internal/disk"
 	"ustore/internal/policy"
 )
 
@@ -353,5 +354,36 @@ func TestSlowSuccessTripsBreaker(t *testing.T) {
 	// The slow samples must not have redefined "normal".
 	if tl := mit.latency(target{host, vol}); tl.ewma > 20*time.Millisecond {
 		t.Fatalf("slow successes polluted the latency model (ewma %v)", tl.ewma)
+	}
+}
+
+// TestScorePassAllocs: a warm detection pass, the scan for dead hosts and
+// the gray scoring of every online disk, allocates nothing: the host list,
+// the disk IDs and the tails it sorts live in buffers on the Master.
+func TestScorePassAllocs(t *testing.T) {
+	r := newMasterRig(t)
+	m := r.active()
+	m.cfg.HealthQuarantine = true
+	for h := 0; h < 4; h++ {
+		var disks []DiskInfo
+		for d := 0; d < 4; d++ {
+			tail := time.Duration(30-4*d-h) * time.Millisecond
+			disks = append(disks, DiskInfo{ID: fmt.Sprintf("disk%d%d", h, d), State: DiskOnline,
+				Health: disk.HealthStats{TailEWMA: tail, IOs: healthMinIOs}})
+		}
+		r.beat(t, fmt.Sprintf("h%d", h+1), 1, disks...)
+	}
+	for i := 0; i < 4; i++ {
+		m.detectPass()
+	}
+	if n := testing.AllocsPerRun(100, m.detectPass); n != 0 {
+		t.Fatalf("a warm detection pass allocates %v objects, want 0", n)
+	}
+	if len(m.scanHosts) != 4 || len(m.scoreIDs) != 16 || len(m.scoreTails) != 16 {
+		t.Fatalf("the pass scanned %d hosts and scored %d disks with %d tails, want 4, 16 and 16",
+			len(m.scanHosts), len(m.scoreIDs), len(m.scoreTails))
+	}
+	if !sort.StringsAreSorted(m.scoreIDs) || m.scoreTails[8] != 23*time.Millisecond {
+		t.Fatalf("scored disks %v with tails %v, want sorted IDs and a 23ms median", m.scoreIDs, m.scoreTails)
 	}
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"ustore/internal/disk"
@@ -134,8 +134,7 @@ func (m *Master) scorePass() {
 		return
 	}
 	t := m.health
-	ids := make([]string, 0, len(t.disks))
-	var tails []time.Duration
+	ids, tails := m.scoreIDs[:0], m.scoreTails[:0]
 	for id, dh := range t.disks {
 		host, ok := m.diskHost[id]
 		if !ok {
@@ -149,12 +148,13 @@ func (m *Master) scorePass() {
 			tails = append(tails, dh.last.TailEWMA)
 		}
 	}
-	sort.Strings(ids)
+	slices.Sort(ids)
 	var median time.Duration
 	if len(tails) > 0 {
-		sort.Slice(tails, func(i, j int) bool { return tails[i] < tails[j] })
+		slices.Sort(tails)
 		median = tails[len(tails)/2]
 	}
+	m.scoreIDs, m.scoreTails = ids, tails
 	grayCount := 0
 	for _, id := range ids {
 		dh := t.disks[id]

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,6 +138,11 @@ type Master struct {
 	standbyLeader string
 	// seen is handleHeartbeat's scratch set of the disks a beat names.
 	seen map[string]bool
+	// scanHosts, scoreIDs and scoreTails are the detection pass's scratch
+	// buffers: the hosts it scans, and the disks and tails it scores.
+	scanHosts  []string
+	scoreIDs   []string
+	scoreTails []time.Duration
 }
 
 // activeReply is every beat's answer from the active master. Reply data is
@@ -353,21 +359,28 @@ type detectTimer Master
 func (t *detectTimer) Fire() {
 	m := (*Master)(t)
 	if m.Active() {
-		deadline := time.Duration(hostDeadAfter) * m.cfg.HeartbeatInterval
-		hosts := make([]string, 0, len(m.hosts))
-		for host := range m.hosts {
-			hosts = append(hosts, host)
-		}
-		sort.Strings(hosts)
-		for _, host := range hosts {
-			if hs := m.hosts[host]; hs.online && m.sched.Now()-hs.lastSeen > deadline {
-				hs.online = false
-				m.hostDead(host)
-			}
-		}
-		m.scorePass()
+		m.detectPass()
 	}
 	m.detectLoop()
+}
+
+// detectPass declares dead every online host whose heartbeats stopped, in
+// host order, then scores the disks of the hosts still online.
+func (m *Master) detectPass() {
+	deadline := time.Duration(hostDeadAfter) * m.cfg.HeartbeatInterval
+	hosts := m.scanHosts[:0]
+	for host := range m.hosts {
+		hosts = append(hosts, host)
+	}
+	slices.Sort(hosts)
+	m.scanHosts = hosts
+	for _, host := range hosts {
+		if hs := m.hosts[host]; hs.online && m.sched.Now()-hs.lastSeen > deadline {
+			hs.online = false
+			m.hostDead(host)
+		}
+	}
+	m.scorePass()
 }
 
 // hostDead re-homes every disk of a dead host onto the surviving hosts

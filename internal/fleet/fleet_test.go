@@ -487,8 +487,8 @@ func TestUnitPaxosStreams(t *testing.T) {
 }
 
 // TestBootHeap256Units: a 256-unit fleet boots into at most 20 MB of live
-// heap. Its processes share one scheduler, one timer wheel and one
-// network; a scheduler per unit held about 43 MB.
+// heap. Its processes share one scheduler and one network; a scheduler per
+// unit held about 43 MB.
 func TestBootHeap256Units(t *testing.T) {
 	live := func() uint64 {
 		runtime.GC()
@@ -503,6 +503,37 @@ func TestBootHeap256Units(t *testing.T) {
 	t.Logf("heap after New at 256 units: %.1f MB", heap)
 	if heap > 20 {
 		t.Fatalf("heap after New at 256 units = %.1f MB, want <= 20", heap)
+	}
+}
+
+// BenchmarkIdleFleet times an unloaded fleet's periodic work (agent beats,
+// Paxos heartbeats, election keep-alives, coord sweeps) at units/8 shards:
+// each op boots a fleet, settles it 2 simulated minutes untimed, then times
+// 10 more, so ns/op × 6 is the wall cost of an idle simulated hour.
+// max_pending is the scheduler's high-water mark over the whole run, boot
+// included.
+func BenchmarkIdleFleet(b *testing.B) {
+	const settle, span = 2 * time.Minute, 10 * time.Minute
+	for _, units := range []int{64, 1024} {
+		b.Run(fmt.Sprintf("units=%d", units), func(b *testing.B) {
+			var events uint64
+			maxPending := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				f := New(Config{Units: units, Shards: units / 8, Seed: 1})
+				f.Settle(settle)
+				fired := f.Sched.Fired()
+				b.StartTimer()
+				f.Settle(span)
+				b.StopTimer()
+				events += f.Sched.Fired() - fired
+				maxPending = max(maxPending, f.Sched.Stats().MaxPending)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			b.ReportMetric(float64(events)/(float64(b.N)*span.Seconds()), "events/sim-s")
+			b.ReportMetric(float64(maxPending), "max_pending")
+		})
 	}
 }
 

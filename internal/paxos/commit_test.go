@@ -35,7 +35,7 @@ func commitTrip(tb testing.TB) func() {
 // under one object per commit.
 func TestLeaderCommitAllocs(t *testing.T) {
 	trip := commitTrip(t)
-	for i := 0; i < 1000; i++ { // past a wheel cycle, so timer records and wheel slots recycle
+	for i := 0; i < 1000; i++ { // so timer records and pooled events recycle
 		trip()
 	}
 	if got := testing.AllocsPerRun(400, trip); got > 1 {

@@ -46,7 +46,7 @@ func BenchmarkSchedulerShortTimers(b *testing.B) {
 
 // BenchmarkSchedulerCancelledTimeouts models the RPC-timeout pattern: every
 // "call" arms a timeout seconds out and cancels it moments later when the
-// reply arrives, so nearly every timer leaves the wheel by Cancel.
+// reply arrives, so nearly every timer leaves the queue by Cancel.
 func BenchmarkSchedulerCancelledTimeouts(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

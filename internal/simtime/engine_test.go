@@ -68,7 +68,7 @@ func TestEnginePostIsAnEvent(t *testing.T) {
 	}
 }
 
-// TestEnginePostSteadyStateAllocs: once the wheel and the event free list
+// TestEnginePostSteadyStateAllocs: once the queue and the event free list
 // have grown to the load, posting and running allocate nothing: a post is
 // FireAtR into a pooled event.
 func TestEnginePostSteadyStateAllocs(t *testing.T) {
@@ -83,7 +83,7 @@ func TestEnginePostSteadyStateAllocs(t *testing.T) {
 		}
 		e.RunUntil(at)
 	}
-	for i := 0; i < 2*wheelSlotCount; i++ { // past a wheel rebase
+	for i := 0; i < 100; i++ {
 		round()
 	}
 	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {

@@ -93,27 +93,26 @@ func (h *hopper) Fire() {
 	h.s.FireAfterR(time.Millisecond, h)
 }
 
-// TestWheelWalkAllocatesNothing: emptied wheel slots hand their arrays on,
-// so once a warm pass has filled the spare list, walking the clock across
-// more than the wheel's 4 096 distinct milliseconds allocates nothing: no
-// slot needs an array of its own. The warm pass starts 50ms short of the
-// wheel horizon and crosses one rebase, so it sizes the far heap but touches
-// only about a hundred slots.
-func TestWheelWalkAllocatesNothing(t *testing.T) {
+// TestWarmWalkAllocatesNothing: once the queue and the event free list have
+// grown to the load, walking the clock for seconds of simulated time
+// allocates nothing, although every hop cancels the timeout its previous hop
+// armed and arms a fresh one.
+func TestWarmWalkAllocatesNothing(t *testing.T) {
 	s := NewScheduler(1)
 	for i := 0; i < 4; i++ {
-		s.FireAfterR(wheelSpan-50*time.Millisecond+time.Duration(i)*250*time.Microsecond, &hopper{s: s})
+		s.FireAfterR(time.Duration(i)*250*time.Microsecond, &hopper{s: s})
 	}
-	s.RunFor(wheelSpan + 50*time.Millisecond)
+	s.RunFor(time.Second)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cancels := s.Stats().CanceledDropped
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	s.RunFor(2 * wheelSpan)
+	s.RunFor(8 * time.Second)
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("walking %v of a warm wheel allocated %d objects, want 0", 2*wheelSpan, n)
+		t.Fatalf("walking 8s of a warm scheduler allocated %d objects, want 0", n)
 	}
-	if st := s.Stats(); st.Migrated == 0 || st.CanceledDropped == 0 {
-		t.Fatalf("the walk missed a rebase or Cancel: %+v", st)
+	if n := s.Stats().CanceledDropped - cancels; n != 4*8000 {
+		t.Fatalf("the walk cancelled %d queued timeouts, want one per hop (%d)", n, 4*8000)
 	}
 }

@@ -10,35 +10,14 @@
 //
 // # Internals
 //
-// Events are kept in a three-tier near/far structure rather than one global
-// heap, so the dominant loads — sub-millisecond message deliveries and
-// periodic tickers — cost O(1) or O(log k) for a tiny k instead of O(log n)
-// over every pending timer:
-//
-//   - ready: a small binary heap holding every event below slotEnd, the
-//     lower edge of the timer wheel. Only this heap is ever popped, so the
-//     firing order is the same (deadline, sequence) total order the old
-//     single-heap implementation had.
-//   - wheel: wheelSlotCount buckets of wheelGranularity each, a linear
-//     window [base, base+wheelSpan). Insertion is O(1): append to the slot
-//     the deadline lands in and set its bit in an occupancy bitmap. When
-//     ready drains, the next occupied slot (found by a trailing-zeros scan)
-//     is promoted wholesale into ready and slotEnd advances past it.
-//   - far: a heap for events at or beyond the wheel horizon. When both
-//     ready and wheel drain, the window rebases at the earliest far
-//     deadline and everything within one span migrates into the wheel.
-//
-// Promotion always completes before slotEnd moves past a slot, so at any pop
-// the ready heap contains every unfired event below slotEnd and its top is
-// the global minimum: the (At, seq) firing order is identical to a single
-// heap's, which TestWheelMatchesReferenceHeap verifies.
-//
-// Cancel takes an event out of the queue at once. Its tier follows from its
-// deadline by the same rule that placed it; ready and far remove it by heap
-// index, and a wheel slot swap-removes it by its position in the slot. A
-// slot that empties, by promotion or by Cancel, hands its array to a spare
-// list that the next slot to fill takes from, so a warm scheduler's wheel
-// allocates nothing however far the clock walks.
+// Pending events sit in one binary min-heap ordered by (deadline, sequence).
+// The sequence number is unique per scheduler, so the firing order is a
+// total order and events with equal deadlines fire in the order they were
+// armed. Each event records its position in the heap, so Cancel takes it
+// out at once and Pending is the heap's length. The heap stays small
+// because every timer a landed operation no longer needs is cancelled: the
+// benchmark workloads peak at 289 to 906 pending events and an idle
+// 1 024-unit fleet at 4 480, a heap 13 levels deep.
 //
 // Event structs are pooled on a FreeList, the one free list every package
 // recycles its records on (simnet's messages and calls, Paxos timers, fleet
@@ -52,7 +31,6 @@ package simtime
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -66,23 +44,8 @@ type (
 	Time = time.Duration
 )
 
-// Timer-wheel geometry: 4096 slots of 1ms cover a ~4.1s window, enough that
-// message deliveries, RPC timeouts and sub-second tickers all insert in O(1).
-// Longer timers (scrub idle windows, multi-minute heartbeats) overflow to the
-// far heap, which stays small because such timers are few.
-const (
-	wheelGranularity          = time.Millisecond
-	wheelSlotCount            = 4096
-	wheelSpan        Duration = wheelSlotCount * wheelGranularity
-	// slotCap is a new slot array's capacity: a fleet's one scheduler holds
-	// several events per millisecond, which append would otherwise regrow
-	// through capacities 1, 2 and 4 in every slot that fills for the first
-	// time.
-	slotCap = 8
-)
-
-// notQueued is the index of an event that is in no tier: fired, cancelled,
-// or on the free list.
+// notQueued is the index of an event that is not in the queue: fired,
+// cancelled, or on the free list.
 const notQueued = -1
 
 // Firer is an event's receiver: Fire runs when the clock reaches the
@@ -105,7 +68,7 @@ type Event struct {
 	fire   Firer      // runs when the clock reaches At
 	seq    uint64     // tie-break: FIFO among events with equal deadline
 	s      *Scheduler // owner, whose queue Cancel takes the event out of
-	index  int32      // position in its heap or wheel slot, or notQueued
+	index  int32      // position in the queue, or notQueued
 	pooled bool       // no handle refers to the event: recycle it when it leaves the queue
 }
 
@@ -116,7 +79,7 @@ func (e *Event) Cancel() {
 	if e == nil || e.index == notQueued {
 		return
 	}
-	e.s.remove(e)
+	e.s.q.removeAt(int(e.index))
 	e.s.stats.CanceledDropped++
 }
 
@@ -212,10 +175,6 @@ type Stats struct {
 	Allocated       uint64 // Event structs taken from the Go allocator
 	Recycled        uint64 // pooled events returned to the free list
 	Reused          uint64 // events served from the free list or re-armed in place (tickers)
-	ReadyInserts    uint64 // insertions landing directly in the ready heap
-	WheelInserts    uint64 // O(1) insertions into a wheel slot
-	FarInserts      uint64 // insertions beyond the wheel horizon
-	Migrated        uint64 // far-heap events pulled into the wheel at a rebase
 	CanceledDropped uint64 // Cancel calls that took a queued event out
 	MaxPending      int    // high-water mark of Pending()
 }
@@ -233,18 +192,7 @@ type Scheduler struct {
 	seq uint64
 	rng *rand.Rand
 
-	// near/far event structure; see the package comment. A slot's entry in
-	// slots is its own only while its bitmap bit is set; an emptied slot's
-	// array belongs to spare.
-	ready   eventQueue
-	slots   [wheelSlotCount][]*Event
-	bitmap  [wheelSlotCount / 64]uint64
-	spare   [][]*Event // arrays of emptied slots, for the next slot to fill
-	base    Time       // wheel origin; slot i covers [base+i·G, base+(i+1)·G)
-	cursor  int        // slots below cursor have been promoted
-	slotEnd Time       // = base + cursor·G; every event below it is in ready (or fired)
-	wheel   int        // events currently in wheel slots
-	far     eventQueue
+	q eventQueue // pending events
 
 	events FreeList[Event] // recycled pooled events
 
@@ -269,16 +217,15 @@ func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events waiting to fire. A cancelled event
 // has left the queue, so it is not counted.
-func (s *Scheduler) Pending() int { return len(s.ready) + s.wheel + len(s.far) }
+func (s *Scheduler) Pending() int { return len(s.q) }
 
 // NextEventAt returns the deadline of the earliest pending event. ok is
 // false when none remain.
 func (s *Scheduler) NextEventAt() (at Time, ok bool) {
-	e := s.peekNext()
-	if e == nil {
+	if len(s.q) == 0 {
 		return 0, false
 	}
-	return e.At, true
+	return s.q[0].At, true
 }
 
 // Stats returns a snapshot of the scheduler's activity counters.
@@ -313,129 +260,12 @@ func (s *Scheduler) recycle(e *Event) {
 	s.stats.Recycled++
 }
 
-// schedule places an armed event into the tier its deadline selects.
-func (s *Scheduler) schedule(e *Event) {
-	switch {
-	case e.At < s.slotEnd:
-		s.ready.push(e)
-		s.stats.ReadyInserts++
-	case e.At < s.base+wheelSpan:
-		s.wheelInsert(e)
-		s.stats.WheelInserts++
-	default:
-		s.far.push(e)
-		s.stats.FarInserts++
-	}
+// push queues an armed event.
+func (s *Scheduler) push(e *Event) {
+	s.q.push(e)
 	if p := s.Pending(); p > s.stats.MaxPending {
 		s.stats.MaxPending = p
 	}
-}
-
-// remove takes a queued event out of its tier. schedule's rule still names
-// that tier: promotion and rebase move the window only past events they
-// move to the tier the rule then selects.
-func (s *Scheduler) remove(e *Event) {
-	switch {
-	case e.At < s.slotEnd:
-		s.ready.removeAt(int(e.index))
-	case e.At < s.base+wheelSpan:
-		s.wheelRemove(e)
-	default:
-		s.far.removeAt(int(e.index))
-	}
-}
-
-func (s *Scheduler) slotOf(at Time) int { return int((at - s.base) / wheelGranularity) }
-
-func (s *Scheduler) wheelInsert(e *Event) {
-	idx := s.slotOf(e.At)
-	if w, bit := idx>>6, uint64(1)<<uint(idx&63); s.bitmap[w]&bit == 0 {
-		s.bitmap[w] |= bit
-		// The slot's last array, if any, belongs to spare.
-		if n := len(s.spare); n > 0 {
-			s.slots[idx] = s.spare[n-1]
-			s.spare[n-1] = nil
-			s.spare = s.spare[:n-1]
-		} else {
-			s.slots[idx] = make([]*Event, 0, slotCap)
-		}
-	}
-	e.index = int32(len(s.slots[idx]))
-	s.slots[idx] = append(s.slots[idx], e)
-	s.wheel++
-}
-
-// wheelRemove swap-removes e from its slot.
-func (s *Scheduler) wheelRemove(e *Event) {
-	idx := s.slotOf(e.At)
-	slot := s.slots[idx]
-	last := len(slot) - 1
-	moved := slot[last]
-	slot[e.index] = moved
-	moved.index = e.index
-	slot[last] = nil
-	e.index = notQueued
-	s.slots[idx] = slot[:last]
-	s.wheel--
-	if last == 0 {
-		s.freeSlot(idx)
-	}
-}
-
-// freeSlot marks an emptied slot unoccupied and hands its array to spare.
-func (s *Scheduler) freeSlot(idx int) {
-	s.bitmap[idx>>6] &^= 1 << uint(idx&63)
-	s.spare = append(s.spare, s.slots[idx][:0])
-}
-
-// nextOccupied returns the first occupied slot at or after from. The caller
-// guarantees one exists (s.wheel > 0).
-func (s *Scheduler) nextOccupied(from int) int {
-	w := from >> 6
-	word := s.bitmap[w] &^ (1<<uint(from&63) - 1)
-	for word == 0 {
-		w++
-		word = s.bitmap[w]
-	}
-	return w<<6 + bits.TrailingZeros64(word)
-}
-
-// peekNext returns the earliest pending event without removing it, or nil.
-// When ready is empty it first moves the wheel window forward: it rebases
-// at the earliest far deadline if the wheel is empty too, then promotes the
-// next occupied slot. An occupied slot holds at least one event, so one
-// promotion refills ready.
-func (s *Scheduler) peekNext() *Event {
-	if len(s.ready) > 0 {
-		return s.ready[0]
-	}
-	if s.wheel == 0 {
-		if len(s.far) == 0 {
-			return nil
-		}
-		// Rebase the window at the earliest far deadline and pull
-		// everything within one span into the wheel. far deadlines are
-		// always at or beyond the old horizon, so base never regresses.
-		at := s.far[0].At
-		s.base = at - at%wheelGranularity
-		s.cursor = 0
-		s.slotEnd = s.base
-		for horizon := s.base + wheelSpan; len(s.far) > 0 && s.far[0].At < horizon; {
-			s.wheelInsert(s.far.pop())
-			s.stats.Migrated++
-		}
-	}
-	idx := s.nextOccupied(s.cursor)
-	bucket := s.slots[idx]
-	s.cursor = idx + 1
-	s.slotEnd = s.base + Duration(idx+1)*wheelGranularity
-	s.wheel -= len(bucket)
-	for i, e := range bucket {
-		bucket[i] = nil
-		s.ready.push(e)
-	}
-	s.freeSlot(idx)
-	return s.ready[0]
 }
 
 // At schedules fn to run at absolute virtual time at. If at is in the past it
@@ -470,7 +300,7 @@ func (s *Scheduler) arm(at Time, f Firer, pooled bool) *Event {
 	e := s.alloc()
 	e.At, e.fire, e.seq, e.pooled = max(at, s.now), f, s.seq, pooled
 	s.seq++
-	s.schedule(e)
+	s.push(e)
 	return e
 }
 
@@ -496,10 +326,10 @@ func (s *Scheduler) Every(interval Duration, fn func()) *Ticker {
 // Step pops and executes the single earliest event. It reports false when the
 // queue is empty.
 func (s *Scheduler) Step() bool {
-	if s.peekNext() == nil {
+	if len(s.q) == 0 {
 		return false
 	}
-	e := s.ready.pop()
+	e := s.q.pop()
 	s.now = e.At
 	s.fired++
 	f := e.fire
@@ -554,7 +384,7 @@ func (t *Ticker) rearm() {
 	e.At, e.seq = t.s.now+t.interval, t.s.seq
 	t.s.seq++
 	t.s.stats.Reused++
-	t.s.schedule(e)
+	t.s.push(e)
 }
 
 // Stop cancels future ticks. Safe to call multiple times, and from the

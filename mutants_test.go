@@ -220,20 +220,19 @@ var mutants = []mutant{
 		want: []string{`--- FAIL: TestChosenSlotsLeaveNoTimers`, `2\d\d events pending after 200 commits, \d+ idle`},
 	},
 	{
-		// Cancel's swap-remove must re-index the event it moves into the
-		// hole, or a later Cancel of that event misses it.
-		name: "wheel-remove-skips-reindex", smoke: true, file: "internal/simtime/simtime.go",
-		old: "\tmoved.index = e.index\n", new: "",
-		cmd:  "go test ./internal/simtime -run ^TestWheelMatchesReferenceHeap$",
-		want: []string{`--- FAIL: TestWheelMatchesReferenceHeap`, `index out of range`, `simtime\.\(\*Scheduler\)\.wheelRemove`},
+		// Cancel fills the hole with the heap's last event, which may fire
+		// earlier than the hole's parent and must then sift up.
+		name: "cancel-skips-sift-up", smoke: true, file: "internal/simtime/simtime.go",
+		old: "\t\tif !h[:n].down(i, last) {\n\t\t\th.up(i, last)\n\t\t}\n", new: "\t\th[:n].down(i, last)\n",
+		cmd:  "go test ./internal/simtime -run ^TestSchedulerMatchesReferenceHeap$",
+		want: []string{`--- FAIL: TestSchedulerMatchesReferenceHeap`, `firing order diverges`},
 	},
 	{
-		// An emptied slot gives its array away, so its occupancy bit must go
-		// with it.
-		name: "emptied-slot-keeps-bit", file: "internal/simtime/simtime.go",
-		old: "\ts.bitmap[idx>>6] &^= 1 << uint(idx&63)\n", new: "",
-		cmd:  "go test ./internal/simtime -run ^TestWheelMatchesReferenceHeap$",
-		want: []string{`--- FAIL: TestWheelMatchesReferenceHeap`, `index out of range`, `simtime\.\(\*Scheduler\)\.peekNext`},
+		// Events with equal deadlines fire in the order they were armed.
+		name: "equal-deadline-ignores-seq", file: "internal/simtime/simtime.go",
+		old: "\treturn e.At < o.At || e.At == o.At && e.seq < o.seq\n", new: "\treturn e.At < o.At\n",
+		cmd:  "go test ./internal/simtime -run ^TestSchedulerMatchesReferenceHeap$",
+		want: []string{`--- FAIL: TestSchedulerMatchesReferenceHeap`, `firing order diverges`},
 	},
 	{
 		// Every change to a chunk's bytes gives it a new generation, or

@@ -18,9 +18,9 @@
 # most 1 % above REV's (BENCHMARK.json's bound). A recorded figure would not
 # carry across hosts or Go versions. The simulation runs on one goroutine, so
 # what is left of the run-to-run spread is the Go runtime's own: on a 2-CPU
-# host, ten runs of the current tree measured mallocs_k at 205.66-205.67 on
-# fleet_alloc, 715.25-715.26 on fleet_churn, 16.88-16.92 on restore_storm
-# and 62.21-62.22 on chaos_soak (--seconds 20).
+# host, ten runs of the current tree measured mallocs_k at 205.36-205.37 on
+# fleet_alloc, 714.88-714.90 on fleet_churn, 16.04-16.08 on restore_storm
+# and 42.38-42.40 on chaos_soak (--seconds 20).
 #
 # Time is reported, not gated: per workload, each side's median and
 # quartiles of cpu_s, wall_s and setup_s, and in how many pairs the working
